@@ -804,6 +804,8 @@ def _print_serve_report(report) -> None:
         f"  acked {report.acked}/{report.operations}"
         f"  failed {report.failed}  retries {report.retries}"
         f"  redirects {report.redirects}"
+        f"  index cache {report.index_cache_hits} hit"
+        f" / {report.index_cache_misses} miss"
     )
     print(
         f"  throughput {report.throughput:,.0f} op/s"
@@ -842,6 +844,10 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def _ratio(value, suffix: str = "x") -> str:
+    return "n/a" if value is None else f"{value:.3f}{suffix}"
+
+
 def cmd_validate(args) -> int:
     from repro.transport.serve import validate_transports
 
@@ -873,20 +879,19 @@ def cmd_validate(args) -> int:
         f"  live       {live['throughput']:>12,.0f} op/s"
         f"  latency {live['latency']['mean'] * 1e3:>8.3f} ms"
         f"  failed {live['failed']}"
+        f"  hops/op {_ratio(delta['hops_per_op']['live'], '')}"
     )
     print(
         f"  simulated  {sim['throughput']:>12,.0f} op/s"
         f"  latency {sim['latency_mean'] * 1e3:>8.3f} ms"
         f"  failed {sim['failed']}"
+        f"  hops/op {_ratio(delta['hops_per_op']['simulated'], '')}"
     )
-    ratio = delta["throughput_ratio"]
-    lratio = delta["latency_ratio"]
     print(
-        "  live/sim   "
-        + (f"{ratio:>11.3f}x" if ratio is not None else "        n/a")
-        + "  latency "
-        + (f"{lratio:>7.3f}x" if lratio is not None else "    n/a")
-        + f"  acked_matches={delta['acked_matches']}"
+        f"  live/sim   {_ratio(delta['throughput_ratio']):>12}"
+        f"  latency {_ratio(delta['latency_ratio']):>8}"
+        f"  hops/op {_ratio(delta['hops_ratio'])}"
+        f"  acked_matches={delta['acked_matches']}"
     )
     if not comparison["ok"]:
         for violation in comparison["violations"]:

@@ -35,7 +35,9 @@ __all__ = [
 #: Schema version stamped into every wire dict. Bump on any incompatible
 #: field change; decoders reject mismatched versions outright (a live
 #: cluster never limps along half-parsing a newer peer's frames).
-WIRE_VERSION = 1
+#: Version 2: ``ClientReply`` carries the covering index entry (``root``)
+#: and ownership directives carry the two-layer index, not a full map.
+WIRE_VERSION = 2
 
 
 def _wire_header(type_name: str) -> Dict[str, Any]:
@@ -56,6 +58,33 @@ def _check_wire(wire: Dict[str, Any], type_name: str) -> Dict[str, Any]:
             f"expected a {type_name!r} wire message, got {actual!r}"
         )
     return wire
+
+
+def _wire_decoder(type_name: str):
+    """Wrap a ``from_wire`` body: check the envelope first, and turn a
+    missing or mistyped field into the ``ValueError`` the transport drops
+    a connection on (frames are hostile input, not trusted peers)."""
+
+    def wrap(build):
+        def from_wire(cls, wire):
+            try:
+                _check_wire(wire, type_name)
+                return build(cls, wire)
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(
+                    f"malformed {type_name!r} wire message: {exc!r}"
+                ) from None
+
+        from_wire.__doc__ = build.__doc__
+        return classmethod(from_wire)
+
+    return wrap
+
+
+def _text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 class VisitKind(enum.Enum):
@@ -85,9 +114,8 @@ class Visit(NamedTuple):
         wire["kind"] = self.kind.value
         return wire
 
-    @classmethod
+    @_wire_decoder("visit")
     def from_wire(cls, wire: Dict[str, Any]) -> "Visit":
-        _check_wire(wire, "visit")
         return cls(server=int(wire["server"]), kind=VisitKind(wire["kind"]))
 
 
@@ -116,16 +144,15 @@ class RoutePlan:
         wire["lock_key"] = self.lock_key
         return wire
 
-    @classmethod
+    @_wire_decoder("route_plan")
     def from_wire(cls, wire: Dict[str, Any]) -> "RoutePlan":
-        _check_wire(wire, "route_plan")
         return cls(
             visits=[
                 Visit(int(server), VisitKind(kind))
                 for server, kind in wire["visits"]
             ],
             fanout=[int(s) for s in wire["fanout"]],
-            lock_key=wire["lock_key"],
+            lock_key=_text(wire["lock_key"]),
         )
 
 
@@ -146,9 +173,8 @@ class Heartbeat:
         wire["relative_capacity"] = self.relative_capacity
         return wire
 
-    @classmethod
+    @_wire_decoder("heartbeat")
     def from_wire(cls, wire: Dict[str, Any]) -> "Heartbeat":
-        _check_wire(wire, "heartbeat")
         return cls(
             server=int(wire["server"]),
             time=float(wire["time"]),
@@ -198,15 +224,14 @@ class Directive:
         wire["info"] = [[key, value] for key, value in self.info]
         return wire
 
-    @classmethod
+    @_wire_decoder("directive")
     def from_wire(cls, wire: Dict[str, Any]) -> "Directive":
-        _check_wire(wire, "directive")
         return cls(
             epoch=int(wire["epoch"]),
-            kind=wire["kind"],
+            kind=_text(wire["kind"]),
             server=int(wire["server"]),
             t=float(wire["t"]),
-            info=tuple((key, value) for key, value in wire["info"]),
+            info=tuple((_text(key), value) for key, value in wire["info"]),
         )
 
 
@@ -234,9 +259,8 @@ class OperationOutcome:
         wire["was_update"] = self.was_update
         return wire
 
-    @classmethod
+    @_wire_decoder("operation_outcome")
     def from_wire(cls, wire: Dict[str, Any]) -> "OperationOutcome":
-        _check_wire(wire, "operation_outcome")
         return cls(
             start=float(wire["start"]),
             completion=float(wire["completion"]),
@@ -270,13 +294,12 @@ class ClientRequest:
         wire["client_id"] = self.client_id
         return wire
 
-    @classmethod
+    @_wire_decoder("client_request")
     def from_wire(cls, wire: Dict[str, Any]) -> "ClientRequest":
-        _check_wire(wire, "client_request")
         return cls(
             op_id=int(wire["op_id"]),
-            path=wire["path"],
-            op=wire["op"],
+            path=_text(wire["path"]),
+            op=_text(wire["op"]),
             client_id=int(wire["client_id"]),
         )
 
@@ -287,11 +310,16 @@ class ClientReply:
 
     ``status`` is one of:
 
-    * ``"ack"``       — the receiving server owns the path and served it;
-    * ``"redirect"``  — the receiving server does not own the path;
+    * ``"ack"``       — the receiving server holds the path and served it;
+    * ``"redirect"``  — the receiving server may not serve the request;
       ``owner`` names the server the client should retry against
       (the live analogue of the simulator's stale-cache redirect);
     * ``"error"``     — the request could not be served (unknown path).
+
+    ``root`` is the covering inter-node index entry — the local-layer
+    subtree root above the path, owned by ``owner`` as of ``epoch`` — for
+    the client to cache; it is empty for a global-layer path, which has no
+    single owner to learn.
     """
 
     op_id: int
@@ -299,6 +327,7 @@ class ClientReply:
     server: int
     owner: int = -1
     epoch: int = 0
+    root: str = ""
 
     def to_wire(self) -> Dict[str, Any]:
         wire = _wire_header("client_reply")
@@ -307,17 +336,18 @@ class ClientReply:
         wire["server"] = self.server
         wire["owner"] = self.owner
         wire["epoch"] = self.epoch
+        wire["root"] = self.root
         return wire
 
-    @classmethod
+    @_wire_decoder("client_reply")
     def from_wire(cls, wire: Dict[str, Any]) -> "ClientReply":
-        _check_wire(wire, "client_reply")
         return cls(
             op_id=int(wire["op_id"]),
-            status=wire["status"],
+            status=_text(wire["status"]),
             server=int(wire["server"]),
             owner=int(wire["owner"]),
             epoch=int(wire["epoch"]),
+            root=_text(wire["root"]),
         )
 
 
@@ -346,7 +376,7 @@ def from_wire(wire: Dict[str, Any]):
     and incompatible schema versions.
     """
     type_name = wire.get("type")
-    cls = WIRE_TYPES.get(type_name)
+    cls = WIRE_TYPES.get(type_name) if isinstance(type_name, str) else None
     if cls is None:
         known = ", ".join(sorted(WIRE_TYPES))
         raise ValueError(

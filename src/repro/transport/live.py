@@ -25,12 +25,19 @@ What is deliberately shared with the simulator rather than re-implemented:
   accounting) against the live cluster's state, plus a ledger check that
   every client-acknowledged op is present in some MDS's ack ledger.
 
-Ownership routing is deliberately simpler than the simulator's cache
-model: every MDS holds a full path→owner map, refreshed by epoch-stamped
-ownership broadcasts from the Monitor leader. An MDS that receives a
-request for a path it does not own answers with a redirect (the live
-analogue of the stale-cache redirect); an MDS whose map is stale redirects
-wrong, and the client's retry loop absorbs it until the next broadcast.
+Requests route the way the paper's do (Sec. IV-A2). The Monitor leader's
+epoch-stamped ownership broadcasts carry the two-layer *index* — the
+global-layer paths with their replica sets and the subtree-root → owner
+map (:class:`~repro.cluster.index.RoutingIndex`) — never a map of every
+path. An MDS that holds a replica of a global-layer path acks any
+non-``update`` op on it; a global-layer ``update`` is acked by the primary
+replica only (the serialisation point standing in for the lock service, so
+a mutation's ledger entry is single-homed). A local-layer path resolves by
+longest-prefix match to its subtree root's owner. Anything else is
+answered with a redirect, and every reply names the covering index entry
+so the client (``repro.transport.loadgen``) can cache it and go straight
+to the owner next time. An MDS whose index is stale redirects wrong, and
+the client's retry loop absorbs it until the next broadcast.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chaos.history import audit_history
 from repro.cluster.failure import fail_server, rejoin_server
+from repro.cluster.index import RoutingIndex
 from repro.cluster.messages import (
     ClientReply,
     ClientRequest,
@@ -48,8 +56,7 @@ from repro.cluster.messages import (
     Heartbeat,
 )
 from repro.cluster.monitor import MonitorGroup
-from repro.core.partition import D2TreePlacement
-from repro.placement import DEAD_CAPACITY, MetadataScheme, Placement
+from repro.placement import DEAD_CAPACITY, MetadataScheme
 from repro.simulation.faults import FaultEvent, FaultKind, FaultPlan
 from repro.transport.asyncio_net import AsyncioTransport
 from repro.transport.base import CLIENT_ADDR, mds_addr, mon_addr
@@ -61,7 +68,6 @@ __all__ = [
     "LiveMonitor",
     "LiveCluster",
     "ServeReport",
-    "owner_map",
     "check_invariants",
 ]
 
@@ -88,38 +94,15 @@ class LiveConfig:
     seed: int = 7
 
 
-def owner_map(placement: Placement, tree) -> Dict[str, int]:
-    """Authoritative path→owner routing map derived from a placement.
-
-    The owner of a D2 global-layer node is its primary replica (any replica
-    can serve reads; routing to the primary keeps the map single-valued).
-    A local-layer node is owned by its covering subtree root's owner.
-    Unplaced nodes (possible only mid-migration) are omitted.
-    """
-    owners: Dict[str, int] = {}
-    if isinstance(placement, D2TreePlacement):
-        for node in tree:
-            if placement.is_global(node):
-                owners[node.path] = placement.primary_of(node)
-            else:
-                root = placement.subtree_root_of(node)
-                owners[node.path] = placement.primary_of(root)
-        return owners
-    for node in tree:
-        if placement.is_placed(node):
-            owners[node.path] = placement.primary_of(node)
-    return owners
-
-
 class LiveMDS:
     """One metadata server: a listening socket plus a heartbeat task.
 
-    Serves framed :class:`ClientRequest`\\ s (ack if owner, redirect
-    otherwise), applies epoch-fenced ownership :class:`Directive`\\ s, and
-    heartbeats every Monitor replica through the fault fabric. The ack
-    ledger (``acked``) is keyed by client-assigned op id, so a retried or
-    redirected op is acknowledged exactly once no matter how many times its
-    frames crossed the wire.
+    Serves framed :class:`ClientRequest`\\ s (ack if the index says this
+    server may, redirect otherwise), applies epoch-fenced ownership
+    :class:`Directive`\\ s, and heartbeats every Monitor replica through
+    the fault fabric. The ack ledger (``acked``) is keyed by client-assigned
+    op id, so a retried or redirected op is acknowledged exactly once no
+    matter how many times its frames crossed the wire.
     """
 
     def __init__(
@@ -129,8 +112,8 @@ class LiveMDS:
         self.addr = mds_addr(server_id)
         self.transport = transport
         self.cfg = cfg
-        #: Full path→owner routing map (refreshed by ownership broadcasts).
-        self.owners: Dict[str, int] = {}
+        #: Two-layer routing index (replaced by each ownership broadcast).
+        self.index = RoutingIndex()
         self.alive = False
         self.slow_factor = 1.0
         self.fence_epoch = 0
@@ -153,7 +136,7 @@ class LiveMDS:
         """Stop serving: close the real socket, abort real connections.
 
         ``wipe`` models ``kill9`` — the process image is lost, taking the
-        volatile epoch fence, routing map and ack ledger with it (live mode
+        volatile epoch fence, routing index and ack ledger with it (live mode
         has no durable store; the chaos docstring calls this the documented
         hazard of running storeless).
         """
@@ -165,7 +148,7 @@ class LiveMDS:
         await self.transport.stop_endpoint(self.addr)
         if wipe:
             self.fence_epoch = 0
-            self.owners = {}
+            self.index = RoutingIndex()
             self.acked = set()
 
     async def recover(self) -> None:
@@ -210,28 +193,16 @@ class LiveMDS:
             delay += (self.slow_factor - 1.0) * self.cfg.slow_unit
         if delay > 0:
             await asyncio.sleep(delay)
-        owner = self.owners.get(request.path)
-        if owner == self.server_id:
-            if request.op_id not in self.acked:
-                self.acked.add(request.op_id)
-                self.served += 1
-            reply = ClientReply(
-                op_id=request.op_id, status="ack", server=self.server_id,
-                owner=self.server_id, epoch=self.fence_epoch,
-            )
-        elif owner is None:
-            # No routing entry (fresh after kill9, or a path this map never
-            # learned): the client treats it as retryable elsewhere.
-            reply = ClientReply(
-                op_id=request.op_id, status="error", server=self.server_id,
-                epoch=self.fence_epoch,
-            )
-        else:
+        status, owner, root = self.route(request)
+        if status == "ack" and request.op_id not in self.acked:
+            self.acked.add(request.op_id)
+            self.served += 1
+        elif status == "redirect":
             self.redirects += 1
-            reply = ClientReply(
-                op_id=request.op_id, status="redirect", server=self.server_id,
-                owner=owner, epoch=self.fence_epoch,
-            )
+        reply = ClientReply(
+            op_id=request.op_id, status=status, server=self.server_id,
+            owner=owner, epoch=self.fence_epoch, root=root,
+        )
         # Replies ride the data plane: loss/delay installed on this server's
         # links applies to them too (a lost ack looks like a client timeout,
         # and the retry is absorbed by the idempotent ack ledger).
@@ -239,16 +210,32 @@ class LiveMDS:
             self.addr, CLIENT_ADDR, writer, encode_frame(reply.to_wire())
         )
 
+    def route(self, request: ClientRequest) -> Tuple[str, int, str]:
+        """``(status, owner, root)`` of the reply to ``request``.
+
+        Any replica acks a global-layer read; an ``update`` is the
+        primary's alone. A server that may not ack redirects to the primary.
+        """
+        entry = self.index.resolve(request.path)
+        if entry is None:
+            # No covering entry (fresh after kill9, or a path this index
+            # never learned): the client treats it as retryable elsewhere.
+            return "error", -1, ""
+        root, servers = entry
+        if request.op != "update" and self.server_id in servers:
+            owner = self.server_id
+        else:
+            owner = servers[0]
+        status = "ack" if owner == self.server_id else "redirect"
+        return status, owner, root
+
     def _apply_directive(self, directive: Directive) -> None:
         """Apply an ownership broadcast — unless its epoch is fenced out."""
         if directive.epoch < self.fence_epoch:
             self.fenced_directives += 1
             return
+        self.index = RoutingIndex.from_info(directive.info)
         self.fence_epoch = directive.epoch
-        info = dict(directive.info)
-        assignments = info.get("assignments")
-        if assignments is not None:
-            self.owners = {path: int(server) for path, server in assignments}
 
     # ------------------------------------------------------------------
     async def _heartbeat_loop(self) -> None:
@@ -353,6 +340,10 @@ class ServeReport:
     messages_delayed: int
     #: Ops whose retry budget/deadline ran out with a maybe-sent attempt.
     indeterminate: int = 0
+    #: The client's inter-node index cache: ops that went straight to a
+    #: cached owner / ops that fell back to a random entry server.
+    index_cache_hits: int = 0
+    index_cache_misses: int = 0
     faults: List[str] = field(default_factory=list)
     violations: List[str] = field(default_factory=list)
 
@@ -373,6 +364,8 @@ class ServeReport:
             "indeterminate": self.indeterminate,
             "retries": self.retries,
             "redirects": self.redirects,
+            "index_cache_hits": self.index_cache_hits,
+            "index_cache_misses": self.index_cache_misses,
             "duration": self.duration,
             "throughput": self.throughput,
             "latency": dict(self.latency),
@@ -394,7 +387,7 @@ class LiveCluster:
     """Boot, drive and fault a real-socket cluster for one workload.
 
     Lifecycle: :meth:`start` boots monitors and MDSs and broadcasts the
-    initial full-tree ownership map; the load generator then runs against
+    initial routing index; the load generator then runs against
     the transport while :meth:`run_fault_plan` fires scheduled events;
     :meth:`quiesce` heals and re-admits everything; :meth:`stop` tears the
     sockets down. :func:`check_invariants` audits the end state.
@@ -473,23 +466,23 @@ class LiveCluster:
     # Ownership broadcast (Monitor leader -> every live MDS)
     # ------------------------------------------------------------------
     def _ownership_directive(self, kind: str, server: int, now: float) -> Directive:
-        assignments = sorted(owner_map(self.placement, self.tree).items())
         return Directive(
             epoch=self.group.epoch, kind=kind, server=server, t=now,
-            info=(("assignments", [[p, s] for p, s in assignments]),),
+            info=RoutingIndex.of(self.placement).to_info(),
         )
 
     async def _broadcast_ownership(
         self, kind: str, server: int = -1, only: Optional[Set[int]] = None
     ) -> None:
-        """Push the full current ownership map to (live) MDSs.
+        """Push the current routing index to (live) MDSs.
 
-        Full maps rather than deltas: broadcasts are rare (boot, re-home,
-        rejoin, reconcile) and a full map makes every broadcast
-        self-healing — an MDS that missed one converges on the next.
-        Partitioned or muted targets simply don't get the frame; their maps
-        stay stale until the next broadcast after heal (clients absorb the
-        mis-redirects by retrying).
+        The whole index rather than deltas: broadcasts are rare (boot,
+        re-home, rejoin, reconcile), the index is small (global layer +
+        subtree roots, not the namespace), and a whole one makes every
+        broadcast self-healing — an MDS that missed one converges on the
+        next. Partitioned or muted targets simply don't get the frame;
+        their index stays stale until the next broadcast after heal
+        (clients absorb the mis-redirects by retrying).
         """
         loop = asyncio.get_running_loop()
         directive = self._ownership_directive(kind, server, loop.time())
@@ -642,7 +635,7 @@ class LiveCluster:
 
         Invariants are only meaningful after this: mid-partition the
         cluster may be degraded, but once the faults clear it must
-        converge — every server re-admitted, ownership maps reconciled.
+        converge — every server re-admitted, routing indexes reconciled.
         """
         loop = asyncio.get_running_loop()
         self.transport.heal(None)

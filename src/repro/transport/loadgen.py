@@ -1,15 +1,25 @@
-"""Open-loop client load generator for the live cluster.
+"""Client load generator for the live cluster.
 
 Arrivals are a seeded Poisson process at a configured rate — open-loop, so
 a slow or faulted cluster builds a backlog instead of silently throttling
-the offered load (the honest way to measure a live system; a bounded
-in-flight cap guards the event loop, and saturating it is reported).
+the offered load. A bounded in-flight cap guards the event loop; once it
+binds the generator is a closed loop of ``max_inflight`` clients (each
+dispatch it delayed is counted in ``saturated``).
 
 Each operation gets a stable ``op_id`` before the first send. Retries,
 redirects and duplicate deliveries all reuse it, and the MDS ack ledger is
 keyed by it — that is the whole exactly-once accounting story: *issued ==
-acked + failed* must hold at the clients no matter what the network did,
-and every client-acknowledged id must appear in some server's ledger.
+acked + failed + indeterminate* must hold at the clients no matter what
+the network did, and every client-acknowledged id must appear in its
+acking server's ledger.
+
+Routing is the paper's (Sec. IV-A2): the client keeps an epoch-stamped LRU
+cache of the inter-node index — subtree root → owner, learned from the
+covering entry every reply carries. The longest cached prefix of a path
+names the server to go to directly; a miss (a cold subtree, or a
+global-layer path, which any MDS serves) goes to a random entry server. A
+stale entry costs one redirect, which replaces it; an owner that refuses
+the connection or times out is forgotten, so it is not retried per op.
 
 Connections are multiplexed: one stream per MDS shared by every in-flight
 operation, with replies correlated back to waiters by ``op_id``. A reset
@@ -25,6 +35,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.chaos.history import OpHistory
+from repro.cluster.cache import LRUCache
+from repro.cluster.index import covering_entry
 from repro.cluster.messages import ClientReply, ClientRequest
 from repro.transport.asyncio_net import AsyncioTransport
 from repro.transport.base import CLIENT_ADDR, mds_addr
@@ -38,6 +50,9 @@ __all__ = [
     "latency_summary",
     "trace_ops",
 ]
+
+#: Entries of the client's inter-node index cache (``SimClient``'s size).
+INDEX_CACHE_SIZE = 512
 
 
 class RequestUnsent(ConnectionError):
@@ -87,6 +102,10 @@ class LoadReport:
     redirects: int = 0
     #: Dispatches that found the in-flight cap exhausted.
     saturated: int = 0
+    #: First attempts routed by a cached index entry / sent to a random
+    #: entry server for want of one.
+    index_cache_hits: int = 0
+    index_cache_misses: int = 0
     duration: float = 0.0
     acked_ids: Set[int] = field(default_factory=set)
     indeterminate_ids: Set[int] = field(default_factory=set)
@@ -240,6 +259,10 @@ class LoadGenerator:
         self.report = LoadReport(issued=len(self.ops), history=self.history)
         self._conns: Dict[int, _ServerConn] = {}
         self._done = 0
+        #: subtree-root path -> (owner, epoch): the cached inter-node index.
+        self.index_cache: LRUCache[str, Tuple[int, int]] = LRUCache(
+            INDEX_CACHE_SIZE
+        )
 
     @property
     def completed(self) -> int:
@@ -252,6 +275,21 @@ class LoadGenerator:
             conn = _ServerConn(self.transport, server)
             self._conns[server] = conn
         return conn
+
+    def _learn(self, reply: ClientReply) -> None:
+        """Cache the reply's covering index entry, unless it is older than
+        the cached one (a stale server's view does not overwrite a newer)."""
+        if reply.root and reply.owner >= 0:
+            known = self.index_cache.peek(reply.root)
+            if known is None or reply.epoch >= known[1]:
+                self.index_cache.put(reply.root, (reply.owner, reply.epoch))
+
+    def _forget(self, root: str, server: int) -> None:
+        """Drop ``root``'s entry if it still names ``server`` (another
+        in-flight op may have corrected it since this one read it)."""
+        known = self.index_cache.peek(root)
+        if known is not None and known[0] == server:
+            self.index_cache.invalidate(root)
 
     # ------------------------------------------------------------------
     async def run(self) -> LoadReport:
@@ -288,6 +326,8 @@ class LoadGenerator:
         if tasks:
             await asyncio.gather(*tasks)
         self.report.duration = loop.time() - started
+        self.report.index_cache_hits = self.index_cache.hits
+        self.report.index_cache_misses = self.index_cache.misses
         await self.close()
         return self.report
 
@@ -304,7 +344,13 @@ class LoadGenerator:
         start = loop.time()
         self.history.invoke(op_id, -1, start)
         deadline = start + cfg.op_deadline
-        target = entry
+        # Longest cached prefix -> straight to the owner; a miss (cold
+        # subtree or global-layer path) -> the pre-drawn random entry.
+        cached = covering_entry(path, self.index_cache.peek)
+        root, target = (cached[0], cached[1][0]) if cached else ("", entry)
+        # The op's one counting lookup (hits + misses == ops routed), which
+        # also refreshes the entry's recency.
+        self.index_cache.get(root or path)
         # True once any attempt may have reached a server (sent then timed
         # out / reset) — the client can no longer prove the op unapplied.
         maybe_applied = False
@@ -318,19 +364,15 @@ class LoadGenerator:
                     reply = await self._conn(target).request(
                         request, cfg.request_timeout
                     )
-                except RequestUnsent:
-                    # Never hit the wire: determinately not applied.
+                except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+                    # A connect failure never hit the wire (determinately
+                    # not applied); anything later may have been applied.
+                    maybe_applied |= not isinstance(exc, RequestUnsent)
                     self.report.retries += 1
-                    backoff = min(
-                        cfg.retry_backoff_cap,
-                        cfg.retry_backoff_base * (2 ** attempt),
-                    )
-                    await asyncio.sleep(backoff * (0.5 + rng.random()))
-                    target = rng.randrange(self.num_servers)
-                    continue
-                except (ConnectionError, OSError, asyncio.TimeoutError):
-                    maybe_applied = True
-                    self.report.retries += 1
+                    # The index entry that led here names a dead or silent
+                    # owner: forget it rather than retry it per op.
+                    self._forget(root, target)
+                    root = ""
                     backoff = min(
                         cfg.retry_backoff_cap,
                         cfg.retry_backoff_base * (2 ** attempt),
@@ -339,15 +381,21 @@ class LoadGenerator:
                     target = rng.randrange(self.num_servers)
                     continue
                 if reply.status == "ack":
+                    self._learn(reply)
                     self.report.acked_ids.add(op_id)
                     self.report.latencies.append(loop.time() - start)
                     self.history.ok(
                         op_id, -1, loop.time(), reply.server, reply.epoch
                     )
                     return
+                # A cached owner that does not ack has disowned the subtree:
+                # the entry is stale whatever the reply teaches in its place.
+                self._forget(root, target)
+                root = ""
                 if reply.status == "redirect" and reply.owner >= 0:
                     self.report.redirects += 1
-                    target = reply.owner
+                    self._learn(reply)
+                    root, target = reply.root, reply.owner
                     continue
                 # "error" (no routing entry yet) or a bogus redirect:
                 # try another entry server after a short backoff. The

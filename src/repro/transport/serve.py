@@ -2,7 +2,7 @@
 
 :func:`serve_workload` is what ``repro serve`` (and the serve bench axis)
 calls: boot a :class:`~repro.transport.live.LiveCluster`, drive the
-workload's trace through the open-loop load generator, fire any fault
+workload's trace through the load generator, fire any fault
 plan, quiesce, audit the safety invariants and return a
 :class:`~repro.transport.live.ServeReport`.
 
@@ -80,6 +80,8 @@ async def _serve_async(
             indeterminate=load.indeterminate,
             retries=load.retries,
             redirects=load.redirects,
+            index_cache_hits=load.index_cache_hits,
+            index_cache_misses=load.index_cache_misses,
             duration=load.duration,
             throughput=load.throughput,
             latency=latency_summary(load.latencies),
@@ -130,10 +132,10 @@ def validate_transports(
     """Replay one seeded workload through both transports and diff them.
 
     Returns a JSON-ready dict with the live report, the simulated result,
-    and measured-vs-simulated deltas for throughput and mean latency. The
-    simulated run uses a fresh scheme instance (the live run mutates the
-    shared placement) and ``adjust_every_ops=0`` to match live mode's
-    static placement between failures.
+    and measured-vs-simulated deltas for throughput, mean latency and
+    locality (hops per op). The simulated run uses a fresh scheme instance
+    (the live run mutates the shared placement) and ``adjust_every_ops=0``
+    to match live mode's static placement between failures.
     """
     live_cfg = live_cfg or LiveConfig()
     load_cfg = load_cfg or LoadConfig()
@@ -151,6 +153,9 @@ def validate_transports(
 
     sim_latency = sim.latency.mean if sim.operations else 0.0
     live_latency = live.latency["mean"]
+    # Locality, both sides: requests a server handled per completed op.
+    live_hops = 1 + live.redirects / live.acked if live.acked else None
+    sim_hops = 1 + sim.mean_jumps if sim.operations else None
     return {
         "scheme": live.scheme,
         "trace": workload.profile.name,
@@ -176,6 +181,8 @@ def validate_transports(
             "latency_ratio": (
                 live_latency / sim_latency if sim_latency else None
             ),
+            "hops_per_op": {"live": live_hops, "simulated": sim_hops},
+            "hops_ratio": live_hops / sim_hops if live_hops and sim_hops else None,
             "acked_matches": (
                 live.acked == sim.operations - sim.failed_operations
             ),

@@ -15,13 +15,13 @@ import pytest
 
 from repro import registry
 from repro.chaos import run_case
+from repro.cluster.index import RoutingIndex
 from repro.simulation import FaultPlan, SimulationConfig, simulate
 from repro.traces import DatasetProfile, load_workload
 from repro.transport.live import (
     LiveCluster,
     LiveConfig,
     check_invariants,
-    owner_map,
 )
 from repro.transport.loadgen import LoadConfig, LoadGenerator, trace_ops
 
@@ -37,6 +37,25 @@ def workload():
     )
     bundle = load_workload(profile)
     return dataclasses.replace(bundle, trace=bundle.trace.slice(0, 500))
+
+
+def _ownership(placement):
+    """The authoritative two-layer index of a placement, as plain dicts."""
+    index = RoutingIndex.of(placement)
+    return index.global_layer, index.roots
+
+
+def _assert_every_mds_resolves_authoritatively(cluster, tree):
+    """Every node of the tree, asked of every MDS, lands on servers the
+    authoritative placement stores it on."""
+    placement = cluster.placement
+    for mds in cluster.servers:
+        for node in tree:
+            entry = mds.index.resolve(node.path)
+            assert entry is not None, (mds.server_id, node.path)
+            assert set(entry[1]) <= set(placement.servers_of(node)), (
+                mds.server_id, node.path, entry,
+            )
 
 
 def _live_run(workload, plan=None):
@@ -72,8 +91,7 @@ def _live_run(workload, plan=None):
             return {
                 "load": load,
                 "violations": check_invariants(cluster, load),
-                "ownership": owner_map(cluster.placement, workload.tree),
-                "mds_maps": [dict(s.owners) for s in cluster.servers],
+                "ownership": _ownership(cluster.placement),
                 "epoch": cluster.group.epoch,
             }
         finally:
@@ -105,20 +123,64 @@ def test_fault_free_parity(workload):
     # Same final namespace ownership: without faults or dynamic
     # adjustment, neither transport moves anything — both end exactly at
     # the scheme's deterministic initial partition.
-    expected = owner_map(
-        registry.create("d2-tree").partition(workload.tree, NUM_SERVERS),
-        workload.tree,
+    expected = _ownership(
+        registry.create("d2-tree").partition(workload.tree, NUM_SERVERS)
     )
     assert live["ownership"] == expected
     assert live["violations"] == []
 
 
 def test_every_live_mds_converges_to_the_authoritative_map(workload):
-    live = _live_run(workload)
-    # The broadcast protocol must leave every (live) MDS holding the full
-    # authoritative routing map — a stale map would strand redirects.
-    for mds_map in live["mds_maps"]:
-        assert mds_map == live["ownership"]
+    """The index broadcast must leave every MDS resolving every path onto
+    the servers that really store it — after boot, and again after a
+    crash -> evict -> recover -> rejoin cycle moved subtrees twice. A stale
+    index would strand redirects."""
+
+    async def wait_for(condition, timeout=5.0):
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while not condition():
+            assert loop.time() < deadline, "cluster did not converge in time"
+            await asyncio.sleep(0.01)
+
+    async def go():
+        cluster = LiveCluster(
+            registry.create("d2-tree"),
+            workload,
+            LiveConfig(
+                num_servers=NUM_SERVERS,
+                num_monitors=NUM_MONITORS,
+                heartbeat_interval=0.01,
+                heartbeat_timeout=0.08,
+                seed=SEED,
+            ),
+        )
+        await cluster.start()
+        try:
+            await wait_for(lambda: all(len(s.index) for s in cluster.servers))
+            _assert_every_mds_resolves_authoritatively(cluster, workload.tree)
+            boot_global_layer = _ownership(cluster.placement)[0]
+
+            await cluster.servers[1].crash()
+            await wait_for(lambda: 1 in cluster._evicted)
+            assert 1 not in cluster.placement.subtree_owner.values()
+            await cluster.servers[1].recover()
+            await wait_for(
+                lambda: not cluster._evicted and not cluster.group.is_dead(1)
+            )
+            await cluster.quiesce()
+            assert 1 in cluster.placement.subtree_owner.values()
+            _assert_every_mds_resolves_authoritatively(cluster, workload.tree)
+            # Every MDS holds exactly the current index, and the global
+            # layer is back on every server it booted on.
+            current = _ownership(cluster.placement)
+            for mds in cluster.servers:
+                assert (mds.index.global_layer, mds.index.roots) == current
+            assert current[0] == boot_global_layer
+        finally:
+            await cluster.stop()
+
+    asyncio.run(go())
 
 
 def test_partition_fault_produces_same_invariant_verdicts(workload):

@@ -80,6 +80,7 @@ client_requests = st.builds(
 client_replies = st.builds(
     ClientReply,
     op_id=ints, status=texts, server=ints, owner=ints, epoch=ints,
+    root=texts,
 )
 
 #: One strategy per entry in WIRE_TYPES; the completeness test below fails
@@ -163,6 +164,106 @@ def test_typed_decoder_rejects_wrong_tag():
     wire = Heartbeat(0, 0.0, 0.0, 1.0).to_wire()
     with pytest.raises(ValueError, match="expected a 'directive'"):
         Directive.from_wire(wire)
+
+
+# ----------------------------------------------------------------------
+# Hostile frames: a missing or mistyped field is the typed ValueError the
+# transport drops a connection on, never a KeyError/TypeError that would
+# kill the handler task.
+# ----------------------------------------------------------------------
+@given(any_message, st.data())
+def test_a_missing_field_is_a_value_error(message, data):
+    wire = to_wire(message)
+    field = data.draw(st.sampled_from(sorted(set(wire) - {"v", "type"})))
+    del wire[field]
+    with pytest.raises(ValueError, match="malformed"):
+        from_wire(wire)
+    with pytest.raises(ValueError, match="malformed"):
+        type(message).from_wire(wire)
+
+
+@pytest.mark.parametrize("message, field, value", [
+    (ClientRequest(1, "/a", "read"), "op_id", None),
+    (ClientRequest(1, "/a", "read"), "op_id", [1]),
+    (ClientRequest(1, "/a", "read"), "path", 7),
+    (ClientRequest(1, "/a", "read"), "op", None),
+    (ClientRequest(1, "/a", "read"), "client_id", {}),
+    (ClientReply(1, "ack", 0), "status", 3),
+    (ClientReply(1, "ack", 0), "owner", None),
+    (ClientReply(1, "ack", 0), "root", None),
+    (ClientReply(1, "ack", 0), "root", ["/a"]),
+    (Directive(1, "rehome"), "epoch", None),
+    (Directive(1, "rehome"), "kind", 5),
+    (Directive(1, "rehome"), "info", None),
+    (Directive(1, "rehome"), "info", [["only-a-key"]]),
+    (Directive(1, "rehome"), "info", [[5, "non-text key"]]),
+    (Heartbeat(0, 0.0, 0.0, 1.0), "server", None),
+    (Heartbeat(0, 0.0, 0.0, 1.0), "load", "heavy"),
+    (Heartbeat(0, 0.0, 0.0, 1.0), "time", []),
+    (RoutePlan(), "visits", [[0]]),
+    (RoutePlan(), "visits", 3),
+    (Visit(0, VisitKind.ENTRY), "kind", "no-such-kind"),
+])
+def test_a_mistyped_field_is_a_value_error(message, field, value):
+    wire = to_wire(message)
+    wire[field] = value
+    with pytest.raises(ValueError):
+        from_wire(wire)
+
+
+def test_the_issue_example_frame_is_a_value_error():
+    with pytest.raises(ValueError, match="malformed 'client_request'"):
+        ClientRequest.from_wire({"v": WIRE_VERSION, "type": "client_request"})
+
+
+def test_an_unhashable_type_tag_is_rejected():
+    with pytest.raises(ValueError, match="unknown wire message type"):
+        from_wire({"v": WIRE_VERSION, "type": ["client_request"]})
+
+
+def test_a_garbage_frame_drops_the_connection_not_the_server():
+    """A live MDS answers a hostile frame by closing that connection; the
+    handler task ends cleanly and the endpoint keeps serving."""
+    from repro.transport.asyncio_net import AsyncioTransport
+    from repro.transport.live import LiveConfig, LiveMDS
+    from repro.transport.wire import read_frame
+
+    async def go():
+        loop = asyncio.get_running_loop()
+        unhandled = []
+        loop.set_exception_handler(lambda _loop, ctx: unhandled.append(ctx))
+        transport = AsyncioTransport(mode="unix")
+        mds = LiveMDS(0, transport, LiveConfig(num_servers=1, num_monitors=0))
+        await transport.start_endpoint(mds.addr, mds._handle)
+        try:
+            for garbage in (
+                {"v": WIRE_VERSION, "type": "client_request"},
+                {"v": WIRE_VERSION, "type": "client_request", "op_id": None,
+                 "path": "/a", "op": "read", "client_id": 0},
+                {"v": WIRE_VERSION, "type": "directive", "epoch": 1,
+                 "kind": "rehome", "server": -1, "t": 0.0,
+                 "info": [["roots", "not-a-list-of-pairs"]]},
+            ):
+                reader, writer = await transport.connect(mds.addr)
+                writer.write(encode_frame(garbage))
+                await writer.drain()
+                # The server hangs up on us (EOF), it does not reply.
+                assert await asyncio.wait_for(read_frame(reader), 2.0) is None
+                writer.close()
+            assert mds.fence_epoch == 0  # the bad directive applied nothing
+            reader, writer = await transport.connect(mds.addr)
+            writer.write(encode_message(ClientRequest(9, "/a", "read")))
+            await writer.drain()
+            reply = from_wire(await asyncio.wait_for(read_frame(reader), 2.0))
+            writer.close()
+        finally:
+            await transport.close()
+        await asyncio.sleep(0)
+        return reply, unhandled
+
+    reply, unhandled = asyncio.run(go())
+    assert reply == ClientReply(9, "error", 0)
+    assert unhandled == []
 
 
 # ----------------------------------------------------------------------
