@@ -263,7 +263,7 @@ def test_ablation_failure_recovery(workloads, benchmark):
     server's subtrees; D2-Tree's replicated global layer keeps serving."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     from repro.baselines import StaticSubtreeScheme
-    from repro.simulation import SimulationConfig
+    from repro.simulation import FaultPlan, SimulationConfig
     from repro.simulation.runner import ClusterSimulator
 
     workload = workloads["DTR"]
@@ -274,7 +274,9 @@ def test_ablation_failure_recovery(workloads, benchmark):
         healthy = ClusterSimulator(factory(), workload, 8).run()
         crashed = ClusterSimulator(
             factory(), workload, 8,
-            SimulationConfig(failures=((crash_at, 3),)),
+            SimulationConfig(
+                fault_plan=FaultPlan.parse([f"crash:3@ops={crash_at}"])
+            ),
         ).run()
         retained = crashed.throughput / healthy.throughput
         print(f"{factory().name:<18}{healthy.throughput:>10.0f}"

@@ -1,429 +1,17 @@
-"""Wall-clock benchmarks (the ``repro bench`` verb).
+"""Machine-speed calibration for the repo's one benchmark, ``perfbench/``.
 
-Five axes:
-
-* ``--axis routing`` (:func:`bench_routing`, the default) measures route
-  planning throughput; ``--axis recovery`` (:func:`bench_recovery`)
-  measures durable-store recovery time against WAL length; ``--axis
-  simulate`` (:func:`bench_simulate`) measures end-to-end simulate
-  throughput of the per-op vs the columnar replay engine
-  (``BENCH_simulate.json``), gated on the two producing bit-identical
-  results; ``--axis failover`` (:func:`bench_failover`) replays a seeded
-  crash → recover schedule with sampled tracing on and reads detection /
-  recovery / downtime latency off the cluster-lifecycle spans
-  (``BENCH_failover.json``); ``--axis serve`` (:func:`bench_serve`) boots
-  a real asyncio cluster on unix sockets, drives open-loop client load
-  through it and reports measured throughput/latency plus the
-  live-vs-simulated delta (``BENCH_serve.json``). ``--axis all`` runs
-  every axis and appends one :func:`trend_record` per axis to
-  ``benchmarks/trends.jsonl``.
-
-The routing axis measures the cost of *route planning* — the per-operation
-work the fast-path engine (:mod:`repro.simulation.routing`) optimises — by
-replaying a trace through both engines in a plan-only loop:
-
-* **legacy** mode reproduces the pre-fast-path per-op planner: one
-  ``tree.lookup(path)`` per record followed by the string-keyed ancestor
-  walk.
-* **fast** mode resolves lookups in ``batch_size`` windows and plans through
-  the interned-path owner index.
-
-Both modes replay the identical record → client assignment, so their plans
-(and client-cache statistics) are comparable; a full-simulation parity check
-(batched vs per-op, fast vs legacy) is part of the report and is what the CI
-smoke job asserts on.
-
-Wall-clock numbers never enter simulator telemetry — they live only in the
-benchmark report (``BENCH_throughput.json``).
+``perfbench/run.py`` stamps every result file with :func:`machine_score`
+so numbers taken on different hosts can be told apart; the workloads,
+timing, gates and per-layer attribution all live under ``perfbench/``
+(see ``perfbench/README.md`` and ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import gc
-import json
-import math
-import platform
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro import registry
-from repro.cluster.cache import LRUCache
-from repro.cluster.client import SimClient
-from repro.simulation.routing import make_engine
-from repro.simulation.runner import SimulationConfig, simulate
-from repro.traces.generator import GeneratedWorkload
-from repro.traces.trace import Trace
-
-__all__ = [
-    "append_trend",
-    "bench_failover",
-    "bench_recovery",
-    "bench_routing",
-    "bench_serve",
-    "bench_simulate",
-    "machine_score",
-    "trend_record",
-    "write_report",
-]
-
-#: Matches the simulator's client fleet default.
-BENCH_CLIENTS = 200
-
-#: The timed section repeats full trace passes until it has run at least
-#: this long — small traces would otherwise produce ~10 ms windows whose
-#: scheduler noise dwarfs the signal.
-MIN_TIMED_SECONDS = 0.3
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    rank = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[rank]
-
-
-def _plan_pass(
-    engine_name: str,
-    engine,
-    assigned,
-    lookup,
-    batch_size: int,
-    sample_every: int = 0,
-) -> object:
-    """Plan every ``(client, record)`` pair once through ``engine``.
-
-    The record → client assignment is precomputed by the caller (it is
-    harness bookkeeping, identical for both modes, not planner work); path
-    resolution stays inside the pass — it is part of the dispatch pipeline
-    both engines pay for.
-
-    With ``sample_every == 0`` the pass is a pure loop and returns its ops
-    count; otherwise per-plan cost samples (seconds) are returned — every
-    ``sample_every``-th op timed individually in legacy mode, every window
-    timed and divided by its size in fast mode (batched planning has no
-    meaningful single-op boundary).
-    """
-    plan = engine.plan
-    planned = 0
-    samples: List[float] = []
-    perf = time.perf_counter
-    if engine_name == "legacy":
-        # Pre-fast-path behaviour: resolve and plan one record at a time.
-        if sample_every:
-            for index, (client, record) in enumerate(assigned):
-                node = lookup(record.path)
-                if node is None:
-                    continue
-                if index % sample_every:
-                    plan(client, node, record.op)
-                else:
-                    t0 = perf()
-                    plan(client, node, record.op)
-                    samples.append(perf() - t0)
-            return samples
-        for client, record in assigned:
-            node = lookup(record.path)
-            if node is None:
-                continue
-            plan(client, node, record.op)
-            planned += 1
-        return planned
-    # Fast path: lookups resolved in batch_size windows, the whole window
-    # planned through the engine's batch entry point.
-    windows = (
-        [
-            (client, node, r.op)
-            for client, r in assigned[base : base + batch_size]
-            if (node := lookup(r.path)) is not None
-        ]
-        for base in range(0, len(assigned), batch_size)
-    )
-    if sample_every:
-        # Per-plan cost sampled one window at a time (cost divided evenly
-        # across the window's ops).
-        for window in windows:
-            if not window:
-                continue
-            t0 = perf()
-            engine.plan_batch(window)
-            samples.append((perf() - t0) / len(window))
-        return samples
-    plan_batch = engine.plan_batch
-    for window in windows:
-        planned += len(plan_batch(window))
-    return planned
-
-
-def _run_mode(
-    engine_name: str,
-    workload: GeneratedWorkload,
-    num_servers: int,
-    scheme_name: str,
-    batch_size: int,
-    max_ops: Optional[int],
-    sample_every: int,
-) -> Dict[str, object]:
-    """Measure one engine's steady-state route-planning cost.
-
-    Three passes over the trace with identical record → client assignment:
-    an un-timed warmup (client caches and the owner index reach steady
-    state — what a long-running cluster looks like), a timed pure pass
-    (→ ops/sec), and a sampling pass (→ p50/p95 per-plan cost).
-    """
-    tree = workload.tree
-    tree.ensure_popularity()
-    scheme = registry.create(scheme_name)
-    placement = scheme.partition(tree, num_servers)
-    engine = make_engine(engine_name, tree, placement)
-    clients = [SimClient(cid, num_servers) for cid in range(BENCH_CLIENTS)]
-    records = workload.trace.records
-    if max_ops is not None:
-        records = records[:max_ops]
-    lookup = tree.lookup
-    assigned = [
-        (clients[i % BENCH_CLIENTS], record)
-        for i, record in enumerate(records)
-    ]
-
-    _plan_pass(engine_name, engine, assigned, lookup, batch_size)
-    perf = time.perf_counter
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # keep collector pauses out of the timed passes
-    try:
-        planned = 0
-        start = perf()
-        while True:
-            planned += _plan_pass(
-                engine_name, engine, assigned, lookup, batch_size
-            )
-            elapsed = perf() - start
-            if elapsed >= MIN_TIMED_SECONDS:
-                break
-        samples = _plan_pass(
-            engine_name, engine, assigned, lookup, batch_size,
-            sample_every=sample_every,
-        )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    samples.sort()
-    report: Dict[str, object] = {
-        "engine": engine_name,
-        "ops": planned,
-        "elapsed_seconds": elapsed,
-        "ops_per_sec": planned / elapsed if elapsed > 0 else 0.0,
-        "plan_cost_p50_us": _percentile(samples, 0.50) * 1e6,
-        "plan_cost_p95_us": _percentile(samples, 0.95) * 1e6,
-        "index_cache_hit_rate": LRUCache.merged_hit_rate(
-            c.index_cache for c in clients
-        ),
-        "prefix_cache_hit_rate": LRUCache.merged_hit_rate(
-            c.prefix_cache for c in clients
-        ),
-    }
-    if hasattr(engine, "hit_rate"):
-        report["owner_index_hit_rate"] = engine.hit_rate
-    return report
-
-
-def _parity_check(
-    workload: GeneratedWorkload, num_servers: int, scheme_name: str
-) -> Dict[str, bool]:
-    """Full-simulation equivalence: batched dispatch ≡ per-op dispatch.
-
-    Checked for both engines — batch size is a pure throughput knob and any
-    divergence is a bug (the CI smoke job fails on it). D2-Tree runs are
-    additionally fast ≡ legacy bit-equal; the generic planner is not (its
-    warm path intentionally skips the per-ancestor walk).
-    """
-    def run(**overrides):
-        cfg = SimulationConfig(num_clients=50, adjust_every_ops=1000, **overrides)
-        return simulate(registry.create(scheme_name), workload, num_servers, cfg)
-
-    parity = {
-        "fast_batched_matches_per_op": run() == run(batch_size=1),
-        "legacy_batched_matches_per_op": (
-            run(routing_engine="legacy")
-            == run(routing_engine="legacy", batch_size=1)
-        ),
-    }
-    if scheme_name == "d2-tree":
-        parity["fast_matches_legacy"] = run() == run(routing_engine="legacy")
-    return parity
-
-
-def _bench_scheme(
-    workload: GeneratedWorkload,
-    num_servers: int,
-    scheme_name: str,
-    batch_size: int,
-    max_ops: Optional[int],
-    repeats: int,
-    sample_every: int,
-    parity: bool,
-) -> Dict[str, object]:
-    """Benchmark both engines for one scheme; the best of ``repeats`` passes
-    per engine is kept (benchmark convention: the fastest repeat is the
-    least noisy estimate of the true cost). Repeats are interleaved
-    legacy/fast so slow drift in machine speed hits both engines alike
-    instead of biasing whichever ran last."""
-    modes: Dict[str, Dict[str, object]] = {}
-    for _ in range(max(1, repeats)):
-        for engine_name in ("legacy", "fast"):
-            result = _run_mode(
-                engine_name, workload, num_servers, scheme_name,
-                batch_size, max_ops, sample_every,
-            )
-            best = modes.get(engine_name)
-            if best is None or result["ops_per_sec"] > best["ops_per_sec"]:
-                modes[engine_name] = result
-
-    legacy_rate = float(modes["legacy"]["ops_per_sec"])
-    fast_rate = float(modes["fast"]["ops_per_sec"])
-    entry: Dict[str, object] = {
-        "modes": modes,
-        "speedup": fast_rate / legacy_rate if legacy_rate > 0 else 0.0,
-    }
-    if parity:
-        entry["parity"] = _parity_check(workload, num_servers, scheme_name)
-    return entry
-
-
-def bench_routing(
-    workload: GeneratedWorkload,
-    num_servers: int = 8,
-    schemes: Optional[List[str]] = None,
-    batch_size: int = 64,
-    max_ops: Optional[int] = None,
-    repeats: int = 3,
-    sample_every: int = 16,
-    parity: bool = True,
-) -> Dict[str, object]:
-    """Benchmark both routing engines over one workload; returns the report.
-
-    ``schemes`` defaults to every registered scheme — the same set the
-    default ``repro simulate`` invocation runs. The headline
-    ``speedup_geomean`` aggregates per-scheme fast/legacy ratios the way
-    benchmark suites conventionally do (a plain mean would let one extreme
-    scheme dominate).
-    """
-    names = list(schemes) if schemes else registry.available()
-    per_scheme: Dict[str, Dict[str, object]] = {}
-    for scheme_name in names:
-        per_scheme[scheme_name] = _bench_scheme(
-            workload, num_servers, scheme_name, batch_size,
-            max_ops, repeats, sample_every, parity,
-        )
-    speedups = [float(entry["speedup"]) for entry in per_scheme.values()]
-    geomean = (
-        math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-        if speedups and all(s > 0 for s in speedups)
-        else 0.0
-    )
-    return {
-        "benchmark": "routing_engine_throughput",
-        "trace": workload.trace.name,
-        "num_servers": num_servers,
-        "batch_size": batch_size,
-        "python": platform.python_version(),
-        "schemes": per_scheme,
-        "speedup_geomean": geomean,
-    }
-
-
-# ----------------------------------------------------------------------
-# Recovery axis: WAL replay time vs log length
-# ----------------------------------------------------------------------
-
-def _synthetic_log(store, server: int, records: int, seed: int) -> None:
-    """Fill one server's log with a realistic record mix (mostly acks)."""
-    import random
-
-    rng = random.Random(seed)
-    paths = [f"/bench/dir{idx:03d}/file{idx:05d}" for idx in range(256)]
-    for op in range(records):
-        roll = rng.random()
-        t = op * 1e-4
-        if roll < 0.90:
-            store.append_ack(server, op, rng.choice(paths), t)
-        elif roll < 0.95:
-            store.append_mutation(server, "grant", rng.choice(paths), t)
-        elif roll < 0.98:
-            store.append_mutation(server, "revoke", rng.choice(paths), t)
-        else:
-            store.append_fence(server, 1 + op // 100, t)
-
-
-def bench_recovery(
-    log_lengths=(1000, 4000, 16000),
-    backends=("wal", "sqlite"),
-    repeats: int = 3,
-    seed: int = 7,
-) -> Dict[str, object]:
-    """Measure recovery-replay time against log length per backend.
-
-    For each (backend, length) point a synthetic per-server log of
-    ``length`` records (90% acks, the rest grants/revokes/fences — roughly
-    the mix a busy MDS journals) is built in a temp directory with
-    snapshotting disabled, then ``recover_server`` is timed; the best of
-    ``repeats`` runs is kept. The report lands in ``BENCH_recovery.json``
-    (first step of the ROADMAP's multi-axis bench suite).
-    """
-    from repro.storage import make_store
-
-    perf = time.perf_counter
-    points: List[Dict[str, object]] = []
-    for backend in backends:
-        for length in log_lengths:
-            best = None
-            replayed = 0
-            recovered_acks = 0
-            for repeat in range(max(1, repeats)):
-                # snapshot_every=0: the whole log replays, so the timing is
-                # a pure function of log length (snapshots are what keep
-                # real recoveries shorter — that effect is the WAL format's
-                # to demonstrate, not this microbenchmark's).
-                store = make_store(backend, snapshot_every=0)
-                try:
-                    _synthetic_log(store, 0, length, seed)
-                    gc_was_enabled = gc.isenabled()
-                    gc.disable()
-                    try:
-                        t0 = perf()
-                        recovered = store.recover_server(0)
-                        elapsed = perf() - t0
-                    finally:
-                        if gc_was_enabled:
-                            gc.enable()
-                    replayed = recovered.replayed_records
-                    recovered_acks = len(recovered.acked_ops)
-                    if best is None or elapsed < best:
-                        best = elapsed
-                finally:
-                    store.close()
-            points.append({
-                "backend": backend,
-                "log_records": int(length),
-                "recover_seconds": best,
-                "records_per_sec": replayed / best if best else 0.0,
-                "replayed_records": replayed,
-                "recovered_acks": recovered_acks,
-            })
-    return {
-        "benchmark": "wal_recovery",
-        "repeats": repeats,
-        "seed": seed,
-        "python": platform.python_version(),
-        "points": points,
-    }
-
-
-# ----------------------------------------------------------------------
-# Simulate axis: end-to-end replay throughput, per-op vs columnar
-# ----------------------------------------------------------------------
+__all__ = ["machine_score"]
 
 #: Calibration loop size for :func:`machine_score` (fixed: scores from
 #: different machines are comparable only if the loop is identical).
@@ -436,10 +24,9 @@ def machine_score(repeats: int = 3) -> float:
     The loop exercises the operations the simulator's hot loop lives on —
     integer arithmetic, small-dict stores, list indexing — so dividing a
     measured simulate throughput by this score cancels machine speed to
-    first order. That normalized figure is what
-    ``benchmarks/simulate_baseline.json`` commits and what the CI
-    regression gate compares against: absolute ops/sec are meaningless
-    across laptops and CI runners, normalized ones travel.
+    first order: absolute ops/sec are meaningless across laptops and CI
+    runners, normalized ones travel. The fastest of ``repeats`` passes is
+    kept (the least noisy estimate of the true cost).
     """
     sink: Dict[int, int] = {}
     cells = [0] * 256
@@ -456,399 +43,3 @@ def machine_score(repeats: int = 3) -> float:
         if best is None or elapsed < best:
             best = elapsed
     return _SCORE_ITERS / best if best else 0.0
-
-
-def _timed_simulate(
-    workload: GeneratedWorkload,
-    num_servers: int,
-    scheme_name: str,
-    engine: str,
-):
-    """One timed end-to-end ``simulate`` run; returns ``(result, seconds)``."""
-    scheme = registry.create(scheme_name)
-    config = SimulationConfig(simulate_engine=engine)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        result = simulate(scheme, workload, num_servers, config)
-        elapsed = time.perf_counter() - t0
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return result, elapsed
-
-
-def bench_simulate(
-    workload: GeneratedWorkload,
-    num_servers: int = 8,
-    scheme_name: str = "d2-tree",
-    repeats: int = 3,
-    max_ops: Optional[int] = None,
-    parity: bool = True,
-) -> Dict[str, object]:
-    """End-to-end simulate throughput: per-op engine vs columnar engine.
-
-    Both engines replay the identical workload through the full simulator
-    (dispatch, routing, locks, adjustment rounds — everything ``repro
-    simulate`` runs); the best of ``repeats`` interleaved timings is kept
-    per engine. The report carries the raw ops/sec, the columnar/per-op
-    ``speedup``, and machine-normalized rates (see :func:`machine_score`)
-    for the CI regression gate.
-
-    ``parity`` (the gate) asserts the two engines return bit-identical
-    :class:`SimulationResult` objects — the columnar engine is only a
-    faster evaluation order, never a different model. ``repro bench
-    --axis simulate`` exits non-zero when it fails.
-    """
-    if max_ops is not None:
-        trace = workload.trace
-        if not isinstance(trace, Trace):
-            trace = trace.materialize()
-        workload = dataclasses.replace(workload, trace=trace.slice(0, max_ops))
-
-    timings: Dict[str, float] = {}
-    results: Dict[str, object] = {}
-    for _ in range(max(1, repeats)):
-        for engine in ("perop", "columnar"):
-            result, elapsed = _timed_simulate(
-                workload, num_servers, scheme_name, engine
-            )
-            results[engine] = result
-            if engine not in timings or elapsed < timings[engine]:
-                timings[engine] = elapsed
-
-    score = machine_score()
-    operations = results["columnar"].operations
-    engines: Dict[str, Dict[str, object]] = {}
-    for engine, elapsed in timings.items():
-        rate = operations / elapsed if elapsed > 0 else 0.0
-        engines[engine] = {
-            "engine": engine,
-            "ops": operations,
-            "elapsed_seconds": elapsed,
-            "ops_per_sec": rate,
-            "normalized_ops_per_sec": rate / score if score > 0 else 0.0,
-        }
-    perop_rate = float(engines["perop"]["ops_per_sec"])
-    columnar_rate = float(engines["columnar"]["ops_per_sec"])
-    report: Dict[str, object] = {
-        "benchmark": "simulate_engine_throughput",
-        "trace": workload.trace.name,
-        "scheme": scheme_name,
-        "num_servers": num_servers,
-        "repeats": repeats,
-        "python": platform.python_version(),
-        "machine_score": score,
-        "engines": engines,
-        "speedup": columnar_rate / perop_rate if perop_rate > 0 else 0.0,
-    }
-    if parity:
-        report["parity"] = {
-            "columnar_matches_perop": results["columnar"] == results["perop"],
-        }
-    return report
-
-
-# ----------------------------------------------------------------------
-# Failover axis: span-derived detection → quiescence latency
-# ----------------------------------------------------------------------
-
-#: Chaos-grade liveness clocks (match ``repro chaos``): tight enough that a
-#: mid-trace crash is detected, rehomed and recovered within the run.
-FAILOVER_CLOCKS = {
-    "heartbeat_interval": 0.01,
-    "heartbeat_timeout": 0.03,
-    "monitor_lease_timeout": 0.05,
-}
-
-
-def bench_failover(
-    workload: GeneratedWorkload,
-    num_servers: int = 4,
-    scheme_name: str = "d2-tree",
-    repeats: int = 3,
-    max_ops: Optional[int] = None,
-    trace_sample: int = 10,
-    seed: Optional[int] = None,
-) -> Dict[str, object]:
-    """Measure failover latency from cluster-lifecycle spans.
-
-    Replays the workload under a seeded crash → recover schedule (one MDS
-    crashes at 10% of the trace and rejoins at 60%) with sampled tracing
-    on, then reads the latency ladder straight off the span stream:
-
-    * ``detection_seconds`` — the ``heartbeat_miss`` window (last heartbeat
-      silence until the Monitor declares the server dead),
-    * ``recovery_seconds`` — the ``recovery`` span (detection until the
-      rejoin directive committed and its subtrees moved back), and
-    * ``downtime_seconds`` — detection start → rejoin quiescence, the
-      span-derived end-to-end unavailability of the crashed server.
-
-    The simulated clocks are deterministic (identical across repeats);
-    only the wall-clock ``elapsed_seconds`` keeps the best of ``repeats``.
-    """
-    from repro.simulation import FaultEvent, FaultKind, FaultPlan
-    from repro.simulation.runner import ClusterSimulator
-
-    if max_ops is not None:
-        trace = workload.trace
-        if not isinstance(trace, Trace):
-            trace = trace.materialize()
-        workload = dataclasses.replace(workload, trace=trace.slice(0, max_ops))
-    overrides: Dict[str, object] = dict(FAILOVER_CLOCKS)
-    if seed is not None:
-        overrides["seed"] = seed
-    # Probe the fault-free makespan first (cheap: columnar-eligible), then
-    # schedule the crash/recover by *time* — time-triggered faults always
-    # precede later heartbeat ticks, so the detection window is a real
-    # silence-until-declared measurement rather than an op-count artifact.
-    probe = simulate(
-        registry.create(scheme_name), workload, num_servers,
-        SimulationConfig(**overrides),
-    )
-    crash_time = probe.makespan * 0.1
-    recover_time = probe.makespan * 0.6
-    victim = 1 % num_servers
-    plan = FaultPlan([
-        FaultEvent(FaultKind("crash"), victim, at_time=crash_time),
-        FaultEvent(FaultKind("recover"), victim, at_time=recover_time),
-    ])
-    config = SimulationConfig(
-        fault_plan=plan, trace_sample=trace_sample, **overrides
-    )
-
-    best: Optional[float] = None
-    spans = None
-    result = None
-    for _ in range(max(1, repeats)):
-        sim = ClusterSimulator(
-            registry.create(scheme_name), workload, num_servers, config
-        )
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            result = sim.run()
-            elapsed = time.perf_counter() - t0
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            sim.close()
-        spans = sim.spans.spans
-        if best is None or elapsed < best:
-            best = elapsed
-
-    detect_start: Dict[int, float] = {}
-    detections: List[Dict[str, object]] = []
-    recoveries: List[Dict[str, object]] = []
-    downtime: List[Dict[str, object]] = []
-    for span in spans:
-        if span.op is not None:
-            continue
-        fields = dict(span.fields)
-        server = fields.get("server")
-        if span.name == "heartbeat_miss":
-            detect_start[server] = span.t0
-            detections.append({"server": server, "seconds": span.duration})
-        elif span.name == "recovery":
-            recoveries.append({"server": server, "seconds": span.duration})
-            if server in detect_start:
-                downtime.append({
-                    "server": server,
-                    "seconds": span.t1 - detect_start.pop(server),
-                })
-
-    def _mean(rows: List[Dict[str, object]]) -> float:
-        return (
-            sum(float(r["seconds"]) for r in rows) / len(rows) if rows else 0.0
-        )
-
-    availability = result.availability
-    report: Dict[str, object] = {
-        "benchmark": "failover_latency",
-        "trace": workload.trace.name,
-        "scheme": scheme_name,
-        "num_servers": num_servers,
-        "repeats": repeats,
-        "python": platform.python_version(),
-        "trace_sample": trace_sample,
-        "crash_at_seconds": crash_time,
-        "recover_at_seconds": recover_time,
-        "victim": victim,
-        "clocks": dict(FAILOVER_CLOCKS),
-        "detections": detections,
-        "recoveries": recoveries,
-        "downtime": downtime,
-        "mean_detection_seconds": _mean(detections),
-        "mean_recovery_seconds": _mean(recoveries),
-        "mean_downtime_seconds": _mean(downtime),
-        "operations": result.operations,
-        "elapsed_seconds": best,
-    }
-    if availability is not None:
-        report["impacted_ops"] = availability.impacted
-    return report
-
-
-def bench_serve(
-    workload: GeneratedWorkload,
-    num_servers: int = 3,
-    num_monitors: int = 3,
-    scheme_name: str = "d2-tree",
-    rate: float = 3000.0,
-    repeats: int = 3,
-    max_ops: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> Dict[str, object]:
-    """Measure live asyncio-cluster throughput and the live/sim delta.
-
-    Boots a real cluster (unix sockets) ``repeats`` times and keeps the
-    best-throughput run — live numbers carry scheduler noise the simulated
-    axes do not, so best-of mirrors how the other wall-clock axes time.
-    One simulated replay of the same workload (static placement, matched
-    monitor count and seed) anchors the ``live_sim_throughput_ratio``:
-    how much faster/slower the real cluster ran than the discrete-event
-    model predicted on this machine.
-
-    Every run is gated on the safety invariants — a benchmark number from
-    a cluster that violated single-ownership or lost an acked op would be
-    meaningless, so violations fail the axis outright.
-    """
-    from repro.transport.live import LiveConfig
-    from repro.transport.loadgen import LoadConfig
-    from repro.transport.serve import serve_workload
-
-    if max_ops is None:
-        max_ops = 4000  # keep the live wall-clock bounded (~max_ops/rate s)
-    trace = workload.trace
-    if not isinstance(trace, Trace):
-        trace = trace.materialize()
-    workload = dataclasses.replace(workload, trace=trace.slice(0, max_ops))
-
-    run_seed = seed if seed is not None else 7
-    live_cfg = LiveConfig(
-        num_servers=num_servers, num_monitors=num_monitors, seed=run_seed
-    )
-    load_cfg = LoadConfig(rate=rate, seed=run_seed)
-
-    best = None
-    violations: List[str] = []
-    for _ in range(max(1, repeats)):
-        run = serve_workload(
-            registry.create(scheme_name), workload, live_cfg, load_cfg
-        )
-        violations.extend(run.violations)
-        if best is None or run.throughput > best.throughput:
-            best = run
-
-    sim = simulate(
-        registry.create(scheme_name),
-        workload,
-        num_servers,
-        SimulationConfig(
-            adjust_every_ops=0, num_monitors=num_monitors, seed=run_seed
-        ),
-    )
-    return {
-        "benchmark": "serve_throughput",
-        "trace": workload.trace.name,
-        "scheme": scheme_name,
-        "num_servers": num_servers,
-        "num_monitors": num_monitors,
-        "transport": live_cfg.transport,
-        "offered_rate": rate,
-        "repeats": repeats,
-        "python": platform.python_version(),
-        "operations": best.operations,
-        "acked": best.acked,
-        "failed": best.failed,
-        "retries": best.retries,
-        "redirects": best.redirects,
-        "throughput": best.throughput,
-        "latency": dict(best.latency),
-        "duration_seconds": best.duration,
-        "simulated_throughput": sim.throughput,
-        "live_sim_throughput_ratio": (
-            best.throughput / sim.throughput if sim.throughput else None
-        ),
-        "violations": violations,
-        "ok": not violations,
-    }
-
-
-# ----------------------------------------------------------------------
-# Trend log: one compact record per measured axis, appended over time
-# ----------------------------------------------------------------------
-
-def trend_record(axis: str, report: Dict[str, object]) -> Dict[str, object]:
-    """Distil one axis report into a small, diff-friendly trend record.
-
-    Only headline scalars survive — the full report lives in the per-axis
-    ``BENCH_<axis>.json``; the trend log exists to plot a handful of
-    numbers over many runs.
-    """
-    record: Dict[str, object] = {
-        "axis": axis,
-        "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "python": platform.python_version(),
-        "trace": report.get("trace"),
-    }
-    if axis == "routing":
-        record["speedup_geomean"] = report["speedup_geomean"]
-    elif axis == "recovery":
-        record["records_per_sec"] = {
-            point["backend"]: max(
-                float(p["records_per_sec"])
-                for p in report["points"]
-                if p["backend"] == point["backend"]
-            )
-            for point in report["points"]
-        }
-        record.pop("trace")
-    elif axis == "simulate":
-        record["speedup"] = report["speedup"]
-        record["normalized_columnar_ops_per_sec"] = (
-            report["engines"]["columnar"]["normalized_ops_per_sec"]
-        )
-    elif axis == "failover":
-        record["mean_detection_seconds"] = report["mean_detection_seconds"]
-        record["mean_recovery_seconds"] = report["mean_recovery_seconds"]
-        record["mean_downtime_seconds"] = report["mean_downtime_seconds"]
-    elif axis == "serve":
-        record["throughput"] = report["throughput"]
-        record["latency_p99_seconds"] = report["latency"]["p99"]
-        record["live_sim_throughput_ratio"] = (
-            report["live_sim_throughput_ratio"]
-        )
-    elif axis == "hunt":
-        # Fed a HuntReport dict (repro hunt --trends): track how much of
-        # the fault space each hunt covered and what it turned up.
-        record["seeds"] = len(report["seeds"])
-        record["findings"] = report["findings"]
-        record["fault_events"] = sum(report["coverage"].values())
-        record["fault_kinds"] = len(report["coverage"])
-        record["shrink_probes"] = report["probes"]
-        record["store"] = report["store"]
-    else:
-        raise ValueError(f"unknown bench axis: {axis}")
-    return record
-
-
-def append_trend(record: Dict[str, object], path: str) -> None:
-    """Append one trend record to the JSONL trend log (created on demand)."""
-    import os
-
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        handle.write("\n")
-
-
-def write_report(report: Dict[str, object], path: str) -> None:
-    """Write the benchmark report as pretty-printed JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -44,6 +44,7 @@ from typing import List, Optional, Sequence
 from repro import registry
 from repro.chaos.history import OpHistory, audit_history
 from repro.chaos.schedule import generate_plan
+from repro.cluster.failure import check_state_invariants
 from repro.placement import DEAD_CAPACITY
 from repro.simulation.faults import FaultPlan
 from repro.simulation.network import mds_addr
@@ -112,53 +113,11 @@ def _quiesce(sim: ClusterSimulator, makespan: float) -> float:
 
 def _check_invariants(sim: ClusterSimulator, result) -> List[str]:
     """Safety checks against the quiesced cluster; returns violations."""
-    violations: List[str] = []
-    placement = sim.placement
-
-    # 1. Single live ownership: no placed node owned by a dead server, no
-    #    empty replica sets. Post-quiescence everything is alive, so any
-    #    dead owner is state that survived recovery — exactly the bug class
-    #    (resurrected pre-crash assignments) fencing exists to prevent.
-    dead = {s for s, cap in enumerate(placement.capacities) if cap <= DEAD_CAPACITY}
-    dead.update(s.server_id for s in sim.servers if not s.alive)
-    bad_owner: List[str] = []
-    empty: List[str] = []
-    for node in placement.placed_nodes():
-        servers = placement.servers_of(node)
-        if not servers:
-            empty.append(node.path)
-        elif dead.intersection(servers):
-            bad_owner.append(node.path)
-    if empty:
-        violations.append(
-            f"ownership: {len(empty)} nodes with an empty replica set "
-            f"(e.g. {empty[:3]})"
-        )
-    if bad_owner:
-        violations.append(
-            f"ownership: {len(bad_owner)} nodes owned by a dead server "
-            f"{sorted(dead)} (e.g. {bad_owner[:3]})"
-        )
-
-    # 2. No subtree lost (Eq. 4 completeness over placements + pool).
-    missing = [n.path for n in sim.tree if not placement.is_placed(n)]
-    if missing:
-        violations.append(
-            f"completeness: {len(missing)} namespace nodes unplaced "
-            f"(e.g. {missing[:3]})"
-        )
-
-    # 3. Epoch monotonicity: journalled epochs never decrease and no MDS
-    #    fence ran ahead of the group's epoch.
-    if not sim.monitor.journal.epochs_monotone():
-        violations.append("epochs: committed directive epochs regressed")
-    for server in sim.servers:
-        if server.fence_epoch > sim.monitor.epoch:
-            violations.append(
-                f"epochs: server {server.server_id} fence "
-                f"{server.fence_epoch} ahead of monitor epoch "
-                f"{sim.monitor.epoch}"
-            )
+    # 1-3. Ownership, completeness, epoch monotonicity (shared with the
+    #      live transport).
+    violations = check_state_invariants(
+        sim.placement, sim.tree, sim.servers, sim.monitor
+    )
 
     # 4. Accounting balance: every issued op completed or failed.
     issued = sim.ops_issued
@@ -311,7 +270,6 @@ def run_case(
     num_servers: int,
     seed: int,
     num_monitors: int = 3,
-    routing_engine: str = "fast",
     plan: Optional[FaultPlan] = None,
     store: str = "memory",
     store_dir: Optional[str] = None,
@@ -320,7 +278,7 @@ def run_case(
 ) -> ChaosCase:
     """One seeded chaos run: schedule, replay, quiesce, check.
 
-    A durable ``store`` (``"wal"``/``"sqlite"``) turns on the kill9 fault
+    A durable ``store`` (``"wal"``) turns on the kill9 fault
     family in generated schedules and the fifth (durability) invariant.
     ``trace_sample`` > 0 records causal spans for every Nth op plus the
     failover/recovery lifecycle (read them off ``sim.spans`` or export via
@@ -342,7 +300,6 @@ def run_case(
         seed=seed,
         fault_plan=plan,
         num_monitors=num_monitors,
-        routing_engine=routing_engine,
         heartbeat_interval=CHAOS_HEARTBEAT_INTERVAL,
         heartbeat_timeout=CHAOS_HEARTBEAT_TIMEOUT,
         monitor_lease_timeout=CHAOS_LEASE_TIMEOUT,
@@ -416,7 +373,6 @@ def run_chaos(
     num_servers: int,
     seeds: Sequence[int],
     num_monitors: int = 3,
-    routing_engine: str = "fast",
     store: str = "memory",
     store_dir: Optional[str] = None,
     trace_sample: int = 0,
@@ -438,7 +394,6 @@ def run_chaos(
                 num_servers,
                 seed,
                 num_monitors=num_monitors,
-                routing_engine=routing_engine,
                 plan=plan,
                 store=store,
                 store_dir=store_dir,

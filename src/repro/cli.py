@@ -121,11 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dispatch prefetch window for the routing fast "
                           "path (1 = per-op; default 64; results are "
                           "byte-identical across batch sizes)")
-    sim.add_argument("--routing-engine", choices=["fast", "legacy"],
-                     default=None,
-                     help="route planner implementation (default fast; "
-                          "legacy is the pre-index per-op planner kept as "
-                          "the benchmark baseline)")
     sim.add_argument("--simulate-engine",
                      choices=["auto", "columnar", "perop"], default=None,
                      help="replay engine (default auto: the columnar "
@@ -155,12 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "(simulated seconds; default 2x heartbeat-timeout)")
     sim.add_argument("--store", choices=list(STORE_BACKENDS), default=None,
                      help="metadata persistence backend (default memory, "
-                          "a zero-cost no-op; wal/sqlite journal acks, "
-                          "fences and subtree moves and replay them when "
-                          "a kill9'd server rejoins — see "
+                          "a zero-cost no-op; wal journals acks, fences "
+                          "and subtree moves and replays them when a "
+                          "kill9'd server rejoins — see "
                           "docs/DURABILITY.md)")
     sim.add_argument("--store-dir", metavar="DIR", default=None,
-                     help="directory for the durable store backends "
+                     help="directory for the durable store "
                           "(default: a self-cleaning temp dir)")
     sim.add_argument("--json", action="store_true",
                      help="emit a JSON array of full SimulationResult "
@@ -183,60 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "fault-free sampled runs stay on the columnar "
                           "engine — see docs/OBSERVABILITY.md)")
 
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark routing throughput or WAL recovery time",
-    )
-    add_workload_args(bench)
-    bench.add_argument("--axis",
-                       choices=["routing", "recovery", "simulate",
-                                "failover", "serve", "all"],
-                       default="routing",
-                       help="what to measure: routing engine throughput "
-                            "(default, BENCH_throughput.json), durable-"
-                            "store recovery time vs log length "
-                            "(BENCH_recovery.json), end-to-end simulate "
-                            "throughput per-op vs columnar "
-                            "(BENCH_simulate.json), span-derived failover "
-                            "detection/recovery latency under a seeded "
-                            "crash schedule (BENCH_failover.json), live "
-                            "asyncio-cluster throughput vs the simulator's "
-                            "prediction (BENCH_serve.json), or "
-                            "'all': every axis in sequence, one trend "
-                            "record per axis appended to --trends")
-    bench.add_argument("--servers", type=int, default=8)
-    bench.add_argument("--scheme", action="append", default=None,
-                       choices=registry.available(), metavar="NAME",
-                       help="scheme to bench (repeatable; default: all, the "
-                            "same set `repro simulate` runs)")
-    bench.add_argument("--batch-size", type=int, default=64,
-                       help="fast-engine dispatch window (default 64)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed repetitions per point; best kept "
-                            "(default 3)")
-    bench.add_argument("--max-ops", type=int, default=None,
-                       help="truncate the trace to this many operations")
-    bench.add_argument("--no-parity", action="store_true",
-                       help="skip the full-simulation batched-vs-per-op "
-                            "equivalence checks (routing axis)")
-    bench.add_argument("--log-lengths", type=int, nargs="+", default=None,
-                       metavar="N",
-                       help="recovery axis: WAL lengths (records) to "
-                            "measure (default 1000 4000 16000)")
-    bench.add_argument("--store", action="append", default=None,
-                       choices=["wal", "sqlite"], metavar="NAME",
-                       help="recovery axis: backend to measure "
-                            "(repeatable; default: both)")
-    bench.add_argument("--out", metavar="FILE", default=None,
-                       help="report path (default BENCH_<axis>.json; "
-                            "ignored by --axis all, which always writes "
-                            "the per-axis defaults)")
-    bench.add_argument("--trends", metavar="FILE", default=None,
-                       help="append one compact-JSON trend record per "
-                            "measured axis to FILE "
-                            "(default benchmarks/trends.jsonl with "
-                            "--axis all, off otherwise)")
-
     chaos = sub.add_parser(
         "chaos",
         help="randomized fault schedules + safety invariant checks",
@@ -255,16 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "standbys, so leader loss exercises failover)")
     chaos.add_argument("--ops", type=int, default=None,
                        help="truncate the trace to this many operations")
-    chaos.add_argument("--routing-engine", choices=["fast", "legacy"],
-                       default="fast")
     chaos.add_argument("--store", choices=list(STORE_BACKENDS),
                        default="memory",
-                       help="metadata persistence backend; wal/sqlite turn "
+                       help="metadata persistence backend; wal turns "
                             "on the kill9/torn_write/corrupt_record fault "
                             "family and the durability invariant "
                             "(default memory)")
     chaos.add_argument("--store-dir", metavar="DIR", default=None,
-                       help="directory for the durable store backends "
+                       help="directory for the durable store "
                             "(default: a self-cleaning temp dir)")
     chaos.add_argument("--trace-sample", type=int, default=0, metavar="N",
                        help="record causal spans for every Nth op in each "
@@ -299,11 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="truncate the trace to this many operations")
     hunt.add_argument("--store", choices=list(STORE_BACKENDS),
                       default="memory",
-                      help="persistence backend; wal/sqlite turn on the "
+                      help="persistence backend; wal turns on the "
                            "kill9 fault family and the durability audits "
                            "(default memory)")
     hunt.add_argument("--store-dir", metavar="DIR", default=None,
-                      help="directory for the durable store backends "
+                      help="directory for the durable store "
                            "(default: a self-cleaning temp dir)")
     hunt.add_argument("--no-shrink", action="store_true",
                       help="report findings without minimizing them")
@@ -319,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     hunt.add_argument("--promote", metavar="DIR", default=None,
                       help="write minimized counterexamples into DIR as "
                            "corpus JSON files (see tests/corpus/)")
-    hunt.add_argument("--trends", metavar="FILE", default=None,
-                      help="append a hunt trend record to FILE (JSONL)")
     hunt.add_argument("--json", action="store_true",
                       help="emit the full HuntReport as JSON")
 
@@ -496,8 +433,6 @@ def cmd_simulate(args) -> int:
         overrides["monitor_lease_timeout"] = args.monitor_lease_timeout
     if args.batch_size is not None:
         overrides["batch_size"] = args.batch_size
-    if args.routing_engine is not None:
-        overrides["routing_engine"] = args.routing_engine
     if args.simulate_engine is not None:
         overrides["simulate_engine"] = args.simulate_engine
     if args.store is not None:
@@ -620,7 +555,6 @@ def cmd_chaos(args) -> int:
                     args.servers,
                     seed,
                     num_monitors=args.monitors,
-                    routing_engine=args.routing_engine,
                     plan=explicit_plan,
                     store=args.store,
                     store_dir=args.store_dir,
@@ -662,7 +596,6 @@ def cmd_chaos(args) -> int:
                 f"--scale {args.scale:g}",
                 f"--servers {args.servers} --scheme {args.scheme}",
                 f"--monitors {args.monitors}",
-                f"--routing-engine {args.routing_engine}",
                 f"--seed {case.seed}",
                 f"--heartbeat-interval {CHAOS_HEARTBEAT_INTERVAL:g}",
                 f"--heartbeat-timeout {CHAOS_HEARTBEAT_TIMEOUT:g}",
@@ -701,7 +634,6 @@ def cmd_hunt(args) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    _maybe_trend("hunt", report.to_dict(), args)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -916,215 +848,6 @@ FIGURE_LABELS = {
 }
 
 
-def cmd_bench(args) -> int:
-    if args.axis == "all":
-        return _cmd_bench_all(args)
-    if args.axis == "recovery":
-        return _cmd_bench_recovery(args)
-    if args.axis == "simulate":
-        return _cmd_bench_simulate(args)
-    if args.axis == "failover":
-        return _cmd_bench_failover(args)
-    if args.axis == "serve":
-        return _cmd_bench_serve(args)
-    from repro.bench import bench_routing, write_report
-
-    workload = _workload(args)
-    report = bench_routing(
-        workload,
-        num_servers=args.servers,
-        schemes=args.scheme,
-        batch_size=args.batch_size,
-        max_ops=args.max_ops,
-        repeats=args.repeats,
-        parity=not args.no_parity,
-    )
-    out = args.out or "BENCH_throughput.json"
-    write_report(report, out)
-    _maybe_trend("routing", report, args)
-    for name, entry in report["schemes"].items():
-        modes = entry["modes"]
-        parity = entry.get("parity")
-        parity_note = (
-            "" if parity is None
-            else "  parity=OK" if all(parity.values())
-            else "  parity=FAIL"
-        )
-        print(
-            f"{name:16s} fast {modes['fast']['ops_per_sec']:>12,.0f} op/s"
-            f"  legacy {modes['legacy']['ops_per_sec']:>12,.0f} op/s"
-            f"  speedup {entry['speedup']:.2f}x{parity_note}"
-        )
-    print(f"geomean speedup {report['speedup_geomean']:.2f}x -> {out}")
-    failed = [
-        name
-        for name, entry in report["schemes"].items()
-        if entry.get("parity") and not all(entry["parity"].values())
-    ]
-    if failed:
-        print(f"parity check FAILED for: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _maybe_trend(axis: str, report: dict, args) -> None:
-    if getattr(args, "trends", None):
-        from repro.bench import append_trend, trend_record
-
-        append_trend(trend_record(axis, report), args.trends)
-        print(f"appended {axis} trend record to {args.trends}",
-              file=sys.stderr)
-
-
-def _cmd_bench_failover(args) -> int:
-    from repro.bench import bench_failover, write_report
-
-    workload = _workload(args)
-    scheme_name = args.scheme[0] if args.scheme else "d2-tree"
-    report = bench_failover(
-        workload,
-        num_servers=args.servers,
-        scheme_name=scheme_name,
-        repeats=args.repeats,
-        max_ops=args.max_ops,
-        seed=args.seed,
-    )
-    out = args.out or "BENCH_failover.json"
-    write_report(report, out)
-    print(
-        f"failover   detect {report['mean_detection_seconds'] * 1e3:>8.2f} ms"
-        f"  recover {report['mean_recovery_seconds'] * 1e3:>8.2f} ms"
-        f"  downtime {report['mean_downtime_seconds'] * 1e3:>8.2f} ms"
-        f"  ({len(report['detections'])} detection(s), "
-        f"{report['operations']:,d} ops in {report['elapsed_seconds']:.2f}s)"
-    )
-    print(f"-> {out}")
-    _maybe_trend("failover", report, args)
-    if not report["detections"] or not report["recoveries"]:
-        print("failover bench FAILED: no detection/recovery spans recorded",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_serve(args) -> int:
-    from repro.bench import bench_serve, write_report
-
-    workload = _workload(args)
-    scheme_name = args.scheme[0] if args.scheme else "d2-tree"
-    report = bench_serve(
-        workload,
-        num_servers=min(args.servers, 4),  # live tasks, not sim arrays
-        scheme_name=scheme_name,
-        repeats=args.repeats,
-        max_ops=args.max_ops,
-        seed=args.seed,
-    )
-    out = args.out or "BENCH_serve.json"
-    write_report(report, out)
-    _maybe_trend("serve", report, args)
-    lat = report["latency"]
-    ratio = report["live_sim_throughput_ratio"]
-    print(
-        f"serve      {report['throughput']:>12,.0f} op/s"
-        f"  latency p50 {lat['p50'] * 1e3:>6.2f} ms"
-        f"  p99 {lat['p99'] * 1e3:>6.2f} ms"
-        f"  ({report['acked']:,d}/{report['operations']:,d} acked, "
-        f"live/sim "
-        + (f"{ratio:.2f}x)" if ratio is not None else "n/a)")
-    )
-    print(f"-> {out}")
-    if not report["ok"]:
-        print("serve bench FAILED: invariant violations", file=sys.stderr)
-        for violation in report["violations"]:
-            print(f"  - {violation}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_all(args) -> int:
-    """Run every bench axis in sequence; one trend record per axis."""
-    if args.trends is None:
-        args.trends = "benchmarks/trends.jsonl"
-    rc = 0
-    for axis, handler in (
-        ("routing", cmd_bench),
-        ("simulate", _cmd_bench_simulate),
-        ("recovery", _cmd_bench_recovery),
-        ("failover", _cmd_bench_failover),
-        ("serve", _cmd_bench_serve),
-    ):
-        sub_args = argparse.Namespace(**vars(args))
-        sub_args.axis = axis
-        sub_args.out = None  # each axis writes its own BENCH_<axis>.json
-        print(f"== bench --axis {axis} ==")
-        rc = max(rc, handler(sub_args))
-        print()
-    print(f"trend log -> {args.trends}")
-    return rc
-
-
-def _cmd_bench_simulate(args) -> int:
-    from repro.bench import bench_simulate, write_report
-
-    workload = _workload(args)
-    scheme_name = args.scheme[0] if args.scheme else "d2-tree"
-    report = bench_simulate(
-        workload,
-        num_servers=args.servers,
-        scheme_name=scheme_name,
-        repeats=args.repeats,
-        max_ops=args.max_ops,
-        parity=not args.no_parity,
-    )
-    out = args.out or "BENCH_simulate.json"
-    write_report(report, out)
-    _maybe_trend("simulate", report, args)
-    for engine in ("perop", "columnar"):
-        entry = report["engines"][engine]
-        print(
-            f"{engine:9s} {entry['ops_per_sec']:>12,.0f} op/s"
-            f"  ({entry['ops']:,d} ops in {entry['elapsed_seconds']:.2f}s,"
-            f"  normalized {entry['normalized_ops_per_sec']:.3f})"
-        )
-    parity = report.get("parity")
-    parity_note = (
-        "" if parity is None
-        else "  parity=OK" if all(parity.values())
-        else "  parity=FAIL"
-    )
-    print(f"columnar speedup {report['speedup']:.2f}x{parity_note} -> {out}")
-    if parity is not None and not all(parity.values()):
-        print("simulate parity FAILED: columnar != per-op", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_recovery(args) -> int:
-    from repro.bench import bench_recovery, write_report
-
-    kwargs = {"repeats": args.repeats}
-    if args.log_lengths is not None:
-        kwargs["log_lengths"] = tuple(args.log_lengths)
-    if args.store is not None:
-        kwargs["backends"] = tuple(args.store)
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    report = bench_recovery(**kwargs)
-    out = args.out or "BENCH_recovery.json"
-    write_report(report, out)
-    for point in report["points"]:
-        print(
-            f"{point['backend']:8s} log={point['log_records']:>7,d} rec"
-            f"  recover {point['recover_seconds'] * 1e3:>9.2f} ms"
-            f"  {point['records_per_sec']:>12,.0f} rec/s"
-            f"  replayed={point['replayed_records']:,d}"
-        )
-    print(f"-> {out}")
-    _maybe_trend("recovery", report, args)
-    return 0
-
-
 def cmd_figure(args) -> int:
     workload = _workload(args)
     series: Dict[str, List[float]] = {}
@@ -1244,7 +967,6 @@ COMMANDS = {
     "simulate": cmd_simulate,
     "serve": cmd_serve,
     "validate": cmd_validate,
-    "bench": cmd_bench,
     "chaos": cmd_chaos,
     "hunt": cmd_hunt,
     "figure": cmd_figure,

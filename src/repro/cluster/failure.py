@@ -35,7 +35,12 @@ from repro.baselines.hashing import stable_hash
 from repro.core.allocation import mirror_division
 from repro.core.partition import D2TreePlacement
 
-__all__ = ["fail_server", "rejoin_server", "surviving_capacities"]
+__all__ = [
+    "check_state_invariants",
+    "fail_server",
+    "rejoin_server",
+    "surviving_capacities",
+]
 
 
 def surviving_capacities(placement: Placement, dead: int) -> List[float]:
@@ -216,3 +221,61 @@ def rejoin_server(
             placement.assign(node, server)
             migrations.append(Migration(node, servers[0], server))
     return migrations
+
+
+def check_state_invariants(placement: Placement, tree, servers, group) -> List[str]:
+    """Safety invariants 1–3 over a quiesced cluster; returns violations.
+
+    One statement of the state invariants for both drivers: the chaos
+    harness passes the simulator's ``MetadataServer`` list and the live
+    transport its ``LiveMDS`` list (anything with ``server_id``, ``alive``
+    and ``fence_epoch``); ``group`` is the ``MonitorGroup``. The violation
+    strings are compared verbatim by the corpus and hunt reports.
+    """
+    violations: List[str] = []
+
+    # 1. Single live ownership: no placed node owned by a dead server, no
+    #    empty replica sets. Post-quiescence everything is alive, so any
+    #    dead owner is state that survived recovery — exactly the bug class
+    #    (resurrected pre-crash assignments) fencing exists to prevent.
+    dead = {s for s, cap in enumerate(placement.capacities) if cap <= DEAD_CAPACITY}
+    dead.update(s.server_id for s in servers if not s.alive)
+    bad_owner: List[str] = []
+    empty: List[str] = []
+    for node in placement.placed_nodes():
+        owners = placement.servers_of(node)
+        if not owners:
+            empty.append(node.path)
+        elif dead.intersection(owners):
+            bad_owner.append(node.path)
+    if empty:
+        violations.append(
+            f"ownership: {len(empty)} nodes with an empty replica set "
+            f"(e.g. {empty[:3]})"
+        )
+    if bad_owner:
+        violations.append(
+            f"ownership: {len(bad_owner)} nodes owned by a dead server "
+            f"{sorted(dead)} (e.g. {bad_owner[:3]})"
+        )
+
+    # 2. No subtree lost (Eq. 4 completeness over placements + pool).
+    missing = [n.path for n in tree if not placement.is_placed(n)]
+    if missing:
+        violations.append(
+            f"completeness: {len(missing)} namespace nodes unplaced "
+            f"(e.g. {missing[:3]})"
+        )
+
+    # 3. Epoch monotonicity: journalled epochs never decrease and no MDS
+    #    fence ran ahead of the group's epoch.
+    if not group.journal.epochs_monotone():
+        violations.append("epochs: committed directive epochs regressed")
+    for server in servers:
+        if server.fence_epoch > group.epoch:
+            violations.append(
+                f"epochs: server {server.server_id} fence "
+                f"{server.fence_epoch} ahead of monitor epoch "
+                f"{group.epoch}"
+            )
+    return violations

@@ -22,7 +22,6 @@ from repro.obs.critical import (
     render_critical_path,
 )
 from repro.obs.export import (
-    CsvExporter,
     JsonlExporter,
     PrometheusExporter,
     events_to_csv,
@@ -47,7 +46,6 @@ from repro.obs.telemetry import NULL_TELEMETRY, Sample, Telemetry, TraceEvent
 __all__ = [
     "CRITICAL_CATEGORIES",
     "Counter",
-    "CsvExporter",
     "DEFAULT_BUCKETS",
     "Gauge",
     "GaugeSampler",

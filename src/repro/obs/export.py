@@ -26,7 +26,6 @@ __all__ = [
     "events_to_csv",
     "prometheus_text",
     "JsonlExporter",
-    "CsvExporter",
     "PrometheusExporter",
 ]
 
@@ -180,21 +179,6 @@ class JsonlExporter(_Exporter):
             self.telemetry, self.destination, summary=self.summary,
             append=self.append,
         )
-
-
-class CsvExporter(_Exporter):
-    """Write ``PREFIX.samples.csv`` + ``PREFIX.events.csv`` on scope exit."""
-
-    def __init__(self, telemetry: Telemetry, prefix: Union[str, Path]) -> None:
-        super().__init__()
-        self.telemetry = telemetry
-        self.prefix = str(prefix)
-
-    def flush(self) -> int:
-        records = list(self.telemetry.iter_records())
-        written = samples_to_csv(records, f"{self.prefix}.samples.csv")
-        written += events_to_csv(records, f"{self.prefix}.events.csv")
-        return written
 
 
 class PrometheusExporter(_Exporter):

@@ -4,7 +4,6 @@ from repro.simulation.engine import ClientPool, ResourceTimeline
 from repro.simulation.faults import FaultEvent, FaultKind, FaultPlan
 from repro.simulation.network import (
     CLIENT_ADDR,
-    NetworkModel,
     SimNetwork,
     mds_addr,
     mon_addr,
@@ -33,7 +32,6 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "LatencySummary",
-    "NetworkModel",
     "ResourceTimeline",
     "SimNetwork",
     "SimulationConfig",

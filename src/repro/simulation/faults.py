@@ -41,7 +41,7 @@ Event kinds
 ``kill9``
     Like ``crash``, but the process image is lost: access counters *and*
     the epoch fence are wiped. On ``recover`` the server replays snapshot +
-    WAL tail from the durable store (``--store wal``/``sqlite``) to restore
+    WAL tail from the durable store (``--store wal``) to restore
     acknowledged state and its fence, then re-fences through
     ``accept_directive`` before serving. With the in-memory store the
     replay restores nothing — the documented hazard.
@@ -87,6 +87,8 @@ import enum
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from repro.transport.base import mds_addr, mon_addr
 
 __all__ = ["FaultKind", "FaultEvent", "FaultPlan"]
 
@@ -221,6 +223,17 @@ class FaultEvent:
         if self.groups is None:
             return None
         return _format_groups(self.groups)
+
+    def partition_endpoints(self) -> List[Tuple[str, ...]]:
+        """Member groups (``{0,1}|{2,m0}`` tokens) as transport endpoints."""
+        return [
+            tuple(
+                mon_addr(int(token[1:])) if token.startswith("m")
+                else mds_addr(int(token))
+                for token in group
+            )
+            for group in self.groups or ()
+        ]
 
     def describe(self) -> str:
         """The event's spec text (re-synthesised when built in code)."""

@@ -3,8 +3,7 @@
 The paper's testbed is EC2 instances on 100 Mbps links; metadata requests
 are small, so latency is dominated by per-hop round trips rather than
 bandwidth. The healthy-network model is therefore a constant per-hop
-latency with optional deterministic triangle-wave jitter — exactly the old
-``NetworkModel`` (kept as an alias).
+latency with optional deterministic triangle-wave jitter.
 
 :class:`SimNetwork` is the simulation-side implementation of the unified
 :class:`~repro.transport.base.Transport` protocol: the fault bookkeeping
@@ -32,7 +31,7 @@ from typing import Optional
 
 from repro.transport.base import CLIENT_ADDR, FaultFabric, mds_addr, mon_addr
 
-__all__ = ["SimNetwork", "NetworkModel", "mds_addr", "mon_addr", "CLIENT_ADDR"]
+__all__ = ["SimNetwork", "mds_addr", "mon_addr", "CLIENT_ADDR"]
 
 
 class SimNetwork(FaultFabric):
@@ -49,7 +48,7 @@ class SimNetwork(FaultFabric):
         self._tick = 0
 
     # ------------------------------------------------------------------
-    # Healthy-path latency (the legacy NetworkModel surface)
+    # Healthy-path latency
     # ------------------------------------------------------------------
     def hop(self) -> float:
         """Latency of one network traversal (client↔server or server↔server)."""
@@ -93,7 +92,3 @@ class SimNetwork(FaultFabric):
             return None
         return base + self._extra_delay(a, b)
 
-
-#: Backwards-compatible alias: the old constant-latency model is the
-#: fault-free face of SimNetwork (same constructor, same ``hop()``).
-NetworkModel = SimNetwork

@@ -1,41 +1,37 @@
-"""Route-planning engines: how a client request finds its servers.
+"""Route planning: how a client request finds its servers.
 
-Two interchangeable engines produce the :class:`~repro.cluster.messages.RoutePlan`
-for every operation:
+:class:`FastRoutingEngine` produces the
+:class:`~repro.cluster.messages.RoutePlan` for every operation. Paths are
+interned once per tree into integer node ids
+(:class:`~repro.core.namespace.PathTable`), ancestor chains are shared
+cached tuples, and an incremental **owner index** memoises the two
+placement questions route planning asks per op: which local-layer subtree
+root covers a node (D2), and which server is a node's primary (every other
+scheme).
 
-* :class:`LegacyRoutingEngine` — the original string-keyed planner. Every
-  plan re-derives the ancestor chain from node parent pointers and keys the
-  client caches by pathname. Kept verbatim as the benchmark baseline and
-  selectable via ``SimulationConfig(routing_engine="legacy")``.
-* :class:`FastRoutingEngine` — the interned-path planner. Paths are interned
-  once per tree into integer node ids (:class:`~repro.core.namespace.PathTable`),
-  ancestor chains are shared cached tuples, and an incremental **owner
-  index** memoises the two placement questions route planning asks per op:
-  which local-layer subtree root covers a node (D2), and which server is a
-  node's primary (every other scheme).
-
-For D2-Tree placements the engines make *identical* routing decisions:
-same visits, same client RNG draws, same client-cache statistics (ids and
-paths are bijective within a run, so LRU recency and eviction order
-coincide). For the generic (non-D2) planner the fast engine additionally
-short-circuits the warm path: a client that recently verified a node and
-whose entry is still current goes straight to the owner in O(1) instead of
-re-walking every ancestor — cold traversals and the stale-entry redirect
-economics are unchanged. Both engines are individually deterministic, and
-results are byte-identical across dispatch batch sizes.
-``tests/test_routing_engine.py`` locks these properties down.
+D2-Tree placements route by the paper's one rule (Sec. IV-A2): a
+global-layer node is served by any replica, everything else goes straight
+to the subtree owner through the client's cached inter-node index (a stale
+entry costs one redirect hop, a cold one a random entry server). The
+generic (non-D2) planner is a POSIX ancestor traversal with client-side
+prefix caching, short-circuited on the warm path: a client that recently
+verified a node and whose entry is still current goes straight to the
+owner in O(1). Plans are deterministic and byte-identical across dispatch
+batch sizes (the routing tests lock that down); the D2 decisions are frozen
+by ``tests/golden/perfect_network_d2.json``, captured from the string-keyed
+per-op planner this engine replaced.
 
 Owner-index invalidation is versioned, not subscribed:
 
 * ``Placement.version`` — bumped on every assignment mutation; guards the
-  generic engine's node→primary cache.
+  generic planner's node→primary cache.
 * ``D2TreePlacement.index_version`` — bumped only when two-layer
   *membership* changes (promotion / demotion inside
   :class:`~repro.core.adjustment.DynamicAdjuster` rounds, re-homing in
-  ``fail_server``, new roots from ``place_created``); guards the D2 engine's
-  node→subtree-root cache and global-layer bitset. Plain migrations keep the
-  root set intact, so the root cache survives adjustment churn — owners are
-  always read live from the placement.
+  ``fail_server``, new roots from ``place_created``); guards the D2
+  planner's node→subtree-root cache and global-layer bitset. Plain
+  migrations keep the root set intact, so the root cache survives
+  adjustment churn — owners are always read live from the placement.
 * ``NamespaceTree.structure_version`` — guards the interned
   :class:`PathTable` itself.
 
@@ -56,7 +52,7 @@ from repro.core.partition import D2TreePlacement
 from repro.placement import Placement
 from repro.traces.trace import OpType
 
-__all__ = ["LegacyRoutingEngine", "FastRoutingEngine", "make_engine"]
+__all__ = ["FastRoutingEngine", "make_engine"]
 
 #: Shared by warm-path plans: consumers only iterate or replace ``fanout``,
 #: never mutate it in place, so one immutable-by-convention empty list
@@ -69,99 +65,10 @@ _UPDATE = OpType.UPDATE
 
 
 def make_engine(name: str, tree: NamespaceTree, placement: Placement):
-    """Build the configured routing engine (``"fast"`` or ``"legacy"``)."""
+    """Build the routing engine called ``name`` (only ``"fast"`` exists)."""
     if name == "fast":
         return FastRoutingEngine(tree, placement)
-    if name == "legacy":
-        return LegacyRoutingEngine(tree, placement)
-    raise ValueError(f"unknown routing engine {name!r} (use 'fast' or 'legacy')")
-
-
-class LegacyRoutingEngine:
-    """The original per-op planner: parent-pointer walks, path-keyed caches."""
-
-    name = "legacy"
-
-    def __init__(self, tree: NamespaceTree, placement: Placement) -> None:
-        self.tree = tree
-        self.placement = placement
-        self._is_d2 = isinstance(placement, D2TreePlacement)
-
-    def invalidate(self) -> None:
-        """No derived state to flush (every plan reads the placement live)."""
-
-    def plan(self, client: SimClient, node, op: OpType) -> RoutePlan:
-        """Resolve which servers an operation touches."""
-        if self._is_d2:
-            return self._plan_d2(client, node, op)
-        return self._plan_generic(client, node, op)
-
-    def plan_batch(self, ops) -> List[RoutePlan]:
-        """Plan ``(client, node, op)`` triples in order (no amortisation)."""
-        return [self.plan(client, node, op) for client, node, op in ops]
-
-    def _plan_d2(self, client: SimClient, node, op: OpType) -> RoutePlan:
-        placement = self.placement
-        assert isinstance(placement, D2TreePlacement)
-        plan = RoutePlan()
-        if placement.is_global(node):
-            # Any replica serves the global layer (Sec. IV-A2); updates
-            # serialise through the lock service and fan out to the other
-            # replicas (all M by default, fewer under a bounded replication
-            # factor).
-            replicas = placement.servers_of(node)
-            entry = client.pick_among(replicas)
-            plan.visits.append(Visit(entry, VisitKind.SERVE))
-            if op is OpType.UPDATE:
-                plan.lock_key = node.path
-                plan.fanout = [s for s in replicas if s != entry]
-            return plan
-        root = placement.subtree_root_of(node)
-        owner = placement.primary_of(root)
-        cached = client.cached_owner(root.path)
-        if cached == owner:
-            plan.visits.append(Visit(owner, VisitKind.SERVE))
-        elif cached >= 0:
-            # Stale local index (the subtree migrated): redirect costs a hop.
-            plan.visits.append(Visit(cached, VisitKind.REDIRECT))
-            plan.visits.append(Visit(owner, VisitKind.SERVE))
-        else:
-            entry = client.pick_any_server()
-            if entry != owner:
-                plan.visits.append(Visit(entry, VisitKind.ENTRY))
-            plan.visits.append(Visit(owner, VisitKind.SERVE))
-        client.learn_owner(root.path, owner)
-        return plan
-
-    def _plan_generic(self, client: SimClient, node, op: OpType) -> RoutePlan:
-        placement = self.placement
-        plan = RoutePlan()
-        last = -1
-        # POSIX traversal: visit each ancestor's server unless this client
-        # verified the prefix recently (client-side permission caching). A
-        # cached-but-stale location (the node migrated) costs a redirect hop.
-        redirected = False
-        for ancestor in node.ancestors():
-            server = placement.primary_of(ancestor)
-            cached = client.cached_prefix_server(ancestor.path)
-            if cached == server:
-                continue
-            if cached >= 0 and cached != last and not redirected:
-                # First stale entry costs a redirect; the serving server then
-                # walks the rest of the path authoritatively.
-                plan.visits.append(Visit(cached, VisitKind.REDIRECT))
-                last = cached
-                redirected = True
-            client.mark_prefix_checked(ancestor.path, server)
-            if server != last:
-                plan.visits.append(Visit(server, VisitKind.TRAVERSAL))
-                last = server
-        target = placement.primary_of(node)
-        if target != last or not plan.visits:
-            plan.visits.append(Visit(target, VisitKind.SERVE))
-        else:
-            plan.visits[-1] = Visit(target, VisitKind.SERVE)
-        return plan
+    raise ValueError(f"unknown routing engine {name!r} (use 'fast')")
 
 
 class FastRoutingEngine:
@@ -182,8 +89,6 @@ class FastRoutingEngine:
     ``owner_index_hit_rate`` telemetry gauge — deterministic, since they
     depend only on the operation sequence.
     """
-
-    name = "fast"
 
     def __init__(self, tree: NamespaceTree, placement: Placement) -> None:
         self.tree = tree
@@ -294,8 +199,8 @@ class FastRoutingEngine:
             # pick_among, inlined down to the getrandbits rejection loop —
             # the exact algorithm SimClient.randbelow (and Random.randrange
             # internally) runs, so this consumes the same draws from the
-            # client RNG stream as the legacy planner, without a Python
-            # call on the hottest branch of the planner.
+            # client RNG stream as client.pick_among(replicas), without a
+            # Python call on the hottest branch of the planner.
             n = len(replicas)
             getrandbits = client._getrandbits
             k = n.bit_length()
@@ -386,8 +291,7 @@ class FastRoutingEngine:
             if cached == target:
                 # Warm path: this client verified the node recently and it
                 # has not migrated — straight to the owner, no ancestor
-                # walk. This is the O(1) lookup that replaces the per-op
-                # traversal of the legacy planner.
+                # walk.
                 try:
                     return self._serve_plans[target]
                 except IndexError:

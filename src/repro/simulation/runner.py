@@ -32,8 +32,8 @@ from repro.obs.sampler import GaugeSampler
 from repro.obs.spans import SpanRecorder
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.simulation.faults import FaultEvent, FaultKind, FaultPlan
-from repro.simulation.network import SimNetwork, mds_addr, mon_addr
-from repro.simulation.routing import FastRoutingEngine, make_engine
+from repro.simulation.network import SimNetwork, mds_addr
+from repro.simulation.routing import FastRoutingEngine
 from repro.storage import DurabilityLedger, make_store
 from repro.simulation.stats import (
     AvailabilityReport,
@@ -72,9 +72,6 @@ class SimulationConfig:
     #: drop_heartbeats events; see repro.simulation.faults). Crashed servers
     #: keep their metadata until the Monitor misses enough heartbeats.
     fault_plan: Optional[FaultPlan] = None
-    #: Legacy crash shorthand: ((completed_ops, server), ...) — folded into
-    #: the fault plan as crash events.
-    failures: tuple = ()
     #: Client-side timeout before a request to a dead server is retried.
     failover_latency: float = 5e-3
     #: Retry budget per operation; an op that exhausts it counts as *failed*.
@@ -100,10 +97,6 @@ class SimulationConfig:
     #: lookups are side-effect-free, so results are byte-identical for any
     #: value; ``1`` reproduces per-op dispatch exactly.
     batch_size: int = 64
-    #: Route-planning engine: ``"fast"`` (interned paths + incremental owner
-    #: index) or ``"legacy"`` (string-keyed ancestor walks). Both produce
-    #: identical plans; legacy is kept as the benchmark baseline.
-    routing_engine: str = "fast"
     #: Replay engine: ``"auto"`` picks the columnar batched loop whenever the
     #: run is eligible (fault-free, telemetry off, memory store, perfect
     #: network) and falls back to the per-op loop otherwise; ``"columnar"``
@@ -112,11 +105,11 @@ class SimulationConfig:
     #: eligible runs — the choice is purely a throughput knob.
     simulate_engine: str = "auto"
     #: Metadata persistence backend (``repro.storage``): ``"memory"`` (the
-    #: zero-cost no-op default), ``"wal"`` or ``"sqlite"``. Durable backends
-    #: journal acks/fences/subtree moves and replay them when a ``kill9``'d
-    #: server rejoins.
+    #: zero-cost no-op default) or ``"wal"``, which journals
+    #: acks/fences/subtree moves and replays them when a ``kill9``'d server
+    #: rejoins.
     store: str = "memory"
-    #: Directory for the durable backends (None = self-cleaning temp dir).
+    #: Directory for the durable store (None = self-cleaning temp dir).
     store_dir: Optional[str] = None
     #: Per-server log appends between snapshots (0 disables snapshots).
     snapshot_every: int = 512
@@ -151,12 +144,9 @@ class ClusterSimulator:
         self.config = config or SimulationConfig()
         self.tree.ensure_popularity()
         self.placement: Placement = scheme.partition(self.tree, num_servers)
-        #: Route planner (see repro.simulation.routing). Both engines make
-        #: identical decisions; "fast" interns paths and memoises the owner
-        #: index, "legacy" is the string-keyed baseline.
-        self.engine = make_engine(
-            self.config.routing_engine, self.tree, self.placement
-        )
+        #: Route planner (see repro.simulation.routing): interned paths
+        #: plus a memoised owner index.
+        self.engine = FastRoutingEngine(self.tree, self.placement)
         self.servers = [
             MetadataServer(sid, service_time=self.config.service_time)
             for sid in range(num_servers)
@@ -164,7 +154,7 @@ class ClusterSimulator:
         self.locks = LockManager(acquire_latency=self.config.lock_acquire_latency)
         #: Lossy, partitionable fabric. With no faults installed it degrades
         #: to the constant-latency model (zero RNG draws), so fault-free runs
-        #: stay byte-identical to the legacy NetworkModel.
+        #: stay byte-identical to the perfect-network goldens.
         self.network = SimNetwork(
             hop_latency=self.config.hop_latency, seed=self.config.seed
         )
@@ -277,7 +267,6 @@ class ClusterSimulator:
             # batch_size is deliberately NOT recorded: it is a pure
             # throughput knob, and identical headers keep the batched run's
             # telemetry byte-identical to the per-op run's.
-            info.setdefault("routing_engine", self.engine.name)
             if self.store_on:
                 # Recorded only when durability is on: default runs keep
                 # the exact pre-durability header.
@@ -328,13 +317,11 @@ class ClusterSimulator:
         self.sampler.add(
             "monitor_epoch", lambda: float(self.monitor.epoch)
         )
-        engine = self.engine
-        if isinstance(engine, FastRoutingEngine):
-            # Deterministic (depends only on the op sequence), so it joins
-            # the sampled series without breaking byte-level reproducibility.
-            self.sampler.add(
-                "owner_index_hit_rate", lambda: engine.hit_rate
-            )
+        # Deterministic (depends only on the op sequence), so it joins
+        # the sampled series without breaking byte-level reproducibility.
+        self.sampler.add(
+            "owner_index_hit_rate", lambda: self.engine.hit_rate
+        )
         if isinstance(placement, D2TreePlacement):
             self.sampler.add(
                 "global_layer_size",
@@ -469,24 +456,13 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Fault injection (Sec. IV-A3: failure detection and recovery)
     # ------------------------------------------------------------------
-    def _partition_endpoints(self, event: FaultEvent):
-        """Map a partition event's member tokens onto network endpoints."""
-        return [
-            tuple(
-                mon_addr(int(token[1:])) if token.startswith("m")
-                else mds_addr(int(token))
-                for token in group
-            )
-            for group in (event.groups or ())
-        ]
-
     def _fire_fault(self, event: FaultEvent, now: float) -> None:
         """Apply one scheduled fault event at sim time ``now``."""
         self.telemetry.set_time(now)
         kind = event.kind
         if kind is FaultKind.PARTITION:
             self.network.partition(
-                event.partition_name, self._partition_endpoints(event)
+                event.partition_name, event.partition_endpoints()
             )
             self.availability.partitions += 1
             self.telemetry.event(
@@ -851,7 +827,7 @@ class ClusterSimulator:
             if mode == "columnar":
                 raise ValueError(
                     "simulate_engine='columnar' needs a fault-free run: no "
-                    "fault plan or legacy failures, telemetry disabled, the "
+                    "fault plan, telemetry disabled, the "
                     "memory store, and a perfect (non-faulty, jitter-free) "
                     "network; use 'auto' or 'perop' for this configuration"
                 )
@@ -870,7 +846,6 @@ class ClusterSimulator:
         cfg = self.config
         return (
             not cfg.fault_plan
-            and not cfg.failures
             and not self.telemetry.enabled
             and not self.store_on
             and not self.network.faulty
@@ -1116,14 +1091,9 @@ class ClusterSimulator:
             if not dispatch(client, 0.0):
                 break
 
-        # Fault schedule: the declarative plan plus the legacy crash tuples,
-        # split into op-count-triggered and time-triggered queues.
-        fault_events = list(cfg.fault_plan) if cfg.fault_plan else []
-        for at_ops, dead in cfg.failures:
-            fault_events.append(
-                FaultEvent(FaultKind.CRASH, dead, at_ops=int(at_ops))
-            )
-        plan_all = FaultPlan(fault_events)
+        # Fault schedule, split into op-count-triggered and time-triggered
+        # queues.
+        plan_all = cfg.fault_plan or FaultPlan()
         plan_all.validate(self.num_servers, num_monitors=cfg.num_monitors)
         ops_faults = plan_all.by_ops()
         time_faults = plan_all.by_time()
@@ -1322,16 +1292,13 @@ class ClusterSimulator:
         placement = self.placement
         scheme = self.scheme
         tree = self.tree
-        engine_plan = self.engine.plan
-        # FastRoutingEngine: bind the scheme planner directly, hoisting the
-        # per-op interning-staleness check out of the loop. Safe because the
-        # tree is structurally static mid-replay (CREATE ops move placement,
-        # not structure) — re-intern once up front if the engine is stale.
-        planner = getattr(self.engine, "_planner", None)
-        if planner is not None:
-            if self.engine.table.version != tree.structure_version:
-                self.engine._reintern()
-            engine_plan = planner
+        # Bind the scheme planner directly, hoisting the per-op
+        # interning-staleness check out of the loop. Safe because the tree
+        # is structurally static mid-replay (CREATE ops move placement, not
+        # structure) — re-intern once up front if the engine is stale.
+        if self.engine.table.version != tree.structure_version:
+            self.engine._reintern()
+        engine_plan = self.engine._planner
         is_placed = placement.is_placed
         place_created = scheme.place_created
         locks_acquire = self.locks.acquire

@@ -22,7 +22,6 @@ from repro.storage.base import (
 )
 from repro.storage.filestore import WalStore
 from repro.storage.memory import MemoryStore
-from repro.storage.sqlitestore import SqliteStore
 from repro.storage.wal import (
     HEADER_SIZE,
     ScanResult,
@@ -41,7 +40,6 @@ __all__ = [
     "STORE_BACKENDS",
     "ScanResult",
     "ServerLogState",
-    "SqliteStore",
     "WalFile",
     "WalStore",
     "encode_json_record",
@@ -51,8 +49,8 @@ __all__ = [
 ]
 
 #: ``--store`` choices, in help-text order. ``memory`` is the zero-cost
-#: default; the durable backends take an optional ``--store-dir``.
-STORE_BACKENDS = ("memory", "wal", "sqlite")
+#: default; the durable backend takes an optional ``--store-dir``.
+STORE_BACKENDS = ("memory", "wal")
 
 
 def make_store(
@@ -63,17 +61,13 @@ def make_store(
 ) -> MetadataStore:
     """Instantiate a store backend by ``--store`` name.
 
-    ``directory`` is ignored by the memory backend; the durable backends
-    fall back to a self-cleaning temporary directory when it is None.
+    ``directory`` is ignored by the memory backend; the durable backend
+    falls back to a self-cleaning temporary directory when it is None.
     """
     if name == "memory":
         return MemoryStore(snapshot_every=snapshot_every)
     if name == "wal":
         return WalStore(
-            directory=directory, snapshot_every=snapshot_every, fsync=fsync
-        )
-    if name == "sqlite":
-        return SqliteStore(
             directory=directory, snapshot_every=snapshot_every, fsync=fsync
         )
     raise ValueError(

@@ -124,7 +124,7 @@ class RecoveredState:
     truncated: bool = False
     #: ``"torn"`` / ``"corrupt"`` when :attr:`truncated`.
     truncate_reason: Optional[str] = None
-    #: Bytes (file WAL) or records (sqlite) the truncation discarded.
+    #: Bytes of the log the truncation discarded.
     dropped: int = 0
 
 
@@ -132,10 +132,9 @@ class MetadataStore(ABC):
     """Crash-consistent persistence behind one cluster run (see module doc).
 
     Backends: ``memory`` (:class:`~repro.storage.memory.MemoryStore`, a
-    no-op — ``durable`` is False and the simulator skips every hook),
-    ``wal`` (:class:`~repro.storage.filestore.WalStore`, per-server
-    checksummed log files plus JSON snapshots), and ``sqlite``
-    (:class:`~repro.storage.sqlitestore.SqliteStore`).
+    no-op — ``durable`` is False and the simulator skips every hook)
+    and ``wal`` (:class:`~repro.storage.filestore.WalStore`, per-server
+    checksummed log files plus JSON snapshots).
     """
 
     #: Backend name (the ``--store`` value; recorded in run output).

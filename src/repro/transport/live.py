@@ -20,10 +20,12 @@ What is deliberately shared with the simulator rather than re-implemented:
   verbatim; the live replicas are its network faces. Quorum checks read
   reachability from the shared fault fabric, so a partition that strands
   the leader aborts its directives here exactly as in the simulator.
-* **The safety invariants** — :func:`check_invariants` re-states the chaos
-  harness's checks 1–4 (ownership, completeness, epoch monotonicity,
-  accounting) against the live cluster's state, plus a ledger check that
-  every client-acknowledged op is present in some MDS's ack ledger.
+* **The safety invariants** — :func:`check_invariants` runs the chaos
+  harness's state checks 1–3 (ownership, completeness, epoch monotonicity:
+  :func:`~repro.cluster.failure.check_state_invariants`) against the live
+  cluster's state, adds the client-side accounting balance, plus a ledger
+  check that every client-acknowledged op is present in some MDS's ack
+  ledger.
 
 Requests route the way the paper's do (Sec. IV-A2). The Monitor leader's
 epoch-stamped ownership broadcasts carry the two-layer *index* — the
@@ -47,7 +49,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chaos.history import audit_history
-from repro.cluster.failure import fail_server, rejoin_server
+from repro.cluster.failure import (
+    check_state_invariants,
+    fail_server,
+    rejoin_server,
+)
 from repro.cluster.index import RoutingIndex
 from repro.cluster.messages import (
     ClientReply,
@@ -573,7 +579,7 @@ class LiveCluster:
             self.transport.mute(mds_addr(event.server))
         elif kind is FaultKind.PARTITION:
             self.transport.partition(
-                event.partition_name, self._partition_endpoints(event)
+                event.partition_name, event.partition_endpoints()
             )
         elif kind is FaultKind.HEAL:
             self.transport.heal(event.partition_name)
@@ -585,18 +591,6 @@ class LiveCluster:
             self.transport.set_loss(mds_addr(event.server), event.probability)
         elif kind is FaultKind.DELAY:
             self.transport.set_delay(mds_addr(event.server), event.delay)
-
-    @staticmethod
-    def _partition_endpoints(event: FaultEvent) -> List[List[str]]:
-        """``{0,1}|{2,m0}`` group tokens -> transport endpoint groups."""
-        return [
-            [
-                mon_addr(int(token[1:])) if token.startswith("m")
-                else mds_addr(int(token))
-                for token in group
-            ]
-            for group in event.groups or ()
-        ]
 
     async def run_fault_plan(self, plan: FaultPlan, progress) -> None:
         """Fire the plan's events against the live cluster as load runs.
@@ -664,8 +658,8 @@ class LiveCluster:
 def check_invariants(cluster: LiveCluster, load_report) -> List[str]:
     """The chaos safety invariants, audited against a live cluster.
 
-    Same statements as ``repro.chaos._check_invariants`` (1–4), sourced
-    from live state, plus the history audit
+    State invariants 1–3 from the one shared checker, the accounting
+    balance (4) sourced from the load report, plus the history audit
     (:func:`repro.chaos.history.audit_history`): exactly-once acks,
     completeness, per-server epoch-fence safety, and every acked op
     present in *its acking server's* ledger — strictly stronger than the
@@ -674,51 +668,11 @@ def check_invariants(cluster: LiveCluster, load_report) -> List[str]:
     check being skipped). The union check remains as the fallback for
     reports without a recorded history.
     """
-    violations: List[str] = []
-    placement = cluster.placement
-
-    # 1. Single live ownership.
-    dead = {
-        s for s, cap in enumerate(placement.capacities) if cap <= DEAD_CAPACITY
-    }
-    dead.update(s.server_id for s in cluster.servers if not s.alive)
-    bad_owner: List[str] = []
-    empty: List[str] = []
-    for node in placement.placed_nodes():
-        servers = placement.servers_of(node)
-        if not servers:
-            empty.append(node.path)
-        elif dead.intersection(servers):
-            bad_owner.append(node.path)
-    if empty:
-        violations.append(
-            f"ownership: {len(empty)} nodes with an empty replica set "
-            f"(e.g. {empty[:3]})"
-        )
-    if bad_owner:
-        violations.append(
-            f"ownership: {len(bad_owner)} nodes owned by a dead server "
-            f"{sorted(dead)} (e.g. {bad_owner[:3]})"
-        )
-
-    # 2. No subtree lost (Eq. 4 completeness).
-    missing = [n.path for n in cluster.tree if not placement.is_placed(n)]
-    if missing:
-        violations.append(
-            f"completeness: {len(missing)} namespace nodes unplaced "
-            f"(e.g. {missing[:3]})"
-        )
-
-    # 3. Epoch monotonicity.
-    if not cluster.group.journal.epochs_monotone():
-        violations.append("epochs: committed directive epochs regressed")
-    for server in cluster.servers:
-        if server.fence_epoch > cluster.group.epoch:
-            violations.append(
-                f"epochs: server {server.server_id} fence "
-                f"{server.fence_epoch} ahead of monitor epoch "
-                f"{cluster.group.epoch}"
-            )
+    # 1-3. Ownership, completeness, epoch monotonicity (shared with the
+    #      chaos harness).
+    violations = check_state_invariants(
+        cluster.placement, cluster.tree, cluster.servers, cluster.group
+    )
 
     # 4. Accounting balance at the clients (indeterminate ops are an
     #    explicit terminal outcome, not an accounting hole).

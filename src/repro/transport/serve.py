@@ -1,7 +1,7 @@
 """One-call entry points: run a live cluster, or validate it against sim.
 
-:func:`serve_workload` is what ``repro serve`` (and the serve bench axis)
-calls: boot a :class:`~repro.transport.live.LiveCluster`, drive the
+:func:`serve_workload` is what ``repro serve`` (and perfbench's serve
+workloads) calls: boot a :class:`~repro.transport.live.LiveCluster`, drive the
 workload's trace through the load generator, fire any fault
 plan, quiesce, audit the safety invariants and return a
 :class:`~repro.transport.live.ServeReport`.

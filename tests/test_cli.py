@@ -334,20 +334,43 @@ def test_simulate_trace_sample_keeps_columnar_output_identical(
     assert sampled == plain
 
 
-def test_bench_failover_axis_cli(tmp_path, capsys):
-    import json
+def test_chaos_replay_line_is_a_valid_simulate_command(monkeypatch, capsys):
+    import shlex
 
-    out_file = tmp_path / "BENCH_failover.json"
-    trends = tmp_path / "trends.jsonl"
-    code, out = run(
-        capsys, "bench", "--axis", "failover", "--trace", "dtr",
-        "--nodes", "600", "--scale", "1e-5", "--servers", "4",
-        "--seed", "5", "--repeats", "1", "--max-ops", "1000",
-        "--out", str(out_file), "--trends", str(trends),
+    from repro.chaos import harness
+    from repro.cli import parse_fault_plan
+
+    monkeypatch.setattr(
+        harness, "_check_invariants", lambda sim, result: ["planted violation"]
     )
-    assert code == 0
-    assert "failover" in out and "detect" in out
-    report = json.loads(out_file.read_text())
-    assert report["detections"]
-    trend = json.loads(trends.read_text().splitlines()[0])
-    assert trend["axis"] == "failover"
+    code = main([
+        "chaos", "--trace", "lmbe", "--nodes", "600", "--scale", "5e-5",
+        "--servers", "4", "--seeds", "1", "--seed-base", "3", "--ops", "120",
+        "--store", "wal",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "planted violation" in err
+    replay = next(
+        line.split("replay: ", 1)[1]
+        for line in err.splitlines() if "replay: " in line
+    )
+    argv = shlex.split(replay)
+    assert argv[:2] == ["repro", "simulate"]
+    args = build_parser().parse_args(argv[1:])  # SystemExit on a stale flag
+    assert (args.seed, args.max_ops, args.store) == (3, 120, "wal")
+    assert (args.servers, args.monitors) == (4, 3)
+    assert len(parse_fault_plan(args)) == argv.count("--fault") > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench"],
+    ["simulate", "--routing-engine", "fast"],
+    ["chaos", "--routing-engine", "fast"],
+    ["hunt", "--trends", "trends.jsonl"],
+    ["simulate", "--store", "sqlite"],
+])
+def test_retired_verbs_and_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2

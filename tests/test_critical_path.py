@@ -1,4 +1,4 @@
-"""Critical-path analysis, Perfetto export, and the failover bench axis."""
+"""Critical-path analysis and Perfetto export."""
 
 import dataclasses
 import io
@@ -114,51 +114,3 @@ def test_analysis_of_spanless_records_is_empty():
     assert analysis["ops"] == 0
     assert analysis["total_end_to_end_seconds"] == 0.0
     assert render_critical_path(analysis)  # renders without crashing
-
-
-def test_bench_failover_reads_spans():
-    from repro.bench import bench_failover, trend_record
-
-    profile = dataclasses.replace(
-        DatasetProfile.dtr(num_nodes=600, scale=1e-5), seed=5
-    )
-    workload = TraceGenerator(profile, num_clients=8).generate()
-    report = bench_failover(
-        workload, num_servers=4, repeats=1, max_ops=1000, seed=5
-    )
-    assert report["benchmark"] == "failover_latency"
-    assert report["detections"] and report["recoveries"]
-    assert report["mean_detection_seconds"] > 0.0
-    assert report["mean_downtime_seconds"] >= report["mean_recovery_seconds"]
-    record = trend_record("failover", report)
-    assert record["axis"] == "failover"
-    assert record["mean_detection_seconds"] == report["mean_detection_seconds"]
-
-
-def test_trend_records_cover_every_axis(tmp_path):
-    from repro.bench import append_trend, trend_record
-
-    routing = {"trace": "T", "speedup_geomean": 2.0}
-    simulate = {
-        "trace": "T", "speedup": 1.5,
-        "engines": {"columnar": {"normalized_ops_per_sec": 0.02}},
-    }
-    recovery = {
-        "points": [
-            {"backend": "wal", "records_per_sec": 10.0},
-            {"backend": "wal", "records_per_sec": 30.0},
-            {"backend": "sqlite", "records_per_sec": 20.0},
-        ],
-    }
-    path = tmp_path / "trends.jsonl"
-    append_trend(trend_record("routing", routing), str(path))
-    append_trend(trend_record("simulate", simulate), str(path))
-    append_trend(trend_record("recovery", recovery), str(path))
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [line["axis"] for line in lines] == [
-        "routing", "simulate", "recovery",
-    ]
-    assert lines[0]["speedup_geomean"] == 2.0
-    assert lines[2]["records_per_sec"] == {"wal": 30.0, "sqlite": 20.0}
-    with pytest.raises(ValueError):
-        trend_record("nope", {})

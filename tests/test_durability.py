@@ -110,7 +110,7 @@ def test_kill9_without_durable_store_still_degrades(workload):
     assert result.failed_operations == 0
 
 
-@pytest.mark.parametrize("store", ["wal", "sqlite"])
+@pytest.mark.parametrize("store", ["wal"])
 @pytest.mark.parametrize("fault", ["torn_write", "corrupt_record"])
 def test_tail_damage_detected_and_truncated(workload, store, fault, tmp_path):
     plan = FaultPlan.parse([f"{fault}:1@ops=250", "recover:1@ops=450"])
@@ -142,7 +142,7 @@ def test_damage_on_already_dead_server_is_repaired_on_rejoin(workload):
 # ----------------------------------------------------------------------
 # Chaos invariant 5
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("store", ["wal", "sqlite"])
+@pytest.mark.parametrize("store", ["wal"])
 def test_chaos_case_with_durable_store_is_clean(workload, store, tmp_path):
     case = run_case(
         "d2-tree", workload, 5, seed=11, store=store,
@@ -219,25 +219,8 @@ def test_simulate_cli_default_store_omits_durability(capsys):
 def test_chaos_cli_durable_smoke(tmp_path, capsys):
     code, out = run_cli(
         capsys, "chaos", "--seeds", "1", "--ops", "400", "--nodes", "800",
-        "--scale", "5e-5", "--servers", "5", "--store", "sqlite",
+        "--scale", "5e-5", "--servers", "5", "--store", "wal",
         "--store-dir", str(tmp_path),
     )
     assert code == 0
     assert "1/1 seeds clean" in out
-
-
-def test_bench_cli_recovery_axis(tmp_path, capsys):
-    out_file = tmp_path / "BENCH_recovery.json"
-    code, out = run_cli(
-        capsys, "bench", "--axis", "recovery", "--log-lengths", "300",
-        "--repeats", "1", "--out", str(out_file),
-    )
-    assert code == 0
-    report = json.loads(out_file.read_text())
-    assert report["benchmark"] == "wal_recovery"
-    points = report["points"]
-    assert {p["backend"] for p in points} == {"wal", "sqlite"}
-    for point in points:
-        assert point["log_records"] == 300
-        assert point["recover_seconds"] > 0
-        assert point["recovered_acks"] > 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import DropScheme, StaticSubtreeScheme
 from repro.core import D2TreeScheme
-from repro.simulation import SimulationConfig
+from repro.simulation import FaultPlan, SimulationConfig
 from repro.simulation.runner import ClusterSimulator
 from repro.traces import DatasetProfile, TraceGenerator
 
@@ -16,6 +16,10 @@ def workload():
     ).generate()
 
 
+def plan(*specs):
+    return FaultPlan.parse(list(specs))
+
+
 def config(**kw):
     kw.setdefault("num_clients", 20)
     kw.setdefault("adjust_every_ops", 500)
@@ -23,7 +27,7 @@ def config(**kw):
 
 
 def test_replay_survives_single_failure(workload):
-    cfg = config(failures=((1000, 2),))
+    cfg = config(fault_plan=plan("crash:2@ops=1000"))
     sim = ClusterSimulator(D2TreeScheme(), workload, 4, cfg)
     result = sim.run()
     assert result.operations == len(workload.trace)
@@ -34,7 +38,7 @@ def test_replay_survives_single_failure(workload):
 
 
 def test_dead_server_stops_serving(workload):
-    cfg = config(failures=((800, 1),))
+    cfg = config(fault_plan=plan("crash:1@ops=800"))
     sim = ClusterSimulator(D2TreeScheme(), workload, 4, cfg)
     sim.run()
     served_before_crash = sim.servers[1].served
@@ -46,14 +50,14 @@ def test_dead_server_stops_serving(workload):
 def test_failure_hurts_throughput(workload):
     healthy = ClusterSimulator(D2TreeScheme(), workload, 4, config()).run()
     degraded = ClusterSimulator(
-        D2TreeScheme(), workload, 4, config(failures=((500, 0),))
+        D2TreeScheme(), workload, 4, config(fault_plan=plan("crash:0@ops=500"))
     ).run()
     # Losing 1 of 4 servers early costs throughput (failover + capacity).
     assert degraded.throughput < healthy.throughput
 
 
 def test_multiple_failures(workload):
-    cfg = config(failures=((600, 0), (1600, 3)))
+    cfg = config(fault_plan=plan("crash:0@ops=600", "crash:3@ops=1600"))
     sim = ClusterSimulator(D2TreeScheme(), workload, 5, cfg)
     result = sim.run()
     assert result.operations == len(workload.trace)
@@ -65,7 +69,7 @@ def test_multiple_failures(workload):
 
 @pytest.mark.parametrize("scheme_cls", [StaticSubtreeScheme, DropScheme])
 def test_baseline_schemes_survive_failure(workload, scheme_cls):
-    cfg = config(failures=((1000, 1),))
+    cfg = config(fault_plan=plan("crash:1@ops=1000"))
     sim = ClusterSimulator(scheme_cls(), workload, 4, cfg)
     result = sim.run()
     assert result.operations == len(workload.trace)
@@ -74,7 +78,7 @@ def test_baseline_schemes_survive_failure(workload, scheme_cls):
 
 
 def test_failure_then_rebalance_spreads_load(workload):
-    cfg = config(failures=((500, 2),), adjust_every_ops=400)
+    cfg = config(fault_plan=plan("crash:2@ops=500"), adjust_every_ops=400)
     sim = ClusterSimulator(D2TreeScheme(), workload, 4, cfg)
     sim.run()
     loads = sim.placement.local_loads()

@@ -429,9 +429,8 @@ def test_identical_seed_and_plan_is_bit_identical(workload):
     )
 
 
-def test_legacy_failures_tuple_still_works(workload):
-    # The pre-fault-plan shorthand folds into the plan as crash events.
-    cfg = config(failures=((1000, 2),))
+def test_crash_without_recover_stays_down(workload):
+    cfg = config(fault_plan=plan("crash:2@ops=1000"))
     sim = ClusterSimulator(D2TreeScheme(), workload, 4, cfg)
     result = sim.run()
     assert result.availability.crashes == 1

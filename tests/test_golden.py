@@ -24,11 +24,13 @@ CASES = [
         ],
     ),
     (
-        "perfect_network_d2_legacy.json",
+        # Captured from the string-keyed per-op planner the routing engine
+        # replaced: freezes that planner's D2 routing decisions.
+        "perfect_network_d2.json",
         [
             "simulate", "--trace", "lmbe", "--nodes", "800",
             "--scale", "4e-5", "--seed", "3", "--servers", "5",
-            "--scheme", "d2-tree", "--routing-engine", "legacy", "--json",
+            "--scheme", "d2-tree", "--json",
         ],
     ),
     # The durability subsystem must also cost nothing when disabled: an

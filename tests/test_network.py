@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from repro.simulation import CLIENT_ADDR, NetworkModel, SimNetwork, mds_addr, mon_addr
+from repro.simulation import CLIENT_ADDR, SimNetwork, mds_addr, mon_addr
 
 
 # ----------------------------------------------------------------------
-# Healthy path (the legacy NetworkModel surface)
+# Healthy path
 # ----------------------------------------------------------------------
-def test_alias_and_constant_hop():
-    assert NetworkModel is SimNetwork
+def test_constant_hop():
     net = SimNetwork(hop_latency=2e-4)
     assert net.hop() == 2e-4
     assert not net.faulty

@@ -403,19 +403,13 @@ def test_jsonl_exporter_writes_summary_and_appends(tmp_path):
     assert [r["kind"] for r in records].count("summary") == 2
 
 
-def test_csv_and_prometheus_exporters_flush_on_exception(tmp_path):
-    from repro.obs import CsvExporter, PrometheusExporter
+def test_prometheus_exporter_flushes_on_exception(tmp_path):
+    from repro.obs import PrometheusExporter
 
     telemetry = Telemetry()
-    telemetry.record_sample(0.1, "load", 1.0, server=0)
-    telemetry.event("fault_crash", t=0.2, server=1)
     telemetry.registry.counter("ops", help="ops").inc(3)
-    prefix = tmp_path / "run"
     prom = tmp_path / "metrics.prom"
     with pytest.raises(RuntimeError):
-        with CsvExporter(telemetry, str(prefix)), \
-                PrometheusExporter(telemetry, str(prom)):
+        with PrometheusExporter(telemetry, str(prom)):
             raise RuntimeError("mid-run crash")
-    assert "load" in (tmp_path / "run.samples.csv").read_text()
-    assert "fault_crash" in (tmp_path / "run.events.csv").read_text()
     assert "repro_ops_total 3" in prom.read_text()

@@ -7,8 +7,8 @@ from repro.core import D2TreeScheme
 from repro.simulation import (
     ClientPool,
     ClusterSimulator,
-    NetworkModel,
     ResourceTimeline,
+    SimNetwork,
     SimulationConfig,
     replay_rounds,
     simulate,
@@ -72,9 +72,9 @@ def test_client_pool_validation():
 
 
 def test_network_model():
-    net = NetworkModel(hop_latency=0.01)
+    net = SimNetwork(hop_latency=0.01)
     assert net.hop() == 0.01
-    jittery = NetworkModel(hop_latency=0.01, jitter=0.005)
+    jittery = SimNetwork(hop_latency=0.01, jitter=0.005)
     values = {jittery.hop() for _ in range(32)}
     assert len(values) > 1
     assert all(0.01 <= v <= 0.015 for v in values)
@@ -82,7 +82,7 @@ def test_network_model():
 
 def test_network_validation():
     with pytest.raises(ValueError):
-        NetworkModel(hop_latency=-1)
+        SimNetwork(hop_latency=-1)
 
 
 def test_latency_summary():

@@ -1,4 +1,4 @@
-"""Storage subsystem: WAL codec, damage injection, and the three backends."""
+"""Storage subsystem: WAL codec, damage injection, and the two backends."""
 
 import json
 import os
@@ -221,7 +221,7 @@ def test_server_log_state_snapshot_round_trip():
 
 
 # ----------------------------------------------------------------------
-# Backend contract (all three via make_store)
+# Backend contract (via make_store)
 # ----------------------------------------------------------------------
 def drive_store(store):
     """A tiny canonical history every backend must replay identically."""
@@ -251,7 +251,7 @@ def test_backend_round_trip(backend, tmp_path):
         store.close()
 
 
-@pytest.mark.parametrize("backend", ["wal", "sqlite"])
+@pytest.mark.parametrize("backend", ["wal"])
 def test_backend_snapshot_then_tail_replay(backend, tmp_path):
     store = make_store(backend, directory=str(tmp_path), snapshot_every=8)
     try:
@@ -265,7 +265,7 @@ def test_backend_snapshot_then_tail_replay(backend, tmp_path):
         store.close()
 
 
-@pytest.mark.parametrize("backend", ["wal", "sqlite"])
+@pytest.mark.parametrize("backend", ["wal"])
 @pytest.mark.parametrize("damage", ["tear_tail", "corrupt_tail"])
 def test_backend_damage_detected_and_acks_survive(backend, damage, tmp_path):
     store = make_store(backend, directory=str(tmp_path), snapshot_every=0)
@@ -283,7 +283,7 @@ def test_backend_damage_detected_and_acks_survive(backend, damage, tmp_path):
         store.close()
 
 
-@pytest.mark.parametrize("backend", ["wal", "sqlite"])
+@pytest.mark.parametrize("backend", ["wal"])
 def test_backend_damage_on_clean_log_injects_inflight_junk(backend, tmp_path):
     # Even with everything synced the fault applies (a crash mid-append of
     # the next record) and recovery still detects it.
@@ -310,8 +310,9 @@ def test_memory_store_is_not_durable_and_damage_is_noop():
 
 
 def test_make_store_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown store backend"):
-        make_store("etcd")
+    for gone in ("etcd", "sqlite"):
+        with pytest.raises(ValueError, match="unknown store backend"):
+            make_store(gone)
 
 
 def test_wal_store_files_on_disk(tmp_path):
@@ -339,10 +340,10 @@ def test_store_init_owns_directory_for_one_run(tmp_path):
     # A store owns its directory for exactly one run: re-pointing a new
     # instance at it starts clean rather than replaying a stale run's
     # state (kill9 recovery happens *within* a run, via recover_server).
-    first = make_store("sqlite", directory=str(tmp_path))
+    first = make_store("wal", directory=str(tmp_path))
     drive_store(first)
     first.close()
-    second = make_store("sqlite", directory=str(tmp_path))
+    second = make_store("wal", directory=str(tmp_path))
     try:
         assert second.recover_server(0).acked_ops == []
         assert second.recover_directives() == []
