@@ -45,9 +45,7 @@ from repro import registry
 from repro.chaos.history import OpHistory, audit_history
 from repro.chaos.schedule import generate_plan
 from repro.cluster.failure import check_state_invariants
-from repro.placement import DEAD_CAPACITY
 from repro.simulation.faults import FaultPlan
-from repro.simulation.network import mds_addr
 from repro.simulation.runner import ClusterSimulator, SimulationConfig
 from repro.traces.generator import GeneratedWorkload
 
@@ -77,37 +75,16 @@ CHAOS_LEASE_TIMEOUT = 0.05
 def _quiesce(sim: ClusterSimulator, makespan: float) -> float:
     """Drive the cluster to a steady state after the trace drained.
 
-    Heals every partition, restarts every Monitor replica, rejoins every
-    degraded or still-evicted server, then runs a few heartbeat rounds so
-    membership settles. Returns the final simulated time. Invariants are
-    only meaningful *after* this — mid-partition the cluster is allowed to
-    be degraded; what it may never do is stay broken once the faults clear.
+    :meth:`ClusterControl.quiesce` clears every fault and re-admits every
+    degraded server; a few heartbeat rounds then let membership settle.
+    Returns the final simulated time.
     """
-    cfg = sim.config
-    now = makespan + cfg.heartbeat_interval
-    sim.network.heal(None)
-    for replica in range(sim.monitor.num_replicas):
-        sim.monitor.recover_monitor(replica, now)
-    sim.monitor.tick(now)
-    if not sim.monitor.can_commit():  # pragma: no cover - defensive
-        now += sim.monitor.lease_timeout + cfg.heartbeat_interval
-        sim.monitor.tick(now)
-    for server in sim.servers:
-        sid = server.server_id
-        if (
-            not server.alive
-            or sim.monitor.is_dead(sid)
-            or sim.placement.capacities[sid] <= DEAD_CAPACITY
-        ):
-            sim._recover_server(sid, now)
-        else:
-            server.slow_factor = 1.0
-            if server.muted:
-                server.muted = False
-            sim.network.clear_endpoint(mds_addr(sid))
+    interval = sim.config.heartbeat_interval
+    now = makespan + interval
+    sim.control.quiesce(now)
     for _ in range(3):
-        now += cfg.heartbeat_interval
-        sim._heartbeat_round(now)
+        now += interval
+        sim._heartbeats(now)
     return now
 
 
@@ -311,7 +288,7 @@ def run_case(
     hist: Optional[OpHistory] = None
     if history:
         hist = OpHistory()
-        sim.history = hist
+        sim.control.history = hist
     try:
         result = sim.run()
         _quiesce(sim, result.makespan)

@@ -41,7 +41,7 @@ benign cross-server reordering can not produce false positives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 __all__ = ["HistoryEvent", "OpHistory", "audit_history"]
 
@@ -123,27 +123,6 @@ class OpHistory:
         return len(self.events)
 
 
-def _merge_wipes(
-    events: Sequence[HistoryEvent],
-    wipes: Optional[Mapping[int, Iterable[float]]],
-) -> List[HistoryEvent]:
-    """Splice externally-recorded wipe times into the event walk by time.
-
-    The simulator records wipes inline (append order is causal); the live
-    cluster records them on the side (the load generator cannot see them),
-    so they are merged here by timestamp with a stable sort — ack append
-    order within a server is preserved.
-    """
-    if not wipes:
-        return list(events)
-    extra = [
-        HistoryEvent("wipe", -1, -1, float(t), server=server)
-        for server, times in sorted(wipes.items())
-        for t in times
-    ]
-    return sorted(list(events) + extra, key=lambda e: e.t)
-
-
 def audit_history(
     history: OpHistory,
     *,
@@ -151,7 +130,6 @@ def audit_history(
     closed_loop: bool = False,
     ledgers: Optional[Mapping[int, Set[int]]] = None,
     durable_ledgers: bool = False,
-    wipes: Optional[Mapping[int, Iterable[float]]] = None,
 ) -> List[str]:
     """Audit one operation history; returns violation strings (empty = ok).
 
@@ -181,7 +159,7 @@ def audit_history(
        there is no excuse — recovery replay must restore it.
     """
     violations: List[str] = []
-    events = _merge_wipes(history.events, wipes)
+    events = history.events
 
     invoked: Dict[int, int] = {}        # op id -> invoke count
     terminals: Dict[int, List[HistoryEvent]] = {}

@@ -70,28 +70,6 @@ class SimClient:
         """Random MDS choice (global-layer queries go anywhere)."""
         return self.randbelow(self.num_servers)
 
-    def pick_among(self, servers) -> int:
-        """Random choice from a replica set (bounded global layers)."""
-        return servers[self.randbelow(len(servers))]
-
-    def cached_owner(self, root_path: str) -> int:
-        """Believed owner of a subtree root, or -1 when unknown."""
-        owner = self.index_cache.get(root_path)
-        return -1 if owner is None else owner
-
-    def learn_owner(self, root_path: str, server: int) -> None:
-        """Cache the authoritative owner after a lookup or redirect."""
-        self.index_cache.put(root_path, server)
-
-    def cached_prefix_server(self, path: str) -> int:
-        """Server believed to hold a verified prefix, or -1 when unknown."""
-        server = self.prefix_cache.get(path)
-        return -1 if server is None else server
-
-    def mark_prefix_checked(self, path: str, server: int) -> None:
-        """Remember a verified ancestor directory and where it lives."""
-        self.prefix_cache.put(path, server)
-
     def note_operation(self, redirected: bool) -> None:
         """Update per-client statistics."""
         self.operations += 1

@@ -293,11 +293,8 @@ class MonitorGroup:
         self.failovers = 0
         #: Directives that failed to commit for lack of a quorum.
         self.aborted_directives = 0
-        #: Optional SpanRecorder (repro.obs.spans), wired by the simulator.
-        #: ``span_parent`` scopes the next journal_commit span under the
-        #: failover/recovery chain that triggered it.
+        #: Optional SpanRecorder (repro.obs.spans), wired by ClusterControl.
         self.spans = None
-        self.span_parent: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Topology
@@ -409,9 +406,14 @@ class MonitorGroup:
     # Directive commit (the quorum write path)
     # ------------------------------------------------------------------
     def issue(
-        self, kind: str, now: float, server: int = -1, **info: Any
+        self, kind: str, now: float, server: int = -1,
+        span_parent: Optional[str] = None, **info: Any
     ) -> Optional[Directive]:
-        """Commit an epoch-stamped directive, or None without a quorum."""
+        """Commit an epoch-stamped directive, or None without a quorum.
+
+        ``span_parent`` scopes the journal_commit span under the
+        failover/recovery chain that triggered the directive.
+        """
         if not self.can_commit():
             self.aborted_directives += 1
             self.telemetry.event(
@@ -426,7 +428,7 @@ class MonitorGroup:
         self.journal.append(directive)
         if self.spans is not None:
             self.spans.cluster(
-                "journal_commit", now, now, parent=self.span_parent,
+                "journal_commit", now, now, parent=span_parent,
                 fields=(("directive", kind), ("epoch", self.epoch)),
             )
         return directive

@@ -35,9 +35,9 @@ Owner-index invalidation is versioned, not subscribed:
 * ``NamespaceTree.structure_version`` — guards the interned
   :class:`PathTable` itself.
 
-The simulator additionally calls :meth:`FastRoutingEngine.invalidate` from
-its failure paths (``_rehome_failed`` / ``_recover_server``) as a
-belt-and-braces flush: recovery rewrites placement wholesale, and a full
+The simulator additionally calls :meth:`FastRoutingEngine.invalidate`
+whenever the control plane evicts or re-admits a server
+(``ClusterSimulator._placement_moved``) as a belt-and-braces flush: recovery rewrites placement wholesale, and a full
 re-derive there costs one miss per touched node.
 """
 
@@ -196,11 +196,11 @@ class FastRoutingEngine:
                 replicas = placement._servers_of[node]
                 self._replicas[nid] = replicas
                 self._replica_stamp[nid] = version
-            # pick_among, inlined down to the getrandbits rejection loop —
-            # the exact algorithm SimClient.randbelow (and Random.randrange
-            # internally) runs, so this consumes the same draws from the
-            # client RNG stream as client.pick_among(replicas), without a
-            # Python call on the hottest branch of the planner.
+            # A uniform pick among the replicas, inlined down to the
+            # getrandbits rejection loop — the exact algorithm
+            # SimClient.randbelow (and Random.randrange internally) runs,
+            # so this consumes the same draws from the client RNG stream,
+            # without a Python call on the hottest branch of the planner.
             n = len(replicas)
             getrandbits = client._getrandbits
             k = n.bit_length()
@@ -259,7 +259,7 @@ class FastRoutingEngine:
             if entry != owner:
                 visits.append(Visit(entry, VisitKind.ENTRY))
             visits.append(Visit(owner, VisitKind.SERVE))
-        # learn_owner, inlined (rid already at MRU position when present).
+        # Cache the owner (rid already at MRU position when present).
         data[rid] = owner
         if len(data) > cache.capacity:
             data.popitem(last=False)

@@ -13,13 +13,14 @@ Two replay modes:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.placement import MetadataScheme, Placement
 from repro.baselines.hashing import stable_hash
 from repro.cluster.client import SimClient
-from repro.cluster.failure import fail_server, rejoin_server
+from repro.cluster.control import ClusterControl
 from repro.cluster.locks import LockManager
 from repro.cluster.mds import MetadataServer
 from repro.cluster.messages import Heartbeat, RoutePlan, Visit, VisitKind
@@ -31,15 +32,11 @@ from repro.cluster.cache import LRUCache
 from repro.obs.sampler import GaugeSampler
 from repro.obs.spans import SpanRecorder
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.simulation.faults import FaultEvent, FaultKind, FaultPlan
+from repro.simulation.faults import FaultPlan
 from repro.simulation.network import SimNetwork, mds_addr
 from repro.simulation.routing import FastRoutingEngine
-from repro.storage import DurabilityLedger, make_store
-from repro.simulation.stats import (
-    AvailabilityReport,
-    SimulationResult,
-    summarize_latencies,
-)
+from repro.storage import make_store
+from repro.simulation.stats import SimulationResult, summarize_latencies
 from repro.traces.columns import OP_FROM_CODE, iter_op_batches
 from repro.traces.generator import GeneratedWorkload
 from repro.traces.trace import OpType, Trace
@@ -191,37 +188,22 @@ class ClusterSimulator:
             snapshot_every=self.config.snapshot_every,
         )
         self.store_on = self.store.durable
-        self.durability: Optional[DurabilityLedger] = None
         if self.store_on:
             self.store.bind_telemetry(self.telemetry)
             self.monitor.journal.bind_store(self.store)
-            self.durability = DurabilityLedger()
         self.created = 0
         #: Trace records handed to clients (completed + failed + in flight);
         #: the chaos harness balances this against the availability ledger.
         self.ops_issued = 0
-        #: Optional client-visible operation history (duck-typed
-        #: ``repro.chaos.history.OpHistory``), set externally by the chaos
-        #: harness before ``run()``. The runner never imports the chaos
-        #: package; when None (the default) every hook below is skipped and
-        #: replay stays byte-identical. Recording forces the per-op engine.
-        self.history = None
         # Late-created nodes (OpType.CREATE extension) do not exist at
         # partition time: their assignments are forgotten and each scheme
         # places them on first sight.
-        for path in getattr(workload, "late_created_paths", ()):  # compat
+        for path in workload.late_created_paths:
             node = self.tree.lookup(path)
             if node is not None and self.placement.is_placed(node):
                 if not self.placement.is_replicated(node):
                     self.placement.forget(node)
         self.migrations = 0
-        self.availability = AvailabilityReport()
-        #: server -> sim time it crashed (cleared when it rejoins).
-        self._crashed_at: Dict[int, float] = {}
-        #: server -> sim time it stopped heartbeating (drop_heartbeats).
-        self._muted_at: Dict[int, float] = {}
-        #: server -> sim time the Monitor evicted it (span attribution).
-        self._detected_at: Dict[int, float] = {}
         # Span tracing (repro.obs.spans): deterministic head-sampled span
         # trees. The recorder rides outside the telemetry enable switch so
         # sampled runs stay columnar-eligible; it is attached to the hub
@@ -236,10 +218,21 @@ class ClusterSimulator:
                 self.config.trace_sample, seed=self.config.seed
             )
             self._mig_budget = [0.0] * num_servers
-            self.monitor.spans = self.spans
             if self.telemetry is not NULL_TELEMETRY:
                 self.telemetry.attach_spans(self.spans)
-        self._initial_capacities = list(self.placement.capacities)
+        #: The control plane shared with the live cluster. Its ``history``
+        #: (an ``OpHistory``, None by default) is set by the chaos harness
+        #: before ``run()``; recording one forces the per-op engine. The
+        #: callback holds the simulator weakly: no reference cycle, so a
+        #: dropped simulator is freed at once (perfbench reads peak RSS).
+        this = weakref.ref(self)
+        self.control = ClusterControl(
+            self.servers, self.placement, self.monitor, self.network,
+            self.store, lambda moves, now: this()._placement_moved(moves, now),
+            telemetry=self.telemetry, spans=self.spans,
+        )
+        self.availability = self.control.availability
+        self.durability = self.control.durability
         self._window_counts: Dict[str, float] = {}
         # Snapshot popularity so a run never leaks adjusted estimates into
         # the shared workload (simulations must be independent).
@@ -454,334 +447,42 @@ class ClusterSimulator:
                 store.append_mutation(move.target, "grant", path, now)
 
     # ------------------------------------------------------------------
-    # Fault injection (Sec. IV-A3: failure detection and recovery)
-    # ------------------------------------------------------------------
-    def _fire_fault(self, event: FaultEvent, now: float) -> None:
-        """Apply one scheduled fault event at sim time ``now``."""
-        self.telemetry.set_time(now)
-        kind = event.kind
-        if kind is FaultKind.PARTITION:
-            self.network.partition(
-                event.partition_name, event.partition_endpoints()
-            )
-            self.availability.partitions += 1
-            self.telemetry.event(
-                "fault_partition", t=now, partition=event.partition_name,
-            )
-            return
-        if kind is FaultKind.HEAL:
-            self.network.heal(event.partition_name)
-            self.telemetry.event(
-                "fault_heal", t=now, partition=event.partition_name or "*",
-            )
-            return
-        if kind is FaultKind.MONITOR_CRASH:
-            self.monitor.crash_monitor(event.server, now)
-            self.telemetry.event(
-                "fault_monitor_crash", t=now, replica=event.server,
-            )
-            return
-        if kind is FaultKind.MONITOR_RECOVER:
-            self.monitor.recover_monitor(event.server, now)
-            self.telemetry.event(
-                "fault_monitor_recover", t=now, replica=event.server,
-            )
-            return
-        server = self.servers[event.server]
-        if kind is FaultKind.CRASH:
-            if server.alive:
-                server.fail()
-                self._crashed_at[event.server] = now
-                self.availability.crashes += 1
-                self.telemetry.event("fault_crash", t=now, server=event.server)
-        elif kind in (
-            FaultKind.KILL9, FaultKind.TORN_WRITE, FaultKind.CORRUPT_RECORD
-        ):
-            # The kill9 family: crash with volatile-state loss, optionally
-            # plus injected damage on the unsynced WAL tail. The damage is
-            # applied even if the server was already down (a second fault
-            # hitting the same dead disk), but the crash itself only counts
-            # once.
-            if server.alive:
-                server.kill9()
-                self._crashed_at[event.server] = now
-                self.availability.crashes += 1
-                if self.history is not None:
-                    # Volatile state (fence, counters) is gone: the history
-                    # audit resets this server's epoch floor and — absent a
-                    # durable store — excuses its ledger for earlier acks.
-                    self.history.wipe(event.server, now)
-                if self.durability is not None:
-                    self.durability.note_kill(event.server)
-                self.telemetry.event(
-                    "fault_kill9", t=now, server=event.server,
-                    damage=kind.value if kind is not FaultKind.KILL9 else None,
-                )
-            if self.store_on:
-                damaged = False
-                if kind is FaultKind.TORN_WRITE:
-                    damaged = self.store.tear_tail(event.server)
-                    if damaged:
-                        self.durability.note_damage(event.server, "torn")
-                elif kind is FaultKind.CORRUPT_RECORD:
-                    damaged = self.store.corrupt_tail(event.server)
-                    if damaged:
-                        self.durability.note_damage(event.server, "corrupt")
-                if damaged:
-                    # Damaged logs are only repaired by recovery replay, so
-                    # the rejoin path must replay even if the server was
-                    # already down from an earlier plain crash.
-                    server.lost_volatile = True
-        elif kind is FaultKind.RECOVER:
-            self._recover_server(event.server, now)
-        elif kind is FaultKind.FAIL_SLOW:
-            server.slow_factor = event.factor
-            self.telemetry.event(
-                "fault_fail_slow", t=now, server=event.server,
-                factor=event.factor,
-            )
-        elif kind is FaultKind.DROP_HEARTBEATS:
-            if not server.muted:
-                server.muted = True
-                self.network.mute(mds_addr(event.server))
-                self._muted_at[event.server] = now
-                self.telemetry.event(
-                    "fault_drop_heartbeats", t=now, server=event.server,
-                )
-        elif kind is FaultKind.LOSS:
-            self.network.set_loss(mds_addr(event.server), event.probability)
-            self.telemetry.event(
-                "fault_loss", t=now, server=event.server,
-                probability=event.probability,
-            )
-        elif kind is FaultKind.DELAY:
-            self.network.set_delay(mds_addr(event.server), event.delay)
-            self.telemetry.event(
-                "fault_delay", t=now, server=event.server, delay=event.delay,
-            )
-
-    def _heartbeat_round(self, now: float) -> None:
-        """Liveness heartbeats plus failure detection.
+    # Cluster control (Sec. IV-A3): ClusterControl decides; the simulator
+    # synthesises the heartbeats and prices the migrations.
+    def _heartbeats(self, now: float) -> None:
+        """Liveness heartbeats, then the control plane's detection round.
 
         Liveness beats carry the served-visit count as a cheap load proxy;
         the full decayed-load reports ride the adjustment-cadence heartbeats
-        in :meth:`_adjust`. Detection runs after the beats so a server that
-        rejoined this round is never re-declared dead.
+        in :meth:`_adjust`.
         """
         self.telemetry.set_time(now)
         net = self.network
-        leader_addr = self.monitor.leader_addr
         live = 0
-        rejoined: List[int] = []
         for server in self.servers:
             if not server.alive:
                 continue
-            if net.faulty:
-                arrival = net.deliver(mds_addr(server.server_id), leader_addr, now)
-                if arrival is None:
-                    continue
-            was_dead = self.monitor.is_dead(server.server_id)
-            delivered = self.monitor.on_heartbeat(
-                Heartbeat(server.server_id, now, float(server.served), 0.0)
-            )
-            if not delivered:
+            if net.faulty and net.deliver(
+                mds_addr(server.server_id), self.monitor.leader_addr, now
+            ) is None:
                 continue
-            live += 1
-            if was_dead:
-                # A heartbeat from an acknowledged-dead server: it was
-                # falsely evicted (partition, mute) or crashed and came
-                # back — either way it rejoins once the beat gets through.
-                rejoined.append(server.server_id)
+            if self.control.on_heartbeat(
+                Heartbeat(server.server_id, now, float(server.served), 0.0)
+            ):
+                live += 1
         if self.telemetry.enabled:
             self.telemetry.event("heartbeat_round", t=now, live=live)
             self.sampler.snapshot(now)
-        # Lease clock: a dead or quorumless leader is eventually replaced
-        # (epoch bump + journal replay) before detection runs, so a fresh
-        # leader starts with full heartbeat grace instead of mass-evicting.
-        self.monitor.tick(now)
-        for sid in rejoined:
-            self._recover_server(sid, now)
-        for dead in self.monitor.detect_failures(now):
-            self.monitor.mark_dead(dead, now)
-            self._rehome_failed(dead, now)
+        self.control.round(now)
 
-    def _rehome_failed(self, dead: int, now: float) -> None:
-        """Detection fired: re-home the lost metadata (Sec. IV-A3)."""
-        server = self.servers[dead]
-        if server.alive:
-            # False positive — a live server went silent (drop_heartbeats);
-            # the Monitor evicts it all the same and survivors take over.
-            self.availability.false_detections += 1
-            since = self._muted_at.get(dead, now)
-        else:
-            since = self._crashed_at.get(dead, now)
-            self.availability.unavailability += now - since
-        self.availability.detection_latency[dead] = now - since
-        self._detected_at[dead] = now
-        moves = fail_server(self.placement, dead)
-        # Re-homing rewrites ownership wholesale; flush the owner index
-        # rather than trusting version counters to cover every write.
-        self.engine.invalidate()
-        self.migrations += len(moves)
-        self._charge_migrations(moves)
-        # Failover lifecycle chain: the heartbeat_miss span covers the whole
-        # degraded window (silence -> eviction); detect/evict/journal_commit
-        # /fence hang off it at the instant detection fired.
-        rec = self.spans
-        chain = None
-        if rec is not None:
-            chain = rec.cluster(
-                "heartbeat_miss", since, now, fields=(("server", dead),),
-            )
-            rec.cluster(
-                "detect", now, now, parent=chain,
-                fields=(
-                    ("false_positive", server.alive),
-                    ("server", dead),
-                    ("timeout", self.config.heartbeat_timeout),
-                ),
-            )
-            rec.cluster(
-                "evict", now, now, parent=chain,
-                fields=(("moves", len(moves)), ("server", dead)),
-            )
-            self.monitor.span_parent = chain
-        # The eviction is an epoch-stamped directive: every receiving MDS
-        # ratchets its fence forward, so a later directive from a deposed
-        # leader (an older epoch) can no longer move these subtrees.
-        directive = self.monitor.issue(
-            "rehome", now, server=dead, moves=len(moves)
-        )
-        if rec is not None:
-            self.monitor.span_parent = None
-        if directive is not None:
-            accepted = set()
-            for move in moves:
-                if self.servers[move.target].accept_directive(directive.epoch):
-                    accepted.add(move.target)
-            if self.store_on:
-                for target in sorted(accepted):
-                    self.store.append_fence(target, directive.epoch, now)
-            if rec is not None:
-                rec.cluster(
-                    "fence", now, now, parent=chain,
-                    fields=(
-                        ("epoch", directive.epoch),
-                        ("servers", len(accepted)),
-                    ),
-                )
-        self._journal_moves(moves, now)
-        self.telemetry.event(
-            "failure_detected", t=now, server=dead,
-            latency=now - since, false_positive=server.alive,
-            moves=len(moves),
-        )
-
-    def _recover_server(self, sid: int, now: float) -> None:
-        """Rejoin path: restore capacity and pull subtrees back."""
-        self.telemetry.set_time(now)
-        server = self.servers[sid]
-        was_crashed = not server.alive
-        if was_crashed:
-            server.recover()
-            if server.lost_volatile:
-                # kill9 rejoin: the process image is gone, so whatever the
-                # durable store replays — snapshot plus WAL tail, with any
-                # torn/corrupt tail truncated — is the server's state. The
-                # fence is restored *before* the rejoin directive below, so
-                # a stale directive is still rejected post-crash.
-                if self.store_on:
-                    recovered = self.store.recover_server(sid)
-                    server.fence_epoch = recovered.fence_epoch
-                    self.durability.note_recovery(sid, recovered)
-                    if self.telemetry.enabled:
-                        self.telemetry.event(
-                            "recovery_replay", t=now, server=sid,
-                            replayed=recovered.replayed_records,
-                            snapshot=recovered.snapshot_loaded,
-                            truncated=recovered.truncated,
-                            reason=recovered.truncate_reason,
-                            fence_epoch=recovered.fence_epoch,
-                        )
-                        self.telemetry.registry.counter(
-                            "recoveries",
-                            help="kill9 rejoins that replayed durable state",
-                        ).inc()
-                        self.telemetry.registry.histogram(
-                            "recovery_replay_ops",
-                            help="Log records replayed per recovery",
-                        ).observe(float(recovered.replayed_records))
-                        if recovered.truncated:
-                            self.telemetry.registry.counter(
-                                "wal_truncations",
-                                help="Torn/corrupt WAL tails truncated "
-                                     "during recovery",
-                            ).inc()
-                server.lost_volatile = False
-        else:
-            server.slow_factor = 1.0
-            server.muted = False
-        self.network.clear_endpoint(mds_addr(sid))
-        self._muted_at.pop(sid, None)
-        # Recovery lifecycle chain: the root span covers eviction -> rejoin
-        # (or crash -> rejoin when detection never fired); journal_commit
-        # and the rejoin land under it. An aborted rejoin leaves a childless
-        # recovery span — the next attempt opens a fresh one.
-        rec = self.spans
-        chain = None
-        if rec is not None:
-            t0 = self._detected_at.get(sid, self._crashed_at.get(sid, now))
-            chain = rec.cluster(
-                "recovery", t0, now,
-                fields=(("server", sid), ("was_crashed", was_crashed)),
-            )
-            self.monitor.span_parent = chain
-        # Rejoining is a placement change, so it needs a committed,
-        # epoch-stamped directive. Without a quorum (leader on the wrong
-        # side of a partition) the server is locally up but stays evicted;
-        # the next heartbeat that reaches a committable leader retries the
-        # rejoin through the auto-rejoin path in _heartbeat_round.
-        directive = self.monitor.issue("rejoin", now, server=sid)
-        if rec is not None:
-            self.monitor.span_parent = None
-        if directive is None:
-            self.monitor.state.mark_dead(sid)
-            return
-        self.monitor.mark_alive(sid, now)
-        self.monitor.expect(sid, now)
-        # Epoch fence: the rejoining server applies the directive only if
-        # it is not stale. A stale rejoin (issued by a deposed leader)
-        # must not resurrect the pre-crash subtree assignments that a newer
-        # epoch already re-homed.
-        if not server.accept_directive(directive.epoch):
-            return
-        if self.store_on:
-            self.store.append_fence(sid, directive.epoch, now)
-        live = [s.server_id for s in self.servers if s.alive]
-        moves = rejoin_server(
-            self.placement, sid,
-            capacity=self._initial_capacities[sid],
-            live=live,
-        )
+    def _placement_moved(self, moves, now: float) -> None:
+        """ClusterControl re-homed or pulled back subtrees: ownership was
+        rewritten wholesale, so flush the owner index rather than trusting
+        version counters to cover every write, then price the moves."""
         self.engine.invalidate()
         self.migrations += len(moves)
         self._charge_migrations(moves)
         self._journal_moves(moves, now)
-        self._detected_at.pop(sid, None)
-        if rec is not None:
-            rec.cluster(
-                "rejoin", now, now, parent=chain,
-                fields=(("moves", len(moves)), ("server", sid)),
-            )
-        self.availability.rejoins += 1
-        time_to_recover = None
-        if was_crashed and sid in self._crashed_at:
-            time_to_recover = now - self._crashed_at.pop(sid)
-            self.availability.time_to_recover[sid] = time_to_recover
-        self.telemetry.event(
-            "server_rejoined", t=now, server=sid, moves=len(moves),
-            was_crashed=was_crashed, time_to_recover=time_to_recover,
-        )
 
     def _migration_size(self, move) -> int:
         """Metadata nodes transferred by one migration."""
@@ -853,7 +554,7 @@ class ClusterSimulator:
             # History recording needs the per-op lifecycle hooks (invoke /
             # ack / fail with per-visit servers); the columnar loop has no
             # per-op control flow to hang them on.
-            and self.history is None
+            and self.control.history is None
         )
 
     def _run_perop(self) -> SimulationResult:
@@ -894,7 +595,7 @@ class ClusterSimulator:
         # History fast path: same gate shape once more. Recording an
         # operation history forces this engine (see _columnar_eligible),
         # so the invoke/ack/fail hooks live only here.
-        hist = self.history
+        hist = self.control.history
         hist_on = hist is not None
         if tel_on:
             m_completed = tel.registry.counter(
@@ -1118,10 +819,10 @@ class ClusterSimulator:
                 if next_heartbeat > now and fault_at > now:
                     break
                 if next_heartbeat <= fault_at:
-                    self._heartbeat_round(next_heartbeat)
+                    self._heartbeats(next_heartbeat)
                     next_heartbeat += cfg.heartbeat_interval
                 else:
-                    self._fire_fault(time_faults[time_cursor], fault_at)
+                    self.control.apply_fault(time_faults[time_cursor], fault_at)
                     time_cursor += 1
             plan: RoutePlan = op["plan"]
             visit = plan.visits[op["visit"]]
@@ -1218,17 +919,13 @@ class ClusterSimulator:
                 ops_cursor < len(ops_faults)
                 and completed >= ops_faults[ops_cursor].at_ops
             ):
-                self._fire_fault(ops_faults[ops_cursor], completion)
+                self.control.apply_fault(ops_faults[ops_cursor], completion)
                 ops_cursor += 1
             if cfg.adjust_every_ops and completed % cfg.adjust_every_ops == 0:
                 self._adjust(now=completion)
             dispatch(client, completion)
 
-        # Crashes the Monitor never got to detect (detection disabled, or the
-        # trace drained first) were unavailable until the end of the run.
-        for sid, since in self._crashed_at.items():
-            if sid not in self.availability.detection_latency:
-                self.availability.unavailability += max(0.0, makespan - since)
+        self.control.close_unavailability(makespan)
 
         operations = len(latencies)
         if tel_on:

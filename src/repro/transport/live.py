@@ -6,15 +6,21 @@ Monitor replica is an asyncio task with its own listening socket on the
 :class:`~repro.transport.asyncio_net.AsyncioTransport`; clients (the load
 generator, ``repro.transport.loadgen``) speak the framed, schema-versioned
 wire form of :mod:`repro.cluster.messages`. Faults come from the same
-``FaultPlan`` grammar the simulator replays — but here a ``crash`` cancels
-the task and closes the listening socket, a partition silences real frames,
-and detection/failover run against the wall clock.
+``FaultPlan`` grammar the simulator replays, through the same applier — but
+here the state change a ``crash`` makes is followed by cancelling the task
+and closing the listening socket, a partition silences real frames, and
+detection/failover run against the wall clock.
 
 What is deliberately shared with the simulator rather than re-implemented:
 
-* **Placement and re-homing** — the scheme's ``partition`` plus
-  ``fail_server`` / ``rejoin_server`` from :mod:`repro.cluster.failure`
-  mutate the same authoritative :class:`~repro.placement.Placement`.
+* **Placement** — the scheme's ``partition`` builds the same authoritative
+  :class:`~repro.placement.Placement`.
+* **Fault application, evict, readmit and quiesce** — one
+  :class:`~repro.cluster.control.ClusterControl` over this cluster's
+  :class:`~repro.cluster.mds.MetadataServer` states, fault fabric and
+  Monitor group decides; :class:`LiveCluster` only reconciles sockets with
+  the state each decision left behind and broadcasts the routing index
+  when the placement moved.
 * **The Monitor group state machine** — leases, quorum gating, epochs and
   the directive journal are :class:`~repro.cluster.monitor.MonitorGroup`
   verbatim; the live replicas are its network faces. Quorum checks read
@@ -49,12 +55,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chaos.history import audit_history
-from repro.cluster.failure import (
-    check_state_invariants,
-    fail_server,
-    rejoin_server,
-)
+from repro.cluster.control import ClusterControl
+from repro.cluster.failure import check_state_invariants
 from repro.cluster.index import RoutingIndex
+from repro.cluster.mds import MetadataServer
 from repro.cluster.messages import (
     ClientReply,
     ClientRequest,
@@ -62,8 +66,9 @@ from repro.cluster.messages import (
     Heartbeat,
 )
 from repro.cluster.monitor import MonitorGroup
-from repro.placement import DEAD_CAPACITY, MetadataScheme
-from repro.simulation.faults import FaultEvent, FaultKind, FaultPlan
+from repro.placement import MetadataScheme
+from repro.simulation.faults import FaultEvent, FaultPlan
+from repro.storage import make_store
 from repro.transport.asyncio_net import AsyncioTransport
 from repro.transport.base import CLIENT_ADDR, mds_addr, mon_addr
 from repro.transport.wire import encode_frame, read_frame
@@ -106,9 +111,12 @@ class LiveMDS:
     Serves framed :class:`ClientRequest`\\ s (ack if the index says this
     server may, redirect otherwise), applies epoch-fenced ownership
     :class:`Directive`\\ s, and heartbeats every Monitor replica through
-    the fault fabric. The ack ledger (``acked``) is keyed by client-assigned
-    op id, so a retried or redirected op is acknowledged exactly once no
-    matter how many times its frames crossed the wire.
+    the fault fabric. Liveness, slowness and the epoch fence live in
+    ``state`` — the :class:`MetadataServer` the shared control plane
+    mutates; :meth:`sync` makes the socket follow it. The ack ledger
+    (``acked``) is keyed by client-assigned op id, so a retried or
+    redirected op is acknowledged exactly once no matter how many times its
+    frames crossed the wire.
     """
 
     def __init__(
@@ -118,12 +126,9 @@ class LiveMDS:
         self.addr = mds_addr(server_id)
         self.transport = transport
         self.cfg = cfg
+        self.state = MetadataServer(server_id)
         #: Two-layer routing index (replaced by each ownership broadcast).
         self.index = RoutingIndex()
-        self.alive = False
-        self.slow_factor = 1.0
-        self.fence_epoch = 0
-        self.fenced_directives = 0
         #: Client-assigned ids of every op this server acknowledged.
         self.acked: Set[int] = set()
         self.served = 0
@@ -133,47 +138,33 @@ class LiveMDS:
         self._mon_conns: Dict[int, Tuple] = {}
 
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        await self.transport.start_endpoint(self.addr, self._handle)
-        self.alive = True
-        self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
-
-    async def crash(self, wipe: bool = False) -> None:
-        """Stop serving: close the real socket, abort real connections.
-
-        ``wipe`` models ``kill9`` — the process image is lost, taking the
-        volatile epoch fence, routing index and ack ledger with it (live mode
-        has no durable store; the chaos docstring calls this the documented
-        hazard of running storeless).
-        """
-        self.alive = False
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            self._heartbeat_task = None
-        await self._close_mon_conns()
-        await self.transport.stop_endpoint(self.addr)
-        if wipe:
-            self.fence_epoch = 0
+    async def sync(self) -> None:
+        """Make the process follow ``state``: listen and heartbeat while
+        alive; closed socket and aborted connections while down; and after
+        a ``kill9`` the volatile image — routing index and ack ledger — is
+        gone (live mode runs storeless, so nothing replays them)."""
+        listening = self.transport.is_listening(self.addr)
+        if self.state.alive and not listening:
+            await self.transport.start_endpoint(self.addr, self._handle)
+            self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
+        elif listening and not self.state.alive:
+            await self.stop()
+        if self.state.lost_volatile:
             self.index = RoutingIndex()
             self.acked = set()
 
-    async def recover(self) -> None:
-        """Restart the task; ownership returns via the rejoin broadcast."""
-        if self.alive:
-            return
-        self.transport.clear_endpoint(self.addr)
-        self.slow_factor = 1.0
-        await self.transport.start_endpoint(self.addr, self._handle)
-        self.alive = True
-        self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
-
-    async def _close_mon_conns(self) -> None:
+    async def stop(self) -> None:
+        """Stop serving: close the real socket, abort real connections."""
+        if self._heartbeat_task is not None:
+            self._heartbeat_task.cancel()
+            self._heartbeat_task = None
         for _, writer in self._mon_conns.values():
             try:
                 writer.close()
             except Exception:  # pragma: no cover - platform-dependent
                 pass
         self._mon_conns.clear()
+        await self.transport.stop_endpoint(self.addr)
 
     # ------------------------------------------------------------------
     async def _handle(self, reader, writer) -> None:
@@ -195,8 +186,9 @@ class LiveMDS:
 
     async def _serve_request(self, request: ClientRequest, writer) -> None:
         delay = self.cfg.service_time
-        if self.slow_factor > 1.0:
-            delay += (self.slow_factor - 1.0) * self.cfg.slow_unit
+        slow_factor = self.state.slow_factor
+        if slow_factor > 1.0:
+            delay += (slow_factor - 1.0) * self.cfg.slow_unit
         if delay > 0:
             await asyncio.sleep(delay)
         status, owner, root = self.route(request)
@@ -207,7 +199,7 @@ class LiveMDS:
             self.redirects += 1
         reply = ClientReply(
             op_id=request.op_id, status=status, server=self.server_id,
-            owner=owner, epoch=self.fence_epoch, root=root,
+            owner=owner, epoch=self.state.fence_epoch, root=root,
         )
         # Replies ride the data plane: loss/delay installed on this server's
         # links applies to them too (a lost ack looks like a client timeout,
@@ -237,11 +229,10 @@ class LiveMDS:
 
     def _apply_directive(self, directive: Directive) -> None:
         """Apply an ownership broadcast — unless its epoch is fenced out."""
-        if directive.epoch < self.fence_epoch:
-            self.fenced_directives += 1
-            return
-        self.index = RoutingIndex.from_info(directive.info)
-        self.fence_epoch = directive.epoch
+        # Decode first: a malformed index must not ratchet the fence.
+        index = RoutingIndex.from_info(directive.info)
+        if self.state.accept_directive(directive.epoch):
+            self.index = index
 
     # ------------------------------------------------------------------
     async def _heartbeat_loop(self) -> None:
@@ -275,31 +266,29 @@ class LiveMonitor:
 
     The replicated *state* (journal, epochs, lease, membership) lives in
     the shared :class:`MonitorGroup`; this class owns the replica's real
-    socket. Only the current leader's endpoint feeds heartbeats into the
-    group state — standbys accept the frames (the sender cannot know who
-    leads) and drop them, exactly as the simulator models it.
+    socket, which :meth:`sync` opens and closes as the group's
+    ``replica_alive`` flag says. Only the current leader's endpoint feeds
+    heartbeats into the control plane — standbys accept the frames (the
+    sender cannot know who leads) and drop them, exactly as the simulator
+    models it.
     """
 
     def __init__(
-        self, replica: int, transport: AsyncioTransport, group: MonitorGroup
+        self, replica: int, transport: AsyncioTransport, control: ClusterControl
     ) -> None:
         self.replica = replica
         self.addr = mon_addr(replica)
         self.transport = transport
-        self.group = group
+        self.control = control
+        self.group = control.monitor
         self.heartbeats_seen = 0
 
-    async def start(self) -> None:
-        await self.transport.start_endpoint(self.addr, self._handle)
-
-    async def crash(self) -> None:
-        self.group.crash_monitor(self.replica)
-        await self.transport.stop_endpoint(self.addr)
-
-    async def recover(self) -> None:
-        if not self.transport.is_listening(self.addr):
+    async def sync(self) -> None:
+        listening = self.transport.is_listening(self.addr)
+        if self.group.replica_alive[self.replica] and not listening:
             await self.transport.start_endpoint(self.addr, self._handle)
-        self.group.recover_monitor(self.replica)
+        elif listening and not self.group.replica_alive[self.replica]:
+            await self.transport.stop_endpoint(self.addr)
 
     async def _handle(self, reader, writer) -> None:
         while True:
@@ -313,7 +302,7 @@ class LiveMonitor:
                     self.group.replica_alive[self.replica]
                     and self.group.leader == self.replica
                 ):
-                    self.group.on_heartbeat(Heartbeat.from_wire(payload))
+                    self.control.on_heartbeat(Heartbeat.from_wire(payload))
             elif kind == "ping":
                 writer.write(encode_frame({"type": "pong"}))
                 await writer.drain()
@@ -397,6 +386,11 @@ class LiveCluster:
     the transport while :meth:`run_fault_plan` fires scheduled events;
     :meth:`quiesce` heals and re-admits everything; :meth:`stop` tears the
     sockets down. :func:`check_invariants` audits the end state.
+
+    Every membership decision is :attr:`control`'s; after each call into
+    it, :meth:`_reconcile` makes the sockets match the state it left. A
+    decision and its reconcile run under one lock: the fault plan, the
+    Monitor driver and quiesce all make them, and a reconcile awaits.
     """
 
     def __init__(
@@ -426,34 +420,41 @@ class LiveCluster:
             LiveMDS(sid, self.transport, self.cfg)
             for sid in range(self.cfg.num_servers)
         ]
+        #: Set while the placement has changed since the last ownership
+        #: broadcast.
+        moved = self._moved = asyncio.Event()
+        moved.set()
+        #: The shared control plane over the MDS states. Set its
+        #: ``history`` to the load generator's so kill9 wipes land in the
+        #: audited operation history.
+        self.control = ClusterControl(
+            [mds.state for mds in self.servers], self.placement, self.group,
+            self.transport, make_store("memory"),
+            lambda moves, now: moved.set(),
+        )
         self.monitors = [
-            LiveMonitor(replica, self.transport, self.group)
+            LiveMonitor(replica, self.transport, self.control)
             for replica in range(self.cfg.num_monitors)
         ]
         self._driver_task: Optional[asyncio.Task] = None
-        #: Servers evicted by detection and not yet re-admitted.
-        self._evicted: Set[int] = set()
-        #: True once any kill9-family fault wiped a volatile ack ledger —
-        #: the legacy union ledger cross-check is then vacuous and skipped.
-        self.volatile_wipe = False
-        #: server id -> loop times of its volatile wipes, merged into the
-        #: operation history so the audit excuses pre-wipe acks from that
-        #: server's (storeless, hence lost) ledger.
-        self.wipes: Dict[int, List[float]] = {}
+        self._deciding = asyncio.Lock()
+        #: Loop time the last fault / quiesce finished reconciling. The
+        #: next detection round waits two heartbeat intervals from it, so
+        #: a server just restarted or un-muted beats before it is judged
+        #: on a sighting that predates its outage (the simulator's order:
+        #: beats, then detection).
+        self._settled_at = 0.0
         self.applied_faults: List[str] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        for monitor in self.monitors:
-            await monitor.start()
-        now = loop.time()
-        for server in self.servers:
-            self.group.expect(server.server_id, now)
-            await server.start()
-        await self._broadcast_ownership("bootstrap")
+        async with self._deciding:
+            now = asyncio.get_running_loop().time()
+            for server in self.servers:
+                self.group.expect(server.server_id, now)
+            await self._reconcile()
         self._driver_task = asyncio.create_task(self._monitor_driver())
 
     async def stop(self) -> None:
@@ -461,25 +462,33 @@ class LiveCluster:
             self._driver_task.cancel()
             self._driver_task = None
         for server in self.servers:
-            if server.alive:
-                server.alive = False
-                if server._heartbeat_task is not None:
-                    server._heartbeat_task.cancel()
-                await server._close_mon_conns()
+            await server.stop()
         await self.transport.close()
+
+    async def _reconcile(self) -> None:
+        """Socket effect of a control-plane state change.
+
+        Monitor endpoints follow ``replica_alive``, MDS endpoints follow
+        ``MetadataServer.alive`` (dropping the volatile image after a
+        ``kill9``), and a moved placement is broadcast as a fresh routing
+        index. Callers hold ``_deciding``.
+        """
+        for node in (*self.monitors, *self.servers):
+            await node.sync()
+        if self._moved.is_set():
+            self._moved.clear()
+            await self._broadcast_ownership()
 
     # ------------------------------------------------------------------
     # Ownership broadcast (Monitor leader -> every live MDS)
     # ------------------------------------------------------------------
-    def _ownership_directive(self, kind: str, server: int, now: float) -> Directive:
+    def _ownership_directive(self, now: float) -> Directive:
         return Directive(
-            epoch=self.group.epoch, kind=kind, server=server, t=now,
+            epoch=self.group.epoch, kind="ownership", server=-1, t=now,
             info=RoutingIndex.of(self.placement).to_info(),
         )
 
-    async def _broadcast_ownership(
-        self, kind: str, server: int = -1, only: Optional[Set[int]] = None
-    ) -> None:
+    async def _broadcast_ownership(self) -> None:
         """Push the current routing index to (live) MDSs.
 
         The whole index rather than deltas: broadcasts are rare (boot,
@@ -491,13 +500,11 @@ class LiveCluster:
         (clients absorb the mis-redirects by retrying).
         """
         loop = asyncio.get_running_loop()
-        directive = self._ownership_directive(kind, server, loop.time())
+        directive = self._ownership_directive(loop.time())
         frame = encode_frame(directive.to_wire())
         src = mon_addr(self.group.leader)
         for mds in self.servers:
-            if not mds.alive:
-                continue
-            if only is not None and mds.server_id not in only:
+            if not mds.state.alive:
                 continue
             try:
                 reader, writer = await self.transport.connect(mds.addr)
@@ -511,86 +518,26 @@ class LiveCluster:
                 writer.close()
 
     # ------------------------------------------------------------------
-    # Monitor driver: lease ticks, detection, re-homing, rejoin
+    # Control-plane drivers: the heartbeat-grid round, scheduled faults
     # ------------------------------------------------------------------
     async def _monitor_driver(self) -> None:
         loop = asyncio.get_running_loop()
         interval = self.cfg.heartbeat_interval
         while True:
             await asyncio.sleep(interval)
-            now = loop.time()
-            self.group.tick(now)
-            if not self.group.can_commit():
-                continue
-            for dead in self.group.detect_failures(now):
-                await self._evict(dead, now)
-            for sid in sorted(self._evicted):
-                # Monitor.on_heartbeat clears the death mark when an evicted
-                # server beats again — that flip is the rejoin signal.
-                if not self.group.is_dead(sid):
-                    await self._readmit(sid, now)
+            async with self._deciding:
+                if loop.time() - self._settled_at >= 2 * interval:
+                    self.control.round(loop.time())
+                    await self._reconcile()
 
-    async def _evict(self, dead: int, now: float) -> None:
-        self.group.mark_dead(dead, now)
-        self._evicted.add(dead)
-        moves = fail_server(self.placement, dead)
-        self.group.issue("rehome", now, server=dead, moves=len(moves))
-        await self._broadcast_ownership("rehome", server=dead)
-
-    async def _readmit(self, sid: int, now: float) -> None:
-        self._evicted.discard(sid)
-        self.group.mark_alive(sid, now)
-        live = [
-            s for s, cap in enumerate(self.placement.capacities)
-            if cap > DEAD_CAPACITY
-        ]
-        moves = rejoin_server(
-            self.placement, sid, capacity=1.0, live=sorted(set(live) | {sid})
-        )
-        self.group.issue("rejoin", now, server=sid, moves=len(moves))
-        self.group.expect(sid, now)
-        await self._broadcast_ownership("rejoin", server=sid)
-
-    # ------------------------------------------------------------------
-    # Fault application (the live face of the FaultPlan grammar)
-    # ------------------------------------------------------------------
     async def apply_fault(self, event: FaultEvent) -> None:
         """Apply one fault event to the real cluster, now."""
-        kind = event.kind
+        loop = asyncio.get_running_loop()
         self.applied_faults.append(event.describe())
-        if kind is FaultKind.CRASH:
-            await self.servers[event.server].crash()
-        elif kind in (
-            FaultKind.KILL9, FaultKind.TORN_WRITE, FaultKind.CORRUPT_RECORD
-        ):
-            # No durable store in live mode: the whole kill9 family loses
-            # the volatile image (the torn/corrupt variants only differ in
-            # what a WAL replay would face).
-            self.volatile_wipe = True
-            self.wipes.setdefault(event.server, []).append(
-                asyncio.get_running_loop().time()
-            )
-            await self.servers[event.server].crash(wipe=True)
-        elif kind is FaultKind.RECOVER:
-            await self.servers[event.server].recover()
-        elif kind is FaultKind.FAIL_SLOW:
-            self.servers[event.server].slow_factor = event.factor
-        elif kind is FaultKind.DROP_HEARTBEATS:
-            self.transport.mute(mds_addr(event.server))
-        elif kind is FaultKind.PARTITION:
-            self.transport.partition(
-                event.partition_name, event.partition_endpoints()
-            )
-        elif kind is FaultKind.HEAL:
-            self.transport.heal(event.partition_name)
-        elif kind is FaultKind.MONITOR_CRASH:
-            await self.monitors[event.server].crash()
-        elif kind is FaultKind.MONITOR_RECOVER:
-            await self.monitors[event.server].recover()
-        elif kind is FaultKind.LOSS:
-            self.transport.set_loss(mds_addr(event.server), event.probability)
-        elif kind is FaultKind.DELAY:
-            self.transport.set_delay(mds_addr(event.server), event.delay)
+        async with self._deciding:
+            self.control.apply_fault(event, loop.time())
+            await self._reconcile()
+            self._settled_at = loop.time()
 
     async def run_fault_plan(self, plan: FaultPlan, progress) -> None:
         """Fire the plan's events against the live cluster as load runs.
@@ -621,9 +568,6 @@ class LiveCluster:
             pending = remaining
             await asyncio.sleep(self.cfg.heartbeat_interval / 4)
 
-    # ------------------------------------------------------------------
-    # Quiescence (mirror of the chaos harness's _quiesce)
-    # ------------------------------------------------------------------
     async def quiesce(self) -> None:
         """Heal every fault and drive membership back to fully-live.
 
@@ -632,27 +576,20 @@ class LiveCluster:
         converge — every server re-admitted, routing indexes reconciled.
         """
         loop = asyncio.get_running_loop()
-        self.transport.heal(None)
-        for monitor in self.monitors:
-            await monitor.recover()
-        now = loop.time()
-        self.group.tick(now)
-        for server in self.servers:
-            self.transport.clear_endpoint(server.addr)
-            server.slow_factor = 1.0
-            if not server.alive:
-                await server.recover()
-        # Let heartbeats flow and the driver re-admit evicted servers; the
+        async with self._deciding:
+            self.control.quiesce(loop.time())
+            self._moved.set()  # reconcile every index, moved or not
+            await self._reconcile()
+            self._settled_at = loop.time()
+        # Let heartbeats flow again; should a detection round still evict
+        # someone, the driver re-admits them on their next beat. The
         # deadline bounds a wedged run instead of hanging the harness.
-        deadline = loop.time() + 10 * self.cfg.heartbeat_timeout
-        while loop.time() < deadline:
-            if not self._evicted and not any(
-                self.group.is_dead(s.server_id) for s in self.servers
-            ):
-                break
-            await asyncio.sleep(self.cfg.heartbeat_interval)
-        await self._broadcast_ownership("reconcile")
         await asyncio.sleep(2 * self.cfg.heartbeat_interval)
+        deadline = loop.time() + 10 * self.cfg.heartbeat_timeout
+        while loop.time() < deadline and any(
+            self.group.is_dead(s.server_id) for s in self.servers
+        ):
+            await asyncio.sleep(self.cfg.heartbeat_interval)
 
 
 def check_invariants(cluster: LiveCluster, load_report) -> List[str]:
@@ -662,16 +599,13 @@ def check_invariants(cluster: LiveCluster, load_report) -> List[str]:
     balance (4) sourced from the load report, plus the history audit
     (:func:`repro.chaos.history.audit_history`): exactly-once acks,
     completeness, per-server epoch-fence safety, and every acked op
-    present in *its acking server's* ledger — strictly stronger than the
-    old union-of-ledgers check, and still meaningful across kill9 wipes
-    (a wiped server's pre-wipe acks are excused rather than the whole
-    check being skipped). The union check remains as the fallback for
-    reports without a recorded history.
+    present in *its acking server's* ledger (a server's acks from before a
+    recorded kill9 wipe are excused — live mode runs storeless).
     """
     # 1-3. Ownership, completeness, epoch monotonicity (shared with the
     #      chaos harness).
     violations = check_state_invariants(
-        cluster.placement, cluster.tree, cluster.servers, cluster.group
+        cluster.placement, cluster.tree, cluster.control.servers, cluster.group
     )
 
     # 4. Accounting balance at the clients (indeterminate ops are an
@@ -679,7 +613,7 @@ def check_invariants(cluster: LiveCluster, load_report) -> List[str]:
     issued = load_report.issued
     acked = len(load_report.acked_ids)
     failed = load_report.failed
-    indeterminate = getattr(load_report, "indeterminate", 0)
+    indeterminate = load_report.indeterminate
     if acked + failed + indeterminate != issued:
         violations.append(
             f"accounting: issued={issued} but acked={acked} "
@@ -688,29 +622,14 @@ def check_invariants(cluster: LiveCluster, load_report) -> List[str]:
         )
 
     # 5. History audit (exactly-once, completeness, epoch fences, per-op
-    #    ledger containment with per-server wipe excuses); the pre-history
-    #    union-of-ledgers check covers reports without one.
-    history = getattr(load_report, "history", None)
-    if history is not None and len(history):
-        ledgers = {s.server_id: set(s.acked) for s in cluster.servers}
-        violations.extend(
-            audit_history(
-                history,
-                final_epoch=cluster.group.epoch,
-                closed_loop=False,
-                ledgers=ledgers,
-                durable_ledgers=False,
-                wipes=cluster.wipes,
-            )
+    #    ledger containment with per-server wipe excuses).
+    violations.extend(
+        audit_history(
+            load_report.history,
+            final_epoch=cluster.group.epoch,
+            closed_loop=False,
+            ledgers={s.server_id: set(s.acked) for s in cluster.servers},
+            durable_ledgers=False,
         )
-    elif not cluster.volatile_wipe:
-        server_acked: Set[int] = set()
-        for server in cluster.servers:
-            server_acked |= server.acked
-        lost = sorted(load_report.acked_ids - server_acked)
-        if lost:
-            violations.append(
-                f"ledger: {len(lost)} client-acknowledged ops missing from "
-                f"every MDS ledger (e.g. ops {lost[:3]})"
-            )
+    )
     return violations

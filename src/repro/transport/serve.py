@@ -58,6 +58,7 @@ async def _serve_async(
             trace_ops(workload.trace),
             load_cfg,
         )
+        cluster.control.history = generator.history
         fault_task = None
         if plan:
             fault_task = asyncio.create_task(
@@ -89,7 +90,7 @@ async def _serve_async(
             epoch=cluster.group.epoch,
             failovers=cluster.group.failovers,
             fenced_directives=sum(
-                s.fenced_directives for s in cluster.servers
+                s.state.fenced_directives for s in cluster.servers
             ),
             aborted_directives=cluster.group.aborted_directives,
             journal_entries=len(cluster.group.journal),

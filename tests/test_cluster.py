@@ -224,20 +224,6 @@ def test_client_pick_any_in_range():
     assert all(0 <= client.pick_any_server() < 4 for _ in range(50))
 
 
-def test_client_owner_cache():
-    client = SimClient(0, num_servers=4)
-    assert client.cached_owner("/a") == -1
-    client.learn_owner("/a", 2)
-    assert client.cached_owner("/a") == 2
-
-
-def test_client_prefix_cache():
-    client = SimClient(0, num_servers=4)
-    assert client.cached_prefix_server("/a") == -1
-    client.mark_prefix_checked("/a", 3)
-    assert client.cached_prefix_server("/a") == 3
-
-
 def test_client_stats():
     client = SimClient(0, num_servers=2)
     client.note_operation(redirected=False)

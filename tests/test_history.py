@@ -174,17 +174,6 @@ def test_wipe_resets_the_epoch_floor():
     assert _audit(h) == []
 
 
-def test_external_wipes_are_merged_by_time():
-    h = OpHistory()
-    h.invoke(0, 0, 0.0)
-    h.ok(0, 0, 1.0, server=0, epoch=3)
-    h.invoke(1, 0, 3.0)
-    h.ok(1, 0, 4.0, server=0, epoch=1)
-    # Without the side-channel wipe this regresses; with it, excused.
-    assert any("regressed" in v for v in _audit(h))
-    assert _audit(h, wipes={0: [2.0]}) == []
-
-
 def test_ack_ahead_of_final_epoch_is_flagged():
     h = OpHistory()
     h.invoke(0, 0, 0.0)

@@ -241,7 +241,7 @@ def test_directive_and_mds_state_scale_with_the_index_not_the_tree():
 
     def index_of(workload):
         async def body(cluster):
-            directive = cluster._ownership_directive("probe", -1, 0.0)
+            directive = cluster._ownership_directive(0.0)
             frame = encode_frame(directive.to_wire())
             return cluster.placement, [len(s.index) for s in cluster.servers], len(frame)
 

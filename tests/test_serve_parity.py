@@ -14,9 +14,16 @@ import dataclasses
 import pytest
 
 from repro import registry
-from repro.chaos import run_case
+from repro.chaos import CHAOS_HEARTBEAT_INTERVAL, CHAOS_HEARTBEAT_TIMEOUT, run_case
+from repro.chaos.history import OpHistory
 from repro.cluster.index import RoutingIndex
-from repro.simulation import FaultPlan, SimulationConfig, simulate
+from repro.simulation import (
+    ClusterSimulator,
+    FaultEvent,
+    FaultPlan,
+    SimulationConfig,
+    simulate,
+)
 from repro.traces import DatasetProfile, load_workload
 from repro.transport.live import (
     LiveCluster,
@@ -79,6 +86,7 @@ def _live_run(workload, plan=None):
                 trace_ops(workload.trace),
                 LoadConfig(rate=4000.0, seed=SEED),
             )
+            cluster.control.history = generator.history
             fault_task = None
             if plan:
                 fault_task = asyncio.create_task(
@@ -93,6 +101,7 @@ def _live_run(workload, plan=None):
                 "violations": check_invariants(cluster, load),
                 "ownership": _ownership(cluster.placement),
                 "epoch": cluster.group.epoch,
+                "control": cluster.control,
             }
         finally:
             await cluster.stop()
@@ -161,13 +170,11 @@ def test_every_live_mds_converges_to_the_authoritative_map(workload):
             _assert_every_mds_resolves_authoritatively(cluster, workload.tree)
             boot_global_layer = _ownership(cluster.placement)[0]
 
-            await cluster.servers[1].crash()
-            await wait_for(lambda: 1 in cluster._evicted)
+            await cluster.apply_fault(FaultEvent.parse("crash:1@ops=0"))
+            await wait_for(lambda: cluster.group.is_dead(1))
             assert 1 not in cluster.placement.subtree_owner.values()
-            await cluster.servers[1].recover()
-            await wait_for(
-                lambda: not cluster._evicted and not cluster.group.is_dead(1)
-            )
+            await cluster.apply_fault(FaultEvent.parse("recover:1@ops=0"))
+            assert not cluster.group.is_dead(1)
             await cluster.quiesce()
             assert 1 in cluster.placement.subtree_owner.values()
             _assert_every_mds_resolves_authoritatively(cluster, workload.tree)
@@ -205,3 +212,91 @@ def test_partition_fault_produces_same_invariant_verdicts(workload):
     # Same verdict from the simulated transport under the same plan.
     assert case.violations == []
     assert case.ok
+
+
+def test_live_recover_clears_degradation_and_readmits_before_quiesce(workload):
+    """`recover:S` on a server that is up but degraded clears fail_slow,
+    the drop_heartbeats mute and loss/delay on its links, and re-admits a
+    mute-evicted server on the spot — as the fault grammar promises and the
+    simulator always did. (Live used to ignore it: only quiesce repaired.)"""
+
+    async def go():
+        cluster = LiveCluster(
+            registry.create("d2-tree"),
+            workload,
+            LiveConfig(
+                num_servers=NUM_SERVERS,
+                num_monitors=NUM_MONITORS,
+                heartbeat_interval=0.01,
+                heartbeat_timeout=0.08,
+                seed=SEED,
+            ),
+        )
+        await cluster.start()
+        try:
+            for spec in (
+                "fail_slow:1@ops=0:x8", "loss:1@ops=0:p0.1",
+                "delay:1@ops=0:d0.001", "drop_heartbeats:2@ops=0",
+            ):
+                await cluster.apply_fault(FaultEvent.parse(spec))
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 5.0
+            while not cluster.group.is_dead(2):
+                assert loop.time() < deadline, "mute never led to eviction"
+                await asyncio.sleep(0.01)
+            assert 2 not in cluster.placement.subtree_owner.values()
+
+            await cluster.apply_fault(FaultEvent.parse("recover:1@ops=0"))
+            await cluster.apply_fault(FaultEvent.parse("recover:2@ops=0"))
+            states = [mds.state for mds in cluster.servers]
+            assert [s.slow_factor for s in states] == [1.0] * NUM_SERVERS
+            assert not any(s.muted for s in states)
+            assert not cluster.transport.faulty      # loss, delay, mute gone
+            assert not cluster.group.is_dead(2)
+            assert 2 in cluster.placement.subtree_owner.values()
+            assert cluster.control.availability.false_detections == 1
+            assert cluster.control.availability.rejoins == 2
+        finally:
+            await cluster.stop()
+
+    asyncio.run(go())
+
+
+def test_kill9_on_a_down_server_means_the_same_thing_in_both_transports(workload):
+    """One FaultPlan, both transports: the process `crash:1` took down has
+    no volatile state left for `kill9:1` to wipe, so the crash counts once,
+    no history `wipe` is recorded, and after `recover:1` the server's flags
+    agree."""
+    plan = FaultPlan.parse(
+        ["crash:1@ops=100", "kill9:1@ops=200", "recover:1@ops=350"]
+    )
+
+    def flags(control):
+        server = control.servers[1]
+        return (
+            server.alive, server.lost_volatile, server.muted,
+            server.slow_factor, control.availability.crashes,
+            [e.server for e in control.history.events if e.kind == "wipe"],
+        )
+
+    live = _live_run(workload, plan=plan)
+    assert live["violations"] == []   # no wipe, so no ack may be excused
+
+    sim = ClusterSimulator(
+        registry.create("d2-tree"),
+        workload,
+        NUM_SERVERS,
+        SimulationConfig(
+            fault_plan=plan,
+            num_monitors=NUM_MONITORS,
+            heartbeat_interval=CHAOS_HEARTBEAT_INTERVAL,
+            heartbeat_timeout=CHAOS_HEARTBEAT_TIMEOUT,
+            seed=SEED,
+        ),
+    )
+    sim.control.history = OpHistory()
+    sim.run()
+
+    assert flags(live["control"]) == flags(sim.control) == (
+        True, False, False, 1.0, 1, [],
+    )

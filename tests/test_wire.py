@@ -250,7 +250,7 @@ def test_a_garbage_frame_drops_the_connection_not_the_server():
                 # The server hangs up on us (EOF), it does not reply.
                 assert await asyncio.wait_for(read_frame(reader), 2.0) is None
                 writer.close()
-            assert mds.fence_epoch == 0  # the bad directive applied nothing
+            assert mds.state.fence_epoch == 0  # the bad directive applied nothing
             reader, writer = await transport.connect(mds.addr)
             writer.write(encode_message(ClientRequest(9, "/a", "read")))
             await writer.drain()
