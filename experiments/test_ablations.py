@@ -23,7 +23,7 @@ from repro.core import (
 from repro.metrics import balance_degree, evaluate_placement, system_locality
 from repro.traces import TraceGenerator
 
-from benchmarks.conftest import bench_profiles
+from experiments.conftest import bench_profiles
 
 
 def test_ablation_allocator_quality(workloads, benchmark):

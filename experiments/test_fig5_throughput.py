@@ -14,7 +14,7 @@ import pytest
 from repro.core import D2TreeScheme
 from repro.simulation import simulate
 
-from benchmarks.conftest import CLUSTER_SIZES, print_series, scheme_roster
+from experiments.conftest import CLUSTER_SIZES, print_series, scheme_roster
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ import pytest
 from repro.metrics import evaluate_scheme
 from repro.traces import TraceGenerator
 
-from benchmarks.conftest import CLUSTER_SIZES, bench_profiles, print_series, scheme_roster
+from experiments.conftest import CLUSTER_SIZES, bench_profiles, print_series, scheme_roster
 
 REBALANCE_ROUNDS = 10
 

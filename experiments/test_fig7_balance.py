@@ -22,7 +22,7 @@ import pytest
 from repro.simulation import replay_rounds
 from repro.traces import DatasetProfile, load_workload
 
-from benchmarks.conftest import print_series, scheme_roster
+from experiments.conftest import print_series, scheme_roster
 
 ROUNDS = 20
 SIZES = (5, 10, 20, 30)

@@ -12,7 +12,7 @@ from repro.core import D2TreeScheme
 from repro.metrics import evaluate_scheme
 from repro.traces import TraceGenerator
 
-from benchmarks.conftest import bench_profiles, print_series
+from experiments.conftest import bench_profiles, print_series
 
 GL_PROPORTIONS = (0.001, 0.01, 0.10, 0.20)
 SIZES = (4, 8, 16, 24, 32)

@@ -12,7 +12,7 @@ from repro.traces import (
     TraceGenerator,
 )
 
-from benchmarks.conftest import bench_profiles
+from experiments.conftest import bench_profiles
 
 
 def test_table1_rows(workloads, benchmark):

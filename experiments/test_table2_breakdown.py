@@ -8,7 +8,7 @@ import pytest
 
 from repro.traces import OpType
 
-from benchmarks.conftest import bench_profiles
+from experiments.conftest import bench_profiles
 
 PAPER_BREAKDOWN = {
     "DTR": {OpType.READ: 0.67743, OpType.WRITE: 0.26137, OpType.UPDATE: 0.06119},

@@ -3,7 +3,7 @@
 Theorem 4 bounds the expected *inverse* balance degree — with the paper's
 notation, ``E[1/balance] < M/(M−1) · δ²μ²`` once every MDS samples per
 Theorem 3. This module computes the bound and provides a Monte-Carlo check
-used by ``benchmarks/test_theory_bounds.py`` (an ablation, not a paper
+used by ``experiments/test_theory_bounds.py`` (an ablation, not a paper
 figure).
 """
 

@@ -11,8 +11,9 @@ The package splits the original single-module harness into focused parts:
   monotonicity, epoch-fence safety, no-lost-acked-mutation).
 - :mod:`repro.chaos.shrink` — delta-debugging minimization of failing
   fault plans to minimal counterexamples.
-- :mod:`repro.chaos.corpus` — the committed regression corpus of minimized
-  counterexamples (``tests/corpus/*.json``) and its replay paths.
+- :mod:`repro.chaos.corpus` — :class:`CorpusCase`, the one description of a
+  chaos run (workload, schedule, replay command, simulator and live legs),
+  and the committed regression corpus of them (``tests/corpus/*.json``).
 - :mod:`repro.chaos.hunt` — the ``repro hunt`` fuzzer driving all of the
   above: generate → run with history audit → shrink → record.
 
@@ -32,19 +33,12 @@ from repro.chaos.harness import (
     _check_invariants,
     _quiesce,
     run_case,
-    run_chaos,
 )
 from repro.chaos.history import HistoryEvent, OpHistory, audit_history
 from repro.chaos.schedule import generate_plan
 from repro.chaos.shrink import ShrinkResult, shrink_plan
 from repro.chaos.hunt import HuntCase, HuntReport, promote_findings, run_hunt
-from repro.chaos.corpus import (
-    CorpusCase,
-    load_corpus,
-    replay_case_live,
-    replay_case_sim,
-    save_case,
-)
+from repro.chaos.corpus import CorpusCase, load_corpus, save_case
 
 __all__ = [
     "CHAOS_HEARTBEAT_INTERVAL",
@@ -62,10 +56,7 @@ __all__ = [
     "generate_plan",
     "load_corpus",
     "promote_findings",
-    "replay_case_live",
-    "replay_case_sim",
     "run_case",
-    "run_chaos",
     "run_hunt",
     "save_case",
     "shrink_plan",

@@ -1,11 +1,19 @@
-"""The committed chaos regression corpus (``tests/corpus/*.json``).
+"""One chaos run, described once — and the committed corpus of such runs.
+
+:class:`CorpusCase` is the *complete* recipe for one chaos run: workload
+profile + seed, cluster shape, store backend and fault specs. It alone
+turns that recipe into the seeded workload (:meth:`~CorpusCase.workload`),
+the schedule (:meth:`~CorpusCase.plan`: the explicit ``faults``, else a
+schedule generated from the case's own seed), the ``repro chaos`` replay
+command and the two runs — :meth:`~CorpusCase.run_sim` through the
+simulator and :meth:`~CorpusCase.run_live` through the asyncio transport.
+``repro chaos`` and ``repro hunt`` build one case per seed and call those;
+nothing else regenerates a workload or assembles a replay line.
 
 Every counterexample ``repro hunt`` minimizes can be promoted into a small
-JSON file that pins the *complete* recipe for one chaos run: workload
-profile + seed, cluster shape, store backend and the minimized fault
-specs. The committed corpus is replayed on every PR (tests/test_corpus.py
-and the CI chaos job) through both the simulator and the live transport —
-a case that once exposed a bug keeps guarding against its return, at the
+JSON file (``tests/corpus/*.json``). The committed corpus is replayed on
+every PR (tests/test_corpus.py and the CI chaos job) through both legs — a
+case that once exposed a bug keeps guarding against its return, at the
 cost of one short deterministic run instead of a whole hunt.
 
 A corpus case must replay *green* on the current tree: the corpus records
@@ -23,31 +31,19 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.chaos.harness import ChaosCase, run_case
+from repro.chaos.schedule import generate_plan
 from repro.simulation.faults import FaultPlan
-from repro.traces import DatasetProfile, load_workload
+from repro.traces import PROFILES, GeneratedWorkload, load_workload
 
-__all__ = [
-    "CorpusCase",
-    "load_corpus",
-    "replay_case_live",
-    "replay_case_sim",
-    "save_case",
-]
-
-#: Workload profiles a corpus case may reference (the CLI's --trace set).
-_PROFILES: Dict[str, Callable[..., DatasetProfile]] = {
-    "dtr": DatasetProfile.dtr,
-    "lmbe": DatasetProfile.lmbe,
-    "ra": DatasetProfile.ra,
-}
+__all__ = ["CorpusCase", "load_corpus", "save_case"]
 
 
 @dataclass
 class CorpusCase:
-    """One committed regression case: everything needed to replay it."""
+    """The recipe for one chaos run: everything needed to (re)play it."""
 
     scheme: str
     trace: str           # profile name: dtr | lmbe | ra
@@ -56,7 +52,7 @@ class CorpusCase:
     seed: int            # workload + schedule + simulator seed
     num_servers: int
     num_monitors: int
-    faults: List[str]    # minimized --fault specs
+    faults: List[str]    # --fault specs; empty = generate from the seed
     ops: Optional[int] = None   # trace truncation (None = full trace)
     store: str = "memory"
     #: Violations observed when the case was captured (documentation: the
@@ -67,10 +63,10 @@ class CorpusCase:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.trace not in _PROFILES:
+        if self.trace not in PROFILES:
             raise ValueError(
                 f"unknown trace profile {self.trace!r} "
-                f"(expected one of {sorted(_PROFILES)})"
+                f"(expected one of {sorted(PROFILES)})"
             )
         if not self.name:
             self.name = f"case-{self.content_hash()[:10]}"
@@ -130,16 +126,23 @@ class CorpusCase:
         )
 
     # ------------------------------------------------------------------
-    def workload(self):
-        """Rebuild the exact workload this case replays."""
-        profile = _PROFILES[self.trace](num_nodes=self.nodes, scale=self.scale)
+    def workload(self) -> GeneratedWorkload:
+        """The workload this case replays: the profile regenerated with the
+        case seed (one seed determines workload, schedule and simulator
+        RNGs), truncated to ``ops``."""
+        profile = PROFILES[self.trace](num_nodes=self.nodes, scale=self.scale)
         profile = dataclasses.replace(profile, seed=self.seed)
-        workload = load_workload(profile)
-        if self.ops is not None:
-            workload = dataclasses.replace(
-                workload, trace=workload.trace.slice(0, self.ops)
-            )
-        return workload
+        return load_workload(profile).truncated(self.ops)
+
+    def plan(self) -> FaultPlan:
+        """The schedule: the explicit ``faults``, else the one the case seed
+        generates (a durable store unlocks the kill9 family)."""
+        if self.faults:
+            return FaultPlan.parse(self.faults)
+        return generate_plan(
+            self.seed, len(self.workload().trace), self.num_servers,
+            self.num_monitors, durability=self.store != "memory",
+        )
 
     def replay_command(self) -> str:
         """The exact ``repro chaos`` invocation replaying this case."""
@@ -155,9 +158,58 @@ class CorpusCase:
             parts.append(f"--ops {self.ops}")
         if self.store != "memory":
             parts.append(f"--store {self.store}")
-        for spec in self.faults:
-            parts.append(f"--fault {spec}")
+        parts.extend(f"--fault {spec}" for spec in self.faults)
         return " ".join(parts)
+
+    def run_sim(
+        self,
+        store_dir: Optional[str] = None,
+        *,
+        history: bool = True,
+        trace_sample: int = 0,
+    ) -> ChaosCase:
+        """The simulator leg: replay, quiesce, check the invariants and (by
+        default) audit the recorded operation history."""
+        return run_case(
+            self.scheme,
+            self.workload(),
+            self.num_servers,
+            self.seed,
+            self.plan(),
+            num_monitors=self.num_monitors,
+            store=self.store,
+            store_dir=store_dir,
+            trace_sample=trace_sample,
+            history=history,
+        )
+
+    def run_live(self, socket_dir: Optional[str] = None, rate: float = 2000.0):
+        """The live leg: the same run through the asyncio transport.
+
+        Live mode is storeless, so ``store`` is ignored (the kill9 family
+        maps onto volatile wipes either way) and the history audit runs with
+        the wipe-excused volatile ledgers. Returns the ``ServeReport``.
+        """
+        # Imported lazily: repro.transport imports this package for the
+        # history recorder, so the module level here must stay transport-free.
+        from repro import registry
+        from repro.transport.live import LiveConfig
+        from repro.transport.loadgen import LoadConfig
+        from repro.transport.serve import serve_workload
+
+        live_cfg = LiveConfig(
+            num_servers=self.num_servers,
+            num_monitors=self.num_monitors,
+            socket_dir=socket_dir,
+            seed=self.seed,
+        )
+        return serve_workload(
+            registry.create(self.scheme),
+            self.workload(),
+            live_cfg,
+            LoadConfig(rate=rate, seed=self.seed),
+            self.plan(),
+        )
 
 
 def save_case(case: CorpusCase, directory: str) -> str:
@@ -181,56 +233,3 @@ def load_corpus(directory: str) -> List[CorpusCase]:
         with open(os.path.join(directory, entry), encoding="utf-8") as handle:
             cases.append(CorpusCase.from_dict(json.load(handle)))
     return cases
-
-
-def replay_case_sim(
-    case: CorpusCase, store_dir: Optional[str] = None
-) -> ChaosCase:
-    """Replay one corpus case through the simulator, history audit on."""
-    plan = FaultPlan.parse(case.faults)
-    return run_case(
-        case.scheme,
-        case.workload(),
-        case.num_servers,
-        case.seed,
-        num_monitors=case.num_monitors,
-        plan=plan,
-        store=case.store,
-        store_dir=store_dir,
-        history=True,
-    )
-
-
-def replay_case_live(
-    case: CorpusCase,
-    socket_dir: Optional[str] = None,
-    rate: float = 2000.0,
-):
-    """Replay one corpus case through the live asyncio transport.
-
-    Live mode is storeless, so ``store`` is ignored (the kill9 family maps
-    onto volatile wipes either way) and the history audit runs with the
-    wipe-excused volatile ledgers. Returns the ``ServeReport``.
-    """
-    # Imported lazily: repro.transport imports this package for the
-    # history recorder, so the module level here must stay transport-free.
-    from repro import registry
-    from repro.transport.live import LiveConfig
-    from repro.transport.loadgen import LoadConfig
-    from repro.transport.serve import serve_workload
-
-    plan = FaultPlan.parse(case.faults)
-    live_cfg = LiveConfig(
-        num_servers=case.num_servers,
-        num_monitors=case.num_monitors,
-        socket_dir=socket_dir,
-        seed=case.seed,
-    )
-    load_cfg = LoadConfig(rate=rate, seed=case.seed)
-    return serve_workload(
-        registry.create(case.scheme),
-        case.workload(),
-        live_cfg,
-        load_cfg,
-        plan,
-    )

@@ -30,24 +30,25 @@ session monotonicity, epoch-fence safety and no-lost-acked-mutation —
 which is strictly stronger than the end-state invariants above (see that
 module's docstring). ``repro hunt`` always runs with the history audit on.
 
-Every generated schedule comes from the case seed alone, and each event
-round-trips through the ``--fault`` grammar — on a violation the harness
-dumps the exact ``repro simulate --fault ...`` invocation that replays the
-failing run deterministically.
+What to run — workload, schedule, cluster shape — is decided by the recipe,
+:class:`repro.chaos.corpus.CorpusCase`; this module only runs it and judges
+the outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
 
 from repro import registry
 from repro.chaos.history import OpHistory, audit_history
-from repro.chaos.schedule import generate_plan
 from repro.cluster.failure import check_state_invariants
 from repro.simulation.faults import FaultPlan
 from repro.simulation.runner import ClusterSimulator, SimulationConfig
 from repro.traces.generator import GeneratedWorkload
+
+if TYPE_CHECKING:  # corpus imports this module
+    from repro.chaos.corpus import CorpusCase
 
 __all__ = [
     "CHAOS_HEARTBEAT_INTERVAL",
@@ -56,13 +57,12 @@ __all__ = [
     "ChaosCase",
     "ChaosReport",
     "run_case",
-    "run_chaos",
 ]
 
 #: Chaos runs replay short traces (sub-second makespans), so detection and
 #: lease clocks are tightened to fit several detection and election windows
-#: inside one run. The CLI's replay dump passes the same values to
-#: ``repro simulate`` so a violating schedule reproduces exactly.
+#: inside one run. Pass the same values to ``repro simulate`` to get the
+#: telemetry of a failing seed (docs/CHAOS.md).
 CHAOS_HEARTBEAT_INTERVAL = 0.01
 CHAOS_HEARTBEAT_TIMEOUT = 0.03
 CHAOS_LEASE_TIMEOUT = 0.05
@@ -203,22 +203,13 @@ class ChaosCase:
             case["history"] = dict(self.history)
         return case
 
-    def replay_args(self) -> List[str]:
-        """The ``--fault`` arguments reproducing this case's schedule."""
-        args: List[str] = []
-        for spec in self.specs:
-            args.extend(["--fault", spec])
-        return args
-
 
 @dataclass
 class ChaosReport:
     """Aggregate over all chaos cases of one invocation."""
 
-    scheme: str
-    trace: str
-    num_servers: int
-    num_monitors: int
+    #: What every case shares; each case is this recipe with its own seed.
+    recipe: CorpusCase
     cases: List[ChaosCase] = field(default_factory=list)
 
     @property
@@ -231,10 +222,10 @@ class ChaosReport:
 
     def to_dict(self) -> dict:
         return {
-            "scheme": self.scheme,
-            "trace": self.trace,
-            "num_servers": self.num_servers,
-            "num_monitors": self.num_monitors,
+            "scheme": self.recipe.scheme,
+            "trace": self.recipe.trace,
+            "num_servers": self.recipe.num_servers,
+            "num_monitors": self.recipe.num_monitors,
             "seeds": len(self.cases),
             "ok": self.ok,
             "cases": [case.to_dict() for case in self.cases],
@@ -246,29 +237,24 @@ def run_case(
     workload: GeneratedWorkload,
     num_servers: int,
     seed: int,
+    plan: FaultPlan,
+    *,
     num_monitors: int = 3,
-    plan: Optional[FaultPlan] = None,
     store: str = "memory",
     store_dir: Optional[str] = None,
     trace_sample: int = 0,
     history: bool = False,
 ) -> ChaosCase:
-    """One seeded chaos run: schedule, replay, quiesce, check.
+    """One chaos run of ``workload`` under ``plan``: replay, quiesce, check.
 
-    A durable ``store`` (``"wal"``) turns on the kill9 fault
-    family in generated schedules and the fifth (durability) invariant.
+    A durable ``store`` (``"wal"``) turns on the fifth (durability)
+    invariant.
     ``trace_sample`` > 0 records causal spans for every Nth op plus the
     failover/recovery lifecycle (read them off ``sim.spans`` or export via
     ``repro simulate --trace-sample`` for the CLI path). ``history=True``
     records the full client-visible operation history and appends the
     :func:`~repro.chaos.history.audit_history` violations to the case.
     """
-    durable = store != "memory"
-    if plan is None:
-        plan = generate_plan(
-            seed, len(workload.trace), num_servers, num_monitors,
-            durability=durable,
-        )
     scheme = registry.create(scheme_name)
     # Tight clocks (see the module constants): without them a crashed
     # leader would simply outlive the short trace and failover would never
@@ -342,40 +328,3 @@ def run_case(
         )
     finally:
         sim.close()
-
-
-def run_chaos(
-    scheme_name: str,
-    workload: GeneratedWorkload,
-    num_servers: int,
-    seeds: Sequence[int],
-    num_monitors: int = 3,
-    store: str = "memory",
-    store_dir: Optional[str] = None,
-    trace_sample: int = 0,
-    plan: Optional[FaultPlan] = None,
-    history: bool = False,
-) -> ChaosReport:
-    """Run one chaos case per seed and aggregate the outcomes."""
-    report = ChaosReport(
-        scheme=scheme_name,
-        trace=workload.trace.name,
-        num_servers=num_servers,
-        num_monitors=num_monitors,
-    )
-    for seed in seeds:
-        report.cases.append(
-            run_case(
-                scheme_name,
-                workload,
-                num_servers,
-                seed,
-                num_monitors=num_monitors,
-                plan=plan,
-                store=store,
-                store_dir=store_dir,
-                trace_sample=trace_sample,
-                history=history,
-            )
-        )
-    return report

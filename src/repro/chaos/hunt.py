@@ -1,14 +1,14 @@
 """``repro hunt``: the seeded adversarial chaos fuzzer.
 
 One hunt iterates a list of case seeds. Each seed fully determines one
-adversarial run — the workload (profile regenerated with the case seed),
-the fault schedule (:func:`repro.chaos.schedule.generate_plan`) and every
-simulator RNG — so a hunt is exactly reproducible: the same seed list
-always produces the byte-identical case list, violations and shrink
-results. Every case runs with the full operation-history audit on
-(:mod:`repro.chaos.history`), which is what separates a hunt from plain
-``repro chaos``: the fuzzer checks client-visible consistency, not just
-the quiesced end state.
+adversarial run — one :class:`repro.chaos.corpus.CorpusCase` gives it the
+workload, the generated fault schedule, the simulator RNGs, both
+transports' runs and the replay command — so a hunt is exactly
+reproducible: the same seed list always produces the byte-identical case
+list, violations and shrink results. Every case runs with the full
+operation-history audit on (:mod:`repro.chaos.history`), which is what
+separates a hunt from plain ``repro chaos``: the fuzzer checks
+client-visible consistency, not just the quiesced end state.
 
 When a case violates an invariant, the failing plan is minimized with
 :func:`repro.chaos.shrink.shrink_plan` (drop events, shrink the cluster,
@@ -27,12 +27,10 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.chaos.corpus import _PROFILES, CorpusCase, save_case
-from repro.chaos.harness import ChaosCase, run_case
-from repro.chaos.schedule import generate_plan
+from repro.chaos.corpus import CorpusCase, save_case
+from repro.chaos.harness import ChaosCase
 from repro.chaos.shrink import ShrinkResult, shrink_plan
 from repro.simulation.faults import FaultPlan
-from repro.traces import load_workload
 
 __all__ = ["HuntCase", "HuntReport", "promote_findings", "run_hunt"]
 
@@ -86,14 +84,8 @@ class HuntCase:
 class HuntReport:
     """Aggregate over one hunt invocation."""
 
-    scheme: str
-    trace: str
-    nodes: int
-    scale: float
-    num_servers: int
-    num_monitors: int
-    store: str
-    ops: Optional[int] = None
+    #: What every case shares; each case is this recipe with its own seed.
+    recipe: CorpusCase
     cases: List[HuntCase] = field(default_factory=list)
     #: fault kind -> times scheduled across every generated plan (the
     #: hunt's coverage of the FaultKind space).
@@ -110,15 +102,16 @@ class HuntReport:
         return not self.findings
 
     def to_dict(self) -> dict:
+        recipe = self.recipe
         return {
-            "scheme": self.scheme,
-            "trace": self.trace,
-            "nodes": self.nodes,
-            "scale": self.scale,
-            "num_servers": self.num_servers,
-            "num_monitors": self.num_monitors,
-            "store": self.store,
-            "ops": self.ops,
+            "scheme": recipe.scheme,
+            "trace": recipe.trace,
+            "nodes": recipe.nodes,
+            "scale": recipe.scale,
+            "num_servers": recipe.num_servers,
+            "num_monitors": recipe.num_monitors,
+            "store": recipe.store,
+            "ops": recipe.ops,
             "seeds": [case.seed for case in self.cases],
             "ok": self.ok,
             "findings": len(self.findings),
@@ -128,100 +121,25 @@ class HuntReport:
         }
 
 
-def _full_replay(report: HuntReport, seed: int) -> str:
-    """Replay command for an unshrunk case (schedule regenerates from seed)."""
-    parts = [
-        "repro chaos",
-        f"--trace {report.trace} --nodes {report.nodes}",
-        f"--scale {report.scale:g}",
-        f"--servers {report.num_servers} --scheme {report.scheme}",
-        f"--monitors {report.num_monitors}",
-        f"--seeds 1 --seed-base {seed} --history",
-    ]
-    if report.ops is not None:
-        parts.append(f"--ops {report.ops}")
-    if report.store != "memory":
-        parts.append(f"--store {report.store}")
-    return " ".join(parts)
-
-
-def _audited_case(
-    scheme_name: str,
-    workload,
-    num_servers: int,
-    seed: int,
-    *,
-    num_monitors: int,
-    plan: FaultPlan,
-    store: str,
-    store_dir: Optional[str],
-) -> ChaosCase:
-    """One history-audited chaos run; a crash of the system under test is
-    itself a counterexample (recorded as a ``crash:`` violation), so the
-    fuzzer and the shrinker keep working when a schedule takes the
+def _audited(case: CorpusCase, store_dir: Optional[str]) -> ChaosCase:
+    """The case's history-audited simulator leg; a crash of the system under
+    test is itself a counterexample (recorded as a ``crash:`` violation), so
+    the fuzzer and the shrinker keep working when a schedule takes the
     simulator down instead of merely corrupting it."""
     try:
-        return run_case(
-            scheme_name,
-            workload,
-            num_servers,
-            seed,
-            num_monitors=num_monitors,
-            plan=plan,
-            store=store,
-            store_dir=store_dir,
-            history=True,
-        )
+        return case.run_sim(store_dir)
     except Exception as exc:
         return ChaosCase(
-            seed=seed,
-            specs=plan.to_specs(),
+            seed=case.seed,
+            specs=list(case.faults),
             violations=[f"crash: {type(exc).__name__}: {exc}"],
         )
 
 
-def _live_violations(
-    scheme_name: str,
-    workload,
-    plan: FaultPlan,
-    num_servers: int,
-    num_monitors: int,
-    seed: int,
-    socket_dir: Optional[str],
-    rate: float,
-) -> List[str]:
-    """Run one schedule through the live transport; return its violations."""
-    from repro import registry
-    from repro.transport.live import LiveConfig
-    from repro.transport.loadgen import LoadConfig
-    from repro.transport.serve import serve_workload
-
-    report = serve_workload(
-        registry.create(scheme_name),
-        workload,
-        LiveConfig(
-            num_servers=num_servers,
-            num_monitors=num_monitors,
-            socket_dir=socket_dir,
-            seed=seed,
-        ),
-        LoadConfig(rate=rate, seed=seed),
-        plan,
-    )
-    return list(report.violations)
-
-
 def run_hunt(
-    scheme_name: str = "d2-tree",
-    trace: str = "lmbe",
-    nodes: int = 900,
-    scale: float = 5e-5,
-    *,
+    recipe: CorpusCase,
     seeds: Sequence[int],
-    ops: Optional[int] = None,
-    num_servers: int = 6,
-    num_monitors: int = 3,
-    store: str = "memory",
+    *,
     store_dir: Optional[str] = None,
     shrink: bool = True,
     max_probes: int = 200,
@@ -229,105 +147,64 @@ def run_hunt(
     socket_dir: Optional[str] = None,
     live_rate: float = 2000.0,
 ) -> HuntReport:
-    """Fuzz the cluster over the given seeds; shrink whatever breaks."""
-    if trace not in _PROFILES:
-        raise ValueError(
-            f"unknown trace profile {trace!r} (expected one of "
-            f"{sorted(_PROFILES)})"
-        )
-    report = HuntReport(
-        scheme=scheme_name,
-        trace=trace,
-        nodes=nodes,
-        scale=scale,
-        num_servers=num_servers,
-        num_monitors=num_monitors,
-        store=store,
-        ops=ops,
-    )
-    durable = store != "memory"
-    base_profile = _PROFILES[trace](num_nodes=nodes, scale=scale)
+    """Fuzz ``recipe`` over the given seeds; shrink whatever breaks."""
+    report = HuntReport(recipe=recipe)
     for seed in seeds:
-        workload = load_workload(dataclasses.replace(base_profile, seed=seed))
-        if ops is not None:
-            workload = dataclasses.replace(
-                workload, trace=workload.trace.slice(0, ops)
-            )
-        plan = generate_plan(
-            seed, len(workload.trace), num_servers, num_monitors,
-            durability=durable,
-        )
+        case = dataclasses.replace(recipe, seed=seed)
+        plan = case.plan()
+        # Spell the schedule out: the case (and its replay command) no
+        # longer depends on what the generator does with this seed.
+        case = dataclasses.replace(case, faults=plan.to_specs())
         for event in plan.events:
             report.coverage[event.kind.value] = (
                 report.coverage.get(event.kind.value, 0) + 1
             )
-        case = _audited_case(
-            scheme_name,
-            workload,
-            num_servers,
-            seed,
-            num_monitors=num_monitors,
-            plan=plan,
-            store=store,
-            store_dir=store_dir,
-        )
+        outcome = _audited(case, store_dir)
         hunt_case = HuntCase(
             seed=seed,
-            specs=case.specs,
-            violations=case.violations,
-            operations=case.operations,
-            failed_operations=case.failed_operations,
-            history=case.history or {},
-            replay=_full_replay(report, seed),
+            specs=outcome.specs,
+            violations=outcome.violations,
+            operations=outcome.operations,
+            failed_operations=outcome.failed_operations,
+            history=outcome.history or {},
+            replay=case.replay_command(),
         )
-        if case.violations and shrink:
+        if outcome.violations and shrink:
 
             def probe(
                 candidate: FaultPlan, servers: int, monitors: int
             ) -> bool:
-                probed = _audited_case(
-                    scheme_name,
-                    workload,
-                    servers,
-                    seed,
-                    num_monitors=monitors,
-                    plan=candidate,
-                    store=store,
-                    store_dir=store_dir,
+                probed = dataclasses.replace(
+                    case, faults=candidate.to_specs(),
+                    num_servers=servers, num_monitors=monitors,
                 )
-                return bool(probed.violations)
+                return bool(_audited(probed, store_dir).violations)
 
             result = shrink_plan(
-                plan, num_servers, num_monitors, probe,
+                plan, case.num_servers, case.num_monitors, probe,
                 max_probes=max_probes,
             )
             if result is not None:
                 report.probes += result.probes
                 hunt_case.shrink = result
-                hunt_case.minimized = CorpusCase(
-                    scheme=scheme_name,
-                    trace=trace,
-                    nodes=nodes,
-                    scale=scale,
-                    seed=seed,
+                hunt_case.minimized = dataclasses.replace(
+                    case,
+                    faults=result.specs,
                     num_servers=result.num_servers,
                     num_monitors=result.num_monitors,
-                    faults=result.specs,
-                    ops=ops,
-                    store=store,
-                    found_violations=case.violations,
+                    found_violations=outcome.violations,
                     origin=(
                         f"hunt seed={seed}: "
                         f"{len(plan)}→{len(result.plan)} events"
                         + (f"; {'; '.join(result.steps)}"
                            if result.steps else "")
                     ),
+                    name="",  # re-derived from the minimized content
                 )
                 hunt_case.replay = hunt_case.minimized.replay_command()
         if live:
-            hunt_case.live_violations = _live_violations(
-                scheme_name, workload, plan, num_servers, num_monitors,
-                seed, socket_dir, live_rate,
+            hunt_case.live_violations = list(
+                case.run_live(socket_dir, live_rate).violations
             )
         report.cases.append(hunt_case)
     return report

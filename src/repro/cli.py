@@ -26,22 +26,16 @@ import contextlib
 import dataclasses
 import json
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import registry
 from repro.metrics import evaluate_scheme
 from repro.placement import MetadataScheme
 from repro.simulation import replay_rounds, simulate
 from repro.storage import STORE_BACKENDS
-from repro.traces import DatasetProfile, TraceGenerator, load_workload, save_trace
+from repro.traces import PROFILES, TraceGenerator, load_workload, save_trace
 
 __all__ = ["main", "build_parser", "add_fault_args", "parse_fault_plan"]
-
-PROFILE_MAKERS: Dict[str, Callable[..., DatasetProfile]] = {
-    "dtr": DatasetProfile.dtr,
-    "lmbe": DatasetProfile.lmbe,
-    "ra": DatasetProfile.ra,
-}
 
 
 def add_fault_args(p: argparse.ArgumentParser) -> None:
@@ -87,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_workload_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--trace", choices=sorted(PROFILE_MAKERS), default="dtr")
+        p.add_argument("--trace", choices=sorted(PROFILES), default="dtr")
         p.add_argument("--nodes", type=int, default=8000,
                        help="namespace tree size (default 8000)")
         p.add_argument("--scale", type=float, default=1e-4,
@@ -360,7 +354,7 @@ def _schemes(choice: Optional[str]) -> List[MetadataScheme]:
 
 
 def _profile(args):
-    profile = PROFILE_MAKERS[args.trace](num_nodes=args.nodes, scale=args.scale)
+    profile = PROFILES[args.trace](num_nodes=args.nodes, scale=args.scale)
     if getattr(args, "seed", None) is not None:
         profile = dataclasses.replace(profile, seed=args.seed)
     return profile
@@ -408,11 +402,7 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate(args) -> int:
     from repro.simulation import SimulationConfig
 
-    workload = _workload(args)
-    if args.max_ops is not None:
-        workload = dataclasses.replace(
-            workload, trace=workload.trace.slice(0, args.max_ops)
-        )
+    workload = _workload(args).truncated(args.max_ops)
     overrides = {}
     try:
         plan = parse_fault_plan(args)
@@ -516,50 +506,34 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    from repro.chaos import (
-        CHAOS_HEARTBEAT_INTERVAL,
-        CHAOS_HEARTBEAT_TIMEOUT,
-        CHAOS_LEASE_TIMEOUT,
-        ChaosReport,
-        run_case,
+def _chaos_recipe(args):
+    """The ``chaos``/``hunt`` flags as the one description of a chaos run;
+    each case is this recipe with its own seed."""
+    from repro.chaos import CorpusCase
+
+    return CorpusCase(
+        scheme=args.scheme, trace=args.trace, nodes=args.nodes,
+        scale=args.scale, seed=args.seed_base, num_servers=args.servers,
+        num_monitors=args.monitors, faults=list(getattr(args, "fault", ())),
+        ops=args.ops, store=args.store,
     )
 
-    # Each case regenerates the workload with the case seed, so one seed
-    # fully determines workload + fault schedule + simulator RNGs — the
-    # dumped `repro simulate --seed N --fault ...` replay is exact.
-    base_profile = _profile(args)
-    report = ChaosReport(
-        scheme=args.scheme,
-        trace=args.trace,
-        num_servers=args.servers,
-        num_monitors=args.monitors,
-    )
+
+def cmd_chaos(args) -> int:
+    from repro.chaos import ChaosReport
+
+    # An explicit --fault plan replaces the generated schedule for every
+    # seed — this is how the printed replay commands (and minimized corpus
+    # counterexamples) re-run deterministically.
+    recipe = _chaos_recipe(args)
+    report = ChaosReport(recipe)
     try:
-        # An explicit --fault plan replaces the generated schedule for
-        # every seed — this is how minimized corpus counterexamples (and
-        # `repro hunt` replay commands) re-run deterministically.
-        explicit_plan = parse_fault_plan(args)
         for seed in range(args.seed_base, args.seed_base + args.seeds):
-            workload = load_workload(
-                dataclasses.replace(base_profile, seed=seed)
-            )
-            if args.ops is not None:
-                workload = dataclasses.replace(
-                    workload, trace=workload.trace.slice(0, args.ops)
-                )
             report.cases.append(
-                run_case(
-                    args.scheme,
-                    workload,
-                    args.servers,
-                    seed,
-                    num_monitors=args.monitors,
-                    plan=explicit_plan,
-                    store=args.store,
-                    store_dir=args.store_dir,
-                    trace_sample=args.trace_sample,
+                dataclasses.replace(recipe, seed=seed).run_sim(
+                    args.store_dir,
                     history=args.history,
+                    trace_sample=args.trace_sample,
                 )
             )
     except ValueError as error:
@@ -578,8 +552,8 @@ def cmd_chaos(args) -> int:
                 f"dropped={case.messages_dropped}"
             )
         print(
-            f"{report.scheme} {report.trace} M={report.num_servers} "
-            f"monitors={report.num_monitors}: "
+            f"{recipe.scheme} {recipe.trace} M={recipe.num_servers} "
+            f"monitors={recipe.num_monitors}: "
             f"{len(report.cases) - len(report.violations)}/"
             f"{len(report.cases)} seeds clean"
         )
@@ -590,22 +564,9 @@ def cmd_chaos(args) -> int:
             print(f"\nseed {case.seed} violated invariants:", file=sys.stderr)
             for violation in case.violations:
                 print(f"  - {violation}", file=sys.stderr)
-            replay_parts = [
-                "repro simulate",
-                f"--trace {args.trace} --nodes {args.nodes}",
-                f"--scale {args.scale:g}",
-                f"--servers {args.servers} --scheme {args.scheme}",
-                f"--monitors {args.monitors}",
-                f"--seed {case.seed}",
-                f"--heartbeat-interval {CHAOS_HEARTBEAT_INTERVAL:g}",
-                f"--heartbeat-timeout {CHAOS_HEARTBEAT_TIMEOUT:g}",
-                f"--monitor-lease-timeout {CHAOS_LEASE_TIMEOUT:g}",
-            ]
-            if args.ops is not None:
-                replay_parts.append(f"--max-ops {args.ops}")
-            if case.store != "memory":
-                replay_parts.append(f"--store {case.store}")
-            replay = " ".join(replay_parts + case.replay_args())
+            replay = dataclasses.replace(
+                recipe, seed=case.seed, faults=case.specs
+            ).replay_command()
             print(f"  replay: {replay}", file=sys.stderr)
         return 1
     return 0
@@ -616,15 +577,8 @@ def cmd_hunt(args) -> int:
 
     try:
         report = run_hunt(
-            args.scheme,
-            args.trace,
-            nodes=args.nodes,
-            scale=args.scale,
-            seeds=range(args.seed_base, args.seed_base + args.seeds),
-            ops=args.ops,
-            num_servers=args.servers,
-            num_monitors=args.monitors,
-            store=args.store,
+            _chaos_recipe(args),
+            range(args.seed_base, args.seed_base + args.seeds),
             store_dir=args.store_dir,
             shrink=not args.no_shrink,
             max_probes=args.max_probes,
@@ -651,13 +605,14 @@ def cmd_hunt(args) -> int:
                 live_ok = "ok" if not case.live_violations else "FAIL"
                 line += f" live={live_ok}"
             print(line)
+        recipe = report.recipe
         coverage = " ".join(
             f"{kind}={report.coverage[kind]}"
             for kind in sorted(report.coverage)
         )
         print(
-            f"{report.scheme} {report.trace} M={report.num_servers} "
-            f"monitors={report.num_monitors} store={report.store}: "
+            f"{recipe.scheme} {recipe.trace} M={recipe.num_servers} "
+            f"monitors={recipe.num_monitors} store={recipe.store}: "
             f"{len(report.cases) - len(report.findings)}/"
             f"{len(report.cases)} seeds clean"
             + (f", {report.probes} shrink probes" if report.probes else "")
@@ -717,15 +672,6 @@ def _live_configs(args):
     return LiveConfig(**live_kwargs), LoadConfig(**load_kwargs)
 
 
-def _serve_workload(args):
-    workload = _workload(args)
-    if args.max_ops is not None:
-        workload = dataclasses.replace(
-            workload, trace=workload.trace.slice(0, args.max_ops)
-        )
-    return workload
-
-
 def _print_serve_report(report) -> None:
     lat = report.latency
     print(
@@ -759,7 +705,7 @@ def cmd_serve(args) -> int:
         plan = parse_fault_plan(args)
         live_cfg, load_cfg = _live_configs(args)
         report = serve_workload(
-            registry.create(args.scheme), _serve_workload(args),
+            registry.create(args.scheme), _workload(args).truncated(args.max_ops),
             live_cfg, load_cfg, plan,
         )
     except ValueError as error:
@@ -787,7 +733,7 @@ def cmd_validate(args) -> int:
         plan = parse_fault_plan(args)
         live_cfg, load_cfg = _live_configs(args)
         comparison = validate_transports(
-            registry.create(args.scheme), _serve_workload(args),
+            registry.create(args.scheme), _workload(args).truncated(args.max_ops),
             live_cfg, load_cfg, plan,
         )
     except ValueError as error:

@@ -8,12 +8,11 @@ from repro.cluster.mds import MetadataServer
 from repro.cluster.messages import (
     Directive,
     Heartbeat,
-    OperationOutcome,
     RoutePlan,
     Visit,
     VisitKind,
 )
-from repro.cluster.monitor import Monitor, MonitorGroup, PlacementJournal
+from repro.cluster.monitor import MonitorGroup, PlacementJournal
 
 __all__ = [
     "Directive",
@@ -21,9 +20,7 @@ __all__ = [
     "LRUCache",
     "LockManager",
     "MetadataServer",
-    "Monitor",
     "MonitorGroup",
-    "OperationOutcome",
     "PlacementJournal",
     "RoutePlan",
     "SimClient",

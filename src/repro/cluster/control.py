@@ -227,7 +227,7 @@ class ClusterControl:
             else:
                 # The beat was in flight when the server went down: it
                 # stays evicted until it really comes back.
-                self.monitor.state.mark_dead(sid)
+                self.monitor.mark_dead(sid, now, journal=False)
         for dead in self.monitor.detect_failures(now):
             self.evict(dead, now)
 
@@ -345,7 +345,7 @@ class ClusterControl:
             "rejoin", now, server=sid, span_parent=chain
         )
         if directive is None:
-            self.monitor.state.mark_dead(sid)
+            self.monitor.mark_dead(sid, now, journal=False)
             return
         self.monitor.mark_alive(sid, now)
         self.monitor.expect(sid, now)

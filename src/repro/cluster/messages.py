@@ -1,14 +1,17 @@
 """Message/record types exchanged in the cluster (simulated or live).
 
-Every type here carries an explicit wire codec — :meth:`to_wire` producing
-a JSON-ready dict stamped with :data:`WIRE_VERSION` and a ``type`` tag, and
-:meth:`from_wire` validating and rebuilding the exact value. The codecs are
-the stable contract the live asyncio transport frames over sockets (see
-``repro.transport.wire``); the simulator exchanges the same objects
-in-process. ``from_wire(to_wire(msg)) == msg`` holds for every type
+The four types that cross a socket (:data:`WIRE_TYPES`: heartbeat,
+directive, client request, client reply) carry an explicit wire codec —
+:meth:`to_wire` producing a JSON-ready dict stamped with
+:data:`WIRE_VERSION` and a ``type`` tag, and :meth:`from_wire` validating
+and rebuilding the exact value. The codecs are the stable contract the live
+asyncio transport frames over sockets (see ``repro.transport.wire``); the
+simulator exchanges the same objects in-process.
+``from_wire(to_wire(msg)) == msg`` holds for every framed type
 (property-tested in ``tests/test_wire.py``), and a frame from an
 incompatible schema version is rejected at decode time rather than
-misparsed.
+misparsed. ``Visit`` / ``RoutePlan`` are the route planner's in-process
+records and never framed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ __all__ = [
     "RoutePlan",
     "Heartbeat",
     "Directive",
-    "OperationOutcome",
     "ClientRequest",
     "ClientReply",
     "to_wire",
@@ -94,7 +96,6 @@ class VisitKind(enum.Enum):
     TRAVERSAL = "traversal"  # permission-check hop along the path
     REDIRECT = "redirect"    # forwarded after a stale client cache entry
     SERVE = "serve"          # the server actually owning the target
-    REPLICA_WRITE = "replica-write"  # global-layer update fan-out
 
 
 class Visit(NamedTuple):
@@ -107,16 +108,6 @@ class Visit(NamedTuple):
 
     server: int
     kind: VisitKind
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _wire_header("visit")
-        wire["server"] = self.server
-        wire["kind"] = self.kind.value
-        return wire
-
-    @_wire_decoder("visit")
-    def from_wire(cls, wire: Dict[str, Any]) -> "Visit":
-        return cls(server=int(wire["server"]), kind=VisitKind(wire["kind"]))
 
 
 @dataclass
@@ -136,24 +127,6 @@ class RoutePlan:
     def num_jumps(self) -> int:
         """Server-to-server transfers implied by the sequential visits."""
         return max(0, len(self.visits) - 1)
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _wire_header("route_plan")
-        wire["visits"] = [[v.server, v.kind.value] for v in self.visits]
-        wire["fanout"] = list(self.fanout)
-        wire["lock_key"] = self.lock_key
-        return wire
-
-    @_wire_decoder("route_plan")
-    def from_wire(cls, wire: Dict[str, Any]) -> "RoutePlan":
-        return cls(
-            visits=[
-                Visit(int(server), VisitKind(kind))
-                for server, kind in wire["visits"]
-            ],
-            fanout=[int(s) for s in wire["fanout"]],
-            lock_key=_text(wire["lock_key"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -232,41 +205,6 @@ class Directive:
             server=int(wire["server"]),
             t=float(wire["t"]),
             info=tuple((_text(key), value) for key, value in wire["info"]),
-        )
-
-
-@dataclass
-class OperationOutcome:
-    """Completion record for one operation."""
-
-    start: float
-    completion: float
-    jumps: int
-    redirected: bool
-    was_update: bool
-
-    @property
-    def latency(self) -> float:
-        """End-to-end latency in seconds."""
-        return self.completion - self.start
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _wire_header("operation_outcome")
-        wire["start"] = self.start
-        wire["completion"] = self.completion
-        wire["jumps"] = self.jumps
-        wire["redirected"] = self.redirected
-        wire["was_update"] = self.was_update
-        return wire
-
-    @_wire_decoder("operation_outcome")
-    def from_wire(cls, wire: Dict[str, Any]) -> "OperationOutcome":
-        return cls(
-            start=float(wire["start"]),
-            completion=float(wire["completion"]),
-            jumps=int(wire["jumps"]),
-            redirected=bool(wire["redirected"]),
-            was_update=bool(wire["was_update"]),
         )
 
 
@@ -354,11 +292,8 @@ class ClientReply:
 #: type tag -> message class; the dispatch table :func:`from_wire` and the
 #: live transport's frame decoder share.
 WIRE_TYPES = {
-    "visit": Visit,
-    "route_plan": RoutePlan,
     "heartbeat": Heartbeat,
     "directive": Directive,
-    "operation_outcome": OperationOutcome,
     "client_request": ClientRequest,
     "client_reply": ClientReply,
 }

@@ -18,144 +18,7 @@ from repro.cluster.messages import Directive, Heartbeat
 from repro.core.namespace import NamespaceTree
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
-__all__ = ["Monitor", "MonitorGroup", "PlacementJournal"]
-
-
-class Monitor:
-    """Heartbeat sink and rebalance coordinator.
-
-    ``expected_servers`` registers cluster membership so a server that
-    *never* heartbeats is still detected once the grace period (one
-    heartbeat timeout from ``registered_at``) elapses; without registration
-    only servers heard from at least once can be declared dead.
-    """
-
-    def __init__(
-        self,
-        scheme: MetadataScheme,
-        tree: NamespaceTree,
-        placement: Placement,
-        heartbeat_timeout: float = 30.0,
-        expected_servers: Optional[Iterable[int]] = None,
-        registered_at: float = 0.0,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        self.scheme = scheme
-        self.tree = tree
-        self.placement = placement
-        self.heartbeat_timeout = heartbeat_timeout
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._last_heartbeat: Dict[int, float] = {}
-        self._latest_load: Dict[int, float] = {}
-        #: Membership roster: server -> registration time (detection grace).
-        self._registered_at: Dict[int, float] = {}
-        #: Failures already surfaced by detect_failures and acknowledged via
-        #: mark_dead — never re-reported until the server heartbeats again.
-        self._acknowledged_dead: Set[int] = set()
-        if expected_servers is not None:
-            for server in expected_servers:
-                self._registered_at[server] = registered_at
-        self.rebalances = 0
-        self.total_migrations = 0
-
-    # ------------------------------------------------------------------
-    def expect(self, server: int, now: float = 0.0) -> None:
-        """Register a cluster member (a rejoin or a newly added MDS)."""
-        self._registered_at[server] = now
-
-    def on_heartbeat(self, heartbeat: Heartbeat) -> None:
-        """Record an MDS's periodic load report.
-
-        A heartbeat from an acknowledged-dead server clears the death mark —
-        it rejoined and becomes detectable again.
-        """
-        self._last_heartbeat[heartbeat.server] = heartbeat.time
-        self._latest_load[heartbeat.server] = heartbeat.load
-        self._acknowledged_dead.discard(heartbeat.server)
-
-    def last_seen(self, server: int) -> Optional[float]:
-        """Last heartbeat time for ``server`` (None if never heard from)."""
-        return self._last_heartbeat.get(server)
-
-    def mark_dead(self, server: int) -> None:
-        """Acknowledge a detected failure so it is surfaced exactly once."""
-        self._acknowledged_dead.add(server)
-        self.telemetry.event("monitor_mark_dead", server=server)
-
-    def mark_alive(self, server: int) -> None:
-        """Clear a death mark (the server rejoined the cluster)."""
-        if server in self._acknowledged_dead:
-            self.telemetry.event("monitor_mark_alive", server=server)
-        self._acknowledged_dead.discard(server)
-
-    def is_dead(self, server: int) -> bool:
-        """True for servers whose failure has been acknowledged."""
-        return server in self._acknowledged_dead
-
-    def detect_failures(self, now: float) -> List[int]:
-        """Servers newly suspected dead at time ``now``.
-
-        A server is suspected when its heartbeats stopped for longer than
-        the timeout, or when it is registered but has never heartbeated and
-        its grace period ran out. Failures already acknowledged through
-        :meth:`mark_dead` are not re-reported.
-        """
-        suspects = [
-            server
-            for server, seen in self._last_heartbeat.items()
-            if server not in self._acknowledged_dead
-            and now - seen > self.heartbeat_timeout
-        ]
-        suspects.extend(
-            server
-            for server, registered in self._registered_at.items()
-            if server not in self._acknowledged_dead
-            and server not in self._last_heartbeat
-            and now - registered > self.heartbeat_timeout
-        )
-        suspects = sorted(suspects)
-        if suspects:
-            self.telemetry.event(
-                "detect_failures", t=now, servers=suspects,
-                timeout=self.heartbeat_timeout,
-            )
-        return suspects
-
-    def reported_loads(self) -> Dict[int, float]:
-        """Latest heartbeat-reported load per server."""
-        return dict(self._latest_load)
-
-    def restore(self, acknowledged_dead: Iterable[int], now: float) -> None:
-        """Adopt journalled membership state after a leadership takeover.
-
-        A standby that wins the lease inherits the *replicated* state — the
-        acknowledged-dead set reconstructed from the directive journal — but
-        not the old leader's heartbeat clocks (those were its private,
-        unreplicated observations). Every registered server gets a fresh
-        grace period from ``now``, so detection restarts conservatively
-        instead of instantly evicting servers the new leader simply has not
-        heard from yet.
-        """
-        self._acknowledged_dead = set(acknowledged_dead)
-        self._last_heartbeat.clear()
-        self._latest_load.clear()
-        for server in list(self._registered_at):
-            self._registered_at[server] = now
-
-    # ------------------------------------------------------------------
-    def rebalance(self) -> List[Migration]:
-        """Run one adjustment round through the scheme's policy."""
-        migrations = self.scheme.rebalance(self.tree, self.placement)
-        self.rebalances += 1
-        self.total_migrations += len(migrations)
-        return migrations
-
-    def owner_of_subtree(self, root_path: str) -> Optional[int]:
-        """Authoritative owner lookup (what the local index caches)."""
-        node = self.tree.lookup(root_path)
-        if node is None or not self.placement.is_placed(node):
-            return None
-        return self.placement.primary_of(node)
+__all__ = ["MonitorGroup", "PlacementJournal"]
 
 
 class PlacementJournal:
@@ -225,12 +88,16 @@ class PlacementJournal:
 
 
 class MonitorGroup:
-    """A replicated Monitor: one leader plus standbys with lease failover.
+    """The Monitor: heartbeat sink, failure detector and rebalance
+    coordinator, replicated as one leader plus standbys with lease failover.
 
     Mirrors what Ceph does to the component the paper borrows (the OSD
     monitor): the singleton Monitor of Sec. IV-A3 becomes a small replicated
     group so losing the box that runs it no longer freezes failure detection
-    and the pending pool forever. The moving parts:
+    and the pending pool forever. ``expected_servers`` registers cluster
+    membership so a server that *never* heartbeats is still detected once
+    its grace period (one heartbeat timeout from ``registered_at``) elapses.
+    The moving parts:
 
     * **Leadership + lease.** Replica ``leader`` drives detection and
       rebalancing. When it crashes or loses its quorum (a partition), the
@@ -246,11 +113,10 @@ class MonitorGroup:
       is the write-side half of the fencing story.
     * **Journal.** Committed directives land in a :class:`PlacementJournal`;
       a takeover replays it to recover the acknowledged-dead set and resumes
-      with fresh heartbeat grace periods (:meth:`Monitor.restore`).
+      with fresh heartbeat grace periods.
 
-    With one replica and no network faults the group degrades to exactly the
-    old singleton Monitor: epoch stays 1, every quorum check is trivially
-    true, and the delegated behaviour is byte-identical.
+    With one replica and no network faults the group is the paper's
+    singleton Monitor: epoch stays 1 and every quorum check is trivially true.
     """
 
     def __init__(
@@ -280,15 +146,22 @@ class MonitorGroup:
         #: The SimNetwork carrying mon↔mon traffic (None = always reachable).
         self.network = network
         self.journal = PlacementJournal()
-        self.state = Monitor(
-            scheme,
-            tree,
-            placement,
-            heartbeat_timeout=heartbeat_timeout,
-            expected_servers=expected_servers,
-            registered_at=registered_at,
-            telemetry=telemetry,
+        self.scheme = scheme
+        self.tree = tree
+        self.placement = placement
+        #: The leader's private heartbeat clocks (not replicated: a takeover
+        #: starts them afresh).
+        self._last_heartbeat: Dict[int, float] = {}
+        #: Membership roster: server -> registration time (detection grace).
+        self._registered_at: Dict[int, float] = dict.fromkeys(
+            expected_servers or (), registered_at
         )
+        #: Failures already surfaced by detect_failures and acknowledged via
+        #: mark_dead — never re-reported until the server heartbeats again.
+        #: Replicated: a takeover rebuilds it from the journal.
+        self._acknowledged_dead: Set[int] = set()
+        self.rebalances = 0
+        self.total_migrations = 0
         self._leader_lost_at: Optional[float] = None
         self.failovers = 0
         #: Directives that failed to commit for lack of a quorum.
@@ -362,13 +235,17 @@ class MonitorGroup:
         self.failovers += 1
         lost_since = self._leader_lost_at
         self._leader_lost_at = None
-        self.journal.append(
-            Directive(
-                epoch=self.epoch, kind="elect", server=-1, t=now,
-                info=(("from", old_leader), ("to", candidate)),
-            )
+        self._commit(
+            "elect", now, info=(("from", old_leader), ("to", candidate))
         )
-        self.state.restore(self.journal.acknowledged_dead(), now)
+        # The new leader inherits the *replicated* state — the
+        # acknowledged-dead set, replayed from the journal — but not the old
+        # leader's heartbeat clocks. Every registered server gets a fresh
+        # grace period, so detection restarts conservatively instead of
+        # instantly evicting servers the new leader has not heard from yet.
+        self._acknowledged_dead = self.journal.acknowledged_dead()
+        self._last_heartbeat.clear()
+        self._registered_at = dict.fromkeys(self._registered_at, now)
         self.telemetry.event(
             "monitor_failover", t=now, epoch=self.epoch,
             new_leader=candidate, old_leader=old_leader,
@@ -387,24 +264,33 @@ class MonitorGroup:
 
     def crash_monitor(self, replica: int, now: float = 0.0) -> None:
         """Fault injection: Monitor replica ``replica`` stops."""
-        if not 0 <= replica < self.num_replicas:
-            raise ValueError(f"no Monitor replica {replica}")
-        if self.replica_alive[replica]:
-            self.replica_alive[replica] = False
-            self.telemetry.event("monitor_crash", t=now, replica=replica)
+        self._set_replica(replica, False, "monitor_crash", now)
 
     def recover_monitor(self, replica: int, now: float = 0.0) -> None:
         """Fault injection: a crashed Monitor replica restarts (as standby,
         unless it still holds the leadership and regains its quorum)."""
+        self._set_replica(replica, True, "monitor_recover", now)
+
+    def _set_replica(self, replica: int, alive: bool, event: str, now: float) -> None:
         if not 0 <= replica < self.num_replicas:
             raise ValueError(f"no Monitor replica {replica}")
-        if not self.replica_alive[replica]:
-            self.replica_alive[replica] = True
-            self.telemetry.event("monitor_recover", t=now, replica=replica)
+        if self.replica_alive[replica] != alive:
+            self.replica_alive[replica] = alive
+            self.telemetry.event(event, t=now, replica=replica)
 
     # ------------------------------------------------------------------
     # Directive commit (the quorum write path)
     # ------------------------------------------------------------------
+    def _commit(
+        self, kind: str, now: float, server: int = -1, info: tuple = ()
+    ) -> Directive:
+        """Journal one directive stamped with the current epoch."""
+        directive = Directive(
+            epoch=self.epoch, kind=kind, server=server, t=now, info=info
+        )
+        self.journal.append(directive)
+        return directive
+
     def issue(
         self, kind: str, now: float, server: int = -1,
         span_parent: Optional[str] = None, **info: Any
@@ -421,11 +307,7 @@ class MonitorGroup:
                 epoch=self.epoch,
             )
             return None
-        directive = Directive(
-            epoch=self.epoch, kind=kind, server=server, t=now,
-            info=tuple(sorted(info.items())),
-        )
-        self.journal.append(directive)
+        directive = self._commit(kind, now, server, tuple(sorted(info.items())))
         if self.spans is not None:
             self.spans.cluster(
                 "journal_commit", now, now, parent=span_parent,
@@ -434,61 +316,96 @@ class MonitorGroup:
         return directive
 
     # ------------------------------------------------------------------
-    # Delegated Monitor surface (the singleton API, leader-gated)
+    # Heartbeats, detection, membership (leader-gated)
     # ------------------------------------------------------------------
-    def on_heartbeat(self, heartbeat: Heartbeat) -> bool:
-        """Record a heartbeat at the leader; False when the leader is down.
+    def expect(self, server: int, now: float = 0.0) -> None:
+        """Register a cluster member (a rejoin or a newly added MDS)."""
+        self._registered_at[server] = now
 
-        Network faults (partitions, loss, mutes) are applied by the caller
-        routing the message through ``SimNetwork.deliver`` — this method
-        models only the receiving end.
+    def on_heartbeat(self, heartbeat: Heartbeat) -> bool:
+        """Record an MDS's periodic load report at the leader; False when
+        the leader is down.
+
+        A heartbeat from an acknowledged-dead server clears the death mark —
+        it rejoined and becomes detectable again. Network faults
+        (partitions, loss, mutes) are applied by the caller routing the
+        message through ``SimNetwork.deliver`` — this method models only
+        the receiving end.
         """
         if not self.replica_alive[self.leader]:
             return False
-        self.state.on_heartbeat(heartbeat)
+        self._last_heartbeat[heartbeat.server] = heartbeat.time
+        self._acknowledged_dead.discard(heartbeat.server)
         return True
-
-    def detect_failures(self, now: float) -> List[int]:
-        """Leader-side detection; silent without a committable leader."""
-        if not self.can_commit():
-            return []
-        return self.state.detect_failures(now)
-
-    def mark_dead(self, server: int, now: float = 0.0) -> None:
-        """Acknowledge a detected failure and journal the eviction."""
-        self.state.mark_dead(server)
-        self.journal.append(
-            Directive(epoch=self.epoch, kind="mark_dead", server=server, t=now)
-        )
-
-    def mark_alive(self, server: int, now: float = 0.0) -> None:
-        """Clear a death mark and journal the readmission."""
-        if self.state.is_dead(server):
-            self.journal.append(
-                Directive(
-                    epoch=self.epoch, kind="mark_alive", server=server, t=now
-                )
-            )
-        self.state.mark_alive(server)
-
-    def is_dead(self, server: int) -> bool:
-        """True for servers whose failure has been acknowledged."""
-        return self.state.is_dead(server)
-
-    def expect(self, server: int, now: float = 0.0) -> None:
-        """Register a cluster member (a rejoin or a newly added MDS)."""
-        self.state.expect(server, now)
 
     def last_seen(self, server: int) -> Optional[float]:
         """Last heartbeat time for ``server`` (None if never heard from)."""
-        return self.state.last_seen(server)
+        return self._last_heartbeat.get(server)
 
-    def reported_loads(self) -> Dict[int, float]:
-        """Latest heartbeat-reported load per server."""
-        return self.state.reported_loads()
+    def detect_failures(self, now: float) -> List[int]:
+        """Servers newly suspected dead at ``now``; silent without a
+        committable leader.
 
+        A server is suspected when its heartbeats stopped for longer than
+        the timeout, or when it is registered but has never heartbeated and
+        its grace period ran out. Failures already acknowledged through
+        :meth:`mark_dead` are not re-reported.
+        """
+        if not self.can_commit():
+            return []
+        suspects = [
+            server
+            for server, seen in self._last_heartbeat.items()
+            if server not in self._acknowledged_dead
+            and now - seen > self.heartbeat_timeout
+        ]
+        suspects.extend(
+            server
+            for server, registered in self._registered_at.items()
+            if server not in self._acknowledged_dead
+            and server not in self._last_heartbeat
+            and now - registered > self.heartbeat_timeout
+        )
+        suspects = sorted(suspects)
+        if suspects:
+            self.telemetry.event(
+                "detect_failures", t=now, servers=suspects,
+                timeout=self.heartbeat_timeout,
+            )
+        return suspects
+
+    def mark_dead(
+        self, server: int, now: float = 0.0, journal: bool = True
+    ) -> None:
+        """Acknowledge a detected failure so it is surfaced exactly once,
+        and journal the eviction.
+
+        ``journal=False`` re-marks a server whose death is already on
+        record (its clearing heartbeat was stale, or its rejoin found no
+        quorum): the mark returns without a second directive.
+        """
+        self._acknowledged_dead.add(server)
+        self.telemetry.event("monitor_mark_dead", server=server)
+        if journal:
+            self._commit("mark_dead", now, server)
+
+    def mark_alive(self, server: int, now: float = 0.0) -> None:
+        """Clear a death mark (the server rejoined) and journal it."""
+        if server in self._acknowledged_dead:
+            self._commit("mark_alive", now, server)
+            self.telemetry.event("monitor_mark_alive", server=server)
+            self._acknowledged_dead.discard(server)
+
+    def is_dead(self, server: int) -> bool:
+        """True for servers whose failure has been acknowledged."""
+        return server in self._acknowledged_dead
+
+    # ------------------------------------------------------------------
+    # Rebalancing
+    # ------------------------------------------------------------------
     def rebalance(self, now: float = 0.0) -> List[Migration]:
-        """One adjustment round — aborted (no moves) without a quorum."""
+        """One adjustment round through the scheme's policy — aborted (no
+        moves) without a quorum."""
         if not self.can_commit():
             self.aborted_directives += 1
             self.telemetry.event(
@@ -496,26 +413,16 @@ class MonitorGroup:
                 leader=self.leader,
             )
             return []
-        migrations = self.state.rebalance()
+        migrations = self.scheme.rebalance(self.tree, self.placement)
+        self.rebalances += 1
+        self.total_migrations += len(migrations)
         if migrations:
-            self.journal.append(
-                Directive(
-                    epoch=self.epoch, kind="rebalance", server=-1, t=now,
-                    info=(("moves", len(migrations)),),
-                )
-            )
+            self._commit("rebalance", now, info=(("moves", len(migrations)),))
         return migrations
 
     def owner_of_subtree(self, root_path: str) -> Optional[int]:
         """Authoritative owner lookup (what the local index caches)."""
-        return self.state.owner_of_subtree(root_path)
-
-    @property
-    def rebalances(self) -> int:
-        """Adjustment rounds run (delegated to the replicated state)."""
-        return self.state.rebalances
-
-    @property
-    def total_migrations(self) -> int:
-        """Total migrations across all adjustment rounds."""
-        return self.state.total_migrations
+        node = self.tree.lookup(root_path)
+        if node is None or not self.placement.is_placed(node):
+            return None
+        return self.placement.primary_of(node)

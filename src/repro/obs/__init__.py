@@ -23,7 +23,6 @@ from repro.obs.critical import (
 )
 from repro.obs.export import (
     JsonlExporter,
-    PrometheusExporter,
     events_to_csv,
     prometheus_text,
     read_jsonl,
@@ -53,7 +52,6 @@ __all__ = [
     "JsonlExporter",
     "MetricsRegistry",
     "NULL_TELEMETRY",
-    "PrometheusExporter",
     "Sample",
     "SpanRecord",
     "SpanRecorder",

@@ -26,7 +26,6 @@ __all__ = [
     "events_to_csv",
     "prometheus_text",
     "JsonlExporter",
-    "PrometheusExporter",
 ]
 
 
@@ -127,36 +126,17 @@ def events_to_csv(
 
 
 # ----------------------------------------------------------------------
-# Context-manager exporters
+# Context-manager exporter
 # ----------------------------------------------------------------------
-class _Exporter:
-    """Base for exporters that flush whatever telemetry exists on exit.
+class JsonlExporter:
+    """Write one run's telemetry JSONL on scope exit (even on exception).
 
     Flushing happens in ``__exit__`` even when the body raised, so a run
     that dies mid-flight still leaves its partial telemetry on disk for
-    post-mortem analysis; the exception is never suppressed. ``count``
-    holds the number of records (or bytes, for Prometheus) written.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def __enter__(self) -> "_Exporter":
-        return self
-
-    def flush(self) -> int:
-        raise NotImplementedError
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.count = self.flush()
-        return False
-
-
-class JsonlExporter(_Exporter):
-    """Write one run's telemetry JSONL on scope exit (even on exception).
-
+    post-mortem analysis; the exception is never suppressed.
     ``set_summary`` attaches the end-of-run summary record; a run that
-    raises before reaching it simply flushes without one.
+    raises before reaching it simply flushes without one. ``count`` holds
+    the number of records written.
     """
 
     def __init__(
@@ -165,7 +145,7 @@ class JsonlExporter(_Exporter):
         destination: Union[str, Path, IO[str]],
         append: bool = False,
     ) -> None:
-        super().__init__()
+        self.count = 0
         self.telemetry = telemetry
         self.destination = destination
         self.append = append
@@ -174,32 +154,15 @@ class JsonlExporter(_Exporter):
     def set_summary(self, summary: Dict[str, Any]) -> None:
         self.summary = summary
 
-    def flush(self) -> int:
-        return write_jsonl(
+    def __enter__(self) -> "JsonlExporter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.count = write_jsonl(
             self.telemetry, self.destination, summary=self.summary,
             append=self.append,
         )
-
-
-class PrometheusExporter(_Exporter):
-    """Snapshot the registry as Prometheus text on scope exit."""
-
-    def __init__(
-        self,
-        telemetry: Telemetry,
-        destination: Union[str, Path],
-        prefix: str = "repro_",
-    ) -> None:
-        super().__init__()
-        self.telemetry = telemetry
-        self.destination = destination
-        self.prefix = prefix
-
-    def flush(self) -> int:
-        text = prometheus_text(self.telemetry.registry, prefix=self.prefix)
-        with open(self.destination, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        return len(text)
+        return False
 
 
 # ----------------------------------------------------------------------

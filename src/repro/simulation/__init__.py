@@ -1,6 +1,6 @@
 """Discrete-event trace replay: the Section VI experiment harness."""
 
-from repro.simulation.engine import ClientPool, ResourceTimeline
+from repro.simulation.engine import ResourceTimeline
 from repro.simulation.faults import FaultEvent, FaultKind, FaultPlan
 from repro.simulation.network import (
     CLIENT_ADDR,
@@ -26,7 +26,6 @@ __all__ = [
     "CLIENT_ADDR",
     "AvailabilityReport",
     "BalanceTrajectory",
-    "ClientPool",
     "ClusterSimulator",
     "FaultEvent",
     "FaultKind",

@@ -10,10 +10,7 @@ throughput shapes in Fig. 5 depend on.
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Tuple
-
-__all__ = ["ResourceTimeline", "ClientPool"]
+__all__ = ["ResourceTimeline"]
 
 
 class ResourceTimeline:
@@ -60,31 +57,3 @@ class ResourceTimeline:
         if horizon <= 0:
             return 0.0
         return min(1.0, self.busy_time / horizon)
-
-
-class ClientPool:
-    """Closed-loop client population.
-
-    Each client issues its next operation as soon as the previous one
-    completes (plus think time), which is how the paper drives its EC2
-    clusters ("fixing the client base to 200 and scaling the MDS cluster").
-    """
-
-    def __init__(self, num_clients: int, think_time: float = 0.0) -> None:
-        if num_clients < 1:
-            raise ValueError("need at least one client")
-        self.think_time = think_time
-        self._heap: List[Tuple[float, int]] = [(0.0, c) for c in range(num_clients)]
-        heapq.heapify(self._heap)
-
-    def next_ready(self) -> Tuple[float, int]:
-        """Pop the (ready_time, client_id) of the next free client."""
-        return heapq.heappop(self._heap)
-
-    def complete(self, client_id: int, completion_time: float) -> None:
-        """Mark a client's operation finished; it becomes ready again."""
-        heapq.heappush(self._heap, (completion_time + self.think_time, client_id))
-
-    def last_completion(self) -> float:
-        """Latest ready time across all clients (== makespan when drained)."""
-        return max(ready for ready, _cid in self._heap)

@@ -5,8 +5,8 @@ are small, so latency is dominated by per-hop round trips rather than
 bandwidth. The healthy-network model is therefore a constant per-hop
 latency with optional deterministic triangle-wave jitter.
 
-:class:`SimNetwork` is the simulation-side implementation of the unified
-:class:`~repro.transport.base.Transport` protocol: the fault bookkeeping
+:class:`SimNetwork` is the simulation-side half of the unified transport:
+the fault bookkeeping
 (partitions, loss, delay, mutes and the ``deliver`` verdict) lives in the
 shared :class:`~repro.transport.base.FaultFabric` base class, which the
 live :class:`~repro.transport.asyncio_net.AsyncioTransport` consults per

@@ -12,6 +12,7 @@ from repro.traces.datasets import (
     DEFAULT_SCALE,
     PAPER_RECORD_COUNTS,
     PAPER_TRACE_SIZES_GB,
+    PROFILES,
     DatasetProfile,
     all_profiles,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "OpType",
     "PAPER_RECORD_COUNTS",
     "PAPER_TRACE_SIZES_GB",
+    "PROFILES",
     "StreamingTrace",
     "Trace",
     "TraceGenerator",

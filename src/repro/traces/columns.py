@@ -17,8 +17,7 @@ time) instead of as a 10M-element object list.
 Path resolution happens here, once per record, mirroring the per-op
 dispatcher's prefetch semantics: lookups are pure reads of a static tree,
 records whose path does not resolve are skipped, and every surviving record
-appears in trace order. Columns expose zero-copy views via
-:meth:`OpBatch.memoryview_columns` for array-at-a-time consumers.
+appears in trace order.
 """
 
 from __future__ import annotations
@@ -99,16 +98,6 @@ class OpBatch:
 
     def __len__(self) -> int:
         return len(self.op_codes)
-
-    def memoryview_columns(self):
-        """Zero-copy ``memoryview``s of the four columns (in declaration
-        order: op codes, node ids, client ids, timestamps)."""
-        return (
-            memoryview(self.op_codes),
-            memoryview(self.node_ids),
-            memoryview(self.client_ids),
-            memoryview(self.timestamps),
-        )
 
     def ops(self) -> List[OpType]:
         """Decode the op-code column back to enum members (index-parallel)."""

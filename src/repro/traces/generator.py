@@ -21,8 +21,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Set
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
@@ -82,6 +82,12 @@ class GeneratedWorkload:
     #: Paths whose first trace occurrence is a CREATE: these nodes do not
     #: exist at partition time and each scheme places them on the fly.
     late_created_paths: List[str] = field(default_factory=list)
+
+    def truncated(self, ops: Optional[int]) -> "GeneratedWorkload":
+        """This workload over only the first ``ops`` operations (None = all)."""
+        if ops is None:
+            return self
+        return replace(self, trace=self.trace.slice(0, ops))
 
     def hot_hit_fraction(self) -> float:
         """Measured fraction of operations targeting the hot set (one pass)."""

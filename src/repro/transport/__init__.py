@@ -1,7 +1,7 @@
 """Unified cluster transport: one fault surface, two implementations.
 
-* :class:`~repro.transport.base.Transport` — the protocol (endpoints,
-  mutes, partitions, loss, delay, the ``deliver`` verdict).
+* :class:`~repro.transport.base.FaultFabric` — the shared fault core
+  (endpoints, mutes, partitions, loss, delay, the ``deliver`` verdict).
 * :class:`~repro.simulation.network.SimNetwork` — the discrete-event
   implementation the simulator replays against.
 * :class:`~repro.transport.asyncio_net.AsyncioTransport` — real asyncio
@@ -11,13 +11,7 @@
 See ``docs/SERVE.md`` for the live-mode architecture and CLI usage.
 """
 
-from repro.transport.base import (
-    CLIENT_ADDR,
-    FaultFabric,
-    Transport,
-    mds_addr,
-    mon_addr,
-)
+from repro.transport.base import CLIENT_ADDR, FaultFabric, mds_addr, mon_addr
 from repro.transport.wire import (
     FrameError,
     MAX_FRAME_BYTES,
@@ -33,7 +27,6 @@ from repro.transport.wire import (
 __all__ = [
     "CLIENT_ADDR",
     "FaultFabric",
-    "Transport",
     "mds_addr",
     "mon_addr",
     "FrameError",

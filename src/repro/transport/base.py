@@ -1,9 +1,9 @@
-"""The unified Transport contract shared by simulation and live clusters.
+"""The unified fault fabric shared by simulation and live clusters.
 
 Every cluster fabric in this reproduction — the discrete-event
 :class:`~repro.simulation.network.SimNetwork` and the real-socket
 :class:`~repro.transport.asyncio_net.AsyncioTransport` — speaks one
-protocol: messages are addressed between *endpoints* and pass through one
+model: messages are addressed between *endpoints* and pass through one
 shared set of fault dimensions before they are delivered.
 
 * ``mds:<i>``  — metadata server ``i`` (:func:`mds_addr`),
@@ -25,11 +25,11 @@ the exact semantics, lifted verbatim from the original ``SimNetwork``):
 ``drop_heartbeats`` and partitions share one code path: a *muted* endpoint
 (:meth:`FaultFabric.mute`) has every control-plane message dropped.
 
-The :class:`Transport` protocol is the install/inspect surface chaos
-schedules and ``FaultPlan``\\ s program against. Because both transports
-implement it, the same fault schedule replays against the simulator and
-against a live asyncio cluster — the latter turns a verdict into a real
-action (a dropped frame, a closed socket, an ``asyncio.sleep``).
+:class:`FaultFabric` is the install/inspect surface chaos schedules and
+``FaultPlan``\\ s program against. Because both transports subclass it,
+the same fault schedule replays against the simulator and against a live
+asyncio cluster — the latter turns a verdict into a real action (a dropped
+frame, a closed socket, an ``asyncio.sleep``).
 
 Determinism contract: with no faults installed (``faulty`` is ``False``)
 a fabric performs zero RNG draws. Fault draws consume a dedicated RNG
@@ -39,21 +39,11 @@ seeded from the run seed, never the wall clock.
 from __future__ import annotations
 
 import random
-from typing import (
-    Dict,
-    FrozenSet,
-    Optional,
-    Protocol,
-    Sequence,
-    Set,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "CLIENT_ADDR",
     "FaultFabric",
-    "Transport",
     "mds_addr",
     "mon_addr",
 ]
@@ -70,41 +60,6 @@ def mds_addr(server: int) -> str:
 def mon_addr(replica: int) -> str:
     """Endpoint token for Monitor replica ``replica``."""
     return f"mon:{replica}"
-
-
-@runtime_checkable
-class Transport(Protocol):
-    """The fault-installation surface every cluster fabric implements.
-
-    ``FaultPlan`` application, the chaos harness and the quiescence pass
-    only ever talk to this protocol, so a schedule written for the
-    simulator replays unchanged against a live transport.
-    """
-
-    #: Fast flag consulted once per send on the hot path.
-    faulty: bool
-    messages_dropped: int
-    messages_delayed: int
-
-    def mute(self, endpoint: str) -> None: ...
-
-    def unmute(self, endpoint: str) -> None: ...
-
-    def set_loss(self, endpoint: str, probability: float) -> None: ...
-
-    def set_delay(self, endpoint: str, delay: float) -> None: ...
-
-    def clear_endpoint(self, endpoint: str) -> None: ...
-
-    def partition(self, name: str, groups: Sequence[Sequence[str]]) -> None: ...
-
-    def heal(self, name: Optional[str] = None) -> None: ...
-
-    def partitions(self) -> Tuple[str, ...]: ...
-
-    def reachable(self, a: str, b: str) -> bool: ...
-
-    def deliver(self, src: str, dst: str, now: float) -> Optional[float]: ...
 
 
 class FaultFabric:

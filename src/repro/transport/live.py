@@ -1,7 +1,7 @@
 """Live cluster mode: MDS and Monitor nodes as asyncio tasks on real sockets.
 
 This is the "one step more real" execution mode behind the unified
-:class:`~repro.transport.base.Transport` API. Every metadata server and
+:class:`~repro.transport.base.FaultFabric` fault surface. Every metadata server and
 Monitor replica is an asyncio task with its own listening socket on the
 :class:`~repro.transport.asyncio_net.AsyncioTransport`; clients (the load
 generator, ``repro.transport.loadgen``) speak the framed, schema-versioned

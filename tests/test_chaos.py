@@ -8,11 +8,12 @@ from repro.chaos import (
     CHAOS_HEARTBEAT_INTERVAL,
     CHAOS_HEARTBEAT_TIMEOUT,
     CHAOS_LEASE_TIMEOUT,
+    ChaosReport,
+    CorpusCase,
     _check_invariants,
     _quiesce,
     generate_plan,
     run_case,
-    run_chaos,
 )
 from repro.core import D2TreeScheme
 from repro.placement import DEAD_CAPACITY
@@ -131,21 +132,38 @@ def test_invariants_flag_injected_corruption(workload):
 # End-to-end cases
 # ----------------------------------------------------------------------
 def test_run_case_clean_and_reproducible(workload):
-    case = run_case("d2-tree", workload, 4, seed=5, num_monitors=3)
+    plan = generate_plan(5, len(workload.trace), 4, 3)
+    case = run_case("d2-tree", workload, 4, 5, plan, num_monitors=3)
     assert case.ok and case.violations == []
     assert case.operations + case.failed_operations == len(workload.trace)
-    assert case.specs == generate_plan(5, len(workload.trace), 4, 3).to_specs()
-    again = run_case("d2-tree", workload, 4, seed=5, num_monitors=3)
+    assert case.specs == plan.to_specs()
+    again = run_case("d2-tree", workload, 4, 5, plan, num_monitors=3)
     assert case.to_dict() == again.to_dict()
-    assert case.replay_args()[::2] == ["--fault"] * len(case.specs)
 
 
-def test_run_chaos_aggregates_cases(workload):
-    report = run_chaos("d2-tree", workload, 4, seeds=range(2), num_monitors=3)
-    assert len(report.cases) == 2
+def test_run_chaos_aggregates_cases():
+    """What `repro chaos` does: one recipe, one case per seed; a case with
+    no explicit faults draws workload and schedule from its own seed."""
+    recipe = CorpusCase(
+        scheme="d2-tree", trace="lmbe", nodes=900, scale=5e-5, seed=0,
+        num_servers=4, num_monitors=3, faults=[], ops=400,
+    )
+    report = ChaosReport(recipe)
+    for seed in range(2):
+        case = dataclasses.replace(recipe, seed=seed)
+        assert case.workload().profile.seed == seed
+        assert len(case.workload().trace) == 400
+        assert case.plan().to_specs() == generate_plan(seed, 400, 4, 3).to_specs()
+        report.cases.append(case.run_sim(history=False))
+        assert report.cases[-1].specs == case.plan().to_specs()
+        assert report.cases[-1].history is None
+    assert [c.seed for c in report.cases] == [0, 1]
+    assert report.cases[0].specs != report.cases[1].specs
     assert report.ok == all(c.ok for c in report.cases)
     payload = report.to_dict()
     assert payload["seeds"] == 2 and len(payload["cases"]) == 2
+    assert (payload["scheme"], payload["trace"]) == ("d2-tree", "lmbe")
+    assert (payload["num_servers"], payload["num_monitors"]) == (4, 3)
 
 
 def test_explicit_plan_overrides_generation(workload):

@@ -334,33 +334,46 @@ def test_simulate_trace_sample_keeps_columnar_output_identical(
     assert sampled == plain
 
 
-def test_chaos_replay_line_is_a_valid_simulate_command(monkeypatch, capsys):
+@pytest.mark.parametrize("verb", [["chaos"], ["hunt", "--no-shrink"]],
+                         ids=["chaos", "hunt"])
+def test_replay_line_reproduces_the_verdict(verb, monkeypatch, capsys):
+    """Every verdict prints one `repro chaos ...` line, and running that
+    line reproduces it: same exit code, same violation text. The planted
+    violation fingerprints the run, so a replay that rebuilt a different
+    workload or schedule would report a different string."""
     import shlex
 
     from repro.chaos import harness
-    from repro.cli import parse_fault_plan
 
-    monkeypatch.setattr(
-        harness, "_check_invariants", lambda sim, result: ["planted violation"]
-    )
-    code = main([
-        "chaos", "--trace", "lmbe", "--nodes", "600", "--scale", "5e-5",
+    def fingerprint(sim, result):
+        return [
+            f"planted: ops={result.operations} "
+            f"retries={result.availability.retries} "
+            f"epoch={sim.monitor.epoch} dropped={sim.network.messages_dropped}"
+        ]
+
+    monkeypatch.setattr(harness, "_check_invariants", fingerprint)
+
+    def verdict(argv):
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        planted = [line for line in err if "planted: " in line]
+        replays = [l.split("replay: ", 1)[1] for l in err if "replay: " in l]
+        return code, planted, replays
+
+    code, planted, replays = verdict([
+        *verb, "--trace", "lmbe", "--nodes", "600", "--scale", "5e-5",
         "--servers", "4", "--seeds", "1", "--seed-base", "3", "--ops", "120",
         "--store", "wal",
     ])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "planted violation" in err
-    replay = next(
-        line.split("replay: ", 1)[1]
-        for line in err.splitlines() if "replay: " in line
-    )
-    argv = shlex.split(replay)
-    assert argv[:2] == ["repro", "simulate"]
+    assert code == 1 and len(planted) == 1 and len(replays) == 1
+    argv = shlex.split(replays[0])
+    assert argv[:2] == ["repro", "chaos"]
     args = build_parser().parse_args(argv[1:])  # SystemExit on a stale flag
-    assert (args.seed, args.max_ops, args.store) == (3, 120, "wal")
-    assert (args.servers, args.monitors) == (4, 3)
-    assert len(parse_fault_plan(args)) == argv.count("--fault") > 0
+    assert (args.seed_base, args.seeds, args.ops) == (3, 1, 120)
+    assert (args.servers, args.monitors, args.store) == (4, 3, "wal")
+    assert args.history and len(args.fault) == argv.count("--fault") > 0
+    assert verdict(argv[1:]) == (1, planted, replays)
 
 
 @pytest.mark.parametrize("argv", [

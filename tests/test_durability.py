@@ -144,8 +144,9 @@ def test_damage_on_already_dead_server_is_repaired_on_rejoin(workload):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("store", ["wal"])
 def test_chaos_case_with_durable_store_is_clean(workload, store, tmp_path):
+    plan = generate_plan(11, len(workload.trace), 5, 3, durability=True)
     case = run_case(
-        "d2-tree", workload, 5, seed=11, store=store,
+        "d2-tree", workload, 5, 11, plan, store=store,
         store_dir=str(tmp_path / store),
     )
     assert case.violations == []
@@ -158,7 +159,8 @@ def test_chaos_case_with_durable_store_is_clean(workload, store, tmp_path):
 
 
 def test_chaos_case_memory_store_omits_durability(workload):
-    case = run_case("d2-tree", workload, 5, seed=3)
+    plan = generate_plan(3, len(workload.trace), 5, 3)
+    case = run_case("d2-tree", workload, 5, 3, plan)
     assert case.violations == []
     assert case.durability is None
     payload = case.to_dict()

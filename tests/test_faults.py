@@ -11,7 +11,7 @@ from repro.baselines import (
     HashScheme,
     StaticSubtreeScheme,
 )
-from repro.cluster import Monitor, fail_server, rejoin_server
+from repro.cluster import MonitorGroup, fail_server, rejoin_server
 from repro.cluster.messages import Heartbeat
 from repro.core import D2TreeScheme
 from repro.placement import DEAD_CAPACITY
@@ -182,7 +182,9 @@ def test_monitor_reports_each_failure_once():
     tree = build_random_tree(100, seed=5)
     scheme = D2TreeScheme()
     placement = scheme.partition(tree, 3)
-    monitor = Monitor(scheme, tree, placement, heartbeat_timeout=1.0)
+    monitor = MonitorGroup(
+        scheme, tree, placement, replicas=1, heartbeat_timeout=1.0
+    )
     for sid in range(3):
         monitor.on_heartbeat(Heartbeat(sid, 0.0, 0.0, 0.0))
     monitor.on_heartbeat(Heartbeat(0, 5.0, 0.0, 0.0))
@@ -204,8 +206,8 @@ def test_monitor_detects_never_heartbeated_member():
     tree = build_random_tree(100, seed=5)
     scheme = D2TreeScheme()
     placement = scheme.partition(tree, 3)
-    monitor = Monitor(
-        scheme, tree, placement, heartbeat_timeout=1.0,
+    monitor = MonitorGroup(
+        scheme, tree, placement, replicas=1, heartbeat_timeout=1.0,
         expected_servers=range(3),
     )
     monitor.on_heartbeat(Heartbeat(0, 0.1, 0.0, 0.0))

@@ -14,8 +14,9 @@ import json
 
 import pytest
 
-from repro.chaos import CorpusCase, load_corpus, replay_case_sim, run_hunt
+from repro.chaos import CorpusCase, load_corpus, run_hunt
 from repro.chaos.shrink import shrink_plan
+from repro.cli import main
 from repro.simulation import FaultPlan
 from repro.storage.base import MetadataStore
 
@@ -136,18 +137,23 @@ def lossy_recovery(monkeypatch):
     monkeypatch.setattr(MetadataStore, "recover_server", lossy_recover)
 
 
+def _recipe(store="memory"):
+    return CorpusCase(
+        scheme="d2-tree", trace="lmbe", nodes=900, scale=5e-5, seed=0,
+        num_servers=6, num_monitors=3, faults=[], ops=400, store=store,
+    )
+
+
 def _hunt(tmp_path, sub="a"):
     store_dir = tmp_path / f"store-{sub}"
     store_dir.mkdir()
     return run_hunt(
-        "d2-tree", "lmbe", nodes=900, scale=5e-5,
-        seeds=[3], ops=400, num_servers=6, num_monitors=3,
-        store="wal", store_dir=str(store_dir), max_probes=150,
+        _recipe("wal"), [3], store_dir=str(store_dir), max_probes=150,
     )
 
 
 def test_hunt_finds_shrinks_and_replays_planted_bug(
-    lossy_recovery, tmp_path
+    lossy_recovery, tmp_path, capsys
 ):
     report = _hunt(tmp_path)
     assert len(report.findings) == 1
@@ -163,17 +169,21 @@ def test_hunt_finds_shrinks_and_replays_planted_bug(
 
     # The minimized corpus case reproduces the violation on its own.
     assert finding.minimized is not None
-    replayed = replay_case_sim(
-        finding.minimized, store_dir=str(tmp_path / "replay")
-    )
+    replayed = finding.minimized.run_sim(str(tmp_path / "replay"))
     assert any("durability" in v for v in replayed.violations)
 
     # And carries the exact CLI replay command.
     assert finding.replay.startswith("repro chaos ")
     assert "--history" in finding.replay
     assert "--fault" in finding.replay
+    assert finding.replay == finding.minimized.replay_command()
     for spec in finding.minimized.faults:
         assert spec in finding.replay
+    # ... which, run as printed, reproduces the minimized verdict.
+    assert main(finding.replay.split()[1:]) == 1
+    err = capsys.readouterr().err
+    for violation in replayed.violations:
+        assert f"  - {violation}" in err
 
 
 def test_hunt_is_byte_identical_across_runs(lossy_recovery, tmp_path):
@@ -199,29 +209,23 @@ def test_promote_writes_a_loadable_corpus_case(lossy_recovery, tmp_path):
 
 
 def test_hunt_reports_clean_seed_without_plant(tmp_path):
-    report = run_hunt(
-        "d2-tree", "lmbe", nodes=900, scale=5e-5,
-        seeds=[3], ops=400, num_servers=6, num_monitors=3,
-    )
+    report = run_hunt(_recipe(), [3])
     assert report.ok
     case = report.cases[0]
     assert case.shrink is None and case.minimized is None
     assert case.history["ok"] == case.operations
     assert case.replay.startswith("repro chaos ")
+    # An unshrunk case spells its generated schedule out.
+    assert case.specs and case.replay.count("--fault") == len(case.specs)
     assert report.coverage  # generated schedule exercised some fault kinds
 
 
 def test_hunt_records_sut_crash_as_finding(monkeypatch, tmp_path):
-    import repro.chaos.hunt as hunt_mod
-
-    def exploding_run_case(*args, **kwargs):
+    def exploding_run_sim(*args, **kwargs):
         raise RuntimeError("simulator went down")
 
-    monkeypatch.setattr(hunt_mod, "run_case", exploding_run_case)
-    report = run_hunt(
-        "d2-tree", "lmbe", nodes=900, scale=5e-5,
-        seeds=[0], ops=400, shrink=False,
-    )
+    monkeypatch.setattr(CorpusCase, "run_sim", exploding_run_sim)
+    report = run_hunt(_recipe(), [0], shrink=False)
     assert len(report.findings) == 1
     assert report.findings[0].violations == [
         "crash: RuntimeError: simulator went down"

@@ -401,15 +401,3 @@ def test_jsonl_exporter_writes_summary_and_appends(tmp_path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["kind"] for r in records].count("run") == 2
     assert [r["kind"] for r in records].count("summary") == 2
-
-
-def test_prometheus_exporter_flushes_on_exception(tmp_path):
-    from repro.obs import PrometheusExporter
-
-    telemetry = Telemetry()
-    telemetry.registry.counter("ops", help="ops").inc(3)
-    prom = tmp_path / "metrics.prom"
-    with pytest.raises(RuntimeError):
-        with PrometheusExporter(telemetry, str(prom)):
-            raise RuntimeError("mid-run crash")
-    assert "repro_ops_total 3" in prom.read_text()

@@ -5,7 +5,6 @@ import pytest
 from repro.baselines import HashScheme, StaticSubtreeScheme
 from repro.core import D2TreeScheme
 from repro.simulation import (
-    ClientPool,
     ClusterSimulator,
     ResourceTimeline,
     SimNetwork,
@@ -44,31 +43,6 @@ def test_timeline_utilization():
     timeline.serve(0.0, 2.0)
     assert timeline.utilization(4.0) == pytest.approx(0.5)
     assert timeline.utilization(0.0) == 0.0
-
-
-def test_client_pool_closed_loop():
-    pool = ClientPool(2)
-    ready, cid = pool.next_ready()
-    assert ready == 0.0
-    pool.complete(cid, 5.0)
-    ready2, cid2 = pool.next_ready()
-    assert ready2 == 0.0  # the other client
-    pool.complete(cid2, 3.0)
-    ready3, cid3 = pool.next_ready()
-    assert ready3 == 3.0 and cid3 == cid2
-
-
-def test_client_pool_think_time():
-    pool = ClientPool(1, think_time=1.0)
-    _ready, cid = pool.next_ready()
-    pool.complete(cid, 2.0)
-    ready, _ = pool.next_ready()
-    assert ready == 3.0
-
-
-def test_client_pool_validation():
-    with pytest.raises(ValueError):
-        ClientPool(0)
 
 
 def test_network_model():

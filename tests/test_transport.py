@@ -13,7 +13,7 @@ import asyncio
 import pytest
 
 from repro.simulation.network import SimNetwork
-from repro.transport import CLIENT_ADDR, Transport, mds_addr, mon_addr
+from repro.transport import CLIENT_ADDR, FaultFabric, mds_addr, mon_addr
 from repro.transport.asyncio_net import AsyncioTransport
 from repro.transport.wire import encode_frame, read_frame
 
@@ -36,11 +36,11 @@ PING = {"v": 1, "type": "ping", "n": 1}
 
 
 # ----------------------------------------------------------------------
-# Protocol conformance
+# One fault fabric under both transports
 # ----------------------------------------------------------------------
 def test_both_implementations_satisfy_transport():
-    assert isinstance(SimNetwork(), Transport)
-    assert isinstance(AsyncioTransport(), Transport)
+    assert isinstance(SimNetwork(), FaultFabric)
+    assert isinstance(AsyncioTransport(), FaultFabric)
 
 
 def test_addr_helpers():

@@ -21,10 +21,6 @@ from repro.cluster.messages import (
     ClientRequest,
     Directive,
     Heartbeat,
-    OperationOutcome,
-    RoutePlan,
-    Visit,
-    VisitKind,
     from_wire,
     to_wire,
 )
@@ -50,13 +46,6 @@ info_values = st.one_of(
     st.lists(st.one_of(st.booleans(), ints, finite, texts), max_size=4),
 )
 
-visits = st.builds(Visit, server=ints, kind=st.sampled_from(VisitKind))
-route_plans = st.builds(
-    RoutePlan,
-    visits=st.lists(visits, max_size=8),
-    fanout=st.lists(ints, max_size=8),
-    lock_key=texts,
-)
 heartbeats = st.builds(
     Heartbeat, server=ints, time=finite, load=finite,
     relative_capacity=finite,
@@ -68,11 +57,6 @@ directives = st.builds(
     server=ints,
     t=finite,
     info=st.lists(st.tuples(texts, info_values), max_size=4).map(tuple),
-)
-outcomes = st.builds(
-    OperationOutcome,
-    start=finite, completion=finite, jumps=ints,
-    redirected=st.booleans(), was_update=st.booleans(),
 )
 client_requests = st.builds(
     ClientRequest, op_id=ints, path=texts, op=texts, client_id=ints,
@@ -86,11 +70,8 @@ client_replies = st.builds(
 #: One strategy per entry in WIRE_TYPES; the completeness test below fails
 #: if a new message type lands without a round-trip strategy here.
 MESSAGE_STRATEGIES = {
-    "visit": visits,
-    "route_plan": route_plans,
     "heartbeat": heartbeats,
     "directive": directives,
-    "operation_outcome": outcomes,
     "client_request": client_requests,
     "client_reply": client_replies,
 }
@@ -200,9 +181,6 @@ def test_a_missing_field_is_a_value_error(message, data):
     (Heartbeat(0, 0.0, 0.0, 1.0), "server", None),
     (Heartbeat(0, 0.0, 0.0, 1.0), "load", "heavy"),
     (Heartbeat(0, 0.0, 0.0, 1.0), "time", []),
-    (RoutePlan(), "visits", [[0]]),
-    (RoutePlan(), "visits", 3),
-    (Visit(0, VisitKind.ENTRY), "kind", "no-such-kind"),
 ])
 def test_a_mistyped_field_is_a_value_error(message, field, value):
     wire = to_wire(message)
@@ -302,8 +280,8 @@ def test_torn_header_raises_frame_error():
 
 
 def test_torn_body_raises_frame_error():
-    frame = encode_frame({"v": WIRE_VERSION, "type": "visit",
-                          "server": 1, "kind": "entry"})
+    frame = encode_frame({"v": WIRE_VERSION, "type": "heartbeat",
+                          "server": 1, "time": 0.5})
     with pytest.raises(FrameError, match="frame body"):
         _read_one(frame[:-3])
 
@@ -342,7 +320,7 @@ def test_good_frame_then_torn_tail_fails_only_the_tail():
     # the reader hands back the complete frame, then reports the tear.
     from repro.transport.wire import read_frame
 
-    good = {"v": WIRE_VERSION, "type": "visit", "server": 1, "kind": "entry"}
+    good = {"v": WIRE_VERSION, "type": "heartbeat", "server": 1, "time": 0.5}
     frame = encode_frame(good)
 
     async def go():
