@@ -131,7 +131,15 @@ class RoutePlan:
 
 @dataclass(frozen=True)
 class Heartbeat:
-    """Periodic load report from an MDS to the Monitor (Sec. IV-B)."""
+    """Periodic load report from an MDS to the Monitor (Sec. IV-B).
+
+    The Monitor (``MonitorGroup.on_heartbeat``) consumes ``server`` and
+    ``time`` only — liveness and re-admission. Adjustment reads loads from
+    the placement, never from a beat, so ``load`` and ``relative_capacity``
+    are carried for the record: the simulator fills ``relative_capacity``
+    on the rounds a span or telemetry event records, and sends 0.0
+    otherwise rather than sum every node's load for a field nobody reads.
+    """
 
     server: int
     time: float

@@ -118,63 +118,50 @@ class PathTable:
 
 
 class NodeArena:
-    """Array-backed (structure-of-arrays) view of one tree snapshot.
+    """Column (id-indexed) view of one tree snapshot's Def. 2 aggregation.
 
     Where :class:`PathTable` interns *paths* for route planning, the arena
-    lays the tree's structural facts out as parallel ``array`` columns keyed
-    by dense node id — the form batch engines want for per-node load
-    accounting without touching one Python object per node per op:
+    is the form batch engines want for per-node accounting without walking
+    the object graph: the **recorded aggregation order** — the exact
+    child→parent addition sequence of
+    :meth:`NamespaceTree.aggregate_popularity`, captured symbolically at
+    build time — plus one lazily built column derived from it:
 
-    * ``parent_id`` / ``depth`` / ``is_dir`` — structural columns,
-    * ``owner`` — a writable scratch column (server id per node, init ``-1``)
-      engines may fill from their placement view,
     * :meth:`zero_loads` — a fresh per-node float load-counter window,
-    * :meth:`aggregate_popularity` — Def. 2 aggregation over the columns.
+    * :meth:`aggregate_popularity` — Def. 2 aggregation read from and
+      written to the node objects,
+    * :meth:`blend_popularity` — one adjustment round's blend +
+      aggregation over a caller-owned ``p'_j`` column, written back to
+      the node objects in a single pass,
+    * :meth:`subtree_sizes` — nodes per subtree, by id.
 
-    Aggregation replays the exact child→parent addition sequence of
-    :meth:`NamespaceTree.aggregate_popularity` (recorded symbolically at
-    build time), so the float sums it produces are bit-identical to the
-    object-walking version — same addends, same order. Like the path table,
-    an arena is valid for one ``structure_version`` and is re-issued by
-    :meth:`NamespaceTree.arena` after any structural mutation; popularity
-    updates do not invalidate it.
+    Replaying the recorded sequence performs the same float additions in
+    the same order as the object walk, so the sums are bit-identical to
+    it. Like the path table, an arena is valid for one
+    ``structure_version`` and is re-issued by :meth:`NamespaceTree.arena`
+    after any structural mutation; popularity updates do not invalidate
+    it. It is shared by every reader of the tree, so per-run state (a
+    simulator's popularity column) stays with the caller.
     """
 
     __slots__ = (
         "tree",
         "version",
         "size",
-        "parent_id",
-        "depth",
-        "is_dir",
-        "owner",
         "_agg_child",
         "_agg_parent",
+        "_subtree_sizes",
     )
 
     def __init__(self, tree: "NamespaceTree") -> None:
         self.tree = tree
         self.version = tree.structure_version
-        size = len(tree._nodes)
-        self.size = size
-        parent_id = array("q", bytes(8 * size))  # zero-filled
-        depth = array("q", bytes(8 * size))
-        is_dir = array("b", bytes(size))
-        parent_id[0] = -1
-        # One top-down walk fills the structural columns; one symbolic replay
-        # of the aggregation stack records the child->parent addition order
-        # (registration order is NOT topological after move_node).
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            nid = node.node_id
-            is_dir[nid] = 1 if node.is_directory else 0
-            child_depth = depth[nid] + 1
-            for child in node.children:
-                cid = child.node_id
-                parent_id[cid] = nid
-                depth[cid] = child_depth
-                stack.append(child)
+        self.size = len(tree._nodes)
+        # One symbolic replay of the aggregation stack records the
+        # child->parent addition order (registration order is NOT
+        # topological after move_node). Packed arrays, not lists: the
+        # replay then reads ids from contiguous memory instead of chasing
+        # a pointer per id to int objects scattered among the nodes.
         agg_child = array("q")
         agg_parent = array("q")
         agg_stack: List[Tuple[MetadataNode, bool]] = [(tree.root, False)]
@@ -188,14 +175,9 @@ class NodeArena:
                 agg_stack.append((node, True))
                 for child in node.children:
                     agg_stack.append((child, False))
-        self.parent_id = parent_id
-        self.depth = depth
-        self.is_dir = is_dir
-        self.owner = array("q", bytes(8 * size))
-        for i in range(size):
-            self.owner[i] = -1
         self._agg_child = agg_child
         self._agg_parent = agg_parent
+        self._subtree_sizes: Optional[List[int]] = None
 
     def __len__(self) -> int:
         return self.size
@@ -203,6 +185,17 @@ class NodeArena:
     def zero_loads(self) -> List[float]:
         """A fresh per-node load-counter window (indexed by node id)."""
         return [0.0] * self.size
+
+    def individual_popularity(self) -> List[float]:
+        """The nodes' current ``p'_j`` as an id-indexed column."""
+        return [node.individual_popularity for node in self.tree._nodes]
+
+    def _totals(self, individual: List[float]) -> List[float]:
+        """Def. 2 totals ``p_j`` of an id-indexed ``p'_j`` column."""
+        totals = list(individual)
+        for cid, pid in zip(self._agg_child, self._agg_parent):
+            totals[pid] += totals[cid]
+        return totals
 
     def aggregate_popularity(self) -> None:
         """Recompute ``p_j`` for every node via the column replay.
@@ -213,13 +206,49 @@ class NodeArena:
         ``popularity == individual_popularity`` exactly as the object walk
         leaves them.
         """
-        nodes = self.tree._nodes
-        pop = [node.individual_popularity for node in nodes]
-        for cid, pid in zip(self._agg_child, self._agg_parent):
-            pop[pid] += pop[cid]
-        for nid, node in enumerate(nodes):
-            node.popularity = pop[nid]
+        totals = self._totals(self.individual_popularity())
+        for node, total in zip(self.tree._nodes, totals):
+            node.popularity = total
         self.tree._popularity_dirty = False
+
+    def blend_popularity(
+        self, individual: List[float], observed: List[float], blend: float
+    ) -> List[float]:
+        """One adjustment round's popularity update, on columns.
+
+        ``individual`` is the caller's id-indexed ``p'_j`` column and
+        ``observed`` the window's per-node access counts. Returns the new
+        column ``(1 - blend) * p'_j + blend * observed_j`` — the float
+        expression of the object loop it replaces, so bit-equal to it —
+        with the Def. 2 totals aggregated over it and both written back to
+        ``MetadataNode.individual_popularity`` / ``.popularity`` in one
+        pass: the schemes' ``rebalance`` reads them there. Removed nodes
+        keep their estimate, as iterating the tree skips them.
+        """
+        keep = 1 - blend
+        blended = [keep * p + blend * o for p, o in zip(individual, observed)]
+        for nid in self.tree._removed:
+            blended[nid] = individual[nid]
+        totals = self._totals(blended)
+        for node, p, total in zip(self.tree._nodes, blended, totals):
+            node.individual_popularity = p
+            node.popularity = total
+        self.tree._popularity_dirty = False
+        return blended
+
+    def subtree_sizes(self) -> List[int]:
+        """Nodes per subtree (root included), indexed by node id.
+
+        Equal to :meth:`MetadataNode.subtree_size` for every live node;
+        built on first use by one pass over the recorded order.
+        """
+        sizes = self._subtree_sizes
+        if sizes is None:
+            sizes = [1] * self.size
+            for cid, pid in zip(self._agg_child, self._agg_parent):
+                sizes[pid] += sizes[cid]
+            self._subtree_sizes = sizes
+        return sizes
 
 
 class NamespaceTree:
@@ -401,7 +430,7 @@ class NamespaceTree:
         return table
 
     def arena(self) -> NodeArena:
-        """The array-backed node store for the tree's current structure.
+        """The aggregation-order column view of the tree's current structure.
 
         Cached until the next structural mutation; see :class:`NodeArena`.
         """

@@ -70,11 +70,28 @@ class D2TreePlacement(Placement):
 
     def place_subtree(self, root: MetadataNode, server: int) -> None:
         """Assign an entire local-layer subtree to ``server``."""
+        self._check_server(server)
         self.subtree_owner[root] = server
         self.index_version += 1
-        self.assign(root, server)
+        self._assign_subtree(root, server)
+
+    def _assign_subtree(self, root: MetadataNode, server: int) -> int:
+        """``assign`` every node of a subtree; returns how many.
+
+        What a reader can observe — the dict insertion order of
+        not-yet-placed descendants, the final ``version`` — is that of an
+        ``assign()`` call per node; the server is the caller's to check,
+        once, and the nodes share one ``(server,)`` tuple.
+        """
+        owner = (server,)
+        servers_of = self._servers_of
+        servers_of[root] = owner
+        count = 1
         for node in root.descendants():
-            self.assign(node, server)
+            servers_of[node] = owner
+            count += 1
+        self.version += count
+        return count
 
     def promote_subtree(self, root: MetadataNode) -> List[MetadataNode]:
         """Move a local-layer subtree root into the global layer (Sec. IV-A).
@@ -169,13 +186,9 @@ class D2TreePlacement(Placement):
         """Migrate a subtree to ``server``; returns the number of nodes moved."""
         if root not in self.subtree_owner:
             raise KeyError(f"{root.path!r} is not a local-layer subtree root")
-        moved = 1
+        self._check_server(server)
         self.subtree_owner[root] = server
-        self.assign(root, server)
-        for node in root.descendants():
-            self.assign(node, server)
-            moved += 1
-        return moved
+        return self._assign_subtree(root, server)
 
     # ------------------------------------------------------------------
     # Queries

@@ -233,12 +233,16 @@ class ClusterSimulator:
         )
         self.availability = self.control.availability
         self.durability = self.control.durability
-        self._window_counts: Dict[str, float] = {}
         # Snapshot popularity so a run never leaks adjusted estimates into
         # the shared workload (simulations must be independent).
         self._initial_popularity = [
             node.individual_popularity for node in self.tree
         ]
+        #: The tree's arena and the id-indexed ``p'_j`` estimate column of
+        #: the current ``run()`` (see ``_adjust``). The column is this
+        #: simulator's, never the arena's: many simulators share one tree.
+        self._arena = None
+        self._individual: List[float] = []
         # Telemetry wiring: lock contention, adjustment rounds and the
         # sim-time gauge sampler all hang off one Telemetry per run. A
         # scheme's adjuster is shared state, so it is re-pointed (or
@@ -336,42 +340,51 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Adjustment (heartbeat-driven, mid-replay)
     # ------------------------------------------------------------------
-    def _adjust(self, now: float = 0.0) -> None:
+    def _adjust(self, now: float, window: List[float]) -> None:
+        """One adjustment round (Sec. IV-B), shared by both replay engines.
+
+        ``window`` holds the per-node access counts since the last round,
+        indexed by node id. The popularity estimates live in an id-indexed
+        ``p'_j`` column for the length of a run: blending and Def. 2
+        aggregation are list passes (the arena replays the object walk's
+        addition order exactly), written back to the node objects once per
+        round because the schemes' ``rebalance`` reads them there.
+        """
         self.telemetry.set_time(now)
-        blend = self.config.popularity_blend
-        for node in self.tree:
-            observed = self._window_counts.get(node.path, 0.0)
-            node.individual_popularity = (
-                (1 - blend) * node.individual_popularity + blend * observed
-            )
-        self.tree.aggregate_popularity()
-        self._window_counts.clear()
+        self._individual = self._arena.blend_popularity(
+            self._individual, window, self.config.popularity_blend
+        )
+        # Eq. 2 server loads are a whole-tree sum that only the records of
+        # the round (span, telemetry event) consume: the Monitor keeps a
+        # heartbeat's server and time, nothing else. Unobserved rounds skip
+        # the sum and report 0.0.
+        observed = self.spans is not None or self.telemetry.enabled
+        mu = 0.0
+        if observed:
+            loads = self.placement.loads()
+            capacities = self.placement.capacities
+            total_cap = sum(capacities)
+            mu = sum(loads) / total_cap if total_cap > 0 else 0.0
         # Heartbeats (Sec. IV-B): every live MDS reports its decayed load
         # level and relative capacity to the Monitor, which runs the
         # adjustment. Dead and heartbeat-muted servers stay silent — their
         # absence is what failure detection keys off.
-        loads = self.placement.loads()
-        total_cap = sum(self.placement.capacities)
-        mu = sum(loads) / total_cap if total_cap > 0 else 0.0
         net = self.network
         leader_addr = self.monitor.leader_addr
         for server in self.servers:
             if not server.alive:
                 continue
+            sid = server.server_id
             # Load reports traverse the real network: mutes
             # (drop_heartbeats), partitions and loss all silence them
             # through the one shared code path.
             if net.faulty:
-                arrival = net.deliver(mds_addr(server.server_id), leader_addr, now)
+                arrival = net.deliver(mds_addr(sid), leader_addr, now)
                 if arrival is None:
                     continue
             load = server.load_report(now)
-            relative = loads[server.server_id] - mu * self.placement.capacities[
-                server.server_id
-            ]
-            self.monitor.on_heartbeat(
-                Heartbeat(server.server_id, now, load, relative)
-            )
+            relative = loads[sid] - mu * capacities[sid] if observed else 0.0
+            self.monitor.on_heartbeat(Heartbeat(sid, now, load, relative))
         moves = self.monitor.rebalance(now)
         self.migrations += len(moves)
         self._charge_migrations(moves)
@@ -386,11 +399,7 @@ class ClusterSimulator:
             ).inc(len(moves))
 
     def _record_adjust_spans(self, now: float, moves: int, mu: float) -> None:
-        """Adjustment-round lifecycle spans (aggregate -> plan -> migrate).
-
-        Shared by both engines' adjustment paths so a sampled columnar run
-        emits the exact spans the per-op run does.
-        """
+        """Adjustment-round lifecycle spans (aggregate -> plan -> migrate)."""
         rec = self.spans
         if rec is None:
             return
@@ -417,8 +426,9 @@ class ClusterSimulator:
         if work <= 0:
             return
         budget = self._mig_budget
+        sizes = self.tree.arena().subtree_sizes()
         for move in moves:
-            cost = work * self._migration_size(move) * self.config.service_time
+            cost = work * self._migration_size(move, sizes) * self.config.service_time
             if self.servers[move.source].alive:
                 self.servers[move.source].cpu.serve_background(cost)
                 if budget is not None:
@@ -484,34 +494,44 @@ class ClusterSimulator:
         self._charge_migrations(moves)
         self._journal_moves(moves, now)
 
-    def _migration_size(self, move) -> int:
-        """Metadata nodes transferred by one migration."""
+    def _migration_size(self, move, sizes: List[int]) -> int:
+        """Metadata nodes transferred by one migration (``sizes`` is the
+        arena's subtree-size column)."""
         if isinstance(self.placement, D2TreePlacement):
-            return move.node.subtree_size()
+            return sizes[move.node.node_id]
         from repro.baselines.dynamic_subtree import DynamicSubtreePlacement
 
         if isinstance(self.placement, DynamicSubtreePlacement):
             # Exclusive zone: subtree minus nested zones.
-            size = move.node.subtree_size()
+            size = sizes[move.node.node_id]
             for other in self.placement.zone_of:
                 if other is not move.node and other.parent is not None:
                     walk = other.parent
                     while walk is not None and walk is not move.node:
                         walk = walk.parent
                     if walk is move.node:
-                        size -= other.subtree_size()
+                        size -= sizes[other.node_id]
             return max(1, size)
         return 1  # DROP/AngleCut migrate individual keys
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Replay the whole trace; returns throughput and latency stats."""
+        tree = self.tree
+        arena = self._arena = tree.arena()  # static structure mid-replay
+        self._individual = arena.individual_popularity()
         try:
             return self._run()
         finally:
-            for node, popularity in zip(self.tree.nodes, self._initial_popularity):
+            self._individual = []  # the column lives for one run
+            for node, popularity in zip(tree.nodes, self._initial_popularity):
                 node.individual_popularity = popularity
-            self.tree.aggregate_popularity()
+            # The arena replay is the object walk bit for bit, without the
+            # walk; a stale arena would skip nodes, so it must be current.
+            if arena.version == tree.structure_version:
+                arena.aggregate_popularity()
+            else:
+                tree.aggregate_popularity()
 
     def _run(self) -> SimulationResult:
         """Pick the replay engine (see ``SimulationConfig.simulate_engine``)."""
@@ -633,6 +653,8 @@ class ClusterSimulator:
         # keeps any batch size byte-identical to per-op dispatch.
         batch_window = max(1, int(cfg.batch_size))
         prefetched: List = []  # consumed back-to-front (reversed refill)
+        #: Per-node access counts since the last adjustment round.
+        window = self._arena.zero_loads()
         lookup = self.tree.lookup
         network = self.network
 
@@ -911,9 +933,7 @@ class ClusterSimulator:
                 )
             if completion > makespan:
                 makespan = completion
-            self._window_counts[op["path"]] = (
-                self._window_counts.get(op["path"], 0.0) + 1.0
-            )
+            window[op["node"].node_id] += 1.0
             completed += 1
             while (
                 ops_cursor < len(ops_faults)
@@ -922,7 +942,8 @@ class ClusterSimulator:
                 self.control.apply_fault(ops_faults[ops_cursor], completion)
                 ops_cursor += 1
             if cfg.adjust_every_ops and completed % cfg.adjust_every_ops == 0:
-                self._adjust(now=completion)
+                self._adjust(completion, window)
+                window = self._arena.zero_loads()
             dispatch(client, completion)
 
         self.control.close_unavailability(makespan)
@@ -1024,7 +1045,7 @@ class ClusterSimulator:
             rec_visit = rec.visit
             rec_finish = rec.finish
 
-        arena = tree.arena()  # static structure mid-replay
+        arena = self._arena
         window = arena.zero_loads()
 
         servers = self.servers
@@ -1173,7 +1194,7 @@ class ClusterSimulator:
                 # Rebalancing charges migration CPU on the real timeline
                 # objects, so the inlined columns sync out and back in.
                 sync_out()
-                self._adjust_columnar(completion, window, arena)
+                self._adjust(completion, window)
                 sync_in()
                 window = arena.zero_loads()
             # Inlined dispatch (see the seed loop above).
@@ -1241,43 +1262,6 @@ class ClusterSimulator:
             availability=self.availability,
             durability=None,
         )
-
-    def _adjust_columnar(self, now: float, window: List[float], arena) -> None:
-        """The eligible-run subset of :meth:`_adjust`.
-
-        Same popularity blend (identical float expression over the same
-        node order), same Def. 2 re-aggregation (the arena replays the
-        object walk's addition order exactly), same heartbeat load reports
-        to the Monitor, same rebalance + migration charging. The one
-        divergence is unobservable: per-visit decaying access counters are
-        not maintained (the hot loop skips ``record_access``), so the
-        heartbeat's decayed-load estimate is 0.0 — nothing fault-free
-        consumes it (rebalance reads tree popularity and placement only),
-        and the liveness bookkeeping (``last_seen``) is identical.
-        """
-        blend = self.config.popularity_blend
-        for node in self.tree:
-            observed = window[node.node_id]
-            node.individual_popularity = (
-                (1 - blend) * node.individual_popularity + blend * observed
-            )
-        arena.aggregate_popularity()
-        loads = self.placement.loads()
-        capacities = self.placement.capacities
-        total_cap = sum(capacities)
-        mu = sum(loads) / total_cap if total_cap > 0 else 0.0
-        for server in self.servers:
-            # Every server is alive and the network perfect (eligibility),
-            # so the per-op loop's liveness/delivery branches never fire.
-            load = server.load_report(now)
-            relative = loads[server.server_id] - mu * capacities[server.server_id]
-            self.monitor.on_heartbeat(
-                Heartbeat(server.server_id, now, load, relative)
-            )
-        moves = self.monitor.rebalance(now)
-        self.migrations += len(moves)
-        self._charge_migrations(moves)
-        self._record_adjust_spans(now, len(moves), mu)
 
     def close(self) -> None:
         """Release the durable store's files (idempotent)."""

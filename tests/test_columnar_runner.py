@@ -10,15 +10,26 @@ refuse loudly (``columnar``).
 """
 
 import dataclasses
+import pathlib
+import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import registry
 from repro.core.namespace import NamespaceTree
+from repro.placement import Placement
 from repro.simulation import FaultPlan, SimulationConfig
 from repro.simulation.runner import simulate
 from repro.traces import DatasetProfile, TraceGenerator, iter_op_batches
 from repro.traces.columns import OP_CODES
+from tests.test_mutation_properties import (
+    apply_mutations,
+    build_tree,
+    mutation_scripts,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +130,95 @@ def test_arena_matches_object_aggregation(random_tree):
     got = {n.path: n.popularity for n in random_tree}
     random_tree.aggregate_popularity()
     assert {n.path: n.popularity for n in random_tree} == got
+
+
+def _object_round(tree, window, blend):
+    """One round's popularity update the way the object walk does it: the
+    reference the column round must equal bit for bit."""
+    for node in tree:
+        node.individual_popularity = (
+            (1 - blend) * node.individual_popularity
+            + blend * window[node.node_id]
+        )
+    tree.aggregate_popularity()
+
+
+@given(
+    st.integers(min_value=0, max_value=500),
+    mutation_scripts,
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_column_round_matches_object_round(seed, script, blend):
+    """Blend + aggregate + write-back over the arena's columns leaves every
+    node — moved, removed or untouched — with exactly (``==``) the
+    ``individual_popularity`` / ``popularity`` the object loop and
+    ``NamespaceTree.aggregate_popularity`` give it, round after round, and
+    the size column is ``subtree_size()`` for every live node."""
+    tree = build_tree(seed, 40)
+    everyone = list(tree)  # id order; removed nodes stay in the comparison
+    apply_mutations(tree, script, seed)
+    arena = tree.arena()
+    rng = random.Random(seed)
+    windows = []
+    for _ in range(3):
+        window = arena.zero_loads()
+        for node in rng.choices(tree.nodes, k=12):
+            window[node.node_id] += 1.0
+        windows.append(window)
+
+    def snapshot():
+        return [(n.individual_popularity, n.popularity) for n in everyone]
+
+    start = [n.individual_popularity for n in everyone]
+    expected = []
+    for window in windows:
+        _object_round(tree, window, blend)
+        expected.append(snapshot())
+
+    for node, popularity in zip(everyone, start):
+        node.individual_popularity = popularity
+    column = arena.individual_popularity()
+    assert column == start
+    for window, want in zip(windows, expected):
+        column = arena.blend_popularity(column, window, blend)
+        assert snapshot() == want
+        assert column == [p for p, _ in want]
+
+    sizes = arena.subtree_sizes()
+    assert all(sizes[node.node_id] == node.subtree_size() for node in tree)
+
+
+def test_server_loads_summed_only_when_a_round_is_recorded(workload, monkeypatch):
+    """Eq. 2 loads (a whole-tree pass) feed only the round's span and
+    telemetry event: an untraced run never sums them, a traced one sums
+    them once per round, and the model output is the same either way."""
+    calls = []
+    real_loads = Placement.loads
+
+    def counting_loads(self, tree=None):
+        calls.append(self)
+        return real_loads(self, tree)
+
+    monkeypatch.setattr(Placement, "loads", counting_loads)
+    plain = _run(workload, "d2-tree", adjust_every_ops=700)
+    assert calls == []
+    traced = _run(workload, "d2-tree", adjust_every_ops=700, trace_sample=100)
+    rounds = traced.operations // 700
+    assert rounds >= 2 and len(calls) == rounds
+    assert plain.to_dict() == traced.to_dict()
+
+
+def test_one_adjustment_round_for_both_engines():
+    """Structural pin: the two replay loops share one ``_adjust``; neither
+    the columnar twin nor the per-op loop's path-keyed window comes back."""
+    source = (
+        pathlib.Path(__file__).resolve().parent.parent
+        / "src" / "repro" / "simulation" / "runner.py"
+    ).read_text()
+    assert len(re.findall(r"^ *def _adjust\b", source, re.M)) == 1
+    assert "_adjust_columnar" not in source
+    assert "_window_counts" not in source
 
 
 def test_iter_op_batches_roundtrip(workload):

@@ -129,6 +129,49 @@ def test_rebalance_on_balanced_cluster_is_quiet(random_tree):
     assert scheme.rebalance(random_tree, placement) == []
 
 
+def test_move_subtree_matches_an_assign_per_node(random_tree):
+    """``move_subtree`` writes the whole subtree in one pass; what readers
+    can observe — the placement dict's insertion order (late-created,
+    still unplaced descendants are inserted as ``descendants()`` meets
+    them) and the final ``version`` — is that of one ``assign()`` per node."""
+    placement = D2TreeScheme(global_layer_fraction=0.05).partition(random_tree, 4)
+    root = max(placement.subtree_owner, key=lambda r: r.subtree_size())
+    assert root.subtree_size() > 2
+    # Late-created nodes: unplaced until first touched.
+    late = [n for n in root.descendants() if not n.children][::2]
+    assert len(late) >= 2 and all(placement.forget(n) for n in reversed(late))
+    owner = placement.subtree_owner[root]
+    target = (owner + 1) % 4
+    before, version = dict(placement._servers_of), placement.version
+
+    assert placement.move_subtree(root, target) == root.subtree_size()
+    assert placement.subtree_owner[root] == target
+    assert all(
+        placement.servers_of(node) == (target,)
+        for node in root.descendants(include_self=True)
+    )
+    moved_order, moved_version = list(placement._servers_of), placement.version
+    assert moved_order[-len(late):] == late
+
+    placement._servers_of, placement.version = before, version
+    placement.subtree_owner[root] = owner
+    for node in root.descendants(include_self=True):
+        placement.assign(node, target)
+    assert list(placement._servers_of) == moved_order
+    assert placement.version == moved_version
+
+
+def test_move_subtree_bad_server_changes_nothing(random_tree):
+    scheme = D2TreeScheme(global_layer_fraction=0.05)
+    placement = scheme.partition(random_tree, 4)
+    root = next(iter(placement.subtree_owner))
+    owner, version = placement.subtree_owner[root], placement.version
+    with pytest.raises(ValueError):
+        placement.move_subtree(root, 4)
+    assert placement.subtree_owner[root] == owner
+    assert placement.version == version
+
+
 def test_move_subtree_unknown_root_rejected(random_tree):
     scheme = D2TreeScheme(global_layer_fraction=0.05)
     placement = scheme.partition(random_tree, 4)
