@@ -40,15 +40,16 @@ benign cross-server reordering can not produce false positives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set
 
 __all__ = ["HistoryEvent", "OpHistory", "audit_history"]
 
 
-@dataclass(frozen=True)
-class HistoryEvent:
-    """One recorded history event (see the module docstring for kinds)."""
+class HistoryEvent(NamedTuple):
+    """One recorded history event (see the module docstring for kinds).
+
+    A NamedTuple: both transports record two per operation.
+    """
 
     kind: str          # "invoke" | "ok" | "fail" | "indeterminate" | "wipe"
     op_id: int         # -1 for wipe events
@@ -59,10 +60,7 @@ class HistoryEvent:
     attempts: int = 0  # attempts burned before a terminal (fail/indet.)
 
     def to_tuple(self) -> tuple:
-        return (
-            self.kind, self.op_id, self.client, self.t,
-            self.server, self.epoch, self.attempts,
-        )
+        return tuple(self)
 
 
 #: Event kinds that terminate an operation (exactly one per invoke).
@@ -84,9 +82,7 @@ class OpHistory:
     def ok(
         self, op_id: int, client: int, t: float, server: int, epoch: int
     ) -> None:
-        self.events.append(
-            HistoryEvent("ok", op_id, client, t, server=server, epoch=epoch)
-        )
+        self.events.append(HistoryEvent("ok", op_id, client, t, server, epoch))
 
     def fail(self, op_id: int, client: int, t: float, attempts: int) -> None:
         self.events.append(

@@ -1,28 +1,55 @@
 """Message/record types exchanged in the cluster (simulated or live).
 
 The four types that cross a socket (:data:`WIRE_TYPES`: heartbeat,
-directive, client request, client reply) carry an explicit wire codec —
-:meth:`to_wire` producing a JSON-ready dict stamped with
-:data:`WIRE_VERSION` and a ``type`` tag, and :meth:`from_wire` validating
-and rebuilding the exact value. The codecs are the stable contract the live
-asyncio transport frames over sockets (see ``repro.transport.wire``); the
-simulator exchanges the same objects in-process.
+directive, client request, client reply) each have exactly one encoding.
+:meth:`to_wire` gives the message's *wire form* — a ``(tag, body)`` pair,
+the one-byte type tag of :data:`WIRE_TYPES` and the packed body — and
+:meth:`from_wire` validates a wire form and rebuilds the exact value.
+``repro.transport.wire`` frames a wire form as ``[u32 length][u8
+WIRE_VERSION][u8 tag][body]`` and checks the version byte on the way back
+in; the simulator exchanges the same objects in-process.
+
+Bodies (big-endian, no padding; text is UTF-8, its byte length in the
+header, the tails back to back in header order and filling the body
+exactly):
+
+================  ===  ===========================================  =====
+type              tag  fixed header                                 tails
+================  ===  ===========================================  =====
+``Heartbeat``       1  ``i32 server, f64 time, f64 load,            —
+                       f64 relative_capacity``
+``Directive``       2  — (the body is one compact JSON object:      —
+                       ``epoch, kind, server, t, info``)
+``ClientRequest``   3  ``i64 op_id, i32 client_id, u8 len(op),      ``op,
+                       u16 len(path)``                              path``
+``ClientReply``     4  ``i64 op_id, i32 server, i32 owner,          ``status,
+                       i64 epoch, u8 len(status), u16 len(root)``   root``
+================  ===  ===========================================  =====
+
+``Directive`` alone keeps a JSON body: its ``info`` is free-form, and it
+crosses the wire a few times a run, not once per request. A field that
+does not fit its width is a ``ValueError`` at encode time; a body that is
+short, long, mis-tagged, not UTF-8 or (for a directive) not the expected
+JSON object is a ``ValueError`` at decode time — frames are hostile input,
+and the transport drops a connection on exactly that error.
 ``from_wire(to_wire(msg)) == msg`` holds for every framed type
-(property-tested in ``tests/test_wire.py``), and a frame from an
-incompatible schema version is rejected at decode time rather than
-misparsed. ``Visit`` / ``RoutePlan`` are the route planner's in-process
-records and never framed.
+(property-tested, with arbitrary and bit-flipped frames, in
+``tests/test_wire.py``). ``Visit`` / ``RoutePlan`` are the route planner's
+in-process records and never framed.
 """
 
 from __future__ import annotations
 
 import enum
+import json
+import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Tuple
+from typing import Any, List, NamedTuple, Tuple
 
 __all__ = [
     "WIRE_VERSION",
     "WIRE_TYPES",
+    "Wire",
     "VisitKind",
     "Visit",
     "RoutePlan",
@@ -34,59 +61,54 @@ __all__ = [
     "from_wire",
 ]
 
-#: Schema version stamped into every wire dict. Bump on any incompatible
-#: field change; decoders reject mismatched versions outright (a live
-#: cluster never limps along half-parsing a newer peer's frames).
+#: Schema version, the first payload byte of every frame. Bump on any
+#: incompatible change; the frame decoder rejects a mismatched version
+#: outright (a live cluster never limps along half-parsing a newer peer's
+#: frames).
 #: Version 2: ``ClientReply`` carries the covering index entry (``root``)
 #: and ownership directives carry the two-layer index, not a full map.
-WIRE_VERSION = 2
+#: Version 3: the packed envelope and bodies above replace per-message JSON
+#: objects (a version-2 payload starts with ``{``, i.e. "version 123").
+WIRE_VERSION = 3
+
+#: A message's wire form: ``(type tag, packed body)``.
+Wire = Tuple[int, bytes]
+
+_HEARTBEAT = struct.Struct(">iddd")
+_REQUEST = struct.Struct(">qiBH")
+_REPLY = struct.Struct(">qiiqBH")
 
 
-def _wire_header(type_name: str) -> Dict[str, Any]:
-    return {"v": WIRE_VERSION, "type": type_name}
+def _unencodable(message, exc: Exception) -> ValueError:
+    return ValueError(
+        f"{type(message).__name__} field does not fit the wire layout: {exc}"
+    )
 
 
-def _check_wire(wire: Dict[str, Any], type_name: str) -> Dict[str, Any]:
-    """Validate the version/type envelope; returns ``wire`` for chaining."""
-    version = wire.get("v")
-    if version != WIRE_VERSION:
+def _malformed(cls, exc: Exception) -> ValueError:
+    return ValueError(f"malformed {cls.__name__} wire message: {exc!r}")
+
+
+def _body(cls, wire: Wire) -> bytes:
+    """The body of ``wire``, which must carry ``cls``'s tag."""
+    tag, body = wire
+    if tag != cls.TAG:
         raise ValueError(
-            f"wire schema version {version!r} is not supported "
-            f"(this build speaks version {WIRE_VERSION})"
+            f"expected a {cls.__name__} wire message (tag {cls.TAG}), "
+            f"got tag {tag!r}"
         )
-    actual = wire.get("type")
-    if actual != type_name:
+    return body
+
+
+def _tails(body: bytes, start: int, first: int, second: int) -> Tuple[str, str]:
+    """The two UTF-8 strings that must fill ``body`` from ``start`` on."""
+    middle = start + first
+    if middle + second != len(body):
         raise ValueError(
-            f"expected a {type_name!r} wire message, got {actual!r}"
+            f"length fields name {first}+{second} tail bytes, "
+            f"the body carries {len(body) - start}"
         )
-    return wire
-
-
-def _wire_decoder(type_name: str):
-    """Wrap a ``from_wire`` body: check the envelope first, and turn a
-    missing or mistyped field into the ``ValueError`` the transport drops
-    a connection on (frames are hostile input, not trusted peers)."""
-
-    def wrap(build):
-        def from_wire(cls, wire):
-            try:
-                _check_wire(wire, type_name)
-                return build(cls, wire)
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise ValueError(
-                    f"malformed {type_name!r} wire message: {exc!r}"
-                ) from None
-
-        from_wire.__doc__ = build.__doc__
-        return classmethod(from_wire)
-
-    return wrap
-
-
-def _text(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
+    return str(body[start:middle], "utf-8"), str(body[middle:], "utf-8")
 
 
 class VisitKind(enum.Enum):
@@ -146,22 +168,23 @@ class Heartbeat:
     load: float
     relative_capacity: float
 
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _wire_header("heartbeat")
-        wire["server"] = self.server
-        wire["time"] = self.time
-        wire["load"] = self.load
-        wire["relative_capacity"] = self.relative_capacity
-        return wire
+    TAG = 1
 
-    @_wire_decoder("heartbeat")
-    def from_wire(cls, wire: Dict[str, Any]) -> "Heartbeat":
-        return cls(
-            server=int(wire["server"]),
-            time=float(wire["time"]),
-            load=float(wire["load"]),
-            relative_capacity=float(wire["relative_capacity"]),
-        )
+    def to_wire(self) -> Wire:
+        try:
+            return self.TAG, _HEARTBEAT.pack(
+                self.server, self.time, self.load, self.relative_capacity
+            )
+        except struct.error as exc:
+            raise _unencodable(self, exc) from None
+
+    @classmethod
+    def from_wire(cls, wire: Wire) -> "Heartbeat":
+        body = _body(cls, wire)
+        try:
+            return cls(*_HEARTBEAT.unpack(body))
+        except struct.error as exc:
+            raise _malformed(cls, exc) from None
 
 
 @dataclass(frozen=True)
@@ -186,6 +209,8 @@ class Directive:
     #: Sorted free-form payload (move counts, elected leader, ...).
     info: Tuple[Tuple[str, Any], ...] = ()
 
+    TAG = 2
+
     def to_record(self) -> dict:
         """JSON-ready form (journal dumps and chaos reports)."""
         record = {"epoch": self.epoch, "kind": self.kind, "t": self.t}
@@ -194,35 +219,58 @@ class Directive:
         record.update(self.info)
         return record
 
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _wire_header("directive")
-        wire["epoch"] = self.epoch
-        wire["kind"] = self.kind
-        wire["server"] = self.server
-        wire["t"] = self.t
+    def to_wire(self) -> Wire:
         # info is free-form but must be JSON-encodable on the wire; the
         # pair-of-pairs shape survives as a list of [key, value] pairs.
-        wire["info"] = [[key, value] for key, value in self.info]
-        return wire
+        try:
+            fields = {
+                "epoch": self.epoch, "kind": self.kind, "server": self.server,
+                "t": self.t, "info": [[key, value] for key, value in self.info],
+            }
+            return self.TAG, json.dumps(fields, separators=(",", ":")).encode()
+        except (TypeError, ValueError) as exc:
+            raise _unencodable(self, exc) from None
 
-    @_wire_decoder("directive")
-    def from_wire(cls, wire: Dict[str, Any]) -> "Directive":
-        return cls(
-            epoch=int(wire["epoch"]),
-            kind=_text(wire["kind"]),
-            server=int(wire["server"]),
-            t=float(wire["t"]),
-            info=tuple((_text(key), value) for key, value in wire["info"]),
-        )
+    @classmethod
+    def from_wire(cls, wire: Wire) -> "Directive":
+        body = _body(cls, wire)
+        try:
+            fields = json.loads(str(body, "utf-8"))
+            if not isinstance(fields, dict):
+                raise TypeError("the body must be a JSON object")
+            epoch, kind, server, t, info = (
+                fields[name] for name in ("epoch", "kind", "server", "t", "info")
+            )
+            if not (
+                isinstance(epoch, int) and isinstance(kind, str)
+                and isinstance(server, int) and isinstance(t, (int, float))
+                and isinstance(info, list)
+                and all(
+                    isinstance(pair, list) and len(pair) == 2
+                    and isinstance(pair[0], str)
+                    for pair in info
+                )
+            ):
+                raise TypeError("a field of the wrong JSON type")
+            return cls(
+                epoch, kind, server, float(t),
+                tuple((key, value) for key, value in info),
+            )
+        except (
+            KeyError, TypeError, ValueError, OverflowError, RecursionError
+        ) as exc:
+            raise _malformed(cls, exc) from None
 
 
-@dataclass(frozen=True)
-class ClientRequest:
+class ClientRequest(NamedTuple):
     """One metadata operation submitted to a live MDS over the wire.
 
     ``op_id`` is assigned by the load generator and stable across retries
     and redirects, which is what makes live-mode accounting exactly-once:
     a server that already acknowledged an id re-acks idempotently.
+
+    A NamedTuple for the reason :class:`Visit` is one: the live path builds
+    two per hop (sender and receiver).
     """
 
     op_id: int
@@ -232,26 +280,29 @@ class ClientRequest:
     op: str
     client_id: int = 0
 
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _wire_header("client_request")
-        wire["op_id"] = self.op_id
-        wire["path"] = self.path
-        wire["op"] = self.op
-        wire["client_id"] = self.client_id
-        return wire
+    TAG = 3
 
-    @_wire_decoder("client_request")
-    def from_wire(cls, wire: Dict[str, Any]) -> "ClientRequest":
-        return cls(
-            op_id=int(wire["op_id"]),
-            path=_text(wire["path"]),
-            op=_text(wire["op"]),
-            client_id=int(wire["client_id"]),
-        )
+    def to_wire(self) -> Wire:
+        try:
+            op, path = self.op.encode(), self.path.encode()
+            return self.TAG, _REQUEST.pack(
+                self.op_id, self.client_id, len(op), len(path)
+            ) + op + path
+        except (struct.error, AttributeError, UnicodeEncodeError) as exc:
+            raise _unencodable(self, exc) from None
+
+    @classmethod
+    def from_wire(cls, wire: Wire) -> "ClientRequest":
+        body = _body(cls, wire)
+        try:
+            op_id, client_id, op_len, path_len = _REQUEST.unpack_from(body)
+            op, path = _tails(body, _REQUEST.size, op_len, path_len)
+        except (struct.error, ValueError) as exc:
+            raise _malformed(cls, exc) from None
+        return cls(op_id, path, op, client_id)
 
 
-@dataclass(frozen=True)
-class ClientReply:
+class ClientReply(NamedTuple):
     """A live MDS's answer to a :class:`ClientRequest`.
 
     ``status`` is one of:
@@ -275,54 +326,51 @@ class ClientReply:
     epoch: int = 0
     root: str = ""
 
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _wire_header("client_reply")
-        wire["op_id"] = self.op_id
-        wire["status"] = self.status
-        wire["server"] = self.server
-        wire["owner"] = self.owner
-        wire["epoch"] = self.epoch
-        wire["root"] = self.root
-        return wire
+    TAG = 4
 
-    @_wire_decoder("client_reply")
-    def from_wire(cls, wire: Dict[str, Any]) -> "ClientReply":
-        return cls(
-            op_id=int(wire["op_id"]),
-            status=_text(wire["status"]),
-            server=int(wire["server"]),
-            owner=int(wire["owner"]),
-            epoch=int(wire["epoch"]),
-            root=_text(wire["root"]),
-        )
+    def to_wire(self) -> Wire:
+        try:
+            status, root = self.status.encode(), self.root.encode()
+            return self.TAG, _REPLY.pack(
+                self.op_id, self.server, self.owner, self.epoch,
+                len(status), len(root),
+            ) + status + root
+        except (struct.error, AttributeError, UnicodeEncodeError) as exc:
+            raise _unencodable(self, exc) from None
+
+    @classmethod
+    def from_wire(cls, wire: Wire) -> "ClientReply":
+        body = _body(cls, wire)
+        try:
+            op_id, server, owner, epoch, status_len, root_len = (
+                _REPLY.unpack_from(body)
+            )
+            status, root = _tails(body, _REPLY.size, status_len, root_len)
+        except (struct.error, ValueError) as exc:
+            raise _malformed(cls, exc) from None
+        return cls(op_id, status, server, owner, epoch, root)
 
 
-#: type tag -> message class; the dispatch table :func:`from_wire` and the
-#: live transport's frame decoder share.
+#: type tag -> message class: the dispatch table of :func:`from_wire`.
 WIRE_TYPES = {
-    "heartbeat": Heartbeat,
-    "directive": Directive,
-    "client_request": ClientRequest,
-    "client_reply": ClientReply,
+    cls.TAG: cls for cls in (Heartbeat, Directive, ClientRequest, ClientReply)
 }
 
 
-def to_wire(message) -> Dict[str, Any]:
-    """Serialize any cluster message to its JSON-ready wire dict."""
+def to_wire(message) -> Wire:
+    """Any cluster message's wire form, ``(tag, body)``."""
     return message.to_wire()
 
 
-def from_wire(wire: Dict[str, Any]):
-    """Decode a wire dict back into the concrete message type.
+def from_wire(wire: Wire):
+    """Decode a wire form back into the concrete message type.
 
-    Dispatches on the ``type`` tag; raises ``ValueError`` for unknown tags
-    and incompatible schema versions.
+    Dispatches on the tag; raises ``ValueError`` for an unknown tag or a
+    malformed body.
     """
-    type_name = wire.get("type")
-    cls = WIRE_TYPES.get(type_name) if isinstance(type_name, str) else None
+    cls = WIRE_TYPES.get(wire[0])
     if cls is None:
-        known = ", ".join(sorted(WIRE_TYPES))
         raise ValueError(
-            f"unknown wire message type {type_name!r} (known: {known})"
+            f"unknown wire message tag {wire[0]!r} (known: {sorted(WIRE_TYPES)})"
         )
     return cls.from_wire(wire)

@@ -17,11 +17,7 @@ from repro.transport.wire import (
     MAX_FRAME_BYTES,
     decode_payload,
     encode_frame,
-    encode_message,
     read_frame,
-    read_message,
-    write_frame,
-    write_message,
 )
 
 __all__ = [
@@ -33,9 +29,5 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "decode_payload",
     "encode_frame",
-    "encode_message",
     "read_frame",
-    "read_message",
-    "write_frame",
-    "write_message",
 ]

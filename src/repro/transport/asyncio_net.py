@@ -187,7 +187,8 @@ class AsyncioTransport(FaultFabric):
             shutil.rmtree(self.socket_dir, ignore_errors=True)
 
     # ------------------------------------------------------------------
-    # Fault-checked sends
+    # Fault-checked sends. A fault-free fabric (``faulty`` false) passes
+    # every frame at once, so neither the clock nor a verdict is read.
     # ------------------------------------------------------------------
     async def send_control(
         self, src: str, dst: str, writer: asyncio.StreamWriter, frame: bytes
@@ -198,13 +199,13 @@ class AsyncioTransport(FaultFabric):
         partitions, loss and delay all apply, with the same RNG draw order
         as the simulator. Returns False when the frame was dropped.
         """
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        arrival = self.deliver(src, dst, now)
-        if arrival is None:
-            return False
-        if arrival > now:
-            await asyncio.sleep(arrival - now)
+        if self.faulty:
+            now = asyncio.get_running_loop().time()
+            arrival = self.deliver(src, dst, now)
+            if arrival is None:
+                return False
+            if arrival > now:
+                await asyncio.sleep(arrival - now)
         writer.write(frame)
         await writer.drain()
         return True
@@ -219,13 +220,13 @@ class AsyncioTransport(FaultFabric):
         ``SimNetwork.client_arrival``. Returns False when the frame was
         dropped (the sender should let its timeout fire).
         """
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        arrival = self.data_arrival(src, dst, now)
-        if arrival is None:
-            return False
-        if arrival > now:
-            await asyncio.sleep(arrival - now)
+        if self.faulty:
+            now = asyncio.get_running_loop().time()
+            arrival = self.data_arrival(src, dst, now)
+            if arrival is None:
+                return False
+            if arrival > now:
+                await asyncio.sleep(arrival - now)
         writer.write(frame)
         await writer.drain()
         return True

@@ -267,6 +267,8 @@ class FaultFabric:
         where only loss and delay on the endpoints' links matter. ``None``
         means the send was lost and the sender should time out and retry.
         """
+        if not self.faulty:
+            return base
         if self._lost(src, dst):
             self._drop()
             return None

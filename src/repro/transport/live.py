@@ -64,6 +64,7 @@ from repro.cluster.messages import (
     ClientRequest,
     Directive,
     Heartbeat,
+    from_wire,
 )
 from repro.cluster.monitor import MonitorGroup
 from repro.placement import MetadataScheme
@@ -170,19 +171,14 @@ class LiveMDS:
     async def _handle(self, reader, writer) -> None:
         """Serve one inbound connection (client pool or Monitor leader)."""
         while True:
-            payload = await read_frame(reader)
-            if payload is None:
+            wire = await read_frame(reader)
+            if wire is None:
                 return
-            kind = payload.get("type")
-            if kind == "client_request":
-                await self._serve_request(
-                    ClientRequest.from_wire(payload), writer
-                )
-            elif kind == "directive":
-                self._apply_directive(Directive.from_wire(payload))
-            elif kind == "ping":
-                writer.write(encode_frame({"type": "pong"}))
-                await writer.drain()
+            message = from_wire(wire)
+            if isinstance(message, ClientRequest):
+                await self._serve_request(message, writer)
+            elif isinstance(message, Directive):
+                self._apply_directive(message)
 
     async def _serve_request(self, request: ClientRequest, writer) -> None:
         delay = self.cfg.service_time
@@ -198,8 +194,8 @@ class LiveMDS:
         elif status == "redirect":
             self.redirects += 1
         reply = ClientReply(
-            op_id=request.op_id, status=status, server=self.server_id,
-            owner=owner, epoch=self.state.fence_epoch, root=root,
+            request.op_id, status, self.server_id,
+            owner, self.state.fence_epoch, root,
         )
         # Replies ride the data plane: loss/delay installed on this server's
         # links applies to them too (a lost ack looks like a client timeout,
@@ -292,20 +288,17 @@ class LiveMonitor:
 
     async def _handle(self, reader, writer) -> None:
         while True:
-            payload = await read_frame(reader)
-            if payload is None:
+            wire = await read_frame(reader)
+            if wire is None:
                 return
-            kind = payload.get("type")
-            if kind == "heartbeat":
+            message = from_wire(wire)
+            if isinstance(message, Heartbeat):
                 self.heartbeats_seen += 1
                 if (
                     self.group.replica_alive[self.replica]
                     and self.group.leader == self.replica
                 ):
-                    self.control.on_heartbeat(Heartbeat.from_wire(payload))
-            elif kind == "ping":
-                writer.write(encode_frame({"type": "pong"}))
-                await writer.drain()
+                    self.control.on_heartbeat(message)
 
 
 @dataclass

@@ -2,9 +2,13 @@
 
 Arrivals are a seeded Poisson process at a configured rate — open-loop, so
 a slow or faulted cluster builds a backlog instead of silently throttling
-the offered load. A bounded in-flight cap guards the event loop; once it
-binds the generator is a closed loop of ``max_inflight`` clients (each
-dispatch it delayed is counted in ``saturated``).
+the offered load. A bounded in-flight cap guards the event loop: the
+generator is up to ``max_inflight`` *slots* that take operations in trace
+order, each sleeping out its next operation's arrival offset and then
+carrying it to a terminal outcome. Once every slot is busy the generator
+is a closed loop of ``max_inflight`` clients; an operation that all
+``max_inflight`` slots were too busy to start at its arrival time is
+counted in ``saturated``.
 
 Each operation gets a stable ``op_id`` before the first send. Retries,
 redirects and duplicate deliveries all reuse it, and the MDS ack ledger is
@@ -100,7 +104,8 @@ class LoadReport:
     indeterminate: int = 0
     retries: int = 0
     redirects: int = 0
-    #: Dispatches that found the in-flight cap exhausted.
+    #: Operations that found all ``max_inflight`` slots busy at their
+    #: arrival time (the cap delayed their start).
     saturated: int = 0
     #: First attempts routed by a cached index entry / sent to a random
     #: entry server for want of one.
@@ -140,6 +145,12 @@ def latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
     }
 
 
+def _expire(future: asyncio.Future) -> None:
+    """Per-attempt reply timer: fail the waiter unless a reply beat it."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
 class _ServerConn:
     """One multiplexed client connection to an MDS endpoint.
 
@@ -168,12 +179,14 @@ class _ServerConn:
     async def _read_loop(self, reader) -> None:
         try:
             while True:
-                payload = await read_frame(reader)
-                if payload is None:
+                wire = await read_frame(reader)
+                if wire is None:
                     break
-                if payload.get("type") != "client_reply":
+                if wire[0] != ClientReply.TAG:
                     continue
-                reply = ClientReply.from_wire(payload)
+                reply = ClientReply.from_wire(wire)
+                # A reply whose waiter already timed out finds no entry
+                # (or a settled future) and is dropped.
                 future = self._pending.pop(reply.op_id, None)
                 if future is not None and not future.done():
                     future.set_result(reply)
@@ -205,25 +218,33 @@ class _ServerConn:
         and ``asyncio.TimeoutError`` when no reply lands in time (which is
         also what a fabric-dropped request or reply frame looks like).
         """
+        writer = self._writer
+        if writer is None:
+            async with self._lock:
+                try:
+                    await self._ensure()
+                except (ConnectionError, OSError) as exc:
+                    raise RequestUnsent(str(exc)) from exc
+                writer = self._writer
         loop = asyncio.get_running_loop()
-        async with self._lock:
-            try:
-                await self._ensure()
-            except (ConnectionError, OSError) as exc:
-                raise RequestUnsent(str(exc)) from exc
-            writer = self._writer
         future: asyncio.Future = loop.create_future()
-        self._pending[request.op_id] = future
+        op_id = request.op_id
+        self._pending[op_id] = future
+        timer = None
         try:
-            sent = await self.transport.send_data(
-                CLIENT_ADDR, self.addr, writer, encode_frame(request.to_wire())
-            )
             # An unsent (fabric-lost) frame still waits out the timeout —
             # the client cannot know its request evaporated.
-            del sent
-            return await asyncio.wait_for(future, timeout)
+            await self.transport.send_data(
+                CLIENT_ADDR, self.addr, writer, encode_frame(request.to_wire())
+            )
+            # Armed once the send returns: a send blocked on a full socket
+            # is not on the reply clock.
+            timer = loop.call_later(timeout, _expire, future)
+            return await future
         finally:
-            self._pending.pop(request.op_id, None)
+            if timer is not None:
+                timer.cancel()
+            self._pending.pop(op_id, None)
 
     async def close(self) -> None:
         if self._reader_task is not None:
@@ -259,6 +280,8 @@ class LoadGenerator:
         self.report = LoadReport(issued=len(self.ops), history=self.history)
         self._conns: Dict[int, _ServerConn] = {}
         self._done = 0
+        #: Slots sleeping out the arrival offset of an operation they hold.
+        self._waiting = 0
         #: subtree-root path -> (owner, epoch): the cached inter-node index.
         self.index_cache: LRUCache[str, Tuple[int, int]] = LRUCache(
             INDEX_CACHE_SIZE
@@ -303,44 +326,66 @@ class LoadGenerator:
             clock += rng.expovariate(cfg.rate)
             offsets.append(clock)
         # Entry servers are pre-drawn so the draw sequence is deterministic
-        # regardless of how the in-flight tasks interleave.
+        # regardless of how the in-flight operations interleave.
         entries = [rng.randrange(self.num_servers) for _ in self.ops]
 
-        gate = asyncio.Semaphore(cfg.max_inflight)
+        work = iter(zip(self.ops, offsets, entries))
+        cap = min(cfg.max_inflight, len(self.ops))
+        slots: List[asyncio.Task] = []
         started = loop.time()
-        tasks: List[asyncio.Task] = []
-        for (op_id, path, op_value), offset, entry in zip(
-            self.ops, offsets, entries
-        ):
-            lag = started + offset - loop.time()
-            if lag > 0:
-                await asyncio.sleep(lag)
-            if gate.locked():
-                self.report.saturated += 1
-            await gate.acquire()
-            tasks.append(
-                asyncio.create_task(
-                    self._run_op(op_id, path, op_value, entry, gate)
-                )
+        if cap > 0:
+            slots.append(
+                asyncio.create_task(self._slot(work, started, slots, cap))
             )
-        if tasks:
-            await asyncio.gather(*tasks)
+        for task in slots:  # grows while the early slots run
+            await task
         self.report.duration = loop.time() - started
         self.report.index_cache_hits = self.index_cache.hits
         self.report.index_cache_misses = self.index_cache.misses
         await self.close()
         return self.report
 
+    async def _slot(
+        self, work, started: float, slots: List[asyncio.Task], cap: int
+    ) -> None:
+        """One in-flight slot: take the next operation, sleep out its
+        arrival offset, carry it to a terminal outcome, repeat.
+
+        ``work`` is the one cursor every slot shares, so operations start
+        in trace order, each at max(its arrival offset, the moment a slot
+        is free). Slots are spawned on demand up to ``cap``: a slot about
+        to get busy makes sure another is lined up for the next arrival.
+        """
+        loop = asyncio.get_running_loop()
+        for (op_id, path, op_value), offset, entry in work:
+            lag = started + offset - loop.time()
+            if lag > 0:
+                self._waiting += 1
+                await asyncio.sleep(lag)
+                self._waiting -= 1
+            elif len(slots) == cap:
+                self.report.saturated += 1
+            if not self._waiting and len(slots) < cap:
+                slots.append(
+                    asyncio.create_task(self._slot(work, started, slots, cap))
+                )
+            await self._run_op(op_id, path, op_value, entry)
+
+    def _retry_rng(self, op_id: int) -> random.Random:
+        return random.Random(
+            (self.cfg.seed << 20) ^ (op_id * 2654435761 % 2**31)
+        )
+
     async def _run_op(
-        self, op_id: int, path: str, op_value: str, entry: int,
-        gate: asyncio.Semaphore,
+        self, op_id: int, path: str, op_value: str, entry: int
     ) -> None:
         cfg = self.cfg
         loop = asyncio.get_running_loop()
-        # Per-op RNG: retry entry picks stay deterministic under any task
-        # interleaving (they never touch the shared dispatch RNG).
-        rng = random.Random((cfg.seed << 20) ^ (op_id * 2654435761 % 2**31))
-        request = ClientRequest(op_id=op_id, path=path, op=op_value)
+        # Per-op RNG, built by the first retry: retry entry picks stay
+        # deterministic under any interleaving (they never touch the
+        # shared dispatch RNG), and an op that needs none seeds nothing.
+        rng: Optional[random.Random] = None
+        request = ClientRequest(op_id, path, op_value)
         start = loop.time()
         self.history.invoke(op_id, -1, start)
         deadline = start + cfg.op_deadline
@@ -377,16 +422,16 @@ class LoadGenerator:
                         cfg.retry_backoff_cap,
                         cfg.retry_backoff_base * (2 ** attempt),
                     )
+                    rng = rng or self._retry_rng(op_id)
                     await asyncio.sleep(backoff * (0.5 + rng.random()))
                     target = rng.randrange(self.num_servers)
                     continue
                 if reply.status == "ack":
                     self._learn(reply)
+                    now = loop.time()
                     self.report.acked_ids.add(op_id)
-                    self.report.latencies.append(loop.time() - start)
-                    self.history.ok(
-                        op_id, -1, loop.time(), reply.server, reply.epoch
-                    )
+                    self.report.latencies.append(now - start)
+                    self.history.ok(op_id, -1, now, reply.server, reply.epoch)
                     return
                 # A cached owner that does not ack has disowned the subtree:
                 # the entry is stale whatever the reply teaches in its place.
@@ -402,6 +447,7 @@ class LoadGenerator:
                 # server answered, so the op was determinately not applied
                 # by this attempt.
                 self.report.retries += 1
+                rng = rng or self._retry_rng(op_id)
                 await asyncio.sleep(
                     cfg.retry_backoff_base * (0.5 + rng.random())
                 )
@@ -415,7 +461,6 @@ class LoadGenerator:
                 self.history.fail(op_id, -1, loop.time(), attempts)
         finally:
             self._done += 1
-            gate.release()
 
     async def close(self) -> None:
         for conn in self._conns.values():

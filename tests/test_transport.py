@@ -12,6 +12,7 @@ import asyncio
 
 import pytest
 
+from repro.cluster.messages import Heartbeat
 from repro.simulation.network import SimNetwork
 from repro.transport import CLIENT_ADDR, FaultFabric, mds_addr, mon_addr
 from repro.transport.asyncio_net import AsyncioTransport
@@ -32,7 +33,8 @@ async def _echo_handler(reader, writer):
         await writer.drain()
 
 
-PING = {"v": 1, "type": "ping", "n": 1}
+#: The wire form bounced off the echo handler: any real message's will do.
+PING = Heartbeat(server=1, time=0.5, load=2.0, relative_capacity=1.0).to_wire()
 
 
 # ----------------------------------------------------------------------
