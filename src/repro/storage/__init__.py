@@ -24,11 +24,13 @@ from repro.storage.filestore import WalStore
 from repro.storage.memory import MemoryStore
 from repro.storage.wal import (
     HEADER_SIZE,
+    Record,
     ScanResult,
     WalFile,
-    encode_json_record,
     encode_record,
+    pack_record,
     scan_records,
+    unpack_record,
 )
 
 __all__ = [
@@ -36,16 +38,18 @@ __all__ = [
     "HEADER_SIZE",
     "MemoryStore",
     "MetadataStore",
+    "Record",
     "RecoveredState",
     "STORE_BACKENDS",
     "ScanResult",
     "ServerLogState",
     "WalFile",
     "WalStore",
-    "encode_json_record",
     "encode_record",
     "make_store",
+    "pack_record",
     "scan_records",
+    "unpack_record",
 ]
 
 #: ``--store`` choices, in help-text order. ``memory`` is the zero-cost

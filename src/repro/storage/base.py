@@ -15,17 +15,17 @@ MDS replays its snapshot plus WAL tail (:meth:`MetadataStore.recover_server`),
 restores its epoch fence from the replayed state, and only then re-fences
 through ``accept_directive`` on the rejoin directive.
 
-Record vocabulary (per-MDS logs; the JSON payloads of
-:mod:`repro.storage.wal`):
+Record vocabulary (per-MDS logs; the packed records of
+:mod:`repro.storage.wal`, where the byte layouts are):
 
 ==========  =====================================  ======
-``k``       other fields                           synced
+kind        other fields                           synced
 ==========  =====================================  ======
 ``fence``   ``epoch``, ``t``                       yes
-``ack``     ``op`` (durable op seq), ``path``,     yes
-            ``t``
-``grant``   ``path``, ``t``                        no
-``revoke``  ``path``, ``t``                        no
+``ack``     ``op`` (durable op seq), ``t``,        yes
+            ``path``
+``grant``   ``t``, ``path``                        no
+``revoke``  ``t``, ``path``                        no
 ==========  =====================================  ======
 
 Synced records are durable before the simulator acts on them (the client
@@ -37,9 +37,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.obs.telemetry import NULL_TELEMETRY
+from repro.storage.wal import Record
 
 __all__ = [
     "DurabilityLedger",
@@ -65,20 +66,19 @@ class ServerLogState:
         self.acked_ops: List[int] = []
         self.subtrees: Set[str] = set()
 
-    def apply(self, record: dict) -> None:
+    def apply(self, record: Record) -> None:
         """Fold one log record into the state."""
-        kind = record.get("k")
+        kind = record[0]
         if kind == "ack":
-            self.acked_ops.append(int(record["op"]))
+            self.acked_ops.append(record[1])
         elif kind == "fence":
-            epoch = int(record["epoch"])
-            if epoch > self.fence_epoch:
-                self.fence_epoch = epoch
+            if record[1] > self.fence_epoch:
+                self.fence_epoch = record[1]
         elif kind == "grant":
-            self.subtrees.add(record["path"])
+            self.subtrees.add(record[2])
         elif kind == "revoke":
-            self.subtrees.discard(record["path"])
-        # Unknown kinds are ignored: logs must stay replayable by older
+            self.subtrees.discard(record[2])
+        # Other kinds are ignored: logs must stay replayable by older
         # readers after the vocabulary grows.
 
     def to_snapshot(self) -> dict:
@@ -147,6 +147,9 @@ class MetadataStore(ABC):
         #: Appends per server between snapshots (0 disables snapshotting).
         self.snapshot_every = max(0, int(snapshot_every))
         self.telemetry = NULL_TELEMETRY
+        #: server -> its log: ``append(record, sync)`` and ``reset()``, a
+        #: :class:`~repro.storage.wal.WalFile` or the memory store's list.
+        self._logs: Dict[int, Any] = {}
         self._state: Dict[int, ServerLogState] = {}
         self._since_snapshot: Dict[int, int] = {}
         # Counters surfaced through stats() (and result.durability).
@@ -172,23 +175,25 @@ class MetadataStore(ABC):
 
     def append_ack(self, server: int, op: int, path: str, t: float) -> None:
         """Persist an operation acknowledgment (fsync-before-ack)."""
-        self._log(server, {"k": "ack", "op": op, "path": path, "t": t}, sync=True)
+        self._log(server, ("ack", op, t, path), True)
 
     def append_fence(self, server: int, epoch: int, t: float) -> None:
         """Persist an epoch-fence advance (synced — the fence must survive)."""
-        self._log(server, {"k": "fence", "epoch": epoch, "t": t}, sync=True)
+        self._log(server, ("fence", epoch, t), True)
 
     def append_mutation(self, server: int, kind: str, path: str, t: float) -> None:
         """Persist a subtree mutation (``grant``/``revoke``; group-synced)."""
-        self._log(server, {"k": kind, "path": path, "t": t}, sync=False)
+        self._log(server, (kind, t, path), False)
 
-    def _log(self, server: int, record: dict, sync: bool) -> None:
-        """Route one record: backend append, live view, snapshot policy."""
-        self._append_server(server, record, sync)
+    def _log(self, server: int, record: Record, sync: bool) -> None:
+        """Append one record: the log itself, live view, snapshot policy."""
+        log = self._logs.get(server) or self._log_for(server)
+        log.append(record, sync)
         self.appends += 1
         if sync:
             self.fsyncs += 1
-            self.telemetry.event("wal_fsync", server=server, record=record["k"])
+            if self.telemetry.enabled:
+                self.telemetry.event("wal_fsync", server=server, record=record[0])
         state = self._state.get(server)
         if state is None:
             state = self._state[server] = ServerLogState()
@@ -200,18 +205,27 @@ class MetadataStore(ABC):
             else:
                 self._since_snapshot[server] = count
 
+    def _log_for(self, server: int):
+        """``server``'s log, opened on first use."""
+        if server not in self._logs:
+            self._logs[server] = self._open_log(server)
+        return self._logs[server]
+
     def snapshot_server(self, server: int) -> None:
         """Write a snapshot of ``server``'s state and truncate its log."""
         state = self._state.get(server)
         if state is None:
             return
+        # The log goes only once the snapshot that subsumes it is in place.
         self._write_snapshot(server, state.to_snapshot())
+        self._log_for(server).reset()
         self._since_snapshot[server] = 0
         self.snapshots += 1
-        self.telemetry.event(
-            "snapshot", server=server, acked=len(state.acked_ops),
-            subtrees=len(state.subtrees),
-        )
+        if self.telemetry.enabled:
+            self.telemetry.event(
+                "snapshot", server=server, acked=len(state.acked_ops),
+                subtrees=len(state.subtrees),
+            )
 
     # ------------------------------------------------------------------
     # Recovery
@@ -246,12 +260,12 @@ class MetadataStore(ABC):
         """Durably append one directive record."""
 
     @abstractmethod
-    def _append_server(self, server: int, record: dict, sync: bool) -> None:
-        """Append one record to ``server``'s log (sync ⇒ durable now)."""
+    def _open_log(self, server: int):
+        """Open ``server``'s log (an ``append`` with sync ⇒ durable now)."""
 
     @abstractmethod
     def _write_snapshot(self, server: int, payload: dict) -> None:
-        """Persist a snapshot and truncate the log it subsumes."""
+        """Persist a snapshot (the caller then truncates the log)."""
 
     @abstractmethod
     def _recover_server(self, server: int) -> RecoveredState:

@@ -30,7 +30,9 @@ from repro.storage.wal import WalFile
 
 __all__ = ["WalStore"]
 
-_OWN_FILES = re.compile(r"^(directives\.log|wal-\d+\.log|snapshot-\d+\.json)$")
+_OWN_FILES = re.compile(
+    r"^(directives\.log|wal-\d+\.log|snapshot-\d+\.json(\.tmp)?)$"
+)
 
 
 class WalStore(MetadataStore):
@@ -61,19 +63,9 @@ class WalStore(MetadataStore):
         self._directives = WalFile(
             os.path.join(directory, "directives.log"), fsync=fsync
         )
-        self._wals: Dict[int, WalFile] = {}
         self._closed = False
 
     # ------------------------------------------------------------------
-    def _wal(self, server: int) -> WalFile:
-        wal = self._wals.get(server)
-        if wal is None:
-            wal = self._wals[server] = WalFile(
-                os.path.join(self.directory, f"wal-{server}.log"),
-                fsync=self._fsync,
-            )
-        return wal
-
     def _snapshot_path(self, server: int) -> str:
         return os.path.join(self.directory, f"snapshot-{server}.json")
 
@@ -82,10 +74,12 @@ class WalStore(MetadataStore):
     # ------------------------------------------------------------------
     def _append_directive(self, record: dict) -> None:
         # Directive commit == durable: the Monitor quorum acted on it.
-        self._directives.append(record, sync=True)
+        self._directives.append(("directive", record), sync=True)
 
-    def _append_server(self, server: int, record: dict, sync: bool) -> None:
-        self._wal(server).append(record, sync=sync)
+    def _open_log(self, server: int) -> WalFile:
+        return WalFile(
+            os.path.join(self.directory, f"wal-{server}.log"), fsync=self._fsync
+        )
 
     def _write_snapshot(self, server: int, payload: dict) -> None:
         path = self._snapshot_path(server)
@@ -96,7 +90,6 @@ class WalStore(MetadataStore):
             if self._fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp, path)
-        self._wal(server).reset()
 
     def _recover_server(self, server: int) -> RecoveredState:
         snapshot = None
@@ -107,11 +100,11 @@ class WalStore(MetadataStore):
                 snapshot = json.load(handle)
             snapshot_loaded = True
         state = ServerLogState.from_snapshot(snapshot)
-        records, scan = self._wal(server).recover(repair=True)
+        records, scan = self._log_for(server).recover(repair=True)
         seen = set(state.acked_ops)
         for record in records:
             # Snapshot/truncate races make ack replay idempotent-by-op.
-            if record.get("k") == "ack" and int(record["op"]) in seen:
+            if record[0] == "ack" and record[1] in seen:
                 continue
             state.apply(record)
         return RecoveredState(
@@ -128,21 +121,21 @@ class WalStore(MetadataStore):
 
     def recover_directives(self) -> List[dict]:
         records, _ = self._directives.recover(repair=False)
-        return records
+        return [record[1] for record in records if record[0] == "directive"]
 
     # ------------------------------------------------------------------
     # Damage injection
     # ------------------------------------------------------------------
     def tear_tail(self, server: int) -> bool:
-        return self._wal(server).tear_tail()
+        return self._log_for(server).tear_tail()
 
     def corrupt_tail(self, server: int) -> bool:
-        return self._wal(server).corrupt_tail()
+        return self._log_for(server).corrupt_tail()
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         stats = super().stats()
-        stats["wal_bytes"] = sum(wal.size for wal in self._wals.values())
+        stats["wal_bytes"] = sum(wal.size for wal in self._logs.values())
         return stats
 
     def close(self) -> None:
@@ -150,7 +143,7 @@ class WalStore(MetadataStore):
             return
         self._closed = True
         self._directives.close()
-        for wal in self._wals.values():
+        for wal in self._logs.values():
             wal.close()
         if self._tmp is not None:
             self._tmp.cleanup()

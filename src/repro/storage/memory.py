@@ -19,8 +19,22 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.storage.base import MetadataStore, RecoveredState, ServerLogState
+from repro.storage.wal import Record
 
 __all__ = ["MemoryStore"]
+
+
+class _ListLog:
+    """One server's records in a list: this store's stand-in for a WalFile."""
+
+    def __init__(self) -> None:
+        self.records: List[Record] = []
+
+    def append(self, record: Record, sync: bool = False) -> None:
+        self.records.append(record)
+
+    def reset(self) -> None:
+        self.records = []
 
 
 class MemoryStore(MetadataStore):
@@ -32,22 +46,20 @@ class MemoryStore(MetadataStore):
     def __init__(self, snapshot_every: int = 512) -> None:
         super().__init__(snapshot_every=snapshot_every)
         self._directives: List[dict] = []
-        self._logs: Dict[int, List[dict]] = {}
         self._snapshots: Dict[int, dict] = {}
 
     def _append_directive(self, record: dict) -> None:
         self._directives.append(dict(record))
 
-    def _append_server(self, server: int, record: dict, sync: bool) -> None:
-        self._logs.setdefault(server, []).append(dict(record))
+    def _open_log(self, server: int) -> _ListLog:
+        return _ListLog()
 
     def _write_snapshot(self, server: int, payload: dict) -> None:
         self._snapshots[server] = payload
-        self._logs[server] = []
 
     def _recover_server(self, server: int) -> RecoveredState:
         state = ServerLogState.from_snapshot(self._snapshots.get(server))
-        tail = self._logs.get(server, [])
+        tail = self._log_for(server).records
         for record in tail:
             state.apply(record)
         return RecoveredState(

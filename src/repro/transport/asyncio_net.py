@@ -146,8 +146,7 @@ class AsyncioTransport(FaultFabric):
         """
         server = self._servers.pop(endpoint, None)
         if server is not None:
-            server.close()
-            await server.wait_closed()
+            server.close()  # refuses new connects from here on
         if abort:
             for writer in list(self._inbound.get(endpoint, ())):
                 transport = writer.transport
@@ -165,6 +164,11 @@ class AsyncioTransport(FaultFabric):
                     task.cancel()
                 if pending:
                     await asyncio.wait(pending, timeout=1.0)
+        if server is not None:
+            # Only now: since CPython 3.12 this waits for the endpoint's
+            # connections as well, and a crash does not wait for its
+            # clients to hang up.
+            await server.wait_closed()
         if self.mode == "unix":
             path = self._addresses.get(endpoint)
             if path and os.path.exists(path):

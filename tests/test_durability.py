@@ -14,6 +14,7 @@ from repro.chaos import (
 )
 from repro.cli import main
 from repro.core import D2TreeScheme
+from repro.obs.telemetry import Telemetry
 from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
 from repro.simulation.faults import FaultKind
 from repro.traces import DatasetProfile, TraceGenerator
@@ -136,6 +137,43 @@ def test_damage_on_already_dead_server_is_repaired_on_rejoin(workload):
     d = result.durability
     assert d["torn_writes"] == 1
     assert d["truncations"] >= 1
+    assert d["violations"] == []
+
+
+def test_one_sync_per_ack_fence_and_directive(workload):
+    # The durable path's counters on one seeded faulted run, equal to what
+    # the JSON-payload log reported for it: packing the records changed
+    # their bytes, not how many were appended, synced, snapshotted or
+    # replayed. `stats()["fsyncs"]` counts the per-MDS logs (it never
+    # counted the directive log, which syncs each append in its own file).
+    plan = FaultPlan.parse([
+        "kill9:1@ops=120", "torn_write:2@ops=200",
+        "recover:1@ops=320", "recover:2@ops=420",
+    ])
+    config = dataclasses.replace(durable_config(5, plan, "wal"), snapshot_every=64)
+    telemetry = Telemetry()
+    sim = ClusterSimulator(D2TreeScheme(), workload, 5, config, telemetry=telemetry)
+    try:
+        d = sim.run().durability
+    finally:
+        sim.close()
+    synced = [
+        dict(event.fields)["record"]
+        for event in telemetry.events if event.event == "wal_fsync"
+    ]
+    acks, fences = synced.count("ack"), synced.count("fence")
+    directives = len(sim.monitor.journal)
+    assert (acks, fences, directives) == (500, 4, 8)
+    assert d["acked_ops"] == acks
+    assert d["fsyncs"] == acks + fences == 504
+    logs = [sim.store._directives, *sim.store._logs.values()]
+    assert sim.store._directives.fsyncs == directives
+    assert sum(log.fsyncs for log in logs) == acks + fences + directives
+    assert sum(log.appends for log in logs) == d["appends"] == 588
+    assert d["snapshots"] == 6
+    assert d["recoveries"] == 2
+    assert d["replayed_records"] == 65
+    assert d["truncations"] == 1
     assert d["violations"] == []
 
 

@@ -6,18 +6,22 @@ import struct
 
 import pytest
 
+from repro.obs.telemetry import Telemetry
 from repro.storage import (
     HEADER_SIZE,
     MemoryStore,
     STORE_BACKENDS,
     ServerLogState,
     WalFile,
-    encode_json_record,
     encode_record,
     make_store,
+    pack_record,
     scan_records,
+    unpack_record,
 )
 from repro.storage.wal import CORRUPT, TORN
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "wal_records.bin")
 
 
 # ----------------------------------------------------------------------
@@ -31,10 +35,118 @@ def test_encode_record_framing():
     assert frame[HEADER_SIZE:] == b"hello"
 
 
-def test_encode_json_record_is_compact_and_sorted():
-    frame = encode_json_record({"b": 1, "a": 2})
-    payload = frame[HEADER_SIZE:]
-    assert payload == b'{"a":2,"b":1}'  # sorted keys, no whitespace
+def test_directive_body_is_compact_sorted_json():
+    # The directive alone keeps a JSON body, behind its kind byte.
+    payload = pack_record(("directive", {"b": 1, "a": 2}))
+    assert payload == b'\x05{"a":2,"b":1}'  # sorted keys, no whitespace
+
+
+def test_packed_layout_per_kind():
+    # [u8 kind][fixed little-endian body][UTF-8 path]; docs/DURABILITY.md.
+    assert pack_record(("ack", 7, 1.5, "/a/é")) == (
+        b"\x01" + struct.pack("<Qd", 7, 1.5) + "/a/é".encode()
+    )
+    assert pack_record(("fence", 3, 0.25)) == b"\x02" + struct.pack("<Qd", 3, 0.25)
+    assert pack_record(("grant", 2.0, "/s")) == b"\x03" + struct.pack("<d", 2.0) + b"/s"
+    assert pack_record(("revoke", 2.0, "/s")) == b"\x04" + struct.pack("<d", 2.0) + b"/s"
+
+
+#: One record of each kind plus a directive: the bytes of
+#: tests/golden/wal_records.bin, so the on-disk layout cannot drift silently.
+GOLDEN_RECORDS = [
+    ("fence", 3, 0.5),
+    ("ack", 41, 1.25, "/home/ünï/a.txt"),
+    ("grant", 2.0, "/home/sub1"),
+    ("revoke", 2.5, "/home/sub1"),
+    ("ack", 2**64 - 1, 1e-9, ""),
+    ("directive", {"epoch": 4, "kind": "rejoin", "moves": [], "server": 1, "t": 0.75}),
+]
+
+
+def test_golden_log_bytes_are_pinned():
+    with open(GOLDEN, "rb") as handle:
+        golden = handle.read()
+    encoded = b"".join(encode_record(pack_record(r)) for r in GOLDEN_RECORDS)
+    assert encoded == golden
+    scan = scan_records(golden)
+    assert not scan.truncated
+    assert [unpack_record(p) for p in scan.records] == GOLDEN_RECORDS
+
+
+@pytest.mark.parametrize("record", [
+    ("ack", -1, 0.0, "/x"),  # below u64
+    ("ack", 2**64, 0.0, "/x"),  # above u64
+    ("ack", 1.5, 0.0, "/x"),  # not an int
+    ("ack", 1, "soon", "/x"),  # not a number
+    ("ack", 1, 0.0, b"/x"),  # not text
+    ("ack", 1, 0.0, "/\ud800"),  # not encodable
+    ("ack", 1, 0.0),  # a field short
+    ("fence", -3, 0.0),
+    ("fence", 2**64, 0.0),
+    ("grant", 0.0, None),
+    ("rename", 0.0, "/x"),  # no such kind
+    ("directive", {"when": object()}),  # not JSON
+    (),
+])
+def test_misfit_record_is_a_value_error_and_writes_nothing(record, tmp_path):
+    with pytest.raises(ValueError):
+        pack_record(record)
+    wal = WalFile(str(tmp_path / "a.log"))
+    with pytest.raises(ValueError):
+        wal.append(record, sync=True)
+    assert wal.size == 0 and wal.appends == 0 and wal.durable_offset == 0
+    assert os.path.getsize(wal.path) == 0
+    wal.close()
+
+
+@pytest.mark.parametrize("payload", [
+    b"",  # no kind byte
+    b"\x01short",  # ack body cut
+    b"\x02" + bytes(15),  # fence body cut
+    b"\x02" + bytes(17),  # fence body over-long
+    b"\x03" + bytes(4),  # grant body cut
+    b"\x01" + bytes(16) + b"\xff\xfe",  # path is not UTF-8
+    b"\x04" + bytes(8) + b"\xc3",  # path ends mid-character
+    b"\x05{",  # directive body is not JSON
+    b"\x05[1,2]",  # ... or not an object
+    b"\x05\xff",  # ... or not UTF-8
+])
+def test_checksummed_but_undecodable_record_is_corrupt(payload, tmp_path):
+    with pytest.raises(ValueError):
+        unpack_record(payload)
+    # In a log it is damage like any other: the verdict is `corrupt`, the
+    # records before it survive, it and everything behind it is truncated.
+    wal = WalFile(str(tmp_path / "a.log"))
+    wal.append(("ack", 0, 0.0, "/f"), sync=True)
+    clean = wal.size
+    with open(wal.path, "ab") as raw:
+        raw.write(encode_record(payload) + encode_record(pack_record(("fence", 9, 1.0))))
+    damaged = os.path.getsize(wal.path)
+    records, scan = wal.recover()
+    assert records == [("ack", 0, 0.0, "/f")]
+    assert scan.reason == CORRUPT and scan.clean_length == clean
+    assert scan.dropped_bytes == damaged - clean
+    assert os.path.getsize(wal.path) == clean == wal.size
+    wal.append(("ack", 1, 1.0, "/g"), sync=True)
+    records, scan = wal.recover()
+    assert [r[1] for r in records] == [0, 1] and not scan.truncated
+    wal.close()
+
+
+def test_unknown_kind_byte_is_skipped(tmp_path):
+    # A kind this reader does not know is not damage: a log written by a
+    # later vocabulary still replays what this reader understands.
+    assert unpack_record(b"\x63from-the-future") is None
+    wal = WalFile(str(tmp_path / "a.log"))
+    wal.append(("ack", 0, 0.0, "/f"), sync=True)
+    with open(wal.path, "ab") as raw:
+        raw.write(encode_record(b"\x63from-the-future"))
+    wal.append(("ack", 1, 1.0, "/g"), sync=True)
+    records, scan = wal.recover()
+    assert [r[1] for r in records] == [0, 1]
+    assert not scan.truncated and len(scan.records) == 3
+    assert wal.size == os.path.getsize(wal.path)  # recovery re-reads the disk
+    wal.close()
 
 
 def test_scan_clean_buffer():
@@ -94,36 +206,58 @@ def test_scan_damage_shadows_later_records():
 # ----------------------------------------------------------------------
 def test_walfile_round_trip(tmp_path):
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append({"k": "fence", "epoch": 3}, sync=True)
-    wal.append({"k": "ack", "op": 1}, sync=True)
+    wal.append(("fence", 3, 0.5), sync=True)
+    wal.append(("ack", 1, 0.75, "/a"), sync=True)
+    wal.append(("directive", {"epoch": 4, "kind": "rejoin"}), sync=True)
     records, scan = wal.recover()
-    assert records == [{"epoch": 3, "k": "fence"}, {"k": "ack", "op": 1}]
+    assert records == [
+        ("fence", 3, 0.5),
+        ("ack", 1, 0.75, "/a"),
+        ("directive", {"epoch": 4, "kind": "rejoin"}),
+    ]
     assert not scan.truncated
+    wal.close()
+
+
+def test_walfile_tracks_its_own_size_and_sync_boundary(tmp_path):
+    # An append is one unbuffered write: the bytes are in the file before
+    # any sync, `size` is counted rather than asked of the handle, and only
+    # a sync moves `durable_offset`.
+    wal = WalFile(str(tmp_path / "a.log"))
+    first = wal.append(("ack", 0, 0.0, "/f"), sync=True)
+    assert wal.size == wal.durable_offset == first == os.path.getsize(wal.path)
+    second = wal.append(("grant", 1.0, "/s"))
+    assert wal.size == first + second == os.path.getsize(wal.path)
+    assert wal.durable_offset == first
+    wal.sync()
+    assert wal.durable_offset == wal.size
+    assert (wal.appends, wal.fsyncs) == (2, 2)
     wal.close()
 
 
 def test_walfile_reopen_appends(tmp_path):
     path = str(tmp_path / "a.log")
     first = WalFile(path)
-    first.append({"n": 1}, sync=True)
+    first.append(("ack", 1, 0.0, "/a"), sync=True)
     first.close()
     second = WalFile(path)
-    assert second.durable_offset == os.path.getsize(path)
-    second.append({"n": 2}, sync=True)
+    assert second.size == second.durable_offset == os.path.getsize(path)
+    second.append(("ack", 2, 1.0, "/b"), sync=True)
     records, _ = second.recover()
-    assert [r["n"] for r in records] == [1, 2]
+    assert [r[1] for r in records] == [1, 2]
     second.close()
 
 
 def test_walfile_tear_tail_spares_synced_records(tmp_path):
     wal = WalFile(str(tmp_path / "a.log"))
     for op in range(5):
-        wal.append({"k": "ack", "op": op}, sync=True)
-    wal.append({"k": "grant", "path": "/x"})  # unsynced
+        wal.append(("ack", op, 0.0, "/f"), sync=True)
+    wal.append(("grant", 0.0, "/x"))  # unsynced
     assert wal.tear_tail()
     records, scan = wal.recover()
     assert scan.reason == TORN
-    assert [r["op"] for r in records] == [0, 1, 2, 3, 4]
+    assert [r[1] for r in records] == [0, 1, 2, 3, 4]
+    assert wal.size == wal.durable_offset == os.path.getsize(wal.path)
     wal.close()
 
 
@@ -131,9 +265,9 @@ def test_walfile_tear_tail_never_scans_clean(tmp_path):
     # The cut must land strictly inside a record: a boundary-aligned cut
     # would read back as a clean, shorter log and recovery would miss it.
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append({"k": "ack", "op": 0}, sync=True)
-    wal.append({"k": "grant", "path": "/a"})
-    wal.append({"k": "grant", "path": "/b"})
+    wal.append(("ack", 0, 0.0, "/f"), sync=True)
+    wal.append(("grant", 0.0, "/a"))
+    wal.append(("grant", 0.0, "/b"))
     wal.tear_tail()
     _, scan = wal.recover(repair=False)
     assert scan.truncated
@@ -144,46 +278,47 @@ def test_walfile_tear_tail_on_fully_synced_log(tmp_path):
     # No unsynced span: the fault models a crash mid-append of the *next*
     # record, so a partial junk frame lands past the synced prefix.
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append({"k": "ack", "op": 0}, sync=True)
+    wal.append(("ack", 0, 0.0, "/f"), sync=True)
     wal.tear_tail()
     records, scan = wal.recover()
     assert scan.reason == TORN
-    assert records == [{"k": "ack", "op": 0}]
+    assert records == [("ack", 0, 0.0, "/f")]
     wal.close()
 
 
 def test_walfile_corrupt_tail_detected_and_repaired(tmp_path):
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append({"k": "ack", "op": 0}, sync=True)
-    wal.append({"k": "grant", "path": "/x"})
+    wal.append(("ack", 0, 0.0, "/f"), sync=True)
+    wal.append(("grant", 0.0, "/x"))
     assert wal.corrupt_tail()
     records, scan = wal.recover()
     assert scan.reason == CORRUPT
-    assert records == [{"k": "ack", "op": 0}]
+    assert records == [("ack", 0, 0.0, "/f")]
     # Repair physically truncated the file: a fresh scan is clean and the
     # log accepts appends again.
-    wal.append({"k": "ack", "op": 1}, sync=True)
+    wal.append(("ack", 1, 1.0, "/g"), sync=True)
     records, scan = wal.recover()
     assert not scan.truncated
-    assert [r.get("op") for r in records] == [0, 1]
+    assert [r[1] for r in records] == [0, 1]
     wal.close()
 
 
 def test_walfile_corrupt_tail_on_fully_synced_log(tmp_path):
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append({"k": "ack", "op": 0}, sync=True)
+    wal.append(("ack", 0, 0.0, "/f"), sync=True)
     wal.corrupt_tail()
     records, scan = wal.recover()
     assert scan.reason == CORRUPT
-    assert records == [{"k": "ack", "op": 0}]
+    assert records == [("ack", 0, 0.0, "/f")]
     wal.close()
 
 
 def test_walfile_reset_empties_log(tmp_path):
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append({"n": 1}, sync=True)
+    wal.append(("ack", 1, 0.0, "/f"), sync=True)
     wal.reset()
     assert wal.size == 0 and wal.durable_offset == 0
+    assert os.path.getsize(wal.path) == 0
     records, _ = wal.recover()
     assert records == []
     wal.close()
@@ -195,13 +330,13 @@ def test_walfile_reset_empties_log(tmp_path):
 def test_server_log_state_replay():
     state = ServerLogState()
     for record in [
-        {"k": "fence", "epoch": 2},
-        {"k": "ack", "op": 7},
-        {"k": "grant", "path": "/a"},
-        {"k": "grant", "path": "/b"},
-        {"k": "revoke", "path": "/a"},
-        {"k": "fence", "epoch": 1},  # stale fence never regresses
-        {"k": "mystery", "x": 1},  # unknown kinds ignored
+        ("fence", 2, 0.0),
+        ("ack", 7, 0.1, "/f"),
+        ("grant", 0.2, "/a"),
+        ("grant", 0.3, "/b"),
+        ("revoke", 0.4, "/a"),
+        ("fence", 1, 0.5),  # stale fence never regresses
+        ("directive", {"epoch": 9}),  # other kinds ignored
     ]:
         state.apply(record)
     assert state.fence_epoch == 2
@@ -211,8 +346,8 @@ def test_server_log_state_replay():
 
 def test_server_log_state_snapshot_round_trip():
     state = ServerLogState()
-    state.apply({"k": "ack", "op": 1})
-    state.apply({"k": "grant", "path": "/s"})
+    state.apply(("ack", 1, 0.0, "/f"))
+    state.apply(("grant", 0.0, "/s"))
     rebuilt = ServerLogState.from_snapshot(state.to_snapshot())
     assert rebuilt.to_snapshot() == state.to_snapshot()
     assert ServerLogState.from_snapshot(None).to_snapshot() == {
@@ -297,6 +432,33 @@ def test_backend_damage_on_clean_log_injects_inflight_junk(backend, tmp_path):
         store.close()
 
 
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_store_events_are_built_only_for_enabled_telemetry(backend, tmp_path):
+    class Off:
+        enabled = False
+
+        def event(self, *args, **fields):
+            raise AssertionError("an event was built for disabled telemetry")
+
+    store = make_store(backend, directory=str(tmp_path / "off"), snapshot_every=4)
+    store.bind_telemetry(Off())
+    drive_store(store)
+    store.close()
+
+    telemetry = Telemetry()
+    store = make_store(backend, directory=str(tmp_path / "on"), snapshot_every=4)
+    store.bind_telemetry(telemetry)
+    drive_store(store)
+    store.close()
+    events = [(e.event, dict(e.fields)) for e in telemetry.events]
+    assert events[0] == ("wal_fsync", {"server": 0, "record": "fence"})
+    assert events[1] == ("wal_fsync", {"server": 0, "record": "ack"})
+    assert [name for name, _ in events].count("wal_fsync") == store.fsyncs == 11
+    assert [f for name, f in events if name == "snapshot"][0] == {
+        "server": 0, "acked": 3, "subtrees": 0,
+    }
+
+
 def test_memory_store_is_not_durable_and_damage_is_noop():
     store = MemoryStore()
     assert store.durable is False
@@ -328,12 +490,19 @@ def test_wal_store_files_on_disk(tmp_path):
 
 
 def test_wal_store_cleanup_spares_foreign_files(tmp_path):
-    (tmp_path / "keep.txt").write_text("mine")
+    foreign = ["keep.txt", "snapshot-0.json.bak", "notes.tmp", "wal-0.log.tmp"]
+    for name in foreign:
+        (tmp_path / name).write_text("mine")
     (tmp_path / "wal-0.log").write_bytes(b"stale")
+    # What a run that died between a snapshot's write and its os.replace
+    # leaves behind is the store's own file too.
+    (tmp_path / "snapshot-3.json.tmp").write_text('{"acked_ops":[1')
     store = make_store("wal", directory=str(tmp_path))
     store.close()
-    assert (tmp_path / "keep.txt").read_text() == "mine"
+    for name in foreign:
+        assert (tmp_path / name).read_text() == "mine"
     assert not (tmp_path / "wal-0.log").exists()
+    assert not (tmp_path / "snapshot-3.json.tmp").exists()
 
 
 def test_store_init_owns_directory_for_one_run(tmp_path):
