@@ -111,17 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_args(sim)
     sim.add_argument("--servers", type=int, default=8)
     sim.add_argument("--scheme", choices=registry.available(), default=None)
-    sim.add_argument("--batch-size", type=int, default=None,
-                     help="dispatch prefetch window for the routing fast "
-                          "path (1 = per-op; default 64; results are "
-                          "byte-identical across batch sizes)")
-    sim.add_argument("--simulate-engine",
-                     choices=["auto", "columnar", "perop"], default=None,
-                     help="replay engine (default auto: the columnar "
-                          "array-at-a-time engine on fault-free runs, the "
-                          "per-op engine otherwise; results are "
-                          "bit-identical either way — see "
-                          "docs/PERFORMANCE.md)")
     sim.add_argument("--max-ops", type=int, default=None,
                      help="truncate the trace to this many operations "
                           "(what `repro chaos --ops` replays)")
@@ -168,9 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="record causal span trees for every Nth operation "
                           "(deterministic head sampling keyed off the op "
                           "id; spans land in --metrics-out and feed "
-                          "`repro report --critical-path` / --perfetto; "
-                          "fault-free sampled runs stay on the columnar "
-                          "engine — see docs/OBSERVABILITY.md)")
+                          "`repro report --critical-path` / --perfetto "
+                          "— see docs/OBSERVABILITY.md)")
 
     chaos = sub.add_parser(
         "chaos",
@@ -421,10 +409,6 @@ def cmd_simulate(args) -> int:
         overrides["heartbeat_timeout"] = args.heartbeat_timeout
     if args.monitor_lease_timeout is not None:
         overrides["monitor_lease_timeout"] = args.monitor_lease_timeout
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.simulate_engine is not None:
-        overrides["simulate_engine"] = args.simulate_engine
     if args.store is not None:
         overrides["store"] = args.store
     if args.store_dir is not None:
@@ -443,13 +427,12 @@ def cmd_simulate(args) -> int:
     config = SimulationConfig(**overrides) if overrides else None
     want_telemetry = bool(args.metrics_out or args.metrics_prom)
     # Sampled tracing does not need full telemetry: a disabled Telemetry
-    # shell still carries the span stream, and — unlike enabled telemetry —
-    # keeps fault-free runs eligible for the columnar engine.
+    # shell still carries the span stream, without the cost of the metrics
+    # hub and the per-op events.
     span_only = (
         trace_sample > 0
         and not args.fault
         and args.store in (None, "memory")
-        and args.simulate_engine != "perop"
         and not args.metrics_prom
     )
     results_json: List[dict] = []

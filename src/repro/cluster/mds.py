@@ -69,8 +69,8 @@ class MetadataServer:
         return self.cpu.serve(arrival, work * self.service_time * self.slow_factor)
 
     def visit_cost(self, work: float = 1.0) -> float:
-        """The CPU duration :meth:`process` books for one visit — lets the
-        span recorder recover a visit's service start from its end time."""
+        """The CPU duration :meth:`process` books for one visit (the replay
+        loop's per-server service column)."""
         return work * self.service_time * self.slow_factor
 
     def record_access(self, path: str, now: float, weight: float = 1.0) -> None:

@@ -63,9 +63,14 @@ class D2TreePlacement(Placement):
     # Building
     # ------------------------------------------------------------------
     def place_global_layer(self) -> None:
-        """Replicate every global-layer node to the replica set."""
+        """Replicate every global-layer node to the replica set.
+
+        In ``node_id`` order: the layer is a set of nodes hashed by address,
+        and the insertion order of ``_servers_of`` fixes the float summation
+        order of ``loads()`` — it must not depend on the allocator.
+        """
         replicas = self.global_replicas()
-        for node in self.split.global_layer:
+        for node in sorted(self.split.global_layer, key=lambda n: n.node_id):
             self.replicate(node, replicas)
 
     def place_subtree(self, root: MetadataNode, server: int) -> None:

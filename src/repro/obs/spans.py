@@ -21,9 +21,8 @@ Every non-``async`` child interval abuts the next, so the per-category sums
 duration — the invariant the critical-path analyzer and its tests lean on.
 
 Determinism: whether an operation is sampled depends only on ``(seed,
-op id)`` via a splitmix64-style integer hash — never on the engine replaying
-it — so the per-op and columnar engines sample, and therefore emit, the
-exact same spans. Span ids are derived from the causal op id (root
+op id)`` via a splitmix64-style integer hash, so the same run always emits
+the exact same spans. Span ids are derived from the causal op id (root
 ``"<op>"``, children ``"<op>.<k>"``); cluster-lifecycle spans (failover,
 recovery, adjustment rounds) draw from a separate ``"c<n>"`` sequence.
 """
@@ -39,8 +38,8 @@ _MASK64 = (1 << 64) - 1
 
 
 def _mix(seed: int, value: int) -> int:
-    """splitmix64-style avalanche of ``(seed, value)`` — stable across runs,
-    engines and Python versions (pure integer arithmetic)."""
+    """splitmix64-style avalanche of ``(seed, value)`` — stable across runs
+    and Python versions (pure integer arithmetic)."""
     x = (seed * 0x9E3779B97F4A7C15 + value * 0xBF58476D1CE4E5B9 + 1) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
@@ -93,12 +92,10 @@ class SpanRecord:
 class SpanRecorder:
     """Collects span trees for 1-in-``sample_every`` operations.
 
-    The recorder is engine-agnostic: both simulate engines feed it the same
-    per-op observations (attempt starts, lock grant, server visits,
-    completion) through :meth:`begin_op` / :meth:`retry` / :meth:`visit` /
-    :meth:`finish`, and the span construction lives here — shared code is
-    what makes the two engines' span output byte-identical rather than
-    merely similar.
+    The replay loop feeds it per-op observations (attempt starts, lock
+    grant, server visits, completion) through :meth:`begin_op` /
+    :meth:`retry` / :meth:`visit` / :meth:`finish`; the span construction
+    lives here.
     """
 
     def __init__(self, sample_every: int, seed: int = 0) -> None:
@@ -132,7 +129,7 @@ class SpanRecorder:
         self._seq += 1
 
     # ------------------------------------------------------------------
-    # Operation spans. The engines thread a small mutable trace dict
+    # Operation spans. The replay loop threads a small mutable trace dict
     # through an op's lifetime; spans are only materialized at completion.
     # ------------------------------------------------------------------
     def begin_op(

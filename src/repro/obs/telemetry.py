@@ -105,8 +105,8 @@ class Telemetry:
         self.events: List[TraceEvent] = []
         self.samples: List[Sample] = []
         #: Attached span recorder (repro.obs.spans), or None. Spans ride
-        #: along even when ``enabled`` is False: sampling is cheap enough
-        #: for the columnar fast path, unlike the full metrics hub.
+        #: along even when ``enabled`` is False: a sampled run need not pay
+        #: for the full metrics hub.
         self.spans = None
         #: Current simulated time, advanced by the event loop.
         self.now = 0.0

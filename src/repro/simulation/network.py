@@ -3,7 +3,7 @@
 The paper's testbed is EC2 instances on 100 Mbps links; metadata requests
 are small, so latency is dominated by per-hop round trips rather than
 bandwidth. The healthy-network model is therefore a constant per-hop
-latency with optional deterministic triangle-wave jitter.
+latency.
 
 :class:`SimNetwork` is the simulation-side half of the unified transport:
 the fault bookkeeping
@@ -37,26 +37,18 @@ __all__ = ["SimNetwork", "mds_addr", "mon_addr", "CLIENT_ADDR"]
 class SimNetwork(FaultFabric):
     """Constant-latency fabric with optional loss, delay and partitions."""
 
-    def __init__(
-        self, hop_latency: float = 2e-4, jitter: float = 0.0, seed: int = 0
-    ) -> None:
-        if hop_latency < 0 or jitter < 0:
+    def __init__(self, hop_latency: float = 2e-4, seed: int = 0) -> None:
+        if hop_latency < 0:
             raise ValueError("latencies must be non-negative")
         super().__init__(seed=seed)
         self.hop_latency = hop_latency
-        self.jitter = jitter
-        self._tick = 0
 
     # ------------------------------------------------------------------
     # Healthy-path latency
     # ------------------------------------------------------------------
     def hop(self) -> float:
         """Latency of one network traversal (client↔server or server↔server)."""
-        if self.jitter == 0:
-            return self.hop_latency
-        # Deterministic triangle-wave jitter keeps runs reproducible.
-        self._tick = (self._tick + 1) % 16
-        return self.hop_latency + self.jitter * abs(self._tick - 8) / 8.0
+        return self.hop_latency
 
     # ------------------------------------------------------------------
     # Data plane (client requests, inter-MDS forwarding)

@@ -16,8 +16,7 @@ entry costs one redirect hop, a cold one a random entry server). The
 generic (non-D2) planner is a POSIX ancestor traversal with client-side
 prefix caching, short-circuited on the warm path: a client that recently
 verified a node and whose entry is still current goes straight to the
-owner in O(1). Plans are deterministic and byte-identical across dispatch
-batch sizes (the routing tests lock that down); the D2 decisions are frozen
+owner in O(1). Plans are deterministic; the D2 decisions are frozen
 by ``tests/golden/perfect_network_d2.json``, captured from the string-keyed
 per-op planner this engine replaced.
 

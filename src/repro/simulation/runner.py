@@ -23,7 +23,7 @@ from repro.cluster.client import SimClient
 from repro.cluster.control import ClusterControl
 from repro.cluster.locks import LockManager
 from repro.cluster.mds import MetadataServer
-from repro.cluster.messages import Heartbeat, RoutePlan, Visit, VisitKind
+from repro.cluster.messages import Heartbeat, RoutePlan, VisitKind
 from repro.cluster.monitor import MonitorGroup
 from repro.core.namespace import NamespaceTree
 from repro.core.partition import D2TreePlacement
@@ -89,18 +89,8 @@ class SimulationConfig:
     #: Leadership lease: a standby takes over after the leader has been dead
     #: or quorumless this long (default 2x heartbeat_timeout).
     monitor_lease_timeout: Optional[float] = None
-    #: Dispatch prefetch window: how many upcoming trace records get their
-    #: namespace lookups resolved per refill. Purely a throughput knob —
-    #: lookups are side-effect-free, so results are byte-identical for any
-    #: value; ``1`` reproduces per-op dispatch exactly.
-    batch_size: int = 64
-    #: Replay engine: ``"auto"`` picks the columnar batched loop whenever the
-    #: run is eligible (fault-free, telemetry off, memory store, perfect
-    #: network) and falls back to the per-op loop otherwise; ``"columnar"``
-    #: forces the batched loop (raising if the run is ineligible);
-    #: ``"perop"`` forces the per-op loop. Both engines are bit-identical on
-    #: eligible runs — the choice is purely a throughput knob.
-    simulate_engine: str = "auto"
+    batch_size: int = 64  # perfbench pins this name; ROADMAP item 1 deletes it
+    simulate_engine: str = "auto"  # perfbench pins this name; ROADMAP item 1 deletes it
     #: Metadata persistence backend (``repro.storage``): ``"memory"`` (the
     #: zero-cost no-op default) or ``"wal"``, which journals
     #: acks/fences/subtree moves and replays them when a ``kill9``'d server
@@ -111,15 +101,32 @@ class SimulationConfig:
     #: Per-server log appends between snapshots (0 disables snapshots).
     snapshot_every: int = 512
     #: Deterministic head-sampling of causal span trees: every sampled
-    #: operation (1 in ``trace_sample``, keyed on ``(seed, op id)`` so both
-    #: simulate engines pick the same ops) records a span tree, plus
-    #: cluster-lifecycle spans for failover/recovery/adjustment. ``0``
-    #: disables tracing entirely (the default — zero-cost, byte-identical
-    #: to pre-span builds). Span recording never changes simulation
-    #: results; unlike full telemetry it does not disqualify the columnar
-    #: engine.
+    #: operation (1 in ``trace_sample``, keyed on ``(seed, op id)``) records
+    #: a span tree, plus cluster-lifecycle spans for failover / recovery /
+    #: adjustment. ``0`` disables tracing entirely (the default — zero-cost,
+    #: byte-identical to pre-span builds). Span recording never changes
+    #: simulation results.
     trace_sample: int = 0
     seed: int = 7
+
+
+def _sync_out(servers, busy_until, busy_time, served) -> None:
+    """Write the replay loop's inlined CPU timelines back to the servers."""
+    for i, server in enumerate(servers):
+        cpu = server.cpu
+        cpu.busy_until = busy_until[i]
+        cpu.busy_time = busy_time[i]
+        cpu.served = served[i]
+
+
+def _sync_in(servers, busy_until, busy_time, served, service) -> None:
+    """Refresh the loop's per-server columns from the server objects."""
+    for i, server in enumerate(servers):
+        cpu = server.cpu
+        busy_until[i] = cpu.busy_until
+        busy_time[i] = cpu.busy_time
+        served[i] = cpu.served
+        service[i] = server.visit_cost() if server.alive else None
 
 
 class ClusterSimulator:
@@ -205,9 +212,9 @@ class ClusterSimulator:
                     self.placement.forget(node)
         self.migrations = 0
         # Span tracing (repro.obs.spans): deterministic head-sampled span
-        # trees. The recorder rides outside the telemetry enable switch so
-        # sampled runs stay columnar-eligible; it is attached to the hub
-        # (when one was passed in) purely for JSONL export.
+        # trees. The recorder rides outside the telemetry enable switch (a
+        # sampled run need not pay for the metrics hub); it is attached to
+        # the hub, when one was passed in, purely for JSONL export.
         self.spans: Optional[SpanRecorder] = None
         #: Per-server migration-CPU budget: accrued when migrations charge
         #: background work, consumed by sampled ops' queueing delays to
@@ -222,9 +229,9 @@ class ClusterSimulator:
                 self.telemetry.attach_spans(self.spans)
         #: The control plane shared with the live cluster. Its ``history``
         #: (an ``OpHistory``, None by default) is set by the chaos harness
-        #: before ``run()``; recording one forces the per-op engine. The
-        #: callback holds the simulator weakly: no reference cycle, so a
-        #: dropped simulator is freed at once (perfbench reads peak RSS).
+        #: before ``run()``. The callback holds the simulator weakly: no
+        #: reference cycle, so a dropped simulator is freed at once
+        #: (perfbench reads peak RSS).
         this = weakref.ref(self)
         self.control = ClusterControl(
             self.servers, self.placement, self.monitor, self.network,
@@ -261,9 +268,6 @@ class ClusterSimulator:
             info.setdefault("trace", self.trace.name)
             info.setdefault("servers", num_servers)
             info.setdefault("seed", self.config.seed)
-            # batch_size is deliberately NOT recorded: it is a pure
-            # throughput knob, and identical headers keep the batched run's
-            # telemetry byte-identical to the per-op run's.
             if self.store_on:
                 # Recorded only when durability is on: default runs keep
                 # the exact pre-durability header.
@@ -341,7 +345,7 @@ class ClusterSimulator:
     # Adjustment (heartbeat-driven, mid-replay)
     # ------------------------------------------------------------------
     def _adjust(self, now: float, window: List[float]) -> None:
-        """One adjustment round (Sec. IV-B), shared by both replay engines.
+        """One adjustment round (Sec. IV-B).
 
         ``window`` holds the per-node access counts since the last round,
         indexed by node id. The popularity estimates live in an id-indexed
@@ -534,89 +538,68 @@ class ClusterSimulator:
                 tree.aggregate_popularity()
 
     def _run(self) -> SimulationResult:
-        """Pick the replay engine (see ``SimulationConfig.simulate_engine``)."""
-        mode = self.config.simulate_engine
-        if mode not in ("auto", "columnar", "perop"):
-            raise ValueError(
-                f"unknown simulate_engine {mode!r} "
-                "(expected 'auto', 'columnar' or 'perop')"
-            )
-        if mode == "perop":
-            return self._run_perop()
-        eligible = self._columnar_eligible()
-        if not eligible:
-            if mode == "columnar":
-                raise ValueError(
-                    "simulate_engine='columnar' needs a fault-free run: no "
-                    "fault plan, telemetry disabled, the "
-                    "memory store, and a perfect (non-faulty, jitter-free) "
-                    "network; use 'auto' or 'perop' for this configuration"
-                )
-            return self._run_perop()
-        return self._run_columnar()
+        """The replay loop: visits are served in global time order.
 
-    def _columnar_eligible(self) -> bool:
-        """Whether the batched columnar loop covers this configuration.
+        The trace streams through as :class:`~repro.traces.columns.OpBatch`
+        windows (fixed memory for streaming traces). A closed loop has at
+        most one in-flight op per client, so an op's state lives in
+        per-client *slot* arrays and an event is ``(time, seq, slot)``; a
+        server's FIFO timeline only ever sees arrivals with non-decreasing
+        timestamps, which keeps queueing causal. Server CPU timelines,
+        liveness and visit cost are inlined as parallel lists, synced with
+        the ``MetadataServer`` objects around every call that can read or
+        write them (``_adjust``, ``_heartbeats``, ``control.apply_fault``).
 
-        The columnar engine implements the fault-free fast path only: every
-        branch it drops (heartbeat rounds, failure detection, retries,
-        telemetry, durability journaling) is *provably unobservable* under
-        these conditions, which is what makes it bit-identical rather than
-        merely approximate.
-        """
-        cfg = self.config
-        return (
-            not cfg.fault_plan
-            and not self.telemetry.enabled
-            and not self.store_on
-            and not self.network.faulty
-            and self.network.jitter == 0
-            # History recording needs the per-op lifecycle hooks (invoke /
-            # ack / fail with per-visit servers); the columnar loop has no
-            # per-op control flow to hang them on.
-            and self.control.history is None
-        )
-
-    def _run_perop(self) -> SimulationResult:
-        """Event-heap replay: visits are served in global time order.
-
-        Each in-flight operation is an event ``(time, seq, op_state)``; a
-        server's FIFO timeline therefore only ever sees arrivals with
-        non-decreasing timestamps, which keeps queueing causal (an earlier
-        arrival is never stuck behind work that starts later).
+        Everything a quiet run does not need — the heartbeat / fault grid,
+        retries, the lossy fabric, the durable store, history, telemetry,
+        spans — is an ``if flag:`` block on a local resolved once up here,
+        so a fault-free, unobserved run pays a handful of predicates per op.
         """
         import heapq
-        import itertools
+        from itertools import count
 
         cfg = self.config
-        try:
-            records = self.trace.records
-        except TypeError:
-            # Streaming trace on the per-op engine (faults, telemetry or a
-            # durable store forced the fallback): materialize once. Only the
-            # columnar engine replays streams in fixed memory.
-            records = list(self.trace)
-        # Telemetry fast path: everything below is gated on one local bool
-        # and metric handles are resolved once, so a disabled run only pays
-        # a handful of predicate checks per operation.
+        placement = self.placement
+        tree = self.tree
+        servers = self.servers
+        network = self.network
+        control = self.control
+        monitor_is_dead = self.monitor.is_dead
+        availability = self.availability
+        # Bind the scheme planner directly, hoisting the per-op
+        # interning-staleness check out of the loop. Safe because the tree
+        # is structurally static mid-replay (CREATE ops move placement, not
+        # structure) — re-intern once up front if the engine is stale.
+        if self.engine.table.version != tree.structure_version:
+            self.engine._reintern()
+        engine_plan = self.engine._planner
+        serve_plan = self.engine._serve_plan  # interned single-SERVE plans
+        is_placed = placement.is_placed
+        place_created = self.scheme.place_created
+        locks_acquire = self.locks.acquire
+        heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
+        hop = network.hop()
+        fan_cost = cfg.replica_write_work * cfg.service_time
+        lock_hold = cfg.lock_hold_time
+        adjust_every = cfg.adjust_every_ops
+        failover = cfg.failover_latency
+        max_retries = cfg.max_retries
+        decode = OP_FROM_CODE
+        REDIRECT = VisitKind.REDIRECT
+        # The hooks. Each is one local bool (or None-able handle) here and
+        # plain ``if`` blocks below; metric handles are resolved once.
         tel = self.telemetry
         tel_on = tel.enabled
         record_ops = tel_on and tel.record_ops
-        # Durability fast path: same shape as the telemetry gate — one local
-        # bool, handles resolved once, nothing on the disabled path.
-        store_on = self.store_on
         store = self.store
+        store_on = self.store_on
         ledger = self.durability
-        # Span-tracing fast path: same shape again. Untraced runs pay one
-        # predicate per site; traced runs only do real work on sampled ops.
+        hist = control.history
+        hist_on = hist is not None
         rec = self.spans
         rec_on = rec is not None
         mig_budget = self._mig_budget
-        # History fast path: same gate shape once more. Recording an
-        # operation history forces this engine (see _columnar_eligible),
-        # so the invoke/ack/fail hooks live only here.
-        hist = self.control.history
-        hist_on = hist is not None
         if tel_on:
             m_completed = tel.registry.counter(
                 "ops_completed", help="Operations completed")
@@ -635,319 +618,336 @@ class ClusterSimulator:
                 "client_retries",
                 help="Retry attempts per finished operation "
                      "(completed or abandoned)")
+
+        arena = self._arena
+        window = arena.zero_loads()
+
+        busy_until = [s.cpu.busy_until for s in servers]
+        busy_time = [s.cpu.busy_time for s in servers]
+        served = [s.cpu.served for s in servers]
+        #: Exactly MetadataServer.process's duration per server; None
+        #: while the server is down.
+        service = [s.visit_cost() if s.alive else None for s in servers]
+
+        # Fault schedule, split into op-count- and time-triggered stacks
+        # (next to fire on top); the time-triggered one shares a grid with
+        # the liveness heartbeats.
+        fault_plan = cfg.fault_plan or FaultPlan()
+        fault_plan.validate(self.num_servers, num_monitors=cfg.num_monitors)
+        ops_faults = fault_plan.by_ops()[::-1]
+        time_faults = fault_plan.by_time()[::-1]
+        infinity = float("inf")
+        #: A fault can bite: one is scheduled, or the run starts degraded.
+        faulted = bool(fault_plan) or network.faulty or None in service
+        # The heartbeat grid is skipped when nothing can observe it:
+        # fault-free, a round only refreshes liveness state that detection
+        # never acts on.
+        grid_on = faulted or tel_on or store_on or hist_on
+        heartbeat_every = cfg.heartbeat_interval
+        next_heartbeat = (
+            heartbeat_every if grid_on and heartbeat_every > 0 else infinity
+        )
+        next_time_fault = time_faults[-1].at_time if time_faults else infinity
+        next_grid = min(next_heartbeat, next_time_fault)
+
+        batches = iter_op_batches(self.trace, tree)
+        b_codes: List[int] = []
+        b_nodes: List = []
+        b_len = 0
+        b_idx = 0
+        dispatched = 0
+        created = 0
+
+        num_slots = cfg.num_clients
+        clients = self.clients[:num_slots]
+        #: None until the slot's client has issued its first record.
+        slot_plan: List[Optional[RoutePlan]] = [None] * num_slots
+        slot_visit = [0] * num_slots
+        slot_start = [0.0] * num_slots
+        slot_node: List = [None] * num_slots
+        slot_op: List = [None] * num_slots
+        slot_attempts = [0] * num_slots
+        #: 1-based issue number: the durable op sequence, stable across
+        #: retries (the history and span op id is the same counter 0-based).
+        slot_issue = [0] * num_slots
+        #: Telemetry op id and span trace state (None unless recorded).
+        slot_tid: List[Optional[int]] = [None] * num_slots
+        slot_tr: List[Optional[Dict]] = [None] * num_slots
+
         latencies: List[float] = []
+        lat_append = latencies.append
         redirects = 0
         jumps_total = 0
         makespan = 0.0
         completed = 0
-        next_record = 0
-        seq = itertools.count()
-        #: (event_time, tiebreak, op) where op is a mutable dict.
-        events: List = []
-
-        # Batched dispatch: namespace lookups for the next ``batch_size``
-        # records are resolved in one tight pass per refill. Lookups are
-        # pure reads of a static tree, so prefetching them never changes
-        # behaviour — placement-dependent decisions (is_placed, CREATE
-        # placement, route planning) stay at dispatch time, which is what
-        # keeps any batch size byte-identical to per-op dispatch.
-        batch_window = max(1, int(cfg.batch_size))
-        prefetched: List = []  # consumed back-to-front (reversed refill)
-        #: Per-node access counts since the last adjustment round.
-        window = self._arena.zero_loads()
-        lookup = self.tree.lookup
-        network = self.network
-
-        def retry_op(op: Dict, now: float, server: int) -> None:
-            """Client timeout path: back off and retry, or give up.
-
-            Shared by every loss mode — a request to a crashed server, a
-            send the network dropped, a forward cut by a partition. The op
-            id is stable across attempts, which is what makes the retry
-            idempotent: a completed operation is counted exactly once no
-            matter how many sends it took.
-            """
-            attempts = op.get("attempts", 0) + 1
-            op["attempts"] = attempts
-            if attempts > cfg.max_retries:
-                # Retry budget exhausted: the operation *fails* instead
-                # of looping forever; the client moves on. Simulated
-                # failures are determinate (the model never drops the
-                # completion hop of a served op), so this is a history
-                # ``fail``, never an ``indeterminate``.
-                self.availability.failed_operations += 1
-                if hist_on:
-                    hist.fail(
-                        op["hid"], op["client"].client_id, now, attempts
-                    )
-                if tel_on:
-                    m_failed.inc()
-                    h_client_retries.observe(float(attempts))
-                    tel.op_event(
-                        "op_failed", op.get("id"), t=now,
-                        server=server, attempts=attempts,
-                    )
-                dispatch(op["client"], now + cfg.failover_latency)
-                return
-            self.availability.retries += 1
-            if tel_on:
-                m_retries.inc()
-                tel.op_event(
-                    "op_retry", op.get("id"), t=now,
-                    server=server, attempt=attempts,
-                )
-            backoff = min(
-                cfg.retry_backoff_cap,
-                cfg.retry_backoff_base * (2 ** (attempts - 1)),
-            )
-            # The tree is static mid-replay, so the node resolved at
-            # dispatch time is still authoritative — no re-lookup.
-            fresh = self.plan_route(op["client"], op["node"], op["op"])
-            op["plan"] = fresh
-            op["visit"] = 0
-            if rec_on:
-                tr = op.get("tr")
-                if tr is not None:
-                    rec.retry(tr, now + cfg.failover_latency + backoff)
-            heapq.heappush(
-                events,
-                (now + cfg.failover_latency + backoff, next(seq), op),
-            )
-
-        def dispatch(client: SimClient, start: float) -> bool:
-            """Issue the next trace record from this client; False when done."""
-            nonlocal next_record
-            if not prefetched:
-                total = len(records)
-                while not prefetched and next_record < total:
-                    end = min(next_record + batch_window, total)
-                    while next_record < end:
-                        record = records[next_record]
-                        next_record += 1
-                        node = lookup(record.path)
-                        if node is not None:
-                            prefetched.append((record, node))
-                    prefetched.reverse()
-                if not prefetched:
-                    return False
-            record, node = prefetched.pop()
-            self.ops_issued += 1
-            if not self.placement.is_placed(node):
-                # CREATE (or first touch of a late node): the scheme
-                # places the newcomer and the owner does the insert.
-                server = self.scheme.place_created(
-                    self.tree, self.placement, node
-                )
-                if self.monitor.is_dead(server):
-                    # The cluster already evicted that server; a real
-                    # client is routed by the authoritative map and
-                    # never creates at an acknowledged-dead MDS.
-                    live = [s.server_id for s in self.servers if s.alive]
-                    if live:
-                        server = live[stable_hash(record.path) % len(live)]
-                        zones = getattr(self.placement, "zone_of", None)
-                        if zones is not None and node in zones:
-                            # Keep the zone map consistent, or a later
-                            # rebuild would resurrect the dead owner.
-                            zones[node] = server
-                        self.placement.assign(node, server)
-                self.created += 1
-                plan = RoutePlan(visits=[Visit(server, VisitKind.SERVE)])
-            else:
-                plan = self.plan_route(client, node, record.op)
-            # The hop tick always fires first (it keeps the fault-free path
-            # byte-identical); fault adjustment only ever adds to or drops
-            # the already-computed arrival.
-            first_arrival = start + network.hop()
-            if network.faulty:
-                arrival = network.client_arrival(
-                    plan.visits[0].server, first_arrival
-                )
-            else:
-                arrival = first_arrival
-            pre_lock = arrival
-            if arrival is not None and plan.lock_key:
-                arrival = self.locks.acquire(
-                    plan.lock_key, arrival, cfg.lock_hold_time
-                )
-            op = {
-                "client": client,
-                "plan": plan,
-                "visit": 0,
-                "start": start,
-                "path": record.path,
-                "node": node,
-                "op": record.op,
-            }
-            if hist_on:
-                # Stable history op id: the 0-based issue index (the
-                # durable dseq below is the same counter 1-based). Invoked
-                # before the lost-send branch so a first-attempt loss still
-                # has its invoke on record.
-                op["hid"] = self.ops_issued - 1
-                hist.invoke(op["hid"], client.client_id, start)
-            if store_on:
-                # Durable op sequence: stable across retries, so the acked
-                # set the ledger audits is exactly-once per operation.
-                op["dseq"] = self.ops_issued
-            if record_ops:
-                op["id"] = tel.next_op_id()
-                tel.event(
-                    "op_start", op["id"], t=start, path=record.path,
-                    type=record.op.value, client=client.client_id,
-                )
-            if rec_on and rec.sampled(self.ops_issued - 1):
-                op["tr"] = rec.begin_op(
-                    self.ops_issued - 1, record.path, client.client_id,
-                    start, pre_lock,
-                    arrival if plan.lock_key else None,
-                )
-            if arrival is None:
-                # The send was lost (loss fault): the client times out and
-                # retries like any other failed attempt.
-                retry_op(op, start, plan.visits[0].server)
-                return True
-            heapq.heappush(events, (arrival, next(seq), op))
-            return True
-
-        for client in self.clients[: cfg.num_clients]:
-            if not dispatch(client, 0.0):
-                break
-
-        # Fault schedule, split into op-count-triggered and time-triggered
-        # queues.
-        plan_all = cfg.fault_plan or FaultPlan()
-        plan_all.validate(self.num_servers, num_monitors=cfg.num_monitors)
-        ops_faults = plan_all.by_ops()
-        time_faults = plan_all.by_time()
-        ops_cursor = 0
-        time_cursor = 0
-        infinity = float("inf")
-        next_heartbeat = (
-            cfg.heartbeat_interval if cfg.heartbeat_interval > 0 else infinity
-        )
+        #: (time, seq, slot), one per client with work left. Seeded with a
+        #: plan-less event per client: popping it issues the first record.
+        events: List = [(0.0, slot, slot) for slot in range(num_slots)]
+        next_seq = count(num_slots).__next__
 
         while events:
-            now, _tick, op = heapq.heappop(events)
-            # Heartbeat rounds and time-triggered faults due before ``now``
-            # fire first, in chronological order (deterministic: both grids
-            # derive from sim time, never the wall clock).
-            while True:
-                fault_at = (
-                    time_faults[time_cursor].at_time
-                    if time_cursor < len(time_faults)
-                    else infinity
-                )
-                if next_heartbeat > now and fault_at > now:
-                    break
-                if next_heartbeat <= fault_at:
-                    self._heartbeats(next_heartbeat)
-                    next_heartbeat += cfg.heartbeat_interval
+            now, _tick, slot = events[0]  # peek; replaced or popped below
+            plan = slot_plan[slot]
+            #: Server whose silence the client must time out on (at
+            #: ``lost_at``), or -1 while the attempt in flight is healthy.
+            lost = -1
+            if plan is None:
+                start = now
+            else:
+                if now >= next_grid:
+                    # Heartbeat rounds and time-triggered faults due by
+                    # ``now`` fire first, in chronological order (both
+                    # grids derive from sim time, never the wall clock).
+                    _sync_out(servers, busy_until, busy_time, served)
+                    while next_grid <= now:
+                        if next_heartbeat <= next_time_fault:
+                            self._heartbeats(next_heartbeat)
+                            next_heartbeat += heartbeat_every
+                        else:
+                            control.apply_fault(time_faults.pop(), next_time_fault)
+                            next_time_fault = (
+                                time_faults[-1].at_time if time_faults else infinity
+                            )
+                        next_grid = min(next_heartbeat, next_time_fault)
+                    _sync_in(servers, busy_until, busy_time, served, service)
+                visits = plan.visits
+                vidx = slot_visit[slot]
+                sid = visits[vidx][0]
+                cost = service[sid]
+                if cost is None:
+                    # The target crashed. The placement still routes to it
+                    # until the Monitor detects the failure and re-homes
+                    # its metadata (the degraded window).
+                    lost = sid
+                    lost_at = now
                 else:
-                    self.control.apply_fault(time_faults[time_cursor], fault_at)
-                    time_cursor += 1
-            plan: RoutePlan = op["plan"]
-            visit = plan.visits[op["visit"]]
-            server = self.servers[visit.server]
-            if not server.alive:
-                # The target crashed: the client times out, backs off, and
-                # retries against the placement — which still routes to the
-                # dead server until the Monitor detects the failure and
-                # re-homes its metadata (the degraded window).
-                retry_op(op, now, visit.server)
-                continue
-            # Span tracing captures the service start with the exact float
-            # expression ResourceTimeline.serve uses (not end - duration,
-            # which can differ in the last ulp and break engine parity).
-            busy = server.cpu.busy_until
-            end = server.process(now)
-            if rec_on:
-                tr = op.get("tr")
-                if tr is not None:
-                    rec.visit(
-                        tr, visit.server, now,
-                        now if now > busy else busy, end, mig_budget,
-                    )
-            if visit.kind is VisitKind.SERVE:
-                server.record_access(op["path"], end)
-            op["visit"] += 1
-            if op["visit"] < len(plan.visits):
-                next_server = plan.visits[op["visit"]].server
-                base = end + network.hop()
-                if network.faulty:
-                    base = network.server_arrival(
-                        visit.server, next_server, base
-                    )
-                    if base is None:
+                    # Inlined ResourceTimeline.serve (FIFO busy-until clock).
+                    busy = busy_until[sid]
+                    begin = now if now > busy else busy
+                    end = begin + cost
+                    busy_until[sid] = end
+                    busy_time[sid] += cost
+                    served[sid] += 1
+                    if rec_on:
+                        tr = slot_tr[slot]
+                        if tr is not None:
+                            rec.visit(tr, sid, now, begin, end, mig_budget)
+                    vidx += 1
+                    nvis = len(visits)
+                    if vidx < nvis:
+                        slot_visit[slot] = vidx
+                        arrival = end + hop
+                        if faulted and network.faulty:
+                            arrival = network.server_arrival(
+                                sid, visits[vidx][0], arrival
+                            )
+                        if arrival is not None:
+                            heapreplace(events, (arrival, next_seq(), slot))
+                            continue
                         # The forward crossed a partition (or was lost):
-                        # the client times out and retries the whole op.
-                        retry_op(op, end, next_server)
-                        continue
-                heapq.heappush(events, (base, next(seq), op))
-                continue
-            # Final visit done: fan out replica writes asynchronously (the
-            # lock orders writers; version/lease checks cover readers, so the
-            # client is acked after the primary) and complete the operation.
-            for s in plan.fanout:
-                self.servers[s].cpu.serve_background(
-                    cfg.replica_write_work * cfg.service_time
-                )
-            completion = end + self.network.hop()
-            if store_on:
-                # fsync-before-ack: the ack record is durable before the
-                # client observes the completion, so a crash after this
-                # point can never lose an acknowledged operation.
-                store.append_ack(visit.server, op["dseq"], op["path"], completion)
-                ledger.note_ack(visit.server, op["dseq"])
-            client = op["client"]
-            if hist_on:
-                # Append order here is per-server serve order (arrivals are
-                # FIFO per server), which is exactly the order the history
-                # audit walks fence epochs in.
-                hist.ok(
-                    op["hid"], client.client_id, completion,
-                    visit.server, server.fence_epoch,
-                )
-            redirected = any(v.kind is VisitKind.REDIRECT for v in plan.visits)
-            client.note_operation(redirected)
-            if redirected:
-                redirects += 1
-            jumps_total += plan.num_jumps
-            latencies.append(completion - op["start"])
-            if rec_on:
-                tr = op.get("tr")
-                if tr is not None:
-                    rec.finish(tr, completion, len(plan.fanout))
-            if tel_on:
-                latency = completion - op["start"]
-                m_completed.inc()
-                if redirected:
-                    m_redirects.inc()
-                h_latency.observe(latency)
-                h_visits.observe(float(len(plan.visits)))
-                h_client_retries.observe(float(op.get("attempts", 0)))
-                tel.op_event(
-                    "op_complete", op.get("id"), t=completion,
-                    latency=latency, jumps=plan.num_jumps,
-                    redirected=redirected, attempts=op.get("attempts", 0),
-                )
-            if completion > makespan:
-                makespan = completion
-            window[op["node"].node_id] += 1.0
-            completed += 1
-            while (
-                ops_cursor < len(ops_faults)
-                and completed >= ops_faults[ops_cursor].at_ops
-            ):
-                self.control.apply_fault(ops_faults[ops_cursor], completion)
-                ops_cursor += 1
-            if cfg.adjust_every_ops and completed % cfg.adjust_every_ops == 0:
-                self._adjust(completion, window)
-                window = self._arena.zero_loads()
-            dispatch(client, completion)
+                        # the client retries the whole op.
+                        lost = visits[vidx][0]
+                        lost_at = end
+                    else:
+                        # Final visit done: fan out replica writes
+                        # asynchronously (the lock orders writers;
+                        # version/lease checks cover readers, so the client
+                        # is acked after the primary) and complete the op.
+                        for fs in plan.fanout:
+                            # Inlined ResourceTimeline.serve_background.
+                            busy_until[fs] += fan_cost
+                            busy_time[fs] += fan_cost
+                            served[fs] += 1
+                        start = completion = end + hop
+                        if store_on:
+                            # fsync-before-ack: the ack record is durable
+                            # before the client observes the completion, so
+                            # a crash after this point can never lose an
+                            # acknowledged operation.
+                            store.append_ack(
+                                sid, slot_issue[slot], slot_node[slot].path,
+                                completion,
+                            )
+                            ledger.note_ack(sid, slot_issue[slot])
+                        if hist_on:
+                            # Append order here is per-server serve order
+                            # (arrivals are FIFO per server), which is
+                            # exactly the order the history audit walks
+                            # fence epochs in.
+                            hist.ok(
+                                slot_issue[slot] - 1, clients[slot].client_id,
+                                completion, sid, servers[sid].fence_epoch,
+                            )
+                        if nvis == 1:
+                            redirected = visits[0][1] is REDIRECT
+                        else:
+                            jumps_total += nvis - 1
+                            redirected = False
+                            for visit in visits:
+                                if visit[1] is REDIRECT:
+                                    redirected = True
+                                    break
+                        if redirected:
+                            redirects += 1
+                        latency = completion - slot_start[slot]
+                        lat_append(latency)
+                        if rec_on:
+                            tr = slot_tr[slot]
+                            if tr is not None:
+                                rec.finish(tr, completion, len(plan.fanout))
+                        if tel_on:
+                            m_completed.inc()
+                            if redirected:
+                                m_redirects.inc()
+                            h_latency.observe(latency)
+                            h_visits.observe(float(nvis))
+                            h_client_retries.observe(float(slot_attempts[slot]))
+                            tel.op_event(
+                                "op_complete", slot_tid[slot], t=completion,
+                                latency=latency, jumps=nvis - 1,
+                                redirected=redirected,
+                                attempts=slot_attempts[slot],
+                            )
+                        if completion > makespan:
+                            makespan = completion
+                        window[slot_node[slot].node_id] += 1.0
+                        completed += 1
+                        if ops_faults and completed >= ops_faults[-1].at_ops:
+                            _sync_out(servers, busy_until, busy_time, served)
+                            while ops_faults and completed >= ops_faults[-1].at_ops:
+                                control.apply_fault(ops_faults.pop(), completion)
+                            _sync_in(servers, busy_until, busy_time, served, service)
+                        if adjust_every and completed % adjust_every == 0:
+                            # Rebalancing charges migration CPU on the real
+                            # timeline objects: sync out and back in.
+                            _sync_out(servers, busy_until, busy_time, served)
+                            self._adjust(completion, window)
+                            _sync_in(servers, busy_until, busy_time, served, service)
+                            window = arena.zero_loads()
+            # What the client does next: time out on a lost attempt and
+            # retry it (or give up on the op), else issue its next record.
+            while True:
+                if lost >= 0:
+                    # Shared by every loss mode — a request to a crashed
+                    # server, a send the network dropped, a forward cut by
+                    # a partition. The op id is stable across attempts,
+                    # which is what makes the retry idempotent: a completed
+                    # operation is counted exactly once no matter how many
+                    # sends it took.
+                    attempts = slot_attempts[slot] + 1
+                    slot_attempts[slot] = attempts
+                    if attempts <= max_retries:
+                        availability.retries += 1
+                        if tel_on:
+                            m_retries.inc()
+                            tel.op_event(
+                                "op_retry", slot_tid[slot], t=lost_at,
+                                server=lost, attempt=attempts,
+                            )
+                        retry_at = lost_at + failover + min(
+                            cfg.retry_backoff_cap,
+                            cfg.retry_backoff_base * (2 ** (attempts - 1)),
+                        )
+                        # The tree is static mid-replay, so the node
+                        # resolved at dispatch is still authoritative.
+                        slot_plan[slot] = engine_plan(
+                            clients[slot], slot_node[slot], slot_op[slot]
+                        )
+                        slot_visit[slot] = 0
+                        tr = slot_tr[slot]
+                        if tr is not None:
+                            rec.retry(tr, retry_at)
+                        heapreplace(events, (retry_at, next_seq(), slot))
+                        break
+                    # Retry budget exhausted: the operation *fails* instead
+                    # of looping forever; the client moves on. Simulated
+                    # failures are determinate (the model never drops the
+                    # completion hop of a served op), so this is a history
+                    # ``fail``, never an ``indeterminate``.
+                    availability.failed_operations += 1
+                    if hist_on:
+                        hist.fail(
+                            slot_issue[slot] - 1, clients[slot].client_id,
+                            lost_at, attempts,
+                        )
+                    if tel_on:
+                        m_failed.inc()
+                        h_client_retries.observe(float(attempts))
+                        tel.op_event(
+                            "op_failed", slot_tid[slot], t=lost_at,
+                            server=lost, attempts=attempts,
+                        )
+                    start = lost_at + failover
+                    lost = -1
+                if b_idx >= b_len:
+                    batch = next(batches, None)
+                    if batch is None:
+                        heappop(events)
+                        break
+                    b_codes = batch.op_codes
+                    b_nodes = batch.nodes
+                    b_len = len(b_codes)
+                    b_idx = 0
+                node = b_nodes[b_idx]
+                op = decode[b_codes[b_idx]]
+                b_idx += 1
+                dispatched += 1
+                if is_placed(node):
+                    plan = engine_plan(clients[slot], node, op)
+                else:
+                    # CREATE (or first touch of a late node): the scheme
+                    # places the newcomer and the owner does the insert.
+                    server = place_created(tree, placement, node)
+                    if monitor_is_dead(server):
+                        server = self._create_elsewhere(node, server)
+                    created += 1
+                    plan = serve_plan(server)
+                # Fault adjustment only ever adds to or drops the healthy
+                # arrival; a lost send (None) takes no lock.
+                pre_lock = arrival = start + hop
+                if faulted:
+                    # Retry state: only a faulted run loses an attempt.
+                    slot_op[slot] = op
+                    slot_attempts[slot] = 0
+                    if network.faulty:
+                        pre_lock = arrival = network.client_arrival(
+                            plan.visits[0][0], arrival
+                        )
+                if plan.lock_key and arrival is not None:
+                    arrival = locks_acquire(plan.lock_key, arrival, lock_hold)
+                slot_plan[slot] = plan
+                slot_visit[slot] = 0
+                slot_start[slot] = start
+                slot_node[slot] = node
+                slot_issue[slot] = dispatched
+                if hist_on:
+                    # Invoked before the lost-send branch so a
+                    # first-attempt loss still has its invoke on record.
+                    hist.invoke(dispatched - 1, clients[slot].client_id, start)
+                if record_ops:
+                    slot_tid[slot] = tel.next_op_id()
+                    tel.event(
+                        "op_start", slot_tid[slot], t=start, path=node.path,
+                        type=op.value, client=clients[slot].client_id,
+                    )
+                if rec_on:
+                    slot_tr[slot] = rec.begin_op(
+                        dispatched - 1, node.path, clients[slot].client_id,
+                        start, pre_lock,
+                        arrival if plan.lock_key else None,
+                    ) if rec.sampled(dispatched - 1) else None
+                if arrival is not None:
+                    heapreplace(events, (arrival, next_seq(), slot))
+                    break
+                # The send was lost (loss fault): the client times out and
+                # retries like any other failed attempt.
+                lost = plan.visits[0][0]
+                lost_at = start
 
-        self.control.close_unavailability(makespan)
-
+        _sync_out(servers, busy_until, busy_time, served)
+        self.created += created
+        self.ops_issued += dispatched
+        control.close_unavailability(makespan)
         operations = len(latencies)
         if tel_on:
             # Closing grid point: the end-of-run cluster state joins the
@@ -981,287 +981,21 @@ class ClusterSimulator:
             durability=durability,
         )
 
-    def _run_columnar(self) -> SimulationResult:
-        """Batched columnar replay: the fault-free fast path of
-        :meth:`_run_perop`, bit-identical on eligible runs.
-
-        The trace streams through as :class:`~repro.traces.columns.OpBatch`
-        windows (fixed memory for streaming traces); per-op dict state is
-        replaced by per-client *slot* arrays (a closed loop has at most one
-        in-flight op per client); server CPU timelines are inlined as
-        parallel lists (synced to the real objects around rebalancing, which
-        charges migration CPU on them); and per-op load counts land in an
-        arena window indexed by node id.
-
-        Parity: every dropped branch is unobservable under
-        :meth:`_columnar_eligible` — heartbeat rounds only refresh Monitor
-        liveness state that fault-free detection never reads to effect,
-        access counters/load reports only feed heartbeats, client per-op
-        stats feed nothing, and telemetry/durability hooks are disabled by
-        the gate. Everything observable — service order (same heap order:
-        identical (time, seq) keys), lock sequencing, CREATE placement, the
-        adjustment cadence with Def. 2 re-aggregation, migration charging —
-        runs through the same code or an order-exact replay of it.
-        """
-        import heapq
-        from itertools import count
-
-        cfg = self.config
-        placement = self.placement
-        scheme = self.scheme
-        tree = self.tree
-        # Bind the scheme planner directly, hoisting the per-op
-        # interning-staleness check out of the loop. Safe because the tree
-        # is structurally static mid-replay (CREATE ops move placement, not
-        # structure) — re-intern once up front if the engine is stale.
-        if self.engine.table.version != tree.structure_version:
-            self.engine._reintern()
-        engine_plan = self.engine._planner
-        is_placed = placement.is_placed
-        place_created = scheme.place_created
-        locks_acquire = self.locks.acquire
-        heappush = heapq.heappush
-        heapreplace = heapq.heapreplace
-        heappop = heapq.heappop
-        next_seq = count().__next__
-        hop = self.network.hop()  # constant: non-faulty, jitter-free
-        # Exactly MetadataServer.process's duration (work=1.0, slow_factor
-        # 1.0 on every server in a fault-free run).
-        service = 1.0 * cfg.service_time * 1.0
-        fan_cost = cfg.replica_write_work * cfg.service_time
-        lock_hold = cfg.lock_hold_time
-        adjust_every = cfg.adjust_every_ops
-        decode = OP_FROM_CODE
-        REDIRECT = VisitKind.REDIRECT
-        # Span tracing (bound methods hoisted): unsampled runs pay one local
-        # bool per site, sampled ops call the same SpanRecorder methods the
-        # per-op engine does — shared construction is the parity guarantee.
-        rec = self.spans
-        rec_on = rec is not None
-        mig_budget = self._mig_budget
-        if rec_on:
-            rec_sampled = rec.sampled
-            rec_begin = rec.begin_op
-            rec_visit = rec.visit
-            rec_finish = rec.finish
-
-        arena = self._arena
-        window = arena.zero_loads()
-
-        servers = self.servers
-        busy_until = [s.cpu.busy_until for s in servers]
-        busy_time = [s.cpu.busy_time for s in servers]
-        served = [s.cpu.served for s in servers]
-
-        def sync_out() -> None:
-            for i, srv in enumerate(servers):
-                cpu = srv.cpu
-                cpu.busy_until = busy_until[i]
-                cpu.busy_time = busy_time[i]
-                cpu.served = served[i]
-
-        def sync_in() -> None:
-            for i, srv in enumerate(servers):
-                cpu = srv.cpu
-                busy_until[i] = cpu.busy_until
-                busy_time[i] = cpu.busy_time
-                served[i] = cpu.served
-
-        batches = iter_op_batches(self.trace, tree)
-        b_codes: List[int] = []
-        b_nids: List[int] = []
-        b_nodes: List = []
-        b_len = 0
-        b_idx = 0
-        dispatched = 0
-        created = 0
-
-        num_slots = cfg.num_clients
-        clients = self.clients[:num_slots]
-        slot_plan: List[Optional[RoutePlan]] = [None] * num_slots
-        slot_visit = [0] * num_slots
-        slot_start = [0.0] * num_slots
-        slot_nid = [0] * num_slots
-        #: Per-slot span trace state (None for unsampled ops).
-        slot_tr: List[Optional[Dict]] = [None] * num_slots
-        #: server -> interned single-SERVE plan for CREATE placements (the
-        #: per-op loop builds a fresh identical plan each time; plans are
-        #: immutable, so sharing cannot change behaviour).
-        create_plans: Dict[int, RoutePlan] = {}
-
-        latencies: List[float] = []
-        lat_append = latencies.append
-        redirects = 0
-        jumps_total = 0
-        makespan = 0.0
-        completed = 0
-        events: List = []
-
-        # Dispatch is inlined twice below — at the seed loop and at the
-        # completion site — instead of living in a closure: the hot loop
-        # then runs on plain locals (no cell-variable indirection) and pays
-        # no per-op call. The two copies must stay line-for-line identical
-        # apart from how the new event enters the heap.
-        for slot in range(num_slots):
-            if b_idx >= b_len:
-                batch = next(batches, None)
-                if batch is None:
-                    break
-                b_codes = batch.op_codes
-                b_nids = batch.node_ids
-                b_nodes = batch.nodes
-                b_len = len(b_codes)
-                b_idx = 0
-            i = b_idx
-            b_idx = i + 1
-            node = b_nodes[i]
-            dispatched += 1
-            if is_placed(node):
-                plan = engine_plan(clients[slot], node, decode[b_codes[i]])
-            else:
-                # CREATE (or first touch of a late node). No dead-server
-                # fallback: fault-free, the Monitor never evicts anyone.
-                server = place_created(tree, placement, node)
-                created += 1
-                plan = create_plans.get(server)
-                if plan is None:
-                    plan = RoutePlan(visits=[Visit(server, VisitKind.SERVE)])
-                    create_plans[server] = plan
-            pre_lock = arrival = hop
-            if plan.lock_key:
-                arrival = locks_acquire(plan.lock_key, arrival, lock_hold)
-            slot_plan[slot] = plan
-            slot_visit[slot] = 0
-            slot_start[slot] = 0.0
-            slot_nid[slot] = b_nids[i]
-            if rec_on:
-                slot_tr[slot] = rec_begin(
-                    dispatched - 1, node.path, clients[slot].client_id,
-                    0.0, pre_lock,
-                    arrival if plan.lock_key else None,
-                ) if rec_sampled(dispatched - 1) else None
-            heappush(events, (arrival, next_seq(), slot))
-
-        while events:
-            now, _tick, slot = events[0]  # peek; replaced or popped below
-            plan = slot_plan[slot]
-            visits = plan.visits
-            vidx = slot_visit[slot]
-            sid = visits[vidx][0]
-            # Inlined ResourceTimeline.serve (FIFO busy-until clock).
-            busy = busy_until[sid]
-            begin = now if now > busy else busy
-            end = begin + service
-            busy_until[sid] = end
-            busy_time[sid] += service
-            served[sid] += 1
-            if rec_on:
-                tr = slot_tr[slot]
-                if tr is not None:
-                    rec_visit(tr, sid, now, begin, end, mig_budget)
-            vidx += 1
-            nvis = len(visits)
-            if vidx < nvis:
-                slot_visit[slot] = vidx
-                heapreplace(events, (end + hop, next_seq(), slot))
-                continue
-            # Final visit done: async replica fan-out, then completion.
-            for fs in plan.fanout:
-                # Inlined ResourceTimeline.serve_background.
-                busy_until[fs] += fan_cost
-                busy_time[fs] += fan_cost
-                served[fs] += 1
-            completion = end + hop
-            if nvis == 1:
-                if visits[0][1] is REDIRECT:
-                    redirects += 1
-            else:
-                jumps_total += nvis - 1
-                for visit in visits:
-                    if visit[1] is REDIRECT:
-                        redirects += 1
-                        break
-            lat_append(completion - slot_start[slot])
-            if rec_on:
-                tr = slot_tr[slot]
-                if tr is not None:
-                    rec_finish(tr, completion, len(plan.fanout))
-            if completion > makespan:
-                makespan = completion
-            window[slot_nid[slot]] += 1.0
-            completed += 1
-            if adjust_every and completed % adjust_every == 0:
-                # Rebalancing charges migration CPU on the real timeline
-                # objects, so the inlined columns sync out and back in.
-                sync_out()
-                self._adjust(completion, window)
-                sync_in()
-                window = arena.zero_loads()
-            # Inlined dispatch (see the seed loop above).
-            if b_idx >= b_len:
-                batch = next(batches, None)
-                if batch is None:
-                    heappop(events)
-                    continue
-                b_codes = batch.op_codes
-                b_nids = batch.node_ids
-                b_nodes = batch.nodes
-                b_len = len(b_codes)
-                b_idx = 0
-            i = b_idx
-            b_idx = i + 1
-            node = b_nodes[i]
-            dispatched += 1
-            if is_placed(node):
-                plan = engine_plan(clients[slot], node, decode[b_codes[i]])
-            else:
-                server = place_created(tree, placement, node)
-                created += 1
-                plan = create_plans.get(server)
-                if plan is None:
-                    plan = RoutePlan(visits=[Visit(server, VisitKind.SERVE)])
-                    create_plans[server] = plan
-            pre_lock = arrival = completion + hop
-            if plan.lock_key:
-                arrival = locks_acquire(plan.lock_key, arrival, lock_hold)
-            slot_plan[slot] = plan
-            slot_visit[slot] = 0
-            slot_start[slot] = completion
-            slot_nid[slot] = b_nids[i]
-            if rec_on:
-                slot_tr[slot] = rec_begin(
-                    dispatched - 1, node.path, clients[slot].client_id,
-                    completion, pre_lock,
-                    arrival if plan.lock_key else None,
-                ) if rec_sampled(dispatched - 1) else None
-            heapreplace(events, (arrival, next_seq(), slot))
-
-        self.created += created
-
-        sync_out()
-        # Fault-free, every dispatched op completes exactly once; the bulk
-        # add matches the per-op loop's per-dispatch increments.
-        self.ops_issued += dispatched
-        operations = len(latencies)
-        return SimulationResult(
-            scheme=self.scheme.name,
-            trace=self.trace.name,
-            num_servers=self.num_servers,
-            operations=operations,
-            makespan=makespan,
-            throughput=operations / makespan if makespan > 0 else 0.0,
-            latency=summarize_latencies(latencies),
-            server_visits=[server.served for server in self.servers],
-            server_utilization=[
-                server.cpu.utilization(makespan) for server in self.servers
-            ],
-            redirects=redirects,
-            migrations=self.migrations,
-            lock_waits=self.locks.total_wait,
-            jumps_total=jumps_total,
-            availability=self.availability,
-            durability=None,
-        )
+    def _create_elsewhere(self, node, dead: int) -> int:
+        """CREATE routed at a server the cluster already evicted: a real
+        client is routed by the authoritative map and never creates at an
+        acknowledged-dead MDS, so a live one (stable in the path) takes it."""
+        live = [s.server_id for s in self.servers if s.alive]
+        if not live:
+            return dead
+        server = live[stable_hash(node.path) % len(live)]
+        zones = getattr(self.placement, "zone_of", None)
+        if zones is not None and node in zones:
+            # Keep the zone map consistent, or a later rebuild would
+            # resurrect the dead owner.
+            zones[node] = server
+        self.placement.assign(node, server)
+        return server
 
     def close(self) -> None:
         """Release the durable store's files (idempotent)."""

@@ -1,11 +1,10 @@
 """Columnar op batches: the array-backed form of a trace slice.
 
-The per-op simulator walks one ``TraceRecord`` object (and one path-string
-hash) per operation. At million-op trace sizes that object traffic dominates
-the replay loop, so the columnar engine consumes traces as :class:`OpBatch`
-windows instead: four parallel ``array`` columns (op-type code, interned
-node id, client id, timestamp) plus a resolved node-reference list, built in
-one pass over the trace.
+Walking one ``TraceRecord`` object (and one path-string hash) per operation
+dominates a replay at million-op trace sizes, so the simulator's replay loop
+consumes traces as :class:`OpBatch` windows instead: four parallel ``array``
+columns (op-type code, interned node id, client id, timestamp) plus a
+resolved node-reference list, built in one pass over the trace.
 
 Batches are produced by :func:`iter_op_batches`, which accepts anything
 iterable over :class:`~repro.traces.trace.TraceRecord` — a materialized
@@ -14,8 +13,8 @@ iterable over :class:`~repro.traces.trace.TraceRecord` — a materialized
 10M-op trace streams through the simulator in fixed memory (one window at a
 time) instead of as a 10M-element object list.
 
-Path resolution happens here, once per record, mirroring the per-op
-dispatcher's prefetch semantics: lookups are pure reads of a static tree,
+Path resolution happens here, once per record: lookups are pure reads of a
+static tree (so resolving a window ahead of dispatch changes nothing),
 records whose path does not resolve are skipped, and every surviving record
 appears in trace order.
 """
@@ -77,7 +76,7 @@ class OpBatch:
     ``nodes`` is the parallel list of resolved ``MetadataNode`` references —
     the form the replay loop actually consumes (it saves a per-op
     ``node_by_id`` hop). Records whose path did not resolve in the tree are
-    absent (skipped at build time, exactly like per-op dispatch).
+    absent (skipped at build time).
     """
 
     __slots__ = ("op_codes", "node_ids", "client_ids", "timestamps", "nodes")

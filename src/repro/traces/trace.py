@@ -172,8 +172,8 @@ class StreamingTrace(TraceOps):
     The analysis methods inherited from :class:`TraceOps` (``paths``,
     ``operation_breakdown``, ``max_depth``, ``duration``) each cost one full
     re-derivation pass here; ``records`` deliberately raises — call
-    :meth:`materialize` when a run genuinely needs the list form (e.g. the
-    per-op simulate engine or ``Trace.rounds``).
+    :meth:`materialize` when a run genuinely needs the list form (e.g.
+    ``Trace.rounds``); the simulator replays a stream as it is.
     """
 
     def __init__(

@@ -382,6 +382,8 @@ def test_replay_line_reproduces_the_verdict(verb, monkeypatch, capsys):
     ["chaos", "--routing-engine", "fast"],
     ["hunt", "--trends", "trends.jsonl"],
     ["simulate", "--store", "sqlite"],
+    ["simulate", "--simulate-engine", "perop"],
+    ["simulate", "--batch-size", "1"],
 ])
 def test_retired_verbs_and_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:

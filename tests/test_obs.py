@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -333,6 +337,29 @@ def _replay_telemetry():
 
 def test_telemetry_is_deterministic_across_runs():
     assert _replay_telemetry() == _replay_telemetry()
+
+
+def test_telemetry_bytes_do_not_depend_on_the_allocator(tmp_path):
+    """Two processes whose objects sit at different addresses (pymalloc vs
+    the C allocator) write the same JSONL, samples and ``mu`` included: no
+    float in it is summed in the order of an address-hashed set."""
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    outputs = []
+    for name, malloc in (("pymalloc.jsonl", None), ("malloc.jsonl", "malloc")):
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        env.pop("PYTHONMALLOC", None)
+        if malloc:
+            env["PYTHONMALLOC"] = malloc
+        subprocess.run(
+            [sys.executable, "-m", "repro", "simulate", "--trace", "ra",
+             "--nodes", "1500", "--scale", "3e-5", "--scheme", "d2-tree",
+             "--seed", "7", "--store", "wal", "--trace-sample", "10",
+             "--metrics-out", str(tmp_path / name)],
+            check=True, env=env, capture_output=True,
+        )
+        outputs.append((tmp_path / name).read_bytes())
+    assert b'"adjust_round"' in outputs[0] and b'"load_factor"' in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_replay_emits_fault_lifecycle_events():

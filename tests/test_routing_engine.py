@@ -2,24 +2,19 @@
 
 Locks down the properties ``repro.simulation.routing`` documents:
 
-* batch size is a pure throughput knob — simulation results and telemetry
-  bytes are identical across batch sizes;
 * the owner index survives migration, promotion, crash and rejoin without
   serving stale owners (the D2 routing decisions themselves are frozen by
   ``tests/golden/perfect_network_d2.json``);
 * ``plan_batch`` is exactly a sequential sequence of ``plan`` calls.
 """
 
-import io
-
 import pytest
 
 from repro import registry
 from repro.cluster.messages import VisitKind
-from repro.obs import Telemetry, write_jsonl
 from repro.simulation import FaultPlan, SimulationConfig
 from repro.simulation.routing import FastRoutingEngine, make_engine
-from repro.simulation.runner import ClusterSimulator, simulate
+from repro.simulation.runner import ClusterSimulator
 from repro.traces import DatasetProfile, OpType, TraceGenerator
 
 
@@ -28,48 +23,6 @@ def workload():
     return TraceGenerator(
         DatasetProfile.dtr(num_nodes=1200, scale=5e-5), num_clients=10
     ).generate()
-
-
-def _run(workload, scheme_name, telemetry=None, **overrides):
-    config = SimulationConfig(
-        num_clients=20, adjust_every_ops=400, **overrides
-    )
-    return simulate(
-        registry.create(scheme_name), workload, 6, config, telemetry=telemetry
-    )
-
-
-def _telemetry_bytes(workload, scheme_name, **overrides):
-    telemetry = Telemetry()
-    result = _run(workload, scheme_name, telemetry=telemetry, **overrides)
-    buffer = io.StringIO()
-    write_jsonl(telemetry, buffer, summary=result.to_dict())
-    return buffer.getvalue()
-
-
-# ----------------------------------------------------------------------
-# Batch size is a pure throughput knob
-# ----------------------------------------------------------------------
-# (ids keep the engine prefix they carried while a second planner was
-# parametrized here, so per-test history lines up across that removal)
-@pytest.mark.parametrize(
-    "scheme_name", ["d2-tree", "drop"], ids=["fast-d2-tree", "fast-drop"]
-)
-def test_batched_matches_per_op(workload, scheme_name):
-    batched = _run(workload, scheme_name)
-    per_op = _run(workload, scheme_name, batch_size=1)
-    assert batched == per_op
-
-
-@pytest.mark.parametrize("scheme_name", ["d2-tree", "static-subtree"])
-def test_batched_telemetry_bytes_identical(workload, scheme_name):
-    """The full telemetry stream — not just the summary — is unaffected."""
-    assert _telemetry_bytes(workload, scheme_name) == _telemetry_bytes(
-        workload, scheme_name, batch_size=1
-    )
-    assert _telemetry_bytes(workload, scheme_name) == _telemetry_bytes(
-        workload, scheme_name, batch_size=7
-    )
 
 
 # ----------------------------------------------------------------------

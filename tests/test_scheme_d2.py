@@ -19,6 +19,16 @@ def test_global_layer_replicated_everywhere(random_tree):
         assert placement.servers_of(node) == (0, 1, 2, 3)
 
 
+def test_global_layer_is_placed_in_node_id_order(random_tree):
+    """The layer is a set of nodes hashed by address; the order it enters
+    ``_servers_of`` is the float summation order of ``loads()`` (telemetry's
+    load_factor / balance_degree / mu), so it must not be the set's."""
+    placement = D2TreeScheme().partition(random_tree, 4)
+    layer = placement.split.global_layer
+    placed = [node.node_id for node in placement._servers_of if node in layer]
+    assert len(placed) > 1 and placed == sorted(placed)
+
+
 def test_local_nodes_single_server(random_tree):
     scheme = D2TreeScheme(global_layer_fraction=0.05)
     placement = scheme.partition(random_tree, 4)

@@ -1,17 +1,33 @@
 """Tests for the discrete-event replay harness."""
 
+import dataclasses
+import pathlib
+import random
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import HashScheme, StaticSubtreeScheme
+from repro.chaos.history import OpHistory
 from repro.core import D2TreeScheme
+from repro.placement import Placement
 from repro.simulation import (
     ClusterSimulator,
+    FaultPlan,
     ResourceTimeline,
     SimNetwork,
     SimulationConfig,
     replay_rounds,
     simulate,
     summarize_latencies,
+)
+from repro.traces import DatasetProfile, StreamingTrace, TraceGenerator
+from tests.test_mutation_properties import (
+    apply_mutations,
+    build_tree,
+    mutation_scripts,
 )
 
 
@@ -48,10 +64,6 @@ def test_timeline_utilization():
 def test_network_model():
     net = SimNetwork(hop_latency=0.01)
     assert net.hop() == 0.01
-    jittery = SimNetwork(hop_latency=0.01, jitter=0.005)
-    values = {jittery.hop() for _ in range(32)}
-    assert len(values) > 1
-    assert all(0.01 <= v <= 0.015 for v in values)
 
 
 def test_network_validation():
@@ -141,6 +153,193 @@ def test_deterministic_simulation(tiny_dtr_workload):
     a = simulate(D2TreeScheme(), tiny_dtr_workload, 4, FAST)
     b = simulate(D2TreeScheme(), tiny_dtr_workload, 4, FAST)
     assert a.throughput == pytest.approx(b.throughput)
+
+
+# ----------------------------------------------------------------------
+# The replay loop and the columns it stands on. The model the loop
+# implements is pinned by tests/test_golden.py (fault-free and faulted), the
+# chaos seeds and the corpus; these test its building blocks.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def create_workload():
+    """Small workload with CREATE conversions (exercises place_created)."""
+    profile = dataclasses.replace(
+        DatasetProfile.dtr(num_nodes=900, scale=3e-4),
+        seed=21,
+        create_fraction=0.08,
+    )
+    return TraceGenerator(profile, num_clients=16).generate()
+
+
+def test_streaming_trace_parity(create_workload, monkeypatch, tmp_path):
+    """A streamed (never materialized) trace replays bit-identically to the
+    materialized one with every hook on — a fault plan, a WAL store, a
+    recorded history — and the loop never asks the stream for its list."""
+    monkeypatch.setattr(
+        StreamingTrace, "records",
+        property(lambda self: pytest.fail("the replay materialized a stream")),
+    )
+    faults = [
+        "kill9:1@ops=300", "recover:1@ops=1500", "loss:3@ops=900:p0.3",
+        "recover:3@ops=2200", "crash:4@t=0.4", "recover:4@t=0.9",
+    ]
+
+    def replay(source, store_dir):
+        sim = ClusterSimulator(
+            D2TreeScheme(), source, 6,
+            SimulationConfig(
+                fault_plan=FaultPlan.parse(faults), num_monitors=3,
+                store="wal", store_dir=str(store_dir),
+            ),
+        )
+        history = sim.control.history = OpHistory()
+        try:
+            return sim.run().to_dict(), history.events
+        finally:
+            sim.close()
+
+    streamed = TraceGenerator(create_workload.profile, num_clients=16).stream()
+    assert isinstance(streamed.trace, StreamingTrace)
+    got = replay(streamed, tmp_path / "streamed")
+    want = replay(create_workload, tmp_path / "materialized")
+    assert got == want
+    assert got[0]["availability"]["retries"] > 0 and got[0]["durability"]
+
+
+def test_arena_matches_object_aggregation(random_tree):
+    """NodeArena replays Def. 2 aggregation in the object walk's exact
+    addition order: popularity totals are bit-equal, including after a
+    structural mutation invalidates and rebuilds the arena."""
+    arena = random_tree.arena()
+    assert arena is random_tree.arena()  # cached while structure unchanged
+    for node in random_tree:
+        node.individual_popularity *= 1.7
+    arena.aggregate_popularity()
+    got = {n.path: n.popularity for n in random_tree}
+    random_tree.aggregate_popularity()
+    assert {n.path: n.popularity for n in random_tree} == got
+
+    # Structural change: the arena must be rebuilt and stay exact.
+    target = random_tree.add_path("/arena-dst", is_directory=True)
+    victim = next(
+        n for n in random_tree
+        if n.is_directory and n.depth >= 2 and n.children
+    )
+    random_tree.move_node(victim, target)
+    rebuilt = random_tree.arena()
+    assert rebuilt is not arena
+    rebuilt.aggregate_popularity()
+    got = {n.path: n.popularity for n in random_tree}
+    random_tree.aggregate_popularity()
+    assert {n.path: n.popularity for n in random_tree} == got
+
+
+def _object_round(tree, window, blend):
+    """One round's popularity update the way the object walk does it: the
+    reference the column round must equal bit for bit."""
+    for node in tree:
+        node.individual_popularity = (
+            (1 - blend) * node.individual_popularity
+            + blend * window[node.node_id]
+        )
+    tree.aggregate_popularity()
+
+
+@given(
+    st.integers(min_value=0, max_value=500),
+    mutation_scripts,
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_column_round_matches_object_round(seed, script, blend):
+    """Blend + aggregate + write-back over the arena's columns leaves every
+    node — moved, removed or untouched — with exactly (``==``) the
+    ``individual_popularity`` / ``popularity`` the object loop and
+    ``NamespaceTree.aggregate_popularity`` give it, round after round, and
+    the size column is ``subtree_size()`` for every live node."""
+    tree = build_tree(seed, 40)
+    everyone = list(tree)  # id order; removed nodes stay in the comparison
+    apply_mutations(tree, script, seed)
+    arena = tree.arena()
+    rng = random.Random(seed)
+    windows = []
+    for _ in range(3):
+        window = arena.zero_loads()
+        for node in rng.choices(tree.nodes, k=12):
+            window[node.node_id] += 1.0
+        windows.append(window)
+
+    def snapshot():
+        return [(n.individual_popularity, n.popularity) for n in everyone]
+
+    start = [n.individual_popularity for n in everyone]
+    expected = []
+    for window in windows:
+        _object_round(tree, window, blend)
+        expected.append(snapshot())
+
+    for node, popularity in zip(everyone, start):
+        node.individual_popularity = popularity
+    column = arena.individual_popularity()
+    assert column == start
+    for window, want in zip(windows, expected):
+        column = arena.blend_popularity(column, window, blend)
+        assert snapshot() == want
+        assert column == [p for p, _ in want]
+
+    sizes = arena.subtree_sizes()
+    assert all(sizes[node.node_id] == node.subtree_size() for node in tree)
+
+
+def test_server_loads_summed_only_when_a_round_is_recorded(
+    create_workload, monkeypatch
+):
+    """Eq. 2 loads (a whole-tree pass) feed only the round's span and
+    telemetry event: an untraced run never sums them, a traced one sums
+    them once per round, and the model output is the same either way."""
+    calls = []
+    real_loads = Placement.loads
+
+    def counting_loads(self, tree=None):
+        calls.append(self)
+        return real_loads(self, tree)
+
+    monkeypatch.setattr(Placement, "loads", counting_loads)
+
+    def run(**overrides):
+        config = SimulationConfig(adjust_every_ops=700, **overrides)
+        return simulate(D2TreeScheme(), create_workload, 6, config)
+
+    plain = run()
+    assert calls == []
+    traced = run(trace_sample=100)
+    rounds = traced.operations // 700
+    assert rounds >= 2 and len(calls) == rounds
+    assert plain.to_dict() == traced.to_dict()
+
+
+def test_one_replay_loop_one_adjustment_round():
+    """Structural pin, in the style of
+    ``test_fault_kinds_are_dispatched_in_exactly_one_place``: the runner has
+    one event loop and one ``_adjust``, and reads neither of the two inert
+    config fields perfbench still names. No second engine, columnar twin or
+    path-keyed window comes back."""
+    source = (
+        pathlib.Path(__file__).resolve().parent.parent
+        / "src" / "repro" / "simulation" / "runner.py"
+    ).read_text()
+    assert len(re.findall(r"^ *while events\b", source, re.M)) == 1
+    assert len(re.findall(r"^ *def _run\w*\(", source, re.M)) == 1
+    assert len(re.findall(r"^ *def _adjust\b", source, re.M)) == 1
+    mentions = [
+        line.strip() for line in source.splitlines()
+        if re.search(r"simulate_engine|batch_size", line)
+    ]
+    assert [line.split(":")[0] for line in mentions] == [
+        "batch_size", "simulate_engine",
+    ]  # the two dataclass field declarations, and no read of either
+    for gone in ("_columnar_eligible", "_adjust_columnar", "_window_counts"):
+        assert gone not in source
 
 
 # ----------------------------------------------------------------------

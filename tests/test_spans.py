@@ -1,12 +1,11 @@
-"""Causal span tracing: sampling, cross-engine byte parity, latency tiling.
+"""Causal span tracing: sampling, determinism, latency tiling.
 
-The span stream's contract mirrors the columnar engine's: spans are a pure
-*observation* of the replay, so (a) the per-op and columnar engines must
-emit byte-identical span JSONL at the same seed and sample rate, (b) a
-sampled run's :class:`SimulationResult` must equal the unsampled run's
-(tracing never perturbs the model), and (c) every op's child spans must
-tile its end-to-end latency exactly — the property the critical-path
-report's attribution rests on.
+Spans are a pure *observation* of the replay, so (a) a sampled run's
+:class:`SimulationResult` must equal the unsampled run's (tracing never
+perturbs the model), (b) every op's child spans must tile its end-to-end
+latency exactly — the property the critical-path report's attribution rests
+on — and (c) the span JSONL of a seeded run is byte-stable (its faulted
+form is pinned by ``tests/test_golden.py``).
 """
 
 import dataclasses
@@ -39,11 +38,9 @@ def workload():
     return TraceGenerator(profile, num_clients=16).generate()
 
 
-def _run(workload, engine, trace_sample, **overrides):
+def _run(workload, trace_sample, **overrides):
     """One traced run; returns (result, span JSONL text)."""
-    config = SimulationConfig(
-        simulate_engine=engine, trace_sample=trace_sample, **overrides
-    )
+    config = SimulationConfig(trace_sample=trace_sample, **overrides)
     telemetry = Telemetry(enabled=False)
     sim = ClusterSimulator(
         registry.create("d2-tree"), workload, 6, config, telemetry=telemetry
@@ -66,34 +63,15 @@ def _spans(jsonl_text):
     ]
 
 
-def test_span_jsonl_byte_identical_across_engines(workload):
-    result_c, text_c = _run(workload, "columnar", SAMPLE)
-    result_p, text_p = _run(workload, "perop", SAMPLE)
-    assert result_c == result_p
-    assert text_c == text_p
-    assert _spans(text_c), "sampled run produced no spans"
-
-
 def test_sampled_run_matches_unsampled_result(workload):
-    sampled, _ = _run(workload, "auto", SAMPLE)
-    unsampled, _ = _run(workload, "auto", 0)
+    sampled, text = _run(workload, SAMPLE)
+    unsampled, _ = _run(workload, 0)
     assert sampled == unsampled
-
-
-def test_sampling_stays_columnar_eligible(workload):
-    config = SimulationConfig(trace_sample=SAMPLE)
-    sim = ClusterSimulator(
-        registry.create("d2-tree"), workload, 6, config,
-        telemetry=Telemetry(enabled=False),
-    )
-    try:
-        assert sim._columnar_eligible()
-    finally:
-        sim.close()
+    assert _spans(text), "sampled run produced no spans"
 
 
 def test_components_tile_end_to_end_latency(workload):
-    _, text = _run(workload, "columnar", SAMPLE)
+    _, text = _run(workload, SAMPLE)
     spans = _spans(text)
     roots = {
         s["op"]: s for s in spans
@@ -115,7 +93,7 @@ def test_components_tile_end_to_end_latency(workload):
 
 
 def test_every_sampled_op_is_spanned_once(workload):
-    result, text = _run(workload, "columnar", SAMPLE)
+    result, text = _run(workload, SAMPLE)
     recorder = SpanRecorder(SAMPLE, seed=SimulationConfig().seed)
     expected = sum(
         1 for op_id in range(result.operations) if recorder.sampled(op_id)
@@ -135,7 +113,7 @@ def test_faulted_run_emits_failover_lifecycle(workload):
         FaultEvent(FaultKind("recover"), 1, at_time=1.0),
     ])
     result, text = _run(
-        workload, "perop", SAMPLE,
+        workload, SAMPLE,
         fault_plan=plan,
         heartbeat_interval=0.01,
         heartbeat_timeout=0.03,
@@ -161,7 +139,7 @@ def test_faulted_run_emits_failover_lifecycle(workload):
     assert {"detect", "evict"} <= children
     # Re-running the identical faulted config is byte-stable.
     _, text2 = _run(
-        workload, "perop", SAMPLE,
+        workload, SAMPLE,
         fault_plan=plan,
         heartbeat_interval=0.01,
         heartbeat_timeout=0.03,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import NamespaceTree
 from repro.traces import (
     DEFAULT_SCALE,
     PAPER_RECORD_COUNTS,
@@ -10,7 +11,9 @@ from repro.traces import (
     Trace,
     TraceRecord,
     all_profiles,
+    iter_op_batches,
 )
+from repro.traces.columns import OP_CODES
 
 
 def make_trace(n=10):
@@ -80,6 +83,62 @@ def test_rounds_partition_all_records():
 def test_rounds_validation():
     with pytest.raises(ValueError):
         make_trace(5).rounds(0)
+
+
+# ----------------------------------------------------------------------
+# OpBatch windows (the form the replay loop consumes a trace in)
+# ----------------------------------------------------------------------
+def test_iter_op_batches_roundtrip(tiny_dtr_workload):
+    """Batches concatenate back to the per-record sequence and windows are
+    bounded by batch_ops."""
+    tree = tiny_dtr_workload.tree
+    records = tiny_dtr_workload.trace.records
+    flat = []
+    for batch in iter_op_batches(records, tree, batch_ops=64):
+        assert len(batch) <= 64
+        assert (
+            len(batch.op_codes) == len(batch.node_ids)
+            == len(batch.client_ids) == len(batch.timestamps)
+            == len(batch.nodes)
+        )
+        ops = batch.ops()
+        for i in range(len(batch)):
+            flat.append(
+                (
+                    ops[i],
+                    batch.nodes[i].path,
+                    batch.client_ids[i],
+                    batch.timestamps[i],
+                )
+            )
+    expected = [
+        (r.op, r.path, r.client_id, r.timestamp)
+        for r in records
+        if tree.lookup(r.path) is not None
+    ]
+    assert flat == expected
+
+
+def test_iter_op_batches_skips_unresolved():
+    tree = NamespaceTree()
+    tree.add_path("/known")
+    records = [
+        TraceRecord(timestamp=0.0, op=OpType.READ, client_id=0, path="/known"),
+        TraceRecord(timestamp=1.0, op=OpType.READ, client_id=1, path="/ghost"),
+        TraceRecord(timestamp=2.0, op=OpType.UPDATE, client_id=2, path="/known"),
+    ]
+    batches = list(iter_op_batches(records, tree, batch_ops=2))
+    paths = [n.path for b in batches for n in b.nodes]
+    assert paths == ["/known", "/known"]
+    codes = [c for b in batches for c in b.op_codes]
+    assert codes == [OP_CODES[OpType.READ], OP_CODES[OpType.UPDATE]]
+
+
+def test_iter_op_batches_rejects_bad_window(tiny_dtr_workload):
+    with pytest.raises(ValueError):
+        next(iter_op_batches(
+            tiny_dtr_workload.trace.records, tiny_dtr_workload.tree, 0
+        ))
 
 
 # ----------------------------------------------------------------------
