@@ -188,8 +188,10 @@ def rejoin_server(
             if server not in current and len(current) < placement.replication_factor:
                 placement.replicate(node, sorted(current | {server}))
         # Local layer: one explicit offer/claim round with zero tolerance —
-        # survivors shed down to the new ideal load and the empty newcomer's
-        # deficit claims the pool mirror-division style.
+        # survivors above the new ideal load shed the largest subtrees that
+        # fit their excess and the empty newcomer's deficit claims the pool
+        # mirror-division style. The newcomer receives load, not a
+        # count-balanced share: zero-popularity subtrees stay where they are.
         from repro.core.adjustment import DynamicAdjuster
 
         owners = dict(placement.subtree_owner)

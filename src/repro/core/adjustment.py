@@ -10,9 +10,9 @@ cluster balanced with three cooperating pieces:
   overloaded servers, from which light or newly-added servers pull;
 * :class:`DynamicAdjuster` — the heartbeat-driven policy: compute the ideal
   load factor ``μ`` and each server's relative capacity ``Re_k = L_k − μC_k``,
-  have heavy servers offer subtrees into the pool, and drain the pool to
-  light servers mirror-division style (popularity proportional to remaining
-  deficit).
+  have heavy servers offer the largest subtrees that fit their excess into
+  the pool, and drain the pool to the servers below their ideal load
+  mirror-division style (popularity proportional to remaining deficit).
 
 Global-layer re-evaluation ("typically once a day") is exposed separately via
 :meth:`DynamicAdjuster.adjust_global_layer`.
@@ -105,6 +105,12 @@ class PendingPool:
         return sum(e.popularity for e in self._entries)
 
 
+#: A moved root is *negligible* when it carries less than this share of the
+#: ideal load factor ``μ``: the move costs migration CPU on both ends and a
+#: placement version, and shifts no load worth the name.
+NEGLIGIBLE_SHARE = 1e-3
+
+
 @dataclass
 class AdjustmentReport:
     """Outcome of one heartbeat-driven adjustment round."""
@@ -112,11 +118,13 @@ class AdjustmentReport:
     migrations: List[Tuple[MetadataNode, int, int]] = field(default_factory=list)
     offered: int = 0
     ideal_load_factor: float = 0.0
-
-    @property
-    def moved_popularity(self) -> float:
-        """Popularity relocated this round."""
-        return sum(node.popularity for node, _src, _dst in self.migrations)
+    #: Popularity relocated this round.
+    moved_popularity: float = 0.0
+    #: Migrated roots carrying under ``NEGLIGIBLE_SHARE · μ``.
+    negligible_moves: int = 0
+    #: Largest ``L_k / (μ C_k)`` over live servers on the loads the round
+    #: was given: 1.0 is perfect balance, 0.0 means nothing carries load.
+    max_load_factor: float = 0.0
 
 
 class DynamicAdjuster:
@@ -126,19 +134,21 @@ class DynamicAdjuster:
     ----------
     imbalance_tolerance:
         A server is treated as *heavy* when ``L_k > (1 + tol) · μ C_k`` and
-        sheds subtrees down to its ideal load; a server is *light* when
-        ``L_k < (1 − tol) · μ C_k``. The dead zone avoids thrashing — the
-        failure mode the paper pins on dynamic subtree partitioning.
+        sheds load-carrying subtrees down toward its ideal load ``μ C_k``;
+        every live server below its ideal load claims from the pool in
+        proportion to its deficit. The tolerance is a dead zone on the offer
+        side only: a hard one on the claim side (``L_k < (1 − tol) · μ C_k``)
+        was measured and rejected, because one hot server among many
+        slightly cool ones then finds nobody qualified to receive and the
+        round moves nothing. What keeps the policy from thrashing — the
+        failure mode the paper pins on dynamic subtree partitioning — is
+        that a subtree is offered only when moving it pays.
     """
 
     def __init__(self, imbalance_tolerance: float = 0.1) -> None:
         if imbalance_tolerance < 0:
             raise ValueError("imbalance_tolerance must be non-negative")
         self.imbalance_tolerance = imbalance_tolerance
-        #: Optional :class:`repro.obs.Telemetry` (wired by the simulator);
-        #: when set, every round reports the pending-pool depth and an
-        #: ``adjust_detail`` trace event stamped with the telemetry clock.
-        self.telemetry = None
 
     def adjust(
         self,
@@ -162,54 +172,74 @@ class DynamicAdjuster:
         mu = sum(loads) / total_cap
         report.ideal_load_factor = mu
         if mu == 0:
-            self._observe(report)
             return report
 
+        # A server at the DEAD_CAPACITY sentinel — or with negligible
+        # capacity relative to its peers — is dead (see
+        # repro.cluster.failure): it never claims, no matter how large the
+        # ideal load factor makes its nominal deficit, and its load factor
+        # says nothing about balance.
+        cap_floor = max(DEAD_CAPACITY, 1e-6 * max(capacities))
+        report.max_load_factor = max(
+            (
+                load / (mu * cap)
+                for load, cap in zip(loads, capacities)
+                if cap > cap_floor
+            ),
+            default=0.0,
+        )
         loads = list(loads)
         pool = PendingPool()
 
-        # Offer phase: each heavy server sheds its smallest subtrees until it
-        # is back at or below its ideal load. Smallest-first keeps individual
-        # moves cheap and gives the claim phase fine-grained pieces.
-        by_server: Dict[int, List[MetadataNode]] = {}
+        # Offer phase: each heavy server sheds the largest subtrees that fit
+        # its remaining excess, so the load that has to move moves in the
+        # fewest migrations and the server is not pushed below its ideal
+        # load. The walk is in descending popularity: the excess only
+        # shrinks, so a root that did not fit never fits later. Roots of
+        # zero popularity are not candidates at all — moving one costs a
+        # migration and shifts nothing.
+        carrying: Dict[int, List[MetadataNode]] = {}
         for root, server in subtree_owner.items():
-            by_server.setdefault(server, []).append(root)
+            if root.popularity > 0:
+                carrying.setdefault(server, []).append(root)
         for server, cap in enumerate(capacities):
             ideal = mu * cap
             if loads[server] <= ideal * (1 + self.imbalance_tolerance):
                 continue
             excess = loads[server] - ideal
-            owned = sorted(by_server.get(server, []), key=lambda r: r.popularity)
+            descending = sorted(
+                carrying.get(server, ()),
+                key=lambda r: (-r.popularity, r.node_id),
+            )
+            oversized = None
             offered_any = False
-            for root in owned:
+            for root in descending:
                 if excess <= 0:
                     break
-                if root.popularity > excess and offered_any:
-                    # Shedding more would overshoot below the ideal load; an
-                    # oversized subtree is only offered when nothing smaller
-                    # moved, so a single-giant-subtree server still makes
-                    # progress.
-                    break
-                pool.offer(root, server, root.popularity)
-                loads[server] -= root.popularity
-                excess -= root.popularity
+                popularity = root.popularity
+                if popularity > excess:
+                    oversized = root
+                    continue
+                pool.offer(root, server, popularity)
+                loads[server] -= popularity
+                excess -= popularity
                 offered_any = True
+            if not offered_any and oversized is not None:
+                # Every load-carrying root overshoots the ideal load: offer
+                # the smallest of them, so a server holding a single giant
+                # subtree still makes progress.
+                pool.offer(oversized, server, oversized.popularity)
+                loads[server] -= oversized.popularity
         report.offered = len(pool)
         if len(pool) == 0:
-            self._observe(report)
             return report
 
-        # Claim phase: light servers absorb the pool proportionally to their
-        # remaining deficit (mirror division over deficits, Sec. IV-B). Only
-        # genuinely light servers participate — a dead server (capacity ~0)
-        # or an at-ideal server never claims.
+        # Claim phase: every live server below its ideal load absorbs the
+        # pool in proportion to its remaining deficit (mirror division over
+        # deficits, Sec. IV-B). A dead server or one at or above its ideal
+        # load never claims.
         claimants = []
         deficits = []
-        # A server at the DEAD_CAPACITY sentinel — or with negligible
-        # capacity relative to its peers — is dead (see
-        # repro.cluster.failure) and never claims, no matter how large the
-        # ideal load factor makes its nominal deficit.
-        cap_floor = max(DEAD_CAPACITY, 1e-6 * max(capacities))
         for server, cap in enumerate(capacities):
             deficit = mu * cap - loads[server]
             if cap > cap_floor and deficit > 0:
@@ -217,34 +247,19 @@ class DynamicAdjuster:
                 deficits.append(deficit)
         entries = pool.take_all()
         if not claimants:
-            # Nobody is light; subtrees stay with their sources.
-            self._observe(report)
+            # Nobody is below its ideal; subtrees stay with their sources.
             return report
+        negligible = NEGLIGIBLE_SHARE * mu
         allocation = mirror_division([e.popularity for e in entries], deficits)
         for entry, claimed in zip(entries, allocation.assignment):
             target = claimants[claimed]
             if target != entry.source_server:
                 subtree_owner[entry.subtree_root] = target
                 report.migrations.append((entry.subtree_root, entry.source_server, target))
-        self._observe(report)
+                report.moved_popularity += entry.popularity
+                if entry.popularity < negligible:
+                    report.negligible_moves += 1
         return report
-
-    def _observe(self, report: AdjustmentReport) -> None:
-        """Publish one round's outcome to the attached telemetry (if any)."""
-        telemetry = self.telemetry
-        if telemetry is None or not telemetry.enabled:
-            return
-        telemetry.registry.gauge(
-            "pending_pool_depth",
-            help="Subtrees parked in the pending pool this adjustment round",
-        ).set(report.offered)
-        telemetry.event(
-            "adjust_detail",
-            mu=report.ideal_load_factor,
-            offered=report.offered,
-            migrations=len(report.migrations),
-            moved_popularity=report.moved_popularity,
-        )
 
     def adjust_global_layer(
         self,

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.placement import MetadataScheme, Migration
 from repro.registry import register
-from repro.core.adjustment import DynamicAdjuster
+from repro.core.adjustment import AdjustmentReport, DynamicAdjuster
 from repro.core.allocation import allocate_subtrees
 from repro.core.namespace import NamespaceTree
 from repro.core.partition import D2TreePlacement
@@ -97,6 +97,10 @@ class D2TreeScheme(MetadataScheme):
         self.sampled_allocation = sampled_allocation
         self.samples_per_server = samples_per_server
         self.adjuster = DynamicAdjuster(imbalance_tolerance=imbalance_tolerance)
+        #: The :class:`AdjustmentReport` of the latest :meth:`rebalance`
+        #: (what was offered, moved and how unbalanced the round found the
+        #: cluster), for whoever records the round.
+        self.last_adjustment: Optional[AdjustmentReport] = None
         if promote_threshold < 0:
             raise ValueError("promote_threshold must be non-negative")
         self.promote_threshold = promote_threshold
@@ -211,6 +215,7 @@ class D2TreeScheme(MetadataScheme):
             placement.local_loads(),
             placement.capacities,
         )
+        self.last_adjustment = report
         migrations = []
         for root, source, target in report.migrations:
             placement.move_subtree(root, target)

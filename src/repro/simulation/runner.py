@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.placement import MetadataScheme, Placement
 from repro.baselines.hashing import stable_hash
@@ -48,6 +48,10 @@ __all__ = [
     "BalanceTrajectory",
     "replay_rounds",
 ]
+
+#: A migrated root *bounced* when it returns to the server it left at most
+#: this many adjustment rounds ago (the ROADMAP item 3 thrash signature).
+BOUNCE_ROUNDS = 2
 
 
 @dataclass
@@ -211,6 +215,12 @@ class ClusterSimulator:
                 if not self.placement.is_replicated(node):
                     self.placement.forget(node)
         self.migrations = 0
+        #: Adjustment rounds recorded so far, and per moved node id the
+        #: round it last moved in and the server it left: a node that
+        #: returns there within ``BOUNCE_ROUNDS`` rounds counts as bounced.
+        #: Kept only while a span recorder or telemetry records the rounds.
+        self._adjust_rounds = 0
+        self._last_left: Dict[int, Tuple[int, int]] = {}
         # Span tracing (repro.obs.spans): deterministic head-sampled span
         # trees. The recorder rides outside the telemetry enable switch (a
         # sampled run need not pay for the metrics hub); it is attached to
@@ -251,13 +261,8 @@ class ClusterSimulator:
         self._arena = None
         self._individual: List[float] = []
         # Telemetry wiring: lock contention, adjustment rounds and the
-        # sim-time gauge sampler all hang off one Telemetry per run. A
-        # scheme's adjuster is shared state, so it is re-pointed (or
-        # detached) on every simulator construction.
+        # sim-time gauge sampler all hang off one Telemetry per run.
         self.locks.bind_telemetry(self.telemetry)
-        adjuster = getattr(scheme, "adjuster", None)
-        if adjuster is not None:
-            adjuster.telemetry = self.telemetry if self.telemetry.enabled else None
         self.sampler = GaugeSampler(self.telemetry)
         if self.telemetry.enabled or self.telemetry.spans is not None:
             # A span-only run (sampling on, metrics hub disabled) still
@@ -389,34 +394,73 @@ class ClusterSimulator:
             load = server.load_report(now)
             relative = loads[sid] - mu * capacities[sid] if observed else 0.0
             self.monitor.on_heartbeat(Heartbeat(sid, now, load, relative))
+        rebalances = self.monitor.rebalances
         moves = self.monitor.rebalance(now)
         self.migrations += len(moves)
         self._charge_migrations(moves)
         self._journal_moves(moves, now)
-        self._record_adjust_spans(now, len(moves), mu)
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "adjust_round", t=now, migrations=len(moves), mu=mu,
+        if observed:
+            # D2-Tree's adjuster says what the round offered and how
+            # unbalanced it found the cluster. A round skipped for want of
+            # a quorum ran no policy: the scheme still holds the previous
+            # round's report.
+            report = None
+            if self.monitor.rebalances != rebalances:
+                report = getattr(self.scheme, "last_adjustment", None)
+            self._record_round(now, moves, mu, report)
+
+    def _record_round(self, now: float, moves, mu: float, report) -> None:
+        """The one record of an adjustment round: the same fields on the
+        ``adjust_round`` span (parenting aggregate -> plan -> migrate) and
+        on the telemetry event."""
+        fields = (
+            ("migrations", len(moves)),
+            ("mu", mu),
+            ("bounced", self._count_bounces(moves)),
+        )
+        if report is not None:
+            fields += (
+                ("offered", report.offered),
+                ("moved_popularity", report.moved_popularity),
+                ("negligible_moves", report.negligible_moves),
+                ("max_load_factor", report.max_load_factor),
             )
+        rec = self.spans
+        if rec is not None:
+            parent = rec.cluster("adjust_round", now, now, fields=fields)
+            rec.cluster("aggregate", now, now, parent=parent)
+            rec.cluster("plan", now, now, parent=parent)
+            # The migrate step carries the migration count alone.
+            rec.cluster("migrate", now, now, parent=parent, fields=fields[:1])
+        if self.telemetry.enabled:
+            self.telemetry.event("adjust_round", t=now, **dict(fields))
             self.telemetry.registry.counter(
                 "migrations", help="Subtree/key migrations performed",
             ).inc(len(moves))
+            if report is not None:
+                # Registered, with its help text, by ``_register_probes``.
+                self.telemetry.registry.gauge("pending_pool_depth").set(
+                    report.offered
+                )
 
-    def _record_adjust_spans(self, now: float, moves: int, mu: float) -> None:
-        """Adjustment-round lifecycle spans (aggregate -> plan -> migrate)."""
-        rec = self.spans
-        if rec is None:
-            return
-        parent = rec.cluster(
-            "adjust_round", now, now,
-            fields=(("migrations", moves), ("mu", mu)),
-        )
-        rec.cluster("aggregate", now, now, parent=parent)
-        rec.cluster("plan", now, now, parent=parent)
-        rec.cluster(
-            "migrate", now, now, parent=parent,
-            fields=(("migrations", moves),),
-        )
+    def _count_bounces(self, moves) -> int:
+        """Moves of this round that return a node to the server it left
+        within the last ``BOUNCE_ROUNDS`` recorded rounds (O(moves))."""
+        self._adjust_rounds += 1
+        this_round = self._adjust_rounds
+        last_left = self._last_left
+        bounced = 0
+        for move in moves:
+            node_id = move.node.node_id
+            previous = last_left.get(node_id)
+            if (
+                previous is not None
+                and previous[1] == move.target
+                and this_round - previous[0] <= BOUNCE_ROUNDS
+            ):
+                bounced += 1
+            last_left[node_id] = (this_round, move.source)
+        return bounced
 
     def _charge_migrations(self, moves) -> None:
         """Book migration CPU on both ends of every move.

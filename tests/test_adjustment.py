@@ -1,11 +1,23 @@
 """Unit tests for Dynamic-Adjustment (counters, pending pool, adjuster)."""
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.core import DecayingCounter, DynamicAdjuster, NamespaceTree, PendingPool
+from repro.core import (
+    D2TreeScheme,
+    DecayingCounter,
+    DynamicAdjuster,
+    NamespaceTree,
+    PendingPool,
+)
 from repro.core.adjustment import AdjustmentReport
+from repro.obs import Telemetry
+from repro.simulation import ClusterSimulator, SimulationConfig
+from repro.traces import DatasetProfile, load_workload
 
 
 # ----------------------------------------------------------------------
@@ -205,3 +217,161 @@ def test_adjust_converges_over_rounds():
     loads = _loads(owner, 4)
     mu = sum(loads) / 4
     assert max(loads) <= mu * 1.6
+
+
+def test_single_giant_subtree_still_makes_progress():
+    # Nothing fits the excess (100 > 150 - 125), so the smallest
+    # load-carrying root is offered anyway rather than leaving the server
+    # stuck above tolerance.
+    tree = NamespaceTree()
+    owner = _subtrees(tree, [("/giant", 100, 0), ("/big", 150, 0), ("/cold", 0, 0)])
+    report = DynamicAdjuster(imbalance_tolerance=0.1).adjust(
+        owner, _loads(owner, 2), [1.0, 1.0]
+    )
+    assert [(root.path, src, dst) for root, src, dst in report.migrations] == [
+        ("/giant", 0, 1)
+    ]
+    assert _loads(owner, 2) == [150.0, 100.0]
+
+
+def test_largest_that_fits_moves_the_load_in_few_migrations():
+    # Excess 45: the 40 fits, then the 5; the 50 never fit and the cold
+    # roots are not worth a migration. Smallest-first would have shipped
+    # every cold root before the first one that carries load.
+    tree = NamespaceTree()
+    spec = [("/a", 50, 0), ("/b", 40, 0), ("/c", 5, 0), ("/d", 5, 1)]
+    spec += [(f"/cold{i}", 0, 0) for i in range(50)]
+    owner = _subtrees(tree, spec)
+    report = DynamicAdjuster(imbalance_tolerance=0.1).adjust(
+        owner, _loads(owner, 2), [1.0, 1.0]
+    )
+    assert sorted(root.path for root, _s, _t in report.migrations) == ["/b", "/c"]
+    assert report.offered == 2
+    assert report.moved_popularity == 45.0
+    assert report.negligible_moves == 0
+    assert report.max_load_factor == pytest.approx(95 / 50)
+    assert _loads(owner, 2) == [50.0, 50.0]
+
+
+# ----------------------------------------------------------------------
+# Properties tying the adjuster to Sec. IV-B
+# ----------------------------------------------------------------------
+@st.composite
+def clusters(draw, max_popularity=200, min_roots=1, max_roots=60):
+    """(owner dict, capacities): integer popularities (exact float sums),
+    about a third of the roots cold."""
+    capacities = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=2, max_size=6))
+    roots = draw(st.lists(
+        st.tuples(
+            st.one_of(st.just(0), st.integers(0, max_popularity)),
+            st.integers(0, len(capacities) - 1),
+        ),
+        min_size=min_roots, max_size=max_roots,
+    ))
+    tree = NamespaceTree()
+    owner = _subtrees(
+        tree, [(f"/s{i}", pop, server) for i, (pop, server) in enumerate(roots)]
+    )
+    return owner, capacities
+
+
+tolerances = st.sampled_from([0.0, 0.05, 0.1, 0.3])
+
+
+@given(clusters(), tolerances)
+@settings(max_examples=200, deadline=None)
+def test_no_round_migrates_a_zero_popularity_root(cluster, tolerance):
+    owner, capacities = cluster
+    adjuster = DynamicAdjuster(imbalance_tolerance=tolerance)
+    for _ in range(3):
+        report = adjuster.adjust(owner, _loads(owner, len(capacities)), capacities)
+        assert all(root.popularity > 0 for root, _s, _t in report.migrations)
+        assert report.moved_popularity == sum(
+            root.popularity for root, _s, _t in report.migrations
+        )
+
+
+@given(clusters(), tolerances)
+@settings(max_examples=200, deadline=None)
+def test_offers_never_push_a_heavy_server_below_ideal(cluster, tolerance):
+    """Only heavy servers shed, and what leaves one fits its excess — except
+    the lone-oversized fallback, which ships exactly one root, the smallest
+    load-carrying one, and only when none fits."""
+    owner, capacities = cluster
+    before = dict(owner)
+    loads = _loads(owner, len(capacities))
+    report = DynamicAdjuster(imbalance_tolerance=tolerance).adjust(
+        owner, loads, capacities
+    )
+    mu = report.ideal_load_factor
+    left = {}
+    for root, source, _target in report.migrations:
+        left.setdefault(source, []).append(root.popularity)
+    for source, shed in left.items():
+        ideal = mu * capacities[source]
+        assert loads[source] > ideal * (1 + tolerance)
+        excess = loads[source] - ideal
+        if sum(shed) <= excess:
+            continue
+        carrying = [
+            root.popularity for root, server in before.items()
+            if server == source and root.popularity > 0
+        ]
+        assert shed == [min(carrying)]
+        assert min(carrying) > excess
+
+
+@given(clusters(max_popularity=3, min_roots=60, max_roots=300),
+       st.sampled_from([0.2, 0.3]))
+@settings(max_examples=100, deadline=None)
+def test_fixed_loads_reach_a_fixed_point_and_stay(cluster, tolerance):
+    """With every root inside the tolerance band of the smallest server
+    (``p <= tol · μ · C_min``) a heavy server always has a root that fits
+    and a claimant overshoots its deficit by at most one root, so nobody is
+    heavy after the first round: the second moves nothing, nor does any
+    later one. (Coarser roots can rotate through the lone-oversized
+    fallback; `D2TreeScheme` promotes those into the global layer.)"""
+    owner, capacities = cluster
+    loads = _loads(owner, len(capacities))
+    mu = sum(loads) / sum(capacities)
+    assume(3 <= 0.9 * tolerance * mu * min(capacities))
+    adjuster = DynamicAdjuster(imbalance_tolerance=tolerance)
+    adjuster.adjust(owner, loads, capacities)
+    for _ in range(3):
+        report = adjuster.adjust(owner, _loads(owner, len(capacities)), capacities)
+        assert report.migrations == [] and report.offered == 0
+
+
+def test_stationary_trace_does_not_thrash():
+    """A seeded LMBE replay without popularity drift: ~590 subtrees on 12
+    MDSs, 18 adjustment rounds, read off the `adjust_round` records. The
+    smallest-first offer rule this replaced moved 611 subtrees here (1.04x
+    the local layer, 319 and 234 of them in rounds 16 and 17); the bounds
+    are ~2x what largest-that-fits measures (52 moves, 14 in the worst
+    round, 3 bounces, max load factor 1.29)."""
+    profile = DatasetProfile.lmbe(6000)
+    profile = dataclasses.replace(
+        profile.scaled(num_operations=72_000), drift_rate=0.0, seed=profile.seed + 2
+    )
+    telemetry = Telemetry()
+    sim = ClusterSimulator(
+        D2TreeScheme(), load_workload(profile), 12,
+        SimulationConfig(seed=3), telemetry=telemetry,
+    )
+    sim.run()
+    rounds = [
+        dict(event.fields) for event in telemetry.events
+        if event.event == "adjust_round"
+    ]
+    subtrees = len(sim.placement.subtree_owner)
+    assert len(rounds) >= 15 and subtrees > 500
+    migrations = [r["migrations"] for r in rounds]
+    assert sum(migrations) == sim.migrations
+    assert 0 < sum(migrations) < 0.2 * subtrees
+    assert max(migrations[-len(rounds) // 3:]) < 0.05 * subtrees
+    assert sum(r["bounced"] for r in rounds) <= 0.15 * sum(migrations)
+    assert sum(r["negligible_moves"] for r in rounds) <= 0.5 * sum(migrations)
+    assert all(1.0 <= r["max_load_factor"] <= 1.4 for r in rounds)
+    # One record per round: what the adjuster moved is what the runner saw.
+    assert all(r["offered"] >= r["migrations"] for r in rounds)
+    assert not any(e.event == "adjust_detail" for e in telemetry.events)
