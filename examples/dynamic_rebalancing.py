@@ -13,7 +13,7 @@ Run:  python examples/dynamic_rebalancing.py
 from repro import D2TreeScheme, DatasetProfile, StaticSubtreeScheme, TraceGenerator
 from repro.cluster import fail_server
 from repro.metrics import balance_degree
-from repro.simulation.runner import _count_paths, _served_loads, _set_popularity_from_counts
+from repro.simulation.runner import _round_counts, _served_loads
 
 NUM_SERVERS = 6
 ROUNDS = 12
@@ -22,15 +22,17 @@ ROUNDS = 12
 def run_rounds(scheme, workload, inject_failure: bool) -> None:
     tree = workload.tree
     pieces = workload.trace.rounds(ROUNDS)
-    snapshot = [node.individual_popularity for node in tree]
-    _set_popularity_from_counts(tree, _count_paths(pieces[0]))
+    arena = tree.arena()
+    snapshot = arena.individual_popularity()
+    # Blend weight 1.0: each round's counts replace the estimate outright.
+    arena.blend_popularity(snapshot, _round_counts(pieces[0], arena)[0], 1.0)
     placement = scheme.partition(tree, NUM_SERVERS)
 
     print(f"\n--- {scheme.name} ---")
     print(f"{'round':>6}{'balance':>10}{'moves':>7}  per-server load share (%)")
     for index, piece in enumerate(pieces[1:], start=1):
-        counts = _count_paths(piece)
-        loads = _served_loads(placement, tree, counts)
+        window, touched = _round_counts(piece, arena)
+        loads = _served_loads(placement, touched, window)
         total = sum(loads) or 1.0
         shares = [load / total * 100 for load in loads]
         # Balance over live servers only (a failed MDS has ~zero capacity).
@@ -38,7 +40,7 @@ def run_rounds(scheme, workload, inject_failure: bool) -> None:
         live_loads = [loads[k] * len(live) / total for k in live]
         live_caps = [placement.capacities[k] for k in live]
         balance = min(balance_degree(live_loads, live_caps), 1e6)
-        _set_popularity_from_counts(tree, counts)
+        arena.blend_popularity(snapshot, window, 1.0)
         moves = len(scheme.rebalance(tree, placement))
         marker = ""
         if inject_failure and index == ROUNDS // 2:
@@ -47,9 +49,7 @@ def run_rounds(scheme, workload, inject_failure: bool) -> None:
         print(f"{index:>6}{balance:>10.2f}{moves:>7}  "
               + " ".join(f"{share:5.1f}" for share in shares) + marker)
 
-    for node, popularity in zip(tree.nodes, snapshot):
-        node.individual_popularity = popularity
-    tree.aggregate_popularity()
+    arena.blend_popularity(snapshot, snapshot, 0.0)  # write the snapshot back
 
 
 def main() -> None:

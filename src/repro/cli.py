@@ -818,7 +818,11 @@ def cmd_stats(args) -> int:
     if args.input:
         from repro.traces import load_trace
 
-        trace = load_trace(args.input)
+        try:
+            trace = load_trace(args.input)
+        except (OSError, ValueError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     else:
         trace = _workload(args).trace
     print(f"trace: {trace.name}")

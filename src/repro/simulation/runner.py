@@ -9,6 +9,10 @@ Two replay modes:
   rounds, each round's served load is measured under the placement adapted to
   the *previous* rounds, then schemes rebalance. "After the subtraces are
   replayed ... a relatively balanced status is maintained."
+
+Both read the one materialized :class:`~repro.traces.trace.Trace` and keep
+the popularity estimate with the one per-round blend,
+:meth:`~repro.core.namespace.NodeArena.blend_popularity`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from repro.cluster.locks import LockManager
 from repro.cluster.mds import MetadataServer
 from repro.cluster.messages import Heartbeat, RoutePlan, VisitKind
 from repro.cluster.monitor import MonitorGroup
-from repro.core.namespace import NamespaceTree
 from repro.core.partition import D2TreePlacement
 from repro.metrics.balance import balance_degree
 from repro.cluster.cache import LRUCache
@@ -584,8 +587,9 @@ class ClusterSimulator:
     def _run(self) -> SimulationResult:
         """The replay loop: visits are served in global time order.
 
-        The trace streams through as :class:`~repro.traces.columns.OpBatch`
-        windows (fixed memory for streaming traces). A closed loop has at
+        The materialized trace is decoded one 4 096-op
+        :class:`~repro.traces.columns.OpBatch` window at a time (op codes
+        and resolved nodes, the two columns read here). A closed loop has at
         most one in-flight op per client, so an op's state lives in
         per-client *slot* arrays and an event is ``(time, seq, slot)``; a
         server's FIFO timeline only ever sees arrivals with non-decreasing
@@ -1086,27 +1090,30 @@ class BalanceTrajectory:
         return self.per_round[-1] if self.per_round else float("inf")
 
 
-def _set_popularity_from_counts(tree: NamespaceTree, counts: Dict[str, float]) -> None:
-    for node in tree:
-        node.individual_popularity = counts.get(node.path, 0.0)
-    tree.aggregate_popularity()
+def _round_counts(piece: Trace, arena) -> Tuple[List[float], List]:
+    """One round's per-node access counts as an id-indexed window, plus the
+    nodes it touched in first-appearance order (the order the served loads
+    are summed in). Records whose path does not resolve are skipped."""
+    window = arena.zero_loads()
+    touched = []
+    lookup = arena.tree.lookup
+    for record in piece:
+        node = lookup(record.path)
+        if node is None:
+            continue
+        if not window[node.node_id]:
+            touched.append(node)
+        window[node.node_id] += 1.0
+    return window, touched
 
 
-def _count_paths(trace: Trace) -> Dict[str, float]:
-    counts: Dict[str, float] = {}
-    for record in trace.records:
-        counts[record.path] = counts.get(record.path, 0.0) + 1.0
-    return counts
-
-
-def _served_loads(placement: Placement, tree: NamespaceTree, counts: Dict[str, float]) -> List[float]:
+def _served_loads(placement: Placement, touched: List, window: List[float]) -> List[float]:
     loads = [0.0] * placement.num_servers
-    for path, count in counts.items():
-        node = tree.lookup(path)
-        if node is None or not placement.is_placed(node):
+    for node in touched:
+        if not placement.is_placed(node):
             continue
         servers = placement.servers_of(node)
-        share = count / len(servers)
+        share = window[node.node_id] / len(servers)
         for server in servers:
             loads[server] += share
     return loads
@@ -1129,34 +1136,28 @@ def replay_rounds(
     if rounds < 2:
         raise ValueError("need at least two rounds (one to adapt, one to measure)")
     tree = workload.tree
-    initial_popularity = [node.individual_popularity for node in tree]
+    arena = tree.arena()  # rebalancing moves placements, never the structure
+    initial = arena.individual_popularity()
+    blend = arena.blend_popularity
     pieces = workload.trace.rounds(rounds)
-    estimate = _count_paths(pieces[0])
-    _set_popularity_from_counts(tree, estimate)
+    # The estimate starts as the first round's counts, taken whole; from
+    # there it is the simulator's per-round blend (ClusterSimulator._adjust).
+    estimate = blend(initial, _round_counts(pieces[0], arena)[0], 1.0)
     placement = scheme.partition(tree, num_servers)
 
     trajectory = BalanceTrajectory(
         scheme=scheme.name, trace=workload.trace.name, num_servers=num_servers
     )
     for piece in pieces[1:]:
-        counts = _count_paths(piece)
-        loads = _served_loads(placement, tree, counts)
+        window, touched = _round_counts(piece, arena)
+        loads = _served_loads(placement, touched, window)
         if normalize:
             total = sum(loads)
             if total > 0:
                 loads = [load * num_servers / total for load in loads]
         trajectory.per_round.append(balance_degree(loads, placement.capacities))
         # Servers observe the round and adjust.
-        for path, count in counts.items():
-            estimate[path] = (1 - popularity_blend) * estimate.get(path, 0.0) + (
-                popularity_blend * count
-            )
-        for path in list(estimate):
-            if path not in counts:
-                estimate[path] *= 1 - popularity_blend
-        _set_popularity_from_counts(tree, estimate)
+        estimate = blend(estimate, window, popularity_blend)
         trajectory.migrations += len(scheme.rebalance(tree, placement))
-    for node, popularity in zip(tree.nodes, initial_popularity):
-        node.individual_popularity = popularity
-    tree.aggregate_popularity()
+    blend(initial, initial, 0.0)  # a zero-weight blend writes the snapshot back
     return trajectory

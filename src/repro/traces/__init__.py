@@ -21,17 +21,9 @@ from repro.traces.generator import (
     TraceGenerator,
     ZipfSampler,
     load_workload,
-    stream_workload,
 )
-from repro.traces.io import (
-    dumps_trace,
-    iter_trace_records,
-    load_trace,
-    loads_trace,
-    open_trace,
-    save_trace,
-)
-from repro.traces.trace import OpType, StreamingTrace, Trace, TraceOps, TraceRecord
+from repro.traces.io import dumps_trace, load_trace, loads_trace, save_trace
+from repro.traces.trace import OpType, Trace, TraceRecord
 
 __all__ = [
     "BUNDLE_VERSION",
@@ -46,22 +38,17 @@ __all__ = [
     "PAPER_RECORD_COUNTS",
     "PAPER_TRACE_SIZES_GB",
     "PROFILES",
-    "StreamingTrace",
     "Trace",
     "TraceGenerator",
-    "TraceOps",
     "TraceRecord",
     "ZipfSampler",
     "all_profiles",
     "dumps_trace",
     "iter_op_batches",
-    "iter_trace_records",
     "load_trace",
     "load_workload",
     "load_workload_bundle",
     "loads_trace",
-    "open_trace",
     "save_trace",
     "save_workload",
-    "stream_workload",
 ]

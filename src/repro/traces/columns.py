@@ -1,17 +1,11 @@
 """Columnar op batches: the array-backed form of a trace slice.
 
 Walking one ``TraceRecord`` object (and one path-string hash) per operation
-dominates a replay at million-op trace sizes, so the simulator's replay loop
-consumes traces as :class:`OpBatch` windows instead: four parallel ``array``
-columns (op-type code, interned node id, client id, timestamp) plus a
-resolved node-reference list, built in one pass over the trace.
-
-Batches are produced by :func:`iter_op_batches`, which accepts anything
-iterable over :class:`~repro.traces.trace.TraceRecord` — a materialized
-:class:`~repro.traces.trace.Trace`, a
-:class:`~repro.traces.trace.StreamingTrace`, or a raw record iterator — so a
-10M-op trace streams through the simulator in fixed memory (one window at a
-time) instead of as a 10M-element object list.
+is a fixed per-op cost the replay loop does not need to pay, so it consumes
+a trace as :class:`OpBatch` windows instead: the two columns it reads — an
+op-type code ``array`` and the resolved node references — built one
+:data:`DEFAULT_BATCH_OPS` window at a time over the materialized record
+list.
 
 Path resolution happens here, once per record: lookups are pure reads of a
 static tree (so resolving a window ahead of dispatch changes nothing),
@@ -52,8 +46,8 @@ OP_FROM_CODE: Tuple[OpType, ...] = (
 )
 
 #: Default window size: large enough to amortise refill bookkeeping, small
-#: enough that a window of any realistic trace stays cache- and
-#: memory-friendly (~100 KB of columns + one node-ref list).
+#: enough that a window stays cache-friendly (4 KB of codes + one node-ref
+#: list).
 DEFAULT_BATCH_OPS = 4096
 
 #: Op-type *value* -> column code. ``Enum.__hash__`` is a Python-level call
@@ -66,33 +60,16 @@ _CODES_BY_VALUE = {op.value: code for op, code in OP_CODES.items()}
 class OpBatch:
     """One window of operations in columnar (structure-of-arrays) form.
 
-    The four columns are index-parallel ``array`` instances::
-
-        op_codes    array('b')  op-type code (see OP_CODES)
-        node_ids    array('q')  interned node id (NamespaceTree dense id)
-        client_ids  array('q')  issuing client from the trace record
-        timestamps  array('d')  record arrival time (seconds)
-
-    ``nodes`` is the parallel list of resolved ``MetadataNode`` references —
-    the form the replay loop actually consumes (it saves a per-op
-    ``node_by_id`` hop). Records whose path did not resolve in the tree are
-    absent (skipped at build time).
+    ``op_codes`` is an ``array('b')`` of op-type codes (see
+    :data:`OP_CODES`) and ``nodes`` the index-parallel list of resolved
+    ``MetadataNode`` references. Records whose path did not resolve in the
+    tree are absent (skipped at build time).
     """
 
-    __slots__ = ("op_codes", "node_ids", "client_ids", "timestamps", "nodes")
+    __slots__ = ("op_codes", "nodes")
 
-    def __init__(
-        self,
-        op_codes: array,
-        node_ids: array,
-        client_ids: array,
-        timestamps: array,
-        nodes: List,
-    ) -> None:
+    def __init__(self, op_codes: array, nodes: List) -> None:
         self.op_codes = op_codes
-        self.node_ids = node_ids
-        self.client_ids = client_ids
-        self.timestamps = timestamps
         self.nodes = nodes
 
     def __len__(self) -> int:
@@ -109,10 +86,9 @@ def iter_op_batches(
     tree,
     batch_ops: int = DEFAULT_BATCH_OPS,
 ) -> Iterator[OpBatch]:
-    """Stream ``records`` as :class:`OpBatch` windows of up to ``batch_ops``
+    """Yield ``records`` as :class:`OpBatch` windows of up to ``batch_ops``
     ops each.
 
-    One pass, fixed memory: only the window under construction is held.
     ``tree`` provides path resolution (``tree.lookup``); unresolvable paths
     are skipped (a window containing skips comes out short — batches are
     never re-packed across chunk boundaries). Record order is preserved
@@ -120,9 +96,8 @@ def iter_op_batches(
     trace sequence.
 
     Columns are built chunk-at-a-time with comprehensions and the C-level
-    ``array(typecode, list)`` constructor rather than per-record appends —
-    the batch builder sits on the replay hot path, and the difference is
-    ~2x on million-op traces.
+    ``array(typecode, list)`` constructor rather than per-record appends:
+    the batch builder sits on the replay hot path.
     """
     if batch_ops < 1:
         raise ValueError("batch_ops must be positive")
@@ -140,10 +115,4 @@ def iter_op_batches(
                 continue
             chunk = [r for r, _ in kept]
             nodes = [n for _, n in kept]
-        yield OpBatch(
-            array("b", [codes[r.op._value_] for r in chunk]),
-            array("q", [n.node_id for n in nodes]),
-            array("q", [r.client_id for r in chunk]),
-            array("d", [r.timestamp for r in chunk]),
-            nodes,
-        )
+        yield OpBatch(array("b", [codes[r.op._value_] for r in chunk]), nodes)

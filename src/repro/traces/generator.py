@@ -22,19 +22,18 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
 from repro.traces.datasets import DatasetProfile
-from repro.traces.trace import OpType, StreamingTrace, Trace, TraceOps, TraceRecord
+from repro.traces.trace import OpType, Trace, TraceRecord
 
 __all__ = [
     "TraceGenerator",
     "GeneratedWorkload",
     "ZipfSampler",
     "load_workload",
-    "stream_workload",
 ]
 
 #: Baseline update cost every node pays for structural maintenance.
@@ -68,16 +67,11 @@ class ZipfSampler:
 
 @dataclass
 class GeneratedWorkload:
-    """Tree + trace pair generated from one dataset profile.
-
-    ``trace`` is a materialized :class:`Trace` from :meth:`TraceGenerator.generate`
-    or a restartable :class:`StreamingTrace` from :meth:`TraceGenerator.stream`
-    — same records either way (byte-identical for the same profile).
-    """
+    """Tree + trace pair generated from one dataset profile."""
 
     profile: DatasetProfile
     tree: NamespaceTree
-    trace: TraceOps
+    trace: Trace
     hot_nodes: List[MetadataNode] = field(default_factory=list)
     #: Paths whose first trace occurrence is a CREATE: these nodes do not
     #: exist at partition time and each scheme places them on the fly.
@@ -128,69 +122,6 @@ class TraceGenerator:
             trace=trace,
             hot_nodes=hot_nodes,
             late_created_paths=late_paths,
-        )
-
-    def stream(self) -> GeneratedWorkload:
-        """Like :meth:`generate`, but the trace is a :class:`StreamingTrace`.
-
-        The records are byte-identical to :meth:`generate` for the same
-        profile, yet never held in memory all at once: one *probe* pass over
-        the seeded record stream collects the per-path aggregates the tree
-        backfill needs (access counts, update counts, first-occurrence op),
-        and every later consumer replays the stream from the same RNG
-        snapshot. Peak memory is O(tree), independent of trace length, so a
-        10M-op profile streams through the simulator in fixed memory.
-        """
-        profile = self.profile
-        rng = random.Random(profile.seed)
-        tree, hot_nodes, cold_nodes = self._build_tree(rng)
-        # Snapshot the RNG *after* tree construction: every replay resumes
-        # from here, so each pass redraws the exact per-op sequence that
-        # generate() materializes.
-        state = rng.getstate()
-
-        probe = random.Random()
-        probe.setstate(state)
-        access: Dict[str, float] = {}
-        updates: Dict[str, float] = {}
-        first_op: Dict[str, OpType] = {}
-        for record in self._trace_stream(probe, hot_nodes, cold_nodes):
-            path = record.path
-            access[path] = access.get(path, 0.0) + 1.0
-            if record.op is OpType.UPDATE:
-                updates[path] = updates.get(path, 0.0) + 1.0
-            if path not in first_op:
-                first_op[path] = record.op
-        # The probe has now consumed exactly the trace draws, so the
-        # late-create sample below sees the same RNG state _mark_creates
-        # would, and picks the same paths.
-        late = self._late_create_set(probe, cold_nodes)
-        # first_op preserves first-occurrence order, matching the order
-        # _mark_creates reports conversions in.
-        converted = [path for path in first_op if path in late]
-        for path in converted:
-            if first_op[path] is OpType.UPDATE:
-                # Converting the first occurrence to CREATE removes exactly
-                # one UPDATE; counts are integer-valued floats, so this
-                # subtraction is exact.
-                updates[path] -= 1.0
-        for node in tree:
-            node.individual_popularity = access.get(node.path, 0.0)
-            node.update_cost = STRUCTURAL_UPDATE_COST + updates.get(node.path, 0.0)
-        tree.aggregate_popularity()
-
-        trace = StreamingTrace(
-            name=profile.name,
-            factory=lambda: self._replay_stream(state, hot_nodes, cold_nodes, late),
-            length=profile.num_operations,
-            description=profile.description,
-        )
-        return GeneratedWorkload(
-            profile=profile,
-            tree=tree,
-            trace=trace,
-            hot_nodes=hot_nodes,
-            late_created_paths=converted,
         )
 
     def build_tree(self) -> NamespaceTree:
@@ -270,8 +201,7 @@ class TraceGenerator:
         hot_nodes: Sequence[MetadataNode],
         cold_nodes: Sequence[MetadataNode],
     ) -> Iterator[TraceRecord]:
-        """Yield the raw (pre-CREATE-conversion) records, one RNG draw
-        sequence, one record at a time."""
+        """Yield the raw (pre-CREATE-conversion) records."""
         profile = self.profile
         # Shuffled rank order decorrelates Zipf rank from creation order.
         hot_pool = list(hot_nodes)
@@ -312,59 +242,21 @@ class TraceGenerator:
                 client_id=rng.randrange(self.num_clients),
             )
 
-    def _replay_stream(
-        self,
-        state: tuple,
-        hot_nodes: Sequence[MetadataNode],
-        cold_nodes: Sequence[MetadataNode],
-        late: Set[str],
-    ) -> Iterator[TraceRecord]:
-        """One full replay of the trace from the RNG snapshot, converting
-        the first occurrence of each late-created path to CREATE on the fly
-        (the streaming analogue of :meth:`_mark_creates`)."""
-        rng = random.Random()
-        rng.setstate(state)
-        if not late:
-            yield from self._trace_stream(rng, hot_nodes, cold_nodes)
-            return
-        seen: Set[str] = set()
-        for record in self._trace_stream(rng, hot_nodes, cold_nodes):
-            if record.path in late and record.path not in seen:
-                record = TraceRecord(
-                    timestamp=record.timestamp,
-                    op=OpType.CREATE,
-                    path=record.path,
-                    client_id=record.client_id,
-                )
-            seen.add(record.path)
-            yield record
-
     # ------------------------------------------------------------------
-    def _late_create_set(
-        self, rng: random.Random, cold_nodes: Sequence[MetadataNode]
-    ) -> Set[str]:
-        """Sample the cold files whose first occurrence becomes a CREATE.
-
-        Draw-identical to the sampling step _mark_creates historically did
-        inline; returns the empty set (no draws) when create_fraction <= 0.
-        """
-        fraction = self.profile.create_fraction
-        if fraction <= 0:
-            return set()
-        files = [n for n in cold_nodes if not n.is_directory]
-        count = max(1, round(fraction * len(files)))
-        return {n.path for n in rng.sample(files, min(count, len(files)))}
-
     def _mark_creates(
         self,
         rng: random.Random,
         trace: Trace,
         cold_nodes: Sequence[MetadataNode],
     ) -> List[str]:
-        """Turn the first occurrence of some cold files into CREATE ops."""
-        late = self._late_create_set(rng, cold_nodes)
-        if not late:
+        """Turn the first occurrence of some cold files into CREATE ops
+        (no RNG draws when ``create_fraction`` is 0)."""
+        fraction = self.profile.create_fraction
+        if fraction <= 0:
             return []
+        files = [n for n in cold_nodes if not n.is_directory]
+        count = max(1, round(fraction * len(files)))
+        late = {n.path for n in rng.sample(files, min(count, len(files)))}
         seen = set()
         records = trace.records
         converted = []
@@ -409,24 +301,4 @@ def load_workload(profile: DatasetProfile, num_clients: int = DEFAULT_NUM_CLIENT
     return cached
 
 
-def stream_workload(
-    profile: DatasetProfile, num_clients: int = DEFAULT_NUM_CLIENTS
-) -> GeneratedWorkload:
-    """Generate (or fetch the cached) *streaming* workload for a profile.
-
-    Record-identical to :func:`load_workload`, but ``workload.trace`` is a
-    restartable :class:`StreamingTrace`: peak memory stays O(tree) no matter
-    how many operations the profile asks for. The returned workload is cached
-    per (profile, num_clients) like the materialized one; the cache holds the
-    tree and RNG snapshot, never the records.
-    """
-    key = (profile, num_clients)
-    cached = _STREAM_CACHE.get(key)
-    if cached is None:
-        cached = TraceGenerator(profile, num_clients=num_clients).stream()
-        _STREAM_CACHE[key] = cached
-    return cached
-
-
 _WORKLOAD_CACHE: Dict[tuple, GeneratedWorkload] = {}
-_STREAM_CACHE: Dict[tuple, GeneratedWorkload] = {}

@@ -1,140 +1,119 @@
 """Trace (de)serialization — a simple line-oriented interchange format.
 
 Each line is ``timestamp<TAB>op<TAB>client_id<TAB>path``; the header carries
-the trace name and description. Round-tripping is lossless, so generated
-workloads can be archived and replayed across runs.
+the trace name and description. Generated workloads can be archived and
+replayed across runs (timestamps keep microsecond precision).
 
-Both directions stream: :func:`save_trace` writes records one at a time
-(accepting a :class:`~repro.traces.trace.StreamingTrace` without ever
-materializing it), and :func:`open_trace` wraps a file as a restartable
-streaming trace — :func:`iter_trace_records` underneath holds one line in
-memory at a time, so a 10M-op trace file replays in fixed memory.
+A trace file is hostile input: :func:`loads_trace` reports every malformed
+line as ``ValueError("line N: …")``, and both directions apply one rule
+(:func:`check_record`), so nothing the writer emits can read back as a
+different trace.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO, Tuple, Union
+from typing import Tuple, Union
 
-from repro.traces.trace import OpType, StreamingTrace, Trace, TraceRecord
+from repro.traces.trace import OpType, Trace, TraceRecord
 
 __all__ = [
     "save_trace",
     "load_trace",
     "dumps_trace",
     "loads_trace",
-    "open_trace",
-    "iter_trace_records",
+    "check_path",
+    "check_record",
 ]
 
 _HEADER_PREFIX = "#trace"
 
+#: Characters that would break a record (or the header) across fields or
+#: lines. ``\r`` is here because text-mode reads turn it into ``\n``.
+_BREAKS = frozenset("\t\r\n")
+_FLATTEN = str.maketrans(dict.fromkeys(_BREAKS, " "))
 
-def _write_trace(trace: Iterable[TraceRecord], out: TextIO, name: str, description: str) -> None:
-    description = description.replace("\n", " ")
-    out.write(f"{_HEADER_PREFIX}\t{name}\t{description}\n")
-    for record in trace:
-        out.write(
-            f"{record.timestamp:.6f}\t{record.op.value}\t{record.client_id}\t{record.path}\n"
-        )
+
+def check_path(path: object) -> None:
+    """Raise ``ValueError`` unless ``path`` is an absolute path that fits on
+    one tab-separated line."""
+    if not isinstance(path, str) or not path.startswith("/") or not _BREAKS.isdisjoint(path):
+        raise ValueError(f"path {path!r} must be absolute, without tab or newline")
+
+
+def check_record(record: TraceRecord) -> None:
+    """Raise ``ValueError`` unless ``record`` can live in a trace file: a
+    finite non-negative timestamp and client id, and a :func:`check_path`
+    path."""
+    if not math.isfinite(record.timestamp) or record.timestamp < 0:
+        raise ValueError(f"timestamp {record.timestamp!r} must be finite and non-negative")
+    if record.client_id < 0:
+        raise ValueError(f"client id {record.client_id} must be non-negative")
+    check_path(record.path)
 
 
 def _parse_header(line: str) -> Tuple[str, str]:
-    if not line.startswith(_HEADER_PREFIX):
-        raise ValueError("missing trace header line")
-    header = line.rstrip("\n").split("\t")
-    if len(header) < 2:
-        raise ValueError("malformed trace header")
-    name = header[1]
-    description = header[2] if len(header) > 2 else ""
-    return name, description
+    header = line.split("\t")
+    if header[0] != _HEADER_PREFIX or len(header) < 2:
+        raise ValueError("line 1: missing or malformed trace header")
+    return header[1], header[2] if len(header) > 2 else ""
 
 
 def _parse_line(lineno: int, line: str) -> TraceRecord:
-    parts = line.split("\t")
-    if len(parts) != 4:
-        raise ValueError(f"line {lineno}: expected 4 tab-separated fields")
-    timestamp, op, client_id, path = parts
-    return TraceRecord(
-        timestamp=float(timestamp),
-        op=OpType(op),
-        client_id=int(client_id),
-        path=path,
-    )
+    try:
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ValueError(f"expected 4 tab-separated fields, got {len(parts)}")
+        timestamp, op, client_id, path = parts
+        record = TraceRecord(float(timestamp), OpType(op), path, int(client_id))
+        check_record(record)
+    except ValueError as error:
+        raise ValueError(f"line {lineno}: {error}") from None
+    return record
 
 
 def dumps_trace(trace: Trace) -> str:
-    """Serialize a trace to its text form (accepts streaming traces too)."""
+    """Serialize a trace to its text form.
+
+    A record :func:`check_record` refuses raises ``ValueError`` rather than
+    being written: a raw tab or newline in a path would read back as a
+    different (or forged extra) record. The name and description are
+    flattened onto the header line.
+    """
     out = io.StringIO()
-    _write_trace(trace, out, trace.name, trace.description)
+    name = trace.name.translate(_FLATTEN)
+    out.write(f"{_HEADER_PREFIX}\t{name}\t{trace.description.translate(_FLATTEN)}\n")
+    for index, record in enumerate(trace):
+        try:
+            check_record(record)
+        except ValueError as error:
+            raise ValueError(f"record {index}: {error}") from None
+        out.write(
+            f"{record.timestamp:.6f}\t{record.op.value}\t{record.client_id}\t{record.path}\n"
+        )
     return out.getvalue()
 
 
 def loads_trace(text: str) -> Trace:
-    """Parse a trace from its text form."""
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("missing trace header line")
+    """Parse a trace from its text form; ``ValueError("line N: …")`` on any
+    malformed line."""
+    lines = text.split("\n")
     name, description = _parse_header(lines[0])
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        records.append(_parse_line(lineno, line))
+    records = [
+        _parse_line(lineno, line)
+        for lineno, line in enumerate(lines[1:], start=2)
+        if line.strip()
+    ]
     return Trace(name=name, records=records, description=description)
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Write a trace to ``path``, streaming one record at a time.
-
-    Accepts any record iterable with ``name``/``description`` attributes —
-    a :class:`Trace` or a :class:`StreamingTrace` — so saving never requires
-    the record list in memory.
-    """
-    with Path(path).open("w", encoding="utf-8") as out:
-        _write_trace(trace, out, trace.name, trace.description)
+    """Write a trace to ``path`` (nothing is written if a record is refused)."""
+    Path(path).write_text(dumps_trace(trace), encoding="utf-8")
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
-    """Read a trace from ``path`` into a fully materialized :class:`Trace`."""
+    """Read a trace from ``path``."""
     return loads_trace(Path(path).read_text(encoding="utf-8"))
-
-
-def iter_trace_records(path: Union[str, Path]) -> Iterator[TraceRecord]:
-    """Stream the records of a trace file, one line at a time.
-
-    Validates the header, skips blank lines, and raises the same errors as
-    :func:`loads_trace` — the two parse identical files identically; only
-    the memory profile differs (O(1) here vs O(records)).
-    """
-    with Path(path).open("r", encoding="utf-8") as handle:
-        header = handle.readline()
-        if not header:
-            raise ValueError("missing trace header line")
-        _parse_header(header)
-        for lineno, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            yield _parse_line(lineno, line)
-
-
-def open_trace(path: Union[str, Path]) -> StreamingTrace:
-    """Wrap a trace file as a restartable :class:`StreamingTrace`.
-
-    The header is read eagerly (so bad files fail fast and the name and
-    description are available); records are re-read from disk on every
-    iteration. Use :func:`load_trace` when the record list itself is needed.
-    """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        header = handle.readline()
-        if not header:
-            raise ValueError("missing trace header line")
-        name, description = _parse_header(header)
-    return StreamingTrace(
-        name=name,
-        factory=lambda: iter_trace_records(path),
-        description=description,
-    )

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from repro.core.namespace import split_path
 from repro.traces.trace import OpType, Trace
 
 __all__ = ["TraceStats", "analyze_trace", "estimate_zipf_exponent"]
@@ -44,10 +45,6 @@ class TraceStats:
             f"zipf≈{self.zipf_exponent:.2f}\n"
             f"drift: {self.drift * 100:.1f}% of the top set turns over"
         )
-
-
-def _depth(path: str) -> int:
-    return sum(1 for part in path.split("/") if part)
 
 
 def estimate_zipf_exponent(counts: List[int]) -> float:
@@ -84,26 +81,26 @@ def analyze_trace(trace: Trace, top_fraction: float = 0.01) -> TraceStats:
     counts: Dict[str, int] = {}
     depth_sum = 0
     max_depth = 0
-    for record in trace.records:
+    for record in trace:
         counts[record.path] = counts.get(record.path, 0) + 1
-        depth = _depth(record.path)
+        depth = len(split_path(record.path))
         depth_sum += depth
         if depth > max_depth:
             max_depth = depth
 
     histogram = [0] * (max_depth + 1)
     for path in counts:
-        histogram[_depth(path)] += 1
+        histogram[len(split_path(path))] += 1
 
-    operations = len(trace.records)
+    operations = len(trace)
     top_set, top_share = _top_paths(counts, top_fraction)
 
     quarter = max(1, operations // 4)
     first_counts: Dict[str, int] = {}
-    for record in trace.records[:quarter]:
+    for record in trace.slice(0, quarter):
         first_counts[record.path] = first_counts.get(record.path, 0) + 1
     last_counts: Dict[str, int] = {}
-    for record in trace.records[-quarter:]:
+    for record in trace.slice(-quarter):
         last_counts[record.path] = last_counts.get(record.path, 0) + 1
     first_top, _ = _top_paths(first_counts, top_fraction * 4)
     last_top, _ = _top_paths(last_counts, top_fraction * 4)

@@ -115,6 +115,16 @@ def test_stats_from_file(tmp_path, capsys):
     assert "LMBE" in out
 
 
+def test_stats_malformed_file_exits_2(tmp_path, capsys):
+    """A bad trace file is a one-line error naming the line, not a traceback."""
+    trace_file = tmp_path / "bad.tsv"
+    trace_file.write_text("#trace\tx\t\n1.0\tread\t0\t/a\n2.0\tbogus\t0\t/a\n")
+    code = main(["stats", "--input", str(trace_file)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+    assert main(["stats", "--input", str(tmp_path / "absent.tsv")]) == 2
+
+
 def test_figure_chart_mode(capsys):
     code, out = run(
         capsys, "figure", "fig6", "--trace", "dtr", "--nodes", "600",

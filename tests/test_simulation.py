@@ -23,7 +23,7 @@ from repro.simulation import (
     simulate,
     summarize_latencies,
 )
-from repro.traces import DatasetProfile, StreamingTrace, TraceGenerator
+from repro.traces import DatasetProfile, TraceGenerator
 from tests.test_mutation_properties import (
     apply_mutations,
     build_tree,
@@ -171,22 +171,19 @@ def create_workload():
     return TraceGenerator(profile, num_clients=16).generate()
 
 
-def test_streaming_trace_parity(create_workload, monkeypatch, tmp_path):
-    """A streamed (never materialized) trace replays bit-identically to the
-    materialized one with every hook on — a fault plan, a WAL store, a
-    recorded history — and the loop never asks the stream for its list."""
-    monkeypatch.setattr(
-        StreamingTrace, "records",
-        property(lambda self: pytest.fail("the replay materialized a stream")),
-    )
+def test_replay_with_every_hook_on_is_deterministic(create_workload, tmp_path):
+    """The same CREATE-converting workload replayed twice with every hook on
+    — a fault plan, a WAL store, a recorded history — gives the same result
+    and the same history: nothing in the loop depends on a previous run, the
+    store directory or iteration order."""
     faults = [
         "kill9:1@ops=300", "recover:1@ops=1500", "loss:3@ops=900:p0.3",
         "recover:3@ops=2200", "crash:4@t=0.4", "recover:4@t=0.9",
     ]
 
-    def replay(source, store_dir):
+    def replay(store_dir):
         sim = ClusterSimulator(
-            D2TreeScheme(), source, 6,
+            D2TreeScheme(), create_workload, 6,
             SimulationConfig(
                 fault_plan=FaultPlan.parse(faults), num_monitors=3,
                 store="wal", store_dir=str(store_dir),
@@ -198,12 +195,10 @@ def test_streaming_trace_parity(create_workload, monkeypatch, tmp_path):
         finally:
             sim.close()
 
-    streamed = TraceGenerator(create_workload.profile, num_clients=16).stream()
-    assert isinstance(streamed.trace, StreamingTrace)
-    got = replay(streamed, tmp_path / "streamed")
-    want = replay(create_workload, tmp_path / "materialized")
-    assert got == want
-    assert got[0]["availability"]["retries"] > 0 and got[0]["durability"]
+    first = replay(tmp_path / "first")
+    assert replay(tmp_path / "second") == first
+    assert first[0]["availability"]["retries"] > 0 and first[0]["durability"]
+    assert create_workload.late_created_paths
 
 
 def test_arena_matches_object_aggregation(random_tree):

@@ -13,7 +13,7 @@ from repro.traces import (
     all_profiles,
     iter_op_batches,
 )
-from repro.traces.columns import OP_CODES
+from repro.traces.columns import OP_CODES, OpBatch
 
 
 def make_trace(n=10):
@@ -89,34 +89,21 @@ def test_rounds_validation():
 # OpBatch windows (the form the replay loop consumes a trace in)
 # ----------------------------------------------------------------------
 def test_iter_op_batches_roundtrip(tiny_dtr_workload):
-    """Batches concatenate back to the per-record sequence and windows are
-    bounded by batch_ops."""
+    """The two columns, window after window, concatenate back to the trace's
+    (op, node) sequence; every window is index-parallel and bounded by
+    batch_ops."""
     tree = tiny_dtr_workload.tree
-    records = tiny_dtr_workload.trace.records
+    trace = tiny_dtr_workload.trace
+    assert OpBatch.__slots__ == ("op_codes", "nodes")
     flat = []
-    for batch in iter_op_batches(records, tree, batch_ops=64):
-        assert len(batch) <= 64
-        assert (
-            len(batch.op_codes) == len(batch.node_ids)
-            == len(batch.client_ids) == len(batch.timestamps)
-            == len(batch.nodes)
-        )
-        ops = batch.ops()
-        for i in range(len(batch)):
-            flat.append(
-                (
-                    ops[i],
-                    batch.nodes[i].path,
-                    batch.client_ids[i],
-                    batch.timestamps[i],
-                )
-            )
-    expected = [
-        (r.op, r.path, r.client_id, r.timestamp)
-        for r in records
-        if tree.lookup(r.path) is not None
-    ]
-    assert flat == expected
+    batches = list(iter_op_batches(trace, tree, batch_ops=64))
+    assert len(batches) == -(-len(trace) // 64)  # order kept across windows
+    for batch in batches:
+        assert 0 < len(batch) <= 64
+        assert len(batch.op_codes) == len(batch.nodes) == len(batch)
+        assert [OP_CODES[op] for op in batch.ops()] == list(batch.op_codes)
+        flat.extend(zip(batch.ops(), (node.path for node in batch.nodes)))
+    assert flat == [(r.op, r.path) for r in trace.records]
 
 
 def test_iter_op_batches_skips_unresolved():
