@@ -12,6 +12,7 @@ Run:  python examples/dynamic_rebalancing.py
 
 from repro import D2TreeScheme, DatasetProfile, StaticSubtreeScheme, TraceGenerator
 from repro.cluster import fail_server
+from repro.core.namespace import PopularityEstimate
 from repro.metrics import balance_degree
 from repro.simulation.runner import _round_counts, _served_loads
 
@@ -25,14 +26,16 @@ def run_rounds(scheme, workload, inject_failure: bool) -> None:
     arena = tree.arena()
     snapshot = arena.individual_popularity()
     # Blend weight 1.0: each round's counts replace the estimate outright.
-    arena.blend_popularity(snapshot, _round_counts(pieces[0], arena)[0], 1.0)
+    estimate = PopularityEstimate(arena, 1.0)
+    estimate.fold(_round_counts(pieces[0], tree))
+    estimate.materialise()
     placement = scheme.partition(tree, NUM_SERVERS)
 
     print(f"\n--- {scheme.name} ---")
     print(f"{'round':>6}{'balance':>10}{'moves':>7}  per-server load share (%)")
     for index, piece in enumerate(pieces[1:], start=1):
-        window, touched = _round_counts(piece, arena)
-        loads = _served_loads(placement, touched, window)
+        counts = _round_counts(piece, tree)
+        loads = _served_loads(placement, counts)
         total = sum(loads) or 1.0
         shares = [load / total * 100 for load in loads]
         # Balance over live servers only (a failed MDS has ~zero capacity).
@@ -40,7 +43,8 @@ def run_rounds(scheme, workload, inject_failure: bool) -> None:
         live_loads = [loads[k] * len(live) / total for k in live]
         live_caps = [placement.capacities[k] for k in live]
         balance = min(balance_degree(live_loads, live_caps), 1e6)
-        arena.blend_popularity(snapshot, window, 1.0)
+        estimate.fold(counts)
+        estimate.materialise()
         moves = len(scheme.rebalance(tree, placement))
         marker = ""
         if inject_failure and index == ROUNDS // 2:
@@ -49,7 +53,7 @@ def run_rounds(scheme, workload, inject_failure: bool) -> None:
         print(f"{index:>6}{balance:>10.2f}{moves:>7}  "
               + " ".join(f"{share:5.1f}" for share in shares) + marker)
 
-    arena.blend_popularity(snapshot, snapshot, 0.0)  # write the snapshot back
+    arena.write_popularity(snapshot)  # leave the shared tree as it was
 
 
 def main() -> None:

@@ -45,8 +45,6 @@ class SimClient:
         # method cached here previously, which was an interpreter
         # implementation detail.
         self._getrandbits = self._rng.getrandbits
-        self.operations = 0
-        self.redirects = 0
 
     def randbelow(self, n: int) -> int:
         """Uniform draw in ``[0, n)`` through the public ``getrandbits`` API.
@@ -69,9 +67,3 @@ class SimClient:
     def pick_any_server(self) -> int:
         """Random MDS choice (global-layer queries go anywhere)."""
         return self.randbelow(self.num_servers)
-
-    def note_operation(self, redirected: bool) -> None:
-        """Update per-client statistics."""
-        self.operations += 1
-        if redirected:
-            self.redirects += 1

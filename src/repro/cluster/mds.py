@@ -1,15 +1,11 @@
 """Metadata server model.
 
 Each MDS is a single service resource (its request-processing capacity) plus
-bookkeeping: decaying access counters for the subtrees it owns (the inputs
-Dynamic-Adjustment needs) and served-operation statistics.
+its fault and fencing state and served-operation statistics.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.core.adjustment import DecayingCounter
 from repro.simulation.engine import ResourceTimeline
 
 __all__ = ["MetadataServer"]
@@ -25,25 +21,14 @@ class MetadataServer:
     service_time:
         Seconds of CPU per request visit (the reciprocal of the per-server
         throughput ceiling).
-    counter_decay:
-        Decay rate for the access counters MDSs keep on local-layer subtree
-        roots and inter nodes ("access counters whose values decay over
-        time", Sec. IV-B).
     """
 
-    def __init__(
-        self,
-        server_id: int,
-        service_time: float = 1e-3,
-        counter_decay: float = 1e-4,
-    ) -> None:
+    def __init__(self, server_id: int, service_time: float = 1e-3) -> None:
         if service_time <= 0:
             raise ValueError("service_time must be positive")
         self.server_id = server_id
         self.service_time = service_time
         self.cpu = ResourceTimeline()
-        self.counter_decay = counter_decay
-        self._counters: Dict[str, DecayingCounter] = {}
         self.alive = True
         #: Fail-slow fault: every visit costs this multiple of service_time.
         self.slow_factor = 1.0
@@ -73,27 +58,6 @@ class MetadataServer:
         loop's per-server service column)."""
         return work * self.service_time * self.slow_factor
 
-    def record_access(self, path: str, now: float, weight: float = 1.0) -> None:
-        """Bump the decaying access counter for ``path``."""
-        counter = self._counters.get(path)
-        if counter is None:
-            counter = DecayingCounter(decay_rate=self.counter_decay)
-            self._counters[path] = counter
-        counter.record(now, weight)
-
-    def counter_value(self, path: str, now: float) -> float:
-        """Current decayed popularity estimate for ``path``."""
-        counter = self._counters.get(path)
-        return counter.value(now) if counter is not None else 0.0
-
-    def load_report(self, now: float) -> float:
-        """Summed decayed counters — the heartbeat's ``L_k`` estimate."""
-        return sum(counter.value(now) for counter in self._counters.values())
-
-    def drop_counter(self, path: str) -> None:
-        """Forget a counter (after migrating the subtree away)."""
-        self._counters.pop(path, None)
-
     # ------------------------------------------------------------------
     def accept_directive(self, epoch: int) -> bool:
         """Epoch fence: apply a Monitor directive only if it is not stale.
@@ -118,23 +82,21 @@ class MetadataServer:
     def kill9(self) -> None:
         """Crash with volatile-state loss (the ``kill9`` fault).
 
-        Unlike :meth:`fail`, the process image is gone: access counters and
-        — crucially — the epoch fence are wiped. Whatever the durable store
+        Unlike :meth:`fail`, the process image is gone: the epoch fence —
+        crucially — is wiped. Whatever the durable store
         replays at rejoin is all that survives; with the in-memory store
         that is nothing, which is exactly the hazard the durability faults
         exist to demonstrate.
         """
         self.alive = False
-        self._counters.clear()
         self.fence_epoch = 0
         self.lost_volatile = True
 
     def recover(self) -> None:
-        """Bring the server back (empty, counters reset, faults cleared)."""
+        """Bring the server back (empty, faults cleared)."""
         self.alive = True
         self.slow_factor = 1.0
         self.muted = False
-        self._counters.clear()
 
     @property
     def served(self) -> int:

@@ -4,7 +4,7 @@ Tree-Splitting (Alg. 1), mirror-division Subtree-Allocation (Sec. IV-B),
 Dynamic-Adjustment, and the :class:`D2TreeScheme` facade tying them together.
 """
 
-from repro.core.adjustment import AdjustmentReport, DecayingCounter, DynamicAdjuster, PendingPool
+from repro.core.adjustment import AdjustmentReport, DynamicAdjuster, PendingPool
 from repro.core.allocation import (
     AllocationResult,
     allocate_subtrees,
@@ -30,7 +30,6 @@ __all__ = [
     "AllocationResult",
     "D2TreePlacement",
     "D2TreeScheme",
-    "DecayingCounter",
     "DynamicAdjuster",
     "MetadataNode",
     "NamespaceTree",

@@ -1,11 +1,9 @@
 """Dynamic-Adjustment — the update process of Sec. IV-B.
 
 Both subtree sizes and popularities drift over time, so D2-Tree keeps the
-cluster balanced with three cooperating pieces:
+cluster balanced with two cooperating pieces (the decaying access counters
+they read are :class:`~repro.core.namespace.PopularityEstimate`):
 
-* :class:`DecayingCounter` — the per-node access counters "whose values decay
-  over time" that MDSs use to track the popularity of inter nodes and
-  local-layer metadata;
 * :class:`PendingPool` — the Monitor-side pool of subtrees shed by relatively
   overloaded servers, from which light or newly-added servers pull;
 * :class:`DynamicAdjuster` — the heartbeat-driven policy: compute the ideal
@@ -14,58 +12,20 @@ cluster balanced with three cooperating pieces:
   the pool, and drain the pool to the servers below their ideal load
   mirror-division style (popularity proportional to remaining deficit).
 
-Global-layer re-evaluation ("typically once a day") is exposed separately via
-:meth:`DynamicAdjuster.adjust_global_layer`.
+Global-layer re-evaluation ("typically once a day") is
+:meth:`~repro.core.scheme.D2TreeScheme.refresh_global_layer`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.placement import DEAD_CAPACITY
 from repro.core.allocation import mirror_division
 from repro.core.node import MetadataNode
 
-__all__ = ["DecayingCounter", "PendingPool", "DynamicAdjuster", "AdjustmentReport"]
-
-
-class DecayingCounter:
-    """Exponentially-decaying access counter.
-
-    ``value`` at time ``t`` is ``Σ w_i · exp(−λ (t − t_i))`` over recorded
-    accesses; the decay is applied lazily on read so recording stays O(1).
-    """
-
-    __slots__ = ("decay_rate", "_value", "_last_time")
-
-    def __init__(self, decay_rate: float = 0.1) -> None:
-        if decay_rate < 0:
-            raise ValueError("decay_rate must be non-negative")
-        self.decay_rate = decay_rate
-        self._value = 0.0
-        self._last_time = 0.0
-
-    def record(self, now: float, weight: float = 1.0) -> None:
-        """Add an access of ``weight`` at time ``now``."""
-        self._decay_to(now)
-        self._value += weight
-
-    def value(self, now: Optional[float] = None) -> float:
-        """Current decayed value (optionally advanced to ``now``)."""
-        if now is not None:
-            self._decay_to(now)
-        return self._value
-
-    def _decay_to(self, now: float) -> None:
-        if now <= self._last_time:
-            # Slightly out-of-order observations (event completions are not
-            # globally monotone) count at the current decay level.
-            return
-        if self.decay_rate > 0:
-            self._value *= math.exp(-self.decay_rate * (now - self._last_time))
-        self._last_time = now
+__all__ = ["PendingPool", "DynamicAdjuster", "AdjustmentReport"]
 
 
 @dataclass
@@ -260,18 +220,3 @@ class DynamicAdjuster:
                 if entry.popularity < negligible:
                     report.negligible_moves += 1
         return report
-
-    def adjust_global_layer(
-        self,
-        tree,
-        current_fraction: float,
-    ) -> "SplitResult":
-        """Recompute the global layer from fresh popularity (the daily pass).
-
-        Returns the new :class:`~repro.core.splitting.SplitResult`; the caller
-        (scheme or cluster Monitor) re-replicates the new layer and reflows
-        any subtree whose root changed layer.
-        """
-        from repro.core.splitting import split_by_proportion
-
-        return split_by_proportion(tree, current_fraction)

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.node import PATH_SEPARATOR, MetadataNode
 
-__all__ = ["NamespaceTree", "NodeArena", "PathTable", "split_path"]
+__all__ = ["NamespaceTree", "NodeArena", "PathTable", "PopularityEstimate", "split_path"]
 
 
 def split_path(path: str) -> List[str]:
@@ -125,15 +125,9 @@ class NodeArena:
     the object graph: the **recorded aggregation order** — the exact
     child→parent addition sequence of
     :meth:`NamespaceTree.aggregate_popularity`, captured symbolically at
-    build time — plus one lazily built column derived from it:
-
-    * :meth:`zero_loads` — a fresh per-node float load-counter window,
-    * :meth:`aggregate_popularity` — Def. 2 aggregation read from and
-      written to the node objects,
-    * :meth:`blend_popularity` — one adjustment round's blend +
-      aggregation over a caller-owned ``p'_j`` column, written back to
-      the node objects in a single pass,
-    * :meth:`subtree_sizes` — nodes per subtree, by id.
+    build time. :meth:`write_popularity` is the whole-tree pass over it
+    (Def. 2 totals of a caller-owned ``p'_j`` column, both written to the
+    node objects) and :meth:`subtree_sizes` the nodes per subtree, by id.
 
     Replaying the recorded sequence performs the same float additions in
     the same order as the object walk, so the sums are bit-identical to
@@ -141,7 +135,7 @@ class NodeArena:
     ``structure_version`` and is re-issued by :meth:`NamespaceTree.arena`
     after any structural mutation; popularity updates do not invalidate
     it. It is shared by every reader of the tree, so per-run state (a
-    simulator's popularity column) stays with the caller.
+    replay's :class:`PopularityEstimate`) stays with the caller.
     """
 
     __slots__ = (
@@ -179,62 +173,25 @@ class NodeArena:
         self._agg_parent = agg_parent
         self._subtree_sizes: Optional[List[int]] = None
 
-    def __len__(self) -> int:
-        return self.size
-
-    def zero_loads(self) -> List[float]:
-        """A fresh per-node load-counter window (indexed by node id)."""
-        return [0.0] * self.size
-
     def individual_popularity(self) -> List[float]:
         """The nodes' current ``p'_j`` as an id-indexed column."""
         return [node.individual_popularity for node in self.tree._nodes]
 
-    def _totals(self, individual: List[float]) -> List[float]:
-        """Def. 2 totals ``p_j`` of an id-indexed ``p'_j`` column."""
+    def write_popularity(self, individual: List[float]) -> None:
+        """The whole-tree pass: aggregate the Def. 2 totals ``p_j`` of an
+        id-indexed ``p'_j`` column and write both to every node object.
+
+        The recorded (child, parent) sequence is the object walk's additions
+        in its order, so the totals are bit-identical to it; detached nodes
+        keep ``popularity == individual_popularity`` as the walk leaves them.
+        """
         totals = list(individual)
         for cid, pid in zip(self._agg_child, self._agg_parent):
             totals[pid] += totals[cid]
-        return totals
-
-    def aggregate_popularity(self) -> None:
-        """Recompute ``p_j`` for every node via the column replay.
-
-        Bit-identical to :meth:`NamespaceTree.aggregate_popularity`: the
-        recorded (child, parent) sequence performs the same float additions
-        in the same order, and detached nodes keep
-        ``popularity == individual_popularity`` exactly as the object walk
-        leaves them.
-        """
-        totals = self._totals(self.individual_popularity())
-        for node, total in zip(self.tree._nodes, totals):
-            node.popularity = total
-        self.tree._popularity_dirty = False
-
-    def blend_popularity(
-        self, individual: List[float], observed: List[float], blend: float
-    ) -> List[float]:
-        """One adjustment round's popularity update, on columns.
-
-        ``individual`` is the caller's id-indexed ``p'_j`` column and
-        ``observed`` the window's per-node access counts. Returns the new
-        column ``(1 - blend) * p'_j + blend * observed_j`` — the float
-        expression of the object loop it replaces, so bit-equal to it —
-        with the Def. 2 totals aggregated over it and both written back to
-        ``MetadataNode.individual_popularity`` / ``.popularity`` in one
-        pass: the schemes' ``rebalance`` reads them there. Removed nodes
-        keep their estimate, as iterating the tree skips them.
-        """
-        keep = 1 - blend
-        blended = [keep * p + blend * o for p, o in zip(individual, observed)]
-        for nid in self.tree._removed:
-            blended[nid] = individual[nid]
-        totals = self._totals(blended)
-        for node, p, total in zip(self.tree._nodes, blended, totals):
+        for node, p, total in zip(self.tree._nodes, individual, totals):
             node.individual_popularity = p
             node.popularity = total
         self.tree._popularity_dirty = False
-        return blended
 
     def subtree_sizes(self) -> List[int]:
         """Nodes per subtree (root included), indexed by node id.
@@ -249,6 +206,115 @@ class NodeArena:
                 sizes[pid] += sizes[cid]
             self._subtree_sizes = sizes
         return sizes
+
+
+class PopularityEstimate:
+    """One replay's running estimate of every node's ``p'_j``, kept lazily.
+
+    An adjustment round blends the window's access counts into the
+    estimate, ``p' <- (1 - blend) * p' + blend * count``. Only the nodes a
+    window touched are ever written: a value carries the round it was last
+    written in and decays on read by ``(1 - blend) ** rounds_elapsed``, and
+    a window waits, as counted, until somebody reads the columns or as many
+    entries wait as the tree has nodes. The node objects catch up two ways:
+    :meth:`fold` blends the Def. 2 total of each *counted* node — the ones
+    the placement's control plane reads between rounds, Sec. IV-B's "access
+    counters" — straight from the counts completed under it, at the cost of
+    the window; :meth:`materialise` is the whole-tree pass, for a reader of
+    per-node popularity beyond those.
+
+    With integer counts and ``blend = 0.5`` every value is a dyadic
+    rational, so a total blended directly and the total of its blended
+    nodes are the same float; at other blends the two (and a lazy decay
+    against a per-round one) agree to the last ulp or so, not bit for bit.
+    """
+
+    __slots__ = ("arena", "blend", "keep", "round", "_value", "_stamp", "_pending", "_stale")
+
+    def __init__(self, arena: NodeArena, blend: float) -> None:
+        if not 0.0 <= blend <= 1.0:
+            raise ValueError("blend must lie in [0, 1]")
+        self.arena = arena
+        self.blend = blend
+        self.keep = 1 - blend
+        self.round = 0  # windows folded so far
+        #: ``p'_j`` as of round ``_stamp[j]``, by node id.
+        self._value = arena.individual_popularity()
+        self._stamp = [0] * arena.size
+        #: Folded windows not yet written into the columns (``_settle``).
+        self._pending: List[Dict[MetadataNode, int]] = []
+        #: True while some node object is behind the columns.
+        self._stale = False
+
+    def fold(self, counts, counted=None, counter_ids=None) -> None:
+        """Blend one window: ``counts`` maps each node to the accesses that
+        completed on it (the mapping is kept, not copied).
+
+        Each of the ``counted`` nodes has its ``popularity`` blended with
+        the counts under it: ``counter_ids(nodes)`` names, per node, the
+        counted node whose total includes it (-1: none). ``None`` means
+        every node carries a counter; the caller materialises.
+        """
+        self.round += 1
+        self._pending.append(counts)
+        if sum(map(len, self._pending)) > self.arena.size:
+            self._settle()  # the backlog never outgrows the columns it feeds
+        self._stale = True
+        if counted is None:
+            return
+        blend, keep = self.blend, self.keep
+        under: Dict[int, int] = {}
+        for count, cid in zip(counts.values(), counter_ids(counts)):
+            if cid >= 0:
+                under[cid] = under.get(cid, 0) + count
+        # ``keep * p + blend * n`` in two steps (the same two roundings),
+        # the second only where the window has something to add.
+        for node in counted:
+            node.popularity *= keep
+        nodes = self.arena.tree._nodes
+        for cid, count in under.items():
+            nodes[cid].popularity += blend * count
+
+    def _settle(self) -> None:
+        """Write the pending windows into the columns, oldest first."""
+        blend, keep = self.blend, self.keep
+        value, stamp = self._value, self._stamp
+        now = self.round - len(self._pending)
+        for counts in self._pending:
+            now += 1
+            for node, count in counts.items():
+                nid = node.node_id
+                value[nid] = keep * (value[nid] * keep ** (now - 1 - stamp[nid])) + blend * count
+                stamp[nid] = now
+        self._pending.clear()
+
+    def subtree_total(self, node: MetadataNode) -> float:
+        """Def. 2 total of ``node``'s subtree as of the last folded round —
+        what a node that starts carrying a counter mid-window begins from."""
+        self._settle()
+        now, keep = self.round, self.keep
+        value, stamp = self._value, self._stamp
+        return sum(
+            value[nid] * keep ** (now - stamp[nid])
+            for nid in (n.node_id for n in node.descendants(include_self=True))
+        )
+
+    def materialise(self) -> None:
+        """Bring every node object up to date (no-op when they all are);
+        removed nodes keep theirs undecayed, as a blend over the live tree would."""
+        if not self._stale:
+            return
+        self._settle()
+        now, keep = self.round, self.keep
+        value = self._value
+        decay = [keep ** elapsed for elapsed in range(now + 1)]
+        current = [v * decay[now - at] for v, at in zip(value, self._stamp)]
+        for nid in self.arena.tree._removed:
+            current[nid] = value[nid]
+        self._value = current
+        self._stamp = [now] * len(current)
+        self.arena.write_popularity(current)
+        self._stale = False
 
 
 class NamespaceTree:
@@ -269,6 +335,10 @@ class NamespaceTree:
         self.structure_version = 0
         self._path_table: Optional[PathTable] = None
         self._arena: Optional[NodeArena] = None
+        #: The running replay's estimate, or None. While one is installed a
+        #: reader of popularity beyond the placement's counted nodes calls
+        #: its ``materialise()`` first.
+        self.estimate: Optional[PopularityEstimate] = None
 
     # ------------------------------------------------------------------
     # Construction

@@ -215,6 +215,13 @@ class D2TreePlacement(Placement):
         """Paper convention (Eq. 7): 0 inside the global layer, else 1."""
         return 0 if self.is_global(node) else 1
 
+    def counted_nodes(self) -> List[MetadataNode]:
+        """Sec. IV-B's access counters: the local-layer subtree roots (whole
+        subtrees are what gets balanced, promoted and re-homed) and the
+        childless global-layer nodes (the demotion candidates)."""
+        leaves = (n for n in self.split.global_layer if not n.children)
+        return [*self.subtree_owner, *leaves]
+
     def local_loads(self) -> List[float]:
         """Per-server local-layer load (what heartbeats report to Monitor)."""
         loads = [0.0] * self.num_servers

@@ -194,6 +194,10 @@ class D2TreeScheme(MetadataScheme):
             if placement.capacities[k] > 1e-9
             else float("inf"),
         )
+        if tree.estimate is not None:
+            # Mid-replay the attribute is as old as the last whole-tree
+            # pass: a node that starts carrying a counter asks the estimate.
+            node.popularity = tree.estimate.subtree_total(node)
         placement.subtree_owner[node] = server
         placement.split.subtree_roots.append(node)
         placement.index_version += 1
@@ -208,7 +212,7 @@ class D2TreeScheme(MetadataScheme):
     ) -> List[Migration]:
         """Phase 3 — one heartbeat-driven Dynamic-Adjustment round."""
         tree.ensure_popularity()
-        self._promote_oversized(placement)
+        self._promote_oversized(tree, placement)
         self._demote_cooled(placement)
         report = self.adjuster.adjust(
             placement.subtree_owner,
@@ -222,13 +226,15 @@ class D2TreeScheme(MetadataScheme):
             migrations.append(Migration(root, source, target))
         return migrations
 
-    def _promote_oversized(self, placement: D2TreePlacement) -> int:
+    def _promote_oversized(self, tree: NamespaceTree, placement: D2TreePlacement) -> int:
         """Move flow-control subtree roots into the global layer.
 
         A subtree bigger than ``promote_threshold`` of the ideal per-server
         local load can never be balanced by whole-subtree moves; promoting
         its root replicates the hot node and splits the remainder into finer
-        subtrees that mirror division can spread.
+        subtrees that mirror division can spread. Its children become
+        roots: the one step of a round that reads below the counted nodes,
+        so the one that asks a replay for the whole-tree pass.
         """
         if self.promote_threshold <= 0 or not placement.subtree_owner:
             return 0
@@ -247,6 +253,8 @@ class D2TreeScheme(MetadataScheme):
             ]
             if not oversized:
                 break
+            if tree.estimate is not None:
+                tree.estimate.materialise()
             oversized.sort(key=lambda r: (-r.popularity, r.node_id))
             promoted += 1
             # Descend the hot chain in one promotion event: when the mass

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import inspect
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -156,6 +156,13 @@ class Placement:
             for server in servers:
                 loads[server] += share
         return loads
+
+    def counted_nodes(self) -> Optional[Iterable[MetadataNode]]:
+        """The nodes whose ``popularity`` the control plane reads between
+        adjustment rounds (rebalance, re-home, placing a created node): the
+        ones an MDS keeps an access counter on. ``None`` is every node — a
+        per-key or per-zone policy pays the whole-tree pass each round."""
+        return None
 
     def jumps_for(self, node: MetadataNode) -> int:
         """Jump count ``jp_j`` of Def. 1 for a path traversal to ``node``.

@@ -181,6 +181,29 @@ class FastRoutingEngine:
         self._root_id = [-1] * size
         self._membership_version = placement.index_version
 
+    def counter_ids(self, nodes) -> List[int]:
+        """Per placed node, the id of the D2 counted node
+        (``D2TreePlacement.counted_nodes``) whose Def. 2 total includes it:
+        its subtree root, itself if a childless global-layer node, else -1.
+
+        Reads the planner's memo and walks the placement where it has no
+        entry; it never fills one, so a run's hit and miss counts do not
+        depend on who else asked.
+        """
+        placement = self.placement
+        if self._membership_version != placement.index_version:
+            self._refresh_membership()  # as the next plan would have
+        bits, roots = self._global_bits, self._root_id
+        ids = []
+        for node in nodes:
+            nid = node.node_id
+            if bits[nid]:
+                ids.append(-1 if node.children else nid)
+            else:
+                rid = roots[nid]
+                ids.append(rid if rid >= 0 else placement.subtree_root_of(node).node_id)
+        return ids
+
     def _plan_d2(self, client: SimClient, node, op: OpType) -> RoutePlan:
         placement = self.placement
         if self._membership_version != placement.index_version:

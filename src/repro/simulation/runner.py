@@ -11,17 +11,19 @@ Two replay modes:
   replayed ... a relatively balanced status is maintained."
 
 Both read the one materialized :class:`~repro.traces.trace.Trace` and keep
-the popularity estimate with the one per-round blend,
-:meth:`~repro.core.namespace.NodeArena.blend_popularity`.
+the popularity estimate in the one
+:class:`~repro.core.namespace.PopularityEstimate`.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.placement import MetadataScheme, Placement
+from repro.baselines.dynamic_subtree import DynamicSubtreePlacement
 from repro.baselines.hashing import stable_hash
 from repro.cluster.client import SimClient
 from repro.cluster.control import ClusterControl
@@ -29,6 +31,7 @@ from repro.cluster.locks import LockManager
 from repro.cluster.mds import MetadataServer
 from repro.cluster.messages import Heartbeat, RoutePlan, VisitKind
 from repro.cluster.monitor import MonitorGroup
+from repro.core.namespace import PopularityEstimate
 from repro.core.partition import D2TreePlacement
 from repro.metrics.balance import balance_degree
 from repro.cluster.cache import LRUCache
@@ -253,16 +256,6 @@ class ClusterSimulator:
         )
         self.availability = self.control.availability
         self.durability = self.control.durability
-        # Snapshot popularity so a run never leaks adjusted estimates into
-        # the shared workload (simulations must be independent).
-        self._initial_popularity = [
-            node.individual_popularity for node in self.tree
-        ]
-        #: The tree's arena and the id-indexed ``p'_j`` estimate column of
-        #: the current ``run()`` (see ``_adjust``). The column is this
-        #: simulator's, never the arena's: many simulators share one tree.
-        self._arena = None
-        self._individual: List[float] = []
         # Telemetry wiring: lock contention, adjustment rounds and the
         # sim-time gauge sampler all hang off one Telemetry per run.
         self.locks.bind_telemetry(self.telemetry)
@@ -352,35 +345,37 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Adjustment (heartbeat-driven, mid-replay)
     # ------------------------------------------------------------------
-    def _adjust(self, now: float, window: List[float]) -> None:
+    def _adjust(self, now: float, window: List) -> None:
         """One adjustment round (Sec. IV-B).
 
-        ``window`` holds the per-node access counts since the last round,
-        indexed by node id. The popularity estimates live in an id-indexed
-        ``p'_j`` column for the length of a run: blending and Def. 2
-        aggregation are list passes (the arena replays the object walk's
-        addition order exactly), written back to the node objects once per
-        round because the schemes' ``rebalance`` reads them there.
+        ``window`` holds the node of every operation completed since the
+        last round. It is folded into the run's popularity estimate, which
+        brings the placement's counted nodes — for D2-Tree the subtree roots
+        the round balances — up to date at the cost of the window, and the
+        whole tree only for a placement whose policy reads every node, or a
+        round somebody records.
         """
         self.telemetry.set_time(now)
-        self._individual = self._arena.blend_popularity(
-            self._individual, window, self.config.popularity_blend
-        )
         # Eq. 2 server loads are a whole-tree sum that only the records of
         # the round (span, telemetry event) consume: the Monitor keeps a
         # heartbeat's server and time, nothing else. Unobserved rounds skip
         # the sum and report 0.0.
         observed = self.spans is not None or self.telemetry.enabled
+        estimate = self.tree.estimate
+        counted = self.placement.counted_nodes()
+        estimate.fold(Counter(window), counted, self.engine.counter_ids)
+        if counted is None or observed:
+            estimate.materialise()
         mu = 0.0
         if observed:
             loads = self.placement.loads()
             capacities = self.placement.capacities
             total_cap = sum(capacities)
             mu = sum(loads) / total_cap if total_cap > 0 else 0.0
-        # Heartbeats (Sec. IV-B): every live MDS reports its decayed load
-        # level and relative capacity to the Monitor, which runs the
-        # adjustment. Dead and heartbeat-muted servers stay silent — their
-        # absence is what failure detection keys off.
+        # Heartbeats (Sec. IV-B): every live MDS reports its relative
+        # capacity to the Monitor, which runs the adjustment. Dead and
+        # heartbeat-muted servers stay silent — their absence is what
+        # failure detection keys off.
         net = self.network
         leader_addr = self.monitor.leader_addr
         for server in self.servers:
@@ -394,9 +389,8 @@ class ClusterSimulator:
                 arrival = net.deliver(mds_addr(sid), leader_addr, now)
                 if arrival is None:
                     continue
-            load = server.load_report(now)
             relative = loads[sid] - mu * capacities[sid] if observed else 0.0
-            self.monitor.on_heartbeat(Heartbeat(sid, now, load, relative))
+            self.monitor.on_heartbeat(Heartbeat(sid, now, 0.0, relative))
         rebalances = self.monitor.rebalances
         moves = self.monitor.rebalance(now)
         self.migrations += len(moves)
@@ -474,7 +468,7 @@ class ClusterSimulator:
         work — a failure re-home only costs the receiving side.
         """
         work = self.config.migration_work
-        if work <= 0:
+        if work <= 0 or not moves:
             return
         budget = self._mig_budget
         sizes = self.tree.arena().subtree_sizes()
@@ -513,9 +507,7 @@ class ClusterSimulator:
     def _heartbeats(self, now: float) -> None:
         """Liveness heartbeats, then the control plane's detection round.
 
-        Liveness beats carry the served-visit count as a cheap load proxy;
-        the full decayed-load reports ride the adjustment-cadence heartbeats
-        in :meth:`_adjust`.
+        Liveness beats carry the served-visit count as a cheap load proxy.
         """
         self.telemetry.set_time(now)
         net = self.network
@@ -550,8 +542,6 @@ class ClusterSimulator:
         arena's subtree-size column)."""
         if isinstance(self.placement, D2TreePlacement):
             return sizes[move.node.node_id]
-        from repro.baselines.dynamic_subtree import DynamicSubtreePlacement
-
         if isinstance(self.placement, DynamicSubtreePlacement):
             # Exclusive zone: subtree minus nested zones.
             size = sizes[move.node.node_id]
@@ -569,20 +559,17 @@ class ClusterSimulator:
     def run(self) -> SimulationResult:
         """Replay the whole trace; returns throughput and latency stats."""
         tree = self.tree
-        arena = self._arena = tree.arena()  # static structure mid-replay
-        self._individual = arena.individual_popularity()
+        arena = tree.arena()  # static structure mid-replay
+        # A run never leaks adjusted estimates into the shared workload
+        # (simulations must be independent): its estimate (see ``_adjust``)
+        # is lent to the tree, and the nodes are written back as found.
+        found = arena.individual_popularity()
+        tree.estimate = PopularityEstimate(arena, self.config.popularity_blend)
         try:
             return self._run()
         finally:
-            self._individual = []  # the column lives for one run
-            for node, popularity in zip(tree.nodes, self._initial_popularity):
-                node.individual_popularity = popularity
-            # The arena replay is the object walk bit for bit, without the
-            # walk; a stale arena would skip nodes, so it must be current.
-            if arena.version == tree.structure_version:
-                arena.aggregate_popularity()
-            else:
-                tree.aggregate_popularity()
+            tree.estimate = None
+            arena.write_popularity(found)
 
     def _run(self) -> SimulationResult:
         """The replay loop: visits are served in global time order.
@@ -667,8 +654,9 @@ class ClusterSimulator:
                 help="Retry attempts per finished operation "
                      "(completed or abandoned)")
 
-        arena = self._arena
-        window = arena.zero_loads()
+        #: The node of every op completed since the last adjustment round.
+        window: List = []
+        window_append = window.append
 
         busy_until = [s.cpu.busy_until for s in servers]
         busy_time = [s.cpu.busy_time for s in servers]
@@ -858,20 +846,21 @@ class ClusterSimulator:
                             )
                         if completion > makespan:
                             makespan = completion
-                        window[slot_node[slot].node_id] += 1.0
                         completed += 1
                         if ops_faults and completed >= ops_faults[-1].at_ops:
                             _sync_out(servers, busy_until, busy_time, served)
                             while ops_faults and completed >= ops_faults[-1].at_ops:
                                 control.apply_fault(ops_faults.pop(), completion)
                             _sync_in(servers, busy_until, busy_time, served, service)
-                        if adjust_every and completed % adjust_every == 0:
-                            # Rebalancing charges migration CPU on the real
-                            # timeline objects: sync out and back in.
-                            _sync_out(servers, busy_until, busy_time, served)
-                            self._adjust(completion, window)
-                            _sync_in(servers, busy_until, busy_time, served, service)
-                            window = arena.zero_loads()
+                        if adjust_every:
+                            window_append(slot_node[slot])
+                            if completed % adjust_every == 0:
+                                # Rebalancing charges migration CPU on the
+                                # real timeline objects: sync out and back in.
+                                _sync_out(servers, busy_until, busy_time, served)
+                                self._adjust(completion, window)
+                                _sync_in(servers, busy_until, busy_time, served, service)
+                                window.clear()
             # What the client does next: time out on a lost attempt and
             # retry it (or give up on the op), else issue its next record.
             while True:
@@ -1090,30 +1079,24 @@ class BalanceTrajectory:
         return self.per_round[-1] if self.per_round else float("inf")
 
 
-def _round_counts(piece: Trace, arena) -> Tuple[List[float], List]:
-    """One round's per-node access counts as an id-indexed window, plus the
-    nodes it touched in first-appearance order (the order the served loads
-    are summed in). Records whose path does not resolve are skipped."""
-    window = arena.zero_loads()
-    touched = []
-    lookup = arena.tree.lookup
-    for record in piece:
-        node = lookup(record.path)
-        if node is None:
-            continue
-        if not window[node.node_id]:
-            touched.append(node)
-        window[node.node_id] += 1.0
-    return window, touched
+def _round_counts(piece: Trace, tree) -> Dict:
+    """One round's access count per node, in first-appearance order (the
+    order the served loads are summed in). Records whose path does not
+    resolve are skipped."""
+    lookup = tree.lookup
+    return Counter(
+        node for node in (lookup(record.path) for record in piece)
+        if node is not None
+    )
 
 
-def _served_loads(placement: Placement, touched: List, window: List[float]) -> List[float]:
+def _served_loads(placement: Placement, counts: Dict) -> List[float]:
     loads = [0.0] * placement.num_servers
-    for node in touched:
+    for node, count in counts.items():
         if not placement.is_placed(node):
             continue
         servers = placement.servers_of(node)
-        share = window[node.node_id] / len(servers)
+        share = count / len(servers)
         for server in servers:
             loads[server] += share
     return loads
@@ -1138,26 +1121,30 @@ def replay_rounds(
     tree = workload.tree
     arena = tree.arena()  # rebalancing moves placements, never the structure
     initial = arena.individual_popularity()
-    blend = arena.blend_popularity
     pieces = workload.trace.rounds(rounds)
-    # The estimate starts as the first round's counts, taken whole; from
-    # there it is the simulator's per-round blend (ClusterSimulator._adjust).
-    estimate = blend(initial, _round_counts(pieces[0], arena)[0], 1.0)
+    # The estimate starts as the first round's counts, taken whole (blend
+    # weight 1); from there it is the simulator's (ClusterSimulator._adjust)
+    # with every node brought up to date each round.
+    first = PopularityEstimate(arena, 1.0)
+    first.fold(_round_counts(pieces[0], tree))
+    first.materialise()
     placement = scheme.partition(tree, num_servers)
+    estimate = PopularityEstimate(arena, popularity_blend)
 
     trajectory = BalanceTrajectory(
         scheme=scheme.name, trace=workload.trace.name, num_servers=num_servers
     )
     for piece in pieces[1:]:
-        window, touched = _round_counts(piece, arena)
-        loads = _served_loads(placement, touched, window)
+        counts = _round_counts(piece, tree)
+        loads = _served_loads(placement, counts)
         if normalize:
             total = sum(loads)
             if total > 0:
                 loads = [load * num_servers / total for load in loads]
         trajectory.per_round.append(balance_degree(loads, placement.capacities))
         # Servers observe the round and adjust.
-        estimate = blend(estimate, window, popularity_blend)
+        estimate.fold(counts)
+        estimate.materialise()
         trajectory.migrations += len(scheme.rebalance(tree, placement))
-    blend(initial, initial, 0.0)  # a zero-weight blend writes the snapshot back
+    arena.write_popularity(initial)
     return trajectory

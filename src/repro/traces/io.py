@@ -55,7 +55,7 @@ def check_record(record: TraceRecord) -> None:
 
 
 def _parse_header(line: str) -> Tuple[str, str]:
-    header = line.split("\t")
+    header = line.replace("\r", " ").split("\t")  # as the writer flattens it
     if header[0] != _HEADER_PREFIX or len(header) < 2:
         raise ValueError("line 1: missing or malformed trace header")
     return header[1], header[2] if len(header) > 2 else ""

@@ -1,7 +1,6 @@
 """Unit tests for Dynamic-Adjustment (counters, pending pool, adjuster)."""
 
 import dataclasses
-import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,58 +8,97 @@ from hypothesis import strategies as st
 
 from repro.core import (
     D2TreeScheme,
-    DecayingCounter,
     DynamicAdjuster,
     NamespaceTree,
     PendingPool,
 )
+from repro.baselines import DynamicSubtreeScheme
 from repro.core.adjustment import AdjustmentReport
+from repro.core.namespace import NodeArena, PopularityEstimate
 from repro.obs import Telemetry
-from repro.simulation import ClusterSimulator, SimulationConfig
+from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
 from repro.traces import DatasetProfile, load_workload
 
 
 # ----------------------------------------------------------------------
-# DecayingCounter
+# PopularityEstimate: the decaying per-node access counters of Sec. IV-B
 # ----------------------------------------------------------------------
+def _counters(blend=0.5, **popularity):
+    """A flat tree of ``/<name>`` nodes and a fresh estimate over it."""
+    tree = NamespaceTree()
+    nodes = {name: _node(tree, f"/{name}", p) for name, p in popularity.items()}
+    return tree, nodes, PopularityEstimate(tree.arena(), blend)
+
+
 def test_counter_accumulates_without_decay():
-    counter = DecayingCounter(decay_rate=0.0)
-    counter.record(0.0)
-    counter.record(10.0)
-    assert counter.value() == pytest.approx(2.0)
+    # Accesses inside one window count whole, however many there are.
+    _, nodes, estimate = _counters(a=0.0, b=0.0)
+    estimate.fold({nodes["a"]: 2, nodes["b"]: 1})
+    estimate.materialise()
+    assert nodes["a"].individual_popularity == 1.0  # 0.5 * 2
+    assert nodes["b"].individual_popularity == 0.5
 
 
 def test_counter_decays_exponentially():
-    counter = DecayingCounter(decay_rate=0.5)
-    counter.record(0.0, weight=8.0)
-    assert counter.value(now=2.0) == pytest.approx(8.0 * math.exp(-1.0))
+    # A node no window touches is never written, yet reads decayed.
+    tree, nodes, estimate = _counters(a=8.0, b=1.0)
+    for _ in range(3):
+        estimate.fold({nodes["b"]: 1})
+    assert estimate.subtree_total(nodes["a"]) == 1.0  # 8 * 0.5 ** 3
+    estimate.materialise()
+    assert nodes["a"].individual_popularity == 1.0
+    assert tree.root.popularity == 1.0 + nodes["b"].popularity
+    _, nodes, estimate = _counters(blend=0.3, a=8.0)
+    for _ in range(3):
+        estimate.fold({})
+    assert estimate.subtree_total(nodes["a"]) == pytest.approx(8.0 * 0.7 ** 3, rel=1e-12)
 
 
 def test_counter_decay_applied_before_record():
-    counter = DecayingCounter(decay_rate=1.0)
-    counter.record(0.0, weight=4.0)
-    counter.record(1.0, weight=1.0)
-    assert counter.value() == pytest.approx(4.0 * math.exp(-1.0) + 1.0)
-
-
-def test_counter_clamps_out_of_order_records():
-    # Event completions in the simulator are not globally monotone; an
-    # out-of-order record counts at the current decay level, never raises.
-    counter = DecayingCounter(decay_rate=0.0)
-    counter.record(5.0)
-    counter.record(1.0)
-    assert counter.value() == pytest.approx(2.0)
+    _, nodes, estimate = _counters(a=4.0)
+    estimate.fold({})
+    estimate.fold({nodes["a"]: 1})
+    assert estimate.subtree_total(nodes["a"]) == 0.5 * (4.0 * 0.5) + 0.5 * 1
 
 
 def test_counter_rejects_negative_decay():
-    with pytest.raises(ValueError):
-        DecayingCounter(decay_rate=-0.1)
+    tree, _, _ = _counters(a=1.0)
+    for blend in (1.5, -0.1):  # would keep a negative, or more than all
+        with pytest.raises(ValueError):
+            PopularityEstimate(tree.arena(), blend)
 
 
 def test_counter_value_without_advance():
-    counter = DecayingCounter(decay_rate=0.1)
-    counter.record(0.0, weight=3.0)
-    assert counter.value() == pytest.approx(3.0)
+    # Before any window the estimate is the nodes' own popularity, and the
+    # whole-tree pass has nothing to do.
+    tree, nodes, estimate = _counters(a=3.0, b=2.0)
+    assert estimate.subtree_total(nodes["a"]) == 3.0
+    assert estimate.subtree_total(tree.root) == 5.0
+    nodes["a"].popularity = -1.0  # a materialise would overwrite this
+    estimate.materialise()
+    assert nodes["a"].popularity == -1.0
+
+
+def test_counted_nodes_take_their_total_from_the_window():
+    """``fold`` with counted nodes blends each one's Def. 2 total from the
+    counts completed under it and writes nothing else; the whole-tree pass
+    then agrees with it."""
+    tree = NamespaceTree()
+    leaf = _node(tree, "/dir/sub/leaf", 6.0)
+    other = _node(tree, "/dir/other", 2.0)
+    lone = _node(tree, "/lone", 4.0)
+    top = tree.lookup("/dir")
+    estimate = PopularityEstimate(tree.arena(), 0.5)
+    counter = {leaf: top, other: top, lone: lone}
+    estimate.fold(
+        {leaf: 3, lone: 1}, [top, lone],
+        lambda nodes: [counter[node].node_id for node in nodes],
+    )
+    assert (top.popularity, lone.popularity) == (0.5 * 8 + 0.5 * 3, 0.5 * 4 + 0.5 * 1)
+    assert leaf.popularity == 6.0 and other.individual_popularity == 2.0
+    estimate.materialise()
+    assert (top.popularity, lone.popularity) == (5.5, 2.5)
+    assert (leaf.popularity, other.popularity) == (4.5, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -375,3 +413,160 @@ def test_stationary_trace_does_not_thrash():
     # One record per round: what the adjuster moved is what the runner saw.
     assert all(r["offered"] >= r["migrations"] for r in rounds)
     assert not any(e.event == "adjust_detail" for e in telemetry.events)
+
+
+# ----------------------------------------------------------------------
+# The estimate inside the replay: counted nodes against the whole-tree pass
+# ----------------------------------------------------------------------
+class _ShadowedSimulator(ClusterSimulator):
+    """Keeps, next to the run's lazy estimate, the reference it replaces: a
+    per-round blend of *every* node from the same windows, aggregated over
+    the whole tree. After each round every counted node must carry the
+    reference's total."""
+
+    exact = True
+
+    def run(self):
+        arena = self.tree.arena()
+        self.shadow = arena.individual_popularity()
+        self.checked = 0
+        self.promotion_rounds = 0
+        return super().run()
+
+    def _adjust(self, now, window):
+        blend = self.config.popularity_blend
+        counts = [0] * len(self.shadow)
+        for node in window:
+            counts[node.node_id] += 1
+        self.shadow = [
+            (1 - blend) * p + blend * c for p, c in zip(self.shadow, counts)
+        ]
+        arena = self.tree.arena()
+        totals = list(self.shadow)
+        for cid, pid in zip(arena._agg_child, arena._agg_parent):
+            totals[pid] += totals[cid]
+        layer = len(self.placement.split.global_layer)
+        super()._adjust(now, window)
+        self.promotion_rounds += len(self.placement.split.global_layer) > layer
+        for node in self.placement.counted_nodes():
+            want = totals[node.node_id]
+            if self.exact:
+                assert node.popularity == want, node.path
+            else:
+                assert node.popularity == pytest.approx(want, rel=1e-12), node.path
+            self.checked += 1
+
+
+@pytest.fixture
+def count_passes(monkeypatch):
+    """Counts ``NodeArena.write_popularity`` calls — the one whole-tree
+    pass; ``run()`` itself makes one, restoring the tree as it leaves."""
+    calls = [0]
+    real = NodeArena.write_popularity
+
+    def counting(self, individual):
+        calls[0] += 1
+        return real(self, individual)
+
+    monkeypatch.setattr(NodeArena, "write_popularity", counting)
+    return calls
+
+
+def _profile(name, nodes, ops, **changes):
+    profile = getattr(DatasetProfile, name)(nodes).scaled(num_operations=ops)
+    return dataclasses.replace(profile, **changes) if changes else profile
+
+
+_REPLAYS = {
+    # name: (profile, servers, config overrides)
+    "dtr_promotions": (_profile("dtr", 1500, 9000), 6, {}),
+    "lmbe": (_profile("lmbe", 3000, 9000), 8, {}),
+    "ra_creates": (_profile("ra", 1500, 9000, create_fraction=0.08), 6, {}),
+    "dtr_rehome": (_profile("dtr", 1500, 9000), 6, {
+        "fault_plan": ["crash:2@ops=2200", "recover:2@ops=5600"],
+    }),
+    "lmbe_quorum_loss": (_profile("lmbe", 1500, 9000), 6, {
+        "num_monitors": 3,
+        "fault_plan": [
+            "monitor_crash:0@ops=2500", "monitor_crash:1@ops=2600",
+            "monitor_recover:1@ops=6100",
+        ],
+    }),
+}
+
+
+@pytest.mark.parametrize("blend", [0.5, 0.3])
+@pytest.mark.parametrize("name", sorted(_REPLAYS))
+def test_counted_nodes_equal_the_whole_tree_pass(name, blend):
+    """Seeded replays — promotions, CREATE-opened roots, a crash + recover
+    re-home, a Monitor quorum loss: after every round each subtree root and
+    each childless global-layer node carries the popularity the whole-tree
+    pass computes from the same windows (``==`` at blend 0.5, to rounding
+    at 0.3), and the run leaves the tree's popularity as it found it."""
+    profile, servers, overrides = _REPLAYS[name]
+    overrides = dict(overrides)
+    if "fault_plan" in overrides:
+        overrides["fault_plan"] = FaultPlan.parse(overrides["fault_plan"])
+    workload = load_workload(profile)
+    tree = workload.tree
+    before = [(n.individual_popularity, n.popularity) for n in tree._nodes]
+    telemetry = Telemetry() if name == "lmbe_quorum_loss" else None
+    sim = _ShadowedSimulator(
+        D2TreeScheme(), workload, servers,
+        SimulationConfig(
+            adjust_every_ops=600, popularity_blend=blend, seed=5, **overrides
+        ),
+        telemetry=telemetry,
+    )
+    sim.exact = blend == 0.5
+    roots = set(sim.placement.subtree_owner)
+    result = sim.run()
+    sim.close()
+    assert result.operations // 600 >= 10 and sim.checked > 10 * len(roots) > 0
+    assert [(n.individual_popularity, n.popularity) for n in tree._nodes] == before
+    assert tree.estimate is None
+    # Each replay really is the case it is named for.
+    if name == "dtr_promotions":
+        assert sim.promotion_rounds >= 2
+    elif name == "ra_creates":
+        opened = set(sim.placement.subtree_owner) - roots
+        assert workload.late_created_paths and any(
+            node.path in workload.late_created_paths for node in opened
+        )
+    elif name == "dtr_rehome":
+        assert result.availability.rejoins == 1 and result.migrations > 0
+    elif name == "lmbe_quorum_loss":
+        skipped = [e for e in telemetry.events if e.event == "rebalance_skipped"]
+        assert skipped and sim.monitor.rebalances > 0
+
+
+def test_whole_tree_pass_runs_only_for_its_readers(count_passes):
+    """An unobserved D2-Tree round costs its window and its counted nodes:
+    no whole-tree pass without a promotion, one per promotion round with
+    them, one per round for a scheme whose policy reads every node, and one
+    per round once somebody records the rounds. (``+ 1``: ``run()``
+    restores the shared tree on its way out.)"""
+    def passes(scheme, profile, servers, **config):
+        shadowed = isinstance(scheme, D2TreeScheme)
+        sim = (_ShadowedSimulator if shadowed else ClusterSimulator)(
+            scheme, load_workload(profile), servers,
+            SimulationConfig(adjust_every_ops=600, **config),
+        )
+        before = count_passes[0]
+        result = sim.run()
+        sim.close()
+        return (
+            count_passes[0] - before - 1,
+            result.operations // 600,
+            sim.promotion_rounds if shadowed else 0,
+        )
+
+    lmbe = _REPLAYS["lmbe"][0]
+    whole, rounds, promotion_rounds = passes(D2TreeScheme(promote_threshold=0.0), lmbe, 8)
+    assert (whole, promotion_rounds) == (0, 0) and rounds >= 10
+    whole, rounds, promotion_rounds = passes(D2TreeScheme(), _REPLAYS["dtr_promotions"][0], 6)
+    assert 2 <= whole == promotion_rounds < rounds
+    whole, rounds, _ = passes(DynamicSubtreeScheme(), lmbe, 8)
+    assert whole == rounds
+    whole, rounds, _ = passes(D2TreeScheme(promote_threshold=0.0), lmbe, 8, trace_sample=50)
+    assert whole == rounds

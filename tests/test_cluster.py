@@ -148,17 +148,6 @@ def test_server_work_scaling():
     assert server.process(0.0, work=0.5) == 1.0
 
 
-def test_server_counters_decay_and_report():
-    server = MetadataServer(0, counter_decay=0.0)
-    server.record_access("/a", now=0.0)
-    server.record_access("/a", now=1.0)
-    server.record_access("/b", now=1.0, weight=3.0)
-    assert server.counter_value("/a", now=1.0) == pytest.approx(2.0)
-    assert server.load_report(now=1.0) == pytest.approx(5.0)
-    server.drop_counter("/a")
-    assert server.counter_value("/a", now=2.0) == 0.0
-
-
 def test_server_failure_blocks_processing():
     server = MetadataServer(0)
     server.fail()
@@ -224,14 +213,6 @@ def test_monitor_owner_lookup(monitored_cluster):
 def test_client_pick_any_in_range():
     client = SimClient(0, num_servers=4, seed=1)
     assert all(0 <= client.pick_any_server() < 4 for _ in range(50))
-
-
-def test_client_stats():
-    client = SimClient(0, num_servers=2)
-    client.note_operation(redirected=False)
-    client.note_operation(redirected=True)
-    assert client.operations == 2
-    assert client.redirects == 1
 
 
 def test_randbelow_matches_stdlib_draw_for_draw():

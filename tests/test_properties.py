@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) for core invariants."""
 
-import math
 import random
 
 import pytest
@@ -9,12 +8,12 @@ from hypothesis import strategies as st
 
 from repro.analysis import EmpiricalCDF, dkw_confidence, dkw_epsilon
 from repro.core import (
-    DecayingCounter,
     NamespaceTree,
     greedy_allocate,
     mirror_division,
     split_top_k,
 )
+from repro.core.namespace import PopularityEstimate
 from repro.metrics import balance_degree, ideal_load_factor, load_variance
 
 
@@ -189,33 +188,55 @@ def test_dkw_roundtrip(k, confidence):
 
 
 # ----------------------------------------------------------------------
-# Decaying counter invariants
+# Decaying counter invariants (PopularityEstimate)
 # ----------------------------------------------------------------------
+def _flat_estimate(initial, blend):
+    tree = NamespaceTree()
+    nodes = []
+    for i, p in enumerate(initial):
+        nodes.append(tree.add_path(f"/n{i}"))
+        tree.record_access(nodes[-1], p)
+    tree.aggregate_popularity()
+    return nodes, PopularityEstimate(tree.arena(), blend)
+
+
 @given(
+    st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=8),
     st.lists(
-        st.tuples(
-            st.floats(min_value=0, max_value=100, allow_nan=False),
-            st.floats(min_value=0, max_value=10, allow_nan=False),
-        ),
-        min_size=1,
-        max_size=30,
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 10)), max_size=6),
+        min_size=1, max_size=12,
     ),
-    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=0.0, max_value=1.0),
 )
 @settings(max_examples=60, deadline=None)
-def test_counter_never_negative_and_bounded(events, decay):
-    counter = DecayingCounter(decay_rate=decay)
-    total = 0.0
-    for delta, weight in sorted(events):
-        counter.record(delta, weight)
-        total += weight
-    value = counter.value()
-    assert 0.0 <= value <= total + 1e-9
+def test_counter_never_negative_and_bounded(initial, windows, blend):
+    """However the windows fall, a blended count stays between zero and the
+    largest value it was ever fed."""
+    nodes, estimate = _flat_estimate(initial, blend)
+    ceiling = max(initial)
+    for window in windows:
+        counts = {nodes[i % len(nodes)]: count for i, count in window}
+        ceiling = max([ceiling, *counts.values()])
+        estimate.fold(counts)
+    estimate.materialise()
+    for node in nodes:
+        assert 0.0 <= node.individual_popularity <= ceiling * (1 + 1e-12)
 
 
-@given(st.floats(min_value=0.01, max_value=5.0), st.floats(min_value=0.1, max_value=10.0))
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=40),
+    st.floats(min_value=0.0, max_value=1e6),
+)
 @settings(max_examples=40, deadline=None)
-def test_counter_matches_closed_form(decay, gap):
-    counter = DecayingCounter(decay_rate=decay)
-    counter.record(0.0, weight=1.0)
-    assert counter.value(now=gap) == pytest.approx(math.exp(-decay * gap))
+def test_counter_matches_closed_form(blend, idle_rounds, start):
+    """Decay-on-read is the per-round decay: ``p * (1 - blend) ** k``."""
+    (node,), estimate = _flat_estimate([start], blend)
+    for _ in range(idle_rounds):
+        estimate.fold({})
+    expected = start
+    for _ in range(idle_rounds):
+        expected = (1 - blend) * expected + blend * 0.0
+    assert estimate.subtree_total(node) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    estimate.materialise()
+    assert node.popularity == pytest.approx(expected, rel=1e-12, abs=1e-300)

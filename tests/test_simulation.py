@@ -4,6 +4,7 @@ import dataclasses
 import pathlib
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from repro.baselines import HashScheme, StaticSubtreeScheme
 from repro.chaos.history import OpHistory
 from repro.core import D2TreeScheme
+from repro.core.namespace import PopularityEstimate
 from repro.placement import Placement
 from repro.simulation import (
     ClusterSimulator,
@@ -209,7 +211,7 @@ def test_arena_matches_object_aggregation(random_tree):
     assert arena is random_tree.arena()  # cached while structure unchanged
     for node in random_tree:
         node.individual_popularity *= 1.7
-    arena.aggregate_popularity()
+    arena.write_popularity(arena.individual_popularity())
     got = {n.path: n.popularity for n in random_tree}
     random_tree.aggregate_popularity()
     assert {n.path: n.popularity for n in random_tree} == got
@@ -223,7 +225,7 @@ def test_arena_matches_object_aggregation(random_tree):
     random_tree.move_node(victim, target)
     rebuilt = random_tree.arena()
     assert rebuilt is not arena
-    rebuilt.aggregate_popularity()
+    rebuilt.write_popularity(rebuilt.individual_popularity())
     got = {n.path: n.popularity for n in random_tree}
     random_tree.aggregate_popularity()
     assert {n.path: n.popularity for n in random_tree} == got
@@ -235,7 +237,7 @@ def _object_round(tree, window, blend):
     for node in tree:
         node.individual_popularity = (
             (1 - blend) * node.individual_popularity
-            + blend * window[node.node_id]
+            + blend * float(window[node])
         )
     tree.aggregate_popularity()
 
@@ -247,22 +249,18 @@ def _object_round(tree, window, blend):
 )
 @settings(max_examples=60, deadline=None)
 def test_column_round_matches_object_round(seed, script, blend):
-    """Blend + aggregate + write-back over the arena's columns leaves every
-    node — moved, removed or untouched — with exactly (``==``) the
+    """Fold + materialise over the estimate's columns leaves every node —
+    moved, removed or untouched — with exactly (``==``) the
     ``individual_popularity`` / ``popularity`` the object loop and
-    ``NamespaceTree.aggregate_popularity`` give it, round after round, and
-    the size column is ``subtree_size()`` for every live node."""
+    ``NamespaceTree.aggregate_popularity`` give it, round after round; one
+    materialise after all the rounds (the lazy decay) agrees to rounding;
+    and the size column is ``subtree_size()`` for every live node."""
     tree = build_tree(seed, 40)
     everyone = list(tree)  # id order; removed nodes stay in the comparison
     apply_mutations(tree, script, seed)
     arena = tree.arena()
     rng = random.Random(seed)
-    windows = []
-    for _ in range(3):
-        window = arena.zero_loads()
-        for node in rng.choices(tree.nodes, k=12):
-            window[node.node_id] += 1.0
-        windows.append(window)
+    windows = [Counter(rng.choices(tree.nodes, k=12)) for _ in range(3)]
 
     def snapshot():
         return [(n.individual_popularity, n.popularity) for n in everyone]
@@ -273,14 +271,24 @@ def test_column_round_matches_object_round(seed, script, blend):
         _object_round(tree, window, blend)
         expected.append(snapshot())
 
-    for node, popularity in zip(everyone, start):
-        node.individual_popularity = popularity
-    column = arena.individual_popularity()
-    assert column == start
+    def restart():
+        for node, popularity in zip(everyone, start):
+            node.individual_popularity = popularity
+        assert arena.individual_popularity() == start
+        return PopularityEstimate(arena, blend)
+
+    estimate = restart()
     for window, want in zip(windows, expected):
-        column = arena.blend_popularity(column, window, blend)
+        estimate.fold(window)
+        estimate.materialise()
         assert snapshot() == want
-        assert column == [p for p, _ in want]
+
+    estimate = restart()
+    for window in windows:
+        estimate.fold(window)
+    estimate.materialise()
+    for got, want in zip(snapshot(), expected[-1]):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     sizes = arena.subtree_sizes()
     assert all(sizes[node.node_id] == node.subtree_size() for node in tree)
@@ -317,8 +325,8 @@ def test_one_replay_loop_one_adjustment_round():
     """Structural pin, in the style of
     ``test_fault_kinds_are_dispatched_in_exactly_one_place``: the runner has
     one event loop and one ``_adjust``, and reads neither of the two inert
-    config fields perfbench still names. No second engine, columnar twin or
-    path-keyed window comes back."""
+    config fields perfbench still names. No second engine, columnar twin,
+    path-keyed window or per-round whole-tree window column comes back."""
     source = (
         pathlib.Path(__file__).resolve().parent.parent
         / "src" / "repro" / "simulation" / "runner.py"
@@ -333,7 +341,10 @@ def test_one_replay_loop_one_adjustment_round():
     assert [line.split(":")[0] for line in mentions] == [
         "batch_size", "simulate_engine",
     ]  # the two dataclass field declarations, and no read of either
-    for gone in ("_columnar_eligible", "_adjust_columnar", "_window_counts"):
+    for gone in (
+        "_columnar_eligible", "_adjust_columnar", "_window_counts",
+        "zero_loads", "blend_popularity",
+    ):
         assert gone not in source
 
 

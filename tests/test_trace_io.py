@@ -4,7 +4,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.traces import (
@@ -205,6 +205,8 @@ def test_any_trace_roundtrips(trace):
     mode=st.sampled_from(["replace", "splice", "truncate"]),
     at=st.integers(0, 40),
 )
+@example(trace=Trace(name="", records=[], description=""), pick=0,
+         garbage="\r", mode="splice", at=7)  # a CR inside the header's name
 def test_single_line_corruption_parses_or_names_its_line(trace, pick, garbage, mode, at):
     """Damage one line of a valid file: the loader either returns a trace
     every record of which the writer would accept, or raises a ValueError
