@@ -59,9 +59,6 @@ class HistoryEvent(NamedTuple):
     epoch: int = 0     # acking server's fence epoch at serve time (ok)
     attempts: int = 0  # attempts burned before a terminal (fail/indet.)
 
-    def to_tuple(self) -> tuple:
-        return tuple(self)
-
 
 #: Event kinds that terminate an operation (exactly one per invoke).
 TERMINAL_KINDS = frozenset({"ok", "fail", "indeterminate"})

@@ -1,6 +1,6 @@
 """Simulated MDS cluster: servers, Monitor, clients, caches, locks, failures."""
 
-from repro.cluster.cache import LRUCache, VersionedEntry
+from repro.cluster.cache import LRUCache
 from repro.cluster.client import SimClient
 from repro.cluster.failure import fail_server, rejoin_server, surviving_capacities
 from repro.cluster.locks import LockManager
@@ -24,7 +24,6 @@ __all__ = [
     "PlacementJournal",
     "RoutePlan",
     "SimClient",
-    "VersionedEntry",
     "Visit",
     "VisitKind",
     "fail_server",

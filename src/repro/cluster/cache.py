@@ -1,10 +1,11 @@
 """Cache primitives used by clients and servers.
 
 Clients cache the *local index* (inter-node → owning server, Sec. IV-A2) and
-recently verified path prefixes; servers cache hot global-layer entries. All
-of these are bounded LRU maps with optional versioning, matching the paper's
-"version number, timeout and lease mechanism ... employed to maintain the
-consistency and reliability of server/client cache".
+recently verified path prefixes, both bounded LRU maps. The paper's "version
+number, timeout and lease mechanism ... employed to maintain the consistency
+and reliability of server/client cache" is modelled where a stale entry is
+caught: the route planner compares a cached owner with the placement's
+(``repro.simulation.routing``) and charges a redirect hop.
 """
 
 from __future__ import annotations
@@ -12,29 +13,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Generic, Hashable, Iterable, Optional, Tuple, TypeVar
 
-__all__ = ["LRUCache", "VersionedEntry"]
+__all__ = ["LRUCache"]
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
-
-
-class VersionedEntry(Generic[V]):
-    """A cached value with a version stamp and an expiry (lease) time."""
-
-    __slots__ = ("value", "version", "expires_at")
-
-    def __init__(self, value: V, version: int = 0, expires_at: float = float("inf")) -> None:
-        self.value = value
-        self.version = version
-        self.expires_at = expires_at
-
-    def fresh(self, now: float, current_version: Optional[int] = None) -> bool:
-        """True while the lease holds and the version (if checked) matches."""
-        if now > self.expires_at:
-            return False
-        if current_version is not None and self.version != current_version:
-            return False
-        return True
 
 
 class LRUCache(Generic[K, V]):

@@ -4,27 +4,27 @@ The paper serialises modifications to global-layer nodes through ZooKeeper
 ("The lock service of Zookeeper is used to keep data consistency over global
 layer. Note that clients require a lock only when they want to modify the
 nodes in global layer."). Only the *serialisation* semantics matter to the
-evaluation, so each lock key is a FIFO timeline: an acquire issued at time
-``t`` is granted when every earlier holder has released.
+evaluation, so each lock key is a FIFO queue kept as its last holder's
+release time: an acquire issued at time ``t`` is granted when every earlier
+holder has released.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable
 
-from repro.simulation.engine import ResourceTimeline
-
 __all__ = ["LockManager"]
 
 
 class LockManager:
-    """Per-key FIFO lock timelines with acquisition latency."""
+    """Per-key FIFO locks with acquisition latency."""
 
     def __init__(self, acquire_latency: float = 0.0) -> None:
         if acquire_latency < 0:
             raise ValueError("acquire_latency must be non-negative")
         self.acquire_latency = acquire_latency
-        self._locks: Dict[Hashable, ResourceTimeline] = {}
+        #: key -> when its last holder releases it.
+        self._release_at: Dict[Hashable, float] = {}
         self.acquisitions = 0
         self.total_wait = 0.0
         #: Telemetry hooks (wired by :meth:`bind_telemetry`; None = off).
@@ -53,12 +53,11 @@ class LockManager:
         """
         if hold_for < 0:
             raise ValueError("hold_for must be non-negative")
-        timeline = self._locks.get(key)
-        if timeline is None:
-            timeline = ResourceTimeline()
-            self._locks[key] = timeline
         request = now + self.acquire_latency
-        release = timeline.serve(request, hold_for)
+        release = max(request, self._release_at.get(key, 0.0)) + hold_for
+        self._release_at[key] = release
+        # Not ``max(...)`` itself: the sum-then-difference rounding is what
+        # the goldens hold.
         granted = release - hold_for
         self.acquisitions += 1
         self.total_wait += granted - request
@@ -74,4 +73,4 @@ class LockManager:
         return self.total_wait / self.acquisitions
 
     def __len__(self) -> int:
-        return len(self._locks)
+        return len(self._release_at)

@@ -1,36 +1,25 @@
 """Metadata server model.
 
-Each MDS is a single service resource (its request-processing capacity) plus
-its fault and fencing state and served-operation statistics.
+The liveness, fault and fencing state of one MDS: what the shared control
+plane (``ClusterControl``), the live ``LiveMDS`` and the invariant checker
+act on. The service queue itself belongs to whoever drives the server — the
+replay loop's per-server CPU columns (``ClusterSimulator.busy_until`` /
+``busy_time`` / ``served``), or a live MDS's socket.
 """
 
 from __future__ import annotations
-
-from repro.simulation.engine import ResourceTimeline
 
 __all__ = ["MetadataServer"]
 
 
 class MetadataServer:
-    """One MDS in the simulated cluster.
+    """One MDS of the cluster, by its cluster-wide index ``server_id``."""
 
-    Parameters
-    ----------
-    server_id:
-        Cluster-wide index.
-    service_time:
-        Seconds of CPU per request visit (the reciprocal of the per-server
-        throughput ceiling).
-    """
-
-    def __init__(self, server_id: int, service_time: float = 1e-3) -> None:
-        if service_time <= 0:
-            raise ValueError("service_time must be positive")
+    def __init__(self, server_id: int) -> None:
         self.server_id = server_id
-        self.service_time = service_time
-        self.cpu = ResourceTimeline()
         self.alive = True
-        #: Fail-slow fault: every visit costs this multiple of service_time.
+        #: Fail-slow fault: every visit costs this multiple of the
+        #: configured service time.
         self.slow_factor = 1.0
         #: Drop-heartbeats fault: the server serves but stops heartbeating.
         self.muted = False
@@ -45,18 +34,6 @@ class MetadataServer:
         #: the fence) with it, so the rejoin path must restore the fence
         #: from the durable store before applying any directive.
         self.lost_volatile = False
-
-    # ------------------------------------------------------------------
-    def process(self, arrival: float, work: float = 1.0) -> float:
-        """Queue a request visit; returns its completion time."""
-        if not self.alive:
-            raise RuntimeError(f"server {self.server_id} is down")
-        return self.cpu.serve(arrival, work * self.service_time * self.slow_factor)
-
-    def visit_cost(self, work: float = 1.0) -> float:
-        """The CPU duration :meth:`process` books for one visit (the replay
-        loop's per-server service column)."""
-        return work * self.service_time * self.slow_factor
 
     # ------------------------------------------------------------------
     def accept_directive(self, epoch: int) -> bool:
@@ -98,11 +75,6 @@ class MetadataServer:
         self.slow_factor = 1.0
         self.muted = False
 
-    @property
-    def served(self) -> int:
-        """Number of request visits completed."""
-        return self.cpu.served
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"
-        return f"MetadataServer({self.server_id}, {state}, served={self.served})"
+        return f"MetadataServer({self.server_id}, {state})"

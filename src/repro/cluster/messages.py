@@ -145,11 +145,6 @@ class RoutePlan:
     fanout: List[int] = field(default_factory=list)
     lock_key: str = ""
 
-    @property
-    def num_jumps(self) -> int:
-        """Server-to-server transfers implied by the sequential visits."""
-        return max(0, len(self.visits) - 1)
-
 
 @dataclass(frozen=True)
 class Heartbeat:

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.node import PATH_SEPARATOR, MetadataNode
 
-__all__ = ["NamespaceTree", "NodeArena", "PathTable", "PopularityEstimate", "split_path"]
+__all__ = ["NamespaceTree", "NodeArena", "PopularityEstimate", "split_path"]
 
 
 def split_path(path: str) -> List[str]:
@@ -26,116 +26,27 @@ def split_path(path: str) -> List[str]:
     return [part for part in path.split(PATH_SEPARATOR) if part]
 
 
-class PathTable:
-    """Interned-path view of one :class:`NamespaceTree` snapshot.
-
-    The routing fast path never wants to split or hash path *strings* in its
-    hot loop, so the table interns every live path to the node's dense
-    integer id and precomputes the structural arrays route planning needs:
-
-    * ``parent_id`` / ``depth`` — parent pointers and depths indexed by id,
-    * lazily-built **ancestor chains** (root-first, excluding the node
-      itself) shared across every lookup of the same node, and
-    * ``ancestor_at_depth`` — O(1) after the first touch of a node's chain.
-
-    A table is valid for one structure version of its tree; mutation
-    (insert / rename / move / remove) bumps the version and
-    :meth:`NamespaceTree.path_table` hands out a fresh table. Popularity
-    updates do not invalidate it.
-    """
-
-    __slots__ = ("tree", "version", "_id_of", "_nodes", "parent_id", "depth", "_chains")
-
-    def __init__(self, tree: "NamespaceTree") -> None:
-        self.tree = tree
-        self.version = tree.structure_version
-        self._nodes = tree._nodes
-        self._id_of: Dict[str, int] = {
-            path: node.node_id for path, node in tree._by_path.items()
-        }
-        # Top-down traversal (registration order is NOT topological once
-        # move_node has re-parented a subtree under a later-registered node).
-        parent_id: List[int] = [-1] * len(self._nodes)
-        depth: List[int] = [0] * len(self._nodes)
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            nid = node.node_id
-            child_depth = depth[nid] + 1
-            for child in node.children:
-                cid = child.node_id
-                parent_id[cid] = nid
-                depth[cid] = child_depth
-                stack.append(child)
-        self.parent_id = parent_id
-        self.depth = depth
-        #: node_id -> ancestors root-first, excluding the node (lazy).
-        self._chains: List[Optional[Tuple[MetadataNode, ...]]] = [None] * len(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._id_of)
-
-    def id_of(self, path: str) -> int:
-        """Interned id for ``path``, or -1 when the path is absent."""
-        return self._id_of.get(path, -1)
-
-    def node_of(self, node_id: int) -> MetadataNode:
-        """The node carrying dense id ``node_id``."""
-        return self._nodes[node_id]
-
-    def chain(self, node: MetadataNode) -> Tuple[MetadataNode, ...]:
-        """Ancestors of ``node`` root-first, excluding ``node`` (set ``A_j``).
-
-        Unlike :meth:`MetadataNode.ancestors` this allocates once per node
-        per table — the tuple is cached and shared, which is what lets the
-        generic planner walk POSIX prefixes without per-operation list
-        builds. Chains compose: a node's chain is its parent's chain plus
-        the parent.
-        """
-        chains = self._chains
-        nid = node.node_id
-        cached = chains[nid]
-        if cached is None:
-            parent = node.parent
-            if parent is None:
-                cached = ()
-            else:
-                cached = self.chain(parent) + (parent,)
-            chains[nid] = cached
-        return cached
-
-    def ancestor_at_depth(self, node: MetadataNode, depth: int) -> MetadataNode:
-        """The ancestor of ``node`` at ``depth`` (``node`` itself at its own).
-
-        O(1) once the node's chain is built.
-        """
-        own = self.depth[node.node_id]
-        if not 0 <= depth <= own:
-            raise ValueError(f"depth {depth} outside [0, {own}]")
-        if depth == own:
-            return node
-        return self.chain(node)[depth]
-
-
 class NodeArena:
-    """Column (id-indexed) view of one tree snapshot's Def. 2 aggregation.
+    """The column (id-indexed) snapshot of one tree structure.
 
-    Where :class:`PathTable` interns *paths* for route planning, the arena
-    is the form batch engines want for per-node accounting without walking
-    the object graph: the **recorded aggregation order** — the exact
-    child→parent addition sequence of
+    What the replay reads by dense node id instead of walking the object
+    graph. ``size`` is the id space — live *and* retired slots, so every
+    id-indexed column is sized from it. The **recorded aggregation order**
+    is the exact child→parent addition sequence of
     :meth:`NamespaceTree.aggregate_popularity`, captured symbolically at
-    build time. :meth:`write_popularity` is the whole-tree pass over it
+    build time: :meth:`write_popularity` is the whole-tree pass over it
     (Def. 2 totals of a caller-owned ``p'_j`` column, both written to the
     node objects) and :meth:`subtree_sizes` the nodes per subtree, by id.
+    :meth:`chain` hands the route planner a node's ancestors as one shared
+    tuple.
 
     Replaying the recorded sequence performs the same float additions in
     the same order as the object walk, so the sums are bit-identical to
-    it. Like the path table, an arena is valid for one
-    ``structure_version`` and is re-issued by :meth:`NamespaceTree.arena`
-    after any structural mutation; popularity updates do not invalidate
-    it. It is shared by every reader of the tree, so per-run state (a
-    replay's :class:`PopularityEstimate`) stays with the caller.
+    it. An arena is valid for one ``structure_version`` and is re-issued by
+    :meth:`NamespaceTree.arena` after any structural mutation; popularity
+    updates do not invalidate it. It is shared by every reader of the
+    tree, so per-run state (a replay's :class:`PopularityEstimate`) stays
+    with the caller.
     """
 
     __slots__ = (
@@ -145,6 +56,7 @@ class NodeArena:
         "_agg_child",
         "_agg_parent",
         "_subtree_sizes",
+        "_chains",
     )
 
     def __init__(self, tree: "NamespaceTree") -> None:
@@ -172,6 +84,29 @@ class NodeArena:
         self._agg_child = agg_child
         self._agg_parent = agg_parent
         self._subtree_sizes: Optional[List[int]] = None
+        #: node id -> ancestors root-first, excluding the node (lazy).
+        self._chains: List[Optional[Tuple[MetadataNode, ...]]] = [None] * self.size
+
+    def chain(self, node: MetadataNode) -> Tuple[MetadataNode, ...]:
+        """Ancestors of ``node`` root-first, excluding ``node`` (set ``A_j``).
+
+        Unlike :meth:`MetadataNode.ancestors` this allocates once per node
+        per arena — the tuple is cached and shared, which is what lets the
+        generic planner walk POSIX prefixes without per-operation list
+        builds. Chains compose: a node's chain is its parent's chain plus
+        the parent.
+        """
+        chains = self._chains
+        nid = node.node_id
+        cached = chains[nid]
+        if cached is None:
+            parent = node.parent
+            if parent is None:
+                cached = ()
+            else:
+                cached = self.chain(parent) + (parent,)
+            chains[nid] = cached
+        return cached
 
     def individual_popularity(self) -> List[float]:
         """The nodes' current ``p'_j`` as an id-indexed column."""
@@ -330,10 +265,9 @@ class NamespaceTree:
         self._by_path: Dict[str, MetadataNode] = {PATH_SEPARATOR: self.root}
         self._removed: Set[int] = set()
         self._popularity_dirty = False
-        #: Bumped on any structural mutation; readers holding a PathTable
+        #: Bumped on any structural mutation; readers holding a NodeArena
         #: compare against it to detect staleness.
         self.structure_version = 0
-        self._path_table: Optional[PathTable] = None
         self._arena: Optional[NodeArena] = None
         #: The running replay's estimate, or None. While one is installed a
         #: reader of popularity beyond the placement's counted nodes calls
@@ -488,19 +422,8 @@ class NamespaceTree:
         """Return the node at ``path``, or ``None`` when absent."""
         return self._by_path.get(path)
 
-    def path_table(self) -> PathTable:
-        """The interned-path table for the tree's current structure.
-
-        Cached until the next structural mutation; see :class:`PathTable`.
-        """
-        table = self._path_table
-        if table is None or table.version != self.structure_version:
-            table = PathTable(self)
-            self._path_table = table
-        return table
-
     def arena(self) -> NodeArena:
-        """The aggregation-order column view of the tree's current structure.
+        """The column snapshot of the tree's current structure.
 
         Cached until the next structural mutation; see :class:`NodeArena`.
         """

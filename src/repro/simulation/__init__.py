@@ -1,6 +1,5 @@
 """Discrete-event trace replay: the Section VI experiment harness."""
 
-from repro.simulation.engine import ResourceTimeline
 from repro.simulation.faults import FaultEvent, FaultKind, FaultPlan
 from repro.simulation.network import (
     CLIENT_ADDR,
@@ -31,7 +30,6 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "LatencySummary",
-    "ResourceTimeline",
     "SimNetwork",
     "SimulationConfig",
     "SimulationResult",

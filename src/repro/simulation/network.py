@@ -51,22 +51,9 @@ class SimNetwork(FaultFabric):
         return self.hop_latency
 
     # ------------------------------------------------------------------
-    # Data plane (client requests, inter-MDS forwarding)
+    # Data plane: a client request goes through the shared
+    # ``FaultFabric.data_arrival``; inter-MDS forwarding is below.
     # ------------------------------------------------------------------
-    def client_arrival(self, server: int, base: float) -> Optional[float]:
-        """Fault-adjust a client→MDS send whose healthy arrival is ``base``.
-
-        Clients sit outside partitions (the WAN is not the cluster
-        interconnect) and are never muted — only loss and delay on the
-        *server's* links apply. ``None`` means the request was lost and the
-        client will time out and retry.
-        """
-        dst = mds_addr(server)
-        if self._lost(CLIENT_ADDR, dst):
-            self._drop()
-            return None
-        return base + self._extra_delay(CLIENT_ADDR, dst)
-
     def server_arrival(
         self, src: int, dst: int, base: float
     ) -> Optional[float]:

@@ -1,10 +1,10 @@
 """Route planning: how a client request finds its servers.
 
 :class:`FastRoutingEngine` produces the
-:class:`~repro.cluster.messages.RoutePlan` for every operation. Paths are
-interned once per tree into integer node ids
-(:class:`~repro.core.namespace.PathTable`), ancestor chains are shared
-cached tuples, and an incremental **owner index** memoises the two
+:class:`~repro.cluster.messages.RoutePlan` for every operation. Nodes carry dense integer ids, so every memo is a column sized
+by the id space of the tree's one snapshot
+(:class:`~repro.core.namespace.NodeArena`, which also shares the cached
+ancestor-chain tuples), and an incremental **owner index** memoises the two
 placement questions route planning asks per op: which local-layer subtree
 root covers a node (D2), and which server is a node's primary (every other
 scheme).
@@ -31,8 +31,8 @@ Owner-index invalidation is versioned, not subscribed:
   planner's node→subtree-root cache and global-layer bitset. Plain
   migrations keep the root set intact, so the root cache survives
   adjustment churn — owners are always read live from the placement.
-* ``NamespaceTree.structure_version`` — guards the interned
-  :class:`PathTable` itself.
+* ``NamespaceTree.structure_version`` — guards the
+  :class:`~repro.core.namespace.NodeArena` the columns are sized from.
 
 The simulator additionally calls :meth:`FastRoutingEngine.invalidate`
 whenever the control plane evicts or re-admits a server
@@ -71,11 +71,12 @@ def make_engine(name: str, tree: NamespaceTree, placement: Placement):
 
 
 class FastRoutingEngine:
-    """Interned-path planner with an incremental owner index.
+    """Id-keyed planner with an incremental owner index.
 
     Per-op work never splits or hashes a pathname: nodes carry dense integer
-    ids, ancestor chains come from the tree's shared :class:`PathTable`, and
-    client caches are keyed by id. The owner index memoises
+    ids, ancestor chains come from the tree's shared
+    :class:`~repro.core.namespace.NodeArena`, and client caches are keyed
+    by id. The owner index memoises
 
     * ``_root_id[nid]`` — the covering local-layer subtree root (D2 layout),
       valid while ``placement.index_version`` is unchanged;
@@ -95,18 +96,23 @@ class FastRoutingEngine:
         self._is_d2 = isinstance(placement, D2TreePlacement)
         self.hits = 0
         self.misses = 0
-        self.table = tree.path_table()
         #: Plans are read-only once returned (the runner and tests only
         #: inspect them), so the warm path hands out one shared
         #: single-SERVE plan per server instead of allocating a plan, a
         #: visit list and a Visit tuple per operation.
         self._serve_plans: List[RoutePlan] = []
-        self._resize(len(self.table))
+        self.invalidate()
         #: The scheme-appropriate planner; :meth:`plan` and
         #: :meth:`plan_batch` both delegate here after the staleness check.
         self._planner = self._plan_d2 if self._is_d2 else self._plan_generic
 
-    def _resize(self, size: int) -> None:
+    def invalidate(self) -> None:
+        """Start every memo column cold against the tree's current snapshot
+        (failure re-home / rejoin hook; a structural mutation — rename, move,
+        remove, late registration). One slot per node id: the arena's id
+        space, where a retired slot is kept and never asked for."""
+        self.arena = self.tree.arena()
+        size = self.arena.size
         #: node id -> covering subtree root id; -1 = not cached yet.
         self._root_id: List[int] = [-1] * size
         self._global_bits = bytearray(size)
@@ -120,10 +126,6 @@ class FastRoutingEngine:
         #: extends a fully-replicated layer onto the newcomer).
         self._replicas: List[Optional[Tuple[int, ...]]] = [None] * size
         self._replica_stamp: List[int] = [-1] * size
-
-    def invalidate(self) -> None:
-        """Flush every derived entry (failure re-home / rejoin hook)."""
-        self._resize(len(self.table))
 
     @property
     def hit_rate(self) -> float:
@@ -142,16 +144,10 @@ class FastRoutingEngine:
             plans.append(plan)
         return plans[server]
 
-    def _reintern(self) -> None:
-        """Structural mutation (rename/move/remove or late registration):
-        re-intern the namespace and start the index cold."""
-        self.table = self.tree.path_table()
-        self._resize(len(self.table))
-
     def plan(self, client: SimClient, node, op: OpType) -> RoutePlan:
         """Resolve which servers an operation touches."""
-        if self.table.version != self.tree.structure_version:
-            self._reintern()
+        if self.arena.version != self.tree.structure_version:
+            self.invalidate()
         return self._planner(client, node, op)
 
     def plan_batch(self, ops) -> List[RoutePlan]:
@@ -162,8 +158,8 @@ class FastRoutingEngine:
         and planner dispatch hoisted out of the loop. This is the form the
         batched dispatcher amortises per window.
         """
-        if self.table.version != self.tree.structure_version:
-            self._reintern()
+        if self.arena.version != self.tree.structure_version:
+            self.invalidate()
         planner = self._planner
         return [planner(client, node, op) for client, node, op in ops]
 
@@ -171,7 +167,7 @@ class FastRoutingEngine:
     def _refresh_membership(self) -> None:
         """Rebuild the global-layer bitset; drop the root cache with it."""
         placement = self.placement
-        size = len(self.table)
+        size = self.arena.size
         bits = bytearray(size)
         for member in placement.split.global_layer:
             mid = member.node_id
@@ -252,7 +248,7 @@ class FastRoutingEngine:
         if self._primary_stamp[rid] == version:
             owner = self._primary[rid]
         else:
-            owner = placement._servers_of[self.table._nodes[rid]][0]
+            owner = placement._servers_of[self.tree._nodes[rid]][0]
             self._primary[rid] = owner
             self._primary_stamp[rid] = version
         cache = client.index_cache
@@ -320,7 +316,7 @@ class FastRoutingEngine:
                     return self._serve_plan(target)
         else:
             cache.misses += 1
-        # Cold or stale: POSIX traversal over the interned ancestor chain,
+        # Cold or stale: POSIX traversal over the shared ancestor chain,
         # verifying each prefix and re-learning where it lives. A stale
         # entry (the node migrated since it was cached) costs one redirect
         # hop — the redirected server then walks the rest authoritatively.
@@ -333,7 +329,7 @@ class FastRoutingEngine:
             visits.append(Visit(cached, VisitKind.REDIRECT))
             last = cached
             redirected = True
-        for ancestor in self.table.chain(node):
+        for ancestor in self.arena.chain(node):
             aid = ancestor.node_id
             if stamp[aid] == version:
                 self.hits += 1

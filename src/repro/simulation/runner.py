@@ -39,7 +39,7 @@ from repro.obs.sampler import GaugeSampler
 from repro.obs.spans import SpanRecorder
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.simulation.faults import FaultPlan
-from repro.simulation.network import SimNetwork, mds_addr
+from repro.simulation.network import CLIENT_ADDR, SimNetwork, mds_addr
 from repro.simulation.routing import FastRoutingEngine
 from repro.storage import make_store
 from repro.simulation.stats import SimulationResult, summarize_latencies
@@ -120,25 +120,6 @@ class SimulationConfig:
     seed: int = 7
 
 
-def _sync_out(servers, busy_until, busy_time, served) -> None:
-    """Write the replay loop's inlined CPU timelines back to the servers."""
-    for i, server in enumerate(servers):
-        cpu = server.cpu
-        cpu.busy_until = busy_until[i]
-        cpu.busy_time = busy_time[i]
-        cpu.served = served[i]
-
-
-def _sync_in(servers, busy_until, busy_time, served, service) -> None:
-    """Refresh the loop's per-server columns from the server objects."""
-    for i, server in enumerate(servers):
-        cpu = server.cpu
-        busy_until[i] = cpu.busy_until
-        busy_time[i] = cpu.busy_time
-        served[i] = cpu.served
-        service[i] = server.visit_cost() if server.alive else None
-
-
 class ClusterSimulator:
     """Closed-loop replay of one trace through one scheme's placement."""
 
@@ -156,15 +137,20 @@ class ClusterSimulator:
         self.trace = workload.trace
         self.num_servers = num_servers
         self.config = config or SimulationConfig()
+        if self.config.service_time <= 0:
+            raise ValueError("service_time must be positive")
         self.tree.ensure_popularity()
         self.placement: Placement = scheme.partition(self.tree, num_servers)
-        #: Route planner (see repro.simulation.routing): interned paths
-        #: plus a memoised owner index.
+        #: Route planner (see repro.simulation.routing): id-indexed memo
+        #: columns over the tree's arena plus a memoised owner index.
         self.engine = FastRoutingEngine(self.tree, self.placement)
-        self.servers = [
-            MetadataServer(sid, service_time=self.config.service_time)
-            for sid in range(num_servers)
-        ]
+        self.servers = [MetadataServer(sid) for sid in range(num_servers)]
+        #: Server CPU state, by server id: the FIFO busy-until clock, the
+        #: CPU seconds booked, the visits served. ``_run`` serves visits on
+        #: these very lists and ``_charge_migrations`` adds to them.
+        self.busy_until = [0.0] * num_servers
+        self.busy_time = [0.0] * num_servers
+        self.served = [0] * num_servers
         self.locks = LockManager(acquire_latency=self.config.lock_acquire_latency)
         #: Lossy, partitionable fabric. With no faults installed it degrades
         #: to the constant-latency model (zero RNG draws), so fault-free runs
@@ -294,7 +280,7 @@ class ClusterSimulator:
         self.sampler.add_vector("load_factor", load_factors, "server")
         self.sampler.add_vector(
             "server_visits",
-            lambda: [float(server.served) for server in self.servers],
+            lambda: [float(visits) for visits in self.served],
             "server",
         )
         if self.num_servers >= 2:  # Eq. 2 needs at least two servers
@@ -471,17 +457,21 @@ class ClusterSimulator:
         if work <= 0 or not moves:
             return
         budget = self._mig_budget
+        servers = self.servers
+        busy_until, busy_time, served = self.busy_until, self.busy_time, self.served
         sizes = self.tree.arena().subtree_sizes()
         for move in moves:
             cost = work * self._migration_size(move, sizes) * self.config.service_time
-            if self.servers[move.source].alive:
-                self.servers[move.source].cpu.serve_background(cost)
-                if budget is not None:
-                    budget[move.source] += cost
-            if self.servers[move.target].alive:
-                self.servers[move.target].cpu.serve_background(cost)
-                if budget is not None:
-                    budget[move.target] += cost
+            for sid in (move.source, move.target):
+                if servers[sid].alive:
+                    # Background work joins the queue tail: booked at its
+                    # round's time it would fast-forward an idle clock and
+                    # retroactively delay earlier arrivals.
+                    busy_until[sid] += cost
+                    busy_time[sid] += cost
+                    served[sid] += 1
+                    if budget is not None:
+                        budget[sid] += cost
 
     def _journal_moves(self, moves, now: float) -> None:
         """Persist subtree ownership changes to the per-MDS logs.
@@ -512,21 +502,29 @@ class ClusterSimulator:
         self.telemetry.set_time(now)
         net = self.network
         live = 0
-        for server in self.servers:
+        for sid, server in enumerate(self.servers):
             if not server.alive:
                 continue
             if net.faulty and net.deliver(
-                mds_addr(server.server_id), self.monitor.leader_addr, now
+                mds_addr(sid), self.monitor.leader_addr, now
             ) is None:
                 continue
             if self.control.on_heartbeat(
-                Heartbeat(server.server_id, now, float(server.served), 0.0)
+                Heartbeat(sid, now, float(self.served[sid]), 0.0)
             ):
                 live += 1
         if self.telemetry.enabled:
             self.telemetry.event("heartbeat_round", t=now, live=live)
             self.sampler.snapshot(now)
         self.control.round(now)
+
+    def _service_costs(self) -> List[Optional[float]]:
+        """CPU seconds per visit, by server; ``None`` while it is down."""
+        service_time = self.config.service_time
+        return [
+            service_time * server.slow_factor if server.alive else None
+            for server in self.servers
+        ]
 
     def _placement_moved(self, moves, now: float) -> None:
         """ClusterControl re-homed or pulled back subtrees: ownership was
@@ -580,10 +578,13 @@ class ClusterSimulator:
         most one in-flight op per client, so an op's state lives in
         per-client *slot* arrays and an event is ``(time, seq, slot)``; a
         server's FIFO timeline only ever sees arrivals with non-decreasing
-        timestamps, which keeps queueing causal. Server CPU timelines,
-        liveness and visit cost are inlined as parallel lists, synced with
-        the ``MetadataServer`` objects around every call that can read or
-        write them (``_adjust``, ``_heartbeats``, ``control.apply_fault``).
+        timestamps, which keeps queueing causal. Server CPU state is the
+        simulator's own ``busy_until`` / ``busy_time`` / ``served`` lists,
+        bound here as locals: what ``_adjust``, an evict or a readmit books
+        on them (``_charge_migrations``) is there for the next visit. The
+        one derived column, ``service`` (``_service_costs``), is rebuilt after
+        the calls that can change ``alive`` / ``slow_factor``: the heartbeat
+        / time-fault grid and an op-count fault.
 
         Everything a quiet run does not need — the heartbeat / fault grid,
         retries, the lossy fabric, the durable store, history, telemetry,
@@ -602,11 +603,11 @@ class ClusterSimulator:
         monitor_is_dead = self.monitor.is_dead
         availability = self.availability
         # Bind the scheme planner directly, hoisting the per-op
-        # interning-staleness check out of the loop. Safe because the tree
+        # snapshot-staleness check out of the loop. Safe because the tree
         # is structurally static mid-replay (CREATE ops move placement, not
-        # structure) — re-intern once up front if the engine is stale.
-        if self.engine.table.version != tree.structure_version:
-            self.engine._reintern()
+        # structure) — start the engine cold once up front if it is stale.
+        if self.engine.arena.version != tree.structure_version:
+            self.engine.invalidate()
         engine_plan = self.engine._planner
         serve_plan = self.engine._serve_plan  # interned single-SERVE plans
         is_placed = placement.is_placed
@@ -658,12 +659,10 @@ class ClusterSimulator:
         window: List = []
         window_append = window.append
 
-        busy_until = [s.cpu.busy_until for s in servers]
-        busy_time = [s.cpu.busy_time for s in servers]
-        served = [s.cpu.served for s in servers]
-        #: Exactly MetadataServer.process's duration per server; None
-        #: while the server is down.
-        service = [s.visit_cost() if s.alive else None for s in servers]
+        busy_until = self.busy_until
+        busy_time = self.busy_time
+        served = self.served
+        service = self._service_costs()
 
         # Fault schedule, split into op-count- and time-triggered stacks
         # (next to fire on top); the time-triggered one shares a grid with
@@ -734,7 +733,6 @@ class ClusterSimulator:
                     # Heartbeat rounds and time-triggered faults due by
                     # ``now`` fire first, in chronological order (both
                     # grids derive from sim time, never the wall clock).
-                    _sync_out(servers, busy_until, busy_time, served)
                     while next_grid <= now:
                         if next_heartbeat <= next_time_fault:
                             self._heartbeats(next_heartbeat)
@@ -745,7 +743,7 @@ class ClusterSimulator:
                                 time_faults[-1].at_time if time_faults else infinity
                             )
                         next_grid = min(next_heartbeat, next_time_fault)
-                    _sync_in(servers, busy_until, busy_time, served, service)
+                    service = self._service_costs()
                 visits = plan.visits
                 vidx = slot_visit[slot]
                 sid = visits[vidx][0]
@@ -757,7 +755,7 @@ class ClusterSimulator:
                     lost = sid
                     lost_at = now
                 else:
-                    # Inlined ResourceTimeline.serve (FIFO busy-until clock).
+                    # FIFO busy-until clock.
                     busy = busy_until[sid]
                     begin = now if now > busy else busy
                     end = begin + cost
@@ -790,7 +788,8 @@ class ClusterSimulator:
                         # version/lease checks cover readers, so the client
                         # is acked after the primary) and complete the op.
                         for fs in plan.fanout:
-                            # Inlined ResourceTimeline.serve_background.
+                            # Background work joins the queue tail, as in
+                            # ``_charge_migrations``.
                             busy_until[fs] += fan_cost
                             busy_time[fs] += fan_cost
                             served[fs] += 1
@@ -848,18 +847,13 @@ class ClusterSimulator:
                             makespan = completion
                         completed += 1
                         if ops_faults and completed >= ops_faults[-1].at_ops:
-                            _sync_out(servers, busy_until, busy_time, served)
                             while ops_faults and completed >= ops_faults[-1].at_ops:
                                 control.apply_fault(ops_faults.pop(), completion)
-                            _sync_in(servers, busy_until, busy_time, served, service)
+                            service = self._service_costs()
                         if adjust_every:
                             window_append(slot_node[slot])
                             if completed % adjust_every == 0:
-                                # Rebalancing charges migration CPU on the
-                                # real timeline objects: sync out and back in.
-                                _sync_out(servers, busy_until, busy_time, served)
                                 self._adjust(completion, window)
-                                _sync_in(servers, busy_until, busy_time, served, service)
                                 window.clear()
             # What the client does next: time out on a lost attempt and
             # retry it (or give up on the op), else issue its next record.
@@ -947,8 +941,8 @@ class ClusterSimulator:
                     slot_op[slot] = op
                     slot_attempts[slot] = 0
                     if network.faulty:
-                        pre_lock = arrival = network.client_arrival(
-                            plan.visits[0][0], arrival
+                        pre_lock = arrival = network.data_arrival(
+                            CLIENT_ADDR, mds_addr(plan.visits[0][0]), arrival
                         )
                 if plan.lock_key and arrival is not None:
                     arrival = locks_acquire(plan.lock_key, arrival, lock_hold)
@@ -981,7 +975,6 @@ class ClusterSimulator:
                 lost = plan.visits[0][0]
                 lost_at = start
 
-        _sync_out(servers, busy_until, busy_time, served)
         self.created += created
         self.ops_issued += dispatched
         control.close_unavailability(makespan)
@@ -1006,9 +999,10 @@ class ClusterSimulator:
             makespan=makespan,
             throughput=operations / makespan if makespan > 0 else 0.0,
             latency=summarize_latencies(latencies),
-            server_visits=[server.served for server in self.servers],
+            server_visits=list(served),
             server_utilization=[
-                server.cpu.utilization(makespan) for server in self.servers
+                min(1.0, busy / makespan) if makespan > 0 else 0.0
+                for busy in busy_time
             ],
             redirects=redirects,
             migrations=self.migrations,

@@ -220,9 +220,10 @@ class AsyncioTransport(FaultFabric):
         """Send a data-plane frame (client request / reply).
 
         Clients sit outside the partition model and are never muted — only
-        loss and extra delay on the endpoints' links apply, mirroring
-        ``SimNetwork.client_arrival``. Returns False when the frame was
-        dropped (the sender should let its timeout fire).
+        loss and extra delay on the endpoints' links apply, the one
+        ``data_arrival`` rule the simulator's client sends go through too.
+        Returns False when the frame was dropped (the sender should let its
+        timeout fire).
         """
         if self.faulty:
             now = asyncio.get_running_loop().time()

@@ -42,6 +42,7 @@ from repro.chaos.history import OpHistory
 from repro.cluster.cache import LRUCache
 from repro.cluster.index import covering_entry
 from repro.cluster.messages import ClientReply, ClientRequest
+from repro.simulation.stats import summarize_latencies
 from repro.transport.asyncio_net import AsyncioTransport
 from repro.transport.base import CLIENT_ADDR, mds_addr
 from repro.transport.wire import encode_frame, read_frame
@@ -128,20 +129,15 @@ class LoadReport:
 
 
 def latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
-    """Mean / p50 / p95 / p99 over acked-op latencies (empty-safe)."""
-    if not latencies:
-        return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-    ordered = sorted(latencies)
-
-    def pct(q: float) -> float:
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
+    """Mean / p50 / p95 / p99 over acked-op latencies (empty-safe), by the
+    simulator's definition (interpolated percentiles), so a live run and a
+    simulated one report the same statistic."""
+    summary = summarize_latencies(latencies)
     return {
-        "mean": sum(ordered) / len(ordered),
-        "p50": pct(0.50),
-        "p95": pct(0.95),
-        "p99": pct(0.99),
+        "mean": summary.mean,
+        "p50": summary.p50,
+        "p95": summary.p95,
+        "p99": summary.p99,
     }
 
 

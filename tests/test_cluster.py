@@ -6,12 +6,12 @@ from repro.cluster import (
     Heartbeat,
     LockManager,
     LRUCache,
-    MetadataServer,
     MonitorGroup,
     SimClient,
-    VersionedEntry,
 )
+from repro.chaos.history import OpHistory
 from repro.core import D2TreeScheme
+from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
 from tests.conftest import build_random_tree
 
 
@@ -83,14 +83,6 @@ def test_cache_capacity_validation():
         LRUCache(0)
 
 
-def test_versioned_entry_freshness():
-    entry = VersionedEntry("value", version=3, expires_at=10.0)
-    assert entry.fresh(now=5.0)
-    assert not entry.fresh(now=11.0)
-    assert entry.fresh(now=5.0, current_version=3)
-    assert not entry.fresh(now=5.0, current_version=4)
-
-
 # ----------------------------------------------------------------------
 # LockManager
 # ----------------------------------------------------------------------
@@ -99,7 +91,11 @@ def test_lock_serializes_same_key():
     first = locks.acquire("/a", now=0.0, hold_for=1.0)
     second = locks.acquire("/a", now=0.0, hold_for=1.0)
     assert first == 0.0
-    assert second == 1.0
+    assert second == 1.0  # queued behind the first holder
+    # An idle gap: the key was released at 2.0, so a request at 10.0 waits
+    # for nothing and the queueing delay so far is the second acquire's.
+    assert locks.acquire("/a", now=10.0, hold_for=1.0) == 10.0
+    assert locks.total_wait == pytest.approx(1.0)
 
 
 def test_lock_keys_independent():
@@ -134,33 +130,103 @@ def test_lock_negative_latency_rejected():
 
 
 # ----------------------------------------------------------------------
-# MetadataServer
+# A server's service queue: the replay's per-server CPU columns
+# (``ClusterSimulator.busy_until`` / ``busy_time`` / ``served``) priced by
+# the cost column derived from ``MetadataServer.alive`` / ``slow_factor``
 # ----------------------------------------------------------------------
-def test_server_fifo_queueing():
-    server = MetadataServer(0, service_time=1.0)
-    assert server.process(0.0) == 1.0
-    assert server.process(0.0) == 2.0  # queued behind the first
-    assert server.process(5.0) == 6.0  # idle gap, then serve
+def _replay(workload, servers, *faults, **overrides):
+    """Replay ``workload``; returns the simulator, the result and every
+    distinct per-visit cost column the loop derived, in order."""
+    overrides.setdefault("num_clients", 20)
+    config = SimulationConfig(
+        adjust_every_ops=0, fault_plan=FaultPlan.parse(list(faults)), **overrides
+    )
+    sim = ClusterSimulator(D2TreeScheme(), workload, servers, config)
+    columns = []
+    derive = sim._service_costs
+
+    def recording():
+        column = derive()
+        if not columns or columns[-1] != column:
+            columns.append(column)
+        return column
+
+    sim._service_costs = recording
+    return sim, sim.run(), columns
 
 
-def test_server_work_scaling():
-    server = MetadataServer(0, service_time=2.0)
-    assert server.process(0.0, work=0.5) == 1.0
+def test_server_fifo_queueing(tiny_dtr_workload):
+    """One server, three clients, whole-second visits and no network: visits
+    are served one at a time in arrival order, each queued behind the ones
+    that arrived before it."""
+    history = OpHistory()
+    sim = ClusterSimulator(
+        D2TreeScheme(), tiny_dtr_workload, 1,
+        SimulationConfig(
+            num_clients=3, service_time=1.0, hop_latency=0.0,
+            lock_acquire_latency=0.0, lock_hold_time=0.0, adjust_every_ops=0,
+        ),
+    )
+    sim.control.history = history
+    result = sim.run()
+    acks = [event for event in history.events if event.kind == "ok"]
+    assert [event.t for event in acks] == [
+        float(n) for n in range(1, len(tiny_dtr_workload.trace) + 1)
+    ]
+    # Client c re-issues the moment its reply lands and finds the other two
+    # ahead of it, every time.
+    assert [event.client for event in acks[:9]] == [0, 1, 2] * 3
+    assert result.latency.p50 == result.latency.maximum == 3.0
 
 
-def test_server_failure_blocks_processing():
-    server = MetadataServer(0)
-    server.fail()
-    with pytest.raises(RuntimeError):
-        server.process(0.0)
-    server.recover()
-    server.process(0.0)
-    assert server.served == 1
+def test_server_work_scaling(tiny_dtr_workload):
+    """The cost of a visit follows ``slow_factor``: up at a ``fail_slow``,
+    back at the rejoin, and the loop serves at the column's price."""
+    unit = SimulationConfig().service_time
+    slowed = [unit, unit * 8.0, unit, unit]
+    # With a replica write priced like a visit, every booking costs one unit.
+    healthy, _, columns = _replay(tiny_dtr_workload, 4, replica_write_work=1.0)
+    assert columns == [[unit] * 4]
+    assert healthy.busy_time == pytest.approx([unit * n for n in healthy.served])
+    rejoined, _, columns = _replay(
+        tiny_dtr_workload, 4, "fail_slow:1@ops=300:x8", "recover:1@ops=900",
+        replica_write_work=1.0,
+    )
+    assert columns == [[unit] * 4, slowed, [unit] * 4]
+    stuck, _, columns = _replay(
+        tiny_dtr_workload, 4, "fail_slow:1@ops=300:x8", replica_write_work=1.0
+    )
+    assert columns == [[unit] * 4, slowed]
+
+    def per_visit(sim, sid):
+        return sim.busy_time[sid] / sim.served[sid]
+
+    assert per_visit(stuck, 1) > per_visit(rejoined, 1) > unit * 1.5
+    assert per_visit(rejoined, 0) == pytest.approx(unit)
 
 
-def test_server_service_time_validation():
-    with pytest.raises(ValueError):
-        MetadataServer(0, service_time=0.0)
+def test_server_failure_blocks_processing(tiny_dtr_workload):
+    """A crashed server has no visit cost and books nothing until it
+    rejoins; a server that never comes back serves strictly less."""
+    unit = SimulationConfig().service_time
+    down = [unit, None, unit, unit]
+    gone, _, columns = _replay(tiny_dtr_workload, 4, "crash:1@ops=300")
+    assert columns == [[unit] * 4, down]
+    back, result, columns = _replay(
+        tiny_dtr_workload, 4, "crash:1@ops=300", "recover:1@ops=900"
+    )
+    assert columns == [[unit] * 4, down, [unit] * 4]
+    assert result.availability.rejoins == 1
+    assert back.served[1] > gone.served[1] > 0
+    assert back.busy_time[1] > gone.busy_time[1]
+
+
+def test_server_service_time_validation(tiny_dtr_workload):
+    """Input validation, where the config is read."""
+    with pytest.raises(ValueError, match="service_time"):
+        ClusterSimulator(
+            D2TreeScheme(), tiny_dtr_workload, 4, SimulationConfig(service_time=0)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,7 @@ def test_dead_server_stops_serving(workload):
     cfg = config(fault_plan=plan("crash:1@ops=800"))
     sim = ClusterSimulator(D2TreeScheme(), workload, 4, cfg)
     sim.run()
-    served_before_crash = sim.servers[1].served
+    served_before_crash = sim.served[1]
     # Run again without the failure: the same server serves strictly more.
     healthy = ClusterSimulator(D2TreeScheme(), workload, 4, config()).run()
     assert served_before_crash < healthy.server_visits[1]

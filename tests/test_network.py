@@ -25,7 +25,7 @@ def test_fault_free_path_makes_zero_rng_draws():
     net = SimNetwork(seed=7)
     before = net._rng.getstate()
     assert net.deliver(mds_addr(0), mon_addr(0), 1.5) == 1.5
-    assert net.client_arrival(2, 0.25) == 0.25
+    assert net.data_arrival(CLIENT_ADDR, mds_addr(2), 0.25) == 0.25
     assert net.server_arrival(0, 1, 0.5) == 0.5
     assert net._rng.getstate() == before
     assert net.messages_dropped == 0 and net.messages_delayed == 0
@@ -42,7 +42,7 @@ def test_mute_drops_control_plane_both_directions():
     assert net.deliver(mon_addr(0), mds_addr(1), 1.0) is None
     assert net.deliver(mds_addr(0), mon_addr(0), 1.0) == 1.0
     # ... but not the data plane: a muted server still serves clients.
-    assert net.client_arrival(1, 1.0) == 1.0
+    assert net.data_arrival(CLIENT_ADDR, mds_addr(1), 1.0) == 1.0
     net.unmute(mds_addr(1))
     assert not net.faulty
     assert net.deliver(mds_addr(1), mon_addr(0), 1.0) == 1.0
@@ -62,8 +62,8 @@ def test_partition_splits_interconnect_but_not_clients():
     assert net.server_arrival(0, 2, 1.0) is None
     # ... but the WAN is not the cluster interconnect: clients still reach
     # both sides (which is what makes false eviction observable).
-    assert net.client_arrival(0, 1.0) == 1.0
-    assert net.client_arrival(2, 1.0) == 1.0
+    assert net.data_arrival(CLIENT_ADDR, mds_addr(0), 1.0) == 1.0
+    assert net.data_arrival(CLIENT_ADDR, mds_addr(2), 1.0) == 1.0
 
 
 def test_unlisted_endpoints_ride_with_group_zero():
@@ -112,18 +112,21 @@ def test_blackhole_loss_drops_everything():
     net = SimNetwork(seed=3)
     net.set_loss(mds_addr(1), 1.0)
     assert net.deliver(mds_addr(1), mon_addr(0), 1.0) is None
-    assert net.client_arrival(1, 1.0) is None
+    assert net.data_arrival(CLIENT_ADDR, mds_addr(1), 1.0) is None
     assert net.server_arrival(0, 1, 1.0) is None
     assert net.messages_dropped == 3
     # Other servers' links are untouched.
-    assert net.client_arrival(0, 1.0) == 1.0
+    assert net.data_arrival(CLIENT_ADDR, mds_addr(0), 1.0) == 1.0
 
 
 def test_partial_loss_is_seeded_and_partial():
     def drops(seed):
         net = SimNetwork(seed=seed)
         net.set_loss(mds_addr(0), 0.5)
-        return [net.client_arrival(0, 1.0) is None for _ in range(200)]
+        return [
+            net.data_arrival(CLIENT_ADDR, mds_addr(0), 1.0) is None
+            for _ in range(200)
+        ]
 
     first, second = drops(11), drops(11)
     assert first == second  # deterministic given the send sequence
@@ -147,7 +150,7 @@ def test_loss_probability_validated_and_clearable():
 def test_delay_adds_bounded_seeded_extra_latency():
     net = SimNetwork(seed=5)
     net.set_delay(mds_addr(0), 1e-3)
-    arrivals = [net.client_arrival(0, 1.0) for _ in range(100)]
+    arrivals = [net.data_arrival(CLIENT_ADDR, mds_addr(0), 1.0) for _ in range(100)]
     assert all(1.0 <= t < 1.0 + 2e-3 for t in arrivals)
     assert len(set(arrivals)) > 1  # uniform draws, not a constant
     assert net.messages_delayed == 100
@@ -182,4 +185,4 @@ def test_client_addr_is_not_partitionable():
     net = SimNetwork()
     net.partition("p", [[mds_addr(0)], [mds_addr(1), CLIENT_ADDR]])
     # Even named into a group, client sends ignore partitions by design.
-    assert net.client_arrival(0, 1.0) == 1.0
+    assert net.data_arrival(CLIENT_ADDR, mds_addr(0), 1.0) == 1.0

@@ -11,7 +11,9 @@ Locks down the properties ``repro.simulation.routing`` documents:
 import pytest
 
 from repro import registry
+from repro.cluster import SimClient
 from repro.cluster.messages import VisitKind
+from repro.core import NamespaceTree
 from repro.simulation import FaultPlan, SimulationConfig
 from repro.simulation.routing import FastRoutingEngine, make_engine
 from repro.simulation.runner import ClusterSimulator
@@ -83,7 +85,7 @@ def test_invalidate_flushes_to_correct_state(workload):
 
 
 def test_index_survives_structure_mutation(workload):
-    """A tree mutation re-interns the PathTable transparently."""
+    """A tree mutation re-issues the engine's arena transparently."""
     sim = _d2_sim(workload)
     client = sim.clients[0]
     node = sim.tree.add_path("/fresh/subdir/file.txt")
@@ -91,6 +93,33 @@ def test_index_survives_structure_mutation(workload):
     plan = sim.plan_route(client, node, OpType.READ)
     assert plan.visits[-1].kind is VisitKind.SERVE
     assert plan.visits[-1].server == sim.placement.primary_of(node)
+
+
+@pytest.mark.parametrize("scheme", ["d2-tree", "static-hash"])
+def test_memo_columns_cover_the_id_space_after_a_remove(scheme):
+    """Node ids index the whole id space, retired slots included, so the
+    planner's columns are sized from it: with the live-path count (one
+    short per removed node) the highest ids ran off the end of both
+    planners' columns. A removed node's own slot is never asked for."""
+    tree = NamespaceTree()
+    for d in range(4):
+        tree.add_path(f"/d{d}", is_directory=True)
+        for f in range(5):
+            tree.record_access(tree.add_path(f"/d{d}/f{f}"), 1.0 + d + f)
+    tree.aggregate_popularity()
+    gone = tree.lookup("/d0/f0")
+    tree.remove(gone)
+    assert len(tree) == 24 and tree.nodes[-1].node_id == 24
+    placement = registry.create(scheme).partition(tree, 3)
+    engine = FastRoutingEngine(tree, placement)
+    assert engine.arena.size == 25
+    client = SimClient(0, 3)
+    for node in tree:  # live nodes only: the walk skips the retired slot
+        plan = engine.plan(client, node, OpType.READ)
+        assert plan.visits[-1].server in placement.servers_of(node)
+    for column in (engine._root_id, engine._primary_stamp, engine._replica_stamp):
+        assert len(column) == 25 and column[gone.node_id] == -1
+    assert not engine._global_bits[gone.node_id]
 
 
 def test_owner_index_is_current_after_crash_and_rejoin(workload):

@@ -14,11 +14,10 @@ from repro.baselines import HashScheme, StaticSubtreeScheme
 from repro.chaos.history import OpHistory
 from repro.core import D2TreeScheme
 from repro.core.namespace import PopularityEstimate
-from repro.placement import Placement
+from repro.placement import Migration, Placement
 from repro.simulation import (
     ClusterSimulator,
     FaultPlan,
-    ResourceTimeline,
     SimNetwork,
     SimulationConfig,
     replay_rounds,
@@ -34,35 +33,8 @@ from tests.test_mutation_properties import (
 
 
 # ----------------------------------------------------------------------
-# Engine primitives
+# Network and latency primitives
 # ----------------------------------------------------------------------
-def test_timeline_fifo():
-    timeline = ResourceTimeline()
-    assert timeline.serve(0.0, 1.0) == 1.0
-    assert timeline.serve(0.5, 1.0) == 2.0
-    assert timeline.serve(10.0, 1.0) == 11.0
-    assert timeline.served == 3
-    assert timeline.busy_time == pytest.approx(3.0)
-
-
-def test_timeline_background_appends_without_gap():
-    timeline = ResourceTimeline()
-    timeline.serve(0.0, 1.0)
-    timeline.serve_background(0.5)
-    assert timeline.busy_until == pytest.approx(1.5)
-    # Idle server: background work lands in the past (absorbed for free).
-    idle = ResourceTimeline()
-    idle.serve_background(0.25)
-    assert idle.busy_until == pytest.approx(0.25)
-
-
-def test_timeline_utilization():
-    timeline = ResourceTimeline()
-    timeline.serve(0.0, 2.0)
-    assert timeline.utilization(4.0) == pytest.approx(0.5)
-    assert timeline.utilization(0.0) == 0.0
-
-
 def test_network_model():
     net = SimNetwork(hop_latency=0.01)
     assert net.hop() == 0.01
@@ -85,6 +57,7 @@ def test_latency_summary():
 # Full replay
 # ----------------------------------------------------------------------
 FAST = SimulationConfig(num_clients=20, adjust_every_ops=400)
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def test_simulate_d2(tiny_dtr_workload):
@@ -127,6 +100,132 @@ def test_more_servers_more_throughput(tiny_dtr_workload):
 def test_utilizations_bounded(tiny_dtr_workload):
     result = simulate(D2TreeScheme(), tiny_dtr_workload, 4, FAST)
     assert all(0.0 <= u <= 1.0 for u in result.server_utilization)
+
+
+# ----------------------------------------------------------------------
+# Server CPU state: the simulator's busy_until / busy_time / served lists
+# ----------------------------------------------------------------------
+#: Whole-second costs and no lock service: every time below is exact.
+UNIT = dict(
+    service_time=1.0, lock_acquire_latency=0.0, lock_hold_time=0.0,
+    adjust_every_ops=0,
+)
+
+
+def test_timeline_fifo(tiny_dtr_workload):
+    """One server, five clients, no network: the busy-until clock is a FIFO
+    queue that never idles (``test_cluster.py::test_server_fifo_queueing``
+    has the per-op view of the same queue)."""
+    ops = len(tiny_dtr_workload.trace)
+    config = SimulationConfig(num_clients=5, hop_latency=0.0, **UNIT)
+    sim = ClusterSimulator(D2TreeScheme(), tiny_dtr_workload, 1, config)
+    result = sim.run()
+    assert result.makespan == float(ops)
+    assert sim.served == result.server_visits == [ops]
+    assert sim.busy_time == sim.busy_until == [float(ops)]
+
+
+def test_timeline_utilization(tiny_dtr_workload):
+    """One client half a second away: the server idles while request and
+    reply travel (an idle gap, then serve), so it is busy half the run."""
+    ops = len(tiny_dtr_workload.trace)
+    config = SimulationConfig(num_clients=1, hop_latency=0.5, **UNIT)
+    sim = ClusterSimulator(D2TreeScheme(), tiny_dtr_workload, 1, config)
+    result = sim.run()
+    assert result.makespan == 2.0 * ops
+    assert sim.busy_time == [float(ops)]
+    assert sim.busy_until == [2.0 * ops - 0.5]  # the last reply's hop
+    assert result.latency.maximum == 2.0  # nothing ever queued
+    assert result.server_utilization == [0.5]
+    # A run that served nothing has no horizon to be busy over.
+    idle = simulate(D2TreeScheme(), tiny_dtr_workload.truncated(0), 2, config)
+    assert idle.makespan == 0.0 and idle.server_utilization == [0.0, 0.0]
+
+
+def test_timeline_background_appends_without_gap(tiny_dtr_workload):
+    """Migration CPU joins each live endpoint's queue tail: on an idle
+    server it lands in the past (absorbed for free) instead of
+    fast-forwarding the clock to the round's time; a dead endpoint does no
+    work."""
+    sim = ClusterSimulator(D2TreeScheme(), tiny_dtr_workload, 4, FAST)
+    node = sim.tree.root.children[0]
+    cost = FAST.migration_work * node.subtree_size() * FAST.service_time
+    sim.busy_until[0] = 1.0  # server 0 has a backlog, server 1 is idle
+    sim._charge_migrations([Migration(node, 0, 1)])
+    assert sim.busy_until == [1.0 + cost, cost, 0.0, 0.0]
+    assert sim.busy_time == [cost, cost, 0.0, 0.0]
+    assert sim.served == [1, 1, 0, 0]
+    sim.servers[0].fail()
+    sim._charge_migrations([Migration(node, 0, 1)])
+    assert sim.served == [1, 2, 0, 0] and sim.busy_time[0] == cost
+
+
+def _record_charges(sim):
+    """Wrap ``sim._charge_migrations``: for every call that moved something,
+    the moves and the three CPU lists before and after it."""
+    calls = []
+    charge = sim._charge_migrations
+
+    def recording(moves):
+        before = (list(sim.busy_until), list(sim.busy_time), list(sim.served))
+        charge(moves)
+        if moves:
+            after = (list(sim.busy_until), list(sim.busy_time), list(sim.served))
+            calls.append((list(moves), before, after))
+
+    sim._charge_migrations = recording
+    return calls
+
+
+def _check_charge(result, moves, before, after, paying):
+    """One recorded ``_charge_migrations`` call: each server in ``paying``
+    booked gap-free background work, nobody else booked anything, and the
+    loop's next visits queued behind it."""
+    for sid in range(result.num_servers):
+        d_until, d_time, d_served = (
+            after[col][sid] - before[col][sid] for col in range(3)
+        )
+        if sid in paying:
+            # A moved node costs 10 s of CPU here; the fault-free run takes
+            # under one second.
+            assert d_served >= 1 and d_time >= 10.0
+            assert d_until == pytest.approx(d_time)  # appended, never fast-forwarded
+        else:
+            assert (d_until, d_time, d_served) == (0.0, 0.0, 0)
+    # Nothing to copy in: the charged clocks are the ones the next visits
+    # were served on, so the run lasts past the largest of them.
+    assert result.makespan > max(after[0]) > 10.0
+
+
+def test_adjust_round_charges_are_on_the_loops_lists(tiny_dtr_workload):
+    config = dataclasses.replace(FAST, migration_work=1e4)
+    sim = ClusterSimulator(D2TreeScheme(), tiny_dtr_workload, 4, config)
+    calls = _record_charges(sim)
+    result = sim.run()
+    moves, before, after = calls[0]
+    # Nothing to copy out: the visits of the 400 ops completed before the
+    # first round were already on the simulator's lists when it ran.
+    assert sum(before[2]) >= 400 and min(before[0]) > 0.0
+    paying = {m.source for m in moves} | {m.target for m in moves}
+    _check_charge(result, moves, before, after, paying)
+    assert result.server_visits == sim.served
+
+
+def test_evict_charges_the_receiving_servers_before_the_next_visit(
+    tiny_dtr_workload,
+):
+    config = dataclasses.replace(
+        FAST, adjust_every_ops=0, migration_work=1e4,
+        fault_plan=FaultPlan.parse(["crash:1@ops=300"]),
+    )
+    sim = ClusterSimulator(D2TreeScheme(), tiny_dtr_workload, 4, config)
+    calls = _record_charges(sim)
+    result = sim.run()
+    assert result.availability.detection_latency[1] > 0.0
+    (moves, before, after), = calls  # the re-home that followed detection
+    assert {m.source for m in moves} == {1}
+    # The dead source does no work: only the receiving side pays.
+    _check_charge(result, moves, before, after, {m.target for m in moves})
 
 
 def test_simulator_plan_routes_cover_target(tiny_dtr_workload):
@@ -327,10 +426,7 @@ def test_one_replay_loop_one_adjustment_round():
     one event loop and one ``_adjust``, and reads neither of the two inert
     config fields perfbench still names. No second engine, columnar twin,
     path-keyed window or per-round whole-tree window column comes back."""
-    source = (
-        pathlib.Path(__file__).resolve().parent.parent
-        / "src" / "repro" / "simulation" / "runner.py"
-    ).read_text()
+    source = (SRC / "simulation" / "runner.py").read_text()
     assert len(re.findall(r"^ *while events\b", source, re.M)) == 1
     assert len(re.findall(r"^ *def _run\w*\(", source, re.M)) == 1
     assert len(re.findall(r"^ *def _adjust\b", source, re.M)) == 1
@@ -344,8 +440,13 @@ def test_one_replay_loop_one_adjustment_round():
     for gone in (
         "_columnar_eligible", "_adjust_columnar", "_window_counts",
         "zero_loads", "blend_popularity",
+        "_sync_out", "_sync_in", "visit_cost", "path_table",
     ):
         assert gone not in source
+    # The cluster model does not reach back into the simulator for a queue.
+    for module in ("mds.py", "locks.py"):
+        text = (SRC / "cluster" / module).read_text()
+        assert not re.search(r"^\s*(from|import) repro\.simulation", text, re.M)
 
 
 # ----------------------------------------------------------------------

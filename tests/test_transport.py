@@ -197,7 +197,7 @@ def test_partition_blocks_control_but_not_client_data():
             )
             assert sent is False
             # Clients sit outside the partition model: data-plane frames
-            # still land exactly as SimNetwork.client_arrival allows.
+            # still land exactly as the shared data_arrival rule allows.
             assert await transport.send_data(
                 CLIENT_ADDR, "mds:0", writer, encode_frame(PING)
             )
