@@ -17,15 +17,31 @@ rings, whose arcs rarely line up on the same server (Fig. 6).
 from __future__ import annotations
 
 import bisect
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.placement import DEAD_CAPACITY, MetadataScheme, Migration, Placement
+from repro.placement import MetadataScheme, Migration, Placement, live_owner
 from repro.registry import register
-from repro.baselines.drop import preorder_keys
+from repro.baselines.drop import preorder_keys, sorted_by_value
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
 
 __all__ = ["AngleCutScheme", "AngleCutPlacement"]
+
+#: One ring in walk order: its nodes, their angles, the runs of equal angle.
+_Ring = Tuple[List[MetadataNode], List[float], List[Tuple[int, int]]]
+
+
+def _equal_runs(values: List[float]) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of every run of two or more equal ``values``."""
+    runs: List[Tuple[int, int]] = []
+    start = 0
+    for _value, run in groupby(values):
+        stop = start + sum(1 for _ in run)
+        if stop - start > 1:
+            runs.append((start, stop))
+        start = stop
+    return runs
 
 
 class AngleCutPlacement(Placement):
@@ -47,6 +63,8 @@ class AngleCutPlacement(Placement):
             [(k + 1) / num_servers for k in range(num_servers - 1)]
             for _ in range(num_rings)
         ]
+        self._angle_order: Optional[Tuple[List[MetadataNode], List[Tuple[int, float]]]] = None
+        self._rings: List[_Ring] = []
 
     def server_for(self, ring: int, angle: float) -> int:
         """Arc owner of ``angle`` on ``ring`` (with per-ring rotation).
@@ -54,29 +72,53 @@ class AngleCutPlacement(Placement):
         The rotation offsets successive rings by one server so a single
         server does not own the same angular window on every ring — the
         Chord-style placement AngleCut uses to spread correlated prefixes.
+        A failed owner's arc merges into the next live server's.
         """
         arc = bisect.bisect_right(self.ring_boundaries[ring], angle)
-        owner = (arc + ring) % self.num_servers
-        cap_floor = max(DEAD_CAPACITY, 1e-6 * max(self.capacities))
-        if self.capacities[owner] > cap_floor:
-            return owner
-        # The owner is failed (DEAD_CAPACITY sentinel): its arc — degenerate
-        # after a boundary re-fit, but still hit by boundary-tie angles —
-        # merges into the next live server's arc around the ring.
-        for step in range(1, self.num_servers):
-            candidate = (arc + step + ring) % self.num_servers
-            if self.capacities[candidate] > cap_floor:
-                return candidate
-        return owner
+        return live_owner(self.capacities, arc + ring)
 
-    def apply_boundaries(self) -> None:
-        """Reassign every node according to the current arc boundaries."""
-        for node, (ring, angle) in self.angles.items():
-            self.assign(node, self.server_for(ring, angle))
+    def arc_owners(self) -> List[List[int]]:
+        """Per ring, the owner of every arc under the current boundaries,
+        indexed like ``bisect_right(ring_boundaries[ring], angle)``."""
+        return [
+            [live_owner(self.capacities, arc + ring) for arc in range(len(bounds) + 1)]
+            for ring, bounds in enumerate(self.ring_boundaries)
+        ]
+
+    def ring_order(self) -> List[_Ring]:
+        """Per ring: its nodes in angle order (equal angles in ``angles``
+        order), their angles, and the ``(start, stop)`` runs of equal angle.
+        Sorted once and kept across rounds while the projection is
+        unchanged."""
+        order = sorted_by_value(self.angles, self._angle_order)
+        if order is not self._angle_order:
+            self._angle_order = order
+            rings: List[Tuple[List[MetadataNode], List[float]]] = [
+                ([], []) for _ in range(self.num_rings)
+            ]
+            for node, (ring, angle) in zip(*order):
+                rings[ring][0].append(node)
+                rings[ring][1].append(angle)
+            self._rings = [(nodes, angles, _equal_runs(angles)) for nodes, angles in rings]
+        return self._rings
+
+    def apply_boundaries(self) -> List[Migration]:
+        """Place every projected node by the current arc boundaries; returns
+        the moves in ``angles`` order (see :meth:`Placement.reassign`)."""
+        owners, bounds = self.arc_owners(), self.ring_boundaries
+        return self.reassign(
+            (node, owners[ring][bisect.bisect_right(bounds[ring], angle)])
+            for node, (ring, angle) in self.angles.items()
+        )
+
+    def counted_nodes(self) -> None:
+        """Every node: each ring's arcs are popularity quantiles."""
+        return None
 
     def forget(self, node) -> bool:
         """Drop a node and its ring projection."""
         self.angles.pop(node, None)
+        self._angle_order = None  # a re-projected node sorts after its equals
         return super().forget(node)
 
 
@@ -121,16 +163,10 @@ class AngleCutScheme(MetadataScheme):
         """Re-fit arc boundaries to the current popularity distribution."""
         tree.ensure_popularity()
         new_boundaries = self._quantile_boundaries(placement)
-        migrations: List[Migration] = []
-        if new_boundaries != placement.ring_boundaries:
-            old = {node: placement.primary_of(node) for node in placement.angles}
-            placement.ring_boundaries = new_boundaries
-            placement.apply_boundaries()
-            for node in placement.angles:
-                new = placement.primary_of(node)
-                if new != old[node]:
-                    migrations.append(Migration(node, old[node], new))
-        return migrations
+        if new_boundaries == placement.ring_boundaries:
+            return []
+        placement.ring_boundaries = new_boundaries
+        return placement.apply_boundaries()
 
     def place_created(self, tree, placement, node):
         """Project the new node: ring by depth, angle next to its parent."""
@@ -148,13 +184,13 @@ class AngleCutScheme(MetadataScheme):
         cap_total = sum(placement.capacities)
         shares = [cap / cap_total for cap in placement.capacities]
         boundaries: List[List[float]] = []
-        for ring in range(placement.num_rings):
-            entries = sorted(
-                (angle, node.individual_popularity + 1e-9)
-                for node, (r, angle) in placement.angles.items()
-                if r == ring
-            )
-            total = sum(weight for _a, weight in entries)
+        for ring, (nodes, angles, ties) in enumerate(placement.ring_order()):
+            weights = [node.individual_popularity + 1e-9 for node in nodes]
+            # A ring is walked in (angle, weight) order: equal angles (a
+            # created node takes its parent's) go by this round's weight.
+            for start, stop in ties:
+                weights[start:stop] = sorted(weights[start:stop])
+            total = sum(weights)
             ring_bounds: List[float] = []
             # Arc k on this ring belongs to server (k + ring) % M; size each
             # arc to its owner's capacity share.
@@ -166,7 +202,7 @@ class AngleCutScheme(MetadataScheme):
                 targets.append(acc * total)
             running = 0.0
             t = 0
-            for angle, weight in entries:
+            for angle, weight in zip(angles, weights):
                 if t >= len(targets):
                     break
                 running += weight

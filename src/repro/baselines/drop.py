@@ -17,9 +17,9 @@ suffers and keeps degrading as the cluster scales — ``V·M`` ranges means
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.placement import DEAD_CAPACITY, MetadataScheme, Migration, Placement
+from repro.placement import MetadataScheme, Migration, Placement, live_owner
 from repro.registry import register
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
@@ -73,6 +73,20 @@ def pathname_cluster_keys(tree: NamespaceTree) -> Dict[MetadataNode, float]:
     return keys
 
 
+def sorted_by_value(mapping: Dict, cached: Optional[Tuple[List, List]] = None):
+    """``(keys, values)`` of ``mapping`` in value order, equal values in
+    mapping order — a stable sort. ``cached``, an earlier result, is
+    returned as it is while it still describes ``mapping`` (same size, every
+    key still mapped to the value it was sorted by): an O(n) check instead
+    of a re-sort per adjustment round."""
+    if cached is not None:
+        keys, values = cached
+        if len(keys) == len(mapping) and list(map(mapping.get, keys)) == values:
+            return cached
+    keys = sorted(mapping, key=mapping.__getitem__)
+    return keys, [mapping[key] for key in keys]
+
+
 class DropPlacement(Placement):
     """Placement defined by virtual-range boundaries over preorder keys."""
 
@@ -93,6 +107,7 @@ class DropPlacement(Placement):
         self.boundaries: List[float] = [
             (r + 1) / num_ranges for r in range(num_ranges - 1)
         ]
+        self._key_order: Optional[Tuple[List[MetadataNode], List[float]]] = None
 
     @property
     def num_ranges(self) -> int:
@@ -100,29 +115,39 @@ class DropPlacement(Placement):
         return self.num_servers * self.virtual_nodes_per_server
 
     def server_for_key(self, key: float) -> int:
-        """Physical owner of ``key`` (virtual ranges round-robin to servers)."""
-        virtual_range = bisect.bisect_right(self.boundaries, key)
-        owner = virtual_range % self.num_servers
-        cap_floor = max(DEAD_CAPACITY, 1e-6 * max(self.capacities))
-        if self.capacities[owner] > cap_floor:
-            return owner
-        # The owner is failed (DEAD_CAPACITY sentinel): its virtual range —
-        # degenerate after an HDLB re-fit, but still hit by boundary-tie
-        # keys — merges into the next live server's range.
-        for step in range(1, self.num_servers):
-            candidate = (virtual_range + step) % self.num_servers
-            if self.capacities[candidate] > cap_floor:
-                return candidate
-        return owner
+        """Physical owner of ``key`` (virtual ranges round-robin to servers;
+        a failed owner's range merges into the next live server's)."""
+        return live_owner(self.capacities, bisect.bisect_right(self.boundaries, key))
 
-    def apply_boundaries(self) -> None:
-        """Reassign every node according to the current boundaries."""
-        for node, key in self.keys.items():
-            self.assign(node, self.server_for_key(key))
+    def range_owners(self) -> List[int]:
+        """Physical owner of every virtual range under the current
+        boundaries, indexed like ``bisect_right(boundaries, key)``."""
+        return [live_owner(self.capacities, r) for r in range(len(self.boundaries) + 1)]
+
+    def key_order(self) -> Tuple[List[MetadataNode], List[float]]:
+        """The keyed nodes in key order (equal keys in ``keys`` order) and
+        their keys: the HDLB histogram's walk, sorted once and kept across
+        rounds while the keyspace is unchanged."""
+        self._key_order = sorted_by_value(self.keys, self._key_order)
+        return self._key_order
+
+    def apply_boundaries(self) -> List[Migration]:
+        """Place every keyed node by the current boundaries; returns the
+        moves in ``keys`` order (see :meth:`Placement.reassign`)."""
+        owners, boundaries = self.range_owners(), self.boundaries
+        return self.reassign(
+            (node, owners[bisect.bisect_right(boundaries, key)])
+            for node, key in self.keys.items()
+        )
+
+    def counted_nodes(self) -> None:
+        """Every node: HDLB's histogram weighs each key."""
+        return None
 
     def forget(self, node) -> bool:
         """Drop a node and its keyspace entry."""
         self.keys.pop(node, None)
+        self._key_order = None  # a re-keyed node sorts after its equals
         return super().forget(node)
 
 
@@ -176,16 +201,10 @@ class DropScheme(MetadataScheme):
         """HDLB: move boundaries to the current popularity quantiles."""
         tree.ensure_popularity()
         new_boundaries = self._quantile_boundaries(placement)
-        migrations: List[Migration] = []
-        if new_boundaries != placement.boundaries:
-            old_server = {node: placement.primary_of(node) for node in placement.keys}
-            placement.boundaries = new_boundaries
-            placement.apply_boundaries()
-            for node in placement.keys:
-                new = placement.primary_of(node)
-                if new != old_server[node]:
-                    migrations.append(Migration(node, old_server[node], new))
-        return migrations
+        if new_boundaries == placement.boundaries:
+            return []
+        placement.boundaries = new_boundaries
+        return placement.apply_boundaries()
 
     def place_created(self, tree, placement, node):
         """Key the new pathname and place it in the owning virtual range."""
@@ -212,11 +231,9 @@ class DropScheme(MetadataScheme):
         Weighted by *individual* popularity (a node's served traffic) plus a
         tiny floor so cold keyspace regions still split.
         """
-        entries = sorted(
-            ((key, node.individual_popularity + 1e-9) for node, key in placement.keys.items()),
-            key=lambda item: item[0],
-        )
-        total = sum(weight for _key, weight in entries)
+        nodes, keys = placement.key_order()
+        weights = [node.individual_popularity + 1e-9 for node in nodes]
+        total = sum(weights)
         cap_total = sum(placement.capacities)
         v = placement.virtual_nodes_per_server
         targets = []
@@ -228,7 +245,7 @@ class DropScheme(MetadataScheme):
         boundaries = []
         running = 0.0
         t = 0
-        for key, weight in entries:
+        for key, weight in zip(keys, weights):
             if t >= len(targets):
                 break
             running += weight

@@ -55,6 +55,11 @@ class DynamicSubtreePlacement(Placement):
             resolved[node] = server
             self.assign(node, server)
 
+    def counted_nodes(self) -> None:
+        """Every node: a zone's load and a split's candidates are read off
+        the whole tree."""
+        return None
+
     def forget(self, node: MetadataNode) -> bool:
         """Drop a node and any zone-root entry it held."""
         self.zone_of.pop(node, None)

@@ -44,7 +44,7 @@ import enum
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, List, NamedTuple, Tuple
+from typing import Any, List, NamedTuple, Sequence, Tuple
 
 __all__ = [
     "WIRE_VERSION",
@@ -139,9 +139,11 @@ class RoutePlan:
     ``visits`` are served sequentially; ``fanout`` servers are written in
     parallel after the sequential part (used by global-layer updates);
     ``lock_key`` serialises the operation through the lock service first.
+    The route planner hands out shared plans, so a plan is read-only once
+    built; a shared plan's ``visits`` is a tuple.
     """
 
-    visits: List[Visit] = field(default_factory=list)
+    visits: Sequence[Visit] = field(default_factory=list)
     fanout: List[int] = field(default_factory=list)
     lock_key: str = ""
 

@@ -188,14 +188,15 @@ class PopularityEstimate:
         Each of the ``counted`` nodes has its ``popularity`` blended with
         the counts under it: ``counter_ids(nodes)`` names, per node, the
         counted node whose total includes it (-1: none). ``None`` means
-        every node carries a counter; the caller materialises.
+        every node carries a counter; the caller materialises. With no
+        counted node (a static placement) the window is only queued.
         """
         self.round += 1
         self._pending.append(counts)
         if sum(map(len, self._pending)) > self.arena.size:
             self._settle()  # the backlog never outgrows the columns it feeds
         self._stale = True
-        if counted is None:
+        if not counted:
             return
         blend, keep = self.blend, self.keep
         under: Dict[int, int] = {}

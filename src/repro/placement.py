@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # imported lazily to avoid a package-init cycle
     from repro.core.namespace import NamespaceTree
     from repro.core.node import MetadataNode
 
-__all__ = ["DEAD_CAPACITY", "Placement", "MetadataScheme", "Migration"]
+__all__ = ["DEAD_CAPACITY", "live_owner", "Placement", "MetadataScheme", "Migration"]
 
 #: Capacity sentinel for a failed server. The single convention shared by
 #: every failure path (`repro.cluster.failure.fail_server`,
@@ -32,6 +32,21 @@ __all__ = ["DEAD_CAPACITY", "Placement", "MetadataScheme", "Migration"]
 #: It is positive — not 0.0 — so capacity-ratio math (``L_k / C_k`` in
 #: Eq. 2, deficit shares) stays well-defined without renumbering servers.
 DEAD_CAPACITY = 1e-12
+
+
+def live_owner(capacities: Sequence[float], position: int) -> int:
+    """Owner of slot ``position`` on a ring of slots dealt round-robin to
+    the servers (DROP's virtual ranges, AngleCut's arcs): server
+    ``position mod M`` — or, when that server is failed (capacity at the
+    dead sentinel or under a millionth of the largest), the next live one
+    round the ring. A failed server's slots are degenerate after a re-fit,
+    but still hit by boundary-tie keys and by keys placed before one."""
+    m = len(capacities)
+    floor = max(DEAD_CAPACITY, 1e-6 * max(capacities))
+    for step in range(m):
+        if capacities[(position + step) % m] > floor:
+            return (position + step) % m
+    return position % m
 
 
 class Placement:
@@ -81,6 +96,25 @@ class Placement:
     def move(self, node: MetadataNode, server: int) -> None:
         """Reassign a (non-replicated) node to another server."""
         self.assign(node, server)
+
+    def reassign(self, owners: Iterable[Tuple[MetadataNode, int]]) -> List["Migration"]:
+        """Place each ``(node, server)`` in order, touching only nodes that
+        are new or whose server changed; returns the moves of the latter.
+
+        ``version`` is bumped once more even when nothing moved: the rule
+        that placed the nodes changed.
+        """
+        servers_of = self._servers_of
+        moves: List[Migration] = []
+        for node, server in owners:
+            current = servers_of.get(node)
+            if current is None:
+                self.assign(node, server)
+            elif current[0] != server:
+                moves.append(Migration(node, current[0], server))
+                self.assign(node, server)
+        self.version += 1
+        return moves
 
     def grow(self, capacity: float = 1.0) -> int:
         """Add one empty server to the cluster; returns its index.
@@ -160,9 +194,11 @@ class Placement:
     def counted_nodes(self) -> Optional[Iterable[MetadataNode]]:
         """The nodes whose ``popularity`` the control plane reads between
         adjustment rounds (rebalance, re-home, placing a created node): the
-        ones an MDS keeps an access counter on. ``None`` is every node — a
-        per-key or per-zone policy pays the whole-tree pass each round."""
-        return None
+        ones an MDS keeps an access counter on. A static placement reads
+        none; ``None`` is every node — a per-key or per-zone policy
+        (DROP, AngleCut, dynamic subtree) pays the whole-tree pass each
+        round."""
+        return ()
 
     def jumps_for(self, node: MetadataNode) -> int:
         """Jump count ``jp_j`` of Def. 1 for a path traversal to ``node``.

@@ -20,6 +20,16 @@ owner in O(1). Plans are deterministic; the D2 decisions are frozen
 by ``tests/golden/perfect_network_d2.json``, captured from the string-keyed
 per-op planner this engine replaced.
 
+Plans are **interned**: every plan whose visits are fixed by a server
+sequence alone is one shared object per engine — the single-SERVE plan of
+each server, and the two-visit ENTRY→SERVE and REDIRECT→SERVE plans of a
+cold or stale D2 index entry, one per ``(first server, owner, kind)``. A
+returned plan is therefore read-only to every consumer: interned plans
+carry their visits as a tuple so an accidental write raises, and all plans
+share one empty ``fanout`` list. Only a global-layer UPDATE (per-node
+``lock_key``, replica fan-out) and a multi-visit generic walk are built
+per operation.
+
 Owner-index invalidation is versioned, not subscribed:
 
 * ``Placement.version`` — bumped on every assignment mutation; guards the
@@ -42,7 +52,7 @@ re-derive there costs one miss per touched node.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.client import SimClient
 from repro.cluster.messages import RoutePlan, Visit, VisitKind
@@ -53,14 +63,18 @@ from repro.traces.trace import OpType
 
 __all__ = ["FastRoutingEngine", "make_engine"]
 
-#: Shared by warm-path plans: consumers only iterate or replace ``fanout``,
-#: never mutate it in place, so one immutable-by-convention empty list
-#: avoids an allocation per plan.
+#: Shared by every plan without a fan-out: consumers only iterate or
+#: replace ``fanout``, never mutate it in place, so one
+#: immutable-by-convention empty list avoids an allocation per plan.
 _EMPTY_FANOUT: List[int] = []
 
-#: Module-local alias: the planners test this once per op and a global
+#: Module-local aliases: the planners read these per op and a global
 #: enum-member load is cheaper than attribute access on the enum class.
 _UPDATE = OpType.UPDATE
+_ENTRY = VisitKind.ENTRY
+_TRAVERSAL = VisitKind.TRAVERSAL
+_REDIRECT = VisitKind.REDIRECT
+_SERVE = VisitKind.SERVE
 
 
 def make_engine(name: str, tree: NamespaceTree, placement: Placement):
@@ -96,11 +110,13 @@ class FastRoutingEngine:
         self._is_d2 = isinstance(placement, D2TreePlacement)
         self.hits = 0
         self.misses = 0
-        #: Plans are read-only once returned (the runner and tests only
-        #: inspect them), so the warm path hands out one shared
-        #: single-SERVE plan per server instead of allocating a plan, a
-        #: visit list and a Visit tuple per operation.
+        #: The interned plans (module docstring): the single-SERVE plan per
+        #: server, and the two-visit plans by ``(first, owner)``, one table
+        #: per first-visit kind (an enum in a key would hash in Python).
+        #: None depends on the placement, so none is ever flushed.
         self._serve_plans: List[RoutePlan] = []
+        self._entry_plans: Dict[Tuple[int, int], RoutePlan] = {}
+        self._redirect_plans: Dict[Tuple[int, int], RoutePlan] = {}
         self.invalidate()
         #: The scheme-appropriate planner; :meth:`plan` and
         #: :meth:`plan_batch` both delegate here after the staleness check.
@@ -137,12 +153,14 @@ class FastRoutingEngine:
         """The interned single-SERVE plan for ``server`` (grown on demand)."""
         plans = self._serve_plans
         while server >= len(plans):
-            plan = RoutePlan.__new__(RoutePlan)
-            plan.visits = [Visit(len(plans), VisitKind.SERVE)]
-            plan.fanout = _EMPTY_FANOUT
-            plan.lock_key = ""
-            plans.append(plan)
+            plans.append(RoutePlan((Visit(len(plans), _SERVE),), _EMPTY_FANOUT))
         return plans[server]
+
+    def _pair_plan(self, plans: Dict, first: int, owner: int, kind: VisitKind) -> RoutePlan:
+        """Intern the ``kind(first) -> SERVE(owner)`` plan in ``plans``."""
+        plan = RoutePlan((Visit(first, kind), Visit(owner, _SERVE)), _EMPTY_FANOUT)
+        plans[first, owner] = plan
+        return plan
 
     def plan(self, client: SimClient, node, op: OpType) -> RoutePlan:
         """Resolve which servers an operation touches."""
@@ -231,11 +249,11 @@ class FastRoutingEngine:
                     return serve_plans[entry]
                 except IndexError:
                     return self._serve_plan(entry)
-            plan = RoutePlan()
-            plan.visits.append(Visit(entry, VisitKind.SERVE))
-            plan.lock_key = node.path
-            plan.fanout = [s for s in replicas if s != entry]
-            return plan
+            return RoutePlan(
+                [Visit(entry, _SERVE)],
+                [s for s in replicas if s != entry],
+                node.path,
+            )
         rid = self._root_id[nid]
         if rid >= 0:
             self.hits += 1
@@ -264,24 +282,33 @@ class FastRoutingEngine:
                     return serve_plans[owner]
                 except IndexError:
                     return self._serve_plan(owner)
+            # Stale local index (the subtree migrated): redirect costs a hop.
+            first, kind, plans = cached, _REDIRECT, self._redirect_plans
         else:
             cache.misses += 1
-        plan = RoutePlan()
-        visits = plan.visits
-        if cached is not None:
-            # Stale local index (the subtree migrated): redirect costs a hop.
-            visits.append(Visit(cached, VisitKind.REDIRECT))
-            visits.append(Visit(owner, VisitKind.SERVE))
-        else:
-            entry = client.pick_any_server()
-            if entry != owner:
-                visits.append(Visit(entry, VisitKind.ENTRY))
-            visits.append(Visit(owner, VisitKind.SERVE))
+            # Cold local index: a random entry server, drawn by the same
+            # inlined rejection loop as SimClient.pick_any_server (the same
+            # bits, in the same order, from the client RNG stream).
+            n = client.num_servers
+            getrandbits = client._getrandbits
+            k = n.bit_length()
+            first = getrandbits(k)
+            while first >= n:
+                first = getrandbits(k)
+            kind, plans = _ENTRY, self._entry_plans
         # Cache the owner (rid already at MRU position when present).
         data[rid] = owner
         if len(data) > cache.capacity:
             data.popitem(last=False)
-        return plan
+        if first == owner:  # a cold entry that drew the owner itself
+            try:
+                return serve_plans[owner]
+            except IndexError:
+                return self._serve_plan(owner)
+        try:
+            return plans[first, owner]
+        except KeyError:
+            return self._pair_plan(plans, first, owner, kind)
 
     def _plan_generic(self, client: SimClient, node, op: OpType) -> RoutePlan:
         placement = self.placement
@@ -321,48 +348,59 @@ class FastRoutingEngine:
         # entry (the node migrated since it was cached) costs one redirect
         # hop — the redirected server then walks the rest authoritatively.
         capacity = cache.capacity
-        plan = RoutePlan()
-        visits = plan.visits
+        visits = []
         last = -1
         redirected = False
         if cached is not None:
-            visits.append(Visit(cached, VisitKind.REDIRECT))
+            visits.append(Visit(cached, _REDIRECT))
             last = cached
             redirected = True
-        for ancestor in self.arena.chain(node):
+        chain = self.arena.chain(node)
+        # Hits of both counters are summed here and written once per plan;
+        # every ancestor is one lookup of each, so misses are the rest.
+        index_hits = prefix_hits = 0
+        for ancestor in chain:
             aid = ancestor.node_id
             if stamp[aid] == version:
-                self.hits += 1
+                index_hits += 1
                 server = primary[aid]
             else:
-                self.misses += 1
                 server = servers_of[ancestor][0]
                 primary[aid] = server
                 stamp[aid] = version
             acached = data.get(aid)
             if acached is not None:
                 data.move_to_end(aid)
-                cache.hits += 1
+                prefix_hits += 1
                 if acached == server:
                     continue
-            else:
-                cache.misses += 1
-                acached = -1
-            if acached >= 0 and acached != last and not redirected:
-                visits.append(Visit(acached, VisitKind.REDIRECT))
-                last = acached
-                redirected = True
+                if acached != last and not redirected:
+                    visits.append(Visit(acached, _REDIRECT))
+                    last = acached
+                    redirected = True
             data[aid] = server
             if len(data) > capacity:
                 data.popitem(last=False)
             if server != last:
-                visits.append(Visit(server, VisitKind.TRAVERSAL))
+                visits.append(Visit(server, _TRAVERSAL))
                 last = server
+        walked = len(chain)
+        self.hits += index_hits
+        self.misses += walked - index_hits
+        cache.hits += prefix_hits
+        cache.misses += walked - prefix_hits
         data[nid] = target
         if len(data) > capacity:
             data.popitem(last=False)
-        if target != last or not visits:
-            visits.append(Visit(target, VisitKind.SERVE))
+        # ``last`` is the server of the final visit (-1: no visit yet).
+        if target != last and visits:
+            visits.append(Visit(target, _SERVE))
+        elif target == last and len(visits) > 1:
+            visits[-1] = Visit(target, _SERVE)
         else:
-            visits[-1] = Visit(target, VisitKind.SERVE)
-        return plan
+            # The walk ends on one server: the interned serve plan.
+            try:
+                return self._serve_plans[target]
+            except IndexError:
+                return self._serve_plan(target)
+        return RoutePlan(visits, _EMPTY_FANOUT)

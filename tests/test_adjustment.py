@@ -12,7 +12,13 @@ from repro.core import (
     NamespaceTree,
     PendingPool,
 )
-from repro.baselines import DynamicSubtreeScheme
+from repro.baselines import (
+    AngleCutScheme,
+    DropScheme,
+    DynamicSubtreeScheme,
+    HashScheme,
+    StaticSubtreeScheme,
+)
 from repro.core.adjustment import AdjustmentReport
 from repro.core.namespace import NodeArena, PopularityEstimate
 from repro.obs import Telemetry
@@ -543,9 +549,10 @@ def test_counted_nodes_equal_the_whole_tree_pass(name, blend):
 def test_whole_tree_pass_runs_only_for_its_readers(count_passes):
     """An unobserved D2-Tree round costs its window and its counted nodes:
     no whole-tree pass without a promotion, one per promotion round with
-    them, one per round for a scheme whose policy reads every node, and one
-    per round once somebody records the rounds. (``+ 1``: ``run()``
-    restores the shared tree on its way out.)"""
+    them, none for a static scheme (it reads no popularity), one per round
+    for a scheme whose policy reads every node, and one per round once
+    somebody records the rounds. (``+ 1``: ``run()`` restores the shared
+    tree on its way out.)"""
     def passes(scheme, profile, servers, **config):
         shadowed = isinstance(scheme, D2TreeScheme)
         sim = (_ShadowedSimulator if shadowed else ClusterSimulator)(
@@ -566,7 +573,11 @@ def test_whole_tree_pass_runs_only_for_its_readers(count_passes):
     assert (whole, promotion_rounds) == (0, 0) and rounds >= 10
     whole, rounds, promotion_rounds = passes(D2TreeScheme(), _REPLAYS["dtr_promotions"][0], 6)
     assert 2 <= whole == promotion_rounds < rounds
-    whole, rounds, _ = passes(DynamicSubtreeScheme(), lmbe, 8)
-    assert whole == rounds
+    for static in (StaticSubtreeScheme(), HashScheme()):
+        whole, rounds, _ = passes(static, lmbe, 8)
+        assert whole == 0 and rounds >= 10
+    for per_node in (DynamicSubtreeScheme(), DropScheme(), AngleCutScheme()):
+        whole, rounds, _ = passes(per_node, lmbe, 8)
+        assert whole == rounds
     whole, rounds, _ = passes(D2TreeScheme(promote_threshold=0.0), lmbe, 8, trace_sample=50)
     assert whole == rounds

@@ -1,9 +1,13 @@
 """Tests for the comparator schemes of Section VI."""
 
+import bisect
+import random
+
 import pytest
 
 from repro.baselines import (
     AngleCutScheme,
+    DropPlacement,
     DropScheme,
     DynamicSubtreeScheme,
     HashScheme,
@@ -12,7 +16,10 @@ from repro.baselines import (
     preorder_keys,
     stable_hash,
 )
+from repro.cluster.failure import fail_server
+from repro.core import NamespaceTree
 from repro.metrics import balance_from_placement, system_locality
+from repro.placement import DEAD_CAPACITY
 from tests.conftest import build_random_tree
 
 ALL_SCHEMES = [
@@ -287,3 +294,205 @@ def test_anglecut_rebalance_consistency(tree):
 def test_anglecut_ring_validation():
     with pytest.raises(ValueError):
         AngleCutScheme(num_rings=0)
+
+
+# ----------------------------------------------------------------------
+# The DROP / AngleCut re-fit against the full reassign it replaced
+# ----------------------------------------------------------------------
+def _quantiles(entries, shares, count):
+    """Keys where the running weight of sorted ``(key, weight)`` entries
+    crosses each cumulative share of the total, padded with 1.0."""
+    total = sum(weight for _key, weight in entries)
+    targets, acc = [], 0.0
+    for share in shares:
+        acc += share
+        targets.append(acc * total)
+    bounds, running, t = [], 0.0, 0
+    for key, weight in entries:
+        if t >= len(targets):
+            break
+        running += weight
+        while t < len(targets) and running >= targets[t]:
+            bounds.append(key)
+            t += 1
+    return bounds + [1.0] * (count - len(bounds))
+
+
+def _owner(caps, position, rotation):
+    """Owner of a range / arc, a failed one merging into the next live."""
+    m = len(caps)
+    floor = max(DEAD_CAPACITY, 1e-6 * max(caps))
+    for step in range(m):
+        if caps[(position + step + rotation) % m] > floor:
+            return (position + step + rotation) % m
+    return (position + rotation) % m
+
+
+def _reference_refit(placement):
+    """The re-fit as it was: the whole keyspace sorted afresh, every key
+    re-owned and reassigned, every key compared. Returns the moves."""
+    caps, m = placement.capacities, placement.num_servers
+    cap_total = sum(caps)
+    if isinstance(placement, DropPlacement):
+        v, ranges = placement.virtual_nodes_per_server, placement.num_ranges
+        entries = sorted(
+            ((key, node.individual_popularity + 1e-9) for node, key in placement.keys.items()),
+            key=lambda item: item[0],
+        )
+        shares = [caps[r % m] / (cap_total * v) for r in range(ranges - 1)]
+        new = _quantiles(entries, shares, ranges - 1)
+        if new == placement.boundaries:
+            return []
+        placement.boundaries = new
+        where = {
+            node: _owner(caps, bisect.bisect_right(new, key), 0)
+            for node, key in placement.keys.items()
+        }
+    else:
+        shares = [cap / cap_total for cap in caps]
+        new = []
+        for ring in range(placement.num_rings):
+            entries = sorted(
+                (angle, node.individual_popularity + 1e-9)
+                for node, (r, angle) in placement.angles.items()
+                if r == ring
+            )
+            ring_shares = [shares[(k + ring) % m] for k in range(m - 1)]
+            new.append(_quantiles(entries, ring_shares, m - 1))
+        if new == placement.ring_boundaries:
+            return []
+        placement.ring_boundaries = new
+        where = {
+            node: _owner(caps, bisect.bisect_right(new[ring], angle), ring)
+            for node, (ring, angle) in placement.angles.items()
+        }
+    old = {node: placement.primary_of(node) for node in where}
+    for node, server in where.items():
+        placement.assign(node, server)
+    return [(node, old[node], server) for node, server in where.items() if server != old[node]]
+
+
+def _tied_tree(scheme, servers):
+    """``/d`` and ``/e`` with three siblings created under ``/d`` — they take
+    its preorder key / angle — weighted so that the order equal keys are
+    summed in decides the fit: 2**53 swallows a lone 1.0 but not two. The
+    heavy one comes first, so only a sort of the whole run of four equal
+    keys (``/d`` included) puts it last."""
+    tree = NamespaceTree()
+    parent = tree.add_path("/d", is_directory=True)
+    tree.record_access(tree.add_path("/e"), 2.0 ** 53 + 4)
+    tree.aggregate_popularity()
+    placement = scheme.partition(tree, servers)
+    for name, weight in (("x", 2.0 ** 53), ("y", 1.0), ("z", 1.0)):
+        node = tree.add_child(parent, name)
+        tree.record_access(node, weight)
+        scheme.place_created(tree, placement, node)
+    return tree, placement
+
+
+def test_anglecut_orders_equal_angles_by_weight():
+    scheme = AngleCutScheme(num_rings=1)
+    _tree, placement = _tied_tree(scheme, 2)
+    entries = [
+        (angle, node.individual_popularity + 1e-9)
+        for node, (_ring, angle) in placement.angles.items()
+    ]
+    by_weight = _quantiles(sorted(entries), [0.5], 1)
+    by_creation = _quantiles(sorted(entries, key=lambda item: item[0]), [0.5], 1)
+    assert by_weight != by_creation  # the case is sharp
+    assert AngleCutScheme._quantile_boundaries(placement) == [by_weight]
+
+
+def test_drop_key_order_is_the_stable_sort_of_the_current_keys():
+    scheme = DropScheme(virtual_nodes_per_server=2, key_mode="preorder")
+    tree, placement = _tied_tree(scheme, 1)
+    kept = placement.key_order()
+    assert placement.key_order() is kept  # nothing changed: not re-sorted
+
+    def fit():
+        entries = sorted(
+            ((key, node.individual_popularity + 1e-9) for node, key in placement.keys.items()),
+            key=lambda item: item[0],
+        )
+        return _quantiles(entries, [0.5], 1)
+
+    before = fit()
+    assert DropScheme._quantile_boundaries(placement) == before
+    # Forgotten and placed again, x now sorts last among the equal keys.
+    node = tree.lookup("/d/x")
+    placement.forget(node)
+    scheme.place_created(tree, placement, node)
+    assert fit() != before
+    assert DropScheme._quantile_boundaries(placement) == fit()
+    # A key written in place (as a rename repair does) is seen too.
+    placement.keys[tree.lookup("/d/y")] = 0.9
+    assert placement.key_order()[0] == sorted(placement.keys, key=placement.keys.get)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [DropScheme(key_mode="pathname"), DropScheme(key_mode="preorder"), AngleCutScheme()],
+    ids=["drop-pathname", "drop-preorder", "anglecut"],
+)
+def test_refit_moves_what_the_full_reassign_moved(scheme):
+    """Kept key order, per-range owner table and owner-changed-only
+    reassign give the same boundaries, moves (order, source, target) and
+    assignment as the full reassign — through created siblings (equal
+    keys / angles, told apart by weight), a direct key write, a failed
+    server (its ranges fall to the next live one) and popularity shifts.
+    ``version`` moves iff the boundaries do."""
+    tree = build_random_tree(600, seed=11)
+    new, ref = scheme.partition(tree, 5), scheme.partition(tree, 5)
+    table = "keys" if isinstance(new, DropPlacement) else "angles"
+    bounds = "boundaries" if table == "keys" else "ring_boundaries"
+    rng = random.Random(5)
+    dirs = [node for node in tree if node.is_directory and node.depth >= 2]
+    moved_rounds = 0
+    for round_ in range(8):
+        if round_ == 1:
+            parent = dirs[0]
+            # Descending weights in creation order: the tie-break reorders.
+            for i, weight in enumerate((90.0, 40.0, 7.0, 40.0)):
+                node = tree.add_child(parent, f"created{i}")
+                tree.record_access(node, weight)
+                for placement in (new, ref):
+                    scheme.place_created(tree, placement, node)
+        if round_ == 3:
+            for placement in (new, ref):
+                fail_server(placement, 2)
+            # Before the re-fit the dead server's ranges are still wide:
+            # the owner table hands each to the next live server.
+            if table == "keys":
+                owners, rows = [new.range_owners()], [new.boundaries]
+            else:
+                owners, rows = new.arc_owners(), new.ring_boundaries
+            assert owners == [
+                [_owner(new.capacities, position, rotation) for position in range(len(row) + 1)]
+                for rotation, row in enumerate(rows)  # DROP: one row, no rotation
+            ]
+            assert 2 not in {owner for row in owners for owner in row}
+        if round_ == 4:
+            node = dirs[1]
+            value = getattr(new, table)[dirs[2]]  # what a rename repair writes
+            for placement in (new, ref):
+                getattr(placement, table)[node] = value
+        if round_ != 6:  # round 6 shifts nothing: the fit must stand still
+            for node in rng.sample(list(tree), 60):
+                tree.record_access(node, rng.expovariate(0.05))
+        tree.aggregate_popularity()
+        version, before = new.version, getattr(new, bounds)
+        moves = scheme.rebalance(tree, new)
+        expected = _reference_refit(ref)
+        assert [(m.node, m.source, m.target) for m in moves] == expected
+        assert getattr(new, bounds) == getattr(ref, bounds)
+        assert new._servers_of == ref._servers_of
+        refit = getattr(new, bounds) != before
+        assert (new.version != version) == refit
+        moved_rounds += refit and bool(moves)
+    assert moved_rounds >= 5
+    assert new.capacities[2] == DEAD_CAPACITY
+    assert all(servers != (2,) for servers in new._servers_of.values())
+    # Boundaries that move no owner still invalidate what was read off the
+    # placement (the full reassign bumped ``version`` once per key).
+    version = new.version
+    assert new.apply_boundaries() == [] and new.version == version + 1

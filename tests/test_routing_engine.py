@@ -1,23 +1,29 @@
-"""Routing-engine contracts: owner-index invalidation, batching.
+"""Routing-engine contracts: owner-index invalidation, batching, interning.
 
 Locks down the properties ``repro.simulation.routing`` documents:
 
 * the owner index survives migration, promotion, crash and rejoin without
   serving stale owners (the D2 routing decisions themselves are frozen by
   ``tests/golden/perfect_network_d2.json``);
-* ``plan_batch`` is exactly a sequential sequence of ``plan`` calls.
+* ``plan_batch`` is exactly a sequential sequence of ``plan`` calls;
+* fixed-shape plans are shared objects that nothing writes to, drawn
+  with the same RNG bits as before, and every cache counter of all six
+  schemes is pinned on one seeded replay.
 """
+
+import dataclasses
 
 import pytest
 
 from repro import registry
 from repro.cluster import SimClient
-from repro.cluster.messages import VisitKind
+from repro.cluster.messages import Visit, VisitKind
 from repro.core import NamespaceTree
-from repro.simulation import FaultPlan, SimulationConfig
+from repro.simulation import FaultPlan, SimulationConfig, routing
 from repro.simulation.routing import FastRoutingEngine, make_engine
 from repro.simulation.runner import ClusterSimulator
 from repro.traces import DatasetProfile, OpType, TraceGenerator
+from repro.traces.generator import load_workload
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +185,106 @@ def test_plan_batch_equals_sequential_plans(workload, scheme_name):
 
 
 # ----------------------------------------------------------------------
+# Interned plans
+# ----------------------------------------------------------------------
+def test_cold_and_stale_d2_plans_are_interned(workload):
+    """Two cold (or stale) D2 plans with the same first server, owner and
+    kind are one object, and its visits cannot be written to."""
+    sim = _d2_sim(workload)
+    by_key = {}
+    repeats = 0
+    for i, root in enumerate(sim.placement.subtree_owner):
+        plan = sim.plan_route(sim.clients[i % 10], root, OpType.READ)
+        if len(plan.visits) == 2:
+            first, serve = plan.visits
+            assert first.kind is VisitKind.ENTRY and serve.kind is VisitKind.SERVE
+            key = (first.server, serve.server, first.kind)
+            repeats += key in by_key
+            assert by_key.setdefault(key, plan) is plan
+        else:
+            assert plan is sim.engine._serve_plan(plan.visits[0].server)
+    assert repeats
+    with pytest.raises(TypeError):
+        plan.visits[0] = plan.visits[-1]
+    # Stale: two roots that left the same owner for the same server.
+    client = sim.clients[0]
+    owners = sim.placement.subtree_owner
+    old = owners[next(iter(owners))]
+    pair = [root for root, owner in owners.items() if owner == old][:2]
+    for root in pair:
+        sim.plan_route(client, root, OpType.READ)
+    target = (old + 1) % 6
+    for root in pair:
+        sim.placement.move_subtree(root, target)
+    first, second = (sim.plan_route(client, root, OpType.READ) for root in pair)
+    assert first is second
+    assert [(v.server, v.kind) for v in first.visits] == [
+        (old, VisitKind.REDIRECT), (target, VisitKind.SERVE),
+    ]
+
+
+def test_a_rebalance_shaped_replay_leaves_interned_plans_as_made():
+    """Many clients over many subtree roots on 16 servers (mostly cold
+    index entries, adjustment rounds on): every shared plan still holds
+    the visits it was made with, and no plan grew a fan-out."""
+    profile = DatasetProfile.lmbe(3000).scaled(num_operations=12000)
+    sim = ClusterSimulator(
+        registry.create("d2-tree"), load_workload(profile), 16,
+        SimulationConfig(num_clients=100, adjust_every_ops=2000),
+    )
+    sim.run()
+    sim.close()
+    engine = sim.engine
+    tables = {VisitKind.ENTRY: engine._entry_plans, VisitKind.REDIRECT: engine._redirect_plans}
+    assert all(0 < len(plans) <= 16 * 16 for plans in tables.values())
+    for kind, plans in tables.items():
+        for (first, owner), plan in plans.items():
+            assert plan.visits == (Visit(first, kind), Visit(owner, VisitKind.SERVE))
+            assert plan.fanout is routing._EMPTY_FANOUT and not plan.lock_key
+    for server, plan in enumerate(engine._serve_plans):
+        assert plan.visits == (Visit(server, VisitKind.SERVE),)
+        assert plan.fanout is routing._EMPTY_FANOUT and not plan.lock_key
+    assert routing._EMPTY_FANOUT == []
+
+
+def test_cold_entry_draw_is_pick_any_server(workload):
+    """The planner's inlined entry draw takes the same bits, in the same
+    order, as ``SimClient.pick_any_server`` on a same-seeded client."""
+    sim = _d2_sim(workload)
+    planned, drawn = SimClient(3, 6, seed=9), SimClient(3, 6, seed=9)
+    entries = []
+    for root, owner in sim.placement.subtree_owner.items():
+        plan = sim.plan_route(planned, root, OpType.READ)  # cold: one draw
+        entries.append(plan.visits[0].server if len(plan.visits) == 2 else owner)
+    assert len(entries) > 50
+    assert entries == [drawn.pick_any_server() for _ in entries]
+    assert planned._rng.getstate() == drawn._rng.getstate()
+
+
+def test_single_server_generic_walk_returns_the_serve_plan(workload):
+    """A cold POSIX walk whose ancestors all live with the target is the
+    interned serve plan; a walk across servers is built, sharing the one
+    empty fan-out."""
+    tree = workload.tree
+    tree.ensure_popularity()
+    placement = registry.create("static-subtree").partition(tree, 6)
+    engine = FastRoutingEngine(tree, placement)
+    single = multi = 0
+    for node in tree:
+        plan = engine.plan(SimClient(0, 6), node, OpType.READ)  # cold caches
+        target = placement.primary_of(node)
+        walk = {placement.primary_of(a) for a in engine.arena.chain(node)} | {target}
+        if walk == {target}:
+            assert plan is engine._serve_plan(target)
+            single += 1
+        else:
+            assert len(plan.visits) > 1 and plan.visits[-1] == Visit(target, VisitKind.SERVE)
+            assert plan.fanout is routing._EMPTY_FANOUT
+            multi += 1
+    assert single and multi
+
+
+# ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
 def test_make_engine_rejects_unknown_name(workload):
@@ -189,6 +295,54 @@ def test_make_engine_rejects_unknown_name(workload):
     for gone in ("legacy", "warp"):
         with pytest.raises(ValueError):
             make_engine(gone, tree, placement)
+
+
+#: Per scheme, after one seeded DTR replay (creates, adjustment rounds, a
+#: crash and its recovery, caches small enough to evict): owner-index hits
+#: and misses, merged index-cache hits and misses, merged prefix-cache hits
+#: and misses, migrations, completed operations. Captured from the planner
+#: that built a fresh plan per cold operation.
+_PINNED_COUNTERS = {
+    "d2-tree": (7658, 1371, 6583, 2446, 0, 0, 173, 12000),
+    "static-subtree": (78788, 4863, 0, 0, 42572, 41079, 417, 12000),
+    "static-hash": (80014, 4884, 0, 0, 43574, 41324, 783, 12000),
+    "dynamic-subtree": (80458, 4018, 0, 0, 42985, 41491, 56, 12000),
+    "drop": (78966, 5512, 0, 0, 42873, 41605, 4157, 12000),
+    "anglecut": (79332, 5538, 0, 0, 43018, 41852, 3749, 12000),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_workload():
+    profile = dataclasses.replace(
+        DatasetProfile.dtr(3000).scaled(num_operations=12000), create_fraction=0.02
+    )
+    return load_workload(profile)
+
+
+@pytest.mark.parametrize("scheme", sorted(_PINNED_COUNTERS))
+def test_cache_counters_are_pinned(pinned_workload, scheme):
+    """Every counter the planners keep is a function of the op sequence:
+    interning plans or re-fitting baseline boundaries differently must not
+    move one of them."""
+    sim = ClusterSimulator(
+        registry.create(scheme), pinned_workload, 8,
+        SimulationConfig(
+            num_clients=40, adjust_every_ops=1500,
+            index_cache_size=96, prefix_cache_size=48,
+            fault_plan=FaultPlan.parse(["crash:3@ops=4000", "recover:3@ops=8000"]),
+        ),
+    )
+    result = sim.run()
+    sim.close()
+    index = [c.index_cache for c in sim.clients]
+    prefix = [c.prefix_cache for c in sim.clients]
+    assert (
+        sim.engine.hits, sim.engine.misses,
+        sum(c.hits for c in index), sum(c.misses for c in index),
+        sum(c.hits for c in prefix), sum(c.misses for c in prefix),
+        sim.migrations, result.operations,
+    ) == _PINNED_COUNTERS[scheme]
 
 
 def test_hit_rate_counts_owner_index_lookups(workload):
