@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.sampling import sample_size_for_mds_error
+from repro.numeric import ordered_sum
 
 __all__ = ["balance_bound", "BoundExperiment", "run_bound_experiment"]
 
@@ -69,8 +70,8 @@ def run_bound_experiment(
     caps = [float(c) for c in capacities]
     if not pops or len(caps) < 2:
         raise ValueError("need subtrees and at least two servers")
-    total_pop = sum(pops)
-    total_cap = sum(caps)
+    total_pop = ordered_sum(pops)
+    total_cap = ordered_sum(caps)
     mu = total_pop / total_cap
     h = len(pops)
     u, low = max(pops), min(pops)
@@ -100,7 +101,7 @@ def run_bound_experiment(
         pops, caps, samples_per_server=max(sample_counts), rng=rng
     )
     loads = allocation.loads
-    variance = sum((loads[k] / caps[k] - mu) ** 2 for k in range(len(caps)))
+    variance = ordered_sum((loads[k] / caps[k] - mu) ** 2 for k in range(len(caps)))
     variance /= len(caps) - 1
     return BoundExperiment(
         num_subtrees=h,

@@ -25,6 +25,7 @@ from repro.registry import register
 from repro.baselines.drop import preorder_keys, sorted_by_value
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
+from repro.numeric import ordered_sum
 
 __all__ = ["AngleCutScheme", "AngleCutPlacement"]
 
@@ -181,7 +182,7 @@ class AngleCutScheme(MetadataScheme):
     @staticmethod
     def _quantile_boundaries(placement: AngleCutPlacement) -> List[List[float]]:
         """Per-ring boundaries carrying capacity-proportional popularity."""
-        cap_total = sum(placement.capacities)
+        cap_total = ordered_sum(placement.capacities)
         shares = [cap / cap_total for cap in placement.capacities]
         boundaries: List[List[float]] = []
         for ring, (nodes, angles, ties) in enumerate(placement.ring_order()):
@@ -190,7 +191,7 @@ class AngleCutScheme(MetadataScheme):
             # created node takes its parent's) go by this round's weight.
             for start, stop in ties:
                 weights[start:stop] = sorted(weights[start:stop])
-            total = sum(weights)
+            total = ordered_sum(weights)
             ring_bounds: List[float] = []
             # Arc k on this ring belongs to server (k + ring) % M; size each
             # arc to its owner's capacity share.

@@ -23,6 +23,7 @@ from repro.placement import MetadataScheme, Migration, Placement, live_owner
 from repro.registry import register
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
+from repro.numeric import ordered_sum
 
 __all__ = ["DropScheme", "DropPlacement", "preorder_keys"]
 
@@ -233,8 +234,8 @@ class DropScheme(MetadataScheme):
         """
         nodes, keys = placement.key_order()
         weights = [node.individual_popularity + 1e-9 for node in nodes]
-        total = sum(weights)
-        cap_total = sum(placement.capacities)
+        total = ordered_sum(weights)
+        cap_total = ordered_sum(placement.capacities)
         v = placement.virtual_nodes_per_server
         targets = []
         acc = 0.0

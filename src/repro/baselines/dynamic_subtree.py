@@ -22,6 +22,7 @@ from repro.registry import register
 from repro.baselines.hashing import stable_hash
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
+from repro.numeric import ordered_sum
 
 __all__ = ["DynamicSubtreeScheme", "DynamicSubtreePlacement"]
 
@@ -171,7 +172,7 @@ class DynamicSubtreeScheme(MetadataScheme):
         tree.ensure_popularity()
         migrations: List[Migration] = []
         moved_popularity = 0.0
-        total_cap = sum(placement.capacities)
+        total_cap = ordered_sum(placement.capacities)
         # Failed servers sit at the DEAD_CAPACITY sentinel (see
         # repro.cluster.failure): they hold no load, which would otherwise
         # make them the "lightest" migration target.
@@ -185,7 +186,7 @@ class DynamicSubtreeScheme(MetadataScheme):
             server_loads = [0.0] * placement.num_servers
             for root, server in placement.zone_of.items():
                 server_loads[server] += zone_loads[root]
-            mu = sum(server_loads) / total_cap
+            mu = ordered_sum(server_loads) / total_cap
             if mu <= 0:
                 break
             heavy = max(
@@ -218,7 +219,7 @@ class DynamicSubtreeScheme(MetadataScheme):
             # remaining migration budget; oversized fragments get split
             # instead of bounced between servers (the thrashing failure mode
             # the paper describes).
-            budget_left = self.migration_budget * sum(server_loads) - moved_popularity
+            budget_left = self.migration_budget * ordered_sum(server_loads) - moved_popularity
             cap = min(excess * 1.5, budget_left)
             fitting = [(load, zone) for load, zone in movable if 0 < load <= cap]
             if fitting:

@@ -34,6 +34,7 @@ from repro.baselines.dynamic_subtree import DynamicSubtreePlacement
 from repro.baselines.hashing import stable_hash
 from repro.core.allocation import mirror_division
 from repro.core.partition import D2TreePlacement
+from repro.numeric import ordered_sum
 
 __all__ = [
     "check_state_invariants",
@@ -97,12 +98,12 @@ def fail_server(placement: Placement, dead: int) -> List[Migration]:
         ]
         if orphans:
             loads = placement.local_loads()
-            total_pop = sum(loads)
+            total_pop = ordered_sum(loads)
             caps = [
                 cap if server in live else DEAD_CAPACITY
                 for server, cap in enumerate(placement.capacities)
             ]
-            total_cap = sum(caps)
+            total_cap = ordered_sum(caps)
             deficits = [
                 max(total_pop * cap / total_cap - load, DEAD_CAPACITY)
                 if cap > DEAD_CAPACITY

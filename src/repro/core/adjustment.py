@@ -24,6 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.placement import DEAD_CAPACITY
 from repro.core.allocation import mirror_division
 from repro.core.node import MetadataNode
+from repro.numeric import ordered_sum
 
 __all__ = ["PendingPool", "DynamicAdjuster", "AdjustmentReport"]
 
@@ -62,7 +63,7 @@ class PendingPool:
     @property
     def total_popularity(self) -> float:
         """Sum of popularity currently parked in the pool."""
-        return sum(e.popularity for e in self._entries)
+        return ordered_sum(e.popularity for e in self._entries)
 
 
 #: A moved root is *negligible* when it carries less than this share of the
@@ -126,10 +127,10 @@ class DynamicAdjuster:
         if len(loads) != len(capacities):
             raise ValueError("loads and capacities must align")
         report = AdjustmentReport()
-        total_cap = sum(capacities)
+        total_cap = ordered_sum(capacities)
         if total_cap <= 0:
             raise ValueError("total capacity must be positive")
-        mu = sum(loads) / total_cap
+        mu = ordered_sum(loads) / total_cap
         report.ideal_load_factor = mu
         if mu == 0:
             return report

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.sampling import RandomWalkSampler
 from repro.core.node import MetadataNode
+from repro.numeric import ordered_sum
 
 __all__ = [
     "AllocationResult",
@@ -67,7 +68,7 @@ class AllocationResult:
 
 
 def _capacity_edges(capacities: Sequence[float]) -> List[float]:
-    total = sum(capacities)
+    total = ordered_sum(capacities)
     if total <= 0:
         raise ValueError("total capacity must be positive")
     edges = [0.0]
@@ -103,7 +104,7 @@ def mirror_division(
     if any(p < 0 for p in pops):
         raise ValueError("popularities must be non-negative")
     edges = _capacity_edges(capacities)
-    total_pop = sum(pops)
+    total_pop = ordered_sum(pops)
 
     order = sorted(range(len(pops)), key=lambda i: (-pops[i], i))
     assignment = [0] * len(pops)
@@ -175,7 +176,7 @@ class _MassIndexView:
 
     def __init__(self, samples: Sequence[float]) -> None:
         self._sorted_desc = sorted((float(s) for s in samples), reverse=True)
-        self._total = sum(self._sorted_desc)
+        self._total = ordered_sum(self._sorted_desc)
         # Prefix mass over the descending order: mass of samples >= value.
         self._prefix: List[float] = []
         acc = 0.0

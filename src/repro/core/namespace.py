@@ -11,6 +11,7 @@ from array import array
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.node import PATH_SEPARATOR, MetadataNode
+from repro.numeric import ordered_sum
 
 __all__ = ["NamespaceTree", "NodeArena", "PopularityEstimate", "split_path"]
 
@@ -230,7 +231,7 @@ class PopularityEstimate:
         self._settle()
         now, keep = self.round, self.keep
         value, stamp = self._value, self._stamp
-        return sum(
+        return ordered_sum(
             value[nid] * keep ** (now - stamp[nid])
             for nid in (n.node_id for n in node.descendants(include_self=True))
         )

@@ -18,6 +18,7 @@ from repro.core.allocation import allocate_subtrees
 from repro.core.namespace import NamespaceTree
 from repro.core.partition import D2TreePlacement
 from repro.core.splitting import SplitResult, split_by_proportion, tree_split
+from repro.numeric import ordered_sum
 
 __all__ = ["D2TreeScheme"]
 
@@ -238,7 +239,7 @@ class D2TreeScheme(MetadataScheme):
         """
         if self.promote_threshold <= 0 or not placement.subtree_owner:
             return 0
-        total_local = sum(r.popularity for r in placement.subtree_owner)
+        total_local = ordered_sum(r.popularity for r in placement.subtree_owner)
         cutoff = self.promote_threshold * total_local / placement.num_servers
         if cutoff <= 0:
             return 0
@@ -277,7 +278,7 @@ class D2TreeScheme(MetadataScheme):
         """
         if self.demote_threshold <= 0:
             return 0
-        total_local = sum(r.popularity for r in placement.subtree_owner)
+        total_local = ordered_sum(r.popularity for r in placement.subtree_owner)
         if total_local <= 0:
             return 0
         promote_cutoff = (
@@ -346,8 +347,8 @@ class D2TreeScheme(MetadataScheme):
             # Remaining capacity per server: its capacity-proportional share
             # of the total local-layer popularity minus what it already holds.
             loads = new_placement.local_loads()
-            total_pop = sum(loads) + sum(r.popularity for r in fresh)
-            total_cap = sum(new_placement.capacities)
+            total_pop = ordered_sum(loads) + ordered_sum(r.popularity for r in fresh)
+            total_cap = ordered_sum(new_placement.capacities)
             remaining = [
                 max(total_pop * cap / total_cap - load, 1e-12)
                 for cap, load in zip(new_placement.capacities, loads)

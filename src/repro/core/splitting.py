@@ -23,6 +23,7 @@ from typing import List, Optional, Set
 
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
+from repro.numeric import ordered_sum
 
 __all__ = [
     "SplitResult",
@@ -153,7 +154,7 @@ def tree_split(
     # Ltmp (Alg. 1 line 1) starts at Σ p_j over every node and sheds the
     # *total* popularity p_x of each node absorbed into the global layer
     # (line 10), so it always equals Σ_{n∈LL} p_n — the Eq. 7 denominator.
-    local_popularity = sum(n.popularity for n in tree) - root.popularity
+    local_popularity = ordered_sum(n.popularity for n in tree) - root.popularity
     update_cost = 0.0
 
     while frontier:
@@ -202,7 +203,7 @@ def split_top_k(tree: NamespaceTree, k: int) -> SplitResult:
     frontier: List = []
     for child in root.children:
         heapq.heappush(frontier, (-child.popularity, next(counter), child))
-    local_popularity = sum(n.popularity for n in tree) - root.popularity
+    local_popularity = ordered_sum(n.popularity for n in tree) - root.popularity
     update_cost = 0.0
     while frontier and len(global_layer) < k:
         _negp, _tick, node = heapq.heappop(frontier)

@@ -11,6 +11,7 @@ from typing import List, Optional, Sequence
 
 from repro.placement import Placement
 from repro.core.namespace import NamespaceTree
+from repro.numeric import ordered_sum
 
 __all__ = [
     "ideal_load_factor",
@@ -25,10 +26,10 @@ def ideal_load_factor(loads: Sequence[float], capacities: Sequence[float]) -> fl
     """``μ = Σ L_i / Σ C_i`` — the perfect proportion factor."""
     if len(loads) != len(capacities):
         raise ValueError("loads and capacities must align")
-    total_cap = sum(capacities)
+    total_cap = ordered_sum(capacities)
     if total_cap <= 0:
         raise ValueError("total capacity must be positive")
-    return sum(loads) / total_cap
+    return ordered_sum(loads) / total_cap
 
 
 def relative_capacities(loads: Sequence[float], capacities: Sequence[float]) -> List[float]:
@@ -42,7 +43,7 @@ def load_variance(loads: Sequence[float], capacities: Sequence[float]) -> float:
     if len(loads) < 2:
         raise ValueError("balance degree needs at least two servers")
     mu = ideal_load_factor(loads, capacities)
-    total = sum((load / cap - mu) ** 2 for load, cap in zip(loads, capacities))
+    total = ordered_sum((load / cap - mu) ** 2 for load, cap in zip(loads, capacities))
     return total / (len(loads) - 1)
 
 
@@ -69,7 +70,7 @@ def balance_from_placement(
     """
     loads = placement.loads(tree)
     if normalize:
-        total = sum(loads)
+        total = ordered_sum(loads)
         if total > 0:
             scale = placement.num_servers / total
             loads = [load * scale for load in loads]

@@ -12,13 +12,14 @@ from typing import Iterable
 
 from repro.core.node import MetadataNode
 from repro.core.splitting import SplitResult
+from repro.numeric import ordered_sum
 
 __all__ = ["update_cost", "update_cost_of_split"]
 
 
 def update_cost(global_layer: Iterable[MetadataNode]) -> float:
     """Total update cost of a replicated node set."""
-    return sum(node.update_cost for node in global_layer)
+    return ordered_sum(node.update_cost for node in global_layer)
 
 
 def update_cost_of_split(split: SplitResult) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List
 
 from repro.viz import STACK_GLYPHS, stacked_bar
+from repro.numeric import ordered_sum
 
 __all__ = ["CRITICAL_CATEGORIES", "analyze_critical_path", "render_critical_path"]
 
@@ -144,7 +145,7 @@ def _ms(seconds: float) -> str:
 def _component_lines(
     components: Dict[str, float], width: int, indent: str
 ) -> List[str]:
-    total = sum(components.values())
+    total = ordered_sum(components.values())
     lines = []
     bar = stacked_bar([components[cat] for cat in CRITICAL_CATEGORIES], width)
     if bar:
@@ -178,7 +179,7 @@ def render_critical_path(analysis: Dict[str, Any], width: int = 48) -> str:
             bar = stacked_bar(
                 [comp[cat] for cat in CRITICAL_CATEGORIES], max(12, width // 2)
             )
-            busy = sum(comp.values())
+            busy = ordered_sum(comp.values())
             out.append(
                 f"  server {server:>3}  [{bar}]  {busy:.6f} s"
             )

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.viz import sparkline
+from repro.numeric import ordered_sum
 
 __all__ = ["split_runs", "render_dashboard"]
 
@@ -85,7 +86,7 @@ def _gauge_line(
     spark = sparkline(values, width=width)
     return (
         f"  {label:<16} {spark}  "
-        f"min={min(values):.3g} mean={sum(values) / len(values):.3g} "
+        f"min={min(values):.3g} mean={ordered_sum(values) / len(values):.3g} "
         f"max={max(values):.3g} last={values[-1]:.3g}"
     )
 

@@ -46,6 +46,7 @@ from repro.simulation.stats import SimulationResult, summarize_latencies
 from repro.traces.columns import OP_FROM_CODE, iter_op_batches
 from repro.traces.generator import GeneratedWorkload
 from repro.traces.trace import OpType, Trace
+from repro.numeric import ordered_sum
 
 __all__ = [
     "SimulationConfig",
@@ -356,8 +357,8 @@ class ClusterSimulator:
         if observed:
             loads = self.placement.loads()
             capacities = self.placement.capacities
-            total_cap = sum(capacities)
-            mu = sum(loads) / total_cap if total_cap > 0 else 0.0
+            total_cap = ordered_sum(capacities)
+            mu = ordered_sum(loads) / total_cap if total_cap > 0 else 0.0
         # Heartbeats (Sec. IV-B): every live MDS reports its relative
         # capacity to the Monitor, which runs the adjustment. Dead and
         # heartbeat-muted servers stay silent — their absence is what
@@ -1132,7 +1133,7 @@ def replay_rounds(
         counts = _round_counts(piece, tree)
         loads = _served_loads(placement, counts)
         if normalize:
-            total = sum(loads)
+            total = ordered_sum(loads)
             if total > 0:
                 loads = [load * num_servers / total for load in loads]
         trajectory.per_round.append(balance_degree(loads, placement.capacities))

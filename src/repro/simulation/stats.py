@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.numeric import ordered_sum
+
 __all__ = [
     "LatencySummary",
     "summarize_latencies",
@@ -62,7 +64,7 @@ def summarize_latencies(latencies: Sequence[float]) -> LatencySummary:
     ordered = sorted(latencies)
     return LatencySummary(
         count=len(ordered),
-        mean=sum(ordered) / len(ordered),
+        mean=ordered_sum(ordered) / len(ordered),
         p50=_percentile(ordered, 0.50),
         p95=_percentile(ordered, 0.95),
         p99=_percentile(ordered, 0.99),

@@ -13,6 +13,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.namespace import split_path
 from repro.traces.trace import OpType, Trace
+from repro.numeric import ordered_sum
 
 __all__ = ["TraceStats", "analyze_trace", "estimate_zipf_exponent"]
 
@@ -59,12 +60,12 @@ def estimate_zipf_exponent(counts: List[int]) -> float:
     xs = [math.log(rank) for rank in range(1, len(ordered) + 1)]
     ys = [math.log(c) for c in ordered]
     n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    denom = sum((x - mean_x) ** 2 for x in xs)
+    mean_x = ordered_sum(xs) / n
+    mean_y = ordered_sum(ys) / n
+    denom = ordered_sum((x - mean_x) ** 2 for x in xs)
     if denom == 0:
         return 0.0
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denom
+    slope = ordered_sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denom
     return max(0.0, -slope)
 
 

@@ -5,8 +5,10 @@
 * :class:`~repro.simulation.network.SimNetwork` — the discrete-event
   implementation the simulator replays against.
 * :class:`~repro.transport.asyncio_net.AsyncioTransport` — real asyncio
-  sockets; :mod:`repro.transport.live` runs each MDS and Monitor replica
-  as a task speaking the framed wire form of ``cluster.messages``.
+  sockets, every connection a :class:`~repro.transport.asyncio_net.FrameLink`
+  that decodes frames as they arrive; :mod:`repro.transport.live` runs each
+  MDS and Monitor replica on it, speaking the framed wire form of
+  ``cluster.messages``.
 
 See ``docs/SERVE.md`` for the live-mode architecture and CLI usage.
 """
@@ -17,7 +19,6 @@ from repro.transport.wire import (
     MAX_FRAME_BYTES,
     decode_payload,
     encode_frame,
-    read_frame,
 )
 
 __all__ = [
@@ -29,5 +30,4 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "decode_payload",
     "encode_frame",
-    "read_frame",
 ]

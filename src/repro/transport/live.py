@@ -1,15 +1,17 @@
-"""Live cluster mode: MDS and Monitor nodes as asyncio tasks on real sockets.
+"""Live cluster mode: MDS and Monitor nodes on real asyncio sockets.
 
 This is the "one step more real" execution mode behind the unified
 :class:`~repro.transport.base.FaultFabric` fault surface. Every metadata server and
-Monitor replica is an asyncio task with its own listening socket on the
-:class:`~repro.transport.asyncio_net.AsyncioTransport`; clients (the load
-generator, ``repro.transport.loadgen``) speak the framed, schema-versioned
-wire form of :mod:`repro.cluster.messages`. Faults come from the same
-``FaultPlan`` grammar the simulator replays, through the same applier — but
-here the state change a ``crash`` makes is followed by cancelling the task
-and closing the listening socket, a partition silences real frames, and
-detection/failover run against the wall clock.
+Monitor replica has its own listening socket on the
+:class:`~repro.transport.asyncio_net.AsyncioTransport`, and answers each
+frame in the :class:`~repro.transport.asyncio_net.FrameLink` callback that
+decoded it; clients (the load generator, ``repro.transport.loadgen``) speak
+the framed, schema-versioned wire form of :mod:`repro.cluster.messages`.
+Faults come from the same ``FaultPlan`` grammar the simulator replays,
+through the same applier — but here the state change a ``crash`` makes is
+followed by closing the listening socket and aborting its connections, a
+partition silences real frames, and detection/failover run against the wall
+clock.
 
 What is deliberately shared with the simulator rather than re-implemented:
 
@@ -70,9 +72,9 @@ from repro.cluster.monitor import MonitorGroup
 from repro.placement import MetadataScheme
 from repro.simulation.faults import FaultEvent, FaultPlan
 from repro.storage import make_store
-from repro.transport.asyncio_net import AsyncioTransport
+from repro.transport.asyncio_net import AsyncioTransport, FrameLink
 from repro.transport.base import CLIENT_ADDR, mds_addr, mon_addr
-from repro.transport.wire import encode_frame, read_frame
+from repro.transport.wire import encode_frame
 
 __all__ = [
     "LiveConfig",
@@ -82,6 +84,10 @@ __all__ = [
     "ServeReport",
     "check_invariants",
 ]
+
+
+def _discard(link: FrameLink, wire) -> None:
+    """``on_frame`` of an outbound control link: nothing answers on one."""
 
 
 @dataclass
@@ -101,7 +107,8 @@ class LiveConfig:
     lease_timeout: Optional[float] = None
     #: Artificial per-request service time (0 = serve at socket speed).
     service_time: float = 0.0
-    #: Extra sleep per request on a ``fail_slow`` server, per factor unit.
+    #: Extra service time per request on a ``fail_slow`` server, per
+    #: factor unit.
     slow_unit: float = 0.001
     seed: int = 7
 
@@ -112,7 +119,10 @@ class LiveMDS:
     Serves framed :class:`ClientRequest`\\ s (ack if the index says this
     server may, redirect otherwise), applies epoch-fenced ownership
     :class:`Directive`\\ s, and heartbeats every Monitor replica through
-    the fault fabric. Liveness, slowness and the epoch fence live in
+    the fault fabric. A request is answered inside the link callback that
+    decoded it; service time, a ``fail_slow`` surcharge and a fabric delay
+    on the reply are spent with the link *held* (see :meth:`_on_frame`).
+    Liveness, slowness and the epoch fence live in
     ``state`` — the :class:`MetadataServer` the shared control plane
     mutates; :meth:`sync` makes the socket follow it. The ack ledger
     (``acked``) is keyed by client-assigned op id, so a retried or
@@ -135,8 +145,8 @@ class LiveMDS:
         self.served = 0
         self.redirects = 0
         self._heartbeat_task: Optional[asyncio.Task] = None
-        #: replica id -> (reader, writer) of the open heartbeat connection.
-        self._mon_conns: Dict[int, Tuple] = {}
+        #: replica id -> the open heartbeat link.
+        self._mon_links: Dict[int, FrameLink] = {}
 
     # ------------------------------------------------------------------
     async def sync(self) -> None:
@@ -146,7 +156,7 @@ class LiveMDS:
         gone (live mode runs storeless, so nothing replays them)."""
         listening = self.transport.is_listening(self.addr)
         if self.state.alive and not listening:
-            await self.transport.start_endpoint(self.addr, self._handle)
+            await self.transport.listen(self.addr, self._on_frame)
             self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
         elif listening and not self.state.alive:
             await self.stop()
@@ -159,34 +169,43 @@ class LiveMDS:
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
             self._heartbeat_task = None
-        for _, writer in self._mon_conns.values():
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - platform-dependent
-                pass
-        self._mon_conns.clear()
+        for link in self._mon_links.values():
+            link.close()
+        self._mon_links.clear()
         await self.transport.stop_endpoint(self.addr)
 
     # ------------------------------------------------------------------
-    async def _handle(self, reader, writer) -> None:
-        """Serve one inbound connection (client pool or Monitor leader)."""
-        while True:
-            wire = await read_frame(reader)
-            if wire is None:
-                return
-            message = from_wire(wire)
-            if isinstance(message, ClientRequest):
-                await self._serve_request(message, writer)
-            elif isinstance(message, Directive):
-                self._apply_directive(message)
+    def _on_frame(self, link: FrameLink, wire) -> None:
+        """One inbound frame (client pool or Monitor leader), handled in the
+        callback that decoded it.
 
-    async def _serve_request(self, request: ClientRequest, writer) -> None:
-        delay = self.cfg.service_time
-        slow_factor = self.state.slow_factor
-        if slow_factor > 1.0:
-            delay += (slow_factor - 1.0) * self.cfg.slow_unit
-        if delay > 0:
-            await asyncio.sleep(delay)
+        A request that takes time — ``service_time``, a ``fail_slow``
+        surcharge — holds its link for that long: the link decodes nothing
+        more meanwhile, and stops reading its socket once 128 KiB are
+        buffered, so a slow server's backlog waits in socket buffers, not
+        in this process.
+        """
+        message = from_wire(wire)
+        if isinstance(message, ClientRequest):
+            delay = self.cfg.service_time
+            slow_factor = self.state.slow_factor
+            if slow_factor > 1.0:
+                delay += (slow_factor - 1.0) * self.cfg.slow_unit
+            if delay > 0:
+                link.hold()
+                asyncio.get_running_loop().call_later(
+                    delay, self._answer, link, message
+                )
+            else:
+                self._answer(link, message)
+        elif isinstance(message, Directive):
+            self._apply_directive(message)
+
+    def _answer(self, link: FrameLink, request: ClientRequest) -> None:
+        if link.closing:
+            # The server crashed while the request was in service: a dead
+            # process routes, acks and writes nothing.
+            return
         status, owner, root = self.route(request)
         if status == "ack" and request.op_id not in self.acked:
             self.acked.add(request.op_id)
@@ -197,12 +216,19 @@ class LiveMDS:
             request.op_id, status, self.server_id,
             owner, self.state.fence_epoch, root,
         )
+        frame = encode_frame(reply.to_wire())
         # Replies ride the data plane: loss/delay installed on this server's
         # links applies to them too (a lost ack looks like a client timeout,
-        # and the retry is absorbed by the idempotent ack ledger).
-        await self.transport.send_data(
-            self.addr, CLIENT_ADDR, writer, encode_frame(reply.to_wire())
-        )
+        # and the retry is absorbed by the idempotent ack ledger). A delayed
+        # reply keeps the link held until it is written.
+        wait = self.transport.data_verdict(self.addr, CLIENT_ADDR)
+        if wait == 0.0:
+            link.write(frame)
+        elif wait is not None:
+            link.hold()
+            asyncio.get_running_loop().call_later(wait, _write_late, link, frame)
+            return
+        link.release()
 
     def route(self, request: ClientRequest) -> Tuple[str, int, str]:
         """``(status, owner, root)`` of the reply to ``request``.
@@ -241,20 +267,29 @@ class LiveMDS:
             )
             frame = encode_frame(beat.to_wire())
             for replica in range(self.cfg.num_monitors):
-                conn = self._mon_conns.get(replica)
-                if conn is None:
+                endpoint = mon_addr(replica)
+                link = self._mon_links.get(replica)
+                if link is None or link.closing:
                     try:
-                        conn = await self.transport.connect(mon_addr(replica))
-                        self._mon_conns[replica] = conn
+                        link = await self.transport.dial(endpoint, _discard)
                     except (ConnectionError, OSError):
+                        self._mon_links.pop(replica, None)
                         continue  # replica down; retry next beat
+                    self._mon_links[replica] = link
                 try:
                     await self.transport.send_control(
-                        self.addr, mon_addr(replica), conn[1], frame
+                        self.addr, endpoint, link, frame
                     )
                 except (ConnectionError, OSError):
-                    self._mon_conns.pop(replica, None)
+                    self._mon_links.pop(replica, None)
             await asyncio.sleep(self.cfg.heartbeat_interval)
+
+
+def _write_late(link: FrameLink, frame: bytes) -> None:
+    """Write a reply the fabric delayed, unless its link died meanwhile."""
+    if not link.closing:
+        link.write(frame)
+    link.release()
 
 
 class LiveMonitor:
@@ -282,23 +317,19 @@ class LiveMonitor:
     async def sync(self) -> None:
         listening = self.transport.is_listening(self.addr)
         if self.group.replica_alive[self.replica] and not listening:
-            await self.transport.start_endpoint(self.addr, self._handle)
+            await self.transport.listen(self.addr, self._on_frame)
         elif listening and not self.group.replica_alive[self.replica]:
             await self.transport.stop_endpoint(self.addr)
 
-    async def _handle(self, reader, writer) -> None:
-        while True:
-            wire = await read_frame(reader)
-            if wire is None:
-                return
-            message = from_wire(wire)
-            if isinstance(message, Heartbeat):
-                self.heartbeats_seen += 1
-                if (
-                    self.group.replica_alive[self.replica]
-                    and self.group.leader == self.replica
-                ):
-                    self.control.on_heartbeat(message)
+    def _on_frame(self, link: FrameLink, wire) -> None:
+        message = from_wire(wire)
+        if isinstance(message, Heartbeat):
+            self.heartbeats_seen += 1
+            if (
+                self.group.replica_alive[self.replica]
+                and self.group.leader == self.replica
+            ):
+                self.control.on_heartbeat(message)
 
 
 @dataclass
@@ -500,15 +531,15 @@ class LiveCluster:
             if not mds.state.alive:
                 continue
             try:
-                reader, writer = await self.transport.connect(mds.addr)
+                link = await self.transport.dial(mds.addr, _discard)
             except (ConnectionError, OSError):
                 continue
             try:
-                await self.transport.send_control(src, mds.addr, writer, frame)
+                await self.transport.send_control(src, mds.addr, link, frame)
             except (ConnectionError, OSError):
                 pass
             finally:
-                writer.close()
+                link.close()
 
     # ------------------------------------------------------------------
     # Control-plane drivers: the heartbeat-grid round, scheduled faults

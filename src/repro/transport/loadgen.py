@@ -25,10 +25,11 @@ global-layer path, which any MDS serves) goes to a random entry server. A
 stale entry costs one redirect, which replaces it; an owner that refuses
 the connection or times out is forgotten, so it is not retried per op.
 
-Connections are multiplexed: one stream per MDS shared by every in-flight
-operation, with replies correlated back to waiters by ``op_id``. A reset
-connection (the server crashed) fails all its waiters, who retry against
-another entry server with capped exponential backoff.
+Connections are multiplexed: one framed link per MDS shared by every
+in-flight operation, with replies correlated back to waiters by ``op_id``
+in the link callback that decodes them. A reset connection (the server
+crashed) fails all its waiters, who retry against another entry server
+with capped exponential backoff.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from repro.cluster.cache import LRUCache
 from repro.cluster.index import covering_entry
 from repro.cluster.messages import ClientReply, ClientRequest
 from repro.simulation.stats import summarize_latencies
-from repro.transport.asyncio_net import AsyncioTransport
+from repro.transport.asyncio_net import AsyncioTransport, FrameLink
 from repro.transport.base import CLIENT_ADDR, mds_addr
-from repro.transport.wire import encode_frame, read_frame
+from repro.transport.wire import encode_frame
 
 __all__ = [
     "LoadConfig",
@@ -63,11 +64,12 @@ INDEX_CACHE_SIZE = 512
 class RequestUnsent(ConnectionError):
     """The attempt failed before anything reached the wire.
 
-    Raised when the connect itself fails — the one case where the client
-    *knows* the request cannot have been applied. Every other failure
-    (timeout, reset after send) may have been applied server-side, so an
-    op that exhausts its budget with any such attempt must be recorded as
-    indeterminate rather than failed.
+    Raised when the connect itself fails, or the link was already reset
+    before the send — the cases where the client *knows* the request
+    cannot have been applied. Every other failure (timeout, reset after
+    send) may have been applied server-side, so an op that exhausts its
+    budget with any such attempt must be recorded as indeterminate rather
+    than failed.
     """
 
 
@@ -150,47 +152,33 @@ def _expire(future: asyncio.Future) -> None:
 class _ServerConn:
     """One multiplexed client connection to an MDS endpoint.
 
-    A background reader routes reply frames to waiters by ``op_id``. When
-    the stream dies (server crash, aborted socket) every waiter gets the
-    connection error and the pool forgets the stream; the next request
-    reconnects lazily.
+    The link's callback routes reply frames to waiters by ``op_id``. When
+    the link dies (server crash, aborted socket, a malformed reply) every
+    waiter gets the connection error and the pool forgets the link; the
+    next request reconnects lazily.
     """
 
     def __init__(self, transport: AsyncioTransport, server: int) -> None:
         self.transport = transport
         self.server = server
         self.addr = mds_addr(server)
-        self._writer = None
-        self._reader_task: Optional[asyncio.Task] = None
+        self._link: Optional[FrameLink] = None
         self._pending: Dict[int, asyncio.Future] = {}
         self._lock = asyncio.Lock()
 
-    async def _ensure(self) -> None:
-        if self._writer is not None:
+    def _on_frame(self, link: FrameLink, wire) -> None:
+        if wire[0] != ClientReply.TAG:
             return
-        reader, writer = await self.transport.connect(self.addr)
-        self._writer = writer
-        self._reader_task = asyncio.create_task(self._read_loop(reader))
+        reply = ClientReply.from_wire(wire)
+        # A reply whose waiter already timed out finds no entry (or a
+        # settled future) and is dropped.
+        future = self._pending.pop(reply.op_id, None)
+        if future is not None and not future.done():
+            future.set_result(reply)
 
-    async def _read_loop(self, reader) -> None:
-        try:
-            while True:
-                wire = await read_frame(reader)
-                if wire is None:
-                    break
-                if wire[0] != ClientReply.TAG:
-                    continue
-                reply = ClientReply.from_wire(wire)
-                # A reply whose waiter already timed out finds no entry
-                # (or a settled future) and is dropped.
-                future = self._pending.pop(reply.op_id, None)
-                if future is not None and not future.done():
-                    future.set_result(reply)
-        except (ConnectionError, OSError, ValueError):
-            pass
-        finally:
-            self._fail_all(ConnectionResetError(f"{self.addr} stream died"))
-            self._writer = None
+    def _on_lost(self, link: FrameLink, exc) -> None:
+        self._link = None
+        self._fail_all(ConnectionResetError(f"{self.addr} link died"))
 
     def _fail_all(self, error: Exception) -> None:
         for future in self._pending.values():
@@ -208,20 +196,28 @@ class _ServerConn:
     ) -> ClientReply:
         """Send one request and await its correlated reply.
 
-        Raises :class:`RequestUnsent` when the connect fails (nothing hit
-        the wire — determinately not applied), ``ConnectionError`` /
-        ``OSError`` when the stream died after the send may have started,
-        and ``asyncio.TimeoutError`` when no reply lands in time (which is
-        also what a fabric-dropped request or reply frame looks like).
+        Raises :class:`RequestUnsent` when the connect fails or the link
+        is already closed (nothing hit the wire — determinately not
+        applied), ``ConnectionError`` / ``OSError`` when the link died
+        after the send may have started, and ``asyncio.TimeoutError`` when
+        no reply lands in time (which is also what a fabric-dropped request
+        or reply frame looks like).
         """
-        writer = self._writer
-        if writer is None:
+        link = self._link
+        if link is None:
             async with self._lock:
-                try:
-                    await self._ensure()
-                except (ConnectionError, OSError) as exc:
-                    raise RequestUnsent(str(exc)) from exc
-                writer = self._writer
+                if self._link is None:
+                    try:
+                        self._link = await self.transport.dial(
+                            self.addr, self._on_frame, self._on_lost
+                        )
+                    except (ConnectionError, OSError) as exc:
+                        raise RequestUnsent(str(exc)) from exc
+                link = self._link
+        if link.closing:
+            # Reset before this send (its loss not yet handled): nothing
+            # reaches the wire, and the next attempt redials.
+            raise RequestUnsent(f"{self.addr} link is closed")
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         op_id = request.op_id
@@ -231,7 +227,7 @@ class _ServerConn:
             # An unsent (fabric-lost) frame still waits out the timeout —
             # the client cannot know its request evaporated.
             await self.transport.send_data(
-                CLIENT_ADDR, self.addr, writer, encode_frame(request.to_wire())
+                CLIENT_ADDR, self.addr, link, encode_frame(request.to_wire())
             )
             # Armed once the send returns: a send blocked on a full socket
             # is not on the reply clock.
@@ -242,16 +238,10 @@ class _ServerConn:
                 timer.cancel()
             self._pending.pop(op_id, None)
 
-    async def close(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            self._reader_task = None
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:  # pragma: no cover - platform-dependent
-                pass
-            self._writer = None
+    def close(self) -> None:
+        if self._link is not None:
+            self._link.close()
+            self._link = None
         self._fail_all(ConnectionResetError("client pool closed"))
 
 
@@ -460,7 +450,7 @@ class LoadGenerator:
 
     async def close(self) -> None:
         for conn in self._conns.values():
-            await conn.close()
+            conn.close()
         self._conns.clear()
 
 

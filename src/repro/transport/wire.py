@@ -8,7 +8,9 @@ in that module's docstring). So ``encode_frame(to_wire(msg))`` is the frame
 and ``from_wire(decode_payload(frame[4:]))`` is the message again.
 
 The length prefix is what makes torn reads detectable: a reader either
-gets a whole frame or knows the stream died mid-frame. The version byte is
+gets a whole frame or knows the stream died mid-frame (the live transport's
+reader is :class:`~repro.transport.asyncio_net.FrameLink`, which decodes
+frames as their bytes arrive). The version byte is
 checked here, once, before anything looks at the body; a frame this build
 does not speak — a version-2 peer's JSON object reads as "version 123" —
 is a :class:`FrameError`, as is a payload too short to carry the envelope.
@@ -24,18 +26,16 @@ JSON was; to read one, strip the four length bytes and decode it::
 
 from __future__ import annotations
 
-import asyncio
 import struct
-from typing import Optional
 
 from repro.cluster.messages import WIRE_VERSION, Wire
 
 __all__ = [
+    "LENGTH_PREFIX",
     "MAX_FRAME_BYTES",
     "FrameError",
     "encode_frame",
     "decode_payload",
-    "read_frame",
 ]
 
 #: Upper bound on one frame's payload. Metadata messages are a few dozen
@@ -43,10 +43,11 @@ __all__ = [
 #: far below this. Anything larger is a corrupt or hostile length prefix.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
-_LEN = struct.Struct(">I")
+#: The ``[u32 length]`` in front of every frame's payload.
+LENGTH_PREFIX = struct.Struct(">I")
 _ENVELOPE = struct.Struct(">IBB")
 #: Payload bytes the envelope itself takes (version + tag).
-_ENVELOPE_PAYLOAD = _ENVELOPE.size - _LEN.size
+_ENVELOPE_PAYLOAD = _ENVELOPE.size - LENGTH_PREFIX.size
 
 
 class FrameError(ValueError):
@@ -79,27 +80,3 @@ def decode_payload(data: bytes) -> Wire:
             f"(this build speaks version {WIRE_VERSION})"
         )
     return data[1], data[_ENVELOPE_PAYLOAD:]
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Wire]:
-    """Read one frame's wire form; ``None`` on clean EOF (peer closed
-    between frames).
-
-    An EOF *inside* a frame (torn stream) raises ``FrameError`` — the
-    distinction matters to the live MDS, which treats clean EOF as a client
-    hanging up and a torn frame as a connection fault.
-    """
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise FrameError("stream ended inside a frame header") from error
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds cap")
-    try:
-        data = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise FrameError("stream ended inside a frame body") from error
-    return decode_payload(data)

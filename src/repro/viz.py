@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.numeric import ordered_sum
+
 __all__ = ["AsciiChart", "render_series", "sparkline", "stacked_bar"]
 
 #: Distinct glyphs per series, cycled.
@@ -35,7 +37,7 @@ def stacked_bar(parts: Sequence[float], width: int = 48) -> str:
     rounding fair. Returns ``""`` for an empty/zero total.
     """
     values = [max(0.0, float(v)) for v in parts]
-    total = sum(values)
+    total = ordered_sum(values)
     if total <= 0 or width <= 0 or not values:
         return ""
     exact = [v / total * width for v in values]
@@ -72,7 +74,7 @@ def sparkline(
             start = i * len(points) // width
             stop = max(start + 1, (i + 1) * len(points) // width)
             bucket = points[start:stop]
-            resampled.append(sum(bucket) / len(bucket))
+            resampled.append(ordered_sum(bucket) / len(bucket))
         points = resampled
     floor = min(points) if lo is None else lo
     ceiling = max(points) if hi is None else hi

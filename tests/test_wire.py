@@ -7,6 +7,12 @@ packed width allows. The other half is hostility: arbitrary bytes,
 truncations and single-bit flips of valid frames either decode to a message
 or raise ``ValueError``; nothing else (``struct.error``,
 ``UnicodeDecodeError``, ``IndexError``) may reach a connection handler.
+
+The frame reader is :class:`~repro.transport.asyncio_net.FrameLink`, driven
+here through a recording stand-in for its socket: any split of the bytes
+into chunks decodes the same frames, a torn or oversized frame closes the
+link, and a held link buffers, pauses and resumes by ``StreamReader``'s
+rule.
 """
 
 import asyncio
@@ -28,12 +34,13 @@ from repro.cluster.messages import (
     from_wire,
     to_wire,
 )
+from repro.transport.asyncio_net import PAUSE_ABOVE, RESUME_AT, FrameLink
 from repro.transport.wire import (
+    LENGTH_PREFIX,
     MAX_FRAME_BYTES,
     FrameError,
     decode_payload,
     encode_frame,
-    read_frame,
 )
 
 # Field ranges are the packed widths: i32 / i64 header fields, text whose
@@ -388,31 +395,28 @@ def test_a_bit_flipped_frame_decodes_or_value_error(message, data):
     frame = bytearray(encode_frame(to_wire(message)))
     bit = data.draw(st.integers(0, len(frame) * 8 - 1))
     frame[bit // 8] ^= 1 << (bit % 8)
-
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(bytes(frame))
-        reader.feed_eof()
-        try:
-            while True:
-                wire = await read_frame(reader)
-                if wire is None:
-                    return
-                from_wire(wire)
-        except ValueError as error:
-            assert type(error) in (ValueError, FrameError), repr(error)
-
-    asyncio.run(go())
+    # from_wire in the callback, as a live node does: its ValueError closes
+    # the link like the decoder's own.
+    _, lost = _feed([bytes(frame)], on_frame=from_wire)
+    assert len(lost) == 1
+    assert lost[0] is None or type(lost[0]) in (ValueError, FrameError), repr(lost[0])
 
 
 def _framed(payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + payload
 
 
+async def _read_wire(reader):
+    """One frame off a raw stream: its length prefix, then its payload."""
+    (length,) = LENGTH_PREFIX.unpack(await reader.readexactly(LENGTH_PREFIX.size))
+    return decode_payload(await reader.readexactly(length))
+
+
 def test_a_garbage_frame_drops_the_connection_not_the_server():
-    """A live MDS answers a hostile frame by closing that connection; the
-    handler task ends cleanly, nothing is applied and the endpoint keeps
-    serving."""
+    """A live MDS answers a hostile frame by closing that connection; its
+    link closes cleanly (nothing reaches the loop's exception handler),
+    nothing is applied and the endpoint keeps serving. The client is a raw
+    stream: the bytes are the test's, not an encoder's."""
     from repro.transport.asyncio_net import AsyncioTransport
     from repro.transport.live import LiveConfig, LiveMDS
 
@@ -439,7 +443,7 @@ def test_a_garbage_frame_drops_the_connection_not_the_server():
         loop.set_exception_handler(lambda _loop, ctx: unhandled.append(ctx))
         transport = AsyncioTransport(mode="unix")
         mds = LiveMDS(0, transport, LiveConfig(num_servers=1, num_monitors=0))
-        await transport.start_endpoint(mds.addr, mds._handle)
+        await mds.sync()
         try:
             for what, frame in garbage.items():
                 reader, writer = await transport.connect(mds.addr)
@@ -456,9 +460,10 @@ def test_a_garbage_frame_drops_the_connection_not_the_server():
             reader, writer = await transport.connect(mds.addr)
             writer.write(encode_frame(to_wire(ClientRequest(9, "/a", "read"))))
             await writer.drain()
-            reply = from_wire(await asyncio.wait_for(read_frame(reader), 2.0))
+            reply = from_wire(await asyncio.wait_for(_read_wire(reader), 2.0))
             writer.close()
         finally:
+            await mds.stop()
             await transport.close()
         await asyncio.sleep(0)
         return reply, unhandled
@@ -469,33 +474,109 @@ def test_a_garbage_frame_drops_the_connection_not_the_server():
 
 
 # ----------------------------------------------------------------------
-# Framing
+# Framing: the link's decoder
 # ----------------------------------------------------------------------
 BEAT = Heartbeat(server=3, time=1.5, load=2.0, relative_capacity=1.0)
 
 
-def _read_frames(data: bytes, count: int, eof: bool = True):
-    """Feed ``data`` to a fresh StreamReader and read ``count`` frames."""
+class FakeSocket:
+    """The transport under a FrameLink, reduced to what the link asks of it."""
 
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        if eof:
-            reader.feed_eof()
-        return [await read_frame(reader) for _ in range(count)]
+    def __init__(self):
+        self.closed = False
+        self.reading = True
 
-    return asyncio.run(go())
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+
+def _link(on_frame, on_lost=None):
+    link = FrameLink(on_frame, on_lost)
+    socket = FakeSocket()
+    link.connection_made(socket)
+    return link, socket
+
+
+def _feed(chunks, eof=True, on_frame=None):
+    """Push ``chunks`` through a fresh link, then EOF. Returns the wire forms
+    it handed on, in order, and what ``on_lost`` reported: ``[]`` while the
+    link is open, ``[None]`` for a clean close, ``[error]`` otherwise."""
+    wires, lost = [], []
+
+    def handed(link, wire):
+        wires.append(wire)
+        if on_frame is not None:
+            on_frame(wire)
+
+    link, socket = _link(handed, lambda link, exc: lost.append(exc))
+    for chunk in chunks:
+        if socket.closed:
+            break  # a closed transport delivers nothing more
+        link.data_received(chunk)
+    if eof and not socket.closed:
+        link.eof_received()
+    if socket.closed:
+        link.connection_lost(None)  # what asyncio does once close() is done
+    return wires, lost
 
 
 def _read_one(data: bytes, eof: bool = True):
-    return _read_frames(data, 1, eof=eof)[0]
+    """The first frame of ``data`` — or the error the link closed on."""
+    wires, lost = _feed([data], eof=eof)
+    if wires:
+        return wires[0]
+    if lost and lost[0] is not None:
+        raise lost[0]
+    return None
 
 
-def test_read_frame_round_trip_and_clean_eof():
-    first, second, third = _read_frames(encode_frame(to_wire(BEAT)) * 2, 3)
-    assert first == second == to_wire(BEAT)
-    assert from_wire(first) == BEAT
-    assert third is None  # clean EOF between frames
+@settings(max_examples=200)
+@given(st.lists(any_message, min_size=1, max_size=6), st.data())
+def test_any_split_of_a_run_of_frames_decodes_the_same_frames(messages, data):
+    """However the socket chunks a run of frames — and whichever frames the
+    owner holds the link for — the link hands on the same wire forms, in
+    order, and closes cleanly at EOF."""
+    stream = b"".join(encode_frame(to_wire(m)) for m in messages)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=10)))
+    chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+    holds = data.draw(st.lists(st.booleans(), min_size=len(messages),
+                               max_size=len(messages)))
+    wires, lost, held = [], [], []
+
+    def on_frame(link, wire):
+        if holds[len(wires)]:
+            link.hold()
+            held.append(link)
+        wires.append(wire)
+
+    link, socket = _link(on_frame, lambda link, exc: lost.append(exc))
+    for chunk in chunks:
+        link.data_received(chunk)
+        while held:  # the owner answers, frees the link, and it decodes on
+            held.pop().release()
+    link.eof_received()
+    while held:
+        held.pop().release()
+    assert socket.closed
+    link.connection_lost(None)
+    assert [from_wire(wire) for wire in wires] == messages
+    assert lost == [None]
+
+
+def test_link_round_trip_and_clean_eof():
+    wires, lost = _feed([encode_frame(to_wire(BEAT)) * 2])
+    assert wires == [to_wire(BEAT)] * 2
+    assert from_wire(wires[0]) == BEAT
+    assert lost == [None]  # clean EOF between frames
 
 
 def test_torn_header_raises_frame_error():
@@ -513,6 +594,16 @@ def test_oversized_length_prefix_is_rejected_before_reading():
     header = struct.pack(">I", MAX_FRAME_BYTES + 1)
     with pytest.raises(FrameError, match="exceeds cap"):
         _read_one(header, eof=False)
+
+
+def test_an_oversized_prefix_closes_the_link_before_its_body_is_buffered():
+    header = struct.pack(">I", MAX_FRAME_BYTES + 1)
+    link, socket = _link(lambda link, wire: None)
+    link.data_received(header[:3])
+    assert not socket.closed  # three bytes cannot carry a length yet
+    link.data_received(header[3:] + b"x" * 1000)
+    assert socket.closed  # refused on its length, not after the body came
+    link.connection_lost(None)
 
 
 def test_oversized_payload_is_rejected_at_encode():
@@ -539,19 +630,12 @@ def test_frame_just_under_cap_round_trips():
 
 def test_good_frame_then_torn_tail_fails_only_the_tail():
     # A torn frame after a good one must not poison the earlier decode:
-    # the reader hands back the complete frame, then reports the tear.
+    # the link hands on the complete frame, then reports the tear.
     frame = encode_frame(to_wire(BEAT))
-
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(frame + frame[: len(frame) // 2])
-        reader.feed_eof()
-        first = await read_frame(reader)
-        with pytest.raises(FrameError, match="frame body"):
-            await read_frame(reader)
-        return first
-
-    assert from_wire(asyncio.run(go())) == BEAT
+    wires, lost = _feed([frame + frame[: len(frame) // 2]])
+    assert [from_wire(wire) for wire in wires] == [BEAT]
+    assert len(lost) == 1 and isinstance(lost[0], FrameError)
+    assert "frame body" in str(lost[0])
 
 
 def test_torn_length_prefix_alone_raises_header_error():
@@ -559,3 +643,69 @@ def test_torn_length_prefix_alone_raises_header_error():
     for size in (1, 2, 3):
         with pytest.raises(FrameError, match="frame header"):
             _read_one(b"\x7f" * size)
+
+
+# ----------------------------------------------------------------------
+# The hold rule and the write side
+# ----------------------------------------------------------------------
+def test_a_held_link_pauses_reading_above_128_kib_and_resumes_at_64():
+    """StreamReader's default-limit rule, which bounds a slow server's
+    backlog: a link held on every frame stops reading once more than
+    PAUSE_ABOVE bytes wait, and reads again at RESUME_AT or fewer."""
+    frame = encode_frame(to_wire(BEAT))
+    handled = []
+
+    def on_frame(link, wire):
+        handled.append(wire)
+        link.hold()
+
+    link, socket = _link(on_frame)
+    fed = 0
+    chunk = frame * 100
+    for _ in range(2 * PAUSE_ABOVE // len(chunk)):
+        if not socket.reading:
+            break  # a paused socket delivers nothing more
+        assert fed - len(frame) * len(handled) <= PAUSE_ABOVE
+        link.data_received(chunk)
+        fed += len(chunk)
+    assert not socket.reading
+    assert fed - len(frame) * len(handled) > PAUSE_ABOVE
+    while not socket.reading:
+        assert fed - len(frame) * len(handled) > RESUME_AT
+        link.release()  # one frame answered; the next one holds again
+    assert fed - len(frame) * len(handled) <= RESUME_AT
+    assert len(handled) < fed // len(frame)  # resumed while still backlogged
+
+
+def test_every_writer_blocked_on_a_paused_link_wakes():
+    async def go():
+        link, _ = _link(lambda link, wire: None)
+        link.pause_writing()
+        blocked = [asyncio.ensure_future(link.drain()) for _ in range(3)]
+        await asyncio.sleep(0)
+        assert not any(task.done() for task in blocked)
+        link.resume_writing()
+        await asyncio.wait_for(asyncio.gather(*blocked), 1.0)
+        # A lost link fails its blocked writers instead of stranding them.
+        link.pause_writing()
+        stranded = asyncio.ensure_future(link.drain())
+        await asyncio.sleep(0)
+        link.connection_lost(None)
+        with pytest.raises(ConnectionResetError):
+            await asyncio.wait_for(stranded, 1.0)
+
+    asyncio.run(go())
+
+
+def test_a_release_waits_for_paused_writes_to_drain():
+    """The reply's ``await writer.drain()`` of a stream handler: a link whose
+    writes are paused decodes its next frame only after they drain."""
+    frame = encode_frame(to_wire(BEAT))
+    handled = []
+    link, _ = _link(lambda link, wire: (handled.append(wire), link.hold()))
+    link.data_received(frame * 2)
+    link.pause_writing()
+    link.release()
+    assert len(handled) == 1
+    link.resume_writing()
+    assert len(handled) == 2
