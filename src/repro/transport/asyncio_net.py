@@ -79,7 +79,8 @@ class FrameLink(asyncio.Protocol):
     socket past :data:`PAUSE_ABOVE` buffered bytes, until :meth:`release`.
     Outbound, :meth:`write` and :meth:`drain` are what ``send_data`` /
     ``send_control`` call; every :meth:`drain` blocked on a paused write
-    buffer wakes when it drains.
+    buffer wakes when it drains. A sender that cannot await registers a
+    plain callback with :meth:`when_drained` instead.
     """
 
     def __init__(self, on_frame: OnFrame, on_lost: Optional[OnLost] = None) -> None:
@@ -96,6 +97,7 @@ class FrameLink(asyncio.Protocol):
         self._writing_paused = False
         self._release_on_drain = False
         self._drain_waiters: List[asyncio.Future] = []
+        self._drained: List[Callable[[], None]] = []
         self._eof = False
         self._lost = False
         self._aborted = False
@@ -128,10 +130,18 @@ class FrameLink(asyncio.Protocol):
             if not self._decoding:  # else the running decode loop goes on
                 self._decode_buffered()
 
-    def write(self, data: bytes) -> None:
+    def write(self, data: bytes) -> bool:
+        """Queue ``data``; False when the write buffer is now over its
+        high-water mark (what a :meth:`drain` would wait out)."""
         if self.closing:
             raise ConnectionResetError("link is closed")
         self.transport.write(data)
+        return not self._writing_paused
+
+    def when_drained(self, callback: Callable[[], None]) -> None:
+        """After a :meth:`write` that returned False: call ``callback()``
+        once the write buffer drains, or once the link is lost."""
+        self._drained.append(callback)
 
     async def drain(self) -> None:
         """Wait while the transport's write buffer is over its high-water
@@ -194,6 +204,7 @@ class FrameLink(asyncio.Protocol):
         for waiter in self._drain_waiters:
             if not waiter.done():
                 waiter.set_result(None)
+        self._wake_drained()
         if self._release_on_drain:
             self._release_on_drain = False
             self.release()
@@ -204,8 +215,14 @@ class FrameLink(asyncio.Protocol):
         for waiter in self._drain_waiters:
             if not waiter.done():
                 waiter.set_result(None)  # drain() raises, seeing _lost
+        self._wake_drained()  # each sees ``closing``
         if self.on_lost is not None:
             self.on_lost(self, exc or self._error)
+
+    def _wake_drained(self) -> None:
+        callbacks, self._drained = self._drained, []
+        for callback in callbacks:
+            callback()
 
     # ------------------------------------------------------------------
     # Decoding

@@ -4,11 +4,20 @@ Arrivals are a seeded Poisson process at a configured rate — open-loop, so
 a slow or faulted cluster builds a backlog instead of silently throttling
 the offered load. A bounded in-flight cap guards the event loop: the
 generator is up to ``max_inflight`` *slots* that take operations in trace
-order, each sleeping out its next operation's arrival offset and then
+order, each waiting out its next operation's arrival offset and then
 carrying it to a terminal outcome. Once every slot is busy the generator
 is a closed loop of ``max_inflight`` clients; an operation that all
 ``max_inflight`` slots were too busy to start at its arrival time is
 counted in ``saturated``.
+
+A slot is a chain of callbacks, not a task, and an operation in flight is
+one :class:`_Op` record. Whichever callback decides an operation's next
+step advances it: the reply's ``on_frame``, the link's ``on_lost``, the
+link's deadline sweep, or a ``call_at`` for an arrival offset or a retry
+backoff. An ack settles its operation and takes the slot's next one inside
+the callback that decoded it, so a fault-free operation costs no task
+wake-up, future, timer handle or coroutine frame. The only task the
+generator creates is a dial, at most one per MDS at a time.
 
 Each operation gets a stable ``op_id`` before the first send. Retries,
 redirects and duplicate deliveries all reuse it, and the MDS ack ledger is
@@ -26,10 +35,13 @@ stale entry costs one redirect, which replaces it; an owner that refuses
 the connection or times out is forgotten, so it is not retried per op.
 
 Connections are multiplexed: one framed link per MDS shared by every
-in-flight operation, with replies correlated back to waiters by ``op_id``
-in the link callback that decodes them. A reset connection (the server
-crashed) fails all its waiters, who retry against another entry server
-with capped exponential backoff.
+in-flight operation, with replies correlated back to operations by
+``op_id``. Every attempt waits the same ``request_timeout`` from the
+moment its send returns, so the attempts on one link fall due in the order
+their clocks started, and one timer per link, at the earliest deadline,
+expires them. A reset connection (the server crashed) fails all its
+attempts, which retry against another entry server with capped
+exponential backoff.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.chaos.history import OpHistory
@@ -52,25 +65,12 @@ __all__ = [
     "LoadConfig",
     "LoadReport",
     "LoadGenerator",
-    "RequestUnsent",
     "latency_summary",
     "trace_ops",
 ]
 
 #: Entries of the client's inter-node index cache (``SimClient``'s size).
 INDEX_CACHE_SIZE = 512
-
-
-class RequestUnsent(ConnectionError):
-    """The attempt failed before anything reached the wire.
-
-    Raised when the connect itself fails, or the link was already reset
-    before the send — the cases where the client *knows* the request
-    cannot have been applied. Every other failure (timeout, reset after
-    send) may have been applied server-side, so an op that exhausts its
-    budget with any such attempt must be recorded as indeterminate rather
-    than failed.
-    """
 
 
 @dataclass
@@ -143,106 +143,242 @@ def latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def _expire(future: asyncio.Future) -> None:
-    """Per-attempt reply timer: fail the waiter unless a reply beat it."""
-    if not future.done():
-        future.set_exception(asyncio.TimeoutError())
+class _Op:
+    """One operation in flight: everything its next step needs."""
+
+    __slots__ = (
+        "op_id", "frame", "start", "deadline", "root", "target",
+        "attempts", "maybe_applied", "rng", "expires", "reply",
+    )
+
+    def __init__(
+        self, op_id: int, frame: bytes, start: float, deadline: float,
+        root: str, target: int,
+    ) -> None:
+        self.op_id = op_id
+        #: The request, encoded once: retries and redirects resend it as is.
+        self.frame = frame
+        self.start = start
+        #: ``op_deadline`` past the start: no attempt begins after it.
+        self.deadline = deadline
+        #: The cached index entry that chose ``target`` ("" for none).
+        self.root = root
+        self.target = target
+        self.attempts = 0
+        #: True once any attempt may have reached a server (sent, then
+        #: timed out or reset): the client can no longer prove it unapplied.
+        self.maybe_applied = False
+        #: Per-op retry RNG, built by the first retry: retry entry picks
+        #: stay deterministic under any interleaving (they never touch the
+        #: shared dispatch RNG), and an op that needs none seeds nothing.
+        self.rng: Optional[random.Random] = None
+        #: Reply deadline of the attempt waiting on a link.
+        self.expires = 0.0
+        #: A reply that landed while the attempt's send was still held.
+        self.reply: Optional[ClientReply] = None
 
 
 class _ServerConn:
     """One multiplexed client connection to an MDS endpoint.
 
-    The link's callback routes reply frames to waiters by ``op_id``. When
-    the link dies (server crash, aborted socket, a malformed reply) every
-    waiter gets the connection error and the pool forgets the link; the
-    next request reconnects lazily.
+    ``armed`` maps op id → operation for every attempt on the link whose
+    reply clock runs, in the order the clocks started. Every attempt waits
+    the same ``request_timeout`` from a monotonic clock, so that order is
+    deadline order: ``armed`` is the link's deadline FIFO, and one timer,
+    at its head's deadline, sweeps it. A reply, an expiry or the link's
+    loss takes its attempt out at once, so each attempt settles exactly
+    once and the FIFO never holds more than the attempts in flight.
+
+    An attempt's clock starts when its send returns — as it would for an
+    awaited ``send_data`` — so a send the fabric delays, or one blocked on
+    a full socket, waits in ``held`` instead. A reply that lands meanwhile
+    is kept on the operation and settles it once the send returns; if the
+    send fails instead, the attempt fails and the reply does not count.
+
+    While the link is being dialed, sends queue; the dial sends them or,
+    refused, fails them all as unsent. When the link dies, every armed
+    attempt fails (a held one fails with its send) and the next send
+    redials.
     """
 
-    def __init__(self, transport: AsyncioTransport, server: int) -> None:
-        self.transport = transport
+    __slots__ = (
+        "gen", "server", "addr", "link", "armed", "held", "queued",
+        "dialing", "timer",
+    )
+
+    def __init__(self, gen: "LoadGenerator", server: int) -> None:
+        self.gen = gen
         self.server = server
         self.addr = mds_addr(server)
-        self._link: Optional[FrameLink] = None
-        self._pending: Dict[int, asyncio.Future] = {}
-        self._lock = asyncio.Lock()
+        self.link: Optional[FrameLink] = None
+        self.armed: Dict[int, _Op] = {}
+        self.held: Dict[int, _Op] = {}
+        self.queued: List[_Op] = []
+        self.dialing: Optional[asyncio.Task] = None
+        self.timer: Optional[asyncio.TimerHandle] = None
+
+    def send(self, op: _Op) -> None:
+        """Put ``op``'s current attempt on its way to the server."""
+        link = self.link
+        if link is None:
+            self.queued.append(op)
+            if self.dialing is None:
+                self.dialing = self.gen._loop.create_task(self._dial())
+            return
+        if link.closing:
+            # Reset before this send (its loss not yet handled): nothing
+            # reaches the wire, and the next attempt redials.
+            self.gen._attempt_failed(op, False)
+            return
+        transport = self.gen.transport
+        if transport.faulty:
+            wait = transport.data_verdict(CLIENT_ADDR, self.addr)
+            if wait is None:
+                # A fabric-lost frame still waits out its timeout: the
+                # client cannot know its request evaporated.
+                self._arm(op)
+                return
+            if wait > 0:
+                self.held[op.op_id] = op
+                self.gen._later(wait, self._write, link, op)
+                return
+        self._write(link, op)
+
+    def _write(self, link: FrameLink, op: _Op) -> None:
+        try:
+            drained = link.write(op.frame)
+        except (ConnectionError, OSError):
+            # This send may run inside another link's reply callback: the
+            # error is this attempt's, and must not close that link.
+            self._send_failed(op)
+            return
+        if drained:
+            if self.held:
+                self.held.pop(op.op_id, None)
+            self._arm(op)
+        else:
+            self.held[op.op_id] = op
+            link.when_drained(
+                partial(self.gen._guarded, self._drained, link, op)
+            )
+
+    def _drained(self, link: FrameLink, op: _Op) -> None:
+        if link.closing:  # woken by the loss
+            self._send_failed(op)
+        else:
+            del self.held[op.op_id]
+            self._arm(op)
+
+    def _send_failed(self, op: _Op) -> None:
+        """The send itself failed: it may have reached the server, and a
+        reply it caught while held does not count."""
+        self.held.pop(op.op_id, None)
+        op.reply = None
+        self.gen._attempt_failed(op, True)
+
+    def _arm(self, op: _Op) -> None:
+        """The send returned: settle the attempt on a reply that came while
+        it was held, or start its reply clock."""
+        gen = self.gen
+        reply = op.reply
+        if reply is not None:
+            op.reply = None
+            gen._on_reply(op, reply)
+            return
+        op.expires = expires = gen._loop.time() + gen.cfg.request_timeout
+        self.armed[op.op_id] = op
+        if self.timer is None:
+            self.timer = gen._loop.call_at(expires, gen._guarded, self._sweep)
+
+    def _sweep(self) -> None:
+        """Expire every attempt past its deadline; re-arm at the next."""
+        self.timer = None
+        gen = self.gen
+        now = gen._loop.time()
+        expired = []
+        for op in self.armed.values():
+            if op.expires > now:
+                self.timer = gen._loop.call_at(
+                    op.expires, gen._guarded, self._sweep
+                )
+                break
+            expired.append(op)
+        for op in expired:
+            del self.armed[op.op_id]
+            gen._attempt_failed(op, True)
+
+    async def _dial(self) -> None:
+        gen = self.gen
+        try:
+            link = await gen.transport.dial(
+                self.addr, self._on_frame, self._on_lost
+            )
+        except (ConnectionError, OSError):
+            link = None
+        self.dialing = None
+        queued, self.queued = self.queued, []
+        try:
+            if link is None or link.closing:
+                # Refused, or reset before its first send: nothing of
+                # these attempts reached the wire.
+                for op in queued:
+                    gen._attempt_failed(op, False)
+            else:
+                self.link = link
+                for op in queued:
+                    self.send(op)
+        except Exception as error:  # unexpected: ends run()
+            gen._abort(error)
 
     def _on_frame(self, link: FrameLink, wire) -> None:
         if wire[0] != ClientReply.TAG:
             return
         reply = ClientReply.from_wire(wire)
-        # A reply whose waiter already timed out finds no entry (or a
-        # settled future) and is dropped.
-        future = self._pending.pop(reply.op_id, None)
-        if future is not None and not future.done():
-            future.set_result(reply)
+        op = self.armed.pop(reply.op_id, None)
+        if op is None:
+            # The attempt's send is still held: the first reply waits for
+            # it. Otherwise the attempt already settled (a reply after its
+            # timeout, a duplicate) and the reply is dropped.
+            op = self.held.get(reply.op_id)
+            if op is not None and op.reply is None:
+                op.reply = reply
+            return
+        try:
+            self.gen._on_reply(op, reply)
+        except Exception as error:  # unexpected: ends run()
+            self.gen._abort(error)
 
     def _on_lost(self, link: FrameLink, exc) -> None:
-        self._link = None
-        self._fail_all(ConnectionResetError(f"{self.addr} link died"))
-
-    def _fail_all(self, error: Exception) -> None:
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(error)
-                # Mark the exception retrieved up front: a waiter that
-                # already bailed on its own send error never awaits this
-                # future, and an unretrieved exception would warn at GC.
-                # Waiters still awaiting it receive the exception anyway.
-                future.exception()
-        self._pending.clear()
-
-    async def request(
-        self, request: ClientRequest, timeout: float
-    ) -> ClientReply:
-        """Send one request and await its correlated reply.
-
-        Raises :class:`RequestUnsent` when the connect fails or the link
-        is already closed (nothing hit the wire — determinately not
-        applied), ``ConnectionError`` / ``OSError`` when the link died
-        after the send may have started, and ``asyncio.TimeoutError`` when
-        no reply lands in time (which is also what a fabric-dropped request
-        or reply frame looks like).
-        """
-        link = self._link
-        if link is None:
-            async with self._lock:
-                if self._link is None:
-                    try:
-                        self._link = await self.transport.dial(
-                            self.addr, self._on_frame, self._on_lost
-                        )
-                    except (ConnectionError, OSError) as exc:
-                        raise RequestUnsent(str(exc)) from exc
-                link = self._link
-        if link.closing:
-            # Reset before this send (its loss not yet handled): nothing
-            # reaches the wire, and the next attempt redials.
-            raise RequestUnsent(f"{self.addr} link is closed")
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        op_id = request.op_id
-        self._pending[op_id] = future
-        timer = None
+        if link is not self.link:
+            return
+        self.link = None
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        lost = list(self.armed.values())
+        self.armed.clear()
         try:
-            # An unsent (fabric-lost) frame still waits out the timeout —
-            # the client cannot know its request evaporated.
-            await self.transport.send_data(
-                CLIENT_ADDR, self.addr, link, encode_frame(request.to_wire())
-            )
-            # Armed once the send returns: a send blocked on a full socket
-            # is not on the reply clock.
-            timer = loop.call_later(timeout, _expire, future)
-            return await future
-        finally:
-            if timer is not None:
-                timer.cancel()
-            self._pending.pop(op_id, None)
+            for op in lost:
+                self.gen._attempt_failed(op, True)
+        except Exception as error:  # unexpected: ends run()
+            self.gen._abort(error)
 
-    def close(self) -> None:
-        if self._link is not None:
-            self._link.close()
-            self._link = None
-        self._fail_all(ConnectionResetError("client pool closed"))
+    def close(self) -> Optional[asyncio.Task]:
+        """Hang up and drop every attempt; the dial still running, if any,
+        is cancelled and returned for the caller to await."""
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        if self.link is not None:
+            link, self.link = self.link, None
+            link.close()
+        self.armed.clear()
+        self.held.clear()
+        self.queued.clear()
+        dialing, self.dialing = self.dialing, None
+        if dialing is not None:
+            dialing.cancel()
+        return dialing
 
 
 class LoadGenerator:
@@ -266,12 +402,25 @@ class LoadGenerator:
         self.report = LoadReport(issued=len(self.ops), history=self.history)
         self._conns: Dict[int, _ServerConn] = {}
         self._done = 0
-        #: Slots sleeping out the arrival offset of an operation they hold.
-        self._waiting = 0
         #: subtree-root path -> (owner, epoch): the cached inter-node index.
         self.index_cache: LRUCache[str, Tuple[int, int]] = LRUCache(
             INDEX_CACHE_SIZE
         )
+        # The run's state, set by run().
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: Resolves when the last slot ends, or with the first unexpected
+        #: error a callback raised.
+        self._finished: Optional[asyncio.Future] = None
+        #: The one cursor every slot takes from: ``((op_id, path, op),
+        #: arrival offset, entry server)``.
+        self._cursor = iter(())
+        self._started = 0.0
+        self._cap = 0
+        #: Slots spawned / ended.
+        self._slots = 0
+        self._ended = 0
+        #: Slots waiting out the arrival offset of an operation they hold.
+        self._waiting = 0
 
     @property
     def completed(self) -> int:
@@ -281,7 +430,7 @@ class LoadGenerator:
     def _conn(self, server: int) -> _ServerConn:
         conn = self._conns.get(server)
         if conn is None:
-            conn = _ServerConn(self.transport, server)
+            conn = _ServerConn(self, server)
             self._conns[server] = conn
         return conn
 
@@ -304,7 +453,7 @@ class LoadGenerator:
     async def run(self) -> LoadReport:
         """Dispatch every operation on its Poisson arrival; await the tail."""
         cfg = self.cfg
-        loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         rng = random.Random((cfg.seed << 12) ^ 0xA11CE)
         offsets: List[float] = []
         clock = 0.0
@@ -315,66 +464,78 @@ class LoadGenerator:
         # regardless of how the in-flight operations interleave.
         entries = [rng.randrange(self.num_servers) for _ in self.ops]
 
-        work = iter(zip(self.ops, offsets, entries))
-        cap = min(cfg.max_inflight, len(self.ops))
-        slots: List[asyncio.Task] = []
-        started = loop.time()
-        if cap > 0:
-            slots.append(
-                asyncio.create_task(self._slot(work, started, slots, cap))
-            )
-        for task in slots:  # grows while the early slots run
-            await task
-        self.report.duration = loop.time() - started
-        self.report.index_cache_hits = self.index_cache.hits
-        self.report.index_cache_misses = self.index_cache.misses
-        await self.close()
+        self._cursor = zip(self.ops, offsets, entries)
+        self._cap = min(cfg.max_inflight, len(self.ops))
+        finished = self._finished = loop.create_future()
+        started = self._started = loop.time()
+        if self._cap > 0:
+            self._spawn()
+        else:
+            finished.set_result(None)
+        try:
+            await finished
+            self.report.duration = loop.time() - started
+            self.report.index_cache_hits = self.index_cache.hits
+            self.report.index_cache_misses = self.index_cache.misses
+        finally:
+            await self.close()
         return self.report
 
-    async def _slot(
-        self, work, started: float, slots: List[asyncio.Task], cap: int
-    ) -> None:
-        """One in-flight slot: take the next operation, sleep out its
-        arrival offset, carry it to a terminal outcome, repeat.
+    # Every step below runs in a loop callback. Scheduled ones go through
+    # _guarded: after run() has ended they do nothing, and an unexpected
+    # exception ends run() with it instead of leaving it waiting forever.
+    def _guarded(self, step, *args) -> None:
+        if self._finished.done():
+            return
+        try:
+            step(*args)
+        except Exception as error:  # unexpected: ends run()
+            self._abort(error)
 
-        ``work`` is the one cursor every slot shares, so operations start
-        in trace order, each at max(its arrival offset, the moment a slot
-        is free). Slots are spawned on demand up to ``cap``: a slot about
-        to get busy makes sure another is lined up for the next arrival.
-        """
-        loop = asyncio.get_running_loop()
-        for (op_id, path, op_value), offset, entry in work:
-            lag = started + offset - loop.time()
-            if lag > 0:
+    def _later(self, delay: float, step, *args) -> None:
+        self._loop.call_later(delay, self._guarded, step, *args)
+
+    def _abort(self, error: BaseException) -> None:
+        if not self._finished.done():
+            self._finished.set_exception(error)
+
+    def _spawn(self) -> None:
+        """Line up one more slot; its first take runs on the next turn."""
+        self._slots += 1
+        self._loop.call_soon(self._guarded, self._take)
+
+    def _take(self) -> None:
+        """A slot is free: start its next operation, in trace order, at
+        max(its arrival offset, now) — or end the slot once the trace is
+        done. Operations that settle at once loop here, never recurse."""
+        loop = self._loop
+        for item in self._cursor:
+            arrival = self._started + item[1]
+            if arrival > loop.time():
                 self._waiting += 1
-                await asyncio.sleep(lag)
-                self._waiting -= 1
-            elif len(slots) == cap:
+                loop.call_at(arrival, self._guarded, self._arrive, item)
+                return
+            if self._slots == self._cap:
                 self.report.saturated += 1
-            if not self._waiting and len(slots) < cap:
-                slots.append(
-                    asyncio.create_task(self._slot(work, started, slots, cap))
-                )
-            await self._run_op(op_id, path, op_value, entry)
+            if not self._begin(item):
+                return
+        self._ended += 1
+        if self._ended == self._slots and not self._finished.done():
+            self._finished.set_result(None)
 
-    def _retry_rng(self, op_id: int) -> random.Random:
-        return random.Random(
-            (self.cfg.seed << 20) ^ (op_id * 2654435761 % 2**31)
-        )
+    def _arrive(self, item) -> None:
+        self._waiting -= 1
+        if self._begin(item):
+            self._take()
 
-    async def _run_op(
-        self, op_id: int, path: str, op_value: str, entry: int
-    ) -> None:
-        cfg = self.cfg
-        loop = asyncio.get_running_loop()
-        # Per-op RNG, built by the first retry: retry entry picks stay
-        # deterministic under any interleaving (they never touch the
-        # shared dispatch RNG), and an op that needs none seeds nothing.
-        rng: Optional[random.Random] = None
-        request = ClientRequest(op_id, path, op_value)
-        start = loop.time()
+    def _begin(self, item) -> bool:
+        """Start a taken operation — lining up another slot for the next
+        arrival first; True when it settled at once."""
+        if not self._waiting and self._slots < self._cap:
+            self._spawn()
+        (op_id, path, op_value), _, entry = item
+        start = self._loop.time()
         self.history.invoke(op_id, -1, start)
-        deadline = start + cfg.op_deadline
         # Longest cached prefix -> straight to the owner; a miss (cold
         # subtree or global-layer path) -> the pre-drawn random entry.
         cached = covering_entry(path, self.index_cache.peek)
@@ -382,76 +543,101 @@ class LoadGenerator:
         # The op's one counting lookup (hits + misses == ops routed), which
         # also refreshes the entry's recency.
         self.index_cache.get(root or path)
-        # True once any attempt may have reached a server (sent then timed
-        # out / reset) — the client can no longer prove the op unapplied.
-        maybe_applied = False
-        attempts = 0
-        try:
-            for attempt in range(cfg.max_retries):
-                if loop.time() >= deadline:
-                    break
-                attempts += 1
-                try:
-                    reply = await self._conn(target).request(
-                        request, cfg.request_timeout
-                    )
-                except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-                    # A connect failure never hit the wire (determinately
-                    # not applied); anything later may have been applied.
-                    maybe_applied |= not isinstance(exc, RequestUnsent)
-                    self.report.retries += 1
-                    # The index entry that led here names a dead or silent
-                    # owner: forget it rather than retry it per op.
-                    self._forget(root, target)
-                    root = ""
-                    backoff = min(
-                        cfg.retry_backoff_cap,
-                        cfg.retry_backoff_base * (2 ** attempt),
-                    )
-                    rng = rng or self._retry_rng(op_id)
-                    await asyncio.sleep(backoff * (0.5 + rng.random()))
-                    target = rng.randrange(self.num_servers)
-                    continue
-                if reply.status == "ack":
-                    self._learn(reply)
-                    now = loop.time()
-                    self.report.acked_ids.add(op_id)
-                    self.report.latencies.append(now - start)
-                    self.history.ok(op_id, -1, now, reply.server, reply.epoch)
-                    return
-                # A cached owner that does not ack has disowned the subtree:
-                # the entry is stale whatever the reply teaches in its place.
-                self._forget(root, target)
-                root = ""
-                if reply.status == "redirect" and reply.owner >= 0:
-                    self.report.redirects += 1
-                    self._learn(reply)
-                    root, target = reply.root, reply.owner
-                    continue
-                # "error" (no routing entry yet) or a bogus redirect:
-                # try another entry server after a short backoff. The
-                # server answered, so the op was determinately not applied
-                # by this attempt.
-                self.report.retries += 1
-                rng = rng or self._retry_rng(op_id)
-                await asyncio.sleep(
-                    cfg.retry_backoff_base * (0.5 + rng.random())
-                )
-                target = rng.randrange(self.num_servers)
-            if maybe_applied:
-                self.report.indeterminate += 1
-                self.report.indeterminate_ids.add(op_id)
-                self.history.indeterminate(op_id, -1, loop.time(), attempts)
+        frame = encode_frame(ClientRequest(op_id, path, op_value).to_wire())
+        op = _Op(
+            op_id, frame, start, start + self.cfg.op_deadline, root, target
+        )
+        return self._attempt(op)
+
+    def _attempt(self, op: _Op) -> bool:
+        """Send ``op``'s next attempt; or, its retry budget or deadline
+        spent, settle it (True)."""
+        now = self._loop.time()
+        if op.attempts >= self.cfg.max_retries or now >= op.deadline:
+            report = self.report
+            if op.maybe_applied:
+                report.indeterminate += 1
+                report.indeterminate_ids.add(op.op_id)
+                self.history.indeterminate(op.op_id, -1, now, op.attempts)
             else:
-                self.report.failed += 1
-                self.history.fail(op_id, -1, loop.time(), attempts)
-        finally:
+                report.failed += 1
+                self.history.fail(op.op_id, -1, now, op.attempts)
             self._done += 1
+            return True
+        op.attempts += 1
+        self._conn(op.target).send(op)
+        return False
+
+    def _retry(self, op: _Op) -> None:
+        if self._attempt(op):
+            self._take()
+
+    def _back_off(self, op: _Op, backoff: float) -> None:
+        """Retry against a random entry server after ``backoff``, jittered."""
+        self.report.retries += 1
+        rng = op.rng
+        if rng is None:
+            rng = op.rng = random.Random(
+                (self.cfg.seed << 20) ^ (op.op_id * 2654435761 % 2**31)
+            )
+        self._later(backoff * (0.5 + rng.random()), self._retry, op)
+        op.target = rng.randrange(self.num_servers)
+
+    def _attempt_failed(self, op: _Op, maybe_applied: bool) -> None:
+        """The attempt got no answer: unsent (a refused dial, a closed
+        link) — determinately not applied — or maybe applied (timed out,
+        reset after the send)."""
+        if maybe_applied:
+            op.maybe_applied = True
+        # The index entry that led here names a dead or silent owner:
+        # forget it rather than retry it per op.
+        self._forget(op.root, op.target)
+        op.root = ""
+        cfg = self.cfg
+        self._back_off(
+            op,
+            min(
+                cfg.retry_backoff_cap,
+                cfg.retry_backoff_base * (2 ** (op.attempts - 1)),
+            ),
+        )
+
+    def _on_reply(self, op: _Op, reply: ClientReply) -> None:
+        status = reply.status
+        if status == "ack":
+            self._learn(reply)
+            now = self._loop.time()
+            report = self.report
+            report.acked_ids.add(op.op_id)
+            report.latencies.append(now - op.start)
+            self.history.ok(op.op_id, -1, now, reply.server, reply.epoch)
+            self._done += 1
+            self._take()
+            return
+        # A cached owner that does not ack has disowned the subtree: the
+        # entry is stale whatever the reply teaches in its place.
+        self._forget(op.root, op.target)
+        op.root = ""
+        if status == "redirect" and reply.owner >= 0:
+            self.report.redirects += 1
+            self._learn(reply)
+            op.root, op.target = reply.root, reply.owner
+            self._retry(op)
+            return
+        # "error" (no routing entry yet) or a bogus redirect: try another
+        # entry server after a short backoff. The server answered, so the
+        # op was determinately not applied by this attempt.
+        self._back_off(op, self.cfg.retry_backoff_base)
 
     async def close(self) -> None:
-        for conn in self._conns.values():
-            conn.close()
+        dials = [
+            dialing
+            for dialing in (conn.close() for conn in self._conns.values())
+            if dialing is not None
+        ]
         self._conns.clear()
+        if dials:
+            await asyncio.wait(dials)
 
 
 def trace_ops(trace) -> List[Tuple[int, str, str]]:

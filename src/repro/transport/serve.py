@@ -19,6 +19,7 @@ asyncio cluster on this machine.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 from typing import Dict, Optional
 
 from repro.placement import MetadataScheme
@@ -64,9 +65,16 @@ async def _serve_async(
             fault_task = asyncio.create_task(
                 cluster.run_fault_plan(plan, lambda: generator.completed)
             )
-        load = await generator.run()
+        try:
+            load = await generator.run()
+        finally:
+            # Stopped however the load ended: a plan left running would go
+            # on faulting and reconciling endpoints that stop() tears down.
+            if fault_task is not None:
+                fault_task.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await fault_task
         if fault_task is not None:
-            fault_task.cancel()
             await cluster.quiesce()
         violations = check_invariants(cluster, load)
         return ServeReport(
@@ -184,9 +192,9 @@ def validate_transports(
             ),
             "hops_per_op": {"live": live_hops, "simulated": sim_hops},
             "hops_ratio": live_hops / sim_hops if live_hops and sim_hops else None,
-            "acked_matches": (
-                live.acked == sim.operations - sim.failed_operations
-            ),
+            # ``sim.operations`` counts completed ops only: failed ones are
+            # in ``sim.failed_operations`` and never in it.
+            "acked_matches": live.acked == sim.operations,
         },
         "ok": live.ok,
         "violations": live.violations,

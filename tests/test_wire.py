@@ -485,9 +485,13 @@ class FakeSocket:
     def __init__(self):
         self.closed = False
         self.reading = True
+        self.written = []
 
     def is_closing(self):
         return self.closed
+
+    def write(self, data):
+        self.written.append(data)
 
     def close(self):
         self.closed = True
@@ -695,6 +699,30 @@ def test_every_writer_blocked_on_a_paused_link_wakes():
             await asyncio.wait_for(stranded, 1.0)
 
     asyncio.run(go())
+
+
+def test_a_write_over_the_high_water_mark_says_so_and_drained_callbacks_wake():
+    """drain() for a sender that cannot await: write() returns False while
+    the buffer is over its high-water mark, and a callback registered then
+    runs once, when it drains or when the link is lost."""
+    link, socket = _link(lambda link, wire: None)
+    woke = []
+    assert link.write(b"a") is True
+    link.pause_writing()
+    assert link.write(b"b") is False
+    link.when_drained(lambda: woke.append("drained"))
+    link.when_drained(lambda: woke.append("drained too"))
+    assert woke == []
+    link.resume_writing()
+    link.pause_writing()
+    link.resume_writing()  # each callback runs once
+    assert woke == ["drained", "drained too"]
+    link.pause_writing()
+    link.when_drained(lambda: woke.append(("lost", link.closing)))
+    socket.close()
+    link.connection_lost(None)
+    assert woke[2:] == [("lost", True)]
+    assert socket.written == [b"a", b"b"]
 
 
 def test_a_release_waits_for_paused_writes_to_drain():
