@@ -1,4 +1,4 @@
-"""Client-visible operation histories and their consistency audit.
+"""The op log: one record per operation transition, and its audit.
 
 The five chaos invariants (see :mod:`repro.chaos.harness`) inspect the
 cluster's *end state* after quiescence. This module audits the *history* —
@@ -8,14 +8,19 @@ healthy placement and still have double-acked an operation, regressed a
 fence epoch mid-run, or acknowledged a mutation that no surviving ledger
 contains.
 
-An :class:`OpHistory` is an append-only recorder with five event kinds:
+An :class:`OpHistory` is the one append-only record of what operations did,
+in both execution modes: the simulator's replay loop and the live load
+generator make one recorder call per transition, keyed by the op's trace
+position. Record kinds:
 
 ``invoke``
-    The client handed the operation to the cluster (stable op id; one
-    invoke per op, ever — retries reuse it).
+    The client handed the op (path, type) to the cluster; one per op, ever.
+``retry``
+    An attempt got no answer from ``server``; attempt ``attempts`` follows.
 ``ok``
-    The client observed the acknowledgement, stamped with the acking
-    server and that server's fence epoch at serve time.
+    The client observed the acknowledgement: the acking server and its fence
+    epoch at serve time, the visits beyond the first (``jumps``), whether a
+    stale index entry redirected it, and the attempts burned before it.
 ``fail``
     The client gave up and *knows* the operation was never applied (every
     attempt determinately failed before reaching a server).
@@ -29,35 +34,39 @@ An :class:`OpHistory` is an append-only recorder with five event kinds:
     family). Resets that server's epoch floor and excuses its ledger for
     earlier acks when no durable store backs it.
 
-Both transports feed the same recorder: the simulator appends in
-event-loop order (per-server ack order equals serve order — arrivals are
-FIFO per server), and the live load generator appends in reply-receipt
-order (per-server replies ride one multiplexed stream, so receipt order
-is serve order there too). :func:`audit_history` exploits exactly that:
-per-server epoch checks walk append order, never wall-clock order, so
-benign cross-server reordering can not produce false positives.
+Everything else is a view: :func:`audit_history` and :meth:`OpHistory.counts`
+(both skip ``retry``), the live ``LoadReport``'s outcomes, telemetry's
+``op_*`` events and per-op metrics (:meth:`OpHistory.lifecycle`). An attached
+span recorder hears the same calls. Both transports append in causal order:
+the simulator in event-loop order (per-server ack order equals serve order —
+arrivals are FIFO per server), the live load generator in reply-receipt
+order (per-server replies ride one multiplexed stream). :func:`audit_history`
+exploits exactly that: per-server epoch checks walk append order, never
+wall-clock order, so benign cross-server reordering can not produce false
+positives.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NamedTuple, Optional, Set
+from typing import Any, Dict, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 __all__ = ["HistoryEvent", "OpHistory", "audit_history"]
 
 
 class HistoryEvent(NamedTuple):
-    """One recorded history event (see the module docstring for kinds).
+    """One op-log record (see the module docstring for kinds)."""
 
-    A NamedTuple: both transports record two per operation.
-    """
-
-    kind: str          # "invoke" | "ok" | "fail" | "indeterminate" | "wipe"
-    op_id: int         # -1 for wipe events
+    kind: str
+    op_id: int         # the trace position; -1 for wipe records
     client: int        # -1 when the transport has no client sessions
     t: float           # sim time or wall-clock loop time
-    server: int = -1   # acking server (ok) / wiped server (wipe)
-    epoch: int = 0     # acking server's fence epoch at serve time (ok)
-    attempts: int = 0  # attempts burned before a terminal (fail/indet.)
+    server: int = -1   # retried / acking / last-tried / wiped server
+    epoch: int = 0     # ok
+    attempts: int = 0  # retry: this attempt; terminals: attempts burned
+    path: str = ""     # invoke
+    op: str = ""       # invoke: the op type ("read", ...)
+    jumps: int = 0     # ok
+    redirected: bool = False  # ok
 
 
 #: Event kinds that terminate an operation (exactly one per invoke).
@@ -65,26 +74,43 @@ TERMINAL_KINDS = frozenset({"ok", "fail", "indeterminate"})
 
 
 class OpHistory:
-    """Append-only operation history shared by both transports."""
+    """Append-only op log shared by both transports. ``spans`` (a span
+    recorder, or None) hears each invoke / retry / ok / fail too, with the
+    arguments only it reads: ``arrival``, ``granted``, ``resume``, ``replicas``.
+    """
 
-    __slots__ = ("events",)
+    __slots__ = ("events", "spans")
 
     def __init__(self) -> None:
         self.events: List[HistoryEvent] = []
+        self.spans = None
 
-    # -- recording ------------------------------------------------------
-    def invoke(self, op_id: int, client: int, t: float) -> None:
-        self.events.append(HistoryEvent("invoke", op_id, client, t))
+    # -- recording: one call per transition -----------------------------
+    def invoke(self, op_id: int, client: int, t: float, path: str = "", op: str = "",
+               arrival: float = 0.0, granted: Optional[float] = None):
+        """Returns the span recorder's trace state for a sampled op."""
+        self.events.append(HistoryEvent("invoke", op_id, client, t, -1, 0, 0, path, op))
+        if self.spans is not None:
+            return self.spans.invoke(op_id, client, t, path, op, arrival, granted)
 
-    def ok(
-        self, op_id: int, client: int, t: float, server: int, epoch: int
-    ) -> None:
-        self.events.append(HistoryEvent("ok", op_id, client, t, server, epoch))
+    def retry(self, op_id: int, client: int, t: float, server: int, attempt: int,
+              resume: float = 0.0) -> None:
+        self.events.append(HistoryEvent("retry", op_id, client, t, server, 0, attempt))
+        if self.spans is not None:
+            self.spans.retry(op_id, resume=resume)
 
-    def fail(self, op_id: int, client: int, t: float, attempts: int) -> None:
-        self.events.append(
-            HistoryEvent("fail", op_id, client, t, attempts=attempts)
-        )
+    def ok(self, op_id: int, client: int, t: float, server: int, epoch: int, jumps: int = 0,
+           redirected: bool = False, attempts: int = 0, replicas: int = 0) -> None:
+        self.events.append(HistoryEvent(
+            "ok", op_id, client, t, server, epoch, attempts, "", "", jumps, redirected))
+        if self.spans is not None:
+            self.spans.ok(op_id, client, t, replicas=replicas)
+
+    def fail(self, op_id: int, client: int, t: float, server: int = -1,
+             attempts: int = 0) -> None:
+        self.events.append(HistoryEvent("fail", op_id, client, t, server, 0, attempts))
+        if self.spans is not None:
+            self.spans.fail(op_id)
 
     def indeterminate(
         self, op_id: int, client: int, t: float, attempts: int
@@ -96,11 +122,12 @@ class OpHistory:
     def wipe(self, server: int, t: float) -> None:
         self.events.append(HistoryEvent("wipe", -1, -1, t, server=server))
 
-    # -- summaries ------------------------------------------------------
+    # -- views ----------------------------------------------------------
     def counts(self) -> Dict[str, int]:
-        """Small JSON-friendly roll-up (stable keys, deterministic)."""
+        """Small JSON-friendly roll-up of the audited kinds (stable keys,
+        deterministic)."""
         tally = {
-            "events": len(self.events),
+            "events": 0,
             "invoked": 0, "ok": 0, "failed": 0,
             "indeterminate": 0, "wipes": 0,
         }
@@ -109,8 +136,48 @@ class OpHistory:
             "indeterminate": "indeterminate", "wipe": "wipes",
         }
         for event in self.events:
-            tally[keys[event.kind]] += 1
+            key = keys.get(event.kind)
+            if key is not None:
+                tally[key] += 1
+                tally["events"] += 1
         return tally
+
+    def count(self, kind: str) -> int:
+        return sum(1 for event in self.events if event.kind == kind)
+
+    def ids(self, kind: str) -> Set[int]:
+        return {event.op_id for event in self.events if event.kind == kind}
+
+    def lifecycle(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        """``(log index, telemetry event)`` for each record that has one:
+        ``op_start``, ``op_retry``, ``op_complete`` (its ``latency`` is
+        ``ok.t - invoke.t``) and ``op_failed``."""
+        latencies = iter(self.latencies())
+        for index, r in enumerate(self.events):
+            if r.kind == "invoke":
+                event = {"event": "op_start", "client": r.client, "path": r.path, "type": r.op}
+            elif r.kind == "retry":
+                event = {"event": "op_retry", "server": r.server, "attempt": r.attempts}
+            elif r.kind == "ok":
+                event = {"event": "op_complete", "latency": next(latencies),
+                         "jumps": r.jumps, "redirected": r.redirected, "attempts": r.attempts}
+            elif r.kind == "fail":
+                event = {"event": "op_failed", "server": r.server, "attempts": r.attempts}
+            else:
+                continue
+            event.update(kind="event", t=r.t, op=r.op_id)
+            yield index, event
+
+    def latencies(self) -> List[float]:
+        """``ok.t - invoke.t`` of every acked op, in ack order."""
+        started: Dict[int, float] = {}
+        out: List[float] = []
+        for r in self.events:
+            if r.kind == "invoke":
+                started[r.op_id] = r.t
+            elif r.kind == "ok":
+                out.append(r.t - started.pop(r.op_id, r.t))
+        return out
 
     def __len__(self) -> int:
         return len(self.events)

@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--metrics-prom", metavar="FILE", default=None,
                      help="write an end-of-run Prometheus text-format "
                           "metrics snapshot to FILE")
-    sim.add_argument("--no-op-events", action="store_true",
+    sim.add_argument("--no-op-events", dest="cluster_only", action="store_true",
                      help="with --metrics-out: skip per-operation lifecycle "
                           "events (keep cluster events and gauge series)")
     sim.add_argument("--trace-sample", type=int, default=None, metavar="N",
@@ -444,7 +444,7 @@ def cmd_simulate(args) -> int:
             if span_only:
                 telemetry = Telemetry(enabled=False)
             else:
-                telemetry = Telemetry(record_ops=not args.no_op_events)
+                telemetry = Telemetry()
         with contextlib.ExitStack() as stack:
             exporter = None
             if args.metrics_out:
@@ -453,8 +453,8 @@ def cmd_simulate(args) -> int:
                 # Context-managed: flushes whatever telemetry exists even
                 # when the run below raises, so partial runs stay debuggable.
                 exporter = stack.enter_context(
-                    JsonlExporter(telemetry, args.metrics_out,
-                                  append=index > 0)
+                    JsonlExporter(telemetry, args.metrics_out, append=index > 0,
+                                  per_op=not args.cluster_only)
                 )
             try:
                 result = simulate(
@@ -841,7 +841,7 @@ def cmd_report(args) -> int:
 
     try:
         records = read_jsonl(args.input)
-    except OSError as error:
+    except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if not records:

@@ -8,8 +8,8 @@ simulation run and collects
 * registry metrics (:class:`Counter` / :class:`Gauge` / :class:`Histogram`),
 * gauge time series snapshotted on the heartbeat grid
   (:class:`GaugeSampler`), and
-* structured, causally-id'd trace events (operation lifecycles, faults,
-  detections, adjustment rounds).
+* structured trace events: faults, detections, adjustment rounds, and the
+  operation lifecycles derived from the run's op log.
 
 Exporters turn a run into JSONL / CSV / Prometheus text; ``repro report``
 renders the JSONL as an ASCII dashboard. All timestamps are simulated time,

@@ -10,9 +10,12 @@ registry state for scrape-shaped tooling.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
 import math
+import os
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, List, Optional, Union
 
@@ -33,40 +36,101 @@ def _dump(record: Dict[str, Any]) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+@contextlib.contextmanager
+def _text(where: Union[str, Path, IO[str]], mode: str = "w", **options):
+    """A text handle on ``where``: the file it names, opened (and closed)
+    here, or ``where`` itself when it is already a handle."""
+    if isinstance(where, (str, os.PathLike)):
+        with open(where, mode, encoding="utf-8", **options) as handle:
+            yield handle
+    else:
+        yield where
+
+
 def write_jsonl(
     telemetry: Telemetry,
     destination: Union[str, Path, IO[str]],
     summary: Optional[Dict[str, Any]] = None,
     append: bool = False,
+    per_op: bool = True,
 ) -> int:
     """Write one run's telemetry as JSONL; returns the record count.
 
     ``summary`` (typically ``SimulationResult.to_dict()``) is appended as a
     final ``{"kind": "summary", ...}`` record. ``append=True`` adds a run to
     an existing file (multi-scheme sweeps share one file; each run keeps its
-    own header).
+    own header). ``per_op=False`` leaves out the ``op_*`` events.
     """
-    records = list(telemetry.iter_records())
+    records = telemetry.iter_records(per_op)
     if summary is not None:
-        records.append({"kind": "summary", **summary})
-    if hasattr(destination, "write"):
-        for record in records:
-            destination.write(_dump(record) + "\n")
-    else:
-        mode = "a" if append else "w"
-        with open(destination, mode, encoding="utf-8") as handle:
-            for record in records:
-                handle.write(_dump(record) + "\n")
-    return len(records)
+        records = itertools.chain(records, [{"kind": "summary", **summary}])
+    count = 0
+    with _text(destination, "a" if append else "w") as handle:
+        for count, record in enumerate(records, 1):
+            handle.write(_dump(record) + "\n")
+    return count
+
+
+_NUMBER, _TEXT = (int, float), (str,)
+#: Per record kind, the keys a reader leans on and their types ("?" marks
+#: an optional key); then the type of the values of its one mapping.
+_SCHEMA: Dict[str, Dict[str, tuple]] = {
+    "run": {},
+    "summary": {"latency?": (dict,)},
+    "sample": {"t": _NUMBER, "name": _TEXT, "value": _NUMBER + (type(None),),
+               "labels?": (dict,)},
+    "event": {"t": _NUMBER, "event": _TEXT, "op?": (int,)},
+    "span": {"span": _TEXT, "name": _TEXT, "cat": _TEXT, "t0": _NUMBER, "t1": _NUMBER,
+             "op?": (int,), "parent?": _TEXT, "server?": (int,)},
+}
+_MAPPING_VALUES = {"summary": ("latency", _NUMBER), "sample": ("labels", _TEXT)}
+
+
+def _problem(record: Any) -> Optional[str]:
+    """Why ``record`` is not a telemetry record, or None when it is."""
+    if not isinstance(record, dict):
+        return f"expected a JSON object, got {type(record).__name__}"
+    kind = record.get("kind")
+    schema = _SCHEMA.get(kind) if isinstance(kind, str) else None
+    if schema is None:
+        return f"unknown record kind {kind!r}"
+    for key, types in schema.items():
+        name = key.rstrip("?")
+        if name not in record:
+            if name == key:
+                return f"{kind} record without {name!r}"
+            continue
+        value = record[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            return f"{kind} record with a {type(value).__name__} {name!r}"
+    name, types = _MAPPING_VALUES.get(kind, ("", ()))
+    if not all(isinstance(v, types) for v in record.get(name, {}).values()):
+        return f"{kind} record with a mistyped {name!r} entry"
+    return None
 
 
 def read_jsonl(source: Union[str, Path, IO[str]]) -> List[Dict[str, Any]]:
-    """Load a telemetry JSONL file back into a list of record dicts."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    return [json.loads(line) for line in lines if line.strip()]
+    """Load a telemetry JSONL file back into a list of record dicts.
+
+    The file is hostile input: a line that is not JSON, not an object, of an
+    unknown ``kind``, or missing (or mistyping) a key its kind needs raises
+    ``ValueError("line N: ...")``. Blank lines are skipped.
+    """
+    with _text(source, "r") as handle:
+        lines = handle.read().splitlines()
+    records = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as error:
+            raise ValueError(f"line {number}: not JSON ({error})") from None
+        problem = _problem(record)
+        if problem is not None:
+            raise ValueError(f"line {number}: {problem}")
+        records.append(record)
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -81,20 +145,13 @@ def samples_to_csv(
 ) -> int:
     """Write ``sample`` records as ``t,name,labels,value`` rows."""
     rows = [r for r in records if r.get("kind") == "sample"]
-
-    def emit(handle: IO[str]) -> None:
+    with _text(destination, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "name", "labels", "value"])
         for r in rows:
             writer.writerow(
                 [r["t"], r["name"], _label_text(r.get("labels", {})), r["value"]]
             )
-
-    if hasattr(destination, "write"):
-        emit(destination)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
     return len(rows)
 
 
@@ -103,8 +160,7 @@ def events_to_csv(
 ) -> int:
     """Write ``event`` records as ``t,event,op,fields`` rows (fields JSON)."""
     rows = [r for r in records if r.get("kind") == "event"]
-
-    def emit(handle: IO[str]) -> None:
+    with _text(destination, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "event", "op", "fields"])
         for r in rows:
@@ -116,12 +172,6 @@ def events_to_csv(
             writer.writerow(
                 [r["t"], r["event"], r.get("op", ""), _dump(fields)]
             )
-
-    if hasattr(destination, "write"):
-        emit(destination)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
     return len(rows)
 
 
@@ -136,19 +186,18 @@ class JsonlExporter:
     post-mortem analysis; the exception is never suppressed.
     ``set_summary`` attaches the end-of-run summary record; a run that
     raises before reaching it simply flushes without one. ``count`` holds
-    the number of records written.
+    the number of records written; ``per_op`` is :func:`write_jsonl`'s.
     """
 
     def __init__(
-        self,
-        telemetry: Telemetry,
-        destination: Union[str, Path, IO[str]],
-        append: bool = False,
+        self, telemetry: Telemetry, destination: Union[str, Path, IO[str]],
+        append: bool = False, per_op: bool = True,
     ) -> None:
         self.count = 0
         self.telemetry = telemetry
         self.destination = destination
         self.append = append
+        self.per_op = per_op
         self.summary: Optional[Dict[str, Any]] = None
 
     def set_summary(self, summary: Dict[str, Any]) -> None:
@@ -160,7 +209,7 @@ class JsonlExporter:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.count = write_jsonl(
             self.telemetry, self.destination, summary=self.summary,
-            append=self.append,
+            append=self.append, per_op=self.per_op,
         )
         return False
 

@@ -29,18 +29,18 @@ recovery, adjustment rounds) draw from a separate ``"c<n>"`` sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = ["SpanRecord", "SpanRecorder"]
 
 _MASK64 = (1 << 64) - 1
 
 
-def _mix(seed: int, value: int) -> int:
+def _mix(seed_term: int, value: int) -> int:
     """splitmix64-style avalanche of ``(seed, value)`` — stable across runs
-    and Python versions (pure integer arithmetic)."""
-    x = (seed * 0x9E3779B97F4A7C15 + value * 0xBF58476D1CE4E5B9 + 1) & _MASK64
+    and Python versions (pure integer arithmetic). ``seed_term`` is the
+    seed's share, ``seed * 0x9E3779B97F4A7C15 + 1``, folded once."""
+    x = (seed_term + value * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27
@@ -49,8 +49,7 @@ def _mix(seed: int, value: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class SpanRecord:
+class SpanRecord(NamedTuple):
     """One closed interval of a span tree."""
 
     seq: int
@@ -66,10 +65,6 @@ class SpanRecord:
     #: Causal operation id (None for cluster-level spans).
     op: Optional[int] = None
     fields: Tuple[Tuple[str, Any], ...] = ()
-
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
 
     def to_record(self) -> Dict[str, Any]:
         """The JSONL dict form of this span."""
@@ -92,10 +87,9 @@ class SpanRecord:
 class SpanRecorder:
     """Collects span trees for 1-in-``sample_every`` operations.
 
-    The replay loop feeds it per-op observations (attempt starts, lock
-    grant, server visits, completion) through :meth:`begin_op` /
-    :meth:`retry` / :meth:`visit` / :meth:`finish`; the span construction
-    lives here.
+    The op log forwards its transitions here (a span-only run makes them
+    here directly, for sampled ops) and the replay loop adds each sampled
+    op's server visits (:meth:`visit`); the span construction lives here.
     """
 
     def __init__(self, sample_every: int, seed: int = 0) -> None:
@@ -103,65 +97,69 @@ class SpanRecorder:
             raise ValueError("sample_every must be >= 1")
         self.sample_every = sample_every
         self.seed = seed
+        self._seed_term = seed * 0x9E3779B97F4A7C15 + 1
         self.spans: List[SpanRecord] = []
-        self._seq = 0
         self._cluster_ids = 0
+        #: op id -> trace state of each sampled op in flight.
+        self._open: Dict[int, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     def sampled(self, op_id: int) -> bool:
         """Deterministic head-sampling decision for one operation."""
-        return _mix(self.seed, op_id) % self.sample_every == 0
+        return _mix(self._seed_term, op_id) % self.sample_every == 0
 
     def _push(
-        self,
-        sid: str,
-        name: str,
-        cat: str,
-        t0: float,
-        t1: float,
-        parent: Optional[str] = None,
-        op: Optional[int] = None,
+        self, sid: str, name: str, cat: str, t0: float, t1: float,
+        parent: Optional[str] = None, op: Optional[int] = None,
         fields: Tuple[Tuple[str, Any], ...] = (),
     ) -> None:
-        self.spans.append(
-            SpanRecord(self._seq, sid, name, cat, t0, t1, parent, op, fields)
-        )
-        self._seq += 1
+        spans = self.spans
+        spans.append(SpanRecord(len(spans), sid, name, cat, t0, t1, parent, op, fields))
 
     # ------------------------------------------------------------------
-    # Operation spans. The replay loop threads a small mutable trace dict
-    # through an op's lifetime; spans are only materialized at completion.
+    # Operation spans. A sampled op's mutable trace dict lives from its
+    # invoke to its terminal; spans are only materialized on its ack.
     # ------------------------------------------------------------------
-    def begin_op(
-        self,
-        op_id: int,
-        path: str,
-        client: int,
-        start: float,
-        pre_lock: float,
-        granted: Optional[float],
-    ) -> Dict[str, Any]:
-        """Start tracing a sampled op; returns its mutable trace state.
+    def invoke(
+        self, op_id: int, client: int, start: float, path: str, op: str,
+        arrival: float, granted: Optional[float],
+    ) -> Optional[Dict[str, Any]]:
+        """Start tracing ``op_id`` if it is sampled; returns its trace state
+        (the replay loop hands it to :meth:`visit`), else None.
 
-        ``pre_lock`` is the first-server arrival before lock acquisition,
+        ``arrival`` is the first-server arrival before lock acquisition,
         ``granted`` the lock grant time (None when the plan takes no lock).
         """
-        return {
+        if _mix(self._seed_term, op_id) % self.sample_every:
+            return None
+        tr = self._open[op_id] = {
             "id": op_id,
             "path": path,
             "client": client,
             "start": start,
             "atts": [start],
-            "d0": (pre_lock, granted),
+            "d0": (arrival, granted),
             "v": [],
         }
+        return tr
 
-    def retry(self, tr: Dict[str, Any], at: float) -> None:
-        """The op timed out and was re-pushed to arrive at ``at``: earlier
-        visits are off the critical path (their interval becomes ``retry``)."""
-        tr["atts"].append(at)
-        tr["d0"] = None
-        tr["v"].clear()
+    def retry(self, op_id: int, *_, resume: float) -> None:
+        """The op timed out and was re-pushed to arrive at ``resume``:
+        earlier visits are off the critical path (their interval becomes
+        ``retry``)."""
+        tr = self._open.get(op_id)
+        if tr is not None:
+            tr["atts"].append(resume)
+            tr["d0"] = None
+            tr["v"].clear()
+
+    def ok(self, op_id: int, client: int, t: float, *_, replicas: int) -> None:
+        tr = self._open.pop(op_id, None)
+        if tr is not None:
+            self._finish(tr, t, replicas)
+
+    def fail(self, op_id: int, *_) -> None:
+        self._open.pop(op_id, None)
 
     def visit(
         self,
@@ -185,7 +183,7 @@ class SpanRecorder:
             take = 0.0
         tr["v"].append((server, arrival, begin, end, take))
 
-    def finish(self, tr: Dict[str, Any], completion: float, replicas: int) -> None:
+    def _finish(self, tr: Dict[str, Any], completion: float, replicas: int) -> None:
         """Materialize the span tree for a completed sampled op."""
         op_id = tr["id"]
         root = str(op_id)

@@ -4,15 +4,20 @@ One :class:`Telemetry` instance accompanies one simulation run. Instrumented
 components receive it (or a reference to its registry) and
 
 * bump metrics through ``telemetry.registry`` (:mod:`repro.obs.metrics`),
-* append structured trace events via :meth:`Telemetry.event`, and
+* append structured cluster events via :meth:`Telemetry.event`, and
 * let the sampler (:mod:`repro.obs.sampler`) snapshot gauges on the
   simulated-time heartbeat grid via :meth:`Telemetry.record_sample`.
 
+Per-operation records live in the run's op log
+(:class:`repro.chaos.history.OpHistory`, ``Telemetry.ops``): the
+``op_*`` events are derived from it at export and the per-op metrics folded
+from it when the run ends, under its op ids (trace positions).
+
 Determinism contract: every timestamp is *simulated* time pushed in by the
-event loop (:meth:`set_time`), record ordering is generation order broken by
-a process-local sequence number, and no wall clock or unordered container
-ever leaks into the output — two runs with the same seed and configuration
-produce bit-identical telemetry.
+event loop (:meth:`set_time`), record ordering is generation order (a
+process-local sequence number and the op log's length at emission), and no
+wall clock or unordered container ever leaks into the output — two runs
+with the same seed and configuration produce bit-identical telemetry.
 
 :data:`NULL_TELEMETRY` is the shared disabled instance: its ``event`` /
 ``record_sample`` methods return immediately and its registry hands out
@@ -37,20 +42,18 @@ SCHEMA_VERSION = 2
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One structured event in an operation's (or the cluster's) lifecycle."""
+    """One structured event in the cluster's lifecycle."""
 
     seq: int
     t: float
     event: str
-    #: Causal operation id (None for cluster-level events).
-    op: Optional[int] = None
     fields: Tuple[Tuple[str, Any], ...] = ()
+    #: The op log's length at emission: derived op events merge around it.
+    mark: int = 0
 
     def to_record(self) -> Dict[str, Any]:
         """The JSONL dict form of this event."""
         record: Dict[str, Any] = {"kind": "event", "t": self.t, "event": self.event}
-        if self.op is not None:
-            record["op"] = self.op
         record.update(self.fields)
         return record
 
@@ -64,6 +67,7 @@ class Sample:
     name: str
     value: Optional[float]
     labels: Tuple[Tuple[str, str], ...] = ()
+    mark: int = 0
 
     def to_record(self) -> Dict[str, Any]:
         """The JSONL dict form of this sample."""
@@ -86,18 +90,12 @@ class Telemetry:
     ----------
     enabled:
         Master switch. Disabled telemetry records nothing anywhere.
-    record_ops:
-        Record per-operation lifecycle events (``op_start`` /
-        ``op_retry`` / ``op_complete`` / ``op_failed``). Turn off to keep
-        only cluster-level events (faults, detection, adjustment,
-        heartbeats) and samples when replaying very long traces.
     run_info:
         Free-form identification written into the run header (scheme,
         trace, seed, servers, ...).
     """
 
     enabled: bool = True
-    record_ops: bool = True
     run_info: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -108,10 +106,12 @@ class Telemetry:
         #: along even when ``enabled`` is False: a sampled run need not pay
         #: for the full metrics hub.
         self.spans = None
+        #: The run's op log (repro.chaos.history.OpHistory), or None: the
+        #: replay loop attaches it before it holds a record.
+        self.ops = None
         #: Current simulated time, advanced by the event loop.
         self.now = 0.0
         self._seq = itertools.count()
-        self._op_ids = itertools.count()
 
     def attach_spans(self, recorder) -> None:
         """Merge a :class:`~repro.obs.spans.SpanRecorder`'s output into this
@@ -125,41 +125,15 @@ class Telemetry:
         """Advance the telemetry clock (called from the simulation loop)."""
         self.now = now
 
-    def next_op_id(self) -> int:
-        """Allocate a causal operation id."""
-        return next(self._op_ids)
-
     # ------------------------------------------------------------------
-    def event(
-        self,
-        name: str,
-        op: Optional[int] = None,
-        t: Optional[float] = None,
-        **fields: Any,
-    ) -> None:
+    def event(self, name: str, t: Optional[float] = None, **fields: Any) -> None:
         """Append a trace event (stamped with the clock unless ``t`` given)."""
         if not self.enabled:
             return
-        self.events.append(
-            TraceEvent(
-                next(self._seq),
-                self.now if t is None else t,
-                name,
-                op,
-                tuple(sorted(fields.items())),
-            )
-        )
-
-    def op_event(
-        self,
-        name: str,
-        op: Optional[int] = None,
-        t: Optional[float] = None,
-        **fields: Any,
-    ) -> None:
-        """Like :meth:`event`, but dropped when ``record_ops`` is off."""
-        if self.record_ops:
-            self.event(name, op, t, **fields)
+        self.events.append(TraceEvent(
+            next(self._seq), self.now if t is None else t, name,
+            tuple(sorted(fields.items())), 0 if self.ops is None else len(self.ops.events),
+        ))
 
     def record_sample(
         self, t: float, name: str, value: float, **labels: object
@@ -169,37 +143,67 @@ class Telemetry:
             return
         if value is not None and not math.isfinite(value):
             value = None
-        self.samples.append(
-            Sample(
-                next(self._seq),
-                t,
-                name,
-                value,
-                tuple(sorted((k, str(v)) for k, v in labels.items())),
-            )
-        )
+        self.samples.append(Sample(
+            next(self._seq), t, name, value,
+            tuple(sorted((k, str(v)) for k, v in labels.items())),
+            0 if self.ops is None else len(self.ops.events),
+        ))
+
+    def fold_op_metrics(self) -> None:
+        """Fold the attached op log into the per-op metrics, in log order
+        (once, when the run ends)."""
+        counter, histogram = self.registry.counter, self.registry.histogram
+        completed = counter("ops_completed", help="Operations completed")
+        failed = counter("ops_failed", help="Operations dropped after retry exhaustion")
+        retries = counter("retries", help="Client retries against crashed servers")
+        redirects = counter("redirects", help="Operations that hit a stale cache entry")
+        latency = histogram("op_latency_seconds", help="End-to-end operation latency")
+        visits = histogram(
+            "route_plan_visits", help="Server visits per route plan (deterministic plan cost)")
+        client_retries = histogram(
+            "client_retries",
+            help="Retry attempts per finished operation (completed or abandoned)")
+        for _index, event in self.ops.lifecycle():
+            name = event["event"]
+            if name == "op_complete":
+                completed.inc()
+                if event["redirected"]:
+                    redirects.inc()
+                latency.observe(event["latency"])
+                visits.observe(float(event["jumps"] + 1))
+                client_retries.observe(float(event["attempts"]))
+            elif name == "op_retry":
+                retries.inc()
+            elif name == "op_failed":
+                failed.inc()
+                client_retries.observe(float(event["attempts"]))
 
     # ------------------------------------------------------------------
-    def iter_records(self) -> Iterator[Dict[str, Any]]:
+    def iter_records(self, per_op: bool = True) -> Iterator[Dict[str, Any]]:
         """Run header followed by samples, events and spans in time order.
 
-        Samples and events merge on ``(t, generation order)``; spans (keyed
-        on their *close* time ``t1``) sort after events at the same instant.
-        Every key derives from sim time and process-local counters, so the
-        stream is fully deterministic.
+        Samples and events merge on ``(t, generation order)``: an op event
+        derived from op-log record ``i`` follows what was emitted while the
+        log held ``i`` records or fewer. Spans (keyed on their *close* time
+        ``t1``) sort after events at the same instant. Every key derives
+        from sim time, process-local counters and log positions, so the
+        stream is fully deterministic. ``per_op=False`` leaves out the
+        ``op_*`` events.
         """
         header: Dict[str, Any] = {"kind": "run", "schema": SCHEMA_VERSION}
         header.update(self.run_info)
         yield header
-        keyed = [
-            ((r.t, 0, r.seq), r)
+        keyed: List[Tuple[tuple, Any]] = [
+            ((r.t, 0, r.mark, 0, r.seq), r)
             for r in itertools.chain(self.samples, self.events)
         ]
+        if per_op and self.ops is not None:
+            keyed.extend(((e["t"], 0, i, 1), e) for i, e in self.ops.lifecycle())
         if self.spans is not None:
             keyed.extend(((s.t1, 1, s.seq), s) for s in self.spans.spans)
         keyed.sort(key=lambda pair: pair[0])
         for _key, record in keyed:
-            yield record.to_record()
+            yield record if type(record) is dict else record.to_record()
 
     def sample_series(
         self, name: str

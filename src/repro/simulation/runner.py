@@ -231,10 +231,10 @@ class ClusterSimulator:
             if self.telemetry is not NULL_TELEMETRY:
                 self.telemetry.attach_spans(self.spans)
         #: The control plane shared with the live cluster. Its ``history``
-        #: (an ``OpHistory``, None by default) is set by the chaos harness
-        #: before ``run()``. The callback holds the simulator weakly: no
-        #: reference cycle, so a dropped simulator is freed at once
-        #: (perfbench reads peak RSS).
+        #: (the op log, an ``OpHistory``) is set by the chaos harness before
+        #: ``run()``, or by ``run()`` for telemetry. The callback holds the
+        #: simulator weakly: no reference cycle, so a dropped simulator is
+        #: freed at once (perfbench reads peak RSS).
         this = weakref.ref(self)
         self.control = ClusterControl(
             self.servers, self.placement, self.monitor, self.network,
@@ -588,9 +588,10 @@ class ClusterSimulator:
         / time-fault grid and an op-count fault.
 
         Everything a quiet run does not need — the heartbeat / fault grid,
-        retries, the lossy fabric, the durable store, history, telemetry,
-        spans — is an ``if flag:`` block on a local resolved once up here,
-        so a fault-free, unobserved run pays a handful of predicates per op.
+        retries, the lossy fabric, the durable store, the op log (which
+        history, telemetry and spans read) — is an ``if flag:`` block on a
+        local resolved once up here, so a fault-free, unobserved run pays a
+        handful of predicates per op.
         """
         import heapq
         from itertools import count
@@ -623,38 +624,34 @@ class ClusterSimulator:
         failover = cfg.failover_latency
         max_retries = cfg.max_retries
         decode = OP_FROM_CODE
+        op_values = [op.value for op in OP_FROM_CODE]  # as the op log records them
         REDIRECT = VisitKind.REDIRECT
         # The hooks. Each is one local bool (or None-able handle) here and
-        # plain ``if`` blocks below; metric handles are resolved once.
+        # plain ``if`` blocks below.
         tel = self.telemetry
         tel_on = tel.enabled
-        record_ops = tel_on and tel.record_ops
         store = self.store
         store_on = self.store_on
         ledger = self.durability
-        hist = control.history
-        hist_on = hist is not None
         rec = self.spans
         rec_on = rec is not None
         mig_budget = self._mig_budget
+        # The op log (repro.chaos.history.OpHistory): one call per op
+        # transition, keyed by trace position. A history run (chaos) or a
+        # metrics run keeps one; the span recorder hears its calls, or takes
+        # them itself for the sampled ops (``slot_tr`` set) of a span-only run.
+        log = control.history
         if tel_on:
-            m_completed = tel.registry.counter(
-                "ops_completed", help="Operations completed")
-            m_failed = tel.registry.counter(
-                "ops_failed", help="Operations dropped after retry exhaustion")
-            m_retries = tel.registry.counter(
-                "retries", help="Client retries against crashed servers")
-            m_redirects = tel.registry.counter(
-                "redirects", help="Operations that hit a stale cache entry")
-            h_latency = tel.registry.histogram(
-                "op_latency_seconds", help="End-to-end operation latency")
-            h_visits = tel.registry.histogram(
-                "route_plan_visits",
-                help="Server visits per route plan (deterministic plan cost)")
-            h_client_retries = tel.registry.histogram(
-                "client_retries",
-                help="Retry attempts per finished operation "
-                     "(completed or abandoned)")
+            if log is None:
+                from repro.chaos.history import OpHistory
+
+                log = control.history = OpHistory()
+            tel.ops = log
+        log_all = log is not None
+        if log_all:
+            log.spans = rec
+        else:
+            log = rec  # None as well when nothing records
 
         #: The node of every op completed since the last adjustment round.
         window: List = []
@@ -678,7 +675,7 @@ class ClusterSimulator:
         # The heartbeat grid is skipped when nothing can observe it:
         # fault-free, a round only refreshes liveness state that detection
         # never acts on.
-        grid_on = faulted or tel_on or store_on or hist_on
+        grid_on = faulted or tel_on or store_on or log_all
         heartbeat_every = cfg.heartbeat_interval
         next_heartbeat = (
             heartbeat_every if grid_on and heartbeat_every > 0 else infinity
@@ -695,7 +692,7 @@ class ClusterSimulator:
         created = 0
 
         num_slots = cfg.num_clients
-        clients = self.clients[:num_slots]
+        clients = self.clients[:num_slots]  # slot i is client i
         #: None until the slot's client has issued its first record.
         slot_plan: List[Optional[RoutePlan]] = [None] * num_slots
         slot_visit = [0] * num_slots
@@ -704,10 +701,9 @@ class ClusterSimulator:
         slot_op: List = [None] * num_slots
         slot_attempts = [0] * num_slots
         #: 1-based issue number: the durable op sequence, stable across
-        #: retries (the history and span op id is the same counter 0-based).
+        #: retries (the op log's op id is the same counter 0-based).
         slot_issue = [0] * num_slots
-        #: Telemetry op id and span trace state (None unless recorded).
-        slot_tid: List[Optional[int]] = [None] * num_slots
+        #: Span trace state of a sampled op (None otherwise).
         slot_tr: List[Optional[Dict]] = [None] * num_slots
 
         latencies: List[float] = []
@@ -805,15 +801,6 @@ class ClusterSimulator:
                                 completion,
                             )
                             ledger.note_ack(sid, slot_issue[slot])
-                        if hist_on:
-                            # Append order here is per-server serve order
-                            # (arrivals are FIFO per server), which is
-                            # exactly the order the history audit walks
-                            # fence epochs in.
-                            hist.ok(
-                                slot_issue[slot] - 1, clients[slot].client_id,
-                                completion, sid, servers[sid].fence_epoch,
-                            )
                         if nvis == 1:
                             redirected = visits[0][1] is REDIRECT
                         else:
@@ -825,24 +812,16 @@ class ClusterSimulator:
                                     break
                         if redirected:
                             redirects += 1
-                        latency = completion - slot_start[slot]
-                        lat_append(latency)
-                        if rec_on:
-                            tr = slot_tr[slot]
-                            if tr is not None:
-                                rec.finish(tr, completion, len(plan.fanout))
-                        if tel_on:
-                            m_completed.inc()
-                            if redirected:
-                                m_redirects.inc()
-                            h_latency.observe(latency)
-                            h_visits.observe(float(nvis))
-                            h_client_retries.observe(float(slot_attempts[slot]))
-                            tel.op_event(
-                                "op_complete", slot_tid[slot], t=completion,
-                                latency=latency, jumps=nvis - 1,
-                                redirected=redirected,
-                                attempts=slot_attempts[slot],
+                        lat_append(completion - slot_start[slot])
+                        if log_all or slot_tr[slot] is not None:
+                            # Append order here is per-server serve order
+                            # (arrivals are FIFO per server), which is
+                            # exactly the order the history audit walks
+                            # fence epochs in.
+                            log.ok(
+                                slot_issue[slot] - 1, slot, completion, sid,
+                                servers[sid].fence_epoch, nvis - 1, redirected,
+                                slot_attempts[slot], replicas=len(plan.fanout),
                             )
                         if completion > makespan:
                             makespan = completion
@@ -870,25 +849,19 @@ class ClusterSimulator:
                     slot_attempts[slot] = attempts
                     if attempts <= max_retries:
                         availability.retries += 1
-                        if tel_on:
-                            m_retries.inc()
-                            tel.op_event(
-                                "op_retry", slot_tid[slot], t=lost_at,
-                                server=lost, attempt=attempts,
-                            )
                         retry_at = lost_at + failover + min(
                             cfg.retry_backoff_cap,
                             cfg.retry_backoff_base * (2 ** (attempts - 1)),
                         )
+                        if log_all or slot_tr[slot] is not None:
+                            log.retry(slot_issue[slot] - 1, slot, lost_at, lost,
+                                      attempts, resume=retry_at)
                         # The tree is static mid-replay, so the node
                         # resolved at dispatch is still authoritative.
                         slot_plan[slot] = engine_plan(
                             clients[slot], slot_node[slot], slot_op[slot]
                         )
                         slot_visit[slot] = 0
-                        tr = slot_tr[slot]
-                        if tr is not None:
-                            rec.retry(tr, retry_at)
                         heapreplace(events, (retry_at, next_seq(), slot))
                         break
                     # Retry budget exhausted: the operation *fails* instead
@@ -897,18 +870,8 @@ class ClusterSimulator:
                     # completion hop of a served op), so this is a history
                     # ``fail``, never an ``indeterminate``.
                     availability.failed_operations += 1
-                    if hist_on:
-                        hist.fail(
-                            slot_issue[slot] - 1, clients[slot].client_id,
-                            lost_at, attempts,
-                        )
-                    if tel_on:
-                        m_failed.inc()
-                        h_client_retries.observe(float(attempts))
-                        tel.op_event(
-                            "op_failed", slot_tid[slot], t=lost_at,
-                            server=lost, attempts=attempts,
-                        )
+                    if log_all or slot_tr[slot] is not None:
+                        log.fail(slot_issue[slot] - 1, slot, lost_at, lost, attempts)
                     start = lost_at + failover
                     lost = -1
                 if b_idx >= b_len:
@@ -921,7 +884,8 @@ class ClusterSimulator:
                     b_len = len(b_codes)
                     b_idx = 0
                 node = b_nodes[b_idx]
-                op = decode[b_codes[b_idx]]
+                code = b_codes[b_idx]
+                op = decode[code]
                 b_idx += 1
                 dispatched += 1
                 if is_placed(node):
@@ -952,22 +916,15 @@ class ClusterSimulator:
                 slot_start[slot] = start
                 slot_node[slot] = node
                 slot_issue[slot] = dispatched
-                if hist_on:
+                if log_all or rec_on and rec.sampled(dispatched - 1):
                     # Invoked before the lost-send branch so a
                     # first-attempt loss still has its invoke on record.
-                    hist.invoke(dispatched - 1, clients[slot].client_id, start)
-                if record_ops:
-                    slot_tid[slot] = tel.next_op_id()
-                    tel.event(
-                        "op_start", slot_tid[slot], t=start, path=node.path,
-                        type=op.value, client=clients[slot].client_id,
+                    slot_tr[slot] = log.invoke(
+                        dispatched - 1, slot, start, node.path, op_values[code],
+                        pre_lock, arrival if plan.lock_key else None,
                     )
-                if rec_on:
-                    slot_tr[slot] = rec.begin_op(
-                        dispatched - 1, node.path, clients[slot].client_id,
-                        start, pre_lock,
-                        arrival if plan.lock_key else None,
-                    ) if rec.sampled(dispatched - 1) else None
+                elif rec_on:
+                    slot_tr[slot] = None
                 if arrival is not None:
                     heapreplace(events, (arrival, next_seq(), slot))
                     break
@@ -985,6 +942,7 @@ class ClusterSimulator:
             # time series even when the trace drained between heartbeats.
             tel.set_time(makespan)
             self.sampler.snapshot(makespan)
+            tel.fold_op_metrics()
             tel.registry.gauge(
                 "throughput", help="Completed operations per simulated second"
             ).set(operations / makespan if makespan > 0 else 0.0)

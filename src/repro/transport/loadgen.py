@@ -50,7 +50,7 @@ import asyncio
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.history import OpHistory
 from repro.cluster.cache import LRUCache
@@ -101,11 +101,6 @@ class LoadReport:
     """Client-side outcome of one live run."""
 
     issued: int = 0
-    failed: int = 0
-    #: Ops that exhausted their budget with at least one maybe-sent
-    #: attempt — the client cannot know whether they were applied.
-    indeterminate: int = 0
-    retries: int = 0
     redirects: int = 0
     #: Operations that found all ``max_inflight`` slots busy at their
     #: arrival time (the cap delayed their start).
@@ -115,11 +110,18 @@ class LoadReport:
     index_cache_hits: int = 0
     index_cache_misses: int = 0
     duration: float = 0.0
-    acked_ids: Set[int] = field(default_factory=set)
-    indeterminate_ids: Set[int] = field(default_factory=set)
-    latencies: List[float] = field(default_factory=list)
-    #: Complete client-visible operation history (set by the generator).
-    history: Optional[OpHistory] = None
+    #: The run's op log; the outcomes below are views of it.
+    history: OpHistory = field(default_factory=OpHistory)
+
+    acked_ids = property(lambda self: self.history.ids("ok"))
+    #: Ops that exhausted their budget with at least one maybe-sent
+    #: attempt — the client cannot know whether they were applied.
+    indeterminate_ids = property(lambda self: self.history.ids("indeterminate"))
+    #: ``ok.t - invoke.t`` of the acked ops, in ack order.
+    latencies = property(lambda self: self.history.latencies())
+    failed = property(lambda self: self.history.count("fail"))
+    indeterminate = property(lambda self: self.history.count("indeterminate"))
+    retries = property(lambda self: self.history.count("retry"))
 
     @property
     def acked(self) -> int:
@@ -147,24 +149,24 @@ class _Op:
     """One operation in flight: everything its next step needs."""
 
     __slots__ = (
-        "op_id", "frame", "start", "deadline", "root", "target",
-        "attempts", "maybe_applied", "rng", "expires", "reply",
+        "op_id", "frame", "deadline", "root", "target", "attempts",
+        "jumps", "maybe_applied", "rng", "expires", "reply",
     )
 
     def __init__(
-        self, op_id: int, frame: bytes, start: float, deadline: float,
-        root: str, target: int,
+        self, op_id: int, frame: bytes, deadline: float, root: str, target: int
     ) -> None:
         self.op_id = op_id
         #: The request, encoded once: retries and redirects resend it as is.
         self.frame = frame
-        self.start = start
         #: ``op_deadline`` past the start: no attempt begins after it.
         self.deadline = deadline
         #: The cached index entry that chose ``target`` ("" for none).
         self.root = root
         self.target = target
         self.attempts = 0
+        #: Redirects taken: server visits beyond the first.
+        self.jumps = 0
         #: True once any attempt may have reached a server (sent, then
         #: timed out or reset): the client can no longer prove it unapplied.
         self.maybe_applied = False
@@ -396,10 +398,10 @@ class LoadGenerator:
         #: ``(op_id, path, op_value)`` triples, op_id stable across retries.
         self.ops = list(ops)
         self.cfg = cfg or LoadConfig()
-        #: Client-visible operation history (invoke/ok/fail/indeterminate),
-        #: audited by the live invariant check after quiescence.
-        self.history = OpHistory()
-        self.report = LoadReport(issued=len(self.ops), history=self.history)
+        self.report = LoadReport(issued=len(self.ops))
+        #: The op log (one record per op transition), audited by the live
+        #: invariant check after quiescence.
+        self.history = self.report.history
         self._conns: Dict[int, _ServerConn] = {}
         self._done = 0
         #: subtree-root path -> (owner, epoch): the cached inter-node index.
@@ -535,7 +537,7 @@ class LoadGenerator:
             self._spawn()
         (op_id, path, op_value), _, entry = item
         start = self._loop.time()
-        self.history.invoke(op_id, -1, start)
+        self.history.invoke(op_id, -1, start, path, op_value)
         # Longest cached prefix -> straight to the owner; a miss (cold
         # subtree or global-layer path) -> the pre-drawn random entry.
         cached = covering_entry(path, self.index_cache.peek)
@@ -544,9 +546,7 @@ class LoadGenerator:
         # also refreshes the entry's recency.
         self.index_cache.get(root or path)
         frame = encode_frame(ClientRequest(op_id, path, op_value).to_wire())
-        op = _Op(
-            op_id, frame, start, start + self.cfg.op_deadline, root, target
-        )
+        op = _Op(op_id, frame, start + self.cfg.op_deadline, root, target)
         return self._attempt(op)
 
     def _attempt(self, op: _Op) -> bool:
@@ -554,14 +554,10 @@ class LoadGenerator:
         spent, settle it (True)."""
         now = self._loop.time()
         if op.attempts >= self.cfg.max_retries or now >= op.deadline:
-            report = self.report
             if op.maybe_applied:
-                report.indeterminate += 1
-                report.indeterminate_ids.add(op.op_id)
                 self.history.indeterminate(op.op_id, -1, now, op.attempts)
             else:
-                report.failed += 1
-                self.history.fail(op.op_id, -1, now, op.attempts)
+                self.history.fail(op.op_id, -1, now, op.target, op.attempts)
             self._done += 1
             return True
         op.attempts += 1
@@ -574,7 +570,7 @@ class LoadGenerator:
 
     def _back_off(self, op: _Op, backoff: float) -> None:
         """Retry against a random entry server after ``backoff``, jittered."""
-        self.report.retries += 1
+        self.history.retry(op.op_id, -1, self._loop.time(), op.target, op.attempts)
         rng = op.rng
         if rng is None:
             rng = op.rng = random.Random(
@@ -606,11 +602,12 @@ class LoadGenerator:
         status = reply.status
         if status == "ack":
             self._learn(reply)
-            now = self._loop.time()
-            report = self.report
-            report.acked_ids.add(op.op_id)
-            report.latencies.append(now - op.start)
-            self.history.ok(op.op_id, -1, now, reply.server, reply.epoch)
+            # Each earlier send was a redirect (a jump) or a retry.
+            jumps = op.jumps
+            self.history.ok(
+                op.op_id, -1, self._loop.time(), reply.server, reply.epoch,
+                jumps, jumps > 0, op.attempts - 1 - jumps,
+            )
             self._done += 1
             self._take()
             return
@@ -620,6 +617,7 @@ class LoadGenerator:
         op.root = ""
         if status == "redirect" and reply.owner >= 0:
             self.report.redirects += 1
+            op.jumps += 1
             self._learn(reply)
             op.root, op.target = reply.root, reply.owner
             self._retry(op)

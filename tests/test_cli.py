@@ -222,6 +222,34 @@ def test_report_missing_file(tmp_path, capsys):
     assert "error" in err
 
 
+_HEADER = '{"kind":"run","schema":2}'
+_ROOT = ('{"kind":"span","span":"0","name":"client_submit","cat":"op",'
+         '"op":0,"t0":0.0,"t1":0.002,"path":"/a"}')
+
+
+@pytest.mark.parametrize("line", [
+    "{not json",
+    "[1,2]",
+    '{"kind":"span","span":"0.1","name":"serve","cat":"service","op":0,'
+    '"parent":"0"}',
+    '{"kind":"event","event":"fault_crash","server":1}',
+], ids=["not-json", "not-an-object", "span-without-times", "event-without-t"])
+@pytest.mark.parametrize("output", [
+    [], ["--critical-path"], ["--perfetto", "TRACE"],
+], ids=["dashboard", "critical-path", "perfetto"])
+def test_report_rejects_a_malformed_line(tmp_path, capsys, line, output):
+    """Telemetry files are hostile input: a bad third line is an ``error:
+    line 3: ...`` and exit 2 on every output, never a traceback."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join([_HEADER, _ROOT, line]) + "\n")
+    argv = [str(tmp_path / "t.json") if a == "TRACE" else a for a in output]
+    code = main(["report", str(path), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: line 3: ")
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_chaos_command_clean_run(capsys):
     code, out = run(
         capsys, "chaos", "--trace", "lmbe", "--nodes", "600",

@@ -126,18 +126,25 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_faulted_telemetry_and_span_jsonl_match_golden(tmp_path):
-    """The full-telemetry JSONL of the durable faulted run (as the CLI
-    writes it) and the span-only JSONL of the memory one: every event,
-    sample, metric and span, by digest."""
-    expected = json.loads((GOLDEN / "faulted_jsonl.json").read_text())
-    out = tmp_path / "full.jsonl"
+@pytest.fixture(scope="module")
+def faulted_full_jsonl(tmp_path_factory):
+    """The full-telemetry JSONL of the durable faulted run, sampled 1 in
+    10, as the CLI writes it."""
+    out = tmp_path_factory.mktemp("faulted") / "full.jsonl"
     assert main([
         *_FAULTED, "--scheme", "d2-tree", "--store", "wal",
         *_faults(_WAL_FAULTS), "--trace-sample", "10",
         "--metrics-out", str(out),
     ]) == 0
-    full = out.read_text()
+    return out.read_text()
+
+
+def test_faulted_telemetry_and_span_jsonl_match_golden(faulted_full_jsonl):
+    """The full-telemetry JSONL of the durable faulted run (as the CLI
+    writes it) and the span-only JSONL of the memory one: every event,
+    sample, metric and span, by digest."""
+    expected = json.loads((GOLDEN / "faulted_jsonl.json").read_text())
+    full = faulted_full_jsonl
     assert full.count("\n") == expected["full_records"]
     assert _sha256(full) == expected["full_sha256"]
 
@@ -155,3 +162,26 @@ def test_faulted_telemetry_and_span_jsonl_match_golden(tmp_path):
     write_jsonl(telemetry, spans, summary=result.to_dict())
     assert spans.getvalue().count("\n") == expected["span_records"]
     assert _sha256(spans.getvalue()) == expected["span_sha256"]
+
+
+def test_spans_and_op_events_share_one_op_id_space(faulted_full_jsonl):
+    """A sampled root span's ``op`` names the ``op_start`` of the same
+    operation: same path, started at the span's ``t0``. Both are read off
+    the one op log, keyed by trace position."""
+    records = [json.loads(line) for line in faulted_full_jsonl.splitlines()]
+    starts = {
+        r["op"]: r for r in records
+        if r["kind"] == "event" and r["event"] == "op_start"
+    }
+    roots = [
+        r for r in records
+        if r["kind"] == "span" and r["name"] == "client_submit"
+    ]
+    assert len(starts) > len(roots) > 0
+    mismatched = [
+        root["op"] for root in roots
+        if root["op"] not in starts
+        or starts[root["op"]]["path"] != root["path"]
+        or starts[root["op"]]["t"] != root["t0"]
+    ]
+    assert mismatched == []

@@ -258,3 +258,51 @@ def test_sim_history_audits_clean_across_kill9(workload, tmp_path):
     assert case.violations == []
     assert case.history["wipes"] >= 1
     assert case.history["ok"] == case.operations
+
+
+def test_history_and_telemetry_op_events_are_one_log(workload):
+    """A chaos-clocked run with both a history and telemetry: the op events
+    are derived from the history itself, so invoke ids are the op-event
+    ids, and retries appear once in each."""
+    from repro import registry
+    from repro.chaos import (
+        CHAOS_HEARTBEAT_INTERVAL, CHAOS_HEARTBEAT_TIMEOUT, CHAOS_LEASE_TIMEOUT,
+    )
+    from repro.obs import Telemetry
+    from repro.simulation import SimulationConfig
+    from repro.simulation.runner import ClusterSimulator
+
+    telemetry = Telemetry()
+    sim = ClusterSimulator(
+        registry.create("d2-tree"), _slice(workload, 400), 5,
+        SimulationConfig(
+            seed=11, num_monitors=3,
+            fault_plan=FaultPlan.parse([
+                "crash:1@ops=60", "recover:1@ops=200",
+                "loss:2@ops=80:p0.4", "recover:2@ops=300",
+            ]),
+            heartbeat_interval=CHAOS_HEARTBEAT_INTERVAL,
+            heartbeat_timeout=CHAOS_HEARTBEAT_TIMEOUT,
+            monitor_lease_timeout=CHAOS_LEASE_TIMEOUT,
+        ),
+        telemetry=telemetry,
+    )
+    history = sim.control.history = OpHistory()
+    try:
+        sim.run()
+    finally:
+        sim.close()
+    assert telemetry.ops is history
+    events = [r for r in telemetry.iter_records() if r["kind"] == "event"]
+
+    def ids(records, kind):
+        return sorted(r.op_id for r in records if r.kind == kind)
+
+    def event_ids(name):
+        return sorted(e["op"] for e in events if e["event"] == name)
+
+    assert ids(history.events, "invoke") == event_ids("op_start")
+    assert ids(history.events, "ok") == event_ids("op_complete")
+    assert ids(history.events, "retry") == event_ids("op_retry")
+    assert event_ids("op_retry")
+    assert _audit(history, closed_loop=True) == []

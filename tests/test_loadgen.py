@@ -73,6 +73,8 @@ def _invokes(history):
 def _peak_outstanding(history):
     peak = outstanding = 0
     for event in history.events:
+        if event.kind == "retry":
+            continue
         outstanding += 1 if event.kind == "invoke" else -1
         peak = max(peak, outstanding)
     return peak
@@ -589,7 +591,7 @@ def _hand_driven_link():
 def _send(conn, ops, op_id):
     """Send ``op_id``'s next attempt (a fresh op on its first)."""
     op = ops.setdefault(
-        op_id, loadgen._Op(op_id, b"request", 0.0, float("inf"), "", 0)
+        op_id, loadgen._Op(op_id, b"request", float("inf"), "", 0)
     )
     op.attempts += 1
     conn.send(op)
@@ -798,11 +800,11 @@ def test_an_unexpected_error_in_a_callback_ends_run_instead_of_hanging_it(
     invoke = loadgen.OpHistory.invoke
     invoked = []
 
-    def failing_invoke(history, op_id, client, t):
+    def failing_invoke(history, op_id, *record):
         invoked.append(op_id)
         if op_id == ops[10][0]:
             raise RuntimeError("boom")
-        invoke(history, op_id, client, t)
+        invoke(history, op_id, *record)
 
     monkeypatch.setattr(loadgen.OpHistory, "invoke", failing_invoke)
 

@@ -110,11 +110,33 @@ def test_event_stamps_with_pushed_clock():
     assert telemetry.events[1].t == 9.0
 
 
-def test_op_event_gated_by_record_ops():
-    telemetry = Telemetry(record_ops=False)
-    telemetry.op_event("op_start", op=telemetry.next_op_id(), path="/a")
-    telemetry.event("fault_crash", server=1)
-    assert [e.event for e in telemetry.events] == ["fault_crash"]
+_SMALL_FAULTED = [
+    "simulate", "--trace", "dtr", "--nodes", "600", "--scale", "1e-4",
+    "--scheme", "d2-tree", "--seed", "3", "--servers", "4",
+    "--fault", "crash:1@ops=100", "--fault", "loss:2@ops=200:p0.5",
+    "--fault", "recover:2@ops=500", "--max-retries", "2",
+]
+
+
+def test_no_op_events_only_drops_the_op_lines(tmp_path, capsys):
+    """``--no-op-events`` filters the export: the file is the default one
+    minus its ``op_*`` event lines, byte for byte."""
+    from repro.cli import main
+
+    full, quiet = tmp_path / "full.jsonl", tmp_path / "quiet.jsonl"
+    assert main([*_SMALL_FAULTED, "--metrics-out", str(full)]) == 0
+    assert main([
+        *_SMALL_FAULTED, "--metrics-out", str(quiet), "--no-op-events",
+    ]) == 0
+    lines = full.read_text().splitlines()
+    kept = [
+        line for line in lines
+        if not json.loads(line).get("event", "").startswith("op_")
+    ]
+    names = {json.loads(line).get("event") for line in lines}
+    assert {"op_start", "op_retry", "op_complete", "op_failed"} <= names
+    assert len(kept) < len(lines)
+    assert quiet.read_text().splitlines() == kept
 
 
 def test_record_sample_nullifies_non_finite():

@@ -116,3 +116,55 @@ def test_a_fault_plan_stops_when_the_load_raises(monkeypatch):
             FaultPlan.parse(["crash:1@ops=100000"]),
         )
     assert plans_at_stop == []
+
+
+def test_load_report_outcomes_are_views_of_the_history(monkeypatch):
+    """After a faulted serve, the load report's acked and indeterminate
+    ids, latencies (ok.t - invoke.t, in ack order), failures and retries
+    are exactly what the op log's records give — and so are the numbers
+    the serve report prints."""
+    from repro.transport.loadgen import trace_ops
+
+    profile = dataclasses.replace(
+        DatasetProfile.dtr(num_nodes=600, scale=1e-4), seed=7
+    )
+    bundle = load_workload(profile.scaled(num_operations=600))
+    workload = dataclasses.replace(bundle, trace=bundle.trace.slice(0, 600))
+    loads = []
+    check = serve.check_invariants
+
+    def capturing_check(cluster, load):
+        loads.append(load)
+        return check(cluster, load)
+
+    monkeypatch.setattr(serve, "check_invariants", capturing_check)
+    report = serve.serve_workload(
+        registry.create("d2-tree"), workload,
+        LiveConfig(num_servers=4, num_monitors=3, seed=7),
+        LoadConfig(rate=4000.0, seed=7, request_timeout=0.05),
+        FaultPlan.parse(["crash:1@ops=150", "recover:1@ops=400"]),
+    )
+    assert report.ok and len(report.faults) == 2
+    (load,) = loads
+    records = load.history.events
+    invoked = {r.op_id: r for r in records if r.kind == "invoke"}
+    acks = [r for r in records if r.kind == "ok"]
+
+    def count(kind):
+        return sum(1 for r in records if r.kind == kind)
+
+    assert load.acked_ids == {r.op_id for r in acks}
+    assert load.indeterminate_ids == {
+        r.op_id for r in records if r.kind == "indeterminate"
+    }
+    assert load.latencies == [r.t - invoked[r.op_id].t for r in acks]
+    assert (load.failed, load.retries) == (count("fail"), count("retry"))
+    assert load.retries > 0  # the crash reached the clients
+    # Each invoke names its trace record.
+    assert sorted(
+        (r.op_id, r.path, r.op) for r in invoked.values()
+    ) == trace_ops(workload.trace)
+    assert (report.acked, report.failed, report.indeterminate) == (
+        len(acks), count("fail"), count("indeterminate"),
+    )
+    assert report.retries == count("retry")
