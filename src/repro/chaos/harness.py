@@ -130,7 +130,7 @@ def _check_durability(sim: ClusterSimulator) -> List[str]:
         if not expected:
             continue
         recovered = sim.store.recover_server(sid)
-        lost = sorted(set(expected) - set(recovered.acked_ops))
+        lost = sorted(set(expected) - set(recovered.state.acked_ops))
         if lost:
             violations.append(
                 f"durability: server {sid} log replay is missing "
@@ -169,7 +169,7 @@ class ChaosCase:
     messages_delayed: int = 0
     #: Store backend the case ran against ("memory" = durability off).
     store: str = "memory"
-    #: Store counters + ledger roll-up (None for the memory store).
+    #: Store counters + ledger roll-up (None without a store).
     durability: Optional[dict] = None
     #: Operation-history roll-up (None unless the case recorded one).
     history: Optional[dict] = None
@@ -289,7 +289,7 @@ def run_case(
                         dseq - 1
                         for dseq in sim.store.recover_server(
                             server.server_id
-                        ).acked_ops
+                        ).state.acked_ops
                     }
                     for server in sim.servers
                 }
@@ -322,7 +322,7 @@ def run_case(
             aborted_directives=sim.monitor.aborted_directives,
             messages_dropped=sim.network.messages_dropped,
             messages_delayed=sim.network.messages_delayed,
-            store=sim.store.name,
+            store=store,
             durability=result.durability,
             history=hist.counts() if hist is not None else None,
         )

@@ -36,7 +36,7 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.placement import DEAD_CAPACITY, Migration, Placement
 from repro.simulation.faults import FaultEvent, FaultKind
 from repro.simulation.stats import AvailabilityReport
-from repro.storage import DurabilityLedger, MetadataStore
+from repro.storage import DurabilityLedger, WalStore
 from repro.transport.base import FaultFabric, mds_addr
 
 __all__ = ["ClusterControl"]
@@ -51,7 +51,7 @@ class ClusterControl:
         placement: Placement,
         monitor: MonitorGroup,
         network: FaultFabric,
-        store: MetadataStore,
+        store: Optional[WalStore],
         on_moves: Callable[[List[Migration], float], None],
         telemetry: Telemetry = NULL_TELEMETRY,
         spans: Optional[SpanRecorder] = None,
@@ -64,8 +64,8 @@ class ClusterControl:
         self.telemetry = telemetry
         self.spans = monitor.spans = spans  # one recorder for the chain
         self._on_moves = on_moves
-        #: Independent durability oracle (durable stores only).
-        self.durability = DurabilityLedger() if store.durable else None
+        #: Independent durability oracle (a run with a store only).
+        self.durability = DurabilityLedger() if store is not None else None
         #: Optional client-visible ``OpHistory`` (set by whoever records
         #: one); kill9 wipes are appended to it inline, in causal order.
         self.history = None
@@ -171,13 +171,13 @@ class ClusterControl:
                 # audit resets this server's epoch floor and — absent a
                 # durable store — excuses its ledger for earlier acks.
                 self.history.wipe(sid, now)
-            if self.durability is not None:
+            if self.store is not None:
                 self.durability.note_kill(sid)
             self.telemetry.event(
                 "fault_kill9", t=now, server=sid,
                 damage=kind.value if kind is not FaultKind.KILL9 else None,
             )
-        if self.durability is None:
+        if self.store is None:
             return
         damaged = False
         if kind is FaultKind.TORN_WRITE:
@@ -282,7 +282,7 @@ class ClusterControl:
             for move in moves:
                 if self.servers[move.target].accept_directive(directive.epoch):
                     accepted.add(move.target)
-            if self.store.durable:
+            if self.store is not None:
                 for target in sorted(accepted):
                     self.store.append_fence(target, directive.epoch, now)
             if rec is not None:
@@ -321,7 +321,7 @@ class ClusterControl:
                 # torn/corrupt tail truncated — is the server's state. The
                 # fence is restored *before* the rejoin directive below, so
                 # a stale directive is still rejected post-crash.
-                if self.durability is not None:
+                if self.store is not None:
                     self._replay_store(sid, now)
                 server.lost_volatile = False
         else:
@@ -354,7 +354,7 @@ class ClusterControl:
         # already re-homed.
         if not server.accept_directive(directive.epoch):
             return
-        if self.store.durable:
+        if self.store is not None:
             self.store.append_fence(sid, directive.epoch, now)
         moves = rejoin_server(
             self.placement, sid,
@@ -380,7 +380,7 @@ class ClusterControl:
 
     def _replay_store(self, sid: int, now: float) -> None:
         recovered = self.store.recover_server(sid)
-        self.servers[sid].fence_epoch = recovered.fence_epoch
+        self.servers[sid].fence_epoch = recovered.state.fence_epoch
         self.durability.note_recovery(sid, recovered)
         tel = self.telemetry
         if not tel.enabled:
@@ -391,7 +391,7 @@ class ClusterControl:
             snapshot=recovered.snapshot_loaded,
             truncated=recovered.truncated,
             reason=recovered.truncate_reason,
-            fence_epoch=recovered.fence_epoch,
+            fence_epoch=recovered.state.fence_epoch,
         )
         tel.registry.counter(
             "recoveries", help="kill9 rejoins that replayed durable state",

@@ -60,10 +60,9 @@ class MetadataServer:
         """Crash with volatile-state loss (the ``kill9`` fault).
 
         Unlike :meth:`fail`, the process image is gone: the epoch fence —
-        crucially — is wiped. Whatever the durable store
-        replays at rejoin is all that survives; with the in-memory store
-        that is nothing, which is exactly the hazard the durability faults
-        exist to demonstrate.
+        crucially — is wiped. Whatever the durable store replays at rejoin
+        is all that survives; without a store that is nothing, which is
+        exactly the hazard the durability faults exist to demonstrate.
         """
         self.alive = False
         self.fence_epoch = 0

@@ -22,20 +22,19 @@ __all__ = ["MonitorGroup", "PlacementJournal"]
 
 
 class PlacementJournal:
-    """Append-only log of committed directives plus a snapshot cursor.
+    """Append-only log of committed directives.
 
     The journal is the Monitor group's replication mechanism: a directive is
     *committed* by appending it here (which models a synchronous quorum
     write), so any standby that later wins the lease can reconstruct the
     authoritative membership state — which servers are evicted, what moved
-    where, in which epoch — by replaying from the last snapshot.
+    where, in which epoch — by replaying the whole journal.
     """
 
     def __init__(self) -> None:
         self.entries: List[Directive] = []
-        self._snapshot_index = 0
-        #: Durable mirror (a ``repro.storage`` MetadataStore); None keeps
-        #: the journal RAM-only, the pre-durability behaviour.
+        #: Durable mirror (a ``repro.storage.WalStore``); None keeps the
+        #: journal RAM-only, the pre-durability behaviour.
         self._store = None
 
     def bind_store(self, store) -> None:
@@ -47,15 +46,6 @@ class PlacementJournal:
         self.entries.append(directive)
         if self._store is not None:
             self._store.append_directive(directive.to_record())
-
-    def snapshot(self) -> int:
-        """Mark the current tail as compacted; returns the cursor."""
-        self._snapshot_index = len(self.entries)
-        return self._snapshot_index
-
-    def since_snapshot(self) -> List[Directive]:
-        """Entries appended after the last snapshot (the replay suffix)."""
-        return self.entries[self._snapshot_index:]
 
     def acknowledged_dead(self) -> Set[int]:
         """Replay membership: servers evicted and not since rejoined."""
@@ -419,10 +409,3 @@ class MonitorGroup:
         if migrations:
             self._commit("rebalance", now, info=(("moves", len(migrations)),))
         return migrations
-
-    def owner_of_subtree(self, root_path: str) -> Optional[int]:
-        """Authoritative owner lookup (what the local index caches)."""
-        node = self.tree.lookup(root_path)
-        if node is None or not self.placement.is_placed(node):
-            return None
-        return self.placement.primary_of(node)

@@ -43,8 +43,8 @@ Event kinds
     the epoch fence are wiped. On ``recover`` the server replays snapshot +
     WAL tail from the durable store (``--store wal``) to restore
     acknowledged state and its fence, then re-fences through
-    ``accept_directive`` before serving. With the in-memory store the
-    replay restores nothing — the documented hazard.
+    ``accept_directive`` before serving. Without a store (``--store
+    memory``) nothing replays — the documented hazard.
 ``torn_write``
     ``kill9`` plus a torn WAL tail: the server's log is cut mid-record, as
     a crash during ``write(2)`` leaves it. Recovery must detect the tear

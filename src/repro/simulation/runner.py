@@ -102,8 +102,8 @@ class SimulationConfig:
     monitor_lease_timeout: Optional[float] = None
     batch_size: int = 64  # perfbench pins this name; ROADMAP item 1 deletes it
     simulate_engine: str = "auto"  # perfbench pins this name; ROADMAP item 1 deletes it
-    #: Metadata persistence backend (``repro.storage``): ``"memory"`` (the
-    #: zero-cost no-op default) or ``"wal"``, which journals
+    #: Metadata persistence (``repro.storage``): ``"memory"`` (the
+    #: zero-cost default: no store) or ``"wal"``, which journals
     #: acks/fences/subtree moves and replays them when a ``kill9``'d server
     #: rejoins.
     store: str = "memory"
@@ -182,16 +182,16 @@ class ClusterSimulator:
             telemetry=self.telemetry,
             network=self.network,
         )
-        # Durable persistence (repro.storage). The memory backend keeps
-        # ``durable`` False, and every hook below is gated on ``store_on``,
-        # so the default configuration pays one predicate per op and stays
+        # Durable persistence (repro.storage). ``--store memory`` has no
+        # store, and every hook below is gated on ``store_on``, so the
+        # default configuration pays one predicate per op and stays
         # byte-identical to the pre-durability simulator (golden tests).
         self.store = make_store(
             self.config.store,
             directory=self.config.store_dir,
             snapshot_every=self.config.snapshot_every,
         )
-        self.store_on = self.store.durable
+        self.store_on = self.store is not None
         if self.store_on:
             self.store.bind_telemetry(self.telemetry)
             self.monitor.journal.bind_store(self.store)
@@ -259,7 +259,7 @@ class ClusterSimulator:
             if self.store_on:
                 # Recorded only when durability is on: default runs keep
                 # the exact pre-durability header.
-                info.setdefault("store", self.store.name)
+                info.setdefault("store", self.config.store)
             if self.spans is not None:
                 # Recorded only when sampling is on, for the same reason.
                 info.setdefault("trace_sample", self.config.trace_sample)
@@ -362,7 +362,9 @@ class ClusterSimulator:
         # Heartbeats (Sec. IV-B): every live MDS reports its relative
         # capacity to the Monitor, which runs the adjustment. Dead and
         # heartbeat-muted servers stay silent — their absence is what
-        # failure detection keys off.
+        # failure detection keys off. The beats go through the control
+        # plane like the liveness beats: one that clears an eviction
+        # nominates the server for rejoin on the next round.
         net = self.network
         leader_addr = self.monitor.leader_addr
         for server in self.servers:
@@ -377,7 +379,7 @@ class ClusterSimulator:
                 if arrival is None:
                     continue
             relative = loads[sid] - mu * capacities[sid] if observed else 0.0
-            self.monitor.on_heartbeat(Heartbeat(sid, now, 0.0, relative))
+            self.control.on_heartbeat(Heartbeat(sid, now, 0.0, relative))
         rebalances = self.monitor.rebalances
         moves = self.monitor.rebalance(now)
         self.migrations += len(moves)
@@ -989,7 +991,8 @@ class ClusterSimulator:
 
     def close(self) -> None:
         """Release the durable store's files (idempotent)."""
-        self.store.close()
+        if self.store is not None:
+            self.store.close()
 
 
 def simulate(

@@ -181,7 +181,7 @@ class SimulationResult:
     jumps_total: int = 0
     availability: Optional[AvailabilityReport] = None
     #: Durable-store counters + ledger roll-up (``repro.storage``); None
-    #: when the run used the in-memory no-op store.
+    #: when the run had no store (``--store memory``).
     durability: Optional[Dict[str, object]] = None
 
     @property
@@ -222,7 +222,7 @@ class SimulationResult:
                 else None
             ),
         }
-        # Present only for durable-store runs: the default (memory store)
+        # Present only for durable-store runs: the default (no store)
         # serialization stays byte-identical to the committed goldens.
         if self.durability is not None:
             result["durability"] = dict(self.durability)

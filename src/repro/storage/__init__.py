@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`MetadataStore` — the pluggable store interface,
-* :func:`make_store` / :data:`STORE_BACKENDS` — backend selection,
+* :class:`WalStore` — the durable store (snapshot + WAL per MDS),
+* :func:`make_store` / :data:`STORE_BACKENDS` — the ``--store`` switch,
 * :class:`DurabilityLedger` — the chaos harness's durability oracle,
 * the WAL codec (:mod:`repro.storage.wal`) for tests and tooling.
 
@@ -16,12 +16,10 @@ from typing import Optional
 
 from repro.storage.base import (
     DurabilityLedger,
-    MetadataStore,
     RecoveredState,
     ServerLogState,
 )
 from repro.storage.filestore import WalStore
-from repro.storage.memory import MemoryStore
 from repro.storage.wal import (
     HEADER_SIZE,
     Record,
@@ -36,8 +34,6 @@ from repro.storage.wal import (
 __all__ = [
     "DurabilityLedger",
     "HEADER_SIZE",
-    "MemoryStore",
-    "MetadataStore",
     "Record",
     "RecoveredState",
     "STORE_BACKENDS",
@@ -53,7 +49,7 @@ __all__ = [
 ]
 
 #: ``--store`` choices, in help-text order. ``memory`` is the zero-cost
-#: default; the durable backend takes an optional ``--store-dir``.
+#: default (no store); ``wal`` takes an optional ``--store-dir``.
 STORE_BACKENDS = ("memory", "wal")
 
 
@@ -62,14 +58,13 @@ def make_store(
     directory: Optional[str] = None,
     snapshot_every: int = 512,
     fsync: bool = False,
-) -> MetadataStore:
-    """Instantiate a store backend by ``--store`` name.
-
-    ``directory`` is ignored by the memory backend; the durable backend
-    falls back to a self-cleaning temporary directory when it is None.
+) -> Optional[WalStore]:
+    """The store a ``--store`` name selects: None for ``memory`` (the run
+    keeps nothing durable), else a :class:`WalStore` in ``directory`` (a
+    self-cleaning temporary directory when it is None).
     """
     if name == "memory":
-        return MemoryStore(snapshot_every=snapshot_every)
+        return None
     if name == "wal":
         return WalStore(
             directory=directory, snapshot_every=snapshot_every, fsync=fsync

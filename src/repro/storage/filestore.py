@@ -1,4 +1,22 @@
-"""File-backed WAL store: one checksummed log + JSON snapshot per MDS.
+"""The durable store: one checksummed log + JSON snapshot per MDS.
+
+:class:`WalStore` is the crash-consistent persistence layer behind one
+cluster run (``simulate --store wal`` / ``chaos --store wal``); a run
+without durability (``--store memory``) has no store at all, and every
+caller skips its hooks on ``store is None``. It keeps two kinds of durable
+state:
+
+* the **directive log** — every directive the Monitor group commits
+  (:class:`repro.cluster.monitor.PlacementJournal` mirrors each append
+  into the store), and
+* **per-MDS logs** — operation acknowledgments (fsync-before-ack), epoch
+  fence advances, and subtree grant/revoke mutations
+  (:class:`~repro.storage.base.ServerLogState` has the record vocabulary).
+
+The store is the only thing a ``kill9`` crash does *not* wipe: a recovered
+MDS replays its snapshot plus WAL tail (:meth:`WalStore.recover_server`),
+restores its epoch fence from the replayed state, and only then re-fences
+through ``accept_directive`` on the rejoin directive.
 
 Layout inside the store directory::
 
@@ -25,8 +43,9 @@ import re
 import tempfile
 from typing import Dict, List, Optional
 
-from repro.storage.base import MetadataStore, RecoveredState, ServerLogState
-from repro.storage.wal import WalFile
+from repro.obs.telemetry import NULL_TELEMETRY
+from repro.storage.base import RecoveredState, ServerLogState
+from repro.storage.wal import Record, WalFile
 
 __all__ = ["WalStore"]
 
@@ -35,10 +54,8 @@ _OWN_FILES = re.compile(
 )
 
 
-class WalStore(MetadataStore):
-    """Crash-consistent file-backed store (the ``--store wal`` backend)."""
-
-    name = "wal"
+class WalStore:
+    """Crash-consistent file-backed store (see module doc)."""
 
     def __init__(
         self,
@@ -46,7 +63,9 @@ class WalStore(MetadataStore):
         snapshot_every: int = 512,
         fsync: bool = False,
     ) -> None:
-        super().__init__(snapshot_every=snapshot_every)
+        #: Appends per server between snapshots (0 disables snapshotting).
+        self.snapshot_every = max(0, int(snapshot_every))
+        self.telemetry = NULL_TELEMETRY
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         if directory is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-wal-")
@@ -63,42 +82,121 @@ class WalStore(MetadataStore):
         self._directives = WalFile(
             os.path.join(directory, "directives.log"), fsync=fsync
         )
+        #: server -> its log, opened on first use.
+        self._logs: Dict[int, WalFile] = {}
+        #: server -> the materialised view of its log.
+        self._state: Dict[int, ServerLogState] = {}
+        self._since_snapshot: Dict[int, int] = {}
         self._closed = False
+        # Counters surfaced through stats() (and result.durability).
+        self.appends = 0
+        self.fsyncs = 0
+        self.snapshots = 0
+        self.recoveries = 0
+        self.replayed_records = 0
+        self.truncations = 0
+        self.dropped = 0
+
+    def bind_telemetry(self, telemetry) -> None:
+        """Attach the run's telemetry (``wal_fsync`` / ``snapshot`` events)."""
+        self.telemetry = telemetry
 
     # ------------------------------------------------------------------
+    # Append surface (what the simulator calls)
+    # ------------------------------------------------------------------
+    def append_directive(self, record: dict) -> None:
+        """Persist one committed Monitor directive (synced: the Monitor
+        quorum acted on it)."""
+        self._directives.append(("directive", record), sync=True)
+        self.appends += 1
+
+    def append_ack(self, server: int, op: int, path: str, t: float) -> None:
+        """Persist an operation acknowledgment (fsync-before-ack)."""
+        self._log(server, ("ack", op, t, path), True)
+
+    def append_fence(self, server: int, epoch: int, t: float) -> None:
+        """Persist an epoch-fence advance (synced — the fence must survive)."""
+        self._log(server, ("fence", epoch, t), True)
+
+    def append_mutation(self, server: int, kind: str, path: str, t: float) -> None:
+        """Persist a subtree mutation (``grant``/``revoke``; group-synced)."""
+        self._log(server, (kind, t, path), False)
+
+    def _log(self, server: int, record: Record, sync: bool) -> None:
+        """Append one record: the log itself, live view, snapshot policy."""
+        log = self._logs.get(server) or self._log_for(server)
+        log.append(record, sync)
+        self.appends += 1
+        if sync:
+            self.fsyncs += 1
+            if self.telemetry.enabled:
+                self.telemetry.event("wal_fsync", server=server, record=record[0])
+        state = self._state.get(server)
+        if state is None:
+            state = self._state[server] = ServerLogState()
+        state.apply(record)
+        if self.snapshot_every:
+            count = self._since_snapshot.get(server, 0) + 1
+            if count >= self.snapshot_every:
+                self.snapshot_server(server)
+            else:
+                self._since_snapshot[server] = count
+
+    def _log_for(self, server: int) -> WalFile:
+        """``server``'s log, opened on first use."""
+        if server not in self._logs:
+            self._logs[server] = WalFile(
+                os.path.join(self.directory, f"wal-{server}.log"),
+                fsync=self._fsync,
+            )
+        return self._logs[server]
+
     def _snapshot_path(self, server: int) -> str:
         return os.path.join(self.directory, f"snapshot-{server}.json")
 
-    # ------------------------------------------------------------------
-    # Backend contract
-    # ------------------------------------------------------------------
-    def _append_directive(self, record: dict) -> None:
-        # Directive commit == durable: the Monitor quorum acted on it.
-        self._directives.append(("directive", record), sync=True)
-
-    def _open_log(self, server: int) -> WalFile:
-        return WalFile(
-            os.path.join(self.directory, f"wal-{server}.log"), fsync=self._fsync
-        )
-
-    def _write_snapshot(self, server: int, payload: dict) -> None:
+    def snapshot_server(self, server: int) -> None:
+        """Write a snapshot of ``server``'s state and truncate its log."""
+        state = self._state.get(server)
+        if state is None:
+            return
+        # The log goes only once the snapshot that subsumes it is in place.
         path = self._snapshot_path(server)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
+            json.dump(
+                state.to_snapshot(), handle, sort_keys=True,
+                separators=(",", ":"),
+            )
             handle.flush()
             if self._fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp, path)
+        self._log_for(server).reset()
+        self._since_snapshot[server] = 0
+        self.snapshots += 1
+        if self.telemetry.enabled:
+            self.telemetry.event(
+                "snapshot", server=server, acked=len(state.acked_ops),
+                subtrees=len(state.subtrees),
+            )
 
-    def _recover_server(self, server: int) -> RecoveredState:
+    # ------------------------------------------------------------------
+    # Recovery
+    # ------------------------------------------------------------------
+    def recover_server(self, server: int) -> RecoveredState:
+        """Reconstruct ``server``'s durable state: snapshot + WAL tail.
+
+        Purely disk-driven — the live materialised view is deliberately
+        ignored (the process it lived in just died) and then *replaced* by
+        the replayed state, so post-recovery appends and snapshots continue
+        from what actually survived.
+        """
         snapshot = None
-        snapshot_loaded = False
         path = self._snapshot_path(server)
-        if os.path.exists(path):
+        snapshot_loaded = os.path.exists(path)
+        if snapshot_loaded:
             with open(path, "r", encoding="utf-8") as handle:
                 snapshot = json.load(handle)
-            snapshot_loaded = True
         state = ServerLogState.from_snapshot(snapshot)
         records, scan = self._log_for(server).recover(repair=True)
         seen = set(state.acked_ops)
@@ -107,11 +205,16 @@ class WalStore(MetadataStore):
             if record[0] == "ack" and record[1] in seen:
                 continue
             state.apply(record)
+        self._state[server] = state
+        self._since_snapshot[server] = 0
+        self.recoveries += 1
+        self.replayed_records += len(records)
+        if scan.truncated:
+            self.truncations += 1
+            self.dropped += scan.dropped_bytes
         return RecoveredState(
             server=server,
-            fence_epoch=state.fence_epoch,
-            acked_ops=list(state.acked_ops),
-            subtrees=sorted(state.subtrees),
+            state=state,
             replayed_records=len(records),
             snapshot_loaded=snapshot_loaded,
             truncated=scan.truncated,
@@ -120,25 +223,38 @@ class WalStore(MetadataStore):
         )
 
     def recover_directives(self) -> List[dict]:
+        """All committed directive records, in commit order."""
         records, _ = self._directives.recover(repair=False)
         return [record[1] for record in records if record[0] == "directive"]
 
     # ------------------------------------------------------------------
-    # Damage injection
+    # Damage injection (the crash-fault surface)
     # ------------------------------------------------------------------
     def tear_tail(self, server: int) -> bool:
+        """Leave a torn (half-written) record at the log tail."""
         return self._log_for(server).tear_tail()
 
     def corrupt_tail(self, server: int) -> bool:
+        """Flip bits in an unsynced tail record (CRC now mismatches)."""
         return self._log_for(server).corrupt_tail()
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        stats = super().stats()
-        stats["wal_bytes"] = sum(wal.size for wal in self._logs.values())
-        return stats
+        """Deterministic counters for ``result.durability`` / chaos cases."""
+        return {
+            "store": "wal",
+            "appends": self.appends,
+            "fsyncs": self.fsyncs,
+            "snapshots": self.snapshots,
+            "recoveries": self.recoveries,
+            "replayed_records": self.replayed_records,
+            "truncations": self.truncations,
+            "dropped": self.dropped,
+            "wal_bytes": sum(wal.size for wal in self._logs.values()),
+        }
 
     def close(self) -> None:
+        """Release files/handles (idempotent)."""
         if self._closed:
             return
         self._closed = True

@@ -71,7 +71,6 @@ from repro.cluster.messages import (
 from repro.cluster.monitor import MonitorGroup
 from repro.placement import MetadataScheme
 from repro.simulation.faults import FaultEvent, FaultPlan
-from repro.storage import make_store
 from repro.transport.asyncio_net import AsyncioTransport, FrameLink
 from repro.transport.base import CLIENT_ADDR, mds_addr, mon_addr
 from repro.transport.wire import encode_frame
@@ -450,11 +449,11 @@ class LiveCluster:
         moved.set()
         #: The shared control plane over the MDS states. Set its
         #: ``history`` to the load generator's so kill9 wipes land in the
-        #: audited operation history.
+        #: audited operation history. Live mode runs storeless.
         self.control = ClusterControl(
             [mds.state for mds in self.servers], self.placement, self.group,
-            self.transport, make_store("memory"),
-            lambda moves, now: moved.set(),
+            self.transport, store=None,
+            on_moves=lambda moves, now: moved.set(),
         )
         self.monitors = [
             LiveMonitor(replica, self.transport, self.control)

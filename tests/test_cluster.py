@@ -266,13 +266,6 @@ def test_monitor_rebalance_counts(monitored_cluster):
     assert monitor.total_migrations == len(migrations)
 
 
-def test_monitor_owner_lookup(monitored_cluster):
-    tree, _scheme, placement, monitor = monitored_cluster
-    root = next(iter(placement.subtree_owner))
-    assert monitor.owner_of_subtree(root.path) == placement.subtree_owner[root]
-    assert monitor.owner_of_subtree("/definitely/not/there") is None
-
-
 # ----------------------------------------------------------------------
 # SimClient
 # ----------------------------------------------------------------------

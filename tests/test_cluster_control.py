@@ -42,7 +42,7 @@ class Cluster:
         )
         self.servers = [MetadataServer(sid) for sid in range(SERVERS)]
         self.store = make_store(store, directory=store_dir)
-        if self.store.durable:
+        if self.store is not None:
             self.group.journal.bind_store(self.store)
         self.moved = []
         self.control = ClusterControl(

@@ -23,7 +23,7 @@ from repro.simulation import (
     SimulationConfig,
     simulate,
 )
-from repro.traces import DatasetProfile, TraceGenerator
+from repro.traces import DatasetProfile, TraceGenerator, load_workload
 from tests.conftest import build_random_tree
 
 
@@ -413,6 +413,30 @@ def test_drop_heartbeats_is_false_positive_eviction(workload):
     for node in workload.tree:
         assert 1 not in sim.placement.servers_of(node)
     assert result.operations == len(workload.trace)
+
+
+@pytest.mark.parametrize("heal", [290, 350, 410])
+def test_adjustment_round_beat_readmits_a_falsely_evicted_server(heal):
+    # A partition isolates live server 0 until the Monitor evicts it. With
+    # a round every 23 ops, the first beat of server 0 to cross the healed
+    # network can be an adjustment round's: it clears the death mark, so
+    # it must also nominate the server for rejoin, or the server stays up,
+    # "not dead", at DEAD_CAPACITY and owning nothing for the rest of the
+    # run.
+    profile = DatasetProfile.dtr(num_nodes=2000, scale=1e-4)
+    workload = load_workload(dataclasses.replace(profile, seed=3))
+    cfg = SimulationConfig(
+        heartbeat_interval=0.01, heartbeat_timeout=0.03, adjust_every_ops=23,
+        fault_plan=plan(
+            "partition:{0}|{1,2,3,m0}@ops=200", f"heal:*@ops={heal}"
+        ),
+    )
+    sim = ClusterSimulator(D2TreeScheme(), workload, 4, cfg)
+    result = sim.run()
+    assert result.availability.false_detections == 1
+    assert result.availability.rejoins == 1
+    assert not sim.monitor.is_dead(0)
+    assert sim.placement.capacities[0] > DEAD_CAPACITY
 
 
 # ----------------------------------------------------------------------

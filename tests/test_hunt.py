@@ -18,7 +18,7 @@ from repro.chaos import CorpusCase, load_corpus, run_hunt
 from repro.chaos.shrink import shrink_plan
 from repro.cli import main
 from repro.simulation import FaultPlan
-from repro.storage.base import MetadataStore
+from repro.storage import WalStore
 
 
 def plan(*specs):
@@ -119,10 +119,11 @@ def lossy_recovery(monkeypatch):
         real_init(self, *args, **kwargs)
         current["sim"] = self
 
-    real_recover = MetadataStore.recover_server
+    real_recover = WalStore.recover_server
 
     def lossy_recover(self, server):
-        state = real_recover(self, server)
+        recovered = real_recover(self, server)
+        state = recovered.state
         sim = current.get("sim")
         if (
             sim is not None
@@ -131,10 +132,10 @@ def lossy_recovery(monkeypatch):
             and state.acked_ops
         ):
             state.acked_ops = state.acked_ops[:-1]
-        return state
+        return recovered
 
     monkeypatch.setattr(runner_mod.ClusterSimulator, "__init__", spy_init)
-    monkeypatch.setattr(MetadataStore, "recover_server", lossy_recover)
+    monkeypatch.setattr(WalStore, "recover_server", lossy_recover)
 
 
 def _recipe(store="memory"):

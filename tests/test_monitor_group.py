@@ -166,12 +166,3 @@ def test_journal_membership_replay_and_monotone_epochs():
     assert journal.server_epochs(3) == [1, 2]
     journal.append(Directive(epoch=1, kind="rebalance", t=0.9))
     assert not journal.epochs_monotone()
-
-
-def test_journal_snapshot_cursor():
-    journal = PlacementJournal()
-    journal.append(Directive(epoch=1, kind="mark_dead", server=0))
-    assert journal.snapshot() == 1
-    journal.append(Directive(epoch=1, kind="rejoin", server=0))
-    assert [d.kind for d in journal.since_snapshot()] == ["rejoin"]
-    assert len(journal) == 2

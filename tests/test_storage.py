@@ -1,4 +1,4 @@
-"""Storage subsystem: WAL codec, damage injection, and the two backends."""
+"""Storage subsystem: WAL codec, damage injection, and the WAL store."""
 
 import json
 import os
@@ -6,11 +6,11 @@ import struct
 
 import pytest
 
+from repro.core import D2TreeScheme
 from repro.obs.telemetry import Telemetry
+from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
 from repro.storage import (
     HEADER_SIZE,
-    MemoryStore,
-    STORE_BACKENDS,
     ServerLogState,
     WalFile,
     encode_record,
@@ -20,6 +20,7 @@ from repro.storage import (
     unpack_record,
 )
 from repro.storage.wal import CORRUPT, TORN
+from repro.traces import DatasetProfile, TraceGenerator
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "wal_records.bin")
 
@@ -356,10 +357,10 @@ def test_server_log_state_snapshot_round_trip():
 
 
 # ----------------------------------------------------------------------
-# Backend contract (via make_store)
+# The WAL store (via make_store)
 # ----------------------------------------------------------------------
 def drive_store(store):
-    """A tiny canonical history every backend must replay identically."""
+    """A tiny canonical history the store must replay exactly."""
     store.append_fence(0, 3, t=0.0)
     for op in range(10):
         store.append_ack(0, op, f"/f{op}", t=float(op))
@@ -369,15 +370,15 @@ def drive_store(store):
     store.append_directive({"epoch": 1, "kind": "rejoin", "server": 0, "t": 0.5})
 
 
-@pytest.mark.parametrize("backend", STORE_BACKENDS)
+@pytest.mark.parametrize("backend", ["wal"])
 def test_backend_round_trip(backend, tmp_path):
     store = make_store(backend, directory=str(tmp_path / backend))
     try:
         drive_store(store)
         recovered = store.recover_server(0)
-        assert recovered.fence_epoch == 3
-        assert recovered.acked_ops == list(range(10))
-        assert recovered.subtrees == ["/sub2"]
+        assert recovered.state.fence_epoch == 3
+        assert recovered.state.acked_ops == list(range(10))
+        assert recovered.state.subtrees == {"/sub2"}
         assert not recovered.truncated
         assert store.recover_directives() == [
             {"epoch": 1, "kind": "rejoin", "server": 0, "t": 0.5}
@@ -394,8 +395,8 @@ def test_backend_snapshot_then_tail_replay(backend, tmp_path):
         assert store.snapshots >= 1
         recovered = store.recover_server(0)
         assert recovered.snapshot_loaded
-        assert recovered.acked_ops == list(range(10))
-        assert recovered.subtrees == ["/sub2"]
+        assert recovered.state.acked_ops == list(range(10))
+        assert recovered.state.subtrees == {"/sub2"}
     finally:
         store.close()
 
@@ -411,8 +412,8 @@ def test_backend_damage_detected_and_acks_survive(backend, damage, tmp_path):
         assert recovered.truncated
         assert recovered.truncate_reason in ("torn", "corrupt")
         # Damage only reaches the unsynced tail: every synced ack survives.
-        assert recovered.acked_ops == list(range(10))
-        assert recovered.fence_epoch == 3
+        assert recovered.state.acked_ops == list(range(10))
+        assert recovered.state.fence_epoch == 3
         assert store.truncations == 1 and store.dropped > 0
     finally:
         store.close()
@@ -427,12 +428,12 @@ def test_backend_damage_on_clean_log_injects_inflight_junk(backend, tmp_path):
         store.append_ack(0, 0, "/f", t=0.0)
         assert store.tear_tail(0)
         recovered = store.recover_server(0)
-        assert recovered.truncated and recovered.acked_ops == [0]
+        assert recovered.truncated and recovered.state.acked_ops == [0]
     finally:
         store.close()
 
 
-@pytest.mark.parametrize("backend", STORE_BACKENDS)
+@pytest.mark.parametrize("backend", ["wal"])
 def test_store_events_are_built_only_for_enabled_telemetry(backend, tmp_path):
     class Off:
         enabled = False
@@ -460,15 +461,25 @@ def test_store_events_are_built_only_for_enabled_telemetry(backend, tmp_path):
 
 
 def test_memory_store_is_not_durable_and_damage_is_noop():
-    store = MemoryStore()
-    assert store.durable is False
-    drive_store(store)
-    assert store.tear_tail(0) is False
-    assert store.corrupt_tail(0) is False
-    recovered = store.recover_server(0)
-    assert recovered.acked_ops == list(range(10))
-    store.wipe_server(0)
-    assert store.recover_server(0).acked_ops == []
+    # ``--store memory`` is no store at all: nothing durable is kept, and
+    # the WAL damage faults reduce to the kill9 they wrap.
+    assert make_store("memory") is None
+    workload = TraceGenerator(
+        DatasetProfile.dtr(num_nodes=400, scale=3e-5), num_clients=10
+    ).generate()
+    plan = FaultPlan.parse([
+        "torn_write:1@ops=100", "corrupt_record:2@ops=150",
+        "recover:1@ops=300", "recover:2@ops=300",
+    ])
+    sim = ClusterSimulator(
+        D2TreeScheme(), workload, 4, SimulationConfig(fault_plan=plan)
+    )
+    result = sim.run()
+    sim.close()
+    assert sim.store is None and sim.durability is None
+    assert result.durability is None
+    assert result.availability.crashes == 2
+    assert not any(server.lost_volatile for server in sim.servers)
 
 
 def test_make_store_rejects_unknown_backend():
@@ -514,7 +525,7 @@ def test_store_init_owns_directory_for_one_run(tmp_path):
     first.close()
     second = make_store("wal", directory=str(tmp_path))
     try:
-        assert second.recover_server(0).acked_ops == []
+        assert second.recover_server(0).state.acked_ops == []
         assert second.recover_directives() == []
     finally:
         second.close()
