@@ -4,11 +4,12 @@ The package splits the original single-module harness into focused parts:
 
 - :mod:`repro.chaos.schedule` — seeded random fault-schedule generation
   (byte-stable: existing seeds produce their historical schedules).
-- :mod:`repro.chaos.harness` — case replay, quiescence, the five
-  post-quiescence safety invariants, :class:`ChaosCase`/:class:`ChaosReport`.
-- :mod:`repro.chaos.history` — client-visible operation histories and the
-  strictly-stronger consistency audit (exactly-once acks, session
-  monotonicity, epoch-fence safety, no-lost-acked-mutation).
+- :mod:`repro.chaos.harness` — case replay, quiescence, :func:`check_run`
+  (the one post-quiescence audit of a simulated or live run),
+  :class:`ChaosCase`/:class:`ChaosReport`.
+- :mod:`repro.chaos.history` — the op log and its consistency audit
+  (exactly-once acks, session monotonicity, epoch-fence safety,
+  no-lost-acked-mutation).
 - :mod:`repro.chaos.shrink` — delta-debugging minimization of failing
   fault plans to minimal counterexamples.
 - :mod:`repro.chaos.corpus` — :class:`CorpusCase`, the one description of a
@@ -29,9 +30,8 @@ from repro.chaos.harness import (
     CHAOS_LEASE_TIMEOUT,
     ChaosCase,
     ChaosReport,
-    _check_durability,
-    _check_invariants,
     _quiesce,
+    check_run,
     run_case,
 )
 from repro.chaos.history import HistoryEvent, OpHistory, audit_history
@@ -53,6 +53,7 @@ __all__ = [
     "OpHistory",
     "ShrinkResult",
     "audit_history",
+    "check_run",
     "generate_plan",
     "load_corpus",
     "promote_findings",
@@ -60,7 +61,5 @@ __all__ = [
     "run_hunt",
     "save_case",
     "shrink_plan",
-    "_check_durability",
-    "_check_invariants",
     "_quiesce",
 ]

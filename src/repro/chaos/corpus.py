@@ -152,7 +152,7 @@ class CorpusCase:
             f"--scale {self.scale:g}",
             f"--servers {self.num_servers} --scheme {self.scheme}",
             f"--monitors {self.num_monitors}",
-            f"--seeds 1 --seed-base {self.seed} --history",
+            f"--seeds 1 --seed-base {self.seed}",
         ]
         if self.ops is not None:
             parts.append(f"--ops {self.ops}")
@@ -162,14 +162,10 @@ class CorpusCase:
         return " ".join(parts)
 
     def run_sim(
-        self,
-        store_dir: Optional[str] = None,
-        *,
-        history: bool = True,
-        trace_sample: int = 0,
+        self, store_dir: Optional[str] = None, *, trace_sample: int = 0
     ) -> ChaosCase:
-        """The simulator leg: replay, quiesce, check the invariants and (by
-        default) audit the recorded operation history."""
+        """The simulator leg: replay, quiesce,
+        :func:`~repro.chaos.harness.check_run`."""
         return run_case(
             self.scheme,
             self.workload(),
@@ -180,11 +176,11 @@ class CorpusCase:
             store=self.store,
             store_dir=store_dir,
             trace_sample=trace_sample,
-            history=history,
         )
 
     def run_live(self, socket_dir: Optional[str] = None, rate: float = 2000.0):
-        """The live leg: the same run through the asyncio transport.
+        """The live leg: the same run through the asyncio transport, judged
+        by the same :func:`~repro.chaos.harness.check_run`.
 
         Live mode is storeless, so ``store`` is ignored (the kill9 family
         maps onto volatile wipes either way) and the history audit runs with

@@ -1,8 +1,10 @@
-"""Chaos case runner: replay, quiescence, invariants, history audit.
+"""Chaos case runner and the one run audit.
 
-``run_case`` replays one workload under one fault schedule, drives the
-cluster to quiescence and checks the safety invariants the metadata
-service must uphold no matter what the network did:
+``run_case`` replays one workload under one fault schedule through the
+simulator, drives the cluster to quiescence and judges it with
+:func:`check_run` — the same function ``repro serve`` judges a live run
+with, over the control plane both modes share
+(:class:`~repro.cluster.control.ClusterControl`). It states, in order:
 
 1. **Single live ownership** — every placed metadata node is owned by at
    least one server, and no owner is dead (for local-layer subtrees that
@@ -13,22 +15,19 @@ service must uphold no matter what the network did:
 3. **Epoch monotonicity** — the committed directive journal's leadership
    epochs never decrease, and no MDS fence is ahead of the Monitor group's
    epoch (the split-brain guard).
-4. **Accounting balance** — every operation handed to a client either
-   completed or was abandoned after retry exhaustion:
-   ``issued == completed + failed``.
-5. **Durability** (durable stores only) — every client-acknowledged
-   operation and every committed directive is still present after recovery
-   replay, and every injected torn/corrupt WAL tail was detected and
-   cleanly truncated rather than replayed. Checked against an independent
-   ledger kept outside the store under test
-   (:class:`repro.storage.DurabilityLedger`).
-
-With ``history=True`` the run additionally records the complete
-client-visible operation history and audits it with
-:func:`repro.chaos.history.audit_history` — exactly-once acks, per-client
-session monotonicity, epoch-fence safety and no-lost-acked-mutation —
-which is strictly stronger than the end-state invariants above (see that
-module's docstring). ``repro hunt`` always runs with the history audit on.
+4. **Accounting** — a fact of the op log: every trace position
+   ``0..ops-1`` was invoked, and nothing else was.
+5. **The history audit** (:func:`repro.chaos.history.audit_history`) —
+   exactly-once invokes and terminals (so every op reached exactly one
+   ``ok`` / ``fail`` / ``indeterminate``), per-client session order,
+   epoch-fence safety and no lost acked mutation against the servers'
+   ledgers.
+6. **Durability** (durable stores only) — every injected torn/corrupt WAL
+   tail was detected at recovery and every op acked before a kill9 was
+   replayed by it (:class:`repro.storage.DurabilityLedger`, kept outside
+   the store under test), and the store's directive log equals the
+   committed journal. The ledgers of (5) are then each server's log,
+   replayed read-only once, so an acked op a recovery lost is caught there.
 
 What to run — workload, schedule, cluster shape — is decided by the recipe,
 :class:`repro.chaos.corpus.CorpusCase`; this module only runs it and judges
@@ -38,10 +37,11 @@ the outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set
 
 from repro import registry
 from repro.chaos.history import OpHistory, audit_history
+from repro.cluster.control import ClusterControl
 from repro.cluster.failure import check_state_invariants
 from repro.simulation.faults import FaultPlan
 from repro.simulation.runner import ClusterSimulator, SimulationConfig
@@ -56,6 +56,7 @@ __all__ = [
     "CHAOS_LEASE_TIMEOUT",
     "ChaosCase",
     "ChaosReport",
+    "check_run",
     "run_case",
 ]
 
@@ -69,7 +70,7 @@ CHAOS_LEASE_TIMEOUT = 0.05
 
 
 # ----------------------------------------------------------------------
-# Quiescence + invariants
+# Quiescence + the run audit
 # ----------------------------------------------------------------------
 
 def _quiesce(sim: ClusterSimulator, makespan: float) -> float:
@@ -88,62 +89,73 @@ def _quiesce(sim: ClusterSimulator, makespan: float) -> float:
     return now
 
 
-def _check_invariants(sim: ClusterSimulator, result) -> List[str]:
-    """Safety checks against the quiesced cluster; returns violations."""
-    # 1-3. Ownership, completeness, epoch monotonicity (shared with the
-    #      live transport).
+def check_run(
+    control: ClusterControl,
+    ops: int,
+    ledgers: Optional[Mapping[int, Set[int]]] = None,
+) -> List[str]:
+    """Judge one quiesced run, simulated or live; returns violations.
+
+    ``control.history`` is the run's op log, keyed by trace position, and
+    ``ops`` the length of the replayed trace. ``ledgers`` maps each server
+    to the op ids it holds as acked: live mode passes its MDSs' volatile
+    ack ledgers; with a durable store they are read off the logs here (one
+    read-only replay per server). With neither, the history audit has no
+    ledger check. The checks and their order are the module docstring's.
+    """
+    history = control.history
+    monitor = control.monitor
+    store = control.store
+    # 1-3. Ownership, completeness, epoch monotonicity.
     violations = check_state_invariants(
-        sim.placement, sim.tree, sim.servers, sim.monitor
+        control.placement, monitor.tree, control.servers, monitor
     )
 
-    # 4. Accounting balance: every issued op completed or failed.
-    issued = sim.ops_issued
-    completed = result.operations
-    failed = result.availability.failed_operations
-    if completed + failed != issued:
+    # 4. Accounting: the op log invoked exactly the trace.
+    invoked = history.ids("invoke")
+    never = [op for op in range(ops) if op not in invoked]
+    if never:
         violations.append(
-            f"accounting: issued={issued} but completed={completed} "
-            f"+ failed={failed} = {completed + failed}"
+            f"accounting: {len(never)} of {ops} trace ops never invoked "
+            f"(e.g. ops {never[:3]})"
+        )
+    stray = sorted(op for op in invoked if not 0 <= op < ops)
+    if stray:
+        violations.append(
+            f"accounting: {len(stray)} invoked ops are not trace positions "
+            f"(e.g. ops {stray[:3]})"
         )
 
-    # 5. Durability (durable stores only): acked ops and committed
-    #    directives survive recovery; injected damage was truncated.
-    if sim.store_on:
-        violations.extend(_check_durability(sim))
-    return violations
+    # 5. The history audit.
+    if store is not None and ledgers is None:
+        # Durable op ids are 1-based sequence numbers; op-log ids are
+        # 0-based trace positions.
+        ledgers = {
+            server.server_id: {
+                op - 1
+                for op in store.read_server(server.server_id).state.acked_ops
+            }
+            for server in control.servers
+        }
+    violations.extend(
+        audit_history(
+            history,
+            final_epoch=monitor.epoch,
+            ledgers=ledgers,
+            durable_ledgers=store is not None,
+        )
+    )
 
-
-def _check_durability(sim: ClusterSimulator) -> List[str]:
-    """Invariant 5: audit the durable store against the independent ledger.
-
-    Three checks: (a) per-recovery audits the ledger already recorded while
-    the run replayed (acked ops lost across a kill9, damage not detected);
-    (b) a final replay of every server's log, which must still contain
-    every op the ledger saw acknowledged; (c) the store's directive log
-    must match the Monitor group's committed journal record for record.
-    """
-    violations = list(sim.durability.violations)
-
-    for server in sim.servers:
-        sid = server.server_id
-        expected = sim.durability.acked.get(sid)
-        if not expected:
-            continue
-        recovered = sim.store.recover_server(sid)
-        lost = sorted(set(expected) - set(recovered.state.acked_ops))
-        if lost:
+    # 6. Durability: the per-recovery ledger audits, and the directive log.
+    if store is not None:
+        violations.extend(control.durability.violations)
+        stored = store.recover_directives()
+        committed = [d.to_record() for d in monitor.journal]
+        if stored != committed:
             violations.append(
-                f"durability: server {sid} log replay is missing "
-                f"{len(lost)} acknowledged ops (e.g. ops {lost[:3]})"
+                f"durability: directive log diverged from the committed "
+                f"journal ({len(stored)} stored vs {len(committed)} committed)"
             )
-
-    stored = sim.store.recover_directives()
-    committed = [d.to_record() for d in sim.monitor.journal]
-    if stored != committed:
-        violations.append(
-            f"durability: directive log diverged from the committed "
-            f"journal ({len(stored)} stored vs {len(committed)} committed)"
-        )
     return violations
 
 
@@ -171,8 +183,8 @@ class ChaosCase:
     store: str = "memory"
     #: Store counters + ledger roll-up (None without a store).
     durability: Optional[dict] = None
-    #: Operation-history roll-up (None unless the case recorded one).
-    history: Optional[dict] = None
+    #: Op-log roll-up (:meth:`OpHistory.counts`).
+    history: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -193,14 +205,12 @@ class ChaosCase:
             "aborted_directives": self.aborted_directives,
             "messages_dropped": self.messages_dropped,
             "messages_delayed": self.messages_delayed,
+            "history": dict(self.history),
         }
-        # Keys present only when the feature ran: memory-store and
-        # history-off reports keep their historical shape.
+        # Present only with a store: memory-store reports keep their shape.
         if self.durability is not None:
             case["store"] = self.store
             case["durability"] = dict(self.durability)
-        if self.history is not None:
-            case["history"] = dict(self.history)
         return case
 
 
@@ -243,17 +253,14 @@ def run_case(
     store: str = "memory",
     store_dir: Optional[str] = None,
     trace_sample: int = 0,
-    history: bool = False,
 ) -> ChaosCase:
-    """One chaos run of ``workload`` under ``plan``: replay, quiesce, check.
+    """One chaos run of ``workload`` under ``plan``: replay with the op log
+    on, quiesce, :func:`check_run`.
 
-    A durable ``store`` (``"wal"``) turns on the fifth (durability)
-    invariant.
+    A durable ``store`` (``"wal"``) turns on the durability checks.
     ``trace_sample`` > 0 records causal spans for every Nth op plus the
     failover/recovery lifecycle (read them off ``sim.spans`` or export via
-    ``repro simulate --trace-sample`` for the CLI path). ``history=True``
-    records the full client-visible operation history and appends the
-    :func:`~repro.chaos.history.audit_history` violations to the case.
+    ``repro simulate --trace-sample`` for the CLI path).
     """
     scheme = registry.create(scheme_name)
     # Tight clocks (see the module constants): without them a crashed
@@ -271,37 +278,11 @@ def run_case(
         trace_sample=trace_sample,
     )
     sim = ClusterSimulator(scheme, workload, num_servers, config)
-    hist: Optional[OpHistory] = None
-    if history:
-        hist = OpHistory()
-        sim.control.history = hist
+    history = sim.control.history = OpHistory()
     try:
         result = sim.run()
         _quiesce(sim, result.makespan)
-        violations = _check_invariants(sim, result)
-        if hist is not None:
-            ledgers = None
-            if sim.store_on:
-                # Ledger ids are 1-based durable sequences; history op ids
-                # are 0-based issue indices — shift once here.
-                ledgers = {
-                    server.server_id: {
-                        dseq - 1
-                        for dseq in sim.store.recover_server(
-                            server.server_id
-                        ).state.acked_ops
-                    }
-                    for server in sim.servers
-                }
-            violations.extend(
-                audit_history(
-                    hist,
-                    final_epoch=sim.monitor.epoch,
-                    closed_loop=True,
-                    ledgers=ledgers,
-                    durable_ledgers=sim.store_on,
-                )
-            )
+        violations = check_run(sim.control, len(workload.trace))
         if sim.store_on:
             # Recompute after quiescence: the quiesce pass itself performs
             # recovery replays, which result.durability (snapshotted when
@@ -324,7 +305,7 @@ def run_case(
             messages_delayed=sim.network.messages_delayed,
             store=store,
             durability=result.durability,
-            history=hist.counts() if hist is not None else None,
+            history=history.counts(),
         )
     finally:
         sim.close()

@@ -1,6 +1,6 @@
 """The op log: one record per operation transition, and its audit.
 
-The five chaos invariants (see :mod:`repro.chaos.harness`) inspect the
+The state invariants of :func:`repro.chaos.harness.check_run` inspect the
 cluster's *end state* after quiescence. This module audits the *history* —
 the complete per-client sequence of operation events as the clients saw
 them — which is strictly stronger: a run can quiesce into a perfectly
@@ -187,7 +187,6 @@ def audit_history(
     history: OpHistory,
     *,
     final_epoch: Optional[int] = None,
-    closed_loop: bool = False,
     ledgers: Optional[Mapping[int, Set[int]]] = None,
     durable_ledgers: bool = False,
 ) -> List[str]:
@@ -202,10 +201,11 @@ def audit_history(
        never acked twice.
     3. **Completeness** — every invoked op reached a terminal (a client
        that is still waiting at audit time is an accounting hole).
-    4. **Session monotonicity** (``closed_loop=True`` only) — per client,
-       events strictly alternate invoke → terminal on the same op id: the
-       session never observes two operations in flight, which is the
-       closed-loop statement of read-your-writes over the namespace.
+    4. **Session monotonicity** — per client id ``>= 0``, events strictly
+       alternate invoke → terminal on the same op id: the session never
+       observes two operations in flight, which is the closed-loop
+       statement of read-your-writes over the namespace. Client ``-1``
+       (a transport without client sessions) is not a session.
     5. **Epoch-fence safety** — per acking server, in append (= serve)
        order, stamped fence epochs never decrease except across a recorded
        wipe of that server; and no stamped epoch exceeds ``final_epoch``
@@ -260,25 +260,26 @@ def audit_history(
             f"(e.g. ops {hanging[:3]})"
         )
 
-    # 4. Closed-loop session alternation.
-    if closed_loop:
-        open_op: Dict[int, Optional[int]] = {}
-        bad_sessions: Set[int] = set()
-        for event in events:
-            if event.kind == "invoke":
-                if open_op.get(event.client) is not None:
-                    bad_sessions.add(event.client)
-                open_op[event.client] = event.op_id
-            elif event.kind in TERMINAL_KINDS:
-                if open_op.get(event.client) != event.op_id:
-                    bad_sessions.add(event.client)
-                open_op[event.client] = None
-        if bad_sessions:
-            violations.append(
-                f"history: {len(bad_sessions)} client sessions broke "
-                f"invoke/complete alternation (clients "
-                f"{sorted(bad_sessions)[:3]}) — session order violated"
-            )
+    # 4. Session alternation, per client session.
+    open_op: Dict[int, Optional[int]] = {}
+    bad_sessions: Set[int] = set()
+    for event in events:
+        if event.client < 0:
+            continue
+        if event.kind == "invoke":
+            if open_op.get(event.client) is not None:
+                bad_sessions.add(event.client)
+            open_op[event.client] = event.op_id
+        elif event.kind in TERMINAL_KINDS:
+            if open_op.get(event.client) != event.op_id:
+                bad_sessions.add(event.client)
+            open_op[event.client] = None
+    if bad_sessions:
+        violations.append(
+            f"history: {len(bad_sessions)} client sessions broke "
+            f"invoke/complete alternation (clients "
+            f"{sorted(bad_sessions)[:3]}) — session order violated"
+        )
 
     # 5. Epoch-fence safety (per-server append order; wipes reset).
     floors: Dict[int, int] = {}

@@ -5,10 +5,10 @@ adversarial run — one :class:`repro.chaos.corpus.CorpusCase` gives it the
 workload, the generated fault schedule, the simulator RNGs, both
 transports' runs and the replay command — so a hunt is exactly
 reproducible: the same seed list always produces the byte-identical case
-list, violations and shrink results. Every case runs with the full
-operation-history audit on (:mod:`repro.chaos.history`), which is what
-separates a hunt from plain ``repro chaos``: the fuzzer checks
-client-visible consistency, not just the quiesced end state.
+list, violations and shrink results. Each case is judged the way
+``repro chaos`` judges it (:func:`repro.chaos.harness.check_run`: the
+quiesced end state plus the op-log audit); what a hunt adds is the
+shrinking of every failure.
 
 When a case violates an invariant, the failing plan is minimized with
 :func:`repro.chaos.shrink.shrink_plan` (drop events, shrink the cluster,
@@ -122,7 +122,7 @@ class HuntReport:
 
 
 def _audited(case: CorpusCase, store_dir: Optional[str]) -> ChaosCase:
-    """The case's history-audited simulator leg; a crash of the system under
+    """The case's simulator leg; a crash of the system under
     test is itself a counterexample (recorded as a ``crash:`` violation), so
     the fuzzer and the shrinker keep working when a schedule takes the
     simulator down instead of merely corrupting it."""
@@ -166,7 +166,7 @@ def run_hunt(
             violations=outcome.violations,
             operations=outcome.operations,
             failed_operations=outcome.failed_operations,
-            history=outcome.history or {},
+            history=outcome.history,
             replay=case.replay_command(),
         )
         if outcome.violations and shrink:

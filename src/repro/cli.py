@@ -5,8 +5,8 @@ Commands
 generate   synthesise a trace (Table I profile) and write it to a file
 evaluate   partition a generated workload and print the paper metrics
 simulate   replay a workload through the cluster simulator (Fig. 5 style)
-chaos      randomized fault schedules + invariant / history audits
-hunt       adversarial chaos search: fuzz, audit histories, shrink
+chaos      randomized fault schedules, each run audited (invariants + op log)
+hunt       adversarial chaos search: fuzz, audit, shrink
 serve      run a real asyncio cluster (sockets, tasks) under client load
 validate   replay one seeded workload through both transports and diff
 figure     regenerate one figure's data series (CSV, or --chart for ASCII)
@@ -191,11 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record causal spans for every Nth op in each "
                             "case (the failover/recovery lifecycle is "
                             "always spanned when sampling is on)")
-    chaos.add_argument("--history", action="store_true",
-                       help="record the full client-visible operation "
-                            "history per case and audit it (exactly-once "
-                            "acks, session order, epoch fencing, "
-                            "no-lost-acked-mutation; see docs/CHAOS.md)")
     add_fault_args(chaos)
     chaos.add_argument("--json", action="store_true",
                        help="emit the full ChaosReport as JSON")
@@ -289,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser(
         "validate",
         help="replay one seeded workload through both transports "
-             "(SimNetwork + AsyncioTransport) and diff the results",
+             "(simulator + AsyncioTransport) and diff the results",
     )
     add_serve_args(val)
     val.add_argument("--out", metavar="FILE", default=None,
@@ -514,9 +509,7 @@ def cmd_chaos(args) -> int:
         for seed in range(args.seed_base, args.seed_base + args.seeds):
             report.cases.append(
                 dataclasses.replace(recipe, seed=seed).run_sim(
-                    args.store_dir,
-                    history=args.history,
-                    trace_sample=args.trace_sample,
+                    args.store_dir, trace_sample=args.trace_sample
                 )
             )
     except ValueError as error:

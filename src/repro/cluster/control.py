@@ -67,7 +67,8 @@ class ClusterControl:
         #: Independent durability oracle (a run with a store only).
         self.durability = DurabilityLedger() if store is not None else None
         #: Optional client-visible ``OpHistory`` (set by whoever records
-        #: one); kill9 wipes are appended to it inline, in causal order.
+        #: one); kill9 wipes are appended to it inline, in causal order,
+        #: and the run audit (``repro.chaos.check_run``) reads it.
         self.history = None
         self.availability = AvailabilityReport()
         self._initial_capacities = list(placement.capacities)

@@ -133,7 +133,7 @@ class MonitorGroup:
             lease_timeout if lease_timeout is not None else 2.0 * heartbeat_timeout
         )
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: The SimNetwork carrying mon↔mon traffic (None = always reachable).
+        #: The FaultFabric carrying mon↔mon traffic (None = always reachable).
         self.network = network
         self.journal = PlacementJournal()
         self.scheme = scheme
@@ -319,7 +319,7 @@ class MonitorGroup:
         A heartbeat from an acknowledged-dead server clears the death mark —
         it rejoined and becomes detectable again. Network faults
         (partitions, loss, mutes) are applied by the caller routing the
-        message through ``SimNetwork.deliver`` — this method models only
+        message through ``FaultFabric.deliver`` — this method models only
         the receiving end.
         """
         if not self.replica_alive[self.leader]:

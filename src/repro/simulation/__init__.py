@@ -1,12 +1,6 @@
 """Discrete-event trace replay: the Section VI experiment harness."""
 
 from repro.simulation.faults import FaultEvent, FaultKind, FaultPlan
-from repro.simulation.network import (
-    CLIENT_ADDR,
-    SimNetwork,
-    mds_addr,
-    mon_addr,
-)
 from repro.simulation.runner import (
     BalanceTrajectory,
     ClusterSimulator,
@@ -20,6 +14,7 @@ from repro.simulation.stats import (
     SimulationResult,
     summarize_latencies,
 )
+from repro.transport.base import CLIENT_ADDR, mds_addr, mon_addr
 
 __all__ = [
     "CLIENT_ADDR",
@@ -30,7 +25,6 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "LatencySummary",
-    "SimNetwork",
     "SimulationConfig",
     "SimulationResult",
     "mds_addr",

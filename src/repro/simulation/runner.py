@@ -39,13 +39,13 @@ from repro.obs.sampler import GaugeSampler
 from repro.obs.spans import SpanRecorder
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.simulation.faults import FaultPlan
-from repro.simulation.network import CLIENT_ADDR, SimNetwork, mds_addr
 from repro.simulation.routing import FastRoutingEngine
 from repro.storage import make_store
 from repro.simulation.stats import SimulationResult, summarize_latencies
 from repro.traces.columns import OP_FROM_CODE, iter_op_batches
 from repro.traces.generator import GeneratedWorkload
 from repro.traces.trace import OpType, Trace
+from repro.transport.base import CLIENT_ADDR, FaultFabric, mds_addr
 from repro.numeric import ordered_sum
 
 __all__ = [
@@ -140,6 +140,8 @@ class ClusterSimulator:
         self.config = config or SimulationConfig()
         if self.config.service_time <= 0:
             raise ValueError("service_time must be positive")
+        if self.config.hop_latency < 0:
+            raise ValueError("hop_latency must be non-negative")
         self.tree.ensure_popularity()
         self.placement: Placement = scheme.partition(self.tree, num_servers)
         #: Route planner (see repro.simulation.routing): id-indexed memo
@@ -153,12 +155,11 @@ class ClusterSimulator:
         self.busy_time = [0.0] * num_servers
         self.served = [0] * num_servers
         self.locks = LockManager(acquire_latency=self.config.lock_acquire_latency)
-        #: Lossy, partitionable fabric. With no faults installed it degrades
-        #: to the constant-latency model (zero RNG draws), so fault-free runs
-        #: stay byte-identical to the perfect-network goldens.
-        self.network = SimNetwork(
-            hop_latency=self.config.hop_latency, seed=self.config.seed
-        )
+        #: Lossy, partitionable fabric on top of the constant per-hop
+        #: latency (``hop_latency``). With no faults installed it makes
+        #: zero RNG draws, so fault-free runs stay byte-identical to the
+        #: perfect-network goldens.
+        self.network = FaultFabric(seed=self.config.seed)
         self.clients = [
             SimClient(
                 cid,
@@ -196,9 +197,6 @@ class ClusterSimulator:
             self.store.bind_telemetry(self.telemetry)
             self.monitor.journal.bind_store(self.store)
         self.created = 0
-        #: Trace records handed to clients (completed + failed + in flight);
-        #: the chaos harness balances this against the availability ledger.
-        self.ops_issued = 0
         # Late-created nodes (OpType.CREATE extension) do not exist at
         # partition time: their assignments are forgotten and each scheme
         # places them on first sight.
@@ -619,7 +617,7 @@ class ClusterSimulator:
         locks_acquire = self.locks.acquire
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
-        hop = network.hop()
+        hop = cfg.hop_latency
         fan_cost = cfg.replica_write_work * cfg.service_time
         lock_hold = cfg.lock_hold_time
         adjust_every = cfg.adjust_every_ops
@@ -936,7 +934,6 @@ class ClusterSimulator:
                 lost_at = start
 
         self.created += created
-        self.ops_issued += dispatched
         control.close_unavailability(makespan)
         operations = len(latencies)
         if tel_on:

@@ -90,18 +90,20 @@ class ServerLogState:
 
 @dataclass
 class RecoveredState:
-    """What :meth:`~repro.storage.filestore.WalStore.recover_server`
+    """What :meth:`~repro.storage.filestore.WalStore.recover_server` (or
+    the read-only :meth:`~repro.storage.filestore.WalStore.read_server`)
     reconstructed for one MDS."""
 
     server: int
-    #: The replayed state, installed as the server's live log view: later
-    #: appends land in it.
+    #: The replayed state; a recovery installs it as the server's live log
+    #: view, so later appends land in it.
     state: ServerLogState
     #: Log records replayed on top of the snapshot (the WAL tail).
     replayed_records: int = 0
     #: True when a snapshot seeded the replay.
     snapshot_loaded: bool = False
-    #: True when a torn/corrupt tail was detected and truncated away.
+    #: True when a torn/corrupt tail was detected (a recovery truncates it
+    #: away; a read leaves it in place).
     truncated: bool = False
     #: ``"torn"`` / ``"corrupt"`` when :attr:`truncated`.
     truncate_reason: Optional[str] = None

@@ -16,7 +16,9 @@ state:
 The store is the only thing a ``kill9`` crash does *not* wipe: a recovered
 MDS replays its snapshot plus WAL tail (:meth:`WalStore.recover_server`),
 restores its epoch fence from the replayed state, and only then re-fences
-through ``accept_directive`` on the rejoin directive.
+through ``accept_directive`` on the rejoin directive. The end-of-run audit
+reads the same replay through :meth:`WalStore.read_server`, which changes
+nothing on disk or in the counters.
 
 Layout inside the store directory::
 
@@ -45,7 +47,7 @@ from typing import Dict, List, Optional
 
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.storage.base import RecoveredState, ServerLogState
-from repro.storage.wal import Record, WalFile
+from repro.storage.wal import Record, WalFile, scan_records
 
 __all__ = ["WalStore"]
 
@@ -189,8 +191,28 @@ class WalStore:
         Purely disk-driven — the live materialised view is deliberately
         ignored (the process it lived in just died) and then *replaced* by
         the replayed state, so post-recovery appends and snapshots continue
-        from what actually survived.
+        from what actually survived. A torn or corrupt tail is truncated
+        away, and the replay counts in :meth:`stats`.
         """
+        recovered = self._replay(server, repair=True)
+        self._state[server] = recovered.state
+        self._since_snapshot[server] = 0
+        self.recoveries += 1
+        self.replayed_records += recovered.replayed_records
+        if recovered.truncated:
+            self.truncations += 1
+            self.dropped += recovered.dropped
+        return recovered
+
+    def read_server(self, server: int) -> RecoveredState:
+        """What :meth:`recover_server` would replay for ``server``, read-only:
+        no repair, nothing installed, no counter moves, and no log file is
+        created for a server that never logged (the end-of-run audit)."""
+        return self._replay(server, repair=False)
+
+    def _replay(self, server: int, repair: bool) -> RecoveredState:
+        """Snapshot + the valid prefix of ``server``'s log; ``repair``
+        truncates a damaged tail (and opens the log if it never was)."""
         snapshot = None
         path = self._snapshot_path(server)
         snapshot_loaded = os.path.exists(path)
@@ -198,20 +220,17 @@ class WalStore:
             with open(path, "r", encoding="utf-8") as handle:
                 snapshot = json.load(handle)
         state = ServerLogState.from_snapshot(snapshot)
-        records, scan = self._log_for(server).recover(repair=True)
+        log = self._log_for(server) if repair else self._logs.get(server)
+        if log is None:
+            records, scan = [], scan_records(b"")
+        else:
+            records, scan = log.recover(repair)
         seen = set(state.acked_ops)
         for record in records:
             # Snapshot/truncate races make ack replay idempotent-by-op.
             if record[0] == "ack" and record[1] in seen:
                 continue
             state.apply(record)
-        self._state[server] = state
-        self._since_snapshot[server] = 0
-        self.recoveries += 1
-        self.replayed_records += len(records)
-        if scan.truncated:
-            self.truncations += 1
-            self.dropped += scan.dropped_bytes
         return RecoveredState(
             server=server,
             state=state,

@@ -1,9 +1,8 @@
 """Unified cluster transport: one fault surface, two implementations.
 
 * :class:`~repro.transport.base.FaultFabric` — the shared fault core
-  (endpoints, mutes, partitions, loss, delay, the ``deliver`` verdict).
-* :class:`~repro.simulation.network.SimNetwork` — the discrete-event
-  implementation the simulator replays against.
+  (endpoints, mutes, partitions, loss, delay, the ``deliver`` verdict),
+  which the discrete-event simulator replays against directly.
 * :class:`~repro.transport.asyncio_net.AsyncioTransport` — real asyncio
   sockets, every connection a :class:`~repro.transport.asyncio_net.FrameLink`
   that decodes frames as they arrive; :mod:`repro.transport.live` runs each

@@ -1,7 +1,7 @@
 """Real-socket Transport: asyncio servers behind the shared fault fabric.
 
-:class:`AsyncioTransport` is the live-cluster counterpart of
-:class:`~repro.simulation.network.SimNetwork`. It subclasses the same
+:class:`AsyncioTransport` is the live-cluster counterpart of the
+simulator's fabric. It subclasses the same
 :class:`~repro.transport.base.FaultFabric`, so the *verdict* for every
 message — muted? partitioned? lost? delayed by how much? — comes from the
 identical code path and the identical seeded RNG the simulator uses. What
@@ -302,7 +302,7 @@ class AsyncioTransport(FaultFabric):
     The fault-installation surface (``mute`` / ``set_loss`` / ``set_delay``
     / ``partition`` / ``heal`` / ``clear_endpoint``) is inherited unchanged
     from :class:`FaultFabric`; a ``FaultPlan`` therefore programs this
-    transport exactly as it programs ``SimNetwork``. Message-level
+    transport exactly as it programs the simulator's. Message-level
     enforcement happens in :meth:`send_control` / :meth:`send_data` (and,
     for a reply that cannot await, in :meth:`data_verdict`, the verdict
     half of :meth:`send_data`), which every live node routes its outbound

@@ -1,9 +1,9 @@
 """The unified fault fabric shared by simulation and live clusters.
 
-Every cluster fabric in this reproduction — the discrete-event
-:class:`~repro.simulation.network.SimNetwork` and the real-socket
-:class:`~repro.transport.asyncio_net.AsyncioTransport` — speaks one
-model: messages are addressed between *endpoints* and pass through one
+Both execution modes speak one model: the discrete-event simulator, which
+replays against a :class:`FaultFabric` directly, and the real-socket
+:class:`~repro.transport.asyncio_net.AsyncioTransport`, which subclasses
+it. Messages are addressed between *endpoints* and pass through one
 shared set of fault dimensions before they are delivered.
 
 * ``mds:<i>``  — metadata server ``i`` (:func:`mds_addr`),
@@ -11,7 +11,7 @@ shared set of fault dimensions before they are delivered.
 * ``client``   — the (WAN-side) client population (:data:`CLIENT_ADDR`).
 
 Three fault dimensions compose per message (see :class:`FaultFabric` for
-the exact semantics, lifted verbatim from the original ``SimNetwork``):
+the exact semantics):
 
 * **Partitions** — named splits of the cluster interconnect. Two endpoints
   communicate iff they share a group in *every* active partition; endpoints
@@ -26,10 +26,12 @@ the exact semantics, lifted verbatim from the original ``SimNetwork``):
 (:meth:`FaultFabric.mute`) has every control-plane message dropped.
 
 :class:`FaultFabric` is the install/inspect surface chaos schedules and
-``FaultPlan``\\ s program against. Because both transports subclass it,
-the same fault schedule replays against the simulator and against a live
-asyncio cluster — the latter turns a verdict into a real action (a dropped
-frame, a closed socket, an ``asyncio.sleep``).
+``FaultPlan``\\ s program against. Because both modes use it, the same
+fault schedule replays against the simulator and against a live asyncio
+cluster — the latter turns a verdict into a real action (a dropped frame,
+a closed socket, an ``asyncio.sleep``). The simulator's healthy path is a
+constant per-hop latency (``SimulationConfig.hop_latency``), which the
+data-plane verdicts only add to or drop.
 
 Determinism contract: with no faults installed (``faulty`` is ``False``)
 a fabric performs zero RNG draws. Fault draws consume a dedicated RNG
@@ -65,11 +67,10 @@ def mon_addr(replica: int) -> str:
 class FaultFabric:
     """Shared fault bookkeeping: partitions, loss, delay and mutes.
 
-    This is the fault core extracted from the original ``SimNetwork``;
-    ``SimNetwork`` subclasses it (adding the constant-latency healthy-path
-    model) and ``AsyncioTransport`` consults it per real frame. The RNG
-    seeding, draw order and verdict logic are unchanged, which is what
-    keeps existing goldens and chaos seeds byte-stable.
+    The simulator asks it for every control and data-plane verdict;
+    ``AsyncioTransport`` subclasses it and consults it per real frame. The
+    RNG seeding and draw order are what keep goldens and chaos seeds
+    byte-stable.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -273,3 +274,16 @@ class FaultFabric:
             self._drop()
             return None
         return base + self._extra_delay(src, dst)
+
+    def server_arrival(self, src: int, dst: int, base: float) -> Optional[float]:
+        """Fault-adjust the simulator's MDS→MDS forward from server ``src``
+        to server ``dst`` whose healthy arrival is ``base``.
+
+        Partitions *do* apply here: a traversal or redirect that crosses an
+        active partition is dropped and the client times out and retries.
+        """
+        a, b = mds_addr(src), mds_addr(dst)
+        if not self.reachable(a, b) or self._lost(a, b):
+            self._drop()
+            return None
+        return base + self._extra_delay(a, b)

@@ -28,12 +28,10 @@ What is deliberately shared with the simulator rather than re-implemented:
   verbatim; the live replicas are its network faces. Quorum checks read
   reachability from the shared fault fabric, so a partition that strands
   the leader aborts its directives here exactly as in the simulator.
-* **The safety invariants** — :func:`check_invariants` runs the chaos
-  harness's state checks 1–3 (ownership, completeness, epoch monotonicity:
-  :func:`~repro.cluster.failure.check_state_invariants`) against the live
-  cluster's state, adds the client-side accounting balance, plus a ledger
-  check that every client-acknowledged op is present in some MDS's ack
-  ledger.
+* **The run audit** — :func:`repro.chaos.harness.check_run` judges a
+  quiesced live run exactly as it judges a simulated one, over the shared
+  control plane and the load generator's op log, with each MDS's ack
+  ledger (``LiveMDS.acked``) as the ledgers.
 
 Requests route the way the paper's do (Sec. IV-A2). The Monitor leader's
 epoch-stamped ownership broadcasts carry the two-layer *index* — the
@@ -56,9 +54,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.chaos.history import audit_history
 from repro.cluster.control import ClusterControl
-from repro.cluster.failure import check_state_invariants
 from repro.cluster.index import RoutingIndex
 from repro.cluster.mds import MetadataServer
 from repro.cluster.messages import (
@@ -81,7 +77,6 @@ __all__ = [
     "LiveMonitor",
     "LiveCluster",
     "ServeReport",
-    "check_invariants",
 ]
 
 
@@ -408,7 +403,8 @@ class LiveCluster:
     initial routing index; the load generator then runs against
     the transport while :meth:`run_fault_plan` fires scheduled events;
     :meth:`quiesce` heals and re-admits everything; :meth:`stop` tears the
-    sockets down. :func:`check_invariants` audits the end state.
+    sockets down. :func:`repro.chaos.harness.check_run` audits the end
+    state.
 
     Every membership decision is :attr:`control`'s; after each call into
     it, :meth:`_reconcile` makes the sockets match the state it left. A
@@ -448,8 +444,8 @@ class LiveCluster:
         moved = self._moved = asyncio.Event()
         moved.set()
         #: The shared control plane over the MDS states. Set its
-        #: ``history`` to the load generator's so kill9 wipes land in the
-        #: audited operation history. Live mode runs storeless.
+        #: ``history`` to the load generator's: kill9 wipes land in it, and
+        #: the run audit reads it. Live mode runs storeless.
         self.control = ClusterControl(
             [mds.state for mds in self.servers], self.placement, self.group,
             self.transport, store=None,
@@ -613,46 +609,3 @@ class LiveCluster:
             self.group.is_dead(s.server_id) for s in self.servers
         ):
             await asyncio.sleep(self.cfg.heartbeat_interval)
-
-
-def check_invariants(cluster: LiveCluster, load_report) -> List[str]:
-    """The chaos safety invariants, audited against a live cluster.
-
-    State invariants 1–3 from the one shared checker, the accounting
-    balance (4) sourced from the load report, plus the history audit
-    (:func:`repro.chaos.history.audit_history`): exactly-once acks,
-    completeness, per-server epoch-fence safety, and every acked op
-    present in *its acking server's* ledger (a server's acks from before a
-    recorded kill9 wipe are excused — live mode runs storeless).
-    """
-    # 1-3. Ownership, completeness, epoch monotonicity (shared with the
-    #      chaos harness).
-    violations = check_state_invariants(
-        cluster.placement, cluster.tree, cluster.control.servers, cluster.group
-    )
-
-    # 4. Accounting balance at the clients (indeterminate ops are an
-    #    explicit terminal outcome, not an accounting hole).
-    issued = load_report.issued
-    acked = len(load_report.acked_ids)
-    failed = load_report.failed
-    indeterminate = load_report.indeterminate
-    if acked + failed + indeterminate != issued:
-        violations.append(
-            f"accounting: issued={issued} but acked={acked} "
-            f"+ failed={failed} + indeterminate={indeterminate} = "
-            f"{acked + failed + indeterminate}"
-        )
-
-    # 5. History audit (exactly-once, completeness, epoch fences, per-op
-    #    ledger containment with per-server wipe excuses).
-    violations.extend(
-        audit_history(
-            load_report.history,
-            final_epoch=cluster.group.epoch,
-            closed_loop=False,
-            ledgers={s.server_id: set(s.acked) for s in cluster.servers},
-            durable_ledgers=False,
-        )
-    )
-    return violations

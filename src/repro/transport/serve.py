@@ -3,12 +3,13 @@
 :func:`serve_workload` is what ``repro serve`` (and perfbench's serve
 workloads) calls: boot a :class:`~repro.transport.live.LiveCluster`, drive the
 workload's trace through the load generator, fire any fault
-plan, quiesce, audit the safety invariants and return a
+plan, quiesce, audit the run with :func:`repro.chaos.harness.check_run`
+(the chaos harness's audit) and return a
 :class:`~repro.transport.live.ServeReport`.
 
 :func:`validate_transports` is ``repro validate``: the same seeded
-workload replays through both transports — ``SimNetwork`` (the
-discrete-event simulator) and ``AsyncioTransport`` (real sockets) — and
+workload replays through the discrete-event simulator and through
+``AsyncioTransport`` (real sockets), and
 the report pairs the measured numbers with the simulated ones. The
 simulated run disables dynamic adjustment (the live mode does not
 rebalance mid-run) so the two placements stay directly comparable; the
@@ -22,15 +23,11 @@ import asyncio
 import contextlib
 from typing import Dict, Optional
 
+from repro.chaos.harness import check_run
 from repro.placement import MetadataScheme
 from repro.simulation.faults import FaultPlan
 from repro.simulation.runner import SimulationConfig, simulate
-from repro.transport.live import (
-    LiveCluster,
-    LiveConfig,
-    ServeReport,
-    check_invariants,
-)
+from repro.transport.live import LiveCluster, LiveConfig, ServeReport
 from repro.transport.loadgen import (
     LoadConfig,
     LoadGenerator,
@@ -76,7 +73,10 @@ async def _serve_async(
                     await fault_task
         if fault_task is not None:
             await cluster.quiesce()
-        violations = check_invariants(cluster, load)
+        violations = check_run(
+            cluster.control, len(workload.trace),
+            ledgers={mds.server_id: mds.acked for mds in cluster.servers},
+        )
         return ServeReport(
             scheme=getattr(scheme, "name", type(scheme).__name__),
             trace=workload.profile.name,

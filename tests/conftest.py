@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.chaos.harness import check_run
 from repro.core import NamespaceTree
 from repro.traces import DatasetProfile, TraceGenerator
 
@@ -51,6 +52,16 @@ def build_random_tree(num_nodes: int = 400, seed: int = 3) -> NamespaceTree:
         node.update_cost = 0.1 + rng.random()
     tree.aggregate_popularity()
     return tree
+
+
+def live_audit(cluster, generator):
+    """The run audit ``serve_workload`` ends with, for a live cluster a test
+    drove with its own load generator (op ids ``0..len(ops)-1``)."""
+    cluster.control.history = generator.history
+    return check_run(
+        cluster.control, len(generator.ops),
+        ledgers={mds.server_id: mds.acked for mds in cluster.servers},
+    )
 
 
 @pytest.fixture

@@ -5,13 +5,14 @@ import dataclasses
 import pytest
 
 from repro.chaos import (
+    OpHistory,
     CHAOS_HEARTBEAT_INTERVAL,
     CHAOS_HEARTBEAT_TIMEOUT,
     CHAOS_LEASE_TIMEOUT,
     ChaosReport,
     CorpusCase,
-    _check_invariants,
     _quiesce,
+    check_run,
     generate_plan,
     run_case,
 )
@@ -105,27 +106,49 @@ def test_invariants_clean_on_fault_free_run(workload):
     sim = ClusterSimulator(
         D2TreeScheme(), workload, 4, chaos_config(3, FaultPlan())
     )
+    sim.control.history = OpHistory()
     result = sim.run()
     _quiesce(sim, result.makespan)
-    assert _check_invariants(sim, result) == []
+    assert check_run(sim.control, len(workload.trace)) == []
 
 
 def test_invariants_flag_injected_corruption(workload):
     sim = ClusterSimulator(
         D2TreeScheme(), workload, 4, chaos_config(3, FaultPlan())
     )
+    sim.control.history = OpHistory()
     result = sim.run()
     _quiesce(sim, result.makespan)
     # Dead owner: sentinel a server that still owns metadata.
     sim.placement.capacities[0] = DEAD_CAPACITY
     # Fence ahead of the group epoch (the split-brain smell).
     sim.servers[1].fence_epoch = sim.monitor.epoch + 5
-    # Accounting hole: an issued op that neither completed nor failed.
-    sim.ops_issued += 1
-    violations = _check_invariants(sim, result)
+    # Accounting hole: a trace op the op log never saw.
+    violations = check_run(sim.control, len(workload.trace) + 1)
     assert any(v.startswith("ownership:") for v in violations)
     assert any(v.startswith("epochs:") for v in violations)
     assert any(v.startswith("accounting:") for v in violations)
+
+
+def test_the_run_audit_is_one_function():
+    """`chaos`, `hunt`, the corpus and `serve` all judge a run through
+    `check_run`: nothing else states the invariants or audits the op log."""
+    import pathlib
+    import re
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+    def callers(name):
+        found = []
+        for path in src.rglob("*.py"):
+            text = path.read_text()
+            if len(re.findall(rf"\b{name}\(", text)) > text.count(f"def {name}("):
+                found.append(str(path.relative_to(src)))
+        return sorted(found)
+
+    assert callers("check_state_invariants") == ["chaos/harness.py"]
+    assert callers("audit_history") == ["chaos/harness.py"]
+    assert callers("check_run") == ["chaos/harness.py", "transport/serve.py"]
 
 
 # ----------------------------------------------------------------------
@@ -154,9 +177,9 @@ def test_run_chaos_aggregates_cases():
         assert case.workload().profile.seed == seed
         assert len(case.workload().trace) == 400
         assert case.plan().to_specs() == generate_plan(seed, 400, 4, 3).to_specs()
-        report.cases.append(case.run_sim(history=False))
+        report.cases.append(case.run_sim())
         assert report.cases[-1].specs == case.plan().to_specs()
-        assert report.cases[-1].history is None
+        assert report.cases[-1].history["invoked"] == 400
     assert [c.seed for c in report.cases] == [0, 1]
     assert report.cases[0].specs != report.cases[1].specs
     assert report.ok == all(c.ok for c in report.cases)
@@ -187,6 +210,7 @@ def test_rejoin_after_failover_does_not_resurrect_pre_crash_ownership(workload):
     sim = ClusterSimulator(
         D2TreeScheme(), workload, 4, chaos_config(2, plan, monitors=3)
     )
+    sim.control.history = OpHistory()
     result = sim.run()
     _quiesce(sim, result.makespan)
     assert sim.monitor.epoch >= 2 and sim.monitor.failovers >= 1
@@ -198,4 +222,4 @@ def test_rejoin_after_failover_does_not_resurrect_pre_crash_ownership(workload):
     # The rejoined server applied the new-epoch directive: its fence caught
     # up and nothing it owns predates the failover.
     assert sim.servers[1].fence_epoch == sim.monitor.epoch
-    assert _check_invariants(sim, result) == []
+    assert check_run(sim.control, len(workload.trace)) == []

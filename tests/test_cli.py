@@ -383,14 +383,15 @@ def test_replay_line_reproduces_the_verdict(verb, monkeypatch, capsys):
 
     from repro.chaos import harness
 
-    def fingerprint(sim, result):
+    def fingerprint(control, ops, ledgers=None):
         return [
-            f"planted: ops={result.operations} "
-            f"retries={result.availability.retries} "
-            f"epoch={sim.monitor.epoch} dropped={sim.network.messages_dropped}"
+            f"planted: ops={ops} acked={control.history.counts()['ok']} "
+            f"retries={control.availability.retries} "
+            f"epoch={control.monitor.epoch} "
+            f"dropped={control.network.messages_dropped}"
         ]
 
-    monkeypatch.setattr(harness, "_check_invariants", fingerprint)
+    monkeypatch.setattr(harness, "check_run", fingerprint)
 
     def verdict(argv):
         code = main(argv)
@@ -410,7 +411,7 @@ def test_replay_line_reproduces_the_verdict(verb, monkeypatch, capsys):
     args = build_parser().parse_args(argv[1:])  # SystemExit on a stale flag
     assert (args.seed_base, args.seeds, args.ops) == (3, 1, 120)
     assert (args.servers, args.monitors, args.store) == (4, 3, "wal")
-    assert args.history and len(args.fault) == argv.count("--fault") > 0
+    assert len(args.fault) == argv.count("--fault") > 0
     assert verdict(argv[1:]) == (1, planted, replays)
 
 
@@ -422,6 +423,7 @@ def test_replay_line_reproduces_the_verdict(verb, monkeypatch, capsys):
     ["simulate", "--store", "sqlite"],
     ["simulate", "--simulate-engine", "perop"],
     ["simulate", "--batch-size", "1"],
+    ["chaos", "--history"],
 ])
 def test_retired_verbs_and_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:

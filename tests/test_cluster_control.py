@@ -19,8 +19,9 @@ from repro.cluster.messages import Heartbeat
 from repro.core import D2TreeScheme
 from repro.obs.spans import SpanRecorder
 from repro.placement import DEAD_CAPACITY
-from repro.simulation import FaultEvent, FaultKind, SimNetwork, mds_addr, mon_addr
+from repro.simulation import FaultEvent, FaultKind, mds_addr, mon_addr
 from repro.storage import make_store
+from repro.transport import FaultFabric
 from tests.conftest import build_random_tree
 
 SERVERS = 4
@@ -34,7 +35,7 @@ class Cluster:
         self.tree = build_random_tree(300, seed=11)
         scheme = D2TreeScheme()
         self.placement = scheme.partition(self.tree, SERVERS)
-        self.network = SimNetwork(seed=5)
+        self.network = FaultFabric(seed=5)
         self.group = MonitorGroup(
             scheme, self.tree, self.placement, replicas=3,
             heartbeat_timeout=TIMEOUT, lease_timeout=TIMEOUT,

@@ -1,4 +1,5 @@
-"""Durability integration: kill9 faults, recovery replay, chaos invariant 5."""
+"""Durability integration: kill9 faults, recovery replay, the durability
+checks of the run audit."""
 
 import dataclasses
 import json
@@ -17,6 +18,7 @@ from repro.core import D2TreeScheme
 from repro.obs.telemetry import Telemetry
 from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
 from repro.simulation.faults import FaultKind
+from repro.storage import DurabilityLedger
 from repro.traces import DatasetProfile, TraceGenerator
 
 
@@ -181,7 +183,7 @@ def test_one_sync_per_ack_fence_and_directive(workload):
 
 
 # ----------------------------------------------------------------------
-# Chaos invariant 5
+# The run audit's durability checks
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("store", ["wal"])
 def test_chaos_case_with_durable_store_is_clean(workload, store, tmp_path):
@@ -222,6 +224,35 @@ def test_explicit_kill9_plan_passes_all_invariants(workload):
     assert case.violations == []
     assert case.durability["kill9_crashes"] >= 1
     assert case.durability["torn_writes"] == 1
+
+
+def test_chaos_case_without_a_kill_reports_no_recovery(workload):
+    # The end-of-run audit reads every server's log read-only: a case with
+    # no kill-family fault replayed nothing, and says so.
+    plan = FaultPlan.parse(["crash:1@ops=120", "recover:1@ops=320"])
+    case = run_case("d2-tree", workload, 5, seed=11, plan=plan, store="wal")
+    assert case.violations == []
+    assert case.durability["acked_ops"] == len(workload.trace)
+    assert (case.durability["recoveries"], case.durability["replayed_records"]) == (0, 0)
+
+
+def test_chaos_case_reports_exactly_its_recovery_replays(workload, monkeypatch):
+    replays = []
+    note_recovery = DurabilityLedger.note_recovery
+
+    def counting(ledger, server, recovered):
+        replays.append(recovered.replayed_records)
+        note_recovery(ledger, server, recovered)
+
+    monkeypatch.setattr(DurabilityLedger, "note_recovery", counting)
+    plan = FaultPlan.parse([
+        "kill9:1@ops=120", "torn_write:2@ops=200",
+        "recover:1@ops=320", "recover:2@ops=420",
+    ])
+    case = run_case("d2-tree", workload, 5, seed=11, plan=plan, store="wal")
+    assert case.violations == [] and len(replays) == 2
+    assert case.durability["recoveries"] == len(replays)
+    assert case.durability["replayed_records"] == sum(replays)
 
 
 # ----------------------------------------------------------------------

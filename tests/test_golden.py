@@ -1,6 +1,6 @@
 """Byte-identity regression against committed goldens.
 
-The partition-tolerance machinery (SimNetwork, MonitorGroup, epoch fencing)
+The partition-tolerance machinery (FaultFabric, MonitorGroup, epoch fencing)
 must cost *nothing* on a fault-free run: no RNG draws, no latency, no
 serialization changes. The perfect-network goldens were captured with
 `repro simulate --json` and the simulator must keep reproducing them byte
@@ -110,7 +110,7 @@ FAULTED_CASES = [
     ),
     (
         "chaos_history.json",
-        ["chaos", "--seeds", "3", "--ops", "600", "--history", "--json"],
+        ["chaos", "--seeds", "3", "--ops", "600", "--json"],
     ),
 ]
 

@@ -41,7 +41,7 @@ def test_counts_rollup_is_stable_and_complete():
 
 
 def test_empty_history_audits_clean():
-    assert _audit(OpHistory(), final_epoch=1, closed_loop=True) == []
+    assert _audit(OpHistory(), final_epoch=1) == []
 
 
 def test_clean_history_audits_clean():
@@ -50,7 +50,7 @@ def test_clean_history_audits_clean():
         h.invoke(op, op % 2, float(op))
         h.ok(op, op % 2, op + 0.5, server=op % 3, epoch=1)
     assert _audit(
-        h, final_epoch=1, closed_loop=True,
+        h, final_epoch=1,
         ledgers={0: {0, 3}, 1: {1, 4}, 2: {2}}, durable_ledgers=True,
     ) == []
 
@@ -119,19 +119,29 @@ def test_indeterminate_satisfies_completeness():
 
 
 # ----------------------------------------------------------------------
-# 4. Closed-loop session alternation
+# 4. Session alternation, per client id >= 0
 # ----------------------------------------------------------------------
-def test_overlapping_ops_on_one_session_flagged_closed_loop_only():
+def _overlapping(client):
     h = OpHistory()
-    h.invoke(0, 0, 0.0)
-    h.invoke(1, 0, 0.5)          # second op while the first is open
-    h.ok(0, 0, 1.0, server=0, epoch=1)
-    h.ok(1, 0, 1.5, server=0, epoch=1)
-    assert any(
-        "session order violated" in v for v in _audit(h, closed_loop=True)
-    )
-    # The open-loop live client legitimately pipelines: not a violation.
-    assert _audit(h, closed_loop=False) == []
+    h.invoke(0, client, 0.0)
+    h.invoke(1, client, 0.5)     # second op while the first is open
+    h.ok(0, client, 1.0, server=0, epoch=1)
+    h.ok(1, client, 1.5, server=0, epoch=1)
+    return h
+
+
+def test_overlapping_ops_on_one_client_session_are_flagged():
+    violations = _audit(_overlapping(0))
+    assert violations == [
+        "history: 1 client sessions broke invoke/complete alternation "
+        "(clients [0]) — session order violated"
+    ]
+
+
+def test_client_minus_one_history_is_session_free():
+    # A transport without client sessions records client -1; its ops may
+    # legitimately overlap.
+    assert _audit(_overlapping(-1)) == []
 
 
 def test_interleaved_clients_are_fine_closed_loop():
@@ -140,7 +150,7 @@ def test_interleaved_clients_are_fine_closed_loop():
     h.invoke(1, 1, 0.1)          # a different session: no overlap per client
     h.ok(1, 1, 0.2, server=0, epoch=1)
     h.ok(0, 0, 0.3, server=1, epoch=1)
-    assert _audit(h, closed_loop=True) == []
+    assert _audit(h) == []
 
 
 # ----------------------------------------------------------------------
@@ -240,10 +250,8 @@ def test_sim_history_audits_clean_under_faults(workload):
             "crash:1@ops=60", "recover:1@ops=200",
             "loss:2@ops=80:p0.4", "recover:2@ops=300",
         ]),
-        history=True,
     )
     assert case.violations == []
-    assert case.history is not None
     assert case.history["invoked"] == case.operations + case.failed_operations
     assert case.history["ok"] == case.operations
 
@@ -253,7 +261,6 @@ def test_sim_history_audits_clean_across_kill9(workload, tmp_path):
         "d2-tree", _slice(workload, 400), 5, seed=12,
         plan=FaultPlan.parse(["kill9:2@ops=100", "torn_write:3@ops=220"]),
         store="wal", store_dir=str(tmp_path),
-        history=True,
     )
     assert case.violations == []
     assert case.history["wipes"] >= 1
@@ -305,4 +312,4 @@ def test_history_and_telemetry_op_events_are_one_log(workload):
     assert ids(history.events, "ok") == event_ids("op_complete")
     assert ids(history.events, "retry") == event_ids("op_retry")
     assert event_ids("op_retry")
-    assert _audit(history, closed_loop=True) == []
+    assert _audit(history) == []

@@ -175,7 +175,7 @@ def test_hunt_finds_shrinks_and_replays_planted_bug(
 
     # And carries the exact CLI replay command.
     assert finding.replay.startswith("repro chaos ")
-    assert "--history" in finding.replay
+    assert "--history" not in finding.replay
     assert "--fault" in finding.replay
     assert finding.replay == finding.minimized.replay_command()
     for spec in finding.minimized.faults:

@@ -15,8 +15,9 @@ from repro import registry
 from repro.cluster.index import RoutingIndex, covering_entry
 from repro.cluster.messages import ClientRequest, Directive
 from repro.traces import DatasetProfile, load_workload
-from repro.transport.live import LiveCluster, LiveConfig, check_invariants
+from repro.transport.live import LiveCluster, LiveConfig
 from repro.transport.loadgen import LoadConfig, LoadGenerator, trace_ops
+from tests.conftest import live_audit
 from repro.transport.serve import serve_workload
 from repro.transport.wire import encode_frame
 
@@ -123,8 +124,10 @@ def test_global_layer_reads_are_acked_by_any_replica(workload):
     placement = registry.create("d2-tree").partition(workload.tree, NUM_SERVERS)
     global_paths = {node.path for node in placement.split.global_layer}
     reads = [
-        (op_id, path, op) for op_id, path, op in trace_ops(workload.trace)
-        if path in global_paths and op != "update"
+        (op_id, path, op) for op_id, (path, op) in enumerate(
+            (path, op) for _, path, op in trace_ops(workload.trace)
+            if path in global_paths and op != "update"
+        )
     ]
     assert len(reads) > 50
 
@@ -134,7 +137,7 @@ def test_global_layer_reads_are_acked_by_any_replica(workload):
             LoadConfig(rate=1e6, max_inflight=4, seed=SEED),
         )
         load = await generator.run()
-        return load, check_invariants(cluster, load)
+        return load, live_audit(cluster, generator)
 
     load, violations = _with_cluster(workload, body)
     assert violations == []

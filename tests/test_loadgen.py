@@ -24,8 +24,9 @@ from repro.transport import CLIENT_ADDR, mds_addr
 from repro.transport import loadgen
 from repro.transport.asyncio_net import AsyncioTransport, FrameLink
 from repro.transport.base import FaultFabric
-from repro.transport.live import LiveCluster, LiveConfig, check_invariants
+from repro.transport.live import LiveCluster, LiveConfig
 from repro.transport.loadgen import LoadConfig, LoadGenerator, trace_ops
+from tests.conftest import live_audit
 
 NUM_SERVERS = 4
 SEED = 7
@@ -169,7 +170,7 @@ def test_outstanding_requests_never_exceed_the_cap(workload):
             LoadConfig(rate=1e6, max_inflight=3, seed=SEED),
         )
         report = await generator.run()
-        return report, check_invariants(cluster, report)
+        return report, live_audit(cluster, generator)
 
     (report, violations), unhandled = _with_cluster(
         workload, body, service_time=0.002
@@ -285,7 +286,7 @@ def test_full_loss_on_one_server_times_out_and_is_routed_around(
         # Long enough for any timer left armed by mistake to fire.
         await asyncio.sleep(2 * cfg.request_timeout)
         cluster.transport.clear_endpoint(mds_addr(victim))
-        return report, generator, check_invariants(cluster, report)
+        return report, generator, live_audit(cluster, generator)
 
     (report, generator, violations), unhandled = _with_cluster(workload, body)
     assert unhandled == [] and violations == []
@@ -348,7 +349,7 @@ def test_a_reply_after_its_timer_fired_is_dropped_silently(workload):
         # and the servers' ledgers settle before the audit.
         await asyncio.sleep(0.3)
         served = sum(len(mds.acked) for mds in cluster.servers)
-        return report, served, check_invariants(cluster, report)
+        return report, served, live_audit(cluster, generator)
 
     (report, served, violations), unhandled = _with_cluster(
         workload, body, service_time=0.03
@@ -781,7 +782,7 @@ def test_a_send_that_fails_inside_a_reply_callback_spares_the_replying_link(
             LoadConfig(rate=1e6, max_inflight=1, seed=SEED),
         )
         report = await generator.run()
-        return report, check_invariants(cluster, report)
+        return report, live_audit(cluster, generator)
 
     (report, violations), unhandled = _with_cluster(workload, body)
     assert unhandled == [] and violations == []

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import MetadataServer, MonitorGroup, PlacementJournal
 from repro.cluster.messages import Directive, Heartbeat
 from repro.core import D2TreeScheme
-from repro.simulation import SimNetwork, mon_addr
+from repro.transport import FaultFabric, mon_addr
 from tests.conftest import build_random_tree
 
 
@@ -94,7 +94,7 @@ def test_recovered_replica_rejoins_as_standby():
 # Quorum gating over a partitioned network
 # ----------------------------------------------------------------------
 def test_minority_side_leader_cannot_commit():
-    net = SimNetwork()
+    net = FaultFabric()
     group = make_group(replicas=3, network=net, lease_timeout=1.0)
     # Leader m0 isolated from m1+m2: one vote of three is no quorum.
     net.partition("p", [[mon_addr(0)], [mon_addr(1), mon_addr(2)]])
@@ -114,7 +114,7 @@ def test_minority_side_leader_cannot_commit():
 
 
 def test_total_partition_leaves_no_electable_replica():
-    net = SimNetwork()
+    net = FaultFabric()
     group = make_group(replicas=3, network=net, lease_timeout=1.0)
     net.partition(
         "p", [[mon_addr(0)], [mon_addr(1)], [mon_addr(2)]]

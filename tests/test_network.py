@@ -1,28 +1,58 @@
-"""SimNetwork: lossy, partitionable message fabric semantics."""
+"""FaultFabric as the simulator replays against it: lossy, partitionable
+message fabric semantics over a constant per-hop latency."""
 
 import pytest
 
-from repro.simulation import CLIENT_ADDR, SimNetwork, mds_addr, mon_addr
+from repro.baselines import HashScheme
+from repro.simulation import (
+    CLIENT_ADDR,
+    ClusterSimulator,
+    SimulationConfig,
+    mds_addr,
+    mon_addr,
+    simulate,
+)
+from repro.traces import DatasetProfile, TraceGenerator
+from repro.transport import FaultFabric
+
+
+@pytest.fixture(scope="module")
+def one_client_workload():
+    return TraceGenerator(
+        DatasetProfile.dtr(num_nodes=300, scale=1e-5), num_clients=1
+    ).generate()
 
 
 # ----------------------------------------------------------------------
 # Healthy path
 # ----------------------------------------------------------------------
-def test_constant_hop():
-    net = SimNetwork(hop_latency=2e-4)
-    assert net.hop() == 2e-4
-    assert not net.faulty
+def test_constant_hop(one_client_workload):
+    """The healthy path is ``SimulationConfig.hop_latency`` per traversal:
+    one client on one server never queues, so each op's latency is two
+    hops plus its service (and any lock), and moving the hop moves every
+    op by exactly two of it."""
+    def mean_latency(hop):
+        config = SimulationConfig(
+            num_clients=1, hop_latency=hop, adjust_every_ops=0
+        )
+        return simulate(HashScheme(), one_client_workload, 1, config).latency.mean
+
+    assert not FaultFabric().faulty
+    assert mean_latency(3e-4) - mean_latency(1e-4) == pytest.approx(4e-4)
 
 
-def test_rejects_negative_latencies():
-    with pytest.raises(ValueError):
-        SimNetwork(hop_latency=-1.0)
+def test_rejects_negative_latencies(one_client_workload):
+    with pytest.raises(ValueError, match="hop_latency"):
+        ClusterSimulator(
+            HashScheme(), one_client_workload, 1,
+            SimulationConfig(hop_latency=-1.0),
+        )
 
 
 def test_fault_free_path_makes_zero_rng_draws():
     # The byte-identity contract: while no fault is installed, deliveries
     # never touch the fault RNG and arrival times pass through unchanged.
-    net = SimNetwork(seed=7)
+    net = FaultFabric(seed=7)
     before = net._rng.getstate()
     assert net.deliver(mds_addr(0), mon_addr(0), 1.5) == 1.5
     assert net.data_arrival(CLIENT_ADDR, mds_addr(2), 0.25) == 0.25
@@ -35,7 +65,7 @@ def test_fault_free_path_makes_zero_rng_draws():
 # Mutes (the drop_heartbeats realisation)
 # ----------------------------------------------------------------------
 def test_mute_drops_control_plane_both_directions():
-    net = SimNetwork()
+    net = FaultFabric()
     net.mute(mds_addr(1))
     assert net.faulty
     assert net.deliver(mds_addr(1), mon_addr(0), 1.0) is None
@@ -52,7 +82,7 @@ def test_mute_drops_control_plane_both_directions():
 # Partitions
 # ----------------------------------------------------------------------
 def test_partition_splits_interconnect_but_not_clients():
-    net = SimNetwork()
+    net = FaultFabric()
     net.partition("p", [[mds_addr(0), mds_addr(1)], [mds_addr(2), mon_addr(0)]])
     assert not net.reachable(mds_addr(0), mds_addr(2))
     assert net.reachable(mds_addr(0), mds_addr(1))
@@ -67,7 +97,7 @@ def test_partition_splits_interconnect_but_not_clients():
 
 
 def test_unlisted_endpoints_ride_with_group_zero():
-    net = SimNetwork()
+    net = FaultFabric()
     net.partition("p", [[mds_addr(0)], [mds_addr(1)]])
     # mon:0 is not named, so it sits with group 0 and server 1 is cut off.
     assert net.deliver(mds_addr(0), mon_addr(0), 1.0) == 1.0
@@ -75,7 +105,7 @@ def test_unlisted_endpoints_ride_with_group_zero():
 
 
 def test_heal_by_name_and_heal_all():
-    net = SimNetwork()
+    net = FaultFabric()
     net.partition("a", [[mds_addr(0)], [mds_addr(1)]])
     net.partition("b", [[mds_addr(2)], [mds_addr(3)]])
     assert net.partitions() == ("a", "b")
@@ -89,7 +119,7 @@ def test_heal_by_name_and_heal_all():
 
 def test_overlapping_partitions_compose():
     # Two endpoints communicate iff they share a group in EVERY partition.
-    net = SimNetwork()
+    net = FaultFabric()
     net.partition("a", [[mds_addr(0), mds_addr(1)], [mds_addr(2)]])
     net.partition("b", [[mds_addr(0)], [mds_addr(1), mds_addr(2)]])
     assert not net.reachable(mds_addr(0), mds_addr(1))  # split by b
@@ -98,7 +128,7 @@ def test_overlapping_partitions_compose():
 
 
 def test_partition_validation():
-    net = SimNetwork()
+    net = FaultFabric()
     with pytest.raises(ValueError):
         net.partition("p", [[mds_addr(0)]])  # one group is no partition
     with pytest.raises(ValueError):
@@ -109,7 +139,7 @@ def test_partition_validation():
 # Loss
 # ----------------------------------------------------------------------
 def test_blackhole_loss_drops_everything():
-    net = SimNetwork(seed=3)
+    net = FaultFabric(seed=3)
     net.set_loss(mds_addr(1), 1.0)
     assert net.deliver(mds_addr(1), mon_addr(0), 1.0) is None
     assert net.data_arrival(CLIENT_ADDR, mds_addr(1), 1.0) is None
@@ -121,7 +151,7 @@ def test_blackhole_loss_drops_everything():
 
 def test_partial_loss_is_seeded_and_partial():
     def drops(seed):
-        net = SimNetwork(seed=seed)
+        net = FaultFabric(seed=seed)
         net.set_loss(mds_addr(0), 0.5)
         return [
             net.data_arrival(CLIENT_ADDR, mds_addr(0), 1.0) is None
@@ -135,7 +165,7 @@ def test_partial_loss_is_seeded_and_partial():
 
 
 def test_loss_probability_validated_and_clearable():
-    net = SimNetwork()
+    net = FaultFabric()
     with pytest.raises(ValueError):
         net.set_loss(mds_addr(0), 1.5)
     net.set_loss(mds_addr(0), 0.5)
@@ -148,7 +178,7 @@ def test_loss_probability_validated_and_clearable():
 # Delay
 # ----------------------------------------------------------------------
 def test_delay_adds_bounded_seeded_extra_latency():
-    net = SimNetwork(seed=5)
+    net = FaultFabric(seed=5)
     net.set_delay(mds_addr(0), 1e-3)
     arrivals = [net.data_arrival(CLIENT_ADDR, mds_addr(0), 1.0) for _ in range(100)]
     assert all(1.0 <= t < 1.0 + 2e-3 for t in arrivals)
@@ -161,7 +191,7 @@ def test_delay_adds_bounded_seeded_extra_latency():
 
 
 def test_delay_sums_over_both_endpoints():
-    net = SimNetwork(seed=5)
+    net = FaultFabric(seed=5)
     net.set_delay(mds_addr(0), 1e-3)
     net.set_delay(mds_addr(1), 1e-3)
     arrivals = [net.server_arrival(0, 1, 1.0) for _ in range(100)]
@@ -172,7 +202,7 @@ def test_delay_sums_over_both_endpoints():
 # recover path
 # ----------------------------------------------------------------------
 def test_clear_endpoint_wipes_all_per_endpoint_faults():
-    net = SimNetwork(seed=2)
+    net = FaultFabric(seed=2)
     net.mute(mds_addr(1))
     net.set_loss(mds_addr(1), 0.5)
     net.set_delay(mds_addr(1), 1e-3)
@@ -182,7 +212,7 @@ def test_clear_endpoint_wipes_all_per_endpoint_faults():
 
 
 def test_client_addr_is_not_partitionable():
-    net = SimNetwork()
+    net = FaultFabric()
     net.partition("p", [[mds_addr(0)], [mds_addr(1), CLIENT_ADDR]])
     # Even named into a group, client sends ignore partitions by design.
     assert net.data_arrival(CLIENT_ADDR, mds_addr(0), 1.0) == 1.0

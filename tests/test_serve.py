@@ -131,13 +131,13 @@ def test_load_report_outcomes_are_views_of_the_history(monkeypatch):
     bundle = load_workload(profile.scaled(num_operations=600))
     workload = dataclasses.replace(bundle, trace=bundle.trace.slice(0, 600))
     loads = []
-    check = serve.check_invariants
+    run = LoadGenerator.run
 
-    def capturing_check(cluster, load):
-        loads.append(load)
-        return check(cluster, load)
+    async def capturing_run(generator):
+        loads.append(await run(generator))
+        return loads[-1]
 
-    monkeypatch.setattr(serve, "check_invariants", capturing_check)
+    monkeypatch.setattr(LoadGenerator, "run", capturing_run)
     report = serve.serve_workload(
         registry.create("d2-tree"), workload,
         LiveConfig(num_servers=4, num_monitors=3, seed=7),

@@ -1,4 +1,4 @@
-"""Transport parity: SimNetwork and AsyncioTransport agree on outcomes.
+"""Transport parity: the simulator and AsyncioTransport agree on outcomes.
 
 The unified Transport API's core promise: the same seeded workload driven
 through the discrete-event simulator and through a real asyncio cluster
@@ -25,12 +25,11 @@ from repro.simulation import (
     simulate,
 )
 from repro.traces import DatasetProfile, load_workload
-from repro.transport.live import (
-    LiveCluster,
-    LiveConfig,
-    check_invariants,
-)
+from repro.storage import WalStore
+from repro.transport.live import LiveCluster, LiveConfig, LiveMDS
 from repro.transport.loadgen import LoadConfig, LoadGenerator, trace_ops
+from repro.transport.serve import serve_workload
+from tests.conftest import live_audit
 
 NUM_SERVERS = 3
 NUM_MONITORS = 3
@@ -98,7 +97,7 @@ def _live_run(workload, plan=None):
                 await cluster.quiesce()
             return {
                 "load": load,
-                "violations": check_invariants(cluster, load),
+                "violations": live_audit(cluster, generator),
                 "ownership": _ownership(cluster.placement),
                 "epoch": cluster.group.epoch,
                 "control": cluster.control,
@@ -300,3 +299,77 @@ def test_kill9_on_a_down_server_means_the_same_thing_in_both_transports(workload
     assert flags(live["control"]) == flags(sim.control) == (
         True, False, False, 1.0, 1, [],
     )
+
+
+# ----------------------------------------------------------------------
+# One checker, one verdict: a planted defect reads the same in both modes
+# ----------------------------------------------------------------------
+PLANTED_OP = 5
+
+
+def _plant_never_invoked(monkeypatch):
+    """The op log loses every record of one op: only accounting sees it."""
+    for name in ("invoke", "retry", "ok", "fail", "indeterminate"):
+        record = getattr(OpHistory, name)
+
+        def skipping(history, op_id, *args, _record=record, **kwargs):
+            if op_id != PLANTED_OP:
+                return _record(history, op_id, *args, **kwargs)
+
+        monkeypatch.setattr(OpHistory, name, skipping)
+
+
+def _plant_double_terminal(monkeypatch):
+    """One ack is recorded twice (the copy outside any client session)."""
+    ok = OpHistory.ok
+
+    def doubled(history, op_id, client, *args, **kwargs):
+        ok(history, op_id, client, *args, **kwargs)
+        if op_id == PLANTED_OP:
+            ok(history, op_id, -1, *args, **kwargs)
+
+    monkeypatch.setattr(OpHistory, "ok", doubled)
+
+
+def _plant_lost_ledger_entry(monkeypatch):
+    """The acking server keeps no record of one ack: the simulator's WAL
+    skips its record (durable op ids are 1-based), a live MDS forgets it."""
+    append_ack = WalStore.append_ack
+    answer = LiveMDS._answer
+
+    def skipping_append(store, server, op, *args):
+        if op != PLANTED_OP + 1:
+            append_ack(store, server, op, *args)
+
+    def forgetful_answer(mds, link, request):
+        answer(mds, link, request)
+        mds.acked.discard(PLANTED_OP)
+
+    monkeypatch.setattr(WalStore, "append_ack", skipping_append)
+    monkeypatch.setattr(LiveMDS, "_answer", forgetful_answer)
+
+
+@pytest.mark.parametrize("plant,store,violation", [
+    (_plant_never_invoked, "memory",
+     f"accounting: 1 of 500 trace ops never invoked (e.g. ops [{PLANTED_OP}])"),
+    (_plant_double_terminal, "memory",
+     f"history: 1 ops with multiple terminal events (e.g. op {PLANTED_OP}: "
+     "['ok']) — exactly-once broken"),
+    (_plant_lost_ledger_entry, "wal",
+     "history: 1 acked ops missing from the acking server's ledger "
+     f"(e.g. ops [{PLANTED_OP}]) — acked mutation lost"),
+], ids=["never_invoked", "double_terminal", "lost_ledger_entry"])
+def test_a_planted_defect_gets_one_verdict_through_both_transports(
+    workload, monkeypatch, plant, store, violation
+):
+    plant(monkeypatch)
+    case = run_case(
+        "d2-tree", workload, NUM_SERVERS, SEED, FaultPlan(),
+        num_monitors=NUM_MONITORS, store=store,
+    )
+    live = serve_workload(
+        registry.create("d2-tree"), workload,
+        LiveConfig(num_servers=NUM_SERVERS, num_monitors=NUM_MONITORS, seed=SEED),
+        LoadConfig(rate=4000.0, seed=SEED),
+    )
+    assert case.violations == live.violations == [violation]

@@ -18,13 +18,13 @@ from repro.placement import Migration, Placement
 from repro.simulation import (
     ClusterSimulator,
     FaultPlan,
-    SimNetwork,
     SimulationConfig,
     replay_rounds,
     simulate,
     summarize_latencies,
 )
 from repro.traces import DatasetProfile, TraceGenerator
+from repro.transport import FaultFabric
 from tests.test_mutation_properties import (
     apply_mutations,
     build_tree,
@@ -35,14 +35,20 @@ from tests.test_mutation_properties import (
 # ----------------------------------------------------------------------
 # Network and latency primitives
 # ----------------------------------------------------------------------
-def test_network_model():
-    net = SimNetwork(hop_latency=0.01)
-    assert net.hop() == 0.01
+def test_network_model(tiny_dtr_workload):
+    # The simulator replays against the shared fault fabric itself, seeded
+    # from the run seed and fault-free until a fault installs something.
+    sim = ClusterSimulator(
+        D2TreeScheme(), tiny_dtr_workload, 4, SimulationConfig(hop_latency=0.01)
+    )
+    assert type(sim.network) is FaultFabric and not sim.network.faulty
+    assert sim.network._rng.getstate() == FaultFabric(seed=7)._rng.getstate()
 
 
-def test_network_validation():
-    with pytest.raises(ValueError):
-        SimNetwork(hop_latency=-1)
+def test_network_validation(tiny_dtr_workload):
+    for bad in (dict(hop_latency=-1), dict(service_time=0.0)):
+        with pytest.raises(ValueError):
+            ClusterSimulator(D2TreeScheme(), tiny_dtr_workload, 4, SimulationConfig(**bad))
 
 
 def test_latency_summary():

@@ -419,6 +419,37 @@ def test_backend_damage_detected_and_acks_survive(backend, damage, tmp_path):
         store.close()
 
 
+def test_read_server_is_the_recovery_replay_without_its_effects(tmp_path):
+    """``read_server`` returns what ``recover_server`` would replay, and
+    changes nothing: the damaged tail stays on disk, the live view and the
+    counters stay put, and a server that never logged gets no log file."""
+    store = make_store("wal", directory=str(tmp_path), snapshot_every=8)
+    try:
+        drive_store(store)
+        store.tear_tail(0)
+        size, view, before = (
+            os.path.getsize(tmp_path / "wal-0.log"), store._state[0], store.stats()
+        )
+        read = store.read_server(0)
+        assert (read.truncated, read.truncate_reason) == (True, "torn")
+        again = store.read_server(0)
+        assert again.state.to_snapshot() == read.state.to_snapshot()
+        assert again.dropped == read.dropped > 0
+        assert os.path.getsize(tmp_path / "wal-0.log") == size
+        assert store._state[0] is view and store.stats() == before
+        never = store.read_server(5)
+        assert never.state.acked_ops == [] and not never.truncated
+        assert not (tmp_path / "wal-5.log").exists()
+
+        recovered = store.recover_server(0)
+        assert recovered.state.to_snapshot() == read.state.to_snapshot()
+        assert recovered.replayed_records == read.replayed_records
+        assert os.path.getsize(tmp_path / "wal-0.log") < size
+        assert (store.recoveries, store.truncations) == (1, 1)
+    finally:
+        store.close()
+
+
 @pytest.mark.parametrize("backend", ["wal"])
 def test_backend_damage_on_clean_log_injects_inflight_junk(backend, tmp_path):
     # Even with everything synced the fault applies (a crash mid-append of

@@ -2,7 +2,7 @@
 
 These tests exercise the *live* side of the unified Transport API with
 real sockets (unix by default, one TCP case). The shared FaultFabric
-verdict logic itself is covered by the SimNetwork suites; here we assert
+verdict logic itself is covered by tests/test_network.py; here we assert
 the live transport obeys the same surface — a muted endpoint's control
 frames vanish, partitions never touch client traffic, a stopped endpoint
 refuses connections like a dead process — on the raw stream surface and on
@@ -14,9 +14,10 @@ import asyncio
 
 import pytest
 
+from repro import registry
 from repro.cluster.index import RoutingIndex
 from repro.cluster.messages import ClientRequest, Heartbeat, from_wire
-from repro.simulation.network import SimNetwork
+from repro.simulation import ClusterSimulator
 from repro.transport import CLIENT_ADDR, FaultFabric, mds_addr, mon_addr
 from repro.transport.asyncio_net import AsyncioTransport
 from repro.transport.live import LiveConfig, LiveMDS
@@ -53,8 +54,11 @@ PING = Heartbeat(server=1, time=0.5, load=2.0, relative_capacity=1.0).to_wire()
 # ----------------------------------------------------------------------
 # One fault fabric under both transports
 # ----------------------------------------------------------------------
-def test_both_implementations_satisfy_transport():
-    assert isinstance(SimNetwork(), FaultFabric)
+def test_both_implementations_satisfy_transport(tiny_dtr_workload):
+    # The simulator replays against the fabric itself; the live transport
+    # subclasses it.
+    sim = ClusterSimulator(registry.create("d2-tree"), tiny_dtr_workload, 4)
+    assert type(sim.network) is FaultFabric
     assert isinstance(AsyncioTransport(), FaultFabric)
 
 
