@@ -1,6 +1,8 @@
 """Tests for the synthetic trace generator."""
 
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -170,3 +172,48 @@ def test_drift_shifts_hot_ranking():
 
     # Diurnal drift: the hottest paths at the end differ from the start.
     assert top_paths(first) != top_paths(last)
+
+
+# ----------------------------------------------------------------------
+# The generated bytes, pinned
+# ----------------------------------------------------------------------
+def generated_digest(workload) -> str:
+    """SHA-256 over everything ``generate()`` decides: each record's
+    timestamp (``repr``, so every bit), op, path and client; each node's id,
+    path, kind, ``p'``, ``p`` and ``u``; the hot set and the late paths."""
+    h = hashlib.sha256()
+    for r in workload.trace.records:
+        h.update(f"{r.timestamp!r} {r.op.value} {r.path} {r.client_id}\n".encode())
+    for n in workload.tree:
+        h.update(
+            f"{n.node_id} {n.path} {n.is_directory} {n.individual_popularity!r} "
+            f"{n.popularity!r} {n.update_cost!r}\n".encode()
+        )
+    h.update(" ".join(n.path for n in workload.hot_nodes).encode())
+    h.update(b"\n" + " ".join(workload.late_created_paths).encode())
+    return h.hexdigest()[:16]
+
+
+PINNED_PROFILES = {
+    "dtr": DatasetProfile.dtr(num_nodes=1500, scale=1e-4),
+    "lmbe": DatasetProfile.lmbe(num_nodes=1200, scale=2e-5),
+    "ra": DatasetProfile.ra(num_nodes=1000, scale=2e-5),
+    "ra_creates": replace(DatasetProfile.ra(num_nodes=1000, scale=2e-5), create_fraction=0.05),
+}
+
+#: Recorded before the generator's hot loops were inlined; every RNG draw,
+#: float and node id must come out the same on every supported interpreter.
+PINNED_DIGESTS = {
+    "dtr": "0a86d369a9202826",
+    "lmbe": "26d660fe91f4d824",
+    "ra": "8e4514ed322ce319",
+    "ra_creates": "26e14fdedbff6500",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PROFILES))
+def test_generated_bytes_are_pinned(name):
+    workload = TraceGenerator(PINNED_PROFILES[name]).generate()
+    if name == "ra_creates":
+        assert workload.late_created_paths  # _mark_creates ran
+    assert generated_digest(workload) == PINNED_DIGESTS[name]
