@@ -38,11 +38,6 @@ class EmpiricalCDF:
         idx = max(0, math.ceil(q * self._n) - 1)
         return self._sorted[min(idx, self._n - 1)]
 
-    @property
-    def support(self) -> Sequence[float]:
-        """Sorted sample values."""
-        return self._sorted
-
     def sup_distance(self, other: "EmpiricalCDF") -> float:
         """Kolmogorov–Smirnov distance ``sup_z |F(z) - G(z)|``."""
         points = sorted(set(self._sorted) | set(other._sorted))

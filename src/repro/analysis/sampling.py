@@ -4,9 +4,7 @@ Large clusters cannot afford to enumerate every local-layer subtree when
 building the popularity CDF, so each MDS samples the pending pool. The paper
 cites full-information-lookup random walks [20]; over the pool (a flat
 collection) a uniform random walk reduces to uniform sampling with
-replacement, which is what :class:`RandomWalkSampler` provides, plus the
-Metropolis–Hastings walk over the namespace tree used when sampling directly
-from a structured population.
+replacement, which is what :class:`RandomWalkSampler` provides.
 """
 
 from __future__ import annotations
@@ -32,14 +30,10 @@ class RandomWalkSampler:
     rng:
         Source of randomness; pass a seeded :class:`random.Random` for
         reproducible experiments.
-    burn_in:
-        Steps of the Metropolis–Hastings walk to discard before taking a
-        sample when walking a neighbour structure (ignored for flat pools).
     """
 
-    def __init__(self, rng: Optional[random.Random] = None, burn_in: int = 8) -> None:
+    def __init__(self, rng: Optional[random.Random] = None) -> None:
         self._rng = rng if rng is not None else random.Random()
-        self.burn_in = burn_in
 
     def sample_pool(self, pool: Sequence[T], count: int) -> List[T]:
         """Draw ``count`` uniform samples (with replacement) from ``pool``."""
@@ -48,39 +42,6 @@ class RandomWalkSampler:
         if count < 0:
             raise ValueError("count must be non-negative")
         return [pool[self._rng.randrange(len(pool))] for _ in range(count)]
-
-    def walk_tree(self, root, count: int) -> List:
-        """Sample ``count`` nodes ≈uniformly from the tree rooted at ``root``.
-
-        Uses a Metropolis–Hastings random walk over the parent/child adjacency
-        so the stationary distribution is uniform over nodes regardless of
-        their degree (acceptance ratio ``deg(u)/deg(v)``).
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-
-        def degree(node) -> int:
-            return len(node.children) + (0 if node.parent is None else 1)
-
-        def neighbours(node):
-            out = list(node.children)
-            if node.parent is not None:
-                out.append(node.parent)
-            return out
-
-        samples = []
-        current = root
-        for _ in range(count):
-            for _ in range(self.burn_in):
-                nbrs = neighbours(current)
-                if not nbrs:
-                    break
-                candidate = self._rng.choice(nbrs)
-                accept = degree(current) / max(1, degree(candidate))
-                if self._rng.random() < accept:
-                    current = candidate
-            samples.append(current)
-        return samples
 
 
 def sample_size_for_subtree_error(

@@ -63,7 +63,3 @@ class SimClient:
         while r >= n:
             r = getrandbits(k)
         return r
-
-    def pick_any_server(self) -> int:
-        """Random MDS choice (global-layer queries go anywhere)."""
-        return self.randbelow(self.num_servers)

@@ -66,10 +66,6 @@ class PlacementJournal:
             last = directive.epoch
         return True
 
-    def server_epochs(self, server: int) -> List[int]:
-        """Epochs of the directives that touched ``server``, in log order."""
-        return [d.epoch for d in self.entries if d.server == server]
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -327,10 +323,6 @@ class MonitorGroup:
         self._last_heartbeat[heartbeat.server] = heartbeat.time
         self._acknowledged_dead.discard(heartbeat.server)
         return True
-
-    def last_seen(self, server: int) -> Optional[float]:
-        """Last heartbeat time for ``server`` (None if never heard from)."""
-        return self._last_heartbeat.get(server)
 
     def detect_failures(self, now: float) -> List[int]:
         """Servers newly suspected dead at ``now``; silent without a

@@ -27,6 +27,14 @@ def split_path(path: str) -> List[str]:
     return [part for part in path.split(PATH_SEPARATOR) if part]
 
 
+def _child_path(parent: MetadataNode, name: str) -> str:
+    """The path a child called ``name`` of ``parent`` has once attached
+    (what :attr:`MetadataNode.path` computes for it)."""
+    if parent.parent is None:
+        return PATH_SEPARATOR + name
+    return parent.path + PATH_SEPARATOR + name
+
+
 class NodeArena:
     """The column (id-indexed) snapshot of one tree structure.
 
@@ -297,21 +305,20 @@ class NamespaceTree:
             return existing
 
         parts = split_path(path)
+        last = len(parts) - 1
         node = self.root
+        prefix = ""
         for i, part in enumerate(parts):
-            child = node.child_by_name(part)
+            prefix += PATH_SEPARATOR + part
+            child = self._by_path.get(prefix)
             if child is None:
-                last = i == len(parts) - 1
-                child = MetadataNode(
+                child = self.add_child(
+                    node,
                     part,
-                    parent=node,
-                    is_directory=is_directory or not last,
-                    individual_popularity=individual_popularity if last else 0.0,
-                    update_cost=update_cost if last else 0.0,
+                    is_directory=is_directory or i != last,
+                    individual_popularity=individual_popularity if i == last else 0.0,
+                    update_cost=update_cost if i == last else 0.0,
                 )
-                node.add_child(child)
-                self._register(child)
-                self._popularity_dirty = True
             node = child
         return node
 
@@ -323,26 +330,28 @@ class NamespaceTree:
         individual_popularity: float = 0.0,
         update_cost: float = 0.0,
     ) -> MetadataNode:
-        """Create a child node directly under ``parent`` and register it."""
-        if parent.child_by_name(name) is not None:
+        """Create a child node directly under ``parent`` and register it.
+
+        The duplicate check is one lookup in the path index, not a scan of
+        ``parent``'s children, so filling a wide directory stays linear.
+        """
+        if not parent.is_directory:
+            raise ValueError(f"cannot add a child to file node {parent.path!r}")
+        path = _child_path(parent, name)
+        by_path = self._by_path
+        if path in by_path:
             raise ValueError(f"{parent.path!r} already has a child named {name!r}")
+        nodes = self._nodes
         child = MetadataNode(
-            name,
-            parent=parent,
-            is_directory=is_directory,
-            individual_popularity=individual_popularity,
-            update_cost=update_cost,
+            name, parent, is_directory, individual_popularity, update_cost, len(nodes)
         )
-        parent.add_child(child)
-        self._register(child)
+        child._path_cache = path
+        parent.children.append(child)
+        nodes.append(child)
+        by_path[path] = child
+        self.structure_version += 1
         self._popularity_dirty = True
         return child
-
-    def _register(self, node: MetadataNode) -> None:
-        node.node_id = len(self._nodes)
-        self._nodes.append(node)
-        self._by_path[node.path] = node
-        self.structure_version += 1
 
     # ------------------------------------------------------------------
     # Mutation (rename / move / remove)
@@ -367,7 +376,7 @@ class NamespaceTree:
             raise ValueError("the root cannot be renamed")
         if not new_name or PATH_SEPARATOR in new_name:
             raise ValueError("names must be non-empty and slash-free")
-        if node.parent.child_by_name(new_name) is not None:
+        if _child_path(node.parent, new_name) in self._by_path:
             raise ValueError(f"{node.parent.path!r} already has {new_name!r}")
         for member in node.descendants(include_self=True):
             self._by_path.pop(member.path, None)
@@ -381,7 +390,7 @@ class NamespaceTree:
             raise ValueError("the root cannot be moved")
         if not new_parent.is_directory:
             raise ValueError("target parent must be a directory")
-        if new_parent.child_by_name(node.name) is not None:
+        if _child_path(new_parent, node.name) in self._by_path:
             raise ValueError(f"{new_parent.path!r} already has {node.name!r}")
         walk = new_parent
         while walk is not None:

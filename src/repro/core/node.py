@@ -80,16 +80,6 @@ class MetadataNode:
     # Tree structure helpers
     # ------------------------------------------------------------------
     @property
-    def is_root(self) -> bool:
-        """True when the node has no parent."""
-        return self.parent is None
-
-    @property
-    def is_leaf(self) -> bool:
-        """True when the node has no children."""
-        return not self.children
-
-    @property
     def depth(self) -> int:
         """Number of edges from the root (root has depth 0)."""
         depth = 0
@@ -119,13 +109,6 @@ class MetadataNode:
         child._path_cache = None
         self.children.append(child)
         return child
-
-    def child_by_name(self, name: str) -> Optional["MetadataNode"]:
-        """Return the direct child called ``name``, or ``None``."""
-        for child in self.children:
-            if child.name == name:
-                return child
-        return None
 
     # ------------------------------------------------------------------
     # Walks (A_j and D_j in the paper's notation)

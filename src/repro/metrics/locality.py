@@ -8,8 +8,6 @@ infinite locality.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.placement import Placement
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
@@ -39,18 +37,3 @@ def system_locality(tree: NamespaceTree, placement: Placement) -> float:
     if denominator <= 0:
         return float("inf")
     return 1.0 / denominator
-
-
-def locality_scaled(
-    tree: NamespaceTree,
-    placement: Placement,
-    scale: float = 1e9,
-) -> Optional[float]:
-    """Locality in the paper's plotting units (Fig. 6 uses the 1e-9 scale).
-
-    Returns ``None`` for infinite locality so plots can annotate it.
-    """
-    value = system_locality(tree, placement)
-    if value == float("inf"):
-        return None
-    return value * scale

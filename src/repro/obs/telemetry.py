@@ -205,18 +205,6 @@ class Telemetry:
         for _key, record in keyed:
             yield record if type(record) is dict else record.to_record()
 
-    def sample_series(
-        self, name: str
-    ) -> Dict[Tuple[Tuple[str, str], ...], List[Tuple[float, Optional[float]]]]:
-        """``labels -> [(t, value), ...]`` for one sampled gauge."""
-        series: Dict[Tuple[Tuple[str, str], ...], List] = {}
-        for sample in self.samples:
-            if sample.name == name:
-                series.setdefault(sample.labels, []).append(
-                    (sample.t, sample.value)
-                )
-        return series
-
 
 #: Shared disabled instance — the default collaborator everywhere.
 NULL_TELEMETRY = Telemetry(enabled=False)

@@ -44,7 +44,7 @@ from repro.storage import make_store
 from repro.simulation.stats import SimulationResult, summarize_latencies
 from repro.traces.columns import OP_FROM_CODE, iter_op_batches
 from repro.traces.generator import GeneratedWorkload
-from repro.traces.trace import OpType, Trace
+from repro.traces.trace import Trace
 from repro.transport.base import CLIENT_ADDR, FaultFabric, mds_addr
 from repro.numeric import ordered_sum
 
@@ -323,9 +323,6 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def plan_route(self, client: SimClient, node, op: OpType) -> RoutePlan:
-        """Resolve which servers an operation touches."""
-        return self.engine.plan(client, node, op)
 
     # ------------------------------------------------------------------
     # Adjustment (heartbeat-driven, mid-replay)

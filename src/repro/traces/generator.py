@@ -21,8 +21,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence
+from math import log
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
@@ -56,13 +59,13 @@ class ZipfSampler:
             raise ValueError("exponent must be non-negative")
         self._rng = rng
         weights = [1.0 / (rank + 1) ** exponent for rank in range(size)]
-        self._cumulative: List[float] = list(itertools.accumulate(weights))
-        self._total = self._cumulative[-1]
+        #: Running weight totals: rank ``r`` owns ``(cumulative[r-1], cumulative[r]]``.
+        self.cumulative: List[float] = list(itertools.accumulate(weights))
+        self.total = self.cumulative[-1]
 
     def sample(self) -> int:
         """One rank in ``[0, size)``."""
-        point = self._rng.random() * self._total
-        return bisect.bisect_left(self._cumulative, point)
+        return bisect.bisect_left(self.cumulative, self._rng.random() * self.total)
 
 
 @dataclass
@@ -101,6 +104,8 @@ class TraceGenerator:
     """Generates a :class:`GeneratedWorkload` from a profile, deterministically."""
 
     def __init__(self, profile: DatasetProfile, num_clients: int = DEFAULT_NUM_CLIENTS) -> None:
+        if num_clients < 1:
+            raise ValueError("num_clients must be positive")
         self.profile = profile
         self.num_clients = num_clients
 
@@ -111,7 +116,7 @@ class TraceGenerator:
         tree, hot_nodes, cold_nodes = self._build_tree(rng)
         trace = Trace(
             name=self.profile.name,
-            records=list(self._trace_stream(rng, hot_nodes, cold_nodes)),
+            records=self._trace_records(rng, hot_nodes, cold_nodes),
             description=self.profile.description,
         )
         late_paths = self._mark_creates(rng, trace, cold_nodes)
@@ -124,40 +129,36 @@ class TraceGenerator:
             late_created_paths=late_paths,
         )
 
-    def build_tree(self) -> NamespaceTree:
-        """Convenience: generate and return only the (popularity-laden) tree."""
-        return self.generate().tree
-
     # ------------------------------------------------------------------
     # Tree construction
     # ------------------------------------------------------------------
     def _build_tree(self, rng: random.Random):
         profile = self.profile
         tree = NamespaceTree()
+        add_child = tree.add_child
 
         # 1. Plant the exact-max-depth chain (Table I's Max Depth column).
         node = tree.root
         for level in range(profile.max_depth - 1):
-            node = tree.add_child(node, f"deep{level}", is_directory=True)
-        deep_file = tree.add_child(node, "deepest.dat", is_directory=False)
+            node = add_child(node, f"deep{level}", is_directory=True)
+        deep_file = add_child(node, "deepest.dat", is_directory=False)
 
         # 2. Hot directories near the root hosting the hot set. The hot set
         # spans many directories (a release tree has many popular folders),
         # so subtree-grained schemes can spread it too.
         hot_budget = max(2, round(profile.hot_fraction * profile.num_nodes))
         num_hot_dirs = max(2, min(64, hot_budget // 2))
-        hot_nodes: List[MetadataNode] = []
-        hot_dirs = []
-        for i in range(num_hot_dirs):
-            hot_dir = tree.add_child(tree.root, f"hot{i}", is_directory=True)
-            hot_dirs.append(hot_dir)
-            hot_nodes.append(hot_dir)
+        hot_dirs = [
+            add_child(tree.root, f"hot{i}", is_directory=True) for i in range(num_hot_dirs)
+        ]
+        hot_nodes: List[MetadataNode] = list(hot_dirs)
         hot_file_count = max(0, hot_budget - num_hot_dirs)
         for i in range(hot_file_count):
-            parent = hot_dirs[i % num_hot_dirs]
-            hot_nodes.append(
-                tree.add_child(parent, f"hotfile{i}.bin", is_directory=False)
-            )
+            hot_nodes.append(add_child(hot_dirs[i % num_hot_dirs], f"hotfile{i}.bin"))
+
+        # Depth by node id, kept as the tree grows (``MetadataNode.depth``
+        # walks the parent chain on every read).
+        depth = [n.depth for n in tree.nodes]
 
         # 3. Bulk directories: random attachment below the depth cap, with
         #    mild preferential weighting for heavy-tailed fan-out.
@@ -165,29 +166,31 @@ class TraceGenerator:
         files_per_dir = max(1.0, profile.mean_branching)
         num_dirs = max(1, int(remaining / (files_per_dir + 1)))
         num_files = max(0, remaining - num_dirs)
-        attachable = [d for d in tree.directories() if d.depth < profile.max_depth - 1]
+        cap = profile.max_depth - 1
+        attachable = [d for d in tree.directories() if depth[d.node_id] < cap]
         for i in range(num_dirs):
             # Two candidates, keep the one with more children: cheap
             # preferential attachment ("power of two choices").
             a = rng.choice(attachable)
             b = rng.choice(attachable)
             parent = a if len(a.children) >= len(b.children) else b
-            new_dir = tree.add_child(parent, f"d{i}", is_directory=True)
-            if new_dir.depth < profile.max_depth - 1:
+            new_dir = add_child(parent, f"d{i}", is_directory=True)
+            level = depth[parent.node_id] + 1
+            depth.append(level)
+            if level < cap:
                 attachable.append(new_dir)
 
-        cold_nodes: List[MetadataNode] = []
-        dirs = [d for d in tree.directories() if d.depth < profile.max_depth]
+        dirs = [d for d in tree.directories() if depth[d.node_id] < profile.max_depth]
         # Depth-biased parent choice: weight ∝ (1+depth)^file_depth_bias.
-        dir_weights = list(
-            itertools.accumulate((1 + d.depth) ** profile.file_depth_bias for d in dirs)
-        )
-        for i in range(num_files):
-            point = rng.random() * dir_weights[-1]
-            parent = dirs[bisect.bisect_left(dir_weights, point)]
-            cold_nodes.append(
-                tree.add_child(parent, f"f{i}.dat", is_directory=False)
-            )
+        bias = profile.file_depth_bias
+        dir_weights = list(itertools.accumulate((1 + depth[d.node_id]) ** bias for d in dirs))
+        total = dir_weights[-1]
+        random_ = rng.random
+        bisect_left = bisect.bisect_left
+        cold_nodes = [
+            add_child(dirs[bisect_left(dir_weights, random_() * total)], f"f{i}.dat")
+            for i in range(num_files)
+        ]
         # Cold tier also includes the deep chain's file so it is reachable.
         cold_nodes.append(deep_file)
         return tree, hot_nodes, cold_nodes
@@ -195,13 +198,22 @@ class TraceGenerator:
     # ------------------------------------------------------------------
     # Trace synthesis
     # ------------------------------------------------------------------
-    def _trace_stream(
+    def _trace_records(
         self,
         rng: random.Random,
         hot_nodes: Sequence[MetadataNode],
         cold_nodes: Sequence[MetadataNode],
-    ) -> Iterator[TraceRecord]:
-        """Yield the raw (pre-CREATE-conversion) records."""
+    ) -> List[TraceRecord]:
+        """The raw (pre-CREATE-conversion) records.
+
+        This loop is most of every run's set-up, so its draws are inlined
+        with the library's own arithmetic and take the same bits from
+        ``rng`` in the same order as the method calls: ``expovariate(1.0)``
+        is ``-log(1.0 - random()) / 1.0`` (dividing by 1.0 is exact, so it
+        is left out), ``ZipfSampler.sample`` is ``bisect_left(cumulative,
+        random() * total)``, and ``randrange(n)`` is the ``getrandbits``
+        rejection loop over ``n.bit_length()`` bits.
+        """
         profile = self.profile
         # Shuffled rank order decorrelates Zipf rank from creation order.
         hot_pool = list(hot_nodes)
@@ -210,6 +222,11 @@ class TraceGenerator:
         rng.shuffle(cold_pool)
         hot_sampler = ZipfSampler(len(hot_pool), profile.hot_zipf_exponent, rng)
         cold_sampler = ZipfSampler(len(cold_pool), profile.zipf_exponent, rng)
+        hot_paths = [node.path for node in hot_pool]
+        cold_paths = [node.path for node in cold_pool]
+        num_hot, num_cold = len(hot_paths), len(cold_paths)
+        hot_cum, hot_total = hot_sampler.cumulative, hot_sampler.total
+        cold_cum, cold_total = cold_sampler.cumulative, cold_sampler.total
 
         op_types = [OpType.READ, OpType.WRITE, OpType.UPDATE]
         op_cum = list(
@@ -217,30 +234,40 @@ class TraceGenerator:
                 [profile.read_fraction, profile.write_fraction, profile.update_fraction]
             )
         )
-        step = TRACE_DURATION_SECONDS / max(1, profile.num_operations)
-        ops_per_phase = max(1, profile.num_operations // max(1, profile.drift_phases))
-        hot_shift = max(1, round(profile.drift_rate * len(hot_pool)))
-        cold_shift = max(1, round(profile.drift_rate * len(cold_pool)))
+        op_total = op_cum[-1]
+        hot_access = profile.hot_access_fraction
+        num_clients = self.num_clients
+        client_bits = num_clients.bit_length()
+        num_ops = profile.num_operations
+        step = TRACE_DURATION_SECONDS / max(1, num_ops)
+        ops_per_phase = max(1, num_ops // max(1, profile.drift_phases))
+        hot_shift = max(1, round(profile.drift_rate * num_hot))
+        cold_shift = max(1, round(profile.drift_rate * num_cold))
+        random_ = rng.random
+        getrandbits = rng.getrandbits
+        bisect_left = bisect.bisect_left
+        records: List[TraceRecord] = []
+        append = records.append
         now = 0.0
-        for index in range(profile.num_operations):
-            now += rng.expovariate(1.0) * step
+        for phase, start in enumerate(range(0, num_ops, ops_per_phase)):
             # Diurnal drift: the Zipf rank order rotates a little each phase,
             # so the identity of the hottest nodes shifts through the day.
-            phase = index // ops_per_phase
-            roll = rng.random() * op_cum[-1]
-            op = op_types[bisect.bisect_left(op_cum, roll)]
-            if rng.random() < profile.hot_access_fraction:
-                rank = (hot_sampler.sample() + phase * hot_shift) % len(hot_pool)
-                target = hot_pool[rank]
-            else:
-                rank = (cold_sampler.sample() + phase * cold_shift) % len(cold_pool)
-                target = cold_pool[rank]
-            yield TraceRecord(
-                timestamp=now,
-                op=op,
-                path=target.path,
-                client_id=rng.randrange(self.num_clients),
-            )
+            hot_offset = phase * hot_shift
+            cold_offset = phase * cold_shift
+            for _ in range(min(ops_per_phase, num_ops - start)):
+                now += -log(1.0 - random_()) * step
+                op = op_types[bisect_left(op_cum, random_() * op_total)]
+                if random_() < hot_access:
+                    rank = bisect_left(hot_cum, random_() * hot_total) + hot_offset
+                    path = hot_paths[rank % num_hot]
+                else:
+                    rank = bisect_left(cold_cum, random_() * cold_total) + cold_offset
+                    path = cold_paths[rank % num_cold]
+                client = getrandbits(client_bits)
+                while client >= num_clients:
+                    client = getrandbits(client_bits)
+                append(TraceRecord(now, op, path, client))
+        return records
 
     # ------------------------------------------------------------------
     def _mark_creates(
@@ -262,28 +289,24 @@ class TraceGenerator:
         converted = []
         for index, record in enumerate(records):
             if record.path in late and record.path not in seen:
-                records[index] = TraceRecord(
-                    timestamp=record.timestamp,
-                    op=OpType.CREATE,
-                    path=record.path,
-                    client_id=record.client_id,
-                )
+                records[index] = replace(record, op=OpType.CREATE)
                 converted.append(record.path)
             seen.add(record.path)
         return converted
 
     @staticmethod
     def _apply_trace_to_tree(tree: NamespaceTree, trace: Trace) -> None:
-        """Backfill per-node popularity and update costs from the trace."""
-        access: Dict[str, float] = {}
-        updates: Dict[str, float] = {}
-        for record in trace.records:
-            access[record.path] = access.get(record.path, 0.0) + 1.0
-            if record.op is OpType.UPDATE:
-                updates[record.path] = updates.get(record.path, 0.0) + 1.0
+        """Backfill per-node popularity and update costs from the trace.
+
+        Counts are integers below 2**53, so ``float(count)`` is the sum of
+        that many ``1.0`` additions, bit for bit."""
+        records = trace.records
+        access = Counter(map(attrgetter("path"), records))
+        updates = Counter(r.path for r in records if r.op is OpType.UPDATE)
         for node in tree:
-            node.individual_popularity = access.get(node.path, 0.0)
-            node.update_cost = STRUCTURAL_UPDATE_COST + updates.get(node.path, 0.0)
+            path = node.path
+            node.individual_popularity = float(access.get(path, 0))
+            node.update_cost = STRUCTURAL_UPDATE_COST + float(updates.get(path, 0))
         tree.aggregate_popularity()
 
 

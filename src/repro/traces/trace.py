@@ -42,9 +42,12 @@ class OpType(enum.Enum):
         return self in (OpType.READ, OpType.WRITE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One metadata operation.
+
+    Slotted: a record has no ``__dict__`` and takes no attributes beyond
+    its four fields (a replay holds ~10⁵ of them).
 
     Attributes
     ----------

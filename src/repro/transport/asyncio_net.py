@@ -342,9 +342,6 @@ class AsyncioTransport(FaultFabric):
     # ------------------------------------------------------------------
     # Endpoint lifecycle
     # ------------------------------------------------------------------
-    def address_of(self, endpoint: str) -> object:
-        """The socket address (path or ``(host, port)``) of an endpoint."""
-        return self._addresses[endpoint]
 
     def is_listening(self, endpoint: str) -> bool:
         return endpoint in self._servers

@@ -125,11 +125,6 @@ class FaultFabric:
         self._muted.add(endpoint)
         self._refresh()
 
-    def unmute(self, endpoint: str) -> None:
-        """Clear a mute (the server heartbeats again)."""
-        self._muted.discard(endpoint)
-        self._refresh()
-
     def set_loss(self, endpoint: str, probability: float) -> None:
         """Install (or clear, with 0) a message-loss probability."""
         if not 0.0 <= probability <= 1.0:

@@ -16,7 +16,6 @@ from repro.analysis import (
     sample_size_for_mds_error,
     sample_size_for_subtree_error,
 )
-from tests.conftest import build_random_tree
 
 
 # ----------------------------------------------------------------------
@@ -166,20 +165,8 @@ def test_pool_sampling_validation():
         sampler.sample_pool([1], -1)
 
 
-def test_tree_walk_returns_nodes():
-    tree = build_random_tree(120)
-    sampler = RandomWalkSampler(rng=random.Random(5), burn_in=4)
-    samples = sampler.walk_tree(tree.root, 50)
-    assert len(samples) == 50
-    valid = set(tree.nodes)
-    assert all(node in valid for node in samples)
 
 
-def test_tree_walk_visits_beyond_root():
-    tree = build_random_tree(120)
-    sampler = RandomWalkSampler(rng=random.Random(6), burn_in=6)
-    samples = sampler.walk_tree(tree.root, 100)
-    assert any(node is not tree.root for node in samples)
 
 
 # ----------------------------------------------------------------------

@@ -246,8 +246,8 @@ def monitored_cluster():
 def test_monitor_heartbeats(monitored_cluster):
     _tree, _scheme, _placement, monitor = monitored_cluster
     monitor.on_heartbeat(Heartbeat(server=0, time=1.0, load=5.0, relative_capacity=0.2))
-    assert monitor.last_seen(0) == 1.0
-    assert monitor.last_seen(1) is None
+    assert monitor._last_heartbeat.get(0) == 1.0
+    assert monitor._last_heartbeat.get(1) is None
 
 
 def test_monitor_failure_detection(monitored_cluster):
@@ -271,7 +271,7 @@ def test_monitor_rebalance_counts(monitored_cluster):
 # ----------------------------------------------------------------------
 def test_client_pick_any_in_range():
     client = SimClient(0, num_servers=4, seed=1)
-    assert all(0 <= client.pick_any_server() < 4 for _ in range(50))
+    assert all(0 <= client.randbelow(4) < 4 for _ in range(50))
 
 
 def test_randbelow_matches_stdlib_draw_for_draw():
@@ -301,6 +301,6 @@ def test_randbelow_rejects_nonpositive_bounds():
 def test_clients_with_different_ids_diverge():
     a = SimClient(0, num_servers=16, seed=5)
     b = SimClient(1, num_servers=16, seed=5)
-    seq_a = [a.pick_any_server() for _ in range(20)]
-    seq_b = [b.pick_any_server() for _ in range(20)]
+    seq_a = [a.randbelow(16) for _ in range(20)]
+    seq_b = [b.randbelow(16) for _ in range(20)]
     assert seq_a != seq_b

@@ -100,6 +100,13 @@ def test_all_paths_resolvable(dtr_workload):
     assert all(tree.lookup(r.path) is not None for r in dtr_workload.trace.records)
 
 
+def test_num_clients_must_be_positive():
+    # The client draw is a getrandbits rejection loop: with no client to
+    # draw, it would never end.
+    with pytest.raises(ValueError):
+        TraceGenerator(DatasetProfile.lmbe(num_nodes=1200, scale=2e-5), num_clients=0)
+
+
 def test_client_ids_in_range():
     workload = TraceGenerator(
         DatasetProfile.lmbe(num_nodes=1200, scale=2e-5), num_clients=7

@@ -16,7 +16,6 @@ from repro.metrics import (
     update_cost_of_split,
     weighted_jumps,
 )
-from repro.metrics.locality import locality_scaled
 from repro.placement import Placement
 
 
@@ -63,21 +62,8 @@ def test_locality_is_reciprocal_of_weighted_jumps():
     assert system_locality(tree, placement) == pytest.approx(1.0 / wj)
 
 
-def test_locality_scaled_units():
-    tree = two_server_tree()
-    placement = Placement(2)
-    for node in tree:
-        placement.assign(node, node.node_id % 2)
-    scaled = locality_scaled(tree, placement)
-    assert scaled == pytest.approx(system_locality(tree, placement) * 1e9)
 
 
-def test_locality_scaled_none_when_infinite():
-    tree = two_server_tree()
-    placement = Placement(1)
-    for node in tree:
-        placement.assign(node, 0)
-    assert locality_scaled(tree, placement) is None
 
 
 def test_d2_locality_equals_eq7(random_tree):

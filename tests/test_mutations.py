@@ -122,6 +122,35 @@ def test_node_by_id_raises_for_removed():
         tree.node_by_id(b.node_id)
 
 
+def test_duplicate_names_are_refused_through_the_path_index():
+    tree = NamespaceTree()
+    wide = tree.add_path("/wide", is_directory=True)
+    for i in range(3000):  # one index lookup per insertion, not a sibling scan
+        tree.add_child(wide, f"f{i}")
+    other = tree.add_path("/other", is_directory=True)
+    tree.add_child(other, "f7")
+    with pytest.raises(ValueError):
+        tree.add_child(wide, "f2999")
+    with pytest.raises(ValueError):
+        tree.add_child(tree.root, "wide", is_directory=True)
+    size = len(tree)
+    assert tree.add_path("/wide/f5") is tree.lookup("/wide/f5")  # reused, not doubled
+    assert len(tree) == size
+    with pytest.raises(ValueError):
+        tree.rename(tree.lookup("/wide/f1"), "f2")  # sibling collision
+    with pytest.raises(ValueError):
+        tree.rename(tree.lookup("/wide/f1"), "f1")  # its own name
+    with pytest.raises(ValueError):
+        tree.move_node(tree.lookup("/other/f7"), wide)  # /wide/f7 exists
+    with pytest.raises(ValueError):
+        tree.move_node(tree.lookup("/wide/f1"), wide)  # already there
+    tree.rename(tree.lookup("/wide/f1"), "g1")
+    tree.validate()
+    tree.move_node(tree.lookup("/wide/g1"), other)
+    assert tree.lookup("/other/g1") is not None and tree.lookup("/wide/g1") is None
+    tree.validate()
+
+
 def test_rename_then_add_same_name():
     tree = small_tree()
     tree.rename(tree.lookup("/a/b"), "old_b")

@@ -73,7 +73,7 @@ def test_mute_drops_control_plane_both_directions():
     assert net.deliver(mds_addr(0), mon_addr(0), 1.0) == 1.0
     # ... but not the data plane: a muted server still serves clients.
     assert net.data_arrival(CLIENT_ADDR, mds_addr(1), 1.0) == 1.0
-    net.unmute(mds_addr(1))
+    net.clear_endpoint(mds_addr(1))
     assert not net.faulty
     assert net.deliver(mds_addr(1), mon_addr(0), 1.0) == 1.0
 

@@ -7,8 +7,8 @@ from repro.core.node import PATH_SEPARATOR, MetadataNode
 
 def test_root_defaults():
     root = MetadataNode(PATH_SEPARATOR)
-    assert root.is_root
-    assert root.is_leaf
+    assert root.parent is None
+    assert not root.children
     assert root.depth == 0
     assert root.path == "/"
 
@@ -48,11 +48,6 @@ def test_negative_update_cost_rejected():
         MetadataNode("a", update_cost=-0.5)
 
 
-def test_child_by_name():
-    root = MetadataNode("/")
-    a = root.add_child(MetadataNode("a"))
-    assert root.child_by_name("a") is a
-    assert root.child_by_name("missing") is None
 
 
 def test_ancestors_root_first():
@@ -94,8 +89,8 @@ def test_subtree_size():
 
 def test_leaf_detection_with_children():
     root = MetadataNode("/")
-    root.add_child(MetadataNode("a"))
-    assert not root.is_leaf
+    a = root.add_child(MetadataNode("a"))
+    assert root.children == [a]
 
 
 def test_path_cache_invalidated_on_reparent():

@@ -49,16 +49,16 @@ def test_owner_index_follows_migration(workload):
     client = sim.clients[0]
     root = next(iter(sim.placement.subtree_owner))
     old_owner = sim.placement.subtree_owner[root]
-    sim.plan_route(client, root, OpType.READ)  # warm the client cache
+    sim.engine.plan(client, root, OpType.READ)  # warm the client cache
     new_owner = (old_owner + 1) % sim.placement.num_servers
     sim.placement.move_subtree(root, new_owner)
-    plan = sim.plan_route(client, root, OpType.READ)
+    plan = sim.engine.plan(client, root, OpType.READ)
     # The stale client entry costs a redirect, but the index itself must
     # already point at the new owner.
     assert plan.visits[0].kind is VisitKind.REDIRECT
     assert plan.visits[0].server == old_owner
     assert plan.visits[-1].server == new_owner
-    follow_up = sim.plan_route(client, root, OpType.READ)
+    follow_up = sim.engine.plan(client, root, OpType.READ)
     assert [v.server for v in follow_up.visits] == [new_owner]
 
 
@@ -69,9 +69,9 @@ def test_owner_index_follows_promotion(workload):
         sim.placement.subtree_owner,
         key=lambda node: len(node.children),
     )
-    sim.plan_route(client, root, OpType.READ)
+    sim.engine.plan(client, root, OpType.READ)
     sim.placement.promote_subtree(root)
-    plan = sim.plan_route(client, root, OpType.READ)
+    plan = sim.engine.plan(client, root, OpType.READ)
     # Now global: any replica serves it in one hop, no redirect.
     assert len(plan.visits) == 1
     assert plan.visits[0].kind is VisitKind.SERVE
@@ -82,11 +82,11 @@ def test_invalidate_flushes_to_correct_state(workload):
     sim = _d2_sim(workload)
     client = sim.clients[0]
     root = next(iter(sim.placement.subtree_owner))
-    sim.plan_route(client, root, OpType.READ)
+    sim.engine.plan(client, root, OpType.READ)
     new_owner = (sim.placement.subtree_owner[root] + 2) % 6
     sim.placement.move_subtree(root, new_owner)
     sim.engine.invalidate()
-    plan = sim.plan_route(client, root, OpType.READ)
+    plan = sim.engine.plan(client, root, OpType.READ)
     assert plan.visits[-1].server == new_owner
 
 
@@ -96,7 +96,7 @@ def test_index_survives_structure_mutation(workload):
     client = sim.clients[0]
     node = sim.tree.add_path("/fresh/subdir/file.txt")
     sim.scheme.place_created(sim.tree, sim.placement, node)
-    plan = sim.plan_route(client, node, OpType.READ)
+    plan = sim.engine.plan(client, node, OpType.READ)
     assert plan.visits[-1].kind is VisitKind.SERVE
     assert plan.visits[-1].server == sim.placement.primary_of(node)
 
@@ -145,7 +145,7 @@ def test_owner_index_is_current_after_crash_and_rejoin(workload):
     for node in sim.tree:
         # Straight from the index the faulted replay left behind: every
         # plan must end at a server the authoritative placement names.
-        route = sim.plan_route(client, node, OpType.READ)
+        route = sim.engine.plan(client, node, OpType.READ)
         assert route.visits[-1].kind is VisitKind.SERVE
         assert route.visits[-1].server in sim.placement.servers_of(node)
 
@@ -194,7 +194,7 @@ def test_cold_and_stale_d2_plans_are_interned(workload):
     by_key = {}
     repeats = 0
     for i, root in enumerate(sim.placement.subtree_owner):
-        plan = sim.plan_route(sim.clients[i % 10], root, OpType.READ)
+        plan = sim.engine.plan(sim.clients[i % 10], root, OpType.READ)
         if len(plan.visits) == 2:
             first, serve = plan.visits
             assert first.kind is VisitKind.ENTRY and serve.kind is VisitKind.SERVE
@@ -212,11 +212,11 @@ def test_cold_and_stale_d2_plans_are_interned(workload):
     old = owners[next(iter(owners))]
     pair = [root for root, owner in owners.items() if owner == old][:2]
     for root in pair:
-        sim.plan_route(client, root, OpType.READ)
+        sim.engine.plan(client, root, OpType.READ)
     target = (old + 1) % 6
     for root in pair:
         sim.placement.move_subtree(root, target)
-    first, second = (sim.plan_route(client, root, OpType.READ) for root in pair)
+    first, second = (sim.engine.plan(client, root, OpType.READ) for root in pair)
     assert first is second
     assert [(v.server, v.kind) for v in first.visits] == [
         (old, VisitKind.REDIRECT), (target, VisitKind.SERVE),
@@ -249,15 +249,15 @@ def test_a_rebalance_shaped_replay_leaves_interned_plans_as_made():
 
 def test_cold_entry_draw_is_pick_any_server(workload):
     """The planner's inlined entry draw takes the same bits, in the same
-    order, as ``SimClient.pick_any_server`` on a same-seeded client."""
+    order, as ``SimClient.randbelow(num_servers)`` on a same-seeded client."""
     sim = _d2_sim(workload)
     planned, drawn = SimClient(3, 6, seed=9), SimClient(3, 6, seed=9)
     entries = []
     for root, owner in sim.placement.subtree_owner.items():
-        plan = sim.plan_route(planned, root, OpType.READ)  # cold: one draw
+        plan = sim.engine.plan(planned, root, OpType.READ)  # cold: one draw
         entries.append(plan.visits[0].server if len(plan.visits) == 2 else owner)
     assert len(entries) > 50
-    assert entries == [drawn.pick_any_server() for _ in entries]
+    assert entries == [drawn.randbelow(drawn.num_servers) for _ in entries]
     assert planned._rng.getstate() == drawn._rng.getstate()
 
 
@@ -350,8 +350,8 @@ def test_hit_rate_counts_owner_index_lookups(workload):
     client = sim.clients[0]
     root = next(iter(sim.placement.subtree_owner))
     assert sim.engine.hit_rate == 0.0
-    sim.plan_route(client, root, OpType.READ)
+    sim.engine.plan(client, root, OpType.READ)
     assert sim.engine.misses == 1
-    sim.plan_route(client, root, OpType.READ)
+    sim.engine.plan(client, root, OpType.READ)
     assert sim.engine.hits == 1
     assert sim.engine.hit_rate == 0.5

@@ -239,7 +239,7 @@ def test_simulator_plan_routes_cover_target(tiny_dtr_workload):
     client = sim.clients[0]
     for record in tiny_dtr_workload.trace.records[:100]:
         node = sim.tree.lookup(record.path)
-        plan = sim.plan_route(client, node, record.op)
+        plan = sim.engine.plan(client, node, record.op)
         assert plan.visits
         final = plan.visits[-1].server
         assert final in sim.placement.servers_of(node)
@@ -251,7 +251,7 @@ def test_d2_update_plans_lock_and_fanout(tiny_dtr_workload):
     sim = ClusterSimulator(D2TreeScheme(), tiny_dtr_workload, 4, FAST)
     client = sim.clients[0]
     gl_node = next(iter(sim.placement.split.global_layer))
-    plan = sim.plan_route(client, gl_node, OpType.UPDATE)
+    plan = sim.engine.plan(client, gl_node, OpType.UPDATE)
     assert plan.lock_key == gl_node.path
     assert len(plan.fanout) == 3
 

@@ -54,7 +54,7 @@ def test_local_popularity_matches_eq7():
 def test_update_cost_sums_gl_members_minus_root():
     tree, _ = popular_tree()
     result = split_top_k(tree, 4)
-    expected = sum(n.update_cost for n in result.global_layer if not n.is_root)
+    expected = sum(n.update_cost for n in result.global_layer if n.parent is not None)
     assert result.update_cost == pytest.approx(expected)
 
 

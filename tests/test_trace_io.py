@@ -1,5 +1,6 @@
 """Tests for trace (de)serialization."""
 
+import dataclasses
 import json
 import re
 
@@ -48,6 +49,17 @@ def test_roundtrip_via_file(tmp_path):
     save_trace(trace, path)
     parsed = load_trace(path)
     assert parsed.records == trace.records
+
+
+def test_loaders_rebuild_the_generated_records(tmp_path):
+    """The bundle keeps every bit of a record; the TSV form keeps
+    microseconds of the timestamp and everything else."""
+    workload = TraceGenerator(DatasetProfile.ra(num_nodes=600, scale=6e-6)).generate()
+    records = workload.trace.records
+    save_workload(workload, tmp_path / "w.jsonl")
+    assert load_workload_bundle(tmp_path / "w.jsonl").trace.records == records
+    rounded = [dataclasses.replace(r, timestamp=float(f"{r.timestamp:.6f}")) for r in records]
+    assert loads_trace(dumps_trace(workload.trace)).records == rounded
 
 
 def test_paths_with_spaces_survive():

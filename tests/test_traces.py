@@ -1,5 +1,9 @@
 """Tests for the trace model and dataset profiles."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core import NamespaceTree
@@ -31,6 +35,32 @@ def test_optype_query_classification():
     assert OpType.READ.is_query
     assert OpType.WRITE.is_query
     assert not OpType.UPDATE.is_query
+
+
+def test_trace_record_keeps_its_dataclass_contract():
+    record = TraceRecord(1.5, OpType.UPDATE, "/a/b", 3)
+    twin = TraceRecord(timestamp=1.5, op=OpType.UPDATE, path="/a/b", client_id=3)
+    assert record == twin and hash(record) == hash(twin) and len({record, twin}) == 1
+    assert record != TraceRecord(1.5, OpType.READ, "/a/b", 3)
+    assert TraceRecord(0.0, OpType.READ, "/a").client_id == 0
+    assert dataclasses.replace(record, op=OpType.CREATE) == TraceRecord(1.5, OpType.CREATE, "/a/b", 3)
+    assert [f.name for f in dataclasses.fields(record)] == ["timestamp", "op", "path", "client_id"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.path = "/c"
+    # Slotted: no __dict__, so no attribute beyond the four fields. (CPython's
+    # frozen-slots __setattr__ raises TypeError, not FrozenInstanceError,
+    # for a name that is not a field.)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises((AttributeError, TypeError)):
+        record.note = "x"
+    with pytest.raises(AttributeError):
+        object.__setattr__(record, "note", "x")
+    clones = [copy.copy(record), copy.deepcopy(record)] + [
+        pickle.loads(pickle.dumps(record, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for clone in clones:
+        assert type(clone) is TraceRecord and clone == record
 
 
 def test_trace_len_and_iter():

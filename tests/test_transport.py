@@ -138,10 +138,10 @@ def test_endpoint_restarts_at_the_same_address():
         transport = AsyncioTransport()
         try:
             await transport.start_endpoint("mds:0", _echo_handler)
-            before = transport.address_of("mds:0")
+            before = transport._addresses["mds:0"]
             await transport.stop_endpoint("mds:0")
             await transport.start_endpoint("mds:0", _echo_handler)
-            assert transport.address_of("mds:0") == before
+            assert transport._addresses["mds:0"] == before
             reader, writer = await transport.connect("mds:0")
             writer.write(encode_frame(PING))
             await writer.drain()
@@ -190,7 +190,7 @@ def test_muted_endpoint_drops_control_frames():
             )
             assert sent is False
             assert transport.messages_dropped == 1
-            transport.unmute("mds:0")
+            transport.clear_endpoint("mds:0")
             assert await transport.send_control(
                 "mon:0", "mds:0", writer, encode_frame(PING)
             )
