@@ -137,9 +137,9 @@ class AngleCutScheme(MetadataScheme):
     def _project(self, tree: NamespaceTree) -> Dict[MetadataNode, Tuple[int, float]]:
         """Project the namespace tree onto the rings."""
         keys = preorder_keys(tree)
-        return {
-            node: (node.depth % self.num_rings, key) for node, key in keys.items()
-        }
+        depths = tree.arena().depths()
+        rings = self.num_rings
+        return {node: (depths[node.node_id] % rings, key) for node, key in keys.items()}
 
     def partition(
         self,

@@ -63,13 +63,15 @@ def pathname_cluster_keys(tree: NamespaceTree) -> Dict[MetadataNode, float]:
 
     window = 1.0 / max(1, 4 * len(tree))
     scale = float(2 ** 64)
+    # Each path is hashed once: a node's own hash is its children's base.
+    hashes = {node: stable_hash(node.path) for node in tree}
     keys: Dict[MetadataNode, float] = {}
-    for node in tree:
+    for node, digest in hashes.items():
         if node.parent is None:
             keys[node] = 0.0
             continue
-        base = stable_hash(node.parent.path) / scale
-        offset = (stable_hash(node.path) / scale) * window
+        base = hashes[node.parent] / scale
+        offset = (digest / scale) * window
         keys[node] = (base + offset) % 1.0
     return keys
 

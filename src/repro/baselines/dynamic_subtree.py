@@ -44,17 +44,18 @@ class DynamicSubtreePlacement(Placement):
         return walk
 
     def rebuild_assignments(self, tree: NamespaceTree) -> None:
-        """Recompute every node's server from the zone map (one pass)."""
-        # Registration order guarantees parents precede children, so a node's
-        # zone is its own entry or its parent's resolved zone.
-        resolved: Dict[MetadataNode, int] = {}
+        """Recompute every node's server from the zone map: a node's zone
+        is its own entry or its parent's, resolved in one pass parents
+        first (registration order is not, after ``move_node``), then
+        assigned in registration order."""
+        arena = tree.arena()
+        zone_servers = {root.node_id: server for root, server in self.zone_of.items()}
+        server_of = [zone_servers[tree.root.node_id]] * arena.size
+        for cid, pid in arena.descent():
+            server = zone_servers.get(cid)
+            server_of[cid] = server_of[pid] if server is None else server
         for node in tree:
-            if node in self.zone_of:
-                server = self.zone_of[node]
-            else:
-                server = resolved[node.parent]
-            resolved[node] = server
-            self.assign(node, server)
+            self.assign(node, server_of[node.node_id])
 
     def counted_nodes(self) -> None:
         """Every node: a zone's load and a split's candidates are read off
@@ -126,8 +127,9 @@ class DynamicSubtreeScheme(MetadataScheme):
         tree.ensure_popularity()
         placement = DynamicSubtreePlacement(num_servers, capacities)
         placement.zone_of[tree.root] = stable_hash(tree.root.path) % num_servers
+        depths = tree.arena().depths()
         for node in tree:
-            if 1 <= node.depth <= self.cut_depth:
+            if 1 <= depths[node.node_id] <= self.cut_depth:
                 placement.zone_of[node] = stable_hash(node.path) % num_servers
         # Finer granularity as the cluster scales (the paper's observation:
         # dynamic partitioning keeps splitting subtrees so every server can

@@ -36,9 +36,11 @@ class StaticSubtreeScheme(MetadataScheme):
         self.cut_depth = cut_depth
 
     def _anchor_of(self, node: MetadataNode) -> MetadataNode:
-        """The ancestor (or self) at the cut depth that anchors placement."""
+        """The ancestor (or self) at the cut depth that anchors placement
+        (``node`` itself when it sits above the cut): one depth walk, then
+        ``depth - cut_depth`` steps up."""
         anchor = node
-        while anchor.depth > self.cut_depth:
+        for _ in range(node.depth - self.cut_depth):
             anchor = anchor.parent
         return anchor
 
@@ -50,13 +52,22 @@ class StaticSubtreeScheme(MetadataScheme):
     ) -> Placement:
         tree.ensure_popularity()
         placement = Placement(num_servers, capacities)
-        root_server = stable_hash(tree.root.path) % num_servers
+        arena = tree.arena()
+        depths = arena.depths()
+        cut = self.cut_depth
+        # One pass, parents first: a node at the cut depth hashes its own
+        # path, a deeper one takes its parent's server, and a shallower one
+        # keeps the root's. Registration order would not do: after
+        # move_node a child can be registered before its parent.
+        server_of = [stable_hash(tree.root.path) % num_servers] * arena.size
+        for cid, pid in arena.descent():
+            depth = depths[cid]
+            if depth == cut:
+                server_of[cid] = stable_hash(tree.node_by_id(cid).path) % num_servers
+            elif depth > cut:
+                server_of[cid] = server_of[pid]
         for node in tree:
-            if node.depth < self.cut_depth:
-                placement.assign(node, root_server)
-            else:
-                anchor = self._anchor_of(node)
-                placement.assign(node, stable_hash(anchor.path) % num_servers)
+            placement.assign(node, server_of[node.node_id])
         placement.validate_complete(tree)
         return placement
 

@@ -46,8 +46,10 @@ class NodeArena:
     build time: :meth:`write_popularity` is the whole-tree pass over it
     (Def. 2 totals of a caller-owned ``p'_j`` column, both written to the
     node objects) and :meth:`subtree_sizes` the nodes per subtree, by id.
-    :meth:`chain` hands the route planner a node's ancestors as one shared
-    tuple.
+    Reversed, the same order lists parents before children
+    (:meth:`descent`): :meth:`depths` is one pass over it, and so is any
+    top-down placement rule. :meth:`chain` hands the route planner a node's
+    ancestors as one shared tuple.
 
     Replaying the recorded sequence performs the same float additions in
     the same order as the object walk, so the sums are bit-identical to
@@ -65,6 +67,7 @@ class NodeArena:
         "_agg_child",
         "_agg_parent",
         "_subtree_sizes",
+        "_depths",
         "_chains",
     )
 
@@ -93,6 +96,7 @@ class NodeArena:
         self._agg_child = agg_child
         self._agg_parent = agg_parent
         self._subtree_sizes: Optional[List[int]] = None
+        self._depths: Optional[List[int]] = None
         #: node id -> ancestors root-first, excluding the node (lazy).
         self._chains: List[Optional[Tuple[MetadataNode, ...]]] = [None] * self.size
 
@@ -150,6 +154,31 @@ class NodeArena:
                 sizes[pid] += sizes[cid]
             self._subtree_sizes = sizes
         return sizes
+
+    def descent(self) -> Iterator[Tuple[int, int]]:
+        """``(child id, parent id)`` of every edge of the live tree, parents
+        before children: the recorded aggregation order, reversed.
+
+        Unlike registration order this stays top-down after
+        :meth:`NamespaceTree.move_node`. The root is nobody's child, so it
+        is the one live node the walk never names.
+        """
+        return zip(reversed(self._agg_child), reversed(self._agg_parent))
+
+    def depths(self) -> List[int]:
+        """Edges from the root, indexed by node id (retired slots read 0).
+
+        Equal to :attr:`MetadataNode.depth` for every live node; built on
+        first use by one pass over :meth:`descent`, where a node's depth is
+        its parent's plus one.
+        """
+        depths = self._depths
+        if depths is None:
+            depths = [0] * self.size
+            for cid, pid in self.descent():
+                depths[cid] = depths[pid] + 1
+            self._depths = depths
+        return depths
 
 
 class PopularityEstimate:

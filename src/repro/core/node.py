@@ -101,15 +101,6 @@ class MetadataNode:
                 self._path_cache = self.parent.path + PATH_SEPARATOR + self.name
         return self._path_cache
 
-    def add_child(self, child: "MetadataNode") -> "MetadataNode":
-        """Attach ``child`` under this node and return it."""
-        if not self.is_directory:
-            raise ValueError(f"cannot add a child to file node {self.path!r}")
-        child.parent = self
-        child._path_cache = None
-        self.children.append(child)
-        return child
-
     # ------------------------------------------------------------------
     # Walks (A_j and D_j in the paper's notation)
     # ------------------------------------------------------------------

@@ -105,14 +105,19 @@ class Placement:
         that placed the nodes changed.
         """
         servers_of = self._servers_of
+        num_servers = self.num_servers
         moves: List[Migration] = []
+        # assign() and its range check, inlined: this is every node of a
+        # partition or a re-fit round.
         for node, server in owners:
             current = servers_of.get(node)
-            if current is None:
-                self.assign(node, server)
-            elif current[0] != server:
-                moves.append(Migration(node, current[0], server))
-                self.assign(node, server)
+            if current is None or current[0] != server:
+                if not 0 <= server < num_servers:
+                    raise ValueError(f"server index {server} out of range")
+                if current is not None:
+                    moves.append(Migration(node, current[0], server))
+                servers_of[node] = (server,)
+                self.version += 1
         self.version += 1
         return moves
 

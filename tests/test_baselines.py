@@ -129,6 +129,21 @@ def test_static_cut_depth_validation():
         StaticSubtreeScheme(cut_depth=0)
 
 
+def test_static_anchor_is_the_cut_depth_ancestor(tiny_dtr_workload):
+    """Down a DTR tree's deepest chain (49 levels), the anchor of a node at
+    or below the cut is its ancestor at the cut depth; above the cut a node
+    is its own."""
+    tree = tiny_dtr_workload.tree
+    chain = max(tree, key=lambda n: n.depth).ancestors(include_self=True)
+    assert len(chain) == 50
+    for cut_depth in (1, 2, 7, 49):
+        scheme = StaticSubtreeScheme(cut_depth=cut_depth)
+        for node in chain:
+            path = node.ancestors(include_self=True)
+            want = path[cut_depth] if len(path) > cut_depth else node
+            assert scheme._anchor_of(node) is want
+
+
 # ----------------------------------------------------------------------
 # Dynamic subtree
 # ----------------------------------------------------------------------

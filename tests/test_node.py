@@ -2,7 +2,18 @@
 
 import pytest
 
+from repro.core import NamespaceTree
 from repro.core.node import PATH_SEPARATOR, MetadataNode
+
+
+def chain(*names):
+    """A tree holding the directory chain ``/names[0]/names[1]/...``; returns
+    the tree and its nodes root-first."""
+    tree = NamespaceTree()
+    nodes = [tree.root]
+    for name in names:
+        nodes.append(tree.add_child(nodes[-1], name, is_directory=True))
+    return tree, nodes
 
 
 def test_root_defaults():
@@ -14,28 +25,28 @@ def test_root_defaults():
 
 
 def test_child_path_composition():
-    root = MetadataNode("/")
-    home = root.add_child(MetadataNode("home"))
-    b = home.add_child(MetadataNode("b"))
-    f = b.add_child(MetadataNode("h.jpg", is_directory=False))
+    tree, (_root, home, b) = chain("home", "b")
+    f = tree.add_child(b, "h.jpg")
     assert home.path == "/home"
     assert b.path == "/home/b"
     assert f.path == "/home/b/h.jpg"
+    # Composed by the property itself, for a node the tree never cached.
+    assert MetadataNode("x", parent=b).path == "/home/b/x"
 
 
 def test_depth_counts_edges():
-    root = MetadataNode("/")
-    a = root.add_child(MetadataNode("a"))
-    b = a.add_child(MetadataNode("b"))
+    _tree, (root, a, b) = chain("a", "b")
     assert root.depth == 0
     assert a.depth == 1
     assert b.depth == 2
 
 
 def test_add_child_to_file_rejected():
-    f = MetadataNode("x.txt", is_directory=False)
+    tree = NamespaceTree()
+    f = tree.add_child(tree.root, "x.txt", is_directory=False)
     with pytest.raises(ValueError):
-        f.add_child(MetadataNode("y"))
+        tree.add_child(f, "y")
+    assert not f.children and "/x.txt/y" not in tree
 
 
 def test_negative_popularity_rejected():
@@ -48,12 +59,8 @@ def test_negative_update_cost_rejected():
         MetadataNode("a", update_cost=-0.5)
 
 
-
-
 def test_ancestors_root_first():
-    root = MetadataNode("/")
-    a = root.add_child(MetadataNode("a"))
-    b = a.add_child(MetadataNode("b"))
+    _tree, (root, a, b) = chain("a", "b")
     assert b.ancestors() == [root, a]
     assert b.ancestors(include_self=True) == [root, a, b]
 
@@ -65,40 +72,34 @@ def test_ancestors_of_root_empty():
 
 
 def test_descendants_covers_subtree():
-    root = MetadataNode("/")
-    a = root.add_child(MetadataNode("a"))
-    b = root.add_child(MetadataNode("b"))
-    c = a.add_child(MetadataNode("c", is_directory=False))
-    got = set(root.descendants())
-    assert got == {a, b, c}
+    tree, (root, a) = chain("a")
+    b = tree.add_child(root, "b", is_directory=True)
+    c = tree.add_child(a, "c", is_directory=False)
+    assert set(root.descendants()) == {a, b, c}
 
 
 def test_descendants_include_self():
-    root = MetadataNode("/")
-    a = root.add_child(MetadataNode("a"))
+    _tree, (root, a) = chain("a")
     assert set(root.descendants(include_self=True)) == {root, a}
 
 
 def test_subtree_size():
-    root = MetadataNode("/")
-    a = root.add_child(MetadataNode("a"))
-    a.add_child(MetadataNode("c", is_directory=False))
+    tree, (root, a) = chain("a")
+    tree.add_child(a, "c", is_directory=False)
     assert root.subtree_size() == 3
     assert a.subtree_size() == 2
 
 
 def test_leaf_detection_with_children():
-    root = MetadataNode("/")
-    a = root.add_child(MetadataNode("a"))
+    _tree, (root, a) = chain("a")
     assert root.children == [a]
 
 
 def test_path_cache_invalidated_on_reparent():
-    root = MetadataNode("/")
-    a = root.add_child(MetadataNode("a"))
-    child = MetadataNode("x")
-    _ = child.path  # prime the cache while detached
-    a.add_child(child)
+    tree, (root, a) = chain("a")
+    child = tree.add_child(root, "x", is_directory=True)
+    assert child.path == "/x"  # the cache is primed under the old parent
+    tree.move_node(child, a)
     assert child.path == "/a/x"
 
 

@@ -13,6 +13,7 @@ import hashlib
 import pytest
 
 from repro import registry
+from repro.baselines.hashing import stable_hash
 from repro.traces import DatasetProfile, TraceGenerator
 
 NUM_SERVERS = 5
@@ -82,7 +83,7 @@ PINNED = {
         "dtr": "5e9e4e0a1e531593",
         "lmbe": "4f68a3bc3db1abdb",
         "ra": "ed06f7824ec56995",
-        "dtr_moved": None,
+        "dtr_moved": "abad6f64e7e5de02",
     },
     "static-hash": {
         "dtr": "67935e9ad4c6fbd6",
@@ -103,19 +104,24 @@ def test_every_registered_scheme_is_pinned():
     assert sorted(PINNED) == registry.available()
 
 
-def pinned_cases():
-    for scheme in sorted(PINNED):
-        for case in ("dtr", "lmbe", "ra", "dtr_moved"):
-            marks = ()
-            if PINNED[scheme][case] is None:
-                marks = pytest.mark.xfail(
-                    raises=KeyError, strict=True,
-                    reason="rebuild_assignments takes registration order for parents-first",
-                )
-            yield pytest.param(scheme, case, marks=marks, id=f"{scheme}-{case}")
-
-
-@pytest.mark.parametrize("scheme, case", pinned_cases())
+@pytest.mark.parametrize("case", ["dtr", "lmbe", "ra", "dtr_moved"])
+@pytest.mark.parametrize("scheme", sorted(PINNED))
 def test_partition_bytes_are_pinned(trees, scheme, case):
     placement = registry.create(scheme).partition(trees[case], NUM_SERVERS)
     assert placement_digest(placement) == PINNED[scheme][case]
+
+
+def test_a_moved_subtree_is_placed_by_its_new_ancestors(trees):
+    """On the moved tree every node sits where the per-node rule puts it:
+    static subtree on its cut-depth anchor's hash, dynamic subtree on its
+    deepest zone root's server."""
+    tree = trees["dtr_moved"]
+    static = registry.create("static-subtree").partition(tree, NUM_SERVERS)
+    root_server = stable_hash("/") % NUM_SERVERS
+    for node in tree:
+        chain = node.ancestors(include_self=True)
+        want = stable_hash(chain[1].path) % NUM_SERVERS if len(chain) > 1 else root_server
+        assert static.primary_of(node) == want
+    dynamic = registry.create("dynamic-subtree").partition(tree, NUM_SERVERS)
+    for node in tree:
+        assert dynamic.primary_of(node) == dynamic.zone_of[dynamic.zone_root_of(node)]

@@ -310,10 +310,18 @@ def test_replay_with_every_hook_on_is_deterministic(create_workload, tmp_path):
 
 def test_arena_matches_object_aggregation(random_tree):
     """NodeArena replays Def. 2 aggregation in the object walk's exact
-    addition order: popularity totals are bit-equal, including after a
-    structural mutation invalidates and rebuilds the arena."""
+    addition order: popularity totals are bit-equal, and the depth column
+    equals every live node's depth, including after a structural mutation
+    (a move, a remove) invalidates and rebuilds the arena."""
+
+    def assert_depths(arena):
+        depths = arena.depths()
+        assert len(depths) == arena.size
+        assert all(depths[n.node_id] == n.depth for n in random_tree)
+
     arena = random_tree.arena()
     assert arena is random_tree.arena()  # cached while structure unchanged
+    assert_depths(arena)
     for node in random_tree:
         node.individual_popularity *= 1.7
     arena.write_popularity(arena.individual_popularity())
@@ -322,18 +330,30 @@ def test_arena_matches_object_aggregation(random_tree):
     assert {n.path: n.popularity for n in random_tree} == got
 
     # Structural change: the arena must be rebuilt and stay exact.
-    target = random_tree.add_path("/arena-dst", is_directory=True)
+    target = random_tree.add_path("/arena-dst/inner", is_directory=True)
     victim = next(
         n for n in random_tree
         if n.is_directory and n.depth >= 2 and n.children
     )
+    assert victim.depth == 2
     random_tree.move_node(victim, target)
+    assert victim.depth == 3  # one level deeper, with its whole subtree
     rebuilt = random_tree.arena()
     assert rebuilt is not arena
+    assert_depths(rebuilt)
     rebuilt.write_popularity(rebuilt.individual_popularity())
     got = {n.path: n.popularity for n in random_tree}
     random_tree.aggregate_popularity()
     assert {n.path: n.popularity for n in random_tree} == got
+
+    # A removed subtree leaves the live tree; its slots stay in the id space.
+    gone = next(n for n in random_tree if n.depth >= 2 and n.children)
+    removed = random_tree.remove(gone)
+    after = random_tree.arena()
+    assert after is not rebuilt and after.size == rebuilt.size
+    assert_depths(after)
+    assert removed > 1 and sum(1 for _ in after.descent()) == len(random_tree) - 1
+    assert all(after.depths()[n.node_id] == 0 for n in gone.descendants(include_self=True))
 
 
 def _object_round(tree, window, blend):
