@@ -429,3 +429,174 @@ def test_retired_verbs_and_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# The flag surface: no flag added, removed, renamed or re-defaulted
+# ----------------------------------------------------------------------
+#: Every verb's flags as (option strings, dest, default), sorted.
+FLAG_SURFACE = {
+    'chaos': [
+        ('--fault', 'fault', []),
+        ('--json', 'json', False),
+        ('--monitors', 'monitors', 3),
+        ('--nodes', 'nodes', 8000),
+        ('--ops', 'ops', None),
+        ('--scale', 'scale', 0.0001),
+        ('--scheme', 'scheme', 'd2-tree'),
+        ('--seed', 'seed', None),
+        ('--seed-base', 'seed_base', 0),
+        ('--seeds', 'seeds', 20),
+        ('--servers', 'servers', 6),
+        ('--store', 'store', 'memory'),
+        ('--store-dir', 'store_dir', None),
+        ('--trace', 'trace', 'dtr'),
+        ('--trace-sample', 'trace_sample', 0),
+    ],
+    'evaluate': [
+        ('--json', 'json', False),
+        ('--nodes', 'nodes', 8000),
+        ('--rebalance-rounds', 'rebalance_rounds', 0),
+        ('--scale', 'scale', 0.0001),
+        ('--scheme', 'scheme', None),
+        ('--seed', 'seed', None),
+        ('--servers', 'servers', 8),
+        ('--trace', 'trace', 'dtr'),
+    ],
+    'figure': [
+        ('--chart', 'chart', False),
+        ('--nodes', 'nodes', 8000),
+        ('--scale', 'scale', 0.0001),
+        ('--seed', 'seed', None),
+        ('--sizes', 'sizes', [5, 10, 20, 30]),
+        ('--trace', 'trace', 'dtr'),
+        ('name', 'name', None),
+    ],
+    'generate': [
+        ('--bundle', 'bundle', False),
+        ('--nodes', 'nodes', 8000),
+        ('--scale', 'scale', 0.0001),
+        ('--seed', 'seed', None),
+        ('--trace', 'trace', 'dtr'),
+        ('output', 'output', None),
+    ],
+    'hunt': [
+        ('--json', 'json', False),
+        ('--live', 'live', False),
+        ('--max-probes', 'max_probes', 200),
+        ('--monitors', 'monitors', 3),
+        ('--no-shrink', 'no_shrink', False),
+        ('--nodes', 'nodes', 8000),
+        ('--ops', 'ops', None),
+        ('--promote', 'promote', None),
+        ('--scale', 'scale', 0.0001),
+        ('--scheme', 'scheme', 'd2-tree'),
+        ('--seed', 'seed', None),
+        ('--seed-base', 'seed_base', 0),
+        ('--seeds', 'seeds', 20),
+        ('--servers', 'servers', 6),
+        ('--socket-dir', 'socket_dir', None),
+        ('--store', 'store', 'memory'),
+        ('--store-dir', 'store_dir', None),
+        ('--trace', 'trace', 'dtr'),
+    ],
+    'report': [
+        ('--critical-json', 'critical_json', None),
+        ('--critical-path', 'critical_path', False),
+        ('--csv', 'csv', None),
+        ('--events', 'events', 20),
+        ('--perfetto', 'perfetto', None),
+        ('--width', 'width', 48),
+        ('input', 'input', None),
+    ],
+    'serve': [
+        ('--fault', 'fault', []),
+        ('--heartbeat-interval', 'heartbeat_interval', None),
+        ('--heartbeat-timeout', 'heartbeat_timeout', None),
+        ('--json', 'json', False),
+        ('--max-ops', 'max_ops', None),
+        ('--max-retries', 'max_retries', None),
+        ('--monitors', 'monitors', 3),
+        ('--nodes', 'nodes', 8000),
+        ('--rate', 'rate', 2000.0),
+        ('--request-timeout', 'request_timeout', None),
+        ('--scale', 'scale', 0.0001),
+        ('--scheme', 'scheme', 'd2-tree'),
+        ('--seed', 'seed', None),
+        ('--servers', 'servers', 3),
+        ('--socket-dir', 'socket_dir', None),
+        ('--trace', 'trace', 'dtr'),
+        ('--transport', 'transport', 'unix'),
+    ],
+    'simulate': [
+        ('--fault', 'fault', []),
+        ('--heartbeat-interval', 'heartbeat_interval', None),
+        ('--heartbeat-timeout', 'heartbeat_timeout', None),
+        ('--json', 'json', False),
+        ('--max-ops', 'max_ops', None),
+        ('--max-retries', 'max_retries', None),
+        ('--metrics-out', 'metrics_out', None),
+        ('--metrics-prom', 'metrics_prom', None),
+        ('--monitor-lease-timeout', 'monitor_lease_timeout', None),
+        ('--monitors', 'monitors', None),
+        ('--no-op-events', 'cluster_only', False),
+        ('--nodes', 'nodes', 8000),
+        ('--scale', 'scale', 0.0001),
+        ('--scheme', 'scheme', None),
+        ('--seed', 'seed', None),
+        ('--servers', 'servers', 8),
+        ('--store', 'store', None),
+        ('--store-dir', 'store_dir', None),
+        ('--trace', 'trace', 'dtr'),
+        ('--trace-sample', 'trace_sample', None),
+    ],
+    'stats': [
+        ('--input', 'input', None),
+        ('--nodes', 'nodes', 8000),
+        ('--scale', 'scale', 0.0001),
+        ('--seed', 'seed', None),
+        ('--trace', 'trace', 'dtr'),
+    ],
+    'validate': [
+        ('--fault', 'fault', []),
+        ('--heartbeat-interval', 'heartbeat_interval', None),
+        ('--heartbeat-timeout', 'heartbeat_timeout', None),
+        ('--max-ops', 'max_ops', None),
+        ('--max-retries', 'max_retries', None),
+        ('--monitors', 'monitors', 3),
+        ('--nodes', 'nodes', 8000),
+        ('--out', 'out', None),
+        ('--rate', 'rate', 2000.0),
+        ('--request-timeout', 'request_timeout', None),
+        ('--scale', 'scale', 0.0001),
+        ('--scheme', 'scheme', 'd2-tree'),
+        ('--seed', 'seed', None),
+        ('--servers', 'servers', 3),
+        ('--socket-dir', 'socket_dir', None),
+        ('--trace', 'trace', 'dtr'),
+        ('--transport', 'transport', 'unix'),
+    ],
+}
+
+
+def flag_surface():
+    import argparse
+
+    parser = build_parser()
+    verbs = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    return {
+        verb: sorted(
+            (" ".join(action.option_strings) or action.dest, action.dest,
+             action.default)
+            for action in verbs[verb]._actions
+            if not isinstance(action, argparse._HelpAction)
+        )
+        for verb in sorted(verbs)
+    }
+
+
+def test_every_verbs_flag_surface_is_pinned():
+    assert flag_surface() == FLAG_SURFACE
