@@ -13,8 +13,9 @@ The package splits the original single-module harness into focused parts:
 - :mod:`repro.chaos.shrink` — delta-debugging minimization of failing
   fault plans to minimal counterexamples.
 - :mod:`repro.chaos.corpus` — :class:`CorpusCase`, the one description of a
-  chaos run (workload, schedule, replay command, simulator and live legs),
-  and the committed regression corpus of them (``tests/corpus/*.json``).
+  run in either mode (workload, schedule, both modes' configs, replay
+  arguments, simulator and live legs), and the committed regression corpus
+  of chaos runs (``tests/corpus/*.json``).
 - :mod:`repro.chaos.hunt` — the ``repro hunt`` fuzzer driving all of the
   above: generate → run with history audit → shrink → record.
 
@@ -25,9 +26,6 @@ Everything the old ``repro.chaos`` module exported is re-exported here, so
 from __future__ import annotations
 
 from repro.chaos.harness import (
-    CHAOS_HEARTBEAT_INTERVAL,
-    CHAOS_HEARTBEAT_TIMEOUT,
-    CHAOS_LEASE_TIMEOUT,
     ChaosCase,
     ChaosReport,
     _quiesce,
@@ -38,7 +36,14 @@ from repro.chaos.history import HistoryEvent, OpHistory, audit_history
 from repro.chaos.schedule import generate_plan
 from repro.chaos.shrink import ShrinkResult, shrink_plan
 from repro.chaos.hunt import HuntCase, HuntReport, promote_findings, run_hunt
-from repro.chaos.corpus import CorpusCase, load_corpus, save_case
+from repro.chaos.corpus import (
+    CHAOS_HEARTBEAT_INTERVAL,
+    CHAOS_HEARTBEAT_TIMEOUT,
+    CHAOS_LEASE_TIMEOUT,
+    CorpusCase,
+    load_corpus,
+    save_case,
+)
 
 __all__ = [
     "CHAOS_HEARTBEAT_INTERVAL",

@@ -1,7 +1,7 @@
 """Chaos case runner and the one run audit.
 
-``run_case`` replays one workload under one fault schedule through the
-simulator, drives the cluster to quiescence and judges it with
+``run_case`` replays one recipe (workload, fault schedule, cluster) through
+the simulator, drives the cluster to quiescence and judges it with
 :func:`check_run` — the same function ``repro serve`` judges a live run
 with, over the control plane both modes share
 (:class:`~repro.cluster.control.ClusterControl`). It states, in order:
@@ -43,31 +43,17 @@ from repro import registry
 from repro.chaos.history import OpHistory, audit_history
 from repro.cluster.control import ClusterControl
 from repro.cluster.failure import check_state_invariants
-from repro.simulation.faults import FaultPlan
-from repro.simulation.runner import ClusterSimulator, SimulationConfig
-from repro.traces.generator import GeneratedWorkload
+from repro.simulation.runner import ClusterSimulator
 
 if TYPE_CHECKING:  # corpus imports this module
     from repro.chaos.corpus import CorpusCase
 
 __all__ = [
-    "CHAOS_HEARTBEAT_INTERVAL",
-    "CHAOS_HEARTBEAT_TIMEOUT",
-    "CHAOS_LEASE_TIMEOUT",
     "ChaosCase",
     "ChaosReport",
     "check_run",
     "run_case",
 ]
-
-#: Chaos runs replay short traces (sub-second makespans), so detection and
-#: lease clocks are tightened to fit several detection and election windows
-#: inside one run. Pass the same values to ``repro simulate`` to get the
-#: telemetry of a failing seed (docs/CHAOS.md).
-CHAOS_HEARTBEAT_INTERVAL = 0.01
-CHAOS_HEARTBEAT_TIMEOUT = 0.03
-CHAOS_LEASE_TIMEOUT = 0.05
-
 
 # ----------------------------------------------------------------------
 # Quiescence + the run audit
@@ -243,41 +229,21 @@ class ChaosReport:
 
 
 def run_case(
-    scheme_name: str,
-    workload: GeneratedWorkload,
-    num_servers: int,
-    seed: int,
-    plan: FaultPlan,
-    *,
-    num_monitors: int = 3,
-    store: str = "memory",
-    store_dir: Optional[str] = None,
-    trace_sample: int = 0,
+    case: CorpusCase, store_dir: Optional[str] = None, *, trace_sample: int = 0
 ) -> ChaosCase:
-    """One chaos run of ``workload`` under ``plan``: replay with the op log
-    on, quiesce, :func:`check_run`.
+    """One chaos run of ``case`` through the simulator: replay with the op
+    log on, quiesce, :func:`check_run`.
 
-    A durable ``store`` (``"wal"``) turns on the durability checks.
+    A durable ``case.store`` (``"wal"``) turns on the durability checks.
     ``trace_sample`` > 0 records causal spans for every Nth op plus the
     failover/recovery lifecycle (read them off ``sim.spans`` or export via
     ``repro simulate --trace-sample`` for the CLI path).
     """
-    scheme = registry.create(scheme_name)
-    # Tight clocks (see the module constants): without them a crashed
-    # leader would simply outlive the short trace and failover would never
-    # be exercised.
-    config = SimulationConfig(
-        seed=seed,
-        fault_plan=plan,
-        num_monitors=num_monitors,
-        heartbeat_interval=CHAOS_HEARTBEAT_INTERVAL,
-        heartbeat_timeout=CHAOS_HEARTBEAT_TIMEOUT,
-        monitor_lease_timeout=CHAOS_LEASE_TIMEOUT,
-        store=store,
-        store_dir=store_dir,
-        trace_sample=trace_sample,
+    config = case.sim_config(store_dir, trace_sample)
+    workload = case.workload()
+    sim = ClusterSimulator(
+        registry.create(case.scheme), workload, case.num_servers, config
     )
-    sim = ClusterSimulator(scheme, workload, num_servers, config)
     history = sim.control.history = OpHistory()
     try:
         result = sim.run()
@@ -291,8 +257,8 @@ def run_case(
             durability.update(sim.durability.summary())
             result.durability = durability
         return ChaosCase(
-            seed=seed,
-            specs=plan.to_specs(),
+            seed=case.seed,
+            specs=config.fault_plan.to_specs(),
             violations=violations,
             operations=result.operations,
             failed_operations=result.availability.failed_operations,
@@ -303,7 +269,7 @@ def run_case(
             aborted_directives=sim.monitor.aborted_directives,
             messages_dropped=sim.network.messages_dropped,
             messages_delayed=sim.network.messages_delayed,
-            store=store,
+            store=case.store,
             durability=result.durability,
             history=history.counts(),
         )

@@ -13,7 +13,7 @@ shrinking of every failure.
 When a case violates an invariant, the failing plan is minimized with
 :func:`repro.chaos.shrink.shrink_plan` (drop events, shrink the cluster,
 tighten triggers) and packaged as a :class:`repro.chaos.corpus.CorpusCase`
-carrying its exact ``repro chaos --fault ...`` replay command — ready to
+carrying its exact ``repro chaos --fault ...`` replay line — ready to
 be promoted into the committed regression corpus once the bug is fixed.
 
 The optional live leg replays each schedule through the asyncio transport
@@ -145,7 +145,6 @@ def run_hunt(
     max_probes: int = 200,
     live: bool = False,
     socket_dir: Optional[str] = None,
-    live_rate: float = 2000.0,
 ) -> HuntReport:
     """Fuzz ``recipe`` over the given seeds; shrink whatever breaks."""
     report = HuntReport(recipe=recipe)
@@ -167,7 +166,6 @@ def run_hunt(
             operations=outcome.operations,
             failed_operations=outcome.failed_operations,
             history=outcome.history,
-            replay=case.replay_command(),
         )
         if outcome.violations and shrink:
 
@@ -201,10 +199,12 @@ def run_hunt(
                     ),
                     name="",  # re-derived from the minimized content
                 )
-                hunt_case.replay = hunt_case.minimized.replay_command()
+        hunt_case.replay = " ".join(
+            ["repro", *(hunt_case.minimized or case).to_argv()]
+        )
         if live:
             hunt_case.live_violations = list(
-                case.run_live(socket_dir, live_rate).violations
+                case.run_live(socket_dir).violations
             )
         report.cases.append(hunt_case)
     return report

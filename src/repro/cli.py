@@ -29,47 +29,158 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro import registry
+from repro.chaos import CorpusCase
 from repro.metrics import evaluate_scheme
 from repro.placement import MetadataScheme
-from repro.simulation import replay_rounds, simulate
+from repro.simulation import SimulationConfig, replay_rounds, simulate
 from repro.storage import STORE_BACKENDS
 from repro.traces import PROFILES, TraceGenerator, load_workload, save_trace
 
-__all__ = ["main", "build_parser", "add_fault_args", "parse_fault_plan"]
+__all__ = ["main", "build_parser", "add_cluster_args", "recipe_from"]
 
 
-def add_fault_args(p: argparse.ArgumentParser) -> None:
-    """Install the shared ``--fault`` flag.
+def add_workload_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trace", choices=sorted(PROFILES), default="dtr")
+    p.add_argument("--nodes", type=int, default=8000,
+                   help="namespace tree size (default 8000)")
+    p.add_argument("--scale", type=float, default=1e-4,
+                   help="fraction of the paper's record count (default 1e-4)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the profile's generator seed "
+                        "(recorded in telemetry output)")
 
-    Every verb that injects faults (``simulate``, ``serve``, ``validate``)
-    gets the identical grammar from this one place, so the flag surface
-    cannot drift between the simulated and live transports.
+
+_OPS = ("ops", dict(type=int, help="truncate the trace to N operations"))
+#: The cluster flags, declared once: flag -> (the recipe field it sets,
+#: argparse keywords). A verb takes the subset VERB_FLAGS names.
+CLUSTER_FLAGS = {
+    "--servers": ("num_servers", dict(type=int, help="metadata servers")),
+    "--scheme": (None, dict(choices=registry.available(),
+                            help="scheme under test (simulate: default all)")),
+    "--monitors": ("num_monitors", dict(
+        type=int, help="Monitor group size: a leader + standbys with lease "
+                       "failover and epoch fencing (simulate: default 1)")),
+    "--max-ops": _OPS,
+    "--ops": _OPS,
+    "--seeds": (None, dict(type=int, help="number of seeded cases")),
+    "--seed-base": (None, dict(type=int, help="first case seed")),
+    "--store": ("store", dict(
+        choices=list(STORE_BACKENDS),
+        help="persistence (default memory: none); wal journals acks, fences "
+             "and moves, and unlocks the kill9 faults and the durability "
+             "audit (docs/DURABILITY.md)")),
+    "--store-dir": (None, dict(metavar="DIR", help="durable store directory "
+                                                   "(default: a temp dir)")),
+    "--trace-sample": (None, dict(
+        type=int, metavar="N", help="record causal span trees for every Nth "
+                                    "op (docs/OBSERVABILITY.md)")),
+    "--rate": ("rate", dict(type=float, help="offered load, ops/s (open-loop "
+                                             "Poisson arrivals)")),
+    "--transport": ("transport", dict(choices=["unix", "tcp"],
+                                      help="socket flavour (default unix)")),
+    "--socket-dir": (None, dict(metavar="DIR", help="unix socket directory "
+                                                    "(default: a temp dir)")),
+    "--heartbeat-interval": ("heartbeat_interval", dict(
+        type=float, help="MDS heartbeat cadence, s (default 0.05; <= 0 "
+                         "turns the simulator's failure detection off)")),
+    "--heartbeat-timeout": ("heartbeat_timeout", dict(
+        type=float, help="heartbeat silence before a server is declared "
+                         "dead, s (default 0.15 simulated, 0.25 live)")),
+    "--monitor-lease-timeout": ("lease_timeout", dict(
+        type=float, help="standby takeover after the leader is dead or "
+                         "quorumless this long (default 2x the timeout)")),
+    "--request-timeout": ("request_timeout", dict(
+        type=float, help="per-attempt client reply timeout (default 0.25)")),
+    "--max-retries": ("max_retries", dict(
+        type=int, help="client attempts per op before it fails (default 16)")),
+    "--fault": (None, dict(
+        action="append", metavar="SPEC",
+        help="inject a fault, kind:target@ops=N or kind:target@t=SEC "
+             "(crash, recover, fail_slow :xF, drop_heartbeats, loss :pP, "
+             "delay :dS, partition / heal, monitor_crash / monitor_recover; "
+             "repeatable; grammar in docs/CHAOS.md)")),
+}
+_CHAOS = {"--servers": 6, "--scheme": "d2-tree", "--monitors": 3,
+          "--seeds": 20, "--seed-base": 0, "--ops": None,
+          "--store": "memory", "--store-dir": None}
+_LIVE = {"--servers": 3, "--scheme": "d2-tree", "--monitors": 3,
+         "--max-ops": None, "--rate": CorpusCase.rate, "--transport": "unix",
+         "--socket-dir": None, "--heartbeat-interval": None,
+         "--heartbeat-timeout": None, "--request-timeout": None,
+         "--max-retries": None, "--fault": []}
+#: Each cluster verb's flags and their defaults. A knob flag left at None
+#: takes its mode's default (recipe_from).
+VERB_FLAGS = {
+    "simulate": {"--servers": 8, "--scheme": None, "--max-ops": None,
+                 "--fault": [], "--monitors": None, "--max-retries": None,
+                 "--heartbeat-interval": None, "--heartbeat-timeout": None,
+                 "--monitor-lease-timeout": None, "--store": None,
+                 "--store-dir": None, "--trace-sample": None},
+    "chaos": {**_CHAOS, "--trace-sample": 0, "--fault": []},
+    "hunt": {**_CHAOS, "--socket-dir": None},
+    "serve": _LIVE,
+    "validate": _LIVE,
+}
+
+
+def add_cluster_args(p: argparse.ArgumentParser, verb: str) -> None:
+    """Install ``verb``'s workload and cluster flags with its defaults."""
+    add_workload_args(p)
+    for flag, default in VERB_FLAGS[verb].items():
+        p.add_argument(flag, default=default, **CLUSTER_FLAGS[flag][1])
+
+
+def _mode_defaults(verb: str) -> dict:
+    """What the knob flags ``verb`` leaves unset mean: the simulator's
+    defaults for ``simulate``, the live cluster's for ``serve`` /
+    ``validate`` (why their heartbeat timeouts differ: ``LiveConfig``), and
+    the recipe's own — the chaos clocks — for ``chaos`` / ``hunt``."""
+    if verb == "simulate":
+        sim = SimulationConfig
+        return {"num_monitors": sim.num_monitors, "max_retries": sim.max_retries,
+                "heartbeat_interval": sim.heartbeat_interval,
+                "heartbeat_timeout": sim.heartbeat_timeout,
+                "lease_timeout": sim.monitor_lease_timeout}
+    if verb in ("serve", "validate"):
+        from repro.transport.live import LiveConfig as live
+        from repro.transport.loadgen import LoadConfig as load
+
+        return {"max_retries": load.max_retries,
+                "request_timeout": load.request_timeout,
+                "heartbeat_interval": live.heartbeat_interval,
+                "heartbeat_timeout": live.heartbeat_timeout,
+                "lease_timeout": live.lease_timeout}
+    return {}
+
+
+def recipe_from(args) -> CorpusCase:
+    """The one description of the run a cluster verb's flags ask for.
+
+    Raises ``ValueError`` (exit 2) on an op count or seed count below 1, a
+    negative trace sample or a rate that is not positive, for every verb
+    that takes the flag.
     """
-    p.add_argument("--fault", action="append", default=[], metavar="SPEC",
-                   help="inject a fault: kind:target@ops=N or "
-                        "kind:target@t=SEC, kind one of crash, recover, "
-                        "fail_slow (:xF slowdown factor), "
-                        "drop_heartbeats, loss (:pP drop probability), "
-                        "delay (:dS mean extra seconds), "
-                        "partition / heal (target is the group spec, "
-                        "e.g. 'partition:{0,1}|{2,3,m0}@t=2.0'; 'heal:*' "
-                        "removes every partition), monitor_crash / "
-                        "monitor_recover (target is a Monitor replica); "
-                        "repeatable (e.g. --fault crash:2@ops=1000); "
-                        "see docs/CHAOS.md for the full grammar")
-
-
-def parse_fault_plan(args):
-    """Parse the ``--fault`` specs into a FaultPlan (None when absent).
-
-    Raises ``ValueError`` with the offending spec, exactly as
-    ``FaultPlan.parse`` reports it — callers turn that into exit code 2.
-    """
-    from repro.simulation import FaultPlan
-
-    if not getattr(args, "fault", None):
-        return None
-    return FaultPlan.parse(args.fault)
+    flags = {flag: getattr(args, flag[2:].replace("-", "_"))
+             for flag in VERB_FLAGS[args.command]}
+    values = _mode_defaults(args.command)
+    values.update((CLUSTER_FLAGS[flag][0], value)
+                  for flag, value in flags.items()
+                  if CLUSTER_FLAGS[flag][0] and value is not None)
+    for flag, least in (("--ops", 1), ("--max-ops", 1), ("--seeds", 1),
+                        ("--trace-sample", 0)):
+        value = flags.get(flag)
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be at least {least}, not {value}")
+    if not values.get("rate", 1) > 0:  # NaN too
+        raise ValueError(f"--rate must be positive, not {values['rate']}")
+    chaos = args.command in ("chaos", "hunt")
+    return CorpusCase(
+        scheme=args.scheme, trace=args.trace, nodes=args.nodes,
+        scale=args.scale, seed=args.seed_base if chaos else args.seed,
+        # chaos and hunt generate a schedule from each seed unless given one.
+        faults=flags.get("--fault") or (None if chaos else []),
+        **values,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,16 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="D2-Tree (ICDCS 2018) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_workload_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--trace", choices=sorted(PROFILES), default="dtr")
-        p.add_argument("--nodes", type=int, default=8000,
-                       help="namespace tree size (default 8000)")
-        p.add_argument("--scale", type=float, default=1e-4,
-                       help="fraction of the paper's record count (default 1e-4)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the profile's generator seed "
-                            "(recorded in telemetry output)")
 
     gen = sub.add_parser("generate", help="synthesise a trace and save it")
     add_workload_args(gen)
@@ -108,38 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "of formatted rows")
 
     sim = sub.add_parser("simulate", help="replay through the cluster simulator")
-    add_workload_args(sim)
-    sim.add_argument("--servers", type=int, default=8)
-    sim.add_argument("--scheme", choices=registry.available(), default=None)
-    sim.add_argument("--max-ops", type=int, default=None,
-                     help="truncate the trace to this many operations "
-                          "(what `repro chaos --ops` replays)")
-    add_fault_args(sim)
-    sim.add_argument("--monitors", type=int, default=None,
-                     help="Monitor group size: 1 leader + N-1 standbys with "
-                          "lease failover and epoch fencing (default 1, the "
-                          "singleton Monitor)")
-    sim.add_argument("--max-retries", type=int, default=None,
-                     help="client retry budget before an op counts as failed")
-    sim.add_argument("--heartbeat-interval", type=float, default=None,
-                     help="liveness heartbeat cadence in simulated seconds "
-                          "(<= 0 disables failure detection)")
-    sim.add_argument("--heartbeat-timeout", type=float, default=None,
-                     help="heartbeat silence before the Monitor declares a "
-                          "server dead (simulated seconds)")
-    sim.add_argument("--monitor-lease-timeout", type=float, default=None,
-                     help="leadership lease: a standby takes over after the "
-                          "leader has been dead or quorumless this long "
-                          "(simulated seconds; default 2x heartbeat-timeout)")
-    sim.add_argument("--store", choices=list(STORE_BACKENDS), default=None,
-                     help="metadata persistence backend (default memory, "
-                          "a zero-cost no-op; wal journals acks, fences "
-                          "and subtree moves and replays them when a "
-                          "kill9'd server rejoins — see "
-                          "docs/DURABILITY.md)")
-    sim.add_argument("--store-dir", metavar="DIR", default=None,
-                     help="directory for the durable store "
-                          "(default: a self-cleaning temp dir)")
+    add_cluster_args(sim, "simulate")
     sim.add_argument("--json", action="store_true",
                      help="emit a JSON array of full SimulationResult "
                           "serializations instead of formatted rows")
@@ -153,45 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--no-op-events", dest="cluster_only", action="store_true",
                      help="with --metrics-out: skip per-operation lifecycle "
                           "events (keep cluster events and gauge series)")
-    sim.add_argument("--trace-sample", type=int, default=None, metavar="N",
-                     help="record causal span trees for every Nth operation "
-                          "(deterministic head sampling keyed off the op "
-                          "id; spans land in --metrics-out and feed "
-                          "`repro report --critical-path` / --perfetto "
-                          "— see docs/OBSERVABILITY.md)")
 
     chaos = sub.add_parser(
         "chaos",
         help="randomized fault schedules + safety invariant checks",
     )
-    add_workload_args(chaos)
-    chaos.add_argument("--servers", type=int, default=6)
-    chaos.add_argument("--scheme", choices=registry.available(),
-                       default="d2-tree",
-                       help="scheme under test (default d2-tree)")
-    chaos.add_argument("--seeds", type=int, default=20,
-                       help="number of seeded chaos cases (default 20)")
-    chaos.add_argument("--seed-base", type=int, default=0,
-                       help="first case seed; cases use seed-base..+seeds-1")
-    chaos.add_argument("--monitors", type=int, default=3,
-                       help="Monitor group size (default 3: leader + 2 "
-                            "standbys, so leader loss exercises failover)")
-    chaos.add_argument("--ops", type=int, default=None,
-                       help="truncate the trace to this many operations")
-    chaos.add_argument("--store", choices=list(STORE_BACKENDS),
-                       default="memory",
-                       help="metadata persistence backend; wal turns "
-                            "on the kill9/torn_write/corrupt_record fault "
-                            "family and the durability invariant "
-                            "(default memory)")
-    chaos.add_argument("--store-dir", metavar="DIR", default=None,
-                       help="directory for the durable store "
-                            "(default: a self-cleaning temp dir)")
-    chaos.add_argument("--trace-sample", type=int, default=0, metavar="N",
-                       help="record causal spans for every Nth op in each "
-                            "case (the failover/recovery lifecycle is "
-                            "always spanned when sampling is on)")
-    add_fault_args(chaos)
+    add_cluster_args(chaos, "chaos")
     chaos.add_argument("--json", action="store_true",
                        help="emit the full ChaosReport as JSON")
 
@@ -200,27 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="adversarial chaos search: fuzz fault schedules, audit "
              "operation histories, shrink counterexamples",
     )
-    add_workload_args(hunt)
-    hunt.add_argument("--servers", type=int, default=6)
-    hunt.add_argument("--scheme", choices=registry.available(),
-                      default="d2-tree",
-                      help="scheme under test (default d2-tree)")
-    hunt.add_argument("--monitors", type=int, default=3,
-                      help="Monitor group size (default 3)")
-    hunt.add_argument("--seeds", type=int, default=20,
-                      help="number of fuzzed case seeds (default 20)")
-    hunt.add_argument("--seed-base", type=int, default=0,
-                      help="first case seed; cases use seed-base..+seeds-1")
-    hunt.add_argument("--ops", type=int, default=None,
-                      help="truncate the trace to this many operations")
-    hunt.add_argument("--store", choices=list(STORE_BACKENDS),
-                      default="memory",
-                      help="persistence backend; wal turns on the "
-                           "kill9 fault family and the durability audits "
-                           "(default memory)")
-    hunt.add_argument("--store-dir", metavar="DIR", default=None,
-                      help="directory for the durable store "
-                           "(default: a self-cleaning temp dir)")
+    add_cluster_args(hunt, "hunt")
     hunt.add_argument("--no-shrink", action="store_true",
                       help="report findings without minimizing them")
     hunt.add_argument("--max-probes", type=int, default=200,
@@ -230,54 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also replay every schedule through the live "
                            "asyncio transport (informational; only the "
                            "deterministic simulator drives shrinking)")
-    hunt.add_argument("--socket-dir", metavar="DIR", default=None,
-                      help="unix socket directory for --live runs")
     hunt.add_argument("--promote", metavar="DIR", default=None,
                       help="write minimized counterexamples into DIR as "
                            "corpus JSON files (see tests/corpus/)")
     hunt.add_argument("--json", action="store_true",
                       help="emit the full HuntReport as JSON")
 
-    def add_serve_args(p: argparse.ArgumentParser) -> None:
-        add_workload_args(p)
-        p.add_argument("--servers", type=int, default=3,
-                       help="live MDS processes (default 3)")
-        p.add_argument("--scheme", choices=registry.available(),
-                       default="d2-tree",
-                       help="scheme under load (default d2-tree)")
-        p.add_argument("--monitors", type=int, default=3,
-                       help="Monitor replicas (default 3)")
-        p.add_argument("--max-ops", type=int, default=None,
-                       help="truncate the trace to this many operations")
-        p.add_argument("--rate", type=float, default=2000.0,
-                       help="offered load in ops/sec: open-loop Poisson "
-                            "arrivals, so a slow cluster builds a backlog "
-                            "instead of throttling the client (default 2000)")
-        p.add_argument("--transport", choices=["unix", "tcp"],
-                       default="unix",
-                       help="socket flavour: unix (default, one socket "
-                            "file per endpoint) or tcp on localhost")
-        p.add_argument("--socket-dir", metavar="DIR", default=None,
-                       help="directory for the unix sockets "
-                            "(default: a self-cleaning temp dir)")
-        p.add_argument("--heartbeat-interval", type=float, default=None,
-                       help="MDS->Monitor heartbeat cadence in wall-clock "
-                            "seconds (default 0.05)")
-        p.add_argument("--heartbeat-timeout", type=float, default=None,
-                       help="heartbeat silence before the Monitor declares "
-                            "a server dead (default 0.25)")
-        p.add_argument("--request-timeout", type=float, default=None,
-                       help="per-attempt client reply timeout (default 0.25)")
-        p.add_argument("--max-retries", type=int, default=None,
-                       help="client attempts per op before it counts as "
-                            "failed (default 16)")
-        add_fault_args(p)
-
     srv = sub.add_parser(
         "serve",
         help="run a live asyncio cluster (real sockets) under client load",
     )
-    add_serve_args(srv)
+    add_cluster_args(srv, "serve")
     srv.add_argument("--json", action="store_true",
                      help="emit the full ServeReport as JSON")
 
@@ -286,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay one seeded workload through both transports "
              "(simulator + AsyncioTransport) and diff the results",
     )
-    add_serve_args(val)
+    add_cluster_args(val, "validate")
     val.add_argument("--out", metavar="FILE", default=None,
                      help="also write the comparison report as JSON to FILE")
 
@@ -343,10 +323,6 @@ def _profile(args):
     return profile
 
 
-def _workload(args):
-    return load_workload(_profile(args))
-
-
 def cmd_generate(args) -> int:
     profile = _profile(args)
     workload = TraceGenerator(profile).generate()
@@ -364,7 +340,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    workload = _workload(args)
+    workload = load_workload(_profile(args))
     reports = []
     for scheme in _schemes(args.scheme):
         report = evaluate_scheme(
@@ -383,89 +359,42 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from repro.simulation import SimulationConfig
+    from repro.obs import JsonlExporter, Telemetry, prometheus_text
 
-    workload = _workload(args).truncated(args.max_ops)
-    overrides = {}
-    try:
-        plan = parse_fault_plan(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if plan is not None:
-        overrides["fault_plan"] = plan
-    if args.monitors is not None:
-        overrides["num_monitors"] = args.monitors
-    if args.max_retries is not None:
-        overrides["max_retries"] = args.max_retries
-    if args.heartbeat_interval is not None:
-        overrides["heartbeat_interval"] = args.heartbeat_interval
-    if args.heartbeat_timeout is not None:
-        overrides["heartbeat_timeout"] = args.heartbeat_timeout
-    if args.monitor_lease_timeout is not None:
-        overrides["monitor_lease_timeout"] = args.monitor_lease_timeout
-    if args.store is not None:
-        overrides["store"] = args.store
-    if args.store_dir is not None:
-        overrides["store_dir"] = args.store_dir
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    trace_sample = args.trace_sample or 0
-    if trace_sample < 0:
-        print("error: --trace-sample must be positive", file=sys.stderr)
-        return 2
-    if trace_sample:
-        overrides["trace_sample"] = trace_sample
-        if not args.metrics_out:
-            print("note: --trace-sample spans are only visible via "
-                  "--metrics-out", file=sys.stderr)
-    config = SimulationConfig(**overrides) if overrides else None
+    recipe = recipe_from(args)
+    config = recipe.sim_config(args.store_dir, args.trace_sample or 0)
+    if config.trace_sample and not args.metrics_out:
+        print("note: --trace-sample spans are only visible via "
+              "--metrics-out", file=sys.stderr)
+    workload = recipe.workload()
     want_telemetry = bool(args.metrics_out or args.metrics_prom)
     # Sampled tracing does not need full telemetry: a disabled Telemetry
     # shell still carries the span stream, without the cost of the metrics
     # hub and the per-op events.
-    span_only = (
-        trace_sample > 0
-        and not args.fault
-        and args.store in (None, "memory")
-        and not args.metrics_prom
-    )
+    span_only = (config.trace_sample > 0 and not recipe.faults
+                 and recipe.store == "memory" and not args.metrics_prom)
     results_json: List[dict] = []
-    for index, scheme in enumerate(_schemes(args.scheme)):
-        telemetry = None
-        if want_telemetry:
-            from repro.obs import Telemetry
-
-            if span_only:
-                telemetry = Telemetry(enabled=False)
-            else:
-                telemetry = Telemetry()
+    for index, scheme in enumerate(_schemes(recipe.scheme)):
+        telemetry = Telemetry(enabled=not span_only) if want_telemetry else None
         with contextlib.ExitStack() as stack:
             exporter = None
             if args.metrics_out:
-                from repro.obs import JsonlExporter
-
                 # Context-managed: flushes whatever telemetry exists even
                 # when the run below raises, so partial runs stay debuggable.
                 exporter = stack.enter_context(
                     JsonlExporter(telemetry, args.metrics_out, append=index > 0,
                                   per_op=not args.cluster_only)
                 )
-            try:
-                result = simulate(
-                    scheme, workload, args.servers, config, telemetry=telemetry
-                )
-            except ValueError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
+            result = simulate(
+                scheme, workload, recipe.num_servers, config,
+                telemetry=telemetry,
+            )
             if exporter is not None:
                 exporter.set_summary(result.to_dict())
         if exporter is not None:
             print(f"wrote {exporter.count} telemetry records to "
                   f"{args.metrics_out}", file=sys.stderr)
         if args.metrics_prom:
-            from repro.obs import prometheus_text
-
             mode = "a" if index > 0 else "w"
             with open(args.metrics_prom, mode, encoding="utf-8") as handle:
                 handle.write(prometheus_text(telemetry.registry))
@@ -484,37 +413,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _chaos_recipe(args):
-    """The ``chaos``/``hunt`` flags as the one description of a chaos run;
-    each case is this recipe with its own seed."""
-    from repro.chaos import CorpusCase
-
-    return CorpusCase(
-        scheme=args.scheme, trace=args.trace, nodes=args.nodes,
-        scale=args.scale, seed=args.seed_base, num_servers=args.servers,
-        num_monitors=args.monitors, faults=list(getattr(args, "fault", ())),
-        ops=args.ops, store=args.store,
-    )
+def _print_finding(seed: int, violations: List[str], *notes: str) -> None:
+    """A failing seed on stderr: its violations, then ``notes``."""
+    print(f"\nseed {seed} violated invariants:", file=sys.stderr)
+    for line in [f"- {violation}" for violation in violations] + list(notes):
+        print(f"  {line}", file=sys.stderr)
 
 
 def cmd_chaos(args) -> int:
     from repro.chaos import ChaosReport
 
     # An explicit --fault plan replaces the generated schedule for every
-    # seed — this is how the printed replay commands (and minimized corpus
+    # seed — this is how the printed replay lines (and minimized corpus
     # counterexamples) re-run deterministically.
-    recipe = _chaos_recipe(args)
+    recipe = recipe_from(args)
     report = ChaosReport(recipe)
-    try:
-        for seed in range(args.seed_base, args.seed_base + args.seeds):
-            report.cases.append(
-                dataclasses.replace(recipe, seed=seed).run_sim(
-                    args.store_dir, trace_sample=args.trace_sample
-                )
+    for seed in range(args.seed_base, args.seed_base + args.seeds):
+        report.cases.append(
+            dataclasses.replace(recipe, seed=seed).run_sim(
+                args.store_dir, trace_sample=args.trace_sample
             )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -533,37 +452,29 @@ def cmd_chaos(args) -> int:
             f"{len(report.cases) - len(report.violations)}/"
             f"{len(report.cases)} seeds clean"
         )
-    if not report.ok:
-        # Dump exact replay commands so every violation reproduces
-        # deterministically outside the harness.
-        for case in report.violations:
-            print(f"\nseed {case.seed} violated invariants:", file=sys.stderr)
-            for violation in case.violations:
-                print(f"  - {violation}", file=sys.stderr)
-            replay = dataclasses.replace(
-                recipe, seed=case.seed, faults=case.specs
-            ).replay_command()
-            print(f"  replay: {replay}", file=sys.stderr)
-        return 1
-    return 0
+    # Dump exact replay lines so every violation reproduces
+    # deterministically outside the harness.
+    for case in report.violations:
+        replay = dataclasses.replace(
+            recipe, seed=case.seed, faults=case.specs
+        ).to_argv()
+        _print_finding(case.seed, case.violations,
+                       f"replay: repro {' '.join(replay)}")
+    return 0 if report.ok else 1
 
 
 def cmd_hunt(args) -> int:
     from repro.chaos import promote_findings, run_hunt
 
-    try:
-        report = run_hunt(
-            _chaos_recipe(args),
-            range(args.seed_base, args.seed_base + args.seeds),
-            store_dir=args.store_dir,
-            shrink=not args.no_shrink,
-            max_probes=args.max_probes,
-            live=args.live,
-            socket_dir=args.socket_dir,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    report = run_hunt(
+        recipe_from(args),
+        range(args.seed_base, args.seed_base + args.seeds),
+        store_dir=args.store_dir,
+        shrink=not args.no_shrink,
+        max_probes=args.max_probes,
+        live=args.live,
+        socket_dir=args.socket_dir,
+    )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -601,101 +512,45 @@ def cmd_hunt(args) -> int:
         if not paths:
             print(f"no minimized findings to promote into {args.promote}",
                   file=sys.stderr)
-    if not report.ok:
-        for case in report.findings:
-            print(f"\nseed {case.seed} violated invariants:", file=sys.stderr)
-            for violation in case.violations:
-                print(f"  - {violation}", file=sys.stderr)
-            for violation in case.live_violations or ():
-                print(f"  - [live] {violation}", file=sys.stderr)
-            if case.shrink is not None:
-                print(
-                    f"  shrink: {'; '.join(case.shrink.steps) or 'no-op'} "
-                    f"({case.shrink.probes} probes"
-                    + (", budget exhausted" if case.shrink.truncated else "")
-                    + ")",
-                    file=sys.stderr,
-                )
-            print(f"  replay: {case.replay}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _live_configs(args):
-    """Map serve/validate flags onto (LiveConfig, LoadConfig)."""
-    from repro.transport.live import LiveConfig
-    from repro.transport.loadgen import LoadConfig
-
-    live_kwargs = {
-        "num_servers": args.servers,
-        "num_monitors": args.monitors,
-        "transport": args.transport,
-        "socket_dir": args.socket_dir,
-    }
-    if args.heartbeat_interval is not None:
-        live_kwargs["heartbeat_interval"] = args.heartbeat_interval
-    if args.heartbeat_timeout is not None:
-        live_kwargs["heartbeat_timeout"] = args.heartbeat_timeout
-    if args.seed is not None:
-        live_kwargs["seed"] = args.seed
-    load_kwargs = {"rate": args.rate}
-    if args.request_timeout is not None:
-        load_kwargs["request_timeout"] = args.request_timeout
-    if args.max_retries is not None:
-        load_kwargs["max_retries"] = args.max_retries
-    if args.seed is not None:
-        load_kwargs["seed"] = args.seed
-    return LiveConfig(**live_kwargs), LoadConfig(**load_kwargs)
-
-
-def _print_serve_report(report) -> None:
-    lat = report.latency
-    print(
-        f"{report.scheme} {report.trace} M={report.num_servers} "
-        f"monitors={report.num_monitors} transport={report.transport}"
-    )
-    print(
-        f"  acked {report.acked}/{report.operations}"
-        f"  failed {report.failed}  retries {report.retries}"
-        f"  redirects {report.redirects}"
-        f"  index cache {report.index_cache_hits} hit"
-        f" / {report.index_cache_misses} miss"
-    )
-    print(
-        f"  throughput {report.throughput:,.0f} op/s"
-        f"  latency mean {lat['mean'] * 1e3:.2f} ms"
-        f"  p99 {lat['p99'] * 1e3:.2f} ms"
-    )
-    print(
-        f"  epoch {report.epoch}  failovers {report.failovers}"
-        f"  dropped {report.messages_dropped}"
-        f"  faults {len(report.faults)}"
-        f"  {'ok' if report.ok else 'INVARIANT VIOLATIONS'}"
-    )
+    for case in report.findings:
+        shrink = case.shrink
+        _print_finding(
+            case.seed,
+            case.violations
+            + [f"[live] {v}" for v in case.live_violations or ()],
+            *([] if shrink is None else [
+                f"shrink: {'; '.join(shrink.steps) or 'no-op'} "
+                f"({shrink.probes} probes"
+                + (", budget exhausted" if shrink.truncated else "") + ")"
+            ]),
+            f"replay: {case.replay}",
+        )
+    return 0 if report.ok else 1
 
 
 def cmd_serve(args) -> int:
-    from repro.transport.serve import serve_workload
-
-    try:
-        plan = parse_fault_plan(args)
-        live_cfg, load_cfg = _live_configs(args)
-        report = serve_workload(
-            registry.create(args.scheme), _workload(args).truncated(args.max_ops),
-            live_cfg, load_cfg, plan,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    report = recipe_from(args).run_live(args.socket_dir)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
-        _print_serve_report(report)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return 1
-    return 0
+        lat = report.latency
+        print(f"{report.scheme} {report.trace} M={report.num_servers} "
+              f"monitors={report.num_monitors} transport={report.transport}")
+        print(f"  acked {report.acked}/{report.operations}"
+              f"  failed {report.failed}  retries {report.retries}"
+              f"  redirects {report.redirects}"
+              f"  index cache {report.index_cache_hits} hit"
+              f" / {report.index_cache_misses} miss")
+        print(f"  throughput {report.throughput:,.0f} op/s"
+              f"  latency mean {lat['mean'] * 1e3:.2f} ms"
+              f"  p99 {lat['p99'] * 1e3:.2f} ms")
+        print(f"  epoch {report.epoch}  failovers {report.failovers}"
+              f"  dropped {report.messages_dropped}"
+              f"  faults {len(report.faults)}"
+              f"  {'ok' if report.ok else 'INVARIANT VIOLATIONS'}")
+    for violation in report.violations:
+        print(f"  - {violation}", file=sys.stderr)
+    return 0 if report.ok else 1
 
 
 def _ratio(value, suffix: str = "x") -> str:
@@ -705,16 +560,8 @@ def _ratio(value, suffix: str = "x") -> str:
 def cmd_validate(args) -> int:
     from repro.transport.serve import validate_transports
 
-    try:
-        plan = parse_fault_plan(args)
-        live_cfg, load_cfg = _live_configs(args)
-        comparison = validate_transports(
-            registry.create(args.scheme), _workload(args).truncated(args.max_ops),
-            live_cfg, load_cfg, plan,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    recipe = recipe_from(args)
+    comparison = validate_transports(recipe, args.socket_dir)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(comparison, handle, indent=2, sort_keys=True)
@@ -728,6 +575,13 @@ def cmd_validate(args) -> int:
         f"M={comparison['num_servers']} "
         f"monitors={comparison['num_monitors']} "
         f"ops={comparison['operations']}"
+    )
+    # What both legs ran: one recipe.
+    print(
+        f"  recipe     seed {recipe.seed}  heartbeat "
+        f"{recipe.heartbeat_interval:g}/{recipe.heartbeat_timeout:g} s"
+        f"  lease {recipe.lease_timeout or '2x timeout'}"
+        f"  max-retries {recipe.max_retries}  faults {len(recipe.faults)}"
     )
     print(
         f"  live       {live['throughput']:>12,.0f} op/s"
@@ -747,20 +601,14 @@ def cmd_validate(args) -> int:
         f"  hops/op {_ratio(delta['hops_ratio'])}"
         f"  acked_matches={delta['acked_matches']}"
     )
-    if not comparison["ok"]:
-        for violation in comparison["violations"]:
-            print(f"  - {violation}", file=sys.stderr)
-        return 1
-    if not delta["acked_matches"]:
+    for violation in comparison["violations"]:
+        print(f"  - {violation}", file=sys.stderr)
+    if comparison["ok"] and not delta["acked_matches"]:
         # The two transports acknowledged different operation sets: a
         # divergence even when each side individually passed its audit.
-        print(
-            f"  - acked mismatch: live acked {live['acked']} vs simulated "
-            f"{sim['operations']}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        print(f"  - acked mismatch: live acked {live['acked']} vs "
+              f"simulated {sim['operations']}", file=sys.stderr)
+    return 0 if comparison["ok"] and delta["acked_matches"] else 1
 
 
 FIGURE_LABELS = {
@@ -771,7 +619,7 @@ FIGURE_LABELS = {
 
 
 def cmd_figure(args) -> int:
-    workload = _workload(args)
+    workload = load_workload(_profile(args))
     series: Dict[str, List[float]] = {}
     for scheme in _schemes(None):
         values: List[float] = []
@@ -811,13 +659,9 @@ def cmd_stats(args) -> int:
     if args.input:
         from repro.traces import load_trace
 
-        try:
-            trace = load_trace(args.input)
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        trace = load_trace(args.input)
     else:
-        trace = _workload(args).trace
+        trace = load_workload(_profile(args)).trace
     print(f"trace: {trace.name}")
     print(analyze_trace(trace).describe())
     return 0
@@ -832,11 +676,7 @@ def cmd_report(args) -> int:
         split_runs,
     )
 
-    try:
-        records = read_jsonl(args.input)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    records = read_jsonl(args.input)
     if not records:
         print(f"error: {args.input} holds no telemetry records", file=sys.stderr)
         return 2
@@ -904,7 +744,11 @@ COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -18,7 +18,10 @@ import random
 
 from repro.cluster.cache import LRUCache
 
-__all__ = ["SimClient"]
+__all__ = ["INDEX_CACHE_SIZE", "SimClient"]
+
+#: Entries of a client's inter-node index cache, in both modes.
+INDEX_CACHE_SIZE = 512
 
 
 class SimClient:
@@ -28,7 +31,7 @@ class SimClient:
         self,
         client_id: int,
         num_servers: int,
-        index_cache_size: int = 512,
+        index_cache_size: int = INDEX_CACHE_SIZE,
         prefix_cache_size: int = 256,
         seed: int = 0,
     ) -> None:

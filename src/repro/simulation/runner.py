@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.placement import MetadataScheme, Placement
 from repro.baselines.dynamic_subtree import DynamicSubtreePlacement
 from repro.baselines.hashing import stable_hash
-from repro.cluster.client import SimClient
+from repro.cluster.client import INDEX_CACHE_SIZE, SimClient
 from repro.cluster.control import ClusterControl
 from repro.cluster.locks import LockManager
 from repro.cluster.mds import MetadataServer
@@ -74,7 +74,7 @@ class SimulationConfig:
     adjust_every_ops: int = 4000     # heartbeat-driven adjustment cadence
     popularity_blend: float = 0.5    # weight of the newest window in estimates
     migration_work: float = 0.05     # relative CPU per metadata node moved
-    index_cache_size: int = 512
+    index_cache_size: int = INDEX_CACHE_SIZE
     prefix_cache_size: int = 256
     #: Declarative fault schedule (crash / recover / fail_slow /
     #: drop_heartbeats events; see repro.simulation.faults). Crashed servers

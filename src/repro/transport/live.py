@@ -94,6 +94,13 @@ class LiveConfig:
     socket_dir: Optional[str] = None
     host: str = "127.0.0.1"
     #: MDS → Monitor heartbeat cadence and the leader's eviction timeout.
+    #: The timeout is five intervals here and three in the simulator
+    #: (``SimulationConfig``: 0.15 s): a live heartbeat is a task on the
+    #: event loop that serves the load, and a saturated loop can delay it
+    #: by whole intervals, while simulated heartbeats land on their grid. A
+    #: run description that sets the clocks (``CorpusCase``) gives both
+    #: legs the same values; these are only what ``serve`` / ``validate``
+    #: run when no flag sets them.
     heartbeat_interval: float = 0.05
     heartbeat_timeout: float = 0.25
     #: Standby takeover after the leader is dead/quorumless this long

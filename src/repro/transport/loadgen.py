@@ -54,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.history import OpHistory
 from repro.cluster.cache import LRUCache
+from repro.cluster.client import INDEX_CACHE_SIZE
 from repro.cluster.index import covering_entry
 from repro.cluster.messages import ClientReply, ClientRequest
 from repro.simulation.stats import summarize_latencies
@@ -68,9 +69,6 @@ __all__ = [
     "latency_summary",
     "trace_ops",
 ]
-
-#: Entries of the client's inter-node index cache (``SimClient``'s size).
-INDEX_CACHE_SIZE = 512
 
 
 @dataclass

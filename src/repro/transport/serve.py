@@ -7,9 +7,10 @@ plan, quiesce, audit the run with :func:`repro.chaos.harness.check_run`
 (the chaos harness's audit) and return a
 :class:`~repro.transport.live.ServeReport`.
 
-:func:`validate_transports` is ``repro validate``: the same seeded
-workload replays through the discrete-event simulator and through
-``AsyncioTransport`` (real sockets), and
+:func:`validate_transports` is ``repro validate``: one recipe
+(:class:`~repro.chaos.corpus.CorpusCase`) replays through the discrete-event
+simulator and through ``AsyncioTransport`` (real sockets), so both legs run
+the same workload, seed, monitors, clocks, retry budget and fault plan, and
 the report pairs the measured numbers with the simulated ones. The
 simulated run disables dynamic adjustment (the live mode does not
 rebalance mid-run) so the two placements stay directly comparable; the
@@ -21,12 +22,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Dict, Optional
+import dataclasses
+from typing import TYPE_CHECKING, Dict, Optional
 
+from repro import registry
 from repro.chaos.harness import check_run
 from repro.placement import MetadataScheme
 from repro.simulation.faults import FaultPlan
-from repro.simulation.runner import SimulationConfig, simulate
+from repro.simulation.runner import simulate
 from repro.transport.live import LiveCluster, LiveConfig, ServeReport
 from repro.transport.loadgen import (
     LoadConfig,
@@ -34,6 +37,9 @@ from repro.transport.loadgen import (
     latency_summary,
     trace_ops,
 )
+
+if TYPE_CHECKING:
+    from repro.chaos.corpus import CorpusCase
 
 __all__ = ["serve_workload", "validate_transports"]
 
@@ -131,34 +137,22 @@ def serve_workload(
 
 
 def validate_transports(
-    scheme: MetadataScheme,
-    workload,
-    live_cfg: Optional[LiveConfig] = None,
-    load_cfg: Optional[LoadConfig] = None,
-    plan: Optional[FaultPlan] = None,
-    sim_config: Optional[SimulationConfig] = None,
+    case: CorpusCase, socket_dir: Optional[str] = None
 ) -> Dict[str, object]:
-    """Replay one seeded workload through both transports and diff them.
+    """Replay one recipe through both transports and diff them.
 
-    Returns a JSON-ready dict with the live report, the simulated result,
-    and measured-vs-simulated deltas for throughput, mean latency and
-    locality (hops per op). The simulated run uses a fresh scheme instance
-    (the live run mutates the shared placement) and ``adjust_every_ops=0``
-    to match live mode's static placement between failures.
+    Returns a JSON-ready dict with the recipe, the live report, the
+    simulated result, and measured-vs-simulated deltas for throughput, mean
+    latency and locality (hops per op). The simulated run uses
+    ``adjust_every_ops=0`` to match live mode's static placement between
+    failures.
     """
-    live_cfg = live_cfg or LiveConfig()
-    load_cfg = load_cfg or LoadConfig()
-    live = serve_workload(scheme.fresh(), workload, live_cfg, load_cfg, plan)
-
-    cfg = sim_config or SimulationConfig(
-        adjust_every_ops=0,
-        heartbeat_interval=live_cfg.heartbeat_interval,
-        heartbeat_timeout=live_cfg.heartbeat_timeout,
-        num_monitors=live_cfg.num_monitors,
-        seed=live_cfg.seed,
-        fault_plan=plan,
+    live = case.run_live(socket_dir)
+    workload = case.workload()
+    sim = simulate(
+        registry.create(case.scheme), workload, case.num_servers,
+        dataclasses.replace(case.sim_config(), adjust_every_ops=0),
     )
-    sim = simulate(scheme.fresh(), workload, live_cfg.num_servers, cfg)
 
     sim_latency = sim.latency.mean if sim.operations else 0.0
     live_latency = live.latency["mean"]
@@ -166,10 +160,11 @@ def validate_transports(
     live_hops = 1 + live.redirects / live.acked if live.acked else None
     sim_hops = 1 + sim.mean_jumps if sim.operations else None
     return {
+        "recipe": case.to_dict(),
         "scheme": live.scheme,
         "trace": workload.profile.name,
-        "num_servers": live_cfg.num_servers,
-        "num_monitors": live_cfg.num_monitors,
+        "num_servers": case.num_servers,
+        "num_monitors": case.num_monitors,
         "operations": live.operations,
         "faults": live.faults,
         "live": live.to_dict(),

@@ -31,6 +31,14 @@ def workload():
     return dataclasses.replace(full, trace=full.trace.slice(0, 400))
 
 
+def recipe(seed, faults=None):
+    """The chaos run the module's workload shape describes."""
+    return CorpusCase(
+        scheme="d2-tree", trace="lmbe", nodes=900, scale=5e-5, seed=seed,
+        num_servers=4, num_monitors=3, faults=faults, ops=400,
+    )
+
+
 def chaos_config(seed, plan, monitors=3):
     return SimulationConfig(
         seed=seed,
@@ -154,26 +162,21 @@ def test_the_run_audit_is_one_function():
 # ----------------------------------------------------------------------
 # End-to-end cases
 # ----------------------------------------------------------------------
-def test_run_case_clean_and_reproducible(workload):
-    plan = generate_plan(5, len(workload.trace), 4, 3)
-    case = run_case("d2-tree", workload, 4, 5, plan, num_monitors=3)
+def test_run_case_clean_and_reproducible():
+    case = run_case(recipe(5))
     assert case.ok and case.violations == []
-    assert case.operations + case.failed_operations == len(workload.trace)
-    assert case.specs == plan.to_specs()
-    again = run_case("d2-tree", workload, 4, 5, plan, num_monitors=3)
+    assert case.operations + case.failed_operations == 400
+    assert case.specs == generate_plan(5, 400, 4, 3).to_specs()
+    again = run_case(recipe(5))
     assert case.to_dict() == again.to_dict()
 
 
 def test_run_chaos_aggregates_cases():
     """What `repro chaos` does: one recipe, one case per seed; a case with
     no explicit faults draws workload and schedule from its own seed."""
-    recipe = CorpusCase(
-        scheme="d2-tree", trace="lmbe", nodes=900, scale=5e-5, seed=0,
-        num_servers=4, num_monitors=3, faults=[], ops=400,
-    )
-    report = ChaosReport(recipe)
+    report = ChaosReport(recipe(0))
     for seed in range(2):
-        case = dataclasses.replace(recipe, seed=seed)
+        case = dataclasses.replace(report.recipe, seed=seed)
         assert case.workload().profile.seed == seed
         assert len(case.workload().trace) == 400
         assert case.plan().to_specs() == generate_plan(seed, 400, 4, 3).to_specs()
@@ -189,9 +192,9 @@ def test_run_chaos_aggregates_cases():
     assert (payload["num_servers"], payload["num_monitors"]) == (4, 3)
 
 
-def test_explicit_plan_overrides_generation(workload):
+def test_explicit_plan_overrides_generation():
     plan = FaultPlan.parse(["crash:1@ops=50", "recover:1@ops=200"])
-    case = run_case("d2-tree", workload, 4, seed=1, plan=plan)
+    case = run_case(recipe(1, plan.to_specs()))
     assert case.specs == plan.to_specs()
     assert case.ok
 

@@ -431,6 +431,34 @@ def test_retired_verbs_and_flags_exit_2(argv, capsys):
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--max-ops", "-5"], "--max-ops must be at least 1, not -5"),
+    (["serve", "--max-ops", "0"], "--max-ops must be at least 1, not 0"),
+    (["validate", "--max-ops", "-5"], "--max-ops must be at least 1, not -5"),
+    (["chaos", "--ops", "-5"], "--ops must be at least 1, not -5"),
+    (["hunt", "--ops", "0"], "--ops must be at least 1, not 0"),
+    (["serve", "--rate", "-5"], "--rate must be positive, not -5.0"),
+    (["validate", "--rate", "0"], "--rate must be positive, not 0.0"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+def test_an_op_count_or_rate_no_run_can_have_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--trace-sample", "-1"],
+     "--trace-sample must be at least 0, not -1"),
+    (["chaos", "--trace-sample", "-1"],
+     "--trace-sample must be at least 0, not -1"),
+    (["chaos", "--seeds", "-2"], "--seeds must be at least 1, not -2"),
+    (["chaos", "--seeds", "0"], "--seeds must be at least 1, not 0"),
+    (["hunt", "--seeds", "-2"], "--seeds must be at least 1, not -2"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+def test_a_negative_trace_sample_or_seed_count_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ----------------------------------------------------------------------
 # The flag surface: no flag added, removed, renamed or re-defaulted
 # ----------------------------------------------------------------------

@@ -7,15 +7,21 @@ asyncio transport, judged by the one run audit (``check_run``). A red
 replay means a regression of the exact bug class the case was promoted for.
 """
 
+import dataclasses
 import json
 import os
 import pathlib
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import registry
 from repro.chaos import CorpusCase, load_corpus, save_case
-from repro.cli import build_parser
+from repro.cli import build_parser, recipe_from
+from repro.storage import STORE_BACKENDS
+from repro.traces import PROFILES
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = load_corpus(CORPUS_DIR)
@@ -53,9 +59,7 @@ def test_corpus_rejects_unknown_trace_profile():
 def test_replay_commands_parse_through_the_cli():
     parser = build_parser()
     for case in CORPUS:
-        argv = case.replay_command().split()
-        assert argv[0] == "repro"
-        args = parser.parse_args(argv[1:])
+        args = parser.parse_args(case.to_argv())
         assert args.command == "chaos"
         assert args.seed_base == case.seed and args.seeds == 1
         assert args.fault == case.faults
@@ -97,9 +101,10 @@ def test_a_chaos_run_is_described_in_exactly_one_place():
     assert users(r"\bgenerate_plan\(") == [
         "chaos/corpus.py", "chaos/schedule.py",
     ]
-    # One function assembles a replay command — and it is never `simulate`,
-    # which neither quiesces nor audits.
-    assert users(r"""["']repro (chaos|simulate)\b""") == ["chaos/corpus.py"]
+    # One function assembles the replay arguments — and they are never
+    # `simulate`'s, which neither quiesces nor audits.
+    assert users(r"""["'](chaos|simulate)["'], ["']--""") == ["chaos/corpus.py"]
+    assert users(r"""["']repro (chaos|simulate)\b""") == []
     # The chaos side regenerates its seeded workload and builds its live
     # cluster config once (cli.py's own are the generic --seed override and
     # the serve/validate flag mapping).
@@ -107,3 +112,82 @@ def test_a_chaos_run_is_described_in_exactly_one_place():
     assert users(r"\bLiveConfig\(", "chaos") == ["chaos/corpus.py"]
     # The --ops / --max-ops truncation is one helper.
     assert users(r"\.trace\.slice\(0,") == ["traces/generator.py"]
+
+
+# ----------------------------------------------------------------------
+# to_argv: the replay line parses back to the case it was rendered from
+# ----------------------------------------------------------------------
+#: Valid --fault specs; recipe_from keeps them verbatim (the plan parses).
+SPECS = [
+    "crash:1@ops=50", "recover:1@t=0.5", "kill9:2@ops=100",
+    "partition:{0,1}|{2,m0}@ops=20", "heal:*@t=1.5", "loss:2@ops=80:p0.4",
+    "fail_slow:0@ops=10:x8", "monitor_crash:0@ops=60",
+]
+
+cases = st.builds(
+    CorpusCase,
+    scheme=st.sampled_from(registry.available()),
+    trace=st.sampled_from(sorted(PROFILES)),
+    nodes=st.integers(1, 10**6),
+    # The replay line prints the scale with %g: a case's scale is one that
+    # prints exactly, as every flag-built one does.
+    scale=st.floats(1e-9, 1.0).map(lambda scale: float(f"{scale:g}")),
+    seed=st.integers(0, 10**6),
+    num_servers=st.integers(1, 64),
+    num_monitors=st.integers(1, 9),
+    # None generates the schedule from the seed; chaos spells "no faults"
+    # no other way, so an empty list has no replay line of its own.
+    faults=st.none() | st.lists(st.sampled_from(SPECS), min_size=1),
+    ops=st.none() | st.integers(1, 10**6),
+    store=st.sampled_from(STORE_BACKENDS),
+    origin=st.text(max_size=5),
+)
+
+
+def test_every_committed_case_parses_back_from_its_argv():
+    parser = build_parser()
+    for case in CORPUS:
+        assert recipe_from(parser.parse_args(case.to_argv())) == case
+
+
+@given(cases)
+@settings(max_examples=200, deadline=None)
+def test_to_argv_parses_back_to_the_same_recipe(case):
+    assert recipe_from(build_parser().parse_args(case.to_argv())) == case
+
+
+def test_a_case_chaos_cannot_run_has_no_replay_line():
+    case = CORPUS[0]
+    for change in ({"max_retries": 4}, {"rate": 500.0}, {"seed": None},
+                   {"heartbeat_timeout": 0.25}, {"scheme": None}):
+        with pytest.raises(ValueError, match="no chaos replay"):
+            dataclasses.replace(case, **change).to_argv()
+
+
+def test_knobs_reach_the_json_only_when_they_differ_from_the_corpus():
+    case = CORPUS[0]
+    knobs = {"heartbeat_interval", "heartbeat_timeout", "lease_timeout",
+             "max_retries", "rate", "request_timeout", "transport"}
+    assert not knobs & set(case.to_dict())
+    tuned = dataclasses.replace(case, max_retries=4, lease_timeout=None, name="")
+    assert knobs & set(tuned.to_dict()) == {"max_retries", "lease_timeout"}
+    assert tuned.name != case.name
+    assert CorpusCase.from_dict(tuned.to_dict()) == tuned
+
+
+def test_the_recipe_is_the_only_builder_of_run_configs():
+    """A run's `SimulationConfig` and `(LiveConfig, LoadConfig)` come from
+    `CorpusCase.sim_config` / `live_configs`; elsewhere in `repro` only the
+    `config or X()` fallbacks construct one."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    built = {}
+    for path in sorted(src.rglob("*.py")):
+        for line in path.read_text().splitlines():
+            line = re.sub(r"\bor (SimulationConfig|LiveConfig|LoadConfig)\(\)",
+                          "", line)
+            for name in re.findall(r"\b(SimulationConfig|LiveConfig|LoadConfig)\(",
+                                   line):
+                built.setdefault(str(path.relative_to(src)), []).append(name)
+    assert built == {
+        "chaos/corpus.py": ["SimulationConfig", "LiveConfig", "LoadConfig"],
+    }

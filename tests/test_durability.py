@@ -10,6 +10,7 @@ from repro.chaos import (
     CHAOS_HEARTBEAT_INTERVAL,
     CHAOS_HEARTBEAT_TIMEOUT,
     CHAOS_LEASE_TIMEOUT,
+    CorpusCase,
     generate_plan,
     run_case,
 )
@@ -28,6 +29,14 @@ def workload():
         DatasetProfile.dtr(num_nodes=800, scale=5e-5), num_clients=20
     ).generate()
     return dataclasses.replace(full, trace=full.trace.slice(0, 500))
+
+
+def recipe(seed, faults=None, store="memory"):
+    """The chaos run the module's workload shape describes."""
+    return CorpusCase(
+        scheme="d2-tree", trace="dtr", nodes=800, scale=5e-5, seed=seed,
+        num_servers=5, num_monitors=3, faults=faults, ops=500, store=store,
+    )
 
 
 def durable_config(seed, plan, store, store_dir=None):
@@ -186,12 +195,8 @@ def test_one_sync_per_ack_fence_and_directive(workload):
 # The run audit's durability checks
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("store", ["wal"])
-def test_chaos_case_with_durable_store_is_clean(workload, store, tmp_path):
-    plan = generate_plan(11, len(workload.trace), 5, 3, durability=True)
-    case = run_case(
-        "d2-tree", workload, 5, 11, plan, store=store,
-        store_dir=str(tmp_path / store),
-    )
+def test_chaos_case_with_durable_store_is_clean(store, tmp_path):
+    case = run_case(recipe(11, store=store), str(tmp_path / store))
     assert case.violations == []
     assert case.store == store
     assert case.durability is not None
@@ -201,9 +206,8 @@ def test_chaos_case_with_durable_store_is_clean(workload, store, tmp_path):
     assert payload["durability"]["store"] == store
 
 
-def test_chaos_case_memory_store_omits_durability(workload):
-    plan = generate_plan(3, len(workload.trace), 5, 3)
-    case = run_case("d2-tree", workload, 5, 3, plan)
+def test_chaos_case_memory_store_omits_durability():
+    case = run_case(recipe(3))
     assert case.violations == []
     assert case.durability is None
     payload = case.to_dict()
@@ -211,32 +215,32 @@ def test_chaos_case_memory_store_omits_durability(workload):
     assert "store" not in payload
 
 
-def test_explicit_kill9_plan_passes_all_invariants(workload):
+def test_explicit_kill9_plan_passes_all_invariants():
     # The acceptance scenario: kill9 + torn_write against a file-backed
     # WAL, every server recovered, all five invariants clean.
-    plan = FaultPlan.parse([
+    case = run_case(recipe(11, [
         "kill9:1@ops=120",
         "torn_write:2@ops=200",
         "recover:1@ops=320",
         "recover:2@ops=420",
-    ])
-    case = run_case("d2-tree", workload, 5, seed=11, plan=plan, store="wal")
+    ], store="wal"))
     assert case.violations == []
     assert case.durability["kill9_crashes"] >= 1
     assert case.durability["torn_writes"] == 1
 
 
-def test_chaos_case_without_a_kill_reports_no_recovery(workload):
+def test_chaos_case_without_a_kill_reports_no_recovery():
     # The end-of-run audit reads every server's log read-only: a case with
     # no kill-family fault replayed nothing, and says so.
-    plan = FaultPlan.parse(["crash:1@ops=120", "recover:1@ops=320"])
-    case = run_case("d2-tree", workload, 5, seed=11, plan=plan, store="wal")
+    case = run_case(
+        recipe(11, ["crash:1@ops=120", "recover:1@ops=320"], store="wal")
+    )
     assert case.violations == []
-    assert case.durability["acked_ops"] == len(workload.trace)
+    assert case.durability["acked_ops"] == 500
     assert (case.durability["recoveries"], case.durability["replayed_records"]) == (0, 0)
 
 
-def test_chaos_case_reports_exactly_its_recovery_replays(workload, monkeypatch):
+def test_chaos_case_reports_exactly_its_recovery_replays(monkeypatch):
     replays = []
     note_recovery = DurabilityLedger.note_recovery
 
@@ -245,11 +249,10 @@ def test_chaos_case_reports_exactly_its_recovery_replays(workload, monkeypatch):
         note_recovery(ledger, server, recovered)
 
     monkeypatch.setattr(DurabilityLedger, "note_recovery", counting)
-    plan = FaultPlan.parse([
+    case = run_case(recipe(11, [
         "kill9:1@ops=120", "torn_write:2@ops=200",
         "recover:1@ops=320", "recover:2@ops=420",
-    ])
-    case = run_case("d2-tree", workload, 5, seed=11, plan=plan, store="wal")
+    ], store="wal"))
     assert case.violations == [] and len(replays) == 2
     assert case.durability["recoveries"] == len(replays)
     assert case.durability["replayed_records"] == sum(replays)

@@ -21,7 +21,7 @@ import pathlib
 import pytest
 
 from repro import registry
-from repro.cli import _workload, build_parser, main
+from repro.cli import build_parser, main, recipe_from
 from repro.obs import Telemetry, write_jsonl
 from repro.simulation import FaultPlan, SimulationConfig
 from repro.simulation.runner import simulate
@@ -151,7 +151,7 @@ def test_faulted_telemetry_and_span_jsonl_match_golden(faulted_full_jsonl):
     args = build_parser().parse_args(_FAULTED)
     telemetry = Telemetry(enabled=False)
     result = simulate(
-        registry.create("d2-tree"), _workload(args), args.servers,
+        registry.create("d2-tree"), recipe_from(args).workload(), args.servers,
         SimulationConfig(
             fault_plan=FaultPlan.parse(_MEMORY_FAULTS), num_monitors=3,
             max_retries=3, seed=args.seed, trace_sample=10,

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.chaos import OpHistory, audit_history, run_case
+from repro.chaos import CorpusCase, OpHistory, audit_history, run_case
 from repro.simulation import FaultPlan
 from repro.traces import DatasetProfile, TraceGenerator
 
@@ -243,24 +243,27 @@ def _slice(workload, ops):
     return dataclasses.replace(workload, trace=workload.trace.slice(0, ops))
 
 
-def test_sim_history_audits_clean_under_faults(workload):
-    case = run_case(
-        "d2-tree", _slice(workload, 400), 5, seed=11,
-        plan=FaultPlan.parse([
-            "crash:1@ops=60", "recover:1@ops=200",
-            "loss:2@ops=80:p0.4", "recover:2@ops=300",
-        ]),
+def _recipe(seed, faults, store="memory"):
+    return CorpusCase(
+        scheme="d2-tree", trace="lmbe", nodes=900, scale=5e-5, seed=seed,
+        num_servers=5, num_monitors=3, faults=faults, ops=400, store=store,
     )
+
+
+def test_sim_history_audits_clean_under_faults():
+    case = run_case(_recipe(11, [
+        "crash:1@ops=60", "recover:1@ops=200",
+        "loss:2@ops=80:p0.4", "recover:2@ops=300",
+    ]))
     assert case.violations == []
     assert case.history["invoked"] == case.operations + case.failed_operations
     assert case.history["ok"] == case.operations
 
 
-def test_sim_history_audits_clean_across_kill9(workload, tmp_path):
+def test_sim_history_audits_clean_across_kill9(tmp_path):
     case = run_case(
-        "d2-tree", _slice(workload, 400), 5, seed=12,
-        plan=FaultPlan.parse(["kill9:2@ops=100", "torn_write:3@ops=220"]),
-        store="wal", store_dir=str(tmp_path),
+        _recipe(12, ["kill9:2@ops=100", "torn_write:3@ops=220"], store="wal"),
+        str(tmp_path),
     )
     assert case.violations == []
     assert case.history["wipes"] >= 1

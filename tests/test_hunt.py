@@ -141,7 +141,7 @@ def lossy_recovery(monkeypatch):
 def _recipe(store="memory"):
     return CorpusCase(
         scheme="d2-tree", trace="lmbe", nodes=900, scale=5e-5, seed=0,
-        num_servers=6, num_monitors=3, faults=[], ops=400, store=store,
+        num_servers=6, num_monitors=3, faults=None, ops=400, store=store,
     )
 
 
@@ -177,7 +177,7 @@ def test_hunt_finds_shrinks_and_replays_planted_bug(
     assert finding.replay.startswith("repro chaos ")
     assert "--history" not in finding.replay
     assert "--fault" in finding.replay
-    assert finding.replay == finding.minimized.replay_command()
+    assert finding.replay == " ".join(["repro", *finding.minimized.to_argv()])
     for spec in finding.minimized.faults:
         assert spec in finding.replay
     # ... which, run as printed, reproduces the minimized verdict.

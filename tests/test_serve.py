@@ -8,17 +8,25 @@ the load ended.
 
 import asyncio
 import dataclasses
+import json
 import types
 
 import pytest
 
 from repro import registry
+from repro.chaos import CorpusCase
 from repro.cli import main
 from repro.simulation.faults import FaultPlan
 from repro.traces import DatasetProfile, load_workload
 from repro.transport import serve
 from repro.transport.live import LiveCluster, LiveConfig, ServeReport
 from repro.transport.loadgen import LoadConfig, LoadGenerator
+
+
+RECIPE = CorpusCase(
+    scheme="d2-tree", trace="dtr", nodes=300, scale=1e-5, seed=7,
+    num_servers=4, num_monitors=3, faults=[],
+)
 
 
 def _live(acked):
@@ -49,8 +57,7 @@ def test_a_failed_simulated_op_is_not_subtracted_twice(
 ):
     monkeypatch.setattr(serve, "serve_workload", lambda *args: _live(live_acked))
     monkeypatch.setattr(serve, "simulate", lambda *args: _simulated(95, 5))
-    workload = types.SimpleNamespace(profile=types.SimpleNamespace(name="dtr"))
-    comparison = serve.validate_transports(registry.create("d2-tree"), workload)
+    comparison = serve.validate_transports(RECIPE)
     assert comparison["simulated"]["operations"] == 95
     assert comparison["simulated"]["failed"] == 5
     assert comparison["delta"]["acked_matches"] is matches
@@ -81,6 +88,75 @@ def test_validate_reports_a_mismatch_against_the_completed_simulated_ops(
     ])
     assert code == 1
     assert "live acked 90 vs simulated 95" in capsys.readouterr().err
+
+
+def _spy_legs(monkeypatch):
+    """Record the configs each leg of ``validate_transports`` runs."""
+    legs = {}
+
+    def live(scheme, workload, live_cfg, load_cfg, plan):
+        legs.update(live=live_cfg, load=load_cfg, live_plan=plan)
+        return _live(100)
+
+    def simulated(scheme, workload, num_servers, config):
+        legs.update(sim=config, sim_servers=num_servers)
+        return _simulated(100, 0)
+
+    monkeypatch.setattr(serve, "serve_workload", live)
+    monkeypatch.setattr(serve, "simulate", simulated)
+    return legs
+
+
+def test_validate_runs_both_legs_on_one_recipe(monkeypatch):
+    legs = _spy_legs(monkeypatch)
+    recipe = dataclasses.replace(
+        RECIPE, seed=11, num_monitors=5, heartbeat_interval=0.02,
+        heartbeat_timeout=0.09, lease_timeout=0.2, max_retries=4,
+        faults=["crash:1@ops=10", "recover:1@ops=50"],
+    )
+    comparison = serve.validate_transports(recipe)
+    live, load, sim = legs["live"], legs["load"], legs["sim"]
+    assert live.seed == load.seed == sim.seed == 11
+    assert live.num_monitors == sim.num_monitors == 5
+    assert live.num_servers == legs["sim_servers"] == 4
+    assert (live.heartbeat_interval, live.heartbeat_timeout,
+            live.lease_timeout) == (0.02, 0.09, 0.2)
+    assert (sim.heartbeat_interval, sim.heartbeat_timeout,
+            sim.monitor_lease_timeout) == (0.02, 0.09, 0.2)
+    assert load.max_retries == sim.max_retries == 4
+    assert legs["live_plan"].to_specs() == sim.fault_plan.to_specs()
+    assert sim.fault_plan.to_specs() == recipe.faults
+    assert sim.adjust_every_ops == 0  # live mode does not rebalance mid-run
+    assert CorpusCase.from_dict(comparison["recipe"]) == recipe
+    # The recipe's live-only defaults are the live configs' own.
+    assert (RECIPE.request_timeout, RECIPE.transport) == (
+        LoadConfig.request_timeout, LiveConfig.transport,
+    )
+
+
+@pytest.mark.parametrize("flags, clocks, retries", [
+    ([], (0.05, 0.25), 16),
+    (["--heartbeat-interval", "0.02", "--heartbeat-timeout", "0.09",
+      "--max-retries", "4"], (0.02, 0.09), 4),
+], ids=["defaults", "flags"])
+def test_validate_flags_reach_both_legs(
+    monkeypatch, tmp_path, capsys, flags, clocks, retries
+):
+    legs = _spy_legs(monkeypatch)
+    out = tmp_path / "validate.json"
+    assert main([
+        "validate", "--trace", "dtr", "--nodes", "300", "--scale", "1e-5",
+        "--servers", "4", "--seed", "11", *flags, "--out", str(out),
+    ]) == 0
+    live, load, sim = legs["live"], legs["load"], legs["sim"]
+    assert live.seed == load.seed == sim.seed == 11
+    assert live.num_monitors == sim.num_monitors == 3
+    assert (live.heartbeat_interval, live.heartbeat_timeout) == clocks
+    assert (sim.heartbeat_interval, sim.heartbeat_timeout) == clocks
+    assert load.max_retries == sim.max_retries == retries
+    recipe = CorpusCase.from_dict(json.loads(out.read_text())["recipe"])
+    assert (recipe.seed, recipe.max_retries) == (11, retries)
+    assert f"max-retries {retries}" in capsys.readouterr().out
 
 
 def test_a_fault_plan_stops_when_the_load_raises(monkeypatch):

@@ -14,7 +14,12 @@ import dataclasses
 import pytest
 
 from repro import registry
-from repro.chaos import CHAOS_HEARTBEAT_INTERVAL, CHAOS_HEARTBEAT_TIMEOUT, run_case
+from repro.chaos import (
+    CHAOS_HEARTBEAT_INTERVAL,
+    CHAOS_HEARTBEAT_TIMEOUT,
+    CorpusCase,
+    run_case,
+)
 from repro.chaos.history import OpHistory
 from repro.cluster.index import RoutingIndex
 from repro.simulation import (
@@ -36,13 +41,24 @@ NUM_MONITORS = 3
 SEED = 7
 
 
+def recipe(faults, store="memory"):
+    """The module's workload and cluster as one chaos recipe."""
+    return CorpusCase(
+        scheme="d2-tree", trace="dtr", nodes=300, scale=1e-4, seed=SEED,
+        num_servers=NUM_SERVERS, num_monitors=NUM_MONITORS, faults=faults,
+        ops=500, store=store,
+    )
+
+
 @pytest.fixture(scope="module")
 def workload():
     profile = dataclasses.replace(
         DatasetProfile.dtr(num_nodes=300, scale=1e-4), seed=SEED
     )
     bundle = load_workload(profile)
-    return dataclasses.replace(bundle, trace=bundle.trace.slice(0, 500))
+    workload = dataclasses.replace(bundle, trace=bundle.trace.slice(0, 500))
+    assert workload.trace == recipe([]).workload().trace
+    return workload
 
 
 def _ownership(placement):
@@ -200,14 +216,7 @@ def test_partition_fault_produces_same_invariant_verdicts(workload):
     # Post-heal the cluster must re-converge on one authoritative map.
     assert live["load"].acked == len(workload.trace)
 
-    case = run_case(
-        "d2-tree",
-        workload,
-        NUM_SERVERS,
-        SEED,
-        num_monitors=NUM_MONITORS,
-        plan=plan,
-    )
+    case = run_case(recipe(plan.to_specs()))
     # Same verdict from the simulated transport under the same plan.
     assert case.violations == []
     assert case.ok
@@ -363,10 +372,7 @@ def test_a_planted_defect_gets_one_verdict_through_both_transports(
     workload, monkeypatch, plant, store, violation
 ):
     plant(monkeypatch)
-    case = run_case(
-        "d2-tree", workload, NUM_SERVERS, SEED, FaultPlan(),
-        num_monitors=NUM_MONITORS, store=store,
-    )
+    case = run_case(recipe([], store))
     live = serve_workload(
         registry.create("d2-tree"), workload,
         LiveConfig(num_servers=NUM_SERVERS, num_monitors=NUM_MONITORS, seed=SEED),
