@@ -74,8 +74,9 @@ CLUSTER_FLAGS = {
     "--trace-sample": (None, dict(
         type=int, metavar="N", help="record causal span trees for every Nth "
                                     "op (docs/OBSERVABILITY.md)")),
-    "--rate": ("rate", dict(type=float, help="offered load, ops/s (open-loop "
-                                             "Poisson arrivals)")),
+    "--rate": ("rate", dict(type=float, help="offered load, ops/s: open-loop "
+                                             "Poisson arrivals (default "
+                                             "%(default)s)")),
     "--transport": ("transport", dict(choices=["unix", "tcp"],
                                       help="socket flavour (default unix)")),
     "--socket-dir": (None, dict(metavar="DIR", help="unix socket directory "
