@@ -138,7 +138,7 @@ class CorpusCase:
             "num_monitors": self.num_monitors,
             "ops": self.ops,
             "store": self.store,
-            "faults": self.faults,
+            "faults": None if self.faults is None else list(self.faults),
             **self._knobs(),
             "found_violations": list(self.found_violations),
             "origin": self.origin,
