@@ -1,11 +1,18 @@
 """Storage subsystem: WAL codec, damage injection, and the WAL store."""
 
+import dataclasses
+import hashlib
 import json
 import os
 import struct
 
 import pytest
 
+from repro.chaos import (
+    CHAOS_HEARTBEAT_INTERVAL,
+    CHAOS_HEARTBEAT_TIMEOUT,
+    CHAOS_LEASE_TIMEOUT,
+)
 from repro.core import D2TreeScheme
 from repro.obs.telemetry import Telemetry
 from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
@@ -560,3 +567,66 @@ def test_store_init_owns_directory_for_one_run(tmp_path):
         assert second.recover_directives() == []
     finally:
         second.close()
+
+
+# ----------------------------------------------------------------------
+# What a seeded faulted durable run leaves on disk
+# ----------------------------------------------------------------------
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def snapshot_payload(data):
+    """The JSON text a snapshot file holds."""
+    return data
+
+
+def durable_run_digests(directory):
+    """sha256 of every file a seeded faulted durable run leaves in
+    ``directory`` (a snapshot by its JSON payload text), and of its
+    ``result.durability``."""
+    full = TraceGenerator(
+        DatasetProfile.dtr(num_nodes=800, scale=5e-5), num_clients=20
+    ).generate()
+    workload = dataclasses.replace(full, trace=full.trace.slice(0, 500))
+    plan = FaultPlan.parse([
+        "kill9:1@ops=120", "torn_write:2@ops=200",
+        "recover:1@ops=320", "recover:2@ops=420",
+    ])
+    config = SimulationConfig(
+        seed=5, fault_plan=plan, num_monitors=3,
+        heartbeat_interval=CHAOS_HEARTBEAT_INTERVAL,
+        heartbeat_timeout=CHAOS_HEARTBEAT_TIMEOUT,
+        monitor_lease_timeout=CHAOS_LEASE_TIMEOUT,
+        store="wal", store_dir=directory, snapshot_every=64,
+    )
+    sim = ClusterSimulator(D2TreeScheme(), workload, 5, config)
+    try:
+        durability = sim.run().durability
+    finally:
+        sim.close()
+    digests = {"durability": sha(json.dumps(durability, sort_keys=True).encode())}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            data = handle.read()
+        if name.startswith("snapshot-"):
+            data = snapshot_payload(data)
+        digests[name] = sha(data)
+    return digests
+
+
+def test_durable_run_bytes_are_pinned(tmp_path):
+    # kill9, a torn tail and two recoveries over five snapshotting logs:
+    # a change to how records are packed, framed or written must leave
+    # every byte of them, and the run's durability block, as they are.
+    assert durable_run_digests(str(tmp_path)) == {
+        "directives.log": "d731bc786fbcaa3e381057d4cf43c61c0c6e2c896e52b5150454d259b68439e8",
+        "durability": "aa9d8a72679b1952a35e06d75df69ac726968ed076167f6f8c5af8d35f750411",
+        "snapshot-3.json": "1bfe5ad6873b444758e0c1e340d4a68cc58f46b2459a617d5ba5f1b0ed9be10d",
+        "snapshot-4.json": "ac34ed5deb1caca2c7b82ad25aa32e1c8a7aba9b5dfea0cbeb729f71767036d7",
+        "wal-0.log": "fc543437f8e8c62ee902571c227f6befdde33adc0a38f689807e66f41e9b421f",
+        "wal-1.log": "831f8a7316e44e178c4940c89da78ac5eb363dab1a0eeb5d777da39f7b9c494b",
+        "wal-2.log": "3018f7cb632c13e7393602493173e3c90082567a02ac4ff006cc5d69a7922ec8",
+        "wal-3.log": "91300e4b07dd4b0379de3860d042c18526bfb767c638ca34372659db588ce503",
+        "wal-4.log": "4483df48c5c3d4aeb541d09cecbd2bfa841837399e23ca97c71b4618b57024bf",
+    }
