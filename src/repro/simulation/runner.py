@@ -630,6 +630,9 @@ class ClusterSimulator:
         store = self.store
         store_on = self.store_on
         ledger = self.durability
+        if store_on:  # the two per-ack calls, bound like the loop's others
+            append_ack = store.append_ack
+            note_ack = ledger.note_ack
         rec = self.spans
         rec_on = rec is not None
         mig_budget = self._mig_budget
@@ -793,11 +796,9 @@ class ClusterSimulator:
                             # before the client observes the completion, so
                             # a crash after this point can never lose an
                             # acknowledged operation.
-                            store.append_ack(
-                                sid, slot_issue[slot], slot_node[slot].path,
-                                completion,
-                            )
-                            ledger.note_ack(sid, slot_issue[slot])
+                            issue = slot_issue[slot]
+                            append_ack(sid, issue, slot_node[slot].path, completion)
+                            note_ack(sid, issue)
                         if nvis == 1:
                             redirected = visits[0][1] is REDIRECT
                         else:

@@ -26,6 +26,7 @@ the only state the torn/corrupt crash faults may damage.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
@@ -124,7 +125,7 @@ class DurabilityLedger:
 
     def __init__(self) -> None:
         #: server -> every durably-acked op seq, in ack order.
-        self.acked: Dict[int, List[int]] = {}
+        self.acked: Dict[int, List[int]] = defaultdict(list)
         #: server -> acked snapshot taken at its last kill9 (the contract
         #: its recovery must honour).
         self._expected_at_kill: Dict[int, List[int]] = {}
@@ -139,7 +140,7 @@ class DurabilityLedger:
     # ------------------------------------------------------------------
     def note_ack(self, server: int, op: int) -> None:
         """Record one synced-and-acknowledged operation."""
-        self.acked.setdefault(server, []).append(op)
+        self.acked[server].append(op)
 
     def note_kill(self, server: int) -> None:
         """A kill9 fired: freeze what this server's recovery must replay."""

@@ -1,4 +1,4 @@
-"""The durable store: one checksummed log + JSON snapshot per MDS.
+"""The durable store: one checksummed log + framed JSON snapshot per MDS.
 
 :class:`WalStore` is the crash-consistent persistence layer behind one
 cluster run (``simulate --store wal`` / ``chaos --store wal``); a run
@@ -24,9 +24,12 @@ Layout inside the store directory::
 
     directives.log    committed Monitor directives (synced per append)
     wal-<N>.log       per-server mutation/ack/fence log (repro.storage.wal)
-    snapshot-<N>.json ServerLogState snapshot subsuming the log before it
+    snapshot-<N>.json ServerLogState snapshot subsuming the log before it,
+                      one WAL frame: [u32 len][u32 crc32][compact JSON]
 
-Snapshots are written atomically (tmp file + ``os.replace``) and the WAL is
+A snapshot that is torn, fails its CRC or does not hold one JSON object
+makes recovery raise a ``ValueError`` naming the file. Snapshots are
+written atomically (tmp file + ``os.replace``) and the WAL is
 truncated *after* the snapshot is in place, so a crash between the two
 replays a tail that is already in the snapshot — replay is idempotent for
 acks (duplicates are de-duplicated at recovery) and monotone for fences.
@@ -47,13 +50,42 @@ from typing import Dict, List, Optional
 
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.storage.base import RecoveredState, ServerLogState
-from repro.storage.wal import Record, WalFile, scan_records
+from repro.storage.wal import (
+    Record,
+    WalFile,
+    encode_record,
+    pack_ack,
+    pack_directive,
+    pack_fence,
+    pack_mutation,
+    scan_records,
+)
 
 __all__ = ["WalStore"]
 
 _OWN_FILES = re.compile(
     r"^(directives\.log|wal-\d+\.log|snapshot-\d+\.json(\.tmp)?)$"
 )
+
+
+def _load_snapshot(path: str) -> ServerLogState:
+    """The state a snapshot file frames. A torn frame, a CRC mismatch or a
+    payload that is not one JSON object holding a log state is a
+    ``ValueError`` naming the file."""
+    with open(path, "rb") as handle:
+        scan = scan_records(handle.read())
+    if scan.truncated or len(scan.records) != 1:
+        why = f"a {scan.reason} frame" if scan.truncated else (
+            f"{len(scan.records)} frames, not one"
+        )
+        raise ValueError(f"snapshot {path} is damaged: {why}")
+    try:
+        payload = json.loads(scan.records[0].decode("utf-8"))
+        if type(payload) is not dict:
+            raise ValueError("not a JSON object")
+        return ServerLogState.from_snapshot(payload)
+    except (RecursionError, TypeError, ValueError) as exc:
+        raise ValueError(f"snapshot {path} is damaged: {exc}") from exc
 
 
 class WalStore:
@@ -88,16 +120,29 @@ class WalStore:
         self._logs: Dict[int, WalFile] = {}
         #: server -> the materialised view of its log.
         self._state: Dict[int, ServerLogState] = {}
-        self._since_snapshot: Dict[int, int] = {}
+        #: server -> its log's ``appends`` count that triggers the next
+        #: snapshot (``snapshot_every`` past the last snapshot or recovery).
+        self._snapshot_due: Dict[int, int] = {}
         self._closed = False
-        # Counters surfaced through stats() (and result.durability).
-        self.appends = 0
-        self.fsyncs = 0
+        # Counters surfaced through stats() (and result.durability); the
+        # append and sync counts are the logs' own.
         self.snapshots = 0
         self.recoveries = 0
         self.replayed_records = 0
         self.truncations = 0
         self.dropped = 0
+
+    @property
+    def appends(self) -> int:
+        """Records appended to every log, the directive log included."""
+        return self._directives.appends + sum(
+            log.appends for log in self._logs.values()
+        )
+
+    @property
+    def fsyncs(self) -> int:
+        """Syncs of the per-MDS logs (the directive log syncs each append)."""
+        return sum(log.fsyncs for log in self._logs.values())
 
     def bind_telemetry(self, telemetry) -> None:
         """Attach the run's telemetry (``wal_fsync`` / ``snapshot`` events)."""
@@ -109,40 +154,50 @@ class WalStore:
     def append_directive(self, record: dict) -> None:
         """Persist one committed Monitor directive (synced: the Monitor
         quorum acted on it)."""
-        self._directives.append(("directive", record), sync=True)
-        self.appends += 1
+        self._directives.write_frame(pack_directive(record), True)
 
+    # Each typed append packs its record first, so a misfit field raises
+    # before anything is written or counted; then one frame, the live
+    # view's fold and the snapshot policy. The ack, one per operation, has
+    # them inline (its fold is `ServerLogState.apply`'s for an ack, a list
+    # append); the rare fence and mutation share `_append`.
     def append_ack(self, server: int, op: int, path: str, t: float) -> None:
         """Persist an operation acknowledgment (fsync-before-ack)."""
-        self._log(server, ("ack", op, t, path), True)
+        payload = pack_ack(op, t, path)
+        log = self._logs.get(server) or self._log_for(server)
+        log.write_frame(payload, True)
+        if self.telemetry.enabled:
+            self.telemetry.event("wal_fsync", server=server, record="ack")
+        (self._state.get(server) or self._state_for(server)).acked_ops.append(op)
+        if self.snapshot_every and log.appends >= self._snapshot_due.get(
+            server, self.snapshot_every
+        ):
+            self.snapshot_server(server)
 
     def append_fence(self, server: int, epoch: int, t: float) -> None:
         """Persist an epoch-fence advance (synced — the fence must survive)."""
-        self._log(server, ("fence", epoch, t), True)
+        self._append(server, pack_fence(epoch, t), True, ("fence", epoch, t))
 
     def append_mutation(self, server: int, kind: str, path: str, t: float) -> None:
         """Persist a subtree mutation (``grant``/``revoke``; group-synced)."""
-        self._log(server, (kind, t, path), False)
+        self._append(server, pack_mutation(kind, t, path), False, (kind, t, path))
 
-    def _log(self, server: int, record: Record, sync: bool) -> None:
-        """Append one record: the log itself, live view, snapshot policy."""
+    def _append(self, server: int, payload: bytes, sync: bool, record: Record) -> None:
+        """:meth:`append_ack`'s steps for any packed ``record``."""
         log = self._logs.get(server) or self._log_for(server)
-        log.append(record, sync)
-        self.appends += 1
-        if sync:
-            self.fsyncs += 1
-            if self.telemetry.enabled:
-                self.telemetry.event("wal_fsync", server=server, record=record[0])
-        state = self._state.get(server)
-        if state is None:
-            state = self._state[server] = ServerLogState()
-        state.apply(record)
-        if self.snapshot_every:
-            count = self._since_snapshot.get(server, 0) + 1
-            if count >= self.snapshot_every:
-                self.snapshot_server(server)
-            else:
-                self._since_snapshot[server] = count
+        log.write_frame(payload, sync)
+        if sync and self.telemetry.enabled:
+            self.telemetry.event("wal_fsync", server=server, record=record[0])
+        (self._state.get(server) or self._state_for(server)).apply(record)
+        if self.snapshot_every and log.appends >= self._snapshot_due.get(
+            server, self.snapshot_every
+        ):
+            self.snapshot_server(server)
+
+    def _state_for(self, server: int) -> ServerLogState:
+        """``server``'s live view, empty until its first append."""
+        state = self._state[server] = ServerLogState()
+        return state
 
     def _log_for(self, server: int) -> WalFile:
         """``server``'s log, opened on first use."""
@@ -164,17 +219,18 @@ class WalStore:
         # The log goes only once the snapshot that subsumes it is in place.
         path = self._snapshot_path(server)
         tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(
-                state.to_snapshot(), handle, sort_keys=True,
-                separators=(",", ":"),
-            )
+        text = json.dumps(
+            state.to_snapshot(), sort_keys=True, separators=(",", ":")
+        )
+        with open(tmp, "wb") as handle:
+            handle.write(encode_record(text.encode("utf-8")))
             handle.flush()
             if self._fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp, path)
-        self._log_for(server).reset()
-        self._since_snapshot[server] = 0
+        log = self._log_for(server)
+        log.reset()
+        self._snapshot_due[server] = log.appends + self.snapshot_every
         self.snapshots += 1
         if self.telemetry.enabled:
             self.telemetry.event(
@@ -196,7 +252,7 @@ class WalStore:
         """
         recovered = self._replay(server, repair=True)
         self._state[server] = recovered.state
-        self._since_snapshot[server] = 0
+        self._snapshot_due[server] = self._logs[server].appends + self.snapshot_every
         self.recoveries += 1
         self.replayed_records += recovered.replayed_records
         if recovered.truncated:
@@ -213,13 +269,9 @@ class WalStore:
     def _replay(self, server: int, repair: bool) -> RecoveredState:
         """Snapshot + the valid prefix of ``server``'s log; ``repair``
         truncates a damaged tail (and opens the log if it never was)."""
-        snapshot = None
         path = self._snapshot_path(server)
         snapshot_loaded = os.path.exists(path)
-        if snapshot_loaded:
-            with open(path, "r", encoding="utf-8") as handle:
-                snapshot = json.load(handle)
-        state = ServerLogState.from_snapshot(snapshot)
+        state = _load_snapshot(path) if snapshot_loaded else ServerLogState()
         log = self._log_for(server) if repair else self._logs.get(server)
         if log is None:
             records, scan = [], scan_records(b"")

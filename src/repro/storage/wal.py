@@ -25,16 +25,20 @@ column, tagged with its kind's name::
     5     [u8 5][compact JSON object, sorted keys] ("directive", body)
 
 Only the directive — free-form, appended a few times a run — keeps a JSON
-body. :func:`pack_record` / :func:`unpack_record` are the one codec; a kind
-byte this reader does not know is skipped on replay, so the vocabulary can
-grow without stranding old readers.
+body. Each kind's layout is written once, in its packer (:func:`pack_ack`,
+:func:`pack_fence`, :func:`pack_mutation`, :func:`pack_directive`), which
+the store's typed appends call directly and :func:`pack_record` by kind;
+:func:`pack_record` / :func:`unpack_record` are the one codec. A kind byte
+this reader does not know is skipped on replay, so the vocabulary can grow
+without stranding old readers.
 
 :func:`scan_records` returns the longest valid frame prefix plus what
 stopped the scan; recovery truncates the file back to that prefix instead
 of replaying garbage (see ``docs/DURABILITY.md``).
 
-Sync model: :meth:`WalFile.append` is one unbuffered ``write``;
-:meth:`WalFile.sync` advances ``durable_offset``, the byte boundary that
+Sync model: :meth:`WalFile.write_frame` frames a payload and writes it
+with one unbuffered ``write``; with ``sync`` (or a later
+:meth:`WalFile.sync`) it advances ``durable_offset``, the byte boundary that
 crash faults must respect. The simulator syncs before any state an
 operation's client acknowledgment depends on — fsync-before-ack — so
 injected torn/corrupt tails can only ever damage *unacknowledged* state.
@@ -58,6 +62,10 @@ __all__ = [
     "ScanResult",
     "WalFile",
     "encode_record",
+    "pack_ack",
+    "pack_directive",
+    "pack_fence",
+    "pack_mutation",
     "pack_record",
     "scan_records",
     "unpack_record",
@@ -84,28 +92,66 @@ def encode_record(payload: bytes) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def pack_record(record: Record) -> bytes:
-    """Payload bytes of one record; a field outside its layout is a ValueError."""
+def _misfit(record: Record, exc: Exception) -> ValueError:
+    return ValueError(f"record {record!r} does not fit the WAL layout: {exc}")
+
+
+# One packer per kind, each the one place its layout is written down: the
+# store's typed appends call them directly, :func:`pack_record` by kind.
+def pack_ack(op: int, t: float, path: str) -> bytes:
+    """``[u8 1][u64 op][f64 t][path]``."""
     try:
-        kind = record[0]
-        if kind == "ack":
-            _, op, t, path = record
-            return _COUNTED.pack(_ACK, op, t) + path.encode("utf-8")
-        if kind == "fence":
-            _, epoch, t = record
-            return _COUNTED.pack(_FENCE, epoch, t)
-        if kind == "grant" or kind == "revoke":
-            _, t, path = record
-            byte = _GRANT if kind == "grant" else _REVOKE
-            return _TIMED.pack(byte, t) + path.encode("utf-8")
-        if kind == "directive":
-            _, body = record
-            text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-            return bytes((_DIRECTIVE,)) + text.encode("utf-8")
+        return _COUNTED.pack(_ACK, op, t) + path.encode("utf-8")
     except _MISFITS as exc:
-        raise ValueError(
-            f"record {record!r} does not fit the WAL layout: {exc}"
-        ) from exc
+        raise _misfit(("ack", op, t, path), exc) from exc
+
+
+def pack_fence(epoch: int, t: float) -> bytes:
+    """``[u8 2][u64 epoch][f64 t]``."""
+    try:
+        return _COUNTED.pack(_FENCE, epoch, t)
+    except _MISFITS as exc:
+        raise _misfit(("fence", epoch, t), exc) from exc
+
+
+def pack_mutation(kind: str, t: float, path: str) -> bytes:
+    """``[u8 3][f64 t][path]`` for a grant, ``[u8 4][f64 t][path]`` for a
+    revoke."""
+    if kind != "grant" and kind != "revoke":
+        raise ValueError(f"record {(kind, t, path)!r} is of no known WAL kind")
+    try:
+        return _TIMED.pack(_GRANT if kind == "grant" else _REVOKE, t) + path.encode("utf-8")
+    except _MISFITS as exc:
+        raise _misfit((kind, t, path), exc) from exc
+
+
+def pack_directive(body: dict) -> bytes:
+    """``[u8 5][compact JSON object, sorted keys]``."""
+    try:
+        text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    except _MISFITS as exc:
+        raise _misfit(("directive", body), exc) from exc
+    return bytes((_DIRECTIVE,)) + text.encode("utf-8")
+
+
+def pack_record(record: Record) -> bytes:
+    """Payload bytes of one record, by its kind's packer; a field outside
+    its layout is a ValueError."""
+    try:
+        kind, *fields = record
+    except (TypeError, ValueError) as exc:
+        raise _misfit(record, exc) from exc
+    try:
+        if kind == "ack":
+            return pack_ack(*fields)
+        if kind == "fence":
+            return pack_fence(*fields)
+        if kind == "grant" or kind == "revoke":
+            return pack_mutation(kind, *fields)
+        if kind == "directive":
+            return pack_directive(*fields)
+    except TypeError as exc:  # a field short or over (a packer raises ValueError)
+        raise _misfit(record, exc) from exc
     raise ValueError(f"record {record!r} is of no known WAL kind")
 
 
@@ -227,12 +273,26 @@ class WalFile:
     # ------------------------------------------------------------------
     def append(self, record: Record, sync: bool = False) -> int:
         """Append one record; returns the bytes written."""
-        frame = encode_record(pack_record(record))
-        self._write(frame)
+        return self.write_frame(pack_record(record), sync)
+
+    def write_frame(self, payload: bytes, sync: bool) -> int:
+        """Frame ``payload`` as one record, write it whole and count it;
+        ``sync`` also advances the durable boundary over it. Returns the
+        bytes written. Every ack takes this path, so the write and the
+        sync are inline here rather than calls to :meth:`_write` and
+        :meth:`sync`."""
+        frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        written = self._handle.write(frame)
+        while written < len(frame):  # a short write(2): finish the frame
+            written += self._handle.write(frame[written:])
+        self.size += written
         self.appends += 1
         if sync:
-            self.sync()
-        return len(frame)
+            if self._fsync:
+                os.fsync(self._handle.fileno())
+            self.durable_offset = self.size
+            self.fsyncs += 1
+        return written
 
     def _write(self, data: bytes) -> None:
         written = self._handle.write(data)

@@ -526,6 +526,13 @@ def test_make_store_rejects_unknown_backend():
             make_store(gone)
 
 
+def snapshot_payload(data):
+    """The JSON text a snapshot file frames."""
+    scan = scan_records(data)
+    assert not scan.truncated and len(scan.records) == 1
+    return scan.records[0]
+
+
 def test_wal_store_files_on_disk(tmp_path):
     store = make_store("wal", directory=str(tmp_path), snapshot_every=4)
     drive_store(store)
@@ -534,8 +541,59 @@ def test_wal_store_files_on_disk(tmp_path):
     assert "directives.log" in names
     assert any(n.startswith("wal-") for n in names)
     snapshot = next(n for n in names if n.startswith("snapshot-"))
-    payload = json.loads((tmp_path / snapshot).read_text())
+    payload = json.loads(snapshot_payload((tmp_path / snapshot).read_bytes()))
     assert set(payload) == {"fence_epoch", "acked_ops", "subtrees"}
+
+
+def snapshotted_store(directory):
+    """A store whose server 0 holds a snapshot (acks 0-9) and a log tail."""
+    store = make_store("wal", directory=directory, snapshot_every=4)
+    drive_store(store)
+    return store, os.path.join(directory, "snapshot-0.json")
+
+
+def test_flipped_digit_in_a_snapshot_fails_its_crc(tmp_path):
+    # Bare JSON parsed a flipped digit of an acked op id into another op
+    # id, and recovery returned it; the frame's CRC now refuses it.
+    store, path = snapshotted_store(str(tmp_path))
+    try:
+        assert store.read_server(0).state.acked_ops == list(range(10))
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        digit = data.index(b'"acked_ops":[') + len(b'"acked_ops":[') + 4
+        assert data[digit:digit + 1] == b"2"
+        data[digit] = ord("7")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        for replay in (store.read_server, store.recover_server):
+            with pytest.raises(ValueError, match="snapshot-0.json is damaged"):
+                replay(0)
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("damage, why", [
+    (lambda data: data[:-1], "torn"),
+    (lambda data: data[:3], "torn"),
+    (lambda data: b"", "0 frames"),
+    (lambda data: data + data, "2 frames"),
+    (lambda data: encode_record(b"[1,2]"), "not a JSON object"),
+    (lambda data: encode_record(b'{"acked_ops":'), "Expecting value"),
+    (lambda data: encode_record(b"\xff"), "utf-8"),
+    (lambda data: encode_record(b'{"acked_ops":[{}]}'), "int"),
+])
+def test_damaged_snapshot_is_a_value_error_naming_the_file(damage, why, tmp_path):
+    store, path = snapshotted_store(str(tmp_path))
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(damage(data))
+        with pytest.raises(ValueError, match="snapshot-0.json is damaged") as raised:
+            store.recover_server(0)
+        assert why in str(raised.value)
+    finally:
+        store.close()
 
 
 def test_wal_store_cleanup_spares_foreign_files(tmp_path):
@@ -574,11 +632,6 @@ def test_store_init_owns_directory_for_one_run(tmp_path):
 # ----------------------------------------------------------------------
 def sha(data):
     return hashlib.sha256(data).hexdigest()
-
-
-def snapshot_payload(data):
-    """The JSON text a snapshot file holds."""
-    return data
 
 
 def durable_run_digests(directory):

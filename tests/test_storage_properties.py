@@ -352,3 +352,108 @@ def test_arbitrary_bytes_after_a_valid_log_never_raise(store_dir, records, junk)
         assert_state(again.state, replay(history))
     finally:
         store.close()
+
+
+# ----------------------------------------------------------------------
+# The store's typed appends write what the generic codec would
+# ----------------------------------------------------------------------
+#: Any ``str`` at all: text UTF-8 carries, or text with lone surrogates.
+any_paths = st.one_of(paths, st.text(
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, blacklist_categories=())
+    | st.characters(blacklist_categories=()),
+    min_size=1, max_size=20,
+))
+
+
+def store_state(store, server=0):
+    """Everything an append may move: the file, the log's own counters, the
+    store's counters and the live view."""
+    log = store._logs[server]
+    return (
+        os.path.getsize(log.path), log.size, log.durable_offset,
+        log.appends, log.fsyncs, store.stats(), store._state[server].to_snapshot(),
+    )
+
+
+@given(u64, times, any_paths)
+@settings(max_examples=300, deadline=None)
+def test_append_ack_writes_the_generic_frame(store_dir, op, t, path):
+    """``append_ack`` writes exactly ``encode_record(pack_record(ack))``;
+    where ``pack_record`` refuses the ack, it raises the same error and
+    moves nothing."""
+    store = make_store("wal", directory=store_dir, snapshot_every=0)
+    try:
+        store.append_ack(0, 0, "/first", 0.0)
+        log_path, before = store._logs[0].path, store_state(store)
+        record = ("ack", op, t, path)
+        try:
+            expected = frame(record)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                store.append_ack(0, op, path, t)
+            assert str(raised.value) == str(exc)
+            assert store_state(store) == before
+            return
+        store.append_ack(0, op, path, t)
+        with open(log_path, "rb") as handle:
+            assert handle.read()[before[0]:] == expected
+    finally:
+        store.close()
+
+
+misfit_acks = st.one_of(
+    st.tuples(st.integers(max_value=-1), times, paths),  # below u64
+    st.tuples(st.integers(min_value=U64_MAX + 1), times, paths),  # above u64
+    st.tuples(u64, st.one_of(st.none(), st.text(max_size=4), st.binary(max_size=4)),
+              paths),  # a time that is not a number
+    st.tuples(u64, times, st.text(max_size=4).map(lambda text: text + "\ud800")),
+)
+
+
+@given(misfit_acks)
+@settings(max_examples=200, deadline=None)
+def test_misfit_ack_raises_as_pack_record_and_moves_nothing(store_dir, fields):
+    op, t, path = fields
+    with pytest.raises(ValueError) as generic:
+        pack_record(("ack", op, t, path))
+    store = make_store("wal", directory=store_dir, snapshot_every=2)
+    try:
+        store.append_ack(0, 0, "/first", 0.0)
+        before = store_state(store)
+        with pytest.raises(ValueError) as typed:
+            store.append_ack(0, op, path, t)
+        assert str(typed.value) == str(generic.value)
+        assert store_state(store) == before
+    finally:
+        store.close()
+
+
+class ShortWrites:
+    """A raw handle that takes at most ``limit`` bytes per ``write``."""
+
+    def __init__(self, handle, limit):
+        self.handle, self.limit = handle, limit
+
+    def write(self, data):
+        return self.handle.write(bytes(data[: self.limit]))
+
+
+@given(st.lists(any_records, min_size=1, max_size=5), st.integers(min_value=1, max_value=64))
+@settings(max_examples=100, deadline=None)
+def test_short_writes_still_end_in_whole_frames(store_dir, records, limit):
+    path = os.path.join(store_dir, "short.log")
+    if os.path.exists(path):
+        os.unlink(path)
+    wal = WalFile(path)
+    raw = wal._handle
+    wal._handle = ShortWrites(raw, limit)
+    try:
+        for record in records:
+            wal.append(record, sync=True)
+    finally:
+        raw.close()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    assert data == b"".join(frame(r) for r in records)
+    assert wal.size == wal.durable_offset == len(data)
+    assert (wal.appends, wal.fsyncs) == (len(records), len(records))
