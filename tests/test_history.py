@@ -9,6 +9,9 @@ audit stays silent.
 """
 
 import dataclasses
+import hashlib
+import io
+import json
 
 import pytest
 
@@ -316,3 +319,232 @@ def test_history_and_telemetry_op_events_are_one_log(workload):
     assert ids(history.events, "retry") == event_ids("op_retry")
     assert event_ids("op_retry")
     assert _audit(history) == []
+
+
+# ----------------------------------------------------------------------
+# The verdict strings, pinned: one hand-built history per case
+# ----------------------------------------------------------------------
+def _build(steps):
+    h = OpHistory()
+    for name, *args in steps:
+        kwargs = args.pop() if args and isinstance(args[-1], dict) else {}
+        getattr(h, name)(*args, **kwargs)
+    return h
+
+
+_OK = {"server": 0, "epoch": 1}
+
+VERDICTS = [
+    ("double invoke, one session", [
+        ("invoke", 7, 0, 0.0), ("invoke", 7, 0, 1.0), ("ok", 7, 0, 2.0, _OK),
+    ], {}, [
+        "history: 1 ops invoked more than once (e.g. ops [7])",
+        "history: 1 client sessions broke invoke/complete alternation "
+        "(clients [0]) — session order violated",
+    ]),
+    ("terminals without invokes", [
+        ("ok", 3, -1, 1.0, _OK), ("fail", 9, -1, 1.5, {"attempts": 2}),
+        ("indeterminate", 5, -1, 2.0, 4), ("ok", 1, -1, 2.5, _OK),
+    ], {}, [
+        "history: 4 ops completed without an invoke (e.g. ops [1, 3, 5])",
+    ]),
+    ("a terminal appended before its invoke, sessionless", [
+        ("ok", 3, -1, 1.0, _OK), ("invoke", 3, -1, 0.5),
+    ], {}, []),
+    ("a terminal appended before its invoke, one session", [
+        ("ok", 3, 2, 1.0, _OK), ("invoke", 3, 2, 0.5),
+    ], {}, [
+        "history: 1 client sessions broke invoke/complete alternation "
+        "(clients [2]) — session order violated",
+    ]),
+    ("duplicate terminals of mixed kinds", [
+        ("invoke", 4, -1, 0.0), ("ok", 4, -1, 1.0, _OK),
+        ("fail", 4, -1, 2.0, {"attempts": 3}),
+        ("invoke", 2, -1, 0.0), ("indeterminate", 2, -1, 1.0, 8),
+        ("ok", 2, -1, 2.0, _OK), ("indeterminate", 4, -1, 3.0, 9),
+        ("invoke", 6, -1, 0.0), ("fail", 6, -1, 1.0, {}),
+        ("fail", 6, -1, 2.0, {}),
+    ], {}, [
+        "history: 3 ops with multiple terminal events "
+        "(e.g. op 2: ['indeterminate', 'ok']) — exactly-once broken",
+    ]),
+    ("hanging invokes", [
+        ("invoke", op, -1, float(op)) for op in (8, 1, 5, 3, 0)
+    ] + [("ok", 1, -1, 9.0, _OK)], {}, [
+        "history: 4 invoked ops never reached a terminal (e.g. ops [0, 3, 5])",
+    ]),
+    ("four sessions broken four ways", [
+        ("invoke", 0, 5, 0.0), ("invoke", 1, 5, 0.1),
+        ("invoke", 2, 1, 0.0), ("ok", 3, 1, 0.1, _OK),
+        ("invoke", 4, 9, 0.0), ("fail", 4, 9, 0.1, {}), ("fail", 4, 9, 0.2, {}),
+        ("invoke", 5, 3, 0.0), ("ok", 5, 3, 0.1, _OK), ("invoke", 6, 3, 0.2),
+        ("ok", 6, 3, 0.3, _OK), ("invoke", 7, 3, 0.4), ("invoke", 8, 3, 0.5),
+        ("ok", 0, 5, 1.0, _OK), ("ok", 1, 5, 1.0, _OK),
+        ("ok", 2, 1, 1.0, _OK), ("ok", 7, 3, 1.0, _OK), ("ok", 8, 3, 1.0, _OK),
+    ], {}, [
+        "history: 1 ops completed without an invoke (e.g. ops [3])",
+        "history: 1 ops with multiple terminal events "
+        "(e.g. op 4: ['fail']) — exactly-once broken",
+        "history: 4 client sessions broke invoke/complete alternation "
+        "(clients [1, 3, 5]) — session order violated",
+    ]),
+    ("fence regressions, first three in append order, wipes reset", [
+        ("invoke", op, -1, 0.0) for op in range(8)
+    ] + [
+        ("ok", 0, -1, 1.0, {"server": 2, "epoch": 5}),
+        ("ok", 1, -1, 1.1, {"server": 2, "epoch": 4}),
+        ("ok", 2, -1, 1.2, {"server": 1, "epoch": 3}),
+        ("wipe", 1, 1.3),
+        ("ok", 3, -1, 1.4, {"server": 1, "epoch": 1}),
+        ("ok", 4, -1, 1.5, {"server": 2, "epoch": 2}),
+        ("ok", 5, -1, 1.6, {"server": 1, "epoch": 0}),
+        ("ok", 6, -1, 1.7, {"server": 2, "epoch": 1}),
+        ("ok", 7, -1, 1.8, {"server": 0, "epoch": 1}),
+    ], {"final_epoch": 5}, [
+        "history: ack fence epochs regressed without a wipe (e.g. "
+        "['op 1@server 2: 5->4', 'op 4@server 2: 5->2', "
+        "'op 5@server 1: 1->0'])",
+    ]),
+    ("acks fenced ahead of final_epoch", [
+        ("invoke", op, -1, 0.0) for op in range(9)
+    ] + [
+        ("ok", 0, -1, 1.0, {"server": 0, "epoch": 2}),
+        ("ok", 1, -1, 1.0, {"server": 1, "epoch": 6}),
+        ("ok", 2, -1, 1.0, {"server": 2, "epoch": 4}),
+        ("ok", 3, -1, 1.0, {"server": 3, "epoch": 4}),
+        ("ok", 4, -1, 1.0, {"server": 4, "epoch": 4}),
+        ("ok", 5, -1, 1.0, {"server": 5, "epoch": 4}),
+        ("ok", 6, -1, 1.0, {"server": 6, "epoch": 5}),
+        ("ok", 7, -1, 1.0, {"server": 7, "epoch": 3}),
+        ("ok", 8, -1, 1.0, {"server": 8, "epoch": 7}),
+    ], {"final_epoch": 4}, [
+        "history: acks fenced ahead of the final monitor epoch 4 (e.g. "
+        "['op 1@server 1: epoch 6', 'op 6@server 6: epoch 5', "
+        "'op 8@server 8: epoch 7'])",
+    ]),
+    ("acks fenced ahead of a lower final_epoch", [
+        ("invoke", op, -1, 0.0) for op in range(5)
+    ] + [
+        ("ok", 0, -1, 1.0, {"server": 0, "epoch": 2}),
+        ("ok", 1, -1, 1.0, {"server": 1, "epoch": 3}),
+        ("ok", 2, -1, 1.0, {"server": 2, "epoch": 3}),
+        ("ok", 3, -1, 1.0, {"server": 3, "epoch": 3}),
+        ("ok", 4, -1, 1.0, {"server": 4, "epoch": 3}),
+    ], {"final_epoch": 1}, [
+        "history: acks fenced ahead of the final monitor epoch 1 (e.g. "
+        "['op 0@server 0: epoch 2', 'op 1@server 1: epoch 3', "
+        "'op 2@server 2: epoch 3'])",
+    ]),
+    ("lost acks against durable ledgers, a double ack counted twice", [
+        ("invoke", op, -1, 0.0) for op in range(5)
+    ] + [
+        ("ok", 4, -1, 1.0, {"server": 0, "epoch": 1}),
+        ("ok", 0, -1, 1.0, {"server": 0, "epoch": 1}),
+        ("ok", 1, -1, 1.0, {"server": 1, "epoch": 1}),
+        ("ok", 0, -1, 1.1, {"server": 1, "epoch": 1}),
+        ("ok", 2, -1, 1.2, {"server": 2, "epoch": 1}),
+        ("wipe", 2, 5.0),
+        ("ok", 3, -1, 1.3, {"server": 3, "epoch": 1}),
+    ], {"ledgers": {0: {4}, 1: set(), 2: set()}, "durable_ledgers": True}, [
+        "history: 1 ops with multiple terminal events "
+        "(e.g. op 0: ['ok']) — exactly-once broken",
+        "history: 5 acked ops missing from the acking server's ledger "
+        "(e.g. ops [0, 0, 1]) — acked mutation lost",
+    ]),
+    ("the volatile-ledger wipe excuse", [
+        ("invoke", 0, -1, 1.0), ("invoke", 1, -1, 2.0), ("invoke", 2, -1, 3.0),
+        ("ok", 0, -1, 4.0, _OK), ("ok", 1, -1, 4.0, _OK),
+        ("ok", 2, -1, 4.0, _OK),
+        ("wipe", 0, 2.0), ("wipe", 0, 0.5),
+        ("invoke", 3, -1, 5.0), ("ok", 3, -1, 6.0, {"server": 1, "epoch": 1}),
+        ("wipe", 1, 5.0),
+        ("ok", 4, -1, 6.5, {"server": 1, "epoch": 1}), ("invoke", 4, -1, 5.5),
+        ("ok", 5, -1, 4.5, {"server": 1, "epoch": 1}),
+    ], {"ledgers": {0: set()}, "durable_ledgers": False}, [
+        "history: 1 ops completed without an invoke (e.g. ops [5])",
+        "history: 2 acked ops missing from the acking server's ledger "
+        "(e.g. ops [2, 4]) — acked mutation lost",
+    ]),
+    ("all six checks at once, in order", [
+        ("invoke", 0, 0, 0.0), ("invoke", 0, 0, 0.1),
+        ("ok", 0, 0, 1.0, {"server": 0, "epoch": 3}),
+        ("ok", 0, 0, 1.1, {"server": 0, "epoch": 2}),
+        ("ok", 1, 1, 1.2, {"server": 1, "epoch": 1}),
+        ("invoke", 2, 2, 1.3),
+    ], {"final_epoch": 2, "ledgers": {0: {0}}, "durable_ledgers": True}, [
+        "history: 1 ops invoked more than once (e.g. ops [0])",
+        "history: 1 ops completed without an invoke (e.g. ops [1])",
+        "history: 1 ops with multiple terminal events "
+        "(e.g. op 0: ['ok']) — exactly-once broken",
+        "history: 1 invoked ops never reached a terminal (e.g. ops [2])",
+        "history: 2 client sessions broke invoke/complete alternation "
+        "(clients [0, 1]) — session order violated",
+        "history: ack fence epochs regressed without a wipe "
+        "(e.g. ['op 0@server 0: 3->2'])",
+        "history: acks fenced ahead of the final monitor epoch 2 "
+        "(e.g. ['op 0@server 0: epoch 3'])",
+        "history: 1 acked ops missing from the acking server's ledger "
+        "(e.g. ops [1]) — acked mutation lost",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "steps, kwargs, expected",
+    [case[1:] for case in VERDICTS],
+    ids=[case[0] for case in VERDICTS],
+)
+def test_audit_verdict_strings_are_pinned(steps, kwargs, expected):
+    assert _audit(_build(steps), **kwargs) == expected
+
+
+# ----------------------------------------------------------------------
+# One seeded faulted case, pinned by digest: the chaos report and the
+# telemetry JSONL of the same run
+# ----------------------------------------------------------------------
+_PINNED_CASE = CorpusCase(
+    scheme="d2-tree", trace="lmbe", nodes=900, scale=5e-5, seed=11,
+    num_servers=5, num_monitors=3, ops=400, faults=[
+        "crash:1@ops=60", "recover:1@ops=200",
+        "loss:2@ops=80:p0.4", "recover:2@ops=300",
+    ],
+)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_faulted_chaos_report_is_pinned():
+    from repro.chaos import ChaosReport
+
+    report = ChaosReport(recipe=_PINNED_CASE, cases=[run_case(_PINNED_CASE)])
+    assert _sha(json.dumps(report.to_dict(), sort_keys=True)) == (
+        "705146a62d9fa3836db91cbce8a76d81fa8b74ca3d3963b01ae3acca06e1fe19"
+    )
+
+
+def test_faulted_run_telemetry_is_pinned():
+    from repro import registry
+    from repro.obs import Telemetry, prometheus_text, write_jsonl
+    from repro.simulation.runner import ClusterSimulator
+
+    telemetry = Telemetry()
+    case = _PINNED_CASE
+    sim = ClusterSimulator(
+        registry.create(case.scheme), case.workload(), case.num_servers,
+        case.sim_config(trace_sample=5), telemetry=telemetry,
+    )
+    sim.control.history = OpHistory()
+    try:
+        result = sim.run()
+    finally:
+        sim.close()
+    out = io.StringIO()
+    write_jsonl(telemetry, out, summary=result.to_dict())
+    assert _sha(out.getvalue()) == (
+        "74b4bbefbd11407f35a611f8a65d37b461a244bb508a862839fd1cd723f3590a"
+    )
+    assert _sha(prometheus_text(telemetry.registry)) == (
+        "ecaf037a68a40b88d740fddc4b6fadbbc9c8e4d1203a1d3a00369ae762ee8aba"
+    )
