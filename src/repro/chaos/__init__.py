@@ -7,9 +7,9 @@ The package splits the original single-module harness into focused parts:
 - :mod:`repro.chaos.harness` — case replay, quiescence, :func:`check_run`
   (the one post-quiescence audit of a simulated or live run),
   :class:`ChaosCase`/:class:`ChaosReport`.
-- :mod:`repro.chaos.history` — the op log and its consistency audit
-  (exactly-once acks, session monotonicity, epoch-fence safety,
-  no-lost-acked-mutation).
+- :mod:`repro.chaos.history` — the op log, folded as it is recorded, and
+  its consistency audit (exactly-once acks, session monotonicity,
+  epoch-fence safety, no-lost-acked-mutation).
 - :mod:`repro.chaos.shrink` — delta-debugging minimization of failing
   fault plans to minimal counterexamples.
 - :mod:`repro.chaos.corpus` — :class:`CorpusCase`, the one description of a
@@ -32,7 +32,7 @@ from repro.chaos.harness import (
     check_run,
     run_case,
 )
-from repro.chaos.history import HistoryEvent, OpHistory, audit_history
+from repro.chaos.history import HistoryEvent, HistorySink, OpHistory, audit_history
 from repro.chaos.schedule import generate_plan
 from repro.chaos.shrink import ShrinkResult, shrink_plan
 from repro.chaos.hunt import HuntCase, HuntReport, promote_findings, run_hunt
@@ -53,6 +53,7 @@ __all__ = [
     "ChaosReport",
     "CorpusCase",
     "HistoryEvent",
+    "HistorySink",
     "HuntCase",
     "HuntReport",
     "OpHistory",

@@ -98,18 +98,17 @@ def check_run(
     )
 
     # 4. Accounting: the op log invoked exactly the trace.
-    invoked = history.ids("invoke")
-    never = [op for op in range(ops) if op not in invoked]
-    if never:
+    count, first = history.uninvoked(ops)
+    if count:
         violations.append(
-            f"accounting: {len(never)} of {ops} trace ops never invoked "
-            f"(e.g. ops {never[:3]})"
+            f"accounting: {count} of {ops} trace ops never invoked "
+            f"(e.g. ops {first})"
         )
-    stray = sorted(op for op in invoked if not 0 <= op < ops)
-    if stray:
+    count, first = history.invoked_from(ops)
+    if count:
         violations.append(
-            f"accounting: {len(stray)} invoked ops are not trace positions "
-            f"(e.g. ops {stray[:3]})"
+            f"accounting: {count} invoked ops are not trace positions "
+            f"(e.g. ops {first})"
         )
 
     # 5. The history audit.

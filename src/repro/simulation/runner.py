@@ -637,16 +637,17 @@ class ClusterSimulator:
         rec_on = rec is not None
         mig_budget = self._mig_budget
         # The op log (repro.chaos.history.OpHistory): one call per op
-        # transition, keyed by trace position. A history run (chaos) or a
-        # metrics run keeps one; the span recorder hears its calls, or takes
-        # them itself for the sampled ops (``slot_tr`` set) of a span-only run.
+        # transition, keyed by trace position, folded as it arrives. A
+        # history run (chaos) or a metrics run keeps one, and telemetry
+        # listens to it; the span recorder hears its calls, or takes them
+        # itself for the sampled ops (``slot_tr`` set) of a span-only run.
         log = control.history
         if tel_on:
             if log is None:
                 from repro.chaos.history import OpHistory
 
                 log = control.history = OpHistory()
-            tel.ops = log
+            tel.attach_ops(log)
         log_all = log is not None
         if log_all:
             log.spans = rec

@@ -99,7 +99,6 @@ class LoadReport:
     """Client-side outcome of one live run."""
 
     issued: int = 0
-    redirects: int = 0
     #: Operations that found all ``max_inflight`` slots busy at their
     #: arrival time (the cap delayed their start).
     saturated: int = 0
@@ -108,22 +107,24 @@ class LoadReport:
     index_cache_hits: int = 0
     index_cache_misses: int = 0
     duration: float = 0.0
-    #: The run's op log; the outcomes below are views of it.
+    #: The run's op log; the outcomes below are read off its fold.
     history: OpHistory = field(default_factory=OpHistory)
 
-    acked_ids = property(lambda self: self.history.ids("ok"))
+    acked = property(lambda self: self.history.acked)
+    failed = property(lambda self: self.history.fails)
     #: Ops that exhausted their budget with at least one maybe-sent
     #: attempt — the client cannot know whether they were applied.
-    indeterminate_ids = property(lambda self: self.history.ids("indeterminate"))
+    indeterminate = property(lambda self: self.history.indeterminates)
+    retries = property(lambda self: self.history.retries)
+    #: Redirects taken, by acked and abandoned ops alike (each live jump
+    #: is one).
+    redirects = property(lambda self: self.history.jumps)
     #: ``ok.t - invoke.t`` of the acked ops, in ack order.
-    latencies = property(lambda self: self.history.latencies())
-    failed = property(lambda self: self.history.count("fail"))
-    indeterminate = property(lambda self: self.history.count("indeterminate"))
-    retries = property(lambda self: self.history.count("retry"))
-
-    @property
-    def acked(self) -> int:
-        return len(self.acked_ids)
+    latencies = property(lambda self: self.history.latencies)
+    acked_ids = property(lambda self: self.history.outcome_ids("ok"))
+    indeterminate_ids = property(
+        lambda self: self.history.outcome_ids("indeterminate")
+    )
 
     @property
     def throughput(self) -> float:
@@ -397,8 +398,8 @@ class LoadGenerator:
         self.ops = list(ops)
         self.cfg = cfg or LoadConfig()
         self.report = LoadReport(issued=len(self.ops))
-        #: The op log (one record per op transition), audited by the live
-        #: invariant check after quiescence.
+        #: The op log (one call per op transition, folded as it is
+        #: recorded), audited by the live invariant check after quiescence.
         self.history = self.report.history
         self._conns: Dict[int, _ServerConn] = {}
         self._done = 0
@@ -553,9 +554,9 @@ class LoadGenerator:
         now = self._loop.time()
         if op.attempts >= self.cfg.max_retries or now >= op.deadline:
             if op.maybe_applied:
-                self.history.indeterminate(op.op_id, -1, now, op.attempts)
+                self.history.indeterminate(op.op_id, -1, now, op.attempts, op.jumps)
             else:
-                self.history.fail(op.op_id, -1, now, op.target, op.attempts)
+                self.history.fail(op.op_id, -1, now, op.target, op.attempts, op.jumps)
             self._done += 1
             return True
         op.attempts += 1
@@ -614,7 +615,6 @@ class LoadGenerator:
         self._forget(op.root, op.target)
         op.root = ""
         if status == "redirect" and reply.owner >= 0:
-            self.report.redirects += 1
             op.jumps += 1
             self._learn(reply)
             op.root, op.target = reply.root, reply.owner

@@ -9,7 +9,7 @@ from repro.cluster import (
     MonitorGroup,
     SimClient,
 )
-from repro.chaos.history import OpHistory
+from repro.chaos.history import HistorySink, OpHistory
 from repro.core import D2TreeScheme
 from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
 from tests.conftest import build_random_tree
@@ -168,8 +168,10 @@ def test_server_fifo_queueing(tiny_dtr_workload):
         ),
     )
     sim.control.history = history
+    sink = HistorySink()
+    history.listen(sink)
     result = sim.run()
-    acks = [event for event in history.events if event.kind == "ok"]
+    acks = [event for event in sink.events if event.kind == "ok"]
     assert [event.t for event in acks] == [
         float(n) for n in range(1, len(tiny_dtr_workload.trace) + 1)
     ]

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from repro.chaos.history import OpHistory
+from repro.chaos.history import HistorySink, OpHistory
 from repro.cluster import MetadataServer, MonitorGroup
 from repro.cluster.control import ClusterControl
 from repro.cluster.failure import check_state_invariants
@@ -253,6 +253,8 @@ def test_a_heartbeat_in_flight_across_a_crash_does_not_resurrect(cluster):
 # ----------------------------------------------------------------------
 def test_kill9_on_a_down_server_wipes_nothing_and_counts_once(cluster):
     cluster.control.history = history = OpHistory()
+    sink = HistorySink()
+    history.listen(sink)
     cluster.beat_round(0.1)
     cluster.servers[1].accept_directive(1)
     cluster.fault("crash:1", 0.2)
@@ -264,7 +266,7 @@ def test_kill9_on_a_down_server_wipes_nothing_and_counts_once(cluster):
     cluster.fault("recover:1", 0.4)
     cluster.fault("kill9:1", 0.5)
     assert server.lost_volatile and server.fence_epoch == 0
-    assert [(e.kind, e.server, e.t) for e in history.events] == [("wipe", 1, 0.5)]
+    assert [(e.kind, e.server, e.t) for e in sink.events] == [("wipe", 1, 0.5)]
 
 
 def test_tail_damage_on_a_down_server_still_forces_a_replay(tmp_path):

@@ -9,13 +9,15 @@ audit stays silent.
 """
 
 import dataclasses
+import gc
 import hashlib
 import io
 import json
+import tracemalloc
 
 import pytest
 
-from repro.chaos import CorpusCase, OpHistory, audit_history, run_case
+from repro.chaos import CorpusCase, HistorySink, OpHistory, audit_history, run_case
 from repro.simulation import FaultPlan
 from repro.traces import DatasetProfile, TraceGenerator
 
@@ -274,9 +276,9 @@ def test_sim_history_audits_clean_across_kill9(tmp_path):
 
 
 def test_history_and_telemetry_op_events_are_one_log(workload):
-    """A chaos-clocked run with both a history and telemetry: the op events
-    are derived from the history itself, so invoke ids are the op-event
-    ids, and retries appear once in each."""
+    """A chaos-clocked run with both a history and telemetry: telemetry
+    listens to the history, so the invoke ids a keep-everything sink heard
+    are the op-event ids, and retries appear once in each."""
     from repro import registry
     from repro.chaos import (
         CHAOS_HEARTBEAT_INTERVAL, CHAOS_HEARTBEAT_TIMEOUT, CHAOS_LEASE_TIMEOUT,
@@ -301,6 +303,8 @@ def test_history_and_telemetry_op_events_are_one_log(workload):
         telemetry=telemetry,
     )
     history = sim.control.history = OpHistory()
+    sink = HistorySink()
+    history.listen(sink)
     try:
         sim.run()
     finally:
@@ -314,9 +318,9 @@ def test_history_and_telemetry_op_events_are_one_log(workload):
     def event_ids(name):
         return sorted(e["op"] for e in events if e["event"] == name)
 
-    assert ids(history.events, "invoke") == event_ids("op_start")
-    assert ids(history.events, "ok") == event_ids("op_complete")
-    assert ids(history.events, "retry") == event_ids("op_retry")
+    assert ids(sink.events, "invoke") == event_ids("op_start")
+    assert ids(sink.events, "ok") == event_ids("op_complete")
+    assert ids(sink.events, "retry") == event_ids("op_retry")
     assert event_ids("op_retry")
     assert _audit(history) == []
 
@@ -548,3 +552,53 @@ def test_faulted_run_telemetry_is_pinned():
     assert _sha(prometheus_text(telemetry.registry)) == (
         "ecaf037a68a40b88d740fddc4b6fadbbc9c8e4d1203a1d3a00369ae762ee8aba"
     )
+
+
+# ----------------------------------------------------------------------
+# The fold's bound: what a recorded run retains per op
+# ----------------------------------------------------------------------
+def _retained_by_the_log(ops):
+    """Bytes the op log of a chaos-clocked, faulted ``run()`` of the first
+    ``ops`` ops still holds afterwards: what was allocated under one of its
+    calls and is still live."""
+    from repro import registry
+    from repro.chaos import history
+    from repro.simulation.runner import ClusterSimulator
+
+    case = CorpusCase(
+        scheme="d2-tree", trace="dtr", nodes=2000, scale=3e-4, seed=7,
+        num_servers=5, num_monitors=3, ops=ops,
+        faults=["crash:1@ops=500", "recover:1@ops=1500"],
+    )
+    sim = ClusterSimulator(
+        registry.create(case.scheme), case.workload(), case.num_servers,
+        case.sim_config(),
+    )
+    sim.control.history = OpHistory()
+    try:
+        tracemalloc.start(2)
+        try:
+            sim.run()
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+    finally:
+        sim.close()
+    mine = tracemalloc.Filter(True, history.__file__, all_frames=True)
+    return sum(s.size for s in snapshot.filter_traces([mine]).statistics("filename"))
+
+
+def op_log_bytes_per_op(short=2_000, long=8_000):
+    """Bytes per op the op log retains, from the growth between a run of
+    ``short`` and one of ``long`` ops (CI prints it beside the serve
+    rows)."""
+    grown = _retained_by_the_log(long) - _retained_by_the_log(short)
+    return grown / (long - short)
+
+
+def test_a_recorded_run_retains_at_most_24_bytes_per_op():
+    """One state byte, the invoke time, the latency and the acking
+    server's copy of the op id: ~21 B per op, where a record list held
+    ~375."""
+    assert op_log_bytes_per_op() <= 24

@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro import registry
+from repro.chaos.history import HistorySink
 from repro.cluster.index import RoutingIndex, covering_entry
 from repro.cluster.messages import ClientRequest, Directive
 from repro.traces import DatasetProfile, load_workload
@@ -136,16 +137,18 @@ def test_global_layer_reads_are_acked_by_any_replica(workload):
             cluster.transport, NUM_SERVERS, reads,
             LoadConfig(rate=1e6, max_inflight=4, seed=SEED),
         )
+        sink = HistorySink()
+        generator.history.listen(sink)
         load = await generator.run()
-        return load, live_audit(cluster, generator)
+        return load, sink, live_audit(cluster, generator)
 
-    load, violations = _with_cluster(workload, body)
+    load, sink, violations = _with_cluster(workload, body)
     assert violations == []
     assert load.acked == len(reads)
     # Fully replicated: no global-layer read pays a second hop, and the
     # acks come from more than one server.
     assert load.redirects == 0
-    ackers = {event.server for event in load.history.events if event.kind == "ok"}
+    ackers = {event.server for event in sink.events if event.kind == "ok"}
     assert len(ackers) > 1
 
 
@@ -198,6 +201,49 @@ def test_a_stale_client_entry_costs_one_redirect_then_is_corrected(workload):
     assert load.redirects == 1
     assert entry is not None and entry[0] == owner
     assert load.index_cache_hits == len(ops)
+
+
+def test_the_redirect_of_an_op_that_then_fails_is_counted(workload):
+    """One attempt only: the op the stale entry sends to the wrong server
+    is redirected, and its budget is spent before it can follow. The
+    redirect is on record with its ``fail``, so the report counts it."""
+    placement = registry.create("d2-tree").partition(workload.tree, NUM_SERVERS)
+    root, owner = next(iter(placement.subtree_owner.items()))
+    wrong = (owner + 1) % NUM_SERVERS
+
+    async def body(cluster):
+        generator = LoadGenerator(
+            cluster.transport, NUM_SERVERS, [(0, root.path, "read")],
+            LoadConfig(rate=1e6, max_inflight=1, max_retries=1, seed=SEED),
+        )
+        generator.index_cache.put(root.path, (wrong, 0))
+        sink = HistorySink()
+        generator.history.listen(sink)
+        return await generator.run(), sink
+
+    load, sink = _with_cluster(workload, body)
+    assert (load.acked, load.failed, load.redirects) == (0, 1, 1)
+    assert [(e.kind, e.jumps) for e in sink.events] == [("invoke", 0), ("fail", 1)]
+
+
+def test_fault_free_redirects_are_the_servers_redirects(workload):
+    """Update-heavy and fault-free: every redirect a server sent was
+    followed, so the clients' log and the servers' counters agree."""
+    ops = [
+        (op_id, path, "update") for op_id, path, _ in trace_ops(workload.trace)
+    ][:400]
+
+    async def body(cluster):
+        generator = LoadGenerator(
+            cluster.transport, NUM_SERVERS, ops,
+            LoadConfig(rate=1e6, max_inflight=4, seed=SEED),
+        )
+        load = await generator.run()
+        return load, sum(mds.redirects for mds in cluster.servers)
+
+    load, redirects = _with_cluster(workload, body)
+    assert load.acked == len(ops) and load.failed == load.indeterminate == 0
+    assert load.redirects == redirects > 0
 
 
 def test_an_unreachable_cached_owner_is_forgotten_not_retried_per_op(workload):

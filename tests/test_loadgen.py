@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import registry
+from repro.chaos.history import HistorySink
 from repro.cluster.messages import ClientReply
 from repro.traces import DatasetProfile, load_workload
 from repro.transport import CLIENT_ADDR, mds_addr
@@ -67,13 +68,20 @@ def _with_cluster(workload, body, **live):
     return asyncio.run(go())
 
 
-def _invokes(history):
-    return [event for event in history.events if event.kind == "invoke"]
+def _recording(generator):
+    """Attach a keep-everything sink to the generator's op log."""
+    sink = HistorySink()
+    generator.history.listen(sink)
+    return sink
 
 
-def _peak_outstanding(history):
+def _invokes(sink):
+    return [event for event in sink.events if event.kind == "invoke"]
+
+
+def _peak_outstanding(sink):
     peak = outstanding = 0
-    for event in history.events:
+    for event in sink.events:
         if event.kind == "retry":
             continue
         outstanding += 1 if event.kind == "invoke" else -1
@@ -141,12 +149,13 @@ def test_a_serial_run_is_one_slot(workload):
             cluster.transport, NUM_SERVERS, ops,
             LoadConfig(rate=1e6, max_inflight=1, seed=SEED),
         )
-        return await generator.run()
+        sink = _recording(generator)
+        return await generator.run(), sink
 
-    report, unhandled = _with_cluster(workload, body)
+    (report, sink), unhandled = _with_cluster(workload, body)
     assert report.acked == len(ops) and unhandled == []
-    assert _peak_outstanding(report.history) == 1
-    assert [e.op_id for e in _invokes(report.history)] == [op[0] for op in ops]
+    assert _peak_outstanding(sink) == 1
+    assert [e.op_id for e in _invokes(sink)] == [op[0] for op in ops]
 
 
 def test_an_empty_trace_is_an_empty_report(workload):
@@ -169,17 +178,18 @@ def test_outstanding_requests_never_exceed_the_cap(workload):
             cluster.transport, NUM_SERVERS, ops,
             LoadConfig(rate=1e6, max_inflight=3, seed=SEED),
         )
+        sink = _recording(generator)
         report = await generator.run()
-        return report, live_audit(cluster, generator)
+        return report, sink, live_audit(cluster, generator)
 
-    (report, violations), unhandled = _with_cluster(
+    (report, sink, violations), unhandled = _with_cluster(
         workload, body, service_time=0.002
     )
     assert report.acked == len(ops) and violations == [] and unhandled == []
     # Service takes 2 ms and arrivals are 1 µs apart: the cap binds at once
     # and stays bound, so all three slots are in use and never a fourth.
-    assert _peak_outstanding(report.history) == 3
-    assert [e.op_id for e in _invokes(report.history)] == [op[0] for op in ops]
+    assert _peak_outstanding(sink) == 3
+    assert [e.op_id for e in _invokes(sink)] == [op[0] for op in ops]
     assert report.saturated >= len(ops) - 3
 
 
@@ -199,13 +209,14 @@ def test_at_a_low_rate_no_op_starts_before_its_arrival_offset(workload):
 
     async def body(cluster):
         generator = LoadGenerator(cluster.transport, NUM_SERVERS, ops, cfg)
+        sink = _recording(generator)
         before = asyncio.get_running_loop().time()
         report = await generator.run()
-        return before, report
+        return before, report, sink
 
-    (before, report), unhandled = _with_cluster(workload, body)
+    (before, report, sink), unhandled = _with_cluster(workload, body)
     assert report.acked == len(ops) and unhandled == []
-    invoked_at = {e.op_id: e.t for e in _invokes(report.history)}
+    invoked_at = {e.op_id: e.t for e in _invokes(sink)}
     assert sorted(invoked_at) == [op[0] for op in ops]
     offsets = _arrival_offsets(cfg, len(ops))
     # run() reads its start time after ``before``, so this bound is loose
@@ -220,7 +231,7 @@ def test_at_a_low_rate_no_op_starts_before_its_arrival_offset(workload):
     assert report.duration >= offsets[-1]
     # The cap never bound: nothing was delayed by it.
     assert report.saturated == 0
-    assert _peak_outstanding(report.history) < len(ops)
+    assert _peak_outstanding(sink) < len(ops)
 
 
 # ----------------------------------------------------------------------
@@ -281,20 +292,21 @@ def test_full_loss_on_one_server_times_out_and_is_routed_around(
         cluster.transport.set_loss(mds_addr(victim), 1.0)
         generator = LoadGenerator(cluster.transport, NUM_SERVERS, ops, cfg)
         generator.index_cache.put(victim_root.path, (victim, 0))
+        sink = _recording(generator)
         report = await generator.run()
         seen.returned = True
         # Long enough for any timer left armed by mistake to fire.
         await asyncio.sleep(2 * cfg.request_timeout)
         cluster.transport.clear_endpoint(mds_addr(victim))
-        return report, generator, live_audit(cluster, generator)
+        return report, generator, sink, live_audit(cluster, generator)
 
-    (report, generator, violations), unhandled = _with_cluster(workload, body)
+    (report, generator, sink, violations), unhandled = _with_cluster(workload, body)
     assert unhandled == [] and violations == []
     assert report.failed == 0
     assert report.acked + report.indeterminate == len(ops)
     assert 0 in report.indeterminate_ids and 1 in report.acked_ids
     # Each lost attempt burned a whole timeout, started after its send.
-    events = {(e.kind, e.op_id): e for e in report.history.events}
+    events = {(e.kind, e.op_id): e for e in sink.events}
     for op_id in report.indeterminate_ids:
         waited = events["indeterminate", op_id].t - events["invoke", op_id].t
         assert waited >= cfg.request_timeout

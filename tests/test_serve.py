@@ -14,7 +14,7 @@ import types
 import pytest
 
 from repro import registry
-from repro.chaos import CorpusCase
+from repro.chaos import CorpusCase, HistorySink
 from repro.cli import main
 from repro.simulation.faults import FaultPlan
 from repro.traces import DatasetProfile, load_workload
@@ -196,9 +196,10 @@ def test_a_fault_plan_stops_when_the_load_raises(monkeypatch):
 
 def test_load_report_outcomes_are_views_of_the_history(monkeypatch):
     """After a faulted serve, the load report's acked and indeterminate
-    ids, latencies (ok.t - invoke.t, in ack order), failures and retries
-    are exactly what the op log's records give — and so are the numbers
-    the serve report prints."""
+    ids, latencies (ok.t - invoke.t, in ack order), failures, retries and
+    redirects — read off the op log's fold — are exactly what a
+    keep-everything sink heard, and so are the numbers the serve report
+    prints."""
     from repro.transport.loadgen import trace_ops
 
     profile = dataclasses.replace(
@@ -206,10 +207,12 @@ def test_load_report_outcomes_are_views_of_the_history(monkeypatch):
     )
     bundle = load_workload(profile.scaled(num_operations=600))
     workload = dataclasses.replace(bundle, trace=bundle.trace.slice(0, 600))
-    loads = []
+    loads, sinks = [], []
     run = LoadGenerator.run
 
     async def capturing_run(generator):
+        sinks.append(HistorySink())
+        generator.history.listen(sinks[-1])
         loads.append(await run(generator))
         return loads[-1]
 
@@ -221,8 +224,8 @@ def test_load_report_outcomes_are_views_of_the_history(monkeypatch):
         FaultPlan.parse(["crash:1@ops=150", "recover:1@ops=400"]),
     )
     assert report.ok and len(report.faults) == 2
-    (load,) = loads
-    records = load.history.events
+    (load,), (sink,) = loads, sinks
+    records = sink.events
     invoked = {r.op_id: r for r in records if r.kind == "invoke"}
     acks = [r for r in records if r.kind == "ok"]
 
@@ -233,7 +236,8 @@ def test_load_report_outcomes_are_views_of_the_history(monkeypatch):
     assert load.indeterminate_ids == {
         r.op_id for r in records if r.kind == "indeterminate"
     }
-    assert load.latencies == [r.t - invoked[r.op_id].t for r in acks]
+    assert list(load.latencies) == [r.t - invoked[r.op_id].t for r in acks]
+    assert load.redirects == sum(r.jumps for r in records if r.kind != "invoke")
     assert (load.failed, load.retries) == (count("fail"), count("retry"))
     assert load.retries > 0  # the crash reached the clients
     # Each invoke names its trace record.

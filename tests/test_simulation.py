@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import HashScheme, StaticSubtreeScheme
-from repro.chaos.history import OpHistory
+from repro.chaos.history import HistorySink, OpHistory
 from repro.core import D2TreeScheme
 from repro.core.namespace import PopularityEstimate
 from repro.placement import Migration, Placement
@@ -297,8 +297,10 @@ def test_replay_with_every_hook_on_is_deterministic(create_workload, tmp_path):
             ),
         )
         history = sim.control.history = OpHistory()
+        sink = HistorySink()
+        history.listen(sink)
         try:
-            return sim.run().to_dict(), history.events
+            return sim.run().to_dict(), sink.events
         finally:
             sim.close()
 
