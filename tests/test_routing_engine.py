@@ -12,6 +12,8 @@ Locks down the properties ``repro.simulation.routing`` documents:
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -312,6 +314,29 @@ _PINNED_COUNTERS = {
 }
 
 
+#: Per scheme, the same replay's final client caches: for each client in
+#: order, its index-cache then its prefix-cache ``(key, value)`` pairs in
+#: LRU order (oldest first), as the sha256 of their JSON. The counters alone
+#: miss a touch that lands in the wrong place; this pins where it lands.
+#: Captured from the OrderedDict-backed caches.
+_PINNED_CACHE_STATE = {
+    "d2-tree": "bcf3ac3680f402059ce31ae4c747f69d8dd26563881ba9ee5ccff7fa8053f709",
+    "static-subtree": "71cbd40bf0e6357feedb6fb38af7a899cf67622867f422783b1c399ac417fc56",
+    "static-hash": "84b595f0bf81bf877e57343ccf1764f7d0a597c8390474e83660fcf61c50ef7b",
+    "dynamic-subtree": "69c20ea94be21506febf16bdde42498824108d1678a3cc03ea1fa84cd7875b77",
+    "drop": "0925c152978799a242a3f30b8e7da534695a0ecb58926a0784838ab5c8d8475b",
+    "anglecut": "b40de2c559281e3e519fe0e7d1f31ecb7b02e63362c9b91c748ce5c14ed19e99",
+}
+
+
+def _cache_state_digest(clients) -> str:
+    state = [
+        [list(c.index_cache._data.items()), list(c.prefix_cache._data.items())]
+        for c in clients
+    ]
+    return hashlib.sha256(json.dumps(state).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def pinned_workload():
     profile = dataclasses.replace(
@@ -343,6 +368,7 @@ def test_cache_counters_are_pinned(pinned_workload, scheme):
         sum(c.hits for c in prefix), sum(c.misses for c in prefix),
         sim.migrations, result.operations,
     ) == _PINNED_COUNTERS[scheme]
+    assert _cache_state_digest(sim.clients) == _PINNED_CACHE_STATE[scheme]
 
 
 def test_hit_rate_counts_owner_index_lookups(workload):
