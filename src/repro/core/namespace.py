@@ -8,7 +8,7 @@ paper), and the traversal utilities the partitioning algorithms rely on.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.node import PATH_SEPARATOR, MetadataNode
 from repro.numeric import ordered_sum
@@ -555,11 +555,6 @@ class NamespaceTree:
                 best = d
             stack.extend((child, d + 1) for child in node.children)
         return best
-
-    def map_nodes(self, fn: Callable[[MetadataNode], None]) -> None:
-        """Apply ``fn`` to every node (registration order)."""
-        for node in self._nodes:
-            fn(node)
 
     def files(self) -> List[MetadataNode]:
         """All non-directory nodes."""

@@ -136,13 +136,6 @@ def test_files_and_directories():
     assert {d.path for d in dirs} == {"/", "/a", "/c"}
 
 
-def test_map_nodes():
-    tree = NamespaceTree()
-    tree.add_path("/a/b.txt")
-    tree.map_nodes(lambda n: setattr(n, "update_cost", 2.0))
-    assert all(n.update_cost == 2.0 for n in tree)
-
-
 def test_validate_passes_on_consistent_tree(sample_tree):
     sample_tree.validate()
 

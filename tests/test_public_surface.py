@@ -96,7 +96,6 @@ KEPT_UNNAMED = {
     "from_samples": "Def. 6's equi-probable histogram, built from samples",
     "contention": "the lock service's mean wait per acquisition (Sec. IV-A3)",
     "move_with_repair": "the move half of repair.py's cost model, which stays or goes whole",
-    "map_nodes": "tree-wide visitor only its test calls; on the ROADMAP deletion list",
 }
 
 
