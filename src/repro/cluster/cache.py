@@ -6,17 +6,25 @@ number, timeout and lease mechanism ... employed to maintain the consistency
 and reliability of server/client cache" is modelled where a stale entry is
 caught: the route planner compares a cached owner with the placement's
 (``repro.simulation.routing``) and charges a redirect hop.
+
+An :class:`LRUCache` is a plain dict kept in recency order, oldest first: a
+touch pops the key and inserts it again at the end, and an eviction deletes
+``next(iter(data))``. That is exactly LRU with no linked list to keep, so
+a lookup is one or two C-level dict calls. The route planner works on
+``_data`` directly under the same discipline.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Generic, Hashable, Iterable, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Iterable, Optional, Tuple, TypeVar
 
 __all__ = ["LRUCache"]
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
+
+#: Tells an absent key from a stored ``None`` in one dict call.
+_MISSING = object()
 
 
 class LRUCache(Generic[K, V]):
@@ -26,18 +34,21 @@ class LRUCache(Generic[K, V]):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._data: "OrderedDict[K, V]" = OrderedDict()
+        #: key -> value in recency order, least recently used first.
+        self._data: Dict[K, V] = {}
         self.hits = 0
         self.misses = 0
 
     def get(self, key: K) -> Optional[V]:
         """Return the cached value (refreshing recency), or ``None``."""
-        if key in self._data:
-            self._data.move_to_end(key)
-            self.hits += 1
-            return self._data[key]
-        self.misses += 1
-        return None
+        data = self._data
+        value = data.pop(key, _MISSING)
+        if value is _MISSING:
+            self.misses += 1
+            return None
+        data[key] = value
+        self.hits += 1
+        return value
 
     def peek(self, key: K) -> Optional[V]:
         """Return the cached value without touching recency or stats."""
@@ -45,15 +56,14 @@ class LRUCache(Generic[K, V]):
 
     def put(self, key: K, value: V) -> None:
         """Insert/refresh an entry, evicting the LRU entry when full."""
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
-        if len(self._data) > self.capacity:
-            self._data.popitem(last=False)
+        data = self._data
+        if data.pop(key, _MISSING) is _MISSING and len(data) >= self.capacity:
+            del data[next(iter(data))]
+        data[key] = value
 
     def invalidate(self, key: K) -> bool:
         """Drop an entry; returns whether it existed."""
-        return self._data.pop(key, None) is not None
+        return self._data.pop(key, _MISSING) is not _MISSING
 
     def clear(self) -> None:
         """Drop everything (kept stats intact)."""

@@ -173,8 +173,8 @@ class FastRoutingEngine:
 
         Exactly equivalent to calling :meth:`plan` per triple — same cache
         mutations, same RNG draws, same plans — with the staleness check
-        and planner dispatch hoisted out of the loop. This is the form the
-        batched dispatcher amortises per window.
+        and planner dispatch hoisted out of the loop. Only perfbench's plan
+        replay and the routing tests call it; the simulator plans per op.
         """
         if self.arena.version != self.tree.structure_version:
             self.invalidate()
@@ -269,15 +269,17 @@ class FastRoutingEngine:
             owner = placement._servers_of[self.tree._nodes[rid]][0]
             self._primary[rid] = owner
             self._primary_stamp[rid] = version
+        # The client's local index is an LRUCache's recency-ordered dict:
+        # popping a key and storing it again is the touch (see
+        # repro.cluster.cache), and the store also re-learns the owner.
         cache = client.index_cache
         data = cache._data
-        cached = data.get(rid)
+        cached = data.pop(rid, None)
         if cached is not None:
-            data.move_to_end(rid)
+            data[rid] = owner
             cache.hits += 1
             if cached == owner:
-                # Warm path: the client's local index is current. Re-caching
-                # the unchanged owner would be a no-op, so skip it.
+                # Warm path: the client's local index is current.
                 try:
                     return serve_plans[owner]
                 except IndexError:
@@ -296,10 +298,9 @@ class FastRoutingEngine:
             while first >= n:
                 first = getrandbits(k)
             kind, plans = _ENTRY, self._entry_plans
-        # Cache the owner (rid already at MRU position when present).
-        data[rid] = owner
-        if len(data) > cache.capacity:
-            data.popitem(last=False)
+            data[rid] = owner
+            if len(data) > cache.capacity:
+                del data[next(iter(data))]
         if first == owner:  # a cold entry that drew the owner itself
             try:
                 return serve_plans[owner]
@@ -329,9 +330,12 @@ class FastRoutingEngine:
             target = servers_of[node][0]
             primary[nid] = target
             stamp[nid] = version
-        cached = data.get(nid)
+        # Prefix-cache touches pop and store again, as in _plan_d2. A stale
+        # target is re-learned here, at MRU ahead of its ancestors; the walk
+        # may still evict it in a small cache, hence the store after it.
+        cached = data.pop(nid, None)
         if cached is not None:
-            data.move_to_end(nid)
+            data[nid] = target
             cache.hits += 1
             if cached == target:
                 # Warm path: this client verified the node recently and it
@@ -368,9 +372,9 @@ class FastRoutingEngine:
                 server = servers_of[ancestor][0]
                 primary[aid] = server
                 stamp[aid] = version
-            acached = data.get(aid)
+            acached = data.pop(aid, None)
+            data[aid] = server
             if acached is not None:
-                data.move_to_end(aid)
                 prefix_hits += 1
                 if acached == server:
                     continue
@@ -378,9 +382,8 @@ class FastRoutingEngine:
                     visits.append(Visit(acached, _REDIRECT))
                     last = acached
                     redirected = True
-            data[aid] = server
-            if len(data) > capacity:
-                data.popitem(last=False)
+            elif len(data) > capacity:
+                del data[next(iter(data))]
             if server != last:
                 visits.append(Visit(server, _TRAVERSAL))
                 last = server
@@ -391,7 +394,7 @@ class FastRoutingEngine:
         cache.misses += walked - prefix_hits
         data[nid] = target
         if len(data) > capacity:
-            data.popitem(last=False)
+            del data[next(iter(data))]
         # ``last`` is the server of the final visit (-1: no visit yet).
         if target != last and visits:
             visits.append(Visit(target, _SERVE))

@@ -1,5 +1,8 @@
 """Tests for the cluster substrate: caches, locks, servers, monitor, clients."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.cluster import (
@@ -81,6 +84,74 @@ def test_cache_clear_and_len():
 def test_cache_capacity_validation():
     with pytest.raises(ValueError):
         LRUCache(0)
+
+
+class _ReferenceLRU:
+    """The textbook LRU on an ``OrderedDict``, the model ``LRUCache`` must
+    match call for call."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.data = OrderedDict()
+        self.hits = self.misses = 0
+
+    def get(self, key):
+        if key in self.data:
+            self.data.move_to_end(key)
+            self.hits += 1
+            return self.data[key]
+        self.misses += 1
+        return None
+
+    def peek(self, key):
+        return self.data.get(key)
+
+    def put(self, key, value):
+        if key in self.data:
+            self.data.move_to_end(key)
+        self.data[key] = value
+        if len(self.data) > self.capacity:
+            self.data.popitem(last=False)
+
+    def invalidate(self, key):
+        existed = key in self.data
+        self.data.pop(key, None)
+        return existed
+
+    def clear(self):
+        self.data.clear()
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5])
+def test_cache_matches_a_reference_lru(capacity):
+    rng = random.Random(capacity)
+    keys = "abcdefg"
+    values = [0, None, 1, 2, "x"]
+    for _ in range(40):
+        cache, ref = LRUCache(capacity), _ReferenceLRU(capacity)
+        for _ in range(60):
+            op = rng.choice(("get", "get", "put", "put", "peek", "invalidate", "clear"))
+            args = (rng.choice(keys),)
+            if op == "put":
+                args += (rng.choice(values),)
+            elif op == "clear":
+                args = ()
+            assert getattr(cache, op)(*args) == getattr(ref, op)(*args), (op, args)
+            assert list(cache._data.items()) == list(ref.data.items())
+            assert len(cache) == len(ref.data)
+            assert cache.stats() == (ref.hits, ref.misses)
+            assert all((key in cache) == (key in ref.data) for key in keys)
+
+
+def test_cache_stored_none_and_zero_are_hits():
+    cache = LRUCache(2)
+    cache.put("none", None)
+    cache.put("zero", 0)
+    assert cache.get("none") is None
+    assert cache.get("zero") == 0
+    assert cache.stats() == (2, 0)
+    assert cache.invalidate("none")
+    assert not cache.invalidate("none")
 
 
 # ----------------------------------------------------------------------

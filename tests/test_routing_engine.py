@@ -7,8 +7,9 @@ Locks down the properties ``repro.simulation.routing`` documents:
   ``tests/golden/perfect_network_d2.json``);
 * ``plan_batch`` is exactly a sequential sequence of ``plan`` calls;
 * fixed-shape plans are shared objects that nothing writes to, drawn
-  with the same RNG bits as before, and every cache counter of all six
-  schemes is pinned on one seeded replay.
+  with the same RNG bits as before, and every cache counter and the
+  clients' final cache contents of all six schemes are pinned on one
+  seeded replay.
 """
 
 import dataclasses
@@ -150,6 +151,32 @@ def test_owner_index_is_current_after_crash_and_rejoin(workload):
         route = sim.engine.plan(client, node, OpType.READ)
         assert route.visits[-1].kind is VisitKind.SERVE
         assert route.visits[-1].server in sim.placement.servers_of(node)
+
+
+@pytest.mark.parametrize(
+    "capacity, final_order",
+    [
+        # The stale target is touched before the walk, so the ancestors
+        # the walk touches come after it in LRU order.
+        (8, ["/a/b/c/f", "/", "/a", "/a/b", "/a/b/c"]),
+        # The walk evicts the target itself; it is stored again after.
+        (2, ["/a/b/c", "/a/b/c/f"]),
+    ],
+)
+def test_stale_generic_target_keeps_its_lru_place(capacity, final_order):
+    tree = NamespaceTree()
+    target = tree.add_path("/a/b/c/f")
+    parent = tree.lookup("/a/b/c")
+    placement = registry.create("static-hash").partition(tree, 3)
+    engine = FastRoutingEngine(tree, placement)
+    client = SimClient(0, 3, prefix_cache_size=capacity)
+    engine.plan(client, target, OpType.READ)
+    engine.plan(client, parent, OpType.READ)
+    placement.move(target, (placement.primary_of(target) + 1) % 3)
+    engine.plan(client, target, OpType.READ)
+    data = client.prefix_cache._data
+    assert [tree.nodes[nid].path for nid in data] == final_order
+    assert data[target.node_id] == placement.primary_of(target)
 
 
 # ----------------------------------------------------------------------
@@ -317,8 +344,10 @@ _PINNED_COUNTERS = {
 #: Per scheme, the same replay's final client caches: for each client in
 #: order, its index-cache then its prefix-cache ``(key, value)`` pairs in
 #: LRU order (oldest first), as the sha256 of their JSON. The counters alone
-#: miss a touch that lands in the wrong place; this pins where it lands.
-#: Captured from the OrderedDict-backed caches.
+#: miss a touch that lands in the wrong place. An LRU's contents are mostly
+#: its last touches, so a misplaced touch early in the run can wash out;
+#: test_stale_generic_target_keeps_its_lru_place checks the stale target's
+#: place directly. Captured from the OrderedDict-backed caches.
 _PINNED_CACHE_STATE = {
     "d2-tree": "bcf3ac3680f402059ce31ae4c747f69d8dd26563881ba9ee5ccff7fa8053f709",
     "static-subtree": "71cbd40bf0e6357feedb6fb38af7a899cf67622867f422783b1c399ac417fc56",
