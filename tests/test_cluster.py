@@ -143,17 +143,6 @@ def test_cache_matches_a_reference_lru(capacity):
             assert all((key in cache) == (key in ref.data) for key in keys)
 
 
-def test_cache_stored_none_and_zero_are_hits():
-    cache = LRUCache(2)
-    cache.put("none", None)
-    cache.put("zero", 0)
-    assert cache.get("none") is None
-    assert cache.get("zero") == 0
-    assert cache.stats() == (2, 0)
-    assert cache.invalidate("none")
-    assert not cache.invalidate("none")
-
-
 # ----------------------------------------------------------------------
 # LockManager
 # ----------------------------------------------------------------------
