@@ -1,6 +1,8 @@
 """Tests for the comparator schemes of Section VI."""
 
 import bisect
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -20,6 +22,8 @@ from repro.cluster.failure import fail_server
 from repro.core import NamespaceTree
 from repro.metrics import balance_from_placement, system_locality
 from repro.placement import DEAD_CAPACITY
+from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
+from repro.traces import DatasetProfile, load_workload
 from tests.conftest import build_random_tree
 
 ALL_SCHEMES = [
@@ -314,22 +318,34 @@ def test_anglecut_ring_validation():
 # ----------------------------------------------------------------------
 # The DROP / AngleCut re-fit against the full reassign it replaced
 # ----------------------------------------------------------------------
-def _quantiles(entries, shares, count):
+def _quantiles(entries, shares, count, seen=None):
     """Keys where the running weight of sorted ``(key, weight)`` entries
-    crosses each cumulative share of the total, padded with 1.0."""
+    crosses each cumulative share of the total, padded with 1.0.
+
+    ``seen`` collects the cases the fit met: a cut ``"on a key"`` (the
+    key crossing a target is the boundary, and ``bisect_right`` puts it in
+    the next range), one ``"straddled"`` across equal keys (crossed past
+    the first of a run, so the run's earlier keys follow it), and a
+    ``"padded"`` one (a target past the total weight)."""
     total = sum(weight for _key, weight in entries)
     targets, acc = [], 0.0
     for share in shares:
         acc += share
         targets.append(acc * total)
     bounds, running, t = [], 0.0, 0
-    for key, weight in entries:
+    for i, (key, weight) in enumerate(entries):
         if t >= len(targets):
             break
         running += weight
         while t < len(targets) and running >= targets[t]:
             bounds.append(key)
             t += 1
+            if seen is not None:
+                seen.add("on a key")
+                if i and entries[i - 1][0] == key:
+                    seen.add("straddled")
+    if seen is not None and len(bounds) < count:
+        seen.add("padded")
     return bounds + [1.0] * (count - len(bounds))
 
 
@@ -343,7 +359,7 @@ def _owner(caps, position, rotation):
     return (position + rotation) % m
 
 
-def _reference_refit(placement):
+def _reference_refit(placement, seen=None):
     """The re-fit as it was: the whole keyspace sorted afresh, every key
     re-owned and reassigned, every key compared. Returns the moves."""
     caps, m = placement.capacities, placement.num_servers
@@ -355,7 +371,7 @@ def _reference_refit(placement):
             key=lambda item: item[0],
         )
         shares = [caps[r % m] / (cap_total * v) for r in range(ranges - 1)]
-        new = _quantiles(entries, shares, ranges - 1)
+        new = _quantiles(entries, shares, ranges - 1, seen)
         if new == placement.boundaries:
             return []
         placement.boundaries = new
@@ -373,7 +389,7 @@ def _reference_refit(placement):
                 if r == ring
             )
             ring_shares = [shares[(k + ring) % m] for k in range(m - 1)]
-            new.append(_quantiles(entries, ring_shares, m - 1))
+            new.append(_quantiles(entries, ring_shares, m - 1, seen))
         if new == placement.ring_boundaries:
             return []
         placement.ring_boundaries = new
@@ -455,6 +471,8 @@ def test_refit_moves_what_the_full_reassign_moved(scheme):
     assignment as the full reassign — through created siblings (equal
     keys / angles, told apart by weight), a direct key write, a failed
     server (its ranges fall to the next live one) and popularity shifts.
+    The cases a span cut could get wrong all occur: a key on a boundary,
+    a heavy run of equal keys straddling one, and cuts padded with 1.0.
     ``version`` moves iff the boundaries do."""
     tree = build_random_tree(600, seed=11)
     new, ref = scheme.partition(tree, 5), scheme.partition(tree, 5)
@@ -463,6 +481,7 @@ def test_refit_moves_what_the_full_reassign_moved(scheme):
     rng = random.Random(5)
     dirs = [node for node in tree if node.is_directory and node.depth >= 2]
     moved_rounds = 0
+    seen = set()
     for round_ in range(8):
         if round_ == 1:
             parent = dirs[0]
@@ -491,13 +510,27 @@ def test_refit_moves_what_the_full_reassign_moved(scheme):
             value = getattr(new, table)[dirs[2]]  # what a rename repair writes
             for placement in (new, ref):
                 getattr(placement, table)[node] = value
+            # The two equal keys carry four tenths of the weight: cuts
+            # fall on the first of them and across the pair.
+            heavy = 0.2 * sum(n.individual_popularity for n in tree)
+            for equal in (node, dirs[2]):
+                tree.record_access(equal, heavy)
+        if round_ == 5:
+            # A second failure, and the live capacities in absolute units:
+            # the dead servers' shares fall under an ulp and the summed
+            # shares round past 1, so the last targets lie past the total
+            # weight and their cuts are padded with 1.0.
+            for placement in (new, ref):
+                fail_server(placement, 4)
+                for server, capacity in ((0, 3.3e6), (1, 5.3e6), (3, 7.5e5)):
+                    placement.capacities[server] = capacity
         if round_ != 6:  # round 6 shifts nothing: the fit must stand still
             for node in rng.sample(list(tree), 60):
                 tree.record_access(node, rng.expovariate(0.05))
         tree.aggregate_popularity()
         version, before = new.version, getattr(new, bounds)
         moves = scheme.rebalance(tree, new)
-        expected = _reference_refit(ref)
+        expected = _reference_refit(ref, seen)
         assert [(m.node, m.source, m.target) for m in moves] == expected
         assert getattr(new, bounds) == getattr(ref, bounds)
         assert new._servers_of == ref._servers_of
@@ -505,9 +538,72 @@ def test_refit_moves_what_the_full_reassign_moved(scheme):
         assert (new.version != version) == refit
         moved_rounds += refit and bool(moves)
     assert moved_rounds >= 5
-    assert new.capacities[2] == DEAD_CAPACITY
-    assert all(servers != (2,) for servers in new._servers_of.values())
+    assert seen == {"on a key", "straddled", "padded"}
+    assert new.capacities[2] == new.capacities[4] == DEAD_CAPACITY
+    assert all(servers not in ((2,), (4,)) for servers in new._servers_of.values())
     # Boundaries that move no owner still invalidate what was read off the
     # placement (the full reassign bumped ``version`` once per key).
     version = new.version
     assert new.apply_boundaries() == [] and new.version == version + 1
+
+
+# ----------------------------------------------------------------------
+# A whole adjusted replay, pinned round by round
+# ----------------------------------------------------------------------
+#: Seeded RA replay with CREATEs (new keys mid-run), a crash + recover and
+#: a Monitor quorum loss (skipped rounds): sha256 prefix of every round's
+#: boundaries and moves, then ``_servers_of`` and ``version``.
+REPLAY_PINS = {
+    "drop-pathname": "61e04a1053464460",
+    "drop-preorder": "deb700487b08d75c",
+    "anglecut": "3176a5042258a8a9",
+}
+
+_REPLAY_SCHEMES = {
+    "drop-pathname": lambda: DropScheme(key_mode="pathname"),
+    "drop-preorder": lambda: DropScheme(key_mode="preorder"),
+    "anglecut": lambda: AngleCutScheme(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_PINS))
+def test_adjusted_replay_is_pinned(name):
+    """Per round the boundaries and the moves (node id, source, target);
+    at the end ``_servers_of`` in insertion order and ``version``."""
+    scheme = _REPLAY_SCHEMES[name]()
+    refit = scheme.rebalance
+    rounds = []
+
+    def recording(tree, placement):
+        moves = refit(tree, placement)
+        bounds = getattr(placement, "boundaries", None) or placement.ring_boundaries
+        rounds.append((bounds, [(m.node.node_id, m.source, m.target) for m in moves]))
+        return moves
+
+    scheme.rebalance = recording
+    profile = DatasetProfile.ra(1500).scaled(num_operations=9000)
+    sim = ClusterSimulator(
+        scheme,
+        load_workload(dataclasses.replace(profile, create_fraction=0.08)),
+        6,
+        SimulationConfig(
+            adjust_every_ops=600, seed=5, num_monitors=3,
+            fault_plan=FaultPlan.parse([
+                "crash:2@ops=2200", "recover:2@ops=5600",
+                "monitor_crash:0@ops=3000", "monitor_crash:1@ops=3100",
+                "monitor_recover:1@ops=4400",
+            ]),
+        ),
+    )
+    sim.run()
+    sim.close()
+    placement = sim.placement
+    assert len(rounds) >= 8 and sum(bool(moves) for _, moves in rounds) >= 4
+    assert sim.monitor.aborted_directives > 0
+    h = hashlib.sha256()
+    for bounds, moves in rounds:
+        h.update(f"{bounds!r} {moves!r}\n".encode())
+    for node, servers in placement._servers_of.items():
+        h.update(f"{node.node_id} {servers}\n".encode())
+    h.update(f"version {placement.version}\n".encode())
+    assert h.hexdigest()[:16] == REPLAY_PINS[name]
