@@ -17,31 +17,41 @@ rings, whose arcs rarely line up on the same server (Fig. 6).
 from __future__ import annotations
 
 import bisect
-from itertools import groupby
+from itertools import compress, count, islice
+from operator import eq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.placement import MetadataScheme, Migration, Placement, live_owner
 from repro.registry import register
-from repro.baselines.drop import preorder_keys, sorted_by_value
+from repro.baselines.drop import (
+    KeyOrder,
+    fit_boundaries,
+    individual_column,
+    preorder_keys,
+    sorted_by_value,
+    span_owners,
+    weights_of,
+)
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
 from repro.numeric import ordered_sum
 
 __all__ = ["AngleCutScheme", "AngleCutPlacement"]
 
-#: One ring in walk order: its nodes, their angles, the runs of equal angle.
-_Ring = Tuple[List[MetadataNode], List[float], List[Tuple[int, int]]]
+#: One ring in walk order: its node ids, their angles, the runs of equal
+#: angle. The rings are consecutive slices of the angle order.
+_Ring = Tuple[List[int], List[float], List[Tuple[int, int]]]
 
 
 def _equal_runs(values: List[float]) -> List[Tuple[int, int]]:
-    """``(start, stop)`` of every run of two or more equal ``values``."""
+    """``(start, stop)`` of every run of two or more equal ``values``,
+    found from the (few) positions equal to their predecessor."""
     runs: List[Tuple[int, int]] = []
-    start = 0
-    for _value, run in groupby(values):
-        stop = start + sum(1 for _ in run)
-        if stop - start > 1:
-            runs.append((start, stop))
-        start = stop
+    for at in compress(count(1), map(eq, islice(values, 1, None), values)):
+        if runs and runs[-1][1] == at:
+            runs[-1] = (runs[-1][0], at + 1)
+        else:
+            runs.append((at - 1, at + 1))
     return runs
 
 
@@ -64,7 +74,7 @@ class AngleCutPlacement(Placement):
             [(k + 1) / num_servers for k in range(num_servers - 1)]
             for _ in range(num_rings)
         ]
-        self._angle_order: Optional[Tuple[List[MetadataNode], List[Tuple[int, float]]]] = None
+        self._angle_order: Optional[KeyOrder] = None
         self._rings: List[_Ring] = []
 
     def server_for(self, ring: int, angle: float) -> int:
@@ -86,35 +96,39 @@ class AngleCutPlacement(Placement):
             for ring, bounds in enumerate(self.ring_boundaries)
         ]
 
-    def ring_order(self) -> List[_Ring]:
-        """Per ring: its nodes in angle order (equal angles in ``angles``
-        order), their angles, and the ``(start, stop)`` runs of equal angle.
-        Sorted once and kept across rounds while the projection is
-        unchanged."""
+    def angle_order(self) -> KeyOrder:
+        """The projected nodes in ``(ring, angle)`` order (equal angles in
+        ``angles`` order): ring by ring, each walked by angle. Sorted once
+        and kept across rounds while the projection is unchanged."""
         order = sorted_by_value(self.angles, self._angle_order)
         if order is not self._angle_order:
             self._angle_order = order
-            rings: List[Tuple[List[MetadataNode], List[float]]] = [
-                ([], []) for _ in range(self.num_rings)
-            ]
-            for node, (ring, angle) in zip(*order):
-                rings[ring][0].append(node)
-                rings[ring][1].append(angle)
-            self._rings = [(nodes, angles, _equal_runs(angles)) for nodes, angles in rings]
+            values, ids = order.values, order.ids
+            self._rings = []
+            for ring in range(self.num_rings):
+                start = bisect.bisect_left(values, (ring,))
+                stop = bisect.bisect_left(values, (ring + 1,), start)
+                angles = [angle for _ring, angle in values[start:stop]]
+                self._rings.append((ids[start:stop], angles, _equal_runs(angles)))
+        return order
+
+    def ring_order(self) -> List[_Ring]:
+        """Per ring: its node ids in angle order, their angles, and the
+        ``(start, stop)`` runs of equal angle."""
+        self.angle_order()
         return self._rings
 
     def apply_boundaries(self) -> List[Migration]:
-        """Place every projected node by the current arc boundaries; returns
-        the moves in ``angles`` order (see :meth:`Placement.reassign`)."""
-        owners, bounds = self.arc_owners(), self.ring_boundaries
-        return self.reassign(
-            (node, owners[ring][bisect.bisect_right(bounds[ring], angle)])
-            for node, (ring, angle) in self.angles.items()
-        )
-
-    def counted_nodes(self) -> None:
-        """Every node: each ring's arcs are popularity quantiles."""
-        return None
+        """Place every projected node by the current arc boundaries, as
+        spans of each ring's angle order; returns the moves in ``angles``
+        order (see :meth:`Placement.reassign`)."""
+        order = self.angle_order()
+        servers: List[int] = []
+        for (_ids, angles, _ties), bounds, owners in zip(
+            self._rings, self.ring_boundaries, self.arc_owners()
+        ):
+            servers += span_owners(angles, bounds, owners)
+        return self.reassign(order.keyed, list(map(servers.__getitem__, order.rank)))
 
     def forget(self, node) -> bool:
         """Drop a node and its ring projection."""
@@ -151,7 +165,7 @@ class AngleCutScheme(MetadataScheme):
         placement = AngleCutPlacement(
             num_servers, self.num_rings, self._project(tree), capacities
         )
-        placement.ring_boundaries = self._quantile_boundaries(placement)
+        placement.ring_boundaries = self._quantile_boundaries(placement, individual_column(tree))
         placement.apply_boundaries()
         placement.validate_complete(tree)
         return placement
@@ -162,8 +176,7 @@ class AngleCutScheme(MetadataScheme):
         placement: AngleCutPlacement,  # type: ignore[override]
     ) -> List[Migration]:
         """Re-fit arc boundaries to the current popularity distribution."""
-        tree.ensure_popularity()
-        new_boundaries = self._quantile_boundaries(placement)
+        new_boundaries = self._quantile_boundaries(placement, individual_column(tree))
         if new_boundaries == placement.ring_boundaries:
             return []
         placement.ring_boundaries = new_boundaries
@@ -180,37 +193,23 @@ class AngleCutScheme(MetadataScheme):
         return server
 
     @staticmethod
-    def _quantile_boundaries(placement: AngleCutPlacement) -> List[List[float]]:
-        """Per-ring boundaries carrying capacity-proportional popularity."""
+    def _quantile_boundaries(
+        placement: AngleCutPlacement, individual: List[float]
+    ) -> List[List[float]]:
+        """Per-ring boundaries carrying capacity-proportional popularity,
+        weighted by the id-indexed ``p'_j`` column ``individual``."""
         cap_total = ordered_sum(placement.capacities)
         shares = [cap / cap_total for cap in placement.capacities]
+        m = placement.num_servers
         boundaries: List[List[float]] = []
-        for ring, (nodes, angles, ties) in enumerate(placement.ring_order()):
-            weights = [node.individual_popularity + 1e-9 for node in nodes]
+        for ring, (ids, angles, ties) in enumerate(placement.ring_order()):
+            weights = list(weights_of(individual, ids))
             # A ring is walked in (angle, weight) order: equal angles (a
             # created node takes its parent's) go by this round's weight.
             for start, stop in ties:
                 weights[start:stop] = sorted(weights[start:stop])
-            total = ordered_sum(weights)
-            ring_bounds: List[float] = []
             # Arc k on this ring belongs to server (k + ring) % M; size each
             # arc to its owner's capacity share.
-            targets = []
-            acc = 0.0
-            for k in range(placement.num_servers - 1):
-                owner = (k + ring) % placement.num_servers
-                acc += shares[owner]
-                targets.append(acc * total)
-            running = 0.0
-            t = 0
-            for angle, weight in zip(angles, weights):
-                if t >= len(targets):
-                    break
-                running += weight
-                while t < len(targets) and running >= targets[t]:
-                    ring_bounds.append(angle)
-                    t += 1
-            while len(ring_bounds) < placement.num_servers - 1:
-                ring_bounds.append(1.0)
-            boundaries.append(ring_bounds)
+            ring_shares = [shares[(k + ring) % m] for k in range(m - 1)]
+            boundaries.append(fit_boundaries(angles, weights, ring_shares))
         return boundaries

@@ -17,7 +17,10 @@ suffers and keeps degrading as the cluster scales — ``V·M`` ranges means
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from itertools import accumulate, repeat
+from operator import add, attrgetter
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.placement import MetadataScheme, Migration, Placement, live_owner
 from repro.registry import register
@@ -76,18 +79,93 @@ def pathname_cluster_keys(tree: NamespaceTree) -> Dict[MetadataNode, float]:
     return keys
 
 
-def sorted_by_value(mapping: Dict, cached: Optional[Tuple[List, List]] = None):
-    """``(keys, values)`` of ``mapping`` in value order, equal values in
-    mapping order — a stable sort. ``cached``, an earlier result, is
-    returned as it is while it still describes ``mapping`` (same size, every
-    key still mapped to the value it was sorted by): an O(n) check instead
-    of a re-sort per adjustment round."""
-    if cached is not None:
-        keys, values = cached
-        if len(keys) == len(mapping) and list(map(mapping.get, keys)) == values:
-            return cached
-    keys = sorted(mapping, key=mapping.__getitem__)
-    return keys, [mapping[key] for key in keys]
+class KeyOrder(NamedTuple):
+    """A node-keyed mapping in value order, equal values in mapping order
+    (a stable sort), with what a re-fit round reads off it."""
+
+    #: The nodes in value order, and their values.
+    nodes: List[MetadataNode]
+    values: List
+    #: Their node ids: where the ``p'_j`` column is read.
+    ids: List[int]
+    #: The mapping's nodes and values in mapping order; ``rank[i]`` is the
+    #: value-order position of ``keyed[i]`` (packed: no int object per key).
+    keyed: List[MetadataNode]
+    keyed_values: List
+    rank: array
+
+
+def sorted_by_value(mapping: Dict, cached: Optional[KeyOrder] = None) -> KeyOrder:
+    """``mapping`` in value order. ``cached``, an earlier result, is
+    returned as it is while it still describes ``mapping`` (the same keys
+    and values in the same order): two O(n) list compares instead of a
+    re-sort per adjustment round."""
+    values = list(mapping.values())
+    if cached is not None and values == cached.keyed_values and list(mapping) == cached.keyed:
+        return cached
+    keyed = list(mapping)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    rank = array("q", [0]) * len(order)
+    for position, index in enumerate(order):
+        rank[index] = position
+    nodes = list(map(keyed.__getitem__, order))
+    return KeyOrder(
+        nodes,
+        list(map(values.__getitem__, order)),
+        list(map(attrgetter("node_id"), nodes)),
+        keyed,
+        values,
+        rank,
+    )
+
+
+def individual_column(tree: NamespaceTree) -> List[float]:
+    """Every node's ``p'_j`` by node id: the running replay's estimate
+    (``PopularityEstimate.individual``, which leaves the node objects
+    behind), else the node objects' own."""
+    estimate = tree.estimate
+    if estimate is not None:
+        return estimate.individual()
+    return tree.arena().individual_popularity()
+
+
+def weights_of(column: List[float], ids: Iterable[int]) -> Iterable[float]:
+    """The quantile fits' weight of each id: its ``p'_j`` plus a tiny floor,
+    so cold keyspace regions still split."""
+    return map(add, map(column.__getitem__, ids), repeat(1e-9))
+
+
+def fit_boundaries(keys: Sequence, weights: Iterable[float], shares: Sequence[float]) -> List:
+    """Per cumulative share of the total weight, the first of ``keys``
+    (ascending) at which the running weight, summed left to right from
+    0.0, reaches it; 1.0 where it never does (a target past the total).
+    One very popular key may satisfy several targets at once (the ranges
+    between are empty)."""
+    cumulative = list(accumulate(weights))
+    total = cumulative[-1] if cumulative else 0.0
+    end = len(cumulative)
+    boundaries = []
+    acc = 0.0
+    for share in shares:
+        acc += share
+        at = bisect.bisect_left(cumulative, acc * total)
+        boundaries.append(keys[at] if at < end else 1.0)
+    return boundaries
+
+
+def span_owners(keys: Sequence, boundaries: Sequence, owners: Sequence[int]) -> List[int]:
+    """The owner of each of ``keys`` (ascending), range ``r`` owning
+    ``[boundaries[r - 1], boundaries[r])``: one ``bisect_left`` per
+    boundary, so a key equal to a boundary opens the next range, exactly as
+    ``bisect_right(boundaries, key)`` places it."""
+    servers: List[int] = []
+    start = 0
+    for owner, boundary in zip(owners, boundaries):
+        stop = bisect.bisect_left(keys, boundary, start)
+        servers += [owner] * (stop - start)
+        start = stop
+    servers += [owners[len(boundaries)]] * (len(keys) - start)
+    return servers
 
 
 class DropPlacement(Placement):
@@ -110,7 +188,7 @@ class DropPlacement(Placement):
         self.boundaries: List[float] = [
             (r + 1) / num_ranges for r in range(num_ranges - 1)
         ]
-        self._key_order: Optional[Tuple[List[MetadataNode], List[float]]] = None
+        self._key_order: Optional[KeyOrder] = None
 
     @property
     def num_ranges(self) -> int:
@@ -127,25 +205,20 @@ class DropPlacement(Placement):
         boundaries, indexed like ``bisect_right(boundaries, key)``."""
         return [live_owner(self.capacities, r) for r in range(len(self.boundaries) + 1)]
 
-    def key_order(self) -> Tuple[List[MetadataNode], List[float]]:
-        """The keyed nodes in key order (equal keys in ``keys`` order) and
-        their keys: the HDLB histogram's walk, sorted once and kept across
-        rounds while the keyspace is unchanged."""
+    def key_order(self) -> KeyOrder:
+        """The keyed nodes in key order (equal keys in ``keys`` order): the
+        HDLB histogram's walk, sorted once and kept across rounds while the
+        keyspace is unchanged."""
         self._key_order = sorted_by_value(self.keys, self._key_order)
         return self._key_order
 
     def apply_boundaries(self) -> List[Migration]:
-        """Place every keyed node by the current boundaries; returns the
-        moves in ``keys`` order (see :meth:`Placement.reassign`)."""
-        owners, boundaries = self.range_owners(), self.boundaries
-        return self.reassign(
-            (node, owners[bisect.bisect_right(boundaries, key)])
-            for node, key in self.keys.items()
-        )
-
-    def counted_nodes(self) -> None:
-        """Every node: HDLB's histogram weighs each key."""
-        return None
+        """Place every keyed node by the current boundaries, as spans of
+        the key order; returns the moves in ``keys`` order (see
+        :meth:`Placement.reassign`)."""
+        order = self.key_order()
+        servers = span_owners(order.values, self.boundaries, self.range_owners())
+        return self.reassign(order.keyed, list(map(servers.__getitem__, order.rank)))
 
     def forget(self, node) -> bool:
         """Drop a node and its keyspace entry."""
@@ -191,7 +264,7 @@ class DropScheme(MetadataScheme):
         )
         # DROP balances from the start: the initial boundaries already sit at
         # the popularity quantiles (the HDLB fixed point for the initial load).
-        placement.boundaries = self._quantile_boundaries(placement)
+        placement.boundaries = self._quantile_boundaries(placement, individual_column(tree))
         placement.apply_boundaries()
         placement.validate_complete(tree)
         return placement
@@ -202,8 +275,7 @@ class DropScheme(MetadataScheme):
         placement: DropPlacement,  # type: ignore[override]
     ) -> List[Migration]:
         """HDLB: move boundaries to the current popularity quantiles."""
-        tree.ensure_popularity()
-        new_boundaries = self._quantile_boundaries(placement)
+        new_boundaries = self._quantile_boundaries(placement, individual_column(tree))
         if new_boundaries == placement.boundaries:
             return []
         placement.boundaries = new_boundaries
@@ -228,36 +300,16 @@ class DropScheme(MetadataScheme):
         return server
 
     @staticmethod
-    def _quantile_boundaries(placement: DropPlacement) -> List[float]:
+    def _quantile_boundaries(placement: DropPlacement, individual: List[float]) -> List[float]:
         """Boundaries giving every virtual range its owner's capacity share.
 
-        Weighted by *individual* popularity (a node's served traffic) plus a
-        tiny floor so cold keyspace regions still split.
+        Weighted by *individual* popularity (a node's served traffic, read
+        from the id-indexed ``individual`` column) plus a tiny floor.
         """
-        nodes, keys = placement.key_order()
-        weights = [node.individual_popularity + 1e-9 for node in nodes]
-        total = ordered_sum(weights)
-        cap_total = ordered_sum(placement.capacities)
+        order = placement.key_order()
+        capacities = placement.capacities
+        cap_total = ordered_sum(capacities)
         v = placement.virtual_nodes_per_server
-        targets = []
-        acc = 0.0
-        for r in range(placement.num_ranges - 1):
-            owner = r % placement.num_servers
-            acc += placement.capacities[owner] / (cap_total * v)
-            targets.append(acc * total)
-        boundaries = []
-        running = 0.0
-        t = 0
-        for key, weight in zip(keys, weights):
-            if t >= len(targets):
-                break
-            running += weight
-            # One very popular node may satisfy several range targets at
-            # once; emit a boundary for each (the intermediate ranges are
-            # simply empty).
-            while t < len(targets) and running >= targets[t]:
-                boundaries.append(key)
-                t += 1
-        while len(boundaries) < placement.num_ranges - 1:
-            boundaries.append(1.0)
-        return boundaries
+        m = placement.num_servers
+        shares = [capacities[r % m] / (cap_total * v) for r in range(placement.num_ranges - 1)]
+        return fit_boundaries(order.values, weights_of(individual, order.ids), shares)

@@ -47,15 +47,18 @@ class DynamicSubtreePlacement(Placement):
         """Recompute every node's server from the zone map: a node's zone
         is its own entry or its parent's, resolved in one pass parents
         first (registration order is not, after ``move_node``), then
-        assigned in registration order."""
+        reassigned in registration order. ``version`` moves by one per
+        node, as assigning each one did."""
         arena = tree.arena()
         zone_servers = {root.node_id: server for root, server in self.zone_of.items()}
         server_of = [zone_servers[tree.root.node_id]] * arena.size
         for cid, pid in arena.descent():
             server = zone_servers.get(cid)
             server_of[cid] = server_of[pid] if server is None else server
-        for node in tree:
-            self.assign(node, server_of[node.node_id])
+        nodes = tree.nodes
+        version = self.version
+        self.reassign(nodes, [server_of[node.node_id] for node in nodes])
+        self.version = version + len(nodes)
 
     def counted_nodes(self) -> None:
         """Every node: a zone's load and a split's candidates are read off

@@ -8,6 +8,7 @@ paper), and the traversal utilities the partitioning algorithms rely on.
 from __future__ import annotations
 
 from array import array
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.node import PATH_SEPARATOR, MetadataNode
@@ -49,7 +50,7 @@ class NodeArena:
     Reversed, the same order lists parents before children
     (:meth:`descent`): :meth:`depths` is one pass over it, and so is any
     top-down placement rule. :meth:`chain` hands the route planner a node's
-    ancestors as one shared tuple.
+    ancestor ids as one shared tuple.
 
     Replaying the recorded sequence performs the same float additions in
     the same order as the object walk, so the sums are bit-identical to
@@ -97,16 +98,18 @@ class NodeArena:
         self._agg_parent = agg_parent
         self._subtree_sizes: Optional[List[int]] = None
         self._depths: Optional[List[int]] = None
-        #: node id -> ancestors root-first, excluding the node (lazy).
-        self._chains: List[Optional[Tuple[MetadataNode, ...]]] = [None] * self.size
+        #: node id -> ancestor ids root-first, excluding the node (lazy).
+        self._chains: List[Optional[Tuple[int, ...]]] = [None] * self.size
 
-    def chain(self, node: MetadataNode) -> Tuple[MetadataNode, ...]:
-        """Ancestors of ``node`` root-first, excluding ``node`` (set ``A_j``).
+    def chain(self, node: MetadataNode) -> Tuple[int, ...]:
+        """Ids of ``node``'s ancestors root-first, excluding ``node`` (set
+        ``A_j``).
 
         Unlike :meth:`MetadataNode.ancestors` this allocates once per node
         per arena — the tuple is cached and shared, which is what lets the
         generic planner walk POSIX prefixes without per-operation list
-        builds. Chains compose: a node's chain is its parent's chain plus
+        builds; ids, because the planner's memo columns are indexed by
+        them. Chains compose: a node's chain is its parent's chain plus
         the parent.
         """
         chains = self._chains
@@ -117,7 +120,7 @@ class NodeArena:
             if parent is None:
                 cached = ()
             else:
-                cached = self.chain(parent) + (parent,)
+                cached = self.chain(parent) + (parent.node_id,)
             chains[nid] = cached
         return cached
 
@@ -194,7 +197,9 @@ class PopularityEstimate:
     the placement's control plane reads between rounds, Sec. IV-B's "access
     counters" — straight from the counts completed under it, at the cost of
     the window; :meth:`materialise` is the whole-tree pass, for a reader of
-    per-node popularity beyond those.
+    per-node popularity beyond those. A reader of ``p'_j`` alone (DROP's and
+    AngleCut's quantile fits) takes the column itself, :meth:`individual`,
+    and leaves the node objects behind.
 
     With integer counts and ``blend = 0.5`` every value is a dyadic
     rational, so a total blended directly and the total of its blended
@@ -202,7 +207,9 @@ class PopularityEstimate:
     against a per-round one) agree to the last ulp or so, not bit for bit.
     """
 
-    __slots__ = ("arena", "blend", "keep", "round", "_value", "_stamp", "_pending", "_stale")
+    __slots__ = (
+        "arena", "blend", "keep", "round", "_value", "_stamp", "_pending", "_stale", "_rebased",
+    )
 
     def __init__(self, arena: NodeArena, blend: float) -> None:
         if not 0.0 <= blend <= 1.0:
@@ -218,6 +225,8 @@ class PopularityEstimate:
         self._pending: List[Dict[MetadataNode, int]] = []
         #: True while some node object is behind the columns.
         self._stale = False
+        #: The round every ``_stamp`` was last set to (by :meth:`individual`).
+        self._rebased = 0
 
     def fold(self, counts, counted=None, counter_ids=None) -> None:
         """Blend one window: ``counts`` maps each node to the accesses that
@@ -273,21 +282,35 @@ class PopularityEstimate:
             for nid in (n.node_id for n in node.descendants(include_self=True))
         )
 
-    def materialise(self) -> None:
-        """Bring every node object up to date (no-op when they all are);
-        removed nodes keep theirs undecayed, as a blend over the live tree would."""
-        if not self._stale:
-            return
+    def individual(self) -> List[float]:
+        """Every node's ``p'_j`` as of the last folded round, by node id:
+        the pending windows settled and every value decayed to the round
+        (removed nodes keep theirs undecayed, as a blend over the live tree
+        would). The columns are rebased to it, so a second call in the same
+        round costs nothing. The list is the estimate's own: read it, do not
+        write it."""
+        now = self.round
+        if self._rebased == now and not self._pending:
+            return self._value
         self._settle()
-        now, keep = self.round, self.keep
+        keep = self.keep
         value = self._value
-        decay = [keep ** elapsed for elapsed in range(now + 1)]
-        current = [v * decay[now - at] for v, at in zip(value, self._stamp)]
+        # By the round a value was stamped in: ``keep ** rounds_elapsed``.
+        decay = [keep ** (now - at) for at in range(now + 1)]
+        current = list(map(mul, value, map(decay.__getitem__, self._stamp)))
         for nid in self.arena.tree._removed:
             current[nid] = value[nid]
         self._value = current
         self._stamp = [now] * len(current)
-        self.arena.write_popularity(current)
+        self._rebased = now
+        return current
+
+    def materialise(self) -> None:
+        """Bring every node object up to date (no-op when they all are):
+        the whole-tree pass over :meth:`individual`."""
+        if not self._stale:
+            return
+        self.arena.write_popularity(self.individual())
         self._stale = False
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import inspect
 from abc import ABC, abstractmethod
+from itertools import compress, count
+from operator import itemgetter, ne
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
@@ -97,28 +99,43 @@ class Placement:
         """Reassign a (non-replicated) node to another server."""
         self.assign(node, server)
 
-    def reassign(self, owners: Iterable[Tuple[MetadataNode, int]]) -> List["Migration"]:
-        """Place each ``(node, server)`` in order, touching only nodes that
-        are new or whose server changed; returns the moves of the latter.
+    def reassign(self, nodes: Sequence[MetadataNode], servers: Sequence[int]) -> List["Migration"]:
+        """Place ``nodes[i]`` on ``servers[i]``, touching only the nodes
+        that are new or whose server changed; returns the moves of the
+        latter, in ``nodes`` order. ``version`` is bumped once per node
+        touched and once more, even when nothing moved: the rule that
+        placed the nodes changed.
 
-        ``version`` is bumped once more even when nothing moved: the rule
-        that placed the nodes changed.
+        Every node of a partition or a re-fit round comes through here, so
+        finding the changed ones is C-level passes over the two columns;
+        only they pay a Python step (``assign()`` and its range check,
+        inlined).
         """
         servers_of = self._servers_of
         num_servers = self.num_servers
+        current = list(map(servers_of.get, nodes))
+        if None not in current:
+            changed = list(compress(count(), map(ne, map(itemgetter(0), current), servers)))
+        elif current.count(None) == len(current):  # all new: a partition
+            if servers and not (0 <= min(servers) and max(servers) < num_servers):
+                raise ValueError(f"server index out of range: {min(servers)}..{max(servers)}")
+            servers_of.update(zip(nodes, zip(servers)))
+            self.version += len(current) + 1
+            return []
+        else:  # some new: no old owner to compare with
+            changed = [
+                i for i, (was, server) in enumerate(zip(current, servers))
+                if was is None or was[0] != server
+            ]
         moves: List[Migration] = []
-        # assign() and its range check, inlined: this is every node of a
-        # partition or a re-fit round.
-        for node, server in owners:
-            current = servers_of.get(node)
-            if current is None or current[0] != server:
-                if not 0 <= server < num_servers:
-                    raise ValueError(f"server index {server} out of range")
-                if current is not None:
-                    moves.append(Migration(node, current[0], server))
-                servers_of[node] = (server,)
-                self.version += 1
-        self.version += 1
+        for i in changed:
+            node, server, was = nodes[i], servers[i], current[i]
+            if not 0 <= server < num_servers:
+                raise ValueError(f"server index {server} out of range")
+            if was is not None:
+                moves.append(Migration(node, was[0], server))
+            servers_of[node] = (server,)
+        self.version += len(changed) + 1
         return moves
 
     def grow(self, capacity: float = 1.0) -> int:
@@ -200,9 +217,10 @@ class Placement:
         """The nodes whose ``popularity`` the control plane reads between
         adjustment rounds (rebalance, re-home, placing a created node): the
         ones an MDS keeps an access counter on. A static placement reads
-        none; ``None`` is every node — a per-key or per-zone policy
-        (DROP, AngleCut, dynamic subtree) pays the whole-tree pass each
-        round."""
+        none, and neither do DROP and AngleCut, whose fits read the
+        estimate's ``p'_j`` column (``PopularityEstimate.individual``);
+        ``None`` is every node — a per-zone policy reading Def. 2 totals
+        (dynamic subtree) pays the whole-tree pass each round."""
         return ()
 
     def jumps_for(self, node: MetadataNode) -> int:

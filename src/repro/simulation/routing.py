@@ -52,6 +52,7 @@ re-derive there costs one miss per touched node.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.client import SimClient
@@ -75,6 +76,11 @@ _ENTRY = VisitKind.ENTRY
 _TRAVERSAL = VisitKind.TRAVERSAL
 _REDIRECT = VisitKind.REDIRECT
 _SERVE = VisitKind.SERVE
+
+#: ``_visit((server, kind))`` is ``Visit(server, kind)`` without the
+#: NamedTuple's Python-level ``__new__``: the generic walk builds one per
+#: hop.
+_visit = partial(tuple.__new__, Visit)
 
 
 def make_engine(name: str, tree: NamespaceTree, placement: Placement):
@@ -356,20 +362,19 @@ class FastRoutingEngine:
         last = -1
         redirected = False
         if cached is not None:
-            visits.append(Visit(cached, _REDIRECT))
+            visits.append(_visit((cached, _REDIRECT)))
             last = cached
             redirected = True
-        chain = self.arena.chain(node)
+        chain = self.arena.chain(node)  # ancestor ids, root first
         # Hits of both counters are summed here and written once per plan;
         # every ancestor is one lookup of each, so misses are the rest.
         index_hits = prefix_hits = 0
-        for ancestor in chain:
-            aid = ancestor.node_id
+        for aid in chain:
             if stamp[aid] == version:
                 index_hits += 1
                 server = primary[aid]
             else:
-                server = servers_of[ancestor][0]
+                server = servers_of[self.tree._nodes[aid]][0]
                 primary[aid] = server
                 stamp[aid] = version
             acached = data.pop(aid, None)
@@ -379,13 +384,13 @@ class FastRoutingEngine:
                 if acached == server:
                     continue
                 if acached != last and not redirected:
-                    visits.append(Visit(acached, _REDIRECT))
+                    visits.append(_visit((acached, _REDIRECT)))
                     last = acached
                     redirected = True
             elif len(data) > capacity:
                 del data[next(iter(data))]
             if server != last:
-                visits.append(Visit(server, _TRAVERSAL))
+                visits.append(_visit((server, _TRAVERSAL)))
                 last = server
         walked = len(chain)
         self.hits += index_hits
@@ -397,9 +402,9 @@ class FastRoutingEngine:
             del data[next(iter(data))]
         # ``last`` is the server of the final visit (-1: no visit yet).
         if target != last and visits:
-            visits.append(Visit(target, _SERVE))
+            visits.append(_visit((target, _SERVE)))
         elif target == last and len(visits) > 1:
-            visits[-1] = Visit(target, _SERVE)
+            visits[-1] = _visit((target, _SERVE))
         else:
             # The walk ends on one server: the interned serve plan.
             try:

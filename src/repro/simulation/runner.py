@@ -455,13 +455,13 @@ class ClusterSimulator:
         if work <= 0 or not moves:
             return
         budget = self._mig_budget
-        servers = self.servers
+        alive = [server.alive for server in self.servers]
         busy_until, busy_time, served = self.busy_until, self.busy_time, self.served
-        sizes = self.tree.arena().subtree_sizes()
-        for move in moves:
-            cost = work * self._migration_size(move, sizes) * self.config.service_time
+        service_time = self.config.service_time
+        for move, size in zip(moves, self._migration_sizes(moves)):
+            cost = work * size * service_time
             for sid in (move.source, move.target):
-                if servers[sid].alive:
+                if alive[sid]:
                     # Background work joins the queue tail: booked at its
                     # round's time it would fast-forward an idle clock and
                     # retroactively delay earlier arrivals.
@@ -533,23 +533,28 @@ class ClusterSimulator:
         self._charge_migrations(moves)
         self._journal_moves(moves, now)
 
-    def _migration_size(self, move, sizes: List[int]) -> int:
-        """Metadata nodes transferred by one migration (``sizes`` is the
-        arena's subtree-size column)."""
-        if isinstance(self.placement, D2TreePlacement):
-            return sizes[move.node.node_id]
-        if isinstance(self.placement, DynamicSubtreePlacement):
+    def _migration_sizes(self, moves) -> List[int]:
+        """Metadata nodes transferred by each migration, the rule chosen
+        once for the round by the placement's kind."""
+        placement = self.placement
+        if not isinstance(placement, (D2TreePlacement, DynamicSubtreePlacement)):
+            return [1] * len(moves)  # DROP/AngleCut migrate individual keys
+        sizes = self.tree.arena().subtree_sizes()
+        if isinstance(placement, D2TreePlacement):
+            return [sizes[move.node.node_id] for move in moves]
+        out = []
+        for move in moves:
             # Exclusive zone: subtree minus nested zones.
             size = sizes[move.node.node_id]
-            for other in self.placement.zone_of:
+            for other in placement.zone_of:
                 if other is not move.node and other.parent is not None:
                     walk = other.parent
                     while walk is not None and walk is not move.node:
                         walk = walk.parent
                     if walk is move.node:
                         size -= sizes[other.node_id]
-            return max(1, size)
-        return 1  # DROP/AngleCut migrate individual keys
+            out.append(max(1, size))
+        return out
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -609,7 +614,7 @@ class ClusterSimulator:
             self.engine.invalidate()
         engine_plan = self.engine._planner
         serve_plan = self.engine._serve_plan  # interned single-SERVE plans
-        is_placed = placement.is_placed
+        is_placed = placement._servers_of.__contains__  # Placement.is_placed, frameless
         place_created = self.scheme.place_created
         locks_acquire = self.locks.acquire
         heappop = heapq.heappop

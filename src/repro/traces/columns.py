@@ -89,7 +89,8 @@ def iter_op_batches(
     """Yield ``records`` as :class:`OpBatch` windows of up to ``batch_ops``
     ops each.
 
-    ``tree`` provides path resolution (``tree.lookup``); unresolvable paths
+    ``tree`` provides path resolution (its path index, as
+    ``NamespaceTree.lookup`` reads it); unresolvable paths
     are skipped (a window containing skips comes out short — batches are
     never re-packed across chunk boundaries). Record order is preserved
     across batches, so consuming the batches back-to-back replays the exact
@@ -101,7 +102,7 @@ def iter_op_batches(
     """
     if batch_ops < 1:
         raise ValueError("batch_ops must be positive")
-    lookup = tree.lookup
+    lookup = tree._by_path.get  # NamespaceTree.lookup without its frame
     codes = _CODES_BY_VALUE
     it = iter(records)
     while True:

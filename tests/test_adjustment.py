@@ -549,10 +549,11 @@ def test_counted_nodes_equal_the_whole_tree_pass(name, blend):
 def test_whole_tree_pass_runs_only_for_its_readers(count_passes):
     """An unobserved D2-Tree round costs its window and its counted nodes:
     no whole-tree pass without a promotion, one per promotion round with
-    them, none for a static scheme (it reads no popularity), one per round
-    for a scheme whose policy reads every node, and one per round once
-    somebody records the rounds. (``+ 1``: ``run()`` restores the shared
-    tree on its way out.)"""
+    them, none for a static scheme (it reads no popularity) nor for DROP
+    and AngleCut (they read the estimate's ``p'`` column), one per round
+    for dynamic subtree (its zones read Def. 2 totals), and one per round
+    once somebody records the rounds. (``+ 1``: ``run()`` restores the
+    shared tree on its way out.)"""
     def passes(scheme, profile, servers, **config):
         shadowed = isinstance(scheme, D2TreeScheme)
         sim = (_ShadowedSimulator if shadowed else ClusterSimulator)(
@@ -573,11 +574,10 @@ def test_whole_tree_pass_runs_only_for_its_readers(count_passes):
     assert (whole, promotion_rounds) == (0, 0) and rounds >= 10
     whole, rounds, promotion_rounds = passes(D2TreeScheme(), _REPLAYS["dtr_promotions"][0], 6)
     assert 2 <= whole == promotion_rounds < rounds
-    for static in (StaticSubtreeScheme(), HashScheme()):
-        whole, rounds, _ = passes(static, lmbe, 8)
+    for no_pass in (StaticSubtreeScheme(), HashScheme(), DropScheme(), AngleCutScheme()):
+        whole, rounds, _ = passes(no_pass, lmbe, 8)
         assert whole == 0 and rounds >= 10
-    for per_node in (DynamicSubtreeScheme(), DropScheme(), AngleCutScheme()):
-        whole, rounds, _ = passes(per_node, lmbe, 8)
-        assert whole == rounds
+    whole, rounds, _ = passes(DynamicSubtreeScheme(), lmbe, 8)
+    assert whole == rounds
     whole, rounds, _ = passes(D2TreeScheme(promote_threshold=0.0), lmbe, 8, trace_sample=50)
     assert whole == rounds

@@ -423,7 +423,7 @@ def _tied_tree(scheme, servers):
 
 def test_anglecut_orders_equal_angles_by_weight():
     scheme = AngleCutScheme(num_rings=1)
-    _tree, placement = _tied_tree(scheme, 2)
+    tree, placement = _tied_tree(scheme, 2)
     entries = [
         (angle, node.individual_popularity + 1e-9)
         for node, (_ring, angle) in placement.angles.items()
@@ -431,7 +431,8 @@ def test_anglecut_orders_equal_angles_by_weight():
     by_weight = _quantiles(sorted(entries), [0.5], 1)
     by_creation = _quantiles(sorted(entries, key=lambda item: item[0]), [0.5], 1)
     assert by_weight != by_creation  # the case is sharp
-    assert AngleCutScheme._quantile_boundaries(placement) == [by_weight]
+    individual = tree.arena().individual_popularity()
+    assert AngleCutScheme._quantile_boundaries(placement, individual) == [by_weight]
 
 
 def test_drop_key_order_is_the_stable_sort_of_the_current_keys():
@@ -448,13 +449,14 @@ def test_drop_key_order_is_the_stable_sort_of_the_current_keys():
         return _quantiles(entries, [0.5], 1)
 
     before = fit()
-    assert DropScheme._quantile_boundaries(placement) == before
+    individual = tree.arena().individual_popularity()
+    assert DropScheme._quantile_boundaries(placement, individual) == before
     # Forgotten and placed again, x now sorts last among the equal keys.
     node = tree.lookup("/d/x")
     placement.forget(node)
     scheme.place_created(tree, placement, node)
     assert fit() != before
-    assert DropScheme._quantile_boundaries(placement) == fit()
+    assert DropScheme._quantile_boundaries(placement, individual) == fit()
     # A key written in place (as a rename repair does) is seen too.
     placement.keys[tree.lookup("/d/y")] = 0.9
     assert placement.key_order()[0] == sorted(placement.keys, key=placement.keys.get)

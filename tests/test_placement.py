@@ -50,6 +50,37 @@ def test_assign_out_of_range_rejected():
         placement.assign(tree.root, 5)
 
 
+def test_reassign_touches_only_new_and_moved_nodes():
+    tree = small_tree()
+    placement = Placement(3)
+    nodes = list(tree)
+    assert placement.reassign(nodes, [0, 1, 2, 0, 1, 2]) == []  # all new
+    assert list(placement._servers_of) == nodes
+    version = placement.version
+    moves = placement.reassign(nodes, [0, 2, 2, 1, 1, 0])
+    assert [(m.node, m.source, m.target) for m in moves] == [
+        (nodes[1], 1, 2), (nodes[3], 0, 1), (nodes[5], 2, 0),
+    ]
+    assert placement.version == version + len(moves) + 1
+    assert placement.reassign(nodes, [0, 2, 2, 1, 1, 0]) == []
+    assert placement.version == version + len(moves) + 2
+
+
+@pytest.mark.parametrize("server", [-1, 3])
+def test_reassign_rejects_an_out_of_range_server(server):
+    """On a new node and on a moved one alike: an unplaced node is not a
+    node placed on a sentinel server."""
+    tree = small_tree()
+    nodes = list(tree)
+    placement = Placement(3)
+    with pytest.raises(ValueError):
+        placement.reassign(nodes, [0, 0, server, 0, 0, 0])
+    placement = Placement(3)
+    placement.reassign(nodes, [0] * len(nodes))
+    with pytest.raises(ValueError):
+        placement.reassign(nodes, [0, 0, server, 0, 0, 0])
+
+
 def test_replicate_defaults_to_all():
     tree = small_tree()
     placement = Placement(4)

@@ -240,3 +240,84 @@ def test_counter_matches_closed_form(blend, idle_rounds, start):
     assert estimate.subtree_total(node) == pytest.approx(expected, rel=1e-12, abs=1e-300)
     estimate.materialise()
     assert node.popularity == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+class _WholeTreePass:
+    """The estimate's whole-tree pass as it was written before
+    ``individual()`` was split out of ``materialise()``: settle the pending
+    windows (oldest first, and early once the backlog outgrows the id
+    space), decay every value to the round and rebase; removed nodes keep
+    theirs undecayed. ``materialise()`` returns the column it wrote."""
+
+    def __init__(self, initial, removed, blend):
+        self.blend, self.keep = blend, 1 - blend
+        self.value, self.stamp = list(initial), [0] * len(initial)
+        self.round, self.pending, self.removed = 0, [], removed
+
+    def fold(self, counts):
+        self.round += 1
+        self.pending.append(counts)
+        if sum(map(len, self.pending)) > len(self.value):
+            self.settle()
+
+    def settle(self):
+        now = self.round - len(self.pending)
+        for counts in self.pending:
+            now += 1
+            for nid, count in counts.items():
+                decayed = self.value[nid] * self.keep ** (now - 1 - self.stamp[nid])
+                self.value[nid] = self.keep * decayed + self.blend * count
+                self.stamp[nid] = now
+        self.pending.clear()
+
+    def materialise(self):
+        self.settle()
+        now = self.round
+        decay = [self.keep ** elapsed for elapsed in range(now + 1)]
+        current = [v * decay[now - at] for v, at in zip(self.value, self.stamp)]
+        for nid in self.removed:
+            current[nid] = self.value[nid]
+        self.value, self.stamp = current, [now] * len(current)
+        return current
+
+
+@given(random_trees(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_individual_is_the_whole_tree_pass_column(tree, data):
+    """``individual()`` returns, bit for bit, the column the whole-tree pass
+    wrote before it was split out — at blends 0.5 and 0.3, over removed
+    nodes, with rounds nobody reads (one rebase then covers several rounds
+    of decay) — and a ``materialise()`` after it leaves every node object
+    as that pass did."""
+    blend = data.draw(st.sampled_from([0.5, 0.3]))
+    live = [node for node in tree if node.parent is not None]
+    for node in data.draw(st.lists(st.sampled_from(live), max_size=3)) if live else ():
+        if node.parent is not None and node.node_id not in tree._removed:
+            tree.remove(node)
+    arena = tree.arena()
+    estimate = PopularityEstimate(arena, blend)
+    reference = _WholeTreePass(arena.individual_popularity(), tree._removed, blend)
+    counts = st.integers(0, 9)
+    windows = st.one_of(
+        st.dictionaries(st.integers(0, arena.size - 1), counts, max_size=12),
+        # Every id: two such windows outgrow the id space, so the second
+        # fold settles the backlog itself and leaves nothing pending.
+        st.lists(counts, min_size=arena.size, max_size=arena.size).map(
+            lambda column: dict(enumerate(column))
+        ),
+    )
+    rounds = data.draw(st.lists(st.tuples(windows, st.integers(0, 3)), min_size=1, max_size=10))
+    for counts, reader in rounds:
+        estimate.fold({tree._nodes[nid]: count for nid, count in counts.items()})
+        reference.fold(counts)
+        if not reader:
+            continue  # nobody reads this round
+        expected = reference.materialise()
+        if reader < 3:
+            assert estimate.individual() == expected
+            assert estimate.individual() == expected  # the second call is free
+        if reader > 1:
+            estimate.materialise()
+            objects = [(n.individual_popularity, n.popularity) for n in tree._nodes]
+            arena.write_popularity(expected)
+            assert objects == [(n.individual_popularity, n.popularity) for n in tree._nodes]

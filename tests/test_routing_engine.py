@@ -302,7 +302,7 @@ def test_single_server_generic_walk_returns_the_serve_plan(workload):
     for node in tree:
         plan = engine.plan(SimClient(0, 6), node, OpType.READ)  # cold caches
         target = placement.primary_of(node)
-        walk = {placement.primary_of(a) for a in engine.arena.chain(node)} | {target}
+        walk = {placement.primary_of(tree._nodes[a]) for a in engine.arena.chain(node)} | {target}
         if walk == {target}:
             assert plan is engine._serve_plan(target)
             single += 1
