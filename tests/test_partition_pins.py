@@ -9,12 +9,20 @@ so registration order is no longer parents-first there.
 """
 
 import hashlib
+import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro import registry
+from repro.baselines.dynamic_subtree import DynamicSubtreePlacement
 from repro.baselines.hashing import stable_hash
+from repro.cluster.failure import fail_server, rejoin_server
+from repro.core import NamespaceTree
+from repro.placement import Migration
+from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
 from repro.traces import DatasetProfile, TraceGenerator
+from tests.conftest import build_random_tree
 
 NUM_SERVERS = 5
 
@@ -125,3 +133,135 @@ def test_a_moved_subtree_is_placed_by_its_new_ancestors(trees):
     dynamic = registry.create("dynamic-subtree").partition(tree, NUM_SERVERS)
     for node in tree:
         assert dynamic.primary_of(node) == dynamic.zone_of[dynamic.zone_root_of(node)]
+
+
+# ----------------------------------------------------------------------
+# Membership changes: failure re-homing, rejoin pull-back, migration sizes
+# ----------------------------------------------------------------------
+#: fail 1, fail 3, rejoin 1, fail 0, rejoin 3 (with an explicit live set
+#: that leaves out server 1), rejoin 0.
+MEMBERSHIP_STEPS = (
+    ("fail", 1, None),
+    ("fail", 3, None),
+    ("rejoin", 1, None),
+    ("fail", 0, None),
+    ("rejoin", 3, [2, 3, 4]),
+    ("rejoin", 0, None),
+)
+
+
+@pytest.fixture(scope="module")
+def membership_trees():
+    return {
+        "random": build_random_tree(400, seed=13),
+        "ra": TraceGenerator(DatasetProfile.ra(num_nodes=1500, scale=2e-5)).generate().tree,
+    }
+
+
+def membership_digest(placement) -> str:
+    h = hashlib.sha256()
+    for kind, server, live in MEMBERSHIP_STEPS:
+        if kind == "fail":
+            moves = fail_server(placement, server)
+        else:
+            moves = rejoin_server(placement, server, live=live)
+        h.update(f"{kind} {server}\n".encode())
+        for move in moves:
+            h.update(f"{move.node.node_id} {move.source} {move.target}\n".encode())
+    for node, servers in placement._servers_of.items():
+        h.update(f"{node.node_id} {servers}\n".encode())
+    h.update(f"version {placement.version}\n".encode())
+    h.update(f"capacities {placement.capacities!r}\n".encode())
+    return h.hexdigest()[:16]
+
+
+MEMBERSHIP_PINNED = {
+    "anglecut": {"random": "06eb0258ec621147", "ra": "c712b8a46cc4fbce"},
+    "d2-tree": {"random": "ac9346f11d1a89fb", "ra": "f9cd468efdb75e69"},
+    "drop": {"random": "fe7d380a9fedbe1f", "ra": "404b3ef265a18381"},
+    "dynamic-subtree": {"random": "d84fad90b818fbad", "ra": "0f5a3d3a79b4b698"},
+    "static-hash": {"random": "e75874ccd1c142b4", "ra": "430c01e73285818f"},
+    "static-subtree": {"random": "0dc4b23a3b2e8040", "ra": "527797a79025cc1e"},
+}
+
+
+@pytest.mark.parametrize("case", ["random", "ra"])
+@pytest.mark.parametrize("scheme", sorted(MEMBERSHIP_PINNED))
+def test_fail_and_rejoin_moves_are_pinned(membership_trees, scheme, case):
+    tree = membership_trees[case]
+    placement = registry.create(scheme).partition(tree, NUM_SERVERS)
+    assert membership_digest(placement) == MEMBERSHIP_PINNED[scheme][case]
+
+
+@pytest.fixture(scope="module")
+def faulted_workload():
+    return TraceGenerator(
+        DatasetProfile.ra(num_nodes=1500, scale=2e-5), num_clients=20
+    ).generate()
+
+
+FAULTED_PINNED = {
+    "anglecut": "2510a1637764dd67",
+    "d2-tree": "4a7b813d38ed34d0",
+    "drop": "88187fdd298d9d94",
+    "dynamic-subtree": "74c1b3808c9d825b",
+    "static-hash": "ccaac47656afcb99",
+    "static-subtree": "454fc571506d88ae",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(FAULTED_PINNED))
+def test_faulted_replay_is_pinned(faulted_workload, scheme):
+    """Evictions, rejoins and the adjustment rounds between them, priced:
+    migration sizes land in ``busy_time``."""
+    config = SimulationConfig(
+        num_clients=20, adjust_every_ops=300, seed=11,
+        fault_plan=FaultPlan.parse([
+            "crash:1@ops=200", "kill9:3@ops=400",
+            "recover:1@ops=900", "recover:3@ops=1300",
+        ]),
+    )
+    sim = ClusterSimulator(registry.create(scheme), faulted_workload, NUM_SERVERS, config)
+    result = sim.run()
+    assert result.availability.rejoins == 2
+    record = json.dumps([result.to_dict(), sim.busy_time], sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest()[:16] == FAULTED_PINNED[scheme]
+
+
+def nested_zone_case():
+    """A dynamic-subtree placement whose zone ``/a`` holds the zone
+    ``/a/x/b``, which holds the zone ``/a/x/b/c``; ``/a/x`` is no zone."""
+    tree = NamespaceTree()
+    for path in ("/a", "/a/x", "/a/x/b", "/a/x/b/c"):
+        tree.add_path(path, is_directory=True)
+    for path in (
+        "/a/i0", "/a/i1", "/a/i2", "/a/i3", "/a/x/h0",
+        "/a/x/b/g0", "/a/x/b/c/f0", "/a/x/b/c/f1", "/top",
+    ):
+        tree.add_path(path)
+    tree.aggregate_popularity()
+    placement = DynamicSubtreePlacement(NUM_SERVERS)
+    for path, server in (("/", 0), ("/a", 1), ("/a/x/b", 2), ("/a/x/b/c", 3)):
+        placement.zone_of[tree.lookup(path)] = server
+    placement.rebuild_assignments(tree)
+    return tree, placement
+
+
+def migration_sizes(placement, tree, moves):
+    return ClusterSimulator._migration_sizes(
+        SimpleNamespace(placement=placement, tree=tree), moves
+    )
+
+
+def test_nested_zone_migration_sizes_are_pinned():
+    """A zone's migration size is its subtree minus every zone below it,
+    clamped at 1: a zone two levels down is subtracted twice (once inside
+    the zone that holds it), so ``/a`` (7 exclusive nodes) counts 4 and
+    ``/`` (2) clamps to 1; a non-zone node pays for the zones below it."""
+    tree, placement = nested_zone_case()
+    paths = ("/", "/a", "/a/x", "/a/x/b", "/a/x/b/c", "/top")
+    moves = [Migration(tree.lookup(p), 0, 4) for p in paths]
+    sizes = migration_sizes(placement, tree, moves)
+    assert dict(zip(paths, sizes)) == {
+        "/": 1, "/a": 4, "/a/x": 1, "/a/x/b": 2, "/a/x/b/c": 3, "/top": 1,
+    }
