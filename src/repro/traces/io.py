@@ -2,7 +2,11 @@
 
 Each line is ``timestamp<TAB>op<TAB>client_id<TAB>path``; the header carries
 the trace name and description. Generated workloads can be archived and
-replayed across runs (timestamps keep microsecond precision).
+replayed across runs. Timestamps are written with six decimals and read
+back rounded to six, so a timestamp the writer could not have written
+(``0.0000001``) loads as the one it would write (``0.0``): every trace the
+loader returns survives ``loads_trace(dumps_trace(t)) == t``, and every
+file the writer emits reads back bit for bit.
 
 A trace file is hostile input: :func:`loads_trace` reports every malformed
 line as ``ValueError("line N: …")``, and both directions apply one rule
@@ -67,7 +71,7 @@ def _parse_line(lineno: int, line: str) -> TraceRecord:
         if len(parts) != 4:
             raise ValueError(f"expected 4 tab-separated fields, got {len(parts)}")
         timestamp, op, client_id, path = parts
-        record = TraceRecord(float(timestamp), OpType(op), path, int(client_id))
+        record = TraceRecord(round(float(timestamp), 6), OpType(op), path, int(client_id))
         check_record(record)
     except ValueError as error:
         raise ValueError(f"line {lineno}: {error}") from None

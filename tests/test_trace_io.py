@@ -219,6 +219,8 @@ def test_any_trace_roundtrips(trace):
 )
 @example(trace=Trace(name="", records=[], description=""), pick=0,
          garbage="\r", mode="splice", at=7)  # a CR inside the header's name
+@example(trace=Trace(name="", records=[TraceRecord(0.0, OpType.READ, "/", 0)], description=""),
+         pick=1, garbage="1", mode="splice", at=8)  # 0.000000 -> 0.0000001
 def test_single_line_corruption_parses_or_names_its_line(trace, pick, garbage, mode, at):
     """Damage one line of a valid file: the loader either returns a trace
     every record of which the writer would accept, or raises a ValueError
