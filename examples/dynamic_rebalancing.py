@@ -11,7 +11,6 @@ Run:  python examples/dynamic_rebalancing.py
 """
 
 from repro import D2TreeScheme, DatasetProfile, StaticSubtreeScheme, TraceGenerator
-from repro.cluster import fail_server
 from repro.core.namespace import PopularityEstimate
 from repro.metrics import balance_degree
 from repro.simulation.runner import _round_counts, _served_loads
@@ -48,7 +47,7 @@ def run_rounds(scheme, workload, inject_failure: bool) -> None:
         moves = len(scheme.rebalance(tree, placement))
         marker = ""
         if inject_failure and index == ROUNDS // 2:
-            fail_server(placement, dead=NUM_SERVERS - 1)
+            placement.fail(NUM_SERVERS - 1)
             marker = "  <- MDS %d failed, subtrees re-homed" % (NUM_SERVERS - 1)
         print(f"{index:>6}{balance:>10.2f}{moves:>7}  "
               + " ".join(f"{share:5.1f}" for share in shares) + marker)

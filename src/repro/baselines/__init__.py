@@ -5,7 +5,7 @@ from repro.placement import MetadataScheme, Migration, Placement
 from repro.baselines.drop import DropPlacement, DropScheme, pathname_cluster_keys, preorder_keys
 from repro.baselines.dynamic_subtree import DynamicSubtreePlacement, DynamicSubtreeScheme
 from repro.baselines.ghba import BloomFilter, GHBADirectory, LookupResult
-from repro.baselines.hashing import HashScheme, stable_hash
+from repro.baselines.hashing import HashScheme
 from repro.baselines.static_subtree import StaticSubtreeScheme
 
 __all__ = [
@@ -25,5 +25,4 @@ __all__ = [
     "StaticSubtreeScheme",
     "pathname_cluster_keys",
     "preorder_keys",
-    "stable_hash",
 ]

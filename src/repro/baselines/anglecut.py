@@ -130,6 +130,10 @@ class AngleCutPlacement(Placement):
             servers += span_owners(angles, bounds, owners)
         return self.reassign(order.keyed, list(map(servers.__getitem__, order.rank)))
 
+    def _pull_back(self, server: int, live: List[int]) -> List[Migration]:
+        """Nothing: the next arc re-fit pulls load to the newcomer."""
+        return []
+
     def forget(self, node) -> bool:
         """Drop a node and its ring projection."""
         self.angles.pop(node, None)

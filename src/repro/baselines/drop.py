@@ -22,7 +22,7 @@ from itertools import accumulate, repeat
 from operator import add, attrgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
-from repro.placement import MetadataScheme, Migration, Placement, live_owner
+from repro.placement import MetadataScheme, Migration, Placement, live_owner, stable_hash
 from repro.registry import register
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
@@ -62,8 +62,6 @@ def pathname_cluster_keys(tree: NamespaceTree) -> Dict[MetadataNode, float]:
     keyspace. Sibling locality survives; path-traversal locality does not —
     the drawback the paper measures in Fig. 6.
     """
-    from repro.baselines.hashing import stable_hash
-
     window = 1.0 / max(1, 4 * len(tree))
     scale = float(2 ** 64)
     # Each path is hashed once: a node's own hash is its children's base.
@@ -220,6 +218,10 @@ class DropPlacement(Placement):
         servers = span_owners(order.values, self.boundaries, self.range_owners())
         return self.reassign(order.keyed, list(map(servers.__getitem__, order.rank)))
 
+    def _pull_back(self, server: int, live: List[int]) -> List[Migration]:
+        """Nothing: the next HDLB re-fit pulls load to the newcomer."""
+        return []
+
     def forget(self, node) -> bool:
         """Drop a node and its keyspace entry."""
         self.keys.pop(node, None)
@@ -284,8 +286,6 @@ class DropScheme(MetadataScheme):
     def place_created(self, tree, placement, node):
         """Key the new pathname and place it in the owning virtual range."""
         if self.key_mode == "pathname":
-            from repro.baselines.hashing import stable_hash
-
             window = 1.0 / max(1, 4 * len(tree))
             scale = float(2 ** 64)
             base = stable_hash(node.parent.path) / scale if node.parent else 0.0

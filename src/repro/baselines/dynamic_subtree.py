@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.placement import DEAD_CAPACITY, MetadataScheme, Migration, Placement
+from repro.placement import DEAD_CAPACITY, MetadataScheme, Migration, Placement, stable_hash
 from repro.registry import register
-from repro.baselines.hashing import stable_hash
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
 from repro.numeric import ordered_sum
@@ -59,6 +58,50 @@ class DynamicSubtreePlacement(Placement):
         version = self.version
         self.reassign(nodes, [server_of[node.node_id] for node in nodes])
         self.version = version + len(nodes)
+
+    def assign(self, node: MetadataNode, server: int) -> None:
+        """Place ``node``; a zone root takes its zone along, or a later
+        rebuild would put the zone back on its old server."""
+        super().assign(node, server)
+        if node in self.zone_of:
+            self.zone_of[node] = server
+
+    def _rehome(self, dead: int, alive: List[int]) -> List[Migration]:
+        """Zone-granular re-homing keeps "one zone, one server" intact:
+        each of the dead server's zones is re-hashed as a unit and its
+        exclusive node set follows."""
+        survivors = alive or [s for s in range(self.num_servers) if s != dead]
+        moves: List[Migration] = []
+        for zone, server in list(self.zone_of.items()):
+            if server == dead:
+                target = survivors[stable_hash(zone.path) % len(survivors)]
+                self.zone_of[zone] = target
+                moves.append(Migration(zone, dead, target))
+        for node, servers in list(self._servers_of.items()):
+            if servers == (dead,):
+                self.assign(node, self.zone_of[self.zone_root_of(node)])
+        return moves
+
+    def _pull_back(self, server: int, live: List[int]) -> List[Migration]:
+        """Nothing: the rebalance pulls load to the light newcomer once its
+        capacity is back, and moving zones here would fight it."""
+        return []
+
+    def migration_sizes(self, moves: Sequence[Migration], tree: NamespaceTree) -> List[int]:
+        """A moved zone's subtree minus every zone below it, clamped at 1.
+
+        Every zone below counts, nested ones too, so a zone two levels
+        down is subtracted twice (the size undercounts; ROADMAP lists it).
+        One walk up from each zone serves the whole round's moves."""
+        sizes = tree.arena().subtree_sizes()
+        below = {move.node.node_id: 0 for move in moves}
+        for zone in self.zone_of:
+            walk = zone.parent
+            while walk is not None:
+                if walk.node_id in below:
+                    below[walk.node_id] += sizes[zone.node_id]
+                walk = walk.parent
+        return [max(1, sizes[m.node.node_id] - below[m.node.node_id]) for m in moves]
 
     def counted_nodes(self) -> None:
         """Every node: a zone's load and a split's candidates are read off
@@ -179,7 +222,7 @@ class DynamicSubtreeScheme(MetadataScheme):
         moved_popularity = 0.0
         total_cap = ordered_sum(placement.capacities)
         # Failed servers sit at the DEAD_CAPACITY sentinel (see
-        # repro.cluster.failure): they hold no load, which would otherwise
+        # Placement.fail): they hold no load, which would otherwise
         # make them the "lightest" migration target.
         cap_floor = max(DEAD_CAPACITY, 1e-6 * max(placement.capacities))
         usable = [k for k in range(placement.num_servers)

@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.baselines.hashing import stable_hash
 from repro.core.namespace import NamespaceTree
-from repro.placement import Placement
+from repro.placement import Placement, stable_hash
 
 __all__ = ["BloomFilter", "GHBADirectory", "LookupResult"]
 

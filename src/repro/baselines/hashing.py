@@ -9,20 +9,13 @@ Introduction argues against (Fig. 1b); used by ablation benches.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional, Sequence
 
-from repro.placement import MetadataScheme, Placement
+from repro.placement import MetadataScheme, Placement, stable_hash
 from repro.registry import register
 from repro.core.namespace import NamespaceTree
 
-__all__ = ["HashScheme", "stable_hash"]
-
-
-def stable_hash(text: str) -> int:
-    """Deterministic across processes (unlike built-in ``hash``)."""
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+__all__ = ["HashScheme"]
 
 
 @register("static-hash")

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.placement import MetadataScheme, Placement
+from repro.placement import MetadataScheme, Placement, stable_hash
 from repro.registry import register
-from repro.baselines.hashing import stable_hash
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
 

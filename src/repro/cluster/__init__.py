@@ -2,7 +2,6 @@
 
 from repro.cluster.cache import LRUCache
 from repro.cluster.client import SimClient
-from repro.cluster.failure import fail_server, rejoin_server, surviving_capacities
 from repro.cluster.locks import LockManager
 from repro.cluster.mds import MetadataServer
 from repro.cluster.messages import (
@@ -26,7 +25,4 @@ __all__ = [
     "SimClient",
     "Visit",
     "VisitKind",
-    "fail_server",
-    "rejoin_server",
-    "surviving_capacities",
 ]

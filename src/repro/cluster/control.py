@@ -11,8 +11,10 @@ evicted; the availability ledger) and the decisions that move it:
   leader, then the post-heartbeat round: lease tick, re-admit servers
   whose beat just cleared their death mark, detect and evict the silent;
 * :meth:`evict` / :meth:`readmit` — re-home a dead server's metadata, or
-  restore a server and pull subtrees back, each under an epoch-stamped,
-  quorum-committed directive that the receiving MDSs fence on;
+  restore a server and pull subtrees back (``Placement.fail`` /
+  ``Placement.rejoin``: each scheme states its own rule), each under an
+  epoch-stamped, quorum-committed directive that the receiving MDSs fence
+  on;
 * :meth:`quiesce` — clear every fault and re-admit every degraded server.
 
 It is synchronous and owns no clock and no I/O: callers pass ``now`` (sim
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.cluster.failure import fail_server, rejoin_server
 from repro.cluster.mds import MetadataServer
 from repro.cluster.messages import Heartbeat
 from repro.cluster.monitor import MonitorGroup
@@ -250,7 +251,7 @@ class ClusterControl:
             self.availability.unavailability += now - since
         self.availability.detection_latency[dead] = now - since
         self._detected_at[dead] = now
-        moves = fail_server(self.placement, dead)
+        moves = self.placement.fail(dead)
         # Failover lifecycle chain: the heartbeat_miss span covers the whole
         # degraded window (silence -> eviction); detect/evict/journal_commit
         # /fence hang off it at the instant detection fired.
@@ -357,8 +358,8 @@ class ClusterControl:
             return
         if self.store is not None:
             self.store.append_fence(sid, directive.epoch, now)
-        moves = rejoin_server(
-            self.placement, sid,
+        moves = self.placement.rejoin(
+            sid,
             capacity=self._initial_capacities[sid],
             live=[s.server_id for s in self.servers if s.alive],
         )

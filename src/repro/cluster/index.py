@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, TypeVar
 
-from repro.core.partition import D2TreePlacement
 from repro.placement import Placement
 
 __all__ = ["RoutingIndex", "covering_entry"]
@@ -53,17 +52,9 @@ class RoutingIndex:
 
     @classmethod
     def of(cls, placement: Placement) -> "RoutingIndex":
-        """The authoritative index of a placement. A scheme without a
-        two-layer split is the degenerate case: an empty global layer and
-        one root per placed node."""
-        if isinstance(placement, D2TreePlacement):
-            return cls(
-                ((n.path, placement.servers_of(n)) for n in placement.split.global_layer),
-                ((n.path, s) for n, s in placement.subtree_owner.items()),
-            )
-        return cls(
-            roots=((n.path, placement.primary_of(n)) for n in placement.placed_nodes())
-        )
+        """The authoritative index of a placement
+        (:meth:`~repro.placement.Placement.index_entries`)."""
+        return cls(*placement.index_entries())
 
     def resolve(self, path: str) -> Optional[Tuple[str, Tuple[int, ...]]]:
         """``(root, servers)`` able to serve ``path``, or ``None`` when

@@ -137,7 +137,7 @@ class DynamicAdjuster:
 
         # A server at the DEAD_CAPACITY sentinel — or with negligible
         # capacity relative to its peers — is dead (see
-        # repro.cluster.failure): it never claims, no matter how large the
+        # Placement.fail): it never claims, no matter how large the
         # ideal load factor makes its nominal deficit, and its load factor
         # says nothing about balance.
         cap_floor = max(DEAD_CAPACITY, 1e-6 * max(capacities))

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.placement import Placement
+from repro.placement import DEAD_CAPACITY, Migration, Placement
+from repro.core.adjustment import DynamicAdjuster
+from repro.core.allocation import mirror_division
+from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
 from repro.core.splitting import SplitResult
+from repro.numeric import ordered_sum
 
 __all__ = ["D2TreePlacement"]
 
@@ -196,6 +200,82 @@ class D2TreePlacement(Placement):
         return self._assign_subtree(root, server)
 
     # ------------------------------------------------------------------
+    # Membership (Sec. IV-A3, IV-B)
+    # ------------------------------------------------------------------
+    def _rehome(self, dead: int, alive: List[int]) -> List[Migration]:
+        """The global layer needs nothing (the other replicas keep serving
+        it); the dead server's subtrees go through the pending pool to the
+        survivors via mirror division."""
+        # Deriving survivors from the *current* replica sets keeps earlier
+        # failures excluded too. When cascading failures kill a node's
+        # *last* replica, it is re-seeded across the live set — the global
+        # layer must never lose its only copy (if no server is left alive
+        # the stale set stays; rejoins will top it back up).
+        for node in self.split.global_layer:
+            remaining = [s for s in self.servers_of(node) if s != dead]
+            if not remaining:
+                if not alive:
+                    continue
+                remaining = alive
+            self.replicate(node, remaining)
+        live = {
+            s for node in self.split.global_layer for s in self.servers_of(node)
+        } or {s for s in range(self.num_servers) if s != dead}
+        orphans = [root for root, server in self.subtree_owner.items() if server == dead]
+        if not orphans:
+            return []
+        # Mirror division over the survivors' remaining deficits.
+        loads = self.local_loads()
+        total_pop = ordered_sum(loads)
+        caps = [
+            cap if server in live else DEAD_CAPACITY
+            for server, cap in enumerate(self.capacities)
+        ]
+        total_cap = ordered_sum(caps)
+        deficits = [
+            max(total_pop * cap / total_cap - load, DEAD_CAPACITY)
+            if cap > DEAD_CAPACITY
+            else DEAD_CAPACITY
+            for cap, load in zip(caps, loads)
+        ]
+        deficits[dead] = DEAD_CAPACITY
+        allocation = mirror_division([r.popularity for r in orphans], deficits)
+        moves: List[Migration] = []
+        for root, target in zip(orphans, allocation.assignment):
+            if target not in live:  # numerical corner: best live server
+                target = max(live, key=lambda s: deficits[s])
+            self.move_subtree(root, target)
+            moves.append(Migration(root, dead, target))
+        return moves
+
+    def _pull_back(self, server: int, live: List[int]) -> List[Migration]:
+        """The global layer follows the rejoined server (a bounded replica
+        set is only topped back up to its factor); then one explicit
+        offer/claim round with zero tolerance — the "new-coming server can
+        initiatively request some subtrees from the pending pool" of
+        Sec. IV-B. Survivors above the new ideal load shed the largest
+        subtrees that fit their excess and the empty newcomer's deficit
+        claims the pool mirror-division style: it receives load, not a
+        count-balanced share, so zero-popularity subtrees stay put."""
+        for node in self.split.global_layer:
+            current = set(self.servers_of(node))
+            if server not in current and len(current) < self.replication_factor:
+                self.replicate(node, sorted(current | {server}))
+        report = DynamicAdjuster(imbalance_tolerance=0.0).adjust(
+            dict(self.subtree_owner), self.local_loads(), self.capacities
+        )
+        moves: List[Migration] = []
+        for root, source, target in report.migrations:
+            self.move_subtree(root, target)
+            moves.append(Migration(root, source, target))
+        return moves
+
+    def migration_sizes(self, moves: Sequence[Migration], tree: NamespaceTree) -> List[int]:
+        """A moved subtree carries every node in it."""
+        sizes = tree.arena().subtree_sizes()
+        return [sizes[move.node.node_id] for move in moves]
+
+    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def is_global(self, node: MetadataNode) -> bool:
@@ -210,6 +290,13 @@ class D2TreePlacement(Placement):
         while walk is not None and walk not in self.subtree_owner:
             walk = walk.parent
         return walk
+
+    def index_entries(self):
+        """The global layer's replica sets and the local index."""
+        return (
+            ((n.path, self.servers_of(n)) for n in self.split.global_layer),
+            ((n.path, s) for n, s in self.subtree_owner.items()),
+        )
 
     def jumps_for(self, node: MetadataNode) -> int:
         """Paper convention (Eq. 7): 0 inside the global layer, else 1."""

@@ -12,6 +12,7 @@ knows how to answer the two questions the paper's metrics need:
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 from abc import ABC, abstractmethod
 from itertools import compress, count
@@ -24,16 +25,29 @@ if TYPE_CHECKING:  # imported lazily to avoid a package-init cycle
     from repro.core.namespace import NamespaceTree
     from repro.core.node import MetadataNode
 
-__all__ = ["DEAD_CAPACITY", "live_owner", "Placement", "MetadataScheme", "Migration"]
+__all__ = [
+    "DEAD_CAPACITY",
+    "live_owner",
+    "Placement",
+    "MetadataScheme",
+    "Migration",
+    "stable_hash",
+]
 
 #: Capacity sentinel for a failed server. The single convention shared by
-#: every failure path (`repro.cluster.failure.fail_server`,
-#: `surviving_capacities`) and every capacity-driven policy (the adjuster's
-#: deficit math, mirror division, HDLB/AngleCut boundary shares): a server
-#: whose capacity is at or below this value is dead and can host nothing.
+#: every failure path (:meth:`Placement.fail` marks the dead server with
+#: it) and every capacity-driven policy (the adjuster's deficit math,
+#: mirror division, HDLB/AngleCut boundary shares): a server whose
+#: capacity is at or below this value is dead and can host nothing.
 #: It is positive — not 0.0 — so capacity-ratio math (``L_k / C_k`` in
 #: Eq. 2, deficit shares) stays well-defined without renumbering servers.
 DEAD_CAPACITY = 1e-12
+
+
+def stable_hash(text: str) -> int:
+    """Deterministic across processes (unlike built-in ``hash``)."""
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
 def live_owner(capacities: Sequence[float], position: int) -> int:
@@ -95,10 +109,6 @@ class Placement:
             self._check_server(server)
         self._servers_of[node] = replicas
 
-    def move(self, node: MetadataNode, server: int) -> None:
-        """Reassign a (non-replicated) node to another server."""
-        self.assign(node, server)
-
     def reassign(self, nodes: Sequence[MetadataNode], servers: Sequence[int]) -> List["Migration"]:
         """Place ``nodes[i]`` on ``servers[i]``, touching only the nodes
         that are new or whose server changed; returns the moves of the
@@ -157,6 +167,78 @@ class Placement:
             raise ValueError(f"server index {server} out of range")
 
     # ------------------------------------------------------------------
+    # Membership (Sec. IV-A3): the Monitor re-homes a dead server's
+    # metadata and lets a rejoining one pull metadata back. Each scheme
+    # states its own rule by overriding ``_rehome`` / ``_pull_back``.
+    # ------------------------------------------------------------------
+    def fail(self, dead: int) -> List["Migration"]:
+        """Re-home everything the dead server held; returns the moves made.
+
+        The placement keeps its width (server ids stay stable): the dead
+        server is marked with :data:`DEAD_CAPACITY`, so every
+        capacity-driven policy treats it as unable to host anything, and
+        ends up owning nothing.
+        """
+        if not 0 <= dead < self.num_servers:
+            raise ValueError("no such server")
+        if self.num_servers < 2:
+            raise ValueError("cannot fail the only server")
+        self.capacities[dead] = DEAD_CAPACITY
+        alive = [s for s, cap in enumerate(self.capacities) if cap > DEAD_CAPACITY]
+        return self._rehome(dead, alive)
+
+    def _rehome(self, dead: int, alive: List[int]) -> List["Migration"]:
+        """Re-hash the dead server's nodes across the survivors (``alive``,
+        or every other server once cascading failures left none alive)."""
+        survivors = alive or [s for s in range(self.num_servers) if s != dead]
+        moves: List[Migration] = []
+        for node, servers in list(self._servers_of.items()):
+            if servers == (dead,):
+                target = survivors[stable_hash(node.path) % len(survivors)]
+                self.assign(node, target)
+                moves.append(Migration(node, dead, target))
+        return moves
+
+    def rejoin(
+        self,
+        server: int,
+        capacity: float = 1.0,
+        live: Optional[Sequence[int]] = None,
+    ) -> List["Migration"]:
+        """Re-admit a failed server (or welcome a new one); returns the moves.
+
+        Restores ``capacities[server]`` and pulls metadata back onto the
+        newcomer. ``live`` is the set of currently-alive server ids; it
+        defaults to every server whose capacity is above
+        :data:`DEAD_CAPACITY`, and always includes ``server``.
+        """
+        if not 0 <= server < self.num_servers:
+            raise ValueError("no such server")
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacities[server] = float(capacity)
+        if live is None:
+            live = [s for s, cap in enumerate(self.capacities) if cap > DEAD_CAPACITY]
+        return self._pull_back(server, sorted(set(live) | {server}))
+
+    def _pull_back(self, server: int, live: List[int]) -> List["Migration"]:
+        """Re-hash over the live set: the nodes that now key to the
+        newcomer move back (the mirror of ``_rehome``)."""
+        moves: List[Migration] = []
+        for node, servers in list(self._servers_of.items()):
+            if servers[0] != server and live[stable_hash(node.path) % len(live)] == server:
+                self.assign(node, server)
+                moves.append(Migration(node, servers[0], server))
+        return moves
+
+    def migration_sizes(
+        self, moves: Sequence["Migration"], tree: NamespaceTree
+    ) -> List[int]:
+        """Metadata nodes each move transfers: one, for a scheme that
+        migrates individual keys."""
+        return [1] * len(moves)
+
+    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def servers_of(self, node: MetadataNode) -> Tuple[int, ...]:
@@ -186,6 +268,13 @@ class Placement:
     def placed_nodes(self) -> List[MetadataNode]:
         """All nodes with an assignment."""
         return list(self._servers_of)
+
+    def index_entries(self) -> Tuple[Iterable, Iterable]:
+        """The routing index's entries (Sec. IV-A2): global-layer ``(path,
+        replicas)`` and ``(subtree-root path, owner)``. A scheme without a
+        two-layer split is the degenerate case: an empty global layer and
+        one root per placed node."""
+        return (), ((n.path, servers[0]) for n, servers in self._servers_of.items())
 
     def __len__(self) -> int:
         return len(self._servers_of)

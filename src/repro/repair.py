@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from repro.baselines.anglecut import AngleCutPlacement
 from repro.baselines.drop import DropPlacement, pathname_cluster_keys, preorder_keys
 from repro.baselines.dynamic_subtree import DynamicSubtreePlacement
-from repro.baselines.hashing import stable_hash
 from repro.baselines.static_subtree import StaticSubtreeScheme
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
 from repro.core.partition import D2TreePlacement
-from repro.placement import Placement
+from repro.placement import Placement, stable_hash
 
 __all__ = ["RepairReport", "rename_with_repair", "move_with_repair"]
 

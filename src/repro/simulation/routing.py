@@ -36,8 +36,9 @@ Owner-index invalidation is versioned, not subscribed:
   generic planner's node→primary cache.
 * ``D2TreePlacement.index_version`` — bumped only when two-layer
   *membership* changes (promotion / demotion inside
-  :class:`~repro.core.adjustment.DynamicAdjuster` rounds, re-homing in
-  ``fail_server``, new roots from ``place_created``); guards the D2
+  :class:`~repro.core.adjustment.DynamicAdjuster` rounds, new roots from
+  ``place_created``; a ``Placement.fail`` re-home or a ``rejoin`` pull-back
+  goes through :meth:`FastRoutingEngine.invalidate` instead); guards the D2
   planner's node→subtree-root cache and global-layer bitset. Plain
   migrations keep the root set intact, so the root cache survives
   adjustment churn — owners are always read live from the placement.

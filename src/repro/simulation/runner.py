@@ -22,9 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.placement import MetadataScheme, Placement
-from repro.baselines.dynamic_subtree import DynamicSubtreePlacement
-from repro.baselines.hashing import stable_hash
+from repro.placement import MetadataScheme, Placement, stable_hash
 from repro.cluster.client import INDEX_CACHE_SIZE, SimClient
 from repro.cluster.control import ClusterControl
 from repro.cluster.locks import LockManager
@@ -458,7 +456,8 @@ class ClusterSimulator:
         alive = [server.alive for server in self.servers]
         busy_until, busy_time, served = self.busy_until, self.busy_time, self.served
         service_time = self.config.service_time
-        for move, size in zip(moves, self._migration_sizes(moves)):
+        sizes = self.placement.migration_sizes(moves, self.tree)
+        for move, size in zip(moves, sizes):
             cost = work * size * service_time
             for sid in (move.source, move.target):
                 if alive[sid]:
@@ -532,29 +531,6 @@ class ClusterSimulator:
         self.migrations += len(moves)
         self._charge_migrations(moves)
         self._journal_moves(moves, now)
-
-    def _migration_sizes(self, moves) -> List[int]:
-        """Metadata nodes transferred by each migration, the rule chosen
-        once for the round by the placement's kind."""
-        placement = self.placement
-        if not isinstance(placement, (D2TreePlacement, DynamicSubtreePlacement)):
-            return [1] * len(moves)  # DROP/AngleCut migrate individual keys
-        sizes = self.tree.arena().subtree_sizes()
-        if isinstance(placement, D2TreePlacement):
-            return [sizes[move.node.node_id] for move in moves]
-        out = []
-        for move in moves:
-            # Exclusive zone: subtree minus nested zones.
-            size = sizes[move.node.node_id]
-            for other in placement.zone_of:
-                if other is not move.node and other.parent is not None:
-                    walk = other.parent
-                    while walk is not None and walk is not move.node:
-                        walk = walk.parent
-                    if walk is move.node:
-                        size -= sizes[other.node_id]
-            out.append(max(1, size))
-        return out
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -982,11 +958,6 @@ class ClusterSimulator:
         if not live:
             return dead
         server = live[stable_hash(node.path) % len(live)]
-        zones = getattr(self.placement, "zone_of", None)
-        if zones is not None and node in zones:
-            # Keep the zone map consistent, or a later rebuild would
-            # resurrect the dead owner.
-            zones[node] = server
         self.placement.assign(node, server)
         return server
 

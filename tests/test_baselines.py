@@ -16,12 +16,10 @@ from repro.baselines import (
     StaticSubtreeScheme,
     pathname_cluster_keys,
     preorder_keys,
-    stable_hash,
 )
-from repro.cluster.failure import fail_server
 from repro.core import NamespaceTree
 from repro.metrics import balance_from_placement, system_locality
-from repro.placement import DEAD_CAPACITY
+from repro.placement import DEAD_CAPACITY, stable_hash
 from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
 from repro.traces import DatasetProfile, load_workload
 from tests.conftest import build_random_tree
@@ -495,7 +493,7 @@ def test_refit_moves_what_the_full_reassign_moved(scheme):
                     scheme.place_created(tree, placement, node)
         if round_ == 3:
             for placement in (new, ref):
-                fail_server(placement, 2)
+                placement.fail(2)
             # Before the re-fit the dead server's ranges are still wide:
             # the owner table hands each to the next live server.
             if table == "keys":
@@ -523,7 +521,7 @@ def test_refit_moves_what_the_full_reassign_moved(scheme):
             # shares round past 1, so the last targets lie past the total
             # weight and their cuts are padded with 1.0.
             for placement in (new, ref):
-                fail_server(placement, 4)
+                placement.fail(4)
                 for server, capacity in ((0, 3.3e6), (1, 5.3e6), (3, 7.5e5)):
                     placement.capacities[server] = capacity
         if round_ != 6:  # round 6 shifts nothing: the fit must stand still

@@ -11,10 +11,10 @@ import re
 
 import pytest
 
+from repro.chaos.harness import check_state_invariants
 from repro.chaos.history import HistorySink, OpHistory
 from repro.cluster import MetadataServer, MonitorGroup
 from repro.cluster.control import ClusterControl
-from repro.cluster.failure import check_state_invariants
 from repro.cluster.messages import Heartbeat
 from repro.core import D2TreeScheme
 from repro.obs.spans import SpanRecorder

@@ -86,7 +86,7 @@ def test_place_created_places_new_leaf(grown_tree, scheme_cls):
 
 
 def test_hash_create_uses_path_hash(grown_tree):
-    from repro.baselines.hashing import stable_hash
+    from repro.placement import stable_hash
 
     scheme = HashScheme()
     placement = scheme.partition(grown_tree, 4)

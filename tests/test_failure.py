@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines import DropScheme, HashScheme, StaticSubtreeScheme
-from repro.cluster import fail_server, surviving_capacities
 from repro.core import D2TreeScheme
 from repro.placement import DEAD_CAPACITY
 from tests.conftest import build_random_tree
@@ -16,17 +15,15 @@ def tree():
 
 def test_surviving_capacities_marks_dead_with_sentinel(tree):
     placement = D2TreeScheme(global_layer_fraction=0.05).partition(tree, 4)
-    caps = surviving_capacities(placement, dead=2)
+    placement.fail(2)
+    caps = placement.capacities
     assert caps[2] == DEAD_CAPACITY
     assert all(c > DEAD_CAPACITY for i, c in enumerate(caps) if i != 2)
-    # fail_server marks the placement itself with the same sentinel.
-    fail_server(placement, dead=2)
-    assert placement.capacities[2] == DEAD_CAPACITY
 
 
 def test_d2_failure_rehomes_everything(tree):
     placement = D2TreeScheme(global_layer_fraction=0.05).partition(tree, 4)
-    migrations = fail_server(placement, dead=1)
+    migrations = placement.fail(1)
     for node in tree:
         assert 1 not in placement.servers_of(node)
     for migration in migrations:
@@ -35,14 +32,14 @@ def test_d2_failure_rehomes_everything(tree):
 
 def test_d2_failure_global_layer_survives(tree):
     placement = D2TreeScheme(global_layer_fraction=0.05).partition(tree, 4)
-    fail_server(placement, dead=0)
+    placement.fail(0)
     for node in placement.split.global_layer:
         assert placement.servers_of(node) == (1, 2, 3)
 
 
 def test_d2_failure_subtrees_stay_whole(tree):
     placement = D2TreeScheme(global_layer_fraction=0.05).partition(tree, 4)
-    fail_server(placement, dead=2)
+    placement.fail(2)
     for root, server in placement.subtree_owner.items():
         assert server != 2
         for node in root.descendants(include_self=True):
@@ -52,7 +49,7 @@ def test_d2_failure_subtrees_stay_whole(tree):
 def test_d2_failure_balances_orphans(tree):
     placement = D2TreeScheme(global_layer_fraction=0.05).partition(tree, 4)
     before = placement.local_loads()
-    fail_server(placement, dead=3)
+    placement.fail(3)
     after = placement.local_loads()
     assert after[3] == 0.0
     # The dead server's load went somewhere, split across survivors.
@@ -62,7 +59,7 @@ def test_d2_failure_balances_orphans(tree):
 
 def test_generic_failure_rehash(tree):
     placement = HashScheme().partition(tree, 4)
-    migrations = fail_server(placement, dead=0)
+    migrations = placement.fail(0)
     assert migrations
     for node in tree:
         assert placement.primary_of(node) != 0
@@ -71,7 +68,7 @@ def test_generic_failure_rehash(tree):
 def test_generic_failure_only_dead_nodes_move(tree):
     placement = StaticSubtreeScheme().partition(tree, 4)
     before = {n: placement.primary_of(n) for n in tree}
-    fail_server(placement, dead=2)
+    placement.fail(2)
     for node, server in before.items():
         if server != 2:
             assert placement.primary_of(node) == server
@@ -79,7 +76,7 @@ def test_generic_failure_only_dead_nodes_move(tree):
 
 def test_drop_failure_recovery(tree):
     placement = DropScheme().partition(tree, 4)
-    fail_server(placement, dead=1)
+    placement.fail(1)
     placement.validate_complete(tree)
     assert all(placement.primary_of(n) != 1 for n in tree)
 
@@ -87,16 +84,16 @@ def test_drop_failure_recovery(tree):
 def test_failure_validation(tree):
     placement = HashScheme().partition(tree, 2)
     with pytest.raises(ValueError):
-        fail_server(placement, dead=5)
+        placement.fail(5)
     single = HashScheme().partition(tree, 1)
     with pytest.raises(ValueError):
-        fail_server(single, dead=0)
+        single.fail(0)
 
 
 def test_double_failure(tree):
     placement = D2TreeScheme(global_layer_fraction=0.05).partition(tree, 4)
-    fail_server(placement, dead=0)
-    fail_server(placement, dead=1)
+    placement.fail(0)
+    placement.fail(1)
     for node in tree:
         servers = placement.servers_of(node)
         assert 0 not in servers and 1 not in servers

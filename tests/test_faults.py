@@ -11,7 +11,7 @@ from repro.baselines import (
     HashScheme,
     StaticSubtreeScheme,
 )
-from repro.cluster import MonitorGroup, fail_server, rejoin_server
+from repro.cluster import MonitorGroup
 from repro.cluster.messages import Heartbeat
 from repro.core import D2TreeScheme
 from repro.placement import DEAD_CAPACITY
@@ -222,25 +222,22 @@ def test_monitor_detects_never_heartbeated_member():
 # Sentinel unification
 # ----------------------------------------------------------------------
 def test_dead_capacity_sentinel_is_shared():
-    from repro.cluster.failure import surviving_capacities
-
     tree = build_random_tree(300, seed=11)
     placement = D2TreeScheme().partition(tree, 4)
-    assert surviving_capacities(placement, dead=1)[1] == DEAD_CAPACITY
-    fail_server(placement, dead=1)
+    placement.fail(1)
     assert placement.capacities[1] == DEAD_CAPACITY
     assert DEAD_CAPACITY > 0  # ratio math (L_k / C_k) must stay defined
 
 
 # ----------------------------------------------------------------------
-# rejoin_server
+# Placement.rejoin
 # ----------------------------------------------------------------------
 def test_rejoin_restores_d2_server():
     tree = build_random_tree(400, seed=13)
     placement = D2TreeScheme(global_layer_fraction=0.05).partition(tree, 4)
-    fail_server(placement, dead=2)
+    placement.fail(2)
     assert placement.local_loads()[2] == 0.0
-    moves = rejoin_server(placement, 2)
+    moves = placement.rejoin(2)
     assert placement.capacities[2] == 1.0
     # Global layer re-replicated onto the rejoined server.
     for node in placement.split.global_layer:
@@ -253,10 +250,10 @@ def test_rejoin_restores_d2_server():
 def test_rejoin_rehashes_static_hash_placement():
     tree = build_random_tree(400, seed=13)
     placement = HashScheme().partition(tree, 4)
-    fail_server(placement, dead=3)
+    placement.fail(3)
     owned = [n for n in tree if placement.servers_of(n) == (3,)]
     assert not owned
-    moves = rejoin_server(placement, 3)
+    moves = placement.rejoin(3)
     assert placement.capacities[3] == 1.0
     regained = [n for n in tree if placement.servers_of(n) == (3,)]
     assert regained and len(moves) == len(regained)
@@ -266,9 +263,9 @@ def test_rejoin_rejects_bad_args():
     tree = build_random_tree(100, seed=5)
     placement = HashScheme().partition(tree, 3)
     with pytest.raises(ValueError):
-        rejoin_server(placement, 9)
+        placement.rejoin(9)
     with pytest.raises(ValueError):
-        rejoin_server(placement, 1, capacity=0.0)
+        placement.rejoin(1, capacity=0.0)
 
 
 # ----------------------------------------------------------------------

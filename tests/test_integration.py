@@ -16,7 +16,6 @@ from repro import (
     simulate,
     system_locality,
 )
-from repro.cluster import fail_server
 
 ALL_SCHEMES = [
     D2TreeScheme,
@@ -99,7 +98,7 @@ def test_failure_then_rebalance_recovers(tiny_dtr_workload):
     tree = tiny_dtr_workload.tree
     scheme = D2TreeScheme()
     placement = scheme.partition(tree, 4)
-    fail_server(placement, dead=2)
+    placement.fail(2)
     placement.validate_complete(tree)
     scheme.rebalance(tree, placement)
     loads = placement.local_loads()

@@ -10,16 +10,13 @@ so registration order is no longer parents-first there.
 
 import hashlib
 import json
-from types import SimpleNamespace
 
 import pytest
 
 from repro import registry
 from repro.baselines.dynamic_subtree import DynamicSubtreePlacement
-from repro.baselines.hashing import stable_hash
-from repro.cluster.failure import fail_server, rejoin_server
 from repro.core import NamespaceTree
-from repro.placement import Migration
+from repro.placement import Migration, stable_hash
 from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
 from repro.traces import DatasetProfile, TraceGenerator
 from tests.conftest import build_random_tree
@@ -162,9 +159,9 @@ def membership_digest(placement) -> str:
     h = hashlib.sha256()
     for kind, server, live in MEMBERSHIP_STEPS:
         if kind == "fail":
-            moves = fail_server(placement, server)
+            moves = placement.fail(server)
         else:
-            moves = rejoin_server(placement, server, live=live)
+            moves = placement.rejoin(server, live=live)
         h.update(f"{kind} {server}\n".encode())
         for move in moves:
             h.update(f"{move.node.node_id} {move.source} {move.target}\n".encode())
@@ -247,12 +244,6 @@ def nested_zone_case():
     return tree, placement
 
 
-def migration_sizes(placement, tree, moves):
-    return ClusterSimulator._migration_sizes(
-        SimpleNamespace(placement=placement, tree=tree), moves
-    )
-
-
 def test_nested_zone_migration_sizes_are_pinned():
     """A zone's migration size is its subtree minus every zone below it,
     clamped at 1: a zone two levels down is subtracted twice (once inside
@@ -261,7 +252,7 @@ def test_nested_zone_migration_sizes_are_pinned():
     tree, placement = nested_zone_case()
     paths = ("/", "/a", "/a/x", "/a/x/b", "/a/x/b/c", "/top")
     moves = [Migration(tree.lookup(p), 0, 4) for p in paths]
-    sizes = migration_sizes(placement, tree, moves)
+    sizes = placement.migration_sizes(moves, tree)
     assert dict(zip(paths, sizes)) == {
         "/": 1, "/a": 4, "/a/x": 1, "/a/x/b": 2, "/a/x/b/c": 3, "/top": 1,
     }

