@@ -10,11 +10,11 @@ evicted; the availability ledger) and the decisions that move it:
 * :meth:`on_heartbeat` / :meth:`round` — a liveness beat reaching the
   leader, then the post-heartbeat round: lease tick, re-admit servers
   whose beat just cleared their death mark, detect and evict the silent;
-* :meth:`evict` / :meth:`readmit` — re-home a dead server's metadata, or
-  restore a server and pull subtrees back (``Placement.fail`` /
-  ``Placement.rejoin``: each scheme states its own rule), each under an
-  epoch-stamped, quorum-committed directive that the receiving MDSs fence
-  on;
+* :meth:`evict` / :meth:`readmit` — re-home a dead server's metadata
+  (``Placement.fail``), or restore a server and pull subtrees back
+  (``Placement.rejoin``), each by the scheme's own rule and under an
+  epoch-stamped, quorum-committed directive that the receiving MDSs
+  fence on;
 * :meth:`quiesce` — clear every fault and re-admit every degraded server.
 
 It is synchronous and owns no clock and no I/O: callers pass ``now`` (sim

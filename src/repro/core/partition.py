@@ -203,7 +203,7 @@ class D2TreePlacement(Placement):
     # Membership (Sec. IV-A3, IV-B)
     # ------------------------------------------------------------------
     def _rehome(self, dead: int, alive: List[int]) -> List[Migration]:
-        """The global layer needs nothing (the other replicas keep serving
+        """The global layer drops the dead replica (the others keep serving
         it); the dead server's subtrees go through the pending pool to the
         survivors via mirror division."""
         # Deriving survivors from the *current* replica sets keeps earlier
