@@ -7,9 +7,11 @@ evicted; the availability ledger) and the decisions that move it:
 
 * :meth:`apply_fault` — one scheduled :class:`FaultEvent` against the
   cluster's state (servers, fault fabric, Monitor group, store);
-* :meth:`on_heartbeat` / :meth:`round` — a liveness beat reaching the
-  leader, then the post-heartbeat round: lease tick, re-admit servers
-  whose beat just cleared their death mark, detect and evict the silent;
+* :meth:`beat` / :meth:`on_heartbeat` / :meth:`round` — every live
+  server's beat sent to the leader through the fault fabric (live sockets
+  hand theirs to :meth:`on_heartbeat` directly), then the post-heartbeat
+  round: lease tick, re-admit servers whose beat just cleared their death
+  mark, detect and evict the silent;
 * :meth:`evict` / :meth:`readmit` — re-home a dead server's metadata
   (``Placement.fail``), or restore a server and pull subtrees back
   (``Placement.rejoin``), each by the scheme's own rule and under an
@@ -20,9 +22,9 @@ evicted; the availability ledger) and the decisions that move it:
 It is synchronous and owns no clock and no I/O: callers pass ``now`` (sim
 time or loop time) and hear of placement changes through one callback,
 ``on_moves(moves, now)``. The simulator, the chaos harness and the live
-asyncio cluster all drive this one object; the simulator adds heartbeat
-synthesis and migration pricing, the live cluster reconciles real sockets
-with the state it left behind.
+asyncio cluster all drive this one object; the simulator adds migration
+pricing, and the live cluster adds real sockets, which it reconciles with
+the state this object leaves behind.
 """
 
 from __future__ import annotations
@@ -199,6 +201,26 @@ class ClusterControl:
     # ------------------------------------------------------------------
     # Heartbeats and the detection round
     # ------------------------------------------------------------------
+    def beat(self, now: float) -> int:
+        """Every live server heartbeats the leader through the fault fabric;
+        returns how many beats the leader took.
+
+        Dead servers stay silent, and a mute, partition or loss drops a
+        beat on the way: that silence is what :meth:`round`'s detection
+        keys off.
+        """
+        leader = self.monitor.leader_addr
+        taken = 0
+        for server in self.servers:
+            if not server.alive:
+                continue
+            sid = server.server_id
+            if self.network.deliver(mds_addr(sid), leader, now) is None:
+                continue
+            if self.on_heartbeat(Heartbeat(sid, now)):
+                taken += 1
+        return taken
+
     def on_heartbeat(self, beat: Heartbeat) -> bool:
         """A liveness beat reached the leader's endpoint.
 

@@ -16,8 +16,7 @@ exactly):
 ================  ===  ===========================================  =====
 type              tag  fixed header                                 tails
 ================  ===  ===========================================  =====
-``Heartbeat``       1  ``i32 server, f64 time, f64 load,            —
-                       f64 relative_capacity``
+``Heartbeat``       1  ``i32 server, f64 time``                      —
 ``Directive``       2  — (the body is one compact JSON object:      —
                        ``epoch, kind, server, t, info``)
 ``ClientRequest``   3  ``i64 op_id, i32 client_id, u8 len(op),      ``op,
@@ -69,12 +68,13 @@ __all__ = [
 #: and ownership directives carry the two-layer index, not a full map.
 #: Version 3: the packed envelope and bodies above replace per-message JSON
 #: objects (a version-2 payload starts with ``{``, i.e. "version 123").
-WIRE_VERSION = 3
+#: Version 4: ``Heartbeat`` carries only ``server`` and ``time``.
+WIRE_VERSION = 4
 
 #: A message's wire form: ``(type tag, packed body)``.
 Wire = Tuple[int, bytes]
 
-_HEARTBEAT = struct.Struct(">iddd")
+_HEARTBEAT = struct.Struct(">id")
 _REQUEST = struct.Struct(">qiBH")
 _REPLY = struct.Struct(">qiiqBH")
 
@@ -150,28 +150,21 @@ class RoutePlan:
 
 @dataclass(frozen=True)
 class Heartbeat:
-    """Periodic load report from an MDS to the Monitor (Sec. IV-B).
+    """Periodic liveness beat from an MDS to the Monitor (Sec. IV-B).
 
-    The Monitor (``MonitorGroup.on_heartbeat``) consumes ``server`` and
-    ``time`` only — liveness and re-admission. Adjustment reads loads from
-    the placement, never from a beat, so ``load`` and ``relative_capacity``
-    are carried for the record: the simulator fills ``relative_capacity``
-    on the rounds a span or telemetry event records, and sends 0.0
-    otherwise rather than sum every node's load for a field nobody reads.
+    The Monitor (``MonitorGroup.on_heartbeat``) reads exactly these two
+    fields: who beat, and when — liveness and re-admission. Adjustment
+    reads loads from the placement, never from a beat.
     """
 
     server: int
     time: float
-    load: float
-    relative_capacity: float
 
     TAG = 1
 
     def to_wire(self) -> Wire:
         try:
-            return self.TAG, _HEARTBEAT.pack(
-                self.server, self.time, self.load, self.relative_capacity
-            )
+            return self.TAG, _HEARTBEAT.pack(self.server, self.time)
         except struct.error as exc:
             raise _unencodable(self, exc) from None
 

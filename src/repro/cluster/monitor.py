@@ -309,8 +309,8 @@ class MonitorGroup:
         self._registered_at[server] = now
 
     def on_heartbeat(self, heartbeat: Heartbeat) -> bool:
-        """Record an MDS's periodic load report at the leader; False when
-        the leader is down.
+        """Record an MDS's liveness beat at the leader; False when the
+        leader is down.
 
         A heartbeat from an acknowledged-dead server clears the death mark —
         it rejoined and becomes detectable again. Network faults

@@ -27,7 +27,7 @@ from repro.cluster.client import INDEX_CACHE_SIZE, SimClient
 from repro.cluster.control import ClusterControl
 from repro.cluster.locks import LockManager
 from repro.cluster.mds import MetadataServer
-from repro.cluster.messages import Heartbeat, RoutePlan, VisitKind
+from repro.cluster.messages import RoutePlan, VisitKind
 from repro.cluster.monitor import MonitorGroup
 from repro.core.namespace import PopularityEstimate
 from repro.core.partition import D2TreePlacement
@@ -58,6 +58,9 @@ __all__ = [
 #: this many adjustment rounds ago (the ROADMAP item 3 thrash signature).
 BOUNCE_ROUNDS = 2
 
+#: Client-side timeout before a request to a dead server is retried.
+FAILOVER_LATENCY = 5e-3
+
 
 @dataclass
 class SimulationConfig:
@@ -78,8 +81,6 @@ class SimulationConfig:
     #: drop_heartbeats events; see repro.simulation.faults). Crashed servers
     #: keep their metadata until the Monitor misses enough heartbeats.
     fault_plan: Optional[FaultPlan] = None
-    #: Client-side timeout before a request to a dead server is retried.
-    failover_latency: float = 5e-3
     #: Retry budget per operation; an op that exhausts it counts as *failed*.
     max_retries: int = 16
     #: Capped exponential backoff between retries: attempt k waits
@@ -337,42 +338,23 @@ class ClusterSimulator:
         """
         self.telemetry.set_time(now)
         # Eq. 2 server loads are a whole-tree sum that only the records of
-        # the round (span, telemetry event) consume: the Monitor keeps a
-        # heartbeat's server and time, nothing else. Unobserved rounds skip
-        # the sum and report 0.0.
+        # the round (span, telemetry event) read; unobserved rounds skip it.
         observed = self.spans is not None or self.telemetry.enabled
         estimate = self.tree.estimate
         counted = self.placement.counted_nodes()
         estimate.fold(Counter(window), counted, self.engine.counter_ids)
         if counted is None or observed:
             estimate.materialise()
-        mu = 0.0
         if observed:
-            loads = self.placement.loads()
-            capacities = self.placement.capacities
-            total_cap = ordered_sum(capacities)
-            mu = ordered_sum(loads) / total_cap if total_cap > 0 else 0.0
-        # Heartbeats (Sec. IV-B): every live MDS reports its relative
-        # capacity to the Monitor, which runs the adjustment. Dead and
-        # heartbeat-muted servers stay silent — their absence is what
-        # failure detection keys off. The beats go through the control
-        # plane like the liveness beats: one that clears an eviction
-        # nominates the server for rejoin on the next round.
-        net = self.network
-        leader_addr = self.monitor.leader_addr
-        for server in self.servers:
-            if not server.alive:
-                continue
-            sid = server.server_id
-            # Load reports traverse the real network: mutes
-            # (drop_heartbeats), partitions and loss all silence them
-            # through the one shared code path.
-            if net.faulty:
-                arrival = net.deliver(mds_addr(sid), leader_addr, now)
-                if arrival is None:
-                    continue
-            relative = loads[sid] - mu * capacities[sid] if observed else 0.0
-            self.control.on_heartbeat(Heartbeat(sid, now, 0.0, relative))
+            total_cap = ordered_sum(self.placement.capacities)
+            mu = (
+                ordered_sum(self.placement.loads()) / total_cap
+                if total_cap > 0 else 0.0
+            )
+        # Heartbeats (Sec. IV-B) go through the control plane like the
+        # liveness beats: one that clears an eviction nominates the server
+        # for rejoin on the next round.
+        self.control.beat(now)
         rebalances = self.monitor.rebalances
         moves = self.monitor.rebalance(now)
         self.migrations += len(moves)
@@ -489,27 +471,12 @@ class ClusterSimulator:
                 store.append_mutation(move.target, "grant", path, now)
 
     # ------------------------------------------------------------------
-    # Cluster control (Sec. IV-A3): ClusterControl decides; the simulator
-    # synthesises the heartbeats and prices the migrations.
+    # Cluster control (Sec. IV-A3): ClusterControl decides and beats; the
+    # simulator prices the migrations.
     def _heartbeats(self, now: float) -> None:
-        """Liveness heartbeats, then the control plane's detection round.
-
-        Liveness beats carry the served-visit count as a cheap load proxy.
-        """
+        """Liveness heartbeats, then the control plane's detection round."""
         self.telemetry.set_time(now)
-        net = self.network
-        live = 0
-        for sid, server in enumerate(self.servers):
-            if not server.alive:
-                continue
-            if net.faulty and net.deliver(
-                mds_addr(sid), self.monitor.leader_addr, now
-            ) is None:
-                continue
-            if self.control.on_heartbeat(
-                Heartbeat(sid, now, float(self.served[sid]), 0.0)
-            ):
-                live += 1
+        live = self.control.beat(now)
         if self.telemetry.enabled:
             self.telemetry.event("heartbeat_round", t=now, live=live)
             self.sampler.snapshot(now)
@@ -599,7 +566,7 @@ class ClusterSimulator:
         fan_cost = cfg.replica_write_work * cfg.service_time
         lock_hold = cfg.lock_hold_time
         adjust_every = cfg.adjust_every_ops
-        failover = cfg.failover_latency
+        failover = FAILOVER_LATENCY
         max_retries = cfg.max_retries
         decode = OP_FROM_CODE
         op_values = [op.value for op in OP_FROM_CODE]  # as the op log records them

@@ -80,6 +80,11 @@ __all__ = [
 ]
 
 
+#: Extra service time per request on a ``fail_slow`` server, per factor
+#: unit.
+SLOW_UNIT = 0.001
+
+
 def _discard(link: FrameLink, wire) -> None:
     """``on_frame`` of an outbound control link: nothing answers on one."""
 
@@ -108,9 +113,6 @@ class LiveConfig:
     lease_timeout: Optional[float] = None
     #: Artificial per-request service time (0 = serve at socket speed).
     service_time: float = 0.0
-    #: Extra service time per request on a ``fail_slow`` server, per
-    #: factor unit.
-    slow_unit: float = 0.001
     seed: int = 7
 
 
@@ -191,7 +193,7 @@ class LiveMDS:
             delay = self.cfg.service_time
             slow_factor = self.state.slow_factor
             if slow_factor > 1.0:
-                delay += (slow_factor - 1.0) * self.cfg.slow_unit
+                delay += (slow_factor - 1.0) * SLOW_UNIT
             if delay > 0:
                 link.hold()
                 asyncio.get_running_loop().call_later(
@@ -261,12 +263,7 @@ class LiveMDS:
     async def _heartbeat_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            now = loop.time()
-            beat = Heartbeat(
-                server=self.server_id, time=now,
-                load=float(self.served), relative_capacity=1.0,
-            )
-            frame = encode_frame(beat.to_wire())
+            frame = encode_frame(Heartbeat(self.server_id, loop.time()).to_wire())
             for replica in range(self.cfg.num_monitors):
                 endpoint = mon_addr(replica)
                 link = self._mon_links.get(replica)
@@ -313,7 +310,6 @@ class LiveMonitor:
         self.transport = transport
         self.control = control
         self.group = control.monitor
-        self.heartbeats_seen = 0
 
     async def sync(self) -> None:
         listening = self.transport.is_listening(self.addr)
@@ -324,13 +320,12 @@ class LiveMonitor:
 
     def _on_frame(self, link: FrameLink, wire) -> None:
         message = from_wire(wire)
-        if isinstance(message, Heartbeat):
-            self.heartbeats_seen += 1
-            if (
-                self.group.replica_alive[self.replica]
-                and self.group.leader == self.replica
-            ):
-                self.control.on_heartbeat(message)
+        if (
+            isinstance(message, Heartbeat)
+            and self.group.replica_alive[self.replica]
+            and self.group.leader == self.replica
+        ):
+            self.control.on_heartbeat(message)
 
 
 @dataclass

@@ -71,6 +71,13 @@ __all__ = [
 ]
 
 
+#: Per-op wall-clock deadline: an op still retrying this long after its
+#: first attempt gives up even with retries left, so a long partition cannot
+#: pin clients forever. Exhaustion with any maybe-sent attempt is recorded
+#: as *indeterminate*, not failed.
+OP_DEADLINE = 5.0
+
+
 @dataclass
 class LoadConfig:
     """Client-side knobs (wall-clock seconds throughout)."""
@@ -86,11 +93,6 @@ class LoadConfig:
     #: In-flight cap protecting the event loop; hitting it is reported as
     #: ``saturated`` (the run degraded from open- to closed-loop there).
     max_inflight: int = 1024
-    #: Per-op wall-clock deadline: an op still retrying this long after its
-    #: first attempt gives up even with retries left, so a long partition
-    #: cannot pin clients forever. Exhaustion with any maybe-sent attempt
-    #: is recorded as *indeterminate*, not failed.
-    op_deadline: float = 5.0
     seed: int = 7
 
 
@@ -158,7 +160,7 @@ class _Op:
         self.op_id = op_id
         #: The request, encoded once: retries and redirects resend it as is.
         self.frame = frame
-        #: ``op_deadline`` past the start: no attempt begins after it.
+        #: ``OP_DEADLINE`` past the start: no attempt begins after it.
         self.deadline = deadline
         #: The cached index entry that chose ``target`` ("" for none).
         self.root = root
@@ -545,7 +547,7 @@ class LoadGenerator:
         # also refreshes the entry's recency.
         self.index_cache.get(root or path)
         frame = encode_frame(ClientRequest(op_id, path, op_value).to_wire())
-        op = _Op(op_id, frame, start + self.cfg.op_deadline, root, target)
+        op = _Op(op_id, frame, start + OP_DEADLINE, root, target)
         return self._attempt(op)
 
     def _attempt(self, op: _Op) -> bool:

@@ -307,15 +307,15 @@ def monitored_cluster():
 
 def test_monitor_heartbeats(monitored_cluster):
     _tree, _scheme, _placement, monitor = monitored_cluster
-    monitor.on_heartbeat(Heartbeat(server=0, time=1.0, load=5.0, relative_capacity=0.2))
+    monitor.on_heartbeat(Heartbeat(server=0, time=1.0))
     assert monitor._last_heartbeat.get(0) == 1.0
     assert monitor._last_heartbeat.get(1) is None
 
 
 def test_monitor_failure_detection(monitored_cluster):
     _tree, _scheme, _placement, monitor = monitored_cluster
-    monitor.on_heartbeat(Heartbeat(0, 0.0, 1.0, 0.0))
-    monitor.on_heartbeat(Heartbeat(1, 9.0, 1.0, 0.0))
+    monitor.on_heartbeat(Heartbeat(0, 0.0))
+    monitor.on_heartbeat(Heartbeat(1, 9.0))
     assert monitor.detect_failures(now=12.0) == [0]
 
 

@@ -15,7 +15,6 @@ from repro.chaos.harness import check_state_invariants
 from repro.chaos.history import HistorySink, OpHistory
 from repro.cluster import MetadataServer, MonitorGroup
 from repro.cluster.control import ClusterControl
-from repro.cluster.messages import Heartbeat
 from repro.core import D2TreeScheme
 from repro.obs.spans import SpanRecorder
 from repro.placement import DEAD_CAPACITY
@@ -61,13 +60,7 @@ class Cluster:
 
     def beat_round(self, now):
         """Every live server beats through the fabric, then one round."""
-        for server in self.servers:
-            if server.alive and self.network.deliver(
-                mds_addr(server.server_id), self.group.leader_addr, now
-            ) is not None:
-                self.control.on_heartbeat(
-                    Heartbeat(server.server_id, now, 0.0, 0.0)
-                )
+        self.control.beat(now)
         self.control.round(now)
 
     def owners(self):
@@ -239,9 +232,11 @@ def test_a_heartbeat_in_flight_across_a_crash_does_not_resurrect(cluster):
     cluster.fault("drop_heartbeats:0", 0.2)
     cluster.beat_round(1.4)
     assert cluster.group.is_dead(0)
-    # The evicted server's beat reaches the leader, then it crashes before
-    # the round runs: the nomination must lapse, not restart the process.
-    cluster.control.on_heartbeat(Heartbeat(0, 1.5, 0.0, 0.0))
+    # The mute lifts on the wire and the evicted server's beat reaches the
+    # leader, then it crashes before the round runs: the nomination must
+    # lapse, not restart the process.
+    cluster.network.clear_endpoint(mds_addr(0))
+    cluster.control.beat(1.5)
     cluster.fault("crash:0", 1.5)
     cluster.control.round(1.6)
     assert not cluster.servers[0].alive and cluster.group.is_dead(0)

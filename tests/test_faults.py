@@ -186,8 +186,8 @@ def test_monitor_reports_each_failure_once():
         scheme, tree, placement, replicas=1, heartbeat_timeout=1.0
     )
     for sid in range(3):
-        monitor.on_heartbeat(Heartbeat(sid, 0.0, 0.0, 0.0))
-    monitor.on_heartbeat(Heartbeat(0, 5.0, 0.0, 0.0))
+        monitor.on_heartbeat(Heartbeat(sid, 0.0))
+    monitor.on_heartbeat(Heartbeat(0, 5.0))
     assert monitor.detect_failures(5.0) == [1, 2]
     monitor.mark_dead(1)
     monitor.mark_dead(2)
@@ -195,10 +195,10 @@ def test_monitor_reports_each_failure_once():
     assert monitor.detect_failures(6.0) == []
     assert monitor.is_dead(1) and monitor.is_dead(2)
     # A heartbeat from a rejoined server clears the mark ...
-    monitor.on_heartbeat(Heartbeat(1, 6.5, 0.0, 0.0))
+    monitor.on_heartbeat(Heartbeat(1, 6.5))
     assert not monitor.is_dead(1)
     # ... making it detectable again if it goes silent once more.
-    monitor.on_heartbeat(Heartbeat(0, 8.5, 0.0, 0.0))
+    monitor.on_heartbeat(Heartbeat(0, 8.5))
     assert monitor.detect_failures(9.0) == [1]
 
 
@@ -210,8 +210,8 @@ def test_monitor_detects_never_heartbeated_member():
         scheme, tree, placement, replicas=1, heartbeat_timeout=1.0,
         expected_servers=range(3),
     )
-    monitor.on_heartbeat(Heartbeat(0, 0.1, 0.0, 0.0))
-    monitor.on_heartbeat(Heartbeat(1, 0.1, 0.0, 0.0))
+    monitor.on_heartbeat(Heartbeat(0, 0.1))
+    monitor.on_heartbeat(Heartbeat(1, 0.1))
     # Server 2 registered at t=0 but never spoke: silent within the grace
     # period, dead after it (0 and 1 heartbeated recently enough).
     assert monitor.detect_failures(0.5) == []

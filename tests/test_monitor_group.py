@@ -30,7 +30,7 @@ def test_single_replica_degrades_to_singleton_monitor():
     group = make_group(replicas=1)
     assert group.epoch == 1 and group.leader == 0
     assert group.can_commit()
-    group.on_heartbeat(Heartbeat(0, 0.5, 1.0, 1.0))
+    group.on_heartbeat(Heartbeat(0, 0.5))
     assert group._last_heartbeat.get(0) == 0.5
     assert not group.tick(10.0)  # healthy leader: lease renews implicitly
     assert group.epoch == 1 and group.failovers == 0
@@ -65,7 +65,7 @@ def test_leader_crash_triggers_lease_takeover():
 
 def test_failover_restores_membership_from_journal():
     group = make_group(replicas=3, lease_timeout=1.0)
-    group.on_heartbeat(Heartbeat(2, 0.1, 1.0, 1.0))
+    group.on_heartbeat(Heartbeat(2, 0.1))
     group.mark_dead(2, now=0.2)
     assert group.is_dead(2)
     group.crash_monitor(0, now=0.3)

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import DropScheme, StaticSubtreeScheme
 from repro.cluster.messages import VisitKind
 from repro.core import D2TreeScheme
-from repro.simulation import SimulationConfig
+from repro.simulation import FaultPlan, SimulationConfig
 from repro.simulation.runner import ClusterSimulator
 from repro.traces import DatasetProfile, OpType, TraceGenerator
 
@@ -114,6 +114,17 @@ def test_adjust_sends_heartbeats(workload):
     assert sim.monitor.rebalances >= 1
     for server in range(4):
         assert server in sim.monitor._last_heartbeat
+    # With the liveness grid off, the adjustment rounds' beats are the only
+    # ones, and they cross the fault fabric: a muted server's never land.
+    cfg = SimulationConfig(
+        num_clients=10, adjust_every_ops=200, heartbeat_interval=0,
+        fault_plan=FaultPlan.parse(["drop_heartbeats:1@ops=1"]),
+    )
+    sim = ClusterSimulator(D2TreeScheme(), workload, 4, cfg)
+    sim.run()
+    assert sim.monitor.rebalances >= 1
+    assert 1 not in sim.monitor._last_heartbeat
+    assert {0, 2, 3} <= set(sim.monitor._last_heartbeat)
 
 
 def test_adjust_interval_zero_disables(workload):

@@ -48,7 +48,7 @@ def _echo(link, wire):
 
 
 #: The wire form bounced off the echo handler: any real message's will do.
-PING = Heartbeat(server=1, time=0.5, load=2.0, relative_capacity=1.0).to_wire()
+PING = Heartbeat(server=1, time=0.5).to_wire()
 
 
 # ----------------------------------------------------------------------

@@ -62,10 +62,7 @@ info_values = st.one_of(
     st.lists(st.one_of(st.booleans(), json_ints, finite, long_texts), max_size=4),
 )
 
-heartbeats = st.builds(
-    Heartbeat, server=i32, time=doubles, load=doubles,
-    relative_capacity=doubles,
-)
+heartbeats = st.builds(Heartbeat, server=i32, time=doubles)
 directives = st.builds(
     Directive,
     epoch=json_ints,
@@ -165,15 +162,17 @@ def test_typed_from_wire_matches_dispatcher(message):
     ClientRequest(2**63 - 1, "/" + "p" * 65534, "o" * 255, -(2**31)),
     ClientRequest(-(2**63), "", "", 2**31 - 1),
     ClientReply(-(2**63), "s" * 255, 2**31 - 1, -(2**31), 2**63 - 1, "r" * 65535),
-    Heartbeat(-(2**31), float("inf"), -0.0, 5e-324),
+    Heartbeat(-(2**31), float("inf")),
 ])
 def test_every_field_round_trips_at_the_edge_of_its_width(message):
     assert decode(payload_of(message)) == message
 
 
 def test_fixed_layout_frames_are_a_few_dozen_bytes():
+    beat = encode_frame(to_wire(Heartbeat(3, 1.5)))
     request = encode_frame(to_wire(ClientRequest(1234, "/d3/d17/f42", "update")))
     reply = encode_frame(to_wire(ClientReply(1234, "ack", 2, 2, 1, "/d3/d17")))
+    assert len(beat) == 4 + 2 + 12 == 18
     assert len(request) == 4 + 2 + 15 + len("update") + len("/d3/d17/f42") <= 60
     assert len(reply) == 4 + 2 + 27 + len("ack") + len("/d3/d17") <= 50
 
@@ -195,8 +194,8 @@ def test_fixed_layout_frames_are_a_few_dozen_bytes():
     ClientReply(1, "ack", 0, epoch=2**63),
     ClientReply(1, "s" * 256, 0),
     ClientReply(1, "ack", 0, root="r" * 65536),
-    Heartbeat(2**31, 0.0, 0.0, 1.0),
-    Heartbeat(0, 0.0, 10**400, 1.0),                    # int too big for a double
+    Heartbeat(2**31, 0.0),
+    Heartbeat(0, 10**400),                              # int too big for a double
     Directive(1, "rehome", info=(("when", object()),)),  # not JSON-encodable
 ])
 def test_an_out_of_range_field_is_a_value_error_at_encode(message):
@@ -225,7 +224,7 @@ def test_a_v2_json_frame_is_rejected_as_version_123():
     ).encode()
     with pytest.raises(FrameError, match="version 123 is not supported"):
         decode_payload(v2)
-    with pytest.raises(FrameError, match="speaks version 3"):
+    with pytest.raises(FrameError, match="speaks version 4"):
         _read_one(struct.pack(">I", len(v2)) + v2)
 
 
@@ -245,7 +244,7 @@ def test_unknown_type_is_rejected():
 
 
 def test_typed_decoder_rejects_wrong_tag():
-    wire = Heartbeat(0, 0.0, 0.0, 1.0).to_wire()
+    wire = Heartbeat(0, 0.0).to_wire()
     with pytest.raises(ValueError, match="expected a Directive"):
         Directive.from_wire(wire)
 
@@ -287,9 +286,8 @@ def test_a_missing_field_is_a_value_error(message, data):
     (Directive(1, "rehome"), "info", None),
     (Directive(1, "rehome"), "info", [["only-a-key"]]),
     (Directive(1, "rehome"), "info", [[5, "non-text key"]]),
-    (Heartbeat(0, 0.0, 0.0, 1.0), "server", None),
-    (Heartbeat(0, 0.0, 0.0, 1.0), "load", "heavy"),
-    (Heartbeat(0, 0.0, 0.0, 1.0), "time", []),
+    (Heartbeat(0, 0.0), "server", None),
+    (Heartbeat(0, 0.0), "time", []),
 ])
 def test_a_mistyped_field_is_a_value_error(message, field, value):
     """A packed layout has no way to carry a mistyped field, so the three
@@ -335,8 +333,9 @@ _DEEP = b'{"epoch":1,"kind":"k","server":0,"t":0,"info":[["k",' + b"[" * 100_000
     (ClientReply.TAG, _reply_body(status_len=0)),
     (ClientReply.TAG, _reply_body(tail=b"a\xffk/a")),
     (ClientReply.TAG, _request_body()),                        # another type's body
-    (Heartbeat.TAG, struct.pack(">iddd", 0, 0.0, 0.0, 1.0)[:-1]),
-    (Heartbeat.TAG, struct.pack(">iddd", 0, 0.0, 0.0, 1.0) + b"\x00"),
+    (Heartbeat.TAG, struct.pack(">id", 0, 0.0)[:-1]),
+    (Heartbeat.TAG, struct.pack(">id", 0, 0.0) + b"\x00"),
+    (Heartbeat.TAG, struct.pack(">iddd", 0, 0.0, 0.0, 1.0)),  # a version-3 beat
     (Directive.TAG, b"\xff\xfe not json"),
     (Directive.TAG, b'{"epoch":1,"kind":'),
     (Directive.TAG, _DEEP),                                    # RecursionError inside
@@ -476,7 +475,7 @@ def test_a_garbage_frame_drops_the_connection_not_the_server():
 # ----------------------------------------------------------------------
 # Framing: the link's decoder
 # ----------------------------------------------------------------------
-BEAT = Heartbeat(server=3, time=1.5, load=2.0, relative_capacity=1.0)
+BEAT = Heartbeat(server=3, time=1.5)
 
 
 class FakeSocket:
