@@ -37,6 +37,11 @@ __all__ = ["ShrinkResult", "shrink_plan"]
 #: reproduces under that configuration.
 ProbeFn = Callable[[FaultPlan, int, int], bool]
 
+#: The smallest cluster the shrinker probes: three MDSs (what ``chaos``
+#: needs) and one Monitor replica.
+MIN_SERVERS = 3
+MIN_MONITORS = 1
+
 
 @dataclass
 class ShrinkResult:
@@ -169,8 +174,6 @@ def shrink_plan(
     num_monitors: int,
     probe: ProbeFn,
     *,
-    min_servers: int = 3,
-    min_monitors: int = 1,
     max_probes: int = 400,
     initial_failure_known: bool = True,
 ) -> Optional[ShrinkResult]:
@@ -201,12 +204,12 @@ def shrink_plan(
 
     # 2. Shrink the cluster (smallest still-failing config wins; ascending
     #    probes stop at the first hit).
-    for s in range(min_servers, servers):
+    for s in range(MIN_SERVERS, servers):
         if prober.fails(FaultPlan(events), s, monitors):
             steps.append(f"servers: {servers} -> {s}")
             servers = s
             break
-    for m in range(min_monitors, monitors):
+    for m in range(MIN_MONITORS, monitors):
         if prober.fails(FaultPlan(events), servers, m):
             steps.append(f"monitors: {monitors} -> {m}")
             monitors = m

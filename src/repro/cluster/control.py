@@ -371,7 +371,6 @@ class ClusterControl:
         if directive is None:
             self.monitor.mark_dead(sid, now, journal=False)
             return
-        self.monitor.mark_alive(sid, now)
         self.monitor.expect(sid, now)
         # Epoch fence: a stale rejoin (issued by a deposed leader) must not
         # resurrect the pre-crash subtree assignments that a newer epoch
@@ -438,7 +437,9 @@ class ClusterControl:
         Heals every partition, restarts every Monitor replica (with the
         interconnect whole and all replicas up the leader always holds a
         quorum, so the re-admissions below commit), then rejoins every
-        crashed, evicted or capacity-less server and resets the rest.
+        crashed, evicted or capacity-less server and resets the rest, whose
+        liveness clocks restart too: a server un-muted here is judged from
+        now, not from the beat before its mute.
         Invariants are only meaningful *after* this — mid-fault the cluster
         is allowed to be degraded; what it may never do is stay broken once
         the faults clear.
@@ -459,6 +460,7 @@ class ClusterControl:
                 server.slow_factor = 1.0
                 server.muted = False
                 self.network.clear_endpoint(mds_addr(sid))
+                self.monitor.expect(sid, now)
 
     def close_unavailability(self, end: float) -> None:
         """Crashes the Monitor never got to detect (detection disabled, or

@@ -80,10 +80,11 @@ class MonitorGroup:
     Mirrors what Ceph does to the component the paper borrows (the OSD
     monitor): the singleton Monitor of Sec. IV-A3 becomes a small replicated
     group so losing the box that runs it no longer freezes failure detection
-    and the pending pool forever. ``expected_servers`` registers cluster
-    membership so a server that *never* heartbeats is still detected once
-    its grace period (one heartbeat timeout from ``registered_at``) elapses.
-    The moving parts:
+    and the pending pool forever. The leader keeps one liveness clock per
+    server — its latest heartbeat or (re)admission — and suspects a server
+    whose clock is more than one heartbeat timeout old; ``expected_servers``
+    starts the clocks at 0, so a server that *never* heartbeats is detected
+    too. The moving parts:
 
     * **Leadership + lease.** Replica ``leader`` drives detection and
       rebalancing. When it crashes or loses its quorum (a partition), the
@@ -98,8 +99,8 @@ class MonitorGroup:
       minority-side leader keeps running but all its decisions abort, which
       is the write-side half of the fencing story.
     * **Journal.** Committed directives land in a :class:`PlacementJournal`;
-      a takeover replays it to recover the acknowledged-dead set and resumes
-      with fresh heartbeat grace periods.
+      a takeover replays it to recover the acknowledged-dead set and
+      restarts every liveness clock at the takeover.
 
     With one replica and no network faults the group is the paper's
     singleton Monitor: epoch stays 1 and every quorum check is trivially true.
@@ -114,7 +115,6 @@ class MonitorGroup:
         heartbeat_timeout: float = 30.0,
         lease_timeout: Optional[float] = None,
         expected_servers: Optional[Iterable[int]] = None,
-        registered_at: float = 0.0,
         telemetry: Optional[Telemetry] = None,
         network=None,
     ) -> None:
@@ -135,15 +135,14 @@ class MonitorGroup:
         self.scheme = scheme
         self.tree = tree
         self.placement = placement
-        #: The leader's private heartbeat clocks (not replicated: a takeover
-        #: starts them afresh).
-        self._last_heartbeat: Dict[int, float] = {}
-        #: Membership roster: server -> registration time (detection grace).
-        self._registered_at: Dict[int, float] = dict.fromkeys(
-            expected_servers or (), registered_at
+        #: The leader's liveness clocks: server -> its latest heartbeat or
+        #: (re)admission. Not replicated: a takeover restarts them.
+        self._last_seen: Dict[int, float] = dict.fromkeys(
+            expected_servers or (), 0.0
         )
         #: Failures already surfaced by detect_failures and acknowledged via
-        #: mark_dead — never re-reported until the server heartbeats again.
+        #: mark_dead — never re-reported until the server heartbeats again
+        #: or is re-admitted.
         #: Replicated: a takeover rebuilds it from the journal.
         self._acknowledged_dead: Set[int] = set()
         self.rebalances = 0
@@ -226,12 +225,11 @@ class MonitorGroup:
         )
         # The new leader inherits the *replicated* state — the
         # acknowledged-dead set, replayed from the journal — but not the old
-        # leader's heartbeat clocks. Every registered server gets a fresh
-        # grace period, so detection restarts conservatively instead of
-        # instantly evicting servers the new leader has not heard from yet.
+        # leader's clocks. Every clock restarts at the takeover, so
+        # detection restarts conservatively instead of instantly evicting
+        # servers the new leader has not heard from yet.
         self._acknowledged_dead = self.journal.acknowledged_dead()
-        self._last_heartbeat.clear()
-        self._registered_at = dict.fromkeys(self._registered_at, now)
+        self._last_seen = dict.fromkeys(self._last_seen, now)
         self.telemetry.event(
             "monitor_failover", t=now, epoch=self.epoch,
             new_leader=candidate, old_leader=old_leader,
@@ -305,8 +303,13 @@ class MonitorGroup:
     # Heartbeats, detection, membership (leader-gated)
     # ------------------------------------------------------------------
     def expect(self, server: int, now: float = 0.0) -> None:
-        """Register a cluster member (a rejoin or a newly added MDS)."""
-        self._registered_at[server] = now
+        """(Re)admit a cluster member: its clock restarts at ``now``, and a
+        death mark is cleared and journalled (``mark_alive``)."""
+        self._last_seen[server] = now
+        if server in self._acknowledged_dead:
+            self._commit("mark_alive", now, server)
+            self.telemetry.event("monitor_mark_alive", server=server)
+            self._acknowledged_dead.discard(server)
 
     def on_heartbeat(self, heartbeat: Heartbeat) -> bool:
         """Record an MDS's liveness beat at the leader; False when the
@@ -320,7 +323,7 @@ class MonitorGroup:
         """
         if not self.replica_alive[self.leader]:
             return False
-        self._last_heartbeat[heartbeat.server] = heartbeat.time
+        self._last_seen[heartbeat.server] = heartbeat.time
         self._acknowledged_dead.discard(heartbeat.server)
         return True
 
@@ -328,27 +331,18 @@ class MonitorGroup:
         """Servers newly suspected dead at ``now``; silent without a
         committable leader.
 
-        A server is suspected when its heartbeats stopped for longer than
-        the timeout, or when it is registered but has never heartbeated and
-        its grace period ran out. Failures already acknowledged through
-        :meth:`mark_dead` are not re-reported.
+        A server is suspected when its clock — latest heartbeat or
+        (re)admission — is more than one timeout old. Failures already
+        acknowledged through :meth:`mark_dead` are not re-reported.
         """
         if not self.can_commit():
             return []
-        suspects = [
+        suspects = sorted(
             server
-            for server, seen in self._last_heartbeat.items()
+            for server, seen in self._last_seen.items()
             if server not in self._acknowledged_dead
             and now - seen > self.heartbeat_timeout
-        ]
-        suspects.extend(
-            server
-            for server, registered in self._registered_at.items()
-            if server not in self._acknowledged_dead
-            and server not in self._last_heartbeat
-            and now - registered > self.heartbeat_timeout
         )
-        suspects = sorted(suspects)
         if suspects:
             self.telemetry.event(
                 "detect_failures", t=now, servers=suspects,
@@ -370,13 +364,6 @@ class MonitorGroup:
         self.telemetry.event("monitor_mark_dead", server=server)
         if journal:
             self._commit("mark_dead", now, server)
-
-    def mark_alive(self, server: int, now: float = 0.0) -> None:
-        """Clear a death mark (the server rejoined) and journal it."""
-        if server in self._acknowledged_dead:
-            self._commit("mark_alive", now, server)
-            self.telemetry.event("monitor_mark_alive", server=server)
-            self._acknowledged_dead.discard(server)
 
     def is_dead(self, server: int) -> bool:
         """True for servers whose failure has been acknowledged."""

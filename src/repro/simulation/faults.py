@@ -374,16 +374,26 @@ class FaultPlan:
                     f"{event.server} but the cluster only has servers "
                     f"0..{num_servers - 1}"
                 )
-        degraded = {
-            e.server for e in self.events if e.kind in _DEGRADING_KINDS
-        }
+        degraded = set()
+        for event in self.events:
+            if event.kind in _DEGRADING_KINDS:
+                degraded.add(event.server)
+            elif event.kind is FaultKind.PARTITION:
+                # A partition can get any MDS it names evicted; a recover
+                # then re-admits it and pulls its subtrees back.
+                degraded.update(
+                    int(token)
+                    for group in event.groups
+                    for token in group
+                    if not token.startswith("m")
+                )
         for event in self.events:
             if event.kind is FaultKind.RECOVER and event.server not in degraded:
                 warnings.warn(
                     f"fault {event.describe()!r} recovers server "
                     f"{event.server}, but no event in the plan ever degrades "
-                    "it (crash/fail_slow/drop_heartbeats/loss/delay) — "
-                    "the recover will be a no-op",
+                    "it (crash/fail_slow/drop_heartbeats/loss/delay/"
+                    "partition) — the recover will be a no-op",
                     stacklevel=2,
                 )
         return self

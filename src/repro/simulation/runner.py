@@ -1002,14 +1002,13 @@ def replay_rounds(
     workload: GeneratedWorkload,
     num_servers: int,
     rounds: int = 20,
-    popularity_blend: float = 0.5,
-    normalize: bool = True,
 ) -> BalanceTrajectory:
     """Measure balance while replaying the trace in adjustment rounds.
 
-    Round ``r``'s served load is measured under the placement adapted to
-    rounds ``< r`` (online evaluation); the scheme then observes round ``r``
-    and rebalances. The last round's balance is what Fig. 7 plots.
+    Round ``r``'s served load (scaled to a mean of 1 per server) is
+    measured under the placement adapted to rounds ``< r`` (online
+    evaluation); the scheme then observes round ``r`` and rebalances. The
+    last round's balance is what Fig. 7 plots.
     """
     if rounds < 2:
         raise ValueError("need at least two rounds (one to adapt, one to measure)")
@@ -1024,7 +1023,7 @@ def replay_rounds(
     first.fold(_round_counts(pieces[0], tree))
     first.materialise()
     placement = scheme.partition(tree, num_servers)
-    estimate = PopularityEstimate(arena, popularity_blend)
+    estimate = PopularityEstimate(arena, SimulationConfig.popularity_blend)
 
     trajectory = BalanceTrajectory(
         scheme=scheme.name, trace=workload.trace.name, num_servers=num_servers
@@ -1032,10 +1031,9 @@ def replay_rounds(
     for piece in pieces[1:]:
         counts = _round_counts(piece, tree)
         loads = _served_loads(placement, counts)
-        if normalize:
-            total = ordered_sum(loads)
-            if total > 0:
-                loads = [load * num_servers / total for load in loads]
+        total = ordered_sum(loads)
+        if total > 0:
+            loads = [load * num_servers / total for load in loads]
         trajectory.per_round.append(balance_degree(loads, placement.capacities))
         # Servers observe the round and adjust.
         estimate.fold(counts)

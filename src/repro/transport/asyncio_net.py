@@ -425,8 +425,8 @@ class AsyncioTransport(FaultFabric):
             partial(asyncio.start_server, _serve),
         )
 
-    async def stop_endpoint(self, endpoint: str, abort: bool = True) -> None:
-        """Close the endpoint's socket; ``abort`` hard-drops its connections.
+    async def stop_endpoint(self, endpoint: str) -> None:
+        """Close the endpoint's socket and hard-drop its connections.
 
         This is what a live ``crash`` / ``kill9`` fault does: the listening
         socket disappears (new connects are refused) and in-flight
@@ -441,21 +441,20 @@ class AsyncioTransport(FaultFabric):
             # assertion and leaks the accepted socket.
             await asyncio.sleep(0)
             server.close()  # refuses new connects from here on
-        if abort:
-            for conn in list(self._inbound.get(endpoint, ())):
-                conn.abort()
-            self._inbound.get(endpoint, set()).clear()
-            # Drain the stream handler tasks: the aborts above surface as
-            # connection errors in their read loops, so they exit on their
-            # own; cancellation is only the backstop (e.g. a handler asleep
-            # in a fault-injected delay).
-            tasks = [t for t in self._handlers.get(endpoint, ()) if not t.done()]
-            if tasks:
-                done, pending = await asyncio.wait(tasks, timeout=1.0)
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    await asyncio.wait(pending, timeout=1.0)
+        for conn in list(self._inbound.get(endpoint, ())):
+            conn.abort()
+        self._inbound.get(endpoint, set()).clear()
+        # Drain the stream handler tasks: the aborts above surface as
+        # connection errors in their read loops, so they exit on their own;
+        # cancellation is only the backstop (e.g. a handler asleep in a
+        # fault-injected delay).
+        tasks = [t for t in self._handlers.get(endpoint, ()) if not t.done()]
+        if tasks:
+            done, pending = await asyncio.wait(tasks, timeout=1.0)
+            for task in pending:
+                task.cancel()
+            if pending:
+                await asyncio.wait(pending, timeout=1.0)
         if server is not None:
             # Only now: since CPython 3.12 this waits for the endpoint's
             # connections as well, and a crash does not wait for its

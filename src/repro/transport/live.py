@@ -291,7 +291,7 @@ def _write_late(link: FrameLink, frame: bytes) -> None:
 
 
 class LiveMonitor:
-    """A Monitor replica's network face: heartbeat sink + quorum probes.
+    """A Monitor replica's network face: its socket and heartbeat sink.
 
     The replicated *state* (journal, epochs, lease, membership) lives in
     the shared :class:`MonitorGroup`; this class owns the replica's real
@@ -459,12 +459,6 @@ class LiveCluster:
         ]
         self._driver_task: Optional[asyncio.Task] = None
         self._deciding = asyncio.Lock()
-        #: Loop time the last fault / quiesce finished reconciling. The
-        #: next detection round waits two heartbeat intervals from it, so
-        #: a server just restarted or un-muted beats before it is judged
-        #: on a sighting that predates its outage (the simulator's order:
-        #: beats, then detection).
-        self._settled_at = 0.0
         self.applied_faults: List[str] = []
 
     # ------------------------------------------------------------------
@@ -543,13 +537,11 @@ class LiveCluster:
     # ------------------------------------------------------------------
     async def _monitor_driver(self) -> None:
         loop = asyncio.get_running_loop()
-        interval = self.cfg.heartbeat_interval
         while True:
-            await asyncio.sleep(interval)
+            await asyncio.sleep(self.cfg.heartbeat_interval)
             async with self._deciding:
-                if loop.time() - self._settled_at >= 2 * interval:
-                    self.control.round(loop.time())
-                    await self._reconcile()
+                self.control.round(loop.time())
+                await self._reconcile()
 
     async def apply_fault(self, event: FaultEvent) -> None:
         """Apply one fault event to the real cluster, now."""
@@ -558,7 +550,6 @@ class LiveCluster:
         async with self._deciding:
             self.control.apply_fault(event, loop.time())
             await self._reconcile()
-            self._settled_at = loop.time()
 
     async def run_fault_plan(self, plan: FaultPlan, progress) -> None:
         """Fire the plan's events against the live cluster as load runs.
@@ -601,7 +592,6 @@ class LiveCluster:
             self.control.quiesce(loop.time())
             self._moved.set()  # reconcile every index, moved or not
             await self._reconcile()
-            self._settled_at = loop.time()
         # Let heartbeats flow again; should a detection round still evict
         # someone, the driver re-admits them on their next beat. The
         # deadline bounds a wedged run instead of hanging the harness.

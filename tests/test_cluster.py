@@ -308,8 +308,8 @@ def monitored_cluster():
 def test_monitor_heartbeats(monitored_cluster):
     _tree, _scheme, _placement, monitor = monitored_cluster
     monitor.on_heartbeat(Heartbeat(server=0, time=1.0))
-    assert monitor._last_heartbeat.get(0) == 1.0
-    assert monitor._last_heartbeat.get(1) is None
+    assert monitor._last_seen.get(0) == 1.0
+    assert monitor._last_seen.get(1) is None
 
 
 def test_monitor_failure_detection(monitored_cluster):

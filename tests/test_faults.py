@@ -1,6 +1,7 @@
 """Fault-injection subsystem: plans, detection, retry accounting, recovery."""
 
 import dataclasses
+import warnings
 
 import pytest
 
@@ -152,6 +153,17 @@ def test_validate_rejects_out_of_range_targets():
 def test_validate_warns_on_orphan_recover():
     with pytest.warns(UserWarning, match="ever degrades it"):
         plan("recover:1@ops=500").validate(4)
+
+
+def test_validate_counts_partitioned_servers_as_degradable():
+    # A partition gets server 1 evicted; the recover re-admits it.
+    schedule = plan(
+        "partition:{1}|{0,2,m0,m1,m2}@ops=2000", "recover:1@ops=4000",
+        "heal:{1}|{0,2,m0,m1,m2}@ops=7000",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert schedule.validate(3, num_monitors=3) is schedule
 
 
 def test_validate_passes_clean_plans_through():

@@ -31,7 +31,7 @@ def test_single_replica_degrades_to_singleton_monitor():
     assert group.epoch == 1 and group.leader == 0
     assert group.can_commit()
     group.on_heartbeat(Heartbeat(0, 0.5))
-    assert group._last_heartbeat.get(0) == 0.5
+    assert group._last_seen[0] == 0.5
     assert not group.tick(10.0)  # healthy leader: lease renews implicitly
     assert group.epoch == 1 and group.failovers == 0
 
@@ -71,11 +71,29 @@ def test_failover_restores_membership_from_journal():
     group.crash_monitor(0, now=0.3)
     group.tick(0.4)
     assert group.tick(1.5)
-    # The new leader inherits the journalled eviction, not private clocks.
+    # The new leader inherits the journalled eviction, not private clocks:
+    # server 2's clock reads the takeover, not its 0.1 beat.
     assert group.is_dead(2)
-    assert group._last_heartbeat.get(2) is None
+    assert group._last_seen[2] == 1.5
     # Fresh grace period: nothing is instantly re-evicted.
     assert group.detect_failures(1.6) == []
+
+
+def test_readmission_restarts_the_clock():
+    """A re-admitted server is judged from its re-admission, not from a
+    beat before its outage, and the re-admission is journalled once."""
+    group = make_group(replicas=1)
+    timeout = group.heartbeat_timeout
+    group.on_heartbeat(Heartbeat(2, 0.1))
+    group.mark_dead(2, now=0.5)
+    for other in (0, 1, 3):
+        group.on_heartbeat(Heartbeat(other, 1.0))
+    group.expect(2, 1.0)
+    assert not group.is_dead(2)
+    assert group.detect_failures(1.0 + timeout / 2) == []
+    assert 2 in group.detect_failures(1.0 + timeout * 1.01)
+    alive = [d for d in group.journal if d.kind == "mark_alive"]
+    assert [(d.server, d.t) for d in alive] == [(2, 1.0)]
 
 
 def test_recovered_replica_rejoins_as_standby():
