@@ -100,7 +100,8 @@ class MonitorGroup:
       is the write-side half of the fencing story.
     * **Journal.** Committed directives land in a :class:`PlacementJournal`;
       a takeover replays it to recover the acknowledged-dead set and
-      restarts every liveness clock at the takeover.
+      restarts every liveness clock at the takeover. A leader that regains
+      its quorum without a takeover restarts the clocks too.
 
     With one replica and no network faults the group is the paper's
     singleton Monitor: epoch stays 1 and every quorum check is trivially true.
@@ -194,10 +195,15 @@ class MonitorGroup:
         than ``lease_timeout``, the lowest-numbered live replica that can
         reach a quorum takes over: epoch bumps, an ``elect`` directive is
         journalled, and the membership state is restored from the journal
-        with fresh detection grace.
+        with fresh detection grace. A leader that gets its liveness or
+        quorum back before then restarts every clock at ``now`` just as a
+        takeover does: it may have heard no beats meanwhile, and silence it
+        could not judge is not a failure.
         """
         if self.can_commit():
-            self._leader_lost_at = None
+            if self._leader_lost_at is not None:
+                self._leader_lost_at = None
+                self._last_seen = dict.fromkeys(self._last_seen, now)
             return False
         if self._leader_lost_at is None:
             self._leader_lost_at = now

@@ -339,9 +339,9 @@ class FaultPlan:
         Raises ``ValueError`` naming the offending spec for any event that
         targets a server (or Monitor replica, or partition member) outside
         the cluster — at plan-apply time, not deep inside the replay loop.
-        A ``recover`` event for a server no earlier event in the plan ever
-        degraded is almost certainly a typo, but it is harmless at runtime,
-        so it warns instead of failing.
+        A ``recover`` event for a server no event in the plan ever degrades
+        (a partition degrades the MDSs it cuts off from a Monitor majority)
+        is almost certainly a typo, but harmless at runtime: it warns.
         """
         for event in self.events:
             if event.kind in _MONITOR_KINDS:
@@ -379,14 +379,15 @@ class FaultPlan:
             if event.kind in _DEGRADING_KINDS:
                 degraded.add(event.server)
             elif event.kind is FaultKind.PARTITION:
-                # A partition can get any MDS it names evicted; a recover
-                # then re-admits it and pulls its subtrees back.
-                degraded.update(
-                    int(token)
-                    for group in event.groups
-                    for token in group
-                    if not token.startswith("m")
-                )
+                # The side with a Monitor majority can evict the MDSs cut
+                # off from it (unnamed endpoints ride with group 0).
+                side = {t: i for i, group in enumerate(event.groups) for t in group}
+                votes = [side.get(f"m{r}", 0) for r in range(num_monitors)]
+                for quorum in {v for v in votes if votes.count(v) * 2 > num_monitors}:
+                    degraded.update(
+                        sid for sid in range(num_servers)
+                        if side.get(str(sid), 0) != quorum
+                    )
         for event in self.events:
             if event.kind is FaultKind.RECOVER and event.server not in degraded:
                 warnings.warn(

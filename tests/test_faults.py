@@ -164,6 +164,25 @@ def test_validate_counts_partitioned_servers_as_degradable():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert schedule.validate(3, num_monitors=3) is schedule
+    # Server 3 is named by no group, so it rides with {0}, cut off too.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan("partition:{0}|{1,2,m0,m1,m2}@t=1", "recover:3@t=2").validate(
+            4, num_monitors=3
+        )
+
+
+@pytest.mark.parametrize("partition,recover", [
+    # Server 2 shares the Monitor majority's side: nothing evicts it.
+    ("partition:{0}|{1,2,m0,m1,m2}@ops=2000", "recover:2@ops=4000"),
+    # No side holds a Monitor majority, so detection stays off.
+    ("partition:{0,m0}|{1,m1}|{2,m2}@ops=2000", "recover:1@ops=4000"),
+])
+def test_validate_warns_on_recovering_a_server_no_partition_cuts_off(
+    partition, recover
+):
+    with pytest.warns(UserWarning, match="ever degrades it"):
+        plan(partition, recover).validate(3, num_monitors=3)
 
 
 def test_validate_passes_clean_plans_through():

@@ -96,6 +96,35 @@ def test_readmission_restarts_the_clock():
     assert [(d.server, d.t) for d in alive] == [(2, 1.0)]
 
 
+@pytest.mark.parametrize("outage", ["crash", "partition"])
+def test_leader_back_inside_the_lease_restarts_the_clocks(outage):
+    """A leader that was down or quorumless for longer than a heartbeat
+    timeout, but not long enough for a takeover, heard no beats it could
+    act on: it judges every server from the moment it is back."""
+    net = FaultFabric()
+    group = make_group(replicas=3, network=net, lease_timeout=5.0)
+    timeout = group.heartbeat_timeout
+    for server in range(4):
+        group.on_heartbeat(Heartbeat(server, 0.1))
+    if outage == "crash":
+        group.crash_monitor(0, now=0.2)
+    else:
+        net.partition("p", [[mon_addr(0)], [mon_addr(1)], [mon_addr(2)]])
+    assert not group.tick(0.3)
+    assert group.detect_failures(1.5) == []  # no quorum: detection is off
+    if outage == "crash":
+        group.recover_monitor(0, now=2.0)
+    else:
+        net.heal("p")
+    assert not group.tick(2.0)
+    assert group.leader == 0 and group.epoch == 1
+    assert group._last_seen == dict.fromkeys(range(4), 2.0)
+    assert group.detect_failures(2.0 + timeout / 2) == []
+    for server in (0, 1, 3):
+        group.on_heartbeat(Heartbeat(server, 2.5))
+    assert group.detect_failures(2.0 + timeout * 1.01) == [2]
+
+
 def test_recovered_replica_rejoins_as_standby():
     group = make_group(replicas=3, lease_timeout=1.0)
     group.crash_monitor(0, now=0.0)

@@ -310,6 +310,53 @@ def test_kill9_on_a_down_server_means_the_same_thing_in_both_transports(workload
     )
 
 
+def test_leader_back_inside_the_lease_evicts_nobody_in_either_transport(
+    workload,
+):
+    """`monitor_crash:0` then `monitor_recover:0` more than a heartbeat
+    timeout later but inside the lease: no takeover, and no server is
+    evicted for the beats the downed leader could not hear. The simulator
+    delivers a grid tick's beats before its round; live, the first round
+    after the recover can run before any MDS has redialled and beaten, so
+    the test runs the two back to back under the driver's lock."""
+    crash, recover = "monitor_crash:0@t=0.02", "monitor_recover:0@t=0.22"
+    case = dataclasses.replace(
+        recipe([crash, recover]), heartbeat_timeout=0.08, lease_timeout=5.0,
+    )
+
+    sim = ClusterSimulator(
+        registry.create("d2-tree"), workload, NUM_SERVERS, case.sim_config(),
+    )
+    sim.run()
+    assert sim.monitor.replica_alive == [True] * NUM_MONITORS
+
+    async def go():
+        cluster = LiveCluster(
+            registry.create("d2-tree"), workload, case.live_configs()[0],
+        )
+        await cluster.start()
+        try:
+            loop = asyncio.get_running_loop()
+            await cluster.apply_fault(FaultEvent.parse(crash))
+            await asyncio.sleep(0.2)
+            async with cluster._deciding:
+                cluster.control.apply_fault(
+                    FaultEvent.parse(recover), loop.time()
+                )
+                cluster.control.round(loop.time())
+                await cluster._reconcile()
+            await asyncio.sleep(0.2)   # rounds and beats run as normal
+            return cluster.control
+        finally:
+            await cluster.stop()
+
+    live = asyncio.run(go())
+    for control in (sim.control, live):
+        assert control.monitor.failovers == 0
+        assert control.availability.false_detections == 0
+        assert len(control.monitor.journal) == 0
+
+
 # ----------------------------------------------------------------------
 # One checker, one verdict: a planted defect reads the same in both modes
 # ----------------------------------------------------------------------
