@@ -6,7 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.traces import DatasetProfile, OpType, TraceGenerator, ZipfSampler, load_workload
+from repro.traces import (
+    DatasetProfile,
+    OpType,
+    TraceGenerator,
+    ZipfSampler,
+    dumps_trace,
+    load_workload,
+)
 from repro.traces.generator import STRUCTURAL_UPDATE_COST
 
 
@@ -224,3 +231,21 @@ def test_generated_bytes_are_pinned(name):
     if name == "ra_creates":
         assert workload.late_created_paths  # _mark_creates ran
     assert generated_digest(workload) == PINNED_DIGESTS[name]
+
+
+#: sha256 (first 16 hex digits) of each pinned profile's trace file, as
+#: ``dumps_trace`` writes it: the saved form of the same trace, pinned apart
+#: from the in-memory layout the trace is held in.
+PINNED_TRACE_FILE_DIGESTS = {
+    "dtr": "0d1e19eb9f1c88c8",
+    "lmbe": "080f85f64760520c",
+    "ra": "30f225cecb73e0c9",
+    "ra_creates": "2a8de890b492c6c0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PROFILES))
+def test_trace_file_bytes_are_pinned(name):
+    text = dumps_trace(TraceGenerator(PINNED_PROFILES[name]).generate().trace)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == PINNED_TRACE_FILE_DIGESTS[name]

@@ -1,6 +1,7 @@
 """Tests for the discrete-event replay harness."""
 
 import dataclasses
+import hashlib
 import pathlib
 import random
 import re
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import registry
 from repro.baselines import HashScheme, StaticSubtreeScheme
 from repro.chaos.history import HistorySink, OpHistory
 from repro.core import D2TreeScheme
@@ -23,7 +25,8 @@ from repro.simulation import (
     simulate,
     summarize_latencies,
 )
-from repro.traces import DatasetProfile, TraceGenerator
+from repro.simulation import runner
+from repro.traces import DatasetProfile, TraceGenerator, dumps_trace, loads_trace
 from repro.transport import FaultFabric
 from tests.test_mutation_properties import (
     apply_mutations,
@@ -500,3 +503,42 @@ def test_replay_rounds_adaptive_beats_static(tiny_lmbe_workload):
 def test_replay_rounds_migrations_counted(tiny_lmbe_workload):
     trajectory = replay_rounds(D2TreeScheme(), tiny_lmbe_workload, 4, rounds=8)
     assert trajectory.migrations >= 0
+
+
+def ghosted_dtr_workload():
+    """A small DTR workload whose trace holds one path the tree lacks,
+    spliced in through the trace file so the test reads the same either
+    side of a change to how a trace is held in memory."""
+    workload = TraceGenerator(DatasetProfile.dtr(num_nodes=1500, scale=6e-5)).generate()
+    lines = dumps_trace(workload.trace).split("\n")
+    lines.insert(len(lines) // 3, "1.0\tupdate\t3\t/ghost/never-created")
+    return dataclasses.replace(workload, trace=loads_trace("\n".join(lines)))
+
+
+#: Per scheme, sha256 (16 hex digits) of every round's served loads and
+#: balance degree under ``replay_rounds`` on :func:`ghosted_dtr_workload`.
+PINNED_ROUNDS = {
+    "d2-tree": "dffeeaa31869b9ba",
+    "drop": "efb1dbca8402c460",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROUNDS))
+def test_replay_rounds_are_pinned(name, monkeypatch):
+    workload = ghosted_dtr_workload()
+    assert workload.tree.lookup("/ghost/never-created") is None
+    served = []
+    served_loads = runner._served_loads
+
+    def record(placement, counts):
+        loads = served_loads(placement, counts)
+        served.append(loads)
+        return loads
+
+    monkeypatch.setattr(runner, "_served_loads", record)
+    trajectory = replay_rounds(registry.create(name), workload, 4, rounds=6)
+    assert len(served) == len(trajectory.per_round) == 5
+    text = "\n".join(
+        f"{loads!r} {balance!r}" for loads, balance in zip(served, trajectory.per_round)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_ROUNDS[name]
