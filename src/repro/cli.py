@@ -195,9 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="synthesise a trace and save it")
     add_workload_args(gen)
     gen.add_argument("output", help="path for the trace file")
-    gen.add_argument("--bundle", action="store_true",
-                     help="write a full workload bundle (tree + trace) "
-                          "instead of a bare trace file")
 
     ev = sub.add_parser("evaluate", help="partition and print paper metrics")
     add_workload_args(ev)
@@ -327,16 +324,9 @@ def _profile(args):
 def cmd_generate(args) -> int:
     profile = _profile(args)
     workload = TraceGenerator(profile).generate()
-    if args.bundle:
-        from repro.traces import save_workload
-
-        save_workload(workload, args.output)
-        kind = "workload bundle"
-    else:
-        save_trace(workload.trace, args.output)
-        kind = "trace"
+    save_trace(workload.trace, args.output)
     print(f"wrote {len(workload.trace)} operations over "
-          f"{len(workload.tree)} nodes to {args.output} ({kind})")
+          f"{len(workload.tree)} nodes to {args.output} (trace)")
     return 0
 
 

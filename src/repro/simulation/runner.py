@@ -976,13 +976,16 @@ class BalanceTrajectory:
 
 def _round_counts(piece: Trace, tree) -> Dict:
     """One round's access count per node, in first-appearance order (the
-    order the served loads are summed in). Records whose path does not
-    resolve are skipped."""
+    order the served loads are summed in). Each distinct path is resolved
+    once; operations whose path does not resolve are skipped."""
+    per_id = Counter(piece.path_ids)  # ids count up in first-appearance order
     lookup = tree.lookup
-    return Counter(
-        node for node in (lookup(record.path) for record in piece)
-        if node is not None
-    )
+    counts = Counter()
+    for path_id, path in enumerate(piece.paths):
+        node = lookup(path)
+        if node is not None:
+            counts[node] = per_id[path_id]
+    return counts
 
 
 def _served_loads(placement: Placement, counts: Dict) -> List[float]:

@@ -1,6 +1,5 @@
 """Trace substrate: synthetic equivalents of the paper's Microsoft traces."""
 
-from repro.traces.bundle import BUNDLE_VERSION, load_workload_bundle, save_workload
 from repro.traces.columns import (
     DEFAULT_BATCH_OPS,
     OP_CODES,
@@ -26,7 +25,6 @@ from repro.traces.io import dumps_trace, load_trace, loads_trace, save_trace
 from repro.traces.trace import OpType, Trace, TraceRecord
 
 __all__ = [
-    "BUNDLE_VERSION",
     "DEFAULT_BATCH_OPS",
     "DEFAULT_SCALE",
     "DatasetProfile",
@@ -47,8 +45,6 @@ __all__ = [
     "iter_op_batches",
     "load_trace",
     "load_workload",
-    "load_workload_bundle",
     "loads_trace",
     "save_trace",
-    "save_workload",
 ]

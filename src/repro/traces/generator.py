@@ -21,16 +21,16 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import log
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
 from repro.traces.datasets import DatasetProfile
-from repro.traces.trace import OpType, Trace, TraceRecord
+from repro.traces.trace import OP_CODES, OpType, Trace, first_appearance
 
 __all__ = [
     "TraceGenerator",
@@ -87,17 +87,13 @@ class GeneratedWorkload:
         return replace(self, trace=self.trace.slice(0, ops))
 
     def hot_hit_fraction(self) -> float:
-        """Measured fraction of operations targeting the hot set (one pass)."""
-        hot_paths = {node.path for node in self.hot_nodes}
-        hits = 0
-        total = 0
-        for record in self.trace:
-            total += 1
-            if record.path in hot_paths:
-                hits += 1
-        if not total:
+        """Measured fraction of operations targeting the hot set."""
+        trace = self.trace
+        if not len(trace):
             return 0.0
-        return hits / total
+        hot_paths = {node.path for node in self.hot_nodes}
+        hot = [path in hot_paths for path in trace.paths]
+        return sum(map(hot.__getitem__, trace.path_ids)) / len(trace)
 
 
 class TraceGenerator:
@@ -114,11 +110,7 @@ class TraceGenerator:
         """Build the tree, synthesise the trace, and backfill popularity."""
         rng = random.Random(self.profile.seed)
         tree, hot_nodes, cold_nodes = self._build_tree(rng)
-        trace = Trace(
-            name=self.profile.name,
-            records=self._trace_records(rng, hot_nodes, cold_nodes),
-            description=self.profile.description,
-        )
+        trace = self._trace_columns(rng, hot_nodes, cold_nodes)
         late_paths = self._mark_creates(rng, trace, cold_nodes)
         self._apply_trace_to_tree(tree, trace)
         return GeneratedWorkload(
@@ -198,15 +190,17 @@ class TraceGenerator:
     # ------------------------------------------------------------------
     # Trace synthesis
     # ------------------------------------------------------------------
-    def _trace_records(
+    def _trace_columns(
         self,
         rng: random.Random,
         hot_nodes: Sequence[MetadataNode],
         cold_nodes: Sequence[MetadataNode],
-    ) -> List[TraceRecord]:
-        """The raw (pre-CREATE-conversion) records.
+    ) -> Trace:
+        """The raw (pre-CREATE-conversion) trace, written column by column.
 
-        This loop is most of every run's set-up, so its draws are inlined
+        The path column is written as indices into the hot pool followed by
+        the cold pool, then renumbered in first-appearance order. This loop
+        is most of every run's set-up, so its draws are inlined
         with the library's own arithmetic and take the same bits from
         ``rng`` in the same order as the method calls: ``expovariate(1.0)``
         is ``-log(1.0 - random()) / 1.0`` (dividing by 1.0 is exact, so it
@@ -222,13 +216,11 @@ class TraceGenerator:
         rng.shuffle(cold_pool)
         hot_sampler = ZipfSampler(len(hot_pool), profile.hot_zipf_exponent, rng)
         cold_sampler = ZipfSampler(len(cold_pool), profile.zipf_exponent, rng)
-        hot_paths = [node.path for node in hot_pool]
-        cold_paths = [node.path for node in cold_pool]
-        num_hot, num_cold = len(hot_paths), len(cold_paths)
+        num_hot, num_cold = len(hot_pool), len(cold_pool)
         hot_cum, hot_total = hot_sampler.cumulative, hot_sampler.total
         cold_cum, cold_total = cold_sampler.cumulative, cold_sampler.total
 
-        op_types = [OpType.READ, OpType.WRITE, OpType.UPDATE]
+        # Codes 0, 1, 2 are READ, WRITE, UPDATE (OP_CODES).
         op_cum = list(
             itertools.accumulate(
                 [profile.read_fraction, profile.write_fraction, profile.update_fraction]
@@ -246,8 +238,14 @@ class TraceGenerator:
         random_ = rng.random
         getrandbits = rng.getrandbits
         bisect_left = bisect.bisect_left
-        records: List[TraceRecord] = []
-        append = records.append
+        timestamps = array("d")
+        op_codes = array("b")
+        client_ids = array("i")
+        pool_ids = array("i")
+        stamp = timestamps.append
+        op_code = op_codes.append
+        client_id = client_ids.append
+        pool_id = pool_ids.append
         now = 0.0
         for phase, start in enumerate(range(0, num_ops, ops_per_phase)):
             # Diurnal drift: the Zipf rank order rotates a little each phase,
@@ -256,18 +254,25 @@ class TraceGenerator:
             cold_offset = phase * cold_shift
             for _ in range(min(ops_per_phase, num_ops - start)):
                 now += -log(1.0 - random_()) * step
-                op = op_types[bisect_left(op_cum, random_() * op_total)]
+                stamp(now)
+                op_code(bisect_left(op_cum, random_() * op_total))
                 if random_() < hot_access:
                     rank = bisect_left(hot_cum, random_() * hot_total) + hot_offset
-                    path = hot_paths[rank % num_hot]
+                    pool_id(rank % num_hot)
                 else:
                     rank = bisect_left(cold_cum, random_() * cold_total) + cold_offset
-                    path = cold_paths[rank % num_cold]
+                    pool_id(num_hot + rank % num_cold)
                 client = getrandbits(client_bits)
                 while client >= num_clients:
                     client = getrandbits(client_bits)
-                append(TraceRecord(now, op, path, client))
-        return records
+                client_id(client)
+        path_ids, paths = first_appearance(
+            pool_ids, [node.path for node in itertools.chain(hot_pool, cold_pool)]
+        )
+        return Trace(
+            profile.name, timestamps, op_codes, client_ids, path_ids, paths,
+            profile.description,
+        )
 
     # ------------------------------------------------------------------
     def _mark_creates(
@@ -284,29 +289,38 @@ class TraceGenerator:
         files = [n for n in cold_nodes if not n.is_directory]
         count = max(1, round(fraction * len(files)))
         late = {n.path for n in rng.sample(files, min(count, len(files)))}
-        seen = set()
-        records = trace.records
+        # Path ids are in first-appearance order, so the late paths' first
+        # operations come in id order too: one forward scan finds them all.
+        op_codes, path_ids = trace.op_codes, trace.path_ids
         converted = []
-        for index, record in enumerate(records):
-            if record.path in late and record.path not in seen:
-                records[index] = replace(record, op=OpType.CREATE)
-                converted.append(record.path)
-            seen.add(record.path)
+        index = 0
+        for path_id, path in enumerate(trace.paths):
+            if path in late:
+                index = path_ids.index(path_id, index)
+                op_codes[index] = OP_CODES[OpType.CREATE]
+                converted.append(path)
         return converted
 
     @staticmethod
     def _apply_trace_to_tree(tree: NamespaceTree, trace: Trace) -> None:
-        """Backfill per-node popularity and update costs from the trace.
+        """Backfill per-node popularity and update costs from the trace,
+        resolving each distinct path to its node once.
 
         Counts are integers below 2**53, so ``float(count)`` is the sum of
         that many ``1.0`` additions, bit for bit."""
-        records = trace.records
-        access = Counter(map(attrgetter("path"), records))
-        updates = Counter(r.path for r in records if r.op is OpType.UPDATE)
+        path_ids = trace.path_ids
+        access = Counter(path_ids)
+        is_update = OP_CODES[OpType.UPDATE].__eq__
+        updates = Counter(itertools.compress(path_ids, map(is_update, trace.op_codes)))
         for node in tree:
-            path = node.path
-            node.individual_popularity = float(access.get(path, 0))
-            node.update_cost = STRUCTURAL_UPDATE_COST + float(updates.get(path, 0))
+            node.individual_popularity = 0.0
+            node.update_cost = STRUCTURAL_UPDATE_COST
+        lookup = tree.lookup
+        for path_id, path in enumerate(trace.paths):
+            node = lookup(path)
+            if node is not None:
+                node.individual_popularity = float(access[path_id])
+                node.update_cost = STRUCTURAL_UPDATE_COST + float(updates[path_id])
         tree.aggregate_popularity()
 
 

@@ -10,8 +10,9 @@ file the writer emits reads back bit for bit.
 
 A trace file is hostile input: :func:`loads_trace` reports every malformed
 line as ``ValueError("line N: …")``, and both directions apply one rule
-(:func:`check_record`), so nothing the writer emits can read back as a
-different trace.
+(:func:`check_row`), so nothing the writer emits can read back as a
+different trace. Both directions work on the trace's columns: no
+:class:`~repro.traces.trace.TraceRecord` is built per line.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from pathlib import Path
 from typing import Tuple, Union
 
-from repro.traces.trace import OpType, Trace, TraceRecord
+from repro.traces.trace import OP_CODES, OP_FROM_CODE, OpType, Trace
 
 __all__ = [
     "save_trace",
@@ -29,7 +30,7 @@ __all__ = [
     "dumps_trace",
     "loads_trace",
     "check_path",
-    "check_record",
+    "check_row",
 ]
 
 _HEADER_PREFIX = "#trace"
@@ -39,6 +40,9 @@ _HEADER_PREFIX = "#trace"
 _BREAKS = frozenset("\t\r\n")
 _FLATTEN = str.maketrans(dict.fromkeys(_BREAKS, " "))
 
+#: Client ids are held in a signed 32-bit column.
+_CLIENT_LIMIT = 2**31
+
 
 def check_path(path: object) -> None:
     """Raise ``ValueError`` unless ``path`` is an absolute path that fits on
@@ -47,15 +51,15 @@ def check_path(path: object) -> None:
         raise ValueError(f"path {path!r} must be absolute, without tab or newline")
 
 
-def check_record(record: TraceRecord) -> None:
-    """Raise ``ValueError`` unless ``record`` can live in a trace file: a
-    finite non-negative timestamp and client id, and a :func:`check_path`
-    path."""
-    if not math.isfinite(record.timestamp) or record.timestamp < 0:
-        raise ValueError(f"timestamp {record.timestamp!r} must be finite and non-negative")
-    if record.client_id < 0:
-        raise ValueError(f"client id {record.client_id} must be non-negative")
-    check_path(record.path)
+def check_row(timestamp: float, client_id: int, path: str) -> None:
+    """Raise ``ValueError`` unless an operation with these fields can live
+    in a trace file: a finite non-negative timestamp, a client id in ``[0,
+    2**31)``, and a :func:`check_path` path."""
+    if not math.isfinite(timestamp) or timestamp < 0:
+        raise ValueError(f"timestamp {timestamp!r} must be finite and non-negative")
+    if not 0 <= client_id < _CLIENT_LIMIT:
+        raise ValueError(f"client id {client_id} must be in [0, 2**31)")
+    check_path(path)
 
 
 def _parse_header(line: str) -> Tuple[str, str]:
@@ -65,38 +69,41 @@ def _parse_header(line: str) -> Tuple[str, str]:
     return header[1], header[2] if len(header) > 2 else ""
 
 
-def _parse_line(lineno: int, line: str) -> TraceRecord:
+def _parse_line(lineno: int, line: str) -> Tuple[float, int, int, str]:
+    """One line as a ``(timestamp, op_code, client_id, path)`` row."""
     try:
         parts = line.split("\t")
         if len(parts) != 4:
             raise ValueError(f"expected 4 tab-separated fields, got {len(parts)}")
         timestamp, op, client_id, path = parts
-        record = TraceRecord(round(float(timestamp), 6), OpType(op), path, int(client_id))
-        check_record(record)
+        stamp, code, client = round(float(timestamp), 6), OP_CODES[OpType(op)], int(client_id)
+        check_row(stamp, client, path)
     except ValueError as error:
         raise ValueError(f"line {lineno}: {error}") from None
-    return record
+    return stamp, code, client, path
 
 
 def dumps_trace(trace: Trace) -> str:
     """Serialize a trace to its text form.
 
-    A record :func:`check_record` refuses raises ``ValueError`` rather than
-    being written: a raw tab or newline in a path would read back as a
-    different (or forged extra) record. The name and description are
+    An operation :func:`check_row` refuses raises ``ValueError("record N:
+    …")`` rather than being written: a raw tab or newline in a path would
+    read back as a different (or forged extra) record. The name and description are
     flattened onto the header line.
     """
     out = io.StringIO()
     name = trace.name.translate(_FLATTEN)
     out.write(f"{_HEADER_PREFIX}\t{name}\t{trace.description.translate(_FLATTEN)}\n")
-    for index, record in enumerate(trace):
+    values = [op.value for op in OP_FROM_CODE]
+    paths = trace.paths
+    rows = zip(trace.timestamps, trace.op_codes, trace.client_ids, trace.path_ids)
+    for index, (timestamp, code, client_id, path_id) in enumerate(rows):
+        path = paths[path_id]
         try:
-            check_record(record)
+            check_row(timestamp, client_id, path)
         except ValueError as error:
             raise ValueError(f"record {index}: {error}") from None
-        out.write(
-            f"{record.timestamp:.6f}\t{record.op.value}\t{record.client_id}\t{record.path}\n"
-        )
+        out.write(f"{timestamp:.6f}\t{values[code]}\t{client_id}\t{path}\n")
     return out.getvalue()
 
 
@@ -105,12 +112,12 @@ def loads_trace(text: str) -> Trace:
     malformed line."""
     lines = text.split("\n")
     name, description = _parse_header(lines[0])
-    records = [
+    rows = (
         _parse_line(lineno, line)
         for lineno, line in enumerate(lines[1:], start=2)
         if line.strip()
-    ]
-    return Trace(name=name, records=records, description=description)
+    )
+    return Trace.from_rows(name, rows, description)
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:

@@ -8,6 +8,7 @@ drift — for any :class:`~repro.traces.trace.Trace`, generated or loaded.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -77,34 +78,29 @@ def _top_paths(counts: Dict[str, int], fraction: float) -> Tuple[set, float]:
     return {path for path, _ in top}, sum(c for _, c in top) / total
 
 
+def _path_counts(path_ids, paths: List[str]) -> Dict[str, int]:
+    """Accesses per distinct path of ``path_ids``, in first-appearance order."""
+    return {paths[path_id]: count for path_id, count in Counter(path_ids).items()}
+
+
 def analyze_trace(trace: Trace, top_fraction: float = 0.01) -> TraceStats:
     """Compute :class:`TraceStats` for ``trace``."""
-    counts: Dict[str, int] = {}
-    depth_sum = 0
-    max_depth = 0
-    for record in trace:
-        counts[record.path] = counts.get(record.path, 0) + 1
-        depth = len(split_path(record.path))
-        depth_sum += depth
-        if depth > max_depth:
-            max_depth = depth
+    path_ids, paths = trace.path_ids, trace.paths
+    counts = _path_counts(path_ids, paths)
+    depths = {path: len(split_path(path)) for path in counts}
+    depth_sum = sum(depths[path] * count for path, count in counts.items())
+    max_depth = max(depths.values(), default=0)
 
     histogram = [0] * (max_depth + 1)
-    for path in counts:
-        histogram[len(split_path(path))] += 1
+    for depth in depths.values():
+        histogram[depth] += 1
 
     operations = len(trace)
     top_set, top_share = _top_paths(counts, top_fraction)
 
     quarter = max(1, operations // 4)
-    first_counts: Dict[str, int] = {}
-    for record in trace.slice(0, quarter):
-        first_counts[record.path] = first_counts.get(record.path, 0) + 1
-    last_counts: Dict[str, int] = {}
-    for record in trace.slice(-quarter):
-        last_counts[record.path] = last_counts.get(record.path, 0) + 1
-    first_top, _ = _top_paths(first_counts, top_fraction * 4)
-    last_top, _ = _top_paths(last_counts, top_fraction * 4)
+    first_top, _ = _top_paths(_path_counts(path_ids[:quarter], paths), top_fraction * 4)
+    last_top, _ = _top_paths(_path_counts(path_ids[-quarter:], paths), top_fraction * 4)
     if first_top:
         drift = 1.0 - len(first_top & last_top) / len(first_top)
     else:

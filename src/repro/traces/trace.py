@@ -5,22 +5,26 @@ operations (read / write / update, Table II) and notes that reads and writes
 "only cause simply a query operation to MDS's" — only *update* operations
 mutate metadata and (for global-layer nodes) take the lock service path.
 
-A :class:`Trace` is the materialized record list: this reproduction replays
-seeded synthetic traces of at most ~10⁵ operations (DESIGN.md §3), so the list
-form is the only one — generated, loaded, sliced into rounds and decoded
-into column windows (:mod:`repro.traces.columns`) from the same object.
+A :class:`Trace` is held as columns, one array per field, with each op's path
+an id into a per-trace table of distinct paths. That table is always in
+first-appearance order, so one sequence of operations has exactly one
+layout and ``==`` is plain field equality. Generated, loaded, sliced into
+rounds and decoded into replay windows (:mod:`repro.traces.columns`), a
+trace builds no object per operation; :class:`TraceRecord` is only the row
+view that indexing and iteration hand out.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.namespace import split_path
 
-__all__ = ["OpType", "TraceRecord", "Trace"]
+__all__ = ["OpType", "TraceRecord", "Trace", "OP_CODES", "OP_FROM_CODE"]
 
 
 class OpType(enum.Enum):
@@ -42,12 +46,26 @@ class OpType(enum.Enum):
         return self in (OpType.READ, OpType.WRITE)
 
 
+#: Op-type enum member -> one-byte column code.
+OP_CODES = {
+    OpType.READ: 0,
+    OpType.WRITE: 1,
+    OpType.UPDATE: 2,
+    OpType.CREATE: 3,
+}
+
+#: Column code -> op-type enum member (the decode side of :data:`OP_CODES`).
+OP_FROM_CODE: Tuple[OpType, ...] = (
+    OpType.READ,
+    OpType.WRITE,
+    OpType.UPDATE,
+    OpType.CREATE,
+)
+
+
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
-    """One metadata operation.
-
-    Slotted: a record has no ``__dict__`` and takes no attributes beyond
-    its four fields (a replay holds ~10⁵ of them).
+    """One metadata operation: the row view of a :class:`Trace`.
 
     Attributes
     ----------
@@ -67,46 +85,123 @@ class TraceRecord:
     client_id: int = 0
 
 
+def _ids(values: Iterable[int] = ()) -> array:
+    """A client-id or path-id column."""
+    return array("i", values)
+
+
+def first_appearance(ids: array, table: Sequence[str]) -> Tuple[array, List[str]]:
+    """Renumber ``ids`` (indices into ``table``) in first-appearance order:
+    the new ids and the table of the paths they name, in that order."""
+    order = list(dict.fromkeys(ids))
+    remap = dict(zip(order, range(len(order))))
+    return _ids(map(remap.__getitem__, ids)), [table[old] for old in order]
+
+
 @dataclass
 class Trace:
-    """An ordered sequence of metadata operations plus its provenance."""
+    """An ordered sequence of metadata operations plus its provenance.
+
+    Operation ``i`` is ``timestamps[i]``, ``op_codes[i]`` (an
+    :data:`OP_CODES` value), ``client_ids[i]`` and
+    ``paths[path_ids[i]]``; ``paths`` lists each distinct path once, in
+    first-appearance order.
+    """
 
     name: str
-    records: List[TraceRecord] = field(default_factory=list)
+    timestamps: array = field(default_factory=lambda: array("d"))
+    op_codes: array = field(default_factory=lambda: array("b"))
+    client_ids: array = field(default_factory=_ids)
+    path_ids: array = field(default_factory=_ids)
+    paths: List[str] = field(default_factory=list)
     description: str = ""
 
+    @classmethod
+    def from_rows(
+        cls,
+        name: str,
+        rows: Iterable[Tuple[float, int, int, str]],
+        description: str = "",
+    ) -> "Trace":
+        """Build the columns from ``(timestamp, op_code, client_id, path)``
+        rows (a trace file's field order)."""
+        trace = cls(name, description=description)
+        stamp = trace.timestamps.append
+        code = trace.op_codes.append
+        client = trace.client_ids.append
+        path_id = trace.path_ids.append
+        ids: Dict[str, int] = {}
+        for timestamp, op_code, client_id, path in rows:
+            stamp(timestamp)
+            code(op_code)
+            client(client_id)
+            path_id(ids.setdefault(path, len(ids)))
+        trace.paths = list(ids)
+        return trace
+
+    @classmethod
+    def from_records(
+        cls, name: str, records: Iterable[TraceRecord], description: str = ""
+    ) -> "Trace":
+        """Build the columns from :class:`TraceRecord` rows."""
+        return cls.from_rows(
+            name,
+            ((r.timestamp, OP_CODES[r.op], r.client_id, r.path) for r in records),
+            description,
+        )
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.op_codes)
+
+    def __getitem__(self, index: int) -> TraceRecord:
+        return TraceRecord(
+            self.timestamps[index],
+            OP_FROM_CODE[self.op_codes[index]],
+            self.paths[self.path_ids[index]],
+            self.client_ids[index],
+        )
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+        return map(
+            TraceRecord,
+            self.timestamps,
+            map(OP_FROM_CODE.__getitem__, self.op_codes),
+            map(self.paths.__getitem__, self.path_ids),
+            self.client_ids,
+        )
+
+    @property
+    def records(self) -> List[TraceRecord]:
+        """Every row, as a list (built on each read)."""
+        return list(self)
 
     @property
     def duration(self) -> float:
-        """Time span covered by the trace (seconds); O(1) on the list."""
-        if not self.records:
+        """Time span covered by the trace (seconds)."""
+        if not self.timestamps:
             return 0.0
-        return self.records[-1].timestamp - self.records[0].timestamp
+        return self.timestamps[-1] - self.timestamps[0]
 
     def operation_breakdown(self) -> Dict[OpType, float]:
         """Fraction of each operation type (the Table II rows)."""
-        counts = Counter(record.op for record in self.records)
-        total = len(self.records) or 1
-        return {op: counts[op] / total for op in OpType}
+        counts = Counter(self.op_codes)
+        total = len(self) or 1
+        return {op: counts[code] / total for code, op in enumerate(OP_FROM_CODE)}
 
     def max_depth(self) -> int:
         """Deepest path referenced by the trace (Table I's Max Depth)."""
-        return max((len(split_path(record.path)) for record in self.records), default=0)
-
-    def paths(self) -> List[str]:
-        """Distinct paths, in first-appearance order."""
-        return list(dict.fromkeys(record.path for record in self.records))
+        return max((len(split_path(path)) for path in self.paths), default=0)
 
     def slice(self, start: int, stop: Optional[int] = None) -> "Trace":
-        """Sub-trace covering ``records[start:stop]``."""
+        """Sub-trace covering operations ``[start:stop]``."""
+        path_ids, paths = first_appearance(self.path_ids[start:stop], self.paths)
         return Trace(
             name=f"{self.name}[{start}:{stop if stop is not None else ''}]",
-            records=self.records[start:stop],
+            timestamps=self.timestamps[start:stop],
+            op_codes=self.op_codes[start:stop],
+            client_ids=self.client_ids[start:stop],
+            path_ids=path_ids,
+            paths=paths,
             description=self.description,
         )
 
@@ -114,6 +209,6 @@ class Trace:
         """Split into ``count`` near-equal replay rounds (Fig. 7 methodology)."""
         if count < 1:
             raise ValueError("need at least one round")
-        size = len(self.records)
+        size = len(self)
         bounds = [round(i * size / count) for i in range(count + 1)]
         return [self.slice(bounds[i], bounds[i + 1]) for i in range(count)]

@@ -19,7 +19,9 @@ the callback that decoded it, so a fault-free operation costs no task
 wake-up, future, timer handle or coroutine frame. The only task the
 generator creates is a dial, at most one per MDS at a time.
 
-Each operation gets a stable ``op_id`` before the first send. Retries,
+The trace is read from its columns: an operation's ``op_id`` is its
+position in the trace, and its path and op type are read when a slot takes
+it. Each operation gets that stable ``op_id`` before the first send. Retries,
 redirects and duplicate deliveries all reuse it, and the MDS ack ledger is
 keyed by it — that is the whole exactly-once accounting story: *issued ==
 acked + failed + indeterminate* must hold at the clients no matter what
@@ -48,8 +50,10 @@ from __future__ import annotations
 
 import asyncio
 import random
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.history import OpHistory
@@ -58,6 +62,7 @@ from repro.cluster.client import INDEX_CACHE_SIZE
 from repro.cluster.index import covering_entry
 from repro.cluster.messages import ClientReply, ClientRequest
 from repro.simulation.stats import summarize_latencies
+from repro.traces.trace import OP_FROM_CODE, Trace
 from repro.transport.asyncio_net import AsyncioTransport, FrameLink
 from repro.transport.base import CLIENT_ADDR, mds_addr
 from repro.transport.wire import encode_frame
@@ -67,7 +72,6 @@ __all__ = [
     "LoadReport",
     "LoadGenerator",
     "latency_summary",
-    "trace_ops",
 ]
 
 
@@ -385,21 +389,23 @@ class _ServerConn:
 
 
 class LoadGenerator:
-    """Drive a list of trace operations through the live transport."""
+    """Drive a trace's operations through the live transport."""
 
     def __init__(
         self,
         transport: AsyncioTransport,
         num_servers: int,
-        ops: Sequence[Tuple[int, str, str]],
+        trace: Trace,
         cfg: Optional[LoadConfig] = None,
     ) -> None:
         self.transport = transport
         self.num_servers = num_servers
-        #: ``(op_id, path, op_value)`` triples, op_id stable across retries.
-        self.ops = list(ops)
+        #: The operations; op ``i`` has op_id ``i``, stable across retries.
+        self.trace = trace
+        #: Op-code column value -> the op value a request carries.
+        self._op_values = [op.value for op in OP_FROM_CODE]
         self.cfg = cfg or LoadConfig()
-        self.report = LoadReport(issued=len(self.ops))
+        self.report = LoadReport(issued=len(trace))
         #: The op log (one call per op transition, folded as it is
         #: recorded), audited by the live invariant check after quiescence.
         self.history = self.report.history
@@ -414,8 +420,8 @@ class LoadGenerator:
         #: Resolves when the last slot ends, or with the first unexpected
         #: error a callback raised.
         self._finished: Optional[asyncio.Future] = None
-        #: The one cursor every slot takes from: ``((op_id, path, op),
-        #: arrival offset, entry server)``.
+        #: The one cursor every slot takes from: ``(op_id, arrival offset,
+        #: entry server)``.
         self._cursor = iter(())
         self._started = 0.0
         self._cap = 0
@@ -458,17 +464,18 @@ class LoadGenerator:
         cfg = self.cfg
         loop = self._loop = asyncio.get_running_loop()
         rng = random.Random((cfg.seed << 12) ^ 0xA11CE)
-        offsets: List[float] = []
+        ops = range(len(self.trace))
+        offsets = array("d")
         clock = 0.0
-        for _ in self.ops:
+        for _ in ops:
             clock += rng.expovariate(cfg.rate)
             offsets.append(clock)
         # Entry servers are pre-drawn so the draw sequence is deterministic
         # regardless of how the in-flight operations interleave.
-        entries = [rng.randrange(self.num_servers) for _ in self.ops]
+        entries = array("i", [rng.randrange(self.num_servers) for _ in ops])
 
-        self._cursor = zip(self.ops, offsets, entries)
-        self._cap = min(cfg.max_inflight, len(self.ops))
+        self._cursor = zip(count(), offsets, entries)
+        self._cap = min(cfg.max_inflight, len(ops))
         finished = self._finished = loop.create_future()
         started = self._started = loop.time()
         if self._cap > 0:
@@ -536,7 +543,10 @@ class LoadGenerator:
         arrival first; True when it settled at once."""
         if not self._waiting and self._slots < self._cap:
             self._spawn()
-        (op_id, path, op_value), _, entry = item
+        op_id, _, entry = item
+        trace = self.trace
+        path = trace.paths[trace.path_ids[op_id]]
+        op_value = self._op_values[trace.op_codes[op_id]]
         start = self._loop.time()
         self.history.invoke(op_id, -1, start, path, op_value)
         # Longest cached prefix -> straight to the owner; a miss (cold
@@ -637,15 +647,3 @@ class LoadGenerator:
         if dials:
             await asyncio.wait(dials)
 
-
-def trace_ops(trace) -> List[Tuple[int, str, str]]:
-    """Flatten a Trace into ``(op_id, path, op_value)`` triples.
-
-    Op ids are the record's position in the trace — the same identity the
-    simulator's accounting uses, which is what makes the live and simulated
-    acked-op sets directly comparable.
-    """
-    return [
-        (index, record.path, record.op.value)
-        for index, record in enumerate(trace)
-    ]

@@ -31,12 +31,7 @@ from repro.placement import MetadataScheme
 from repro.simulation.faults import FaultPlan
 from repro.simulation.runner import simulate
 from repro.transport.live import LiveCluster, LiveConfig, ServeReport
-from repro.transport.loadgen import (
-    LoadConfig,
-    LoadGenerator,
-    latency_summary,
-    trace_ops,
-)
+from repro.transport.loadgen import LoadConfig, LoadGenerator, latency_summary
 
 if TYPE_CHECKING:
     from repro.chaos.corpus import CorpusCase
@@ -59,7 +54,7 @@ async def _serve_async(
         generator = LoadGenerator(
             cluster.transport,
             live_cfg.num_servers,
-            trace_ops(workload.trace),
+            workload.trace,
             load_cfg,
         )
         cluster.control.history = generator.history

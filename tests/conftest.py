@@ -6,7 +6,7 @@ import pytest
 
 from repro.chaos.harness import check_run
 from repro.core import NamespaceTree
-from repro.traces import DatasetProfile, TraceGenerator
+from repro.traces import DatasetProfile, OpType, Trace, TraceGenerator, TraceRecord
 
 
 def build_sample_tree() -> NamespaceTree:
@@ -54,12 +54,19 @@ def build_random_tree(num_nodes: int = 400, seed: int = 3) -> NamespaceTree:
     return tree
 
 
+def ops_trace(ops) -> Trace:
+    """A trace of ``(path, op_value)`` pairs: op ``i`` has op_id ``i``."""
+    return Trace.from_records(
+        "ops", [TraceRecord(0.0, OpType(op), path) for path, op in ops]
+    )
+
+
 def live_audit(cluster, generator):
     """The run audit ``serve_workload`` ends with, for a live cluster a test
-    drove with its own load generator (op ids ``0..len(ops)-1``)."""
+    drove with its own load generator (op ids ``0..len(trace)-1``)."""
     cluster.control.history = generator.history
     return check_run(
-        cluster.control, len(generator.ops),
+        cluster.control, len(generator.trace),
         ledgers={mds.server_id: mds.acked for mds in cluster.servers},
     )
 

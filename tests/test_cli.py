@@ -82,21 +82,6 @@ def test_figure_fig7_runs(capsys):
     assert "d2-tree," in out
 
 
-def test_generate_bundle(tmp_path, capsys):
-    out_file = tmp_path / "wl.jsonl"
-    code, out = run(
-        capsys, "generate", "--trace", "ra", "--nodes", "600",
-        "--scale", "1e-5", "--bundle", str(out_file),
-    )
-    assert code == 0
-    assert "workload bundle" in out
-    from repro.traces import load_workload_bundle
-
-    loaded = load_workload_bundle(out_file)
-    assert len(loaded.trace) > 0
-    assert len(loaded.tree) > 0
-
-
 def test_stats_command(capsys):
     code, out = run(
         capsys, "stats", "--trace", "dtr", "--nodes", "600", "--scale", "1e-5",
@@ -501,7 +486,6 @@ FLAG_SURFACE = {
         ('name', 'name', None),
     ],
     'generate': [
-        ('--bundle', 'bundle', False),
         ('--nodes', 'nodes', 8000),
         ('--scale', 'scale', 0.0001),
         ('--seed', 'seed', None),

@@ -1,7 +1,10 @@
 """Tests for the synthetic trace generator."""
 
+import gc
 import hashlib
 import random
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -249,3 +252,26 @@ def test_trace_file_bytes_are_pinned(name):
     text = dumps_trace(TraceGenerator(PINNED_PROFILES[name]).generate().trace)
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert digest == PINNED_TRACE_FILE_DIGESTS[name]
+
+
+# ----------------------------------------------------------------------
+# What a generated trace keeps
+# ----------------------------------------------------------------------
+def trace_bytes_per_op(profile) -> float:
+    """Bytes a generated trace retains per op once its workload is gone,
+    beyond its distinct path strings (the tree's own, shared)."""
+    tracemalloc.start()
+    try:
+        trace = TraceGenerator(profile).generate().trace
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    path_bytes = sum(map(sys.getsizeof, {record.path for record in trace}))
+    return (retained - path_bytes) / len(trace)
+
+
+def test_a_generated_trace_retains_at_most_24_bytes_per_op():
+    """Four columns (8 + 1 + 4 + 4 B per op) and one table slot per
+    distinct path: ~18 B per op, where a list of records held ~96."""
+    assert trace_bytes_per_op(DatasetProfile.dtr(num_nodes=2000, scale=6e-4)) <= 24

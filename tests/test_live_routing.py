@@ -15,10 +15,10 @@ from repro import registry
 from repro.chaos.history import HistorySink
 from repro.cluster.index import RoutingIndex, covering_entry
 from repro.cluster.messages import ClientRequest, Directive
-from repro.traces import DatasetProfile, load_workload
+from repro.traces import DatasetProfile, OpType, load_workload
 from repro.transport.live import LiveCluster, LiveConfig
-from repro.transport.loadgen import LoadConfig, LoadGenerator, trace_ops
-from tests.conftest import live_audit
+from repro.transport.loadgen import LoadConfig, LoadGenerator
+from tests.conftest import live_audit, ops_trace
 from repro.transport.serve import serve_workload
 from repro.transport.wire import encode_frame
 
@@ -124,12 +124,10 @@ def test_fault_free_d2_serve_is_mostly_single_hop(workload):
 def test_global_layer_reads_are_acked_by_any_replica(workload):
     placement = registry.create("d2-tree").partition(workload.tree, NUM_SERVERS)
     global_paths = {node.path for node in placement.split.global_layer}
-    reads = [
-        (op_id, path, op) for op_id, (path, op) in enumerate(
-            (path, op) for _, path, op in trace_ops(workload.trace)
-            if path in global_paths and op != "update"
-        )
-    ]
+    reads = ops_trace(
+        (r.path, r.op.value) for r in workload.trace
+        if r.path in global_paths and r.op is not OpType.UPDATE
+    )
     assert len(reads) > 50
 
     async def body(cluster):
@@ -181,7 +179,7 @@ def test_a_stale_client_entry_costs_one_redirect_then_is_corrected(workload):
         placement.subtree_owner.items(), key=lambda item: len(item[0].children)
     )
     below = [root] + list(root.descendants())
-    ops = [(i, node.path, "read") for i, node in enumerate(below * 3)][:12]
+    ops = ops_trace((node.path, "read") for node in (below * 3)[:12])
     wrong = (owner + 1) % NUM_SERVERS
 
     async def body(cluster):
@@ -213,7 +211,7 @@ def test_the_redirect_of_an_op_that_then_fails_is_counted(workload):
 
     async def body(cluster):
         generator = LoadGenerator(
-            cluster.transport, NUM_SERVERS, [(0, root.path, "read")],
+            cluster.transport, NUM_SERVERS, ops_trace([(root.path, "read")]),
             LoadConfig(rate=1e6, max_inflight=1, max_retries=1, seed=SEED),
         )
         generator.index_cache.put(root.path, (wrong, 0))
@@ -229,9 +227,7 @@ def test_the_redirect_of_an_op_that_then_fails_is_counted(workload):
 def test_fault_free_redirects_are_the_servers_redirects(workload):
     """Update-heavy and fault-free: every redirect a server sent was
     followed, so the clients' log and the servers' counters agree."""
-    ops = [
-        (op_id, path, "update") for op_id, path, _ in trace_ops(workload.trace)
-    ][:400]
+    ops = ops_trace((r.path, "update") for r in workload.trace.slice(0, 400))
 
     async def body(cluster):
         generator = LoadGenerator(
@@ -249,7 +245,7 @@ def test_fault_free_redirects_are_the_servers_redirects(workload):
 def test_an_unreachable_cached_owner_is_forgotten_not_retried_per_op(workload):
     placement = registry.create("d2-tree").partition(workload.tree, NUM_SERVERS)
     root, owner = next(iter(placement.subtree_owner.items()))
-    ops = [(i, root.path, "read") for i in range(6)]
+    ops = ops_trace([(root.path, "read")] * 6)
 
     async def body(cluster):
         generator = LoadGenerator(

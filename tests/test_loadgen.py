@@ -20,14 +20,14 @@ from hypothesis import given, settings, strategies as st
 from repro import registry
 from repro.chaos.history import HistorySink
 from repro.cluster.messages import ClientReply
-from repro.traces import DatasetProfile, load_workload
+from repro.traces import DatasetProfile, Trace, load_workload
 from repro.transport import CLIENT_ADDR, mds_addr
 from repro.transport import loadgen
 from repro.transport.asyncio_net import AsyncioTransport, FrameLink
 from repro.transport.base import FaultFabric
 from repro.transport.live import LiveCluster, LiveConfig
-from repro.transport.loadgen import LoadConfig, LoadGenerator, trace_ops
-from tests.conftest import live_audit
+from repro.transport.loadgen import LoadConfig, LoadGenerator
+from tests.conftest import live_audit, ops_trace
 
 NUM_SERVERS = 4
 SEED = 7
@@ -112,7 +112,7 @@ def _counting_dials(loop):
 
 
 def test_a_run_creates_no_task_per_op_or_slot_only_dials(workload):
-    ops = trace_ops(workload.trace)[:500]
+    ops = workload.trace.slice(0, 500)
 
     async def body(cluster):
         loop = asyncio.get_running_loop()
@@ -142,7 +142,7 @@ def test_a_run_creates_no_task_per_op_or_slot_only_dials(workload):
 
 
 def test_a_serial_run_is_one_slot(workload):
-    ops = trace_ops(workload.trace)[:50]
+    ops = workload.trace.slice(0, 50)
 
     async def body(cluster):
         generator = LoadGenerator(
@@ -155,12 +155,12 @@ def test_a_serial_run_is_one_slot(workload):
     (report, sink), unhandled = _with_cluster(workload, body)
     assert report.acked == len(ops) and unhandled == []
     assert _peak_outstanding(sink) == 1
-    assert [e.op_id for e in _invokes(sink)] == [op[0] for op in ops]
+    assert [e.op_id for e in _invokes(sink)] == list(range(len(ops)))
 
 
 def test_an_empty_trace_is_an_empty_report(workload):
     async def body(cluster):
-        return await LoadGenerator(cluster.transport, NUM_SERVERS, []).run()
+        return await LoadGenerator(cluster.transport, NUM_SERVERS, Trace("empty")).run()
 
     report, unhandled = _with_cluster(workload, body)
     assert (report.issued, report.acked, len(report.history)) == (0, 0, 0)
@@ -171,7 +171,7 @@ def test_an_empty_trace_is_an_empty_report(workload):
 # (b) the start rule: trace order, max(arrival offset, a slot is free)
 # ----------------------------------------------------------------------
 def test_outstanding_requests_never_exceed_the_cap(workload):
-    ops = trace_ops(workload.trace)[:60]
+    ops = workload.trace.slice(0, 60)
 
     async def body(cluster):
         generator = LoadGenerator(
@@ -189,7 +189,7 @@ def test_outstanding_requests_never_exceed_the_cap(workload):
     # Service takes 2 ms and arrivals are 1 µs apart: the cap binds at once
     # and stays bound, so all three slots are in use and never a fourth.
     assert _peak_outstanding(sink) == 3
-    assert [e.op_id for e in _invokes(sink)] == [op[0] for op in ops]
+    assert [e.op_id for e in _invokes(sink)] == list(range(len(ops)))
     assert report.saturated >= len(ops) - 3
 
 
@@ -204,7 +204,7 @@ def _arrival_offsets(cfg: LoadConfig, count: int):
 
 
 def test_at_a_low_rate_no_op_starts_before_its_arrival_offset(workload):
-    ops = trace_ops(workload.trace)[:40]
+    ops = workload.trace.slice(0, 40)
     cfg = LoadConfig(rate=400.0, max_inflight=len(ops), seed=SEED)
 
     async def body(cluster):
@@ -217,7 +217,7 @@ def test_at_a_low_rate_no_op_starts_before_its_arrival_offset(workload):
     (before, report, sink), unhandled = _with_cluster(workload, body)
     assert report.acked == len(ops) and unhandled == []
     invoked_at = {e.op_id: e.t for e in _invokes(sink)}
-    assert sorted(invoked_at) == [op[0] for op in ops]
+    assert sorted(invoked_at) == list(range(len(ops)))
     offsets = _arrival_offsets(cfg, len(ops))
     # run() reads its start time after ``before``, so this bound is loose
     # by what little ran in between, never tight the wrong way. (Idle slots
@@ -225,7 +225,7 @@ def test_at_a_low_rate_no_op_starts_before_its_arrival_offset(workload):
     # one event-loop iteration may start in either order — so the order
     # statement at a low rate is this one: never before its own arrival,
     # hence never before an earlier operation's.)
-    for (op_id, _, _), offset in zip(ops, offsets):
+    for op_id, offset in enumerate(offsets):
         assert invoked_at[op_id] >= before + offset
     # ~100 ms of arrivals cannot be dispatched in less.
     assert report.duration >= offsets[-1]
@@ -278,11 +278,10 @@ def test_full_loss_on_one_server_times_out_and_is_routed_around(
     other_root = next(
         root for root, owner in placement.subtree_owner.items() if owner != victim
     )
-    ops = [(0, victim_root.path, "read"), (1, other_root.path, "read")]
-    ops += [
-        (op_id + 2, path, op)
-        for op_id, path, op in trace_ops(workload.trace)[:60]
-    ]
+    ops = ops_trace(
+        [(victim_root.path, "read"), (other_root.path, "read")]
+        + [(r.path, r.op.value) for r in workload.trace.slice(0, 60)]
+    )
     cfg = LoadConfig(
         rate=1e6, max_inflight=8, seed=SEED, request_timeout=0.03,
         max_retries=3, retry_backoff_base=0.001, retry_backoff_cap=0.002,
@@ -330,7 +329,7 @@ def test_a_timed_out_cached_owner_is_forgotten(workload):
     async def body(cluster):
         cluster.transport.set_loss(mds_addr(owner), 1.0)
         generator = LoadGenerator(
-            cluster.transport, NUM_SERVERS, [(0, root.path, "read")], cfg
+            cluster.transport, NUM_SERVERS, ops_trace([(root.path, "read")]), cfg
         )
         generator.index_cache.put(root.path, (owner, 0))
         report = await generator.run()
@@ -348,7 +347,7 @@ def test_a_reply_after_its_timer_fired_is_dropped_silently(workload):
     """The server answers later than the client waits: every attempt times
     out, every reply lands on a waiter that is gone. The op was applied —
     the client can only call it indeterminate — and nothing blows up."""
-    ops = trace_ops(workload.trace)[:6]
+    ops = workload.trace.slice(0, 6)
     cfg = LoadConfig(
         rate=1e6, max_inflight=2, seed=SEED, request_timeout=0.01,
         max_retries=2, retry_backoff_base=0.001, retry_backoff_cap=0.001,
@@ -374,7 +373,7 @@ def test_a_reply_after_its_timer_fired_is_dropped_silently(workload):
 
 def test_answered_attempts_never_expire(workload, monkeypatch):
     seen = _counting_expiries(monkeypatch)
-    ops = trace_ops(workload.trace)[:200]
+    ops = workload.trace.slice(0, 200)
     # The 2 ms service time stretches the run over a few sweeps of each
     # link's timer, and a reply still lands well inside its timeout.
     cfg = LoadConfig(rate=1e6, max_inflight=4, seed=SEED, request_timeout=0.05)
@@ -584,7 +583,7 @@ def _hand_driven_link():
     with the operation."""
     loop = _ManualLoop()
     generator = LoadGenerator(
-        types.SimpleNamespace(faulty=False), 1, [],
+        types.SimpleNamespace(faulty=False), 1, Trace("empty"),
         LoadConfig(request_timeout=TIMEOUT),
     )
     generator._loop = loop
@@ -769,7 +768,7 @@ def test_a_send_that_fails_inside_a_reply_callback_spares_the_replying_link(
     """With one slot, every send after the first is made by the callback
     that decoded the previous reply. One of them raises: that attempt
     fails and is retried, and the link that delivered the reply stays up."""
-    ops = trace_ops(workload.trace)[:40]
+    ops = workload.trace.slice(0, 40)
     write, on_lost = FrameLink.write, loadgen._ServerConn._on_lost
     client_writes, live_links_lost = [], []
 
@@ -809,13 +808,13 @@ def test_an_unexpected_error_in_a_callback_ends_run_instead_of_hanging_it(
     """At 10^6 ops/s the failing step runs inside a reply callback; at 400
     it runs in an arrival timer. Either way run() raises it, and nothing
     of the generator acts afterwards."""
-    ops = trace_ops(workload.trace)[:30]
+    ops = workload.trace.slice(0, 30)
     invoke = loadgen.OpHistory.invoke
     invoked = []
 
     def failing_invoke(history, op_id, *record):
         invoked.append(op_id)
-        if op_id == ops[10][0]:
+        if op_id == 10:
             raise RuntimeError("boom")
         invoke(history, op_id, *record)
 
@@ -840,7 +839,7 @@ def test_an_unexpected_error_in_a_callback_ends_run_instead_of_hanging_it(
 def test_operations_that_settle_at_once_loop_instead_of_recursing():
     """No retry budget: every operation fails at its start, inside the take
     that started it. A slot going through thousands of them iterates."""
-    ops = [(op_id, "/a", "read") for op_id in range(3 * sys.getrecursionlimit())]
+    ops = ops_trace([("/a", "read")] * (3 * sys.getrecursionlimit()))
 
     async def go():
         transport = AsyncioTransport()
@@ -861,7 +860,7 @@ def test_every_dial_refused_fails_each_op_as_unsent_one_dial_per_mds_at_a_time()
     """Nothing listens. Every attempt queues on its MDS's one dial and is
     refused with it: nothing reached the wire, so every op fails —
     determinately not applied, never indeterminate."""
-    ops = [(op_id, f"/p{op_id}", "read") for op_id in range(200)]
+    ops = ops_trace([(f"/p{op_id}", "read") for op_id in range(200)])
     cfg = LoadConfig(
         rate=1e6, max_inflight=8, max_retries=3, seed=SEED,
         retry_backoff_base=0.0, retry_backoff_cap=0.0,

@@ -89,6 +89,7 @@ KEPT_UNNAMED = {
     "randbelow": "the draw the planner's inlined entry and replica picks must equal",
     "theoretical_fp_rate": "the analytic rate the G-HBA Bloom filter is tested against",
     "sup_distance": "the Kolmogorov distance that Sec. V's DKW bound limits, tested against it",
+    "from_records": "builds a trace's columns from rows, as hand-written test traces need",
     # The paper's model, exercised by tests, not yet by a verb or experiment.
     "add_server": "Sec. IV-B's new-coming server; the stateful placement machine drives it",
     "relative_loads": "Algorithm 2's L_k / C_k, which Fig. 4's worked example checks",

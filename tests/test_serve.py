@@ -200,8 +200,6 @@ def test_load_report_outcomes_are_views_of_the_history(monkeypatch):
     redirects — read off the op log's fold — are exactly what a
     keep-everything sink heard, and so are the numbers the serve report
     prints."""
-    from repro.transport.loadgen import trace_ops
-
     profile = dataclasses.replace(
         DatasetProfile.dtr(num_nodes=600, scale=1e-4), seed=7
     )
@@ -243,7 +241,7 @@ def test_load_report_outcomes_are_views_of_the_history(monkeypatch):
     # Each invoke names its trace record.
     assert sorted(
         (r.op_id, r.path, r.op) for r in invoked.values()
-    ) == trace_ops(workload.trace)
+    ) == [(i, r.path, r.op.value) for i, r in enumerate(workload.trace)]
     assert (report.acked, report.failed, report.indeterminate) == (
         len(acks), count("fail"), count("indeterminate"),
     )

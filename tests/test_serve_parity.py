@@ -32,7 +32,7 @@ from repro.simulation import (
 from repro.traces import DatasetProfile, load_workload
 from repro.storage import WalStore
 from repro.transport.live import LiveCluster, LiveConfig, LiveMDS
-from repro.transport.loadgen import LoadConfig, LoadGenerator, trace_ops
+from repro.transport.loadgen import LoadConfig, LoadGenerator
 from repro.transport.serve import serve_workload
 from tests.conftest import live_audit
 
@@ -98,7 +98,7 @@ def _live_run(workload, plan=None):
             generator = LoadGenerator(
                 cluster.transport,
                 NUM_SERVERS,
-                trace_ops(workload.trace),
+                workload.trace,
                 LoadConfig(rate=4000.0, seed=SEED),
             )
             cluster.control.history = generator.history

@@ -3,10 +3,14 @@
 import copy
 import dataclasses
 import pickle
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import NamespaceTree
+from repro.simulation.runner import _round_counts
 from repro.traces import (
     DEFAULT_SCALE,
     PAPER_RECORD_COUNTS,
@@ -15,9 +19,12 @@ from repro.traces import (
     Trace,
     TraceRecord,
     all_profiles,
+    dumps_trace,
     iter_op_batches,
+    loads_trace,
 )
 from repro.traces.columns import OP_CODES, OpBatch
+from tests.conftest import build_sample_tree
 
 
 def make_trace(n=10):
@@ -25,7 +32,7 @@ def make_trace(n=10):
         TraceRecord(timestamp=float(i), op=list(OpType)[i % 3], path=f"/f{i % 4}", client_id=i % 2)
         for i in range(n)
     ]
-    return Trace(name="t", records=records)
+    return Trace.from_records("t", records)
 
 
 # ----------------------------------------------------------------------
@@ -88,12 +95,12 @@ def test_operation_breakdown_empty_trace():
 
 def test_max_depth():
     records = [TraceRecord(0.0, OpType.READ, "/a/b/c.txt")]
-    assert Trace(name="t", records=records).max_depth() == 3
+    assert Trace.from_records("t", records).max_depth() == 3
 
 
 def test_paths_first_appearance_order():
     trace = make_trace(8)
-    assert trace.paths() == ["/f0", "/f1", "/f2", "/f3"]
+    assert trace.paths == ["/f0", "/f1", "/f2", "/f3"]
 
 
 def test_slice():
@@ -144,7 +151,7 @@ def test_iter_op_batches_skips_unresolved():
         TraceRecord(timestamp=1.0, op=OpType.READ, client_id=1, path="/ghost"),
         TraceRecord(timestamp=2.0, op=OpType.UPDATE, client_id=2, path="/known"),
     ]
-    batches = list(iter_op_batches(records, tree, batch_ops=2))
+    batches = list(iter_op_batches(Trace.from_records("t", records), tree, batch_ops=2))
     paths = [n.path for b in batches for n in b.nodes]
     assert paths == ["/known", "/known"]
     codes = [c for b in batches for c in b.op_codes]
@@ -154,8 +161,63 @@ def test_iter_op_batches_skips_unresolved():
 def test_iter_op_batches_rejects_bad_window(tiny_dtr_workload):
     with pytest.raises(ValueError):
         next(iter_op_batches(
-            tiny_dtr_workload.trace.records, tiny_dtr_workload.tree, 0
+            tiny_dtr_workload.trace, tiny_dtr_workload.tree, 0
         ))
+
+
+# ----------------------------------------------------------------------
+# The columns against a per-record reference
+# ----------------------------------------------------------------------
+_SAMPLE_TREE = build_sample_tree()
+#: Paths of the sample tree, and paths it lacks.
+_KNOWN = ["/", "/home", "/home/a/c.txt", "/home/b/g.pdf", "/var/e/j.doc", "/usr/f"]
+_GHOSTS = ["/ghost", "/home/a/ghost.txt"]
+_rows = st.lists(
+    st.builds(
+        TraceRecord,
+        # Microsecond grid: what a trace file keeps exactly.
+        timestamp=st.integers(0, 10**11).map(lambda n: n / 1e6),
+        op=st.sampled_from(list(OpType)),
+        path=st.sampled_from(_KNOWN + _GHOSTS),
+        client_id=st.integers(0, 2**31 - 1),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=_rows,
+    start=st.integers(-45, 45),
+    stop=st.none() | st.integers(-45, 45),
+    count=st.integers(1, 6),
+    batch_ops=st.integers(1, 9),
+)
+def test_columns_match_a_per_record_reference(records, start, stop, count, batch_ops):
+    trace = Trace.from_records("t", records, "d")
+    assert trace.records == list(trace) == records
+    assert [trace[i] for i in range(-len(records), len(records))] == records + records
+    assert trace.paths == list(dict.fromkeys(r.path for r in records))
+
+    piece = trace.slice(start, stop)
+    assert piece.records == records[start:stop]
+    assert piece == Trace.from_records(piece.name, records[start:stop], "d")
+    bounds = [round(i * len(records) / count) for i in range(count + 1)]
+    assert [r.records for r in trace.rounds(count)] == [
+        records[bounds[i]:bounds[i + 1]] for i in range(count)
+    ]
+    assert loads_trace(dumps_trace(trace)) == trace
+
+    lookup = _SAMPLE_TREE.lookup
+    resolved = [(r.op, lookup(r.path)) for r in records if lookup(r.path) is not None]
+    decoded = [
+        pair
+        for batch in iter_op_batches(trace, _SAMPLE_TREE, batch_ops)
+        for pair in zip(batch.ops(), batch.nodes)
+    ]
+    assert decoded == resolved
+    counts = _round_counts(trace, _SAMPLE_TREE)
+    assert list(counts.items()) == list(Counter(node for _, node in resolved).items())
 
 
 # ----------------------------------------------------------------------

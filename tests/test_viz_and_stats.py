@@ -152,6 +152,6 @@ def test_stats_static_trace_no_drift():
     records = [
         TraceRecord(float(i), OpType.READ, "/a/b.txt", 0) for i in range(100)
     ]
-    stats = analyze_trace(Trace(name="static", records=records))
+    stats = analyze_trace(Trace.from_records("static", records))
     assert stats.drift == 0.0
     assert stats.top_share == 1.0
