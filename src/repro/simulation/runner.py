@@ -42,7 +42,7 @@ from repro.storage import make_store
 from repro.simulation.stats import SimulationResult, summarize_latencies
 from repro.traces.columns import OP_FROM_CODE, iter_op_batches
 from repro.traces.generator import GeneratedWorkload
-from repro.traces.trace import Trace
+from repro.traces.trace import OP_VALUES, Trace
 from repro.transport.base import CLIENT_ADDR, FaultFabric, mds_addr
 from repro.numeric import ordered_sum
 
@@ -569,7 +569,7 @@ class ClusterSimulator:
         failover = FAILOVER_LATENCY
         max_retries = cfg.max_retries
         decode = OP_FROM_CODE
-        op_values = [op.value for op in OP_FROM_CODE]  # as the op log records them
+        op_values = OP_VALUES  # as the op log records them
         REDIRECT = VisitKind.REDIRECT
         # The hooks. Each is one local bool (or None-able handle) here and
         # plain ``if`` blocks below.

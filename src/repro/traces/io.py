@@ -22,7 +22,7 @@ import math
 from pathlib import Path
 from typing import Tuple, Union
 
-from repro.traces.trace import OP_CODES, OP_FROM_CODE, OpType, Trace
+from repro.traces.trace import OP_CODES, OP_VALUES, OpType, Trace
 
 __all__ = [
     "save_trace",
@@ -94,7 +94,6 @@ def dumps_trace(trace: Trace) -> str:
     out = io.StringIO()
     name = trace.name.translate(_FLATTEN)
     out.write(f"{_HEADER_PREFIX}\t{name}\t{trace.description.translate(_FLATTEN)}\n")
-    values = [op.value for op in OP_FROM_CODE]
     paths = trace.paths
     rows = zip(trace.timestamps, trace.op_codes, trace.client_ids, trace.path_ids)
     for index, (timestamp, code, client_id, path_id) in enumerate(rows):
@@ -103,7 +102,7 @@ def dumps_trace(trace: Trace) -> str:
             check_row(timestamp, client_id, path)
         except ValueError as error:
             raise ValueError(f"record {index}: {error}") from None
-        out.write(f"{timestamp:.6f}\t{values[code]}\t{client_id}\t{path}\n")
+        out.write(f"{timestamp:.6f}\t{OP_VALUES[code]}\t{client_id}\t{path}\n")
     return out.getvalue()
 
 

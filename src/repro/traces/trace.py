@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.namespace import split_path
 
-__all__ = ["OpType", "TraceRecord", "Trace", "OP_CODES", "OP_FROM_CODE"]
+__all__ = ["OpType", "TraceRecord", "Trace", "OP_CODES", "OP_FROM_CODE", "OP_VALUES"]
 
 
 class OpType(enum.Enum):
@@ -61,6 +61,9 @@ OP_FROM_CODE: Tuple[OpType, ...] = (
     OpType.UPDATE,
     OpType.CREATE,
 )
+
+#: Column code -> op-type value: a trace file's op field, a request's op.
+OP_VALUES: Tuple[str, ...] = tuple(op.value for op in OP_FROM_CODE)
 
 
 @dataclass(frozen=True, slots=True)

@@ -62,7 +62,7 @@ from repro.cluster.client import INDEX_CACHE_SIZE
 from repro.cluster.index import covering_entry
 from repro.cluster.messages import ClientReply, ClientRequest
 from repro.simulation.stats import summarize_latencies
-from repro.traces.trace import OP_FROM_CODE, Trace
+from repro.traces.trace import OP_VALUES, Trace
 from repro.transport.asyncio_net import AsyncioTransport, FrameLink
 from repro.transport.base import CLIENT_ADDR, mds_addr
 from repro.transport.wire import encode_frame
@@ -402,8 +402,6 @@ class LoadGenerator:
         self.num_servers = num_servers
         #: The operations; op ``i`` has op_id ``i``, stable across retries.
         self.trace = trace
-        #: Op-code column value -> the op value a request carries.
-        self._op_values = [op.value for op in OP_FROM_CODE]
         self.cfg = cfg or LoadConfig()
         self.report = LoadReport(issued=len(trace))
         #: The op log (one call per op transition, folded as it is
@@ -546,7 +544,7 @@ class LoadGenerator:
         op_id, _, entry = item
         trace = self.trace
         path = trace.paths[trace.path_ids[op_id]]
-        op_value = self._op_values[trace.op_codes[op_id]]
+        op_value = OP_VALUES[trace.op_codes[op_id]]
         start = self._loop.time()
         self.history.invoke(op_id, -1, start, path, op_value)
         # Longest cached prefix -> straight to the owner; a miss (cold
