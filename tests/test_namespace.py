@@ -1,8 +1,14 @@
 """Unit tests for repro.core.namespace."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.core import NamespaceTree, split_path
+from repro.core.namespace import PopularityEstimate
+from repro.traces import TraceGenerator
+from tests.test_generator import PINNED_PROFILES
 
 
 def test_split_path_basic():
@@ -148,3 +154,37 @@ def test_iteration_order_parents_first():
         if node.parent is not None:
             assert node.parent in seen
         seen.add(node)
+
+
+# ----------------------------------------------------------------------
+# Def. 2 totals at non-dyadic popularity, pinned bit for bit
+# ----------------------------------------------------------------------
+#: sha256 (first 16 hex digits) of ``float.hex(node.popularity)`` for every
+#: node in id order, after three seeded windows folded at blend 0.3 and
+#: one ``materialise()``. At blend 0.3 the values are not dyadic, so the
+#: totals depend on the order each parent adds its children in.
+PINNED_DEF2_DIGESTS = {
+    "dtr": "93206f5870543e6e",
+    "lmbe": "a4e7a14b0662d71c",
+    "ra": "e60c62ef85bf0219",
+    "ra_creates": "e60c62ef85bf0219",
+}
+
+
+def def2_digest(profile) -> str:
+    tree = TraceGenerator(profile).generate().tree
+    estimate = PopularityEstimate(tree.arena(), 0.3)
+    rng = random.Random(11)
+    nodes = tree.nodes
+    for _ in range(3):
+        estimate.fold({node: rng.randint(1, 9) for node in rng.sample(nodes, len(nodes) // 3)})
+    estimate.materialise()
+    h = hashlib.sha256()
+    for node in tree:
+        h.update(f"{node.popularity.hex()}\n".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PROFILES))
+def test_def2_totals_are_pinned(name):
+    assert def2_digest(PINNED_PROFILES[name]) == PINNED_DEF2_DIGESTS[name]
