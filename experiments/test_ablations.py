@@ -144,50 +144,6 @@ def test_ablation_heterogeneous_capacities(workloads, benchmark):
     assert 0.55 < fast < 0.78
 
 
-def test_ablation_rename_cost(benchmark):
-    """Introduction claim: "the overhead of rehashing metadata when renaming
-    an upper directory ... is considerable" for hash-based mapping, while
-    tree-partitioning schemes rename nearly for free."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    from repro.baselines import (
-        AngleCutScheme,
-        DynamicSubtreeScheme,
-        HashScheme,
-        StaticSubtreeScheme,
-    )
-    from repro.repair import rename_with_repair
-    from repro.traces import TraceGenerator
-
-    print("\n=== Ablation: rename of a depth-1 directory (DTR, M=8) ===")
-    print(f"{'scheme':<18}{'subtree size':>13}{'moved':>8}{'moved %':>9}{'updates':>9}")
-    fractions = {}
-    for name, factory, kwargs in (
-        ("static-hash", HashScheme, {"cut_depth": -1}),
-        ("static-subtree", StaticSubtreeScheme, {"cut_depth": 1}),
-        ("dynamic-subtree", DynamicSubtreeScheme, {}),
-        ("drop", lambda: DropScheme(key_mode="pathname"), {}),
-        ("anglecut", AngleCutScheme, {}),
-        ("d2-tree", D2TreeScheme, {}),
-    ):
-        workload = TraceGenerator(bench_profiles()[0]).generate()
-        tree = workload.tree
-        placement = factory().partition(tree, 8)
-        target = max(
-            (n for n in tree if n.is_directory and n.depth == 1 and n.subtree_size() > 20),
-            key=lambda n: n.subtree_size(),
-        )
-        report = rename_with_repair(placement, tree, target, "renamed_dir", **kwargs)
-        fractions[name] = report.migration_fraction
-        print(
-            f"{name:<18}{report.paths_changed:>13}{report.metadata_moved:>8}"
-            f"{report.migration_fraction * 100:>8.1f}%{report.entries_updated:>9}"
-        )
-    assert fractions["d2-tree"] == 0.0
-    assert fractions["dynamic-subtree"] == 0.0
-    assert fractions["static-hash"] > 0.5
-    assert fractions["drop"] > 0.3
-
-
 def test_ablation_ghba_lookup_cost(workloads, benchmark):
     """Related Work [17]: G-HBA routes lookups via grouped Bloom filters,
     "improving the scalability of the MDS cluster, while complicating the

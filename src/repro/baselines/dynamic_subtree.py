@@ -44,9 +44,8 @@ class DynamicSubtreePlacement(Placement):
 
     def rebuild_assignments(self, tree: NamespaceTree) -> None:
         """Recompute every node's server from the zone map: a node's zone
-        is its own entry or its parent's, resolved in one pass parents
-        first (registration order is not, after ``move_node``), then
-        reassigned in registration order. ``version`` moves by one per
+        is its own entry or its parent's, resolved in one pass in id
+        order (parents first), then reassigned. ``version`` moves by one per
         node, as assigning each one did."""
         arena = tree.arena()
         zone_servers = {root.node_id: server for root, server in self.zone_of.items()}

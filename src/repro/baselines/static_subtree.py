@@ -56,8 +56,7 @@ class StaticSubtreeScheme(MetadataScheme):
         cut = self.cut_depth
         # One pass, parents first: a node at the cut depth hashes its own
         # path, a deeper one takes its parent's server, and a shallower one
-        # keeps the root's. Registration order would not do: after
-        # move_node a child can be registered before its parent.
+        # keeps the root's.
         server_of = [stable_hash(tree.root.path) % num_servers] * arena.size
         for cid, pid in arena.descent():
             depth = depths[cid]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from array import array
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.node import PATH_SEPARATOR, MetadataNode
 from repro.numeric import ordered_sum
@@ -28,74 +28,41 @@ def split_path(path: str) -> List[str]:
     return [part for part in path.split(PATH_SEPARATOR) if part]
 
 
-def _child_path(parent: MetadataNode, name: str) -> str:
-    """The path a child called ``name`` of ``parent`` has once attached
-    (what :attr:`MetadataNode.path` computes for it)."""
-    if parent.parent is None:
-        return PATH_SEPARATOR + name
-    return parent.path + PATH_SEPARATOR + name
-
-
 class NodeArena:
-    """The column (id-indexed) snapshot of one tree structure.
+    """The column (id-indexed) view of one tree size.
 
     What the replay reads by dense node id instead of walking the object
-    graph. ``size`` is the id space — live *and* retired slots, so every
-    id-indexed column is sized from it. The **recorded aggregation order**
-    is the exact child→parent addition sequence of
-    :meth:`NamespaceTree.aggregate_popularity`, captured symbolically at
-    build time: :meth:`write_popularity` is the whole-tree pass over it
-    (Def. 2 totals of a caller-owned ``p'_j`` column, both written to the
-    node objects) and :meth:`subtree_sizes` the nodes per subtree, by id.
-    Reversed, the same order lists parents before children
-    (:meth:`descent`): :meth:`depths` is one pass over it, and so is any
-    top-down placement rule. :meth:`chain` hands the route planner a node's
-    ancestor ids as one shared tuple.
+    graph. The tree only grows (:meth:`NamespaceTree.add_child` is its one
+    structural mutation), so every node's id is larger than its parent's
+    and every ``children`` list is in id order: ``parent``, the tree's
+    parent-id column, *is* the structure. ``size`` is the node count the
+    arena was issued at; :meth:`NamespaceTree.arena` re-issues it once the
+    tree holds more nodes, and popularity updates do not invalidate it.
 
-    Replaying the recorded sequence performs the same float additions in
-    the same order as the object walk, so the sums are bit-identical to
-    it. An arena is valid for one ``structure_version`` and is re-issued by
-    :meth:`NamespaceTree.arena` after any structural mutation; popularity
-    updates do not invalidate it. It is shared by every reader of the
-    tree, so per-run state (a replay's :class:`PopularityEstimate`) stays
-    with the caller.
+    :meth:`write_popularity` is the whole-tree pass (Def. 2 totals of a
+    caller-owned ``p'_j`` column, both written to the node objects) and
+    :meth:`subtree_sizes` the nodes per subtree, each one pass in reverse
+    id order: every child is added into its parent after all of its own
+    descendants, and a parent takes its children last-born first. Those
+    are the additions, in the same order, of a post-order walk that pushes
+    children in list order, so float totals are bit-identical to that
+    walk's. Forward id order
+    is parents before children (:meth:`descent`): :meth:`depths` is one
+    pass over it, and so is any top-down placement rule. :meth:`chain`
+    hands the route planner a node's ancestor ids as one shared tuple.
+
+    It is shared by every reader of the tree, so per-run state (a replay's
+    :class:`PopularityEstimate`) stays with the caller.
     """
 
-    __slots__ = (
-        "tree",
-        "version",
-        "size",
-        "_agg_child",
-        "_agg_parent",
-        "_subtree_sizes",
-        "_depths",
-        "_chains",
-    )
+    __slots__ = ("tree", "size", "parent", "_subtree_sizes", "_depths", "_chains")
 
     def __init__(self, tree: "NamespaceTree") -> None:
         self.tree = tree
-        self.version = tree.structure_version
         self.size = len(tree._nodes)
-        # One symbolic replay of the aggregation stack records the
-        # child->parent addition order (registration order is NOT
-        # topological after move_node). Packed arrays, not lists: the
-        # replay then reads ids from contiguous memory instead of chasing
-        # a pointer per id to int objects scattered among the nodes.
-        agg_child = array("q")
-        agg_parent = array("q")
-        agg_stack: List[Tuple[MetadataNode, bool]] = [(tree.root, False)]
-        while agg_stack:
-            node, children_done = agg_stack.pop()
-            if children_done:
-                if node.parent is not None:
-                    agg_child.append(node.node_id)
-                    agg_parent.append(node.parent.node_id)
-            else:
-                agg_stack.append((node, True))
-                for child in node.children:
-                    agg_stack.append((child, False))
-        self._agg_child = agg_child
-        self._agg_parent = agg_parent
+        #: node id -> parent id (the root's reads -1); appended to by
+        #: ``add_child``, so only the first ``size`` entries are this view's.
+        self.parent = tree._parent_ids
         self._subtree_sizes: Optional[List[int]] = None
         self._depths: Optional[List[int]] = None
         #: node id -> ancestor ids root-first, excluding the node (lazy).
@@ -128,16 +95,17 @@ class NodeArena:
         """The nodes' current ``p'_j`` as an id-indexed column."""
         return [node.individual_popularity for node in self.tree._nodes]
 
+    def _ascent(self) -> Iterator[Tuple[int, int]]:
+        """``(child id, parent id)`` of every edge, highest child id first:
+        each child after all of its descendants."""
+        last = self.size - 1
+        return zip(range(last, 0, -1), self.parent[last:0:-1])
+
     def write_popularity(self, individual: List[float]) -> None:
         """The whole-tree pass: aggregate the Def. 2 totals ``p_j`` of an
-        id-indexed ``p'_j`` column and write both to every node object.
-
-        The recorded (child, parent) sequence is the object walk's additions
-        in its order, so the totals are bit-identical to it; detached nodes
-        keep ``popularity == individual_popularity`` as the walk leaves them.
-        """
+        id-indexed ``p'_j`` column and write both to every node object."""
         totals = list(individual)
-        for cid, pid in zip(self._agg_child, self._agg_parent):
+        for cid, pid in self._ascent():
             totals[pid] += totals[cid]
         for node, p, total in zip(self.tree._nodes, individual, totals):
             node.individual_popularity = p
@@ -147,33 +115,29 @@ class NodeArena:
     def subtree_sizes(self) -> List[int]:
         """Nodes per subtree (root included), indexed by node id.
 
-        Equal to :meth:`MetadataNode.subtree_size` for every live node;
-        built on first use by one pass over the recorded order.
+        Equal to :meth:`MetadataNode.subtree_size` for every node; built on
+        first use by one reverse-id pass.
         """
         sizes = self._subtree_sizes
         if sizes is None:
             sizes = [1] * self.size
-            for cid, pid in zip(self._agg_child, self._agg_parent):
+            for cid, pid in self._ascent():
                 sizes[pid] += sizes[cid]
             self._subtree_sizes = sizes
         return sizes
 
     def descent(self) -> Iterator[Tuple[int, int]]:
-        """``(child id, parent id)`` of every edge of the live tree, parents
-        before children: the recorded aggregation order, reversed.
-
-        Unlike registration order this stays top-down after
-        :meth:`NamespaceTree.move_node`. The root is nobody's child, so it
-        is the one live node the walk never names.
-        """
-        return zip(reversed(self._agg_child), reversed(self._agg_parent))
+        """``(child id, parent id)`` of every edge in id order, parents
+        before children. The root is nobody's child, so it is the one node
+        the walk never names."""
+        return zip(range(1, self.size), self.parent[1:self.size])
 
     def depths(self) -> List[int]:
-        """Edges from the root, indexed by node id (retired slots read 0).
+        """Edges from the root, indexed by node id.
 
-        Equal to :attr:`MetadataNode.depth` for every live node; built on
-        first use by one pass over :meth:`descent`, where a node's depth is
-        its parent's plus one.
+        Equal to :attr:`MetadataNode.depth` for every node; built on first
+        use by one pass over :meth:`descent`, where a node's depth is its
+        parent's plus one.
         """
         depths = self._depths
         if depths is None:
@@ -284,9 +248,8 @@ class PopularityEstimate:
 
     def individual(self) -> List[float]:
         """Every node's ``p'_j`` as of the last folded round, by node id:
-        the pending windows settled and every value decayed to the round
-        (removed nodes keep theirs undecayed, as a blend over the live tree
-        would). The columns are rebased to it, so a second call in the same
+        the pending windows settled and every value decayed to the round.
+        The columns are rebased to it, so a second call in the same
         round costs nothing. The list is the estimate's own: read it, do not
         write it."""
         now = self.round
@@ -298,8 +261,6 @@ class PopularityEstimate:
         # By the round a value was stamped in: ``keep ** rounds_elapsed``.
         decay = [keep ** (now - at) for at in range(now + 1)]
         current = list(map(mul, value, map(decay.__getitem__, self._stamp)))
-        for nid in self.arena.tree._removed:
-            current[nid] = value[nid]
         self._value = current
         self._stamp = [now] * len(current)
         self._rebased = now
@@ -318,18 +279,18 @@ class NamespaceTree:
     """A file-system namespace tree of :class:`MetadataNode` objects.
 
     The tree assigns every node a dense integer ``node_id`` (the root is 0) so
-    partitioning schemes can use arrays keyed by id.
+    partitioning schemes can use arrays keyed by id. It only grows:
+    :meth:`add_child` (which :meth:`add_path` calls) is its one structural
+    mutation, so ids are parents-first and a node's path never changes.
     """
 
     def __init__(self) -> None:
         self.root = MetadataNode(PATH_SEPARATOR, parent=None, is_directory=True, node_id=0)
         self._nodes: List[MetadataNode] = [self.root]
+        #: node id -> parent id, the column every NodeArena reads.
+        self._parent_ids = array("q", [-1])
         self._by_path: Dict[str, MetadataNode] = {PATH_SEPARATOR: self.root}
-        self._removed: Set[int] = set()
         self._popularity_dirty = False
-        #: Bumped on any structural mutation; readers holding a NodeArena
-        #: compare against it to detect staleness.
-        self.structure_version = 0
         self._arena: Optional[NodeArena] = None
         #: The running replay's estimate, or None. While one is installed a
         #: reader of popularity beyond the placement's counted nodes calls
@@ -384,99 +345,27 @@ class NamespaceTree:
     ) -> MetadataNode:
         """Create a child node directly under ``parent`` and register it.
 
-        The duplicate check is one lookup in the path index, not a scan of
+        ``name`` is one path component: non-empty and slash-free. The
+        duplicate check is one lookup in the path index, not a scan of
         ``parent``'s children, so filling a wide directory stays linear.
         """
         if not parent.is_directory:
             raise ValueError(f"cannot add a child to file node {parent.path!r}")
-        path = _child_path(parent, name)
-        by_path = self._by_path
-        if path in by_path:
-            raise ValueError(f"{parent.path!r} already has a child named {name!r}")
+        if not name or PATH_SEPARATOR in name:
+            raise ValueError(f"names must be non-empty and slash-free, not {name!r}")
         nodes = self._nodes
         child = MetadataNode(
             name, parent, is_directory, individual_popularity, update_cost, len(nodes)
         )
-        child._path_cache = path
+        by_path = self._by_path
+        if child.path in by_path:
+            raise ValueError(f"{parent.path!r} already has a child named {name!r}")
         parent.children.append(child)
         nodes.append(child)
-        by_path[path] = child
-        self.structure_version += 1
+        self._parent_ids.append(parent.node_id)
+        by_path[child.path] = child
         self._popularity_dirty = True
         return child
-
-    # ------------------------------------------------------------------
-    # Mutation (rename / move / remove)
-    # ------------------------------------------------------------------
-    def _reindex_subtree(self, node: MetadataNode) -> int:
-        """Re-key a subtree in the path index after its paths changed."""
-        count = 0
-        for member in node.descendants(include_self=True):
-            member._path_cache = None
-        for member in node.descendants(include_self=True):
-            self._by_path[member.path] = member
-            count += 1
-        return count
-
-    def rename(self, node: MetadataNode, new_name: str) -> int:
-        """Rename a node in place; returns how many paths changed.
-
-        Every descendant's pathname changes with it — the operation whose
-        cost separates pathname-hashing schemes from tree-partitioning ones.
-        """
-        if node.parent is None:
-            raise ValueError("the root cannot be renamed")
-        if not new_name or PATH_SEPARATOR in new_name:
-            raise ValueError("names must be non-empty and slash-free")
-        if _child_path(node.parent, new_name) in self._by_path:
-            raise ValueError(f"{node.parent.path!r} already has {new_name!r}")
-        for member in node.descendants(include_self=True):
-            self._by_path.pop(member.path, None)
-        node.name = new_name
-        self.structure_version += 1
-        return self._reindex_subtree(node)
-
-    def move_node(self, node: MetadataNode, new_parent: MetadataNode) -> int:
-        """Re-parent a subtree; returns how many paths changed."""
-        if node.parent is None:
-            raise ValueError("the root cannot be moved")
-        if not new_parent.is_directory:
-            raise ValueError("target parent must be a directory")
-        if _child_path(new_parent, node.name) in self._by_path:
-            raise ValueError(f"{new_parent.path!r} already has {node.name!r}")
-        walk = new_parent
-        while walk is not None:
-            if walk is node:
-                raise ValueError("cannot move a node into its own subtree")
-            walk = walk.parent
-        for member in node.descendants(include_self=True):
-            self._by_path.pop(member.path, None)
-        node.parent.children.remove(node)
-        node.parent = new_parent
-        new_parent.children.append(node)
-        self._popularity_dirty = True
-        self.structure_version += 1
-        return self._reindex_subtree(node)
-
-    def remove(self, node: MetadataNode) -> int:
-        """Detach a subtree from the namespace; returns nodes removed.
-
-        Node-id slots are retired (iteration skips them; ids of surviving
-        nodes stay stable so placements keyed by node object remain valid
-        for the survivors).
-        """
-        if node.parent is None:
-            raise ValueError("the root cannot be removed")
-        removed = 0
-        for member in node.descendants(include_self=True):
-            self._by_path.pop(member.path, None)
-            self._removed.add(member.node_id)
-            removed += 1
-        node.parent.children.remove(node)
-        node.parent = None
-        self._popularity_dirty = True
-        self.structure_version += 1
-        return removed
 
     # ------------------------------------------------------------------
     # Lookup
@@ -486,39 +375,33 @@ class NamespaceTree:
         return self._by_path.get(path)
 
     def arena(self) -> NodeArena:
-        """The column snapshot of the tree's current structure.
+        """The column view of the tree at its current size.
 
-        Cached until the next structural mutation; see :class:`NodeArena`.
+        Cached until the tree grows; see :class:`NodeArena`.
         """
         arena = self._arena
-        if arena is None or arena.version != self.structure_version:
+        if arena is None or arena.size != len(self._nodes):
             arena = NodeArena(self)
             self._arena = arena
         return arena
 
     def node_by_id(self, node_id: int) -> MetadataNode:
         """Return the node with dense id ``node_id``."""
-        if node_id in self._removed:
-            raise KeyError(f"node {node_id} was removed")
         return self._nodes[node_id]
 
     def __contains__(self, path: str) -> bool:
         return path in self._by_path
 
     def __len__(self) -> int:
-        return len(self._nodes) - len(self._removed)
+        return len(self._nodes)
 
     def __iter__(self) -> Iterator[MetadataNode]:
-        if not self._removed:
-            return iter(self._nodes)
-        return (n for n in self._nodes if n.node_id not in self._removed)
+        return iter(self._nodes)
 
     @property
     def nodes(self) -> List[MetadataNode]:
-        """Live nodes in registration (insertion) order."""
-        if not self._removed:
-            return self._nodes
-        return [n for n in self._nodes if n.node_id not in self._removed]
+        """Every node in id (registration) order, parents first."""
+        return self._nodes
 
     # ------------------------------------------------------------------
     # Popularity bookkeeping (Def. 2)
@@ -531,28 +414,13 @@ class NamespaceTree:
     def aggregate_popularity(self) -> None:
         """Recompute total popularity ``p_j = p'_j + Σ p' (descendants)``.
 
-        Runs one bottom-up pass over the tree. The paper sums only the
-        *individual* popularity of descendants into the parent (Def. 2), which
-        makes ``p_j`` the total traffic passing through ``n_j`` under
-        POSIX-style path traversal.
+        The paper sums only the *individual* popularity of descendants into
+        the parent (Def. 2), which makes ``p_j`` the total traffic passing
+        through ``n_j`` under POSIX-style path traversal. One reverse-id pass
+        over the arena (:meth:`NodeArena.write_popularity`).
         """
-        # Explicit post-order traversal from the root: registration order is
-        # NOT a topological order once move_node has re-parented subtrees.
-        # Removed subtrees are detached (parent None), so their popularity
-        # never reaches the live tree.
-        for node in self._nodes:
-            node.popularity = node.individual_popularity
-        stack = [(self.root, False)]
-        while stack:
-            node, children_done = stack.pop()
-            if children_done:
-                if node.parent is not None:
-                    node.parent.popularity += node.popularity
-            else:
-                stack.append((node, True))
-                for child in node.children:
-                    stack.append((child, False))
-        self._popularity_dirty = False
+        arena = self.arena()
+        arena.write_popularity(arena.individual_popularity())
 
     def ensure_popularity(self) -> None:
         """Aggregate popularity only when a write invalidated it."""
@@ -570,14 +438,7 @@ class NamespaceTree:
     # ------------------------------------------------------------------
     def depth(self) -> int:
         """Maximum node depth (root = 0)."""
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if d > best:
-                best = d
-            stack.extend((child, d + 1) for child in node.children)
-        return best
+        return max(self.arena().depths())
 
     def files(self) -> List[MetadataNode]:
         """All non-directory nodes."""
@@ -586,18 +447,3 @@ class NamespaceTree:
     def directories(self) -> List[MetadataNode]:
         """All directory nodes (including the root)."""
         return [n for n in self._nodes if n.is_directory]
-
-    def validate(self) -> None:
-        """Check structural invariants; raise ``AssertionError`` on breakage.
-
-        Intended for tests and debugging, not hot paths.
-        """
-        assert self.root.parent is None
-        seen_ids = set()
-        for node in self:
-            assert node.node_id not in seen_ids, "duplicate node id"
-            seen_ids.add(node.node_id)
-            assert self._by_path[node.path] is node
-            for child in node.children:
-                assert child.parent is node
-        assert len(seen_ids) == len(self)

@@ -49,7 +49,7 @@ class MetadataNode:
         "individual_popularity",
         "popularity",
         "update_cost",
-        "_path_cache",
+        "path",
     )
 
     def __init__(
@@ -74,7 +74,14 @@ class MetadataNode:
         # Total popularity p_j; recomputed by NamespaceTree.aggregate_popularity.
         self.popularity = float(individual_popularity)
         self.update_cost = float(update_cost)
-        self._path_cache: Optional[str] = None
+        #: Absolute path, e.g. ``"/home/b/h.jpg"``; a node never moves, so
+        #: it is composed once, from the parent's.
+        if parent is None:
+            self.path = PATH_SEPARATOR
+        elif parent.parent is None:
+            self.path = PATH_SEPARATOR + name
+        else:
+            self.path = parent.path + PATH_SEPARATOR + name
 
     # ------------------------------------------------------------------
     # Tree structure helpers
@@ -88,18 +95,6 @@ class MetadataNode:
             node = node.parent
             depth += 1
         return depth
-
-    @property
-    def path(self) -> str:
-        """Absolute path of the node, e.g. ``"/home/b/h.jpg"``."""
-        if self._path_cache is None:
-            if self.parent is None:
-                self._path_cache = PATH_SEPARATOR
-            elif self.parent.parent is None:
-                self._path_cache = PATH_SEPARATOR + self.name
-            else:
-                self._path_cache = self.parent.path + PATH_SEPARATOR + self.name
-        return self._path_cache
 
     # ------------------------------------------------------------------
     # Walks (A_j and D_j in the paper's notation)

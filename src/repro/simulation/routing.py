@@ -42,8 +42,9 @@ Owner-index invalidation is versioned, not subscribed:
   planner's node→subtree-root cache and global-layer bitset. Plain
   migrations keep the root set intact, so the root cache survives
   adjustment churn — owners are always read live from the placement.
-* ``NamespaceTree.structure_version`` — guards the
-  :class:`~repro.core.namespace.NodeArena` the columns are sized from.
+* The tree's node count — guards the
+  :class:`~repro.core.namespace.NodeArena` the columns are sized from
+  (the tree only grows, so a larger count is the one structural change).
 
 The simulator additionally calls :meth:`FastRoutingEngine.invalidate`
 whenever the control plane evicts or re-admits a server
@@ -130,10 +131,9 @@ class FastRoutingEngine:
         self._planner = self._plan_d2 if self._is_d2 else self._plan_generic
 
     def invalidate(self) -> None:
-        """Start every memo column cold against the tree's current snapshot
-        (failure re-home / rejoin hook; a structural mutation — rename, move,
-        remove, late registration). One slot per node id: the arena's id
-        space, where a retired slot is kept and never asked for."""
+        """Start every memo column cold against the tree's current arena
+        (failure re-home / rejoin hook; nodes registered since). One slot
+        per node id."""
         self.arena = self.tree.arena()
         size = self.arena.size
         #: node id -> covering subtree root id; -1 = not cached yet.
@@ -171,7 +171,7 @@ class FastRoutingEngine:
 
     def plan(self, client: SimClient, node, op: OpType) -> RoutePlan:
         """Resolve which servers an operation touches."""
-        if self.arena.version != self.tree.structure_version:
+        if self.arena.size != len(self.tree):
             self.invalidate()
         return self._planner(client, node, op)
 
@@ -183,7 +183,7 @@ class FastRoutingEngine:
         and planner dispatch hoisted out of the loop. Only perfbench's plan
         replay and the routing tests call it; the simulator plans per op.
         """
-        if self.arena.version != self.tree.structure_version:
+        if self.arena.size != len(self.tree):
             self.invalidate()
         planner = self._planner
         return [planner(client, node, op) for client, node, op in ops]

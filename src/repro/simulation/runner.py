@@ -553,7 +553,7 @@ class ClusterSimulator:
         # snapshot-staleness check out of the loop. Safe because the tree
         # is structurally static mid-replay (CREATE ops move placement, not
         # structure) — start the engine cold once up front if it is stale.
-        if self.engine.arena.version != tree.structure_version:
+        if self.engine.arena.size != len(tree):
             self.engine.invalidate()
         engine_plan = self.engine._planner
         serve_plan = self.engine._serve_plan  # interned single-SERVE plans

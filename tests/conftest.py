@@ -54,6 +54,37 @@ def build_random_tree(num_nodes: int = 400, seed: int = 3) -> NamespaceTree:
     return tree
 
 
+def check_structure(tree: NamespaceTree) -> None:
+    """What the tree's only structural mutation, ``add_child``, keeps true:
+    every node's id is larger than its parent's, each ``children`` list is
+    in id order, the path index finds every node, and the arena spans the
+    tree."""
+    for node in tree:
+        assert tree.lookup(node.path) is node
+        ids = [child.node_id for child in node.children]
+        assert ids == sorted(ids) and all(cid > node.node_id for cid in ids)
+        assert all(child.parent is node for child in node.children)
+    assert len(tree) == tree.arena().size == len(tree._by_path)
+
+
+def post_order_totals(tree: NamespaceTree, individual) -> list:
+    """Def. 2 totals of an id-indexed ``p'`` column by a post-order walk of
+    the node objects, the reference the arena's reverse-id pass must equal
+    bit for bit: children are pushed in list order, so each parent takes
+    its last child's total first."""
+    totals = list(individual)
+    stack = [(tree.root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if children_done:
+            if node.parent is not None:
+                totals[node.parent.node_id] += totals[node.node_id]
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+    return totals
+
+
 def ops_trace(ops) -> Trace:
     """A trace of ``(path, op_value)`` pairs: op ``i`` has op_id ``i``."""
     return Trace.from_records(

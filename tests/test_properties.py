@@ -246,13 +246,13 @@ class _WholeTreePass:
     """The estimate's whole-tree pass as it was written before
     ``individual()`` was split out of ``materialise()``: settle the pending
     windows (oldest first, and early once the backlog outgrows the id
-    space), decay every value to the round and rebase; removed nodes keep
-    theirs undecayed. ``materialise()`` returns the column it wrote."""
+    space), decay every value to the round and rebase.
+    ``materialise()`` returns the column it wrote."""
 
-    def __init__(self, initial, removed, blend):
+    def __init__(self, initial, blend):
         self.blend, self.keep = blend, 1 - blend
         self.value, self.stamp = list(initial), [0] * len(initial)
-        self.round, self.pending, self.removed = 0, [], removed
+        self.round, self.pending = 0, []
 
     def fold(self, counts):
         self.round += 1
@@ -275,8 +275,6 @@ class _WholeTreePass:
         now = self.round
         decay = [self.keep ** elapsed for elapsed in range(now + 1)]
         current = [v * decay[now - at] for v, at in zip(self.value, self.stamp)]
-        for nid in self.removed:
-            current[nid] = self.value[nid]
         self.value, self.stamp = current, [now] * len(current)
         return current
 
@@ -285,18 +283,14 @@ class _WholeTreePass:
 @settings(max_examples=60, deadline=None)
 def test_individual_is_the_whole_tree_pass_column(tree, data):
     """``individual()`` returns, bit for bit, the column the whole-tree pass
-    wrote before it was split out — at blends 0.5 and 0.3, over removed
-    nodes, with rounds nobody reads (one rebase then covers several rounds
+    wrote before it was split out — at blends 0.5 and 0.3, with rounds
+    nobody reads (one rebase then covers several rounds
     of decay) — and a ``materialise()`` after it leaves every node object
     as that pass did."""
     blend = data.draw(st.sampled_from([0.5, 0.3]))
-    live = [node for node in tree if node.parent is not None]
-    for node in data.draw(st.lists(st.sampled_from(live), max_size=3)) if live else ():
-        if node.parent is not None and node.node_id not in tree._removed:
-            tree.remove(node)
     arena = tree.arena()
     estimate = PopularityEstimate(arena, blend)
-    reference = _WholeTreePass(arena.individual_popularity(), tree._removed, blend)
+    reference = _WholeTreePass(arena.individual_popularity(), blend)
     counts = st.integers(0, 9)
     windows = st.one_of(
         st.dictionaries(st.integers(0, arena.size - 1), counts, max_size=12),

@@ -90,13 +90,13 @@ KEPT_UNNAMED = {
     "theoretical_fp_rate": "the analytic rate the G-HBA Bloom filter is tested against",
     "sup_distance": "the Kolmogorov distance that Sec. V's DKW bound limits, tested against it",
     "from_records": "builds a trace's columns from rows, as hand-written test traces need",
+    "subtree_size": "the per-node walk the arena's subtree_sizes column is tested against",
     # The paper's model, exercised by tests, not yet by a verb or experiment.
     "add_server": "Sec. IV-B's new-coming server; the stateful placement machine drives it",
     "relative_loads": "Algorithm 2's L_k / C_k, which Fig. 4's worked example checks",
     "is_query": "Sec. VI's query-versus-update split of the op types",
     "from_samples": "Def. 6's equi-probable histogram, built from samples",
     "contention": "the lock service's mean wait per acquisition (Sec. IV-A3)",
-    "move_with_repair": "the move half of repair.py's cost model, which stays or goes whole",
 }
 
 

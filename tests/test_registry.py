@@ -77,7 +77,7 @@ def test_make_all_yields_distinct_instances():
 # SCHEME_MAKERS shim removal: the deprecated mapping must stay gone so
 # stale imports fail loudly instead of silently resurrecting the old API.
 # ----------------------------------------------------------------------
-def test_scheme_makers_shim_is_removed():
+def test_scheme_makers_shim_is_gone():
     import repro.cli
 
     assert not hasattr(repro.cli, "SCHEME_MAKERS")

@@ -28,11 +28,7 @@ from repro.simulation import (
 from repro.simulation import runner
 from repro.traces import DatasetProfile, TraceGenerator, dumps_trace, loads_trace
 from repro.transport import FaultFabric
-from tests.test_mutation_properties import (
-    apply_mutations,
-    build_tree,
-    mutation_scripts,
-)
+from tests.conftest import build_random_tree, post_order_totals
 
 
 # ----------------------------------------------------------------------
@@ -314,51 +310,38 @@ def test_replay_with_every_hook_on_is_deterministic(create_workload, tmp_path):
 
 
 def test_arena_matches_object_aggregation(random_tree):
-    """NodeArena replays Def. 2 aggregation in the object walk's exact
-    addition order: popularity totals are bit-equal, and the depth column
-    equals every live node's depth, including after a structural mutation
-    (a move, a remove) invalidates and rebuilds the arena."""
+    """NodeArena's reverse-id pass makes the object walk's additions in its
+    order: popularity totals are bit-equal, and the depth and size columns
+    equal every node's depth and subtree size, also once the tree has grown
+    and the arena is re-issued."""
 
-    def assert_depths(arena):
-        depths = arena.depths()
-        assert len(depths) == arena.size
+    def assert_columns(arena):
+        depths, sizes = arena.depths(), arena.subtree_sizes()
+        assert len(depths) == len(sizes) == arena.size == len(random_tree)
         assert all(depths[n.node_id] == n.depth for n in random_tree)
+        assert all(sizes[n.node_id] == n.subtree_size() for n in random_tree)
+
+    def assert_write_back(arena):
+        for node in random_tree:
+            node.individual_popularity *= 1.7
+        individual = arena.individual_popularity()
+        arena.write_popularity(individual)
+        want = post_order_totals(random_tree, individual)
+        assert [n.popularity for n in random_tree] == want
 
     arena = random_tree.arena()
-    assert arena is random_tree.arena()  # cached while structure unchanged
-    assert_depths(arena)
-    for node in random_tree:
-        node.individual_popularity *= 1.7
-    arena.write_popularity(arena.individual_popularity())
-    got = {n.path: n.popularity for n in random_tree}
-    random_tree.aggregate_popularity()
-    assert {n.path: n.popularity for n in random_tree} == got
+    assert arena is random_tree.arena()  # cached while the tree keeps its size
+    assert_columns(arena)
+    assert_write_back(arena)
 
-    # Structural change: the arena must be rebuilt and stay exact.
-    target = random_tree.add_path("/arena-dst/inner", is_directory=True)
-    victim = next(
-        n for n in random_tree
-        if n.is_directory and n.depth >= 2 and n.children
-    )
-    assert victim.depth == 2
-    random_tree.move_node(victim, target)
-    assert victim.depth == 3  # one level deeper, with its whole subtree
-    rebuilt = random_tree.arena()
-    assert rebuilt is not arena
-    assert_depths(rebuilt)
-    rebuilt.write_popularity(rebuilt.individual_popularity())
-    got = {n.path: n.popularity for n in random_tree}
-    random_tree.aggregate_popularity()
-    assert {n.path: n.popularity for n in random_tree} == got
-
-    # A removed subtree leaves the live tree; its slots stay in the id space.
-    gone = next(n for n in random_tree if n.depth >= 2 and n.children)
-    removed = random_tree.remove(gone)
-    after = random_tree.arena()
-    assert after is not rebuilt and after.size == rebuilt.size
-    assert_depths(after)
-    assert removed > 1 and sum(1 for _ in after.descent()) == len(random_tree) - 1
-    assert all(after.depths()[n.node_id] == 0 for n in gone.descendants(include_self=True))
+    # Growth, early directories included: the arena is re-issued and exact.
+    early = next(n for n in random_tree if n.is_directory and n.depth >= 2)
+    random_tree.add_child(early, "late.txt", individual_popularity=0.3)
+    random_tree.add_path("/arena-dst/inner/x.txt", individual_popularity=0.1)
+    grown = random_tree.arena()
+    assert grown is not arena and grown.size == arena.size + 4
+    assert_columns(grown)
+    assert_write_back(grown)
 
 
 def _object_round(tree, window, blend):
@@ -369,25 +352,21 @@ def _object_round(tree, window, blend):
             (1 - blend) * node.individual_popularity
             + blend * float(window[node])
         )
-    tree.aggregate_popularity()
+    totals = post_order_totals(tree, [n.individual_popularity for n in tree])
+    for node, total in zip(tree, totals):
+        node.popularity = total
 
 
-@given(
-    st.integers(min_value=0, max_value=500),
-    mutation_scripts,
-    st.floats(min_value=0.0, max_value=1.0),
-)
+@given(st.integers(min_value=0, max_value=500), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=60, deadline=None)
-def test_column_round_matches_object_round(seed, script, blend):
-    """Fold + materialise over the estimate's columns leaves every node —
-    moved, removed or untouched — with exactly (``==``) the
-    ``individual_popularity`` / ``popularity`` the object loop and
-    ``NamespaceTree.aggregate_popularity`` give it, round after round; one
-    materialise after all the rounds (the lazy decay) agrees to rounding;
-    and the size column is ``subtree_size()`` for every live node."""
-    tree = build_tree(seed, 40)
-    everyone = list(tree)  # id order; removed nodes stay in the comparison
-    apply_mutations(tree, script, seed)
+def test_column_round_matches_object_round(seed, blend):
+    """Fold + materialise over the estimate's columns leaves every node
+    with exactly (``==``) the ``individual_popularity`` / ``popularity``
+    the object loop and the object post-order walk give it, round after
+    round; one materialise after all the rounds (the lazy decay) agrees to
+    rounding; and the size column is ``subtree_size()`` for every node."""
+    tree = build_random_tree(40, seed)
+    everyone = list(tree)
     arena = tree.arena()
     rng = random.Random(seed)
     windows = [Counter(rng.choices(tree.nodes, k=12)) for _ in range(3)]
