@@ -192,6 +192,7 @@ def test_ablation_create_intensive(benchmark):
     from repro.baselines import (
         AngleCutScheme,
         DynamicSubtreeScheme,
+        HashScheme,
         StaticSubtreeScheme,
     )
     from repro.simulation.runner import ClusterSimulator
@@ -205,7 +206,7 @@ def test_ablation_create_intensive(benchmark):
     print(f"{'scheme':<18}{'throughput':>12}{'explicit creates':>18}")
     results = {}
     for factory in (D2TreeScheme, StaticSubtreeScheme, DynamicSubtreeScheme,
-                    DropScheme, AngleCutScheme):
+                    DropScheme, AngleCutScheme, HashScheme):
         sim = ClusterSimulator(factory(), workload, 8)
         result = sim.run()
         results[result.scheme] = result.throughput

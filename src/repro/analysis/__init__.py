@@ -1,6 +1,6 @@
 """Theoretical machinery from Section V: CDFs, DKW bounds, sampling sizes."""
 
-from repro.analysis.cdf import EmpiricalCDF, Histogram, dkw_confidence, dkw_epsilon
+from repro.analysis.cdf import EmpiricalCDF, dkw_confidence, dkw_epsilon
 from repro.analysis.sampling import (
     RandomWalkSampler,
     sample_size_for_mds_error,
@@ -11,7 +11,6 @@ from repro.analysis.theory import BoundExperiment, balance_bound, run_bound_expe
 __all__ = [
     "BoundExperiment",
     "EmpiricalCDF",
-    "Histogram",
     "RandomWalkSampler",
     "balance_bound",
     "dkw_confidence",

@@ -87,11 +87,6 @@ class LookupResult:
     false_positives: int
     stage: str  # "local-group", "remote-group", or "broadcast"
 
-    @property
-    def found(self) -> bool:
-        """Whether the path was located."""
-        return self.server is not None
-
 
 class GHBADirectory:
     """Group-based Bloom-filter directory over an existing placement.

@@ -32,7 +32,7 @@ from repro.chaos.harness import (
     check_run,
     run_case,
 )
-from repro.chaos.history import HistoryEvent, HistorySink, OpHistory, audit_history
+from repro.chaos.history import OpHistory, audit_history
 from repro.chaos.schedule import generate_plan
 from repro.chaos.shrink import ShrinkResult, shrink_plan
 from repro.chaos.hunt import HuntCase, HuntReport, promote_findings, run_hunt
@@ -52,8 +52,6 @@ __all__ = [
     "ChaosCase",
     "ChaosReport",
     "CorpusCase",
-    "HistoryEvent",
-    "HistorySink",
     "HuntCase",
     "HuntReport",
     "OpHistory",

@@ -41,9 +41,9 @@ each ack's latency in ack order (8 B), the acked op ids per acking server
 time and first offending acks, and counters. :func:`audit_history` reads
 that state; :meth:`OpHistory.counts`, the live ``LoadReport``'s outcomes
 and the latency percentiles are read off it too. Whoever wants the records
-themselves listens: telemetry builds its ``op_*`` events as they arrive, a
-:class:`HistorySink` keeps every one, and an attached span recorder hears
-each call with the arguments only it reads.
+themselves listens: telemetry builds its ``op_*`` events as they arrive,
+and an attached span recorder hears each call with the arguments only it
+reads.
 
 Both transports record in causal order: the simulator in event-loop order
 (per-server ack order equals serve order — arrivals are FIFO per server),
@@ -56,26 +56,9 @@ cross-server reordering can not produce false positives.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-__all__ = ["HistoryEvent", "HistorySink", "OpHistory", "audit_history"]
-
-
-class HistoryEvent(NamedTuple):
-    """One op-log record as a :class:`HistorySink` keeps it (see the module
-    docstring for kinds)."""
-
-    kind: str
-    op_id: int         # the trace position; -1 for wipe records
-    client: int        # -1 when the transport has no client sessions
-    t: float           # sim time or wall-clock loop time
-    server: int = -1   # retried / acking / last-tried / wiped server
-    epoch: int = 0     # ok
-    attempts: int = 0  # retry: this attempt; terminals: attempts burned
-    path: str = ""     # invoke
-    op: str = ""       # invoke: the op type ("read", ...)
-    jumps: int = 0     # terminals: the visits beyond the first (redirects)
-    redirected: bool = False  # ok
+__all__ = ["OpHistory", "audit_history"]
 
 
 # Per-op state bits: one byte per op id.
@@ -104,11 +87,6 @@ _RESETTLED_OPS = _table(lambda s: s & _RESETTLED)
 _HANGING = _table(lambda s: s & _INVOKED and not s & _SETTLED)
 _UNINVOKED = _table(lambda s: not s & _INVOKED)
 _INVOKED_OPS = _table(lambda s: s & _INVOKED)
-_OUTCOME = {
-    "ok": _table(lambda s: s & _ACKED),
-    "fail": _table(lambda s: s & _FAILED),
-    "indeterminate": _table(lambda s: s & _INDETERMINATE),
-}
 
 
 def _scan(flags: bytes, start: int = 0, stop: Optional[int] = None) -> Tuple[int, List[int]]:
@@ -378,12 +356,6 @@ class OpHistory:
         """Ops acked at least once."""
         return len(self._latencies) - self._reacks
 
-    def outcome_ids(self, kind: str) -> Set[int]:
-        """The op ids with at least one ``kind`` terminal (``ok``, ``fail``
-        or ``indeterminate``): one scan of the state column."""
-        flags = self._state.translate(_OUTCOME[kind])
-        return {op for op, hit in enumerate(flags) if hit}
-
     def uninvoked(self, stop: int) -> Tuple[int, List[int]]:
         """Ops ``0 .. stop-1`` never invoked: how many, and the first three."""
         flags = self._state.translate(_UNINVOKED)
@@ -411,39 +383,6 @@ class OpHistory:
         }
         tally["events"] = sum(tally.values())
         return tally
-
-    def __len__(self) -> int:
-        """Records taken, every kind."""
-        return self.counts()["events"] + self.retries
-
-
-class HistorySink:
-    """A listener that keeps every record as a :class:`HistoryEvent`, in
-    record order: for tests, and for a re-run that wants the timeline."""
-
-    def __init__(self) -> None:
-        self.events: List[HistoryEvent] = []
-
-    def invoke(self, op_id, client, t, path, op) -> None:
-        self.events.append(HistoryEvent("invoke", op_id, client, t, path=path, op=op))
-
-    def retry(self, op_id, client, t, server, attempt) -> None:
-        self.events.append(HistoryEvent("retry", op_id, client, t, server, attempts=attempt))
-
-    def ok(self, op_id, client, t, server, epoch, jumps, redirected, attempts, latency) -> None:
-        self.events.append(HistoryEvent(
-            "ok", op_id, client, t, server, epoch, attempts, jumps=jumps, redirected=redirected))
-
-    def fail(self, op_id, client, t, server, attempts, jumps) -> None:
-        self.events.append(HistoryEvent(
-            "fail", op_id, client, t, server, attempts=attempts, jumps=jumps))
-
-    def indeterminate(self, op_id, client, t, attempts, jumps) -> None:
-        self.events.append(HistoryEvent(
-            "indeterminate", op_id, client, t, attempts=attempts, jumps=jumps))
-
-    def wipe(self, server, t) -> None:
-        self.events.append(HistoryEvent("wipe", -1, -1, t, server=server))
 
 
 def audit_history(

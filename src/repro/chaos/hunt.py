@@ -193,7 +193,7 @@ def run_hunt(
                     found_violations=outcome.violations,
                     origin=(
                         f"hunt seed={seed}: "
-                        f"{len(plan)}→{len(result.plan)} events"
+                        f"{len(plan.events)}→{len(result.plan.events)} events"
                         + (f"; {'; '.join(result.steps)}"
                            if result.steps else "")
                     ),

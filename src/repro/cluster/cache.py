@@ -16,7 +16,7 @@ a lookup is one or two C-level dict calls. The route planner works on
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Hashable, Iterable, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Iterable, Optional, TypeVar
 
 __all__ = ["LRUCache"]
 
@@ -64,26 +64,6 @@ class LRUCache(Generic[K, V]):
     def invalidate(self, key: K) -> bool:
         """Drop an entry; returns whether it existed."""
         return self._data.pop(key, _MISSING) is not _MISSING
-
-    def clear(self) -> None:
-        """Drop everything (kept stats intact)."""
-        self._data.clear()
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of ``get`` calls served from cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Tuple[int, int]:
-        """(hits, misses) counters."""
-        return self.hits, self.misses
 
     @staticmethod
     def merged_hit_rate(caches: "Iterable[LRUCache]") -> float:

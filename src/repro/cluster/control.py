@@ -97,6 +97,7 @@ class ClusterControl:
             self.network.partition(
                 event.partition_name, event.partition_endpoints()
             )
+            self.monitor.note_outage()
             self.availability.partitions += 1
             self.telemetry.event(
                 "fault_partition", t=now, partition=event.partition_name,

@@ -66,9 +66,6 @@ class RoutingIndex:
         entry = covering_entry(path, self.roots.get)
         return entry and (entry[0], (entry[1],))
 
-    def __len__(self) -> int:
-        return len(self.global_layer) + len(self.roots)
-
     def to_info(self) -> Tuple[Tuple[str, list], ...]:
         """The sorted ``Directive.info`` payload of an ownership broadcast."""
         return (

@@ -65,12 +65,3 @@ class LockManager:
             self._wait_histogram.observe(granted - request)
             self._acquire_counter.inc()
         return granted
-
-    def contention(self) -> float:
-        """Average queueing delay per acquisition (seconds)."""
-        if self.acquisitions == 0:
-            return 0.0
-        return self.total_wait / self.acquisitions
-
-    def __len__(self) -> int:
-        return len(self._release_at)

@@ -73,7 +73,3 @@ class MetadataServer:
         self.alive = True
         self.slow_factor = 1.0
         self.muted = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.alive else "down"
-        return f"MetadataServer({self.server_id}, {state})"

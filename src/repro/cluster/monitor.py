@@ -149,6 +149,10 @@ class MonitorGroup:
         self.rebalances = 0
         self.total_migrations = 0
         self._leader_lost_at: Optional[float] = None
+        #: Raised when the leader goes down or loses its quorum, cleared by
+        #: the tick that finds it back: an outage between two ticks, which
+        #: no tick saw, still restarts the clocks.
+        self._outage = False
         self.failovers = 0
         #: Directives that failed to commit for lack of a quorum.
         self.aborted_directives = 0
@@ -198,11 +202,13 @@ class MonitorGroup:
         with fresh detection grace. A leader that gets its liveness or
         quorum back before then restarts every clock at ``now`` just as a
         takeover does: it may have heard no beats meanwhile, and silence it
-        could not judge is not a failure.
+        could not judge is not a failure. That holds however short the
+        outage was, one no tick saw included (:meth:`note_outage`).
         """
         if self.can_commit():
-            if self._leader_lost_at is not None:
+            if self._leader_lost_at is not None or self._outage:
                 self._leader_lost_at = None
+                self._outage = False
                 self._last_seen = dict.fromkeys(self._last_seen, now)
             return False
         if self._leader_lost_at is None:
@@ -226,6 +232,7 @@ class MonitorGroup:
         self.failovers += 1
         lost_since = self._leader_lost_at
         self._leader_lost_at = None
+        self._outage = False
         self._commit(
             "elect", now, info=(("from", old_leader), ("to", candidate))
         )
@@ -267,6 +274,14 @@ class MonitorGroup:
         if self.replica_alive[replica] != alive:
             self.replica_alive[replica] = alive
             self.telemetry.event(event, t=now, replica=replica)
+            self.note_outage()
+
+    def note_outage(self) -> None:
+        """Note that the leader is down or quorumless now, when a replica
+        crash or a fabric change makes it so: the next tick that finds it
+        back restarts the clocks even if no tick saw it down."""
+        if not self.can_commit():
+            self._outage = True
 
     # ------------------------------------------------------------------
     # Directive commit (the quorum write path)

@@ -48,10 +48,6 @@ class PendingPool:
             raise ValueError("popularity must be non-negative")
         self._entries.append(_PendingEntry(subtree_root, source_server, popularity))
 
-    def entries(self) -> List[_PendingEntry]:
-        """Snapshot of the current pool contents."""
-        return list(self._entries)
-
     def take_all(self) -> List[_PendingEntry]:
         """Drain the pool (the claim phase consumes everything offered)."""
         out, self._entries = self._entries, []
@@ -59,11 +55,6 @@ class PendingPool:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def total_popularity(self) -> float:
-        """Sum of popularity currently parked in the pool."""
-        return ordered_sum(e.popularity for e in self._entries)
 
 
 #: A moved root is *negligible* when it carries less than this share of the

@@ -62,10 +62,6 @@ class AllocationResult:
         """Subtree-root → server-index mapping (when roots were supplied)."""
         return {root: srv for root, srv in zip(self.subtree_roots, self.assignment)}
 
-    def relative_loads(self) -> List[float]:
-        """``L_k / C_k`` for each server."""
-        return [load / cap for load, cap in zip(self.loads, self.capacities)]
-
 
 def _capacity_edges(capacities: Sequence[float]) -> List[float]:
     total = ordered_sum(capacities)

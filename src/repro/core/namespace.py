@@ -389,9 +389,6 @@ class NamespaceTree:
         """Return the node with dense id ``node_id``."""
         return self._nodes[node_id]
 
-    def __contains__(self, path: str) -> bool:
-        return path in self._by_path
-
     def __len__(self) -> int:
         return len(self._nodes)
 
@@ -439,10 +436,6 @@ class NamespaceTree:
     def depth(self) -> int:
         """Maximum node depth (root = 0)."""
         return max(self.arena().depths())
-
-    def files(self) -> List[MetadataNode]:
-        """All non-directory nodes."""
-        return [n for n in self._nodes if not n.is_directory]
 
     def directories(self) -> List[MetadataNode]:
         """All directory nodes (including the root)."""

@@ -125,8 +125,3 @@ class MetadataNode:
     def subtree_size(self) -> int:
         """Number of nodes in the subtree rooted here (including itself)."""
         return 1 + sum(1 for _ in self.descendants())
-
-    # ------------------------------------------------------------------
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "dir" if self.is_directory else "file"
-        return f"MetadataNode({self.path!r}, {kind}, p={self.popularity:.3g})"

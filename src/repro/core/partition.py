@@ -173,24 +173,6 @@ class D2TreePlacement(Placement):
         self.index_version += 1
         self.assign(node, owner)
 
-    def add_server(self, capacity: float = 1.0) -> int:
-        """Grow the cluster by one (empty) server; returns its index.
-
-        If the global layer was fully replicated it follows the cluster onto
-        the newcomer; a bounded replica set stays bounded. The newcomer
-        starts empty and pulls local-layer subtrees through the normal
-        pending-pool adjustment ("new-coming server can initiatively request
-        some subtrees from the pending pool", Sec. IV-B).
-        """
-        follow = self.replication_factor == self.num_servers
-        new_server = self.grow(capacity)
-        if follow:
-            self.replication_factor = self.num_servers
-            for node in self.split.global_layer:
-                current = self.servers_of(node)
-                self.replicate(node, list(current) + [new_server])
-        return new_server
-
     def move_subtree(self, root: MetadataNode, server: int) -> int:
         """Migrate a subtree to ``server``; returns the number of nodes moved."""
         if root not in self.subtree_owner:

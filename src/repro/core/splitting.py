@@ -69,10 +69,6 @@ class SplitResult:
             return float("inf")
         return 1.0 / self.local_popularity
 
-    def is_global(self, node: MetadataNode) -> bool:
-        """True when ``node`` belongs to the global layer."""
-        return node in self.global_layer
-
 
 def _finalize(
     tree: NamespaceTree,

@@ -1,15 +1,13 @@
-"""Paper metrics: locality (Eq. 1), balance (Eq. 2), update cost (Def. 4)."""
+"""Paper metrics: locality (Eq. 1) and balance (Eq. 2)."""
 
 from repro.metrics.balance import (
     balance_degree,
     balance_from_placement,
     ideal_load_factor,
     load_variance,
-    relative_capacities,
 )
-from repro.metrics.locality import node_jumps, system_locality, weighted_jumps
+from repro.metrics.locality import system_locality, weighted_jumps
 from repro.metrics.report import MetricsReport, evaluate_placement, evaluate_scheme
-from repro.metrics.update import update_cost, update_cost_of_split
 
 __all__ = [
     "MetricsReport",
@@ -19,10 +17,6 @@ __all__ = [
     "evaluate_scheme",
     "ideal_load_factor",
     "load_variance",
-    "node_jumps",
-    "relative_capacities",
     "system_locality",
-    "update_cost",
-    "update_cost_of_split",
     "weighted_jumps",
 ]

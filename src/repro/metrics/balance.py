@@ -7,7 +7,7 @@ balance degree.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.placement import Placement
 from repro.core.namespace import NamespaceTree
@@ -15,7 +15,6 @@ from repro.numeric import ordered_sum
 
 __all__ = [
     "ideal_load_factor",
-    "relative_capacities",
     "load_variance",
     "balance_degree",
     "balance_from_placement",
@@ -30,12 +29,6 @@ def ideal_load_factor(loads: Sequence[float], capacities: Sequence[float]) -> fl
     if total_cap <= 0:
         raise ValueError("total capacity must be positive")
     return ordered_sum(loads) / total_cap
-
-
-def relative_capacities(loads: Sequence[float], capacities: Sequence[float]) -> List[float]:
-    """``Re_k = L_k − μ C_k``; positive means the server is heavily loaded."""
-    mu = ideal_load_factor(loads, capacities)
-    return [load - mu * cap for load, cap in zip(loads, capacities)]
 
 
 def load_variance(loads: Sequence[float], capacities: Sequence[float]) -> float:

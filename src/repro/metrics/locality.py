@@ -10,14 +10,8 @@ from __future__ import annotations
 
 from repro.placement import Placement
 from repro.core.namespace import NamespaceTree
-from repro.core.node import MetadataNode
 
-__all__ = ["node_jumps", "weighted_jumps", "system_locality"]
-
-
-def node_jumps(placement: Placement, node: MetadataNode) -> int:
-    """``jp_j`` — jumps for one access (delegates to the placement's policy)."""
-    return placement.jumps_for(node)
+__all__ = ["weighted_jumps", "system_locality"]
 
 
 def weighted_jumps(tree: NamespaceTree, placement: Placement) -> float:

@@ -7,9 +7,8 @@ hot path. Metrics are keyed by ``(name, sorted labels)``, so asking twice
 returns the same instance.
 
 Everything is driven by *simulated* time supplied by the caller — no metric
-ever reads a wall clock — and a registry created with ``enabled=False``
-hands out shared no-op instances whose update methods do nothing, so
-disabled telemetry costs one attribute load and a predicate per call site.
+ever reads a wall clock. Disabled telemetry asks for no metric: every call
+site checks ``Telemetry.enabled`` first.
 """
 
 from __future__ import annotations
@@ -72,10 +71,6 @@ class Gauge:
         """Overwrite the gauge."""
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Shift the gauge by ``amount`` (may be negative)."""
-        self.value += amount
-
 
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics).
@@ -121,49 +116,15 @@ class Histogram:
         return out
 
 
-class _NullMetric:
-    """Shared do-nothing stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-    kind = "null"
-    name = ""
-    labels: Labels = ()
-    value = 0.0
-    count = 0
-    sum = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def cumulative(self) -> List[Tuple[float, int]]:
-        return []
-
-
-_NULL_METRIC = _NullMetric()
-
-
 class MetricsRegistry:
-    """Home of every metric a run produces.
+    """Home of every metric a run produces."""
 
-    ``enabled=False`` turns the registry into a sink: every factory call
-    returns the shared no-op metric and :meth:`collect` yields nothing.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, Labels], object] = {}
         self._help: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     def _get(self, cls, name: str, help: str, labels: Dict[str, object], **kw):
-        if not self.enabled:
-            return _NULL_METRIC
         key = (name, _labels(labels))
         metric = self._metrics.get(key)
         if metric is None:
@@ -206,6 +167,3 @@ class MetricsRegistry:
     def help_text(self, name: str) -> str:
         """The help string registered for ``name`` (may be empty)."""
         return self._help.get(name, "")
-
-    def __len__(self) -> int:
-        return len(self._metrics)

@@ -100,7 +100,7 @@ class Telemetry:
     run_info: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.registry = MetricsRegistry(enabled=self.enabled)
+        self.registry = MetricsRegistry()
         self.events: List[TraceEvent] = []
         self.samples: List[Sample] = []
         #: Attached span recorder (repro.obs.spans), or None. Spans ride
@@ -241,7 +241,8 @@ class OpEvents:
     :meth:`repro.chaos.history.OpHistory.listen`): one compact ``op_*``
     event per invoke / retry / ok / fail record, ``(record index, t, op id,
     event name, *fields)``, and the count of records heard, which stamps
-    the mark of everything telemetry emits."""
+    the mark of everything telemetry emits. Only the simulator attaches
+    it, and the simulator's log holds no ``indeterminate`` record."""
 
     __slots__ = ("events", "records")
 
@@ -265,9 +266,6 @@ class OpEvents:
 
     def fail(self, op_id, client, t, server, attempts, jumps) -> None:
         self.events.append((self.records, t, op_id, "op_failed", server, attempts))
-        self.records += 1
-
-    def indeterminate(self, op_id, client, t, attempts, jumps) -> None:
         self.records += 1
 
     def wipe(self, server, t) -> None:

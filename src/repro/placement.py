@@ -148,20 +148,6 @@ class Placement:
         self.version += len(changed) + 1
         return moves
 
-    def grow(self, capacity: float = 1.0) -> int:
-        """Add one empty server to the cluster; returns its index.
-
-        Existing assignments are untouched — the newcomer acquires load
-        through the scheme's own rebalancing path.
-        """
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.num_servers += 1
-        self.capacities.append(float(capacity))
-        self._all = tuple(range(self.num_servers))
-        self.version += 1
-        return self.num_servers - 1
-
     def _check_server(self, server: int) -> None:
         if not 0 <= server < self.num_servers:
             raise ValueError(f"server index {server} out of range")
@@ -276,9 +262,6 @@ class Placement:
         one root per placed node."""
         return (), ((n.path, servers[0]) for n, servers in self._servers_of.items())
 
-    def __len__(self) -> int:
-        return len(self._servers_of)
-
     # ------------------------------------------------------------------
     # Metrics support
     # ------------------------------------------------------------------
@@ -355,9 +338,6 @@ class Migration:
         self.source = source
         self.target = target
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Migration({self.node.path!r}: {self.source} -> {self.target})"
-
 
 class MetadataScheme(ABC):
     """A metadata partitioning policy.
@@ -392,24 +372,16 @@ class MetadataScheme(ABC):
         """
         return []
 
+    @abstractmethod
     def place_created(
         self,
         tree: NamespaceTree,
         placement: Placement,
         node: MetadataNode,
     ) -> int:
-        """Place a node created after the initial partition; returns its server.
-
-        The default policy co-locates the newcomer with its parent — the
-        natural choice for any tree-partitioning scheme. Hash-keyed schemes
-        override this with their hash function.
-        """
-        parent = node.parent
-        while parent is not None and not placement.is_placed(parent):
-            parent = parent.parent
-        server = placement.primary_of(parent) if parent is not None else 0
-        placement.assign(node, server)
-        return server
+        """Place a node created after the initial partition; returns its
+        server. Tree schemes co-locate it with its subtree, hash-keyed ones
+        hash it."""
 
     # ------------------------------------------------------------------
     # Construction/serialization surface (the scheme-registry contract)
@@ -456,6 +428,3 @@ class MetadataScheme(ABC):
         configuration).
         """
         return type(self).from_params(self.params())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name!r}>"

@@ -86,7 +86,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.transport.base import mds_addr, mon_addr
 
@@ -418,22 +418,5 @@ class FaultPlan:
             key=lambda e: e.at_time,
         )
 
-    def servers(self) -> List[int]:
-        """All metadata servers any event targets directly."""
-        return sorted({
-            e.server
-            for e in self.events
-            if e.server >= 0 and e.kind not in _MONITOR_KINDS
-        })
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self.events)
-
     def __bool__(self) -> bool:
         return bool(self.events)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultPlan({list(self.events)!r})"

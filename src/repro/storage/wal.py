@@ -37,9 +37,8 @@ stopped the scan; recovery truncates the file back to that prefix instead
 of replaying garbage (see ``docs/DURABILITY.md``).
 
 Sync model: :meth:`WalFile.write_frame` frames a payload and writes it
-with one unbuffered ``write``; with ``sync`` (or a later
-:meth:`WalFile.sync`) it advances ``durable_offset``, the byte boundary that
-crash faults must respect. The simulator syncs before any state an
+with one unbuffered ``write``; with ``sync`` it advances
+``durable_offset``, the byte boundary that crash faults must respect. The simulator syncs before any state an
 operation's client acknowledgment depends on — fsync-before-ack — so
 injected torn/corrupt tails can only ever damage *unacknowledged* state.
 Real ``os.fsync`` is opt-in (``fsync=True``): the simulated crashes are
@@ -251,7 +250,7 @@ class WalFile:
     path:
         The log file (created empty if missing).
     fsync:
-        Call ``os.fsync`` on :meth:`sync` (off by default — see module
+        Call ``os.fsync`` on a synced write (off by default — see module
         docstring).
     """
 
@@ -271,16 +270,11 @@ class WalFile:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def append(self, record: Record, sync: bool = False) -> int:
-        """Append one record; returns the bytes written."""
-        return self.write_frame(pack_record(record), sync)
-
     def write_frame(self, payload: bytes, sync: bool) -> int:
         """Frame ``payload`` as one record, write it whole and count it;
         ``sync`` also advances the durable boundary over it. Returns the
         bytes written. Every ack takes this path, so the write and the
-        sync are inline here rather than calls to :meth:`_write` and
-        :meth:`sync`."""
+        sync are inline here."""
         frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         written = self._handle.write(frame)
         while written < len(frame):  # a short write(2): finish the frame
@@ -299,13 +293,6 @@ class WalFile:
         while written < len(data):  # a short write(2): finish the frame
             written += self._handle.write(data[written:])
         self.size += written
-
-    def sync(self) -> None:
-        """Advance the durable boundary over everything appended so far."""
-        if self._fsync:
-            os.fsync(self._handle.fileno())
-        self.durable_offset = self.size
-        self.fsyncs += 1
 
     def _truncate(self, size: int) -> None:
         self._handle.truncate(size)
@@ -406,6 +393,3 @@ class WalFile:
     def close(self) -> None:
         """Close the underlying handle (idempotent)."""
         self._handle.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WalFile({self.path!r}, appends={self.appends})"

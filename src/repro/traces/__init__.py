@@ -13,7 +13,6 @@ from repro.traces.datasets import (
     PAPER_TRACE_SIZES_GB,
     PROFILES,
     DatasetProfile,
-    all_profiles,
 )
 from repro.traces.generator import (
     GeneratedWorkload,
@@ -40,7 +39,6 @@ __all__ = [
     "TraceGenerator",
     "TraceRecord",
     "ZipfSampler",
-    "all_profiles",
     "dumps_trace",
     "iter_op_batches",
     "load_trace",

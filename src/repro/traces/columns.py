@@ -49,9 +49,6 @@ class OpBatch:
         self.op_codes = op_codes
         self.nodes = nodes
 
-    def __len__(self) -> int:
-        return len(self.op_codes)
-
     def ops(self) -> List[OpType]:
         """Decode the op-code column back to enum members (index-parallel)."""
         decode = OP_FROM_CODE

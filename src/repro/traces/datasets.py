@@ -23,11 +23,10 @@ not change who wins or where crossovers fall — only the mix and skew do).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 __all__ = [
     "DatasetProfile", "DEFAULT_SCALE", "PAPER_RECORD_COUNTS", "PROFILES",
-    "all_profiles",
 ]
 
 #: Fraction of the paper's record counts generated by default (1e-3 keeps a
@@ -214,14 +213,3 @@ PROFILES: Dict[str, Callable[..., DatasetProfile]] = {
     "lmbe": DatasetProfile.lmbe,
     "ra": DatasetProfile.ra,
 }
-
-
-def all_profiles(
-    num_nodes: int = 20_000, scale: float = DEFAULT_SCALE
-) -> Tuple[DatasetProfile, DatasetProfile, DatasetProfile]:
-    """The three paper traces in Table I order."""
-    return (
-        DatasetProfile.dtr(num_nodes, scale),
-        DatasetProfile.lmbe(num_nodes, scale),
-        DatasetProfile.ra(num_nodes, scale),
-    )

@@ -22,7 +22,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.namespace import split_path
 
 __all__ = ["OpType", "TraceRecord", "Trace", "OP_CODES", "OP_FROM_CODE", "OP_VALUES"]
 
@@ -39,11 +38,6 @@ class OpType(enum.Enum):
     WRITE = "write"
     UPDATE = "update"
     CREATE = "create"
-
-    @property
-    def is_query(self) -> bool:
-        """Reads and writes are plain metadata queries (Sec. VI, Datasets)."""
-        return self in (OpType.READ, OpType.WRITE)
 
 
 #: Op-type enum member -> one-byte column code.
@@ -142,27 +136,8 @@ class Trace:
         trace.paths = list(ids)
         return trace
 
-    @classmethod
-    def from_records(
-        cls, name: str, records: Iterable[TraceRecord], description: str = ""
-    ) -> "Trace":
-        """Build the columns from :class:`TraceRecord` rows."""
-        return cls.from_rows(
-            name,
-            ((r.timestamp, OP_CODES[r.op], r.client_id, r.path) for r in records),
-            description,
-        )
-
     def __len__(self) -> int:
         return len(self.op_codes)
-
-    def __getitem__(self, index: int) -> TraceRecord:
-        return TraceRecord(
-            self.timestamps[index],
-            OP_FROM_CODE[self.op_codes[index]],
-            self.paths[self.path_ids[index]],
-            self.client_ids[index],
-        )
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return map(
@@ -178,22 +153,11 @@ class Trace:
         """Every row, as a list (built on each read)."""
         return list(self)
 
-    @property
-    def duration(self) -> float:
-        """Time span covered by the trace (seconds)."""
-        if not self.timestamps:
-            return 0.0
-        return self.timestamps[-1] - self.timestamps[0]
-
     def operation_breakdown(self) -> Dict[OpType, float]:
         """Fraction of each operation type (the Table II rows)."""
         counts = Counter(self.op_codes)
         total = len(self) or 1
         return {op: counts[code] / total for code, op in enumerate(OP_FROM_CODE)}
-
-    def max_depth(self) -> int:
-        """Deepest path referenced by the trace (Table I's Max Depth)."""
-        return max((len(split_path(path)) for path in self.paths), default=0)
 
     def slice(self, start: int, stop: Optional[int] = None) -> "Trace":
         """Sub-trace covering operations ``[start:stop]``."""

@@ -177,10 +177,6 @@ class FaultFabric:
             self._partitions.pop(name, None)
         self._refresh()
 
-    def partitions(self) -> Tuple[str, ...]:
-        """Names of the currently active partitions."""
-        return tuple(self._partitions)
-
     # ------------------------------------------------------------------
     # Reachability / loss / delay primitives
     # ------------------------------------------------------------------

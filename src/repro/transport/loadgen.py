@@ -127,10 +127,6 @@ class LoadReport:
     redirects = property(lambda self: self.history.jumps)
     #: ``ok.t - invoke.t`` of the acked ops, in ack order.
     latencies = property(lambda self: self.history.latencies)
-    acked_ids = property(lambda self: self.history.outcome_ids("ok"))
-    indeterminate_ids = property(
-        lambda self: self.history.outcome_ids("indeterminate")
-    )
 
     @property
     def throughput(self) -> float:

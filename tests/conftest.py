@@ -6,7 +6,7 @@ import pytest
 
 from repro.chaos.harness import check_run
 from repro.core import NamespaceTree
-from repro.traces import DatasetProfile, OpType, Trace, TraceGenerator, TraceRecord
+from repro.traces import OP_CODES, DatasetProfile, OpType, Trace, TraceGenerator, TraceRecord
 
 
 def build_sample_tree() -> NamespaceTree:
@@ -85,11 +85,18 @@ def post_order_totals(tree: NamespaceTree, individual) -> list:
     return totals
 
 
+def trace_of(name, records, description="") -> Trace:
+    """A trace's columns built from hand-written ``TraceRecord`` rows."""
+    return Trace.from_rows(
+        name,
+        ((r.timestamp, OP_CODES[r.op], r.client_id, r.path) for r in records),
+        description,
+    )
+
+
 def ops_trace(ops) -> Trace:
     """A trace of ``(path, op_value)`` pairs: op ``i`` has op_id ``i``."""
-    return Trace.from_records(
-        "ops", [TraceRecord(0.0, OpType(op), path) for path, op in ops]
-    )
+    return trace_of("ops", [TraceRecord(0.0, OpType(op), path) for path, op in ops])
 
 
 def live_audit(cluster, generator):
@@ -123,3 +130,8 @@ def tiny_dtr_workload():
 def tiny_lmbe_workload():
     profile = DatasetProfile.lmbe(num_nodes=1200, scale=3e-5)
     return TraceGenerator(profile, num_clients=20).generate()
+
+
+def index_size(index) -> int:
+    """Entries a ``RoutingIndex`` holds: global-layer paths plus subtree roots."""
+    return len(index.global_layer) + len(index.roots)

@@ -80,7 +80,7 @@ def test_zero_popularity_subtrees_round_robin():
 
 def test_relative_loads():
     result = mirror_division([4, 4], [2, 2])
-    assert result.relative_loads() == [pytest.approx(2.0), pytest.approx(2.0)]
+    assert result.loads == [pytest.approx(4.0), pytest.approx(4.0)]
 
 
 def test_sampled_matches_exact_with_many_samples():

@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis import (
     EmpiricalCDF,
-    Histogram,
     RandomWalkSampler,
     balance_bound,
     dkw_confidence,
@@ -42,20 +41,6 @@ def test_cdf_empty_rejected():
         EmpiricalCDF([])
 
 
-def test_cdf_quantile_inverse():
-    cdf = EmpiricalCDF([1, 2, 3, 4])
-    assert cdf.quantile(0.25) == 1
-    assert cdf.quantile(0.5) == 2
-    assert cdf.quantile(1.0) == 4
-    assert cdf.quantile(0.0) == 1
-
-
-def test_cdf_quantile_validation():
-    cdf = EmpiricalCDF([1])
-    with pytest.raises(ValueError):
-        cdf.quantile(1.5)
-
-
 def test_cdf_sup_distance_self_zero():
     cdf = EmpiricalCDF([1, 2, 3])
     assert cdf.sup_distance(cdf) == 0.0
@@ -65,42 +50,6 @@ def test_cdf_sup_distance_symmetry():
     a = EmpiricalCDF([1, 2, 3, 4])
     b = EmpiricalCDF([2, 3, 4, 5])
     assert a.sup_distance(b) == pytest.approx(b.sup_distance(a))
-
-
-# ----------------------------------------------------------------------
-# Histogram (Def. 6)
-# ----------------------------------------------------------------------
-def test_histogram_equiprobable_bins():
-    rng = random.Random(1)
-    samples = [rng.random() for _ in range(5000)]
-    hist = Histogram.from_samples(samples, bins=10)
-    assert len(hist.boundaries) == 11
-    assert hist.delta == pytest.approx(0.1)
-
-
-def test_histogram_interval_of_clamps():
-    hist = Histogram(boundaries=[0.0, 1.0, 2.0])
-    assert hist.interval_of(-5) == 0
-    assert hist.interval_of(0.5) == 0
-    assert hist.interval_of(1.5) == 1
-    assert hist.interval_of(99) == 1
-
-
-def test_histogram_cdf_limits():
-    hist = Histogram(boundaries=[0.0, 1.0, 2.0])
-    assert hist.cdf(-1) == 0.0
-    assert hist.cdf(5) == 1.0
-    assert hist.cdf(1.0) == pytest.approx(0.5)
-
-
-def test_histogram_cdf_piecewise_linear():
-    hist = Histogram(boundaries=[0.0, 2.0])
-    assert hist.cdf(1.0) == pytest.approx(0.5)
-
-
-def test_histogram_validation():
-    with pytest.raises(ValueError):
-        Histogram.from_samples([1.0], bins=0)
 
 
 # ----------------------------------------------------------------------
@@ -163,10 +112,6 @@ def test_pool_sampling_validation():
         sampler.sample_pool([], 1)
     with pytest.raises(ValueError):
         sampler.sample_pool([1], -1)
-
-
-
-
 
 
 # ----------------------------------------------------------------------

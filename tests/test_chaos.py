@@ -66,7 +66,7 @@ def test_generate_plan_is_deterministic_and_round_trips():
 def test_generate_plan_schedules_are_closed(seed):
     # The generator appends events in (degradation, recovery) pairs.
     plan = generate_plan(seed, 2000, 6, 3)
-    events = list(plan)
+    events = list(plan.events)
     assert 6 <= len(events) <= 12 and len(events) % 2 == 0  # 3-6 pairs
     for opener, closer in zip(events[::2], events[1::2]):
         assert opener.at_ops < closer.at_ops
@@ -87,7 +87,7 @@ def test_generate_plan_schedules_are_closed(seed):
 def test_generate_plan_caps_concurrent_crashes(seed):
     num_servers = 5
     plan = generate_plan(seed, 2000, num_servers, 3)
-    events = list(plan)
+    events = list(plan.events)
     windows = [
         (opener.at_ops, closer.at_ops)
         for opener, closer in zip(events[::2], events[1::2])

@@ -12,7 +12,7 @@ import re
 import pytest
 
 from repro.chaos.harness import check_state_invariants
-from repro.chaos.history import HistorySink, OpHistory
+from repro.chaos.history import OpHistory
 from repro.cluster import MetadataServer, MonitorGroup
 from repro.cluster.control import ClusterControl
 from repro.core import D2TreeScheme
@@ -20,8 +20,10 @@ from repro.obs.spans import SpanRecorder
 from repro.placement import DEAD_CAPACITY
 from repro.simulation import FaultEvent, FaultKind, mds_addr, mon_addr
 from repro.storage import make_store
+from repro.traces import DatasetProfile, load_workload
 from repro.transport import FaultFabric
 from tests.conftest import build_random_tree
+from tests.history_sink import HistorySink
 
 SERVERS = 4
 TIMEOUT = 1.0
@@ -241,6 +243,45 @@ def test_a_heartbeat_in_flight_across_a_crash_does_not_resurrect(cluster):
     cluster.control.round(1.6)
     assert not cluster.servers[0].alive and cluster.group.is_dead(0)
     assert cluster.control.availability.rejoins == 0
+
+
+@pytest.mark.parametrize("down, back", [
+    ("monitor_crash:0", "monitor_recover:0"),
+    ("partition:{m0}|{0,1,2,m1,m2}", "heal:*"),
+])
+def test_a_leader_outage_no_round_saw_restarts_the_clocks(down, back):
+    """Live's order: a round may run before its step's beats. The leader
+    crashes after one round and is back before the next, so no lease tick
+    sees it down, yet the beats of that window were lost: the clocks must
+    restart on its return, or every live server is falsely evicted."""
+    tree = load_workload(DatasetProfile.dtr(num_nodes=120, scale=1e-6)).tree
+    scheme = D2TreeScheme()
+    placement = scheme.partition(tree, 3)
+    network = FaultFabric(seed=5)
+    group = MonitorGroup(
+        scheme, tree, placement, replicas=3, heartbeat_timeout=1.0,
+        lease_timeout=2.0, expected_servers=range(3), network=network,
+    )
+    servers = [MetadataServer(sid) for sid in range(3)]
+    control = ClusterControl(
+        servers, placement, group, network, None, on_moves=lambda moves, now: None,
+    )
+
+    def monitor_fault(spec, now):
+        control.apply_fault(FaultEvent.parse(f"{spec}@t={now}"), now)
+
+    control.beat(0.4)
+    control.round(0.4)
+    control.round(0.8)
+    monitor_fault(down, 0.8)
+    assert control.beat(0.8) == 0
+    assert control.beat(1.2) == 0
+    monitor_fault(back, 1.2)
+    control.round(1.2)
+    control.round(1.6)
+    assert not any(group.is_dead(sid) for sid in range(3))
+    assert control.availability.false_detections == 0
+    assert group.epoch == 1
 
 
 # ----------------------------------------------------------------------

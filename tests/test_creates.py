@@ -56,11 +56,6 @@ def test_create_fraction_zero_by_default():
     assert all(r.op is not OpType.CREATE for r in workload.trace.records)
 
 
-def test_create_is_not_a_query():
-    assert not OpType.CREATE.is_query
-    assert not OpType.UPDATE.is_query
-
-
 # ----------------------------------------------------------------------
 # place_created policies
 # ----------------------------------------------------------------------

@@ -69,7 +69,7 @@ def run_sim(workload, plan, store, seed=5, store_dir=None):
 def test_new_fault_kinds_parse_and_round_trip():
     specs = ["kill9:1@ops=100", "torn_write:2@ops=150", "corrupt_record:0@t=3"]
     plan = FaultPlan.parse(specs)
-    kinds = [event.kind for event in plan]
+    kinds = [event.kind for event in plan.events]
     assert kinds == [
         FaultKind.KILL9, FaultKind.TORN_WRITE, FaultKind.CORRUPT_RECORD,
     ]
@@ -81,13 +81,13 @@ def test_generated_plans_gate_durability_kinds():
     plain = {
         event.kind.value
         for seed in range(20)
-        for event in generate_plan(seed, 2000, 6, 3)
+        for event in generate_plan(seed, 2000, 6, 3).events
     }
     assert not plain & kill_kinds  # existing seeds are byte-stable
     durable = {
         event.kind.value
         for seed in range(20)
-        for event in generate_plan(seed, 2000, 6, 3, durability=True)
+        for event in generate_plan(seed, 2000, 6, 3, durability=True).events
     }
     assert durable & kill_kinds
 

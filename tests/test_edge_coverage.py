@@ -1,8 +1,7 @@
-"""Edge-case tests across modules (formatting, degenerate inputs, growth)."""
+"""Edge-case tests across modules (formatting, degenerate inputs)."""
 
 import pytest
 
-from repro.baselines import HashScheme
 from repro.core import D2TreeScheme, NamespaceTree
 from repro.metrics import MetricsReport, evaluate_placement
 from repro.placement import Placement
@@ -49,19 +48,6 @@ def test_latency_percentiles_single_sample():
 
 
 # ----------------------------------------------------------------------
-# Growth on plain placements
-# ----------------------------------------------------------------------
-def test_generic_grow_extends_indexable_range():
-    tree = build_random_tree(100)
-    placement = HashScheme().partition(tree, 2)
-    new = placement.grow(capacity=2.0)
-    assert new == 2
-    placement.assign(tree.root, new)
-    assert placement.primary_of(tree.root) == 2
-    assert placement.capacities == [1.0, 1.0, 2.0]
-
-
-# ----------------------------------------------------------------------
 # Trace / workload degenerate cases
 # ----------------------------------------------------------------------
 def test_trace_rounds_more_than_records():
@@ -101,9 +87,3 @@ def test_d2_promotion_noop_without_subtrees():
     scheme = D2TreeScheme(global_layer_fraction=1.0)
     placement = scheme.partition(tree, 2)
     assert scheme.rebalance(tree, placement) == []
-
-
-def test_locks_contention_no_acquisitions():
-    from repro.cluster import LockManager
-
-    assert LockManager().contention() == 0.0

@@ -194,46 +194,3 @@ def test_bounded_replication_still_complete(tree):
     # With a single GL copy, GL queries all land on one server.
     gl_servers = {placement.primary_of(n) for n in placement.split.global_layer}
     assert len(gl_servers) == 1
-
-
-# ----------------------------------------------------------------------
-# Cluster growth
-# ----------------------------------------------------------------------
-def test_add_server_extends_cluster(tree):
-    scheme = D2TreeScheme(global_layer_fraction=0.05)
-    placement = scheme.partition(tree, 3)
-    new = placement.add_server()
-    assert new == 3
-    assert placement.num_servers == 4
-    # Fully-replicated global layer follows the cluster.
-    for node in placement.split.global_layer:
-        assert new in placement.servers_of(node)
-
-
-def test_add_server_bounded_replication_stays_bounded(tree):
-    scheme = D2TreeScheme(global_layer_fraction=0.05, replication_factor=2)
-    placement = scheme.partition(tree, 4)
-    new = placement.add_server()
-    for node in placement.split.global_layer:
-        assert new not in placement.servers_of(node)
-        assert len(placement.servers_of(node)) == 2
-
-
-def test_new_server_pulls_load_via_rebalance(tree):
-    scheme = D2TreeScheme(global_layer_fraction=0.05, imbalance_tolerance=0.05)
-    placement = scheme.partition(tree, 3)
-    new = placement.add_server()
-    assert placement.local_loads()[new] == 0.0
-    for _ in range(5):
-        if not scheme.rebalance(tree, placement):
-            break
-    loads = placement.local_loads()
-    assert loads[new] > 0.0
-    assert loads[new] >= 0.3 * (sum(loads) / placement.num_servers)
-
-
-def test_grow_validation(tree):
-    scheme = D2TreeScheme(global_layer_fraction=0.05)
-    placement = scheme.partition(tree, 3)
-    with pytest.raises(ValueError):
-        placement.grow(capacity=0.0)

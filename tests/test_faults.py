@@ -201,8 +201,7 @@ def test_fault_plan_ordering_and_servers():
     )
     assert [e.at_ops for e in schedule.by_ops()] == [100, 900]
     assert [e.at_time for e in schedule.by_time()] == [0.5, 2.0]
-    assert schedule.servers() == [0, 1, 2]
-    assert len(schedule) == 4 and bool(schedule)
+    assert len(schedule.events) == 4 and bool(schedule)
     assert not FaultPlan()
 
 

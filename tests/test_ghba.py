@@ -70,14 +70,13 @@ def test_lookup_finds_every_stored_path(directory):
     sample = rng.sample(list(tree.nodes), 60)
     for node in sample:
         result = ghba.lookup(node.path, from_server=rng.randrange(8))
-        assert result.found
         assert result.server == placement.primary_of(node)
 
 
 def test_lookup_missing_path_exhausts_stages(directory):
     _tree, placement, ghba = directory
     result = ghba.lookup("/definitely/not/stored.bin", from_server=0)
-    assert not result.found
+    assert result.server is None
     assert result.stage == "broadcast"
     assert result.messages >= placement.num_servers
 

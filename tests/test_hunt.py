@@ -163,7 +163,7 @@ def test_hunt_finds_shrinks_and_replays_planted_bug(
 
     # Shrunk to a minimal counterexample: one kill9-family event.
     assert finding.shrink is not None
-    assert len(finding.shrink.plan) <= 3
+    assert len(finding.shrink.plan.events) <= 3
     assert not finding.shrink.truncated
     kinds = {e.kind.value for e in finding.shrink.plan.events}
     assert kinds <= {"kill9", "torn_write", "corrupt_record"}

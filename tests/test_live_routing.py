@@ -12,15 +12,15 @@ import dataclasses
 import pytest
 
 from repro import registry
-from repro.chaos.history import HistorySink
 from repro.cluster.index import RoutingIndex, covering_entry
 from repro.cluster.messages import ClientRequest, Directive
 from repro.traces import DatasetProfile, OpType, load_workload
 from repro.transport.live import LiveCluster, LiveConfig
 from repro.transport.loadgen import LoadConfig, LoadGenerator
-from tests.conftest import live_audit, ops_trace
+from tests.conftest import index_size, live_audit, ops_trace
 from repro.transport.serve import serve_workload
 from repro.transport.wire import encode_frame
+from tests.history_sink import HistorySink
 
 NUM_SERVERS = 4
 SEED = 7
@@ -52,7 +52,7 @@ def _with_cluster(workload, body, scheme="d2-tree"):
         try:
             # start() returns once the boot broadcast is sent, not applied.
             for _ in range(500):
-                if all(len(mds.index) for mds in cluster.servers):
+                if all(index_size(mds.index) for mds in cluster.servers):
                     break
                 await asyncio.sleep(0.01)
             return await body(cluster)
@@ -288,7 +288,7 @@ def test_directive_and_mds_state_scale_with_the_index_not_the_tree():
         async def body(cluster):
             directive = cluster._ownership_directive(0.0)
             frame = encode_frame(directive.to_wire())
-            return cluster.placement, [len(s.index) for s in cluster.servers], len(frame)
+            return cluster.placement, [index_size(s.index) for s in cluster.servers], len(frame)
 
         return _with_cluster(workload, body)
 

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import registry
-from repro.chaos.history import HistorySink
 from repro.cluster.messages import ClientReply
 from repro.traces import DatasetProfile, Trace, load_workload
 from repro.transport import CLIENT_ADDR, mds_addr
@@ -27,7 +26,8 @@ from repro.transport.asyncio_net import AsyncioTransport, FrameLink
 from repro.transport.base import FaultFabric
 from repro.transport.live import LiveCluster, LiveConfig
 from repro.transport.loadgen import LoadConfig, LoadGenerator
-from tests.conftest import live_audit, ops_trace
+from tests.conftest import index_size, live_audit, ops_trace
+from tests.history_sink import HistorySink
 
 NUM_SERVERS = 4
 SEED = 7
@@ -56,7 +56,7 @@ def _with_cluster(workload, body, **live):
         try:
             # start() returns once the boot broadcast is sent, not applied.
             for _ in range(500):
-                if all(len(mds.index) for mds in cluster.servers):
+                if all(index_size(mds.index) for mds in cluster.servers):
                     break
                 await asyncio.sleep(0.01)
             result = await body(cluster)
@@ -163,7 +163,7 @@ def test_an_empty_trace_is_an_empty_report(workload):
         return await LoadGenerator(cluster.transport, NUM_SERVERS, Trace("empty")).run()
 
     report, unhandled = _with_cluster(workload, body)
-    assert (report.issued, report.acked, len(report.history)) == (0, 0, 0)
+    assert (report.issued, report.acked, report.history.counts()["events"]) == (0, 0, 0)
     assert unhandled == []
 
 
@@ -303,10 +303,11 @@ def test_full_loss_on_one_server_times_out_and_is_routed_around(
     assert unhandled == [] and violations == []
     assert report.failed == 0
     assert report.acked + report.indeterminate == len(ops)
-    assert 0 in report.indeterminate_ids and 1 in report.acked_ids
-    # Each lost attempt burned a whole timeout, started after its send.
     events = {(e.kind, e.op_id): e for e in sink.events}
-    for op_id in report.indeterminate_ids:
+    lost = [op_id for kind, op_id in events if kind == "indeterminate"]
+    assert 0 in lost and ("ok", 1) in events
+    # Each lost attempt burned a whole timeout, started after its send.
+    for op_id in lost:
         waited = events["indeterminate", op_id].t - events["invoke", op_id].t
         assert waited >= cfg.request_timeout
     # The sweeps expired only the lost attempts — each sent to the victim,
@@ -853,7 +854,7 @@ def test_operations_that_settle_at_once_loop_instead_of_recursing():
 
     report = asyncio.run(go())
     assert (report.failed, report.indeterminate, report.retries) == (len(ops), 0, 0)
-    assert len(report.history) == 2 * len(ops)
+    assert report.history.counts()["events"] == 2 * len(ops)
 
 
 def test_every_dial_refused_fails_each_op_as_unsent_one_dial_per_mds_at_a_time():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import D2TreeScheme, NamespaceTree, split_by_proportion
+from repro.core import D2TreeScheme, NamespaceTree
 from repro.metrics import (
     balance_degree,
     balance_from_placement,
@@ -10,10 +10,7 @@ from repro.metrics import (
     evaluate_scheme,
     ideal_load_factor,
     load_variance,
-    relative_capacities,
     system_locality,
-    update_cost,
-    update_cost_of_split,
     weighted_jumps,
 )
 from repro.placement import Placement
@@ -62,10 +59,6 @@ def test_locality_is_reciprocal_of_weighted_jumps():
     assert system_locality(tree, placement) == pytest.approx(1.0 / wj)
 
 
-
-
-
-
 def test_d2_locality_equals_eq7(random_tree):
     scheme = D2TreeScheme(global_layer_fraction=0.05)
     placement = scheme.partition(random_tree, 4)
@@ -85,14 +78,6 @@ def test_ideal_load_factor_validation():
         ideal_load_factor([1], [1, 2])
     with pytest.raises(ValueError):
         ideal_load_factor([1, 1], [0, 0])
-
-
-def test_relative_capacities_sign_convention():
-    # Re_k = L_k - mu*C_k: positive means heavy.
-    res = relative_capacities([10, 2], [1, 1])
-    assert res[0] > 0
-    assert res[1] < 0
-    assert sum(res) == pytest.approx(0.0)
 
 
 def test_perfectly_balanced_infinite_degree():
@@ -129,21 +114,6 @@ def test_balance_from_placement_normalization(random_tree):
     normalized = balance_from_placement(random_tree, placement, normalize=True)
     raw = balance_from_placement(random_tree, placement, normalize=False)
     assert normalized != raw  # different scales, same ordering semantics
-
-
-# ----------------------------------------------------------------------
-# Update cost
-# ----------------------------------------------------------------------
-def test_update_cost_sums_members(random_tree):
-    split = split_by_proportion(random_tree, 0.05)
-    assert update_cost(split.global_layer) == pytest.approx(
-        sum(n.update_cost for n in split.global_layer)
-    )
-
-
-def test_update_cost_of_split_matches_recorded(random_tree):
-    split = split_by_proportion(random_tree, 0.05)
-    assert update_cost_of_split(split) == split.update_cost
 
 
 # ----------------------------------------------------------------------

@@ -110,9 +110,8 @@ def test_node_ids_dense_and_ordered():
 def test_contains_and_lookup():
     tree = NamespaceTree()
     tree.add_path("/x/y.txt")
-    assert "/x/y.txt" in tree
-    assert "/x" in tree
-    assert "/nope" not in tree
+    assert tree.lookup("/x/y.txt").name == "y.txt"
+    assert tree.lookup("/x").is_directory
     assert tree.lookup("/nope") is None
 
 
@@ -170,9 +169,8 @@ def test_files_and_directories():
     tree = NamespaceTree()
     tree.add_path("/a/b.txt")
     tree.add_path("/c", is_directory=True)
-    files = tree.files()
     dirs = tree.directories()
-    assert [f.path for f in files] == ["/a/b.txt"]
+    assert [n.path for n in tree if not n.is_directory] == ["/a/b.txt"]
     assert {d.path for d in dirs} == {"/", "/a", "/c"}
 
 

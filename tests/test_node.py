@@ -46,7 +46,7 @@ def test_add_child_to_file_rejected():
     f = tree.add_child(tree.root, "x.txt", is_directory=False)
     with pytest.raises(ValueError):
         tree.add_child(f, "y")
-    assert not f.children and "/x.txt/y" not in tree
+    assert not f.children and tree.lookup("/x.txt/y") is None
 
 
 def test_negative_popularity_rejected():

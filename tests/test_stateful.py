@@ -2,7 +2,7 @@
 
 Drives a placement through random sequences of the operations a live
 cluster performs — subtree moves, promotions, demotions, popularity shifts,
-rebalances, server additions and failures — and checks the structural
+rebalances and failures — and checks the structural
 invariants after every step:
 
 * every live node is placed (Eq. 4);
@@ -76,12 +76,6 @@ class D2PlacementMachine(RuleBasedStateMachine):
     @rule()
     def rebalance(self):
         self.scheme.rebalance(self.tree, self.placement)
-
-    @rule()
-    def add_a_server(self):
-        if self.placement.num_servers >= 8:
-            return
-        self.placement.add_server()
 
     @rule()
     def fail_a_server(self):

@@ -101,7 +101,7 @@ def test_misfit_record_is_a_value_error_and_writes_nothing(record, tmp_path):
         pack_record(record)
     wal = WalFile(str(tmp_path / "a.log"))
     with pytest.raises(ValueError):
-        wal.append(record, sync=True)
+        wal.write_frame(pack_record(record), True)
     assert wal.size == 0 and wal.appends == 0 and wal.durable_offset == 0
     assert os.path.getsize(wal.path) == 0
     wal.close()
@@ -125,7 +125,7 @@ def test_checksummed_but_undecodable_record_is_corrupt(payload, tmp_path):
     # In a log it is damage like any other: the verdict is `corrupt`, the
     # records before it survive, it and everything behind it is truncated.
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append(("ack", 0, 0.0, "/f"), sync=True)
+    wal.write_frame(pack_record(("ack", 0, 0.0, "/f")), True)
     clean = wal.size
     with open(wal.path, "ab") as raw:
         raw.write(encode_record(payload) + encode_record(pack_record(("fence", 9, 1.0))))
@@ -135,7 +135,7 @@ def test_checksummed_but_undecodable_record_is_corrupt(payload, tmp_path):
     assert scan.reason == CORRUPT and scan.clean_length == clean
     assert scan.dropped_bytes == damaged - clean
     assert os.path.getsize(wal.path) == clean == wal.size
-    wal.append(("ack", 1, 1.0, "/g"), sync=True)
+    wal.write_frame(pack_record(("ack", 1, 1.0, "/g")), True)
     records, scan = wal.recover()
     assert [r[1] for r in records] == [0, 1] and not scan.truncated
     wal.close()
@@ -146,10 +146,10 @@ def test_unknown_kind_byte_is_skipped(tmp_path):
     # later vocabulary still replays what this reader understands.
     assert unpack_record(b"\x63from-the-future") is None
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append(("ack", 0, 0.0, "/f"), sync=True)
+    wal.write_frame(pack_record(("ack", 0, 0.0, "/f")), True)
     with open(wal.path, "ab") as raw:
         raw.write(encode_record(b"\x63from-the-future"))
-    wal.append(("ack", 1, 1.0, "/g"), sync=True)
+    wal.write_frame(pack_record(("ack", 1, 1.0, "/g")), True)
     records, scan = wal.recover()
     assert [r[1] for r in records] == [0, 1]
     assert not scan.truncated and len(scan.records) == 3
@@ -214,9 +214,9 @@ def test_scan_damage_shadows_later_records():
 # ----------------------------------------------------------------------
 def test_walfile_round_trip(tmp_path):
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append(("fence", 3, 0.5), sync=True)
-    wal.append(("ack", 1, 0.75, "/a"), sync=True)
-    wal.append(("directive", {"epoch": 4, "kind": "rejoin"}), sync=True)
+    wal.write_frame(pack_record(("fence", 3, 0.5)), True)
+    wal.write_frame(pack_record(("ack", 1, 0.75, "/a")), True)
+    wal.write_frame(pack_record(("directive", {"epoch": 4, "kind": "rejoin"})), True)
     records, scan = wal.recover()
     assert records == [
         ("fence", 3, 0.5),
@@ -232,25 +232,25 @@ def test_walfile_tracks_its_own_size_and_sync_boundary(tmp_path):
     # any sync, `size` is counted rather than asked of the handle, and only
     # a sync moves `durable_offset`.
     wal = WalFile(str(tmp_path / "a.log"))
-    first = wal.append(("ack", 0, 0.0, "/f"), sync=True)
+    first = wal.write_frame(pack_record(("ack", 0, 0.0, "/f")), True)
     assert wal.size == wal.durable_offset == first == os.path.getsize(wal.path)
-    second = wal.append(("grant", 1.0, "/s"))
+    second = wal.write_frame(pack_record(("grant", 1.0, "/s")), False)
     assert wal.size == first + second == os.path.getsize(wal.path)
     assert wal.durable_offset == first
-    wal.sync()
+    wal.write_frame(pack_record(("ack", 1, 1.0, "/g")), True)
     assert wal.durable_offset == wal.size
-    assert (wal.appends, wal.fsyncs) == (2, 2)
+    assert (wal.appends, wal.fsyncs) == (3, 2)
     wal.close()
 
 
 def test_walfile_reopen_appends(tmp_path):
     path = str(tmp_path / "a.log")
     first = WalFile(path)
-    first.append(("ack", 1, 0.0, "/a"), sync=True)
+    first.write_frame(pack_record(("ack", 1, 0.0, "/a")), True)
     first.close()
     second = WalFile(path)
     assert second.size == second.durable_offset == os.path.getsize(path)
-    second.append(("ack", 2, 1.0, "/b"), sync=True)
+    second.write_frame(pack_record(("ack", 2, 1.0, "/b")), True)
     records, _ = second.recover()
     assert [r[1] for r in records] == [1, 2]
     second.close()
@@ -259,8 +259,8 @@ def test_walfile_reopen_appends(tmp_path):
 def test_walfile_tear_tail_spares_synced_records(tmp_path):
     wal = WalFile(str(tmp_path / "a.log"))
     for op in range(5):
-        wal.append(("ack", op, 0.0, "/f"), sync=True)
-    wal.append(("grant", 0.0, "/x"))  # unsynced
+        wal.write_frame(pack_record(("ack", op, 0.0, "/f")), True)
+    wal.write_frame(pack_record(("grant", 0.0, "/x")), False)  # unsynced
     assert wal.tear_tail()
     records, scan = wal.recover()
     assert scan.reason == TORN
@@ -273,9 +273,9 @@ def test_walfile_tear_tail_never_scans_clean(tmp_path):
     # The cut must land strictly inside a record: a boundary-aligned cut
     # would read back as a clean, shorter log and recovery would miss it.
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append(("ack", 0, 0.0, "/f"), sync=True)
-    wal.append(("grant", 0.0, "/a"))
-    wal.append(("grant", 0.0, "/b"))
+    wal.write_frame(pack_record(("ack", 0, 0.0, "/f")), True)
+    wal.write_frame(pack_record(("grant", 0.0, "/a")), False)
+    wal.write_frame(pack_record(("grant", 0.0, "/b")), False)
     wal.tear_tail()
     _, scan = wal.recover(repair=False)
     assert scan.truncated
@@ -286,7 +286,7 @@ def test_walfile_tear_tail_on_fully_synced_log(tmp_path):
     # No unsynced span: the fault models a crash mid-append of the *next*
     # record, so a partial junk frame lands past the synced prefix.
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append(("ack", 0, 0.0, "/f"), sync=True)
+    wal.write_frame(pack_record(("ack", 0, 0.0, "/f")), True)
     wal.tear_tail()
     records, scan = wal.recover()
     assert scan.reason == TORN
@@ -296,15 +296,15 @@ def test_walfile_tear_tail_on_fully_synced_log(tmp_path):
 
 def test_walfile_corrupt_tail_detected_and_repaired(tmp_path):
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append(("ack", 0, 0.0, "/f"), sync=True)
-    wal.append(("grant", 0.0, "/x"))
+    wal.write_frame(pack_record(("ack", 0, 0.0, "/f")), True)
+    wal.write_frame(pack_record(("grant", 0.0, "/x")), False)
     assert wal.corrupt_tail()
     records, scan = wal.recover()
     assert scan.reason == CORRUPT
     assert records == [("ack", 0, 0.0, "/f")]
     # Repair physically truncated the file: a fresh scan is clean and the
     # log accepts appends again.
-    wal.append(("ack", 1, 1.0, "/g"), sync=True)
+    wal.write_frame(pack_record(("ack", 1, 1.0, "/g")), True)
     records, scan = wal.recover()
     assert not scan.truncated
     assert [r[1] for r in records] == [0, 1]
@@ -313,7 +313,7 @@ def test_walfile_corrupt_tail_detected_and_repaired(tmp_path):
 
 def test_walfile_corrupt_tail_on_fully_synced_log(tmp_path):
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append(("ack", 0, 0.0, "/f"), sync=True)
+    wal.write_frame(pack_record(("ack", 0, 0.0, "/f")), True)
     wal.corrupt_tail()
     records, scan = wal.recover()
     assert scan.reason == CORRUPT
@@ -323,7 +323,7 @@ def test_walfile_corrupt_tail_on_fully_synced_log(tmp_path):
 
 def test_walfile_reset_empties_log(tmp_path):
     wal = WalFile(str(tmp_path / "a.log"))
-    wal.append(("ack", 1, 0.0, "/f"), sync=True)
+    wal.write_frame(pack_record(("ack", 1, 0.0, "/f")), True)
     wal.reset()
     assert wal.size == 0 and wal.durable_offset == 0
     assert os.path.getsize(wal.path) == 0

@@ -97,14 +97,14 @@ def test_encode_scan_round_trip(items):
 @given(st.lists(any_records, min_size=1, max_size=20))
 @settings(max_examples=200, deadline=None)
 def test_record_round_trip_through_walfile(store_dir, records):
-    """Every kind survives ``WalFile.append`` -> ``recover`` bit for bit:
+    """Every kind survives ``WalFile.write_frame`` -> ``recover`` bit for bit:
     non-ASCII paths, ops and epochs over the whole u64 range, any double."""
     path = os.path.join(store_dir, "roundtrip.log")
     if os.path.exists(path):
         os.unlink(path)
     wal = WalFile(path)
     try:
-        written = sum(wal.append(record, sync=True) for record in records)
+        written = sum(wal.write_frame(pack_record(record), True) for record in records)
         assert written == wal.size == wal.durable_offset == os.path.getsize(path)
         recovered, scan = wal.recover(repair=False)
     finally:
@@ -449,7 +449,7 @@ def test_short_writes_still_end_in_whole_frames(store_dir, records, limit):
     wal._handle = ShortWrites(raw, limit)
     try:
         for record in records:
-            wal.append(record, sync=True)
+            wal.write_frame(pack_record(record), True)
     finally:
         raw.close()
     with open(path, "rb") as handle:

@@ -18,10 +18,11 @@ from repro.traces import (
     loads_trace,
     save_trace,
 )
+from tests.conftest import trace_of
 
 
 def small_trace():
-    return Trace.from_records(
+    return trace_of(
         "sample",
         [
             TraceRecord(0.5, OpType.READ, "/a/b.txt", 1),
@@ -167,7 +168,7 @@ def test_bad_header_names_line_one(text):
     ],
 )
 def test_writer_refuses_what_would_not_read_back(record, tmp_path):
-    trace = Trace.from_records("x", [TraceRecord(0.5, OpType.READ, "/ok", 0), record])
+    trace = trace_of("x", [TraceRecord(0.5, OpType.READ, "/ok", 0), record])
     with pytest.raises(ValueError, match=r"^record 1: "):
         dumps_trace(trace)
     with pytest.raises(ValueError):
@@ -196,7 +197,7 @@ _records = st.builds(
 )
 _names = st.text(st.characters(blacklist_characters="\t\r\n", blacklist_categories=("Cs",)), max_size=8)
 _traces = st.builds(
-    Trace.from_records, name=_names, records=st.lists(_records, max_size=8), description=_names
+    trace_of, name=_names, records=st.lists(_records, max_size=8), description=_names
 )
 
 
@@ -217,7 +218,7 @@ def test_any_trace_roundtrips(trace):
 )
 @example(trace=Trace(name="", description=""), pick=0,
          garbage="\r", mode="splice", at=7)  # a CR inside the header's name
-@example(trace=Trace.from_records("", [TraceRecord(0.0, OpType.READ, "/", 0)]),
+@example(trace=trace_of("", [TraceRecord(0.0, OpType.READ, "/", 0)]),
          pick=1, garbage="1", mode="splice", at=8)  # 0.000000 -> 0.0000001
 def test_single_line_corruption_parses_or_names_its_line(trace, pick, garbage, mode, at):
     """Damage one line of a valid file: the loader either returns a trace

@@ -18,13 +18,13 @@ from repro.traces import (
     OpType,
     Trace,
     TraceRecord,
-    all_profiles,
     dumps_trace,
     iter_op_batches,
     loads_trace,
 )
 from repro.traces.columns import OP_CODES, OpBatch
-from tests.conftest import build_sample_tree
+from repro.traces.stats import analyze_trace
+from tests.conftest import build_sample_tree, trace_of
 
 
 def make_trace(n=10):
@@ -32,16 +32,12 @@ def make_trace(n=10):
         TraceRecord(timestamp=float(i), op=list(OpType)[i % 3], path=f"/f{i % 4}", client_id=i % 2)
         for i in range(n)
     ]
-    return Trace.from_records("t", records)
+    return trace_of("t", records)
 
 
 # ----------------------------------------------------------------------
 # OpType / TraceRecord / Trace
 # ----------------------------------------------------------------------
-def test_optype_query_classification():
-    assert OpType.READ.is_query
-    assert OpType.WRITE.is_query
-    assert not OpType.UPDATE.is_query
 
 
 def test_trace_record_keeps_its_dataclass_contract():
@@ -76,12 +72,6 @@ def test_trace_len_and_iter():
     assert len(list(trace)) == 7
 
 
-def test_trace_duration():
-    trace = make_trace(5)
-    assert trace.duration == pytest.approx(4.0)
-    assert Trace(name="empty").duration == 0.0
-
-
 def test_operation_breakdown_sums_to_one():
     trace = make_trace(30)
     breakdown = trace.operation_breakdown()
@@ -95,7 +85,7 @@ def test_operation_breakdown_empty_trace():
 
 def test_max_depth():
     records = [TraceRecord(0.0, OpType.READ, "/a/b/c.txt")]
-    assert Trace.from_records("t", records).max_depth() == 3
+    assert analyze_trace(trace_of("t", records)).max_depth == 3
 
 
 def test_paths_first_appearance_order():
@@ -136,8 +126,8 @@ def test_iter_op_batches_roundtrip(tiny_dtr_workload):
     batches = list(iter_op_batches(trace, tree, batch_ops=64))
     assert len(batches) == -(-len(trace) // 64)  # order kept across windows
     for batch in batches:
-        assert 0 < len(batch) <= 64
-        assert len(batch.op_codes) == len(batch.nodes) == len(batch)
+        assert 0 < len(batch.op_codes) <= 64
+        assert len(batch.op_codes) == len(batch.nodes)
         assert [OP_CODES[op] for op in batch.ops()] == list(batch.op_codes)
         flat.extend(zip(batch.ops(), (node.path for node in batch.nodes)))
     assert flat == [(r.op, r.path) for r in trace.records]
@@ -151,7 +141,7 @@ def test_iter_op_batches_skips_unresolved():
         TraceRecord(timestamp=1.0, op=OpType.READ, client_id=1, path="/ghost"),
         TraceRecord(timestamp=2.0, op=OpType.UPDATE, client_id=2, path="/known"),
     ]
-    batches = list(iter_op_batches(Trace.from_records("t", records), tree, batch_ops=2))
+    batches = list(iter_op_batches(trace_of("t", records), tree, batch_ops=2))
     paths = [n.path for b in batches for n in b.nodes]
     assert paths == ["/known", "/known"]
     codes = [c for b in batches for c in b.op_codes]
@@ -194,14 +184,13 @@ _rows = st.lists(
     batch_ops=st.integers(1, 9),
 )
 def test_columns_match_a_per_record_reference(records, start, stop, count, batch_ops):
-    trace = Trace.from_records("t", records, "d")
+    trace = trace_of("t", records, "d")
     assert trace.records == list(trace) == records
-    assert [trace[i] for i in range(-len(records), len(records))] == records + records
     assert trace.paths == list(dict.fromkeys(r.path for r in records))
 
     piece = trace.slice(start, stop)
     assert piece.records == records[start:stop]
-    assert piece == Trace.from_records(piece.name, records[start:stop], "d")
+    assert piece == trace_of(piece.name, records[start:stop], "d")
     bounds = [round(i * len(records) / count) for i in range(count + 1)]
     assert [r.records for r in trace.rounds(count)] == [
         records[bounds[i]:bounds[i + 1]] for i in range(count)
@@ -223,14 +212,19 @@ def test_columns_match_a_per_record_reference(records, start, stop, count, batch
 # ----------------------------------------------------------------------
 # DatasetProfile
 # ----------------------------------------------------------------------
+def paper_profiles():
+    """The three paper traces in Table I order."""
+    return tuple(make(2000, 1e-5) for make in (DatasetProfile.dtr, DatasetProfile.lmbe, DatasetProfile.ra))
+
+
 def test_three_paper_profiles():
-    dtr, lmbe, ra = all_profiles(num_nodes=2000, scale=1e-5)
+    dtr, lmbe, ra = paper_profiles()
     assert (dtr.name, lmbe.name, ra.name) == ("DTR", "LMBE", "RA")
     assert (dtr.max_depth, lmbe.max_depth, ra.max_depth) == (49, 9, 13)
 
 
 def test_profile_fractions_sum_to_one():
-    for profile in all_profiles(2000, 1e-5):
+    for profile in paper_profiles():
         total = profile.read_fraction + profile.write_fraction + profile.update_fraction
         assert total == pytest.approx(1.0, abs=1e-6)
 

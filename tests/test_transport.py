@@ -20,7 +20,7 @@ from repro.cluster.messages import ClientRequest, Heartbeat, from_wire
 from repro.simulation import ClusterSimulator
 from repro.transport import CLIENT_ADDR, FaultFabric, mds_addr, mon_addr
 from repro.transport.asyncio_net import AsyncioTransport
-from repro.transport.live import LiveConfig, LiveMDS
+from repro.transport.live import LiveConfig, LiveMDS, _discard
 from repro.transport.wire import LENGTH_PREFIX, FrameError, decode_payload, encode_frame
 
 
@@ -298,6 +298,25 @@ def test_framed_endpoint_round_trip(mode):
             await transport.close()
 
     assert run(go()) == PING
+
+
+def test_a_frame_on_an_outbound_control_link_is_dropped():
+    """Nothing answers on a control link (heartbeats, directives): a peer
+    that writes one anyway is ignored, and the link stays up."""
+    async def go():
+        transport = AsyncioTransport()
+        try:
+            await transport.listen("mds:0", _echo)
+            link = await transport.dial("mds:0", _discard)
+            link.write(encode_frame(PING))      # echoed back, and dropped
+            await asyncio.sleep(0.1)
+            assert not link.closing
+            link.write(encode_frame(PING))
+            link.close()
+        finally:
+            await transport.close()
+
+    run(go())
 
 
 def test_a_crash_aborts_framed_links():

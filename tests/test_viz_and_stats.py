@@ -5,6 +5,7 @@ import pytest
 from repro.traces import DatasetProfile, OpType, Trace, TraceGenerator, TraceRecord
 from repro.traces.stats import TraceStats, analyze_trace, estimate_zipf_exponent
 from repro.viz import AsciiChart, render_series
+from tests.conftest import trace_of
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +153,6 @@ def test_stats_static_trace_no_drift():
     records = [
         TraceRecord(float(i), OpType.READ, "/a/b.txt", 0) for i in range(100)
     ]
-    stats = analyze_trace(Trace.from_records("static", records))
+    stats = analyze_trace(trace_of("static", records))
     assert stats.drift == 0.0
     assert stats.top_share == 1.0

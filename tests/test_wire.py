@@ -42,6 +42,7 @@ from repro.transport.wire import (
     decode_payload,
     encode_frame,
 )
+from tests.conftest import index_size
 
 # Field ranges are the packed widths: i32 / i64 header fields, text whose
 # UTF-8 form fits the u8 (op, status) or u16 (path, root) length field.
@@ -454,7 +455,7 @@ def test_a_garbage_frame_drops_the_connection_not_the_server():
                 writer.close()
             # Nothing was applied: no fence ratchet, no index, no ack.
             assert mds.state.fence_epoch == 0
-            assert len(mds.index) == 0
+            assert index_size(mds.index) == 0
             assert mds.acked == set() and mds.served == 0
             reader, writer = await transport.connect(mds.addr)
             writer.write(encode_frame(to_wire(ClientRequest(9, "/a", "read"))))

@@ -1,15 +1,18 @@
-"""Print the ``src/repro`` functions that no verb, example or experiment enters.
+"""Hold every ``src/repro`` function to being entered by what the system runs.
 
-Runs, in this one process under a ``sys.setprofile`` hook, the ten CLI verbs
-with the flags CI gives them, every example under ``examples/``, and
-``pytest experiments``; then lists every module-level function and method
-of ``src/repro`` whose code never ran, grouped by module, each with its
-line count. It prints and gates nothing (a few minutes on a 2-core host).
+Runs, in this one process under a ``sys.setprofile`` hook, the CLI verbs with
+the flags CI gives them, every example under ``examples/``, ``pytest
+experiments`` and ``pytest perfbench``; then lists every module-level function
+and method of ``src/repro`` whose code never ran, grouped by module, each with
+its line count and the reason :data:`REACHED_BY` gives for keeping it. Exits
+1 when a never-entered function has no reason, or when a ``REACHED_BY`` key is
+entered now or names no function (a few minutes on a 2-core host).
 
     PYTHONPATH=src python tools/never_entered.py
 
-A function a test alone reaches is listed: what the system does is what
-the verbs, examples and experiments run.
+A function a test alone reaches is listed: what the system does is what the
+verbs, examples, experiments and perfbench run. An abstract method has no
+body to enter and is not counted.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ _LIVE = (
 #: verbs, each with CI's flags where CI runs it.
 VERBS = (
     "evaluate --trace dtr --nodes 2000 --scale 1e-4 --json",
+    "evaluate --trace dtr --nodes 2000 --scale 1e-4",
     "simulate --trace dtr --nodes 2000 --scheme d2-tree --fault crash:2@ops=500 --seed 7"
     " --metrics-out {tmp}/run.jsonl --metrics-prom {tmp}/run.prom",
     "report {tmp}/run.jsonl --csv {tmp}/run",
@@ -45,8 +49,15 @@ VERBS = (
     " --fault crash:2@ops=500 --fault recover:2@ops=2000 --metrics-out {tmp}/traced.jsonl",
     "report {tmp}/traced.jsonl --critical-path --critical-json {tmp}/critical.json"
     " --perfetto {tmp}/trace.json",
+    "simulate --trace ra --nodes 2000 --scale 1e-4 --seed 7 --scheme d2-tree --store wal"
+    " --max-retries 0 --trace-sample 10 --fault kill9:1@ops=400 --fault recover:1@ops=900"
+    " --metrics-out {tmp}/failed.jsonl",
+    "report {tmp}/failed.jsonl --perfetto {tmp}/failed-trace.json",
     "simulate --trace ra --nodes 2000 --scale 1e-4 --seed 7 --store wal --json"
     " --fault kill9:1@ops=400 --fault recover:1@ops=900",
+    "simulate --trace ra --nodes 2000 --scale 1e-4 --seed 7 --store wal --json --scheme d2-tree"
+    " --fault kill9:1@ops=400 --fault corrupt_record:2@ops=500 --fault recover:1@ops=900"
+    " --fault recover:2@ops=1000",
     "generate --trace ra --nodes 2000 --scale 1e-4 --seed 7 {tmp}/gen.tsv",
     "stats --input {tmp}/gen.tsv",
     "stats --trace ra --nodes 2000 --scale 1e-4 --seed 7",
@@ -56,6 +67,7 @@ VERBS = (
     "chaos --seeds 5 --ops 2000",
     "chaos --seeds 3 --ops 1500 --store wal --json",
     "hunt --seeds 4 --ops 1500 --trace lmbe --nodes 2000 --scale 1e-4 --store wal",
+    "hunt --seeds 2 --ops 800 --json",
     f"serve {_LIVE} --transport unix --json --fault crash:1@ops=2000 --fault recover:1@ops=6000",
     f"serve {_LIVE} --transport unix --json --fault fail_slow:1@ops=2000:x8"
     " --fault drop_heartbeats:2@ops=3000 --fault recover:1@ops=5000 --fault recover:2@ops=6000",
@@ -66,21 +78,96 @@ VERBS = (
     f"serve {_LIVE} --transport unix --json --fault monitor_crash:0@ops=2000"
     " --fault monitor_recover:0@ops=3200",
     "serve --trace dtr --nodes 1000 --max-ops 1500 --servers 4 --rate 3000 --transport tcp",
+    "serve --trace dtr --nodes 1000 --max-ops 1500 --servers 4 --rate 3000 --scheme static-hash"
+    " --json --fault delay:1@ops=300:d0.002 --fault recover:1@ops=1000",
     "validate --trace dtr --nodes 4000 --scale 3e-4 --max-ops 5000 --rate 4000 --servers 3"
     " --monitors 3 --seed 7 --max-retries 4 --out {tmp}/validate.json",
 )
 
 
+_HUNT = "reached only on a finding: tests/test_hunt.py::test_hunt_finds_shrinks_and_replays_planted_bug"
+
+#: ``module:Qualified.name`` -> why a function no run above enters stays. A
+#: reason is one of: error handling of outside input or of a failed call
+#: (naming the tier-1 test that reaches it); a reference a tier-1 test holds
+#: other code to; the planted-bug hunt test; a named ROADMAP item.
+REACHED_BY: Dict[str, str] = {
+    # The shrinker and the rest of a hunt's finding path.
+    "repro.chaos.shrink:ShrinkResult.specs": _HUNT,
+    "repro.chaos.shrink:ShrinkResult.to_dict": _HUNT,
+    "repro.chaos.shrink:_Prober.__init__": _HUNT,
+    "repro.chaos.shrink:_Prober.fails": _HUNT,
+    "repro.chaos.shrink:_ddmin": _HUNT,
+    "repro.chaos.shrink:_tighten_event": _HUNT,
+    "repro.chaos.shrink:shrink_plan": _HUNT,
+    "repro.cli:_print_finding": _HUNT,
+    "repro.chaos.hunt:promote_findings": "a planted bug's finding written to the corpus:"
+    " tests/test_hunt.py::test_promote_writes_a_loadable_corpus_case",
+    "repro.chaos.corpus:save_case": "a planted bug's finding written to the corpus:"
+    " tests/test_hunt.py::test_promote_writes_a_loadable_corpus_case",
+    # References the tests hold other code to.
+    "repro.chaos.corpus:load_corpus": "reads the committed regression corpus that"
+    " tests/test_corpus.py replays both transports against",
+    "repro.chaos.corpus:CorpusCase.from_dict": "reads a corpus case that tests/test_corpus.py"
+    " replays both transports against (and CI's corpus replay step)",
+    "repro.cluster.client:SimClient.randbelow": "the draw the planner's inlined entry and"
+    " replica picks must equal (tests/test_routing_engine.py)",
+    "repro.simulation.routing:FastRoutingEngine.plan": "the per-op plan that plan_batch and the"
+    " runner's inlined planner are held to (tests/test_routing_engine.py)",
+    "repro.traces.generator:ZipfSampler.sample": "one draw from the cumulative weights the"
+    " generator draws from in batches; tests/test_generator.py holds it to range and skew",
+    "repro.core.node:MetadataNode.subtree_size": "the per-node walk the arena's subtree_sizes"
+    " column is tested against",
+    "repro.analysis.cdf:EmpiricalCDF.sup_distance": "the Kolmogorov distance that Sec. V's"
+    " DKW bound limits, tested against it",
+    "repro.analysis.cdf:dkw_confidence": "Thm. 2's DKW bound, which dkw_epsilon's inversion"
+    " is tested against (tests/test_properties.py::test_dkw_roundtrip)",
+    "repro.baselines.ghba:BloomFilter.theoretical_fp_rate": "the analytic rate the G-HBA"
+    " Bloom filter is tested against",
+    "repro.storage.wal:pack_record": "the by-kind WAL codec the golden log bytes and the"
+    " store's typed appends are held to (tests/test_storage*.py)",
+    # Error handling of outside input or of a failed call.
+    "repro.storage.wal:_misfit": "a record that does not fit the WAL layout:"
+    " tests/test_storage.py::test_misfit_record_is_a_value_error_and_writes_nothing",
+    "repro.cluster.messages:_malformed": "a malformed wire body:"
+    " tests/test_wire.py::test_a_missing_field_is_a_value_error",
+    "repro.cluster.messages:_unencodable": "a message the codec cannot encode:"
+    " tests/test_wire.py::test_an_out_of_range_field_is_a_value_error_at_encode",
+    "repro.transport.asyncio_net:FrameLink._fail": "a hostile or broken frame closes the link:"
+    " tests/test_wire.py::test_a_garbage_frame_drops_the_connection_not_the_server",
+    "repro.transport.loadgen:_ServerConn._send_failed": "a send that fails inside a reply"
+    " callback: tests/test_loadgen.py::"
+    "test_a_send_that_fails_inside_a_reply_callback_spares_the_replying_link",
+    "repro.transport.loadgen:LoadGenerator._abort": "an error inside a load step ends the run:"
+    " tests/test_loadgen.py::test_an_unexpected_error_in_a_callback_ends_run_instead_of_hanging_it",
+    "repro.chaos.history:OpHistory._odd_ack": "an ack the audit must flag (a re-ack, or an ack"
+    " of an op never invoked): tests/test_history.py::test_double_ack_is_flagged",
+    "repro.simulation.runner:ClusterSimulator._create_elsewhere": "a CREATE routed at an"
+    " evicted server: tests/test_routing_engine.py::test_cache_counters_are_pinned[static-hash]",
+    "repro.transport.live:_discard": "a frame a peer writes on an outbound control link, where"
+    " nothing answers: tests/test_transport.py::"
+    "test_a_frame_on_an_outbound_control_link_is_dropped",
+    # Owned by a named ROADMAP item.
+    "repro.bench:machine_score": "perfbench's machine normalisation: ROADMAP item 1",
+    "repro.core.partition:D2TreePlacement.demote_global_node": "behind the off-by-default"
+    " demote_threshold: ROADMAP item 11",
+}
+
+
 def defined_functions() -> Dict[Tuple[str, str], int]:
     """``(module path, qualified name) -> lines`` of every module-level
-    function and (nested-class) method under ``src/repro``; a function
-    nested in a function is part of its parent."""
+    function and (nested-class) method under ``src/repro``, abstract
+    methods aside; a function nested in a function is part of its parent."""
     found: Dict[Tuple[str, str], int] = {}
 
     def visit(body, prefix: str, module: str) -> None:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found[module, prefix + node.name] = node.end_lineno - node.lineno + 1
+                if not any(
+                    getattr(d, "id", getattr(d, "attr", "")) == "abstractmethod"
+                    for d in node.decorator_list
+                ):
+                    found[module, prefix + node.name] = node.end_lineno - node.lineno + 1
             elif isinstance(node, ast.ClassDef):
                 visit(node.body, f"{prefix}{node.name}.", module)
 
@@ -114,13 +201,19 @@ def run_everything(entered: Set) -> None:
         import pytest
 
         with contextlib.redirect_stdout(io.StringIO()):
-            pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "experiments")])
+            for suite in ("experiments", "perfbench"):
+                pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / suite)])
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
 
 
-def main() -> None:
+def reached_by_key(module: str, name: str) -> str:
+    """``repro/chaos/shrink.py``, ``shrink_plan`` -> ``repro.chaos.shrink:shrink_plan``."""
+    return f"{module[:-3].replace(os.sep, '.').replace('/', '.')}:{name}"
+
+
+def main() -> int:
     os.chdir(ROOT)
     entered_codes: Set = set()
     run_everything(entered_codes)
@@ -132,6 +225,7 @@ def main() -> None:
         if filename.startswith(prefix)
     }
     defined = defined_functions()
+    keys = {reached_by_key(module, name): (module, name) for module, name in defined}
     missing: Dict[str, List[Tuple[str, int]]] = {}
     for (module, name), lines in defined.items():
         if (module, name) not in entered:
@@ -143,11 +237,23 @@ def main() -> None:
         f"never entered: {count} of {len(defined)} functions, "
         f"{missed} of {total_lines} function lines"
     )
+    unexplained = []
     for module, names in sorted(missing.items(), key=lambda item: -sum(n for _, n in item[1])):
         print(f"{module} ({sum(n for _, n in names)} lines)")
         for name, lines in names:
-            print(f"    {name} {lines}")
+            reason = REACHED_BY.get(reached_by_key(module, name))
+            if reason is None:
+                unexplained.append(reached_by_key(module, name))
+            print(f"    {name} {lines}: {reason or 'NO REASON'}")
+    stale = sorted(
+        key for key in REACHED_BY if key not in keys or keys[key] in entered
+    )
+    for key in unexplained:
+        print(f"unexplained: {key} is never entered and REACHED_BY gives no reason")
+    for key in stale:
+        print(f"stale: REACHED_BY names {key}, which is entered now or not defined")
+    return 1 if unexplained or stale else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
