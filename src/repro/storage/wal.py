@@ -38,8 +38,9 @@ of replaying garbage (see ``docs/DURABILITY.md``).
 
 Sync model: :meth:`WalFile.write_frame` frames a payload and writes it
 with one unbuffered ``write``; with ``sync`` it advances
-``durable_offset``, the byte boundary that crash faults must respect. The simulator syncs before any state an
-operation's client acknowledgment depends on — fsync-before-ack — so
+``durable_offset``, the byte boundary that crash faults must respect. The
+simulator syncs before any state an operation's client acknowledgment
+depends on — fsync-before-ack — so
 injected torn/corrupt tails can only ever damage *unacknowledged* state.
 Real ``os.fsync`` is opt-in (``fsync=True``): the simulated crashes are
 process-internal, so data-on-platter guarantees buy nothing but latency in

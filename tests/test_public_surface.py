@@ -87,9 +87,10 @@ def _load_tracer():
     return module
 
 
-#: The one table of functions kept though no verb, example, experiment or
-#: perfbench run enters them, each with its reason.
-REACHED_BY = _load_tracer().REACHED_BY
+#: ``tools/never_entered.py``: its ``REACHED_BY`` is the one table of
+#: functions kept though no verb, example, experiment or perfbench run
+#: enters them, each with its reason.
+TRACER = _load_tracer()
 
 #: asyncio calls a Protocol's callbacks by their protocol names, as the
 #: interpreter calls dunders.
@@ -101,37 +102,17 @@ PROTOCOL_CALLBACKS = frozenset({
 
 def reached_by_key(path, qualified):
     """``src/repro/chaos/shrink.py``, ``shrink_plan`` -> ``repro.chaos.shrink:shrink_plan``."""
-    return f"{'.'.join(path.relative_to(ROOT / 'src').with_suffix('').parts)}:{qualified}"
-
-
-def qualified_functions(path):
-    """Qualified names of every module-level function and (nested-class)
-    method ``path`` defines, dunders included."""
-    found = []
-
-    def visit(body, prefix):
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.append(prefix + node.name)
-            elif isinstance(node, ast.ClassDef):
-                visit(node.body, f"{prefix}{node.name}.")
-
-    visit(ast.parse(path.read_text(encoding="utf-8")).body, "")
-    return found
+    return TRACER.reached_by_key(str(path.relative_to(ROOT / "src")), qualified)
 
 
 def test_every_reached_by_key_names_a_defined_function():
     """AST only, no tracer run: each key is ``module:Qualified.name`` of a
     function under ``src/repro``, and each reason says something."""
-    defined = {
-        reached_by_key(path, qualified)
-        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
-        for qualified in qualified_functions(path)
-    }
-    assert len(REACHED_BY) >= 10  # the table loaded
-    unknown = sorted(set(REACHED_BY) - defined)
+    defined = {TRACER.reached_by_key(module, name) for module, name in TRACER.defined_functions()}
+    assert len(TRACER.REACHED_BY) >= 10  # the table loaded
+    unknown = sorted(set(TRACER.REACHED_BY) - defined)
     assert not unknown, f"REACHED_BY names functions src/repro does not define: {unknown}"
-    empty = sorted(key for key, reason in REACHED_BY.items() if not reason.strip())
+    empty = sorted(key for key, reason in TRACER.REACHED_BY.items() if not reason.strip())
     assert not empty, f"REACHED_BY keys without a reason: {empty}"
 
 
@@ -199,6 +180,6 @@ def test_every_function_is_named_by_some_file():
         for path, qualified, name in defined
         if name not in named
         and name not in PROTOCOL_CALLBACKS
-        and reached_by_key(path, qualified) not in REACHED_BY
+        and reached_by_key(path, qualified) not in TRACER.REACHED_BY
     )
     assert not unnamed, f"functions no file names and REACHED_BY does not keep: {unnamed}"

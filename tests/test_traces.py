@@ -214,7 +214,8 @@ def test_columns_match_a_per_record_reference(records, start, stop, count, batch
 # ----------------------------------------------------------------------
 def paper_profiles():
     """The three paper traces in Table I order."""
-    return tuple(make(2000, 1e-5) for make in (DatasetProfile.dtr, DatasetProfile.lmbe, DatasetProfile.ra))
+    makers = (DatasetProfile.dtr, DatasetProfile.lmbe, DatasetProfile.ra)
+    return tuple(make(2000, 1e-5) for make in makers)
 
 
 def test_three_paper_profiles():

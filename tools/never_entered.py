@@ -85,7 +85,10 @@ VERBS = (
 )
 
 
-_HUNT = "reached only on a finding: tests/test_hunt.py::test_hunt_finds_shrinks_and_replays_planted_bug"
+_HUNT = (
+    "reached only on a finding:"
+    " tests/test_hunt.py::test_hunt_finds_shrinks_and_replays_planted_bug"
+)
 
 #: ``module:Qualified.name`` -> why a function no run above enters stays. A
 #: reason is one of: error handling of outside input or of a failed call
@@ -178,8 +181,9 @@ def defined_functions() -> Dict[Tuple[str, str], int]:
 
 
 def run_everything(entered: Set) -> None:
-    """Every verb, example and experiment, with the profiler hook set (from
-    before ``repro`` is imported: decorators run at import)."""
+    """Every verb, example, experiment and perfbench test, with the
+    profiler hook set (from before ``repro`` is imported: decorators run at
+    import)."""
 
     def hook(frame, event, arg):
         if event == "call":
@@ -210,7 +214,7 @@ def run_everything(entered: Set) -> None:
 
 def reached_by_key(module: str, name: str) -> str:
     """``repro/chaos/shrink.py``, ``shrink_plan`` -> ``repro.chaos.shrink:shrink_plan``."""
-    return f"{module[:-3].replace(os.sep, '.').replace('/', '.')}:{name}"
+    return f"{module[:-3].replace(os.sep, '.')}:{name}"
 
 
 def main() -> int:
