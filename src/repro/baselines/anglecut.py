@@ -188,8 +188,8 @@ class AngleCutScheme(MetadataScheme):
 
     def place_created(self, tree, placement, node):
         """Project the new node: ring by depth, angle next to its parent."""
-        ring = node.depth % placement.num_rings
-        parent_entry = placement.angles.get(node.parent)
+        ring = len(tree.ancestors(node)) % placement.num_rings
+        parent_entry = placement.angles.get(tree.parent(node))
         angle = parent_entry[1] if parent_entry is not None else 0.0
         placement.angles[node] = (ring, angle)
         server = placement.server_for(ring, angle)

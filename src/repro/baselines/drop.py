@@ -39,15 +39,16 @@ def preorder_keys(tree: NamespaceTree) -> Dict[MetadataNode, float]:
     the DROP ablation (``key_mode="preorder"``).
     """
     keys: Dict[MetadataNode, float] = {}
+    nodes, arena = tree.nodes, tree.arena()
     n = len(tree)
     index = 0
-    stack = [tree.root]
+    stack = [tree.root.node_id]
     while stack:
-        node = stack.pop()
-        keys[node] = index / n
+        nid = stack.pop()
+        keys[nodes[nid]] = index / n
         index += 1
         # Reversed so the leftmost child is visited first.
-        stack.extend(reversed(node.children))
+        stack.extend(reversed(arena.children(nid)))
     return keys
 
 
@@ -65,13 +66,13 @@ def pathname_cluster_keys(tree: NamespaceTree) -> Dict[MetadataNode, float]:
     window = 1.0 / max(1, 4 * len(tree))
     scale = float(2 ** 64)
     # Each path is hashed once: a node's own hash is its children's base.
-    hashes = {node: stable_hash(node.path) for node in tree}
+    hashes = [stable_hash(node.path) for node in tree]
     keys: Dict[MetadataNode, float] = {}
-    for node, digest in hashes.items():
-        if node.parent is None:
+    for node, digest, pid in zip(tree, hashes, tree.arena().parent):
+        if pid < 0:
             keys[node] = 0.0
             continue
-        base = hashes[node.parent] / scale
+        base = hashes[pid] / scale
         offset = (digest / scale) * window
         keys[node] = (base + offset) % 1.0
     return keys
@@ -285,15 +286,16 @@ class DropScheme(MetadataScheme):
 
     def place_created(self, tree, placement, node):
         """Key the new pathname and place it in the owning virtual range."""
+        parent = tree.parent(node)
         if self.key_mode == "pathname":
             window = 1.0 / max(1, 4 * len(tree))
             scale = float(2 ** 64)
-            base = stable_hash(node.parent.path) / scale if node.parent else 0.0
+            base = stable_hash(parent.path) / scale if parent else 0.0
             key = (base + (stable_hash(node.path) / scale) * window) % 1.0
         else:
             # Preorder keys cannot be extended incrementally without a global
             # renumbering; new nodes adopt the key just after their parent.
-            key = placement.keys.get(node.parent, 0.0)
+            key = placement.keys.get(parent, 0.0)
         placement.keys[node] = key
         server = placement.server_for_key(key)
         placement.assign(node, server)

@@ -29,8 +29,15 @@ __all__ = ["DynamicSubtreeScheme", "DynamicSubtreePlacement"]
 class DynamicSubtreePlacement(Placement):
     """Placement with an explicit zone-root map supporting splits and moves."""
 
-    def __init__(self, num_servers: int, capacities: Optional[Sequence[float]] = None) -> None:
+    def __init__(
+        self,
+        tree: NamespaceTree,
+        num_servers: int,
+        capacities: Optional[Sequence[float]] = None,
+    ) -> None:
         super().__init__(num_servers, capacities)
+        #: The tree placed: where a zone's ancestors are read.
+        self.tree = tree
         #: zone root -> owning server; the tree root is always a zone root.
         self.zone_of: Dict[MetadataNode, int] = {}
 
@@ -39,7 +46,7 @@ class DynamicSubtreePlacement(Placement):
         """Deepest zone-root ancestor (or self) of ``node``."""
         walk = node
         while walk not in self.zone_of:
-            walk = walk.parent
+            walk = self.tree.parent(walk)
         return walk
 
     def rebuild_assignments(self, tree: NamespaceTree) -> None:
@@ -92,14 +99,15 @@ class DynamicSubtreePlacement(Placement):
         Every zone below counts, nested ones too, so a zone two levels
         down is subtracted twice (the size undercounts; ROADMAP lists it).
         One walk up from each zone serves the whole round's moves."""
-        sizes = tree.arena().subtree_sizes()
+        arena = tree.arena()
+        sizes, parent = arena.subtree_sizes(), arena.parent
         below = {move.node.node_id: 0 for move in moves}
         for zone in self.zone_of:
-            walk = zone.parent
-            while walk is not None:
-                if walk.node_id in below:
-                    below[walk.node_id] += sizes[zone.node_id]
-                walk = walk.parent
+            pid = parent[zone.node_id]
+            while pid >= 0:
+                if pid in below:
+                    below[pid] += sizes[zone.node_id]
+                pid = parent[pid]
         return [max(1, sizes[m.node.node_id] - below[m.node.node_id]) for m in moves]
 
     def counted_nodes(self) -> None:
@@ -117,9 +125,9 @@ class DynamicSubtreePlacement(Placement):
         tree.ensure_popularity()
         loads = {root: root.popularity for root in self.zone_of}
         for root in self.zone_of:
-            if root.parent is not None:
-                parent_zone = self.zone_root_of(root.parent)
-                loads[parent_zone] -= root.popularity
+            parent = tree.parent(root)
+            if parent is not None:
+                loads[self.zone_root_of(parent)] -= root.popularity
         return loads
 
 
@@ -170,7 +178,7 @@ class DynamicSubtreeScheme(MetadataScheme):
         capacities: Optional[Sequence[float]] = None,
     ) -> DynamicSubtreePlacement:
         tree.ensure_popularity()
-        placement = DynamicSubtreePlacement(num_servers, capacities)
+        placement = DynamicSubtreePlacement(tree, num_servers, capacities)
         placement.zone_of[tree.root] = stable_hash(tree.root.path) % num_servers
         depths = tree.arena().depths()
         for node in tree:
@@ -186,13 +194,13 @@ class DynamicSubtreeScheme(MetadataScheme):
             splittable = [
                 (load, root)
                 for root, load in zone_loads.items()
-                if any(c not in placement.zone_of for c in root.children)
+                if any(c not in placement.zone_of for c in tree.children(root))
             ]
             if not splittable:
                 break
             splittable.sort(key=lambda item: (-item[0], item[1].node_id))
             _load, zone = splittable[0]
-            for child in zone.children:
+            for child in tree.children(zone):
                 if child not in placement.zone_of:
                     placement.zone_of[child] = stable_hash(child.path) % num_servers
         placement.rebuild_assignments(tree)
@@ -202,11 +210,11 @@ class DynamicSubtreeScheme(MetadataScheme):
     # ------------------------------------------------------------------
     def place_created(self, tree, placement, node):
         """New shallow nodes open fresh zones; deep ones join the parent's."""
-        if 1 <= node.depth <= self.cut_depth:
+        if 1 <= len(tree.ancestors(node)) <= self.cut_depth:
             server = stable_hash(node.path) % placement.num_servers
             placement.zone_of[node] = server
         else:
-            server = placement.zone_of[placement.zone_root_of(node.parent)]
+            server = placement.zone_of[placement.zone_root_of(tree.parent(node))]
         placement.assign(node, server)
         return server
 
@@ -256,7 +264,7 @@ class DynamicSubtreeScheme(MetadataScheme):
                 if server == heavy
             ]
             movable = [
-                (load, zone) for load, zone in candidates if zone.parent is not None
+                (load, zone) for load, zone in candidates if zone is not tree.root
             ]
             if not candidates:
                 break
@@ -274,7 +282,7 @@ class DynamicSubtreeScheme(MetadataScheme):
             else:
                 _load, big = candidates[0]
                 added = 0
-                for child in big.children:
+                for child in tree.children(big):
                     if child not in placement.zone_of:
                         placement.zone_of[child] = heavy
                         added += 1

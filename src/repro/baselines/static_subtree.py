@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from repro.placement import MetadataScheme, Placement, stable_hash
 from repro.registry import register
 from repro.core.namespace import NamespaceTree
-from repro.core.node import MetadataNode
 
 __all__ = ["StaticSubtreeScheme"]
 
@@ -33,15 +32,6 @@ class StaticSubtreeScheme(MetadataScheme):
         if cut_depth < 1:
             raise ValueError("cut_depth must be at least 1")
         self.cut_depth = cut_depth
-
-    def _anchor_of(self, node: MetadataNode) -> MetadataNode:
-        """The ancestor (or self) at the cut depth that anchors placement
-        (``node`` itself when it sits above the cut): one depth walk, then
-        ``depth - cut_depth`` steps up."""
-        anchor = node
-        for _ in range(node.depth - self.cut_depth):
-            anchor = anchor.parent
-        return anchor
 
     def partition(
         self,
@@ -61,7 +51,7 @@ class StaticSubtreeScheme(MetadataScheme):
         for cid, pid in arena.descent():
             depth = depths[cid]
             if depth == cut:
-                server_of[cid] = stable_hash(tree.node_by_id(cid).path) % num_servers
+                server_of[cid] = stable_hash(tree.nodes[cid].path) % num_servers
             elif depth > cut:
                 server_of[cid] = server_of[pid]
         for node in tree:
@@ -70,11 +60,10 @@ class StaticSubtreeScheme(MetadataScheme):
         return placement
 
     def place_created(self, tree, placement, node):
-        """A new node joins its anchor's subtree."""
-        if node.depth < self.cut_depth:
-            server = stable_hash(tree.root.path) % placement.num_servers
-        else:
-            anchor = self._anchor_of(node)
-            server = stable_hash(anchor.path) % placement.num_servers
+        """A new node joins its anchor's subtree: the node on its root chain
+        at the cut depth (the root when it sits above the cut)."""
+        chain = tree.ancestors(node, include_self=True)
+        anchor = chain[self.cut_depth] if len(chain) > self.cut_depth else tree.root
+        server = stable_hash(anchor.path) % placement.num_servers
         placement.assign(node, server)
         return server

@@ -1,8 +1,9 @@
 """Namespace tree container.
 
-``NamespaceTree`` owns the root :class:`~repro.core.node.MetadataNode` and
-provides path-based insertion/lookup, popularity bookkeeping (Def. 2 of the
-paper), and the traversal utilities the partitioning algorithms rely on.
+``NamespaceTree`` owns the :class:`~repro.core.node.MetadataNode` objects
+and the id columns that link them, and provides path-based insertion/lookup,
+popularity bookkeeping (Def. 2 of the paper), and the traversal utilities
+the partitioning algorithms rely on.
 """
 
 from __future__ import annotations
@@ -31,13 +32,16 @@ def split_path(path: str) -> List[str]:
 class NodeArena:
     """The column (id-indexed) view of one tree size.
 
-    What the replay reads by dense node id instead of walking the object
-    graph. The tree only grows (:meth:`NamespaceTree.add_child` is its one
+    What the replay reads by dense node id. The tree's structure is its id
+    columns — ``parent`` and the child links ``last_child`` /
+    ``prev_sibling`` (-1: none) — and no node object refers to another.
+    The tree only grows (:meth:`NamespaceTree.add_child` is its one
     structural mutation), so every node's id is larger than its parent's
-    and every ``children`` list is in id order: ``parent``, the tree's
-    parent-id column, *is* the structure. ``size`` is the node count the
-    arena was issued at; :meth:`NamespaceTree.arena` re-issues it once the
-    tree holds more nodes, and popularity updates do not invalidate it.
+    and a node's children, read back from its last, are in id order.
+    ``size`` is the node count the arena was issued at;
+    :meth:`NamespaceTree.arena` re-issues it once the tree holds more
+    nodes, and popularity updates do not invalidate it. It holds the
+    tree's columns and node list, not the tree.
 
     :meth:`write_popularity` is the whole-tree pass (Def. 2 totals of a
     caller-owned ``p'_j`` column, both written to the node objects) and
@@ -45,7 +49,7 @@ class NodeArena:
     id order: every child is added into its parent after all of its own
     descendants, and a parent takes its children last-born first. Those
     are the additions, in the same order, of a post-order walk that pushes
-    children in list order, so float totals are bit-identical to that
+    children in id order, so float totals are bit-identical to that
     walk's. Forward id order
     is parents before children (:meth:`descent`): :meth:`depths` is one
     pass over it, and so is any top-down placement rule. :meth:`chain`
@@ -55,45 +59,68 @@ class NodeArena:
     :class:`PopularityEstimate`) stays with the caller.
     """
 
-    __slots__ = ("tree", "size", "parent", "_subtree_sizes", "_depths", "_chains")
+    __slots__ = (
+        "nodes", "size", "parent", "last_child", "prev_sibling",
+        "_subtree_sizes", "_depths", "_chains",
+    )
 
     def __init__(self, tree: "NamespaceTree") -> None:
-        self.tree = tree
+        #: The tree's node list and id columns, appended to by
+        #: ``add_child``: only the first ``size`` entries are this view's.
+        self.nodes = tree._nodes
         self.size = len(tree._nodes)
-        #: node id -> parent id (the root's reads -1); appended to by
-        #: ``add_child``, so only the first ``size`` entries are this view's.
-        self.parent = tree._parent_ids
+        self.parent = tree._parent_ids  # the root's reads -1
+        self.last_child = tree._last_child
+        self.prev_sibling = tree._prev_sibling
         self._subtree_sizes: Optional[List[int]] = None
         self._depths: Optional[List[int]] = None
         #: node id -> ancestor ids root-first, excluding the node (lazy).
         self._chains: List[Optional[Tuple[int, ...]]] = [None] * self.size
 
-    def chain(self, node: MetadataNode) -> Tuple[int, ...]:
-        """Ids of ``node``'s ancestors root-first, excluding ``node`` (set
+    def children(self, nid: int) -> List[int]:
+        """Ids of node ``nid``'s children, in id order."""
+        prev = self.prev_sibling
+        out = []
+        cid = self.last_child[nid]
+        while cid >= 0:
+            out.append(cid)
+            cid = prev[cid]
+        out.reverse()
+        return out
+
+    def subtree(self, nid: int, include_self: bool = False) -> Iterator[int]:
+        """Ids of the subtree below node ``nid`` (the set ``D_j``): last
+        child first, each child's subtree before its previous sibling (the
+        order a stack walk that pushes children in id order pops them)."""
+        if include_self:
+            yield nid
+        last, prev = self.last_child, self.prev_sibling
+        stack = [last[nid]]
+        while stack:
+            nid = stack.pop()
+            if nid >= 0:
+                yield nid
+                stack += (prev[nid], last[nid])
+
+    def chain(self, nid: int) -> Tuple[int, ...]:
+        """Ids of node ``nid``'s ancestors root-first, excluding it (set
         ``A_j``).
 
-        Unlike :meth:`MetadataNode.ancestors` this allocates once per node
-        per arena — the tuple is cached and shared, which is what lets the
-        generic planner walk POSIX prefixes without per-operation list
-        builds; ids, because the planner's memo columns are indexed by
-        them. Chains compose: a node's chain is its parent's chain plus
-        the parent.
+        Allocates once per node per arena — the tuple is cached and
+        shared, which is what lets the generic planner walk POSIX prefixes
+        without per-operation list builds. Chains compose: a node's chain
+        is its parent's (up the parent column) plus the parent.
         """
         chains = self._chains
-        nid = node.node_id
         cached = chains[nid]
         if cached is None:
-            parent = node.parent
-            if parent is None:
-                cached = ()
-            else:
-                cached = self.chain(parent) + (parent.node_id,)
-            chains[nid] = cached
+            pid = self.parent[nid]
+            cached = chains[nid] = () if pid < 0 else self.chain(pid) + (pid,)
         return cached
 
     def individual_popularity(self) -> List[float]:
         """The nodes' current ``p'_j`` as an id-indexed column."""
-        return [node.individual_popularity for node in self.tree._nodes]
+        return [node.individual_popularity for node in self.nodes]
 
     def _ascent(self) -> Iterator[Tuple[int, int]]:
         """``(child id, parent id)`` of every edge, highest child id first:
@@ -107,16 +134,15 @@ class NodeArena:
         totals = list(individual)
         for cid, pid in self._ascent():
             totals[pid] += totals[cid]
-        for node, p, total in zip(self.tree._nodes, individual, totals):
+        for node, p, total in zip(self.nodes, individual, totals):
             node.individual_popularity = p
             node.popularity = total
-        self.tree._popularity_dirty = False
 
     def subtree_sizes(self) -> List[int]:
         """Nodes per subtree (root included), indexed by node id.
 
-        Equal to :meth:`MetadataNode.subtree_size` for every node; built on
-        first use by one reverse-id pass.
+        Equal to the length of :meth:`subtree` plus one for every node;
+        built on first use by one reverse-id pass.
         """
         sizes = self._subtree_sizes
         if sizes is None:
@@ -135,7 +161,7 @@ class NodeArena:
     def depths(self) -> List[int]:
         """Edges from the root, indexed by node id.
 
-        Equal to :attr:`MetadataNode.depth` for every node; built on first
+        Equal to the length of :meth:`chain` for every node; built on first
         use by one pass over :meth:`descent`, where a node's depth is its
         parent's plus one.
         """
@@ -218,7 +244,7 @@ class PopularityEstimate:
         # the second only where the window has something to add.
         for node in counted:
             node.popularity *= keep
-        nodes = self.arena.tree._nodes
+        nodes = self.arena.nodes
         for cid, count in under.items():
             nodes[cid].popularity += blend * count
 
@@ -243,7 +269,7 @@ class PopularityEstimate:
         value, stamp = self._value, self._stamp
         return ordered_sum(
             value[nid] * keep ** (now - stamp[nid])
-            for nid in (n.node_id for n in node.descendants(include_self=True))
+            for nid in self.arena.subtree(node.node_id, include_self=True)
         )
 
     def individual(self) -> List[float]:
@@ -279,16 +305,20 @@ class NamespaceTree:
     """A file-system namespace tree of :class:`MetadataNode` objects.
 
     The tree assigns every node a dense integer ``node_id`` (the root is 0) so
-    partitioning schemes can use arrays keyed by id. It only grows:
+    partitioning schemes can use arrays keyed by id; its structure is id
+    columns (:class:`NodeArena`), so no node refers to another. It only grows:
     :meth:`add_child` (which :meth:`add_path` calls) is its one structural
     mutation, so ids are parents-first and a node's path never changes.
     """
 
     def __init__(self) -> None:
-        self.root = MetadataNode(PATH_SEPARATOR, parent=None, is_directory=True, node_id=0)
+        self.root = MetadataNode(PATH_SEPARATOR, PATH_SEPARATOR, node_id=0)
         self._nodes: List[MetadataNode] = [self.root]
-        #: node id -> parent id, the column every NodeArena reads.
-        self._parent_ids = array("q", [-1])
+        #: The structure, by node id (the columns every NodeArena reads):
+        #: parent, last child, previous sibling; -1 reads "none".
+        self._parent_ids = array("i", [-1])
+        self._last_child = array("i", [-1])
+        self._prev_sibling = array("i", [-1])
         self._by_path: Dict[str, MetadataNode] = {PATH_SEPARATOR: self.root}
         self._popularity_dirty = False
         self._arena: Optional[NodeArena] = None
@@ -354,16 +384,18 @@ class NamespaceTree:
         if not name or PATH_SEPARATOR in name:
             raise ValueError(f"names must be non-empty and slash-free, not {name!r}")
         nodes = self._nodes
-        child = MetadataNode(
-            name, parent, is_directory, individual_popularity, update_cost, len(nodes)
-        )
+        cid, pid = len(nodes), parent.node_id
+        path = parent.path + name if parent is self.root else parent.path + PATH_SEPARATOR + name
         by_path = self._by_path
-        if child.path in by_path:
+        if path in by_path:
             raise ValueError(f"{parent.path!r} already has a child named {name!r}")
-        parent.children.append(child)
+        child = MetadataNode(name, path, is_directory, individual_popularity, update_cost, cid)
         nodes.append(child)
-        self._parent_ids.append(parent.node_id)
-        by_path[child.path] = child
+        by_path[path] = child
+        self._parent_ids.append(pid)
+        self._prev_sibling.append(self._last_child[pid])
+        self._last_child[pid] = cid
+        self._last_child.append(-1)
         self._popularity_dirty = True
         return child
 
@@ -385,9 +417,31 @@ class NamespaceTree:
             self._arena = arena
         return arena
 
-    def node_by_id(self, node_id: int) -> MetadataNode:
-        """Return the node with dense id ``node_id``."""
-        return self._nodes[node_id]
+    def parent(self, node: MetadataNode) -> Optional[MetadataNode]:
+        """``node``'s parent (``None`` for the root)."""
+        pid = self._parent_ids[node.node_id]
+        return None if pid < 0 else self._nodes[pid]
+
+    def children(self, node: MetadataNode) -> List[MetadataNode]:
+        """``node``'s children, in id (creation) order."""
+        return list(map(self._nodes.__getitem__, self.arena().children(node.node_id)))
+
+    def ancestors(self, node: MetadataNode, include_self: bool = False) -> List[MetadataNode]:
+        """Ancestors root-first (the set ``A_j``; as many as the node's
+        depth): the order of a POSIX traversal, which counts jumps (Def. 1)."""
+        nodes, parent = self._nodes, self._parent_ids
+        chain = [node] if include_self else []
+        pid = parent[node.node_id]
+        while pid >= 0:
+            chain.append(nodes[pid])
+            pid = parent[pid]
+        chain.reverse()
+        return chain
+
+    def descendants(self, node: MetadataNode, include_self: bool = False) -> Iterator[MetadataNode]:
+        """Iterate over the subtree below ``node`` (the set ``D_j``), in
+        :meth:`NodeArena.subtree` order."""
+        return map(self._nodes.__getitem__, self.arena().subtree(node.node_id, include_self))
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -418,9 +472,11 @@ class NamespaceTree:
         """
         arena = self.arena()
         arena.write_popularity(arena.individual_popularity())
+        self._popularity_dirty = False
 
     def ensure_popularity(self) -> None:
-        """Aggregate popularity only when a write invalidated it."""
+        """Aggregate popularity only when a write invalidated it (a replay's
+        passes leave the flag as they found it: one pass too many at worst)."""
         if self._popularity_dirty:
             self.aggregate_popularity()
 

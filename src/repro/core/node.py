@@ -15,8 +15,6 @@ the node is replicated in the global layer and must be kept consistent.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
-
 __all__ = ["MetadataNode", "PATH_SEPARATOR"]
 
 PATH_SEPARATOR = "/"
@@ -25,13 +23,17 @@ PATH_SEPARATOR = "/"
 class MetadataNode:
     """A single file or directory entry in the namespace tree.
 
+    A node refers to no other node: where it sits in the tree is its
+    ``node_id`` in the owning :class:`~repro.core.namespace.NamespaceTree`,
+    whose id columns hold parent and children.
+
     Parameters
     ----------
     name:
         Path component (e.g. ``"home"`` or ``"c.txt"``). The root node uses
         ``"/"``.
-    parent:
-        Parent node, or ``None`` for the root.
+    path:
+        Absolute path, e.g. ``"/home/b/h.jpg"`` (the root's is ``"/"``).
     is_directory:
         Whether the node may hold children.
     individual_popularity:
@@ -43,8 +45,6 @@ class MetadataNode:
     __slots__ = (
         "node_id",
         "name",
-        "parent",
-        "children",
         "is_directory",
         "individual_popularity",
         "popularity",
@@ -55,7 +55,7 @@ class MetadataNode:
     def __init__(
         self,
         name: str,
-        parent: Optional["MetadataNode"] = None,
+        path: str,
         is_directory: bool = True,
         individual_popularity: float = 0.0,
         update_cost: float = 0.0,
@@ -67,61 +67,10 @@ class MetadataNode:
             raise ValueError("update_cost must be non-negative")
         self.node_id = node_id
         self.name = name
-        self.parent = parent
-        self.children: List["MetadataNode"] = []
         self.is_directory = is_directory
         self.individual_popularity = float(individual_popularity)
         # Total popularity p_j; recomputed by NamespaceTree.aggregate_popularity.
         self.popularity = float(individual_popularity)
         self.update_cost = float(update_cost)
-        #: Absolute path, e.g. ``"/home/b/h.jpg"``; a node never moves, so
-        #: it is composed once, from the parent's.
-        if parent is None:
-            self.path = PATH_SEPARATOR
-        elif parent.parent is None:
-            self.path = PATH_SEPARATOR + name
-        else:
-            self.path = parent.path + PATH_SEPARATOR + name
-
-    # ------------------------------------------------------------------
-    # Tree structure helpers
-    # ------------------------------------------------------------------
-    @property
-    def depth(self) -> int:
-        """Number of edges from the root (root has depth 0)."""
-        depth = 0
-        node = self
-        while node.parent is not None:
-            node = node.parent
-            depth += 1
-        return depth
-
-    # ------------------------------------------------------------------
-    # Walks (A_j and D_j in the paper's notation)
-    # ------------------------------------------------------------------
-    def ancestors(self, include_self: bool = False) -> List["MetadataNode"]:
-        """Ancestors ordered root-first (the set ``A_j``).
-
-        POSIX-style access of a node requires visiting every ancestor from the
-        root down, so the root-first order mirrors the traversal order used
-        when counting jumps (Def. 1).
-        """
-        chain: List["MetadataNode"] = [self] if include_self else []
-        node = self.parent
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        chain.reverse()
-        return chain
-
-    def descendants(self, include_self: bool = False) -> Iterator["MetadataNode"]:
-        """Iterate over the subtree below this node (the set ``D_j``)."""
-        stack = [self] if include_self else list(self.children)
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children)
-
-    def subtree_size(self) -> int:
-        """Number of nodes in the subtree rooted here (including itself)."""
-        return 1 + sum(1 for _ in self.descendants())
+        #: A node never moves, so its path is fixed at creation.
+        self.path = path

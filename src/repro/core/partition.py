@@ -33,12 +33,15 @@ class D2TreePlacement(Placement):
 
     def __init__(
         self,
+        tree: NamespaceTree,
         num_servers: int,
         split: SplitResult,
         capacities: Optional[Sequence[float]] = None,
         replication_factor: Optional[int] = None,
     ) -> None:
         super().__init__(num_servers, capacities)
+        #: The tree placed: where subtrees, parents and children are read.
+        self.tree = tree
         self.split = split
         #: subtree root -> owning server (the client-cached local index).
         self.subtree_owner: Dict[MetadataNode, int] = {}
@@ -96,7 +99,7 @@ class D2TreePlacement(Placement):
         servers_of = self._servers_of
         servers_of[root] = owner
         count = 1
-        for node in root.descendants():
+        for node in self.tree.descendants(root):
             servers_of[node] = owner
             count += 1
         self.version += count
@@ -123,12 +126,13 @@ class D2TreePlacement(Placement):
         self.split.update_cost += root.update_cost
         # Join the parent's replica set (it is global by construction), so a
         # shrunken global layer — e.g. after an MDS failure — stays shrunken.
-        if root.parent is not None and self.is_placed(root.parent):
-            self.replicate(root, self.servers_of(root.parent))
+        parent = self.tree.parent(root)
+        if parent is not None and self.is_placed(parent):
+            self.replicate(root, self.servers_of(parent))
         else:
             self.replicate(root)
         new_roots: List[MetadataNode] = []
-        for child in root.children:
+        for child in self.tree.children(root):
             self.subtree_owner[child] = owner
             self.split.subtree_roots.append(child)
             new_roots.append(child)
@@ -161,9 +165,9 @@ class D2TreePlacement(Placement):
         """
         if node not in self.split.global_layer:
             raise KeyError(f"{node.path!r} is not in the global layer")
-        if node.children:
+        if self.tree.children(node):
             raise ValueError("only childless global nodes can be demoted")
-        if node.parent is None:
+        if node is self.tree.root:
             raise ValueError("the root cannot leave the global layer")
         self.split.global_layer.discard(node)
         self.split.local_popularity += node.popularity
@@ -270,7 +274,7 @@ class D2TreePlacement(Placement):
             return None
         walk = node
         while walk is not None and walk not in self.subtree_owner:
-            walk = walk.parent
+            walk = self.tree.parent(walk)
         return walk
 
     def index_entries(self):
@@ -280,7 +284,7 @@ class D2TreePlacement(Placement):
             ((n.path, s) for n, s in self.subtree_owner.items()),
         )
 
-    def jumps_for(self, node: MetadataNode) -> int:
+    def jumps_for(self, node: MetadataNode, tree: NamespaceTree) -> int:
         """Paper convention (Eq. 7): 0 inside the global layer, else 1."""
         return 0 if self.is_global(node) else 1
 
@@ -288,8 +292,17 @@ class D2TreePlacement(Placement):
         """Sec. IV-B's access counters: the local-layer subtree roots (whole
         subtrees are what gets balanced, promoted and re-homed) and the
         childless global-layer nodes (the demotion candidates)."""
-        leaves = (n for n in self.split.global_layer if not n.children)
+        last_child = self.tree.arena().last_child
+        leaves = (n for n in self.split.global_layer if last_child[n.node_id] < 0)
         return [*self.subtree_owner, *leaves]
+
+    def lightest(self, loads: Sequence[float]) -> int:
+        """The server with the least of ``loads`` per unit capacity; a dead one never."""
+        caps = self.capacities
+        return min(
+            range(self.num_servers),
+            key=lambda k: loads[k] / caps[k] if caps[k] > 1e-9 else float("inf"),
+        )
 
     def local_loads(self) -> List[float]:
         """Per-server local-layer load (what heartbeats report to Monitor)."""

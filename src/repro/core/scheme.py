@@ -151,7 +151,7 @@ class D2TreeScheme(MetadataScheme):
         if replication is not None:
             replication = min(replication, num_servers)
         placement = D2TreePlacement(
-            num_servers, split, capacities, replication_factor=replication
+            tree, num_servers, split, capacities, replication_factor=replication
         )
         placement.place_global_layer()
         if split.subtree_roots:
@@ -176,25 +176,14 @@ class D2TreeScheme(MetadataScheme):
     ) -> int:
         """A new node joins its enclosing subtree; children of inter nodes
         open a fresh subtree on the lightest server."""
-        walk = node.parent
-        while walk is not None and walk not in placement.subtree_owner:
-            if placement.is_global(walk):
-                walk = None
-                break
-            walk = walk.parent
+        walk = placement.subtree_root_of(tree.parent(node))
         if walk is not None:
             server = placement.subtree_owner[walk]
             placement.assign(node, server)
             return server
         # Parent chain reaches the global layer: the newcomer roots a new
         # local-layer subtree on the least locally-loaded server.
-        loads = placement.local_loads()
-        server = min(
-            range(placement.num_servers),
-            key=lambda k: loads[k] / placement.capacities[k]
-            if placement.capacities[k] > 1e-9
-            else float("inf"),
-        )
+        server = placement.lightest(placement.local_loads())
         if tree.estimate is not None:
             # Mid-replay the attribute is as old as the last whole-tree
             # pass: a node that starts carrying a counter asks the estimate.
@@ -214,7 +203,7 @@ class D2TreeScheme(MetadataScheme):
         """Phase 3 — one heartbeat-driven Dynamic-Adjustment round."""
         tree.ensure_popularity()
         self._promote_oversized(tree, placement)
-        self._demote_cooled(placement)
+        self._demote_cooled(tree, placement)
         report = self.adjuster.adjust(
             placement.subtree_owner,
             placement.local_loads(),
@@ -268,7 +257,7 @@ class D2TreeScheme(MetadataScheme):
                     chain.extend(placement.promote_subtree(root))
         return promoted
 
-    def _demote_cooled(self, placement: D2TreePlacement) -> int:
+    def _demote_cooled(self, tree: NamespaceTree, placement: D2TreePlacement) -> int:
         """Return cooled-off childless global nodes to the local layer.
 
         Keeps the global layer from growing monotonically under drift: a hot
@@ -287,11 +276,12 @@ class D2TreeScheme(MetadataScheme):
             else total_local / placement.num_servers
         )
         cutoff = self.demote_threshold * promote_cutoff
+        last_child = tree.arena().last_child
         cooled = [
             node
             for node in placement.split.global_layer
-            if not node.children
-            and node.parent is not None
+            if last_child[node.node_id] < 0
+            and node is not tree.root
             and node.popularity < cutoff
         ]
         if not cooled:
@@ -300,12 +290,7 @@ class D2TreeScheme(MetadataScheme):
         loads = placement.local_loads()
         demoted = 0
         for node in cooled[: self.max_demotions_per_round]:
-            target = min(
-                range(placement.num_servers),
-                key=lambda k: loads[k] / placement.capacities[k]
-                if placement.capacities[k] > 1e-9
-                else float("inf"),
-            )
+            target = placement.lightest(loads)
             placement.demote_global_node(node, target)
             loads[target] += node.popularity
             demoted += 1
@@ -325,18 +310,12 @@ class D2TreeScheme(MetadataScheme):
         tree.ensure_popularity()
         new_split = self.split(tree)
         new_placement = D2TreePlacement(
-            placement.num_servers, new_split, placement.capacities
+            tree, placement.num_servers, new_split, placement.capacities
         )
         new_placement.place_global_layer()
         stay, fresh = [], []
         for root in new_split.subtree_roots:
-            walk = root
-            owner = None
-            while walk is not None:
-                if walk in placement.subtree_owner:
-                    owner = placement.subtree_owner[walk]
-                    break
-                walk = walk.parent
+            owner = placement.subtree_owner.get(placement.subtree_root_of(root))
             if owner is not None:
                 stay.append((root, owner))
             else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.core.namespace import NamespaceTree
 from repro.core.node import MetadataNode
@@ -91,7 +91,7 @@ def _finalize(
     # node_id order keeps the derived lists deterministic across processes
     # (set iteration order depends on object hashes).
     for node in sorted(global_layer, key=lambda n: n.node_id):
-        local_children = [c for c in node.children if c not in global_layer]
+        local_children = [c for c in tree.children(node) if c not in global_layer]
         if local_children:
             inter.append(node)
             roots.extend(local_children)
@@ -135,44 +135,13 @@ def tree_split(
         raise ValueError("locality_threshold must be non-negative")
     if update_threshold < 0:
         raise ValueError("update_threshold must be non-negative")
-    tree.ensure_popularity()
-
-    root = tree.root
-    global_layer: Set[MetadataNode] = {root}
-    # Frontier S holds children of global-layer nodes, ordered by p desc. A
-    # max-heap replaces the repeated sort in Alg. 1 line 3 with the same
-    # selection order; the tiebreaker keeps extraction deterministic.
-    counter = itertools.count()
-    frontier: List = []
-    for child in root.children:
-        heapq.heappush(frontier, (-child.popularity, next(counter), child))
-
-    # Ltmp (Alg. 1 line 1) starts at Σ p_j over every node and sheds the
-    # *total* popularity p_x of each node absorbed into the global layer
-    # (line 10), so it always equals Σ_{n∈LL} p_n — the Eq. 7 denominator.
-    local_popularity = ordered_sum(n.popularity for n in tree) - root.popularity
-    update_cost = 0.0
-
-    while frontier:
-        if local_popularity <= locality_threshold:
-            break
-        neg_p, _tick, node = heapq.heappop(frontier)
-        if update_cost + node.update_cost >= update_threshold:
-            # Alg. 1 line 6: budget exhausted before locality satisfied.
-            if local_popularity > locality_threshold:
-                return SplitResult(
-                    global_layer=set(),
-                    feasible=False,
-                    local_popularity=local_popularity,
-                    update_cost=update_cost,
-                )
-            break
-        update_cost += node.update_cost
-        global_layer.add(node)
-        local_popularity -= node.popularity
-        for child in node.children:
-            heapq.heappush(frontier, (-child.popularity, next(counter), child))
-
+    # Alg. 1 line 6 stops the expansion when admitting the next node would
+    # exhaust the budget; the split is infeasible if locality is not met.
+    global_layer, local_popularity, update_cost = _grow(
+        tree,
+        lambda node, local, cost, _size: local <= locality_threshold
+        or cost + node.update_cost >= update_threshold,
+    )
     if local_popularity > locality_threshold:
         return SplitResult(
             global_layer=set(),
@@ -181,6 +150,39 @@ def tree_split(
             update_cost=update_cost,
         )
     return _finalize(tree, global_layer, True, local_popularity, update_cost)
+
+
+def _grow(tree: NamespaceTree, stop) -> Tuple[Set[MetadataNode], float, float]:
+    """The greedy expansion both splits share: from the root, absorb the
+    frontier node with the highest ``p_j`` until ``stop(node, Ltmp, cost,
+    |GL|)`` holds for it (or the frontier is empty); returns the global
+    layer, ``Ltmp`` and its update cost."""
+    tree.ensure_popularity()
+    root = tree.root
+    global_layer: Set[MetadataNode] = {root}
+    # Frontier S holds children of global-layer nodes, ordered by p desc. A
+    # max-heap replaces the repeated sort in Alg. 1 line 3 with the same
+    # selection order; the tiebreaker keeps extraction deterministic.
+    counter = itertools.count()
+    frontier: List = []
+    for child in tree.children(root):
+        heapq.heappush(frontier, (-child.popularity, next(counter), child))
+    # Ltmp (Alg. 1 line 1) starts at Σ p_j over every node and sheds the
+    # *total* popularity p_x of each node absorbed into the global layer
+    # (line 10), so it always equals Σ_{n∈LL} p_n — the Eq. 7 denominator.
+    local_popularity = ordered_sum(n.popularity for n in tree) - root.popularity
+    update_cost = 0.0
+    while frontier:
+        node = frontier[0][2]
+        if stop(node, local_popularity, update_cost, len(global_layer)):
+            break
+        heapq.heappop(frontier)
+        update_cost += node.update_cost
+        global_layer.add(node)
+        local_popularity -= node.popularity
+        for child in tree.children(node):
+            heapq.heappush(frontier, (-child.popularity, next(counter), child))
+    return global_layer, local_popularity, update_cost
 
 
 def split_top_k(tree: NamespaceTree, k: int) -> SplitResult:
@@ -192,22 +194,9 @@ def split_top_k(tree: NamespaceTree, k: int) -> SplitResult:
     """
     if k < 1:
         raise ValueError("global layer must contain at least the root")
-    tree.ensure_popularity()
-    root = tree.root
-    global_layer: Set[MetadataNode] = {root}
-    counter = itertools.count()
-    frontier: List = []
-    for child in root.children:
-        heapq.heappush(frontier, (-child.popularity, next(counter), child))
-    local_popularity = ordered_sum(n.popularity for n in tree) - root.popularity
-    update_cost = 0.0
-    while frontier and len(global_layer) < k:
-        _negp, _tick, node = heapq.heappop(frontier)
-        global_layer.add(node)
-        local_popularity -= node.popularity
-        update_cost += node.update_cost
-        for child in node.children:
-            heapq.heappush(frontier, (-child.popularity, next(counter), child))
+    global_layer, local_popularity, update_cost = _grow(
+        tree, lambda _node, _local, _cost, size: size >= k
+    )
     return _finalize(tree, global_layer, True, local_popularity, update_cost)
 
 

@@ -19,7 +19,7 @@ def weighted_jumps(tree: NamespaceTree, placement: Placement) -> float:
     tree.ensure_popularity()
     total = 0.0
     for node in tree:
-        jumps = placement.jumps_for(node)
+        jumps = placement.jumps_for(node, tree)
         if jumps:
             total += jumps * node.popularity
     return total

@@ -295,7 +295,7 @@ class Placement:
         (dynamic subtree) pays the whole-tree pass each round."""
         return ()
 
-    def jumps_for(self, node: MetadataNode) -> int:
+    def jumps_for(self, node: MetadataNode, tree: NamespaceTree) -> int:
         """Jump count ``jp_j`` of Def. 1 for a path traversal to ``node``.
 
         Walks the root-to-node chain keeping the set of servers that could be
@@ -303,7 +303,7 @@ class Placement:
         shares no server with that set. The greedy intersection yields the
         minimum possible number of transitions.
         """
-        chain = node.ancestors(include_self=True)
+        chain = tree.ancestors(node, include_self=True)
         current: Optional[FrozenSet[int]] = None
         jumps = 0
         for hop in chain:

@@ -126,9 +126,12 @@ class FastRoutingEngine:
         self._entry_plans: Dict[Tuple[int, int], RoutePlan] = {}
         self._redirect_plans: Dict[Tuple[int, int], RoutePlan] = {}
         self.invalidate()
-        #: The scheme-appropriate planner; :meth:`plan` and
-        #: :meth:`plan_batch` both delegate here after the staleness check.
-        self._planner = self._plan_d2 if self._is_d2 else self._plan_generic
+
+    @property
+    def _planner(self):
+        """The scheme's planner, bound per read: stored, it would be a
+        reference cycle through the engine (and so the tree)."""
+        return self._plan_d2 if self._is_d2 else self._plan_generic
 
     def invalidate(self) -> None:
         """Start every memo column cold against the tree's current arena
@@ -215,11 +218,12 @@ class FastRoutingEngine:
         if self._membership_version != placement.index_version:
             self._refresh_membership()  # as the next plan would have
         bits, roots = self._global_bits, self._root_id
+        last_child = self.arena.last_child
         ids = []
         for node in nodes:
             nid = node.node_id
             if bits[nid]:
-                ids.append(-1 if node.children else nid)
+                ids.append(-1 if last_child[nid] >= 0 else nid)
             else:
                 rid = roots[nid]
                 ids.append(rid if rid >= 0 else placement.subtree_root_of(node).node_id)
@@ -366,7 +370,7 @@ class FastRoutingEngine:
             visits.append(_visit((cached, _REDIRECT)))
             last = cached
             redirected = True
-        chain = self.arena.chain(node)  # ancestor ids, root first
+        chain = self.arena.chain(nid)  # ancestor ids, root first
         # Hits of both counters are summed here and written once per plan;
         # every ancestor is one lookup of each, so misses are the rest.
         index_hits = prefix_hits = 0

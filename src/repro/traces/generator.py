@@ -148,9 +148,9 @@ class TraceGenerator:
         for i in range(hot_file_count):
             hot_nodes.append(add_child(hot_dirs[i % num_hot_dirs], f"hotfile{i}.bin"))
 
-        # Depth by node id, kept as the tree grows (``MetadataNode.depth``
-        # walks the parent chain on every read).
-        depth = [n.depth for n in tree.nodes]
+        # Depth and child count by node id, kept as the tree grows.
+        depth = list(tree.arena().depths())
+        fanout = [len(tree.children(n)) for n in tree.nodes]
 
         # 3. Bulk directories: random attachment below the depth cap, with
         #    mild preferential weighting for heavy-tailed fan-out.
@@ -165,10 +165,12 @@ class TraceGenerator:
             # preferential attachment ("power of two choices").
             a = rng.choice(attachable)
             b = rng.choice(attachable)
-            parent = a if len(a.children) >= len(b.children) else b
+            parent = a if fanout[a.node_id] >= fanout[b.node_id] else b
             new_dir = add_child(parent, f"d{i}", is_directory=True)
             level = depth[parent.node_id] + 1
             depth.append(level)
+            fanout[parent.node_id] += 1
+            fanout.append(0)
             if level < cap:
                 attachable.append(new_dir)
 

@@ -115,6 +115,15 @@ class LiveConfig:
     service_time: float = 0.0
     seed: int = 7
 
+    def __post_init__(self) -> None:
+        # A Monitor round just before a beat finds a live server silent for
+        # nearly two intervals: a shorter timeout can evict them all.
+        if 0 < self.heartbeat_interval and self.heartbeat_timeout < 2 * self.heartbeat_interval:
+            raise ValueError(
+                f"heartbeat timeout {self.heartbeat_timeout:g} s must be at least twice "
+                f"the heartbeat interval {self.heartbeat_interval:g} s in live mode"
+            )
+
 
 class LiveMDS:
     """One metadata server: a listening socket plus a heartbeat task.

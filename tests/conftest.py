@@ -42,7 +42,7 @@ def build_random_tree(num_nodes: int = 400, seed: int = 3) -> NamespaceTree:
     dirs = [tree.root]
     for i in range(num_nodes // 5):
         parent = rng.choice(dirs)
-        if parent.depth < 8:
+        if len(tree.ancestors(parent)) < 8:
             dirs.append(tree.add_child(parent, f"d{i}", is_directory=True))
     for i in range(num_nodes - len(tree)):
         parent = rng.choice(dirs)
@@ -56,33 +56,42 @@ def build_random_tree(num_nodes: int = 400, seed: int = 3) -> NamespaceTree:
 
 def check_structure(tree: NamespaceTree) -> None:
     """What the tree's only structural mutation, ``add_child``, keeps true:
-    every node's id is larger than its parent's, each ``children`` list is
+    every node's id is larger than its parent's, each node's children are
     in id order, the path index finds every node, and the arena spans the
     tree."""
     for node in tree:
         assert tree.lookup(node.path) is node
-        ids = [child.node_id for child in node.children]
+        children = tree.children(node)
+        ids = [child.node_id for child in children]
         assert ids == sorted(ids) and all(cid > node.node_id for cid in ids)
-        assert all(child.parent is node for child in node.children)
+        assert all(tree.parent(child) is node for child in children)
     assert len(tree) == tree.arena().size == len(tree._by_path)
 
 
 def post_order_totals(tree: NamespaceTree, individual) -> list:
     """Def. 2 totals of an id-indexed ``p'`` column by a post-order walk of
-    the node objects, the reference the arena's reverse-id pass must equal
-    bit for bit: children are pushed in list order, so each parent takes
-    its last child's total first."""
+    the tree, the reference the arena's reverse-id pass must equal bit for
+    bit: children are pushed in id order, so each parent takes its last
+    child's total first."""
     totals = list(individual)
     stack = [(tree.root, False)]
     while stack:
         node, children_done = stack.pop()
         if children_done:
-            if node.parent is not None:
-                totals[node.parent.node_id] += totals[node.node_id]
+            parent = tree.parent(node)
+            if parent is not None:
+                totals[parent.node_id] += totals[node.node_id]
         else:
             stack.append((node, True))
-            stack.extend((child, False) for child in node.children)
+            stack.extend((child, False) for child in tree.children(node))
     return totals
+
+
+def subtree_size(tree: NamespaceTree, node) -> int:
+    """Nodes in the subtree rooted at ``node`` (itself included), counted
+    by a walk of that subtree: the reference for the arena's
+    ``subtree_sizes`` column."""
+    return sum(1 for _ in tree.descendants(node, include_self=True))
 
 
 def trace_of(name, records, description="") -> Trace:

@@ -19,7 +19,7 @@ from repro.baselines import (
 )
 from repro.core import NamespaceTree
 from repro.metrics import balance_from_placement, system_locality
-from repro.placement import DEAD_CAPACITY, stable_hash
+from repro.placement import DEAD_CAPACITY, Placement, stable_hash
 from repro.simulation import ClusterSimulator, FaultPlan, SimulationConfig
 from repro.traces import DatasetProfile, load_workload
 from tests.conftest import build_random_tree
@@ -97,16 +97,14 @@ def test_hash_scheme_poor_locality_vs_static(tree):
 def test_static_subtree_keeps_subtrees_whole(tree):
     placement = StaticSubtreeScheme(cut_depth=1).partition(tree, 4)
     for node in tree:
-        if node.depth >= 1:
-            anchor = node
-            while anchor.depth > 1:
-                anchor = anchor.parent
-            assert placement.primary_of(node) == placement.primary_of(anchor)
+        chain = tree.ancestors(node, include_self=True)
+        if len(chain) > 1:
+            assert placement.primary_of(node) == placement.primary_of(chain[1])
 
 
 def test_static_subtree_jumps_bounded(tree):
     placement = StaticSubtreeScheme(cut_depth=1).partition(tree, 4)
-    assert all(placement.jumps_for(n) <= 1 for n in tree)
+    assert all(placement.jumps_for(n, tree) <= 1 for n in tree)
 
 
 def test_static_subtree_locality_flat_in_cluster_size(tree):
@@ -132,18 +130,22 @@ def test_static_cut_depth_validation():
 
 
 def test_static_anchor_is_the_cut_depth_ancestor(tiny_dtr_workload):
-    """Down a DTR tree's deepest chain (49 levels), the anchor of a node at
-    or below the cut is its ancestor at the cut depth; above the cut a node
-    is its own."""
+    """Down a DTR tree's deepest chain (49 levels), a created node at or
+    below the cut hashes its ancestor at the cut depth; above the cut it
+    takes the root's server."""
     tree = tiny_dtr_workload.tree
-    chain = max(tree, key=lambda n: n.depth).ancestors(include_self=True)
+    depths = tree.arena().depths()
+    deepest = max(tree, key=lambda n: depths[n.node_id])
+    chain = tree.ancestors(deepest, include_self=True)
     assert len(chain) == 50
+    servers = 10007  # wide enough that distinct anchors hash apart
     for cut_depth in (1, 2, 7, 49):
         scheme = StaticSubtreeScheme(cut_depth=cut_depth)
+        placement = Placement(servers)
         for node in chain:
-            path = node.ancestors(include_self=True)
-            want = path[cut_depth] if len(path) > cut_depth else node
-            assert scheme._anchor_of(node) is want
+            path = tree.ancestors(node, include_self=True)
+            want = path[cut_depth] if len(path) > cut_depth else tree.root
+            assert scheme.place_created(tree, placement, node) == stable_hash(want.path) % servers
 
 
 # ----------------------------------------------------------------------
@@ -218,8 +220,8 @@ def test_preorder_keys_contiguous_subtrees(tree):
     keys = preorder_keys(tree)
     # Every subtree occupies a contiguous key interval.
     for node in tree:
-        if node.children:
-            subtree_keys = [keys[d] for d in node.descendants(include_self=True)]
+        if tree.children(node):
+            subtree_keys = [keys[d] for d in tree.descendants(node, include_self=True)]
             lo, hi = min(subtree_keys), max(subtree_keys)
             inside = sum(1 for k in keys.values() if lo <= k <= hi)
             assert inside == len(subtree_keys)
@@ -229,8 +231,9 @@ def test_pathname_cluster_keys_cluster_siblings(tree):
     keys = pathname_cluster_keys(tree)
     window = 1.0 / (4 * len(tree))
     for node in tree:
-        if node.is_directory and len(node.children) >= 2:
-            child_keys = sorted(keys[c] for c in node.children)
+        children = tree.children(node)
+        if node.is_directory and len(children) >= 2:
+            child_keys = sorted(keys[c] for c in children)
             assert child_keys[-1] - child_keys[0] <= window
 
 
@@ -281,7 +284,7 @@ def test_anglecut_rings_by_depth(tree):
     scheme = AngleCutScheme(num_rings=3)
     placement = scheme.partition(tree, 4)
     for node, (ring, angle) in placement.angles.items():
-        assert ring == node.depth % 3
+        assert ring == len(tree.ancestors(node)) % 3
         assert 0.0 <= angle < 1.0
 
 
@@ -479,7 +482,7 @@ def test_refit_moves_what_the_full_reassign_moved(scheme):
     table = "keys" if isinstance(new, DropPlacement) else "angles"
     bounds = "boundaries" if table == "keys" else "ring_boundaries"
     rng = random.Random(5)
-    dirs = [node for node in tree if node.is_directory and node.depth >= 2]
+    dirs = [node for node in tree if node.is_directory and len(tree.ancestors(node)) >= 2]
     moved_rounds = 0
     seen = set()
     for round_ in range(8):

@@ -444,6 +444,18 @@ def test_a_negative_trace_sample_or_seed_count_exits_2(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("verb", ["serve", "validate"])
+def test_a_live_heartbeat_timeout_under_two_intervals_exits_2(verb, capsys):
+    """The live config refuses the clocks before anything starts."""
+    argv = [verb, "--nodes", "300", "--max-ops", "200",
+            "--heartbeat-interval", "0.05", "--heartbeat-timeout", "0.04"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: heartbeat timeout 0.04 s must be at least twice the heartbeat "
+        "interval 0.05 s in live mode\n"
+    )
+
+
 # ----------------------------------------------------------------------
 # The flag surface: no flag added, removed, renamed or re-defaulted
 # ----------------------------------------------------------------------

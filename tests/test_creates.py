@@ -72,7 +72,8 @@ def grown_tree():
 def test_place_created_places_new_leaf(grown_tree, scheme_cls):
     scheme = scheme_cls()
     placement = scheme.partition(grown_tree, 4)
-    parent = next(n for n in grown_tree if n.is_directory and n.depth >= 2)
+    depths = grown_tree.arena().depths()
+    parent = next(n for n in grown_tree if n.is_directory and depths[n.node_id] >= 2)
     fresh = grown_tree.add_child(parent, "fresh.txt")
     server = scheme.place_created(grown_tree, placement, fresh)
     assert 0 <= server < 4
@@ -94,19 +95,19 @@ def test_hash_create_uses_path_hash(grown_tree):
 def test_static_create_joins_anchor(grown_tree):
     scheme = StaticSubtreeScheme(cut_depth=1)
     placement = scheme.partition(grown_tree, 4)
-    parent = next(n for n in grown_tree if n.is_directory and n.depth >= 2)
+    depths = grown_tree.arena().depths()
+    parent = next(n for n in grown_tree if n.is_directory and depths[n.node_id] >= 2)
     fresh = grown_tree.add_child(parent, "anchored.txt")
     server = scheme.place_created(grown_tree, placement, fresh)
-    anchor = parent
-    while anchor.depth > 1:
-        anchor = anchor.parent
+    anchor = grown_tree.ancestors(parent, include_self=True)[1]
     assert server == placement.primary_of(anchor)
 
 
 def test_dynamic_create_joins_parent_zone(grown_tree):
     scheme = DynamicSubtreeScheme(cut_depth=2)
     placement = scheme.partition(grown_tree, 4)
-    parent = next(n for n in grown_tree if n.is_directory and n.depth >= 3)
+    depths = grown_tree.arena().depths()
+    parent = next(n for n in grown_tree if n.is_directory and depths[n.node_id] >= 3)
     fresh = grown_tree.add_child(parent, "zoned.txt")
     server = scheme.place_created(grown_tree, placement, fresh)
     assert server == placement.primary_of(parent)
@@ -126,7 +127,8 @@ def test_d2_create_under_inter_node_opens_subtree(grown_tree):
     placement = scheme.partition(grown_tree, 4)
     inter = next(
         n for n in placement.split.global_layer
-        if n.is_directory and any(c not in placement.split.global_layer for c in n.children)
+        if n.is_directory
+        and any(c not in placement.split.global_layer for c in grown_tree.children(n))
     )
     fresh = grown_tree.add_child(inter, "newsubtree.txt")
     scheme.place_created(grown_tree, placement, fresh)

@@ -25,7 +25,7 @@ def tree():
 def heat_subtree(tree, placement):
     """Make one local subtree overwhelmingly hot; returns its root."""
     root = max(placement.subtree_owner, key=lambda r: r.popularity)
-    for node in root.descendants(include_self=True):
+    for node in tree.descendants(root, include_self=True):
         node.individual_popularity += 200.0
     tree.aggregate_popularity()
     return root
@@ -46,7 +46,7 @@ def test_promotion_creates_finer_subtrees(tree):
     hot_root = heat_subtree(tree, placement)
     before = len(placement.subtree_owner)
     scheme.rebalance(tree, placement)
-    if hot_root.children:
+    if tree.children(hot_root):
         assert len(placement.subtree_owner) >= before
 
 
@@ -77,7 +77,7 @@ def test_promotion_preserves_completeness_and_layers(tree):
     placement.validate_complete(tree)
     # Global layer stays connected.
     for node in placement.split.global_layer:
-        assert node.parent is None or node.parent in placement.split.global_layer
+        assert node is tree.root or tree.parent(node) in placement.split.global_layer
     # Every local node still resolves to a registered subtree root.
     for node in tree:
         if not placement.is_global(node):
@@ -96,7 +96,7 @@ def test_promote_subtree_rejects_non_root(tree):
 # ----------------------------------------------------------------------
 def promote_a_leaf(placement):
     """Promote one childless subtree root into the GL; returns it."""
-    leaf_roots = [r for r in placement.subtree_owner if not r.children]
+    leaf_roots = [r for r in placement.subtree_owner if not placement.tree.children(r)]
     root = leaf_roots[0]
     placement.promote_subtree(root)
     return root
@@ -128,7 +128,7 @@ def test_demote_validation(tree):
     placement = scheme.partition(tree, 4)
     with pytest.raises(ValueError):
         placement.demote_global_node(tree.root, 0)
-    inner = next(n for n in placement.split.global_layer if n.children)
+    inner = next(n for n in placement.split.global_layer if tree.children(n))
     with pytest.raises(ValueError):
         placement.demote_global_node(inner, 0)
     local = next(iter(placement.subtree_owner))
@@ -139,7 +139,7 @@ def test_demote_validation(tree):
 def test_promote_demote_roundtrip(tree):
     scheme = D2TreeScheme(global_layer_fraction=0.02)
     placement = scheme.partition(tree, 4)
-    leaf_roots = [r for r in placement.subtree_owner if not r.children]
+    leaf_roots = [r for r in placement.subtree_owner if not tree.children(r)]
     assert leaf_roots
     root = leaf_roots[0]
     placement.promote_subtree(root)

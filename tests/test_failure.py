@@ -42,7 +42,7 @@ def test_d2_failure_subtrees_stay_whole(tree):
     placement.fail(2)
     for root, server in placement.subtree_owner.items():
         assert server != 2
-        for node in root.descendants(include_self=True):
+        for node in tree.descendants(root, include_self=True):
             assert placement.primary_of(node) == server
 
 

@@ -175,10 +175,11 @@ def test_global_layer_updates_are_acked_by_the_primary_only(workload):
 # ----------------------------------------------------------------------
 def test_a_stale_client_entry_costs_one_redirect_then_is_corrected(workload):
     placement = registry.create("d2-tree").partition(workload.tree, NUM_SERVERS)
+    tree = workload.tree
     root, owner = max(
-        placement.subtree_owner.items(), key=lambda item: len(item[0].children)
+        placement.subtree_owner.items(), key=lambda item: len(tree.children(item[0]))
     )
-    below = [root] + list(root.descendants())
+    below = [root] + list(tree.descendants(root))
     ops = ops_trace((node.path, "read") for node in (below * 3)[:12])
     wrong = (owner + 1) % NUM_SERVERS
 

@@ -1,15 +1,20 @@
 """Unit tests for repro.core.namespace."""
 
+import gc
 import hashlib
 import random
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import NamespaceTree, split_path
+from repro.core import D2TreeScheme, NamespaceTree, split_path
 from repro.core.namespace import PopularityEstimate
-from repro.traces import TraceGenerator
+from repro.core.node import MetadataNode
+from repro.simulation import simulate
+from repro.traces import DatasetProfile, TraceGenerator
 from tests.conftest import check_structure, post_order_totals
 from tests.test_generator import PINNED_PROFILES
 
@@ -93,7 +98,7 @@ def test_add_child_refuses_a_name_that_is_not_one_component(name):
     for parent in (tree.root, a):
         with pytest.raises(ValueError, match="slash-free"):
             tree.add_child(parent, name)
-    assert len(tree) == 2 and not a.children
+    assert len(tree) == 2 and not tree.children(a)
     assert tree.lookup("/b") is None and tree.lookup("/a/") is None
 
 
@@ -104,7 +109,7 @@ def test_node_ids_dense_and_ordered():
     ids = [node.node_id for node in tree]
     assert ids == list(range(len(tree)))
     for node in tree:
-        assert tree.node_by_id(node.node_id) is node
+        assert tree.nodes[node.node_id] is node
 
 
 def test_contains_and_lookup():
@@ -183,8 +188,9 @@ def test_iteration_order_parents_first():
     tree.add_path("/a/b/c/d.txt")
     seen = set()
     for node in tree:
-        if node.parent is not None:
-            assert node.parent in seen
+        parent = tree.parent(node)
+        if parent is not None:
+            assert parent in seen
         seen.add(node)
 
 
@@ -246,10 +252,10 @@ _STEPS = st.lists(
 def test_ids_grow_parents_first_under_any_build(steps, rng):
     """Under any mix of ``add_path`` and ``add_child`` — intermediate
     directories, and files added late under early directories — every id
-    is larger than its parent's, each ``children`` list is in id order,
+    is larger than its parent's, each node's children are in id order,
     ``lookup(path)`` finds every node, the arena spans the tree, and the
-    reverse-id pass equals the object post-order walk bit for bit at
-    non-dyadic ``p'``."""
+    reverse-id pass equals the post-order walk bit for bit at non-dyadic
+    ``p'``."""
     tree = NamespaceTree()
     for kind, *args in steps:
         try:
@@ -266,3 +272,57 @@ def test_ids_grow_parents_first_under_any_build(steps, rng):
     individual = [rng.random() * 10 / 3 for _ in range(len(tree))]
     tree.arena().write_popularity(individual)
     assert [n.popularity for n in tree] == post_order_totals(tree, individual)
+
+
+# ----------------------------------------------------------------------
+# What a tree keeps, and when it lets go
+# ----------------------------------------------------------------------
+def live_nodes() -> int:
+    """``MetadataNode`` objects alive in the process (collector-tracked)."""
+    return sum(type(obj) is MetadataNode for obj in gc.get_objects())
+
+
+def dropped_workload_lingers(profile) -> bool:
+    """Generate ``profile``'s workload, read its arena, replay it once,
+    drop it, all with the cyclic collector off: whether its tree or any of
+    its nodes is still alive (a reference cycle holds it until a full
+    collection). Nodes take no weak reference, so they are counted."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_nodes()
+        workload = TraceGenerator(profile, num_clients=8).generate()
+        workload.tree.arena()
+        result = simulate(D2TreeScheme(), workload, 4)
+        tree = weakref.ref(workload.tree)
+        assert live_nodes() - before == len(workload.tree)
+        del workload, result
+        return tree() is not None or live_nodes() != before
+    finally:
+        gc.enable()
+
+
+def test_a_dropped_workload_is_freed_without_the_collector():
+    """No node refers to another, the arena holds the tree's columns and
+    not the tree, and the route planner stores no bound method of its
+    own: nothing a replayed workload holds forms a cycle."""
+    assert not dropped_workload_lingers(DatasetProfile.dtr(num_nodes=2000, scale=2e-5))
+
+
+def workload_bytes_per_node(profile) -> float:
+    """Bytes a generated workload (tree and trace) retains per tree node."""
+    tracemalloc.start()
+    try:
+        workload = TraceGenerator(profile).generate()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained / len(workload.tree)
+
+
+def test_a_generated_dtr_workload_retains_at_most_480_bytes_per_node():
+    """A node object with no parent or child slots and no children list,
+    plus four 4-byte id columns: ~465 B per node at 20 k nodes, trace
+    included, where node objects that linked each other held ~541."""
+    assert workload_bytes_per_node(DatasetProfile.dtr(num_nodes=20_000)) <= 480

@@ -17,11 +17,21 @@ def chain(*names):
 
 
 def test_root_defaults():
-    root = MetadataNode(PATH_SEPARATOR)
-    assert root.parent is None
-    assert not root.children
-    assert root.depth == 0
-    assert root.path == "/"
+    tree = NamespaceTree()
+    root = tree.root
+    assert tree.parent(root) is None
+    assert not tree.children(root)
+    assert tree.ancestors(root) == []
+    assert root.path == PATH_SEPARATOR and root.node_id == 0
+
+
+def test_a_node_refers_to_no_other_node():
+    _tree, (_root, a, b) = chain("a", "b")
+    for node in (a, b):
+        assert not any(
+            isinstance(getattr(node, slot), (MetadataNode, list))
+            for slot in MetadataNode.__slots__
+        )
 
 
 def test_child_path_composition():
@@ -30,15 +40,12 @@ def test_child_path_composition():
     assert home.path == "/home"
     assert b.path == "/home/b"
     assert f.path == "/home/b/h.jpg"
-    # Composed by the constructor, for a node the tree never registered.
-    assert MetadataNode("x", parent=b).path == "/home/b/x"
 
 
 def test_depth_counts_edges():
-    _tree, (root, a, b) = chain("a", "b")
-    assert root.depth == 0
-    assert a.depth == 1
-    assert b.depth == 2
+    tree, (root, a, b) = chain("a", "b")
+    assert [len(tree.ancestors(n)) for n in (root, a, b)] == [0, 1, 2]
+    assert tree.arena().depths() == [0, 1, 2]
 
 
 def test_add_child_to_file_rejected():
@@ -46,56 +53,69 @@ def test_add_child_to_file_rejected():
     f = tree.add_child(tree.root, "x.txt", is_directory=False)
     with pytest.raises(ValueError):
         tree.add_child(f, "y")
-    assert not f.children and tree.lookup("/x.txt/y") is None
+    assert not tree.children(f) and tree.lookup("/x.txt/y") is None
 
 
 def test_negative_popularity_rejected():
     with pytest.raises(ValueError):
-        MetadataNode("a", individual_popularity=-1.0)
+        MetadataNode("a", "/a", individual_popularity=-1.0)
 
 
 def test_negative_update_cost_rejected():
     with pytest.raises(ValueError):
-        MetadataNode("a", update_cost=-0.5)
+        MetadataNode("a", "/a", update_cost=-0.5)
 
 
 def test_ancestors_root_first():
-    _tree, (root, a, b) = chain("a", "b")
-    assert b.ancestors() == [root, a]
-    assert b.ancestors(include_self=True) == [root, a, b]
+    tree, (root, a, b) = chain("a", "b")
+    assert tree.ancestors(b) == [root, a]
+    assert tree.ancestors(b, include_self=True) == [root, a, b]
+    assert tree.arena().chain(b.node_id) == (root.node_id, a.node_id)
 
 
 def test_ancestors_of_root_empty():
-    root = MetadataNode("/")
-    assert root.ancestors() == []
-    assert root.ancestors(include_self=True) == [root]
+    tree = NamespaceTree()
+    assert tree.ancestors(tree.root) == []
+    assert tree.ancestors(tree.root, include_self=True) == [tree.root]
+    assert tree.arena().chain(0) == ()
 
 
 def test_descendants_covers_subtree():
     tree, (root, a) = chain("a")
     b = tree.add_child(root, "b", is_directory=True)
     c = tree.add_child(a, "c", is_directory=False)
-    assert set(root.descendants()) == {a, b, c}
+    # A stack walk that pushes children in id order pops the last first.
+    assert list(tree.descendants(root)) == [b, a, c]
 
 
 def test_descendants_include_self():
-    _tree, (root, a) = chain("a")
-    assert set(root.descendants(include_self=True)) == {root, a}
+    tree, (root, a) = chain("a")
+    assert list(tree.descendants(root, include_self=True)) == [root, a]
 
 
 def test_subtree_size():
     tree, (root, a) = chain("a")
     tree.add_child(a, "c", is_directory=False)
-    assert root.subtree_size() == 3
-    assert a.subtree_size() == 2
+    assert tree.arena().subtree_sizes() == [3, 2, 1]
 
 
 def test_leaf_detection_with_children():
-    _tree, (root, a) = chain("a")
-    assert root.children == [a]
+    tree, (root, a) = chain("a")
+    assert tree.children(root) == [a]
+    assert tree.arena().last_child[a.node_id] == -1
+
+
+def test_children_in_id_order():
+    tree, (root, a) = chain("a")
+    b = tree.add_child(root, "b")
+    c = tree.add_child(a, "c")
+    d = tree.add_child(root, "d")
+    assert tree.children(root) == [a, b, d]
+    assert tree.children(a) == [c]
+    assert [tree.parent(n) for n in (root, a, b, c, d)] == [None, root, root, a, root]
 
 
 def test_initial_popularity_equals_individual():
-    node = MetadataNode("a", individual_popularity=4.5)
+    node = MetadataNode("a", "/a", individual_popularity=4.5)
     assert node.popularity == 4.5
     assert node.individual_popularity == 4.5

@@ -97,7 +97,7 @@ def test_every_node_is_placed_by_its_ancestors(trees):
     static = registry.create("static-subtree").partition(tree, NUM_SERVERS)
     root_server = stable_hash("/") % NUM_SERVERS
     for node in tree:
-        chain = node.ancestors(include_self=True)
+        chain = tree.ancestors(node, include_self=True)
         want = stable_hash(chain[1].path) % NUM_SERVERS if len(chain) > 1 else root_server
         assert static.primary_of(node) == want
     dynamic = registry.create("dynamic-subtree").partition(tree, NUM_SERVERS)
@@ -210,7 +210,7 @@ def nested_zone_case():
     ):
         tree.add_path(path)
     tree.aggregate_popularity()
-    placement = DynamicSubtreePlacement(NUM_SERVERS)
+    placement = DynamicSubtreePlacement(tree, NUM_SERVERS)
     for path, server in (("/", 0), ("/a", 1), ("/a/x/b", 2), ("/a/x/b/c", 3)):
         placement.zone_of[tree.lookup(path)] = server
     placement.rebuild_assignments(tree)

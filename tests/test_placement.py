@@ -129,7 +129,7 @@ def test_jumps_single_server_zero():
     placement = Placement(1)
     for node in tree:
         placement.assign(node, 0)
-    assert all(placement.jumps_for(n) == 0 for n in tree)
+    assert all(placement.jumps_for(n, tree) == 0 for n in tree)
 
 
 def test_jumps_counts_transitions():
@@ -141,7 +141,7 @@ def test_jumps_counts_transitions():
     placement.assign(tree.lookup("/a/b"), 1)
     placement.assign(c, 1)
     # Chain servers: 0 (root), 0 (/a), 1 (/a/b), 1 (c) -> one transition.
-    assert placement.jumps_for(c) == 1
+    assert placement.jumps_for(c, tree) == 1
 
 
 def test_jumps_alternating_servers():
@@ -151,7 +151,7 @@ def test_jumps_alternating_servers():
     placement.assign(tree.lookup("/a"), 1)
     placement.assign(tree.lookup("/a/b"), 0)
     placement.assign(tree.lookup("/a/b/c.txt"), 1)
-    assert placement.jumps_for(tree.lookup("/a/b/c.txt")) == 3
+    assert placement.jumps_for(tree.lookup("/a/b/c.txt"), tree) == 3
 
 
 def test_jumps_with_replication_uses_intersection():
@@ -161,7 +161,7 @@ def test_jumps_with_replication_uses_intersection():
     placement.assign(tree.lookup("/a"), 1)
     placement.assign(tree.lookup("/a/d.txt"), 1)
     # Root is everywhere, so the traversal can start on server 1: no jump.
-    assert placement.jumps_for(tree.lookup("/a/d.txt")) == 0
+    assert placement.jumps_for(tree.lookup("/a/d.txt"), tree) == 0
 
 
 def test_validate_complete_detects_missing():

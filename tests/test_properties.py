@@ -39,7 +39,7 @@ def random_trees(draw):
     for i in range(size):
         parent = rng.choice(nodes)
         if not parent.is_directory:
-            parent = parent.parent
+            parent = tree.parent(parent)
         child = tree.add_child(
             parent, f"n{i}", is_directory=rng.random() < 0.4,
             individual_popularity=rng.random() * 10,
@@ -90,7 +90,7 @@ def test_split_partitions_tree(tree, k):
     local = set()
     for root in result.subtree_roots:
         local.add(root)
-        local.update(root.descendants())
+        local.update(tree.descendants(root))
     # GL and LL partition the node set.
     assert result.global_layer | local == set(tree.nodes)
     assert not (result.global_layer & local)
@@ -102,7 +102,7 @@ def test_split_global_layer_connected_and_sized(tree, k):
     result = split_top_k(tree, k)
     assert len(result.global_layer) == min(k, len(tree))
     for node in result.global_layer:
-        assert node.parent is None or node.parent in result.global_layer
+        assert node is tree.root or tree.parent(node) in result.global_layer
 
 
 @given(random_trees(), st.integers(min_value=1, max_value=50))
@@ -120,8 +120,9 @@ def test_split_local_popularity_nonnegative(tree, k):
 @settings(max_examples=50, deadline=None)
 def test_popularity_parent_at_least_child(tree):
     for node in tree:
-        if node.parent is not None:
-            assert node.parent.popularity >= node.popularity - 1e-9
+        parent = tree.parent(node)
+        if parent is not None:
+            assert parent.popularity >= node.popularity - 1e-9
 
 
 @given(random_trees())

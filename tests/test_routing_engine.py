@@ -70,7 +70,7 @@ def test_owner_index_follows_promotion(workload):
     client = sim.clients[0]
     root = max(
         sim.placement.subtree_owner,
-        key=lambda node: len(node.children),
+        key=lambda node: len(workload.tree.children(node)),
     )
     sim.engine.plan(client, root, OpType.READ)
     sim.placement.promote_subtree(root)
@@ -275,7 +275,7 @@ def test_single_server_generic_walk_returns_the_serve_plan(workload):
     for node in tree:
         plan = engine.plan(SimClient(0, 6), node, OpType.READ)  # cold caches
         target = placement.primary_of(node)
-        walk = {placement.primary_of(tree._nodes[a]) for a in engine.arena.chain(node)} | {target}
+        walk = {placement.primary_of(tree._nodes[a]) for a in engine.arena.chain(node.node_id)} | {target}
         if walk == {target}:
             assert plan is engine._serve_plan(target)
             single += 1

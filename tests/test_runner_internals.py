@@ -82,7 +82,8 @@ def test_d2_ll_update_no_fanout(workload):
 def test_generic_traversal_walks_uncached_prefix(workload):
     sim = ClusterSimulator(StaticSubtreeScheme(), workload, 4, FAST)
     client = sim.clients[0]
-    deep = max(workload.tree.nodes, key=lambda n: n.depth)
+    depths = workload.tree.arena().depths()
+    deep = max(workload.tree.nodes, key=lambda n: depths[n.node_id])
     plan = sim.engine.plan(client, deep, OpType.READ)
     assert plan.visits[-1].server == sim.placement.primary_of(deep)
     # Second traversal of the same path is fully cached: one visit.
@@ -93,10 +94,11 @@ def test_generic_traversal_walks_uncached_prefix(workload):
 def test_generic_stale_prefix_single_redirect(workload):
     sim = ClusterSimulator(DropScheme(), workload, 4, FAST)
     client = sim.clients[0]
-    deep = max(workload.tree.nodes, key=lambda n: n.depth)
+    depths = workload.tree.arena().depths()
+    deep = max(workload.tree.nodes, key=lambda n: depths[n.node_id])
     sim.engine.plan(client, deep, OpType.READ)
     # Invalidate by moving every ancestor's assignment by one server.
-    for ancestor in deep.ancestors(include_self=True):
+    for ancestor in workload.tree.ancestors(deep, include_self=True):
         current = sim.placement.primary_of(ancestor)
         sim.placement.assign(ancestor, (current + 1) % 4)
     plan = sim.engine.plan(client, deep, OpType.READ)

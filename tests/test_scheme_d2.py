@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import D2TreePlacement, D2TreeScheme, NamespaceTree
-from tests.conftest import build_random_tree
+from tests.conftest import build_random_tree, subtree_size
 
 
 def test_partition_places_every_node(random_tree):
@@ -43,7 +43,7 @@ def test_subtree_integrity(random_tree):
     scheme = D2TreeScheme(global_layer_fraction=0.05)
     placement = scheme.partition(random_tree, 4)
     for root, server in placement.subtree_owner.items():
-        for node in root.descendants(include_self=True):
+        for node in random_tree.descendants(root, include_self=True):
             assert placement.primary_of(node) == server
 
 
@@ -52,7 +52,7 @@ def test_jump_convention(random_tree):
     placement = scheme.partition(random_tree, 4)
     for node in random_tree:
         expected = 0 if placement.is_global(node) else 1
-        assert placement.jumps_for(node) == expected
+        assert placement.jumps_for(node, random_tree) == expected
 
 
 def test_subtree_root_of(random_tree):
@@ -64,10 +64,7 @@ def test_subtree_root_of(random_tree):
             assert root is None
         else:
             assert root in placement.subtree_owner
-            walk = node
-            while walk is not root:
-                walk = walk.parent
-            assert walk is root
+            assert root in random_tree.ancestors(node, include_self=True)
 
 
 def test_single_server_cluster(random_tree):
@@ -144,28 +141,29 @@ def test_move_subtree_matches_an_assign_per_node(random_tree):
     can observe — the placement dict's insertion order (late-created,
     still unplaced descendants are inserted as ``descendants()`` meets
     them) and the final ``version`` — is that of one ``assign()`` per node."""
-    placement = D2TreeScheme(global_layer_fraction=0.05).partition(random_tree, 4)
-    root = max(placement.subtree_owner, key=lambda r: r.subtree_size())
-    assert root.subtree_size() > 2
+    tree = random_tree
+    placement = D2TreeScheme(global_layer_fraction=0.05).partition(tree, 4)
+    root = max(placement.subtree_owner, key=lambda r: subtree_size(tree, r))
+    assert subtree_size(tree, root) > 2
     # Late-created nodes: unplaced until first touched.
-    late = [n for n in root.descendants() if not n.children][::2]
+    late = [n for n in tree.descendants(root) if not tree.children(n)][::2]
     assert len(late) >= 2 and all(placement.forget(n) for n in reversed(late))
     owner = placement.subtree_owner[root]
     target = (owner + 1) % 4
     before, version = dict(placement._servers_of), placement.version
 
-    assert placement.move_subtree(root, target) == root.subtree_size()
+    assert placement.move_subtree(root, target) == subtree_size(tree, root)
     assert placement.subtree_owner[root] == target
     assert all(
         placement.servers_of(node) == (target,)
-        for node in root.descendants(include_self=True)
+        for node in tree.descendants(root, include_self=True)
     )
     moved_order, moved_version = list(placement._servers_of), placement.version
     assert moved_order[-len(late):] == late
 
     placement._servers_of, placement.version = before, version
     placement.subtree_owner[root] = owner
-    for node in root.descendants(include_self=True):
+    for node in tree.descendants(root, include_self=True):
         placement.assign(node, target)
     assert list(placement._servers_of) == moved_order
     assert placement.version == moved_version

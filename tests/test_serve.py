@@ -244,3 +244,16 @@ def test_load_report_outcomes_are_views_of_the_history(monkeypatch):
         len(acks), count("fail"), count("indeterminate"),
     )
     assert report.retries == count("retry")
+
+
+def test_a_live_heartbeat_timeout_under_two_intervals_is_refused():
+    """A Monitor round that lands just before a beat sees every server
+    silent for almost one interval past its last beat, so a timeout under
+    two intervals can evict the whole live cluster: refused, naming both
+    values. Two intervals and up pass, and so does any timeout with
+    heartbeats off."""
+    for timeout in (0.04, 0.099):
+        with pytest.raises(ValueError, match=f"timeout {timeout:g} s .* interval 0.05 s"):
+            LiveConfig(heartbeat_interval=0.05, heartbeat_timeout=timeout)
+    for interval, timeout in ((0.05, 0.1), (0.05, 0.25), (0.01, 0.03), (0.0, 0.01)):
+        LiveConfig(heartbeat_interval=interval, heartbeat_timeout=timeout)

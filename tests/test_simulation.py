@@ -28,7 +28,7 @@ from repro.simulation import (
 from repro.simulation import runner
 from repro.traces import DatasetProfile, TraceGenerator, dumps_trace, loads_trace
 from repro.transport import FaultFabric
-from tests.conftest import build_random_tree, post_order_totals
+from tests.conftest import build_random_tree, post_order_totals, subtree_size
 from tests.history_sink import HistorySink
 
 
@@ -154,8 +154,8 @@ def test_timeline_background_appends_without_gap(tiny_dtr_workload):
     fast-forwarding the clock to the round's time; a dead endpoint does no
     work."""
     sim = ClusterSimulator(D2TreeScheme(), tiny_dtr_workload, 4, FAST)
-    node = sim.tree.root.children[0]
-    cost = FAST.migration_work * node.subtree_size() * FAST.service_time
+    node = sim.tree.children(sim.tree.root)[0]
+    cost = FAST.migration_work * subtree_size(sim.tree, node) * FAST.service_time
     sim.busy_until[0] = 1.0  # server 0 has a backlog, server 1 is idle
     sim._charge_migrations([Migration(node, 0, 1)])
     assert sim.busy_until == [1.0 + cost, cost, 0.0, 0.0]
@@ -319,8 +319,8 @@ def test_arena_matches_object_aggregation(random_tree):
     def assert_columns(arena):
         depths, sizes = arena.depths(), arena.subtree_sizes()
         assert len(depths) == len(sizes) == arena.size == len(random_tree)
-        assert all(depths[n.node_id] == n.depth for n in random_tree)
-        assert all(sizes[n.node_id] == n.subtree_size() for n in random_tree)
+        assert all(depths[n.node_id] == len(random_tree.ancestors(n)) for n in random_tree)
+        assert all(sizes[n.node_id] == subtree_size(random_tree, n) for n in random_tree)
 
     def assert_write_back(arena):
         for node in random_tree:
@@ -336,7 +336,7 @@ def test_arena_matches_object_aggregation(random_tree):
     assert_write_back(arena)
 
     # Growth, early directories included: the arena is re-issued and exact.
-    early = next(n for n in random_tree if n.is_directory and n.depth >= 2)
+    early = next(n for n in random_tree if n.is_directory and len(random_tree.ancestors(n)) >= 2)
     random_tree.add_child(early, "late.txt", individual_popularity=0.3)
     random_tree.add_path("/arena-dst/inner/x.txt", individual_popularity=0.1)
     grown = random_tree.arena()
@@ -365,7 +365,7 @@ def test_column_round_matches_object_round(seed, blend):
     with exactly (``==``) the ``individual_popularity`` / ``popularity``
     the object loop and the object post-order walk give it, round after
     round; one materialise after all the rounds (the lazy decay) agrees to
-    rounding; and the size column is ``subtree_size()`` for every node."""
+    rounding; and the size column is each node's subtree walk."""
     tree = build_random_tree(40, seed)
     everyone = list(tree)
     arena = tree.arena()
@@ -401,7 +401,7 @@ def test_column_round_matches_object_round(seed, blend):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     sizes = arena.subtree_sizes()
-    assert all(sizes[node.node_id] == node.subtree_size() for node in tree)
+    assert all(sizes[node.node_id] == subtree_size(tree, node) for node in tree)
 
 
 def test_server_loads_summed_only_when_a_round_is_recorded(

@@ -41,7 +41,7 @@ def test_global_layer_is_connected():
     tree = build_random_tree(300)
     result = split_top_k(tree, 30)
     for node in result.global_layer:
-        assert node.parent is None or node.parent in result.global_layer
+        assert node is tree.root or tree.parent(node) in result.global_layer
 
 
 def test_local_popularity_matches_eq7():
@@ -54,7 +54,7 @@ def test_local_popularity_matches_eq7():
 def test_update_cost_sums_gl_members_minus_root():
     tree, _ = popular_tree()
     result = split_top_k(tree, 4)
-    expected = sum(n.update_cost for n in result.global_layer if n.parent is not None)
+    expected = sum(n.update_cost for n in result.global_layer if n is not tree.root)
     assert result.update_cost == pytest.approx(expected)
 
 
@@ -63,10 +63,10 @@ def test_subtree_roots_are_local_children_of_inter_nodes():
     result = split_top_k(tree, 20)
     for root in result.subtree_roots:
         assert root not in result.global_layer
-        assert root.parent in result.global_layer
+        assert tree.parent(root) in result.global_layer
     for inter in result.inter_nodes:
         assert inter in result.global_layer
-        assert any(c not in result.global_layer for c in inter.children)
+        assert any(c not in result.global_layer for c in tree.children(inter))
 
 
 def test_subtree_roots_partition_local_layer():
@@ -75,7 +75,7 @@ def test_subtree_roots_partition_local_layer():
     covered = set()
     for root in result.subtree_roots:
         covered.add(root)
-        covered.update(root.descendants())
+        covered.update(tree.descendants(root))
     local = {n for n in tree if n not in result.global_layer}
     assert covered == local
 

@@ -60,7 +60,7 @@ class D2PlacementMachine(RuleBasedStateMachine):
         candidates = [
             n
             for n in self.placement.split.global_layer
-            if not n.children and n.parent is not None
+            if not self.tree.children(n) and n is not self.tree.root
         ]
         if not candidates:
             return
@@ -96,14 +96,15 @@ class D2PlacementMachine(RuleBasedStateMachine):
     @invariant()
     def global_layer_connected(self):
         for node in self.placement.split.global_layer:
-            assert node.parent is None or node.parent in self.placement.split.global_layer
+            parent = self.tree.parent(node)
+            assert parent is None or parent in self.placement.split.global_layer
 
     @invariant()
     def global_layer_replicated_consistently(self):
         sets = {
             self.placement.servers_of(node)
             for node in self.placement.split.global_layer
-            if node.parent is None
+            if node is self.tree.root
         }
         assert len(sets) == 1  # the root defines the replica set
         for node in self.placement.split.global_layer:
@@ -115,7 +116,7 @@ class D2PlacementMachine(RuleBasedStateMachine):
     def subtrees_whole_and_indexed(self):
         for root, owner in self.placement.subtree_owner.items():
             assert owner not in self.failed
-            for member in root.descendants(include_self=True):
+            for member in self.tree.descendants(root, include_self=True):
                 assert self.placement.primary_of(member) == owner
 
     @invariant()

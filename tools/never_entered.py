@@ -119,8 +119,6 @@ REACHED_BY: Dict[str, str] = {
     " runner's inlined planner are held to (tests/test_routing_engine.py)",
     "repro.traces.generator:ZipfSampler.sample": "one draw from the cumulative weights the"
     " generator draws from in batches; tests/test_generator.py holds it to range and skew",
-    "repro.core.node:MetadataNode.subtree_size": "the per-node walk the arena's subtree_sizes"
-    " column is tested against",
     "repro.analysis.cdf:EmpiricalCDF.sup_distance": "the Kolmogorov distance that Sec. V's"
     " DKW bound limits, tested against it",
     "repro.analysis.cdf:dkw_confidence": "Thm. 2's DKW bound, which dkw_epsilon's inversion"
