@@ -555,11 +555,11 @@ def test_refit_moves_what_the_full_reassign_moved(scheme):
 # ----------------------------------------------------------------------
 #: Seeded RA replay with CREATEs (new keys mid-run), a crash + recover and
 #: a Monitor quorum loss (skipped rounds): sha256 prefix of every round's
-#: boundaries and moves, then ``_servers_of`` and ``version``.
+#: boundaries and moves, then ``_servers_of`` in node-id order and ``version``.
 REPLAY_PINS = {
-    "drop-pathname": "61e04a1053464460",
-    "drop-preorder": "deb700487b08d75c",
-    "anglecut": "3176a5042258a8a9",
+    "drop-pathname": "e3756e91c43d6dd8",
+    "drop-preorder": "e1e6b2a87504fe05",
+    "anglecut": "2098c77c64c25c4d",
 }
 
 _REPLAY_SCHEMES = {
@@ -572,7 +572,7 @@ _REPLAY_SCHEMES = {
 @pytest.mark.parametrize("name", sorted(REPLAY_PINS))
 def test_adjusted_replay_is_pinned(name):
     """Per round the boundaries and the moves (node id, source, target);
-    at the end ``_servers_of`` in insertion order and ``version``."""
+    at the end ``_servers_of`` in node-id order and ``version``."""
     scheme = _REPLAY_SCHEMES[name]()
     refit = scheme.rebalance
     rounds = []
@@ -606,7 +606,7 @@ def test_adjusted_replay_is_pinned(name):
     h = hashlib.sha256()
     for bounds, moves in rounds:
         h.update(f"{bounds!r} {moves!r}\n".encode())
-    for node, servers in placement._servers_of.items():
-        h.update(f"{node.node_id} {servers}\n".encode())
+    for nid, servers in sorted((n.node_id, s) for n, s in placement._servers_of.items()):
+        h.update(f"{nid} {servers}\n".encode())
     h.update(f"version {placement.version}\n".encode())
     assert h.hexdigest()[:16] == REPLAY_PINS[name]

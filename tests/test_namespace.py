@@ -14,8 +14,8 @@ from repro.core import D2TreeScheme, NamespaceTree, split_path
 from repro.core.namespace import PopularityEstimate
 from repro.core.node import MetadataNode
 from repro.simulation import simulate
-from repro.traces import DatasetProfile, TraceGenerator
-from tests.conftest import check_structure, post_order_totals
+from repro.traces import DatasetProfile, OpType, TraceGenerator, TraceRecord, iter_op_batches
+from tests.conftest import check_structure, post_order_totals, trace_of
 from tests.test_generator import PINNED_PROFILES
 
 
@@ -326,3 +326,30 @@ def test_a_generated_dtr_workload_retains_at_most_480_bytes_per_node():
     plus four 4-byte id columns: ~465 B per node at 20 k nodes, trace
     included, where node objects that linked each other held ~541."""
     assert workload_bytes_per_node(DatasetProfile.dtr(num_nodes=20_000)) <= 480
+
+
+@pytest.mark.parametrize("path", ["/a//b", "/a/", "//a", "/a/b/", "/a/c", "a/b", "", "/zz"])
+def test_only_a_canonical_path_resolves(path):
+    """A path resolves only when it is a node's canonical path: doubled or
+    trailing slashes, a missing leading slash or an absent node resolve to
+    nothing, and a trace op on one is skipped."""
+    tree = NamespaceTree()
+    tree.add_path("/a/b", individual_popularity=1.0)
+    assert tree.lookup(path) is None
+    trace = trace_of("t", [
+        TraceRecord(0.0, OpType.READ, "/a/b", 0),
+        TraceRecord(1.0, OpType.READ, path, 0),
+        TraceRecord(2.0, OpType.UPDATE, "/a", 0),
+    ])
+    batches = list(iter_op_batches(trace, tree))
+    nodes = [node for batch in batches for node in batch.nodes]
+    assert nodes == [tree.lookup("/a/b"), tree.lookup("/a")]
+    assert [op for batch in batches for op in batch.ops()] == [OpType.READ, OpType.UPDATE]
+
+
+def test_a_relative_path_is_added_under_the_root():
+    tree = NamespaceTree()
+    node = tree.add_path("a/b")
+    assert tree.lookup("/a/b") == node
+    assert tree.lookup("a/b") is None
+    assert tree.add_path("/a/b") == node and len(tree) == 3

@@ -2,8 +2,8 @@
 
 Each registered scheme partitions small DTR / LMBE / RA trees; a digest
 covers everything a reader of the placement can observe: every ``(node id,
-servers)`` pair in ``_servers_of`` insertion order, the final ``version``,
-and DROP's ``keys`` / AngleCut's ``angles`` in their insertion order.
+servers)`` pair in node-id order, the final ``version``, and DROP's
+``keys`` / AngleCut's ``angles`` in their insertion order.
 """
 
 import hashlib
@@ -28,10 +28,15 @@ PROFILES = {
 }
 
 
+def placed_by_id(placement):
+    """``(node id, servers)`` of every placed node, in id order."""
+    return sorted((node.node_id, servers) for node, servers in placement._servers_of.items())
+
+
 def placement_digest(placement) -> str:
     h = hashlib.sha256()
-    for node, servers in placement._servers_of.items():
-        h.update(f"{node.node_id} {servers}\n".encode())
+    for nid, servers in placed_by_id(placement):
+        h.update(f"{nid} {servers}\n".encode())
     h.update(f"version {placement.version}\n".encode())
     for attr in ("keys", "angles"):
         for node, value in getattr(placement, attr, {}).items():
@@ -46,14 +51,14 @@ def trees():
 
 PINNED = {
     "anglecut": {
-        "dtr": "76cbfa8468942fa7",
-        "lmbe": "9429a0d0abb3e9d7",
-        "ra": "40d28ed0dfca0501",
+        "dtr": "9e43caa9b3911966",
+        "lmbe": "4fb3de9c6c718277",
+        "ra": "22c47dd7af1ddb47",
     },
     "d2-tree": {
-        "dtr": "aca81978a690791a",
-        "lmbe": "0b1e384ce1736eae",
-        "ra": "705860f6a5c1dbd6",
+        "dtr": "227339fe9d046515",
+        "lmbe": "8d5c0277980a9f6c",
+        "ra": "c4596fa5454dd5f5",
     },
     "drop": {
         "dtr": "184fb099162608b0",
@@ -136,18 +141,19 @@ def membership_digest(placement) -> str:
         else:
             moves = placement.rejoin(server, live=live)
         h.update(f"{kind} {server}\n".encode())
-        for move in moves:
-            h.update(f"{move.node.node_id} {move.source} {move.target}\n".encode())
-    for node, servers in placement._servers_of.items():
-        h.update(f"{node.node_id} {servers}\n".encode())
+        # A step's moves as a set: their order is not what a step decides.
+        for nid, source, target in sorted((m.node.node_id, m.source, m.target) for m in moves):
+            h.update(f"{nid} {source} {target}\n".encode())
+    for nid, servers in placed_by_id(placement):
+        h.update(f"{nid} {servers}\n".encode())
     h.update(f"version {placement.version}\n".encode())
     h.update(f"capacities {placement.capacities!r}\n".encode())
     return h.hexdigest()[:16]
 
 
 MEMBERSHIP_PINNED = {
-    "anglecut": {"random": "06eb0258ec621147", "ra": "c712b8a46cc4fbce"},
-    "d2-tree": {"random": "ac9346f11d1a89fb", "ra": "f9cd468efdb75e69"},
+    "anglecut": {"random": "513aa450cb3ed495", "ra": "344358a0c6ed9096"},
+    "d2-tree": {"random": "9329ceb4a45f6ec1", "ra": "dc30836abd902031"},
     "drop": {"random": "fe7d380a9fedbe1f", "ra": "404b3ef265a18381"},
     "dynamic-subtree": {"random": "d84fad90b818fbad", "ra": "0f5a3d3a79b4b698"},
     "static-hash": {"random": "e75874ccd1c142b4", "ra": "430c01e73285818f"},

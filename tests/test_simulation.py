@@ -522,3 +522,18 @@ def test_replay_rounds_are_pinned(name, monkeypatch):
         f"{loads!r} {balance!r}" for loads, balance in zip(served, trajectory.per_round)
     )
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_ROUNDS[name]
+
+
+def test_global_layer_update_lock_waits_are_pinned():
+    """An update-heavy RA replay under D2-Tree: every global-layer UPDATE
+    takes the node's lock, so the summed wait pins which ops contend."""
+    profile = dataclasses.replace(
+        DatasetProfile.ra(num_nodes=1500, scale=2e-5),
+        read_fraction=0.4, write_fraction=0.1, update_fraction=0.5,
+    )
+    workload = TraceGenerator(profile, num_clients=40).generate()
+    result = simulate(
+        registry.create("d2-tree"), workload, 4, SimulationConfig(num_clients=40, seed=5)
+    )
+    assert result.operations == 5198
+    assert result.lock_waits.hex() == "0x1.acd013a92a10cp+1"
