@@ -29,7 +29,7 @@ def build_namespace() -> NamespaceTree:
         tree.record_access(node, weight=0.5)
     # Every node pays a small replication-maintenance cost.
     for node in tree:
-        node.update_cost = 0.1
+        tree.update_cost[node] = 0.1
     tree.aggregate_popularity()
     return tree
 
@@ -49,14 +49,14 @@ def main() -> None:
     print(f"local layer : {len(split.subtree_roots)} subtrees, "
           f"popularity {split.local_popularity:.0f}")
     print("sample global-layer paths:")
-    for node in sorted(split.global_layer, key=lambda n: -n.popularity)[:5]:
-        print(f"  {node.path:<40} p={node.popularity:.0f}")
+    for node in sorted(split.global_layer, key=lambda n: -tree.popularity[n])[:5]:
+        print(f"  {tree.path(node):<40} p={tree.popularity[node]:.0f}")
 
     print("\nper-server placement of subtrees:")
     for root, server in sorted(
-        placement.subtree_owner.items(), key=lambda kv: -kv[0].popularity
+        placement.subtree_owner.items(), key=lambda kv: -tree.popularity[kv[0]]
     )[:6]:
-        print(f"  MDS {server}: {root.path:<38} p={root.popularity:.0f}")
+        print(f"  MDS {server}: {tree.path(root):<38} p={tree.popularity[root]:.0f}")
 
     report = evaluate_placement(tree, placement, scheme_name="d2-tree")
     print(f"\nmetrics: locality={report.locality:.3e}  "
@@ -70,7 +70,7 @@ def main() -> None:
     migrations = scheme.rebalance(tree, placement)
     print(f"\nafter a traffic shift, the adjuster moved {len(migrations)} subtree(s):")
     for migration in migrations:
-        print(f"  {migration.node.path}: MDS {migration.source} -> {migration.target}")
+        print(f"  {tree.path(migration.node)}: MDS {migration.source} -> {migration.target}")
     report = evaluate_placement(tree, placement, scheme_name="d2-tree")
     print(f"rebalanced loads: {[round(load, 1) for load in report.loads]}")
 

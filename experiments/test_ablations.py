@@ -30,7 +30,7 @@ def test_ablation_allocator_quality(workloads, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     tree = workloads["DTR"].tree
     split = split_by_proportion(tree, 0.01)
-    pops = [r.popularity for r in split.subtree_roots]
+    pops = [tree.popularity[r] for r in split.subtree_roots]
     caps = [1.0] * 8
     rows = [
         ("mirror-division", mirror_division(pops, caps)),
@@ -81,10 +81,10 @@ def test_ablation_global_layer_refresh(benchmark):
     placement = scheme.partition(tree, 8)
 
     # Drift: move most popularity to previously-cold files.
-    files = [n for n in tree if not n.is_directory]
-    cold = sorted(files, key=lambda n: n.individual_popularity)[: len(files) // 4]
+    files = [n for n in tree if not tree.is_directory(n)]
+    cold = sorted(files, key=lambda n: tree.individual_popularity[n])[: len(files) // 4]
     for node in cold:
-        node.individual_popularity += 400.0
+        tree.individual_popularity[node] += 400.0
     tree.aggregate_popularity()
 
     stale = evaluate_placement(tree, placement, "stale-GL")
@@ -156,7 +156,7 @@ def test_ablation_ghba_lookup_cost(workloads, benchmark):
     tree = workloads["DTR"].tree
     placement = HashScheme().partition(tree, 16)
     rng = _random.Random(11)
-    sample = rng.sample(list(tree.nodes), 300)
+    sample = rng.sample(list(tree), 300)
     print("\n=== Ablation: G-HBA lookup cost (DTR, M=16) ===")
     print(f"{'group size':>11}{'msgs/lookup':>13}{'fp/lookup':>11}{'memory Mbit':>13}")
     costs = {}
@@ -164,7 +164,7 @@ def test_ablation_ghba_lookup_cost(workloads, benchmark):
         ghba = GHBADirectory(placement, tree, group_size=group_size)
         messages = fps = 0
         for node in sample:
-            result = ghba.lookup(node.path, from_server=rng.randrange(16))
+            result = ghba.lookup(tree.path(node), from_server=rng.randrange(16))
             messages += result.messages
             fps += result.false_positives
         costs[group_size] = messages / len(sample)

@@ -30,7 +30,6 @@ from repro.baselines import (
 from repro.core import (
     D2TreePlacement,
     D2TreeScheme,
-    MetadataNode,
     NamespaceTree,
     SplitResult,
     mirror_division,
@@ -66,7 +65,6 @@ __all__ = [
     "DropScheme",
     "DynamicSubtreeScheme",
     "HashScheme",
-    "MetadataNode",
     "MetadataScheme",
     "MetricsReport",
     "Migration",

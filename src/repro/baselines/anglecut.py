@@ -33,7 +33,6 @@ from repro.baselines.drop import (
     weights_of,
 )
 from repro.core.namespace import NamespaceTree
-from repro.core.node import MetadataNode
 from repro.numeric import ordered_sum
 
 __all__ = ["AngleCutScheme", "AngleCutPlacement"]
@@ -62,10 +61,11 @@ class AngleCutPlacement(Placement):
         self,
         num_servers: int,
         num_rings: int,
-        angles: Dict[MetadataNode, Tuple[int, float]],
+        angles: Dict[int, Tuple[int, float]],
         capacities: Optional[Sequence[float]] = None,
+        tree: Optional[NamespaceTree] = None,
     ) -> None:
-        super().__init__(num_servers, capacities)
+        super().__init__(num_servers, capacities, tree)
         self.num_rings = num_rings
         #: node -> (ring index, angle in [0, 1)).
         self.angles = angles
@@ -152,12 +152,12 @@ class AngleCutScheme(MetadataScheme):
             raise ValueError("need at least one ring")
         self.num_rings = num_rings
 
-    def _project(self, tree: NamespaceTree) -> Dict[MetadataNode, Tuple[int, float]]:
+    def _project(self, tree: NamespaceTree) -> Dict[int, Tuple[int, float]]:
         """Project the namespace tree onto the rings."""
         keys = preorder_keys(tree)
         depths = tree.arena().depths()
         rings = self.num_rings
-        return {node: (depths[node.node_id] % rings, key) for node, key in keys.items()}
+        return {node: (depths[node] % rings, key) for node, key in keys.items()}
 
     def partition(
         self,
@@ -167,7 +167,7 @@ class AngleCutScheme(MetadataScheme):
     ) -> AngleCutPlacement:
         tree.ensure_popularity()
         placement = AngleCutPlacement(
-            num_servers, self.num_rings, self._project(tree), capacities
+            num_servers, self.num_rings, self._project(tree), capacities, tree
         )
         placement.ring_boundaries = self._quantile_boundaries(placement, individual_column(tree))
         placement.apply_boundaries()

@@ -19,40 +19,39 @@ from __future__ import annotations
 import bisect
 from array import array
 from itertools import accumulate, repeat
-from operator import add, attrgetter
+from operator import add
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.placement import MetadataScheme, Migration, Placement, live_owner, stable_hash
 from repro.registry import register
 from repro.core.namespace import NamespaceTree
-from repro.core.node import MetadataNode
 from repro.numeric import ordered_sum
 
 __all__ = ["DropScheme", "DropPlacement", "preorder_keys"]
 
 
-def preorder_keys(tree: NamespaceTree) -> Dict[MetadataNode, float]:
+def preorder_keys(tree: NamespaceTree) -> Dict[int, float]:
     """Idealised locality-preserving hash: preorder DFS position in [0, 1).
 
     Every subtree occupies a contiguous key interval — stronger locality than
     any hash of pathnames can deliver. Used by the AngleCut projection and by
     the DROP ablation (``key_mode="preorder"``).
     """
-    keys: Dict[MetadataNode, float] = {}
-    nodes, arena = tree.nodes, tree.arena()
+    keys: Dict[int, float] = {}
+    arena = tree.arena()
     n = len(tree)
     index = 0
-    stack = [tree.root.node_id]
+    stack = [tree.root]
     while stack:
         nid = stack.pop()
-        keys[nodes[nid]] = index / n
+        keys[nid] = index / n
         index += 1
         # Reversed so the leftmost child is visited first.
         stack.extend(reversed(arena.children(nid)))
     return keys
 
 
-def pathname_cluster_keys(tree: NamespaceTree) -> Dict[MetadataNode, float]:
+def pathname_cluster_keys(tree: NamespaceTree) -> Dict[int, float]:
     """DROP's pathname-based locality-preserving hash.
 
     DROP hashes *pathnames*, which clusters a directory's entries (they share
@@ -66,8 +65,8 @@ def pathname_cluster_keys(tree: NamespaceTree) -> Dict[MetadataNode, float]:
     window = 1.0 / max(1, 4 * len(tree))
     scale = float(2 ** 64)
     # Each path is hashed once: a node's own hash is its children's base.
-    hashes = [stable_hash(node.path) for node in tree]
-    keys: Dict[MetadataNode, float] = {}
+    hashes = [stable_hash(path) for path in tree.paths(tree)]
+    keys: Dict[int, float] = {}
     for node, digest, pid in zip(tree, hashes, tree.arena().parent):
         if pid < 0:
             keys[node] = 0.0
@@ -82,14 +81,13 @@ class KeyOrder(NamedTuple):
     """A node-keyed mapping in value order, equal values in mapping order
     (a stable sort), with what a re-fit round reads off it."""
 
-    #: The nodes in value order, and their values.
-    nodes: List[MetadataNode]
-    values: List
-    #: Their node ids: where the ``p'_j`` column is read.
+    #: The node ids in value order (where the ``p'_j`` column is read), and
+    #: their values.
     ids: List[int]
+    values: List
     #: The mapping's nodes and values in mapping order; ``rank[i]`` is the
     #: value-order position of ``keyed[i]`` (packed: no int object per key).
-    keyed: List[MetadataNode]
+    keyed: List[int]
     keyed_values: List
     rank: array
 
@@ -107,11 +105,9 @@ def sorted_by_value(mapping: Dict, cached: Optional[KeyOrder] = None) -> KeyOrde
     rank = array("q", [0]) * len(order)
     for position, index in enumerate(order):
         rank[index] = position
-    nodes = list(map(keyed.__getitem__, order))
     return KeyOrder(
-        nodes,
+        list(map(keyed.__getitem__, order)),
         list(map(values.__getitem__, order)),
-        list(map(attrgetter("node_id"), nodes)),
         keyed,
         values,
         rank,
@@ -120,12 +116,12 @@ def sorted_by_value(mapping: Dict, cached: Optional[KeyOrder] = None) -> KeyOrde
 
 def individual_column(tree: NamespaceTree) -> List[float]:
     """Every node's ``p'_j`` by node id: the running replay's estimate
-    (``PopularityEstimate.individual``, which leaves the node objects
-    behind), else the node objects' own."""
+    (``PopularityEstimate.individual``, which leaves the tree's columns
+    behind), else the tree's own column."""
     estimate = tree.estimate
     if estimate is not None:
         return estimate.individual()
-    return tree.arena().individual_popularity()
+    return tree.individual_popularity
 
 
 def weights_of(column: List[float], ids: Iterable[int]) -> Iterable[float]:
@@ -173,11 +169,12 @@ class DropPlacement(Placement):
     def __init__(
         self,
         num_servers: int,
-        keys: Dict[MetadataNode, float],
+        keys: Dict[int, float],
         virtual_nodes_per_server: int = 4,
         capacities: Optional[Sequence[float]] = None,
+        tree: Optional[NamespaceTree] = None,
     ) -> None:
-        super().__init__(num_servers, capacities)
+        super().__init__(num_servers, capacities, tree)
         if virtual_nodes_per_server < 1:
             raise ValueError("need at least one virtual node per server")
         self.keys = keys
@@ -264,6 +261,7 @@ class DropScheme(MetadataScheme):
             key_fn(tree),
             virtual_nodes_per_server=self.virtual_nodes_per_server,
             capacities=capacities,
+            tree=tree,
         )
         # DROP balances from the start: the initial boundaries already sit at
         # the popularity quantiles (the HDLB fixed point for the initial load).
@@ -290,8 +288,8 @@ class DropScheme(MetadataScheme):
         if self.key_mode == "pathname":
             window = 1.0 / max(1, 4 * len(tree))
             scale = float(2 ** 64)
-            base = stable_hash(parent.path) / scale if parent else 0.0
-            key = (base + (stable_hash(node.path) / scale) * window) % 1.0
+            base = stable_hash(tree.path(parent)) / scale if parent is not None else 0.0
+            key = (base + (stable_hash(tree.path(node)) / scale) * window) % 1.0
         else:
             # Preorder keys cannot be extended incrementally without a global
             # renumbering; new nodes adopt the key just after their parent.

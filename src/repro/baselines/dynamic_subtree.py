@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.placement import DEAD_CAPACITY, MetadataScheme, Migration, Placement, stable_hash
 from repro.registry import register
 from repro.core.namespace import NamespaceTree
-from repro.core.node import MetadataNode
 from repro.numeric import ordered_sum
 
 __all__ = ["DynamicSubtreeScheme", "DynamicSubtreePlacement"]
@@ -35,14 +34,12 @@ class DynamicSubtreePlacement(Placement):
         num_servers: int,
         capacities: Optional[Sequence[float]] = None,
     ) -> None:
-        super().__init__(num_servers, capacities)
-        #: The tree placed: where a zone's ancestors are read.
-        self.tree = tree
+        super().__init__(num_servers, capacities, tree)
         #: zone root -> owning server; the tree root is always a zone root.
-        self.zone_of: Dict[MetadataNode, int] = {}
+        self.zone_of: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def zone_root_of(self, node: MetadataNode) -> MetadataNode:
+    def zone_root_of(self, node: int) -> int:
         """Deepest zone-root ancestor (or self) of ``node``."""
         walk = node
         while walk not in self.zone_of:
@@ -55,17 +52,16 @@ class DynamicSubtreePlacement(Placement):
         order (parents first), then reassigned. ``version`` moves by one per
         node, as assigning each one did."""
         arena = tree.arena()
-        zone_servers = {root.node_id: server for root, server in self.zone_of.items()}
-        server_of = [zone_servers[tree.root.node_id]] * arena.size
+        zone_servers = self.zone_of
+        server_of = [zone_servers[tree.root]] * arena.size
         for cid, pid in arena.descent():
             server = zone_servers.get(cid)
             server_of[cid] = server_of[pid] if server is None else server
-        nodes = tree.nodes
         version = self.version
-        self.reassign(nodes, [server_of[node.node_id] for node in nodes])
-        self.version = version + len(nodes)
+        self.reassign(range(arena.size), server_of)
+        self.version = version + arena.size
 
-    def assign(self, node: MetadataNode, server: int) -> None:
+    def assign(self, node: int, server: int) -> None:
         """Place ``node``; a zone root takes its zone along, or a later
         rebuild would put the zone back on its old server."""
         super().assign(node, server)
@@ -78,12 +74,12 @@ class DynamicSubtreePlacement(Placement):
         exclusive node set follows."""
         survivors = alive or [s for s in range(self.num_servers) if s != dead]
         moves: List[Migration] = []
-        for zone, server in list(self.zone_of.items()):
-            if server == dead:
-                target = survivors[stable_hash(zone.path) % len(survivors)]
-                self.zone_of[zone] = target
-                moves.append(Migration(zone, dead, target))
-        for node, servers in list(self._servers_of.items()):
+        zones = [zone for zone, server in self.zone_of.items() if server == dead]
+        for zone, path in zip(zones, self.tree.paths(zones)):
+            target = survivors[stable_hash(path) % len(survivors)]
+            self.zone_of[zone] = target
+            moves.append(Migration(zone, dead, target))
+        for node, servers in enumerate(self._servers_of):
             if servers == (dead,):
                 self.assign(node, self.zone_of[self.zone_root_of(node)])
         return moves
@@ -101,33 +97,34 @@ class DynamicSubtreePlacement(Placement):
         One walk up from each zone serves the whole round's moves."""
         arena = tree.arena()
         sizes, parent = arena.subtree_sizes(), arena.parent
-        below = {move.node.node_id: 0 for move in moves}
+        below = {move.node: 0 for move in moves}
         for zone in self.zone_of:
-            pid = parent[zone.node_id]
+            pid = parent[zone]
             while pid >= 0:
                 if pid in below:
-                    below[pid] += sizes[zone.node_id]
+                    below[pid] += sizes[zone]
                 pid = parent[pid]
-        return [max(1, sizes[m.node.node_id] - below[m.node.node_id]) for m in moves]
+        return [max(1, sizes[m.node] - below[m.node]) for m in moves]
 
     def counted_nodes(self) -> None:
         """Every node: a zone's load and a split's candidates are read off
         the whole tree."""
         return None
 
-    def forget(self, node: MetadataNode) -> bool:
+    def forget(self, node: int) -> bool:
         """Drop a node and any zone-root entry it held."""
         self.zone_of.pop(node, None)
         return super().forget(node)
 
-    def zone_loads(self, tree: NamespaceTree) -> Dict[MetadataNode, float]:
+    def zone_loads(self, tree: NamespaceTree) -> Dict[int, float]:
         """Exclusive popularity covered by each zone root."""
         tree.ensure_popularity()
-        loads = {root: root.popularity for root in self.zone_of}
+        popularity = tree.popularity
+        loads = {root: popularity[root] for root in self.zone_of}
         for root in self.zone_of:
             parent = tree.parent(root)
             if parent is not None:
-                loads[self.zone_root_of(parent)] -= root.popularity
+                loads[self.zone_root_of(parent)] -= popularity[root]
         return loads
 
 
@@ -179,11 +176,11 @@ class DynamicSubtreeScheme(MetadataScheme):
     ) -> DynamicSubtreePlacement:
         tree.ensure_popularity()
         placement = DynamicSubtreePlacement(tree, num_servers, capacities)
-        placement.zone_of[tree.root] = stable_hash(tree.root.path) % num_servers
+        placement.zone_of[tree.root] = stable_hash(tree.path(tree.root)) % num_servers
         depths = tree.arena().depths()
-        for node in tree:
-            if 1 <= depths[node.node_id] <= self.cut_depth:
-                placement.zone_of[node] = stable_hash(node.path) % num_servers
+        shallow = [node for node in tree if 1 <= depths[node] <= self.cut_depth]
+        for node, path in zip(shallow, tree.paths(shallow)):
+            placement.zone_of[node] = stable_hash(path) % num_servers
         # Finer granularity as the cluster scales (the paper's observation:
         # dynamic partitioning keeps splitting subtrees so every server can
         # get a share): split the hottest zones until there are enough
@@ -198,11 +195,11 @@ class DynamicSubtreeScheme(MetadataScheme):
             ]
             if not splittable:
                 break
-            splittable.sort(key=lambda item: (-item[0], item[1].node_id))
+            splittable.sort(key=lambda item: (-item[0], item[1]))
             _load, zone = splittable[0]
             for child in tree.children(zone):
                 if child not in placement.zone_of:
-                    placement.zone_of[child] = stable_hash(child.path) % num_servers
+                    placement.zone_of[child] = stable_hash(tree.path(child)) % num_servers
         placement.rebuild_assignments(tree)
         placement.validate_complete(tree)
         return placement
@@ -211,7 +208,7 @@ class DynamicSubtreeScheme(MetadataScheme):
     def place_created(self, tree, placement, node):
         """New shallow nodes open fresh zones; deep ones join the parent's."""
         if 1 <= len(tree.ancestors(node)) <= self.cut_depth:
-            server = stable_hash(node.path) % placement.num_servers
+            server = stable_hash(tree.path(node)) % placement.num_servers
             placement.zone_of[node] = server
         else:
             server = placement.zone_of[placement.zone_root_of(tree.parent(node))]
@@ -264,12 +261,12 @@ class DynamicSubtreeScheme(MetadataScheme):
                 if server == heavy
             ]
             movable = [
-                (load, zone) for load, zone in candidates if zone is not tree.root
+                (load, zone) for load, zone in candidates if zone != tree.root
             ]
             if not candidates:
                 break
-            candidates.sort(key=lambda item: (-item[0], item[1].node_id))
-            movable.sort(key=lambda item: (-item[0], item[1].node_id))
+            candidates.sort(key=lambda item: (-item[0], item[1]))
+            movable.sort(key=lambda item: (-item[0], item[1]))
             # Prefer the biggest fragment that fits the excess AND the
             # remaining migration budget; oversized fragments get split
             # instead of bounced between servers (the thrashing failure mode

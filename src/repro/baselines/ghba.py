@@ -114,9 +114,9 @@ class GHBADirectory:
         self.group_size = group_size
         num_servers = placement.num_servers
         per_server: List[List[str]] = [[] for _ in range(num_servers)]
-        for node in tree:
-            if placement.is_placed(node):
-                per_server[placement.primary_of(node)].append(node.path)
+        placed = [node for node in tree if placement.is_placed(node)]
+        for node, path in zip(placed, tree.paths(placed)):
+            per_server[placement.primary_of(node)].append(path)
         self.filters: List[BloomFilter] = []
         self._truth = per_server
         for paths in per_server:

@@ -31,14 +31,14 @@ class HashScheme(MetadataScheme):
         capacities: Optional[Sequence[float]] = None,
     ) -> Placement:
         tree.ensure_popularity()
-        placement = Placement(num_servers, capacities)
-        for node in tree:
-            placement.assign(node, stable_hash(node.path) % num_servers)
+        placement = Placement(num_servers, capacities, tree)
+        for node, path in zip(tree, tree.paths(tree)):
+            placement.assign(node, stable_hash(path) % num_servers)
         placement.validate_complete(tree)
         return placement
 
     def place_created(self, tree, placement, node):
         """New nodes hash like everything else."""
-        server = stable_hash(node.path) % placement.num_servers
+        server = stable_hash(tree.path(node)) % placement.num_servers
         placement.assign(node, server)
         return server

@@ -40,22 +40,22 @@ class StaticSubtreeScheme(MetadataScheme):
         capacities: Optional[Sequence[float]] = None,
     ) -> Placement:
         tree.ensure_popularity()
-        placement = Placement(num_servers, capacities)
+        placement = Placement(num_servers, capacities, tree)
         arena = tree.arena()
         depths = arena.depths()
         cut = self.cut_depth
-        # One pass, parents first: a node at the cut depth hashes its own
-        # path, a deeper one takes its parent's server, and a shallower one
+        # A node at the cut depth hashes its own path; then one pass, parents
+        # first: a deeper one takes its parent's server, and a shallower one
         # keeps the root's.
-        server_of = [stable_hash(tree.root.path) % num_servers] * arena.size
+        server_of = [stable_hash(tree.path(tree.root)) % num_servers] * arena.size
+        anchors = [nid for nid, depth in enumerate(depths) if depth == cut]
+        for nid, path in zip(anchors, tree.paths(anchors)):
+            server_of[nid] = stable_hash(path) % num_servers
         for cid, pid in arena.descent():
-            depth = depths[cid]
-            if depth == cut:
-                server_of[cid] = stable_hash(tree.nodes[cid].path) % num_servers
-            elif depth > cut:
+            if depths[cid] > cut:
                 server_of[cid] = server_of[pid]
         for node in tree:
-            placement.assign(node, server_of[node.node_id])
+            placement.assign(node, server_of[node])
         placement.validate_complete(tree)
         return placement
 
@@ -64,6 +64,6 @@ class StaticSubtreeScheme(MetadataScheme):
         at the cut depth (the root when it sits above the cut)."""
         chain = tree.ancestors(node, include_self=True)
         anchor = chain[self.cut_depth] if len(chain) > self.cut_depth else tree.root
-        server = stable_hash(anchor.path) % placement.num_servers
+        server = stable_hash(tree.path(anchor)) % placement.num_servers
         placement.assign(node, server)
         return server

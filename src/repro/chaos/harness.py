@@ -98,9 +98,10 @@ def check_state_invariants(placement: Placement, tree, servers, group) -> List[s
     for node in placement.placed_nodes():
         owners = placement.servers_of(node)
         if not owners:
-            empty.append(node.path)
+            empty.append(node)
         elif dead.intersection(owners):
-            bad_owner.append(node.path)
+            bad_owner.append(node)
+    empty, bad_owner = tree.paths(empty), tree.paths(bad_owner)
     if empty:
         violations.append(
             f"ownership: {len(empty)} nodes with an empty replica set "
@@ -113,7 +114,7 @@ def check_state_invariants(placement: Placement, tree, servers, group) -> List[s
         )
 
     # 2. No subtree lost (Eq. 4 completeness over placements + pool).
-    missing = [n.path for n in tree if not placement.is_placed(n)]
+    missing = tree.paths(n for n in tree if not placement.is_placed(n))
     if missing:
         violations.append(
             f"completeness: {len(missing)} namespace nodes unplaced "

@@ -43,7 +43,7 @@ import enum
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, List, NamedTuple, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "WIRE_VERSION",
@@ -138,14 +138,15 @@ class RoutePlan:
 
     ``visits`` are served sequentially; ``fanout`` servers are written in
     parallel after the sequential part (used by global-layer updates);
-    ``lock_key`` serialises the operation through the lock service first.
+    ``lock_key`` (a node id, or ``None``) serialises the operation through
+    the lock service first.
     The route planner hands out shared plans, so a plan is read-only once
     built; a shared plan's ``visits`` is a tuple.
     """
 
     visits: Sequence[Visit] = field(default_factory=list)
     fanout: List[int] = field(default_factory=list)
-    lock_key: str = ""
+    lock_key: Optional[int] = None
 
 
 @dataclass(frozen=True)

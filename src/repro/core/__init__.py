@@ -13,7 +13,6 @@ from repro.core.allocation import (
     sampled_mirror_division,
 )
 from repro.core.namespace import NamespaceTree, split_path
-from repro.core.node import MetadataNode
 from repro.core.partition import D2TreePlacement
 from repro.core.scheme import D2TreeScheme
 from repro.core.splitting import (
@@ -31,7 +30,6 @@ __all__ = [
     "D2TreePlacement",
     "D2TreeScheme",
     "DynamicAdjuster",
-    "MetadataNode",
     "NamespaceTree",
     "PendingPool",
     "SplitConstraints",

@@ -23,7 +23,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.placement import DEAD_CAPACITY
 from repro.core.allocation import mirror_division
-from repro.core.node import MetadataNode
 from repro.numeric import ordered_sum
 
 __all__ = ["PendingPool", "DynamicAdjuster", "AdjustmentReport"]
@@ -31,7 +30,7 @@ __all__ = ["PendingPool", "DynamicAdjuster", "AdjustmentReport"]
 
 @dataclass
 class _PendingEntry:
-    subtree_root: MetadataNode
+    subtree_root: int
     source_server: int
     popularity: float
 
@@ -42,7 +41,7 @@ class PendingPool:
     def __init__(self) -> None:
         self._entries: List[_PendingEntry] = []
 
-    def offer(self, subtree_root: MetadataNode, source_server: int, popularity: float) -> None:
+    def offer(self, subtree_root: int, source_server: int, popularity: float) -> None:
         """Register a subtree a heavy server is willing to give away."""
         if popularity < 0:
             raise ValueError("popularity must be non-negative")
@@ -67,7 +66,7 @@ NEGLIGIBLE_SHARE = 1e-3
 class AdjustmentReport:
     """Outcome of one heartbeat-driven adjustment round."""
 
-    migrations: List[Tuple[MetadataNode, int, int]] = field(default_factory=list)
+    migrations: List[Tuple[int, int, int]] = field(default_factory=list)
     offered: int = 0
     ideal_load_factor: float = 0.0
     #: Popularity relocated this round.
@@ -104,14 +103,16 @@ class DynamicAdjuster:
 
     def adjust(
         self,
-        subtree_owner: Dict[MetadataNode, int],
+        subtree_owner: Dict[int, int],
         loads: Sequence[float],
         capacities: Sequence[float],
+        popularity: Sequence[float],
     ) -> AdjustmentReport:
         """Run one offer/claim round and return the migrations performed.
 
         ``subtree_owner`` maps each local-layer subtree root to its current
-        server and is mutated in place. ``loads`` are the heartbeat-reported
+        server and is mutated in place; ``popularity`` is the tree's ``p_j``
+        column, by node id. ``loads`` are the heartbeat-reported
         per-server loads ``L_k`` (local-layer popularity only — the global
         layer is identical everywhere and cancels out of ``Re_k``).
         """
@@ -150,9 +151,9 @@ class DynamicAdjuster:
         # shrinks, so a root that did not fit never fits later. Roots of
         # zero popularity are not candidates at all — moving one costs a
         # migration and shifts nothing.
-        carrying: Dict[int, List[MetadataNode]] = {}
+        carrying: Dict[int, List[int]] = {}
         for root, server in subtree_owner.items():
-            if root.popularity > 0:
+            if popularity[root] > 0:
                 carrying.setdefault(server, []).append(root)
         for server, cap in enumerate(capacities):
             ideal = mu * cap
@@ -161,27 +162,27 @@ class DynamicAdjuster:
             excess = loads[server] - ideal
             descending = sorted(
                 carrying.get(server, ()),
-                key=lambda r: (-r.popularity, r.node_id),
+                key=lambda r: (-popularity[r], r),
             )
             oversized = None
             offered_any = False
             for root in descending:
                 if excess <= 0:
                     break
-                popularity = root.popularity
-                if popularity > excess:
+                carried = popularity[root]
+                if carried > excess:
                     oversized = root
                     continue
-                pool.offer(root, server, popularity)
-                loads[server] -= popularity
-                excess -= popularity
+                pool.offer(root, server, carried)
+                loads[server] -= carried
+                excess -= carried
                 offered_any = True
             if not offered_any and oversized is not None:
                 # Every load-carrying root overshoots the ideal load: offer
                 # the smallest of them, so a server holding a single giant
                 # subtree still makes progress.
-                pool.offer(oversized, server, oversized.popularity)
-                loads[server] -= oversized.popularity
+                pool.offer(oversized, server, popularity[oversized])
+                loads[server] -= popularity[oversized]
         report.offered = len(pool)
         if len(pool) == 0:
             return report

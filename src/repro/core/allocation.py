@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.sampling import RandomWalkSampler
-from repro.core.node import MetadataNode
 from repro.numeric import ordered_sum
 
 __all__ = [
@@ -55,10 +54,10 @@ class AllocationResult:
     assignment: List[int]
     loads: List[float]
     capacities: List[float]
-    subtree_roots: List[MetadataNode] = field(default_factory=list)
+    subtree_roots: List[int] = field(default_factory=list)
 
     @property
-    def by_root(self) -> Dict[MetadataNode, int]:
+    def by_root(self) -> Dict[int, int]:
         """Subtree-root → server-index mapping (when roots were supplied)."""
         return {root: srv for root, srv in zip(self.subtree_roots, self.assignment)}
 
@@ -219,19 +218,21 @@ def greedy_allocate(
 
 
 def allocate_subtrees(
-    subtree_roots: Sequence[MetadataNode],
+    subtree_roots: Sequence[int],
+    popularity: Sequence[float],
     capacities: Sequence[float],
     sampled: bool = False,
     samples_per_server: int = 64,
     rng: Optional[random.Random] = None,
 ) -> AllocationResult:
-    """Allocate local-layer subtrees (by their roots) onto servers.
+    """Allocate local-layer subtrees (by their roots) onto servers;
+    ``popularity`` is the tree's ``p_j`` column, by node id.
 
     The popularity of a subtree is the total popularity of its root
     (Sec. IV-A1: "the popularity of each subtree ... is exactly the
     popularity of its root").
     """
-    pops = [root.popularity for root in subtree_roots]
+    pops = [popularity[root] for root in subtree_roots]
     if sampled:
         result = sampled_mirror_division(pops, capacities, samples_per_server, rng=rng)
     else:

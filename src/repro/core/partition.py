@@ -14,7 +14,6 @@ from repro.placement import DEAD_CAPACITY, Migration, Placement
 from repro.core.adjustment import DynamicAdjuster
 from repro.core.allocation import mirror_division
 from repro.core.namespace import NamespaceTree
-from repro.core.node import MetadataNode
 from repro.core.splitting import SplitResult
 from repro.numeric import ordered_sum
 
@@ -39,12 +38,10 @@ class D2TreePlacement(Placement):
         capacities: Optional[Sequence[float]] = None,
         replication_factor: Optional[int] = None,
     ) -> None:
-        super().__init__(num_servers, capacities)
-        #: The tree placed: where subtrees, parents and children are read.
-        self.tree = tree
+        super().__init__(num_servers, capacities, tree)
         self.split = split
         #: subtree root -> owning server (the client-cached local index).
-        self.subtree_owner: Dict[MetadataNode, int] = {}
+        self.subtree_owner: Dict[int, int] = {}
         #: Bumped whenever two-layer *membership* changes — a subtree root
         #: appears or disappears, or a node changes layer (promotion /
         #: demotion). Plain migrations keep the root set intact and do NOT
@@ -70,33 +67,27 @@ class D2TreePlacement(Placement):
     # Building
     # ------------------------------------------------------------------
     def place_global_layer(self) -> None:
-        """Replicate every global-layer node to the replica set.
-
-        In ``node_id`` order: the layer is a set of nodes hashed by address,
-        and the insertion order of ``_servers_of`` fixes the float summation
-        order of ``loads()`` — it must not depend on the allocator.
-        """
+        """Replicate every global-layer node to the replica set."""
         replicas = self.global_replicas()
-        for node in sorted(self.split.global_layer, key=lambda n: n.node_id):
+        for node in sorted(self.split.global_layer):
             self.replicate(node, replicas)
 
-    def place_subtree(self, root: MetadataNode, server: int) -> None:
+    def place_subtree(self, root: int, server: int) -> None:
         """Assign an entire local-layer subtree to ``server``."""
         self._check_server(server)
         self.subtree_owner[root] = server
         self.index_version += 1
         self._assign_subtree(root, server)
 
-    def _assign_subtree(self, root: MetadataNode, server: int) -> int:
+    def _assign_subtree(self, root: int, server: int) -> int:
         """``assign`` every node of a subtree; returns how many.
 
-        What a reader can observe — the dict insertion order of
-        not-yet-placed descendants, the final ``version`` — is that of an
-        ``assign()`` call per node; the server is the caller's to check,
-        once, and the nodes share one ``(server,)`` tuple.
+        What a reader can observe — each node's servers, the final
+        ``version`` — is that of an ``assign()`` call per node; the server
+        is the caller's to check, once.
         """
-        owner = (server,)
-        servers_of = self._servers_of
+        owner = self._single[server]
+        servers_of = self._reserve(len(self.tree))
         servers_of[root] = owner
         count = 1
         for node in self.tree.descendants(root):
@@ -105,7 +96,7 @@ class D2TreePlacement(Placement):
         self.version += count
         return count
 
-    def promote_subtree(self, root: MetadataNode) -> List[MetadataNode]:
+    def promote_subtree(self, root: int) -> List[int]:
         """Move a local-layer subtree root into the global layer (Sec. IV-A).
 
         The root is replicated to every server; each of its children becomes
@@ -114,7 +105,7 @@ class D2TreePlacement(Placement):
         subtree roots.
         """
         if root not in self.subtree_owner:
-            raise KeyError(f"{root.path!r} is not a local-layer subtree root")
+            raise KeyError(f"{self.tree.path(root)!r} is not a local-layer subtree root")
         owner = self.subtree_owner.pop(root)
         self.index_version += 1
         self.split.global_layer.add(root)
@@ -122,8 +113,8 @@ class D2TreePlacement(Placement):
             self.split.subtree_roots.remove(root)
         # Eq. 7 bookkeeping: only the promoted node leaves the local layer;
         # its descendants remain local and keep contributing their p_j.
-        self.split.local_popularity -= root.popularity
-        self.split.update_cost += root.update_cost
+        self.split.local_popularity -= self.tree.popularity[root]
+        self.split.update_cost += self.tree.update_cost[root]
         # Join the parent's replica set (it is global by construction), so a
         # shrunken global layer — e.g. after an MDS failure — stays shrunken.
         parent = self.tree.parent(root)
@@ -131,7 +122,7 @@ class D2TreePlacement(Placement):
             self.replicate(root, self.servers_of(parent))
         else:
             self.replicate(root)
-        new_roots: List[MetadataNode] = []
+        new_roots: List[int] = []
         for child in self.tree.children(root):
             self.subtree_owner[child] = owner
             self.split.subtree_roots.append(child)
@@ -140,7 +131,7 @@ class D2TreePlacement(Placement):
             self.split.inter_nodes.append(root)
         return new_roots
 
-    def forget(self, node: MetadataNode) -> bool:
+    def forget(self, node: int) -> bool:
         """Drop a node's assignment plus its two-layer bookkeeping.
 
         Replicated (global-layer) nodes are never forgotten.
@@ -152,10 +143,10 @@ class D2TreePlacement(Placement):
             self.index_version += 1
             if node in self.split.subtree_roots:
                 self.split.subtree_roots.remove(node)
-            self.split.local_popularity -= node.popularity
+            self.split.local_popularity -= self.tree.popularity[node]
         return super().forget(node)
 
-    def demote_global_node(self, node: MetadataNode, owner: int) -> None:
+    def demote_global_node(self, node: int, owner: int) -> None:
         """Move a cooled-off global-layer node back to the local layer.
 
         Only childless nodes qualify (demoting an inner node would orphan
@@ -164,23 +155,23 @@ class D2TreePlacement(Placement):
         single-node subtree owned by ``owner``.
         """
         if node not in self.split.global_layer:
-            raise KeyError(f"{node.path!r} is not in the global layer")
+            raise KeyError(f"{self.tree.path(node)!r} is not in the global layer")
         if self.tree.children(node):
             raise ValueError("only childless global nodes can be demoted")
-        if node is self.tree.root:
+        if node == self.tree.root:
             raise ValueError("the root cannot leave the global layer")
         self.split.global_layer.discard(node)
-        self.split.local_popularity += node.popularity
-        self.split.update_cost -= node.update_cost
+        self.split.local_popularity += self.tree.popularity[node]
+        self.split.update_cost -= self.tree.update_cost[node]
         self.split.subtree_roots.append(node)
         self.subtree_owner[node] = owner
         self.index_version += 1
         self.assign(node, owner)
 
-    def move_subtree(self, root: MetadataNode, server: int) -> int:
+    def move_subtree(self, root: int, server: int) -> int:
         """Migrate a subtree to ``server``; returns the number of nodes moved."""
         if root not in self.subtree_owner:
-            raise KeyError(f"{root.path!r} is not a local-layer subtree root")
+            raise KeyError(f"{self.tree.path(root)!r} is not a local-layer subtree root")
         self._check_server(server)
         self.subtree_owner[root] = server
         return self._assign_subtree(root, server)
@@ -225,7 +216,8 @@ class D2TreePlacement(Placement):
             for cap, load in zip(caps, loads)
         ]
         deficits[dead] = DEAD_CAPACITY
-        allocation = mirror_division([r.popularity for r in orphans], deficits)
+        popularity = self.tree.popularity
+        allocation = mirror_division([popularity[r] for r in orphans], deficits)
         moves: List[Migration] = []
         for root, target in zip(orphans, allocation.assignment):
             if target not in live:  # numerical corner: best live server
@@ -248,7 +240,7 @@ class D2TreePlacement(Placement):
             if server not in current and len(current) < self.replication_factor:
                 self.replicate(node, sorted(current | {server}))
         report = DynamicAdjuster(imbalance_tolerance=0.0).adjust(
-            dict(self.subtree_owner), self.local_loads(), self.capacities
+            dict(self.subtree_owner), self.local_loads(), self.capacities, self.tree.popularity
         )
         moves: List[Migration] = []
         for root, source, target in report.migrations:
@@ -259,16 +251,16 @@ class D2TreePlacement(Placement):
     def migration_sizes(self, moves: Sequence[Migration], tree: NamespaceTree) -> List[int]:
         """A moved subtree carries every node in it."""
         sizes = tree.arena().subtree_sizes()
-        return [sizes[move.node.node_id] for move in moves]
+        return [sizes[move.node] for move in moves]
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def is_global(self, node: MetadataNode) -> bool:
+    def is_global(self, node: int) -> bool:
         """True when ``node`` belongs to the replicated global layer."""
         return node in self.split.global_layer
 
-    def subtree_root_of(self, node: MetadataNode) -> Optional[MetadataNode]:
+    def subtree_root_of(self, node: int) -> Optional[int]:
         """Local-layer subtree root above ``node`` (None for global nodes)."""
         if self.is_global(node):
             return None
@@ -279,21 +271,20 @@ class D2TreePlacement(Placement):
 
     def index_entries(self):
         """The global layer's replica sets and the local index."""
-        return (
-            ((n.path, self.servers_of(n)) for n in self.split.global_layer),
-            ((n.path, s) for n, s in self.subtree_owner.items()),
-        )
+        layer, owner = list(self.split.global_layer), self.subtree_owner
+        return (zip(self.tree.paths(layer), map(self.servers_of, layer)),
+                zip(self.tree.paths(owner), owner.values()))
 
-    def jumps_for(self, node: MetadataNode, tree: NamespaceTree) -> int:
+    def jumps_for(self, node: int, tree: NamespaceTree) -> int:
         """Paper convention (Eq. 7): 0 inside the global layer, else 1."""
         return 0 if self.is_global(node) else 1
 
-    def counted_nodes(self) -> List[MetadataNode]:
+    def counted_nodes(self) -> List[int]:
         """Sec. IV-B's access counters: the local-layer subtree roots (whole
         subtrees are what gets balanced, promoted and re-homed) and the
         childless global-layer nodes (the demotion candidates)."""
         last_child = self.tree.arena().last_child
-        leaves = (n for n in self.split.global_layer if last_child[n.node_id] < 0)
+        leaves = (n for n in self.split.global_layer if last_child[n] < 0)
         return [*self.subtree_owner, *leaves]
 
     def lightest(self, loads: Sequence[float]) -> int:
@@ -306,7 +297,8 @@ class D2TreePlacement(Placement):
 
     def local_loads(self) -> List[float]:
         """Per-server local-layer load (what heartbeats report to Monitor)."""
+        popularity = self.tree.popularity
         loads = [0.0] * self.num_servers
         for root, server in self.subtree_owner.items():
-            loads[server] += root.popularity
+            loads[server] += popularity[root]
         return loads

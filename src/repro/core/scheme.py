@@ -157,6 +157,7 @@ class D2TreeScheme(MetadataScheme):
         if split.subtree_roots:
             allocation = allocate_subtrees(
                 split.subtree_roots,
+                tree.popularity,
                 placement.capacities,
                 sampled=self.sampled_allocation,
                 samples_per_server=self.samples_per_server,
@@ -187,7 +188,7 @@ class D2TreeScheme(MetadataScheme):
         if tree.estimate is not None:
             # Mid-replay the attribute is as old as the last whole-tree
             # pass: a node that starts carrying a counter asks the estimate.
-            node.popularity = tree.estimate.subtree_total(node)
+            tree.popularity[node] = tree.estimate.subtree_total(node)
         placement.subtree_owner[node] = server
         placement.split.subtree_roots.append(node)
         placement.index_version += 1
@@ -208,6 +209,7 @@ class D2TreeScheme(MetadataScheme):
             placement.subtree_owner,
             placement.local_loads(),
             placement.capacities,
+            tree.popularity,
         )
         self.last_adjustment = report
         migrations = []
@@ -228,7 +230,8 @@ class D2TreeScheme(MetadataScheme):
         """
         if self.promote_threshold <= 0 or not placement.subtree_owner:
             return 0
-        total_local = ordered_sum(r.popularity for r in placement.subtree_owner)
+        popularity = tree.popularity
+        total_local = ordered_sum(map(popularity.__getitem__, placement.subtree_owner))
         cutoff = self.promote_threshold * total_local / placement.num_servers
         if cutoff <= 0:
             return 0
@@ -239,13 +242,13 @@ class D2TreeScheme(MetadataScheme):
             oversized = [
                 root
                 for root in placement.subtree_owner
-                if root.popularity > cutoff
+                if popularity[root] > cutoff
             ]
             if not oversized:
                 break
             if tree.estimate is not None:
                 tree.estimate.materialise()
-            oversized.sort(key=lambda r: (-r.popularity, r.node_id))
+            oversized.sort(key=lambda r: (-popularity[r], r))
             promoted += 1
             # Descend the hot chain in one promotion event: when the mass
             # sits on a single deep path (a directory chain), every link
@@ -253,7 +256,7 @@ class D2TreeScheme(MetadataScheme):
             chain = [oversized[0]]
             while chain:
                 root = chain.pop()
-                if root in placement.subtree_owner and root.popularity > cutoff:
+                if root in placement.subtree_owner and popularity[root] > cutoff:
                     chain.extend(placement.promote_subtree(root))
         return promoted
 
@@ -267,7 +270,8 @@ class D2TreeScheme(MetadataScheme):
         """
         if self.demote_threshold <= 0:
             return 0
-        total_local = ordered_sum(r.popularity for r in placement.subtree_owner)
+        popularity = tree.popularity
+        total_local = ordered_sum(map(popularity.__getitem__, placement.subtree_owner))
         if total_local <= 0:
             return 0
         promote_cutoff = (
@@ -280,19 +284,19 @@ class D2TreeScheme(MetadataScheme):
         cooled = [
             node
             for node in placement.split.global_layer
-            if last_child[node.node_id] < 0
-            and node is not tree.root
-            and node.popularity < cutoff
+            if last_child[node] < 0
+            and node != tree.root
+            and popularity[node] < cutoff
         ]
         if not cooled:
             return 0
-        cooled.sort(key=lambda n: (n.popularity, n.node_id))
+        cooled.sort(key=lambda n: (popularity[n], n))
         loads = placement.local_loads()
         demoted = 0
         for node in cooled[: self.max_demotions_per_round]:
             target = placement.lightest(loads)
             placement.demote_global_node(node, target)
-            loads[target] += node.popularity
+            loads[target] += popularity[node]
             demoted += 1
         return demoted
 
@@ -326,13 +330,13 @@ class D2TreeScheme(MetadataScheme):
             # Remaining capacity per server: its capacity-proportional share
             # of the total local-layer popularity minus what it already holds.
             loads = new_placement.local_loads()
-            total_pop = ordered_sum(loads) + ordered_sum(r.popularity for r in fresh)
+            total_pop = ordered_sum(loads) + ordered_sum(map(tree.popularity.__getitem__, fresh))
             total_cap = ordered_sum(new_placement.capacities)
             remaining = [
                 max(total_pop * cap / total_cap - load, 1e-12)
                 for cap, load in zip(new_placement.capacities, loads)
             ]
-            allocation = allocate_subtrees(fresh, remaining, rng=self._rng)
+            allocation = allocate_subtrees(fresh, tree.popularity, remaining, rng=self._rng)
             for root, server in allocation.by_root.items():
                 new_placement.place_subtree(root, server)
         new_placement.validate_complete(tree)

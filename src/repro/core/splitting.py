@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
 from repro.core.namespace import NamespaceTree
-from repro.core.node import MetadataNode
 from repro.numeric import ordered_sum
 
 __all__ = [
@@ -55,12 +54,12 @@ class SplitResult:
         Global-layer nodes with at least one local-layer child.
     """
 
-    global_layer: Set[MetadataNode] = field(default_factory=set)
+    global_layer: Set[int] = field(default_factory=set)
     feasible: bool = True
     local_popularity: float = 0.0
     update_cost: float = 0.0
-    subtree_roots: List[MetadataNode] = field(default_factory=list)
-    inter_nodes: List[MetadataNode] = field(default_factory=list)
+    subtree_roots: List[int] = field(default_factory=list)
+    inter_nodes: List[int] = field(default_factory=list)
 
     @property
     def locality(self) -> float:
@@ -72,7 +71,7 @@ class SplitResult:
 
 def _finalize(
     tree: NamespaceTree,
-    global_layer: Set[MetadataNode],
+    global_layer: Set[int],
     feasible: bool,
     local_popularity: float,
     update_cost: float,
@@ -86,11 +85,10 @@ def _finalize(
     )
     if not feasible:
         return result
-    inter: List[MetadataNode] = []
-    roots: List[MetadataNode] = []
-    # node_id order keeps the derived lists deterministic across processes
-    # (set iteration order depends on object hashes).
-    for node in sorted(global_layer, key=lambda n: n.node_id):
+    inter: List[int] = []
+    roots: List[int] = []
+    # Id order keeps the derived lists independent of set iteration order.
+    for node in sorted(global_layer):
         local_children = [c for c in tree.children(node) if c not in global_layer]
         if local_children:
             inter.append(node)
@@ -140,7 +138,7 @@ def tree_split(
     global_layer, local_popularity, update_cost = _grow(
         tree,
         lambda node, local, cost, _size: local <= locality_threshold
-        or cost + node.update_cost >= update_threshold,
+        or cost + tree.update_cost[node] >= update_threshold,
     )
     if local_popularity > locality_threshold:
         return SplitResult(
@@ -152,36 +150,37 @@ def tree_split(
     return _finalize(tree, global_layer, True, local_popularity, update_cost)
 
 
-def _grow(tree: NamespaceTree, stop) -> Tuple[Set[MetadataNode], float, float]:
+def _grow(tree: NamespaceTree, stop) -> Tuple[Set[int], float, float]:
     """The greedy expansion both splits share: from the root, absorb the
     frontier node with the highest ``p_j`` until ``stop(node, Ltmp, cost,
     |GL|)`` holds for it (or the frontier is empty); returns the global
     layer, ``Ltmp`` and its update cost."""
     tree.ensure_popularity()
     root = tree.root
-    global_layer: Set[MetadataNode] = {root}
+    popularity, update_costs = tree.popularity, tree.update_cost
+    global_layer: Set[int] = {root}
     # Frontier S holds children of global-layer nodes, ordered by p desc. A
     # max-heap replaces the repeated sort in Alg. 1 line 3 with the same
     # selection order; the tiebreaker keeps extraction deterministic.
     counter = itertools.count()
     frontier: List = []
     for child in tree.children(root):
-        heapq.heappush(frontier, (-child.popularity, next(counter), child))
+        heapq.heappush(frontier, (-popularity[child], next(counter), child))
     # Ltmp (Alg. 1 line 1) starts at Σ p_j over every node and sheds the
     # *total* popularity p_x of each node absorbed into the global layer
     # (line 10), so it always equals Σ_{n∈LL} p_n — the Eq. 7 denominator.
-    local_popularity = ordered_sum(n.popularity for n in tree) - root.popularity
+    local_popularity = ordered_sum(popularity) - popularity[root]
     update_cost = 0.0
     while frontier:
         node = frontier[0][2]
         if stop(node, local_popularity, update_cost, len(global_layer)):
             break
         heapq.heappop(frontier)
-        update_cost += node.update_cost
+        update_cost += update_costs[node]
         global_layer.add(node)
-        local_popularity -= node.popularity
+        local_popularity -= popularity[node]
         for child in tree.children(node):
-            heapq.heappush(frontier, (-child.popularity, next(counter), child))
+            heapq.heappush(frontier, (-popularity[child], next(counter), child))
     return global_layer, local_popularity, update_cost
 
 

@@ -17,11 +17,12 @@ __all__ = ["weighted_jumps", "system_locality"]
 def weighted_jumps(tree: NamespaceTree, placement: Placement) -> float:
     """``Σ_j jp_j · p_j`` — the denominator of Eq. 1."""
     tree.ensure_popularity()
+    popularity = tree.popularity
     total = 0.0
     for node in tree:
         jumps = placement.jumps_for(node, tree)
         if jumps:
-            total += jumps * node.popularity
+            total += jumps * popularity[node]
     return total
 
 

@@ -2,7 +2,7 @@
 
 Every scheme — D2-Tree and the four comparators from Section VI — implements
 :class:`MetadataScheme` and produces a :class:`Placement`: a mapping from
-namespace-tree nodes to the metadata server(s) storing them. Replication is
+namespace-tree node ids to the metadata server(s) storing them. Replication is
 first-class (D2-Tree's global layer lives on every server), and the placement
 knows how to answer the two questions the paper's metrics need:
 
@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-init cycle
     from repro.core.namespace import NamespaceTree
-    from repro.core.node import MetadataNode
 
 __all__ = [
     "DEAD_CAPACITY",
@@ -66,9 +65,14 @@ def live_owner(capacities: Sequence[float], position: int) -> int:
 
 
 class Placement:
-    """Assignment of metadata nodes to servers, with replication support."""
+    """Node ids' servers, with replication; ``tree`` is the tree placed."""
 
-    def __init__(self, num_servers: int, capacities: Optional[Sequence[float]] = None) -> None:
+    def __init__(
+        self,
+        num_servers: int,
+        capacities: Optional[Sequence[float]] = None,
+        tree: Optional["NamespaceTree"] = None,
+    ) -> None:
         if num_servers < 1:
             raise ValueError("need at least one server")
         self.num_servers = num_servers
@@ -79,7 +83,10 @@ class Placement:
         if any(c <= 0 for c in capacities):
             raise ValueError("capacities must be positive")
         self.capacities: List[float] = [float(c) for c in capacities]
-        self._servers_of: Dict[MetadataNode, Tuple[int, ...]] = {}
+        self.tree = tree
+        #: Servers by node id (None: unplaced; one shared tuple per single owner).
+        self._servers_of: List[Optional[Tuple[int, ...]]] = [None] * len(tree or ())
+        self._single = [(server,) for server in range(num_servers)]
         self._all = tuple(range(num_servers))
         #: Monotone counter bumped on every assignment mutation. Derived
         #: read-side caches (the routing engine's owner index) compare it
@@ -90,46 +97,52 @@ class Placement:
     # ------------------------------------------------------------------
     # Building
     # ------------------------------------------------------------------
-    def assign(self, node: MetadataNode, server: int) -> None:
+    def _reserve(self, size: int) -> List[Optional[Tuple[int, ...]]]:
+        """The id-indexed column, grown to at least ``size`` slots."""
+        servers_of = self._servers_of
+        if len(servers_of) < size:
+            servers_of += [None] * (size - len(servers_of))
+        return servers_of
+
+    def assign(self, node: int, server: int) -> None:
         """Place ``node`` on a single server."""
         self._check_server(server)
-        self._servers_of[node] = (server,)
+        self._reserve(node + 1)[node] = self._single[server]
         self.version += 1
 
-    def replicate(self, node: MetadataNode, servers: Optional[Sequence[int]] = None) -> None:
+    def replicate(self, node: int, servers: Optional[Sequence[int]] = None) -> None:
         """Replicate ``node`` to ``servers`` (default: every server)."""
         self.version += 1
         if servers is None:
-            self._servers_of[node] = self._all
+            self._reserve(node + 1)[node] = self._all
             return
         replicas = tuple(sorted(set(servers)))
         if not replicas:
             raise ValueError("replicate needs at least one server")
         for server in replicas:
             self._check_server(server)
-        self._servers_of[node] = replicas
+        self._reserve(node + 1)[node] = replicas
 
-    def reassign(self, nodes: Sequence[MetadataNode], servers: Sequence[int]) -> List["Migration"]:
+    def reassign(self, nodes: Sequence[int], servers: Sequence[int]) -> List["Migration"]:
         """Place ``nodes[i]`` on ``servers[i]``, touching only the nodes
         that are new or whose server changed; returns the moves of the
         latter, in ``nodes`` order. ``version`` is bumped once per node
-        touched and once more, even when nothing moved: the rule that
-        placed the nodes changed.
-
-        Every node of a partition or a re-fit round comes through here, so
-        finding the changed ones is C-level passes over the two columns;
-        only they pay a Python step (``assign()`` and its range check,
-        inlined).
+        touched and once more, even when nothing moved (the rule that placed
+        the nodes changed). Every node of a partition or a re-fit comes
+        through here: the changed ones are found by C-level passes over the
+        two columns, and only they pay a Python step (``assign()``, inlined).
         """
-        servers_of = self._servers_of
+        servers_of = self._reserve(max(nodes, default=-1) + 1)
         num_servers = self.num_servers
-        current = list(map(servers_of.get, nodes))
+        single = self._single
+        current = list(map(servers_of.__getitem__, nodes))
         if None not in current:
             changed = list(compress(count(), map(ne, map(itemgetter(0), current), servers)))
         elif current.count(None) == len(current):  # all new: a partition
             if servers and not (0 <= min(servers) and max(servers) < num_servers):
                 raise ValueError(f"server index out of range: {min(servers)}..{max(servers)}")
-            servers_of.update(zip(nodes, zip(servers)))
+            for node, server in zip(nodes, servers):
+                servers_of[node] = single[server]
             self.version += len(current) + 1
             return []
         else:  # some new: no old owner to compare with
@@ -144,7 +157,7 @@ class Placement:
                 raise ValueError(f"server index {server} out of range")
             if was is not None:
                 moves.append(Migration(node, was[0], server))
-            servers_of[node] = (server,)
+            servers_of[node] = single[server]
         self.version += len(changed) + 1
         return moves
 
@@ -174,15 +187,15 @@ class Placement:
         return self._rehome(dead, alive)
 
     def _rehome(self, dead: int, alive: List[int]) -> List["Migration"]:
-        """Re-hash the dead server's nodes across the survivors (``alive``,
-        or every other server once cascading failures left none alive)."""
+        """Re-hash the dead server's nodes, in id order, across the survivors
+        (``alive``, or every other server once cascading failures left none)."""
         survivors = alive or [s for s in range(self.num_servers) if s != dead]
+        orphans = [n for n, servers in enumerate(self._servers_of) if servers == (dead,)]
         moves: List[Migration] = []
-        for node, servers in list(self._servers_of.items()):
-            if servers == (dead,):
-                target = survivors[stable_hash(node.path) % len(survivors)]
-                self.assign(node, target)
-                moves.append(Migration(node, dead, target))
+        for node, path in zip(orphans, self.tree.paths(orphans)):
+            target = survivors[stable_hash(path) % len(survivors)]
+            self.assign(node, target)
+            moves.append(Migration(node, dead, target))
         return moves
 
     def rejoin(
@@ -210,11 +223,13 @@ class Placement:
     def _pull_back(self, server: int, live: List[int]) -> List["Migration"]:
         """Re-hash over the live set: the nodes that now key to the
         newcomer move back (the mirror of ``_rehome``)."""
+        placed = self.placed_nodes()
         moves: List[Migration] = []
-        for node, servers in list(self._servers_of.items()):
-            if servers[0] != server and live[stable_hash(node.path) % len(live)] == server:
+        for node, path in zip(placed, self.tree.paths(placed)):
+            was = self._servers_of[node][0]
+            if was != server and live[stable_hash(path) % len(live)] == server:
                 self.assign(node, server)
-                moves.append(Migration(node, servers[0], server))
+                moves.append(Migration(node, was, server))
         return moves
 
     def migration_sizes(
@@ -227,40 +242,47 @@ class Placement:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def servers_of(self, node: MetadataNode) -> Tuple[int, ...]:
+    def servers_of(self, node: int) -> Tuple[int, ...]:
         """Servers storing ``node`` (raises ``KeyError`` for unplaced nodes)."""
-        return self._servers_of[node]
+        servers = self._servers_of[node] if node < len(self._servers_of) else None
+        if servers is None:
+            raise KeyError(node)
+        return servers
 
-    def primary_of(self, node: MetadataNode) -> int:
+    def primary_of(self, node: int) -> int:
         """Deterministic routing target for ``node``."""
-        return self._servers_of[node][0]
+        return self.servers_of(node)[0]
 
-    def is_replicated(self, node: MetadataNode) -> bool:
+    def is_replicated(self, node: int) -> bool:
         """True when the node lives on more than one server."""
-        return len(self._servers_of[node]) > 1
+        return len(self.servers_of(node)) > 1
 
-    def is_placed(self, node: MetadataNode) -> bool:
+    def is_placed(self, node: int) -> bool:
         """True when the node has been assigned at least one server."""
-        return node in self._servers_of
+        return node < len(self._servers_of) and self._servers_of[node] is not None
 
-    def forget(self, node: MetadataNode) -> bool:
+    def forget(self, node: int) -> bool:
         """Drop a node's assignment (it was deleted, or is not yet created).
 
         Returns whether the node was placed.
         """
         self.version += 1
-        return self._servers_of.pop(node, None) is not None
+        placed = self.is_placed(node)
+        if placed:
+            self._servers_of[node] = None
+        return placed
 
-    def placed_nodes(self) -> List[MetadataNode]:
-        """All nodes with an assignment."""
-        return list(self._servers_of)
+    def placed_nodes(self) -> List[int]:
+        """All nodes with an assignment, in id order."""
+        return [n for n, servers in enumerate(self._servers_of) if servers is not None]
 
     def index_entries(self) -> Tuple[Iterable, Iterable]:
         """The routing index's entries (Sec. IV-A2): global-layer ``(path,
         replicas)`` and ``(subtree-root path, owner)``. A scheme without a
         two-layer split is the degenerate case: an empty global layer and
         one root per placed node."""
-        return (), ((n.path, servers[0]) for n, servers in self._servers_of.items())
+        placed = self.placed_nodes()
+        return (), zip(self.tree.paths(placed), (self._servers_of[n][0] for n in placed))
 
     # ------------------------------------------------------------------
     # Metrics support
@@ -268,24 +290,25 @@ class Placement:
     def loads(self, tree: Optional[NamespaceTree] = None) -> List[float]:
         """Per-server served load ``L_k`` (Sec. III-B).
 
-        Each access is served by the server storing its target node, so a
-        server's load is the summed *individual* popularity of its nodes
-        (``Σ_k L_k`` then equals the system's total access popularity,
-        constraint Eq. 5). A node replicated on ``R`` servers spreads its
-        traffic evenly — the query-pressure dispersion D2-Tree's global layer
-        is designed for. Note a whole subtree's served load equals its root's
-        *total* popularity, matching Sec. IV-A1's ``s_i``.
+        An access is served by the server storing its target, so a server's
+        load is the summed *individual* popularity of its nodes, in id order
+        (``Σ_k L_k`` is the total access popularity, Eq. 5); a node on ``R``
+        servers spreads its traffic evenly, the dispersion D2-Tree's global
+        layer is for. A subtree's served load is its root's *total*
+        popularity, Sec. IV-A1's ``s_i``.
         """
         if tree is not None:
             tree.ensure_popularity()
+        individual = (tree or self.tree).individual_popularity
         loads = [0.0] * self.num_servers
-        for node, servers in self._servers_of.items():
-            share = node.individual_popularity / len(servers)
-            for server in servers:
-                loads[server] += share
+        for node, servers in enumerate(self._servers_of):
+            if servers is not None:
+                share = individual[node] / len(servers)
+                for server in servers:
+                    loads[server] += share
         return loads
 
-    def counted_nodes(self) -> Optional[Iterable[MetadataNode]]:
+    def counted_nodes(self) -> Optional[Iterable[int]]:
         """The nodes whose ``popularity`` the control plane reads between
         adjustment rounds (rebalance, re-home, placing a created node): the
         ones an MDS keeps an access counter on. A static placement reads
@@ -295,7 +318,7 @@ class Placement:
         (dynamic subtree) pays the whole-tree pass each round."""
         return ()
 
-    def jumps_for(self, node: MetadataNode, tree: NamespaceTree) -> int:
+    def jumps_for(self, node: int, tree: NamespaceTree) -> int:
         """Jump count ``jp_j`` of Def. 1 for a path traversal to ``node``.
 
         Walks the root-to-node chain keeping the set of servers that could be
@@ -321,10 +344,11 @@ class Placement:
 
     def validate_complete(self, tree: NamespaceTree) -> None:
         """Assert constraint Eq. 4: every tree node is placed somewhere."""
-        missing = [n.path for n in tree if n not in self._servers_of]
+        placed = self._reserve(len(tree))[:len(tree)]
+        missing = [n for n, servers in enumerate(placed) if servers is None]
         if missing:
             raise AssertionError(
-                f"{len(missing)} nodes unplaced, e.g. {missing[:3]}"
+                f"{len(missing)} nodes unplaced, e.g. {tree.paths(missing[:3])}"
             )
 
 
@@ -333,7 +357,7 @@ class Migration:
 
     __slots__ = ("node", "source", "target")
 
-    def __init__(self, node: MetadataNode, source: int, target: int) -> None:
+    def __init__(self, node: int, source: int, target: int) -> None:
         self.node = node
         self.source = source
         self.target = target
@@ -377,7 +401,7 @@ class MetadataScheme(ABC):
         self,
         tree: NamespaceTree,
         placement: Placement,
-        node: MetadataNode,
+        node: int,
     ) -> int:
         """Place a node created after the initial partition; returns its
         server. Tree schemes co-locate it with its subtree, hash-keyed ones

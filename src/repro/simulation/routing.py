@@ -1,7 +1,7 @@
 """Route planning: how a client request finds its servers.
 
 :class:`FastRoutingEngine` produces the
-:class:`~repro.cluster.messages.RoutePlan` for every operation. Nodes carry dense integer ids, so every memo is a column sized
+:class:`~repro.cluster.messages.RoutePlan` for every operation. A node is a dense integer id, so every memo is a column sized
 by the id space of the tree's one snapshot
 (:class:`~repro.core.namespace.NodeArena`, which also shares the cached
 ancestor-chain tuples), and an incremental **owner index** memoises the two
@@ -26,8 +26,8 @@ each server, and the two-visit ENTRY→SERVE and REDIRECT→SERVE plans of a
 cold or stale D2 index entry, one per ``(first server, owner, kind)``. A
 returned plan is therefore read-only to every consumer: interned plans
 carry their visits as a tuple so an accidental write raises, and all plans
-share one empty ``fanout`` list. Only a global-layer UPDATE (per-node
-``lock_key``, replica fan-out) and a multi-visit generic walk are built
+share one empty ``fanout`` list. Only a global-layer UPDATE (``lock_key``
+the node id, replica fan-out) and a multi-visit generic walk are built
 per operation.
 
 Owner-index invalidation is versioned, not subscribed:
@@ -197,8 +197,7 @@ class FastRoutingEngine:
         placement = self.placement
         size = self.arena.size
         bits = bytearray(size)
-        for member in placement.split.global_layer:
-            mid = member.node_id
+        for mid in placement.split.global_layer:
             if mid < size:
                 bits[mid] = 1
         self._global_bits = bits
@@ -220,27 +219,25 @@ class FastRoutingEngine:
         bits, roots = self._global_bits, self._root_id
         last_child = self.arena.last_child
         ids = []
-        for node in nodes:
-            nid = node.node_id
+        for nid in nodes:
             if bits[nid]:
                 ids.append(-1 if last_child[nid] >= 0 else nid)
             else:
                 rid = roots[nid]
-                ids.append(rid if rid >= 0 else placement.subtree_root_of(node).node_id)
+                ids.append(rid if rid >= 0 else placement.subtree_root_of(nid))
         return ids
 
-    def _plan_d2(self, client: SimClient, node, op: OpType) -> RoutePlan:
+    def _plan_d2(self, client: SimClient, nid: int, op: OpType) -> RoutePlan:
         placement = self.placement
         if self._membership_version != placement.index_version:
             self._refresh_membership()
-        nid = node.node_id
         version = placement.version
         serve_plans = self._serve_plans
         if self._global_bits[nid]:
             if self._replica_stamp[nid] == version:
                 replicas = self._replicas[nid]
             else:
-                replicas = placement._servers_of[node]
+                replicas = placement._servers_of[nid]
                 self._replicas[nid] = replicas
                 self._replica_stamp[nid] = version
             # A uniform pick among the replicas, inlined down to the
@@ -263,21 +260,21 @@ class FastRoutingEngine:
             return RoutePlan(
                 [Visit(entry, _SERVE)],
                 [s for s in replicas if s != entry],
-                node.path,
+                nid,
             )
         rid = self._root_id[nid]
         if rid >= 0:
             self.hits += 1
         else:
             self.misses += 1
-            rid = placement.subtree_root_of(node).node_id
+            rid = placement.subtree_root_of(nid)
             self._root_id[nid] = rid
         # Ownership is never read through a stale entry: migrations bump
         # placement.version, which invalidates the stamped owner below.
         if self._primary_stamp[rid] == version:
             owner = self._primary[rid]
         else:
-            owner = placement._servers_of[self.tree._nodes[rid]][0]
+            owner = placement._servers_of[rid][0]
             self._primary[rid] = owner
             self._primary_stamp[rid] = version
         # The client's local index is an LRUCache's recency-ordered dict:
@@ -322,7 +319,7 @@ class FastRoutingEngine:
         except KeyError:
             return self._pair_plan(plans, first, owner, kind)
 
-    def _plan_generic(self, client: SimClient, node, op: OpType) -> RoutePlan:
+    def _plan_generic(self, client: SimClient, nid: int, op: OpType) -> RoutePlan:
         placement = self.placement
         version = placement.version
         servers_of = placement._servers_of
@@ -330,7 +327,6 @@ class FastRoutingEngine:
         stamp = self._primary_stamp
         cache = client.prefix_cache
         data = cache._data
-        nid = node.node_id
         # Owner-index lookup for the target itself: O(1) while the
         # placement is unchanged, authoritative refill otherwise.
         if stamp[nid] == version:
@@ -338,7 +334,7 @@ class FastRoutingEngine:
             target = primary[nid]
         else:
             self.misses += 1
-            target = servers_of[node][0]
+            target = servers_of[nid][0]
             primary[nid] = target
             stamp[nid] = version
         # Prefix-cache touches pop and store again, as in _plan_d2. A stale
@@ -379,7 +375,7 @@ class FastRoutingEngine:
                 index_hits += 1
                 server = primary[aid]
             else:
-                server = servers_of[self.tree._nodes[aid]][0]
+                server = servers_of[aid][0]
                 primary[aid] = server
                 stamp[aid] = version
             acached = data.pop(aid, None)

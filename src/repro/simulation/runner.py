@@ -199,8 +199,7 @@ class ClusterSimulator:
         # Late-created nodes (OpType.CREATE extension) do not exist at
         # partition time: their assignments are forgotten and each scheme
         # places them on first sight.
-        for path in workload.late_created_paths:
-            node = self.tree.lookup(path)
+        for node in self.tree.resolve(workload.late_created_paths):
             if node is not None and self.placement.is_placed(node):
                 if not self.placement.is_replicated(node):
                     self.placement.forget(node)
@@ -412,15 +411,14 @@ class ClusterSimulator:
         last_left = self._last_left
         bounced = 0
         for move in moves:
-            node_id = move.node.node_id
-            previous = last_left.get(node_id)
+            previous = last_left.get(move.node)
             if (
                 previous is not None
                 and previous[1] == move.target
                 and this_round - previous[0] <= BOUNCE_ROUNDS
             ):
                 bounced += 1
-            last_left[node_id] = (this_round, move.source)
+            last_left[move.node] = (this_round, move.source)
         return bounced
 
     def _charge_migrations(self, moves) -> None:
@@ -463,8 +461,7 @@ class ClusterSimulator:
         if not self.store_on or not moves:
             return
         store = self.store
-        for move in moves:
-            path = move.node.path
+        for move, path in zip(moves, self.tree.paths(m.node for m in moves)):
             if self.servers[move.source].alive:
                 store.append_mutation(move.source, "revoke", path, now)
             if self.servers[move.target].alive:
@@ -557,7 +554,7 @@ class ClusterSimulator:
             self.engine.invalidate()
         engine_plan = self.engine._planner
         serve_plan = self.engine._serve_plan  # interned single-SERVE plans
-        is_placed = placement._servers_of.__contains__  # Placement.is_placed, frameless
+        servers_of = placement._servers_of  # is_placed: not None, sized to the tree
         place_created = self.scheme.place_created
         locks_acquire = self.locks.acquire
         heappop = heapq.heappop
@@ -633,8 +630,10 @@ class ClusterSimulator:
         next_grid = min(next_heartbeat, next_time_fault)
 
         batches = iter_op_batches(self.trace, tree)
+        trace_paths = self.trace.paths  # the op log's and the WAL's path
         b_codes: List[int] = []
         b_nodes: List = []
+        b_pids: List[int] = []
         b_len = 0
         b_idx = 0
         dispatched = 0
@@ -647,6 +646,8 @@ class ClusterSimulator:
         slot_visit = [0] * num_slots
         slot_start = [0.0] * num_slots
         slot_node: List = [None] * num_slots
+        #: The op's path, as an index into the trace's ``paths``.
+        slot_pid = [0] * num_slots
         slot_op: List = [None] * num_slots
         slot_attempts = [0] * num_slots
         #: 1-based issue number: the durable op sequence, stable across
@@ -746,7 +747,7 @@ class ClusterSimulator:
                             # a crash after this point can never lose an
                             # acknowledged operation.
                             issue = slot_issue[slot]
-                            append_ack(sid, issue, slot_node[slot].path, completion)
+                            append_ack(sid, issue, trace_paths[slot_pid[slot]], completion)
                             note_ack(sid, issue)
                         if nvis == 1:
                             redirected = visits[0][1] is REDIRECT
@@ -828,14 +829,16 @@ class ClusterSimulator:
                         break
                     b_codes = batch.op_codes
                     b_nodes = batch.nodes
+                    b_pids = batch.path_ids
                     b_len = len(b_codes)
                     b_idx = 0
                 node = b_nodes[b_idx]
                 code = b_codes[b_idx]
                 op = decode[code]
+                pid = b_pids[b_idx]
                 b_idx += 1
                 dispatched += 1
-                if is_placed(node):
+                if servers_of[node] is not None:
                     plan = engine_plan(clients[slot], node, op)
                 else:
                     # CREATE (or first touch of a late node): the scheme
@@ -856,19 +859,20 @@ class ClusterSimulator:
                         pre_lock = arrival = network.data_arrival(
                             CLIENT_ADDR, mds_addr(plan.visits[0][0]), arrival
                         )
-                if plan.lock_key and arrival is not None:
+                if plan.lock_key is not None and arrival is not None:
                     arrival = locks_acquire(plan.lock_key, arrival, lock_hold)
                 slot_plan[slot] = plan
                 slot_visit[slot] = 0
                 slot_start[slot] = start
                 slot_node[slot] = node
+                slot_pid[slot] = pid
                 slot_issue[slot] = dispatched
                 if log_all or rec_on and rec.sampled(dispatched - 1):
                     # Invoked before the lost-send branch so a
                     # first-attempt loss still has its invoke on record.
                     slot_tr[slot] = log.invoke(
-                        dispatched - 1, slot, start, node.path, op_values[code],
-                        pre_lock, arrival if plan.lock_key else None,
+                        dispatched - 1, slot, start, trace_paths[pid], op_values[code],
+                        pre_lock, None if plan.lock_key is None else arrival,
                     )
                 elif rec_on:
                     slot_tr[slot] = None
@@ -924,7 +928,7 @@ class ClusterSimulator:
         live = [s.server_id for s in self.servers if s.alive]
         if not live:
             return dead
-        server = live[stable_hash(node.path) % len(live)]
+        server = live[stable_hash(self.tree.path(node)) % len(live)]
         self.placement.assign(node, server)
         return server
 
@@ -979,10 +983,8 @@ def _round_counts(piece: Trace, tree) -> Dict:
     order the served loads are summed in). Each distinct path is resolved
     once; operations whose path does not resolve are skipped."""
     per_id = Counter(piece.path_ids)  # ids count up in first-appearance order
-    lookup = tree.lookup
     counts = Counter()
-    for path_id, path in enumerate(piece.paths):
-        node = lookup(path)
+    for path_id, node in enumerate(tree.resolve(piece.paths)):
         if node is not None:
             counts[node] = per_id[path_id]
     return counts

@@ -25,10 +25,9 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import log
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.namespace import NamespaceTree
-from repro.core.node import MetadataNode
+from repro.core.namespace import ROOT, NamespaceTree
 from repro.traces.datasets import DatasetProfile
 from repro.traces.trace import OP_CODES, OpType, Trace, first_appearance
 
@@ -75,7 +74,7 @@ class GeneratedWorkload:
     profile: DatasetProfile
     tree: NamespaceTree
     trace: Trace
-    hot_nodes: List[MetadataNode] = field(default_factory=list)
+    hot_nodes: List[int] = field(default_factory=list)
     #: Paths whose first trace occurrence is a CREATE: these nodes do not
     #: exist at partition time and each scheme places them on the fly.
     late_created_paths: List[str] = field(default_factory=list)
@@ -91,7 +90,7 @@ class GeneratedWorkload:
         trace = self.trace
         if not len(trace):
             return 0.0
-        hot_paths = {node.path for node in self.hot_nodes}
+        hot_paths = set(self.tree.paths(self.hot_nodes))
         hot = [path in hot_paths for path in trace.paths]
         return sum(map(hot.__getitem__, trace.path_ids)) / len(trace)
 
@@ -110,9 +109,9 @@ class TraceGenerator:
         """Build the tree, synthesise the trace, and backfill popularity."""
         rng = random.Random(self.profile.seed)
         tree, hot_nodes, cold_nodes = self._build_tree(rng)
-        trace = self._trace_columns(rng, hot_nodes, cold_nodes)
-        late_paths = self._mark_creates(rng, trace, cold_nodes)
-        self._apply_trace_to_tree(tree, trace)
+        trace, traced = self._trace_columns(rng, tree, hot_nodes, cold_nodes)
+        late_paths = self._mark_creates(rng, tree, trace, traced, cold_nodes)
+        self._apply_trace_to_tree(tree, trace, traced)
         return GeneratedWorkload(
             profile=self.profile,
             tree=tree,
@@ -125,32 +124,33 @@ class TraceGenerator:
     # Tree construction
     # ------------------------------------------------------------------
     def _build_tree(self, rng: random.Random):
+        """The tree, written column by column: every name is unique in its
+        directory by construction, so no child is looked up by name."""
         profile = self.profile
         tree = NamespaceTree()
-        add_child = tree.add_child
+        add_child = tree._append
 
         # 1. Plant the exact-max-depth chain (Table I's Max Depth column).
-        node = tree.root
+        node = ROOT
         for level in range(profile.max_depth - 1):
-            node = add_child(node, f"deep{level}", is_directory=True)
-        deep_file = add_child(node, "deepest.dat", is_directory=False)
+            node = add_child(node, f"deep{level}", True)
+        deep_file = add_child(node, "deepest.dat", False)
 
         # 2. Hot directories near the root hosting the hot set. The hot set
         # spans many directories (a release tree has many popular folders),
         # so subtree-grained schemes can spread it too.
         hot_budget = max(2, round(profile.hot_fraction * profile.num_nodes))
         num_hot_dirs = max(2, min(64, hot_budget // 2))
-        hot_dirs = [
-            add_child(tree.root, f"hot{i}", is_directory=True) for i in range(num_hot_dirs)
-        ]
-        hot_nodes: List[MetadataNode] = list(hot_dirs)
+        hot_dirs = [add_child(ROOT, f"hot{i}", True) for i in range(num_hot_dirs)]
+        hot_nodes = list(hot_dirs)
         hot_file_count = max(0, hot_budget - num_hot_dirs)
         for i in range(hot_file_count):
-            hot_nodes.append(add_child(hot_dirs[i % num_hot_dirs], f"hotfile{i}.bin"))
+            hot_nodes.append(add_child(hot_dirs[i % num_hot_dirs], f"hotfile{i}.bin", False))
 
         # Depth and child count by node id, kept as the tree grows.
-        depth = list(tree.arena().depths())
-        fanout = [len(tree.children(n)) for n in tree.nodes]
+        arena = tree.arena()
+        depth = list(arena.depths())
+        fanout = [len(arena.children(n)) for n in tree]
 
         # 3. Bulk directories: random attachment below the depth cap, with
         #    mild preferential weighting for heavy-tailed fan-out.
@@ -159,30 +159,30 @@ class TraceGenerator:
         num_dirs = max(1, int(remaining / (files_per_dir + 1)))
         num_files = max(0, remaining - num_dirs)
         cap = profile.max_depth - 1
-        attachable = [d for d in tree.directories() if depth[d.node_id] < cap]
+        attachable = [d for d in tree.directories() if depth[d] < cap]
         for i in range(num_dirs):
             # Two candidates, keep the one with more children: cheap
             # preferential attachment ("power of two choices").
             a = rng.choice(attachable)
             b = rng.choice(attachable)
-            parent = a if fanout[a.node_id] >= fanout[b.node_id] else b
-            new_dir = add_child(parent, f"d{i}", is_directory=True)
-            level = depth[parent.node_id] + 1
+            parent = a if fanout[a] >= fanout[b] else b
+            new_dir = add_child(parent, f"d{i}", True)
+            level = depth[parent] + 1
             depth.append(level)
-            fanout[parent.node_id] += 1
+            fanout[parent] += 1
             fanout.append(0)
             if level < cap:
                 attachable.append(new_dir)
 
-        dirs = [d for d in tree.directories() if depth[d.node_id] < profile.max_depth]
+        dirs = [d for d in tree.directories() if depth[d] < profile.max_depth]
         # Depth-biased parent choice: weight ∝ (1+depth)^file_depth_bias.
         bias = profile.file_depth_bias
-        dir_weights = list(itertools.accumulate((1 + depth[d.node_id]) ** bias for d in dirs))
+        dir_weights = list(itertools.accumulate((1 + depth[d]) ** bias for d in dirs))
         total = dir_weights[-1]
         random_ = rng.random
         bisect_left = bisect.bisect_left
         cold_nodes = [
-            add_child(dirs[bisect_left(dir_weights, random_() * total)], f"f{i}.dat")
+            add_child(dirs[bisect_left(dir_weights, random_() * total)], f"f{i}.dat", False)
             for i in range(num_files)
         ]
         # Cold tier also includes the deep chain's file so it is reachable.
@@ -195,20 +195,21 @@ class TraceGenerator:
     def _trace_columns(
         self,
         rng: random.Random,
-        hot_nodes: Sequence[MetadataNode],
-        cold_nodes: Sequence[MetadataNode],
-    ) -> Trace:
-        """The raw (pre-CREATE-conversion) trace, written column by column.
+        tree: NamespaceTree,
+        hot_nodes: Sequence[int],
+        cold_nodes: Sequence[int],
+    ) -> Tuple[Trace, List[int]]:
+        """The raw (pre-CREATE-conversion) trace, written column by column,
+        and the node id of each of its distinct paths.
 
         The path column is written as indices into the hot pool followed by
-        the cold pool, then renumbered in first-appearance order. This loop
-        is most of every run's set-up, so its draws are inlined
-        with the library's own arithmetic and take the same bits from
-        ``rng`` in the same order as the method calls: ``expovariate(1.0)``
-        is ``-log(1.0 - random()) / 1.0`` (dividing by 1.0 is exact, so it
-        is left out), ``ZipfSampler.sample`` is ``bisect_left(cumulative,
-        random() * total)``, and ``randrange(n)`` is the ``getrandbits``
-        rejection loop over ``n.bit_length()`` bits.
+        the cold pool, then renumbered in first-appearance order; only the
+        nodes the trace names have their paths rendered. The loop's draws
+        are inlined with the library's own arithmetic and take the same bits
+        from ``rng`` in the same order as the method calls:
+        ``expovariate(1.0)`` is ``-log(1.0 - random())`` (÷1.0 is exact),
+        ``ZipfSampler.sample`` is ``bisect_left(cumulative, random() *
+        total)``, ``randrange(n)`` the ``getrandbits`` rejection loop.
         """
         profile = self.profile
         # Shuffled rank order decorrelates Zipf rank from creation order.
@@ -268,45 +269,46 @@ class TraceGenerator:
                 while client >= num_clients:
                     client = getrandbits(client_bits)
                 client_id(client)
-        path_ids, paths = first_appearance(
-            pool_ids, [node.path for node in itertools.chain(hot_pool, cold_pool)]
-        )
-        return Trace(
-            profile.name, timestamps, op_codes, client_ids, path_ids, paths,
+        path_ids, traced = first_appearance(pool_ids, hot_pool + cold_pool)
+        trace = Trace(
+            profile.name, timestamps, op_codes, client_ids, path_ids, tree.paths(traced),
             profile.description,
         )
+        return trace, traced
 
     # ------------------------------------------------------------------
     def _mark_creates(
         self,
         rng: random.Random,
+        tree: NamespaceTree,
         trace: Trace,
-        cold_nodes: Sequence[MetadataNode],
+        traced: Sequence[int],
+        cold_nodes: Sequence[int],
     ) -> List[str]:
         """Turn the first occurrence of some cold files into CREATE ops
         (no RNG draws when ``create_fraction`` is 0)."""
         fraction = self.profile.create_fraction
         if fraction <= 0:
             return []
-        files = [n for n in cold_nodes if not n.is_directory]
+        files = [n for n in cold_nodes if not tree.is_directory(n)]
         count = max(1, round(fraction * len(files)))
-        late = {n.path for n in rng.sample(files, min(count, len(files)))}
+        late = set(rng.sample(files, min(count, len(files))))
         # Path ids are in first-appearance order, so the late paths' first
         # operations come in id order too: one forward scan finds them all.
         op_codes, path_ids = trace.op_codes, trace.path_ids
         converted = []
         index = 0
-        for path_id, path in enumerate(trace.paths):
-            if path in late:
+        for path_id, node in enumerate(traced):
+            if node in late:
                 index = path_ids.index(path_id, index)
                 op_codes[index] = OP_CODES[OpType.CREATE]
-                converted.append(path)
+                converted.append(trace.paths[path_id])
         return converted
 
     @staticmethod
-    def _apply_trace_to_tree(tree: NamespaceTree, trace: Trace) -> None:
-        """Backfill per-node popularity and update costs from the trace,
-        resolving each distinct path to its node once.
+    def _apply_trace_to_tree(tree: NamespaceTree, trace: Trace, traced: Sequence[int]) -> None:
+        """Backfill per-node popularity and update costs from the trace:
+        path id ``i`` names node ``traced[i]``.
 
         Counts are integers below 2**53, so ``float(count)`` is the sum of
         that many ``1.0`` additions, bit for bit."""
@@ -314,27 +316,26 @@ class TraceGenerator:
         access = Counter(path_ids)
         is_update = OP_CODES[OpType.UPDATE].__eq__
         updates = Counter(itertools.compress(path_ids, map(is_update, trace.op_codes)))
-        for node in tree:
-            node.individual_popularity = 0.0
-            node.update_cost = STRUCTURAL_UPDATE_COST
-        lookup = tree.lookup
-        for path_id, path in enumerate(trace.paths):
-            node = lookup(path)
-            if node is not None:
-                node.individual_popularity = float(access[path_id])
-                node.update_cost = STRUCTURAL_UPDATE_COST + float(updates[path_id])
+        individual, update_cost = tree.individual_popularity, tree.update_cost  # p' all 0.0
+        update_cost[:] = array("d", [STRUCTURAL_UPDATE_COST]) * len(tree)
+        for path_id, node in enumerate(traced):
+            individual[node] = float(access[path_id])
+            update_cost[node] = STRUCTURAL_UPDATE_COST + float(updates[path_id])
         tree.aggregate_popularity()
 
 
 def load_workload(profile: DatasetProfile, num_clients: int = DEFAULT_NUM_CLIENTS) -> GeneratedWorkload:
     """Generate (or fetch the cached) workload for a profile.
 
-    Profiles are frozen dataclasses, so identical parameters always return
-    the same cached object — benchmarks across schemes share one workload.
+    Profiles are frozen dataclasses, so identical parameters return the same
+    cached object — benchmarks across schemes share one workload. Only the
+    current recipe's workload is kept: a run over many seeds (a hunt) holds
+    one workload at a time, not one per seed.
     """
     key = (profile, num_clients)
     cached = _WORKLOAD_CACHE.get(key)
     if cached is None:
+        _WORKLOAD_CACHE.clear()  # before generating: one workload at a time
         cached = TraceGenerator(profile, num_clients=num_clients).generate()
         _WORKLOAD_CACHE[key] = cached
     return cached

@@ -30,26 +30,33 @@ def build_sample_tree() -> NamespaceTree:
         tree.record_access(tree.lookup(path), weight=10.0 * (i + 1))
     tree.record_access(tree.lookup("/home"), weight=5.0)
     for node in tree:
-        node.update_cost = 1.0
+        tree.update_cost[node] = 1.0
     tree.aggregate_popularity()
     return tree
 
 
-def build_random_tree(num_nodes: int = 400, seed: int = 3) -> NamespaceTree:
-    """A random tree with Zipf-ish popularity, deterministic per seed."""
+def build_random_tree(num_nodes: int = 400, seed: int = 3, added=None) -> NamespaceTree:
+    """A random tree with Zipf-ish popularity, deterministic per seed.
+    ``added``, a dict, records each node's path as the builder composed it
+    (parent's path, a slash, the name it chose)."""
     rng = random.Random(seed)
     tree = NamespaceTree()
+    composed = {tree.root: ""}
     dirs = [tree.root]
     for i in range(num_nodes // 5):
         parent = rng.choice(dirs)
         if len(tree.ancestors(parent)) < 8:
             dirs.append(tree.add_child(parent, f"d{i}", is_directory=True))
+            composed[dirs[-1]] = f"{composed[parent]}/d{i}"
     for i in range(num_nodes - len(tree)):
         parent = rng.choice(dirs)
         node = tree.add_child(parent, f"f{i}", is_directory=False)
+        composed[node] = f"{composed[parent]}/f{i}"
         tree.record_access(node, weight=rng.expovariate(0.02) + 1.0)
+    if added is not None:
+        added.update((node, path or "/") for node, path in composed.items())
     for node in tree:
-        node.update_cost = 0.1 + rng.random()
+        tree.update_cost[node] = 0.1 + rng.random()
     tree.aggregate_popularity()
     return tree
 
@@ -57,15 +64,15 @@ def build_random_tree(num_nodes: int = 400, seed: int = 3) -> NamespaceTree:
 def check_structure(tree: NamespaceTree) -> None:
     """What the tree's only structural mutation, ``add_child``, keeps true:
     every node's id is larger than its parent's, each node's children are
-    in id order, the path index finds every node, and the arena spans the
-    tree."""
+    in id order, every node's rendered path resolves back to it, and the
+    arena spans the tree."""
+    nodes = list(tree)
+    assert tree.resolve(tree.paths(nodes)) == nodes
     for node in tree:
-        assert tree.lookup(node.path) is node
         children = tree.children(node)
-        ids = [child.node_id for child in children]
-        assert ids == sorted(ids) and all(cid > node.node_id for cid in ids)
-        assert all(tree.parent(child) is node for child in children)
-    assert len(tree) == tree.arena().size == len(tree._by_path)
+        assert children == sorted(children) and all(cid > node for cid in children)
+        assert all(tree.parent(child) == node for child in children)
+    assert len(tree) == tree.arena().size
 
 
 def post_order_totals(tree: NamespaceTree, individual) -> list:
@@ -80,7 +87,7 @@ def post_order_totals(tree: NamespaceTree, individual) -> list:
         if children_done:
             parent = tree.parent(node)
             if parent is not None:
-                totals[parent.node_id] += totals[node.node_id]
+                totals[parent] += totals[node]
         else:
             stack.append((node, True))
             stack.extend((child, False) for child in tree.children(node))

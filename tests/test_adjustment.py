@@ -39,11 +39,11 @@ def _counters(blend=0.5, **popularity):
 
 def test_counter_accumulates_without_decay():
     # Accesses inside one window count whole, however many there are.
-    _, nodes, estimate = _counters(a=0.0, b=0.0)
+    tree, nodes, estimate = _counters(a=0.0, b=0.0)
     estimate.fold({nodes["a"]: 2, nodes["b"]: 1})
     estimate.materialise()
-    assert nodes["a"].individual_popularity == 1.0  # 0.5 * 2
-    assert nodes["b"].individual_popularity == 0.5
+    assert tree.individual_popularity[nodes["a"]] == 1.0  # 0.5 * 2
+    assert tree.individual_popularity[nodes["b"]] == 0.5
 
 
 def test_counter_decays_exponentially():
@@ -53,9 +53,9 @@ def test_counter_decays_exponentially():
         estimate.fold({nodes["b"]: 1})
     assert estimate.subtree_total(nodes["a"]) == 1.0  # 8 * 0.5 ** 3
     estimate.materialise()
-    assert nodes["a"].individual_popularity == 1.0
-    assert tree.root.popularity == 1.0 + nodes["b"].popularity
-    _, nodes, estimate = _counters(blend=0.3, a=8.0)
+    assert tree.individual_popularity[nodes["a"]] == 1.0
+    assert tree.popularity[tree.root] == 1.0 + tree.popularity[nodes["b"]]
+    tree, nodes, estimate = _counters(blend=0.3, a=8.0)
     for _ in range(3):
         estimate.fold({})
     assert estimate.subtree_total(nodes["a"]) == pytest.approx(8.0 * 0.7 ** 3, rel=1e-12)
@@ -81,9 +81,9 @@ def test_counter_value_without_advance():
     tree, nodes, estimate = _counters(a=3.0, b=2.0)
     assert estimate.subtree_total(nodes["a"]) == 3.0
     assert estimate.subtree_total(tree.root) == 5.0
-    nodes["a"].popularity = -1.0  # a materialise would overwrite this
+    tree.popularity[nodes["a"]] = -1.0  # a materialise would overwrite this
     estimate.materialise()
-    assert nodes["a"].popularity == -1.0
+    assert tree.popularity[nodes["a"]] == -1.0
 
 
 def test_counted_nodes_take_their_total_from_the_window():
@@ -99,13 +99,13 @@ def test_counted_nodes_take_their_total_from_the_window():
     counter = {leaf: top, other: top, lone: lone}
     estimate.fold(
         {leaf: 3, lone: 1}, [top, lone],
-        lambda nodes: [counter[node].node_id for node in nodes],
+        lambda nodes: [counter[node] for node in nodes],
     )
-    assert (top.popularity, lone.popularity) == (0.5 * 8 + 0.5 * 3, 0.5 * 4 + 0.5 * 1)
-    assert leaf.popularity == 6.0 and other.individual_popularity == 2.0
+    assert (tree.popularity[top], tree.popularity[lone]) == (0.5 * 8 + 0.5 * 3, 0.5 * 4 + 0.5 * 1)
+    assert tree.popularity[leaf] == 6.0 and tree.individual_popularity[other] == 2.0
     estimate.materialise()
-    assert (top.popularity, lone.popularity) == (5.5, 2.5)
-    assert (leaf.popularity, other.popularity) == (4.5, 1.0)
+    assert (tree.popularity[top], tree.popularity[lone]) == (5.5, 2.5)
+    assert (tree.popularity[leaf], tree.popularity[other]) == (4.5, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_pool_offer_and_drain():
     assert len(pool) == 1
     entries = pool.take_all()
     assert len(entries) == 1
-    assert entries[0].subtree_root is a and entries[0].popularity == 5.0
+    assert entries[0].subtree_root == a and entries[0].popularity == 5.0
     assert len(pool) == 0
 
 
@@ -152,10 +152,10 @@ def _subtrees(tree, spec):
     return owner
 
 
-def _loads(owner, num_servers):
+def _loads(tree, owner, num_servers):
     loads = [0.0] * num_servers
     for root, server in owner.items():
-        loads[server] += root.popularity
+        loads[server] += tree.popularity[root]
     return loads
 
 
@@ -163,7 +163,7 @@ def test_balanced_cluster_is_left_alone():
     tree = NamespaceTree()
     owner = _subtrees(tree, [("/a", 10, 0), ("/b", 10, 1)])
     adjuster = DynamicAdjuster(imbalance_tolerance=0.1)
-    report = adjuster.adjust(owner, _loads(owner, 2), [1.0, 1.0])
+    report = adjuster.adjust(owner, _loads(tree, owner, 2), [1.0, 1.0], tree.popularity)
     assert report.migrations == []
     assert report.offered == 0
 
@@ -174,12 +174,12 @@ def test_overloaded_server_sheds_to_light():
         tree, [("/a", 10, 0), ("/b", 10, 0), ("/c", 10, 0), ("/d", 1, 1)]
     )
     adjuster = DynamicAdjuster(imbalance_tolerance=0.1)
-    report = adjuster.adjust(owner, _loads(owner, 2), [1.0, 1.0])
+    report = adjuster.adjust(owner, _loads(tree, owner, 2), [1.0, 1.0], tree.popularity)
     assert report.migrations
     for _root, source, target in report.migrations:
         assert source == 0
         assert target == 1
-    new_loads = _loads(owner, 2)
+    new_loads = _loads(tree, owner, 2)
     assert abs(new_loads[0] - new_loads[1]) < 31
 
 
@@ -188,10 +188,10 @@ def test_adjust_reduces_imbalance():
     spec = [(f"/s{i}", 5 + (i % 7), 0) for i in range(20)]
     spec += [(f"/t{i}", 1, 1) for i in range(3)]
     owner = _subtrees(tree, spec)
-    before = _loads(owner, 2)
+    before = _loads(tree, owner, 2)
     adjuster = DynamicAdjuster(imbalance_tolerance=0.05)
-    adjuster.adjust(owner, before, [1.0, 1.0])
-    after = _loads(owner, 2)
+    adjuster.adjust(owner, before, [1.0, 1.0], tree.popularity)
+    after = _loads(tree, owner, 2)
     assert max(after) - min(after) < max(before) - min(before)
 
 
@@ -199,8 +199,8 @@ def test_capacity_weighted_ideal():
     tree = NamespaceTree()
     owner = _subtrees(tree, [(f"/s{i}", 10, 0) for i in range(6)])
     adjuster = DynamicAdjuster(imbalance_tolerance=0.0)
-    adjuster.adjust(owner, _loads(owner, 2), [2.0, 1.0])
-    after = _loads(owner, 2)
+    adjuster.adjust(owner, _loads(tree, owner, 2), [2.0, 1.0], tree.popularity)
+    after = _loads(tree, owner, 2)
     # Server 0 has twice the capacity: should keep roughly 2/3 of the load.
     assert after[0] > after[1]
 
@@ -209,22 +209,22 @@ def test_report_moved_popularity():
     tree = NamespaceTree()
     owner = _subtrees(tree, [("/a", 30, 0), ("/b", 2, 1)])
     adjuster = DynamicAdjuster(imbalance_tolerance=0.0)
-    report = adjuster.adjust(owner, _loads(owner, 2), [1.0, 1.0])
+    report = adjuster.adjust(owner, _loads(tree, owner, 2), [1.0, 1.0], tree.popularity)
     assert report.moved_popularity == pytest.approx(
-        sum(n.popularity for n, _s, _t in report.migrations)
+        sum(tree.popularity[n] for n, _s, _t in report.migrations)
     )
 
 
 def test_mismatched_inputs_rejected():
     adjuster = DynamicAdjuster()
     with pytest.raises(ValueError):
-        adjuster.adjust({}, [1.0], [1.0, 1.0])
+        adjuster.adjust({}, [1.0], [1.0, 1.0], [])
 
 
 def test_zero_capacity_rejected():
     adjuster = DynamicAdjuster()
     with pytest.raises(ValueError):
-        adjuster.adjust({}, [0.0, 0.0], [0.0, 0.0])
+        adjuster.adjust({}, [0.0, 0.0], [0.0, 0.0], [])
 
 
 def test_negative_tolerance_rejected():
@@ -234,7 +234,7 @@ def test_negative_tolerance_rejected():
 
 def test_empty_system_noop():
     adjuster = DynamicAdjuster()
-    report = adjuster.adjust({}, [0.0, 0.0], [1.0, 1.0])
+    report = adjuster.adjust({}, [0.0, 0.0], [1.0, 1.0], [])
     assert isinstance(report, AdjustmentReport)
     assert report.migrations == []
 
@@ -245,10 +245,10 @@ def test_adjust_converges_over_rounds():
     owner = _subtrees(tree, spec)
     adjuster = DynamicAdjuster(imbalance_tolerance=0.05)
     for _ in range(10):
-        report = adjuster.adjust(owner, _loads(owner, 4), [1.0] * 4)
+        report = adjuster.adjust(owner, _loads(tree, owner, 4), [1.0] * 4, tree.popularity)
         if not report.migrations:
             break
-    loads = _loads(owner, 4)
+    loads = _loads(tree, owner, 4)
     mu = sum(loads) / 4
     assert max(loads) <= mu * 1.6
 
@@ -260,12 +260,12 @@ def test_single_giant_subtree_still_makes_progress():
     tree = NamespaceTree()
     owner = _subtrees(tree, [("/giant", 100, 0), ("/big", 150, 0), ("/cold", 0, 0)])
     report = DynamicAdjuster(imbalance_tolerance=0.1).adjust(
-        owner, _loads(owner, 2), [1.0, 1.0]
+        owner, _loads(tree, owner, 2), [1.0, 1.0], tree.popularity
     )
-    assert [(root.path, src, dst) for root, src, dst in report.migrations] == [
+    assert [(tree.path(root), src, dst) for root, src, dst in report.migrations] == [
         ("/giant", 0, 1)
     ]
-    assert _loads(owner, 2) == [150.0, 100.0]
+    assert _loads(tree, owner, 2) == [150.0, 100.0]
 
 
 def test_largest_that_fits_moves_the_load_in_few_migrations():
@@ -277,14 +277,14 @@ def test_largest_that_fits_moves_the_load_in_few_migrations():
     spec += [(f"/cold{i}", 0, 0) for i in range(50)]
     owner = _subtrees(tree, spec)
     report = DynamicAdjuster(imbalance_tolerance=0.1).adjust(
-        owner, _loads(owner, 2), [1.0, 1.0]
+        owner, _loads(tree, owner, 2), [1.0, 1.0], tree.popularity
     )
-    assert sorted(root.path for root, _s, _t in report.migrations) == ["/b", "/c"]
+    assert sorted(tree.path(root) for root, _s, _t in report.migrations) == ["/b", "/c"]
     assert report.offered == 2
     assert report.moved_popularity == 45.0
     assert report.negligible_moves == 0
     assert report.max_load_factor == pytest.approx(95 / 50)
-    assert _loads(owner, 2) == [50.0, 50.0]
+    assert _loads(tree, owner, 2) == [50.0, 50.0]
 
 
 # ----------------------------------------------------------------------
@@ -292,8 +292,8 @@ def test_largest_that_fits_moves_the_load_in_few_migrations():
 # ----------------------------------------------------------------------
 @st.composite
 def clusters(draw, max_popularity=200, min_roots=1, max_roots=60):
-    """(owner dict, capacities): integer popularities (exact float sums),
-    about a third of the roots cold."""
+    """(tree, owner dict, capacities): integer popularities (exact float
+    sums), about a third of the roots cold."""
     capacities = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=2, max_size=6))
     roots = draw(st.lists(
         st.tuples(
@@ -306,7 +306,7 @@ def clusters(draw, max_popularity=200, min_roots=1, max_roots=60):
     owner = _subtrees(
         tree, [(f"/s{i}", pop, server) for i, (pop, server) in enumerate(roots)]
     )
-    return owner, capacities
+    return tree, owner, capacities
 
 
 tolerances = st.sampled_from([0.0, 0.05, 0.1, 0.3])
@@ -315,13 +315,14 @@ tolerances = st.sampled_from([0.0, 0.05, 0.1, 0.3])
 @given(clusters(), tolerances)
 @settings(max_examples=200, deadline=None)
 def test_no_round_migrates_a_zero_popularity_root(cluster, tolerance):
-    owner, capacities = cluster
+    tree, owner, capacities = cluster
     adjuster = DynamicAdjuster(imbalance_tolerance=tolerance)
     for _ in range(3):
-        report = adjuster.adjust(owner, _loads(owner, len(capacities)), capacities)
-        assert all(root.popularity > 0 for root, _s, _t in report.migrations)
+        loads = _loads(tree, owner, len(capacities))
+        report = adjuster.adjust(owner, loads, capacities, tree.popularity)
+        assert all(tree.popularity[root] > 0 for root, _s, _t in report.migrations)
         assert report.moved_popularity == sum(
-            root.popularity for root, _s, _t in report.migrations
+            tree.popularity[root] for root, _s, _t in report.migrations
         )
 
 
@@ -331,16 +332,16 @@ def test_offers_never_push_a_heavy_server_below_ideal(cluster, tolerance):
     """Only heavy servers shed, and what leaves one fits its excess — except
     the lone-oversized fallback, which ships exactly one root, the smallest
     load-carrying one, and only when none fits."""
-    owner, capacities = cluster
+    tree, owner, capacities = cluster
     before = dict(owner)
-    loads = _loads(owner, len(capacities))
+    loads = _loads(tree, owner, len(capacities))
     report = DynamicAdjuster(imbalance_tolerance=tolerance).adjust(
-        owner, loads, capacities
+        owner, loads, capacities, tree.popularity
     )
     mu = report.ideal_load_factor
     left = {}
     for root, source, _target in report.migrations:
-        left.setdefault(source, []).append(root.popularity)
+        left.setdefault(source, []).append(tree.popularity[root])
     for source, shed in left.items():
         ideal = mu * capacities[source]
         assert loads[source] > ideal * (1 + tolerance)
@@ -348,8 +349,8 @@ def test_offers_never_push_a_heavy_server_below_ideal(cluster, tolerance):
         if sum(shed) <= excess:
             continue
         carrying = [
-            root.popularity for root, server in before.items()
-            if server == source and root.popularity > 0
+            tree.popularity[root] for root, server in before.items()
+            if server == source and tree.popularity[root] > 0
         ]
         assert shed == [min(carrying)]
         assert min(carrying) > excess
@@ -365,14 +366,15 @@ def test_fixed_loads_reach_a_fixed_point_and_stay(cluster, tolerance):
     heavy after the first round: the second moves nothing, nor does any
     later one. (Coarser roots can rotate through the lone-oversized
     fallback; `D2TreeScheme` promotes those into the global layer.)"""
-    owner, capacities = cluster
-    loads = _loads(owner, len(capacities))
+    tree, owner, capacities = cluster
+    loads = _loads(tree, owner, len(capacities))
     mu = sum(loads) / sum(capacities)
     assume(3 <= 0.9 * tolerance * mu * min(capacities))
     adjuster = DynamicAdjuster(imbalance_tolerance=tolerance)
-    adjuster.adjust(owner, loads, capacities)
+    adjuster.adjust(owner, loads, capacities, tree.popularity)
     for _ in range(3):
-        report = adjuster.adjust(owner, _loads(owner, len(capacities)), capacities)
+        loads = _loads(tree, owner, len(capacities))
+        report = adjuster.adjust(owner, loads, capacities, tree.popularity)
         assert report.migrations == [] and report.offered == 0
 
 
@@ -433,7 +435,7 @@ class _ShadowedSimulator(ClusterSimulator):
         blend = self.config.popularity_blend
         counts = [0] * len(self.shadow)
         for node in window:
-            counts[node.node_id] += 1
+            counts[node] += 1
         self.shadow = [
             (1 - blend) * p + blend * c for p, c in zip(self.shadow, counts)
         ]
@@ -442,11 +444,11 @@ class _ShadowedSimulator(ClusterSimulator):
         super()._adjust(now, window)
         self.promotion_rounds += len(self.placement.split.global_layer) > layer
         for node in self.placement.counted_nodes():
-            want = totals[node.node_id]
+            want, got = totals[node], self.tree.popularity[node]
             if self.exact:
-                assert node.popularity == want, node.path
+                assert got == want, self.tree.path(node)
             else:
-                assert node.popularity == pytest.approx(want, rel=1e-12), node.path
+                assert got == pytest.approx(want, rel=1e-12), self.tree.path(node)
             self.checked += 1
 
 
@@ -502,7 +504,7 @@ def test_counted_nodes_equal_the_whole_tree_pass(name, blend):
         overrides["fault_plan"] = FaultPlan.parse(overrides["fault_plan"])
     workload = load_workload(profile)
     tree = workload.tree
-    before = [(n.individual_popularity, n.popularity) for n in tree._nodes]
+    before = [(tree.individual_popularity[n], tree.popularity[n]) for n in tree]
     telemetry = Telemetry() if name == "lmbe_quorum_loss" else None
     sim = _ShadowedSimulator(
         D2TreeScheme(), workload, servers,
@@ -516,7 +518,7 @@ def test_counted_nodes_equal_the_whole_tree_pass(name, blend):
     result = sim.run()
     sim.close()
     assert result.operations // 600 >= 10 and sim.checked > 10 * len(roots) > 0
-    assert [(n.individual_popularity, n.popularity) for n in tree._nodes] == before
+    assert [(tree.individual_popularity[n], tree.popularity[n]) for n in tree] == before
     assert tree.estimate is None
     # Each replay really is the case it is named for.
     if name == "dtr_promotions":
@@ -524,7 +526,7 @@ def test_counted_nodes_equal_the_whole_tree_pass(name, blend):
     elif name == "ra_creates":
         opened = set(sim.placement.subtree_owner) - roots
         assert workload.late_created_paths and any(
-            node.path in workload.late_created_paths for node in opened
+            tree.path(node) in workload.late_created_paths for node in opened
         )
     elif name == "dtr_rehome":
         assert result.availability.rejoins == 1 and result.migrations > 0

@@ -123,10 +123,10 @@ def test_greedy_rejects_nonpositive_capacity():
 def test_allocate_subtrees_uses_root_popularity():
     tree = build_random_tree(300)
     split = split_by_proportion(tree, 0.05)
-    result = allocate_subtrees(split.subtree_roots, [1.0, 1.0, 1.0])
+    result = allocate_subtrees(split.subtree_roots, tree.popularity, [1.0, 1.0, 1.0])
     assert set(result.by_root) == set(split.subtree_roots)
     assert sum(result.loads) == pytest.approx(
-        sum(r.popularity for r in split.subtree_roots)
+        sum(tree.popularity[r] for r in split.subtree_roots)
     )
 
 
@@ -134,7 +134,7 @@ def test_allocate_subtrees_sampled_mode():
     tree = build_random_tree(300)
     split = split_by_proportion(tree, 0.05)
     result = allocate_subtrees(
-        split.subtree_roots, [1.0, 1.0], sampled=True, samples_per_server=32,
+        split.subtree_roots, tree.popularity, [1.0, 1.0], sampled=True, samples_per_server=32,
         rng=random.Random(4),
     )
     assert len(result.assignment) == len(split.subtree_roots)

@@ -73,7 +73,7 @@ def test_place_created_places_new_leaf(grown_tree, scheme_cls):
     scheme = scheme_cls()
     placement = scheme.partition(grown_tree, 4)
     depths = grown_tree.arena().depths()
-    parent = next(n for n in grown_tree if n.is_directory and depths[n.node_id] >= 2)
+    parent = next(n for n in grown_tree if grown_tree.is_directory(n) and depths[n] >= 2)
     fresh = grown_tree.add_child(parent, "fresh.txt")
     server = scheme.place_created(grown_tree, placement, fresh)
     assert 0 <= server < 4
@@ -86,17 +86,17 @@ def test_hash_create_uses_path_hash(grown_tree):
 
     scheme = HashScheme()
     placement = scheme.partition(grown_tree, 4)
-    parent = next(n for n in grown_tree if n.is_directory)
+    parent = next(n for n in grown_tree if grown_tree.is_directory(n))
     fresh = grown_tree.add_child(parent, "hashed.txt")
     server = scheme.place_created(grown_tree, placement, fresh)
-    assert server == stable_hash(fresh.path) % 4
+    assert server == stable_hash(grown_tree.path(fresh)) % 4
 
 
 def test_static_create_joins_anchor(grown_tree):
     scheme = StaticSubtreeScheme(cut_depth=1)
     placement = scheme.partition(grown_tree, 4)
     depths = grown_tree.arena().depths()
-    parent = next(n for n in grown_tree if n.is_directory and depths[n.node_id] >= 2)
+    parent = next(n for n in grown_tree if grown_tree.is_directory(n) and depths[n] >= 2)
     fresh = grown_tree.add_child(parent, "anchored.txt")
     server = scheme.place_created(grown_tree, placement, fresh)
     anchor = grown_tree.ancestors(parent, include_self=True)[1]
@@ -107,7 +107,7 @@ def test_dynamic_create_joins_parent_zone(grown_tree):
     scheme = DynamicSubtreeScheme(cut_depth=2)
     placement = scheme.partition(grown_tree, 4)
     depths = grown_tree.arena().depths()
-    parent = next(n for n in grown_tree if n.is_directory and depths[n.node_id] >= 3)
+    parent = next(n for n in grown_tree if grown_tree.is_directory(n) and depths[n] >= 3)
     fresh = grown_tree.add_child(parent, "zoned.txt")
     server = scheme.place_created(grown_tree, placement, fresh)
     assert server == placement.primary_of(parent)
@@ -116,7 +116,7 @@ def test_dynamic_create_joins_parent_zone(grown_tree):
 def test_d2_create_inside_subtree_colocated(grown_tree):
     scheme = D2TreeScheme(global_layer_fraction=0.05)
     placement = scheme.partition(grown_tree, 4)
-    root = next(r for r in placement.subtree_owner if r.is_directory)
+    root = next(r for r in placement.subtree_owner if grown_tree.is_directory(r))
     fresh = grown_tree.add_child(root, "colocated.txt")
     server = scheme.place_created(grown_tree, placement, fresh)
     assert server == placement.subtree_owner[root]
@@ -127,7 +127,7 @@ def test_d2_create_under_inter_node_opens_subtree(grown_tree):
     placement = scheme.partition(grown_tree, 4)
     inter = next(
         n for n in placement.split.global_layer
-        if n.is_directory
+        if grown_tree.is_directory(n)
         and any(c not in placement.split.global_layer for c in grown_tree.children(n))
     )
     fresh = grown_tree.add_child(inter, "newsubtree.txt")

@@ -24,9 +24,9 @@ def tree():
 # ----------------------------------------------------------------------
 def heat_subtree(tree, placement):
     """Make one local subtree overwhelmingly hot; returns its root."""
-    root = max(placement.subtree_owner, key=lambda r: r.popularity)
+    root = max(placement.subtree_owner, key=lambda r: tree.popularity[r])
     for node in tree.descendants(root, include_self=True):
-        node.individual_popularity += 200.0
+        tree.individual_popularity[node] += 200.0
     tree.aggregate_popularity()
     return root
 
@@ -77,7 +77,7 @@ def test_promotion_preserves_completeness_and_layers(tree):
     placement.validate_complete(tree)
     # Global layer stays connected.
     for node in placement.split.global_layer:
-        assert node is tree.root or tree.parent(node) in placement.split.global_layer
+        assert node == tree.root or tree.parent(node) in placement.split.global_layer
     # Every local node still resolves to a registered subtree root.
     for node in tree:
         if not placement.is_global(node):
@@ -106,7 +106,7 @@ def test_demotion_returns_cooled_leaf(tree):
     scheme = D2TreeScheme(global_layer_fraction=0.05, demote_threshold=0.5)
     placement = scheme.partition(tree, 4)
     cooled = promote_a_leaf(placement)
-    cooled.individual_popularity = 0.0
+    tree.individual_popularity[cooled] = 0.0
     tree.aggregate_popularity()
     scheme.rebalance(tree, placement)
     assert not placement.is_global(cooled)
@@ -117,7 +117,7 @@ def test_demotion_disabled_by_default(tree):
     scheme = D2TreeScheme(global_layer_fraction=0.05)
     placement = scheme.partition(tree, 4)
     cooled = promote_a_leaf(placement)
-    cooled.individual_popularity = 0.0
+    tree.individual_popularity[cooled] = 0.0
     tree.aggregate_popularity()
     scheme.rebalance(tree, placement)
     assert placement.is_global(cooled)

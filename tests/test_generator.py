@@ -5,6 +5,7 @@ import hashlib
 import random
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -134,7 +135,7 @@ def test_popularity_matches_trace_counts(dtr_workload):
     for record in trace.records:
         counts[record.path] = counts.get(record.path, 0) + 1
     for path, count in list(counts.items())[:50]:
-        assert tree.lookup(path).individual_popularity == count
+        assert tree.individual_popularity[tree.lookup(path)] == count
 
 
 def test_total_popularity_equals_trace_length(dtr_workload):
@@ -144,7 +145,8 @@ def test_total_popularity_equals_trace_length(dtr_workload):
 
 
 def test_update_costs_include_floor(dtr_workload):
-    assert all(n.update_cost >= STRUCTURAL_UPDATE_COST for n in dtr_workload.tree)
+    tree = dtr_workload.tree
+    assert all(tree.update_cost[n] >= STRUCTURAL_UPDATE_COST for n in dtr_workload.tree)
 
 
 def test_update_costs_reflect_update_ops(dtr_workload):
@@ -154,7 +156,7 @@ def test_update_costs_reflect_update_ops(dtr_workload):
         if record.op is OpType.UPDATE:
             updates[record.path] = updates.get(record.path, 0) + 1
     for path, count in list(updates.items())[:20]:
-        assert tree.lookup(path).update_cost == pytest.approx(
+        assert tree.update_cost[tree.lookup(path)] == pytest.approx(
             STRUCTURAL_UPDATE_COST + count
         )
 
@@ -174,6 +176,20 @@ def test_load_workload_cached():
     a = load_workload(profile)
     b = load_workload(profile)
     assert a is b
+
+
+def test_load_workload_keeps_only_the_current_recipe():
+    """A run over many seeds holds one workload at a time: after ten
+    distinct recipes the cache keeps none of the earlier nine alive."""
+    base = DatasetProfile.lmbe(num_nodes=400, scale=2e-6)
+    refs = []
+    for seed in range(10):
+        workload = load_workload(replace(base, seed=seed))
+        refs.append(weakref.ref(workload))
+        assert load_workload(replace(base, seed=seed)) is workload
+    del workload
+    gc.collect()
+    assert [ref() is not None for ref in refs] == [False] * 9 + [True]
 
 
 def test_drift_shifts_hot_ranking():
@@ -200,14 +216,15 @@ def generated_digest(workload) -> str:
     timestamp (``repr``, so every bit), op, path and client; each node's id,
     path, kind, ``p'``, ``p`` and ``u``; the hot set and the late paths."""
     h = hashlib.sha256()
+    tree = workload.tree
     for r in workload.trace.records:
         h.update(f"{r.timestamp!r} {r.op.value} {r.path} {r.client_id}\n".encode())
     for n in workload.tree:
         h.update(
-            f"{n.node_id} {n.path} {n.is_directory} {n.individual_popularity!r} "
-            f"{n.popularity!r} {n.update_cost!r}\n".encode()
+            f"{n} {tree.path(n)} {tree.is_directory(n)} {tree.individual_popularity[n]!r} "
+            f"{tree.popularity[n]!r} {tree.update_cost[n]!r}\n".encode()
         )
-    h.update(" ".join(n.path for n in workload.hot_nodes).encode())
+    h.update(" ".join(tree.path(n) for n in workload.hot_nodes).encode())
     h.update(b"\n" + " ".join(workload.late_created_paths).encode())
     return h.hexdigest()[:16]
 

@@ -67,9 +67,9 @@ def directory():
 def test_lookup_finds_every_stored_path(directory):
     tree, placement, ghba = directory
     rng = random.Random(1)
-    sample = rng.sample(list(tree.nodes), 60)
+    sample = rng.sample(list(tree), 60)
     for node in sample:
-        result = ghba.lookup(node.path, from_server=rng.randrange(8))
+        result = ghba.lookup(tree.path(node), from_server=rng.randrange(8))
         assert result.server == placement.primary_of(node)
 
 
@@ -85,7 +85,7 @@ def test_local_group_lookups_are_cheap(directory):
     tree, placement, ghba = directory
     # Pick a node stored inside server 0's group (servers 0-3).
     node = next(n for n in tree if placement.primary_of(n) in (0, 1, 2, 3))
-    result = ghba.lookup(node.path, from_server=0)
+    result = ghba.lookup(tree.path(node), from_server=0)
     assert result.stage == "local-group"
     assert result.messages <= ghba.group_size
 
@@ -93,7 +93,7 @@ def test_local_group_lookups_are_cheap(directory):
 def test_remote_lookup_costs_scale_with_groups(directory):
     tree, placement, ghba = directory
     node = next(n for n in tree if placement.primary_of(n) >= 4)
-    result = ghba.lookup(node.path, from_server=0)
+    result = ghba.lookup(tree.path(node), from_server=0)
     assert result.stage in ("remote-group", "broadcast")
     assert result.messages >= 1
 
@@ -131,13 +131,13 @@ def test_more_memory_fewer_false_positives():
     tree = build_random_tree(500, seed=9)
     placement = HashScheme().partition(tree, 8)
     rng = random.Random(3)
-    sample = rng.sample(list(tree.nodes), 80)
+    sample = rng.sample(list(tree), 80)
 
     def total_fps(bits_per_entry):
         ghba = GHBADirectory(placement, tree, group_size=4,
                              bits_per_entry=bits_per_entry)
         return sum(
-            ghba.lookup(n.path, from_server=rng.randrange(8)).false_positives
+            ghba.lookup(tree.path(n), from_server=rng.randrange(8)).false_positives
             for n in sample
         )
 

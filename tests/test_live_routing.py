@@ -123,7 +123,8 @@ def test_fault_free_d2_serve_is_mostly_single_hop(workload):
 
 def test_global_layer_reads_are_acked_by_any_replica(workload):
     placement = registry.create("d2-tree").partition(workload.tree, NUM_SERVERS)
-    global_paths = {node.path for node in placement.split.global_layer}
+    tree = workload.tree
+    global_paths = {tree.path(node) for node in placement.split.global_layer}
     reads = ops_trace(
         (r.path, r.op.value) for r in workload.trace
         if r.path in global_paths and r.op is not OpType.UPDATE
@@ -180,7 +181,7 @@ def test_a_stale_client_entry_costs_one_redirect_then_is_corrected(workload):
         placement.subtree_owner.items(), key=lambda item: len(tree.children(item[0]))
     )
     below = [root] + list(tree.descendants(root))
-    ops = ops_trace((node.path, "read") for node in (below * 3)[:12])
+    ops = ops_trace((tree.path(node), "read") for node in (below * 3)[:12])
     wrong = (owner + 1) % NUM_SERVERS
 
     async def body(cluster):
@@ -188,9 +189,9 @@ def test_a_stale_client_entry_costs_one_redirect_then_is_corrected(workload):
             cluster.transport, NUM_SERVERS, ops,
             LoadConfig(rate=1e6, max_inflight=1, seed=SEED),
         )
-        generator.index_cache.put(root.path, (wrong, 0))
+        generator.index_cache.put(tree.path(root), (wrong, 0))
         load = await generator.run()
-        return load, generator.index_cache.peek(root.path)
+        return load, generator.index_cache.peek(tree.path(root))
 
     load, entry = _with_cluster(workload, body)
     assert load.acked == len(ops)
@@ -206,16 +207,17 @@ def test_the_redirect_of_an_op_that_then_fails_is_counted(workload):
     """One attempt only: the op the stale entry sends to the wrong server
     is redirected, and its budget is spent before it can follow. The
     redirect is on record with its ``fail``, so the report counts it."""
-    placement = registry.create("d2-tree").partition(workload.tree, NUM_SERVERS)
+    tree = workload.tree
+    placement = registry.create("d2-tree").partition(tree, NUM_SERVERS)
     root, owner = next(iter(placement.subtree_owner.items()))
     wrong = (owner + 1) % NUM_SERVERS
 
     async def body(cluster):
         generator = LoadGenerator(
-            cluster.transport, NUM_SERVERS, ops_trace([(root.path, "read")]),
+            cluster.transport, NUM_SERVERS, ops_trace([(tree.path(root), "read")]),
             LoadConfig(rate=1e6, max_inflight=1, max_retries=1, seed=SEED),
         )
-        generator.index_cache.put(root.path, (wrong, 0))
+        generator.index_cache.put(tree.path(root), (wrong, 0))
         sink = HistorySink()
         generator.history.listen(sink)
         return await generator.run(), sink
@@ -244,9 +246,11 @@ def test_fault_free_redirects_are_the_servers_redirects(workload):
 
 
 def test_an_unreachable_cached_owner_is_forgotten_not_retried_per_op(workload):
-    placement = registry.create("d2-tree").partition(workload.tree, NUM_SERVERS)
+    tree = workload.tree
+    placement = registry.create("d2-tree").partition(tree, NUM_SERVERS)
     root, owner = next(iter(placement.subtree_owner.items()))
-    ops = ops_trace([(root.path, "read")] * 6)
+    tree = workload.tree
+    ops = ops_trace([(tree.path(root), "read")] * 6)
 
     async def body(cluster):
         generator = LoadGenerator(
@@ -254,9 +258,9 @@ def test_an_unreachable_cached_owner_is_forgotten_not_retried_per_op(workload):
             LoadConfig(rate=1e6, max_inflight=1, seed=SEED),
         )
         # A server id nobody listens on: the connect is refused.
-        generator.index_cache.put(root.path, (NUM_SERVERS + 3, 0))
+        generator.index_cache.put(tree.path(root), (NUM_SERVERS + 3, 0))
         load = await generator.run()
-        return load, generator.index_cache.peek(root.path)
+        return load, generator.index_cache.peek(tree.path(root))
 
     load, entry = _with_cluster(workload, body)
     assert load.acked == len(ops)

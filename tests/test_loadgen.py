@@ -273,13 +273,14 @@ def test_full_loss_on_one_server_times_out_and_is_routed_around(
     is acked, the rest ends indeterminate (a timeout may have been applied)
     and never failed."""
     seen = _counting_expiries(monkeypatch)
-    placement = registry.create("d2-tree").partition(workload.tree, NUM_SERVERS)
+    tree = workload.tree
+    placement = registry.create("d2-tree").partition(tree, NUM_SERVERS)
     victim_root, victim = next(iter(placement.subtree_owner.items()))
     other_root = next(
         root for root, owner in placement.subtree_owner.items() if owner != victim
     )
     ops = ops_trace(
-        [(victim_root.path, "read"), (other_root.path, "read")]
+        [(tree.path(victim_root), "read"), (tree.path(other_root), "read")]
         + [(r.path, r.op.value) for r in workload.trace.slice(0, 60)]
     )
     cfg = LoadConfig(
@@ -290,7 +291,7 @@ def test_full_loss_on_one_server_times_out_and_is_routed_around(
     async def body(cluster):
         cluster.transport.set_loss(mds_addr(victim), 1.0)
         generator = LoadGenerator(cluster.transport, NUM_SERVERS, ops, cfg)
-        generator.index_cache.put(victim_root.path, (victim, 0))
+        generator.index_cache.put(tree.path(victim_root), (victim, 0))
         sink = _recording(generator)
         report = await generator.run()
         seen.returned = True
@@ -321,7 +322,8 @@ def test_full_loss_on_one_server_times_out_and_is_routed_around(
 
 
 def test_a_timed_out_cached_owner_is_forgotten(workload):
-    placement = registry.create("d2-tree").partition(workload.tree, NUM_SERVERS)
+    tree = workload.tree
+    placement = registry.create("d2-tree").partition(tree, NUM_SERVERS)
     root, owner = next(iter(placement.subtree_owner.items()))
     cfg = LoadConfig(
         rate=1e6, max_inflight=1, seed=SEED, request_timeout=0.02, max_retries=1,
@@ -330,12 +332,12 @@ def test_a_timed_out_cached_owner_is_forgotten(workload):
     async def body(cluster):
         cluster.transport.set_loss(mds_addr(owner), 1.0)
         generator = LoadGenerator(
-            cluster.transport, NUM_SERVERS, ops_trace([(root.path, "read")]), cfg
+            cluster.transport, NUM_SERVERS, ops_trace([(tree.path(root), "read")]), cfg
         )
-        generator.index_cache.put(root.path, (owner, 0))
+        generator.index_cache.put(tree.path(root), (owner, 0))
         report = await generator.run()
         cluster.transport.clear_endpoint(mds_addr(owner))
-        return report, generator.index_cache.peek(root.path)
+        return report, generator.index_cache.peek(tree.path(root))
 
     (report, entry), unhandled = _with_cluster(workload, body)
     assert unhandled == []

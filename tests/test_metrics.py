@@ -46,7 +46,7 @@ def test_weighted_jumps_matches_manual_sum():
     y = tree.lookup("/b/y.txt")
     placement.assign(b, 1)
     placement.assign(y, 1)
-    expected = 1 * b.popularity + 1 * y.popularity
+    expected = 1 * tree.popularity[b] + 1 * tree.popularity[y]
     assert weighted_jumps(tree, placement) == pytest.approx(expected)
 
 
@@ -54,7 +54,7 @@ def test_locality_is_reciprocal_of_weighted_jumps():
     tree = two_server_tree()
     placement = Placement(2)
     for node in tree:
-        placement.assign(node, node.node_id % 2)
+        placement.assign(node, node % 2)
     wj = weighted_jumps(tree, placement)
     assert system_locality(tree, placement) == pytest.approx(1.0 / wj)
 

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from repro.core import D2TreeScheme, NamespaceTree, split_path
 from repro.core.namespace import PopularityEstimate
-from repro.core.node import MetadataNode
 from repro.simulation import simulate
 from repro.traces import DatasetProfile, OpType, TraceGenerator, TraceRecord, iter_op_batches
-from tests.conftest import check_structure, post_order_totals, trace_of
+from tests.conftest import build_random_tree, check_structure, post_order_totals, trace_of
 from tests.test_generator import PINNED_PROFILES
 
 
@@ -34,17 +33,17 @@ def test_split_path_trailing_slash():
 def test_empty_tree_has_root():
     tree = NamespaceTree()
     assert len(tree) == 1
-    assert tree.root.path == "/"
-    assert tree.root.node_id == 0
+    assert tree.path(tree.root) == "/"
+    assert tree.root == 0
 
 
 def test_add_path_creates_intermediates():
     tree = NamespaceTree()
     node = tree.add_path("/a/b/c.txt")
-    assert node.path == "/a/b/c.txt"
-    assert not node.is_directory
-    assert tree.lookup("/a").is_directory
-    assert tree.lookup("/a/b").is_directory
+    assert tree.path(node) == "/a/b/c.txt"
+    assert not tree.is_directory(node)
+    assert tree.is_directory(tree.lookup("/a"))
+    assert tree.is_directory(tree.lookup("/a/b"))
     assert len(tree) == 4
 
 
@@ -52,7 +51,7 @@ def test_add_path_idempotent():
     tree = NamespaceTree()
     first = tree.add_path("/a/b")
     second = tree.add_path("/a/b")
-    assert first is second
+    assert first == second
     assert len(tree) == 3
 
 
@@ -74,7 +73,7 @@ def test_add_child_duplicate_name_rejected():
 def test_duplicate_names_are_refused_through_the_path_index():
     tree = NamespaceTree()
     wide = tree.add_path("/wide", is_directory=True)
-    for i in range(3000):  # one index lookup per insertion, not a sibling scan
+    for i in range(3000):  # one name-index lookup per insertion, not a sibling scan
         tree.add_child(wide, f"f{i}")
     other = tree.add_path("/other", is_directory=True)
     tree.add_child(other, "f7")
@@ -83,7 +82,7 @@ def test_duplicate_names_are_refused_through_the_path_index():
     with pytest.raises(ValueError):
         tree.add_child(tree.root, "wide", is_directory=True)
     size = len(tree)
-    assert tree.add_path("/wide/f5") is tree.lookup("/wide/f5")  # reused, not doubled
+    assert tree.add_path("/wide/f5") == tree.lookup("/wide/f5")  # reused, not doubled
     assert len(tree) == size
     check_structure(tree)
 
@@ -106,17 +105,16 @@ def test_node_ids_dense_and_ordered():
     tree = NamespaceTree()
     tree.add_path("/a/b")
     tree.add_path("/c")
-    ids = [node.node_id for node in tree]
+    ids = list(tree)
     assert ids == list(range(len(tree)))
-    for node in tree:
-        assert tree.nodes[node.node_id] is node
+    assert tree.paths(ids) == ["/", "/a", "/a/b", "/c"]
 
 
 def test_contains_and_lookup():
     tree = NamespaceTree()
     tree.add_path("/x/y.txt")
-    assert tree.lookup("/x/y.txt").name == "y.txt"
-    assert tree.lookup("/x").is_directory
+    assert tree.names[tree.lookup("/x/y.txt")] == "y.txt"
+    assert tree.is_directory(tree.lookup("/x"))
     assert tree.lookup("/nope") is None
 
 
@@ -128,10 +126,10 @@ def test_popularity_aggregation_sums_descendants():
     tree.record_access(c, 10.0)
     tree.record_access(b, 2.0)
     tree.aggregate_popularity()
-    assert c.popularity == 10.0
-    assert b.popularity == 12.0
-    assert a.popularity == 12.0
-    assert tree.root.popularity == 12.0
+    assert tree.popularity[c] == 10.0
+    assert tree.popularity[b] == 12.0
+    assert tree.popularity[a] == 12.0
+    assert tree.popularity[tree.root] == 12.0
 
 
 def test_total_popularity_property():
@@ -146,12 +144,12 @@ def test_ensure_popularity_lazy():
     n = tree.add_path("/f.txt")
     tree.record_access(n, 3.0)
     tree.ensure_popularity()
-    root_before = tree.root.popularity
+    root_before = tree.popularity[tree.root]
     tree.ensure_popularity()  # no-op: nothing changed
-    assert tree.root.popularity == root_before
+    assert tree.popularity[tree.root] == root_before
     tree.record_access(n, 1.0)
     tree.ensure_popularity()
-    assert tree.root.popularity == root_before + 1.0
+    assert tree.popularity[tree.root] == root_before + 1.0
 
 
 def test_aggregation_is_idempotent():
@@ -160,7 +158,7 @@ def test_aggregation_is_idempotent():
     tree.record_access(n, 5.0)
     tree.aggregate_popularity()
     tree.aggregate_popularity()
-    assert tree.root.popularity == 5.0
+    assert tree.popularity[tree.root] == 5.0
 
 
 def test_depth():
@@ -175,8 +173,8 @@ def test_files_and_directories():
     tree.add_path("/a/b.txt")
     tree.add_path("/c", is_directory=True)
     dirs = tree.directories()
-    assert [n.path for n in tree if not n.is_directory] == ["/a/b.txt"]
-    assert {d.path for d in dirs} == {"/", "/a", "/c"}
+    assert tree.paths(n for n in tree if not tree.is_directory(n)) == ["/a/b.txt"]
+    assert set(tree.paths(dirs)) == {"/", "/a", "/c"}
 
 
 def test_sample_tree_keeps_the_growth_invariants(sample_tree):
@@ -197,7 +195,7 @@ def test_iteration_order_parents_first():
 # ----------------------------------------------------------------------
 # Def. 2 totals at non-dyadic popularity, pinned bit for bit
 # ----------------------------------------------------------------------
-#: sha256 (first 16 hex digits) of ``float.hex(node.popularity)`` for every
+#: sha256 (first 16 hex digits) of ``float.hex(p_j)`` for every
 #: node in id order, after three seeded windows folded at blend 0.3 and
 #: one ``materialise()``. At blend 0.3 the values are not dyadic, so the
 #: totals depend on the order each parent adds its children in.
@@ -213,13 +211,13 @@ def def2_digest(profile) -> str:
     tree = TraceGenerator(profile).generate().tree
     estimate = PopularityEstimate(tree.arena(), 0.3)
     rng = random.Random(11)
-    nodes = tree.nodes
+    nodes = list(tree)
     for _ in range(3):
         estimate.fold({node: rng.randint(1, 9) for node in rng.sample(nodes, len(nodes) // 3)})
     estimate.materialise()
     h = hashlib.sha256()
-    for node in tree:
-        h.update(f"{node.popularity.hex()}\n".encode())
+    for total in tree.popularity:
+        h.update(f"{total.hex()}\n".encode())
     return h.hexdigest()[:16]
 
 
@@ -271,41 +269,34 @@ def test_ids_grow_parents_first_under_any_build(steps, rng):
     check_structure(tree)
     individual = [rng.random() * 10 / 3 for _ in range(len(tree))]
     tree.arena().write_popularity(individual)
-    assert [n.popularity for n in tree] == post_order_totals(tree, individual)
+    assert list(tree.popularity) == post_order_totals(tree, individual)
 
 
 # ----------------------------------------------------------------------
 # What a tree keeps, and when it lets go
 # ----------------------------------------------------------------------
-def live_nodes() -> int:
-    """``MetadataNode`` objects alive in the process (collector-tracked)."""
-    return sum(type(obj) is MetadataNode for obj in gc.get_objects())
-
-
 def dropped_workload_lingers(profile) -> bool:
     """Generate ``profile``'s workload, read its arena, replay it once,
-    drop it, all with the cyclic collector off: whether its tree or any of
-    its nodes is still alive (a reference cycle holds it until a full
-    collection). Nodes take no weak reference, so they are counted."""
+    drop it, all with the cyclic collector off: whether its tree, trace or
+    the workload itself is still alive (a reference cycle holds it until a
+    full collection)."""
     gc.collect()
     gc.disable()
     try:
-        before = live_nodes()
         workload = TraceGenerator(profile, num_clients=8).generate()
         workload.tree.arena()
         result = simulate(D2TreeScheme(), workload, 4)
-        tree = weakref.ref(workload.tree)
-        assert live_nodes() - before == len(workload.tree)
+        refs = [weakref.ref(obj) for obj in (workload, workload.tree, workload.trace)]
         del workload, result
-        return tree() is not None or live_nodes() != before
+        return any(ref() is not None for ref in refs)
     finally:
         gc.enable()
 
 
 def test_a_dropped_workload_is_freed_without_the_collector():
-    """No node refers to another, the arena holds the tree's columns and
-    not the tree, and the route planner stores no bound method of its
-    own: nothing a replayed workload holds forms a cycle."""
+    """A node is an id, the arena holds the tree's columns and not the
+    tree, and the route planner stores no bound method of its own:
+    nothing a replayed workload holds forms a cycle."""
     assert not dropped_workload_lingers(DatasetProfile.dtr(num_nodes=2000, scale=2e-5))
 
 
@@ -321,11 +312,13 @@ def workload_bytes_per_node(profile) -> float:
     return retained / len(workload.tree)
 
 
-def test_a_generated_dtr_workload_retains_at_most_480_bytes_per_node():
-    """A node object with no parent or child slots and no children list,
-    plus four 4-byte id columns: ~465 B per node at 20 k nodes, trace
-    included, where node objects that linked each other held ~541."""
-    assert workload_bytes_per_node(DatasetProfile.dtr(num_nodes=20_000)) <= 480
+def test_a_generated_dtr_workload_retains_at_most_197_bytes_per_node():
+    """A node is its id: a name, a flag byte, three 4-byte id columns and
+    three 8-byte popularity / cost columns, and no path kept — ~179 B per
+    node at 20 k nodes, trace included (CPython 3.10 / 3.11; ~169 on 3.12),
+    where a node object with its path string and path-dict entry held
+    ~461."""
+    assert workload_bytes_per_node(DatasetProfile.dtr(num_nodes=20_000)) <= 197
 
 
 @pytest.mark.parametrize("path", ["/a//b", "/a/", "//a", "/a/b/", "/a/c", "a/b", "", "/zz"])
@@ -353,3 +346,23 @@ def test_a_relative_path_is_added_under_the_root():
     assert tree.lookup("/a/b") == node
     assert tree.lookup("a/b") is None
     assert tree.add_path("/a/b") == node and len(tree) == 3
+
+
+@given(st.integers(1, 500), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_rendered_paths_round_trip(num_nodes, seed):
+    """Every node's rendered path is the one it was added under and
+    resolves back to its id; the root's is ``/`` and a node's children's
+    paths come out in id order."""
+    added = {}
+    tree = build_random_tree(num_nodes, seed, added=added)
+    nodes = list(tree)
+    paths = tree.paths(nodes)
+    assert paths == [added[node] for node in nodes]
+    assert paths[tree.root] == tree.path(tree.root) == "/"
+    assert tree.resolve(paths) == nodes
+    assert all(tree.lookup(added[node]) == node for node in nodes[::7])
+    for node in tree.directories():
+        children = tree.children(node)
+        assert children == sorted(children)
+        assert tree.paths(children) == [added[child] for child in children]

@@ -1,9 +1,8 @@
-"""Unit tests for repro.core.node."""
+"""Unit tests for a namespace node: an id whose fields are the tree's columns."""
 
 import pytest
 
 from repro.core import NamespaceTree
-from repro.core.node import PATH_SEPARATOR, MetadataNode
 
 
 def chain(*names):
@@ -22,24 +21,26 @@ def test_root_defaults():
     assert tree.parent(root) is None
     assert not tree.children(root)
     assert tree.ancestors(root) == []
-    assert root.path == PATH_SEPARATOR and root.node_id == 0
+    assert tree.path(root) == "/" and root == 0 and tree.is_directory(root)
 
 
 def test_a_node_refers_to_no_other_node():
-    _tree, (_root, a, b) = chain("a", "b")
-    for node in (a, b):
-        assert not any(
-            isinstance(getattr(node, slot), (MetadataNode, list))
-            for slot in MetadataNode.__slots__
-        )
+    """A node is its id; what it holds lives in the tree's flat columns."""
+    tree, (_root, a, b) = chain("a", "b")
+    assert (a, b) == (1, 2)
+    for column in (tree._parent_ids, tree._last_child, tree._prev_sibling,
+                   tree.individual_popularity, tree.popularity, tree.update_cost):
+        assert len(column) == len(tree) and column.typecode in "id"
+    assert tree.names == ["/", "a", "b"]
 
 
 def test_child_path_composition():
     tree, (_root, home, b) = chain("home", "b")
     f = tree.add_child(b, "h.jpg")
-    assert home.path == "/home"
-    assert b.path == "/home/b"
-    assert f.path == "/home/b/h.jpg"
+    assert tree.path(home) == "/home"
+    assert tree.path(b) == "/home/b"
+    assert tree.path(f) == "/home/b/h.jpg"
+    assert tree.paths([f, home, tree.root]) == ["/home/b/h.jpg", "/home", "/"]
 
 
 def test_depth_counts_edges():
@@ -53,24 +54,31 @@ def test_add_child_to_file_rejected():
     f = tree.add_child(tree.root, "x.txt", is_directory=False)
     with pytest.raises(ValueError):
         tree.add_child(f, "y")
-    assert not tree.children(f) and tree.lookup("/x.txt/y") is None
+    for outside in (-1, len(tree)):  # an id the tree does not hold
+        with pytest.raises(ValueError):
+            tree.add_child(outside, "y")
+    assert not tree.children(f) and tree.lookup("/x.txt/y") is None and len(tree) == 2
 
 
 def test_negative_popularity_rejected():
+    tree = NamespaceTree()
     with pytest.raises(ValueError):
-        MetadataNode("a", "/a", individual_popularity=-1.0)
+        tree.add_child(tree.root, "a", individual_popularity=-1.0)
+    assert len(tree) == 1
 
 
 def test_negative_update_cost_rejected():
+    tree = NamespaceTree()
     with pytest.raises(ValueError):
-        MetadataNode("a", "/a", update_cost=-0.5)
+        tree.add_path("/a", update_cost=-0.5)
+    assert len(tree) == 1
 
 
 def test_ancestors_root_first():
     tree, (root, a, b) = chain("a", "b")
     assert tree.ancestors(b) == [root, a]
     assert tree.ancestors(b, include_self=True) == [root, a, b]
-    assert tree.arena().chain(b.node_id) == (root.node_id, a.node_id)
+    assert tree.arena().chain(b) == (root, a)
 
 
 def test_ancestors_of_root_empty():
@@ -102,7 +110,7 @@ def test_subtree_size():
 def test_leaf_detection_with_children():
     tree, (root, a) = chain("a")
     assert tree.children(root) == [a]
-    assert tree.arena().last_child[a.node_id] == -1
+    assert tree.arena().last_child[a] == -1
 
 
 def test_children_in_id_order():
@@ -116,6 +124,7 @@ def test_children_in_id_order():
 
 
 def test_initial_popularity_equals_individual():
-    node = MetadataNode("a", "/a", individual_popularity=4.5)
-    assert node.popularity == 4.5
-    assert node.individual_popularity == 4.5
+    tree = NamespaceTree()
+    node = tree.add_child(tree.root, "a", individual_popularity=4.5)
+    assert tree.popularity[node] == 4.5
+    assert tree.individual_popularity[node] == 4.5

@@ -30,7 +30,7 @@ PROFILES = {
 
 def placed_by_id(placement):
     """``(node id, servers)`` of every placed node, in id order."""
-    return sorted((node.node_id, servers) for node, servers in placement._servers_of.items())
+    return [(nid, servers) for nid, servers in enumerate(placement._servers_of) if servers]
 
 
 def placement_digest(placement) -> str:
@@ -40,7 +40,7 @@ def placement_digest(placement) -> str:
     h.update(f"version {placement.version}\n".encode())
     for attr in ("keys", "angles"):
         for node, value in getattr(placement, attr, {}).items():
-            h.update(f"{attr} {node.node_id} {value!r}\n".encode())
+            h.update(f"{attr} {node} {value!r}\n".encode())
     return h.hexdigest()[:16]
 
 
@@ -103,7 +103,7 @@ def test_every_node_is_placed_by_its_ancestors(trees):
     root_server = stable_hash("/") % NUM_SERVERS
     for node in tree:
         chain = tree.ancestors(node, include_self=True)
-        want = stable_hash(chain[1].path) % NUM_SERVERS if len(chain) > 1 else root_server
+        want = stable_hash(tree.path(chain[1])) % NUM_SERVERS if len(chain) > 1 else root_server
         assert static.primary_of(node) == want
     dynamic = registry.create("dynamic-subtree").partition(tree, NUM_SERVERS)
     for node in tree:
@@ -142,7 +142,7 @@ def membership_digest(placement) -> str:
             moves = placement.rejoin(server, live=live)
         h.update(f"{kind} {server}\n".encode())
         # A step's moves as a set: their order is not what a step decides.
-        for nid, source, target in sorted((m.node.node_id, m.source, m.target) for m in moves):
+        for nid, source, target in sorted((m.node, m.source, m.target) for m in moves):
             h.update(f"{nid} {source} {target}\n".encode())
     for nid, servers in placed_by_id(placement):
         h.update(f"{nid} {servers}\n".encode())

@@ -55,7 +55,7 @@ def test_reassign_touches_only_new_and_moved_nodes():
     placement = Placement(3)
     nodes = list(tree)
     assert placement.reassign(nodes, [0, 1, 2, 0, 1, 2]) == []  # all new
-    assert list(placement._servers_of) == nodes
+    assert placement.placed_nodes() == nodes
     version = placement.version
     moves = placement.reassign(nodes, [0, 2, 2, 1, 1, 0])
     assert [(m.node, m.source, m.target) for m in moves] == [
@@ -121,7 +121,7 @@ def test_loads_split_replicas():
     loads = placement.loads(tree)
     # Root's individual popularity (1.0) splits across both replicas.
     assert loads[1] == pytest.approx(0.5)
-    assert sum(loads) == pytest.approx(sum(n.individual_popularity for n in tree))
+    assert sum(loads) == pytest.approx(sum(tree.individual_popularity[n] for n in tree))
 
 
 def test_jumps_single_server_zero():
@@ -176,7 +176,7 @@ def test_validate_complete_passes_when_full():
     tree = small_tree()
     placement = Placement(2)
     for node in tree:
-        placement.assign(node, node.node_id % 2)
+        placement.assign(node, node % 2)
     placement.validate_complete(tree)
 
 

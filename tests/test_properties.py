@@ -38,7 +38,7 @@ def random_trees(draw):
     nodes = [tree.root]
     for i in range(size):
         parent = rng.choice(nodes)
-        if not parent.is_directory:
+        if not tree.is_directory(parent):
             parent = tree.parent(parent)
         child = tree.add_child(
             parent, f"n{i}", is_directory=rng.random() < 0.4,
@@ -92,7 +92,7 @@ def test_split_partitions_tree(tree, k):
         local.add(root)
         local.update(tree.descendants(root))
     # GL and LL partition the node set.
-    assert result.global_layer | local == set(tree.nodes)
+    assert result.global_layer | local == set(tree)
     assert not (result.global_layer & local)
 
 
@@ -102,7 +102,7 @@ def test_split_global_layer_connected_and_sized(tree, k):
     result = split_top_k(tree, k)
     assert len(result.global_layer) == min(k, len(tree))
     for node in result.global_layer:
-        assert node is tree.root or tree.parent(node) in result.global_layer
+        assert node == tree.root or tree.parent(node) in result.global_layer
 
 
 @given(random_trees(), st.integers(min_value=1, max_value=50))
@@ -122,14 +122,14 @@ def test_popularity_parent_at_least_child(tree):
     for node in tree:
         parent = tree.parent(node)
         if parent is not None:
-            assert parent.popularity >= node.popularity - 1e-9
+            assert tree.popularity[parent] >= tree.popularity[node] - 1e-9
 
 
 @given(random_trees())
 @settings(max_examples=50, deadline=None)
 def test_root_popularity_is_total(tree):
-    total = sum(n.individual_popularity for n in tree)
-    assert tree.root.popularity == pytest.approx(total)
+    total = sum(tree.individual_popularity[n] for n in tree)
+    assert tree.popularity[tree.root] == pytest.approx(total)
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +189,7 @@ def _flat_estimate(initial, blend):
         nodes.append(tree.add_path(f"/n{i}"))
         tree.record_access(nodes[-1], p)
     tree.aggregate_popularity()
-    return nodes, PopularityEstimate(tree.arena(), blend)
+    return tree, nodes, PopularityEstimate(tree.arena(), blend)
 
 
 @given(
@@ -204,7 +204,7 @@ def _flat_estimate(initial, blend):
 def test_counter_never_negative_and_bounded(initial, windows, blend):
     """However the windows fall, a blended count stays between zero and the
     largest value it was ever fed."""
-    nodes, estimate = _flat_estimate(initial, blend)
+    tree, nodes, estimate = _flat_estimate(initial, blend)
     ceiling = max(initial)
     for window in windows:
         counts = {nodes[i % len(nodes)]: count for i, count in window}
@@ -212,7 +212,7 @@ def test_counter_never_negative_and_bounded(initial, windows, blend):
         estimate.fold(counts)
     estimate.materialise()
     for node in nodes:
-        assert 0.0 <= node.individual_popularity <= ceiling * (1 + 1e-12)
+        assert 0.0 <= tree.individual_popularity[node] <= ceiling * (1 + 1e-12)
 
 
 @given(
@@ -223,7 +223,7 @@ def test_counter_never_negative_and_bounded(initial, windows, blend):
 @settings(max_examples=40, deadline=None)
 def test_counter_matches_closed_form(blend, idle_rounds, start):
     """Decay-on-read is the per-round decay: ``p * (1 - blend) ** k``."""
-    (node,), estimate = _flat_estimate([start], blend)
+    tree, (node,), estimate = _flat_estimate([start], blend)
     for _ in range(idle_rounds):
         estimate.fold({})
     expected = start
@@ -231,7 +231,7 @@ def test_counter_matches_closed_form(blend, idle_rounds, start):
         expected = (1 - blend) * expected + blend * 0.0
     assert estimate.subtree_total(node) == pytest.approx(expected, rel=1e-12, abs=1e-300)
     estimate.materialise()
-    assert node.popularity == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    assert tree.popularity[node] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 class _WholeTreePass:
@@ -277,7 +277,7 @@ def test_individual_is_the_whole_tree_pass_column(tree, data):
     """``individual()`` returns, bit for bit, the column the whole-tree pass
     wrote before it was split out — at blends 0.5 and 0.3, with rounds
     nobody reads (one rebase then covers several rounds
-    of decay) — and a ``materialise()`` after it leaves every node object
+    of decay) — and a ``materialise()`` after it leaves the tree's columns
     as that pass did."""
     blend = data.draw(st.sampled_from([0.5, 0.3]))
     arena = tree.arena()
@@ -294,7 +294,7 @@ def test_individual_is_the_whole_tree_pass_column(tree, data):
     )
     rounds = data.draw(st.lists(st.tuples(windows, st.integers(0, 3)), min_size=1, max_size=10))
     for counts, reader in rounds:
-        estimate.fold({tree._nodes[nid]: count for nid, count in counts.items()})
+        estimate.fold(dict(counts))
         reference.fold(counts)
         if not reader:
             continue  # nobody reads this round
@@ -304,6 +304,6 @@ def test_individual_is_the_whole_tree_pass_column(tree, data):
             assert estimate.individual() == expected  # the second call is free
         if reader > 1:
             estimate.materialise()
-            objects = [(n.individual_popularity, n.popularity) for n in tree._nodes]
+            columns = (list(tree.individual_popularity), list(tree.popularity))
             arena.write_popularity(expected)
-            assert objects == [(n.individual_popularity, n.popularity) for n in tree._nodes]
+            assert columns == (list(tree.individual_popularity), list(tree.popularity))

@@ -148,8 +148,8 @@ def test_stale_generic_target_keeps_its_lru_place(capacity, final_order):
     placement.assign(target, (placement.primary_of(target) + 1) % 3)
     engine.plan(client, target, OpType.READ)
     data = client.prefix_cache._data
-    assert [tree.nodes[nid].path for nid in data] == final_order
-    assert data[target.node_id] == placement.primary_of(target)
+    assert tree.paths(data) == final_order
+    assert data[target] == placement.primary_of(target)
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +242,10 @@ def test_a_rebalance_shaped_replay_leaves_interned_plans_as_made():
     for kind, plans in tables.items():
         for (first, owner), plan in plans.items():
             assert plan.visits == (Visit(first, kind), Visit(owner, VisitKind.SERVE))
-            assert plan.fanout is routing._EMPTY_FANOUT and not plan.lock_key
+            assert plan.fanout is routing._EMPTY_FANOUT and plan.lock_key is None
     for server, plan in enumerate(engine._serve_plans):
         assert plan.visits == (Visit(server, VisitKind.SERVE),)
-        assert plan.fanout is routing._EMPTY_FANOUT and not plan.lock_key
+        assert plan.fanout is routing._EMPTY_FANOUT and plan.lock_key is None
     assert routing._EMPTY_FANOUT == []
 
 
@@ -275,7 +275,7 @@ def test_single_server_generic_walk_returns_the_serve_plan(workload):
     for node in tree:
         plan = engine.plan(SimClient(0, 6), node, OpType.READ)  # cold caches
         target = placement.primary_of(node)
-        walk = {placement.primary_of(tree._nodes[a]) for a in engine.arena.chain(node.node_id)} | {target}
+        walk = {placement.primary_of(a) for a in engine.arena.chain(node)} | {target}
         if walk == {target}:
             assert plan is engine._serve_plan(target)
             single += 1

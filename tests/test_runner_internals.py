@@ -29,7 +29,7 @@ def test_d2_gl_read_single_visit(workload):
     plan = sim.engine.plan(client, gl_node, OpType.READ)
     assert len(plan.visits) == 1
     assert plan.visits[0].kind is VisitKind.SERVE
-    assert not plan.fanout and not plan.lock_key
+    assert not plan.fanout and plan.lock_key is None
 
 
 def test_d2_ll_first_touch_then_cached(workload):
@@ -63,7 +63,7 @@ def test_d2_gl_update_locks_and_fans_out(workload):
     client = sim.clients[0]
     gl_node = next(iter(sim.placement.split.global_layer))
     plan = sim.engine.plan(client, gl_node, OpType.UPDATE)
-    assert plan.lock_key == gl_node.path
+    assert plan.lock_key == gl_node
     assert len(plan.fanout) == 3
     assert plan.visits[0].server not in plan.fanout
 
@@ -73,7 +73,7 @@ def test_d2_ll_update_no_fanout(workload):
     client = sim.clients[0]
     root = next(iter(sim.placement.subtree_owner))
     plan = sim.engine.plan(client, root, OpType.UPDATE)
-    assert not plan.fanout and not plan.lock_key
+    assert not plan.fanout and plan.lock_key is None
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_generic_traversal_walks_uncached_prefix(workload):
     sim = ClusterSimulator(StaticSubtreeScheme(), workload, 4, FAST)
     client = sim.clients[0]
     depths = workload.tree.arena().depths()
-    deep = max(workload.tree.nodes, key=lambda n: depths[n.node_id])
+    deep = max(workload.tree, key=lambda n: depths[n])
     plan = sim.engine.plan(client, deep, OpType.READ)
     assert plan.visits[-1].server == sim.placement.primary_of(deep)
     # Second traversal of the same path is fully cached: one visit.
@@ -95,7 +95,7 @@ def test_generic_stale_prefix_single_redirect(workload):
     sim = ClusterSimulator(DropScheme(), workload, 4, FAST)
     client = sim.clients[0]
     depths = workload.tree.arena().depths()
-    deep = max(workload.tree.nodes, key=lambda n: depths[n.node_id])
+    deep = max(workload.tree, key=lambda n: depths[n])
     sim.engine.plan(client, deep, OpType.READ)
     # Invalidate by moving every ancestor's assignment by one server.
     for ancestor in workload.tree.ancestors(deep, include_self=True):
@@ -137,8 +137,9 @@ def test_adjust_interval_zero_disables(workload):
 
 
 def test_popularity_restored_after_run(workload):
-    before = [n.individual_popularity for n in workload.tree.nodes]
+    tree = workload.tree
+    before = [tree.individual_popularity[n] for n in workload.tree]
     cfg = SimulationConfig(num_clients=10, adjust_every_ops=100)
     ClusterSimulator(D2TreeScheme(), workload, 4, cfg).run()
-    after = [n.individual_popularity for n in workload.tree.nodes]
+    after = [tree.individual_popularity[n] for n in workload.tree]
     assert after == before

@@ -20,13 +20,22 @@ def test_global_layer_replicated_everywhere(random_tree):
 
 
 def test_global_layer_is_placed_in_node_id_order(random_tree):
-    """The layer is a set of nodes hashed by address; the order it enters
-    ``_servers_of`` is the float summation order of ``loads()`` (telemetry's
-    load_factor / balance_degree / mu), so it must not be the set's."""
+    """The layer is a set; ``loads()`` (telemetry's load_factor /
+    balance_degree / mu) sums the placement in node-id order, so its floats
+    do not depend on the order the layer was placed in."""
     placement = D2TreeScheme().partition(random_tree, 4)
-    layer = placement.split.global_layer
-    placed = [node.node_id for node in placement._servers_of if node in layer]
-    assert len(placed) > 1 and placed == sorted(placed)
+    layer = sorted(placement.split.global_layer)
+    assert len(layer) > 1
+    loads = placement.loads()
+    for node in reversed(layer):
+        placement.replicate(node, placement.servers_of(node))
+    assert placement.loads() == loads
+    expected = [0.0] * 4
+    for node in random_tree:
+        servers = placement.servers_of(node)
+        for server in servers:
+            expected[server] += random_tree.individual_popularity[node] / len(servers)
+    assert loads == expected
 
 
 def test_local_nodes_single_server(random_tree):
@@ -76,7 +85,7 @@ def test_single_server_cluster(random_tree):
 
 def test_explicit_thresholds_used():
     tree = build_random_tree(200)
-    total = sum(n.popularity for n in tree)
+    total = sum(tree.popularity[n] for n in tree)
     scheme = D2TreeScheme(locality_threshold=total, update_threshold=1e9)
     placement = scheme.partition(tree, 2)
     assert placement.split.global_layer == {tree.root}
@@ -111,7 +120,7 @@ def test_local_loads_sum_to_subtree_popularity(random_tree):
     scheme = D2TreeScheme(global_layer_fraction=0.05)
     placement = scheme.partition(random_tree, 4)
     assert sum(placement.local_loads()) == pytest.approx(
-        sum(r.popularity for r in placement.subtree_owner)
+        sum(random_tree.popularity[r] for r in placement.subtree_owner)
     )
 
 
@@ -138,9 +147,9 @@ def test_rebalance_on_balanced_cluster_is_quiet(random_tree):
 
 def test_move_subtree_matches_an_assign_per_node(random_tree):
     """``move_subtree`` writes the whole subtree in one pass; what readers
-    can observe — the placement dict's insertion order (late-created,
-    still unplaced descendants are inserted as ``descendants()`` meets
-    them) and the final ``version`` — is that of one ``assign()`` per node."""
+    can observe — every node's servers (late-created, still unplaced
+    descendants are placed too) and the final ``version`` — is that of one
+    ``assign()`` per node."""
     tree = random_tree
     placement = D2TreeScheme(global_layer_fraction=0.05).partition(tree, 4)
     root = max(placement.subtree_owner, key=lambda r: subtree_size(tree, r))
@@ -150,7 +159,7 @@ def test_move_subtree_matches_an_assign_per_node(random_tree):
     assert len(late) >= 2 and all(placement.forget(n) for n in reversed(late))
     owner = placement.subtree_owner[root]
     target = (owner + 1) % 4
-    before, version = dict(placement._servers_of), placement.version
+    before, version = list(placement._servers_of), placement.version
 
     assert placement.move_subtree(root, target) == subtree_size(tree, root)
     assert placement.subtree_owner[root] == target
@@ -158,14 +167,14 @@ def test_move_subtree_matches_an_assign_per_node(random_tree):
         placement.servers_of(node) == (target,)
         for node in tree.descendants(root, include_self=True)
     )
-    moved_order, moved_version = list(placement._servers_of), placement.version
-    assert moved_order[-len(late):] == late
+    moved, moved_version = list(placement._servers_of), placement.version
+    assert all(placement.servers_of(node) == (target,) for node in late)
 
     placement._servers_of, placement.version = before, version
     placement.subtree_owner[root] = owner
     for node in tree.descendants(root, include_self=True):
         placement.assign(node, target)
-    assert list(placement._servers_of) == moved_order
+    assert placement._servers_of == moved
     assert placement.version == moved_version
 
 
@@ -191,7 +200,7 @@ def test_refresh_global_layer_preserves_completeness(random_tree):
     scheme = D2TreeScheme(global_layer_fraction=0.05)
     placement = scheme.partition(random_tree, 4)
     # Shift popularity: pump a previously-cold subtree.
-    cold = [n for n in random_tree if not n.is_directory][-5:]
+    cold = [n for n in random_tree if not random_tree.is_directory(n)][-5:]
     for node in cold:
         random_tree.record_access(node, 1000.0)
     random_tree.aggregate_popularity()
@@ -220,9 +229,7 @@ def test_sampled_allocation_mode(random_tree):
 def test_deterministic_given_seed(random_tree):
     a = D2TreeScheme(seed=9).partition(random_tree, 4)
     b = D2TreeScheme(seed=9).partition(random_tree, 4)
-    assert {r.path: s for r, s in a.subtree_owner.items()} == {
-        r.path: s for r, s in b.subtree_owner.items()
-    }
+    assert a.subtree_owner == b.subtree_owner
 
 
 def test_fully_global_tree():

@@ -73,10 +73,10 @@ def _assert_every_mds_resolves_authoritatively(cluster, tree):
     placement = cluster.placement
     for mds in cluster.servers:
         for node in tree:
-            entry = mds.index.resolve(node.path)
-            assert entry is not None, (mds.server_id, node.path)
+            entry = mds.index.resolve(tree.path(node))
+            assert entry is not None, (mds.server_id, tree.path(node))
             assert set(entry[1]) <= set(placement.servers_of(node)), (
-                mds.server_id, node.path, entry,
+                mds.server_id, tree.path(node), entry,
             )
 
 

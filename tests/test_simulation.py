@@ -252,7 +252,7 @@ def test_d2_update_plans_lock_and_fanout(tiny_dtr_workload):
     client = sim.clients[0]
     gl_node = next(iter(sim.placement.split.global_layer))
     plan = sim.engine.plan(client, gl_node, OpType.UPDATE)
-    assert plan.lock_key == gl_node.path
+    assert plan.lock_key == gl_node
     assert len(plan.fanout) == 3
 
 
@@ -319,16 +319,16 @@ def test_arena_matches_object_aggregation(random_tree):
     def assert_columns(arena):
         depths, sizes = arena.depths(), arena.subtree_sizes()
         assert len(depths) == len(sizes) == arena.size == len(random_tree)
-        assert all(depths[n.node_id] == len(random_tree.ancestors(n)) for n in random_tree)
-        assert all(sizes[n.node_id] == subtree_size(random_tree, n) for n in random_tree)
+        assert all(depths[n] == len(random_tree.ancestors(n)) for n in random_tree)
+        assert all(sizes[n] == subtree_size(random_tree, n) for n in random_tree)
 
     def assert_write_back(arena):
         for node in random_tree:
-            node.individual_popularity *= 1.7
+            random_tree.individual_popularity[node] *= 1.7
         individual = arena.individual_popularity()
         arena.write_popularity(individual)
         want = post_order_totals(random_tree, individual)
-        assert [n.popularity for n in random_tree] == want
+        assert [random_tree.popularity[n] for n in random_tree] == want
 
     arena = random_tree.arena()
     assert arena is random_tree.arena()  # cached while the tree keeps its size
@@ -336,7 +336,10 @@ def test_arena_matches_object_aggregation(random_tree):
     assert_write_back(arena)
 
     # Growth, early directories included: the arena is re-issued and exact.
-    early = next(n for n in random_tree if n.is_directory and len(random_tree.ancestors(n)) >= 2)
+    early = next(
+        n for n in random_tree
+        if random_tree.is_directory(n) and len(random_tree.ancestors(n)) >= 2
+    )
     random_tree.add_child(early, "late.txt", individual_popularity=0.3)
     random_tree.add_path("/arena-dst/inner/x.txt", individual_popularity=0.1)
     grown = random_tree.arena()
@@ -349,13 +352,13 @@ def _object_round(tree, window, blend):
     """One round's popularity update the way the object walk does it: the
     reference the column round must equal bit for bit."""
     for node in tree:
-        node.individual_popularity = (
-            (1 - blend) * node.individual_popularity
+        tree.individual_popularity[node] = (
+            (1 - blend) * tree.individual_popularity[node]
             + blend * float(window[node])
         )
-    totals = post_order_totals(tree, [n.individual_popularity for n in tree])
+    totals = post_order_totals(tree, [tree.individual_popularity[n] for n in tree])
     for node, total in zip(tree, totals):
-        node.popularity = total
+        tree.popularity[node] = total
 
 
 @given(st.integers(min_value=0, max_value=500), st.floats(min_value=0.0, max_value=1.0))
@@ -370,12 +373,12 @@ def test_column_round_matches_object_round(seed, blend):
     everyone = list(tree)
     arena = tree.arena()
     rng = random.Random(seed)
-    windows = [Counter(rng.choices(tree.nodes, k=12)) for _ in range(3)]
+    windows = [Counter(rng.choices(list(tree), k=12)) for _ in range(3)]
 
     def snapshot():
-        return [(n.individual_popularity, n.popularity) for n in everyone]
+        return [(tree.individual_popularity[n], tree.popularity[n]) for n in everyone]
 
-    start = [n.individual_popularity for n in everyone]
+    start = [tree.individual_popularity[n] for n in everyone]
     expected = []
     for window in windows:
         _object_round(tree, window, blend)
@@ -383,7 +386,7 @@ def test_column_round_matches_object_round(seed, blend):
 
     def restart():
         for node, popularity in zip(everyone, start):
-            node.individual_popularity = popularity
+            tree.individual_popularity[node] = popularity
         assert arena.individual_popularity() == start
         return PopularityEstimate(arena, blend)
 
@@ -401,7 +404,7 @@ def test_column_round_matches_object_round(seed, blend):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     sizes = arena.subtree_sizes()
-    assert all(sizes[node.node_id] == subtree_size(tree, node) for node in tree)
+    assert all(sizes[node] == subtree_size(tree, node) for node in tree)
 
 
 def test_server_loads_summed_only_when_a_round_is_recorded(

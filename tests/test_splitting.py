@@ -20,7 +20,7 @@ def popular_tree():
     for i in range(5):
         tree.record_access(tree.add_path(f"/cold/c{i}"), weight=1.0)
     for node in tree:
-        node.update_cost = 1.0
+        tree.update_cost[node] = 1.0
     tree.aggregate_popularity()
     return tree, hot
 
@@ -41,20 +41,20 @@ def test_global_layer_is_connected():
     tree = build_random_tree(300)
     result = split_top_k(tree, 30)
     for node in result.global_layer:
-        assert node is tree.root or tree.parent(node) in result.global_layer
+        assert node == tree.root or tree.parent(node) in result.global_layer
 
 
 def test_local_popularity_matches_eq7():
     tree = build_random_tree(300)
     result = split_top_k(tree, 25)
-    expected = sum(n.popularity for n in tree if n not in result.global_layer)
+    expected = sum(tree.popularity[n] for n in tree if n not in result.global_layer)
     assert result.local_popularity == pytest.approx(expected)
 
 
 def test_update_cost_sums_gl_members_minus_root():
     tree, _ = popular_tree()
     result = split_top_k(tree, 4)
-    expected = sum(n.update_cost for n in result.global_layer if n is not tree.root)
+    expected = sum(tree.update_cost[n] for n in result.global_layer if n != tree.root)
     assert result.update_cost == pytest.approx(expected)
 
 
@@ -100,7 +100,7 @@ def test_tree_split_infeasible_returns_empty():
 
 def test_tree_split_feasible_when_budget_ample():
     tree, _ = popular_tree()
-    total = sum(n.popularity for n in tree)
+    total = sum(tree.popularity[n] for n in tree)
     result = tree_split(tree, locality_threshold=total, update_threshold=1e9)
     assert result.feasible
     # Locality already satisfied at the root: nothing needs absorbing.
@@ -138,7 +138,7 @@ def test_split_top_k_exact_size():
 def test_split_top_k_larger_than_tree():
     tree, _ = popular_tree()
     result = split_top_k(tree, 10_000)
-    assert result.global_layer == set(tree.nodes)
+    assert result.global_layer == set(tree)
     assert result.subtree_roots == []
     assert result.local_popularity == pytest.approx(0.0)
 

@@ -60,7 +60,7 @@ class D2PlacementMachine(RuleBasedStateMachine):
         candidates = [
             n
             for n in self.placement.split.global_layer
-            if not self.tree.children(n) and n is not self.tree.root
+            if not self.tree.children(n) and n != self.tree.root
         ]
         if not candidates:
             return
@@ -69,7 +69,7 @@ class D2PlacementMachine(RuleBasedStateMachine):
 
     @rule(weight=st.floats(min_value=1.0, max_value=300.0))
     def heat_a_node(self, weight):
-        node = self.rng.choice(self.tree.nodes)
+        node = self.rng.choice(range(len(self.tree)))
         self.tree.record_access(node, weight)
         self.tree.aggregate_popularity()
 
@@ -104,7 +104,7 @@ class D2PlacementMachine(RuleBasedStateMachine):
         sets = {
             self.placement.servers_of(node)
             for node in self.placement.split.global_layer
-            if node is self.tree.root
+            if node == self.tree.root
         }
         assert len(sets) == 1  # the root defines the replica set
         for node in self.placement.split.global_layer:

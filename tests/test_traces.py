@@ -116,20 +116,21 @@ def test_rounds_validation():
 # OpBatch windows (the form the replay loop consumes a trace in)
 # ----------------------------------------------------------------------
 def test_iter_op_batches_roundtrip(tiny_dtr_workload):
-    """The two columns, window after window, concatenate back to the trace's
-    (op, node) sequence; every window is index-parallel and bounded by
-    batch_ops."""
+    """The three columns, window after window, concatenate back to the
+    trace's (op, node, path) sequence; every window is index-parallel and
+    bounded by batch_ops."""
     tree = tiny_dtr_workload.tree
     trace = tiny_dtr_workload.trace
-    assert OpBatch.__slots__ == ("op_codes", "nodes")
+    assert OpBatch.__slots__ == ("op_codes", "nodes", "path_ids")
     flat = []
     batches = list(iter_op_batches(trace, tree, batch_ops=64))
     assert len(batches) == -(-len(trace) // 64)  # order kept across windows
     for batch in batches:
         assert 0 < len(batch.op_codes) <= 64
-        assert len(batch.op_codes) == len(batch.nodes)
+        assert len(batch.op_codes) == len(batch.nodes) == len(batch.path_ids)
         assert [OP_CODES[op] for op in batch.ops()] == list(batch.op_codes)
-        flat.extend(zip(batch.ops(), (node.path for node in batch.nodes)))
+        assert tree.paths(batch.nodes) == [trace.paths[pid] for pid in batch.path_ids]
+        flat.extend(zip(batch.ops(), tree.paths(batch.nodes)))
     assert flat == [(r.op, r.path) for r in trace.records]
 
 
@@ -142,8 +143,9 @@ def test_iter_op_batches_skips_unresolved():
         TraceRecord(timestamp=2.0, op=OpType.UPDATE, client_id=2, path="/known"),
     ]
     batches = list(iter_op_batches(trace_of("t", records), tree, batch_ops=2))
-    paths = [n.path for b in batches for n in b.nodes]
+    paths = [tree.path(n) for b in batches for n in b.nodes]
     assert paths == ["/known", "/known"]
+    assert [pid for b in batches for pid in b.path_ids] == [0, 0]
     codes = [c for b in batches for c in b.op_codes]
     assert codes == [OP_CODES[OpType.READ], OP_CODES[OpType.UPDATE]]
 
