@@ -1,12 +1,10 @@
 """Chaos engineering for the metadata cluster.
 
-The package splits the original single-module harness into focused parts:
-
 - :mod:`repro.chaos.schedule` — seeded random fault-schedule generation
   (byte-stable: existing seeds produce their historical schedules).
 - :mod:`repro.chaos.harness` — case replay, quiescence, :func:`check_run`
-  (the one post-quiescence audit of a simulated or live run),
-  :class:`ChaosCase`/:class:`ChaosReport`.
+  (the one post-quiescence audit of a simulated or live run) and
+  :class:`ChaosCase`, one audited run's outcome.
 - :mod:`repro.chaos.history` — the op log, folded as it is recorded, and
   its consistency audit (exactly-once acks, session monotonicity,
   epoch-fence safety, no-lost-acked-mutation).
@@ -16,18 +14,14 @@ The package splits the original single-module harness into focused parts:
   run in either mode (workload, schedule, both modes' configs, replay
   arguments, simulator and live legs), and the committed regression corpus
   of chaos runs (``tests/corpus/*.json``).
-- :mod:`repro.chaos.hunt` — the ``repro hunt`` fuzzer driving all of the
-  above: generate → run with history audit → shrink → record.
-
-Everything the old ``repro.chaos`` module exported is re-exported here, so
-``from repro.chaos import run_case`` and friends keep working.
+- :mod:`repro.chaos.hunt` — ``repro hunt``, the one audit verb driving all
+  of the above: generate → run with history audit → shrink → record.
 """
 
 from __future__ import annotations
 
 from repro.chaos.harness import (
     ChaosCase,
-    ChaosReport,
     _quiesce,
     check_run,
     run_case,
@@ -50,7 +44,6 @@ __all__ = [
     "CHAOS_HEARTBEAT_TIMEOUT",
     "CHAOS_LEASE_TIMEOUT",
     "ChaosCase",
-    "ChaosReport",
     "CorpusCase",
     "HuntCase",
     "HuntReport",

@@ -4,13 +4,13 @@
 either mode: workload profile + seed, cluster shape, store backend, fault
 specs and the knobs both modes share (heartbeat and lease clocks, retry
 budget, the live leg's offered load). Every cluster verb — ``simulate``,
-``serve``, ``validate``, ``chaos``, ``hunt`` — builds one from its flags
+``serve``, ``validate``, ``hunt`` — builds one from its flags
 (``repro.cli.recipe_from``) and runs what it describes. It alone turns
 that recipe into the seeded workload (:meth:`~CorpusCase.workload`), the
 schedule (:meth:`~CorpusCase.plan`: the explicit ``faults``, else a
 schedule generated from the case's own seed), the configs of both modes
 (:meth:`~CorpusCase.sim_config`, :meth:`~CorpusCase.live_configs`), the
-``repro chaos`` replay arguments (:meth:`~CorpusCase.to_argv`) and the two
+``repro hunt`` replay arguments (:meth:`~CorpusCase.to_argv`) and the two
 chaos runs — :meth:`~CorpusCase.run_sim` through the simulator and
 :meth:`~CorpusCase.run_live` through the asyncio transport.
 
@@ -236,22 +236,24 @@ class CorpusCase:
         )
 
     def to_argv(self) -> List[str]:
-        """The ``repro chaos`` arguments replaying this case; ``repro`` and
-        these, space-joined, is the replay line every verdict prints.
+        """The ``repro hunt --no-shrink`` arguments replaying this case;
+        ``repro`` and these, space-joined, is the replay line every verdict
+        prints (without the shrinker, so it prints the same verdict again).
 
-        ``chaos`` runs a recipe's own knobs and one named scheme and seed;
-        a case that needs other values has no chaos command (ValueError).
+        ``hunt`` runs a recipe's own knobs and one named scheme and seed;
+        a case that needs other values has no hunt command (ValueError).
         """
         if self._knobs() or self.scheme is None or self.seed is None:
             raise ValueError(
-                f"no chaos replay for {self.name}: chaos runs one scheme "
+                f"no hunt replay for {self.name}: hunt runs one scheme "
                 f"and seed with the corpus knobs, not scheme={self.scheme} "
                 f"seed={self.seed} {self._knobs()}"
             )
         argv = [
-            "chaos", "--trace", self.trace, "--nodes", str(self.nodes),
-            "--scale", f"{self.scale:g}", "--servers", str(self.num_servers),
-            "--scheme", self.scheme, "--monitors", str(self.num_monitors),
+            "hunt", "--no-shrink", "--trace", self.trace,
+            "--nodes", str(self.nodes), "--scale", f"{self.scale:g}",
+            "--servers", str(self.num_servers), "--scheme", self.scheme,
+            "--monitors", str(self.num_monitors),
             "--seeds", "1", "--seed-base", str(self.seed),
         ]
         if self.ops is not None:
@@ -262,12 +264,10 @@ class CorpusCase:
             argv += ["--fault", spec]
         return argv
 
-    def run_sim(
-        self, store_dir: Optional[str] = None, *, trace_sample: int = 0
-    ) -> ChaosCase:
+    def run_sim(self, store_dir: Optional[str] = None) -> ChaosCase:
         """The simulator leg: replay, quiesce,
         :func:`~repro.chaos.harness.check_run`."""
-        return run_case(self, store_dir, trace_sample=trace_sample)
+        return run_case(self, store_dir)
 
     def run_live(self, socket_dir: Optional[str] = None):
         """The live leg: the same run through the asyncio transport, judged

@@ -50,7 +50,6 @@ if TYPE_CHECKING:  # corpus imports this module
 
 __all__ = [
     "ChaosCase",
-    "ChaosReport",
     "check_run",
     "check_state_invariants",
     "run_case",
@@ -205,7 +204,7 @@ def check_run(
 
 
 # ----------------------------------------------------------------------
-# Case + report
+# The case
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -259,46 +258,13 @@ class ChaosCase:
         return case
 
 
-@dataclass
-class ChaosReport:
-    """Aggregate over all chaos cases of one invocation."""
-
-    #: What every case shares; each case is this recipe with its own seed.
-    recipe: CorpusCase
-    cases: List[ChaosCase] = field(default_factory=list)
-
-    @property
-    def violations(self) -> List[ChaosCase]:
-        return [case for case in self.cases if not case.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.recipe.scheme,
-            "trace": self.recipe.trace,
-            "num_servers": self.recipe.num_servers,
-            "num_monitors": self.recipe.num_monitors,
-            "seeds": len(self.cases),
-            "ok": self.ok,
-            "cases": [case.to_dict() for case in self.cases],
-        }
-
-
-def run_case(
-    case: CorpusCase, store_dir: Optional[str] = None, *, trace_sample: int = 0
-) -> ChaosCase:
+def run_case(case: CorpusCase, store_dir: Optional[str] = None) -> ChaosCase:
     """One chaos run of ``case`` through the simulator: replay with the op
     log on, quiesce, :func:`check_run`.
 
     A durable ``case.store`` (``"wal"``) turns on the durability checks.
-    ``trace_sample`` > 0 records causal spans for every Nth op plus the
-    failover/recovery lifecycle (read them off ``sim.spans`` or export via
-    ``repro simulate --trace-sample`` for the CLI path).
     """
-    config = case.sim_config(store_dir, trace_sample)
+    config = case.sim_config(store_dir)
     workload = case.workload()
     sim = ClusterSimulator(
         registry.create(case.scheme), workload, case.num_servers, config

@@ -1,20 +1,22 @@
-"""``repro hunt``: the seeded adversarial chaos fuzzer.
+"""``repro hunt``: the seeded chaos audit, and the fuzzer around it.
 
 One hunt iterates a list of case seeds. Each seed fully determines one
 adversarial run — one :class:`repro.chaos.corpus.CorpusCase` gives it the
-workload, the generated fault schedule, the simulator RNGs, both
-transports' runs and the replay command — so a hunt is exactly
-reproducible: the same seed list always produces the byte-identical case
-list, violations and shrink results. Each case is judged the way
-``repro chaos`` judges it (:func:`repro.chaos.harness.check_run`: the
-quiesced end state plus the op-log audit); what a hunt adds is the
-shrinking of every failure.
+workload, the fault schedule (generated from the seed, or the explicit
+``--fault`` plan for every seed), the simulator RNGs, both transports' runs
+and the replay command — so a hunt is exactly reproducible: the same seed
+list always produces the byte-identical case list, violations and shrink
+results. Each case is judged by :func:`repro.chaos.harness.run_case`
+(the quiesced end state plus the op-log audit of
+:func:`~repro.chaos.harness.check_run`); its :class:`HuntCase` is that
+outcome plus what the hunt adds.
 
 When a case violates an invariant, the failing plan is minimized with
 :func:`repro.chaos.shrink.shrink_plan` (drop events, shrink the cluster,
-tighten triggers) and packaged as a :class:`repro.chaos.corpus.CorpusCase`
-carrying its exact ``repro chaos --fault ...`` replay line — ready to
-be promoted into the committed regression corpus once the bug is fixed.
+tighten triggers) unless shrinking is off (``--no-shrink``), and packaged as
+a :class:`repro.chaos.corpus.CorpusCase` carrying its exact ``repro hunt
+--no-shrink ... --fault ...`` replay line — ready to be promoted into the
+committed regression corpus once the bug is fixed.
 
 The optional live leg replays each schedule through the asyncio transport
 as well (wall-clock timing, so its outcomes are recorded but never fed to
@@ -37,14 +39,11 @@ __all__ = ["HuntCase", "HuntReport", "promote_findings", "run_hunt"]
 
 @dataclass
 class HuntCase:
-    """Outcome of one fuzzed seed (sim leg always; live leg optional)."""
+    """One fuzzed seed: its audited simulator run and what the hunt made of
+    it (the live leg is optional)."""
 
-    seed: int
-    specs: List[str]
-    violations: List[str]
-    operations: int = 0
-    failed_operations: int = 0
-    history: Dict[str, int] = field(default_factory=dict)
+    #: The simulator leg, as :func:`repro.chaos.harness.run_case` judged it.
+    outcome: ChaosCase
     #: Reduction log + minimized config (None when the case was clean or
     #: shrinking was disabled).
     shrink: Optional[ShrinkResult] = None
@@ -58,19 +57,11 @@ class HuntCase:
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.live_violations
+        return self.outcome.ok and not self.live_violations
 
     def to_dict(self) -> dict:
-        case = {
-            "seed": self.seed,
-            "ok": self.ok,
-            "faults": list(self.specs),
-            "violations": list(self.violations),
-            "operations": self.operations,
-            "failed_operations": self.failed_operations,
-            "history": dict(self.history),
-            "replay": self.replay,
-        }
+        case = self.outcome.to_dict()
+        case.update(ok=self.ok, replay=self.replay)
         if self.shrink is not None:
             case["shrink"] = self.shrink.to_dict()
         if self.minimized is not None:
@@ -112,7 +103,7 @@ class HuntReport:
             "num_monitors": recipe.num_monitors,
             "store": recipe.store,
             "ops": recipe.ops,
-            "seeds": [case.seed for case in self.cases],
+            "seeds": [case.outcome.seed for case in self.cases],
             "ok": self.ok,
             "findings": len(self.findings),
             "coverage": {k: self.coverage[k] for k in sorted(self.coverage)},
@@ -159,14 +150,7 @@ def run_hunt(
                 report.coverage.get(event.kind.value, 0) + 1
             )
         outcome = _audited(case, store_dir)
-        hunt_case = HuntCase(
-            seed=seed,
-            specs=outcome.specs,
-            violations=outcome.violations,
-            operations=outcome.operations,
-            failed_operations=outcome.failed_operations,
-            history=outcome.history,
-        )
+        hunt_case = HuntCase(outcome)
         if outcome.violations and shrink:
 
             def probe(

@@ -5,8 +5,8 @@ Commands
 generate   synthesise a trace (Table I profile) and write it to a file
 evaluate   partition a generated workload and print the paper metrics
 simulate   replay a workload through the cluster simulator (Fig. 5 style)
-chaos      randomized fault schedules, each run audited (invariants + op log)
-hunt       adversarial chaos search: fuzz, audit, shrink
+hunt       seeded fault schedules, each run audited (invariants + op log);
+           failures shrunk to minimal replayable counterexamples
 serve      run a real asyncio cluster (sockets, tasks) under client load
 validate   replay one seeded workload through both transports and diff
 figure     regenerate one figure's data series (CSV, or --chart for ASCII)
@@ -39,15 +39,16 @@ from repro.traces import PROFILES, TraceGenerator, load_workload, save_trace
 __all__ = ["main", "build_parser", "add_cluster_args", "recipe_from"]
 
 
-def add_workload_args(p: argparse.ArgumentParser) -> None:
+def add_workload_args(p: argparse.ArgumentParser, seed: bool = True) -> None:
     p.add_argument("--trace", choices=sorted(PROFILES), default="dtr")
     p.add_argument("--nodes", type=int, default=8000,
                    help="namespace tree size (default 8000)")
     p.add_argument("--scale", type=float, default=1e-4,
                    help="fraction of the paper's record count (default 1e-4)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the profile's generator seed "
-                        "(recorded in telemetry output)")
+    if seed:
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the profile's generator seed "
+                            "(recorded in telemetry output)")
 
 
 _OPS = ("ops", dict(type=int, help="truncate the trace to N operations"))
@@ -101,9 +102,6 @@ CLUSTER_FLAGS = {
              "delay :dS, partition / heal, monitor_crash / monitor_recover; "
              "repeatable; grammar in docs/CHAOS.md)")),
 }
-_CHAOS = {"--servers": 6, "--scheme": "d2-tree", "--monitors": 3,
-          "--seeds": 20, "--seed-base": 0, "--ops": None,
-          "--store": "memory", "--store-dir": None}
 _LIVE = {"--servers": 3, "--scheme": "d2-tree", "--monitors": 3,
          "--max-ops": None, "--rate": CorpusCase.rate, "--transport": "unix",
          "--socket-dir": None, "--heartbeat-interval": None,
@@ -117,16 +115,20 @@ VERB_FLAGS = {
                  "--heartbeat-interval": None, "--heartbeat-timeout": None,
                  "--monitor-lease-timeout": None, "--store": None,
                  "--store-dir": None, "--trace-sample": None},
-    "chaos": {**_CHAOS, "--trace-sample": 0, "--fault": []},
-    "hunt": {**_CHAOS, "--socket-dir": None},
+    "hunt": {"--servers": 6, "--scheme": "d2-tree", "--monitors": 3,
+             "--seeds": 20, "--seed-base": 0, "--ops": None,
+             "--store": "memory", "--store-dir": None, "--socket-dir": None,
+             "--fault": []},
     "serve": _LIVE,
     "validate": _LIVE,
 }
 
 
 def add_cluster_args(p: argparse.ArgumentParser, verb: str) -> None:
-    """Install ``verb``'s workload and cluster flags with its defaults."""
-    add_workload_args(p)
+    """Install ``verb``'s workload and cluster flags with its defaults.
+    ``hunt`` takes no ``--seed``: each case's seed is its own
+    (``--seed-base`` onwards)."""
+    add_workload_args(p, seed=verb != "hunt")
     for flag, default in VERB_FLAGS[verb].items():
         p.add_argument(flag, default=default, **CLUSTER_FLAGS[flag][1])
 
@@ -135,7 +137,7 @@ def _mode_defaults(verb: str) -> dict:
     """What the knob flags ``verb`` leaves unset mean: the simulator's
     defaults for ``simulate``, the live cluster's for ``serve`` /
     ``validate`` (why their heartbeat timeouts differ: ``LiveConfig``), and
-    the recipe's own — the chaos clocks — for ``chaos`` / ``hunt``."""
+    the recipe's own — the chaos clocks — for ``hunt``."""
     if verb == "simulate":
         sim = SimulationConfig
         return {"num_monitors": sim.num_monitors, "max_retries": sim.max_retries,
@@ -157,9 +159,9 @@ def _mode_defaults(verb: str) -> dict:
 def recipe_from(args) -> CorpusCase:
     """The one description of the run a cluster verb's flags ask for.
 
-    Raises ``ValueError`` (exit 2) on an op count or seed count below 1, a
-    negative trace sample or a rate that is not positive, for every verb
-    that takes the flag.
+    Raises ``ValueError`` (exit 2) on an op count, seed count or shrink
+    budget below 1, a negative trace sample or a rate that is not positive,
+    for every verb that takes the flag.
     """
     flags = {flag: getattr(args, flag[2:].replace("-", "_"))
              for flag in VERB_FLAGS[args.command]}
@@ -168,18 +170,18 @@ def recipe_from(args) -> CorpusCase:
                   for flag, value in flags.items()
                   if CLUSTER_FLAGS[flag][0] and value is not None)
     for flag, least in (("--ops", 1), ("--max-ops", 1), ("--seeds", 1),
-                        ("--trace-sample", 0)):
-        value = flags.get(flag)
+                        ("--max-probes", 1), ("--trace-sample", 0)):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and value < least:
             raise ValueError(f"{flag} must be at least {least}, not {value}")
     if not values.get("rate", 1) > 0:  # NaN too
         raise ValueError(f"--rate must be positive, not {values['rate']}")
-    chaos = args.command in ("chaos", "hunt")
+    hunt = args.command == "hunt"
     return CorpusCase(
         scheme=args.scheme, trace=args.trace, nodes=args.nodes,
-        scale=args.scale, seed=args.seed_base if chaos else args.seed,
-        # chaos and hunt generate a schedule from each seed unless given one.
-        faults=flags.get("--fault") or (None if chaos else []),
+        scale=args.scale, seed=args.seed_base if hunt else args.seed,
+        # hunt generates a schedule from each seed unless given one.
+        faults=flags.get("--fault") or (None if hunt else []),
         **values,
     )
 
@@ -222,18 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="with --metrics-out: skip per-operation lifecycle "
                           "events (keep cluster events and gauge series)")
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="randomized fault schedules + safety invariant checks",
-    )
-    add_cluster_args(chaos, "chaos")
-    chaos.add_argument("--json", action="store_true",
-                       help="emit the full ChaosReport as JSON")
-
     hunt = sub.add_parser(
         "hunt",
-        help="adversarial chaos search: fuzz fault schedules, audit "
-             "operation histories, shrink counterexamples",
+        help="chaos audit: seeded fault schedules (or one --fault plan for "
+             "every seed), each run audited; shrink counterexamples",
     )
     add_cluster_args(hunt, "hunt")
     hunt.add_argument("--no-shrink", action="store_true",
@@ -404,56 +398,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _print_finding(seed: int, violations: List[str], *notes: str) -> None:
-    """A failing seed on stderr: its violations, then ``notes``."""
-    print(f"\nseed {seed} violated invariants:", file=sys.stderr)
-    for line in [f"- {violation}" for violation in violations] + list(notes):
-        print(f"  {line}", file=sys.stderr)
-
-
-def cmd_chaos(args) -> int:
-    from repro.chaos import ChaosReport
-
-    # An explicit --fault plan replaces the generated schedule for every
-    # seed — this is how the printed replay lines (and minimized corpus
-    # counterexamples) re-run deterministically.
-    recipe = recipe_from(args)
-    report = ChaosReport(recipe)
-    for seed in range(args.seed_base, args.seed_base + args.seeds):
-        report.cases.append(
-            dataclasses.replace(recipe, seed=seed).run_sim(
-                args.store_dir, trace_sample=args.trace_sample
-            )
-        )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        for case in report.cases:
-            status = "ok " if case.ok else "FAIL"
-            print(
-                f"seed={case.seed:<4d} {status} "
-                f"faults={len(case.specs):<2d} ops={case.operations} "
-                f"failed={case.failed_operations} retries={case.retries} "
-                f"epoch={case.epoch} failovers={case.failovers} "
-                f"dropped={case.messages_dropped}"
-            )
-        print(
-            f"{recipe.scheme} {recipe.trace} M={recipe.num_servers} "
-            f"monitors={recipe.num_monitors}: "
-            f"{len(report.cases) - len(report.violations)}/"
-            f"{len(report.cases)} seeds clean"
-        )
-    # Dump exact replay lines so every violation reproduces
-    # deterministically outside the harness.
-    for case in report.violations:
-        replay = dataclasses.replace(
-            recipe, seed=case.seed, faults=case.specs
-        ).to_argv()
-        _print_finding(case.seed, case.violations,
-                       f"replay: repro {' '.join(replay)}")
-    return 0 if report.ok else 1
-
-
 def cmd_hunt(args) -> int:
     from repro.chaos import promote_findings, run_hunt
 
@@ -471,10 +415,11 @@ def cmd_hunt(args) -> int:
     else:
         for case in report.cases:
             status = "ok " if case.ok else "FAIL"
-            hist = case.history
+            outcome = case.outcome
+            hist = outcome.history
             line = (
-                f"seed={case.seed:<4d} {status} "
-                f"faults={len(case.specs):<2d} ops={case.operations} "
+                f"seed={outcome.seed:<4d} {status} "
+                f"faults={len(outcome.specs):<2d} ops={outcome.operations} "
                 f"acked={hist.get('ok', 0)} "
                 f"failed={hist.get('failed', 0)} "
                 f"indeterminate={hist.get('indeterminate', 0)}"
@@ -505,17 +450,19 @@ def cmd_hunt(args) -> int:
                   file=sys.stderr)
     for case in report.findings:
         shrink = case.shrink
-        _print_finding(
-            case.seed,
-            case.violations
-            + [f"[live] {v}" for v in case.live_violations or ()],
-            *([] if shrink is None else [
+        notes = [f"- {v}" for v in case.outcome.violations]
+        notes += [f"- [live] {v}" for v in case.live_violations or ()]
+        if shrink is not None:
+            notes.append(
                 f"shrink: {'; '.join(shrink.steps) or 'no-op'} "
                 f"({shrink.probes} probes"
                 + (", budget exhausted" if shrink.truncated else "") + ")"
-            ]),
-            f"replay: {case.replay}",
-        )
+            )
+        notes.append(f"replay: {case.replay}")
+        print(f"\nseed {case.outcome.seed} violated invariants:",
+              file=sys.stderr)
+        for note in notes:
+            print(f"  {note}", file=sys.stderr)
     return 0 if report.ok else 1
 
 
@@ -724,7 +671,6 @@ COMMANDS = {
     "simulate": cmd_simulate,
     "serve": cmd_serve,
     "validate": cmd_validate,
-    "chaos": cmd_chaos,
     "hunt": cmd_hunt,
     "figure": cmd_figure,
     "stats": cmd_stats,

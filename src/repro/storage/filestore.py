@@ -1,7 +1,7 @@
 """The durable store: one checksummed log + framed JSON snapshot per MDS.
 
 :class:`WalStore` is the crash-consistent persistence layer behind one
-cluster run (``simulate --store wal`` / ``chaos --store wal``); a run
+cluster run (``simulate --store wal`` / ``hunt --store wal``); a run
 without durability (``--store memory``) has no store at all, and every
 caller skips its hooks on ``store is None``. It keeps two kinds of durable
 state:

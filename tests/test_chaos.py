@@ -9,12 +9,12 @@ from repro.chaos import (
     CHAOS_HEARTBEAT_INTERVAL,
     CHAOS_HEARTBEAT_TIMEOUT,
     CHAOS_LEASE_TIMEOUT,
-    ChaosReport,
     CorpusCase,
     _quiesce,
     check_run,
     generate_plan,
     run_case,
+    run_hunt,
 )
 from repro.core import D2TreeScheme
 from repro.placement import DEAD_CAPACITY
@@ -172,22 +172,25 @@ def test_run_case_clean_and_reproducible():
 
 
 def test_run_chaos_aggregates_cases():
-    """What `repro chaos` does: one recipe, one case per seed; a case with
-    no explicit faults draws workload and schedule from its own seed."""
-    report = ChaosReport(recipe(0))
-    for seed in range(2):
+    """What `repro hunt --no-shrink` does: one recipe, one case per seed; a
+    case with no explicit faults draws workload and schedule from its own
+    seed, and reports its audited run whole."""
+    report = run_hunt(recipe(0), range(2), shrink=False)
+    for seed, hunted in zip(range(2), report.cases):
         case = dataclasses.replace(report.recipe, seed=seed)
         assert case.workload().profile.seed == seed
         assert len(case.workload().trace) == 400
         assert case.plan().to_specs() == generate_plan(seed, 400, 4, 3).to_specs()
-        report.cases.append(case.run_sim())
-        assert report.cases[-1].specs == case.plan().to_specs()
-        assert report.cases[-1].history["invoked"] == 400
-    assert [c.seed for c in report.cases] == [0, 1]
-    assert report.cases[0].specs != report.cases[1].specs
+        assert hunted.outcome.specs == case.plan().to_specs()
+        assert hunted.outcome.history["invoked"] == 400
+        assert hunted.shrink is None and hunted.minimized is None
+        outcome = run_case(dataclasses.replace(case, faults=case.plan().to_specs()))
+        assert hunted.to_dict() == {**outcome.to_dict(), "replay": hunted.replay}
+    assert [c.outcome.seed for c in report.cases] == [0, 1]
+    assert report.cases[0].outcome.specs != report.cases[1].outcome.specs
     assert report.ok == all(c.ok for c in report.cases)
     payload = report.to_dict()
-    assert payload["seeds"] == 2 and len(payload["cases"]) == 2
+    assert payload["seeds"] == [0, 1] and len(payload["cases"]) == 2
     assert (payload["scheme"], payload["trace"]) == ("d2-tree", "lmbe")
     assert (payload["num_servers"], payload["num_monitors"]) == (4, 3)
 

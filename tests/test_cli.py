@@ -236,29 +236,36 @@ def test_report_rejects_a_malformed_line(tmp_path, capsys, line, output):
 
 
 def test_chaos_command_clean_run(capsys):
+    """The chaos audit without the shrinker: one audited case per seed."""
     code, out = run(
-        capsys, "chaos", "--trace", "lmbe", "--nodes", "600",
+        capsys, "hunt", "--no-shrink", "--trace", "lmbe", "--nodes", "600",
         "--scale", "5e-5", "--servers", "4", "--seeds", "2", "--ops", "120",
     )
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("seed=0") and lines[1].startswith("seed=1")
-    assert lines[-1].endswith("2/2 seeds clean")
+    assert lines[-2].endswith("2/2 seeds clean")
+    assert lines[-1].startswith("coverage: ")
 
 
 def test_chaos_command_json(capsys):
     import json
 
     code, out = run(
-        capsys, "chaos", "--trace", "lmbe", "--nodes", "600",
+        capsys, "hunt", "--no-shrink", "--trace", "lmbe", "--nodes", "600",
         "--scale", "5e-5", "--servers", "4", "--seeds", "1", "--ops", "120",
         "--json",
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["ok"] and payload["seeds"] == 1
+    assert payload["ok"] and payload["seeds"] == [0]
     case = payload["cases"][0]
     assert case["faults"] and case["violations"] == []
+    # The audited case's whole report, not a digest of it.
+    assert {"retries", "epoch", "failovers", "fenced_directives",
+            "aborted_directives", "messages_dropped", "messages_delayed",
+            "history", "replay"} <= set(case)
+    assert "store" not in case and "durability" not in case
     # Every dumped fault spec round-trips through the --fault grammar.
     from repro.simulation import FaultPlan
 
@@ -357,10 +364,27 @@ def test_simulate_trace_sample_keeps_columnar_output_identical(
     assert sampled == plain
 
 
-@pytest.mark.parametrize("verb", [["chaos"], ["hunt", "--no-shrink"]],
-                         ids=["chaos", "hunt"])
-def test_replay_line_reproduces_the_verdict(verb, monkeypatch, capsys):
-    """Every verdict prints one `repro chaos ...` line, and running that
+def test_explicit_fault_plan_runs_on_every_seed(capsys):
+    """`--fault` replaces the generated schedule for every seed."""
+    import json
+
+    code, out = run(
+        capsys, "hunt", "--no-shrink", "--trace", "lmbe", "--nodes", "600",
+        "--scale", "5e-5", "--servers", "4", "--seeds", "2", "--ops", "120",
+        "--fault", "crash:1@ops=50", "--fault", "recover:1@ops=90", "--json",
+    )
+    assert code == 0
+    cases = json.loads(out)["cases"]
+    assert [case["seed"] for case in cases] == [0, 1]
+    assert [case["faults"] for case in cases] == [
+        ["crash:1@ops=50", "recover:1@ops=90"]
+    ] * 2
+    assert all(case["replay"].endswith(
+        "--fault crash:1@ops=50 --fault recover:1@ops=90") for case in cases)
+
+
+def test_replay_line_reproduces_the_verdict(monkeypatch, capsys):
+    """Every verdict prints one `repro hunt ...` line, and running that
     line reproduces it: same exit code, same violation text. The planted
     violation fingerprints the run, so a replay that rebuilt a different
     workload or schedule would report a different string."""
@@ -386,13 +410,13 @@ def test_replay_line_reproduces_the_verdict(verb, monkeypatch, capsys):
         return code, planted, replays
 
     code, planted, replays = verdict([
-        *verb, "--trace", "lmbe", "--nodes", "600", "--scale", "5e-5",
+        "hunt", "--no-shrink", "--trace", "lmbe", "--nodes", "600", "--scale", "5e-5",
         "--servers", "4", "--seeds", "1", "--seed-base", "3", "--ops", "120",
         "--store", "wal",
     ])
     assert code == 1 and len(planted) == 1 and len(replays) == 1
     argv = shlex.split(replays[0])
-    assert argv[:2] == ["repro", "chaos"]
+    assert argv[:2] == ["repro", "hunt"]
     args = build_parser().parse_args(argv[1:])  # SystemExit on a stale flag
     assert (args.seed_base, args.seeds, args.ops) == (3, 1, 120)
     assert (args.servers, args.monitors, args.store) == (4, 3, "wal")
@@ -403,12 +427,14 @@ def test_replay_line_reproduces_the_verdict(verb, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["bench"],
     ["simulate", "--routing-engine", "fast"],
-    ["chaos", "--routing-engine", "fast"],
+    ["hunt", "--routing-engine", "fast"],
     ["hunt", "--trends", "trends.jsonl"],
     ["simulate", "--store", "sqlite"],
     ["simulate", "--simulate-engine", "perop"],
     ["simulate", "--batch-size", "1"],
-    ["chaos", "--history"],
+    ["hunt", "--history"],
+    ["hunt", "--seed", "5"],
+    ["chaos", "--seeds", "1"],
 ])
 def test_retired_verbs_and_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -420,7 +446,7 @@ def test_retired_verbs_and_flags_exit_2(argv, capsys):
     (["simulate", "--max-ops", "-5"], "--max-ops must be at least 1, not -5"),
     (["serve", "--max-ops", "0"], "--max-ops must be at least 1, not 0"),
     (["validate", "--max-ops", "-5"], "--max-ops must be at least 1, not -5"),
-    (["chaos", "--ops", "-5"], "--ops must be at least 1, not -5"),
+    (["hunt", "--ops", "-5"], "--ops must be at least 1, not -5"),
     (["hunt", "--ops", "0"], "--ops must be at least 1, not 0"),
     (["serve", "--rate", "-5"], "--rate must be positive, not -5.0"),
     (["validate", "--rate", "0"], "--rate must be positive, not 0.0"),
@@ -433,11 +459,9 @@ def test_an_op_count_or_rate_no_run_can_have_exits_2(argv, message, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--trace-sample", "-1"],
      "--trace-sample must be at least 0, not -1"),
-    (["chaos", "--trace-sample", "-1"],
-     "--trace-sample must be at least 0, not -1"),
-    (["chaos", "--seeds", "-2"], "--seeds must be at least 1, not -2"),
-    (["chaos", "--seeds", "0"], "--seeds must be at least 1, not 0"),
+    (["hunt", "--seeds", "0"], "--seeds must be at least 1, not 0"),
     (["hunt", "--seeds", "-2"], "--seeds must be at least 1, not -2"),
+    (["hunt", "--max-probes", "-5"], "--max-probes must be at least 1, not -5"),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
 def test_a_negative_trace_sample_or_seed_count_exits_2(argv, message, capsys):
     assert main(argv) == 2
@@ -461,23 +485,6 @@ def test_a_live_heartbeat_timeout_under_two_intervals_exits_2(verb, capsys):
 # ----------------------------------------------------------------------
 #: Every verb's flags as (option strings, dest, default), sorted.
 FLAG_SURFACE = {
-    'chaos': [
-        ('--fault', 'fault', []),
-        ('--json', 'json', False),
-        ('--monitors', 'monitors', 3),
-        ('--nodes', 'nodes', 8000),
-        ('--ops', 'ops', None),
-        ('--scale', 'scale', 0.0001),
-        ('--scheme', 'scheme', 'd2-tree'),
-        ('--seed', 'seed', None),
-        ('--seed-base', 'seed_base', 0),
-        ('--seeds', 'seeds', 20),
-        ('--servers', 'servers', 6),
-        ('--store', 'store', 'memory'),
-        ('--store-dir', 'store_dir', None),
-        ('--trace', 'trace', 'dtr'),
-        ('--trace-sample', 'trace_sample', 0),
-    ],
     'evaluate': [
         ('--json', 'json', False),
         ('--nodes', 'nodes', 8000),
@@ -505,6 +512,7 @@ FLAG_SURFACE = {
         ('output', 'output', None),
     ],
     'hunt': [
+        ('--fault', 'fault', []),
         ('--json', 'json', False),
         ('--live', 'live', False),
         ('--max-probes', 'max_probes', 200),
@@ -515,7 +523,6 @@ FLAG_SURFACE = {
         ('--promote', 'promote', None),
         ('--scale', 'scale', 0.0001),
         ('--scheme', 'scheme', 'd2-tree'),
-        ('--seed', 'seed', None),
         ('--seed-base', 'seed_base', 0),
         ('--seeds', 'seeds', 20),
         ('--servers', 'servers', 6),

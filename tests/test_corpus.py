@@ -60,7 +60,7 @@ def test_replay_commands_parse_through_the_cli():
     parser = build_parser()
     for case in CORPUS:
         args = parser.parse_args(case.to_argv())
-        assert args.command == "chaos"
+        assert args.command == "hunt"
         assert args.seed_base == case.seed and args.seeds == 1
         assert args.fault == case.faults
 
@@ -86,7 +86,7 @@ def test_corpus_replays_green_through_the_live_transport(case, tmp_path):
 # Structure: a second recipe cannot quietly grow back
 # ----------------------------------------------------------------------
 def test_a_chaos_run_is_described_in_exactly_one_place():
-    """`chaos`, `hunt`, the corpus and the live leg all get their workload,
+    """`hunt`, the corpus and the live leg all get their workload,
     schedule, replay command and live config from `CorpusCase`."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -103,8 +103,8 @@ def test_a_chaos_run_is_described_in_exactly_one_place():
     ]
     # One function assembles the replay arguments — and they are never
     # `simulate`'s, which neither quiesces nor audits.
-    assert users(r"""["'](chaos|simulate)["'], ["']--""") == ["chaos/corpus.py"]
-    assert users(r"""["']repro (chaos|simulate)\b""") == []
+    assert users(r"""["'](hunt|simulate)["'], ["']--""") == ["chaos/corpus.py"]
+    assert users(r"""["']repro (hunt|simulate)\b""") == []
     # The chaos side regenerates its seeded workload and builds its live
     # cluster config once (cli.py's own are the generic --seed override and
     # the serve/validate flag mapping).
@@ -135,7 +135,7 @@ cases = st.builds(
     seed=st.integers(0, 10**6),
     num_servers=st.integers(1, 64),
     num_monitors=st.integers(1, 9),
-    # None generates the schedule from the seed; chaos spells "no faults"
+    # None generates the schedule from the seed; hunt spells "no faults"
     # no other way, so an empty list has no replay line of its own.
     faults=st.none() | st.lists(st.sampled_from(SPECS), min_size=1),
     ops=st.none() | st.integers(1, 10**6),
@@ -160,7 +160,7 @@ def test_a_case_chaos_cannot_run_has_no_replay_line():
     case = CORPUS[0]
     for change in ({"max_retries": 4}, {"rate": 500.0}, {"seed": None},
                    {"heartbeat_timeout": 0.25}, {"scheme": None}):
-        with pytest.raises(ValueError, match="no chaos replay"):
+        with pytest.raises(ValueError, match="no hunt replay"):
             dataclasses.replace(case, **change).to_argv()
 
 

@@ -295,7 +295,7 @@ def test_simulate_cli_default_store_omits_durability(capsys):
 
 def test_chaos_cli_durable_smoke(tmp_path, capsys):
     code, out = run_cli(
-        capsys, "chaos", "--seeds", "1", "--ops", "400", "--nodes", "800",
+        capsys, "hunt", "--seeds", "1", "--ops", "400", "--nodes", "800",
         "--scale", "5e-5", "--servers", "5", "--store", "wal",
         "--store-dir", str(tmp_path),
     )

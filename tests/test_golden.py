@@ -109,8 +109,8 @@ FAULTED_CASES = [
          *_faults(_WAL_FAULTS), "--json"],
     ),
     (
-        "chaos_history.json",
-        ["chaos", "--seeds", "3", "--ops", "600", "--json"],
+        "hunt_history.json",
+        ["hunt", "--no-shrink", "--seeds", "3", "--ops", "600", "--json"],
     ),
 ]
 

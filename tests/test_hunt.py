@@ -159,7 +159,7 @@ def test_hunt_finds_shrinks_and_replays_planted_bug(
     report = _hunt(tmp_path)
     assert len(report.findings) == 1
     finding = report.findings[0]
-    assert any("durability" in v for v in finding.violations)
+    assert any("durability" in v for v in finding.outcome.violations)
 
     # Shrunk to a minimal counterexample: one kill9-family event.
     assert finding.shrink is not None
@@ -174,7 +174,7 @@ def test_hunt_finds_shrinks_and_replays_planted_bug(
     assert any("durability" in v for v in replayed.violations)
 
     # And carries the exact CLI replay command.
-    assert finding.replay.startswith("repro chaos ")
+    assert finding.replay.startswith("repro hunt ")
     assert "--history" not in finding.replay
     assert "--fault" in finding.replay
     assert finding.replay == " ".join(["repro", *finding.minimized.to_argv()])
@@ -214,10 +214,11 @@ def test_hunt_reports_clean_seed_without_plant(tmp_path):
     assert report.ok
     case = report.cases[0]
     assert case.shrink is None and case.minimized is None
-    assert case.history["ok"] == case.operations
-    assert case.replay.startswith("repro chaos ")
+    assert case.outcome.history["ok"] == case.outcome.operations
+    assert case.replay.startswith("repro hunt ")
     # An unshrunk case spells its generated schedule out.
-    assert case.specs and case.replay.count("--fault") == len(case.specs)
+    specs = case.outcome.specs
+    assert specs and case.replay.count("--fault") == len(specs)
     assert report.coverage  # generated schedule exercised some fault kinds
 
 
@@ -228,6 +229,6 @@ def test_hunt_records_sut_crash_as_finding(monkeypatch, tmp_path):
     monkeypatch.setattr(CorpusCase, "run_sim", exploding_run_sim)
     report = run_hunt(_recipe(), [0], shrink=False)
     assert len(report.findings) == 1
-    assert report.findings[0].violations == [
+    assert report.findings[0].outcome.violations == [
         "crash: RuntimeError: simulator went down"
     ]

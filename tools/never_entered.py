@@ -37,7 +37,7 @@ _LIVE = (
     " --servers 3 --monitors 3 --seed 7"
 )
 
-#: ``repro`` argv lines, ``{tmp}`` standing for a scratch directory: the ten
+#: ``repro`` argv lines, ``{tmp}`` standing for a scratch directory: the nine
 #: verbs, each with CI's flags where CI runs it.
 VERBS = (
     "evaluate --trace dtr --nodes 2000 --scale 1e-4 --json",
@@ -64,8 +64,8 @@ VERBS = (
     "figure fig5 --nodes 2000",
     "figure fig6 --nodes 2000",
     "figure fig7 --nodes 2000 --chart",
-    "chaos --seeds 5 --ops 2000",
-    "chaos --seeds 3 --ops 1500 --store wal --json",
+    "hunt --no-shrink --seeds 5 --ops 2000",
+    "hunt --no-shrink --seeds 3 --ops 1500 --store wal --json",
     "hunt --seeds 4 --ops 1500 --trace lmbe --nodes 2000 --scale 1e-4 --store wal",
     "hunt --seeds 2 --ops 800 --json",
     f"serve {_LIVE} --transport unix --json --fault crash:1@ops=2000 --fault recover:1@ops=6000",
@@ -103,7 +103,6 @@ REACHED_BY: Dict[str, str] = {
     "repro.chaos.shrink:_ddmin": _HUNT,
     "repro.chaos.shrink:_tighten_event": _HUNT,
     "repro.chaos.shrink:shrink_plan": _HUNT,
-    "repro.cli:_print_finding": _HUNT,
     "repro.chaos.hunt:promote_findings": "a planted bug's finding written to the corpus:"
     " tests/test_hunt.py::test_promote_writes_a_loadable_corpus_case",
     "repro.chaos.corpus:save_case": "a planted bug's finding written to the corpus:"
