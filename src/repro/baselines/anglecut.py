@@ -198,7 +198,7 @@ class AngleCutScheme(MetadataScheme):
 
     @staticmethod
     def _quantile_boundaries(
-        placement: AngleCutPlacement, individual: List[float]
+        placement: AngleCutPlacement, individual: Sequence[float]
     ) -> List[List[float]]:
         """Per-ring boundaries carrying capacity-proportional popularity,
         weighted by the id-indexed ``p'_j`` column ``individual``."""
@@ -207,7 +207,7 @@ class AngleCutScheme(MetadataScheme):
         m = placement.num_servers
         boundaries: List[List[float]] = []
         for ring, (ids, angles, ties) in enumerate(placement.ring_order()):
-            weights = list(weights_of(individual, ids))
+            weights = weights_of(individual, ids)
             # A ring is walked in (angle, weight) order: equal angles (a
             # created node takes its parent's) go by this round's weight.
             for start, stop in ties:

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from itertools import accumulate, repeat
-from operator import add
+from itertools import accumulate
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.placement import MetadataScheme, Migration, Placement, live_owner, stable_hash
@@ -114,20 +113,22 @@ def sorted_by_value(mapping: Dict, cached: Optional[KeyOrder] = None) -> KeyOrde
     )
 
 
-def individual_column(tree: NamespaceTree) -> List[float]:
-    """Every node's ``p'_j`` by node id: the running replay's estimate
-    (``PopularityEstimate.individual``, which leaves the tree's columns
-    behind), else the tree's own column."""
+def individual_column(tree: NamespaceTree) -> Sequence[float]:
+    """Every node's ``p'_j`` by node id, an ``array('d')``: the running
+    replay's estimate (``PopularityEstimate.individual``, which leaves the
+    tree's columns behind), else the tree's own column."""
     estimate = tree.estimate
     if estimate is not None:
         return estimate.individual()
     return tree.individual_popularity
 
 
-def weights_of(column: List[float], ids: Iterable[int]) -> Iterable[float]:
+def weights_of(column: Sequence[float], ids: Iterable[int]) -> List[float]:
     """The quantile fits' weight of each id: its ``p'_j`` plus a tiny floor,
-    so cold keyspace regions still split."""
-    return map(add, map(column.__getitem__, ids), repeat(1e-9))
+    so cold keyspace regions still split. (Subscripts, not a mapped
+    ``column.__getitem__``: an ``array``'s method wrapper costs twice as
+    much.)"""
+    return [column[nid] + 1e-9 for nid in ids]
 
 
 def fit_boundaries(keys: Sequence, weights: Iterable[float], shares: Sequence[float]) -> List:
@@ -300,7 +301,7 @@ class DropScheme(MetadataScheme):
         return server
 
     @staticmethod
-    def _quantile_boundaries(placement: DropPlacement, individual: List[float]) -> List[float]:
+    def _quantile_boundaries(placement: DropPlacement, individual: Sequence[float]) -> List[float]:
         """Boundaries giving every virtual range its owner's capacity share.
 
         Weighted by *individual* popularity (a node's served traffic, read

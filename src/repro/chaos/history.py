@@ -348,7 +348,8 @@ class OpHistory:
     @property
     def latencies(self) -> array:
         """``ok.t - invoke.t`` of every ack, in ack order (0.0 for an ack
-        with no invoke timing it)."""
+        with no invoke timing it): the column a live run's latency summary
+        reads, which only reads it."""
         return self._latencies
 
     @property

@@ -113,9 +113,10 @@ class NodeArena:
             cached = chains[nid] = () if pid < 0 else self.chain(pid) + (pid,)
         return cached
 
-    def individual_popularity(self) -> List[float]:
-        """A copy of the nodes' current ``p'_j``, by node id."""
-        return self.individual[:self.size].tolist()
+    def individual_popularity(self) -> array:
+        """A copy of the nodes' current ``p'_j``, by node id: a column
+        (``array('d')``), one copy of the tree's."""
+        return self.individual[:self.size]
 
     def _ascent(self) -> Iterator[Tuple[int, int]]:
         """``(child id, parent id)`` of every edge, highest child id first:
@@ -123,15 +124,16 @@ class NodeArena:
         last = self.size - 1
         return zip(range(last, 0, -1), self.parent[last:0:-1])
 
-    def write_popularity(self, individual: List[float]) -> None:
+    def write_popularity(self, individual: Iterable[float]) -> None:
         """The whole-tree pass: aggregate the Def. 2 totals ``p_j`` of an
-        id-indexed ``p'_j`` column and write both to the tree's columns."""
-        totals = list(individual)
+        id-indexed ``p'_j`` column (a column or a list) and write both to
+        the tree's columns."""
+        totals = array("d", individual)
         for cid, pid in self._ascent():
             totals[pid] += totals[cid]
         size = self.size
         self.individual[:size] = array("d", individual)
-        self.popularity[:size] = array("d", totals)
+        self.popularity[:size] = totals
 
     def subtree_sizes(self) -> List[int]:
         """Nodes per subtree (root included), indexed by node id: the length
@@ -196,7 +198,7 @@ class PopularityEstimate:
         self.round = 0  # windows folded so far
         #: ``p'_j`` as of round ``_stamp[j]``, by node id.
         self._value = arena.individual_popularity()
-        self._stamp = [0] * arena.size
+        self._stamp = array("i", [0]) * arena.size
         #: Folded windows not yet written into the columns (``_settle``).
         self._pending: List[Dict[int, int]] = []
         #: True while the tree's columns are behind.
@@ -257,12 +259,12 @@ class PopularityEstimate:
             for nid in self.arena.subtree(node, include_self=True)
         )
 
-    def individual(self) -> List[float]:
+    def individual(self) -> array:
         """Every node's ``p'_j`` as of the last folded round, by node id:
         the pending windows settled and every value decayed to the round.
         The columns are rebased to it, so a second call in the same
-        round costs nothing. The list is the estimate's own: read it, do not
-        write it."""
+        round costs nothing. The column (``array('d')``) is the estimate's
+        own: read it, do not write it."""
         now = self.round
         if self._rebased == now and not self._pending:
             return self._value
@@ -271,9 +273,9 @@ class PopularityEstimate:
         value = self._value
         # By the round a value was stamped in: ``keep ** rounds_elapsed``.
         decay = [keep ** (now - at) for at in range(now + 1)]
-        current = list(map(mul, value, map(decay.__getitem__, self._stamp)))
+        current = array("d", map(mul, value, map(decay.__getitem__, self._stamp)))
         self._value = current
-        self._stamp = [now] * len(current)
+        self._stamp = array("i", [now]) * len(current)
         self._rebased = now
         return current
 

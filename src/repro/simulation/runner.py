@@ -18,6 +18,7 @@ the popularity estimate in the one
 from __future__ import annotations
 
 import weakref
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -656,7 +657,7 @@ class ClusterSimulator:
         #: Span trace state of a sampled op (None otherwise).
         slot_tr: List[Optional[Dict]] = [None] * num_slots
 
-        latencies: List[float] = []
+        latencies = array("d")  # one per completed op, in completion order
         lat_append = latencies.append
         redirects = 0
         jumps_total = 0

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from math import inf
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.numeric import ordered_sum
 
@@ -13,6 +16,13 @@ __all__ = [
     "AvailabilityReport",
     "SimulationResult",
 ]
+
+#: The percentiles a :class:`LatencySummary` reports.
+_QUANTILES = (0.50, 0.95, 0.99)
+#: :func:`summarize_latencies` sorts a sample in runs of ``_RUN`` values and
+#: sums it in about ``_RANGES`` value ranges, holding one boxed at a time.
+_RUN = 4096
+_RANGES = 32
 
 
 @dataclass(frozen=True)
@@ -38,38 +48,75 @@ class LatencySummary:
         }
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Linearly interpolated percentile (numpy's default method).
+def _bracket(count: int, q: float) -> Tuple[int, int, float]:
+    """The two ranks of ``count`` sorted values a ``q`` percentile lies
+    between, and its fraction of the way from the first to the second."""
+    position = q * (count - 1)
+    lower = int(position)
+    return lower, min(lower + 1, count - 1), position - lower
+
+
+def _percentile(sorted_values, q: float, count: Optional[int] = None) -> float:
+    """Linearly interpolated percentile (numpy's default method) of
+    ``count`` sorted values (default: all of ``sorted_values``), of which
+    ``sorted_values`` need only index the two ranks it reads.
 
     Nearest-rank rounding collapses p99 onto the maximum for samples under
     ~100 values — every small-trace tail metric read as the single worst
     op. Interpolating between the bracketing ranks keeps p50/p95/p99
     distinct and monotone on small samples.
     """
-    if not sorted_values:
+    count = len(sorted_values) if count is None else count
+    if not count:
         return 0.0
-    position = q * (len(sorted_values) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(sorted_values) - 1)
-    fraction = position - lower
+    lower, upper, fraction = _bracket(count, q)
     return sorted_values[lower] + (
         (sorted_values[upper] - sorted_values[lower]) * fraction
     )
 
 
 def summarize_latencies(latencies: Sequence[float]) -> LatencySummary:
-    """Summarise a latency sample."""
-    if not latencies:
+    """Summarise a latency sample: the statistics of ``sorted(latencies)``,
+    the mean its :func:`ordered_sum`, bit for bit, without a sorted (boxed)
+    copy of the whole sample. ``latencies`` is only read.
+
+    The sample is sorted in ``_RUN``-value runs into a new column, and
+    values sampled from the runs are pivots. Range by range in value order
+    — the values below the next pivot, then those equal to it — every run
+    is bisected and the slices joined; a range below a pivot is sorted (one
+    of equal values already is), added to the running total and its
+    percentile ranks read. Equal values never span two ranges and each sort
+    is stable, so the ranges are ``sorted(latencies)``'s stretches in order.
+    """
+    count = len(latencies)
+    if not count:
         return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    ordered = sorted(latencies)
-    return LatencySummary(
-        count=len(ordered),
-        mean=ordered_sum(ordered) / len(ordered),
-        p50=_percentile(ordered, 0.50),
-        p95=_percentile(ordered, 0.95),
-        p99=_percentile(ordered, 0.99),
-        maximum=ordered[-1],
-    )
+    column, runs = array("d"), []  # runs: [next unread, end] in column
+    for start in range(0, count, _RUN):
+        column.fromlist(sorted(latencies[start:start + _RUN]))
+        runs.append([start, len(column)])
+    samples = sorted(set(column[::_RUN // 8]))  # eight from a run
+    step = len(samples) // _RANGES + 1
+    pivots = samples[step - 1::step]
+    # rank -> value, for the ranks read: each percentile's two, the maximum's
+    at = dict.fromkeys(rank for q in _QUANTILES for rank in _bracket(count, q)[:2])
+    at[count - 1] = None
+    total, done = 0, 0
+    for pivot in pivots + [inf]:
+        for cut in (bisect_left, bisect_right):
+            piece = array("d")
+            for run in runs:
+                start, run[0] = run[0], cut(column, pivot, *run)
+                piece += column[start:run[0]]
+            if cut is bisect_left:
+                piece = sorted(piece)
+            total = ordered_sum(piece, total)
+            for rank in at:
+                if done <= rank < done + len(piece):
+                    at[rank] = piece[rank - done]
+            done += len(piece)
+    p50, p95, p99 = (_percentile(at, q, count) for q in _QUANTILES)
+    return LatencySummary(count, total / count, p50, p95, p99, at[count - 1])
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for core invariants."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -300,8 +301,8 @@ def test_individual_is_the_whole_tree_pass_column(tree, data):
             continue  # nobody reads this round
         expected = reference.materialise()
         if reader < 3:
-            assert estimate.individual() == expected
-            assert estimate.individual() == expected  # the second call is free
+            assert estimate.individual() == array("d", expected)
+            assert estimate.individual() == array("d", expected)  # the second call is free
         if reader > 1:
             estimate.materialise()
             columns = (list(tree.individual_popularity), list(tree.popularity))

@@ -1,9 +1,15 @@
 """Tests for simulation-stats percentiles, serialization and formatting."""
 
 import json
+import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.numeric import ordered_sum
+from repro.simulation import stats
 from repro.simulation.stats import (
     AvailabilityReport,
     LatencySummary,
@@ -47,6 +53,63 @@ def test_percentiles_monotone_in_q():
     results = [_percentile(ordered, q / 100) for q in range(0, 101, 5)]
     assert results == sorted(results)
     assert results[0] == ordered[0] and results[-1] == ordered[-1]
+
+
+def _whole_sort_summary(values):
+    """The summary as one ``sorted()`` of the whole sample and its
+    :func:`ordered_sum` give it: the reference the run-wise summary must
+    equal bit for bit."""
+    ordered = sorted(values)
+    count = len(ordered)
+    if not count:
+        return [0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+    def percentile(q):
+        position = q * (count - 1)
+        lower = int(position)
+        upper = min(lower + 1, count - 1)
+        return ordered[lower] + (ordered[upper] - ordered[lower]) * (position - lower)
+
+    return [
+        count, ordered_sum(ordered) / count,
+        percentile(0.50), percentile(0.95), percentile(0.99), ordered[-1],
+    ]
+
+
+def _bits(fields):
+    return [fields[0], *(float.hex(value) for value in fields[1:])]
+
+
+@st.composite
+def latency_samples(draw, size):
+    """``size`` values, either nearly all distinct or drawn from a few
+    (ties, all-equal, and signed zeros among them)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = draw(st.none() | st.lists(st.floats(allow_nan=False), min_size=1, max_size=6))
+    if pool is None:
+        return [rng.lognormvariate(-7, 1.5) for _ in range(size)]
+    if draw(st.booleans()):
+        pool += [0.0, -0.0]
+    return [rng.choice(pool) for _ in range(size)]
+
+
+@pytest.mark.parametrize("size", [
+    0, 1, 2, 17, stats._RUN - 1, stats._RUN, stats._RUN + 1, 3 * stats._RUN + 7,
+])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_summary_has_the_bits_of_a_whole_sample_sort(size, data):
+    """Every field of the run-wise summary has the bits (``float.hex``) of
+    ``sorted()`` + ``ordered_sum`` — empty, one value, all equal, heavy
+    ties, zeros, and sizes around a run — for a column and a list alike,
+    and the column it read is left as it was."""
+    values = data.draw(latency_samples(size))
+    expected = _bits(_whole_sort_summary(values))
+    column = array("d", values)
+    before = column.tobytes()
+    assert _bits(list(summarize_latencies(column).to_dict().values())) == expected
+    assert column.tobytes() == before
+    assert _bits(list(summarize_latencies(values).to_dict().values())) == expected
 
 
 # ----------------------------------------------------------------------
