@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from operator import mul
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.numeric import ordered_sum
 
@@ -373,25 +373,28 @@ class NamespaceTree:
             index = self._child_names[parent] = self._listing(parent)
         if name in index:
             raise ValueError(f"{self.path(parent)!r} already has a child named {name!r}")
-        cid = index[name] = self._append(parent, name, is_directory)
+        cid = index[name] = self._extend((parent,), (name,), is_directory)
         self.individual_popularity[cid] = self.popularity[cid] = individual_popularity
         self.update_cost[cid] = update_cost
         return cid
 
-    def _append(self, parent: int, name: str, is_directory: bool) -> int:
-        """Register a child without checking it (a caller whose names are
-        unique by construction, e.g. the trace generator); returns its id."""
-        cid = len(self.names)
-        self.names.append(name)
-        self._directory.append(is_directory)
+    def _extend(self, parents: Sequence[int], names: Sequence[str], is_directory: bool) -> int:
+        """Register child ``names[i]`` under ``parents[i]`` unchecked (a parent
+        may be new in this batch), each column extended once; returns the first id."""
+        first, count = len(self.names), len(names)
+        self.names += names
+        self._directory += (b"\x01" if is_directory else b"\x00") * count
+        zeros = array("d", [0.0]) * count
         for column in (self.individual_popularity, self.popularity, self.update_cost):
-            column.append(0.0)
-        self._parent_ids.append(parent)
-        self._prev_sibling.append(self._last_child[parent])
-        self._last_child[parent] = cid
-        self._last_child.append(-1)
+            column += zeros
+        self._parent_ids.extend(parents)
+        last, sibling = self._last_child, self._prev_sibling.append
+        last += array("i", [-1]) * count
+        for cid, pid in enumerate(parents, first):
+            sibling(last[pid])
+            last[pid] = cid
         self._popularity_dirty = True
-        return cid
+        return first
 
     def _listing(self, parent: int) -> Dict[str, int]:
         """Name -> id of ``parent``'s children."""

@@ -72,20 +72,28 @@ class D2TreePlacement(Placement):
         for node in sorted(self.split.global_layer):
             self.replicate(node, replicas)
 
-    def place_subtree(self, root: int, server: int) -> None:
-        """Assign an entire local-layer subtree to ``server``."""
-        self._check_server(server)
-        self.subtree_owner[root] = server
-        self.index_version += 1
-        self._assign_subtree(root, server)
+    def place_subtrees(self, owners: Dict[int, int]) -> None:
+        """Place each root of ``owners`` (root -> server), in order, then its
+        subtree in one parents-first pass: an unplaced node takes its placed,
+        non-global parent's. Readers see one ``_assign_subtree`` per root."""
+        servers_of = self._reserve(len(self.tree))
+        for root, server in owners.items():
+            self._check_server(server)
+            self.subtree_owner[root] = server
+            servers_of[root] = self._single[server]
+        placed = len(owners)
+        self.index_version += placed
+        global_layer = self.split.global_layer
+        for cid, pid in self.tree.arena().descent():
+            if servers_of[cid] is None and servers_of[pid] is not None:
+                if pid not in global_layer:
+                    servers_of[cid] = servers_of[pid]
+                    placed += 1
+        self.version += placed
 
     def _assign_subtree(self, root: int, server: int) -> int:
-        """``assign`` every node of a subtree; returns how many.
-
-        What a reader can observe — each node's servers, the final
-        ``version`` — is that of an ``assign()`` call per node; the server
-        is the caller's to check, once.
-        """
+        """``assign`` every node of a subtree (the server is the caller's to
+        check); returns how many. Readers see one ``assign()`` per node."""
         owner = self._single[server]
         servers_of = self._reserve(len(self.tree))
         servers_of[root] = owner

@@ -163,8 +163,7 @@ class D2TreeScheme(MetadataScheme):
                 samples_per_server=self.samples_per_server,
                 rng=self._rng,
             )
-            for root, server in allocation.by_root.items():
-                placement.place_subtree(root, server)
+            placement.place_subtrees(allocation.by_root)
         placement.validate_complete(tree)
         return placement
 
@@ -317,15 +316,14 @@ class D2TreeScheme(MetadataScheme):
             tree, placement.num_servers, new_split, placement.capacities
         )
         new_placement.place_global_layer()
-        stay, fresh = [], []
+        stay, fresh = {}, []
         for root in new_split.subtree_roots:
             owner = placement.subtree_owner.get(placement.subtree_root_of(root))
             if owner is not None:
-                stay.append((root, owner))
+                stay[root] = owner
             else:
                 fresh.append(root)
-        for root, owner in stay:
-            new_placement.place_subtree(root, owner)
+        new_placement.place_subtrees(stay)
         if fresh:
             # Remaining capacity per server: its capacity-proportional share
             # of the total local-layer popularity minus what it already holds.
@@ -337,7 +335,6 @@ class D2TreeScheme(MetadataScheme):
                 for cap, load in zip(new_placement.capacities, loads)
             ]
             allocation = allocate_subtrees(fresh, tree.popularity, remaining, rng=self._rng)
-            for root, server in allocation.by_root.items():
-                new_placement.place_subtree(root, server)
+            new_placement.place_subtrees(allocation.by_root)
         new_placement.validate_complete(tree)
         return new_placement

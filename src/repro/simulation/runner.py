@@ -41,7 +41,7 @@ from repro.simulation.faults import FaultPlan
 from repro.simulation.routing import FastRoutingEngine
 from repro.storage import make_store
 from repro.simulation.stats import SimulationResult, summarize_latencies
-from repro.traces.columns import OP_FROM_CODE, iter_op_batches
+from repro.traces.columns import OP_FROM_CODE, op_batches
 from repro.traces.generator import GeneratedWorkload
 from repro.traces.trace import OP_VALUES, Trace
 from repro.transport.base import CLIENT_ADDR, FaultFabric, mds_addr
@@ -630,7 +630,7 @@ class ClusterSimulator:
         next_time_fault = time_faults[-1].at_time if time_faults else infinity
         next_grid = min(next_heartbeat, next_time_fault)
 
-        batches = iter_op_batches(self.trace, tree)
+        batches = op_batches(self.trace, self.workload.node_ids())
         trace_paths = self.trace.paths  # the op log's and the WAL's path
         b_codes: List[int] = []
         b_nodes: List = []

@@ -1,16 +1,16 @@
 """Columnar op batches: the replay's windows over a trace's columns.
 
 The replay loop reads two things per operation: its op code and its
-resolved node id. :func:`iter_op_batches` hands them out as :class:`OpBatch`
+resolved node id. :func:`op_batches` hands them out as :class:`OpBatch`
 windows of :data:`DEFAULT_BATCH_OPS` operations: a slice of the trace's
-``op_codes`` column and its ``path_ids`` slice mapped through a per-call
-table of node ids, so no path string is hashed or rendered per op (the
+``op_codes`` column and its ``path_ids`` slice mapped through a column of
+node ids by path id, so no path string is hashed or rendered per op (the
 window's ``path_ids`` name each op's path in the trace's own table).
 
-Each distinct path is resolved once per call: lookups are pure reads of a
-static tree (so resolving ahead of dispatch changes nothing), operations
-whose path does not resolve are skipped, and every surviving operation
-appears in trace order.
+The column is built once per workload (``GeneratedWorkload.node_ids``: the
+generator's own ids, or the trace resolved on first use), not per replay.
+Operations whose path does not resolve are skipped, and every surviving
+operation appears in trace order.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "OP_FROM_CODE",
     "OpBatch",
     "iter_op_batches",
+    "op_batches",
     "DEFAULT_BATCH_OPS",
 ]
 
@@ -57,33 +58,37 @@ class OpBatch:
         return [decode[code] for code in self.op_codes]
 
 
+def node_column(tree, paths) -> array:
+    """The node id of each of ``paths`` (``NamespaceTree.resolve``), -1 for none."""
+    return array("i", [-1 if node is None else node for node in tree.resolve(paths)])
+
+
 def iter_op_batches(
     trace: Trace,
     tree,
     batch_ops: int = DEFAULT_BATCH_OPS,
 ) -> Iterator[OpBatch]:
-    """Yield ``trace`` as :class:`OpBatch` windows of up to ``batch_ops``
-    ops each.
+    """:func:`op_batches` over ``trace``'s paths resolved in ``tree``."""
+    return op_batches(trace, node_column(tree, trace.paths), batch_ops)
 
-    ``tree`` resolves each distinct path once (``NamespaceTree.resolve``);
-    unresolvable paths are skipped (a
-    window containing skips comes out short — batches are never re-packed
-    across window boundaries). Operation order is preserved across batches,
-    so consuming the batches back-to-back replays the exact trace sequence.
-    """
+
+def op_batches(trace, node_ids: array, batch_ops: int = DEFAULT_BATCH_OPS) -> Iterator[OpBatch]:
+    """Yield ``trace`` as :class:`OpBatch` windows of up to ``batch_ops``
+    ops each, ``node_ids[path_id]`` the node an op reads; an op whose path
+    names none (-1) is skipped, so a window with skips comes out short. Read
+    back to back, the windows replay the trace in order."""
     if batch_ops < 1:
         raise ValueError("batch_ops must be positive")
-    nodes_by_id = tree.resolve(trace.paths)
-    resolve = nodes_by_id.__getitem__
-    unresolved = None in nodes_by_id
+    node_of = node_ids.tolist().__getitem__
+    unresolved = -1 in node_ids
     codes, path_ids = trace.op_codes, trace.path_ids
     for base in range(0, len(codes), batch_ops):
         stop = base + batch_ops
         window = codes[base:stop]
         ids = path_ids[base:stop]
-        nodes = list(map(resolve, ids))
-        if unresolved and None in nodes:
-            kept = [node is not None for node in nodes]
+        nodes = list(map(node_of, ids))
+        if unresolved and -1 in nodes:
+            kept = [node >= 0 for node in nodes]
             nodes = list(compress(nodes, kept))
             if not nodes:
                 continue

@@ -28,6 +28,7 @@ from math import log
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.namespace import ROOT, NamespaceTree
+from repro.traces.columns import node_column
 from repro.traces.datasets import DatasetProfile
 from repro.traces.trace import OP_CODES, OpType, Trace, first_appearance
 
@@ -78,6 +79,17 @@ class GeneratedWorkload:
     #: Paths whose first trace occurrence is a CREATE: these nodes do not
     #: exist at partition time and each scheme places them on the fly.
     late_created_paths: List[str] = field(default_factory=list)
+    #: ``(trace, tree size, column)`` behind :meth:`node_ids`.
+    _node_ids: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def node_ids(self) -> array:
+        """Each trace path's node id, by path id (-1: none): the generator's own,
+        or resolved on first use and again for another trace object or tree size."""
+        held = self._node_ids
+        if held is None or held[0] is not self.trace or held[1] != len(self.tree):
+            column = node_column(self.tree, self.trace.paths)
+            held = self._node_ids = (self.trace, len(self.tree), column)
+        return held[2]
 
     def truncated(self, ops: Optional[int]) -> "GeneratedWorkload":
         """This workload over only the first ``ops`` operations (None = all)."""
@@ -87,12 +99,9 @@ class GeneratedWorkload:
 
     def hot_hit_fraction(self) -> float:
         """Measured fraction of operations targeting the hot set."""
-        trace = self.trace
-        if not len(trace):
-            return 0.0
-        hot_paths = set(self.tree.paths(self.hot_nodes))
-        hot = [path in hot_paths for path in trace.paths]
-        return sum(map(hot.__getitem__, trace.path_ids)) / len(trace)
+        hot = set(self.hot_nodes)
+        flags = [node in hot for node in self.node_ids()]
+        return sum(map(flags.__getitem__, self.trace.path_ids)) / max(1, len(self.trace))
 
 
 class TraceGenerator:
@@ -118,34 +127,36 @@ class TraceGenerator:
             trace=trace,
             hot_nodes=hot_nodes,
             late_created_paths=late_paths,
+            _node_ids=(trace, len(tree), array("i", traced)),
         )
 
     # ------------------------------------------------------------------
     # Tree construction
     # ------------------------------------------------------------------
     def _build_tree(self, rng: random.Random):
-        """The tree, written column by column: every name is unique in its
-        directory by construction, so no child is looked up by name."""
+        """The tree, a phase at a time (all parents drawn, then each column
+        extended once): names are unique by construction, none is looked up."""
         profile = self.profile
         tree = NamespaceTree()
-        add_child = tree._append
+        extend = tree._extend
 
         # 1. Plant the exact-max-depth chain (Table I's Max Depth column).
         node = ROOT
         for level in range(profile.max_depth - 1):
-            node = add_child(node, f"deep{level}", True)
-        deep_file = add_child(node, "deepest.dat", False)
+            node = extend((node,), (f"deep{level}",), True)
+        deep_file = extend((node,), ("deepest.dat",), False)
 
         # 2. Hot directories near the root hosting the hot set. The hot set
         # spans many directories (a release tree has many popular folders),
         # so subtree-grained schemes can spread it too.
         hot_budget = max(2, round(profile.hot_fraction * profile.num_nodes))
         num_hot_dirs = max(2, min(64, hot_budget // 2))
-        hot_dirs = [add_child(ROOT, f"hot{i}", True) for i in range(num_hot_dirs)]
-        hot_nodes = list(hot_dirs)
-        hot_file_count = max(0, hot_budget - num_hot_dirs)
-        for i in range(hot_file_count):
-            hot_nodes.append(add_child(hot_dirs[i % num_hot_dirs], f"hotfile{i}.bin", False))
+        first = extend([ROOT] * num_hot_dirs, [f"hot{i}" for i in range(num_hot_dirs)], True)
+        hot_dirs = list(range(first, first + num_hot_dirs))
+        hot_files = range(max(0, hot_budget - num_hot_dirs))
+        parents = [hot_dirs[i % num_hot_dirs] for i in hot_files]
+        first = extend(parents, [f"hotfile{i}.bin" for i in hot_files], False)
+        hot_nodes = hot_dirs + list(range(first, first + len(hot_files)))
 
         # Depth and child count by node id, kept as the tree grows.
         arena = tree.arena()
@@ -160,19 +171,21 @@ class TraceGenerator:
         num_files = max(0, remaining - num_dirs)
         cap = profile.max_depth - 1
         attachable = [d for d in tree.directories() if depth[d] < cap]
-        for i in range(num_dirs):
+        parents = []
+        for new_dir in range(len(tree), len(tree) + num_dirs):
             # Two candidates, keep the one with more children: cheap
             # preferential attachment ("power of two choices").
             a = rng.choice(attachable)
             b = rng.choice(attachable)
             parent = a if fanout[a] >= fanout[b] else b
-            new_dir = add_child(parent, f"d{i}", True)
+            parents.append(parent)
             level = depth[parent] + 1
             depth.append(level)
             fanout[parent] += 1
             fanout.append(0)
             if level < cap:
                 attachable.append(new_dir)
+        extend(parents, [f"d{i}" for i in range(num_dirs)], True)
 
         dirs = [d for d in tree.directories() if depth[d] < profile.max_depth]
         # Depth-biased parent choice: weight ∝ (1+depth)^file_depth_bias.
@@ -181,10 +194,9 @@ class TraceGenerator:
         total = dir_weights[-1]
         random_ = rng.random
         bisect_left = bisect.bisect_left
-        cold_nodes = [
-            add_child(dirs[bisect_left(dir_weights, random_() * total)], f"f{i}.dat", False)
-            for i in range(num_files)
-        ]
+        parents = [dirs[bisect_left(dir_weights, random_() * total)] for _ in range(num_files)]
+        first = extend(parents, [f"f{i}.dat" for i in range(num_files)], False)
+        cold_nodes = list(range(first, first + num_files))
         # Cold tier also includes the deep chain's file so it is reachable.
         cold_nodes.append(deep_file)
         return tree, hot_nodes, cold_nodes
@@ -209,14 +221,21 @@ class TraceGenerator:
         from ``rng`` in the same order as the method calls:
         ``expovariate(1.0)`` is ``-log(1.0 - random())`` (÷1.0 is exact),
         ``ZipfSampler.sample`` is ``bisect_left(cumulative, random() *
-        total)``, ``randrange(n)`` the ``getrandbits`` rejection loop.
+        total)``, ``randrange(n)`` and a ``shuffle`` swap the ``getrandbits``
+        rejection loop, the op code ``bisect_left``'s rule on two cut points.
         """
         profile = self.profile
         # Shuffled rank order decorrelates Zipf rank from creation order.
         hot_pool = list(hot_nodes)
         cold_pool = list(cold_nodes)
-        rng.shuffle(hot_pool)
-        rng.shuffle(cold_pool)
+        getrandbits = rng.getrandbits
+        for pool in (hot_pool, cold_pool):
+            for i in range(len(pool) - 1, 0, -1):
+                bits = (i + 1).bit_length()
+                j = getrandbits(bits)
+                while j > i:
+                    j = getrandbits(bits)
+                pool[i], pool[j] = pool[j], pool[i]
         hot_sampler = ZipfSampler(len(hot_pool), profile.hot_zipf_exponent, rng)
         cold_sampler = ZipfSampler(len(cold_pool), profile.zipf_exponent, rng)
         num_hot, num_cold = len(hot_pool), len(cold_pool)
@@ -224,12 +243,9 @@ class TraceGenerator:
         cold_cum, cold_total = cold_sampler.cumulative, cold_sampler.total
 
         # Codes 0, 1, 2 are READ, WRITE, UPDATE (OP_CODES).
-        op_cum = list(
-            itertools.accumulate(
-                [profile.read_fraction, profile.write_fraction, profile.update_fraction]
-            )
+        read_cut, write_cut, op_total = itertools.accumulate(
+            [profile.read_fraction, profile.write_fraction, profile.update_fraction]
         )
-        op_total = op_cum[-1]
         hot_access = profile.hot_access_fraction
         num_clients = self.num_clients
         client_bits = num_clients.bit_length()
@@ -239,7 +255,6 @@ class TraceGenerator:
         hot_shift = max(1, round(profile.drift_rate * num_hot))
         cold_shift = max(1, round(profile.drift_rate * num_cold))
         random_ = rng.random
-        getrandbits = rng.getrandbits
         bisect_left = bisect.bisect_left
         timestamps = array("d")
         op_codes = array("b")
@@ -258,7 +273,8 @@ class TraceGenerator:
             for _ in range(min(ops_per_phase, num_ops - start)):
                 now += -log(1.0 - random_()) * step
                 stamp(now)
-                op_code(bisect_left(op_cum, random_() * op_total))
+                cut = random_() * op_total
+                op_code(0 if cut <= read_cut else 1 if cut <= write_cut else 2)
                 if random_() < hot_access:
                     rank = bisect_left(hot_cum, random_() * hot_total) + hot_offset
                     pool_id(rank % num_hot)

@@ -272,6 +272,51 @@ def test_ids_grow_parents_first_under_any_build(steps, rng):
     assert list(tree.popularity) == post_order_totals(tree, individual)
 
 
+#: Batches of ``(directory flag, parent picks)``: each pick names one of the
+#: directories registered so far, those earlier in the same batch included.
+_BATCHES = st.lists(
+    st.tuples(st.booleans(), st.lists(st.integers(0, 10_000), max_size=12)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(_BATCHES)
+@settings(max_examples=80, deadline=None)
+def test_bulk_registration_equals_one_node_at_a_time(batches):
+    """``_extend`` (a generator phase: every parent first, then each column
+    extended once) leaves the tree ``add_child`` leaves one node at a time:
+    byte-identical columns, the same arena and the same paths, also where
+    a parent was added earlier in the same batch."""
+    bulk, single = NamespaceTree(), NamespaceTree()
+    directories = [bulk.root]
+    for is_dir, picks in batches:
+        first = len(bulk)
+        parents = []
+        for offset, pick in enumerate(picks):
+            parents.append(directories[pick % len(directories)])
+            if is_dir:
+                directories.append(first + offset)
+        names = [f"n{first + offset}" for offset in range(len(picks))]
+        assert bulk._extend(parents, names, is_dir) == first
+        assert [single.add_child(p, n, is_dir) for p, n in zip(parents, names)] == list(
+            range(first, len(bulk))
+        )
+    assert bulk.names == single.names
+    for column in (
+        "_directory", "individual_popularity", "popularity", "update_cost",
+        "_parent_ids", "_last_child", "_prev_sibling",
+    ):
+        assert bytes(getattr(bulk, column)) == bytes(getattr(single, column)), column
+    ours, theirs = bulk.arena(), single.arena()
+    assert ours.size == theirs.size == len(single)
+    assert [ours.children(n) for n in bulk] == [theirs.children(n) for n in single]
+    assert ours.depths() == theirs.depths()
+    assert ours.subtree_sizes() == theirs.subtree_sizes()
+    assert bulk.paths(bulk) == single.paths(single)
+    check_structure(bulk)
+
+
 # ----------------------------------------------------------------------
 # What a tree keeps, and when it lets go
 # ----------------------------------------------------------------------

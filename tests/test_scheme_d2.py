@@ -1,9 +1,12 @@
 """Tests for the D2-Tree scheme facade and its placement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import D2TreePlacement, D2TreeScheme, NamespaceTree
+from repro.core import D2TreePlacement, D2TreeScheme, NamespaceTree, split_top_k
 from tests.conftest import build_random_tree, subtree_size
+from tests.test_properties import random_trees
 
 
 def test_partition_places_every_node(random_tree):
@@ -176,6 +179,57 @@ def test_move_subtree_matches_an_assign_per_node(random_tree):
         placement.assign(node, target)
     assert placement._servers_of == moved
     assert placement.version == moved_version
+
+
+@given(
+    random_trees(), st.integers(1, 30), st.sampled_from([None, 1]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_one_pass_placement_equals_a_walk_per_root(tree, k, replication, rng):
+    """``place_subtrees`` (one top-down pass, called once or, as
+    ``refresh_global_layer`` does, twice) leaves what a walk of each root's
+    subtree in ``owners`` order leaves: every node's servers, ``version``,
+    ``index_version`` and ``subtree_owner`` in the same order. A subtree
+    root left out of the map stays unplaced with its whole subtree (a
+    child of a global node, even one replicated to a single server, never
+    takes its parent's placement), so Eq. 4's check still fails."""
+    split = split_top_k(tree, k)
+    roots = list(split.subtree_roots)
+    rng.shuffle(roots)
+    owners = {root: rng.randrange(4) for root in roots[:rng.randint(0, len(roots))]}
+
+    def placement():
+        made = D2TreePlacement(tree, 4, split, replication_factor=replication)
+        made.place_global_layer()
+        return made
+
+    walked = placement()
+    for root, server in owners.items():
+        walked.subtree_owner[root] = server
+        walked.index_version += 1
+        for node in tree.descendants(root, include_self=True):
+            walked._servers_of[node] = (server,)
+            walked.version += 1
+    placed = placement()
+    cut = rng.randint(0, len(owners))
+    items = list(owners.items())
+    placed.place_subtrees(dict(items[:cut]))
+    placed.place_subtrees(dict(items[cut:]))
+    assert placed._servers_of == walked._servers_of
+    assert placed.version == walked.version
+    assert placed.index_version == walked.index_version == len(owners)
+    assert list(placed.subtree_owner.items()) == list(walked.subtree_owner.items()) == items
+    left_out = [root for root in roots if root not in owners]
+    assert not any(
+        placed.is_placed(node)
+        for root in left_out for node in tree.descendants(root, include_self=True)
+    )
+    if left_out:
+        with pytest.raises(AssertionError, match="unplaced"):
+            placed.validate_complete(tree)
+    else:
+        placed.validate_complete(tree)
 
 
 def test_move_subtree_bad_server_changes_nothing(random_tree):

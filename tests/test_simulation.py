@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro import registry
 from repro.baselines import HashScheme, StaticSubtreeScheme
 from repro.chaos.history import OpHistory
-from repro.core import D2TreeScheme
+from repro.core import D2TreeScheme, NamespaceTree
 from repro.core.namespace import PopularityEstimate
 from repro.placement import Migration, Placement
 from repro.simulation import (
@@ -29,9 +29,16 @@ from repro.simulation import (
     summarize_latencies,
 )
 from repro.simulation import runner
-from repro.traces import DatasetProfile, TraceGenerator, dumps_trace, loads_trace
+from repro.traces import (
+    DatasetProfile,
+    OpType,
+    TraceGenerator,
+    TraceRecord,
+    dumps_trace,
+    loads_trace,
+)
 from repro.transport import FaultFabric
-from tests.conftest import build_random_tree, post_order_totals, subtree_size
+from tests.conftest import build_random_tree, post_order_totals, subtree_size, trace_of
 from tests.history_sink import HistorySink
 
 
@@ -279,6 +286,42 @@ def create_workload():
         create_fraction=0.08,
     )
     return TraceGenerator(profile, num_clients=16).generate()
+
+
+def test_a_generated_workload_is_replayed_without_resolving_a_path(monkeypatch):
+    """The generator hands its workload the node id of every traced path,
+    so a replay resolves none; a workload with another trace, or over a
+    grown tree, resolves its trace afresh on first use."""
+    profile = dataclasses.replace(
+        DatasetProfile.dtr(num_nodes=900, scale=3e-4), seed=21, create_fraction=0.08
+    )
+    workload = TraceGenerator(profile, num_clients=16).generate()
+    tree = workload.tree
+    resolve = NamespaceTree.resolve
+    calls = []
+
+    def counted(self, paths):
+        calls.append(self)
+        return resolve(self, paths)
+
+    sim = ClusterSimulator(D2TreeScheme(), workload, 4, FAST)
+    monkeypatch.setattr(NamespaceTree, "resolve", counted)
+    result = sim.run()
+    assert calls == [] and result.operations == len(workload.trace)
+
+    def column(trace):
+        return array("i", [-1 if n is None else n for n in resolve(tree, trace.paths)])
+
+    assert workload.node_ids() == column(workload.trace)
+    sliced = dataclasses.replace(workload, trace=workload.trace.slice(300, 1200))
+    assert sliced.node_ids() == column(sliced.trace) and len(calls) == 1
+    assert sliced.node_ids() is sliced.node_ids() and len(calls) == 1
+    ghost = dataclasses.replace(
+        workload, trace=trace_of("t", [TraceRecord(0.0, OpType.READ, "/ghost/a")])
+    )
+    assert ghost.node_ids() == array("i", [-1])
+    tree.add_path("/ghost/a")
+    assert ghost.node_ids() == column(ghost.trace) != array("i", [-1])
 
 
 def test_replay_with_every_hook_on_is_deterministic(create_workload, tmp_path):
