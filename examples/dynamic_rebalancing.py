@@ -14,6 +14,7 @@ from repro import D2TreeScheme, DatasetProfile, StaticSubtreeScheme, TraceGenera
 from repro.core.namespace import PopularityEstimate
 from repro.metrics import balance_degree
 from repro.simulation.runner import _round_counts, _served_loads
+from repro.traces.trace import round_bounds
 
 NUM_SERVERS = 6
 ROUNDS = 12
@@ -21,19 +22,20 @@ ROUNDS = 12
 
 def run_rounds(scheme, workload, inject_failure: bool) -> None:
     tree = workload.tree
-    pieces = workload.trace.rounds(ROUNDS)
+    path_ids, node_ids = workload.trace.path_ids, workload.node_ids()
+    bounds = round_bounds(len(path_ids), ROUNDS)
     arena = tree.arena()
     snapshot = arena.individual_popularity()
     # Blend weight 1.0: each round's counts replace the estimate outright.
     estimate = PopularityEstimate(arena, 1.0)
-    estimate.fold(_round_counts(pieces[0], tree))
+    estimate.fold(_round_counts(path_ids[:bounds[1]], node_ids))
     estimate.materialise()
     placement = scheme.partition(tree, NUM_SERVERS)
 
     print(f"\n--- {scheme.name} ---")
     print(f"{'round':>6}{'balance':>10}{'moves':>7}  per-server load share (%)")
-    for index, piece in enumerate(pieces[1:], start=1):
-        counts = _round_counts(piece, tree)
+    for index, (start, stop) in enumerate(zip(bounds[1:], bounds[2:]), start=1):
+        counts = _round_counts(path_ids[start:stop], node_ids)
         loads = _served_loads(placement, counts)
         total = sum(loads) or 1.0
         shares = [load / total * 100 for load in loads]

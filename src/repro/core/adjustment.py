@@ -151,17 +151,17 @@ class DynamicAdjuster:
         # shrinks, so a root that did not fit never fits later. Roots of
         # zero popularity are not candidates at all — moving one costs a
         # migration and shifts nothing.
-        carrying: Dict[int, List[int]] = {}
+        carrying: List[List[int]] = [[] for _ in capacities]
         for root, server in subtree_owner.items():
             if popularity[root] > 0:
-                carrying.setdefault(server, []).append(root)
+                carrying[server].append(root)
         for server, cap in enumerate(capacities):
             ideal = mu * cap
             if loads[server] <= ideal * (1 + self.imbalance_tolerance):
                 continue
             excess = loads[server] - ideal
             descending = sorted(
-                carrying.get(server, ()),
+                carrying[server],
                 key=lambda r: (-popularity[r], r),
             )
             oversized = None

@@ -21,6 +21,7 @@ used by the ablation benchmarks.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -76,11 +77,12 @@ def _capacity_edges(capacities: Sequence[float]) -> List[float]:
 
 
 def _window_of(index: float, edges: Sequence[float]) -> int:
-    """Server whose half-open capacity window ``(Y_{k-1}, Y_k]`` holds index."""
-    for k in range(len(edges) - 1):
-        if edges[k] < index <= edges[k + 1]:
-            return k
-    return 0 if index <= edges[0] else len(edges) - 2
+    """Server whose half-open capacity window ``(Y_{k-1}, Y_k]`` holds index:
+    the first ``k`` with ``edges[k] < index <= edges[k + 1]`` (a zero-capacity
+    server's window is empty), else the first or the last server. The last
+    edge is pinned to 1.0 and rounding may leave the one before it above
+    that, so the bisect runs over the others, which never decrease."""
+    return max(bisect_left(edges, index, 0, len(edges) - 1) - 1, 0)
 
 
 def mirror_division(

@@ -241,10 +241,11 @@ class PopularityEstimate:
         blend, keep = self.blend, self.keep
         value, stamp = self._value, self._stamp
         now = self.round - len(self._pending)
+        decay = [keep ** gap for gap in range(self.round)]  # by rounds waited
         for counts in self._pending:
             now += 1
             for nid, count in counts.items():
-                value[nid] = keep * (value[nid] * keep ** (now - 1 - stamp[nid])) + blend * count
+                value[nid] = keep * (value[nid] * decay[now - 1 - stamp[nid]]) + blend * count
                 stamp[nid] = now
         self._pending.clear()
 
@@ -446,21 +447,24 @@ class NamespaceTree:
         return self.resolve((path,))[0]
 
     def paths(self, ids: Iterable[int]) -> List[str]:
-        """Each of ``ids``' absolute path, from the name and parent columns."""
+        """Each of ``ids``' absolute path, from the name and parent columns:
+        its parent's head (a directory's path plus the separator, kept for
+        the call) plus its name (the root's is the separator)."""
         names, parent = self.names, self._parent_ids
-        rendered = {ROOT: ""}  # id -> path; the root's reads "" as a prefix
+        heads = {-1: "", ROOT: PATH_SEPARATOR}
         out = []
         for nid in ids:
-            text = rendered.get(nid)
-            if text is None:
+            pid = parent[nid]
+            head = heads.get(pid)
+            if head is None:  # up to the nearest directory rendered, then down
                 chain = []
-                while text is None:
-                    chain.append(nid)
-                    nid = parent[nid]
-                    text = rendered.get(nid)
+                while head is None:
+                    chain.append(pid)
+                    pid = parent[pid]
+                    head = heads.get(pid)
                 for cid in reversed(chain):
-                    text = rendered[cid] = text + PATH_SEPARATOR + names[cid]
-            out.append(text or PATH_SEPARATOR)
+                    head = heads[cid] = head + names[cid] + PATH_SEPARATOR
+            out.append(head + names[nid])
         return out
 
     def path(self, nid: int) -> str:

@@ -270,12 +270,11 @@ class D2TreePlacement(Placement):
 
     def subtree_root_of(self, node: int) -> Optional[int]:
         """Local-layer subtree root above ``node`` (None for global nodes)."""
-        if self.is_global(node):
-            return None
-        walk = node
-        while walk is not None and walk not in self.subtree_owner:
-            walk = self.tree.parent(walk)
-        return walk
+        owner, parent = self.subtree_owner, self.tree._parent_ids
+        walk = -1 if node in self.split.global_layer else node
+        while walk >= 0 and walk not in owner:
+            walk = parent[walk]
+        return None if walk < 0 else walk
 
     def index_entries(self):
         """The global layer's replica sets and the local index."""

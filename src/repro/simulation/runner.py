@@ -43,7 +43,7 @@ from repro.storage import make_store
 from repro.simulation.stats import SimulationResult, summarize_latencies
 from repro.traces.columns import OP_FROM_CODE, op_batches
 from repro.traces.generator import GeneratedWorkload
-from repro.traces.trace import OP_VALUES, Trace
+from repro.traces.trace import OP_VALUES, round_bounds
 from repro.transport.base import CLIENT_ADDR, FaultFabric, mds_addr
 from repro.numeric import ordered_sum
 
@@ -979,15 +979,13 @@ class BalanceTrajectory:
         return self.per_round[-1] if self.per_round else float("inf")
 
 
-def _round_counts(piece: Trace, tree) -> Dict:
+def _round_counts(path_ids: array, node_ids: array) -> Dict:
     """One round's access count per node, in first-appearance order (the
-    order the served loads are summed in). Each distinct path is resolved
-    once; operations whose path does not resolve are skipped."""
-    per_id = Counter(piece.path_ids)  # ids count up in first-appearance order
-    counts = Counter()
-    for path_id, node in enumerate(tree.resolve(piece.paths)):
-        if node is not None:
-            counts[node] = per_id[path_id]
+    order the served loads are summed in): ``path_ids`` is the round's
+    window of the trace's path-id column, ``node_ids`` each path's node.
+    Operations on a path that names no node (-1) are skipped."""
+    counts = Counter(map(node_ids.__getitem__, path_ids))
+    counts.pop(-1, None)
     return counts
 
 
@@ -1021,12 +1019,13 @@ def replay_rounds(
     tree = workload.tree
     arena = tree.arena()  # rebalancing moves placements, never the structure
     initial = arena.individual_popularity()
-    pieces = workload.trace.rounds(rounds)
+    path_ids, node_ids = workload.trace.path_ids, workload.node_ids()
+    bounds = round_bounds(len(path_ids), rounds)
     # The estimate starts as the first round's counts, taken whole (blend
     # weight 1); from there it is the simulator's (ClusterSimulator._adjust)
     # with every node brought up to date each round.
     first = PopularityEstimate(arena, 1.0)
-    first.fold(_round_counts(pieces[0], tree))
+    first.fold(_round_counts(path_ids[:bounds[1]], node_ids))
     first.materialise()
     placement = scheme.partition(tree, num_servers)
     estimate = PopularityEstimate(arena, SimulationConfig.popularity_blend)
@@ -1034,8 +1033,8 @@ def replay_rounds(
     trajectory = BalanceTrajectory(
         scheme=scheme.name, trace=workload.trace.name, num_servers=num_servers
     )
-    for piece in pieces[1:]:
-        counts = _round_counts(piece, tree)
+    for start, stop in zip(bounds[1:], bounds[2:]):
+        counts = _round_counts(path_ids[start:stop], node_ids)
         loads = _served_loads(placement, counts)
         total = ordered_sum(loads)
         if total > 0:

@@ -14,6 +14,16 @@ The generated tree carries per-node popularity (from the trace itself) and
 per-node update costs (update-op counts plus a structural maintenance floor),
 so Algorithm 1's ``p``/``u`` inputs come from the same workload the paper's
 system would observe.
+
+Set-up draws from ``random`` with the library's own arithmetic inlined, so
+it takes the same bits in the same order as the method calls on CPython
+3.10-3.13: each bulk directory's two ``choice`` calls, the pools'
+``shuffle`` and the trace loop's ``randrange`` are the ``getrandbits``
+rejection loop of ``_randbelow``; ``expovariate(1.0)`` is ``-log(1.0 -
+random())`` (÷1.0 is exact); a Zipf rank and a file's parent directory are
+``bisect_left`` over cumulative weights; the op code is ``bisect_left``'s
+rule on two cut points. The trace is counted once, as its paths are
+renumbered (:func:`~repro.traces.trace.first_appearance`).
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ class ZipfSampler:
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
         self._rng = rng
-        weights = [1.0 / (rank + 1) ** exponent for rank in range(size)]
+        weights = (1.0 / (rank + 1) ** exponent for rank in range(size))
         #: Running weight totals: rank ``r`` owns ``(cumulative[r-1], cumulative[r]]``.
         self.cumulative: List[float] = list(itertools.accumulate(weights))
         self.total = self.cumulative[-1]
@@ -118,9 +128,9 @@ class TraceGenerator:
         """Build the tree, synthesise the trace, and backfill popularity."""
         rng = random.Random(self.profile.seed)
         tree, hot_nodes, cold_nodes = self._build_tree(rng)
-        trace, traced = self._trace_columns(rng, tree, hot_nodes, cold_nodes)
+        trace, traced, accesses = self._trace_columns(rng, tree, hot_nodes, cold_nodes)
         late_paths = self._mark_creates(rng, tree, trace, traced, cold_nodes)
-        self._apply_trace_to_tree(tree, trace, traced)
+        self._apply_trace_to_tree(tree, trace, traced, accesses)
         return GeneratedWorkload(
             profile=self.profile,
             tree=tree,
@@ -171,12 +181,19 @@ class TraceGenerator:
         num_files = max(0, remaining - num_dirs)
         cap = profile.max_depth - 1
         attachable = [d for d in tree.directories() if depth[d] < cap]
+        getrandbits = rng.getrandbits
         parents = []
         for new_dir in range(len(tree), len(tree) + num_dirs):
             # Two candidates, keep the one with more children: cheap
-            # preferential attachment ("power of two choices").
-            a = rng.choice(attachable)
-            b = rng.choice(attachable)
+            # preferential attachment ("power of two choices"). Each is
+            # ``rng.choice(attachable)``: the ``getrandbits`` rejection loop.
+            size = len(attachable)
+            bits, a, b = size.bit_length(), size, size
+            while a >= size:
+                a = getrandbits(bits)
+            while b >= size:
+                b = getrandbits(bits)
+            a, b = attachable[a], attachable[b]
             parent = a if fanout[a] >= fanout[b] else b
             parents.append(parent)
             level = depth[parent] + 1
@@ -188,9 +205,12 @@ class TraceGenerator:
         extend(parents, [f"d{i}" for i in range(num_dirs)], True)
 
         dirs = [d for d in tree.directories() if depth[d] < profile.max_depth]
-        # Depth-biased parent choice: weight ∝ (1+depth)^file_depth_bias.
+        # Depth-biased parent choice: weight ∝ (1+depth)^file_depth_bias,
+        # one ``**`` per depth.
         bias = profile.file_depth_bias
-        dir_weights = list(itertools.accumulate((1 + depth[d]) ** bias for d in dirs))
+        weight = [(1 + level) ** bias for level in range(profile.max_depth)]
+        levels = map(depth.__getitem__, dirs)
+        dir_weights = list(itertools.accumulate(map(weight.__getitem__, levels)))
         total = dir_weights[-1]
         random_ = rng.random
         bisect_left = bisect.bisect_left
@@ -210,20 +230,14 @@ class TraceGenerator:
         tree: NamespaceTree,
         hot_nodes: Sequence[int],
         cold_nodes: Sequence[int],
-    ) -> Tuple[Trace, List[int]]:
+    ) -> Tuple[Trace, List[int], List[int]]:
         """The raw (pre-CREATE-conversion) trace, written column by column,
-        and the node id of each of its distinct paths.
+        and the node id and access count of each of its distinct paths.
 
         The path column is written as indices into the hot pool followed by
         the cold pool, then renumbered in first-appearance order; only the
-        nodes the trace names have their paths rendered. The loop's draws
-        are inlined with the library's own arithmetic and take the same bits
-        from ``rng`` in the same order as the method calls:
-        ``expovariate(1.0)`` is ``-log(1.0 - random())`` (÷1.0 is exact),
-        ``ZipfSampler.sample`` is ``bisect_left(cumulative, random() *
-        total)``, ``randrange(n)`` and a ``shuffle`` swap the ``getrandbits``
-        rejection loop, the op code ``bisect_left``'s rule on two cut points.
-        """
+        nodes the trace names have their paths rendered. The draws are
+        inlined (see the module docstring)."""
         profile = self.profile
         # Shuffled rank order decorrelates Zipf rank from creation order.
         hot_pool = list(hot_nodes)
@@ -285,12 +299,12 @@ class TraceGenerator:
                 while client >= num_clients:
                     client = getrandbits(client_bits)
                 client_id(client)
-        path_ids, traced = first_appearance(pool_ids, hot_pool + cold_pool)
+        path_ids, traced, accesses = first_appearance(pool_ids, hot_pool + cold_pool)
         trace = Trace(
             profile.name, timestamps, op_codes, client_ids, path_ids, tree.paths(traced),
             profile.description,
         )
-        return trace, traced
+        return trace, traced, accesses
 
     # ------------------------------------------------------------------
     def _mark_creates(
@@ -322,21 +336,25 @@ class TraceGenerator:
         return converted
 
     @staticmethod
-    def _apply_trace_to_tree(tree: NamespaceTree, trace: Trace, traced: Sequence[int]) -> None:
+    def _apply_trace_to_tree(
+        tree: NamespaceTree, trace: Trace, traced: Sequence[int], accesses: Sequence[int]
+    ) -> None:
         """Backfill per-node popularity and update costs from the trace:
-        path id ``i`` names node ``traced[i]``.
+        path id ``i`` names node ``traced[i]``, accessed ``accesses[i]`` times.
 
         Counts are integers below 2**53, so ``float(count)`` is the sum of
-        that many ``1.0`` additions, bit for bit."""
-        path_ids = trace.path_ids
-        access = Counter(path_ids)
-        is_update = OP_CODES[OpType.UPDATE].__eq__
-        updates = Counter(itertools.compress(path_ids, map(is_update, trace.op_codes)))
+        that many ``1.0`` additions, bit for bit; a node never updated keeps
+        the structural floor, which is ``floor + float(0)``."""
         individual, update_cost = tree.individual_popularity, tree.update_cost  # p' all 0.0
+        for node, count in zip(traced, accesses):
+            individual[node] = float(count)
+        is_update = bytes(code == OP_CODES[OpType.UPDATE] for code in range(256))
+        updates = Counter(
+            itertools.compress(trace.path_ids, bytes(trace.op_codes).translate(is_update))
+        )
         update_cost[:] = array("d", [STRUCTURAL_UPDATE_COST]) * len(tree)
-        for path_id, node in enumerate(traced):
-            individual[node] = float(access[path_id])
-            update_cost[node] = STRUCTURAL_UPDATE_COST + float(updates[path_id])
+        for path_id, count in updates.items():
+            update_cost[traced[path_id]] = STRUCTURAL_UPDATE_COST + float(count)
         tree.aggregate_popularity()
 
 

@@ -87,12 +87,24 @@ def _ids(values: Iterable[int] = ()) -> array:
     return array("i", values)
 
 
-def first_appearance(ids: array, table: Sequence[str]) -> Tuple[array, List[str]]:
+def first_appearance(ids: array, table: Sequence) -> Tuple[array, list, List[int]]:
     """Renumber ``ids`` (indices into ``table``) in first-appearance order:
-    the new ids and the table of the paths they name, in that order."""
-    order = list(dict.fromkeys(ids))
-    remap = dict(zip(order, range(len(order))))
-    return _ids(map(remap.__getitem__, ids)), [table[old] for old in order]
+    the new ids, the table of what they name in that order, and how often
+    each new id occurs. One ``Counter`` (keys as first met) gives order and
+    counts; each temporary is dropped before the next is built."""
+    counts = Counter(ids)
+    order, occurrences = list(counts), list(counts.values())
+    del counts
+    renumbered = _ids(map(dict(zip(order, range(len(order)))).__getitem__, ids))
+    return renumbered, [table[old] for old in order], occurrences
+
+
+def round_bounds(size: int, count: int) -> List[int]:
+    """Cut ``size`` operations into ``count`` near-equal replay rounds (Fig. 7
+    methodology): round ``i`` is operations ``[bounds[i], bounds[i + 1])``."""
+    if count < 1:
+        raise ValueError("need at least one round")
+    return [round(i * size / count) for i in range(count + 1)]
 
 
 @dataclass
@@ -161,7 +173,7 @@ class Trace:
 
     def slice(self, start: int, stop: Optional[int] = None) -> "Trace":
         """Sub-trace covering operations ``[start:stop]``."""
-        path_ids, paths = first_appearance(self.path_ids[start:stop], self.paths)
+        path_ids, paths, _ = first_appearance(self.path_ids[start:stop], self.paths)
         return Trace(
             name=f"{self.name}[{start}:{stop if stop is not None else ''}]",
             timestamps=self.timestamps[start:stop],
@@ -171,11 +183,3 @@ class Trace:
             paths=paths,
             description=self.description,
         )
-
-    def rounds(self, count: int) -> List["Trace"]:
-        """Split into ``count`` near-equal replay rounds (Fig. 7 methodology)."""
-        if count < 1:
-            raise ValueError("need at least one round")
-        size = len(self)
-        bounds = [round(i * size / count) for i in range(count + 1)]
-        return [self.slice(bounds[i], bounds[i + 1]) for i in range(count)]

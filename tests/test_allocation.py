@@ -1,8 +1,11 @@
 """Unit tests for mirror-division subtree allocation."""
 
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     allocate_subtrees,
@@ -11,6 +14,8 @@ from repro.core import (
     sampled_mirror_division,
     split_by_proportion,
 )
+from repro.core.allocation import _capacity_edges, _window_of
+from repro.placement import DEAD_CAPACITY
 from tests.conftest import build_random_tree
 
 
@@ -153,3 +158,40 @@ def test_dominant_subtree_window_matches_its_mass():
     # the last of four equal windows.
     result = mirror_division([100, 1, 1], [1, 1, 1, 1])
     assert result.assignment[0] == 3
+
+
+# ----------------------------------------------------------------------
+# The window lookup, against the scan it replaced
+# ----------------------------------------------------------------------
+def linear_window_of(index, edges):
+    """The first ``k`` with ``edges[k] < index <= edges[k + 1]``, found by
+    scanning every edge; else the first or the last server."""
+    for k in range(len(edges) - 1):
+        if edges[k] < index <= edges[k + 1]:
+            return k
+    return 0 if index <= edges[0] else len(edges) - 2
+
+
+_CAPACITY = st.one_of(
+    st.just(0.0), st.just(DEAD_CAPACITY), st.integers(1, 4).map(float), st.floats(1e-9, 1e3)
+)
+
+
+@given(
+    st.lists(_CAPACITY, min_size=1, max_size=24).filter(lambda caps: sum(caps) > 0),
+    st.lists(st.floats(0.0, 2.0), max_size=16),
+)
+@example([1.0], [])
+@example([0.0, 3.0, 0.0, DEAD_CAPACITY, 1.0, 0.0], [0.75])
+@example([0.0, 0.0, 0.0, 0.0, DEAD_CAPACITY, 1.0, 1.0, 62.0, DEAD_CAPACITY, 0.0], [])  # edge > 1
+@settings(max_examples=300, deadline=None)
+def test_window_of_equals_the_linear_scan(capacities, extra):
+    """The bisect finds the window the scan found, zero-capacity servers'
+    empty windows and the clamps included: at, just below and just above
+    every edge, at 0 and 1.0, and above 1.0."""
+    edges = _capacity_edges(capacities)
+    indices = [0.0, 1.0, 1.5, *extra]
+    for edge in edges:
+        indices += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    for index in indices:
+        assert _window_of(index, edges) == linear_window_of(index, edges), index

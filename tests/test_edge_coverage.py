@@ -9,6 +9,7 @@ from repro.simulation import summarize_latencies
 from repro.simulation.stats import SimulationResult
 from repro.traces import DatasetProfile, Trace
 from repro.traces.generator import GeneratedWorkload
+from repro.traces.trace import round_bounds
 from tests.conftest import build_random_tree
 
 
@@ -51,10 +52,8 @@ def test_latency_percentiles_single_sample():
 # Trace / workload degenerate cases
 # ----------------------------------------------------------------------
 def test_trace_rounds_more_than_records():
-    trace = Trace(name="tiny")
-    rounds = trace.rounds(3)
-    assert len(rounds) == 3
-    assert all(len(r) == 0 for r in rounds)
+    assert round_bounds(len(Trace(name="tiny")), 3) == [0, 0, 0, 0]
+    assert round_bounds(2, 5) == [0, 0, 1, 1, 2, 2]
 
 
 def test_hot_hit_fraction_empty_trace():

@@ -393,6 +393,44 @@ def test_a_relative_path_is_added_under_the_root():
     assert tree.add_path("/a/b") == node and len(tree) == 3
 
 
+def reference_path(tree, node) -> str:
+    """A node's path, one walk up the parent column per node."""
+    parts = []
+    while node != tree.root:
+        parts.append(tree.names[node])
+        node = tree._parent_ids[node]
+    return "/" + "/".join(reversed(parts))
+
+
+#: Growth steps ``(pick, depth, files)``: a chain of ``depth`` directories
+#: under the ``pick``-th directory so far, then ``files`` files at its end.
+_GROWTH = st.lists(
+    st.tuples(st.integers(0, 10_000), st.integers(0, 40), st.integers(0, 3)), max_size=12
+)
+
+
+@given(_GROWTH, st.lists(st.integers(0, 10_000), max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_paths_equal_a_reference_renderer(growth, picks):
+    """``paths`` (each directory's head kept for the call) renders what a
+    walk up the parent column does, for ids in any order, repeated ids,
+    the root and deep chains, in one call or one id at a time."""
+    tree = NamespaceTree()
+    directories = [tree.root]
+    for pick, depth, files in growth:
+        node = directories[pick % len(directories)]
+        for _ in range(depth):
+            node = tree.add_child(node, f"c{len(tree)}", True)
+            directories.append(node)
+        for _ in range(files):
+            tree.add_child(node, f"f{len(tree)}.dat", False)
+    ids = [pick % len(tree) for pick in picks] + [tree.root]
+    expected = [reference_path(tree, nid) for nid in ids]
+    assert tree.paths(ids) == expected
+    assert tree.paths(reversed(ids)) == expected[::-1]
+    assert [tree.path(nid) for nid in ids] == expected
+
+
 @given(st.integers(1, 500), st.integers(0, 2**16))
 @settings(max_examples=40, deadline=None)
 def test_rendered_paths_round_trip(num_nodes, seed):

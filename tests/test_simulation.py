@@ -571,6 +571,23 @@ def test_replay_rounds_migrations_counted(tiny_lmbe_workload):
     assert trajectory.migrations >= 0
 
 
+@pytest.mark.parametrize("name", registry.available())
+def test_replay_rounds_resolves_no_path(name, monkeypatch):
+    """A generated workload holds every trace path's node id, so the
+    rounds are counted from the path-id column: no path is resolved."""
+    workload = TraceGenerator(DatasetProfile.lmbe(num_nodes=1500, scale=2e-5)).generate()
+    calls = []
+    resolve = NamespaceTree.resolve
+
+    def counted(tree, paths):
+        calls.append(1)
+        return resolve(tree, paths)
+
+    monkeypatch.setattr(NamespaceTree, "resolve", counted)
+    replay_rounds(registry.create(name), workload, 4, rounds=6)
+    assert calls == []
+
+
 def ghosted_dtr_workload():
     """A small DTR workload whose trace holds one path the tree lacks,
     spliced in through the trace file so the test reads the same either

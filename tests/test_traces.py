@@ -22,8 +22,9 @@ from repro.traces import (
     iter_op_batches,
     loads_trace,
 )
-from repro.traces.columns import OP_CODES, OpBatch
+from repro.traces.columns import OP_CODES, OpBatch, node_column
 from repro.traces.stats import analyze_trace
+from repro.traces.trace import round_bounds
 from tests.conftest import build_sample_tree, trace_of
 
 
@@ -101,15 +102,15 @@ def test_slice():
 
 
 def test_rounds_partition_all_records():
-    trace = make_trace(10)
-    rounds = trace.rounds(3)
-    assert sum(len(r) for r in rounds) == 10
-    assert len(rounds) == 3
+    bounds = round_bounds(10, 3)
+    assert len(bounds) == 4
+    assert bounds[0] == 0 and bounds[-1] == 10
+    assert sorted(bounds) == bounds
 
 
 def test_rounds_validation():
     with pytest.raises(ValueError):
-        make_trace(5).rounds(0)
+        round_bounds(5, 0)
 
 
 # ----------------------------------------------------------------------
@@ -193,8 +194,9 @@ def test_columns_match_a_per_record_reference(records, start, stop, count, batch
     piece = trace.slice(start, stop)
     assert piece.records == records[start:stop]
     assert piece == trace_of(piece.name, records[start:stop], "d")
-    bounds = [round(i * len(records) / count) for i in range(count + 1)]
-    assert [r.records for r in trace.rounds(count)] == [
+    bounds = round_bounds(len(records), count)
+    assert bounds == [round(i * len(records) / count) for i in range(count + 1)]
+    assert [trace.slice(lo, hi).records for lo, hi in zip(bounds, bounds[1:])] == [
         records[bounds[i]:bounds[i + 1]] for i in range(count)
     ]
     assert loads_trace(dumps_trace(trace)) == trace
@@ -207,7 +209,7 @@ def test_columns_match_a_per_record_reference(records, start, stop, count, batch
         for pair in zip(batch.ops(), batch.nodes)
     ]
     assert decoded == resolved
-    counts = _round_counts(trace, _SAMPLE_TREE)
+    counts = _round_counts(trace.path_ids, node_column(_SAMPLE_TREE, trace.paths))
     assert list(counts.items()) == list(Counter(node for _, node in resolved).items())
 
 
