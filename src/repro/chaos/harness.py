@@ -92,33 +92,35 @@ def check_state_invariants(placement: Placement, tree, servers, group) -> List[s
     #    (resurrected pre-crash assignments) fencing exists to prevent.
     dead = {s for s, cap in enumerate(placement.capacities) if cap <= DEAD_CAPACITY}
     dead.update(s.server_id for s in servers if not s.alive)
-    bad_owner: List[str] = []
-    empty: List[str] = []
-    for node in placement.placed_nodes():
-        owners = placement.servers_of(node)
-        if not owners:
-            empty.append(node)
-        elif dead.intersection(owners):
-            bad_owner.append(node)
-    empty, bad_owner = tree.paths(empty), tree.paths(bad_owner)
-    if empty:
-        violations.append(
-            f"ownership: {len(empty)} nodes with an empty replica set "
-            f"(e.g. {empty[:3]})"
-        )
-    if bad_owner:
-        violations.append(
-            f"ownership: {len(bad_owner)} nodes owned by a dead server "
-            f"{sorted(dead)} (e.g. {bad_owner[:3]})"
-        )
+    # A column scan clears a healthy cluster; only a finding walks the nodes.
+    if dead or not placement.places_all(len(tree)):
+        bad_owner: List[str] = []
+        empty: List[str] = []
+        for node in placement.placed_nodes():
+            owners = placement.servers_of(node)
+            if not owners:
+                empty.append(node)
+            elif dead.intersection(owners):
+                bad_owner.append(node)
+        empty, bad_owner = tree.paths(empty), tree.paths(bad_owner)
+        if empty:
+            violations.append(
+                f"ownership: {len(empty)} nodes with an empty replica set "
+                f"(e.g. {empty[:3]})"
+            )
+        if bad_owner:
+            violations.append(
+                f"ownership: {len(bad_owner)} nodes owned by a dead server "
+                f"{sorted(dead)} (e.g. {bad_owner[:3]})"
+            )
 
-    # 2. No subtree lost (Eq. 4 completeness over placements + pool).
-    missing = tree.paths(n for n in tree if not placement.is_placed(n))
-    if missing:
-        violations.append(
-            f"completeness: {len(missing)} namespace nodes unplaced "
-            f"(e.g. {missing[:3]})"
-        )
+        # 2. No subtree lost (Eq. 4 completeness over placements + pool).
+        missing = tree.paths(n for n in tree if not placement.is_placed(n))
+        if missing:
+            violations.append(
+                f"completeness: {len(missing)} namespace nodes unplaced "
+                f"(e.g. {missing[:3]})"
+            )
 
     # 3. Epoch monotonicity: journalled epochs never decrease and no MDS
     #    fence ran ahead of the group's epoch.

@@ -41,13 +41,19 @@ class SimClient:
         self.index_cache: LRUCache[str, int] = LRUCache(index_cache_size)
         #: recently permission-checked directory path -> believed server.
         self.prefix_cache: LRUCache[str, int] = LRUCache(prefix_cache_size)
-        self._rng = random.Random((seed << 20) ^ client_id)
+        self._seed = (seed << 20) ^ client_id
+        self._rng = None  # seeded by the first draw: generic planners make none
         # Bound method cached for the routing fast path (one draw per
-        # global-layer op; the extra attribute hop is measurable there).
-        # getrandbits is public API — unlike the Random._randbelow bound
-        # method cached here previously, which was an interpreter
-        # implementation detail.
-        self._getrandbits = self._rng.getrandbits
+        # global-layer op; the extra attribute hop is measurable there):
+        # the RNG's public getrandbits, once the first draw has seeded it.
+        self._getrandbits = self._first_draw
+
+    def _first_draw(self, k: int) -> int:
+        """Seed the RNG (once: a stale local may call again), then draw."""
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+            self._getrandbits = self._rng.getrandbits
+        return self._rng.getrandbits(k)
 
     def randbelow(self, n: int) -> int:
         """Uniform draw in ``[0, n)`` through the public ``getrandbits`` API.

@@ -272,6 +272,11 @@ class Placement:
             self._servers_of[node] = None
         return placed
 
+    def places_all(self, size: int) -> bool:
+        """Whether no slot of the column is unplaced or an empty replica set
+        (both falsy: one C-level scan) and it covers nodes ``0..size-1``."""
+        return len(self._servers_of) >= size and all(self._servers_of)
+
     def placed_nodes(self) -> List[int]:
         """All nodes with an assignment, in id order."""
         return [n for n, servers in enumerate(self._servers_of) if servers is not None]

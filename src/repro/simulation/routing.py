@@ -139,19 +139,20 @@ class FastRoutingEngine:
         per node id."""
         self.arena = self.tree.arena()
         size = self.arena.size
-        #: node id -> covering subtree root id; -1 = not cached yet.
-        self._root_id: List[int] = [-1] * size
-        self._global_bits = bytearray(size)
-        self._membership_version = -1  # forces a refresh on first D2 plan
+        #: D2's ``_root_id`` (node id -> covering subtree root id; -1 = not
+        #: cached yet) and ``_global_bits`` are built by the refresh this
+        #: forces on the first D2 plan; a generic engine never reads them.
+        self._membership_version = -1
         #: Generic: node id -> primary server. D2: root id -> subtree owner.
         self._primary: List[int] = [0] * size
         #: placement.version when the primary entry was filled; -1 = never.
         self._primary_stamp: List[int] = [-1] * size
-        #: Global-layer node id -> replica tuple, same stamping discipline
-        #: (replicate() bumps placement.version, e.g. when a grown cluster
-        #: extends a fully-replicated layer onto the newcomer).
-        self._replicas: List[Optional[Tuple[int, ...]]] = [None] * size
-        self._replica_stamp: List[int] = [-1] * size
+        if self._is_d2:
+            #: Global-layer node id -> replica tuple, same stamping discipline
+            #: (replicate() bumps placement.version, e.g. when a grown cluster
+            #: extends a fully-replicated layer onto the newcomer).
+            self._replicas: List[Optional[Tuple[int, ...]]] = [None] * size
+            self._replica_stamp: List[int] = [-1] * size
 
     @property
     def hit_rate(self) -> float:

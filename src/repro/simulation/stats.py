@@ -6,7 +6,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import inf
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, MutableSequence, Optional, Tuple
 
 from repro.numeric import ordered_sum
 
@@ -75,26 +75,28 @@ def _percentile(sorted_values, q: float, count: Optional[int] = None) -> float:
     )
 
 
-def summarize_latencies(latencies: Sequence[float]) -> LatencySummary:
+def summarize_latencies(latencies: MutableSequence[float]) -> LatencySummary:
     """Summarise a latency sample: the statistics of ``sorted(latencies)``,
     the mean its :func:`ordered_sum`, bit for bit, without a sorted (boxed)
-    copy of the whole sample. ``latencies`` is only read.
+    copy of the whole sample. ``latencies`` (a list or an ``array('d')``)
+    is reordered: it keeps its values, but not their order.
 
-    The sample is sorted in ``_RUN``-value runs into a new column, and
-    values sampled from the runs are pivots. Range by range in value order
-    — the values below the next pivot, then those equal to it — every run
-    is bisected and the slices joined; a range below a pivot is sorted (one
-    of equal values already is), added to the running total and its
-    percentile ranks read. Equal values never span two ranges and each sort
-    is stable, so the ranges are ``sorted(latencies)``'s stretches in order.
+    The sample is sorted in place in ``_RUN``-value runs (by slice
+    assignment), and values sampled from the runs are pivots. Range by
+    range in value order — the values below the next pivot, then those
+    equal to it — every run is bisected and the slices joined; a range
+    below a pivot is sorted (one of equal values already is), added to the
+    running total and its percentile ranks read. Equal values never span
+    two ranges and each sort is stable, so the ranges are
+    ``sorted(latencies)``'s stretches in order.
     """
     count = len(latencies)
     if not count:
         return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    column, runs = array("d"), []  # runs: [next unread, end] in column
+    column, runs = latencies, []  # runs: [next unread, end] in column
     for start in range(0, count, _RUN):
-        column.fromlist(sorted(latencies[start:start + _RUN]))
-        runs.append([start, len(column)])
+        column[start:start + _RUN] = array("d", sorted(column[start:start + _RUN]))
+        runs.append([start, min(start + _RUN, count)])
     samples = sorted(set(column[::_RUN // 8]))  # eight from a run
     step = len(samples) // _RANGES + 1
     pivots = samples[step - 1::step]
@@ -107,7 +109,7 @@ def summarize_latencies(latencies: Sequence[float]) -> LatencySummary:
             piece = array("d")
             for run in runs:
                 start, run[0] = run[0], cut(column, pivot, *run)
-                piece += column[start:run[0]]
+                piece.extend(column[start:run[0]])
             if cut is bisect_left:
                 piece = sorted(piece)
             total = ordered_sum(piece, total)

@@ -53,7 +53,8 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count
+from itertools import count, islice, repeat
+from math import log
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.history import OpHistory
@@ -136,8 +137,9 @@ class LoadReport:
 def latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
     """Mean / p50 / p95 / p99 over acked-op latencies (empty-safe), by the
     simulator's definition (interpolated percentiles), so a live run and a
-    simulated one report the same statistic."""
-    summary = summarize_latencies(latencies)
+    simulated one report the same statistic. ``latencies`` is left in ack
+    order: the summary sorts a copy."""
+    summary = summarize_latencies(array("d", latencies))
     return {
         "mean": summary.mean,
         "p50": summary.p50,
@@ -394,6 +396,8 @@ class LoadGenerator:
         trace: Trace,
         cfg: Optional[LoadConfig] = None,
     ) -> None:
+        if num_servers < 1:
+            raise ValueError("the load generator needs at least one server")
         self.transport = transport
         self.num_servers = num_servers
         #: The operations; op ``i`` has op_id ``i``, stable across retries.
@@ -455,21 +459,10 @@ class LoadGenerator:
     # ------------------------------------------------------------------
     async def run(self) -> LoadReport:
         """Dispatch every operation on its Poisson arrival; await the tail."""
-        cfg = self.cfg
         loop = self._loop = asyncio.get_running_loop()
-        rng = random.Random((cfg.seed << 12) ^ 0xA11CE)
-        ops = range(len(self.trace))
-        offsets = array("d")
-        clock = 0.0
-        for _ in ops:
-            clock += rng.expovariate(cfg.rate)
-            offsets.append(clock)
-        # Entry servers are pre-drawn so the draw sequence is deterministic
-        # regardless of how the in-flight operations interleave.
-        entries = array("i", [rng.randrange(self.num_servers) for _ in ops])
-
+        offsets, entries = self._schedule()
         self._cursor = zip(count(), offsets, entries)
-        self._cap = min(cfg.max_inflight, len(ops))
+        self._cap = min(self.cfg.max_inflight, len(offsets))
         finished = self._finished = loop.create_future()
         started = self._started = loop.time()
         if self._cap > 0:
@@ -484,6 +477,22 @@ class LoadGenerator:
         finally:
             await self.close()
         return self.report
+
+    def _schedule(self) -> Tuple[array, array]:
+        """Every op's Poisson arrival offset, then its entry server: the
+        bits ``expovariate(rate)`` and ``randrange(num_servers)`` take."""
+        rng = random.Random((self.cfg.seed << 12) ^ 0xA11CE)
+        random_, rate = rng.random, self.cfg.rate
+        offsets = array("d")
+        clock = 0.0
+        for _ in range(len(self.trace)):
+            clock += -log(1.0 - random_()) / rate
+            offsets.append(clock)
+        # Entry servers are pre-drawn so the draw sequence is deterministic
+        # regardless of how the in-flight operations interleave.
+        n = self.num_servers
+        draws = filter(n.__gt__, map(rng.getrandbits, repeat(n.bit_length())))
+        return offsets, array("i", islice(draws, len(offsets)))
 
     # Every step below runs in a loop callback. Scheduled ones go through
     # _guarded: after run() has ended they do nothing, and an unexpected

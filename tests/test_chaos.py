@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chaos import (
     OpHistory,
@@ -16,8 +17,9 @@ from repro.chaos import (
     run_case,
     run_hunt,
 )
+from repro.chaos.harness import check_state_invariants
 from repro.core import D2TreeScheme
-from repro.placement import DEAD_CAPACITY
+from repro.placement import DEAD_CAPACITY, Placement
 from repro.simulation import ClusterSimulator, FaultKind, FaultPlan, SimulationConfig
 from repro.simulation.faults import _DEGRADING_KINDS
 from repro.traces import DatasetProfile, TraceGenerator
@@ -136,6 +138,123 @@ def test_invariants_flag_injected_corruption(workload):
     assert any(v.startswith("ownership:") for v in violations)
     assert any(v.startswith("epochs:") for v in violations)
     assert any(v.startswith("accounting:") for v in violations)
+
+
+def _reference_state_invariants(placement, tree, servers, group):
+    """The state invariants node by node: ``check_state_invariants`` as it
+    read before its column scan, kept as the reference it must equal."""
+    violations = []
+    dead = {s for s, cap in enumerate(placement.capacities) if cap <= DEAD_CAPACITY}
+    dead.update(s.server_id for s in servers if not s.alive)
+    bad_owner = []
+    empty = []
+    for node in placement.placed_nodes():
+        owners = placement.servers_of(node)
+        if not owners:
+            empty.append(node)
+        elif dead.intersection(owners):
+            bad_owner.append(node)
+    empty, bad_owner = tree.paths(empty), tree.paths(bad_owner)
+    if empty:
+        violations.append(
+            f"ownership: {len(empty)} nodes with an empty replica set "
+            f"(e.g. {empty[:3]})"
+        )
+    if bad_owner:
+        violations.append(
+            f"ownership: {len(bad_owner)} nodes owned by a dead server "
+            f"{sorted(dead)} (e.g. {bad_owner[:3]})"
+        )
+    missing = tree.paths(n for n in tree if not placement.is_placed(n))
+    if missing:
+        violations.append(
+            f"completeness: {len(missing)} namespace nodes unplaced "
+            f"(e.g. {missing[:3]})"
+        )
+    if not group.journal.epochs_monotone():
+        violations.append("epochs: committed directive epochs regressed")
+    for server in servers:
+        if server.fence_epoch > group.epoch:
+            violations.append(
+                f"epochs: server {server.server_id} fence "
+                f"{server.fence_epoch} ahead of monitor epoch "
+                f"{group.epoch}"
+            )
+    return violations
+
+
+def _quiesced_sim(workload):
+    sim = ClusterSimulator(D2TreeScheme(), workload, 4, chaos_config(3, FaultPlan()))
+    sim.control.history = OpHistory()
+    _quiesce(sim, sim.run().makespan)
+    return sim
+
+
+@pytest.fixture(scope="module")
+def quiesced(workload):
+    return _quiesced_sim(workload)
+
+
+#: Defects planted in a healthy quiesced cluster, in the order they are
+#: planted (the short column last, so a slot planted before it may be cut).
+_DEFECTS = (
+    "empty tuple", "empty list", "dead by capacity", "dead by alive",
+    "unplaced", "fence ahead", "short column",
+)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_state_invariants_equal_the_node_by_node_reference(quiesced, data):
+    """Whatever is planted — an empty replica set as ``()`` or ``[]``, a
+    dead owner by capacity or by liveness, an unplaced node, a column
+    shorter than the tree, a fence ahead, several at once or none — the
+    audit's violation strings are the node-by-node reference's, verbatim."""
+    sim = quiesced
+    placement, tree, servers, group = sim.placement, sim.monitor.tree, sim.servers, sim.monitor
+    column, capacities = placement._servers_of, placement.capacities
+    saved = list(column), list(capacities), [(s.alive, s.fence_epoch) for s in servers]
+    chosen = data.draw(st.sets(st.sampled_from(_DEFECTS)))
+    node, server = st.integers(0, len(tree) - 1), st.integers(0, len(servers) - 1)
+    try:
+        for defect in (d for d in _DEFECTS if d in chosen):
+            if defect == "empty tuple":
+                column[data.draw(node)] = ()
+            elif defect == "empty list":
+                column[data.draw(node)] = []
+            elif defect == "dead by capacity":
+                capacities[data.draw(server)] = DEAD_CAPACITY
+            elif defect == "dead by alive":
+                servers[data.draw(server)].alive = False
+            elif defect == "unplaced":
+                column[data.draw(node)] = None
+            elif defect == "fence ahead":
+                servers[data.draw(server)].fence_epoch = group.epoch + 1
+            else:
+                del column[data.draw(node):]
+        violations = check_state_invariants(placement, tree, servers, group)
+        assert violations == _reference_state_invariants(placement, tree, servers, group)
+        assert bool(violations) == bool(chosen)
+    finally:
+        column[:], capacities[:] = saved[0], saved[1]
+        for mds, (alive, fence) in zip(servers, saved[2]):
+            mds.alive, mds.fence_epoch = alive, fence
+
+
+def test_a_healthy_audit_asks_the_placement_about_no_node(monkeypatch):
+    """A healthy, quiesced 8 000-node cluster is cleared by the column
+    scan: the run audit calls neither ``servers_of`` nor ``is_placed``."""
+    full = TraceGenerator(DatasetProfile.dtr(num_nodes=8000, scale=2e-5)).generate()
+    sim = _quiesced_sim(dataclasses.replace(full, trace=full.trace.slice(0, 300)))
+    calls = []
+    for name in ("servers_of", "is_placed"):
+        method = getattr(Placement, name)
+        monkeypatch.setattr(
+            Placement, name, lambda self, node, m=method: calls.append(node) or m(self, node)
+        )
+    assert len(sim.monitor.tree) == 8000
+    assert check_run(sim.control, 300) == []
+    assert calls == []
 
 
 def test_the_run_audit_is_one_function():

@@ -193,14 +193,32 @@ def test_outstanding_requests_never_exceed_the_cap(workload):
     assert report.saturated >= len(ops) - 3
 
 
-def _arrival_offsets(cfg: LoadConfig, count: int):
-    """The generator's pre-drawn Poisson offsets (its seeded first draws)."""
+def _arrival_offsets(cfg: LoadConfig, count: int, num_servers: int = NUM_SERVERS):
+    """The generator's pre-drawn schedule by ``random``'s own methods: the
+    Poisson offsets (its seeded first draws), then the entry servers."""
     rng = random.Random((cfg.seed << 12) ^ 0xA11CE)
     clock, offsets = 0.0, []
     for _ in range(count):
         clock += rng.expovariate(cfg.rate)
         offsets.append(clock)
-    return offsets
+    return offsets, [rng.randrange(num_servers) for _ in range(count)]
+
+
+def test_the_inlined_schedule_takes_the_method_calls_bits(workload):
+    """``expovariate`` and ``randrange`` inlined draw the same values, bit
+    for bit and in the same order, as the method calls, across seeds,
+    rates and server counts (powers of two among them)."""
+    ops = workload.trace.slice(0, 300)
+    for seed in (0, 7, 12345):
+        for rate in (3.0, 400.0, 4000.0, 1e6):
+            cfg = LoadConfig(rate=rate, seed=seed)
+            for num_servers in (1, 2, 3, 4, 5, 7, 16):
+                offsets, entries = LoadGenerator(None, num_servers, ops, cfg)._schedule()
+                expected, servers = _arrival_offsets(cfg, len(ops), num_servers)
+                assert list(map(float.hex, offsets)) == list(map(float.hex, expected))
+                assert list(entries) == servers
+    with pytest.raises(ValueError):
+        LoadGenerator(None, 0, ops, cfg)
 
 
 def test_at_a_low_rate_no_op_starts_before_its_arrival_offset(workload):
@@ -218,7 +236,7 @@ def test_at_a_low_rate_no_op_starts_before_its_arrival_offset(workload):
     assert report.acked == len(ops) and unhandled == []
     invoked_at = {e.op_id: e.t for e in _invokes(sink)}
     assert sorted(invoked_at) == list(range(len(ops)))
-    offsets = _arrival_offsets(cfg, len(ops))
+    offsets, _ = _arrival_offsets(cfg, len(ops))
     # run() reads its start time after ``before``, so this bound is loose
     # by what little ran in between, never tight the wrong way. (Idle slots
     # hold operations in trace order, but two whose arrivals fall inside
