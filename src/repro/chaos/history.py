@@ -36,14 +36,14 @@ per transition, keyed by the op's trace position. Record kinds:
 The log keeps no records. Each call folds into bounded state as it
 arrives: one state byte per op id (invoked / reinvoked / acked / failed /
 indeterminate / settled twice), the first invoke time of each op (8 B),
-each ack's latency in ack order (8 B), the acked op ids per acking server
-(4 B), each client session's open op, each server's fence floor, last wipe
-time and first offending acks, and counters. :func:`audit_history` reads
-that state; :meth:`OpHistory.counts`, the live ``LoadReport``'s outcomes
-and the latency percentiles are read off it too. Whoever wants the records
-themselves listens: telemetry builds its ``op_*`` events as they arrive,
-and an attached span recorder hears each call with the arguments only it
-reads.
+the acked op ids per acking server (4 B), each client session's open op,
+each server's fence floor, last wipe time and first offending acks, and
+counters. :func:`audit_history` reads that state; :meth:`OpHistory.counts`
+and the live ``LoadReport``'s outcomes are read off it too. Whoever wants
+the records themselves listens: telemetry builds its ``op_*`` events as
+they arrive. The log keeps no latency column and feeds no span recorder:
+whoever drives the run keeps its own latencies, and the simulator's replay
+loop feeds its sampled ops' spans itself.
 
 Both transports record in causal order: the simulator in event-loop order
 (per-server ack order equals serve order — arrivals are FIFO per server),
@@ -118,28 +118,24 @@ class _Server:
 class OpHistory:
     """The op log of one run, folded as it is recorded.
 
-    ``spans`` (a span recorder, or None) hears each invoke / retry / ok /
-    fail with the arguments only it reads: ``arrival``, ``granted``,
-    ``resume``, ``replicas``. Every object in ``listeners`` (see
-    :meth:`listen`) hears every call, ``ok`` with the latency the fold
-    measured.
+    Every object in ``listeners`` (see :meth:`listen`) hears every call,
+    ``ok`` with the latency the fold measured.
 
     Op ids are non-negative (trace positions); the state columns grow to
     the largest id seen.
     """
 
     __slots__ = (
-        "spans", "listeners", "retries", "fails", "indeterminates", "wipes",
-        "jumps", "_state", "_invoked_at", "_latencies", "_servers",
+        "listeners", "retries", "fails", "indeterminates", "wipes", "jumps",
+        "_acks", "_state", "_invoked_at", "_servers",
         "_sessions", "_bad_sessions", "_regressed", "_by_epoch", "_full_epoch",
         "_reinvoked", "_reinvokes", "_reacks", "_early_acks",
     )
 
     def __init__(self) -> None:
-        self.spans = None
         self.listeners: Tuple = ()
-        #: Record counts of the rarer kinds (``invoke`` / ``ok`` derive
-        #: from the state column and the latency array).
+        #: Record counts of the rarer kinds (``invoke`` derives from the
+        #: state column).
         self.retries = 0
         self.fails = 0
         self.indeterminates = 0
@@ -147,9 +143,10 @@ class OpHistory:
         #: Server visits beyond the first, summed over every terminal:
         #: ``ok``'s ``jumps`` plus those a failed or indeterminate op took.
         self.jumps = 0
+        #: ``ok`` records, re-acks included.
+        self._acks = 0
         self._state = bytearray()
         self._invoked_at = array("d")
-        self._latencies = array("d")
         self._servers: Dict[int, _Server] = {}
         #: client -> its open op id (-1: none), for clients >= 0.
         self._sessions: Dict[int, int] = {}
@@ -178,9 +175,7 @@ class OpHistory:
         self.listeners += (listener,)
 
     # -- recording: one call per transition -----------------------------
-    def invoke(self, op_id: int, client: int, t: float, path: str = "", op: str = "",
-               arrival: float = 0.0, granted: Optional[float] = None):
-        """Returns the span recorder's trace state for a sampled op."""
+    def invoke(self, op_id: int, client: int, t: float, path: str = "", op: str = "") -> None:
         state = self._state
         if op_id == len(state):
             state.append(_IN_FLIGHT)
@@ -195,20 +190,15 @@ class OpHistory:
         if self.listeners:
             for listener in self.listeners:
                 listener.invoke(op_id, client, t, path, op)
-        if self.spans is not None:
-            return self.spans.invoke(op_id, client, t, path, op, arrival, granted)
 
-    def retry(self, op_id: int, client: int, t: float, server: int, attempt: int,
-              resume: float = 0.0) -> None:
+    def retry(self, op_id: int, client: int, t: float, server: int, attempt: int) -> None:
         self.retries += 1
         if self.listeners:
             for listener in self.listeners:
                 listener.retry(op_id, client, t, server, attempt)
-        if self.spans is not None:
-            self.spans.retry(op_id, resume=resume)
 
     def ok(self, op_id: int, client: int, t: float, server: int, epoch: int, jumps: int = 0,
-           redirected: bool = False, attempts: int = 0, replicas: int = 0) -> None:
+           redirected: bool = False, attempts: int = 0) -> None:
         state = self._state
         if 0 <= op_id < len(state) and state[op_id] == _IN_FLIGHT:
             state[op_id] = _INVOKED | _ACKED
@@ -216,9 +206,8 @@ class OpHistory:
             invoked = True
         else:
             latency, invoked = self._odd_ack(op_id, t, server)
-        latencies = self._latencies
-        ack_number = len(latencies)
-        latencies.append(latency)
+        ack_number = self._acks
+        self._acks = ack_number + 1
         entry = self._servers.get(server)
         if entry is None:
             entry = self._servers[server] = _Server()
@@ -243,8 +232,6 @@ class OpHistory:
             for listener in self.listeners:
                 listener.ok(op_id, client, t, server, epoch, jumps, redirected,
                             attempts, latency)
-        if self.spans is not None:
-            self.spans.ok(op_id, client, t, replicas=replicas)
 
     def fail(self, op_id: int, client: int, t: float, server: int = -1,
              attempts: int = 0, jumps: int = 0) -> None:
@@ -258,8 +245,6 @@ class OpHistory:
         if self.listeners:
             for listener in self.listeners:
                 listener.fail(op_id, client, t, server, attempts, jumps)
-        if self.spans is not None:
-            self.spans.fail(op_id)
 
     def indeterminate(
         self, op_id: int, client: int, t: float, attempts: int, jumps: int = 0
@@ -346,16 +331,9 @@ class OpHistory:
 
     # -- what the fold knows ----------------------------------------------
     @property
-    def latencies(self) -> array:
-        """``ok.t - invoke.t`` of every ack, in ack order (0.0 for an ack
-        with no invoke timing it): the column a live run's latency summary
-        reads, which only reads it."""
-        return self._latencies
-
-    @property
     def acked(self) -> int:
         """Ops acked at least once."""
-        return len(self._latencies) - self._reacks
+        return self._acks - self._reacks
 
     def uninvoked(self, stop: int) -> Tuple[int, List[int]]:
         """Ops ``0 .. stop-1`` never invoked: how many, and the first three."""
@@ -377,7 +355,7 @@ class OpHistory:
         tally = {
             "events": 0,
             "invoked": self._state.translate(_INVOKED_OPS).count(1) + self._reinvokes,
-            "ok": len(self._latencies),
+            "ok": self._acks,
             "failed": self.fails,
             "indeterminate": self.indeterminates,
             "wipes": self.wipes,

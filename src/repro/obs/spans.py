@@ -87,9 +87,12 @@ class SpanRecord(NamedTuple):
 class SpanRecorder:
     """Collects span trees for 1-in-``sample_every`` operations.
 
-    The op log forwards its transitions here (a span-only run makes them
-    here directly, for sampled ops) and the replay loop adds each sampled
-    op's server visits (:meth:`visit`); the span construction lives here.
+    The replay loop is the one feed, whatever else listens to the run: for
+    each op it asks :meth:`sampled` once, and for a sampled op it opens a
+    trace state (:meth:`invoke`), keeps it in the op's client slot and
+    hands it back with each server visit (:meth:`visit`), each retry
+    (:meth:`retry`) and the ack (:meth:`ok`). A failed op's state is
+    dropped with its slot. The span construction lives here.
     """
 
     def __init__(self, sample_every: int, seed: int = 0) -> None:
@@ -100,8 +103,6 @@ class SpanRecorder:
         self._seed_term = seed * 0x9E3779B97F4A7C15 + 1
         self.spans: List[SpanRecord] = []
         self._cluster_ids = 0
-        #: op id -> trace state of each sampled op in flight.
-        self._open: Dict[int, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     def sampled(self, op_id: int) -> bool:
@@ -121,18 +122,16 @@ class SpanRecorder:
     # invoke to its terminal; spans are only materialized on its ack.
     # ------------------------------------------------------------------
     def invoke(
-        self, op_id: int, client: int, start: float, path: str, op: str,
+        self, op_id: int, client: int, start: float, path: str,
         arrival: float, granted: Optional[float],
-    ) -> Optional[Dict[str, Any]]:
-        """Start tracing ``op_id`` if it is sampled; returns its trace state
-        (the replay loop hands it to :meth:`visit`), else None.
+    ) -> Dict[str, Any]:
+        """Start tracing the sampled op ``op_id``; returns its trace state,
+        which the replay loop hands back to the calls below.
 
         ``arrival`` is the first-server arrival before lock acquisition,
         ``granted`` the lock grant time (None when the plan takes no lock).
         """
-        if _mix(self._seed_term, op_id) % self.sample_every:
-            return None
-        tr = self._open[op_id] = {
+        return {
             "id": op_id,
             "path": path,
             "client": client,
@@ -141,25 +140,14 @@ class SpanRecorder:
             "d0": (arrival, granted),
             "v": [],
         }
-        return tr
 
-    def retry(self, op_id: int, *_, resume: float) -> None:
+    def retry(self, tr: Dict[str, Any], resume: float) -> None:
         """The op timed out and was re-pushed to arrive at ``resume``:
         earlier visits are off the critical path (their interval becomes
         ``retry``)."""
-        tr = self._open.get(op_id)
-        if tr is not None:
-            tr["atts"].append(resume)
-            tr["d0"] = None
-            tr["v"].clear()
-
-    def ok(self, op_id: int, client: int, t: float, *_, replicas: int) -> None:
-        tr = self._open.pop(op_id, None)
-        if tr is not None:
-            self._finish(tr, t, replicas)
-
-    def fail(self, op_id: int, *_) -> None:
-        self._open.pop(op_id, None)
+        tr["atts"].append(resume)
+        tr["d0"] = None
+        tr["v"].clear()
 
     def visit(
         self,
@@ -183,8 +171,9 @@ class SpanRecorder:
             take = 0.0
         tr["v"].append((server, arrival, begin, end, take))
 
-    def _finish(self, tr: Dict[str, Any], completion: float, replicas: int) -> None:
-        """Materialize the span tree for a completed sampled op."""
+    def ok(self, tr: Dict[str, Any], completion: float, replicas: int) -> None:
+        """The op was acked at ``completion``: materialize its span tree
+        (``replicas``: the async fan-out, a zero-width child)."""
         op_id = tr["id"]
         root = str(op_id)
         self._push(

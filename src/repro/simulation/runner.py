@@ -532,9 +532,9 @@ class ClusterSimulator:
 
         Everything a quiet run does not need — the heartbeat / fault grid,
         retries, the lossy fabric, the durable store, the op log (which
-        history, telemetry and spans read) — is an ``if flag:`` block on a
-        local resolved once up here, so a fault-free, unobserved run pays a
-        handful of predicates per op.
+        history and telemetry read), the span recorder — is an ``if
+        flag:`` block on a local resolved once up here, so a fault-free,
+        unobserved run pays a handful of predicates per op.
         """
         import heapq
         from itertools import count
@@ -585,8 +585,9 @@ class ClusterSimulator:
         # The op log (repro.chaos.history.OpHistory): one call per op
         # transition, keyed by trace position, folded as it arrives. A
         # history run (chaos) or a metrics run keeps one, and telemetry
-        # listens to it; the span recorder hears its calls, or takes them
-        # itself for the sampled ops (``slot_tr`` set) of a span-only run.
+        # listens to it. The span recorder is fed here, beside the log
+        # whether or not there is one: a sampled op's trace state rides in
+        # its slot (``slot_tr``) from invoke to terminal.
         log = control.history
         if tel_on:
             if log is None:
@@ -594,11 +595,7 @@ class ClusterSimulator:
 
                 log = control.history = OpHistory()
             tel.attach_ops(log)
-        log_all = log is not None
-        if log_all:
-            log.spans = rec
-        else:
-            log = rec  # None as well when nothing records
+        log_on = log is not None
 
         #: The node of every op completed since the last adjustment round.
         window: List = []
@@ -622,7 +619,7 @@ class ClusterSimulator:
         # The heartbeat grid is skipped when nothing can observe it:
         # fault-free, a round only refreshes liveness state that detection
         # never acts on.
-        grid_on = faulted or tel_on or store_on or log_all
+        grid_on = faulted or tel_on or store_on or log_on
         heartbeat_every = cfg.heartbeat_interval
         next_heartbeat = (
             heartbeat_every if grid_on and heartbeat_every > 0 else infinity
@@ -762,7 +759,7 @@ class ClusterSimulator:
                         if redirected:
                             redirects += 1
                         lat_append(completion - slot_start[slot])
-                        if log_all or slot_tr[slot] is not None:
+                        if log_on:
                             # Append order here is per-server serve order
                             # (arrivals are FIFO per server), which is
                             # exactly the order the history audit walks
@@ -770,8 +767,12 @@ class ClusterSimulator:
                             log.ok(
                                 slot_issue[slot] - 1, slot, completion, sid,
                                 servers[sid].fence_epoch, nvis - 1, redirected,
-                                slot_attempts[slot], replicas=len(plan.fanout),
+                                slot_attempts[slot],
                             )
+                        if rec_on:
+                            tr = slot_tr[slot]
+                            if tr is not None:
+                                rec.ok(tr, completion, len(plan.fanout))
                         if completion > makespan:
                             makespan = completion
                         completed += 1
@@ -802,9 +803,12 @@ class ClusterSimulator:
                             cfg.retry_backoff_cap,
                             cfg.retry_backoff_base * (2 ** (attempts - 1)),
                         )
-                        if log_all or slot_tr[slot] is not None:
-                            log.retry(slot_issue[slot] - 1, slot, lost_at, lost,
-                                      attempts, resume=retry_at)
+                        if log_on:
+                            log.retry(slot_issue[slot] - 1, slot, lost_at, lost, attempts)
+                        if rec_on:
+                            tr = slot_tr[slot]
+                            if tr is not None:
+                                rec.retry(tr, retry_at)
                         # The tree is static mid-replay, so the node
                         # resolved at dispatch is still authoritative.
                         slot_plan[slot] = engine_plan(
@@ -819,8 +823,10 @@ class ClusterSimulator:
                     # completion hop of a served op), so this is a history
                     # ``fail``, never an ``indeterminate``.
                     availability.failed_operations += 1
-                    if log_all or slot_tr[slot] is not None:
+                    if log_on:
                         log.fail(slot_issue[slot] - 1, slot, lost_at, lost, attempts)
+                    if rec_on:
+                        slot_tr[slot] = None
                     start = lost_at + failover
                     lost = -1
                 if b_idx >= b_len:
@@ -868,15 +874,15 @@ class ClusterSimulator:
                 slot_node[slot] = node
                 slot_pid[slot] = pid
                 slot_issue[slot] = dispatched
-                if log_all or rec_on and rec.sampled(dispatched - 1):
-                    # Invoked before the lost-send branch so a
-                    # first-attempt loss still has its invoke on record.
-                    slot_tr[slot] = log.invoke(
-                        dispatched - 1, slot, start, trace_paths[pid], op_values[code],
+                # Invoked before the lost-send branch so a first-attempt
+                # loss still has its invoke on record.
+                if log_on:
+                    log.invoke(dispatched - 1, slot, start, trace_paths[pid], op_values[code])
+                if rec_on:
+                    slot_tr[slot] = rec.invoke(
+                        dispatched - 1, slot, start, trace_paths[pid],
                         pre_lock, None if plan.lock_key is None else arrival,
-                    )
-                elif rec_on:
-                    slot_tr[slot] = None
+                    ) if rec.sampled(dispatched - 1) else None
                 if arrival is not None:
                     heapreplace(events, (arrival, next_seq(), slot))
                     break

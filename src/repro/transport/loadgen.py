@@ -116,6 +116,8 @@ class LoadReport:
     duration: float = 0.0
     #: The run's op log; the outcomes below are read off its fold.
     history: OpHistory = field(default_factory=OpHistory)
+    #: ``ok.t - invoke.t`` of the acked ops, in ack order.
+    latencies: array = field(default_factory=lambda: array("d"))
 
     acked = property(lambda self: self.history.acked)
     failed = property(lambda self: self.history.fails)
@@ -126,8 +128,6 @@ class LoadReport:
     #: Redirects taken, by acked and abandoned ops alike (each live jump
     #: is one).
     redirects = property(lambda self: self.history.jumps)
-    #: ``ok.t - invoke.t`` of the acked ops, in ack order.
-    latencies = property(lambda self: self.history.latencies)
 
     @property
     def throughput(self) -> float:
@@ -152,18 +152,20 @@ class _Op:
     """One operation in flight: everything its next step needs."""
 
     __slots__ = (
-        "op_id", "frame", "deadline", "root", "target", "attempts",
+        "op_id", "frame", "start", "deadline", "root", "target", "attempts",
         "jumps", "maybe_applied", "rng", "expires", "reply",
     )
 
     def __init__(
-        self, op_id: int, frame: bytes, deadline: float, root: str, target: int
+        self, op_id: int, frame: bytes, start: float, root: str, target: int
     ) -> None:
         self.op_id = op_id
         #: The request, encoded once: retries and redirects resend it as is.
         self.frame = frame
+        #: Its invoke time: the ack's latency is measured from here.
+        self.start = start
         #: ``OP_DEADLINE`` past the start: no attempt begins after it.
-        self.deadline = deadline
+        self.deadline = start + OP_DEADLINE
         #: The cached index entry that chose ``target`` ("" for none).
         self.root = root
         self.target = target
@@ -560,7 +562,7 @@ class LoadGenerator:
         # also refreshes the entry's recency.
         self.index_cache.get(root or path)
         frame = encode_frame(ClientRequest(op_id, path, op_value).to_wire())
-        op = _Op(op_id, frame, start + OP_DEADLINE, root, target)
+        op = _Op(op_id, frame, start, root, target)
         return self._attempt(op)
 
     def _attempt(self, op: _Op) -> bool:
@@ -618,8 +620,10 @@ class LoadGenerator:
             self._learn(reply)
             # Each earlier send was a redirect (a jump) or a retry.
             jumps = op.jumps
+            now = self._loop.time()
+            self.report.latencies.append(now - op.start)
             self.history.ok(
-                op.op_id, -1, self._loop.time(), reply.server, reply.epoch,
+                op.op_id, -1, now, reply.server, reply.epoch,
                 jumps, jumps > 0, op.attempts - 1 - jumps,
             )
             self._done += 1

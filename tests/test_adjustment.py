@@ -215,6 +215,26 @@ def test_report_moved_popularity():
     )
 
 
+def test_a_server_exactly_at_the_heavy_band_offers_nothing():
+    """Heavy means ``L_k > (1 + tol) · μ C_k``, strictly: at μ = 2 and tol
+    0.5 a server loaded at exactly 3 sheds nothing, while tol 0.25 (band
+    at 2.5) makes the same server offer its lightest-fitting root. All the
+    arithmetic is exact in floats."""
+    popularity = [0.0, 1.0, 2.0, 1.0]  # subtree roots 1 and 2 on 0, 3 on 1
+    loads = [3.0, 1.0]
+    at_band = {1: 0, 2: 0, 3: 1}
+    report = DynamicAdjuster(imbalance_tolerance=0.5).adjust(
+        at_band, loads, [1.0, 1.0], popularity
+    )
+    assert (report.ideal_load_factor, report.offered, report.migrations) == (2.0, 0, [])
+    assert at_band == {1: 0, 2: 0, 3: 1}
+    above_band = {1: 0, 2: 0, 3: 1}
+    report = DynamicAdjuster(imbalance_tolerance=0.25).adjust(
+        above_band, loads, [1.0, 1.0], popularity
+    )
+    assert (report.offered, report.migrations) == (1, [(1, 0, 1)])
+
+
 def test_mismatched_inputs_rejected():
     adjuster = DynamicAdjuster()
     with pytest.raises(ValueError):

@@ -597,8 +597,7 @@ def op_log_bytes_per_op(short=2_000, long=8_000):
     return grown / (long - short)
 
 
-def test_a_recorded_run_retains_at_most_24_bytes_per_op():
-    """One state byte, the invoke time, the latency and the acking
-    server's copy of the op id: ~21 B per op, where a record list held
-    ~375."""
-    assert op_log_bytes_per_op() <= 24
+def test_a_recorded_run_retains_at_most_15_bytes_per_op():
+    """One state byte, the invoke time and the acking server's copy of the
+    op id: ~13.6 B per op, where a record list held ~375."""
+    assert op_log_bytes_per_op() <= 15

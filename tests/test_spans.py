@@ -15,6 +15,8 @@ import math
 import pytest
 
 from repro import registry
+from repro.chaos import CorpusCase
+from repro.chaos.history import OpHistory
 from repro.obs import NULL_TELEMETRY, SpanRecorder, Telemetry, write_jsonl
 from repro.simulation import (
     FaultEvent,
@@ -162,3 +164,38 @@ def test_cluster_span_clamps_inverted_window():
     recorder.cluster("heartbeat_miss", 2.0, 1.5)
     span = recorder.spans[-1]
     assert span.t0 == span.t1 == 1.5
+
+
+def _case_spans(case, mode):
+    """The span records of ``case`` sampled 1 in 10, recorded with nothing
+    else listening (``spans``), beside an op log (``log``) or beside the
+    full metrics hub (``telemetry``)."""
+    sim = ClusterSimulator(
+        registry.create(case.scheme), case.workload(), case.num_servers,
+        case.sim_config(trace_sample=10),
+        telemetry=Telemetry(enabled=mode == "telemetry"),
+    )
+    if mode == "log":
+        sim.control.history = OpHistory()
+    try:
+        sim.run()
+    finally:
+        sim.close()
+    return sim.spans.spans
+
+
+@pytest.mark.parametrize("faults", [[], ["crash:1@ops=500", "recover:1@ops=1500"]],
+                         ids=["fault-free", "faulted"])
+def test_spans_are_the_same_whoever_else_listens(faults):
+    """The replay feeds the span recorder itself: an op log or telemetry
+    beside it changes no span (and the faulted case's retries reach it)."""
+    case = CorpusCase(
+        scheme="d2-tree", trace="dtr", nodes=2000, scale=3e-4, seed=7,
+        num_servers=5, num_monitors=3, ops=3000, faults=faults,
+    )
+    alone = _case_spans(case, "spans")
+    assert alone
+    assert _case_spans(case, "log") == alone
+    assert _case_spans(case, "telemetry") == alone
+    retries = sum(1 for span in alone if span.name == "retry")
+    assert (len(alone), retries) == ((2140, 24) if faults else (2124, 0))

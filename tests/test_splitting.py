@@ -90,6 +90,20 @@ def test_tree_split_respects_update_budget():
         assert result.global_layer == set()
 
 
+def test_a_node_that_brings_the_cost_to_exactly_u0_is_not_admitted():
+    """Alg. 1 stops when admitting the next node would *reach* U0: /hot
+    costs 1, and /hot/f0 would bring the cost to exactly U0 = 2, so it
+    stays out and the locality target only it would meet is missed. With
+    U0 = 2.5 it is admitted. Every cost and popularity is an exact float
+    (Σ p over the local layer: 510 with /hot absorbed, 410 with f0 too)."""
+    tree, hot = popular_tree()
+    at_budget = tree_split(tree, locality_threshold=410.0, update_threshold=2.0)
+    assert (at_budget.feasible, at_budget.update_cost) == (False, 1.0)
+    above = tree_split(tree, locality_threshold=410.0, update_threshold=2.5)
+    assert (above.feasible, above.update_cost, above.local_popularity) == (True, 2.0, 410.0)
+    assert above.global_layer == {tree.root, hot, tree.lookup("/hot/f0")}
+
+
 def test_tree_split_infeasible_returns_empty():
     tree, _ = popular_tree()
     # Impossible: zero update budget but demanding near-zero local popularity.

@@ -80,6 +80,8 @@ VERBS = (
     "serve --trace dtr --nodes 1000 --max-ops 1500 --servers 4 --rate 3000 --transport tcp",
     "serve --trace dtr --nodes 1000 --max-ops 1500 --servers 4 --rate 3000 --scheme static-hash"
     " --json --fault delay:1@ops=300:d0.002 --fault recover:1@ops=1000",
+    "serve --trace dtr --nodes 1000 --max-ops 1500 --servers 4 --rate 3000 --max-retries 2"
+    " --json --fault loss:1@ops=300:p0.5 --fault recover:1@ops=1000",
     "validate --trace dtr --nodes 4000 --scale 3e-4 --max-ops 5000 --rate 4000 --servers 3"
     " --monitors 3 --seed 7 --max-retries 4 --out {tmp}/validate.json",
 )
