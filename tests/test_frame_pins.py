@@ -1,0 +1,116 @@
+"""Pins of the live request path's frames and of its drop rule.
+
+The live path packs a request once per op and a reply once per answer,
+then opens each frame once on the other side. These tests hold both ends
+to fixed bytes and to a fixed verdict, whatever shortcut either end takes:
+
+* the request and reply frames one serve run writes for the first 2 000
+  ops of ``serve_serial``'s inputs (perfbench's DTR workload, seed 7, one
+  request outstanding) hash to pinned digests;
+* an MDS link fed an unknown tag, or a request tag over a malformed body,
+  is dropped, and nothing it carried is served.
+"""
+
+import asyncio
+import dataclasses
+import hashlib
+
+import pytest
+
+from repro import registry
+from repro.cluster.messages import WIRE_VERSION, ClientRequest
+from repro.traces import DatasetProfile, TraceGenerator
+from repro.transport.asyncio_net import AsyncioTransport, FrameLink
+from repro.transport.live import LiveConfig, LiveMDS
+from repro.transport.loadgen import LoadConfig
+from repro.transport.serve import serve_workload
+from tests.test_wire import FakeSocket, _framed, _request_body
+
+SEED = 7
+OPS = 2_000
+
+#: sha256 of the concatenated request / reply frames, in write order.
+REQUEST_FRAMES_SHA256 = (
+    "52ed8f22def3b9cc3296ea2d469c514f7d7eaf9e7107195b77cbcfed74e8fbda"
+)
+REPLY_FRAMES_SHA256 = (
+    "6ae3134a14b1a78f322e4d69bc009186399ef9f1f5411284be3d51037944af4b"
+)
+
+
+def _serve_serial_inputs():
+    """perfbench's ``serve_serial`` inputs at seed 7, cut to ``OPS`` ops."""
+    profile = DatasetProfile.dtr(8_000)
+    profile = dataclasses.replace(
+        profile.scaled(num_operations=3_000), seed=profile.seed + SEED
+    )
+    inputs = TraceGenerator(profile).generate()
+    return dataclasses.replace(inputs, trace=inputs.trace.slice(0, OPS))
+
+
+def test_the_frames_of_a_serial_run_are_pinned(monkeypatch):
+    frames = {ClientRequest.TAG: hashlib.sha256(), 4: hashlib.sha256()}
+    counts = dict.fromkeys(frames, 0)
+    write = FrameLink.write
+
+    def recording(link, data):
+        digest = frames.get(data[5])
+        if digest is not None:
+            digest.update(data)
+            counts[data[5]] += 1
+        return write(link, data)
+
+    monkeypatch.setattr(FrameLink, "write", recording)
+    report = serve_workload(
+        registry.create("d2-tree"), _serve_serial_inputs(),
+        LiveConfig(num_servers=4, num_monitors=3, seed=SEED),
+        LoadConfig(rate=1e6, max_inflight=1, seed=SEED),
+    )
+    assert report.violations == []
+    assert report.acked == OPS and report.failovers == 0
+    # One request and one reply per send: acks plus redirects.
+    assert counts == {ClientRequest.TAG: OPS + report.redirects,
+                      4: OPS + report.redirects}
+    assert frames[ClientRequest.TAG].hexdigest() == REQUEST_FRAMES_SHA256
+    assert frames[4].hexdigest() == REPLY_FRAMES_SHA256
+
+
+GOOD_REQUEST = _framed(bytes([WIRE_VERSION, ClientRequest.TAG]) + _request_body())
+
+
+def _feed_mds(data: bytes):
+    """Push ``data`` through one inbound link of a lone MDS; what it wrote
+    back, whether it closed the link, and what ``on_lost`` reported."""
+
+    async def go():
+        mds = LiveMDS(0, AsyncioTransport(mode="tcp"), LiveConfig(num_servers=1, num_monitors=0))
+        lost = []
+        link = FrameLink(mds._on_frame, lambda link, exc: lost.append(exc))
+        socket = FakeSocket()
+        link.connection_made(socket)
+        link.data_received(data)
+        if socket.closed:
+            link.connection_lost(None)
+        return mds, socket, lost
+
+    return asyncio.run(go())
+
+
+def test_a_well_formed_request_is_answered_on_the_same_link():
+    mds, socket, lost = _feed_mds(GOOD_REQUEST)
+    assert len(socket.written) == 1 and not socket.closed and lost == []
+
+
+@pytest.mark.parametrize("frame", [
+    _framed(bytes([WIRE_VERSION, 99]) + _request_body()),
+    _framed(bytes([WIRE_VERSION, ClientRequest.TAG]) + _request_body(path_len=500)),
+    _framed(bytes([WIRE_VERSION, ClientRequest.TAG]) + _request_body(tail=b"read\xff")),
+    _framed(bytes([WIRE_VERSION, ClientRequest.TAG])),
+], ids=["unknown tag", "path overruns the body", "invalid UTF-8", "empty body"])
+def test_an_mds_link_drops_an_unknown_tag_or_a_malformed_request(frame):
+    """The request after the bad frame is never answered: the link closed
+    on the bad one, with the ``ValueError`` the decoder raised."""
+    mds, socket, lost = _feed_mds(frame + GOOD_REQUEST)
+    assert socket.closed and socket.written == []
+    assert mds.served == 0 and mds.redirects == 0
+    assert len(lost) == 1 and isinstance(lost[0], ValueError)
