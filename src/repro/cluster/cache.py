@@ -10,13 +10,14 @@ caught: the route planner compares a cached owner with the placement's
 An :class:`LRUCache` is a plain dict kept in recency order, oldest first: a
 touch pops the key and inserts it again at the end, and an eviction deletes
 ``next(iter(data))``. That is exactly LRU with no linked list to keep, so
-a lookup is one or two C-level dict calls. The route planner works on
-``_data`` directly under the same discipline.
+a lookup is one or two C-level dict calls, and :attr:`LRUCache.peek` is
+the dict's own ``get``: a peek runs no Python frame. The route planner
+works on ``_data`` directly under the same discipline.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Hashable, Iterable, Optional, TypeVar
+from typing import Callable, Dict, Generic, Hashable, Iterable, Optional, TypeVar
 
 __all__ = ["LRUCache"]
 
@@ -36,6 +37,10 @@ class LRUCache(Generic[K, V]):
         self.capacity = capacity
         #: key -> value in recency order, least recently used first.
         self._data: Dict[K, V] = {}
+        #: ``peek(key)``: the cached value without touching recency or
+        #: stats, or ``None`` — the dict's C ``get`` itself, since a client
+        #: peeks once per path prefix it walks.
+        self.peek: Callable[[K], Optional[V]] = self._data.get
         self.hits = 0
         self.misses = 0
 
@@ -49,10 +54,6 @@ class LRUCache(Generic[K, V]):
         data[key] = value
         self.hits += 1
         return value
-
-    def peek(self, key: K) -> Optional[V]:
-        """Return the cached value without touching recency or stats."""
-        return self._data.get(key)
 
     def put(self, key: K, value: V) -> None:
         """Insert/refresh an entry, evicting the LRU entry when full."""

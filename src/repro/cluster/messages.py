@@ -5,9 +5,15 @@ directive, client request, client reply) each have exactly one encoding.
 :meth:`to_wire` gives the message's *wire form* — a ``(tag, body)`` pair,
 the one-byte type tag of :data:`WIRE_TYPES` and the packed body — and
 :meth:`from_wire` validates a wire form and rebuilds the exact value.
-``repro.transport.wire`` frames a wire form as ``[u32 length][u8
-WIRE_VERSION][u8 tag][body]`` and checks the version byte on the way back
-in; the simulator exchanges the same objects in-process.
+A frame is a wire form behind :data:`FRAME_HEAD`, ``[u32 length][u8
+WIRE_VERSION][u8 tag]``: ``repro.transport.wire`` frames a heartbeat or a
+directive with ``encode_frame`` and checks the version byte of every frame
+on the way back in. The two per-request types are packed straight into
+their frame instead — :meth:`ClientRequest.frame` / :meth:`ClientReply.frame`
+pack head, fixed header and tails from the fields by one ``struct`` call
+— and their ``to_wire`` is that frame past its head, so
+``encode_frame(to_wire(msg))`` gives the same bytes. The simulator
+exchanges the same objects in-process.
 
 Bodies (big-endian, no padding; text is UTF-8, its byte length in the
 header, the tails back to back in header order and filling the body
@@ -47,6 +53,7 @@ from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "WIRE_VERSION",
+    "FRAME_HEAD",
     "WIRE_TYPES",
     "Wire",
     "VisitKind",
@@ -74,14 +81,38 @@ WIRE_VERSION = 4
 #: A message's wire form: ``(type tag, packed body)``.
 Wire = Tuple[int, bytes]
 
+#: The head of every frame, ``[u32 length][u8 version][u8 tag]``: the
+#: length counts the bytes after itself (``repro.transport.wire`` frames and
+#: opens the other types behind it).
+FRAME_HEAD = struct.Struct(">IBB")
+#: Frame bytes in front of the body, and those of them the length counts
+#: (version and tag).
+_HEAD = FRAME_HEAD.size
+_COUNTED = _HEAD - struct.calcsize(">I")
+
+
+def _framed(header: struct.Struct) -> struct.Struct:
+    """The frame head and a body's fixed ``header`` as one layout, so a
+    request or reply frame is packed by one call."""
+    return struct.Struct(FRAME_HEAD.format + header.format[1:])
+
+
 _HEARTBEAT = struct.Struct(">id")
 _REQUEST = struct.Struct(">qiBH")
+_REQUEST_FRAME = _framed(_REQUEST)
 _REPLY = struct.Struct(">qiiqBH")
+_REPLY_FRAME = _framed(_REPLY)
+#: The length field of a request / reply frame whose tails are empty.
+_REQUEST_LENGTH = _COUNTED + _REQUEST.size
+_REPLY_LENGTH = _COUNTED + _REPLY.size
+#: ``tuple.__new__``: decoded requests and replies are built in C, not by
+#: the NamedTuple's Python-level ``__new__``.
+_new = tuple.__new__
 
 
-def _unencodable(message, exc: Exception) -> ValueError:
+def _unencodable(cls, exc: Exception) -> ValueError:
     return ValueError(
-        f"{type(message).__name__} field does not fit the wire layout: {exc}"
+        f"{cls.__name__} field does not fit the wire layout: {exc}"
     )
 
 
@@ -89,15 +120,12 @@ def _malformed(cls, exc: Exception) -> ValueError:
     return ValueError(f"malformed {cls.__name__} wire message: {exc!r}")
 
 
-def _body(cls, wire: Wire) -> bytes:
-    """The body of ``wire``, which must carry ``cls``'s tag."""
-    tag, body = wire
-    if tag != cls.TAG:
-        raise ValueError(
-            f"expected a {cls.__name__} wire message (tag {cls.TAG}), "
-            f"got tag {tag!r}"
-        )
-    return body
+def _wrong_tag(cls, tag) -> ValueError:
+    """A wire form handed to the decoder of another type."""
+    return ValueError(
+        f"expected a {cls.__name__} wire message (tag {cls.TAG}), "
+        f"got tag {tag!r}"
+    )
 
 
 def _tails(body: bytes, start: int, first: int, second: int) -> Tuple[str, str]:
@@ -167,11 +195,13 @@ class Heartbeat:
         try:
             return self.TAG, _HEARTBEAT.pack(self.server, self.time)
         except struct.error as exc:
-            raise _unencodable(self, exc) from None
+            raise _unencodable(type(self), exc) from None
 
     @classmethod
     def from_wire(cls, wire: Wire) -> "Heartbeat":
-        body = _body(cls, wire)
+        tag, body = wire
+        if tag != cls.TAG:
+            raise _wrong_tag(cls, tag)
         try:
             return cls(*_HEARTBEAT.unpack(body))
         except struct.error as exc:
@@ -220,11 +250,13 @@ class Directive:
             }
             return self.TAG, json.dumps(fields, separators=(",", ":")).encode()
         except (TypeError, ValueError) as exc:
-            raise _unencodable(self, exc) from None
+            raise _unencodable(type(self), exc) from None
 
     @classmethod
     def from_wire(cls, wire: Wire) -> "Directive":
-        body = _body(cls, wire)
+        tag, body = wire
+        if tag != cls.TAG:
+            raise _wrong_tag(cls, tag)
         try:
             fields = json.loads(str(body, "utf-8"))
             if not isinstance(fields, dict):
@@ -273,24 +305,38 @@ class ClientRequest(NamedTuple):
 
     TAG = 3
 
-    def to_wire(self) -> Wire:
+    @classmethod
+    def frame(
+        cls, op_id: int, path: str, op: str, client_id: int = 0
+    ) -> bytes:
+        """The whole frame of the request with these fields — head, fixed
+        header and tails — packed by one ``struct`` call, with no request
+        built. The field order is the request's own, so
+        ``ClientRequest.frame(*request)`` frames ``request``."""
         try:
-            op, path = self.op.encode(), self.path.encode()
-            return self.TAG, _REQUEST.pack(
-                self.op_id, self.client_id, len(op), len(path)
-            ) + op + path
+            op_bytes, path_bytes = op.encode(), path.encode()
+            return _REQUEST_FRAME.pack(
+                _REQUEST_LENGTH + len(op_bytes) + len(path_bytes),
+                WIRE_VERSION, cls.TAG,
+                op_id, client_id, len(op_bytes), len(path_bytes),
+            ) + op_bytes + path_bytes
         except (struct.error, AttributeError, UnicodeEncodeError) as exc:
-            raise _unencodable(self, exc) from None
+            raise _unencodable(cls, exc) from None
+
+    def to_wire(self) -> Wire:
+        return self.TAG, self.frame(*self)[_HEAD:]
 
     @classmethod
     def from_wire(cls, wire: Wire) -> "ClientRequest":
-        body = _body(cls, wire)
+        tag, body = wire
+        if tag != cls.TAG:
+            raise _wrong_tag(cls, tag)
         try:
             op_id, client_id, op_len, path_len = _REQUEST.unpack_from(body)
             op, path = _tails(body, _REQUEST.size, op_len, path_len)
         except (struct.error, ValueError) as exc:
             raise _malformed(cls, exc) from None
-        return cls(op_id, path, op, client_id)
+        return _new(cls, (op_id, path, op, client_id))
 
 
 class ClientReply(NamedTuple):
@@ -319,19 +365,31 @@ class ClientReply(NamedTuple):
 
     TAG = 4
 
-    def to_wire(self) -> Wire:
+    @classmethod
+    def frame(
+        cls, op_id: int, status: str, server: int, owner: int = -1,
+        epoch: int = 0, root: str = "",
+    ) -> bytes:
+        """The whole frame of the reply with these fields, packed by one
+        ``struct`` call with no reply built (as :meth:`ClientRequest.frame`)."""
         try:
-            status, root = self.status.encode(), self.root.encode()
-            return self.TAG, _REPLY.pack(
-                self.op_id, self.server, self.owner, self.epoch,
-                len(status), len(root),
-            ) + status + root
+            status_bytes, root_bytes = status.encode(), root.encode()
+            return _REPLY_FRAME.pack(
+                _REPLY_LENGTH + len(status_bytes) + len(root_bytes),
+                WIRE_VERSION, cls.TAG,
+                op_id, server, owner, epoch, len(status_bytes), len(root_bytes),
+            ) + status_bytes + root_bytes
         except (struct.error, AttributeError, UnicodeEncodeError) as exc:
-            raise _unencodable(self, exc) from None
+            raise _unencodable(cls, exc) from None
+
+    def to_wire(self) -> Wire:
+        return self.TAG, self.frame(*self)[_HEAD:]
 
     @classmethod
     def from_wire(cls, wire: Wire) -> "ClientReply":
-        body = _body(cls, wire)
+        tag, body = wire
+        if tag != cls.TAG:
+            raise _wrong_tag(cls, tag)
         try:
             op_id, server, owner, epoch, status_len, root_len = (
                 _REPLY.unpack_from(body)
@@ -339,7 +397,7 @@ class ClientReply(NamedTuple):
             status, root = _tails(body, _REPLY.size, status_len, root_len)
         except (struct.error, ValueError) as exc:
             raise _malformed(cls, exc) from None
-        return cls(op_id, status, server, owner, epoch, root)
+        return _new(cls, (op_id, status, server, owner, epoch, root))
 
 
 #: type tag -> message class: the dispatch table of :func:`from_wire`.

@@ -34,13 +34,13 @@ import tempfile
 from functools import partial
 from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.cluster.messages import Wire
+from repro.cluster.messages import FRAME_HEAD, WIRE_VERSION, Wire
 from repro.transport.base import FaultFabric
 from repro.transport.wire import (
     LENGTH_PREFIX,
     MAX_FRAME_BYTES,
     FrameError,
-    decode_payload,
+    envelope_error,
 )
 
 __all__ = ["AsyncioTransport", "FrameLink"]
@@ -59,6 +59,7 @@ PAUSE_ABOVE = 128 * 1024
 RESUME_AT = 64 * 1024
 
 _PREFIX = LENGTH_PREFIX.size
+_HEAD = FRAME_HEAD.size
 _unpack_length = LENGTH_PREFIX.unpack_from
 
 
@@ -67,8 +68,12 @@ class FrameLink(asyncio.Protocol):
 
     ``data_received`` keeps a ``bytearray`` plus a read offset, checks each
     length prefix against ``MAX_FRAME_BYTES`` before it buffers the body,
-    opens the frame with :func:`~repro.transport.wire.decode_payload`, and
-    calls ``on_frame(link, wire)``. A ``ValueError`` from decoding or from
+    opens the frame where it lies — reads the version and tag bytes in
+    place and slices the body once — and calls ``on_frame(link, (tag,
+    body))``: the wire form :func:`~repro.transport.wire.decode_payload`
+    gives for the same bytes, and a frame that breaks the envelope rule
+    fails with the same :func:`~repro.transport.wire.envelope_error`. A
+    ``ValueError`` from decoding or from
     ``on_frame`` (a ``FrameError``, a malformed body) closes the link; so
     does EOF inside a frame, the torn-stream case. ``on_lost(link, exc)``
     fires once, when the connection is gone: ``exc`` is the socket error,
@@ -133,9 +138,10 @@ class FrameLink(asyncio.Protocol):
     def write(self, data: bytes) -> bool:
         """Queue ``data``; False when the write buffer is now over its
         high-water mark (what a :meth:`drain` would wait out)."""
-        if self.closing:
+        transport = self.transport
+        if transport is None or transport.is_closing():  # ``closing``, inline
             raise ConnectionResetError("link is closed")
-        self.transport.write(data)
+        transport.write(data)
         return not self._writing_paused
 
     def when_drained(self, callback: Callable[[], None]) -> None:
@@ -241,7 +247,10 @@ class FrameLink(asyncio.Protocol):
                 end = offset + _PREFIX + length
                 if end > size:
                     break
-                wire = decode_payload(data[offset + _PREFIX:end])
+                body = offset + _HEAD
+                if body > end or data[offset + _PREFIX] != WIRE_VERSION:
+                    raise envelope_error(data[offset + _PREFIX:end])
+                wire = data[body - 1], data[body:end]
                 offset = end
                 on_frame(self, wire)
         except (ValueError, ConnectionError) as error:

@@ -84,6 +84,8 @@ __all__ = [
 #: unit.
 SLOW_UNIT = 0.001
 
+_REQUEST_TAG = ClientRequest.TAG
+
 
 def _discard(link: FrameLink, wire) -> None:
     """``on_frame`` of an outbound control link: nothing answers on one."""
@@ -196,9 +198,14 @@ class LiveMDS:
         more meanwhile, and stops reading its socket once 128 KiB are
         buffered, so a slow server's backlog waits in socket buffers, not
         in this process.
+
+        A request-tagged frame goes straight to
+        :meth:`ClientRequest.from_wire`; any other tag goes through
+        :func:`from_wire`, so an unknown tag is its ``ValueError`` and the
+        link drops.
         """
-        message = from_wire(wire)
-        if isinstance(message, ClientRequest):
+        if wire[0] == _REQUEST_TAG:
+            request = ClientRequest.from_wire(wire)
             delay = self.cfg.service_time
             slow_factor = self.state.slow_factor
             if slow_factor > 1.0:
@@ -206,11 +213,13 @@ class LiveMDS:
             if delay > 0:
                 link.hold()
                 asyncio.get_running_loop().call_later(
-                    delay, self._answer, link, message
+                    delay, self._answer, link, request
                 )
             else:
-                self._answer(link, message)
-        elif isinstance(message, Directive):
+                self._answer(link, request)
+            return
+        message = from_wire(wire)
+        if isinstance(message, Directive):
             self._apply_directive(message)
 
     def _answer(self, link: FrameLink, request: ClientRequest) -> None:
@@ -224,16 +233,16 @@ class LiveMDS:
             self.served += 1
         elif status == "redirect":
             self.redirects += 1
-        reply = ClientReply(
+        frame = ClientReply.frame(
             request.op_id, status, self.server_id,
             owner, self.state.fence_epoch, root,
         )
-        frame = encode_frame(reply.to_wire())
         # Replies ride the data plane: loss/delay installed on this server's
         # links applies to them too (a lost ack looks like a client timeout,
         # and the retry is absorbed by the idempotent ack ledger). A delayed
         # reply keeps the link held until it is written.
-        wait = self.transport.data_verdict(self.addr, CLIENT_ADDR)
+        transport = self.transport
+        wait = transport.data_verdict(self.addr, CLIENT_ADDR) if transport.faulty else 0.0
         if wait == 0.0:
             link.write(frame)
         elif wait is not None:

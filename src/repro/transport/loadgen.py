@@ -66,7 +66,6 @@ from repro.simulation.stats import summarize_latencies
 from repro.traces.trace import OP_VALUES, Trace
 from repro.transport.asyncio_net import AsyncioTransport, FrameLink
 from repro.transport.base import CLIENT_ADDR, mds_addr
-from repro.transport.wire import encode_frame
 
 __all__ = [
     "LoadConfig",
@@ -436,13 +435,6 @@ class LoadGenerator:
         """Operations finished (acked or failed) — the fault-plan clock."""
         return self._done
 
-    def _conn(self, server: int) -> _ServerConn:
-        conn = self._conns.get(server)
-        if conn is None:
-            conn = _ServerConn(self, server)
-            self._conns[server] = conn
-        return conn
-
     def _learn(self, reply: ClientReply) -> None:
         """Cache the reply's covering index entry, unless it is older than
         the cached one (a stale server's view does not overwrite a newer)."""
@@ -522,17 +514,19 @@ class LoadGenerator:
     def _take(self) -> None:
         """A slot is free: start its next operation, in trace order, at
         max(its arrival offset, now) — or end the slot once the trace is
-        done. Operations that settle at once loop here, never recurse."""
+        done. Operations that settle at once loop here, never recurse. The
+        clock is read once: every operation this call starts, starts now."""
         loop = self._loop
+        now = loop.time()
         for item in self._cursor:
             arrival = self._started + item[1]
-            if arrival > loop.time():
+            if arrival > now:
                 self._waiting += 1
                 loop.call_at(arrival, self._guarded, self._arrive, item)
                 return
             if self._slots == self._cap:
                 self.report.saturated += 1
-            if not self._begin(item):
+            if not self._begin(item, now):
                 return
         self._ended += 1
         if self._ended == self._slots and not self._finished.done():
@@ -540,19 +534,18 @@ class LoadGenerator:
 
     def _arrive(self, item) -> None:
         self._waiting -= 1
-        if self._begin(item):
+        if self._begin(item, self._loop.time()):
             self._take()
 
-    def _begin(self, item) -> bool:
-        """Start a taken operation — lining up another slot for the next
-        arrival first; True when it settled at once."""
+    def _begin(self, item, start: float) -> bool:
+        """Start a taken operation at ``start`` (now) — lining up another
+        slot for the next arrival first; True when it settled at once."""
         if not self._waiting and self._slots < self._cap:
             self._spawn()
         op_id, _, entry = item
         trace = self.trace
         path = trace.paths[trace.path_ids[op_id]]
         op_value = OP_VALUES[trace.op_codes[op_id]]
-        start = self._loop.time()
         self.history.invoke(op_id, -1, start, path, op_value)
         # Longest cached prefix -> straight to the owner; a miss (cold
         # subtree or global-layer path) -> the pre-drawn random entry.
@@ -561,14 +554,12 @@ class LoadGenerator:
         # The op's one counting lookup (hits + misses == ops routed), which
         # also refreshes the entry's recency.
         self.index_cache.get(root or path)
-        frame = encode_frame(ClientRequest(op_id, path, op_value).to_wire())
-        op = _Op(op_id, frame, start, root, target)
-        return self._attempt(op)
+        frame = ClientRequest.frame(op_id, path, op_value)
+        return self._attempt(_Op(op_id, frame, start, root, target), start)
 
-    def _attempt(self, op: _Op) -> bool:
+    def _attempt(self, op: _Op, now: float) -> bool:
         """Send ``op``'s next attempt; or, its retry budget or deadline
-        spent, settle it (True)."""
-        now = self._loop.time()
+        spent at ``now``, settle it (True)."""
         if op.attempts >= self.cfg.max_retries or now >= op.deadline:
             if op.maybe_applied:
                 self.history.indeterminate(op.op_id, -1, now, op.attempts, op.jumps)
@@ -577,11 +568,14 @@ class LoadGenerator:
             self._done += 1
             return True
         op.attempts += 1
-        self._conn(op.target).send(op)
+        conn = self._conns.get(op.target)
+        if conn is None:  # the first send to this server
+            conn = self._conns[op.target] = _ServerConn(self, op.target)
+        conn.send(op)
         return False
 
     def _retry(self, op: _Op) -> None:
-        if self._attempt(op):
+        if self._attempt(op, self._loop.time()):
             self._take()
 
     def _back_off(self, op: _Op, backoff: float) -> None:

@@ -5,17 +5,22 @@ Every frame is ``[u32 length][u8 version][u8 tag][body]``, big-endian:
 ``messages.WIRE_VERSION``, and ``(tag, body)`` is the *wire form* of one
 :mod:`repro.cluster.messages` type (the per-tag body layouts are tabulated
 in that module's docstring). So ``encode_frame(to_wire(msg))`` is the frame
-and ``from_wire(decode_payload(frame[4:]))`` is the message again.
+and ``from_wire(decode_payload(frame[4:]))`` is the message again. The
+live request path packs its requests and replies into the same bytes in
+one call (``ClientRequest.frame`` / ``ClientReply.frame``).
 
 The length prefix is what makes torn reads detectable: a reader either
 gets a whole frame or knows the stream died mid-frame (the live transport's
 reader is :class:`~repro.transport.asyncio_net.FrameLink`, which decodes
-frames as their bytes arrive). The version byte is
-checked here, once, before anything looks at the body; a frame this build
-does not speak — a version-2 peer's JSON object reads as "version 123" —
-is a :class:`FrameError`, as is a payload too short to carry the envelope.
-Unknown tags and malformed bodies are ``messages.from_wire``'s
-``ValueError``. Either way the transport drops the connection.
+frames as their bytes arrive). The envelope rule is stated here, once:
+a frame this build does not speak — a version-2 peer's JSON object reads
+as "version 123" — is a :class:`FrameError`, as is a payload too short to
+carry the version and tag; :func:`envelope_error` says which.
+:func:`decode_payload` applies the rule to a payload, and ``FrameLink``
+reads the version and tag in place and asks :func:`envelope_error` for
+the error of a frame that breaks it. Unknown tags and malformed bodies are
+``messages.from_wire``'s ``ValueError``. Either way the transport drops
+the connection.
 
 Packed frames are not readable in ``socat`` output the way version 2's
 JSON was; to read one, strip the four length bytes and decode it::
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.cluster.messages import WIRE_VERSION, Wire
+from repro.cluster.messages import FRAME_HEAD, WIRE_VERSION, Wire
 
 __all__ = [
     "LENGTH_PREFIX",
@@ -36,6 +41,7 @@ __all__ = [
     "FrameError",
     "encode_frame",
     "decode_payload",
+    "envelope_error",
 ]
 
 #: Upper bound on one frame's payload. Metadata messages are a few dozen
@@ -45,7 +51,7 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 #: The ``[u32 length]`` in front of every frame's payload.
 LENGTH_PREFIX = struct.Struct(">I")
-_ENVELOPE = struct.Struct(">IBB")
+_ENVELOPE = FRAME_HEAD
 #: Payload bytes the envelope itself takes (version + tag).
 _ENVELOPE_PAYLOAD = _ENVELOPE.size - LENGTH_PREFIX.size
 
@@ -66,17 +72,24 @@ def encode_frame(wire: Wire) -> bytes:
         raise FrameError(f"tag {tag!r} does not fit the envelope: {error}") from None
 
 
-def decode_payload(data: bytes) -> Wire:
-    """Open a frame payload (the bytes after the length prefix): check the
-    version byte and split off ``(tag, body)``."""
+def envelope_error(data: bytes) -> FrameError:
+    """The error of a frame payload (the bytes after the length prefix)
+    that breaks the envelope rule: too short to carry the version and tag
+    bytes, or a version byte other than ``WIRE_VERSION``."""
     if len(data) < _ENVELOPE_PAYLOAD:
-        raise FrameError(
+        return FrameError(
             f"frame payload of {len(data)} bytes is shorter than the "
             "version/tag envelope"
         )
-    if data[0] != WIRE_VERSION:
-        raise FrameError(
-            f"wire schema version {data[0]} is not supported "
-            f"(this build speaks version {WIRE_VERSION})"
-        )
+    return FrameError(
+        f"wire schema version {data[0]} is not supported "
+        f"(this build speaks version {WIRE_VERSION})"
+    )
+
+
+def decode_payload(data: bytes) -> Wire:
+    """Open a frame payload (the bytes after the length prefix): check the
+    version byte and split off ``(tag, body)``."""
+    if len(data) < _ENVELOPE_PAYLOAD or data[0] != WIRE_VERSION:
+        raise envelope_error(data)
     return data[1], data[_ENVELOPE_PAYLOAD:]

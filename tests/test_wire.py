@@ -649,6 +649,86 @@ def test_torn_length_prefix_alone_raises_header_error():
             _read_one(b"\x7f" * size)
 
 
+def _flip(frame: bytes, index: int, value: int) -> bytes:
+    """``frame`` with the byte at ``index`` replaced by another value."""
+    value = value if value != frame[index] else (value + 1) % 256
+    return frame[:index] + bytes([value]) + frame[index + 1:]
+
+
+@st.composite
+def hostile_segments(draw):
+    """One stretch of a stream: a valid frame, or one with its version, tag
+    or a length byte flipped, a payload of 0 or 1 bytes, or a length one
+    over the cap."""
+    frame = encode_frame(to_wire(draw(any_message)))
+    kind = draw(st.sampled_from(
+        ["valid", "version", "tag", "length", "empty", "one byte", "over cap"]
+    ))
+    if kind == "version":
+        return _flip(frame, LENGTH_PREFIX.size, draw(st.integers(0, 255)))
+    if kind == "tag":
+        return _flip(frame, LENGTH_PREFIX.size + 1, draw(st.integers(0, 255)))
+    if kind == "length":
+        return _flip(frame, draw(st.integers(0, 3)), draw(st.integers(0, 255)))
+    if kind == "empty":
+        return LENGTH_PREFIX.pack(0)
+    if kind == "one byte":
+        return LENGTH_PREFIX.pack(1) + bytes([draw(st.integers(0, 255))])
+    if kind == "over cap":
+        return LENGTH_PREFIX.pack(MAX_FRAME_BYTES + 1) + frame
+    return frame
+
+
+def _frames_one_by_one(stream: bytes):
+    """The reference reader: cut ``stream`` at its length prefixes and open
+    each payload with ``decode_payload``. Returns the wire forms and the
+    error the stream ends on (``None`` for a clean end)."""
+    wires, offset = [], 0
+    while len(stream) - offset >= LENGTH_PREFIX.size:
+        (length,) = LENGTH_PREFIX.unpack_from(stream, offset)
+        if length > MAX_FRAME_BYTES:
+            return wires, FrameError("over the cap")
+        end = offset + LENGTH_PREFIX.size + length
+        if end > len(stream):
+            return wires, FrameError("torn body")
+        try:
+            wires.append(decode_payload(stream[offset + LENGTH_PREFIX.size:end]))
+        except FrameError as error:
+            return wires, error
+        offset = end
+    return wires, (FrameError("torn header") if offset < len(stream) else None)
+
+
+@settings(max_examples=300)
+@given(st.lists(hostile_segments(), min_size=1, max_size=5), st.data())
+def test_the_link_opens_frames_exactly_as_decode_payload_does(segments, data):
+    """However the stream is cut into chunks, the link hands on the wire
+    forms ``decode_payload`` gives frame by frame, and closes on the frame
+    the reference reader stops at, with the same error class — for an
+    envelope error, the same error."""
+    stream = b"".join(segments)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=8)))
+    chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+    wires, lost = _feed(chunks)
+    want_wires, want_error = _frames_one_by_one(stream)
+    assert wires == want_wires
+    assert len(lost) == 1
+    if want_error is None:
+        assert lost[0] is None
+    else:
+        assert type(lost[0]) is type(want_error)
+        if "envelope" in str(want_error) or "version" in str(want_error):
+            assert str(lost[0]) == str(want_error)
+
+
+@settings(max_examples=200)
+@given(st.one_of(client_requests, client_replies))
+def test_a_request_or_reply_packed_into_its_frame_is_its_framed_wire_form(message):
+    """The live path packs a request or a reply straight from its fields:
+    the same bytes as framing its wire form."""
+    assert type(message).frame(*message) == encode_frame(to_wire(message))
+
+
 # ----------------------------------------------------------------------
 # The hold rule and the write side
 # ----------------------------------------------------------------------
