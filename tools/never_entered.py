@@ -135,6 +135,10 @@ REACHED_BY: Dict[str, str] = {
     " tests/test_wire.py::test_a_missing_field_is_a_value_error",
     "repro.cluster.messages:_unencodable": "a message the codec cannot encode:"
     " tests/test_wire.py::test_an_out_of_range_field_is_a_value_error_at_encode",
+    "repro.cluster.messages:_wrong_tag": "a wire form handed to another type's decoder:"
+    " tests/test_wire.py::test_typed_decoder_rejects_wrong_tag",
+    "repro.transport.wire:envelope_error": "a frame too short for its envelope or of another"
+    " version: tests/test_wire.py::test_the_link_opens_frames_exactly_as_decode_payload_does",
     "repro.transport.asyncio_net:FrameLink._fail": "a hostile or broken frame closes the link:"
     " tests/test_wire.py::test_a_garbage_frame_drops_the_connection_not_the_server",
     "repro.transport.loadgen:_ServerConn._send_failed": "a send that fails inside a reply"
