@@ -2,26 +2,18 @@
 
     python3.12 tools/costcount.py [--check FILE | --record FILE] [--live]
 
-Each axis runs one fixed recipe in a fresh interpreter (``PYTHONHASHSEED=0``,
-``src`` on the path) and counts ``sys.monitoring`` INSTRUCTION and PY_START
-events over the recipe's timed part, attributed by the code object's
-module to a layer. Counts are the same in every run on one CPython
-version, so a cost moved by a change shows without timer pairs; the wall
-clock stays the claim, since a count does not price what C does.
-
-Axes (DTR, 8 000 nodes, seed 7, 8 servers, D2-Tree):
-
-* ``sim_replay``    -- ``ClusterSimulator.run()`` over 20 000 ops;
-* ``logged_replay`` -- the same run with an ``OpHistory`` attached;
-* ``setup``         -- trace generation plus the simulator's construction
-  (partition included), per trace op.
-
-``--check FILE`` exits 1 when an axis' instructions or calls per op rose
-more than 1 % over the counts recorded in FILE for this CPython minor
-version; ``--record FILE`` writes them. ``--live`` adds, ungated, one
-``serve_saturated``-shaped live run (RA, 8 000 nodes, 4 000 ops, 4
-servers, 8 outstanding), counted over ``LoadGenerator.run``: its event
-loop timing varies, so its counts are for reading only.
+Each axis runs a fixed recipe (DTR, 8 000 nodes, seed 7, 8 servers, D2-Tree)
+in a fresh interpreter (``PYTHONHASHSEED=0``) and counts ``sys.monitoring``
+INSTRUCTION and PY_START events over its timed part, by the layer of the code
+object's module: ``sim_replay`` is ``ClusterSimulator.run()`` over 20 000
+ops, ``logged_replay`` the same with an ``OpHistory``, ``setup`` trace
+generation plus construction (partition included). One CPython build gives
+the same counts every run; a count does not price what C does, so the wall
+clock stays the claim. ``--check FILE`` exits 1 when a count per op rose
+over 1 % above FILE's for this minor version; ``--record FILE`` writes them.
+``--live`` prints, ungated (it depends on loop timing), one
+``serve_saturated``-shaped run (RA, 4 000 ops, 4 servers, 8 outstanding)
+counted over ``LoadGenerator.run``.
 """
 
 from __future__ import annotations
@@ -33,48 +25,39 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 AXES = ("sim_replay", "logged_replay", "setup")
+KINDS = ("instructions", "calls")
 TOLERANCE = 0.01
-#: Path fragment -> layer, first match wins; the rest of ``repro`` is
-#: "repro other", everything else "stdlib".
+#: Layer -> the path fragments of its modules; first match wins, no match is "stdlib".
 LAYERS = (
-    ("repro/traces/", "trace decode"),
-    ("repro/simulation/routing.py", "route planning"),
-    ("repro/cluster/index.py", "route planning"),
-    ("repro/cluster/cache.py", "route planning"),
-    ("repro/cluster/client.py", "route planning"),
-    ("repro/simulation/runner.py", "event loop"),
-    ("repro/cluster/locks.py", "service/lock model"),
-    ("repro/cluster/mds.py", "service/lock model"),
-    ("repro/core/", "partition + adjustment"),
-    ("repro/placement.py", "partition + adjustment"),
-    ("repro/simulation/stats.py", "stats"),
-    ("repro/numeric.py", "stats"),
-    ("repro/chaos/history.py", "op log"),
-    ("repro/cluster/messages.py", "frame codec"),
-    ("repro/transport/wire.py", "frame codec"),
-    ("repro/transport/asyncio_net.py", "framed link"),
-    ("repro/transport/live.py", "live MDS"),
-    ("repro/transport/loadgen.py", "load generator"),
-    ("/asyncio/", "asyncio"),
-    ("repro/", "repro other"),
+    ("trace decode", ("repro/traces/",)),
+    ("route planning", ("repro/simulation/routing.py", "repro/cluster/index.py",
+                        "repro/cluster/cache.py", "repro/cluster/client.py")),
+    ("event loop", ("repro/simulation/runner.py",)),
+    ("service/lock model", ("repro/cluster/locks.py", "repro/cluster/mds.py")),
+    ("partition + adjustment", ("repro/core/", "repro/placement.py")),
+    ("stats", ("repro/simulation/stats.py", "repro/numeric.py")),
+    ("op log", ("repro/chaos/history.py",)),
+    ("frame codec", ("repro/cluster/messages.py", "repro/transport/wire.py")),
+    ("framed link", ("repro/transport/asyncio_net.py",)),
+    ("live MDS", ("repro/transport/live.py",)),
+    ("load generator", ("repro/transport/loadgen.py",)),
+    ("asyncio", ("/asyncio/",)),
+    ("repro other", ("repro/",)),
 )
-ORDER = tuple(dict.fromkeys(layer for _, layer in LAYERS)) + ("stdlib",)
 
 
 def layer_of(filename: str) -> str:
-    filename = filename.replace(os.sep, "/")
-    for fragment, layer in LAYERS:
-        if fragment in filename:
+    for layer, fragments in LAYERS:
+        if any(fragment in filename for fragment in fragments):
             return layer
     return "stdlib"
 
 
 def count(body) -> dict:
-    """Run ``body()`` under INSTRUCTION and PY_START events; per-layer
-    totals plus ``body()``'s op count."""
+    """Run ``body(start, stop)`` with INSTRUCTION and PY_START events on
+    between its two calls; per-layer totals plus its op count."""
     mon, events = sys.monitoring, sys.monitoring.events
-    instructions: dict = {}
-    calls: dict = {}
+    instructions, calls = {}, {}
     get_i, get_c = instructions.get, calls.get
 
     def on_instruction(code, offset):
@@ -91,7 +74,7 @@ def count(body) -> dict:
                lambda: mon.set_events(tool, 0))
     mon.free_tool_id(tool)
     totals = {"ops": ops, "instructions": {}, "calls": {}}
-    for kind, counts in (("instructions", instructions), ("calls", calls)):
+    for kind, counts in zip(KINDS, (instructions, calls)):
         for code, n in counts.items():
             layer = layer_of(code.co_filename)
             totals[kind][layer] = totals[kind].get(layer, 0) + n
@@ -99,8 +82,7 @@ def count(body) -> dict:
 
 
 def recipe(axis: str):
-    """The axis' body: ``body(start, stop)`` counts between the two calls
-    and returns the op count."""
+    """The axis' ``body(start, stop)``, which returns its op count."""
     from dataclasses import replace
 
     from repro import registry
@@ -115,7 +97,31 @@ def recipe(axis: str):
         return ClusterSimulator(registry.create("d2-tree"), inputs, 8, SimulationConfig(seed=7))
 
     if axis == "live":
-        return live_recipe(workload(DatasetProfile.ra(8_000), 4_000))
+        from repro.transport.live import LiveConfig
+        from repro.transport.loadgen import LoadConfig, LoadGenerator
+        from repro.transport.serve import serve_workload
+        inputs = workload(DatasetProfile.ra(8_000), 4_000)
+
+        def body(start, stop):
+            run = LoadGenerator.run
+
+            async def counted(generator):
+                start()
+                try:
+                    return await run(generator)
+                finally:
+                    stop()
+
+            LoadGenerator.run = counted
+            report = serve_workload(
+                registry.create("d2-tree"), inputs,
+                LiveConfig(num_servers=4, num_monitors=3, seed=7),
+                LoadConfig(rate=1e6, max_inflight=8, seed=7),
+            )
+            if report.failed or report.indeterminate or report.violations:
+                raise SystemExit(f"live run did not settle cleanly: {report.to_dict()}")
+            return report.operations
+        return body
     if axis == "setup":
         def body(start, stop):
             start()
@@ -133,61 +139,26 @@ def recipe(axis: str):
         start()
         result = sim.run()
         stop()
-        sim.close()
         return result.operations
     return body
 
 
-def live_recipe(inputs):
-    from repro import registry
-    from repro.transport.live import LiveConfig
-    from repro.transport.loadgen import LoadConfig, LoadGenerator
-    from repro.transport.serve import serve_workload
-
-    def body(start, stop):
-        run = LoadGenerator.run
-
-        async def counted(generator):
-            start()
-            try:
-                return await run(generator)
-            finally:
-                stop()
-
-        LoadGenerator.run = counted
-        report = serve_workload(
-            registry.create("d2-tree"), inputs,
-            LiveConfig(num_servers=4, num_monitors=3, seed=7),
-            LoadConfig(rate=1e6, max_inflight=8, seed=7),
-        )
-        if report.failed or report.indeterminate or report.violations:
-            raise SystemExit(f"live run did not settle cleanly: {report.to_dict()}")
-        return report.operations
-    return body
-
-
 def measure(axis: str) -> dict:
-    env = dict(os.environ, PYTHONHASHSEED="0",
-               PYTHONPATH=os.path.join(ROOT, "src"))
-    out = subprocess.run(
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.path.join(ROOT, "src"))
+    return json.loads(subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--axis", axis],
-        env=env, check=True, capture_output=True, text=True, cwd=ROOT,
-    ).stdout
-    return json.loads(out)
-
-
-def per_op(totals: dict, kind: str) -> float:
-    return sum(totals[kind].values()) / totals["ops"]
+        env=env, check=True, capture_output=True, text=True, cwd=ROOT).stdout)
 
 
 def show(axis: str, totals: dict) -> None:
-    print(f"{axis:<14} {totals['ops']:>6} ops  "
-          f"{per_op(totals, 'instructions'):9.1f} instructions/op  "
-          f"{per_op(totals, 'calls'):8.2f} calls/op")
-    for layer in ORDER:
+    ops = totals["ops"]
+    print(f"{axis:<14} {ops:>6} ops  "
+          f"{sum(totals['instructions'].values()) / ops:9.1f} instructions/op  "
+          f"{sum(totals['calls'].values()) / ops:8.2f} calls/op")
+    for layer in [name for name, _ in LAYERS] + ["stdlib"]:
         if layer in totals["instructions"]:
-            print(f"  {layer:<24} {totals['instructions'][layer] / totals['ops']:9.1f}"
-                  f"  {totals['calls'].get(layer, 0) / totals['ops']:8.2f}")
+            print(f"  {layer:<24} {totals['instructions'][layer] / ops:9.1f}"
+                  f"  {totals['calls'].get(layer, 0) / ops:8.2f}")
 
 
 def main(argv) -> int:
@@ -197,31 +168,28 @@ def main(argv) -> int:
     if sys.version_info < (3, 12):
         raise SystemExit("costcount needs CPython 3.12+ (sys.monitoring)")
     version = "%d.%d" % sys.version_info[:2]
-    print(f"costcount on CPython {version} (PYTHONHASHSEED=0); "
-          "per layer: instructions/op, calls/op")
+    print(f"costcount, CPython {version}, PYTHONHASHSEED=0: instructions/op, calls/op")
     measured = {}
     for axis in AXES:
         totals = measure(axis)
         show(axis, totals)
-        measured[axis] = {kind: round(per_op(totals, kind), 2)
-                          for kind in ("instructions", "calls")}
+        measured[axis] = {"ops": totals["ops"]}
+        measured[axis].update((kind, sum(totals[kind].values())) for kind in KINDS)
     status = 0
     if "--check" in argv:
         recorded = json.load(open(argv[argv.index("--check") + 1]))[version]
-        for axis, counts in sorted(measured.items()):
-            for kind, value in sorted(counts.items()):
-                limit = recorded[axis][kind] * (1 + TOLERANCE)
-                if value > limit:
-                    print(f"::error title=cost count rose::{axis} {kind}/op {value} "
-                          f"is over 1 % above the recorded {recorded[axis][kind]}")
-                    status = 1
+        for axis, kind in ((axis, kind) for axis in AXES for kind in KINDS):
+            was, now = (book[axis][kind] / book[axis]["ops"] for book in (recorded, measured))
+            if now > was * (1 + TOLERANCE):
+                print(f"::error title=cost count rose::{axis} {kind}/op {now:.2f} "
+                      f"is over 1 % above the recorded {was:.2f}")
+                status = 1
     if "--record" in argv:
         path = argv[argv.index("--record") + 1]
         book = json.load(open(path)) if os.path.exists(path) else {}
         book[version] = measured
         with open(path, "w") as out:
-            json.dump(book, out, indent=2, sort_keys=True)
-            out.write("\n")
+            out.write(json.dumps(book, indent=2, sort_keys=True) + "\n")
     if "--live" in argv:
         print("ungated, event-loop timing dependent:")
         show("live", measure("live"))
