@@ -73,9 +73,9 @@ class FrameLink(asyncio.Protocol):
     body))``: the wire form :func:`~repro.transport.wire.decode_payload`
     gives for the same bytes, and a frame that breaks the envelope rule
     fails with the same :func:`~repro.transport.wire.envelope_error`. A
-    ``ValueError`` from decoding or from
-    ``on_frame`` (a ``FrameError``, a malformed body) closes the link; so
-    does EOF inside a frame, the torn-stream case. ``on_lost(link, exc)``
+    ``ValueError`` from decoding or from ``on_frame`` (a ``FrameError``, a
+    malformed body) closes the link; so does EOF inside a frame, the
+    torn-stream case. ``on_lost(link, exc)``
     fires once, when the connection is gone: ``exc`` is the socket error,
     the ``ValueError`` that closed the link, or ``None``.
 

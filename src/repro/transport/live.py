@@ -84,8 +84,6 @@ __all__ = [
 #: unit.
 SLOW_UNIT = 0.001
 
-_REQUEST_TAG = ClientRequest.TAG
-
 
 def _discard(link: FrameLink, wire) -> None:
     """``on_frame`` of an outbound control link: nothing answers on one."""
@@ -204,7 +202,7 @@ class LiveMDS:
         :func:`from_wire`, so an unknown tag is its ``ValueError`` and the
         link drops.
         """
-        if wire[0] == _REQUEST_TAG:
+        if wire[0] == ClientRequest.TAG:
             request = ClientRequest.from_wire(wire)
             delay = self.cfg.service_time
             slow_factor = self.state.slow_factor

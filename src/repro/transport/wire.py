@@ -51,9 +51,8 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 #: The ``[u32 length]`` in front of every frame's payload.
 LENGTH_PREFIX = struct.Struct(">I")
-_ENVELOPE = FRAME_HEAD
 #: Payload bytes the envelope itself takes (version + tag).
-_ENVELOPE_PAYLOAD = _ENVELOPE.size - LENGTH_PREFIX.size
+_ENVELOPE_PAYLOAD = FRAME_HEAD.size - LENGTH_PREFIX.size
 
 
 class FrameError(ValueError):
@@ -67,7 +66,7 @@ def encode_frame(wire: Wire) -> bytes:
     if length > MAX_FRAME_BYTES:
         raise FrameError(f"frame payload of {length} bytes exceeds cap")
     try:
-        return _ENVELOPE.pack(length, WIRE_VERSION, tag) + body
+        return FRAME_HEAD.pack(length, WIRE_VERSION, tag) + body
     except struct.error as error:
         raise FrameError(f"tag {tag!r} does not fit the envelope: {error}") from None
 
