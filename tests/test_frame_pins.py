@@ -7,6 +7,9 @@ to fixed bytes and to a fixed verdict, whatever shortcut either end takes:
 * the request and reply frames one serve run writes for the first 2 000
   ops of ``serve_serial``'s inputs (perfbench's DTR workload, seed 7, one
   request outstanding) hash to pinned digests;
+* so do each op's first request frame and the ack frame that settles it,
+  taken in op-id order: bytes no routing choice moves, so this pin holds
+  while a routing change adds or removes redirects in between;
 * an MDS link fed an unknown tag, or a request tag over a malformed body,
   is dropped, and nothing it carried is served.
 """
@@ -14,11 +17,12 @@ to fixed bytes and to a fixed verdict, whatever shortcut either end takes:
 import asyncio
 import dataclasses
 import hashlib
+import struct
 
 import pytest
 
 from repro import registry
-from repro.cluster.messages import WIRE_VERSION, ClientRequest
+from repro.cluster.messages import WIRE_VERSION, ClientReply, ClientRequest
 from repro.traces import DatasetProfile, TraceGenerator
 from repro.transport.asyncio_net import AsyncioTransport, FrameLink
 from repro.transport.live import LiveConfig, LiveMDS
@@ -36,6 +40,10 @@ REQUEST_FRAMES_SHA256 = (
 REPLY_FRAMES_SHA256 = (
     "6ae3134a14b1a78f322e4d69bc009186399ef9f1f5411284be3d51037944af4b"
 )
+#: sha256 of each op's first request frame then its ack frame, op by op.
+PER_OP_FRAMES_SHA256 = (
+    "0d753cbba3b82d834756961f3634ee9e6aee9f312b522af3a41c367d35f53aec"
+)
 
 
 def _serve_serial_inputs():
@@ -48,16 +56,13 @@ def _serve_serial_inputs():
     return dataclasses.replace(inputs, trace=inputs.trace.slice(0, OPS))
 
 
-def test_the_frames_of_a_serial_run_are_pinned(monkeypatch):
-    frames = {ClientRequest.TAG: hashlib.sha256(), 4: hashlib.sha256()}
-    counts = dict.fromkeys(frames, 0)
+def _serve_serial(monkeypatch, record):
+    """One serial serve run of the pinned inputs, every frame written
+    passed to ``record(data)`` first."""
     write = FrameLink.write
 
     def recording(link, data):
-        digest = frames.get(data[5])
-        if digest is not None:
-            digest.update(data)
-            counts[data[5]] += 1
+        record(data)
         return write(link, data)
 
     monkeypatch.setattr(FrameLink, "write", recording)
@@ -68,11 +73,47 @@ def test_the_frames_of_a_serial_run_are_pinned(monkeypatch):
     )
     assert report.violations == []
     assert report.acked == OPS and report.failovers == 0
+    return report
+
+
+def test_the_frames_of_a_serial_run_are_pinned(monkeypatch):
+    frames = {ClientRequest.TAG: hashlib.sha256(), ClientReply.TAG: hashlib.sha256()}
+    counts = dict.fromkeys(frames, 0)
+
+    def record(data):
+        digest = frames.get(data[5])
+        if digest is not None:
+            digest.update(data)
+            counts[data[5]] += 1
+
+    report = _serve_serial(monkeypatch, record)
     # One request and one reply per send: acks plus redirects.
     assert counts == {ClientRequest.TAG: OPS + report.redirects,
-                      4: OPS + report.redirects}
+                      ClientReply.TAG: OPS + report.redirects}
     assert frames[ClientRequest.TAG].hexdigest() == REQUEST_FRAMES_SHA256
-    assert frames[4].hexdigest() == REPLY_FRAMES_SHA256
+    assert frames[ClientReply.TAG].hexdigest() == REPLY_FRAMES_SHA256
+
+
+def test_each_ops_first_request_and_its_ack_are_pinned(monkeypatch):
+    """Where an op is sent first, and how many redirects it takes, are
+    routing choices; its request bytes and the ack that settles it are
+    not (a global-layer update is acked by its primary, a local-layer op
+    by its owner, a read by the replica its entry draw picked)."""
+    first_request, ack = {}, {}
+
+    def record(data):
+        tag = data[5]
+        if tag == ClientRequest.TAG:
+            first_request.setdefault(struct.unpack_from(">q", data, 6)[0], bytes(data))
+        elif tag == ClientReply.TAG and data[33:33 + data[30]] == b"ack":
+            ack[struct.unpack_from(">q", data, 6)[0]] = bytes(data)
+
+    _serve_serial(monkeypatch, record)
+    assert sorted(first_request) == sorted(ack) == list(range(OPS))
+    digest = hashlib.sha256()
+    for op_id in range(OPS):
+        digest.update(first_request[op_id] + ack[op_id])
+    assert digest.hexdigest() == PER_OP_FRAMES_SHA256
 
 
 GOOD_REQUEST = _framed(bytes([WIRE_VERSION, ClientRequest.TAG]) + _request_body())
