@@ -4,8 +4,9 @@ A path is either in the replicated **global layer** (any replica serves it)
 or below exactly one local-layer **subtree root**, whose owner the
 *inter-node index* names — so nobody needs a path→owner map of the whole
 namespace. :func:`covering_entry` is the longest-prefix walk both sides of
-the wire share: an MDS runs it over its :class:`RoutingIndex`, a client
-over its LRU cache of learned ``root → owner`` entries.
+the wire share: a client runs it over its LRU cache of learned ``root →
+owner`` entries, and an MDS (``LiveMDS.route``) makes the same walk over
+its :class:`RoutingIndex`'s roots, inline.
 """
 
 from __future__ import annotations
@@ -55,16 +56,6 @@ class RoutingIndex:
         """The authoritative index of a placement
         (:meth:`~repro.placement.Placement.index_entries`)."""
         return cls(*placement.index_entries())
-
-    def resolve(self, path: str) -> Optional[Tuple[str, Tuple[int, ...]]]:
-        """``(root, servers)`` able to serve ``path``, or ``None`` when
-        nothing indexed covers it. ``root`` is ``""`` for a global-layer
-        path: no index entry covers it."""
-        replicas = self.global_layer.get(path)
-        if replicas is not None:
-            return "", replicas
-        entry = covering_entry(path, self.roots.get)
-        return entry and (entry[0], (entry[1],))
 
     def to_info(self) -> Tuple[Tuple[str, list], ...]:
         """The sorted ``Directive.info`` payload of an ownership broadcast."""

@@ -102,9 +102,11 @@ _REQUEST = struct.Struct(">qiBH")
 _REQUEST_FRAME = _framed(_REQUEST)
 _REPLY = struct.Struct(">qiiqBH")
 _REPLY_FRAME = _framed(_REPLY)
-#: The length field of a request / reply frame whose tails are empty.
-_REQUEST_LENGTH = _COUNTED + _REQUEST.size
-_REPLY_LENGTH = _COUNTED + _REPLY.size
+#: Where a request / reply body's tails start, and the length field of a
+#: frame whose tails are empty.
+_REQUEST_SIZE, _REPLY_SIZE = _REQUEST.size, _REPLY.size
+_REQUEST_LENGTH = _COUNTED + _REQUEST_SIZE
+_REPLY_LENGTH = _COUNTED + _REPLY_SIZE
 #: ``tuple.__new__``: decoded requests and replies are built in C, not by
 #: the NamedTuple's Python-level ``__new__``.
 _new = tuple.__new__
@@ -128,15 +130,14 @@ def _wrong_tag(cls, tag) -> ValueError:
     )
 
 
-def _tails(body: bytes, start: int, first: int, second: int) -> Tuple[str, str]:
-    """The two UTF-8 strings that must fill ``body`` from ``start`` on."""
-    middle = start + first
-    if middle + second != len(body):
-        raise ValueError(
-            f"length fields name {first}+{second} tail bytes, "
-            f"the body carries {len(body) - start}"
-        )
-    return str(body[start:middle], "utf-8"), str(body[middle:], "utf-8")
+def _tails(body: bytes, start: int, first: int, second: int) -> ValueError:
+    """The error of a body whose two tails, of ``first`` and ``second``
+    bytes from ``start`` on, do not fill it exactly. ``from_wire`` reads
+    the tails inline and calls this only on a mismatch."""
+    return ValueError(
+        f"length fields name {first}+{second} tail bytes, "
+        f"the body carries {len(body) - start}"
+    )
 
 
 class VisitKind(enum.Enum):
@@ -333,7 +334,11 @@ class ClientRequest(NamedTuple):
             raise _wrong_tag(cls, tag)
         try:
             op_id, client_id, op_len, path_len = _REQUEST.unpack_from(body)
-            op, path = _tails(body, _REQUEST.size, op_len, path_len)
+            middle = _REQUEST_SIZE + op_len
+            if middle + path_len != len(body):
+                raise _tails(body, _REQUEST_SIZE, op_len, path_len)
+            op = str(body[_REQUEST_SIZE:middle], "utf-8")
+            path = str(body[middle:], "utf-8")
         except (struct.error, ValueError) as exc:
             raise _malformed(cls, exc) from None
         return _new(cls, (op_id, path, op, client_id))
@@ -394,7 +399,11 @@ class ClientReply(NamedTuple):
             op_id, server, owner, epoch, status_len, root_len = (
                 _REPLY.unpack_from(body)
             )
-            status, root = _tails(body, _REPLY.size, status_len, root_len)
+            middle = _REPLY_SIZE + status_len
+            if middle + root_len != len(body):
+                raise _tails(body, _REPLY_SIZE, status_len, root_len)
+            status = str(body[_REPLY_SIZE:middle], "utf-8")
+            root = str(body[middle:], "utf-8")
         except (struct.error, ValueError) as exc:
             raise _malformed(cls, exc) from None
         return _new(cls, (op_id, status, server, owner, epoch, root))

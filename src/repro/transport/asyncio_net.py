@@ -43,7 +43,7 @@ from repro.transport.wire import (
     envelope_error,
 )
 
-__all__ = ["AsyncioTransport", "FrameLink"]
+__all__ = ["AsyncioTransport", "FrameLink", "LinkClosed"]
 
 #: (reader, writer) pair of one established stream connection.
 Stream = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
@@ -61,6 +61,10 @@ RESUME_AT = 64 * 1024
 _PREFIX = LENGTH_PREFIX.size
 _HEAD = FRAME_HEAD.size
 _unpack_length = LENGTH_PREFIX.unpack_from
+
+
+class LinkClosed(ConnectionResetError):
+    """A :meth:`FrameLink.write` to a closed link: nothing was written."""
 
 
 class FrameLink(asyncio.Protocol):
@@ -137,10 +141,11 @@ class FrameLink(asyncio.Protocol):
 
     def write(self, data: bytes) -> bool:
         """Queue ``data``; False when the write buffer is now over its
-        high-water mark (what a :meth:`drain` would wait out)."""
+        high-water mark (what a :meth:`drain` would wait out); on a closed
+        link, :class:`LinkClosed` (so a sender need not check first)."""
         transport = self.transport
         if transport is None or transport.is_closing():  # ``closing``, inline
-            raise ConnectionResetError("link is closed")
+            raise LinkClosed("link is closed")
         transport.write(data)
         return not self._writing_paused
 

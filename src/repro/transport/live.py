@@ -67,7 +67,7 @@ from repro.cluster.messages import (
 from repro.cluster.monitor import MonitorGroup
 from repro.placement import MetadataScheme
 from repro.simulation.faults import FaultEvent, FaultPlan
-from repro.transport.asyncio_net import AsyncioTransport, FrameLink
+from repro.transport.asyncio_net import AsyncioTransport, FrameLink, LinkClosed
 from repro.transport.base import CLIENT_ADDR, mds_addr, mon_addr
 from repro.transport.wire import encode_frame
 
@@ -221,16 +221,14 @@ class LiveMDS:
             self._apply_directive(message)
 
     def _answer(self, link: FrameLink, request: ClientRequest) -> None:
-        if link.closing:
-            # The server crashed while the request was in service: a dead
-            # process routes, acks and writes nothing.
+        # A server that crashed while the request was in service has a
+        # closed link, and a dead process acks and writes nothing. On a
+        # fault-free fabric the reply's write is the one check.
+        transport = self.transport
+        faulty = transport.faulty
+        if faulty and link.closing:
             return
         status, owner, root = self.route(request)
-        if status == "ack" and request.op_id not in self.acked:
-            self.acked.add(request.op_id)
-            self.served += 1
-        elif status == "redirect":
-            self.redirects += 1
         frame = ClientReply.frame(
             request.op_id, status, self.server_id,
             owner, self.state.fence_epoch, root,
@@ -239,11 +237,18 @@ class LiveMDS:
         # links applies to them too (a lost ack looks like a client timeout,
         # and the retry is absorbed by the idempotent ack ledger). A delayed
         # reply keeps the link held until it is written.
-        transport = self.transport
-        wait = transport.data_verdict(self.addr, CLIENT_ADDR) if transport.faulty else 0.0
+        wait = transport.data_verdict(self.addr, CLIENT_ADDR) if faulty else 0.0
         if wait == 0.0:
-            link.write(frame)
-        elif wait is not None:
+            try:
+                link.write(frame)
+            except LinkClosed:
+                return
+        if status == "ack" and request.op_id not in self.acked:
+            self.acked.add(request.op_id)
+            self.served += 1
+        elif status == "redirect":
+            self.redirects += 1
+        if wait:  # neither written nor dropped: delayed
             link.hold()
             asyncio.get_running_loop().call_later(wait, _write_late, link, frame)
             return
@@ -254,17 +259,24 @@ class LiveMDS:
 
         Any replica acks a global-layer read; an ``update`` is the
         primary's alone. A server that may not ack redirects to the primary.
+        A local-layer path is its longest indexed prefix's (``root``'s).
         """
-        entry = self.index.resolve(request.path)
-        if entry is None:
-            # No covering entry (fresh after kill9, or a path this index
-            # never learned): the client treats it as retryable elsewhere.
-            return "error", -1, ""
-        root, servers = entry
-        if request.op != "update" and self.server_id in servers:
-            owner = self.server_id
+        servers = self.index.global_layer.get(request.path)
+        if servers is not None:
+            root = ""
+            if request.op != "update" and self.server_id in servers:
+                owner = self.server_id
+            else:
+                owner = servers[0]
         else:
-            owner = servers[0]
+            roots = self.index.roots
+            root = request.path
+            while (owner := roots.get(root)) is None:
+                if len(root) <= 1:
+                    # No covering entry (fresh after kill9, or a path this
+                    # index never learned): retryable elsewhere.
+                    return "error", -1, ""
+                root = root[: root.rfind("/")] or "/"
         status = "ack" if owner == self.server_id else "redirect"
         return status, owner, root
 

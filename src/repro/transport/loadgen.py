@@ -33,8 +33,12 @@ cache of the inter-node index — subtree root → owner, learned from the
 covering entry every reply carries. The longest cached prefix of a path
 names the server to go to directly; a miss (a cold subtree, or a
 global-layer path, which any MDS serves) goes to a random entry server. A
-stale entry costs one redirect, which replaces it; an owner that refuses
-the connection or times out is forgotten, so it is not retried per op.
+global-layer ``update`` is its primary's alone: the redirect that names the
+primary (a reply with no ``root``) is cached too, by path, in a second
+bounded map, so the next update on that path goes straight there; reads
+and writes keep their random entry. A stale entry costs one redirect,
+which replaces it; an owner or primary that refuses the connection, times
+out or does not ack is forgotten, so it is not retried per op.
 
 Connections are multiplexed: one framed link per MDS shared by every
 in-flight operation, with replies correlated back to operations by
@@ -64,7 +68,7 @@ from repro.cluster.index import covering_entry
 from repro.cluster.messages import ClientReply, ClientRequest
 from repro.simulation.stats import summarize_latencies
 from repro.traces.trace import OP_VALUES, Trace
-from repro.transport.asyncio_net import AsyncioTransport, FrameLink
+from repro.transport.asyncio_net import AsyncioTransport, FrameLink, LinkClosed
 from repro.transport.base import CLIENT_ADDR, mds_addr
 
 __all__ = [
@@ -108,8 +112,8 @@ class LoadReport:
     #: Operations that found all ``max_inflight`` slots busy at their
     #: arrival time (the cap delayed their start).
     saturated: int = 0
-    #: First attempts routed by a cached index entry / sent to a random
-    #: entry server for want of one.
+    #: First attempts routed by a cached index entry / not (a random entry
+    #: server, or a global-layer update's learned primary).
     index_cache_hits: int = 0
     index_cache_misses: int = 0
     duration: float = 0.0
@@ -147,6 +151,14 @@ def latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
     }
 
 
+def _learn(cache: LRUCache, key: str, reply: ClientReply) -> None:
+    """Cache ``key -> (reply.owner, reply.epoch)``, unless the cached entry
+    is newer (a stale server's view does not overwrite a newer)."""
+    known = cache.peek(key)
+    if known is None or reply.epoch >= known[1]:
+        cache.put(key, (reply.owner, reply.epoch))
+
+
 class _Op:
     """One operation in flight: everything its next step needs."""
 
@@ -165,7 +177,8 @@ class _Op:
         self.start = start
         #: ``OP_DEADLINE`` past the start: no attempt begins after it.
         self.deadline = start + OP_DEADLINE
-        #: The cached index entry that chose ``target`` ("" for none).
+        #: The cached key that chose ``target`` ("" for none): an index
+        #: entry's root, or a global-layer path with a learned primary.
         self.root = root
         self.target = target
         self.attempts = 0
@@ -231,13 +244,11 @@ class _ServerConn:
             if self.dialing is None:
                 self.dialing = self.gen._loop.create_task(self._dial())
             return
-        if link.closing:
-            # Reset before this send (its loss not yet handled): nothing
-            # reaches the wire, and the next attempt redials.
-            self.gen._attempt_failed(op, False)
-            return
         transport = self.gen.transport
         if transport.faulty:
+            if link.closing:  # reset: unsent, and the fabric draws nothing
+                self.gen._attempt_failed(op, False)
+                return
             wait = transport.data_verdict(CLIENT_ADDR, self.addr)
             if wait is None:
                 # A fabric-lost frame still waits out its timeout: the
@@ -251,11 +262,19 @@ class _ServerConn:
         self._write(link, op)
 
     def _write(self, link: FrameLink, op: _Op) -> None:
+        # This send may run inside another link's reply callback: an error
+        # is this attempt's, and must not close that link.
         try:
             drained = link.write(op.frame)
+        except LinkClosed:
+            if op.op_id in self.held:  # a send the fabric delayed
+                self._send_failed(op)
+            else:
+                # Reset before this send (its loss not yet handled): nothing
+                # reached the wire, and the next attempt redials.
+                self.gen._attempt_failed(op, False)
+            return
         except (ConnectionError, OSError):
-            # This send may run inside another link's reply callback: the
-            # error is this attempt's, and must not close that link.
             self._send_failed(op)
             return
         if drained:
@@ -414,6 +433,11 @@ class LoadGenerator:
         self.index_cache: LRUCache[str, Tuple[int, int]] = LRUCache(
             INDEX_CACHE_SIZE
         )
+        #: global-layer path -> (primary, epoch), learned from the redirect
+        #: of an ``update``; only updates are routed by it.
+        self.primaries: LRUCache[str, Tuple[int, int]] = LRUCache(
+            INDEX_CACHE_SIZE
+        )
         # The run's state, set by run().
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: Resolves when the last slot ends, or with the first unexpected
@@ -435,20 +459,14 @@ class LoadGenerator:
         """Operations finished (acked or failed) — the fault-plan clock."""
         return self._done
 
-    def _learn(self, reply: ClientReply) -> None:
-        """Cache the reply's covering index entry, unless it is older than
-        the cached one (a stale server's view does not overwrite a newer)."""
-        if reply.root and reply.owner >= 0:
-            known = self.index_cache.peek(reply.root)
-            if known is None or reply.epoch >= known[1]:
-                self.index_cache.put(reply.root, (reply.owner, reply.epoch))
-
     def _forget(self, root: str, server: int) -> None:
-        """Drop ``root``'s entry if it still names ``server`` (another
-        in-flight op may have corrected it since this one read it)."""
-        known = self.index_cache.peek(root)
-        if known is not None and known[0] == server:
-            self.index_cache.invalidate(root)
+        """Drop what ``root`` names — an index entry or a learned primary —
+        if it still names ``server`` (another in-flight op may have
+        corrected it since this one read it)."""
+        for cache in (self.index_cache, self.primaries):
+            known = cache.peek(root)
+            if known is not None and known[0] == server:
+                cache.invalidate(root)
 
     # ------------------------------------------------------------------
     async def run(self) -> LoadReport:
@@ -548,9 +566,14 @@ class LoadGenerator:
         op_value = OP_VALUES[trace.op_codes[op_id]]
         self.history.invoke(op_id, -1, start, path, op_value)
         # Longest cached prefix -> straight to the owner; a miss (cold
-        # subtree or global-layer path) -> the pre-drawn random entry.
+        # subtree or global-layer path) -> the pre-drawn random entry, or a
+        # global-layer update's learned primary.
         cached = covering_entry(path, self.index_cache.peek)
-        root, target = (cached[0], cached[1][0]) if cached else ("", entry)
+        if cached:
+            root, target = cached[0], cached[1][0]
+        else:
+            primary = op_value == "update" and self.primaries.peek(path)
+            root, target = (path, primary[0]) if primary else ("", entry)
         # The op's one counting lookup (hits + misses == ops routed), which
         # also refreshes the entry's recency.
         self.index_cache.get(root or path)
@@ -611,7 +634,8 @@ class LoadGenerator:
     def _on_reply(self, op: _Op, reply: ClientReply) -> None:
         status = reply.status
         if status == "ack":
-            self._learn(reply)
+            if reply.root and reply.owner >= 0:
+                _learn(self.index_cache, reply.root, reply)
             # Each earlier send was a redirect (a jump) or a retry.
             jumps = op.jumps
             now = self._loop.time()
@@ -629,8 +653,14 @@ class LoadGenerator:
         op.root = ""
         if status == "redirect" and reply.owner >= 0:
             op.jumps += 1
-            self._learn(reply)
-            op.root, op.target = reply.root, reply.owner
+            root = reply.root
+            if root:
+                _learn(self.index_cache, root, reply)
+            elif OP_VALUES[self.trace.op_codes[op.op_id]] == "update":
+                # A global-layer update: the owner named is its primary.
+                root = self.trace.paths[self.trace.path_ids[op.op_id]]
+                _learn(self.primaries, root, reply)
+            op.root, op.target = root, reply.owner
             self._retry(op)
             return
         # "error" (no routing entry yet) or a bogus redirect: try another

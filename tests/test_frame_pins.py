@@ -35,10 +35,10 @@ OPS = 2_000
 
 #: sha256 of the concatenated request / reply frames, in write order.
 REQUEST_FRAMES_SHA256 = (
-    "52ed8f22def3b9cc3296ea2d469c514f7d7eaf9e7107195b77cbcfed74e8fbda"
+    "f15bfbe591ea6fe8133c3ed8988ad78979941f075da9051f3f551619570fddfb"
 )
 REPLY_FRAMES_SHA256 = (
-    "6ae3134a14b1a78f322e4d69bc009186399ef9f1f5411284be3d51037944af4b"
+    "b79a5382217216e3e4544b5261596f45b1605b73f21a7dc1a0afd103dceaa3aa"
 )
 #: sha256 of each op's first request frame then its ack frame, op by op.
 PER_OP_FRAMES_SHA256 = (

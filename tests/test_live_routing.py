@@ -8,15 +8,19 @@ cached inter-node index, and both sides hold state sized by the index
 
 import asyncio
 import dataclasses
+import types
 
 import pytest
 
 from repro import registry
 from repro.cluster.index import RoutingIndex, covering_entry
-from repro.cluster.messages import ClientRequest, Directive
+from repro.cluster.client import INDEX_CACHE_SIZE
+from repro.cluster.messages import ClientReply, ClientRequest, Directive
 from repro.traces import DatasetProfile, OpType, load_workload
-from repro.transport.live import LiveCluster, LiveConfig
-from repro.transport.loadgen import LoadConfig, LoadGenerator
+from repro.transport.asyncio_net import AsyncioTransport
+from repro.transport.live import LiveCluster, LiveConfig, LiveMDS
+from repro.transport.base import mds_addr
+from repro.transport.loadgen import LoadConfig, LoadGenerator, _Op
 from tests.conftest import index_size, live_audit, ops_trace
 from repro.transport.serve import serve_workload
 from repro.transport.wire import encode_frame
@@ -83,9 +87,12 @@ def test_routing_index_round_trips_through_a_directive():
     )
     assert rebuilt.global_layer == index.global_layer
     assert rebuilt.roots == index.roots
-    assert rebuilt.resolve("/g") == ("", (1, 0))
-    assert rebuilt.resolve("/g/r/x/y") == ("/g/r", (1,))
-    assert rebuilt.resolve("/elsewhere") is None
+    mds = LiveMDS(0, AsyncioTransport(mode="tcp"), LiveConfig(num_servers=2, num_monitors=0))
+    mds.index = rebuilt
+    assert mds.route(ClientRequest(1, "/g", "read")) == ("ack", 0, "")
+    assert mds.route(ClientRequest(1, "/g", "update")) == ("redirect", 1, "")
+    assert mds.route(ClientRequest(1, "/g/r/x/y", "read")) == ("redirect", 1, "/g/r")
+    assert mds.route(ClientRequest(1, "/elsewhere", "read")) == ("error", -1, "")
 
 
 @pytest.mark.parametrize("info", [
@@ -269,7 +276,165 @@ def test_an_unreachable_cached_owner_is_forgotten_not_retried_per_op(workload):
 
 
 # ----------------------------------------------------------------------
-# (d) a baseline scheme served live
+# (d) a global-layer update's primary, learned from its redirect
+# ----------------------------------------------------------------------
+def _global_paths(workload):
+    """The global layer's ``(path, replicas)``, in path order."""
+    placement = registry.create("d2-tree").partition(workload.tree, NUM_SERVERS)
+    return sorted(RoutingIndex.of(placement).global_layer.items())
+
+
+def _acks_and_retries(sink):
+    ok = {e.op_id: e for e in sink.events if e.kind == "ok"}
+    return ok, [e for e in sink.events if e.kind == "retry"]
+
+
+def test_a_second_update_on_a_global_path_goes_straight_to_its_primary(workload):
+    """Three updates on each of eight global-layer paths, one at a time:
+    the first redirect on a path teaches its primary, so a path takes at
+    most one redirect, and every later update on it none."""
+    layer = _global_paths(workload)[:8]
+    ops = ops_trace((path, "update") for path, _ in layer for _ in range(3))
+
+    async def body(cluster):
+        generator = LoadGenerator(
+            cluster.transport, NUM_SERVERS, ops,
+            LoadConfig(rate=1e6, max_inflight=1, seed=SEED),
+        )
+        sink = HistorySink()
+        generator.history.listen(sink)
+        load = await generator.run()
+        learned = {path: generator.primaries.peek(path) for path, _ in layer}
+        return load, sink, learned, live_audit(cluster, generator)
+
+    load, sink, learned, violations = _with_cluster(workload, body)
+    assert violations == [] and load.acked == len(ops) and load.retries == 0
+    ok, _ = _acks_and_retries(sink)
+    taught = 0
+    for index, (path, replicas) in enumerate(layer):
+        jumps = [ok[3 * index + k].jumps for k in range(3)]
+        assert all(ok[3 * index + k].server == replicas[0] for k in range(3))
+        assert sum(jumps) <= 1
+        if sum(jumps):
+            taught += 1
+            assert learned[path][0] == replicas[0]
+            assert jumps[jumps.index(1) + 1:] == [0] * (2 - jumps.index(1))
+    assert taught > 0 and load.redirects == taught
+
+
+def test_global_reads_and_writes_are_never_routed_by_a_learned_primary(workload):
+    """Every global-layer path's learned primary names a server nobody
+    listens on: reads and writes keep their random entry, so none is sent
+    there (no retry), and the entries stay as they were."""
+    layer = _global_paths(workload)[:8]
+    ops = ops_trace(
+        (path, op) for path, _ in layer for op in ("read", "write", "read")
+    )
+    dead = NUM_SERVERS + 3
+
+    async def body(cluster):
+        generator = LoadGenerator(
+            cluster.transport, NUM_SERVERS, ops,
+            LoadConfig(rate=1e6, max_inflight=4, seed=SEED),
+        )
+        for path, _ in layer:
+            generator.primaries.put(path, (dead, 0))
+        load = await generator.run()
+        return load, [generator.primaries.peek(path) for path, _ in layer]
+
+    load, learned = _with_cluster(workload, body)
+    assert load.acked == len(ops)
+    assert load.retries == load.redirects == 0
+    assert learned == [(dead, 0)] * len(layer)
+    assert load.index_cache_misses == len(ops)
+
+
+def test_a_stale_primary_costs_one_redirect_then_is_learned_again(workload):
+    """The learned primary is evicted (a false positive: it stays up) and
+    the global layer re-homed. The first update bounces off it once; the
+    redirect names the new primary, and every later update goes there."""
+    path, replicas = _global_paths(workload)[0]
+    stale = replicas[0]
+    ops = ops_trace([(path, "update")] * 6)
+
+    async def body(cluster):
+        generator = LoadGenerator(
+            cluster.transport, NUM_SERVERS, ops,
+            LoadConfig(rate=1e6, max_inflight=1, seed=SEED),
+        )
+        generator.primaries.put(path, (stale, 0))
+        # Held for the run, so no Monitor round re-admits the server.
+        async with cluster._deciding:
+            cluster.control.evict(stale, asyncio.get_running_loop().time())
+            await cluster._reconcile()
+            for _ in range(500):
+                if all(m.index.global_layer[path][0] != stale for m in cluster.servers):
+                    break
+                await asyncio.sleep(0.01)
+            load = await generator.run()
+        primary = cluster.servers[0].index.global_layer[path][0]
+        return load, generator.primaries.peek(path), primary
+
+    load, learned, primary = _with_cluster(workload, body)
+    assert primary != stale
+    assert load.acked == len(ops) and load.retries == 0
+    assert load.redirects == 1
+    assert learned[0] == primary and learned[1] > 0
+
+
+@pytest.mark.parametrize("how", ["refused", "timed out"])
+def test_an_unreachable_primary_is_forgotten_not_retried_per_op(workload, how):
+    """The learned primary refuses the connection (nothing listens there)
+    or loses every frame: the first update on the path pays for it, is
+    retried elsewhere, and no later update is sent there."""
+    path, replicas = _global_paths(workload)[0]
+    ops = ops_trace([(path, "update")] * 6)
+    gone = NUM_SERVERS + 3 if how == "refused" else (replicas[0] + 1) % NUM_SERVERS
+    cfg = LoadConfig(
+        rate=1e6, max_inflight=1, seed=SEED, request_timeout=0.02,
+        retry_backoff_base=0.001, retry_backoff_cap=0.002,
+    )
+
+    async def body(cluster):
+        if how == "timed out":
+            cluster.transport.set_loss(mds_addr(gone), 1.0)
+        generator = LoadGenerator(cluster.transport, NUM_SERVERS, ops, cfg)
+        generator.primaries.put(path, (gone, 0))
+        sink = HistorySink()
+        generator.history.listen(sink)
+        load = await generator.run()
+        cluster.transport.clear_endpoint(mds_addr(gone))
+        return load, sink, generator.primaries.peek(path)
+
+    load, sink, learned = _with_cluster(workload, body)
+    _, retries = _acks_and_retries(sink)
+    assert load.acked == len(ops)
+    assert retries and {e.op_id for e in retries} == {0}
+    assert {e.server for e in retries} == {gone}
+    assert learned is None or learned[0] == replicas[0]
+
+
+def test_hostile_root_less_redirects_never_grow_the_primary_map_past_its_bound():
+    """A server that answers every update with a redirect naming no root
+    teaches one primary per distinct path: the map stays at its LRU bound,
+    holding the latest. A root-less redirect of a read teaches nothing."""
+    paths = [f"/h{i}" for i in range(3 * INDEX_CACHE_SIZE)]
+    ops = ops_trace([(path, "update") for path in paths] + [("/read", "read")])
+    generator = LoadGenerator(types.SimpleNamespace(faulty=False), NUM_SERVERS, ops)
+    generator._retry = lambda op: None  # the follow-up send is not under test
+    held = []
+    for op_id in range(len(ops)):
+        op = _Op(op_id, b"", 0.0, "", 0)
+        generator._on_reply(op, ClientReply(op_id, "redirect", 0, op_id % NUM_SERVERS, 0, ""))
+        held.append(len(generator.primaries._data))
+    assert max(held) == INDEX_CACHE_SIZE
+    assert list(generator.primaries._data) == paths[-INDEX_CACHE_SIZE:]
+    assert generator.primaries.peek("/read") is None
+    assert len(generator.index_cache._data) == 0
+
+
+# ----------------------------------------------------------------------
+# (e) a baseline scheme served live
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheme", ["static-subtree", "static-hash"])
 def test_a_baseline_scheme_serves_live(workload, scheme):

@@ -22,6 +22,7 @@ from repro.chaos import (
 )
 from repro.chaos.history import OpHistory
 from repro.cluster.index import RoutingIndex
+from repro.cluster.messages import ClientRequest
 from repro.simulation import (
     ClusterSimulator,
     FaultEvent,
@@ -68,16 +69,17 @@ def _ownership(placement):
 
 
 def _assert_every_mds_resolves_authoritatively(cluster, tree):
-    """Every node of the tree, asked of every MDS, lands on servers the
-    authoritative placement stores it on."""
+    """Every node of the tree, read or updated at every MDS, is acked or
+    redirected to a server the authoritative placement stores it on."""
     placement = cluster.placement
     for mds in cluster.servers:
         for node in tree:
-            entry = mds.index.resolve(tree.path(node))
-            assert entry is not None, (mds.server_id, tree.path(node))
-            assert set(entry[1]) <= set(placement.servers_of(node)), (
-                mds.server_id, tree.path(node), entry,
-            )
+            for op in ("read", "update"):
+                verdict = mds.route(ClientRequest(0, tree.path(node), op))
+                assert verdict[0] != "error", (mds.server_id, tree.path(node))
+                assert verdict[1] in placement.servers_of(node), (
+                    mds.server_id, tree.path(node), op, verdict,
+                )
 
 
 def _live_run(workload, plan=None):

@@ -137,6 +137,9 @@ REACHED_BY: Dict[str, str] = {
     " tests/test_wire.py::test_an_out_of_range_field_is_a_value_error_at_encode",
     "repro.cluster.messages:_wrong_tag": "a wire form handed to another type's decoder:"
     " tests/test_wire.py::test_typed_decoder_rejects_wrong_tag",
+    "repro.cluster.messages:_tails": "a request or reply body whose tails do not fill it"
+    " (from_wire reads well-formed tails inline):"
+    " tests/test_wire.py::test_a_malformed_body_is_a_plain_value_error",
     "repro.transport.wire:envelope_error": "a frame too short for its envelope or of another"
     " version: tests/test_wire.py::test_the_link_opens_frames_exactly_as_decode_payload_does",
     "repro.transport.asyncio_net:FrameLink._fail": "a hostile or broken frame closes the link:"
