@@ -14,9 +14,10 @@ over 1 % above FILE's for this minor version; ``--record FILE`` writes them.
 ``--live`` prints, ungated (it depends on loop timing), one
 ``serve_saturated``-shaped run (RA, 4 000 ops, 4 servers, 8 outstanding)
 counted over ``LoadGenerator.run``. Its heartbeat interval and timeout are
-stretched (``LIVE_HEARTBEAT``): counting slows the run some fifty-fold, and
-at the default 50 ms interval the heartbeats of those seconds would be
-priced as request-path work that an uncounted run hardly does.
+stretched (``LIVE_HEARTBEAT``): counting slows the run about a hundredfold,
+to seconds, and at the default 50 ms interval the heartbeats of those
+seconds would be priced as request-path work that an uncounted run hardly
+does.
 """
 
 from __future__ import annotations
