@@ -2,8 +2,8 @@
 
 Each registered scheme partitions small DTR / LMBE / RA trees; a digest
 covers everything a reader of the placement can observe: every ``(node id,
-servers)`` pair in node-id order, the final ``version``, and DROP's
-``keys`` / AngleCut's ``angles`` in their insertion order.
+servers)`` pair in node-id order, and DROP's ``keys`` / AngleCut's
+``angles`` in their insertion order.
 """
 
 import hashlib
@@ -37,7 +37,6 @@ def placement_digest(placement) -> str:
     h = hashlib.sha256()
     for nid, servers in placed_by_id(placement):
         h.update(f"{nid} {servers}\n".encode())
-    h.update(f"version {placement.version}\n".encode())
     for attr in ("keys", "angles"):
         for node, value in getattr(placement, attr, {}).items():
             h.update(f"{attr} {node} {value!r}\n".encode())
@@ -51,34 +50,34 @@ def trees():
 
 PINNED = {
     "anglecut": {
-        "dtr": "9e43caa9b3911966",
-        "lmbe": "4fb3de9c6c718277",
-        "ra": "22c47dd7af1ddb47",
+        "dtr": "4330f571315cf587",
+        "lmbe": "7c011d0700049620",
+        "ra": "db10e6a1964e420f",
     },
     "d2-tree": {
-        "dtr": "227339fe9d046515",
-        "lmbe": "8d5c0277980a9f6c",
-        "ra": "c4596fa5454dd5f5",
+        "dtr": "25fb79ab109cdab1",
+        "lmbe": "4184933170d8ca36",
+        "ra": "28fb9133c5a91016",
     },
     "drop": {
-        "dtr": "184fb099162608b0",
-        "lmbe": "e4e69ef0f3eb70b9",
-        "ra": "ab8a00e06e633620",
+        "dtr": "e7d2e35c51e26c12",
+        "lmbe": "0a878cc2ae788a8a",
+        "ra": "89891d57f8b5f320",
     },
     "dynamic-subtree": {
-        "dtr": "5e9e4e0a1e531593",
-        "lmbe": "4f68a3bc3db1abdb",
-        "ra": "ed06f7824ec56995",
+        "dtr": "f76e9bfb51a666e9",
+        "lmbe": "2e05b93e6f94f2ff",
+        "ra": "d119d33f52cf909a",
     },
     "static-hash": {
-        "dtr": "67935e9ad4c6fbd6",
-        "lmbe": "84dddf437625884f",
-        "ra": "c6ebdeed4034d54e",
+        "dtr": "2185d9e32d9dba8c",
+        "lmbe": "d9b743a45cbdbb6e",
+        "ra": "0d41b7b7e3731144",
     },
     "static-subtree": {
-        "dtr": "87bc83fb2214311c",
-        "lmbe": "067dbf712c299b32",
-        "ra": "d801318dcb62b7b7",
+        "dtr": "d73b30253357bc1a",
+        "lmbe": "56a8fca905bfc9f8",
+        "ra": "c166e6229a3ac480",
     },
 }
 
@@ -146,18 +145,17 @@ def membership_digest(placement) -> str:
             h.update(f"{nid} {source} {target}\n".encode())
     for nid, servers in placed_by_id(placement):
         h.update(f"{nid} {servers}\n".encode())
-    h.update(f"version {placement.version}\n".encode())
     h.update(f"capacities {placement.capacities!r}\n".encode())
     return h.hexdigest()[:16]
 
 
 MEMBERSHIP_PINNED = {
-    "anglecut": {"random": "513aa450cb3ed495", "ra": "344358a0c6ed9096"},
-    "d2-tree": {"random": "9329ceb4a45f6ec1", "ra": "dc30836abd902031"},
-    "drop": {"random": "fe7d380a9fedbe1f", "ra": "404b3ef265a18381"},
-    "dynamic-subtree": {"random": "d84fad90b818fbad", "ra": "0f5a3d3a79b4b698"},
-    "static-hash": {"random": "e75874ccd1c142b4", "ra": "430c01e73285818f"},
-    "static-subtree": {"random": "0dc4b23a3b2e8040", "ra": "527797a79025cc1e"},
+    "anglecut": {"random": "93eaf02c9cc6fb4f", "ra": "dc562b68a543ceb8"},
+    "d2-tree": {"random": "e5da6270a5c87370", "ra": "dddb749f18bce4cb"},
+    "drop": {"random": "12184be7f890083c", "ra": "aa677c26c4bc0d21"},
+    "dynamic-subtree": {"random": "e85f87d5b8f45a41", "ra": "932422b492e3587c"},
+    "static-hash": {"random": "6b2a2482a2c68fa8", "ra": "c96d547dbe1307c7"},
+    "static-subtree": {"random": "ab96963c4d9dc25a", "ra": "438ed4f1b339157c"},
 }
 
 

@@ -151,8 +151,7 @@ def test_rebalance_on_balanced_cluster_is_quiet(random_tree):
 def test_move_subtree_matches_an_assign_per_node(random_tree):
     """``move_subtree`` writes the whole subtree in one pass; what readers
     can observe — every node's servers (late-created, still unplaced
-    descendants are placed too) and the final ``version`` — is that of one
-    ``assign()`` per node."""
+    descendants are placed too) — is that of one ``assign()`` per node."""
     tree = random_tree
     placement = D2TreeScheme(global_layer_fraction=0.05).partition(tree, 4)
     root = max(placement.subtree_owner, key=lambda r: subtree_size(tree, r))
@@ -162,7 +161,7 @@ def test_move_subtree_matches_an_assign_per_node(random_tree):
     assert len(late) >= 2 and all(placement.forget(n) for n in reversed(late))
     owner = placement.subtree_owner[root]
     target = (owner + 1) % 4
-    before, version = list(placement._servers_of), placement.version
+    before = list(placement._servers_of)
 
     assert placement.move_subtree(root, target) == subtree_size(tree, root)
     assert placement.subtree_owner[root] == target
@@ -170,15 +169,14 @@ def test_move_subtree_matches_an_assign_per_node(random_tree):
         placement.servers_of(node) == (target,)
         for node in tree.descendants(root, include_self=True)
     )
-    moved, moved_version = list(placement._servers_of), placement.version
+    moved = list(placement._servers_of)
     assert all(placement.servers_of(node) == (target,) for node in late)
 
-    placement._servers_of, placement.version = before, version
+    placement._servers_of = before
     placement.subtree_owner[root] = owner
     for node in tree.descendants(root, include_self=True):
         placement.assign(node, target)
     assert placement._servers_of == moved
-    assert placement.version == moved_version
 
 
 @given(
@@ -189,7 +187,7 @@ def test_move_subtree_matches_an_assign_per_node(random_tree):
 def test_one_pass_placement_equals_a_walk_per_root(tree, k, replication, rng):
     """``place_subtrees`` (one top-down pass, called once or, as
     ``refresh_global_layer`` does, twice) leaves what a walk of each root's
-    subtree in ``owners`` order leaves: every node's servers, ``version``,
+    subtree in ``owners`` order leaves: every node's servers,
     ``index_version`` and ``subtree_owner`` in the same order. A subtree
     root left out of the map stays unplaced with its whole subtree (a
     child of a global node, even one replicated to a single server, never
@@ -210,14 +208,12 @@ def test_one_pass_placement_equals_a_walk_per_root(tree, k, replication, rng):
         walked.index_version += 1
         for node in tree.descendants(root, include_self=True):
             walked._servers_of[node] = (server,)
-            walked.version += 1
     placed = placement()
     cut = rng.randint(0, len(owners))
     items = list(owners.items())
     placed.place_subtrees(dict(items[:cut]))
     placed.place_subtrees(dict(items[cut:]))
     assert placed._servers_of == walked._servers_of
-    assert placed.version == walked.version
     assert placed.index_version == walked.index_version == len(owners)
     assert list(placed.subtree_owner.items()) == list(walked.subtree_owner.items()) == items
     left_out = [root for root in roots if root not in owners]
@@ -236,11 +232,11 @@ def test_move_subtree_bad_server_changes_nothing(random_tree):
     scheme = D2TreeScheme(global_layer_fraction=0.05)
     placement = scheme.partition(random_tree, 4)
     root = next(iter(placement.subtree_owner))
-    owner, version = placement.subtree_owner[root], placement.version
+    owner, before = placement.subtree_owner[root], list(placement._servers_of)
     with pytest.raises(ValueError):
         placement.move_subtree(root, 4)
     assert placement.subtree_owner[root] == owner
-    assert placement.version == version
+    assert placement._servers_of == before
 
 
 def test_move_subtree_unknown_root_rejected(random_tree):
