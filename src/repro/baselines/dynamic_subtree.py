@@ -49,17 +49,14 @@ class DynamicSubtreePlacement(Placement):
     def rebuild_assignments(self, tree: NamespaceTree) -> None:
         """Recompute every node's server from the zone map: a node's zone
         is its own entry or its parent's, resolved in one pass in id
-        order (parents first), then reassigned. ``version`` moves by one per
-        node, as assigning each one did."""
+        order (parents first), then reassigned."""
         arena = tree.arena()
         zone_servers = self.zone_of
         server_of = [zone_servers[tree.root]] * arena.size
         for cid, pid in arena.descent():
             server = zone_servers.get(cid)
             server_of[cid] = server_of[pid] if server is None else server
-        version = self.version
         self.reassign(range(arena.size), server_of)
-        self.version = version + arena.size
 
     def assign(self, node: int, server: int) -> None:
         """Place ``node``; a zone root takes its zone along, or a later

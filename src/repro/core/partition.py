@@ -81,15 +81,12 @@ class D2TreePlacement(Placement):
             self._check_server(server)
             self.subtree_owner[root] = server
             servers_of[root] = self._single[server]
-        placed = len(owners)
-        self.index_version += placed
+        self.index_version += len(owners)
         global_layer = self.split.global_layer
         for cid, pid in self.tree.arena().descent():
             if servers_of[cid] is None and servers_of[pid] is not None:
                 if pid not in global_layer:
                     servers_of[cid] = servers_of[pid]
-                    placed += 1
-        self.version += placed
 
     def _assign_subtree(self, root: int, server: int) -> int:
         """``assign`` every node of a subtree (the server is the caller's to
@@ -101,7 +98,6 @@ class D2TreePlacement(Placement):
         for node in self.tree.descendants(root):
             servers_of[node] = owner
             count += 1
-        self.version += count
         return count
 
     def promote_subtree(self, root: int) -> List[int]:

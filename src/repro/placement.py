@@ -88,11 +88,6 @@ class Placement:
         self._servers_of: List[Optional[Tuple[int, ...]]] = [None] * len(tree or ())
         self._single = [(server,) for server in range(num_servers)]
         self._all = tuple(range(num_servers))
-        #: Monotone counter bumped on every assignment mutation. Derived
-        #: read-side caches (the routing engine's owner index) compare it
-        #: against the value they last saw instead of subscribing to
-        #: individual call sites.
-        self.version = 0
 
     # ------------------------------------------------------------------
     # Building
@@ -108,11 +103,9 @@ class Placement:
         """Place ``node`` on a single server."""
         self._check_server(server)
         self._reserve(node + 1)[node] = self._single[server]
-        self.version += 1
 
     def replicate(self, node: int, servers: Optional[Sequence[int]] = None) -> None:
         """Replicate ``node`` to ``servers`` (default: every server)."""
-        self.version += 1
         if servers is None:
             self._reserve(node + 1)[node] = self._all
             return
@@ -126,9 +119,7 @@ class Placement:
     def reassign(self, nodes: Sequence[int], servers: Sequence[int]) -> List["Migration"]:
         """Place ``nodes[i]`` on ``servers[i]``, touching only the nodes
         that are new or whose server changed; returns the moves of the
-        latter, in ``nodes`` order. ``version`` is bumped once per node
-        touched and once more, even when nothing moved (the rule that placed
-        the nodes changed). Every node of a partition or a re-fit comes
+        latter, in ``nodes`` order. Every node of a partition or a re-fit comes
         through here: the changed ones are found by C-level passes over the
         two columns, and only they pay a Python step (``assign()``, inlined).
         """
@@ -143,7 +134,6 @@ class Placement:
                 raise ValueError(f"server index out of range: {min(servers)}..{max(servers)}")
             for node, server in zip(nodes, servers):
                 servers_of[node] = single[server]
-            self.version += len(current) + 1
             return []
         else:  # some new: no old owner to compare with
             changed = [
@@ -158,7 +148,6 @@ class Placement:
             if was is not None:
                 moves.append(Migration(node, was[0], server))
             servers_of[node] = single[server]
-        self.version += len(changed) + 1
         return moves
 
     def _check_server(self, server: int) -> None:
@@ -266,7 +255,6 @@ class Placement:
 
         Returns whether the node was placed.
         """
-        self.version += 1
         placed = self.is_placed(node)
         if placed:
             self._servers_of[node] = None

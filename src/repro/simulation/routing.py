@@ -4,10 +4,10 @@
 :class:`~repro.cluster.messages.RoutePlan` for every operation. A node is a dense integer id, so every memo is a column sized
 by the id space of the tree's one snapshot
 (:class:`~repro.core.namespace.NodeArena`, which also shares the cached
-ancestor-chain tuples), and an incremental **owner index** memoises the two
-placement questions route planning asks per op: which local-layer subtree
-root covers a node (D2), and which server is a node's primary (every other
-scheme).
+ancestor-chain tuples). Owners are read from the placement's id-indexed
+column (``Placement._servers_of``) per op; the one memo is D2's incremental
+**owner index**, which caches the placement question that costs a walk:
+which local-layer subtree root covers a node.
 
 D2-Tree placements route by the paper's one rule (Sec. IV-A2): a
 global-layer node is served by any replica, everything else goes straight
@@ -32,8 +32,6 @@ per operation.
 
 Owner-index invalidation is versioned, not subscribed:
 
-* ``Placement.version`` — bumped on every assignment mutation; guards the
-  generic planner's node→primary cache.
 * ``D2TreePlacement.index_version`` — bumped only when two-layer
   *membership* changes (promotion / demotion inside
   :class:`~repro.core.adjustment.DynamicAdjuster` rounds, new roots from
@@ -41,21 +39,23 @@ Owner-index invalidation is versioned, not subscribed:
   goes through :meth:`FastRoutingEngine.invalidate` instead); guards the D2
   planner's node→subtree-root cache and global-layer bitset. Plain
   migrations keep the root set intact, so the root cache survives
-  adjustment churn — owners are always read live from the placement.
+  adjustment churn — owners and replica sets are always read from the
+  placement's column.
 * The tree's node count — guards the
   :class:`~repro.core.namespace.NodeArena` the columns are sized from
   (the tree only grows, so a larger count is the one structural change).
 
 The simulator additionally calls :meth:`FastRoutingEngine.invalidate`
 whenever the control plane evicts or re-admits a server
-(``ClusterSimulator._placement_moved``) as a belt-and-braces flush: recovery rewrites placement wholesale, and a full
-re-derive there costs one miss per touched node.
+(``ClusterSimulator._placement_moved``): a re-home or pull-back can create
+subtree roots without bumping ``index_version``, and a full re-derive there
+costs one miss per touched node.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster.client import SimClient
 from repro.cluster.messages import RoutePlan, Visit, VisitKind
@@ -93,23 +93,23 @@ def make_engine(name: str, tree: NamespaceTree, placement: Placement):
 
 
 class FastRoutingEngine:
-    """Id-keyed planner with an incremental owner index.
+    """Id-keyed planner; D2 placements get an incremental owner index.
 
     Per-op work never splits or hashes a pathname: nodes carry dense integer
     ids, ancestor chains come from the tree's shared
-    :class:`~repro.core.namespace.NodeArena`, and client caches are keyed
-    by id. The owner index memoises
+    :class:`~repro.core.namespace.NodeArena`, client caches are keyed by
+    id, and owners are read from ``placement._servers_of``. The D2 owner
+    index memoises
 
-    * ``_root_id[nid]`` — the covering local-layer subtree root (D2 layout),
-      valid while ``placement.index_version`` is unchanged;
-    * ``_global_bits[nid]`` — global-layer membership bitset, same validity;
-    * ``_primary[nid]`` / ``_primary_stamp[nid]`` — a node's primary server,
-      valid while ``_primary_stamp[nid] == placement.version``.
+    * ``_root_id[nid]`` — the covering local-layer subtree root, valid while
+      ``placement.index_version`` is unchanged;
+    * ``_global_bits[nid]`` — global-layer membership bitset, same validity.
 
-    ``hits`` / ``misses`` count owner-index lookups (a miss falls back to
-    the authoritative placement walk and refills the entry) and feed the
+    ``hits`` / ``misses`` count subtree-root lookups (a miss falls back to
+    the placement's ancestor walk and refills the entry) and feed D2's
     ``owner_index_hit_rate`` telemetry gauge — deterministic, since they
-    depend only on the operation sequence.
+    depend only on the operation sequence. A generic planner keeps no
+    index and counts none.
     """
 
     def __init__(self, tree: NamespaceTree, placement: Placement) -> None:
@@ -134,29 +134,18 @@ class FastRoutingEngine:
         return self._plan_d2 if self._is_d2 else self._plan_generic
 
     def invalidate(self) -> None:
-        """Start every memo column cold against the tree's current arena
-        (failure re-home / rejoin hook; nodes registered since). One slot
-        per node id."""
+        """Start the owner index cold against the tree's current arena
+        (failure re-home / rejoin hook; nodes registered since)."""
         self.arena = self.tree.arena()
-        size = self.arena.size
         #: D2's ``_root_id`` (node id -> covering subtree root id; -1 = not
-        #: cached yet) and ``_global_bits`` are built by the refresh this
-        #: forces on the first D2 plan; a generic engine never reads them.
+        #: cached yet) and ``_global_bits`` are built, one slot per node id,
+        #: by the refresh this forces on the first D2 plan; a generic engine
+        #: never reads them.
         self._membership_version = -1
-        #: Generic: node id -> primary server. D2: root id -> subtree owner.
-        self._primary: List[int] = [0] * size
-        #: placement.version when the primary entry was filled; -1 = never.
-        self._primary_stamp: List[int] = [-1] * size
-        if self._is_d2:
-            #: Global-layer node id -> replica tuple, same stamping discipline
-            #: (replicate() bumps placement.version, e.g. when a grown cluster
-            #: extends a fully-replicated layer onto the newcomer).
-            self._replicas: List[Optional[Tuple[int, ...]]] = [None] * size
-            self._replica_stamp: List[int] = [-1] * size
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of owner-index lookups served without a placement walk."""
+        """Fraction of subtree-root lookups served without a placement walk."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
@@ -232,15 +221,10 @@ class FastRoutingEngine:
         placement = self.placement
         if self._membership_version != placement.index_version:
             self._refresh_membership()
-        version = placement.version
+        servers_of = placement._servers_of
         serve_plans = self._serve_plans
         if self._global_bits[nid]:
-            if self._replica_stamp[nid] == version:
-                replicas = self._replicas[nid]
-            else:
-                replicas = placement._servers_of[nid]
-                self._replicas[nid] = replicas
-                self._replica_stamp[nid] = version
+            replicas = servers_of[nid]
             # A uniform pick among the replicas, inlined down to the
             # getrandbits rejection loop — the exact algorithm
             # SimClient.randbelow (and Random.randrange internally) runs,
@@ -270,14 +254,7 @@ class FastRoutingEngine:
             self.misses += 1
             rid = placement.subtree_root_of(nid)
             self._root_id[nid] = rid
-        # Ownership is never read through a stale entry: migrations bump
-        # placement.version, which invalidates the stamped owner below.
-        if self._primary_stamp[rid] == version:
-            owner = self._primary[rid]
-        else:
-            owner = placement._servers_of[rid][0]
-            self._primary[rid] = owner
-            self._primary_stamp[rid] = version
+        owner = servers_of[rid][0]
         # The client's local index is an LRUCache's recency-ordered dict:
         # popping a key and storing it again is the touch (see
         # repro.cluster.cache), and the store also re-learns the owner.
@@ -321,23 +298,10 @@ class FastRoutingEngine:
             return self._pair_plan(plans, first, owner, kind)
 
     def _plan_generic(self, client: SimClient, nid: int, op: OpType) -> RoutePlan:
-        placement = self.placement
-        version = placement.version
-        servers_of = placement._servers_of
-        primary = self._primary
-        stamp = self._primary_stamp
+        servers_of = self.placement._servers_of
         cache = client.prefix_cache
         data = cache._data
-        # Owner-index lookup for the target itself: O(1) while the
-        # placement is unchanged, authoritative refill otherwise.
-        if stamp[nid] == version:
-            self.hits += 1
-            target = primary[nid]
-        else:
-            self.misses += 1
-            target = servers_of[nid][0]
-            primary[nid] = target
-            stamp[nid] = version
+        target = servers_of[nid][0]
         # Prefix-cache touches pop and store again, as in _plan_d2. A stale
         # target is re-learned here, at MRU ahead of its ancestors; the walk
         # may still evict it in a small cache, hence the store after it.
@@ -368,17 +332,11 @@ class FastRoutingEngine:
             last = cached
             redirected = True
         chain = self.arena.chain(nid)  # ancestor ids, root first
-        # Hits of both counters are summed here and written once per plan;
-        # every ancestor is one lookup of each, so misses are the rest.
-        index_hits = prefix_hits = 0
+        # Prefix-cache hits are summed here and written once per plan;
+        # every ancestor is one lookup, so misses are the rest.
+        prefix_hits = 0
         for aid in chain:
-            if stamp[aid] == version:
-                index_hits += 1
-                server = primary[aid]
-            else:
-                server = servers_of[aid][0]
-                primary[aid] = server
-                stamp[aid] = version
+            server = servers_of[aid][0]
             acached = data.pop(aid, None)
             data[aid] = server
             if acached is not None:
@@ -395,8 +353,6 @@ class FastRoutingEngine:
                 visits.append(_visit((server, _TRAVERSAL)))
                 last = server
         walked = len(chain)
-        self.hits += index_hits
-        self.misses += walked - index_hits
         cache.hits += prefix_hits
         cache.misses += walked - prefix_hits
         data[nid] = target

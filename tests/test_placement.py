@@ -56,14 +56,11 @@ def test_reassign_touches_only_new_and_moved_nodes():
     nodes = list(tree)
     assert placement.reassign(nodes, [0, 1, 2, 0, 1, 2]) == []  # all new
     assert placement.placed_nodes() == nodes
-    version = placement.version
     moves = placement.reassign(nodes, [0, 2, 2, 1, 1, 0])
     assert [(m.node, m.source, m.target) for m in moves] == [
         (nodes[1], 1, 2), (nodes[3], 0, 1), (nodes[5], 2, 0),
     ]
-    assert placement.version == version + len(moves) + 1
     assert placement.reassign(nodes, [0, 2, 2, 1, 1, 0]) == []
-    assert placement.version == version + len(moves) + 2
 
 
 @pytest.mark.parametrize("server", [-1, 3])
