@@ -18,10 +18,21 @@ import random
 
 from repro.cluster.cache import LRUCache
 
-__all__ = ["INDEX_CACHE_SIZE", "SimClient"]
+__all__ = ["INDEX_CACHE_SIZE", "RETRY_BACKOFF_BASE", "RETRY_BACKOFF_CAP", "SimClient", "retry_backoff"]
 
 #: Entries of a client's inter-node index cache, in both modes.
 INDEX_CACHE_SIZE = 512
+
+#: Capped exponential retry backoff, in seconds, in both modes (simulated
+#: seconds in the simulator, wall-clock ones live).
+RETRY_BACKOFF_BASE = 2e-3
+RETRY_BACKOFF_CAP = 0.1
+
+
+def retry_backoff(attempts: int) -> float:
+    """The wait before retrying after attempt ``attempts`` (1 = the first)
+    failed. Reads the two constants per call, so a test can patch them."""
+    return min(RETRY_BACKOFF_CAP, RETRY_BACKOFF_BASE * (2 ** (attempts - 1)))
 
 
 class SimClient:

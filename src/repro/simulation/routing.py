@@ -47,9 +47,8 @@ Owner-index invalidation is versioned, not subscribed:
 
 The simulator additionally calls :meth:`FastRoutingEngine.invalidate`
 whenever the control plane evicts or re-admits a server
-(``ClusterSimulator._placement_moved``): a re-home or pull-back can create
-subtree roots without bumping ``index_version``, and a full re-derive there
-costs one miss per touched node.
+(``ClusterSimulator._placement_moved``): the flush starts D2's owner index
+cold, and a full re-derive there costs one miss per touched node.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.placement import MetadataScheme, Placement, stable_hash
-from repro.cluster.client import INDEX_CACHE_SIZE, SimClient
+from repro.cluster.client import INDEX_CACHE_SIZE, SimClient, retry_backoff
 from repro.cluster.control import ClusterControl
 from repro.cluster.locks import LockManager
 from repro.cluster.mds import MetadataServer
@@ -83,11 +83,9 @@ class SimulationConfig:
     #: keep their metadata until the Monitor misses enough heartbeats.
     fault_plan: Optional[FaultPlan] = None
     #: Retry budget per operation; an op that exhausts it counts as *failed*.
+    #: Attempt k waits ``repro.cluster.client.retry_backoff(k)`` on top of
+    #: the failover timeout.
     max_retries: int = 16
-    #: Capped exponential backoff between retries: attempt k waits
-    #: ``min(cap, base * 2**(k-1))`` on top of the failover timeout.
-    retry_backoff_base: float = 2e-3
-    retry_backoff_cap: float = 0.1
     #: Liveness heartbeat cadence (simulated seconds; <= 0 disables the
     #: detection loop entirely — crashed servers are then never evicted).
     heartbeat_interval: float = 0.05
@@ -303,12 +301,14 @@ class ClusterSimulator:
         self.sampler.add(
             "monitor_epoch", lambda: float(self.monitor.epoch)
         )
-        # Deterministic (depends only on the op sequence), so it joins
-        # the sampled series without breaking byte-level reproducibility.
-        self.sampler.add(
-            "owner_index_hit_rate", lambda: self.engine.hit_rate
-        )
         if isinstance(placement, D2TreePlacement):
+            # The subtree-root index's hit rate (only D2 planners keep
+            # one). Deterministic (depends only on the op sequence), so it
+            # joins the sampled series without breaking byte-level
+            # reproducibility.
+            self.sampler.add(
+                "owner_index_hit_rate", lambda: self.engine.hit_rate
+            )
             self.sampler.add(
                 "global_layer_size",
                 lambda: float(len(placement.split.global_layer)),
@@ -489,9 +489,10 @@ class ClusterSimulator:
         ]
 
     def _placement_moved(self, moves, now: float) -> None:
-        """ClusterControl re-homed or pulled back subtrees: ownership was
-        rewritten wholesale, so flush the owner index rather than trusting
-        version counters to cover every write, then price the moves."""
+        """ClusterControl re-homed or pulled back subtrees: restart the
+        engine's one memo, D2's subtree-root index and global-layer bitset,
+        cold (owners are read from the placement column, so the moves
+        themselves need no flush), then price the moves."""
         self.engine.invalidate()
         self.migrations += len(moves)
         self._charge_migrations(moves)
@@ -799,10 +800,7 @@ class ClusterSimulator:
                     slot_attempts[slot] = attempts
                     if attempts <= max_retries:
                         availability.retries += 1
-                        retry_at = lost_at + failover + min(
-                            cfg.retry_backoff_cap,
-                            cfg.retry_backoff_base * (2 ** (attempts - 1)),
-                        )
+                        retry_at = lost_at + failover + retry_backoff(attempts)
                         if log_on:
                             log.retry(slot_issue[slot] - 1, slot, lost_at, lost, attempts)
                         if rec_on:

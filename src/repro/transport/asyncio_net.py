@@ -105,7 +105,6 @@ class FrameLink(asyncio.Protocol):
         self._reading_paused = False
         self._writing_paused = False
         self._release_on_drain = False
-        self._drain_waiters: List[asyncio.Future] = []
         self._drained: List[Callable[[], None]] = []
         self._eof = False
         self._lost = False
@@ -156,14 +155,12 @@ class FrameLink(asyncio.Protocol):
 
     async def drain(self) -> None:
         """Wait while the transport's write buffer is over its high-water
-        mark; every waiter wakes when it drains."""
+        mark: a future woken through :meth:`when_drained` (unless its waiter
+        was cancelled meanwhile)."""
         if self._writing_paused:
             waiter = asyncio.get_running_loop().create_future()
-            self._drain_waiters.append(waiter)
-            try:
-                await waiter
-            finally:
-                self._drain_waiters.remove(waiter)
+            self.when_drained(lambda: waiter.done() or waiter.set_result(None))
+            await waiter
         if self._lost:
             raise ConnectionResetError("link lost")
 
@@ -212,9 +209,6 @@ class FrameLink(asyncio.Protocol):
 
     def resume_writing(self) -> None:
         self._writing_paused = False
-        for waiter in self._drain_waiters:
-            if not waiter.done():
-                waiter.set_result(None)
         self._wake_drained()
         if self._release_on_drain:
             self._release_on_drain = False
@@ -223,10 +217,7 @@ class FrameLink(asyncio.Protocol):
     def connection_lost(self, exc: Optional[BaseException]) -> None:
         self._held = self._lost = True
         self._writing_paused = False
-        for waiter in self._drain_waiters:
-            if not waiter.done():
-                waiter.set_result(None)  # drain() raises, seeing _lost
-        self._wake_drained()  # each sees ``closing``
+        self._wake_drained()  # each sees ``closing``; drain() raises
         if self.on_lost is not None:
             self.on_lost(self, exc or self._error)
 

@@ -63,7 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.history import OpHistory
 from repro.cluster.cache import LRUCache
-from repro.cluster.client import INDEX_CACHE_SIZE
+from repro.cluster.client import INDEX_CACHE_SIZE, retry_backoff
 from repro.cluster.index import covering_entry
 from repro.cluster.messages import ClientReply, ClientRequest
 from repro.simulation.stats import summarize_latencies
@@ -94,10 +94,9 @@ class LoadConfig:
     rate: float = 4000.0
     #: Per-attempt reply timeout (a lost request or reply looks like this).
     request_timeout: float = 0.25
-    #: Attempts per operation before it counts as failed.
+    #: Attempts per operation before it counts as failed; attempt k waits
+    #: ``repro.cluster.client.retry_backoff(k)`` before the next.
     max_retries: int = 16
-    retry_backoff_base: float = 0.002
-    retry_backoff_cap: float = 0.1
     #: In-flight cap protecting the event loop; hitting it is reported as
     #: ``saturated`` (the run degraded from open- to closed-loop there).
     max_inflight: int = 1024
@@ -622,14 +621,7 @@ class LoadGenerator:
         # forget it rather than retry it per op.
         self._forget(op.root, op.target)
         op.root = ""
-        cfg = self.cfg
-        self._back_off(
-            op,
-            min(
-                cfg.retry_backoff_cap,
-                cfg.retry_backoff_base * (2 ** (op.attempts - 1)),
-            ),
-        )
+        self._back_off(op, retry_backoff(op.attempts))
 
     def _on_reply(self, op: _Op, reply: ClientReply) -> None:
         status = reply.status
@@ -664,9 +656,9 @@ class LoadGenerator:
             self._retry(op)
             return
         # "error" (no routing entry yet) or a bogus redirect: try another
-        # entry server after a short backoff. The server answered, so the
-        # op was determinately not applied by this attempt.
-        self._back_off(op, self.cfg.retry_backoff_base)
+        # entry server after the first attempt's backoff. The server
+        # answered, so the op was determinately not applied by this attempt.
+        self._back_off(op, retry_backoff(1))
 
     async def close(self) -> None:
         dials = [

@@ -383,17 +383,16 @@ def test_a_stale_primary_costs_one_redirect_then_is_learned_again(workload):
 
 
 @pytest.mark.parametrize("how", ["refused", "timed out"])
-def test_an_unreachable_primary_is_forgotten_not_retried_per_op(workload, how):
+def test_an_unreachable_primary_is_forgotten_not_retried_per_op(workload, how, monkeypatch):
     """The learned primary refuses the connection (nothing listens there)
     or loses every frame: the first update on the path pays for it, is
     retried elsewhere, and no later update is sent there."""
     path, replicas = _global_paths(workload)[0]
     ops = ops_trace([(path, "update")] * 6)
     gone = NUM_SERVERS + 3 if how == "refused" else (replicas[0] + 1) % NUM_SERVERS
-    cfg = LoadConfig(
-        rate=1e6, max_inflight=1, seed=SEED, request_timeout=0.02,
-        retry_backoff_base=0.001, retry_backoff_cap=0.002,
-    )
+    cfg = LoadConfig(rate=1e6, max_inflight=1, seed=SEED, request_timeout=0.02)
+    monkeypatch.setattr("repro.cluster.client.RETRY_BACKOFF_BASE", 0.001)
+    monkeypatch.setattr("repro.cluster.client.RETRY_BACKOFF_CAP", 0.002)
 
     async def body(cluster):
         if how == "timed out":

@@ -302,9 +302,10 @@ def test_full_loss_on_one_server_times_out_and_is_routed_around(
         + [(r.path, r.op.value) for r in workload.trace.slice(0, 60)]
     )
     cfg = LoadConfig(
-        rate=1e6, max_inflight=8, seed=SEED, request_timeout=0.03,
-        max_retries=3, retry_backoff_base=0.001, retry_backoff_cap=0.002,
+        rate=1e6, max_inflight=8, seed=SEED, request_timeout=0.03, max_retries=3,
     )
+    monkeypatch.setattr("repro.cluster.client.RETRY_BACKOFF_BASE", 0.001)
+    monkeypatch.setattr("repro.cluster.client.RETRY_BACKOFF_CAP", 0.002)
 
     async def body(cluster):
         cluster.transport.set_loss(mds_addr(victim), 1.0)
@@ -364,15 +365,16 @@ def test_a_timed_out_cached_owner_is_forgotten(workload):
     assert entry is None
 
 
-def test_a_reply_after_its_timer_fired_is_dropped_silently(workload):
+def test_a_reply_after_its_timer_fired_is_dropped_silently(workload, monkeypatch):
     """The server answers later than the client waits: every attempt times
     out, every reply lands on a waiter that is gone. The op was applied —
     the client can only call it indeterminate — and nothing blows up."""
     ops = workload.trace.slice(0, 6)
     cfg = LoadConfig(
-        rate=1e6, max_inflight=2, seed=SEED, request_timeout=0.01,
-        max_retries=2, retry_backoff_base=0.001, retry_backoff_cap=0.001,
+        rate=1e6, max_inflight=2, seed=SEED, request_timeout=0.01, max_retries=2,
     )
+    monkeypatch.setattr("repro.cluster.client.RETRY_BACKOFF_BASE", 0.001)
+    monkeypatch.setattr("repro.cluster.client.RETRY_BACKOFF_CAP", 0.001)
 
     async def body(cluster):
         generator = LoadGenerator(cluster.transport, NUM_SERVERS, ops, cfg)
@@ -877,15 +879,14 @@ def test_operations_that_settle_at_once_loop_instead_of_recursing():
     assert report.history.counts()["events"] == 2 * len(ops)
 
 
-def test_every_dial_refused_fails_each_op_as_unsent_one_dial_per_mds_at_a_time():
+def test_every_dial_refused_fails_each_op_as_unsent_one_dial_per_mds_at_a_time(monkeypatch):
     """Nothing listens. Every attempt queues on its MDS's one dial and is
     refused with it: nothing reached the wire, so every op fails —
     determinately not applied, never indeterminate."""
     ops = ops_trace([(f"/p{op_id}", "read") for op_id in range(200)])
-    cfg = LoadConfig(
-        rate=1e6, max_inflight=8, max_retries=3, seed=SEED,
-        retry_backoff_base=0.0, retry_backoff_cap=0.0,
-    )
+    cfg = LoadConfig(rate=1e6, max_inflight=8, max_retries=3, seed=SEED)
+    monkeypatch.setattr("repro.cluster.client.RETRY_BACKOFF_BASE", 0.0)
+    monkeypatch.setattr("repro.cluster.client.RETRY_BACKOFF_CAP", 0.0)
 
     async def go():
         loop = asyncio.get_running_loop()

@@ -766,10 +766,14 @@ def test_every_writer_blocked_on_a_paused_link_wakes():
         link, _ = _link(lambda link, wire: None)
         link.pause_writing()
         blocked = [asyncio.ensure_future(link.drain()) for _ in range(3)]
+        cancelled = asyncio.ensure_future(link.drain())
         await asyncio.sleep(0)
         assert not any(task.done() for task in blocked)
+        cancelled.cancel()  # its waiter is done before the buffer drains
+        await asyncio.sleep(0)
         link.resume_writing()
         await asyncio.wait_for(asyncio.gather(*blocked), 1.0)
+        assert cancelled.cancelled()
         # A lost link fails its blocked writers instead of stranding them.
         link.pause_writing()
         stranded = asyncio.ensure_future(link.drain())
