@@ -18,7 +18,9 @@ import random
 
 from repro.cluster.cache import LRUCache
 
-__all__ = ["INDEX_CACHE_SIZE", "RETRY_BACKOFF_BASE", "RETRY_BACKOFF_CAP", "SimClient", "retry_backoff"]
+__all__ = [
+    "INDEX_CACHE_SIZE", "RETRY_BACKOFF_BASE", "RETRY_BACKOFF_CAP", "SimClient", "retry_backoff",
+]
 
 #: Entries of a client's inter-node index cache, in both modes.
 INDEX_CACHE_SIZE = 512
